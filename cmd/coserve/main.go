@@ -29,7 +29,8 @@
 // successful responses.
 //
 // -wal DIR arms the durable commit path: served bases open from the
-// directory's checkpoint sidecars (the snapshot seeds the first start),
+// directory's per-model checkpoints (<slug>.codb; the -db snapshot seeds
+// the first start),
 // the write-ahead log replays on startup, and /run requests carrying
 // commit=1 fold their update-query mutations into the served base — the
 // response is written only after the fsync acknowledged the batch. A

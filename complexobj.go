@@ -109,8 +109,8 @@ type Options struct {
 	// for the quantified effect.
 	CountIndexIO bool
 	// Backend selects where the simulated device keeps its page images:
-	// "" or "mem" for the in-memory arena (default), "file" for an arena
-	// file in the OS temp directory, "file:DIR" for an arena file in DIR,
+	// "" or "mem" for the in-memory arena (default), "file" for a scratch
+	// arena file in the OS temp directory, "file:DIR" for one in DIR,
 	// or "cow" for a copy-on-write overlay arena (reads shared through an
 	// immutable base where one exists — see OpenBase and DB.Freeze — and
 	// private page copies for writes). The backend changes only where the
@@ -166,10 +166,6 @@ func (s Stats) Calls() int64 { return s.ReadCalls + s.WriteCalls }
 type DB struct {
 	kind  ModelKind
 	model store.Model
-	// persistDir, when set, is the directory an OpenPersistent database
-	// lives in; Close writes the meta sidecar there before releasing the
-	// backend.
-	persistDir string
 }
 
 // Open creates an empty database under the given storage model and
@@ -208,18 +204,11 @@ func OpenLoaded(kind ModelKind, opts Options, gen cobench.Config) (*DB, error) {
 func (db *DB) Kind() ModelKind { return db.kind }
 
 // Close flushes dirty pages and releases the storage backend (unmapping
-// and, for anonymous file arenas, deleting the arena file). A persistent
-// database (OpenPersistent) additionally records its directory metadata
-// in the meta sidecar so the next open restores it. The database must
-// not be used afterwards. Close is a no-op for repeated calls only in
-// the sense that errors repeat; call it once.
+// and, for file arenas, deleting the scratch arena file). To keep a
+// database across runs, WriteSnapshot it first and OpenSnapshot it later.
+// The database must not be used afterwards. Close is a no-op for repeated
+// calls only in the sense that errors repeat; call it once.
 func (db *DB) Close() error {
-	if db.persistDir != "" {
-		if err := db.writePersistentMeta(); err != nil {
-			db.model.Engine().Close()
-			return err
-		}
-	}
 	return db.model.Engine().Close()
 }
 

@@ -8,14 +8,13 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"complexobj/internal/disk"
 	"complexobj/internal/snapshot"
 	"complexobj/internal/store"
 	"complexobj/internal/wal"
 )
 
-// modelKindOf maps a store kind byte (as recorded in WAL commit markers
-// and sidecar files) back to the facade enum.
+// modelKindOf maps a store kind byte (as recorded in WAL commit markers)
+// back to the facade enum.
 func modelKindOf(k store.Kind) (ModelKind, bool) {
 	for _, mk := range AllModels() {
 		if mk.internal() == k {
@@ -25,90 +24,10 @@ func modelKindOf(k store.Kind) (ModelKind, bool) {
 	return 0, false
 }
 
-// OpenPersistent opens — creating if absent — a single-model database
-// persisted in dir without going through a .codb export: the simulated
-// device lives in dir/<slug>.arena (adopted by the file backend across
-// runs) and the model's directory metadata in dir/<slug>.meta, written
-// on Close. A database that existed is reopened with its full contents,
-// a cold cache and zeroed counters; a fresh one starts empty, ready for
-// Load. opts.Backend must be empty or "file" (the location is implied by
-// dir). Durability here is at Close granularity — crash-safe commits are
-// the CommitLog's job.
-func OpenPersistent(dir string, kind ModelKind, opts Options) (*DB, error) {
-	if opts.Backend != "" && opts.Backend != "file" {
-		return nil, fmt.Errorf("complexobj: persistent database in %s cannot use backend %q", dir, opts.Backend)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("complexobj: persistent dir: %w", err)
-	}
-	opts.Backend = ""
-	so, err := opts.internal()
-	if err != nil {
-		return nil, err
-	}
-	arenaPath, _ := snapshot.SidecarPaths(dir, kind.internal())
-	so.Backend = disk.BackendSpec{Kind: disk.FileArena, Path: arenaPath}
-
-	info, meta, err := snapshot.ReadSidecar(dir, kind.internal())
-	switch {
-	case err == nil:
-		if info.Kind != kind.internal() {
-			return nil, fmt.Errorf("complexobj: %s holds %s, want %s", dir, info.Kind, kind)
-		}
-		if so.PageSize != 0 && so.PageSize != info.PageSize {
-			return nil, fmt.Errorf("complexobj: page size %d requested, %s persisted with %d", so.PageSize, dir, info.PageSize)
-		}
-		so.PageSize = info.PageSize
-		eng, err := store.NewEngine(so)
-		if err != nil {
-			return nil, err
-		}
-		if got := eng.Dev.NumPages(); got < info.NumPages {
-			eng.Close()
-			return nil, fmt.Errorf("complexobj: arena %s has %d pages, sidecar recorded %d", arenaPath, got, info.NumPages)
-		}
-		m := store.NewWithEngine(kind.internal(), eng)
-		if err := m.RestoreMeta(meta); err != nil {
-			eng.Close()
-			return nil, fmt.Errorf("complexobj: restore %s from %s: %w", kind, dir, err)
-		}
-		if err := eng.ColdCache(); err != nil {
-			eng.Close()
-			return nil, err
-		}
-		eng.ResetStats()
-		return &DB{kind: kind, model: m, persistDir: dir}, nil
-	case os.IsNotExist(err):
-		m, err := store.New(kind.internal(), so)
-		if err != nil {
-			return nil, err
-		}
-		return &DB{kind: kind, model: m, persistDir: dir}, nil
-	default:
-		return nil, err
-	}
-}
-
-// writePersistentMeta records the database's current state in its meta
-// sidecar (the arena file is the engine's own backend, flushed and
-// truncated to size by the engine Close that follows).
-func (db *DB) writePersistentMeta() error {
-	if err := db.model.Flush(); err != nil {
-		return err
-	}
-	meta, err := db.model.SnapshotMeta()
-	if err != nil {
-		return err
-	}
-	dev := db.model.Engine().Dev
-	return snapshot.WriteSidecarMeta(db.persistDir, db.kind.internal(),
-		dev.PageSize(), dev.NumPages(), 0, 0, meta)
-}
-
-// SeedCommitDir writes each database's current state into dir as
-// checkpoint sidecars (watermark 0), seeding a commit-log directory so a
-// server can start durable serving there without carrying a .codb
-// fallback. The databases keep working afterwards (their dirty pages are
+// SeedCommitDir writes each database's current state into dir as its
+// checkpoint file (<slug>.codb, watermark 0), seeding a commit-log
+// directory so a server can start durable serving there without a
+// separate seed snapshot. The databases keep working afterwards (their dirty pages are
 // flushed as a side effect, like WriteSnapshot).
 func SeedCommitDir(dir string, dbs ...*DB) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -133,8 +52,9 @@ func SeedCommitDir(dir string, dbs ...*DB) error {
 var ErrNotRecovered = errors.New("complexobj: commit log not recovered; call Recover first")
 
 // CommitLog is the durable commit path of a serving process: one shared
-// write-ahead log (dir/wal.log) plus per-model checkpoint sidecars, over
-// the bases the process serves from. The lifecycle is
+// write-ahead log (dir/wal.log) plus one checkpoint file per model
+// (dir/<slug>.codb, a single-model snapshot carrying the log watermark),
+// over the bases the process serves from. The lifecycle is
 //
 //	clog, _ := OpenCommitLog(dir)
 //	base, _ := clog.OpenBase(kind, fallbackSnapshot) // per model
@@ -144,7 +64,7 @@ var ErrNotRecovered = errors.New("complexobj: commit log not recovered; call Rec
 //	clog.Checkpoint()                                // compact the log
 //
 // Recover replays every committed batch in the log over the registered
-// bases — the sidecar state plus the replayed batches is exactly the
+// bases — the checkpoint state plus the replayed batches is exactly the
 // last group-committed generation; torn tails and uncommitted batches
 // are truncated by the log itself. Commits and checkpoints may run
 // concurrently (checkpoints exclude commits for their duration); commits
@@ -161,11 +81,11 @@ type CommitLog struct {
 	mu        sync.Mutex // registration, recovery, stats
 	log       *wal.Log   // nil until Recover
 	bases     map[ModelKind]*Base
-	seqFloor  uint64 // max checkpoint watermark across registered sidecars
+	seqFloor  uint64 // max watermark across registered checkpoints
 	recovered int64  // batches replayed by Recover
 
 	// ckpt excludes commits while a checkpoint captures the bases and
-	// truncates the log — a commit landing between a sidecar write and
+	// truncates the log — a commit landing between a checkpoint write and
 	// the truncation would otherwise be lost.
 	ckpt        sync.RWMutex
 	checkpoints atomic.Int64
@@ -191,10 +111,10 @@ func OpenCommitLog(dir string) (*CommitLog, error) {
 func (c *CommitLog) Dir() string { return c.dir }
 
 // OpenBase opens the model's durable state from the log's directory and
-// registers it for recovery, commits and checkpoints: the checkpoint
-// sidecar when one exists, else the fallback .codb snapshot (the seed
-// for a directory that has never checkpointed; empty snapshotPath makes
-// a missing sidecar an error). Must be called before Recover.
+// registers it for recovery, commits and checkpoints: the model's
+// checkpoint file when one exists, else the fallback .codb snapshot (the
+// seed for a directory that has never checkpointed; empty snapshotPath
+// makes a missing checkpoint an error). Must be called before Recover.
 func (c *CommitLog) OpenBase(kind ModelKind, snapshotPath string) (*Base, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -284,10 +204,12 @@ func (c *CommitLog) commit(sv *store.View) (store.CommitResult, error) {
 	return sv.Commit(l)
 }
 
-// Checkpoint captures every registered base into its sidecar pair and
-// truncates the log. Commits are excluded for the duration; in-flight
-// ones finish first. Safe to call at any frequency — the cost is one
-// arena write per model.
+// Checkpoint captures every registered base into its checkpoint file —
+// one atomic rename per model — and then truncates the log. A crash in
+// between leaves checkpoints newer than the log's start; replayed page
+// images are absolute, so recovery converges on the same committed state.
+// Commits are excluded for the duration; in-flight ones finish first.
+// Safe to call at any frequency — the cost is one arena write per model.
 func (c *CommitLog) Checkpoint() error {
 	l := c.handle()
 	if l == nil {
@@ -373,18 +295,6 @@ func (c *CommitLog) Stats() CommitLogStats {
 		out.PayloadBytes = s.PayloadBytes
 		out.SizeBytes = s.SizeBytes
 		out.LastSeq = s.LastSeq
-	}
-	return out
-}
-
-// Bases returns the registered bases keyed by model (the serving layer's
-// generation report).
-func (c *CommitLog) Bases() map[ModelKind]*Base {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[ModelKind]*Base, len(c.bases))
-	for k, b := range c.bases {
-		out[k] = b
 	}
 	return out
 }

@@ -1,13 +1,16 @@
 package complexobj
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"complexobj/cobench"
+	"complexobj/internal/snapshot"
 )
 
 // The crash battery below complements the torn/short fault injection in
@@ -302,6 +305,143 @@ func TestCommitLogKillAfterSync(t *testing.T) {
 				t.Fatalf("recovered state reads %q, want %q (replayed %d)", got.Name, want, n)
 			}
 		})
+	}
+}
+
+// TestCommitLogKillInsideCheckpoint stops a checkpoint in the one window
+// it still has: every model's checkpoint file renamed into place, the log
+// not yet truncated. (The dead log handle makes Reset fail exactly there;
+// on disk that is what kill -9 leaves.) Recovery then replays the whole
+// log over checkpoints that already contain it — page images are
+// absolute, so it must land on the same committed state byte for byte,
+// continue the sequence and accept the next commit.
+func TestCommitLogKillInsideCheckpoint(t *testing.T) {
+	const rootIdx = 6
+	kinds := AllModels()
+	dir := t.TempDir()
+	dbs := make([]*DB, len(kinds))
+	for i, k := range kinds {
+		dbs[i] = smallDB(t, k)
+		defer dbs[i].Close()
+	}
+	if err := SeedCommitDir(dir, dbs...); err != nil {
+		t.Fatal(err)
+	}
+
+	open := func() (*CommitLog, []*Base, int) {
+		t.Helper()
+		clog, err := OpenCommitLog(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases := make([]*Base, len(kinds))
+		for i, k := range kinds {
+			if bases[i], err = clog.OpenBase(k, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n, err := clog.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return clog, bases, n
+	}
+	commit := func(clog *CommitLog, b *Base, name string) CommitInfo {
+		t.Helper()
+		v, err := b.NewView(Options{BufferPages: 128})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer v.Close()
+		if err := v.sv.UpdateRoots([]int32{rootIdx}, func(_ int32, r *cobench.RootRecord) {
+			r.Name = name
+		}); err != nil {
+			t.Fatal(err)
+		}
+		info, err := v.Commit(clog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info
+	}
+	// state copies each base's committed arena and metadata.
+	state := func(bases []*Base) [][2][]byte {
+		out := make([][2][]byte, len(bases))
+		for i, b := range bases {
+			_, _, meta, arena := b.base.SnapshotState()
+			out[i] = [2][]byte{append([]byte(nil), meta...), append([]byte(nil), arena.Bytes()...)}
+			arena.Release()
+		}
+		return out
+	}
+
+	clog, bases, _ := open()
+	const rounds = 2
+	for r := 1; r <= rounds; r++ {
+		for _, b := range bases {
+			commit(clog, b, fmt.Sprintf("round %d", r))
+		}
+	}
+	total := rounds * len(kinds)
+	want := state(bases)
+	walBefore, err := os.ReadFile(filepath.Join(dir, WALFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	clog.file.Close()
+	if err := clog.Checkpoint(); err == nil {
+		t.Fatal("checkpoint truncated a log whose handle is dead")
+	}
+	for _, b := range bases {
+		b.Close()
+	}
+
+	// On disk: the full log, and one checkpoint file per model already
+	// carrying the log's last sequence. Nothing else.
+	walAfter, err := os.ReadFile(filepath.Join(dir, WALFileName))
+	if err != nil || !bytes.Equal(walAfter, walBefore) {
+		t.Fatalf("log changed by the interrupted checkpoint (%v)", err)
+	}
+	wantFiles := []string{WALFileName}
+	for _, k := range kinds {
+		sc, err := snapshot.StatSidecar(dir, k.internal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc.Seq != uint64(total) || sc.Gen != rounds {
+			t.Fatalf("%s checkpoint at seq %d gen %d, want %d / %d", k, sc.Seq, sc.Gen, total, rounds)
+		}
+		wantFiles = append(wantFiles, snapshot.Slug(k.internal())+".codb")
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotFiles []string
+	for _, e := range ents {
+		gotFiles = append(gotFiles, e.Name())
+	}
+	sort.Strings(wantFiles)
+	if !reflect.DeepEqual(gotFiles, wantFiles) {
+		t.Fatalf("commit dir holds %v, want %v", gotFiles, wantFiles)
+	}
+
+	re, bases2, n := open()
+	defer re.Close()
+	if n != total {
+		t.Fatalf("recovery replayed %d batches, log holds %d", n, total)
+	}
+	for i, got := range state(bases2) {
+		if !bytes.Equal(got[0], want[i][0]) || !bytes.Equal(got[1], want[i][1]) {
+			t.Fatalf("%s: replay over the newer checkpoint diverged from the committed state", kinds[i])
+		}
+	}
+	if info := commit(re, bases2[0], "after the crash"); info.Seq != uint64(total)+1 {
+		t.Fatalf("post-recovery commit got seq %d, want %d", info.Seq, total+1)
+	}
+	for _, b := range bases2 {
+		b.Close()
 	}
 }
 

@@ -2,84 +2,81 @@ package complexobj
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"complexobj/cobench"
+	"complexobj/internal/snapshot"
 )
 
-// TestOpenPersistentRoundTrip pins the persistent-database lifecycle: a
-// database created in a directory, loaded and closed reopens with its
-// full contents, a cold cache and zeroed counters — and without any
-// .codb export in between.
+// TestOpenPersistentRoundTrip pins the persistent-database lifecycle
+// (the test keeps the name of the OpenPersistent call it used to drive):
+// a single-model database kept across opens is WriteSnapshot on the way
+// out and OpenSnapshot on the way in — it reopens with its full contents,
+// a cold cache and zeroed counters, and saving over the same path again
+// carries later updates forward.
 func TestOpenPersistentRoundTrip(t *testing.T) {
-	stations, err := cobench.Generate(cobench.DefaultConfig().WithN(60))
+	cfg := cobench.DefaultConfig().WithN(60)
+	stations, err := cobench.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, kind := range AllModels() {
 		t.Run(kind.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			db, err := OpenPersistent(dir, kind, Options{BufferPages: 128})
+			path := filepath.Join(t.TempDir(), "db.codb")
+			opts := Options{BufferPages: 128, Backend: "file"}
+			renameAndSave := func(db *DB, name string) {
+				t.Helper()
+				if err := db.UpdateObject(7, func(s *cobench.Station) error {
+					s.Name = name
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if err := WriteSnapshot(path, cfg, db); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			db, err := Open(kind, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := db.Load(stations); err != nil {
 				t.Fatal(err)
 			}
-			if err := db.UpdateObject(7, func(s *cobench.Station) error {
-				s.Name = "persisted"
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
-			}
+			renameAndSave(db, "persisted")
 
-			re, err := OpenPersistent(dir, kind, Options{BufferPages: 128})
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
-			}
-			defer re.Close()
-			if re.NumObjects() != len(stations) {
-				t.Fatalf("reopened with %d objects, want %d", re.NumObjects(), len(stations))
-			}
-			if s := re.Stats(); s.Calls() != 0 || s.BufferFixes != 0 {
-				t.Fatalf("reopened counters not zero: %+v", s)
-			}
-			got, err := re.FetchByKey(stations[7].Key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Name != "persisted" {
-				t.Fatalf("update lost across reopen: %q", got.Name)
+			for _, want := range []string{"persisted", "persisted again"} {
+				re, err := OpenSnapshot(path, kind, opts)
+				if err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+				if re.NumObjects() != len(stations) {
+					t.Fatalf("reopened with %d objects, want %d", re.NumObjects(), len(stations))
+				}
+				if s := re.Stats(); s.Calls() != 0 || s.BufferFixes != 0 {
+					t.Fatalf("reopened counters not zero: %+v", s)
+				}
+				got, err := re.FetchByKey(stations[7].Key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Name != want {
+					t.Fatalf("update lost across reopen: %q, want %q", got.Name, want)
+				}
+				renameAndSave(re, "persisted again")
 			}
 
 			// A conflicting page size is a configuration error, not silent
 			// re-creation.
-			if _, err := OpenPersistent(dir, kind, Options{PageSize: 4096}); err == nil {
+			if _, err := OpenSnapshot(path, kind, Options{PageSize: 4096}); err == nil {
 				t.Fatal("conflicting page size accepted")
 			}
-			// Persistence implies the file backend; everything else is
-			// rejected up front.
-			if _, err := OpenPersistent(dir, kind, Options{Backend: "mem"}); err == nil {
-				t.Fatal("mem backend accepted for a persistent database")
-			}
 		})
-	}
-}
-
-// TestOpenPersistentFresh: an empty directory yields an empty database,
-// usable immediately.
-func TestOpenPersistentFresh(t *testing.T) {
-	db, err := OpenPersistent(t.TempDir(), NSM, Options{BufferPages: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if db.NumObjects() != 0 {
-		t.Fatalf("fresh persistent database holds %d objects", db.NumObjects())
 	}
 }
 
@@ -109,7 +106,7 @@ func seedSnapshot(t *testing.T, kind ModelKind, n int) (string, []*cobench.Stati
 
 // TestCommitLogLifecycle drives the durable serving lifecycle end to end:
 // seed snapshot → commit log → durable commits → restart replays them →
-// checkpoint compacts the log → restart from the sidecar alone.
+// checkpoint compacts the log → restart from the checkpoint alone.
 func TestCommitLogLifecycle(t *testing.T) {
 	const kind = DASDBSNSM
 	snap, stations := seedSnapshot(t, kind, 40)
@@ -216,7 +213,7 @@ func TestCommitLogLifecycle(t *testing.T) {
 	}
 	v.Close()
 
-	// Checkpoint: sidecars written, log truncated, sequence preserved.
+	// Checkpoint: files written, log truncated, sequence preserved.
 	if err := clog2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -261,6 +258,82 @@ func TestCommitLogLifecycle(t *testing.T) {
 		t.Fatalf("sequence after checkpoint restart: %d, want 3", info.Seq)
 	}
 	v3.Close()
+}
+
+// TestCheckpointIsASnapshot: the file CommitLog.Checkpoint writes is an
+// ordinary single-model .codb, so every snapshot consumer opens it — Stat,
+// OpenBase, OpenSnapshot, Extract — and reads the committed state.
+func TestCheckpointIsASnapshot(t *testing.T) {
+	const kind = DASDBSDSM
+	snap, stations := seedSnapshot(t, kind, 40)
+	dir := t.TempDir()
+	clog, err := OpenCommitLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clog.Close()
+	base, err := clog.OpenBase(kind, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Close()
+	if _, err := clog.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	v, err := base.NewView(Options{BufferPages: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.sv.UpdateRoots([]int32{5}, func(_ int32, r *cobench.RootRecord) {
+		r.Name = "checkpointed"
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.Commit(clog); err != nil {
+		t.Fatal(err)
+	}
+	v.Close()
+	if err := clog.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	ckpt := filepath.Join(dir, snapshot.Slug(kind.internal())+".codb")
+	info, err := StatSnapshot(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(info.Models) != 1 || info.Models[0] != kind || info.Gen != (cobench.Config{}) {
+		t.Fatalf("checkpoint describes itself as %+v", info)
+	}
+	if sc, err := snapshot.StatSidecar(dir, kind.internal()); err != nil || sc.Seq != 1 || sc.Gen != 1 {
+		t.Fatalf("checkpoint watermark %+v, %v; want seq 1 gen 1", sc, err)
+	}
+	// Extract keeps the watermark: the copy is another directory's
+	// checkpoint of that model, which is what a durable handoff would ship.
+	moved := t.TempDir()
+	seg := filepath.Join(moved, filepath.Base(ckpt))
+	if err := ExtractSnapshot(ckpt, seg, []ModelKind{kind}); err != nil {
+		t.Fatal(err)
+	}
+	if sc, err := snapshot.StatSidecar(moved, kind.internal()); err != nil || sc.Seq != 1 {
+		t.Fatalf("extracted checkpoint watermark %+v, %v; want seq 1", sc, err)
+	}
+	if _, err := snapshot.StatSidecar(t.TempDir(), kind.internal()); !os.IsNotExist(err) {
+		t.Fatalf("stat of a directory without a checkpoint: %v, want not-exist", err)
+	}
+	for _, path := range []string{ckpt, seg} {
+		for _, backend := range []string{"mem", "cow"} { // snapshot.Open and OpenBase
+			db, err := OpenSnapshot(path, kind, Options{BufferPages: 128, Backend: backend})
+			if err != nil {
+				t.Fatalf("%s via %s: %v", filepath.Base(path), backend, err)
+			}
+			got, err := db.FetchByKey(stations[5].Key)
+			if err != nil || got.Name != "checkpointed" {
+				t.Fatalf("%s via %s reads %q, %v", filepath.Base(path), backend, got.Name, err)
+			}
+			db.Close()
+		}
+	}
 }
 
 // TestCommitLogMaybeCheckpoint pins the size-triggered compaction valve.

@@ -137,9 +137,6 @@ func New(cfg Config) *Suite {
 	return s
 }
 
-// Default creates a suite with the paper's configuration.
-func Default() *Suite { return New(DefaultConfig()) }
-
 // Config returns the suite's effective configuration.
 func (s *Suite) Config() Config { return s.cfg }
 

@@ -23,7 +23,7 @@ func testDevices(t *testing.T) map[string]func() *disk.Disk {
 		"mem": func() *disk.Disk { return disk.New(disk.DefaultPageSize) },
 		"file": func() *disk.Disk {
 			n++
-			b, err := disk.OpenFileBackend(filepath.Join(dir, fmt.Sprintf("arena%d", n)), disk.FileBackendOptions{})
+			b, err := disk.OpenFileBackend(filepath.Join(dir, fmt.Sprintf("arena%d", n)))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -98,7 +98,7 @@ func TestMarkDirtyPromotesBorrowedFrame(t *testing.T) {
 			if !bytes.Equal(shared, orig) {
 				t.Error("write after promotion leaked into backend memory")
 			}
-			onDisk, err := d.ReadCopy(2, 1)
+			onDisk, err := readCopy(d, 2, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +111,7 @@ func TestMarkDirtyPromotesBorrowedFrame(t *testing.T) {
 			if err := p.FlushAll(); err != nil {
 				t.Fatal(err)
 			}
-			onDisk, err = d.ReadCopy(2, 1)
+			onDisk, err = readCopy(d, 2, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

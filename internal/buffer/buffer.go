@@ -68,9 +68,6 @@ type Frame struct {
 	dprev, dnext *Frame // intrusive dirty list links (insertion order)
 }
 
-// Dirty reports whether the frame holds unwritten modifications.
-func (f *Frame) Dirty() bool { return f.dirty }
-
 // Borrowed reports whether Data still aliases backend memory (zero-copy
 // fix not yet promoted by MarkDirty).
 func (f *Frame) Borrowed() bool { return f.borrowed }

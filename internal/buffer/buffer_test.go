@@ -58,7 +58,7 @@ func TestDirtyWriteBackOnFlush(t *testing.T) {
 	if d.Stats().PagesWritten != 1 || d.Stats().WriteCalls != 1 {
 		t.Errorf("flush stats: %v", d.Stats())
 	}
-	got, _ := d.ReadCopy(0, 1)
+	got, _ := readCopy(d, 0, 1)
 	if got[0][disk.SysHeaderSize] != 0xAB {
 		t.Error("modification not persisted")
 	}
@@ -120,7 +120,7 @@ func TestEvictionWritesDirtyVictim(t *testing.T) {
 	if d.Stats().PagesWritten != 1 {
 		t.Errorf("dirty eviction wrote %d pages, want 1", d.Stats().PagesWritten)
 	}
-	got, _ := d.ReadCopy(0, 1)
+	got, _ := readCopy(d, 0, 1)
 	if got[0][disk.SysHeaderSize] != 7 {
 		t.Error("victim content lost")
 	}
@@ -361,7 +361,7 @@ func TestRandomTrafficPreservesContent(t *testing.T) {
 				t.Fatal(err)
 			}
 			for id := 0; id < npages; id++ {
-				got, _ := d.ReadCopy(disk.PageID(id), 1)
+				got, _ := readCopy(d, disk.PageID(id), 1)
 				if got[0][disk.SysHeaderSize] != shadow[id] {
 					t.Fatalf("final page %d content %d, want %d", id, got[0][disk.SysHeaderSize], shadow[id])
 				}
@@ -410,7 +410,7 @@ func TestWriteBurstBatchesDirtyPages(t *testing.T) {
 		t.Error("clean eviction wrote pages")
 	}
 	// Content survived.
-	got, _ := d.ReadCopy(2, 1)
+	got, _ := readCopy(d, 2, 1)
 	if got[0][disk.SysHeaderSize] != 2 {
 		t.Error("burst lost content")
 	}
@@ -438,7 +438,7 @@ func TestWriteBurstSkipsPinnedPages(t *testing.T) {
 	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := d.ReadCopy(0, 1)
+	got, _ := readCopy(d, 0, 1)
 	if got[0][disk.SysHeaderSize] != 9 {
 		t.Error("pinned dirty page lost")
 	}

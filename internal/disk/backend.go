@@ -139,8 +139,8 @@ type BackendKind int
 const (
 	// MemArena keeps page images on the Go heap (default).
 	MemArena BackendKind = iota
-	// FileArena maps the page arena onto a real file, grown in
-	// page-aligned extents and flushed on Close.
+	// FileArena maps the page arena onto a scratch file, grown in
+	// page-aligned extents and removed on Close.
 	FileArena
 	// COWArena layers a private page-granular overlay over a shared,
 	// immutable base arena (copy-on-write). With a nil base it degenerates
@@ -169,15 +169,11 @@ func (k BackendKind) String() string {
 // from the same spec all read through the same immutable base arena.
 type BackendSpec struct {
 	Kind BackendKind
-	// Path names an explicit arena file (FileArena only). When set, the
-	// file is kept on Close and its existing contents are adopted.
-	Path string
-	// Dir is the directory for anonymous arena files (FileArena with no
-	// Path; "" means the OS temp directory). Anonymous arenas are
-	// removed on Close.
+	// Dir is the directory for arena files (FileArena only; "" means the
+	// OS temp directory). Arena files are scratch: uniquely named,
+	// removed on Close, never reopened — what persists a database is a
+	// .codb snapshot.
 	Dir string
-	// KeepFiles retains anonymous arena files on Close (diagnostics).
-	KeepFiles bool
 	// Base is the shared immutable base arena for COWArena backends.
 	// nil means an empty base: every written page lives in the overlay,
 	// which makes "cow" usable as a drop-in backend even without a
@@ -212,9 +208,6 @@ func ParseBackendSpec(s string) (BackendSpec, error) {
 func (s BackendSpec) String() string {
 	switch s.Kind {
 	case FileArena:
-		if s.Path != "" {
-			return "file:" + s.Path
-		}
 		if s.Dir != "" {
 			return "file:" + s.Dir
 		}
@@ -228,8 +221,8 @@ func (s BackendSpec) String() string {
 
 // Open constructs a fresh backend per the spec, for a device with the
 // given page size (the COW overlay granularity; 0 means DefaultPageSize).
-// FileArena specs without an explicit Path create a uniquely named arena
-// file, so one spec can open arbitrarily many independent engines;
+// FileArena specs create a uniquely named arena file, so one spec can
+// open arbitrarily many independent engines;
 // COWArena specs with a Base share that base across every engine opened
 // from the spec.
 func (s BackendSpec) Open(pageSize int) (Backend, error) {
@@ -237,9 +230,6 @@ func (s BackendSpec) Open(pageSize int) (Backend, error) {
 	case MemArena:
 		return NewMemBackend(), nil
 	case FileArena:
-		if s.Path != "" {
-			return OpenFileBackend(s.Path, FileBackendOptions{})
-		}
 		dir := s.Dir
 		if dir == "" {
 			dir = os.TempDir()
@@ -253,7 +243,7 @@ func (s BackendSpec) Open(pageSize int) (Backend, error) {
 		}
 		path := f.Name()
 		f.Close()
-		return OpenFileBackend(path, FileBackendOptions{RemoveOnClose: !s.KeepFiles})
+		return OpenFileBackend(path)
 	case COWArena:
 		return NewCOWBackend(s.Base, pageSize), nil
 	default:
@@ -261,38 +251,18 @@ func (s BackendSpec) Open(pageSize int) (Backend, error) {
 	}
 }
 
-// FileBackendOptions tune the file-backed arena.
-type FileBackendOptions struct {
-	// ExtentBytes is the granularity the arena file grows in (rounded up
-	// to a multiple of the page size by the caller's layout; default
-	// DefaultExtentBytes). Growing in extents keeps the remap/truncate
-	// frequency O(log n) in the database size.
-	ExtentBytes int
-	// RemoveOnClose deletes the arena file on Close (anonymous arenas).
-	RemoveOnClose bool
-}
-
-// DefaultExtentBytes is the default arena-file growth granularity: 1 MiB,
-// i.e. 512 DASDBS pages per extent.
+// DefaultExtentBytes is the arena-file growth granularity: 1 MiB, i.e.
+// 512 DASDBS pages per extent. Growing in extents keeps the
+// remap/truncate frequency O(log n) in the database size.
 const DefaultExtentBytes = 1 << 20
-
-func (o FileBackendOptions) extent() int {
-	if o.ExtentBytes > 0 {
-		return o.ExtentBytes
-	}
-	return DefaultExtentBytes
-}
 
 // roundUp rounds n up to a multiple of quantum.
 func roundUp(n, quantum int) int {
 	return (n + quantum - 1) / quantum * quantum
 }
 
-// removeIfRequested deletes an arena file if its options ask for it.
-func removeIfRequested(path string, o FileBackendOptions) error {
-	if !o.RemoveOnClose {
-		return nil
-	}
+// removeArena deletes a closed arena file.
+func removeArena(path string) error {
 	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("disk: remove arena %s: %w", filepath.Base(path), err)
 	}

@@ -20,7 +20,7 @@ func backends(t *testing.T) map[string]func() Backend {
 		"mem": func() Backend { return NewMemBackend() },
 		"file": func() Backend {
 			n++
-			b, err := OpenFileBackend(filepath.Join(dir, "arena"+string(rune('0'+n))), FileBackendOptions{})
+			b, err := OpenFileBackend(filepath.Join(dir, "arena"+string(rune('0'+n))))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,64 +102,33 @@ func TestBackendRangeChecks(t *testing.T) {
 	}
 }
 
-// TestFileBackendPersistsAcrossReopen pins the tentpole property of PR 2: a
-// device over a file backend survives Close and reopens with identical
-// pages and identical page count.
-func TestFileBackendPersistsAcrossReopen(t *testing.T) {
+// TestFileBackendIsScratch pins that a file arena is never a persisted
+// form: opening over an existing file starts empty instead of adopting
+// its contents, and Close deletes the file.
+func TestFileBackendIsScratch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "arena.pages")
-	b, err := OpenFileBackend(path, FileBackendOptions{})
+	if err := os.WriteFile(path, bytes.Repeat([]byte{0xEE}, 3*DefaultPageSize), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := OpenFileBackend(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if b.Len() != 0 {
+		t.Fatalf("arena over an existing file starts with %d bytes, want 0", b.Len())
+	}
 	d := NewWithBackend(DefaultPageSize, b)
-	if _, err := d.Allocate(7); err != nil {
-		t.Fatal(err)
+	if id, err := d.Allocate(2); err != nil || id != 0 {
+		t.Fatalf("first allocation at page %d, %v; want 0", id, err)
 	}
-	img := make([]byte, DefaultPageSize)
-	for i := range img {
-		img[i] = byte(i % 251)
-	}
-	if err := d.WriteRun(3, [][]byte{img}); err != nil {
-		t.Fatal(err)
+	if got, err := readCopy(d, 0, 1); err != nil || !bytes.Equal(got[0], make([]byte, DefaultPageSize)) {
+		t.Fatalf("fresh page not zeroed (old file contents adopted?): %v", err)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := st.Size(), int64(7*DefaultPageSize); got != want {
-		t.Fatalf("closed arena file is %d bytes, want %d (truncated to allocated pages)", got, want)
-	}
-
-	b2, err := OpenFileBackend(path, FileBackendOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := Open(DefaultPageSize, b2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	if got := d2.NumPages(); got != 7 {
-		t.Fatalf("reopened device has %d pages, want 7", got)
-	}
-	back, err := d2.ReadCopy(3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(back[0], img) {
-		t.Fatal("page image changed across close/reopen")
-	}
-	// Reopened devices keep allocating after the existing pages.
-	id, err := d2.Allocate(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 7 {
-		t.Fatalf("post-reopen allocation starts at page %d, want 7", id)
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("arena file survived Close: %v", err)
 	}
 }
 
@@ -250,7 +219,7 @@ func TestDiskRestoreDump(t *testing.T) {
 			if dst.NumPages() != 5 {
 				t.Fatalf("restored %d pages, want 5", dst.NumPages())
 			}
-			back, err := dst.ReadCopy(2, 1)
+			back, err := readCopy(dst, 2, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,11 +9,11 @@ import (
 )
 
 // CanMapBase reports whether this platform supports mmap-backed base
-// arenas. Where it is false, NewMappedBaseArena falls back to a heap copy.
+// arenas. Where it is false, MapBaseArena falls back to a heap copy.
 const CanMapBase = true
 
-// NewMappedBaseArena maps n bytes at offset off of the file at path into
-// an immutable base arena. The mapping is PROT_READ/MAP_PRIVATE: the
+// MapBaseArena maps n bytes at offset off of the open file f into an
+// immutable base arena. The mapping is PROT_READ/MAP_PRIVATE: the
 // arena physically cannot be written (a stray store faults instead of
 // corrupting the snapshot), pages are faulted in from the page cache on
 // first access, and clean pages can be evicted again under memory
@@ -24,22 +24,12 @@ const CanMapBase = true
 // (mapped reads would observe the change or fault); the snapshot writer's
 // atomic rename keeps replaced snapshots safe, because the mapping pins
 // the old inode. The mapping is released when the last reference goes
-// (see BaseArena.Release); the file descriptor is closed immediately, the
-// mapping keeps the file alive.
-func NewMappedBaseArena(path string, off int64, n int) (*BaseArena, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("disk: map base: %w", err)
-	}
-	defer f.Close()
-	return MapBaseArena(f, off, n)
-}
-
-// MapBaseArena is NewMappedBaseArena over an already-open file: callers
-// that parsed offsets out of f must map through the same descriptor, so
-// that a concurrent atomic replacement of the path cannot pair one
-// file's offsets with another file's bytes. f may be closed once
-// MapBaseArena returns.
+// (see BaseArena.Release).
+//
+// Callers that parsed offsets out of f must map through the same
+// descriptor, so that a concurrent atomic replacement of the path cannot
+// pair one file's offsets with another file's bytes. f may be closed once
+// MapBaseArena returns; the mapping keeps the file alive.
 func MapBaseArena(f *os.File, off int64, n int) (*BaseArena, error) {
 	if off < 0 || n < 0 {
 		return nil, fmt.Errorf("disk: map base [%d,%d+%d): negative range", off, off, n)

@@ -59,7 +59,7 @@ func TestCOWOverlayNeverMutatesBase(t *testing.T) {
 		t.Fatal("writes through a COW view reached the shared base")
 	}
 	for pg := 0; pg < 8; pg++ {
-		got, err := b.ReadCopy(PageID(pg), 1)
+		got, err := readCopy(b, PageID(pg), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,14 +69,14 @@ func TestCOWOverlayNeverMutatesBase(t *testing.T) {
 	}
 
 	// The writing view observes its own overlay, base for the rest.
-	got, err := a.ReadCopy(3, 1)
+	got, err := readCopy(a, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got[0], img) {
 		t.Fatal("view does not observe its own full-page write")
 	}
-	got, err = a.ReadCopy(5, 1)
+	got, err = readCopy(a, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestCOWOverlayNeverMutatesBase(t *testing.T) {
 	if !bytes.Equal(got[0], want) {
 		t.Fatal("partial write did not preserve the rest of the base page")
 	}
-	got, err = a.ReadCopy(2, 1)
+	got, err = readCopy(a, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestCOWOverlayNeverMutatesBase(t *testing.T) {
 	if !bytes.Equal(base.Bytes(), pristine) {
 		t.Fatal("Close damaged the shared base")
 	}
-	if got, err := b.ReadCopy(3, 1); err != nil || !bytes.Equal(got[0], pristine[3*ps:4*ps]) {
+	if got, err := readCopy(b, 3, 1); err != nil || !bytes.Equal(got[0], pristine[3*ps:4*ps]) {
 		t.Fatalf("sibling view broken after Close: %v", err)
 	}
 }
@@ -119,10 +119,11 @@ func TestCOWGrownPagesReadZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	dirty := bytes.Repeat([]byte{0xFF}, ps)
-	if err := d.ReadRun(4, [][]byte{dirty}); err != nil {
+	views, borrowed := make([][]byte, 1), make([]bool, 1)
+	if err := d.ReadRunShared(4, views, borrowed, func() []byte { return dirty }); err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range dirty {
+	for i, v := range views[0] {
 		if v != 0 {
 			t.Fatalf("grown page byte %d = %d, want 0", i, v)
 		}
@@ -150,7 +151,7 @@ func TestCOWStats(t *testing.T) {
 	}
 
 	// Reads never materialize overlay pages.
-	if _, err := d.ReadCopy(0, 10); err != nil {
+	if _, err := readCopy(d, 0, 10); err != nil {
 		t.Fatal(err)
 	}
 	if st, _ = COWStatsOf(b); st.OverlayPages != 0 {
@@ -249,7 +250,12 @@ func TestMappedBaseArena(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base, err := NewMappedBaseArena(path, off, len(pristine))
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	base, err := MapBaseArena(f, off, len(pristine))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +279,7 @@ func TestMappedBaseArena(t *testing.T) {
 	if err := d.Backend().WriteAt([]byte("edge"), 6*ps+200); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := d.ReadCopy(2, 1); err != nil || !bytes.Equal(got[0], img) {
+	if got, err := readCopy(d, 2, 1); err != nil || !bytes.Equal(got[0], img) {
 		t.Fatalf("view does not observe its overlay write: %v", err)
 	}
 	if !bytes.Equal(base.Bytes(), pristine) {
@@ -299,14 +305,14 @@ func TestMappedBaseArena(t *testing.T) {
 	}
 
 	// Range validation: mapping past EOF must fail up front, not fault.
-	if _, err := NewMappedBaseArena(path, int64(len(file))-10, 20); err == nil {
+	if _, err := MapBaseArena(f, int64(len(file))-10, 20); err == nil {
 		t.Error("mapping past EOF accepted")
 	}
-	if _, err := NewMappedBaseArena(path, -1, 10); err == nil {
+	if _, err := MapBaseArena(f, -1, 10); err == nil {
 		t.Error("negative offset accepted")
 	}
 	// A zero-length region is a valid empty base.
-	empty, err := NewMappedBaseArena(path, off, 0)
+	empty, err := MapBaseArena(f, off, 0)
 	if err != nil || empty.Len() != 0 {
 		t.Errorf("empty region: len=%d err=%v", empty.Len(), err)
 	}

@@ -39,9 +39,11 @@ var (
 // Disk is an in-memory array of pages with I/O accounting. Page p occupies
 // arena bytes [p*pageSize, (p+1)*pageSize) of its backend.
 //
-// A Disk is safe for concurrent use, but the experiment harness gives every
-// worker its own engine (device + pool), so the mutex is uncontended on the
-// hot path.
+// A Disk's own state — allocation, counters, backend calls — is guarded by
+// its mutex, but pages lent out by ReadRunShared alias live arena memory
+// beyond it: a device has one owner at a time. The experiment harness and
+// the server give every worker and view its own engine (device + pool), so
+// the mutex is uncontended on the hot path.
 type Disk struct {
 	mu       sync.Mutex
 	pageSize int
@@ -50,7 +52,6 @@ type Disk struct {
 	flat     []byte      // contiguous arena fast path (nil for layered backends)
 	stable   StablePager // zero-copy read capability (nil when unsupported)
 	stats    iostat.Stats
-	retry    RetryPolicy
 	retries  int64 // backend read retries performed (diagnostics)
 }
 
@@ -61,21 +62,20 @@ func New(pageSize int) *Disk {
 }
 
 // NewWithBackend creates an empty device whose arena lives on the given
-// backend. A non-empty backend (a reopened arena file, a shared COW base)
-// must go through Open instead.
+// backend. A non-empty backend (a COW view over a shared base) must go
+// through Open instead.
 func NewWithBackend(pageSize int, b Backend) *Disk {
 	if pageSize <= SysHeaderSize {
 		panic(fmt.Sprintf("disk: page size %d not larger than system header %d", pageSize, SysHeaderSize))
 	}
-	d := &Disk{pageSize: pageSize, backend: b, retry: DefaultRetryPolicy}
+	d := &Disk{pageSize: pageSize, backend: b}
 	d.refreshFlat()
 	return d
 }
 
-// Open adopts a backend that already holds page images (a persistent
-// arena file from an earlier run, or a COW view over a shared base):
-// every complete page in the arena is considered allocated. The arena
-// length must be an exact multiple of the page size.
+// Open adopts a backend that already holds page images (a COW view over
+// a shared base): every complete page in the arena is considered
+// allocated. The arena length must be an exact multiple of the page size.
 func Open(pageSize int, b Backend) (*Disk, error) {
 	d := NewWithBackend(pageSize, b)
 	n := b.Len()
@@ -145,45 +145,20 @@ func (d *Disk) Allocate(n int) (PageID, error) {
 	return start, nil
 }
 
-// ReadRun reads len(dst) contiguous pages starting at start with a single
-// I/O call, filling the caller-provided buffers. Every buffer must be
-// exactly one page long; the buffer pool passes recycled frame memory here
-// so that steady-state reads allocate nothing.
-func (d *Disk) ReadRun(start PageID, dst [][]byte) error {
-	if len(dst) == 0 {
-		return ErrBadRun
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if int(start)+len(dst) > d.numPages {
-		return fmt.Errorf("%w: read [%d,%d) of %d", ErrOutOfRange, start, int(start)+len(dst), d.numPages)
-	}
-	for i, buf := range dst {
-		if len(buf) != d.pageSize {
-			return fmt.Errorf("%w: page %d buffer has size %d, want %d", ErrBadBuffer, int(start)+i, len(buf), d.pageSize)
-		}
-		if d.flat != nil {
-			copy(buf, d.page(int(start)+i))
-		} else if err := d.readBackend(buf, (int(start)+i)*d.pageSize); err != nil {
-			return err
-		}
-	}
-	d.stats.ReadCalls++
-	d.stats.PagesRead += int64(len(dst))
-	return nil
-}
-
-// ReadRunShared reads len(views) contiguous pages starting at start with
-// a single counted I/O call, like ReadRun, but without copying pages the
-// backend can share: views[i] either aliases backend-stable page memory
-// (borrowed[i] = true) or is a page-sized buffer obtained from getBuf and
-// filled with a private copy (borrowed[i] = false). Borrowed slices are
-// read-only and stay valid until the backend is reset or closed — the
-// buffer pool must drop every borrow before either happens (the
-// Discard-before-ResetView ordering of view recycling).
+// ReadRunShared — the device's only read path — reads len(views)
+// contiguous pages starting at start with a single counted I/O call,
+// without copying pages the backend can share: views[i] either aliases
+// backend-stable page memory (borrowed[i] = true) or is a page-sized
+// buffer obtained from getBuf and filled with a private copy
+// (borrowed[i] = false). Borrowed slices are read-only and stay valid
+// until the backend is reset or closed — the buffer pool must drop every
+// borrow before either happens (the Discard-before-ResetView ordering of
+// view recycling).
 //
-// Accounting is identical to ReadRun — one read call, len(views) pages —
-// so zero-copy is invisible to every paper counter. On error, entries
+// Accounting is one read call, len(views) pages, whether pages are
+// borrowed or copied, so zero-copy is invisible to every paper counter
+// (the memory and file arenas always share an in-range page; copies
+// happen over COW holes and fault-injected pages). On error, entries
 // already holding getBuf buffers keep them (borrowed[i] = false) and all
 // remaining entries are nil, so the caller can reclaim its buffers.
 func (d *Disk) ReadRunShared(start PageID, views [][]byte, borrowed []bool, getBuf func() []byte) error {
@@ -214,9 +189,7 @@ func (d *Disk) ReadRunShared(start PageID, views [][]byte, borrowed []bool, getB
 			fail(i + 1)
 			return fmt.Errorf("%w: page %d buffer has size %d, want %d", ErrBadBuffer, int(start)+i, len(buf), d.pageSize)
 		}
-		if d.flat != nil {
-			copy(buf, d.page(int(start)+i))
-		} else if err := d.readBackend(buf, off); err != nil {
+		if err := d.readBackend(buf, off); err != nil {
 			fail(i + 1)
 			return err
 		}
@@ -224,25 +197,6 @@ func (d *Disk) ReadRunShared(start PageID, views [][]byte, borrowed []bool, getB
 	d.stats.ReadCalls++
 	d.stats.PagesRead += int64(len(views))
 	return nil
-}
-
-// ReadCopy reads n contiguous pages starting at start with a single I/O
-// call into freshly allocated buffers (all carved from one allocation).
-// Convenience for tests and one-shot inspection; hot paths use ReadRun with
-// recycled buffers instead.
-func (d *Disk) ReadCopy(start PageID, n int) ([][]byte, error) {
-	if n <= 0 {
-		return nil, ErrBadRun
-	}
-	block := make([]byte, n*d.pageSize)
-	out := make([][]byte, n)
-	for i := range out {
-		out[i] = block[i*d.pageSize : (i+1)*d.pageSize : (i+1)*d.pageSize]
-	}
-	if err := d.ReadRun(start, out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // WriteRun writes len(pages) contiguous pages starting at start with a

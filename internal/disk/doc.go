@@ -10,10 +10,11 @@
 // with separate calls, while a flush writes contiguous dirty pages together.
 //
 // Page images live in a single logical arena rather than one heap object
-// per page, so a run transfer is a pair of memmoves over adjacent memory.
-// ReadRun transfers into caller-provided buffers (the buffer pool passes
-// recycled frame memory), so the steady-state read path performs no
-// allocation at all.
+// per page, so a run transfer touches adjacent memory. ReadRunShared, the
+// one read path, lends out the backend's own page memory where it is
+// stable and copies into caller-provided buffers (the buffer pool passes
+// recycled frame memory) where it is not, so the steady-state read path
+// performs no allocation at all.
 //
 // # Backend contract
 //
@@ -24,8 +25,9 @@
 // direct memmoves. Three implementations exist:
 //
 //   - mem: the arena on the Go heap (the original in-memory device);
-//   - file: the arena mapped onto a real file, grown in extents, so a
-//     device survives the process;
+//   - file: the arena mapped onto a scratch file, grown in extents and
+//     removed on Close — never reopened: what persists an arena is a
+//     .codb snapshot (internal/snapshot), the one on-disk form;
 //   - cow: a page-granular private overlay over a shared immutable
 //     BaseArena (copy-on-write).
 //
@@ -52,7 +54,7 @@
 //
 // A BaseArena outlives any single engine, so its storage is reference
 // counted rather than tied to an owner: construction (NewBaseArena,
-// NewMappedBaseArena) hands the creator one reference, every COW backend
+// MapBaseArena) hands the creator one reference, every COW backend
 // opened over the base takes another, Close on a view and Release on a
 // handle each drop one, and the storage is freed exactly when the count
 // reaches zero. The contract callers rely on: a base can never be
@@ -63,7 +65,7 @@
 //
 // The counting pays off for the two base variants differently. A heap
 // base (NewBaseArena) could in principle lean on the garbage collector;
-// an mmap-backed base (NewMappedBaseArena, used for .codb snapshots)
+// an mmap-backed base (MapBaseArena, used for .codb snapshots)
 // cannot — the file mapping must be unmapped explicitly, and unmapping
 // while a view could still read it would be a crash, not a leak. The
 // mapped variant is what makes `-db x.codb -backend cow` memory-cheap:
@@ -91,8 +93,8 @@
 //
 // Disk.ReadRunShared is the counted entry point: for each page of a run
 // it hands out a stable alias where the backend offers one and falls
-// back to a caller-provided copy buffer where it does not, while
-// incrementing ReadCalls and PagesRead exactly like ReadRun — callers
+// back to a caller-provided copy buffer where it does not, incrementing
+// ReadCalls by one and PagesRead by the run length either way — callers
 // above (the buffer pool's borrowed frames) inherit zero-copy reads
 // without any change to the paper-visible counters.
 //

@@ -9,42 +9,29 @@ import (
 	"unsafe"
 )
 
-// fileBackend maps the page arena onto a real file with mmap. The file is
-// grown in extents (ftruncate + remap), so the Disk's contiguous-arena
+// fileBackend maps the page arena onto a scratch file with mmap. The file
+// is grown in extents (ftruncate + remap), so the Disk's contiguous-arena
 // invariant — page p at arena[p*pageSize:(p+1)*pageSize] — holds on real
 // storage, and a run transfer is still a pair of memmoves. The mapping is
-// MAP_SHARED: stores land in the page cache immediately and Flush/Close
-// force them to the device with msync.
+// MAP_SHARED: stores land in the page cache immediately and Flush forces
+// them to the device with msync.
 type fileBackend struct {
 	f       *os.File
 	path    string
-	opts    FileBackendOptions
 	mapped  []byte   // the whole mapped extent capacity
 	size    int      // logical arena length (<= len(mapped))
 	retired [][]byte // superseded mappings kept alive for stable slices
 }
 
-// OpenFileBackend opens (creating if absent) a file-backed arena. An
-// existing file's contents are adopted: its size becomes the initial arena
-// length, which is how a persistent device is reopened across runs.
-func OpenFileBackend(path string, opts FileBackendOptions) (Backend, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+// OpenFileBackend creates an empty file-backed arena at path, truncating
+// whatever the path held: arena files are scratch, removed on Close and
+// never reopened.
+func OpenFileBackend(path string) (Backend, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("disk: open arena file: %w", err)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("disk: stat arena file: %w", err)
-	}
-	b := &fileBackend{f: f, path: path, opts: opts, size: int(st.Size())}
-	if b.size > 0 {
-		if err := b.remap(roundUp(b.size, opts.extent())); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	return b, nil
+	return &fileBackend{f: f, path: path}, nil
 }
 
 // remap grows the file to cap bytes and maps it, replacing any previous
@@ -84,9 +71,9 @@ func (b *fileBackend) Grow(n int) error {
 		// Double the capacity (still extent-aligned) so the number of
 		// retired mappings stays O(log n) and their summed address space
 		// stays under the final capacity.
-		capBytes := roundUp(n, b.opts.extent())
+		capBytes := roundUp(n, DefaultExtentBytes)
 		if min := 2 * len(b.mapped); capBytes < min {
-			capBytes = roundUp(min, b.opts.extent())
+			capBytes = roundUp(min, DefaultExtentBytes)
 		}
 		if err := b.remap(capBytes); err != nil {
 			return err
@@ -138,11 +125,9 @@ func (b *fileBackend) Flush() error {
 	return nil
 }
 
-// Close syncs the mapping, unmaps, and truncates the file back to the
-// logical arena length so that a later OpenFileBackend sees exactly the
-// allocated pages (not the zero tail of the last extent). An anonymous
-// arena about to be deleted skips the sync — writeback for a file that
-// is unlinked two lines later is pure wasted blocking I/O.
+// Close unmaps and deletes the arena file. Nothing is synced first:
+// writeback for a file that is unlinked two lines later is pure wasted
+// blocking I/O.
 func (b *fileBackend) Close() error {
 	var firstErr error
 	keep := func(err error) {
@@ -151,9 +136,6 @@ func (b *fileBackend) Close() error {
 		}
 	}
 	if b.mapped != nil {
-		if !b.opts.RemoveOnClose {
-			keep(b.Flush())
-		}
 		keep(syscall.Munmap(b.mapped))
 		b.mapped = nil
 	}
@@ -161,8 +143,7 @@ func (b *fileBackend) Close() error {
 		keep(syscall.Munmap(m))
 	}
 	b.retired = nil
-	keep(b.f.Truncate(int64(b.size)))
 	keep(b.f.Close())
-	keep(removeIfRequested(b.path, b.opts))
+	keep(removeArena(b.path))
 	return firstErr
 }

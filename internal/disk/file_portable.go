@@ -4,44 +4,29 @@ package disk
 
 import (
 	"fmt"
-	"io"
 	"os"
 )
 
 // fileBackend is the portable (no mmap) file-backed arena: pages live in a
-// heap buffer and are written back to the arena file on Flush and Close.
-// It trades write-through coherence for portability; the Disk-level
-// semantics (zeroed growth, adoption of existing contents, flush on Close)
-// are identical to the mmap implementation, which the shared backend tests
-// pin.
+// heap buffer and are written back to the arena file on Flush. It trades
+// write-through coherence for portability; the Disk-level semantics
+// (zeroed growth, scratch file removed on Close) are identical to the
+// mmap implementation, which the shared backend tests pin.
 type fileBackend struct {
 	f     *os.File
 	path  string
-	opts  FileBackendOptions
 	arena []byte
 }
 
-// OpenFileBackend opens (creating if absent) a file-backed arena. An
-// existing file's contents are adopted as the initial arena.
-func OpenFileBackend(path string, opts FileBackendOptions) (Backend, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+// OpenFileBackend creates an empty file-backed arena at path, truncating
+// whatever the path held: arena files are scratch, removed on Close and
+// never reopened.
+func OpenFileBackend(path string) (Backend, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("disk: open arena file: %w", err)
 	}
-	b := &fileBackend{f: f, path: path, opts: opts}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("disk: stat arena file: %w", err)
-	}
-	if n := int(st.Size()); n > 0 {
-		b.arena = make([]byte, n, roundUp(n, opts.extent()))
-		if _, err := io.ReadFull(f, b.arena); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("disk: read arena file: %w", err)
-		}
-	}
-	return b, nil
+	return &fileBackend{f: f, path: path}, nil
 }
 
 func (b *fileBackend) Bytes() []byte { return b.arena }
@@ -52,7 +37,7 @@ func (b *fileBackend) Grow(n int) error {
 		return nil
 	}
 	if n > cap(b.arena) {
-		arena := make([]byte, n, roundUp(n, b.opts.extent()))
+		arena := make([]byte, n, roundUp(n, DefaultExtentBytes))
 		copy(arena, b.arena)
 		b.arena = arena
 	} else {
@@ -96,19 +81,12 @@ func (b *fileBackend) Flush() error {
 	return b.f.Sync()
 }
 
+// Close deletes the arena file without writing the arena back first.
 func (b *fileBackend) Close() error {
-	var firstErr error
-	keep := func(err error) {
-		if firstErr == nil && err != nil {
-			firstErr = err
-		}
-	}
-	if !b.opts.RemoveOnClose {
-		// Skip the full-arena writeback for a file deleted two lines on.
-		keep(b.Flush())
-	}
-	keep(b.f.Close())
-	keep(removeIfRequested(b.path, b.opts))
 	b.arena = nil
-	return firstErr
+	err := b.f.Close()
+	if rerr := removeArena(b.path); err == nil {
+		err = rerr
+	}
+	return err
 }

@@ -20,33 +20,17 @@ func IsTransient(err error) bool {
 // success), while failed writes propagate so the request is reported
 // instead of papered over.
 type RetryPolicy struct {
-	// Attempts is the total number of tries (1 means no retry; 0 means
-	// DefaultRetryPolicy.Attempts).
+	// Attempts is the total number of tries (1 means no retry).
 	Attempts int
 	// Backoff is the sleep before the first retry, doubling on each
-	// further one (0 means no sleep).
+	// further one.
 	Backoff time.Duration
 }
 
-// DefaultRetryPolicy is the device default: up to 4 attempts with a tiny
-// doubling backoff, enough to ride out sporadic transient faults without
-// stretching a genuinely failing request.
+// DefaultRetryPolicy is the policy every device runs: up to 4 attempts
+// with a tiny doubling backoff, enough to ride out sporadic transient
+// faults without stretching a genuinely failing request.
 var DefaultRetryPolicy = RetryPolicy{Attempts: 4, Backoff: 50 * time.Microsecond}
-
-func (p RetryPolicy) attempts() int {
-	if p.Attempts <= 0 {
-		return DefaultRetryPolicy.Attempts
-	}
-	return p.Attempts
-}
-
-// SetRetryPolicy replaces the device's read-retry policy (construction
-// installs DefaultRetryPolicy).
-func (d *Disk) SetRetryPolicy(p RetryPolicy) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.retry = p
-}
 
 // Retries returns how many backend read retries the device has performed.
 // The count is diagnostics, not a paper counter: it survives ResetStats
@@ -57,17 +41,15 @@ func (d *Disk) Retries() int64 {
 	return d.retries
 }
 
-// readBackend is backend.ReadAt behind the retry policy: transient
+// readBackend is backend.ReadAt behind DefaultRetryPolicy: transient
 // failures are retried with doubling backoff, anything else (or
 // exhaustion) propagates. Caller holds d.mu.
 func (d *Disk) readBackend(p []byte, off int) error {
 	err := d.backend.ReadAt(p, off)
-	backoff := d.retry.Backoff
-	for attempt := 1; err != nil && attempt < d.retry.attempts() && IsTransient(err); attempt++ {
-		if backoff > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-		}
+	backoff := DefaultRetryPolicy.Backoff
+	for attempt := 1; err != nil && attempt < DefaultRetryPolicy.Attempts && IsTransient(err); attempt++ {
+		time.Sleep(backoff)
+		backoff *= 2
 		d.retries++
 		err = d.backend.ReadAt(p, off)
 	}

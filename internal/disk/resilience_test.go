@@ -79,7 +79,7 @@ func TestFaultsReturnErrorsNotPanics(t *testing.T) {
 				if _, err := d2.Allocate(2); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := d2.ReadCopy(0, 1); err == nil {
+				if _, err := disk.ReadCopy(d2, 0, 1); err == nil {
 					t.Fatal("read over perm=1 succeeded")
 				}
 				if s := d2.Stats(); s.PagesRead != 0 || s.ReadCalls != 0 {
@@ -155,7 +155,7 @@ func TestReadRetryRidesOutTransients(t *testing.T) {
 			}
 			succeeded := 0
 			for i := 0; i < 50; i++ {
-				pages, err := d.ReadCopy(disk.PageID(i%4), 1)
+				pages, err := disk.ReadCopy(d, disk.PageID(i%4), 1)
 				if err != nil {
 					// All attempts drew a fault — rare but legitimate;
 					// it must still be a structured transient error.
@@ -192,7 +192,7 @@ func TestPermanentFaultNotRetried(t *testing.T) {
 	if _, err := d.Allocate(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ReadCopy(0, 1); err == nil {
+	if _, err := disk.ReadCopy(d, 0, 1); err == nil {
 		t.Fatal("poisoned read succeeded")
 	}
 	if n := d.Retries(); n != 0 {

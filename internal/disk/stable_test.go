@@ -11,7 +11,7 @@ import (
 // aliasing and base integrity.
 func stableDevices(t *testing.T) map[string]*Disk {
 	t.Helper()
-	fb, err := OpenFileBackend(filepath.Join(t.TempDir(), "arena"), FileBackendOptions{})
+	fb, err := OpenFileBackend(filepath.Join(t.TempDir(), "arena"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +136,10 @@ func TestStablePageCOWAliasing(t *testing.T) {
 	}
 }
 
-// TestReadRunSharedMatchesReadRun pins that the zero-copy read path is
-// invisible to the paper counters and returns the same bytes as ReadRun,
-// borrowing every page a stable backend can share.
-func TestReadRunSharedMatchesReadRun(t *testing.T) {
+// TestReadRunSharedBorrowsStablePages pins that a stable backend shares
+// every page of a run — no copy buffer taken — for one counted call, and
+// that the borrowed views show the written bytes.
+func TestReadRunSharedBorrowsStablePages(t *testing.T) {
 	const ps = DefaultPageSize
 	for name, d := range stableDevices(t) {
 		t.Run(name, func(t *testing.T) {
@@ -152,16 +152,6 @@ func TestReadRunSharedMatchesReadRun(t *testing.T) {
 				}
 			}
 			d.ResetStats()
-			plain := make([][]byte, 4)
-			for i := range plain {
-				plain[i] = make([]byte, ps)
-			}
-			if err := d.ReadRun(2, plain); err != nil {
-				t.Fatal(err)
-			}
-			afterPlain := d.Stats()
-
-			d.ResetStats()
 			views := make([][]byte, 4)
 			borrowed := make([]bool, 4)
 			grabbed := 0
@@ -169,12 +159,12 @@ func TestReadRunSharedMatchesReadRun(t *testing.T) {
 			if err := d.ReadRunShared(2, views, borrowed, getBuf); err != nil {
 				t.Fatal(err)
 			}
-			if got := d.Stats(); got != afterPlain {
-				t.Errorf("shared read counters %+v != plain read %+v", got, afterPlain)
+			if got := d.Stats(); got.ReadCalls != 1 || got.PagesRead != 4 {
+				t.Errorf("shared read counters %+v, want 1 call / 4 pages", got)
 			}
 			for i := range views {
-				if !bytes.Equal(views[i], plain[i]) {
-					t.Errorf("page %d: shared bytes differ from ReadRun", i+2)
+				if !bytes.Equal(views[i], bytes.Repeat([]byte{byte(i + 3)}, ps)) {
+					t.Errorf("page %d: shared bytes differ from the written page", i+2)
 				}
 				if !borrowed[i] {
 					t.Errorf("page %d not borrowed from a stable backend", i+2)

@@ -270,20 +270,3 @@ func (h *Heap) Scan(fn func(rid RID, rec []byte) bool) error {
 	}
 	return nil
 }
-
-// ScanPages iterates page-wise without touching records; used by value
-// scans that evaluate predicates via partial decoding.
-func (h *Heap) ScanPages(fn func(pid disk.PageID, p page.Page) bool) error {
-	for _, pid := range h.pages {
-		f, err := h.pool.Fix(pid)
-		if err != nil {
-			return err
-		}
-		cont := fn(pid, page.Wrap(f.Data))
-		h.pool.Unfix(pid, false)
-		if !cont {
-			return nil
-		}
-	}
-	return nil
-}

@@ -50,7 +50,7 @@ type Config struct {
 	// successful responses; see complexobj.ParseFaultPlan.
 	Faults *complexobj.FaultPlan
 	// WALDir arms the durable commit path: the served bases open from
-	// the directory's checkpoint sidecars (falling back to Snapshot on
+	// the directory's per-model checkpoints (falling back to Snapshot on
 	// first start), the write-ahead log replays on startup, and /run
 	// requests carrying commit=1 fold their mutations into the served
 	// base durably. Empty serves read-only classic behavior: mutations

@@ -1,9 +1,6 @@
 package snapshot
 
 import (
-	"bufio"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -13,8 +10,9 @@ import (
 )
 
 // Extract writes a new snapshot at dst holding only the selected kinds of
-// src, in src's file order. Each entry's meta blob and arena are copied
-// byte for byte from their offsets — the model data is never decoded, so
+// src, in src's file order. Each entry keeps its header (a checkpoint's
+// watermark included) and its meta blob and arena are copied byte for
+// byte from their offsets — the model data is never decoded, so
 // splitting a paper-scale snapshot into per-shard segments costs one
 // sequential read of the selected regions and nothing else. A base opened
 // from the segment is bit-identical to one opened from the full snapshot
@@ -54,76 +52,9 @@ func Extract(src, dst string, kinds []store.Kind) error {
 		return fmt.Errorf("%w: %s in %s", ErrNoModel, k, filepath.Base(src))
 	}
 
-	tmp, err := os.CreateTemp(filepath.Dir(dst), ".codb-*")
-	if err != nil {
-		return fmt.Errorf("snapshot: create: %w", err)
-	}
-	defer func() {
-		tmp.Close()
-		os.Remove(tmp.Name())
-	}()
-	w := bufio.NewWriterSize(tmp, 1<<20)
-
-	genJSON, err := json.Marshal(info.Gen)
-	if err != nil {
-		return fmt.Errorf("snapshot: encode gen config: %w", err)
-	}
-	if _, err := w.Write(magic[:]); err != nil {
+	return writeContainer(dst, info.Gen, selected, func(i int, w io.Writer) error {
+		e := selected[i]
+		_, err := io.Copy(w, io.NewSectionReader(f, e.metaOff, e.span()))
 		return err
-	}
-	var u16 [2]byte
-	var u32 [4]byte
-	putU16 := func(v uint16) error {
-		binary.BigEndian.PutUint16(u16[:], v)
-		_, err := w.Write(u16[:])
-		return err
-	}
-	putU32 := func(v uint32) error {
-		binary.BigEndian.PutUint32(u32[:], v)
-		_, err := w.Write(u32[:])
-		return err
-	}
-	if err := putU16(Version); err != nil {
-		return err
-	}
-	if err := putU32(uint32(len(genJSON))); err != nil {
-		return err
-	}
-	if _, err := w.Write(genJSON); err != nil {
-		return err
-	}
-	if err := putU16(uint16(len(selected))); err != nil {
-		return err
-	}
-	for _, e := range selected {
-		if err := w.WriteByte(byte(e.kind)); err != nil {
-			return err
-		}
-		if err := putU32(uint32(e.pageSize)); err != nil {
-			return err
-		}
-		if err := putU32(uint32(e.numPages)); err != nil {
-			return err
-		}
-		if err := putU32(uint32(e.metaLen)); err != nil {
-			return err
-		}
-		span := int64(e.metaLen) + int64(e.numPages)*int64(e.pageSize)
-		if _, err := io.Copy(w, io.NewSectionReader(f, e.metaOff, span)); err != nil {
-			return fmt.Errorf("snapshot: copy %s: %w", e.kind, err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if err := tmp.Chmod(0o644); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), dst)
+	})
 }

@@ -1,49 +1,38 @@
 package snapshot
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 
+	"complexobj/cobench"
 	"complexobj/internal/disk"
 	"complexobj/internal/store"
 )
 
-// Sidecar files are the per-model persistent form behind the durable
-// commit path: one raw arena file (the device pages, contiguous, exactly
-// the layout DumpTo streams and the file backend adopts) plus one meta
-// blob carrying the geometry, the model's directory metadata and the
-// write-ahead-log watermark. Unlike the .codb container they hold a
-// single model under stable names — <slug>.arena and <slug>.meta — so a
-// checkpoint can atomically replace each file via rename and a restart
-// can mmap the arena in place.
-//
-// Checkpoint crash safety leans on the WAL, not on cross-file atomicity:
-// the log is truncated only after both renames complete, and replayed
-// page images are absolute, so recovery over any arena between the
-// previous and the current checkpoint — including the torn "new arena,
-// old meta" window — converges to the same committed state.
+// A checkpoint is a single-model snapshot with a watermark: the durable
+// commit path keeps each served model in dir/<slug>.codb, an ordinary
+// container whose one entry records the write-ahead-log sequence the
+// arena includes. Replacing it is one atomic rename, and every .codb
+// consumer can open it.
 
-// SidecarVersion is the sidecar meta format version.
-const SidecarVersion = 1
-
-var sidecarMagic = [4]byte{'C', 'O', 'S', 'M'}
-
-// SidecarInfo describes a sidecar pair.
+// SidecarInfo describes a model's checkpoint file.
 type SidecarInfo struct {
 	Kind     store.Kind
 	PageSize int
 	NumPages int
 	// Seq is the last acknowledged WAL commit sequence captured by the
-	// checkpoint that wrote the sidecar (0 for a fresh seed): restored
-	// into the reopened log so sequence numbers stay monotonic.
+	// checkpoint that wrote the file (0 for a fresh seed): restored into
+	// the reopened log so sequence numbers stay monotonic.
 	Seq uint64
-	// Gen is the base generation at checkpoint time (diagnostics only; a
-	// restart renumbers generations from the recovered state).
+	// Gen is the base generation at checkpoint time, as numbered by the
+	// process that wrote it (diagnostics only; a restart renumbers
+	// generations from the recovered state).
 	Gen uint64
+}
+
+func (e entry) sidecarInfo() SidecarInfo {
+	return SidecarInfo{Kind: e.kind, PageSize: e.pageSize, NumPages: e.numPages, Seq: e.seq, Gen: e.gen}
 }
 
 // Slug returns the file-name slug of a storage model (the short aliases
@@ -65,182 +54,47 @@ func Slug(k store.Kind) string {
 	}
 }
 
-// SidecarPaths returns the arena and meta paths of a model in dir.
-func SidecarPaths(dir string, k store.Kind) (arena, meta string) {
-	slug := Slug(k)
-	return filepath.Join(dir, slug+".arena"), filepath.Join(dir, slug+".meta")
-}
-
-// writeFileAtomic streams content into a temp file in path's directory,
-// syncs it and renames it over path (the snapshot.Write idiom).
-func writeFileAtomic(path string, write func(w io.Writer) error) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*")
-	if err != nil {
-		return fmt.Errorf("snapshot: create: %w", err)
-	}
-	defer func() {
-		tmp.Close()
-		os.Remove(tmp.Name())
-	}()
-	w := bufio.NewWriterSize(tmp, 1<<20)
-	if err := write(w); err != nil {
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if err := tmp.Chmod(0o644); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir makes a rename durable (best effort: some filesystems refuse
-// directory fsync; the WAL covers the gap there).
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return nil
-	}
-	defer d.Close()
-	d.Sync()
-	return nil
+// sidecarPath returns the checkpoint file of a model in dir.
+func sidecarPath(dir string, k store.Kind) string {
+	return filepath.Join(dir, Slug(k)+".codb")
 }
 
 // WriteSidecar persists the base's current generation into dir as the
-// model's sidecar pair, recording seq as the WAL watermark the arena
-// includes. The arena file is written and renamed before the meta file
-// (see the package comment on the crash window).
+// model's checkpoint file, recording seq as the WAL watermark the arena
+// includes. The generator configuration is provenance the base does not
+// carry; checkpoints store the zero config.
 func WriteSidecar(dir string, b *store.SharedBase, seq uint64) error {
 	gen, numPages, meta, arena := b.SnapshotState()
 	defer arena.Release()
-	arenaPath, _ := SidecarPaths(dir, b.Kind())
-	if err := writeFileAtomic(arenaPath, func(w io.Writer) error {
-		_, err := w.Write(arena.Bytes())
-		return err
-	}); err != nil {
-		return fmt.Errorf("snapshot: sidecar arena %s: %w", b.Kind(), err)
-	}
-	return WriteSidecarMeta(dir, b.Kind(), b.PageSize(), numPages, seq, gen, meta)
-}
-
-// WriteSidecarMeta writes only the meta half of a sidecar pair. The
-// persistent-database lifecycle uses this directly: its arena file is
-// the live file backend, flushed and truncated by the engine itself.
-func WriteSidecarMeta(dir string, k store.Kind, pageSize, numPages int, seq, gen uint64, meta []byte) error {
-	_, metaPath := SidecarPaths(dir, k)
-	if err := writeFileAtomic(metaPath, func(w io.Writer) error {
-		var hdr [4 + 2 + 1 + 4 + 4 + 8 + 8 + 4]byte
-		copy(hdr[:4], sidecarMagic[:])
-		binary.BigEndian.PutUint16(hdr[4:6], SidecarVersion)
-		hdr[6] = byte(k)
-		binary.BigEndian.PutUint32(hdr[7:11], uint32(pageSize))
-		binary.BigEndian.PutUint32(hdr[11:15], uint32(numPages))
-		binary.BigEndian.PutUint64(hdr[15:23], seq)
-		binary.BigEndian.PutUint64(hdr[23:31], gen)
-		binary.BigEndian.PutUint32(hdr[31:35], uint32(len(meta)))
-		if _, err := w.Write(hdr[:]); err != nil {
+	e := entry{kind: b.Kind(), pageSize: b.PageSize(), numPages: numPages, seq: seq, gen: gen, metaLen: len(meta)}
+	return writeContainer(sidecarPath(dir, b.Kind()), cobench.Config{}, []entry{e}, func(_ int, w io.Writer) error {
+		if _, err := w.Write(meta); err != nil {
 			return err
 		}
-		_, err := w.Write(meta)
+		_, err := w.Write(arena.Bytes())
 		return err
-	}); err != nil {
-		return fmt.Errorf("snapshot: sidecar meta %s: %w", k, err)
-	}
-	return nil
+	})
 }
 
-// ReadSidecar reads a model's sidecar meta file in dir: its description
-// plus the raw directory-metadata blob.
-func ReadSidecar(dir string, k store.Kind) (SidecarInfo, []byte, error) {
-	_, metaPath := SidecarPaths(dir, k)
-	return readSidecarMeta(metaPath)
-}
-
-// readSidecarMeta parses a sidecar meta file.
-func readSidecarMeta(metaPath string) (SidecarInfo, []byte, error) {
-	raw, err := os.ReadFile(metaPath)
-	if err != nil {
-		return SidecarInfo{}, nil, err
-	}
-	if len(raw) < 35 || [4]byte(raw[:4]) != sidecarMagic {
-		return SidecarInfo{}, nil, fmt.Errorf("%w: sidecar %s", ErrFormat, filepath.Base(metaPath))
-	}
-	if v := binary.BigEndian.Uint16(raw[4:6]); v != SidecarVersion {
-		return SidecarInfo{}, nil, fmt.Errorf("%w: sidecar version %d, want %d", ErrFormat, v, SidecarVersion)
-	}
-	info := SidecarInfo{
-		Kind:     store.Kind(raw[6]),
-		PageSize: int(binary.BigEndian.Uint32(raw[7:11])),
-		NumPages: int(binary.BigEndian.Uint32(raw[11:15])),
-		Seq:      binary.BigEndian.Uint64(raw[15:23]),
-		Gen:      binary.BigEndian.Uint64(raw[23:31]),
-	}
-	metaLen := int(binary.BigEndian.Uint32(raw[31:35]))
-	if info.PageSize <= 0 || info.NumPages < 0 || metaLen != len(raw)-35 {
-		return SidecarInfo{}, nil, fmt.Errorf("%w: sidecar %s geometry", ErrFormat, filepath.Base(metaPath))
-	}
-	return info, raw[35:], nil
-}
-
-// StatSidecar describes a model's sidecar in dir without restoring
+// StatSidecar describes a model's checkpoint in dir without restoring
 // anything. os.IsNotExist on the returned error distinguishes "never
 // checkpointed" from corruption.
 func StatSidecar(dir string, k store.Kind) (SidecarInfo, error) {
-	_, metaPath := SidecarPaths(dir, k)
-	info, _, err := readSidecarMeta(metaPath)
-	return info, err
+	f, e, err := find(sidecarPath(dir, k), k)
+	if err != nil {
+		return SidecarInfo{}, err
+	}
+	f.Close()
+	return e.sidecarInfo(), nil
 }
 
-// OpenSidecarBase lifts a model's sidecar pair in dir into a SharedBase,
-// mmap'ing the arena file where the platform allows (same contract as
-// OpenBase: the arena file must not be rewritten in place while the base
-// lives; atomic replacement by WriteSidecar is safe). Returns the
-// sidecar info alongside so the caller can restore the WAL watermark.
+// OpenSidecarBase lifts a model's checkpoint in dir into a SharedBase
+// (OpenBase on dir/<slug>.codb, same contract). Returns the checkpoint
+// info alongside so the caller can restore the WAL watermark.
 func OpenSidecarBase(dir string, k store.Kind) (*store.SharedBase, SidecarInfo, error) {
-	arenaPath, metaPath := SidecarPaths(dir, k)
-	info, meta, err := readSidecarMeta(metaPath)
+	base, e, err := openBase(sidecarPath(dir, k), k, disk.CanMapBase)
 	if err != nil {
 		return nil, SidecarInfo{}, err
 	}
-	if info.Kind != k {
-		return nil, SidecarInfo{}, fmt.Errorf("%w: sidecar %s holds %s, want %s", ErrFormat, filepath.Base(metaPath), info.Kind, k)
-	}
-	arenaBytes := info.NumPages * info.PageSize
-	var arena *disk.BaseArena
-	if disk.CanMapBase && arenaBytes > 0 {
-		arena, err = disk.NewMappedBaseArena(arenaPath, 0, arenaBytes)
-	} else {
-		buf := make([]byte, arenaBytes)
-		f, ferr := os.Open(arenaPath)
-		if ferr != nil {
-			return nil, SidecarInfo{}, ferr
-		}
-		if arenaBytes > 0 {
-			_, err = io.ReadFull(f, buf)
-		}
-		f.Close()
-		if err == nil {
-			arena = disk.NewBaseArena(buf)
-		}
-	}
-	if err != nil {
-		return nil, SidecarInfo{}, fmt.Errorf("snapshot: sidecar arena of %s: %w", k, err)
-	}
-	base, err := store.NewSharedBase(k, info.PageSize, meta, arena)
-	if err != nil {
-		arena.Release()
-		return nil, SidecarInfo{}, err
-	}
-	return base, info, nil
+	return base, e.sidecarInfo(), nil
 }

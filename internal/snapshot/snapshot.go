@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -16,7 +17,7 @@ import (
 )
 
 // Version is the current container format version.
-const Version = 1
+const Version = 2
 
 var magic = [4]byte{'C', 'O', 'D', 'B'}
 
@@ -38,15 +39,32 @@ type Info struct {
 	PageSize int
 }
 
-// Write serializes the loaded models into path (atomically: a temp file
-// in the same directory is renamed over the target). Dirty pages are
-// flushed into the device first, so the arena is the authoritative state.
-func Write(path string, gen cobench.Config, models ...store.Model) error {
-	if len(models) == 0 {
-		return errors.New("snapshot: no models to write")
-	}
+// entry is one model's header inside a snapshot file plus its position.
+type entry struct {
+	kind     store.Kind
+	pageSize int
+	numPages int
+	seq, gen uint64 // WAL watermark and writer's generation (0 outside checkpoints)
+	metaLen  int
+	metaOff  int64 // file offset of the meta blob; arena follows
+}
+
+// span is the length of the entry's meta blob plus arena (validated
+// against the file size by parse).
+func (e entry) span() int64 {
+	return int64(e.metaLen) + int64(e.numPages)*int64(e.pageSize)
+}
+
+// entryHeaderLen is the encoded size of an entry header:
+// u8 kind | u32 pageSize | u32 numPages | u64 seq | u64 gen | u32 metaLen.
+const entryHeaderLen = 1 + 4 + 4 + 8 + 8 + 4
+
+// writeFileAtomic streams content into a temp file in path's directory,
+// syncs it, renames it over path and syncs the directory, so a reader
+// sees the old file or the complete new one, never a prefix.
+func writeFileAtomic(path string, write func(w io.Writer) error) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".codb-*")
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*")
 	if err != nil {
 		return fmt.Errorf("snapshot: create: %w", err)
 	}
@@ -55,65 +73,8 @@ func Write(path string, gen cobench.Config, models ...store.Model) error {
 		os.Remove(tmp.Name())
 	}()
 	w := bufio.NewWriterSize(tmp, 1<<20)
-
-	genJSON, err := json.Marshal(gen)
-	if err != nil {
-		return fmt.Errorf("snapshot: encode gen config: %w", err)
-	}
-	if _, err := w.Write(magic[:]); err != nil {
+	if err := write(w); err != nil {
 		return err
-	}
-	var u16 [2]byte
-	var u32 [4]byte
-	putU16 := func(v uint16) error {
-		binary.BigEndian.PutUint16(u16[:], v)
-		_, err := w.Write(u16[:])
-		return err
-	}
-	putU32 := func(v uint32) error {
-		binary.BigEndian.PutUint32(u32[:], v)
-		_, err := w.Write(u32[:])
-		return err
-	}
-	if err := putU16(Version); err != nil {
-		return err
-	}
-	if err := putU32(uint32(len(genJSON))); err != nil {
-		return err
-	}
-	if _, err := w.Write(genJSON); err != nil {
-		return err
-	}
-	if err := putU16(uint16(len(models))); err != nil {
-		return err
-	}
-	for _, m := range models {
-		if err := m.Flush(); err != nil {
-			return fmt.Errorf("snapshot: flush %s: %w", m.Kind(), err)
-		}
-		meta, err := m.SnapshotMeta()
-		if err != nil {
-			return fmt.Errorf("snapshot: meta %s: %w", m.Kind(), err)
-		}
-		dev := m.Engine().Dev
-		if err := w.WriteByte(byte(m.Kind())); err != nil {
-			return err
-		}
-		if err := putU32(uint32(dev.PageSize())); err != nil {
-			return err
-		}
-		if err := putU32(uint32(dev.NumPages())); err != nil {
-			return err
-		}
-		if err := putU32(uint32(len(meta))); err != nil {
-			return err
-		}
-		if _, err := w.Write(meta); err != nil {
-			return err
-		}
-		if err := dev.DumpTo(w); err != nil {
-			return fmt.Errorf("snapshot: dump %s arena: %w", m.Kind(), err)
-		}
 	}
 	if err := w.Flush(); err != nil {
 		return err
@@ -129,54 +90,122 @@ func Write(path string, gen cobench.Config, models ...store.Model) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	// Make the rename durable (best effort: some filesystems refuse
+	// directory fsync; for checkpoints the WAL covers the gap there).
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
+	}
+	return nil
 }
 
-// entry is one model's position inside a snapshot file.
-type entry struct {
-	kind     store.Kind
-	pageSize int
-	numPages int
-	metaLen  int
-	metaOff  int64 // file offset of the meta blob; arena follows
+// writeContainer atomically writes a .codb file: the header, then per
+// entry its header followed by what body(i, w) streams — exactly the
+// entry's metaLen meta bytes and numPages*pageSize arena bytes.
+func writeContainer(path string, gen cobench.Config, entries []entry, body func(i int, w io.Writer) error) error {
+	genJSON, err := json.Marshal(gen)
+	if err != nil {
+		return fmt.Errorf("snapshot: encode gen config: %w", err)
+	}
+	return writeFileAtomic(path, func(w io.Writer) error {
+		head := append([]byte(nil), magic[:]...)
+		head = binary.BigEndian.AppendUint16(head, Version)
+		head = binary.BigEndian.AppendUint32(head, uint32(len(genJSON)))
+		head = append(head, genJSON...)
+		head = binary.BigEndian.AppendUint16(head, uint16(len(entries)))
+		if _, err := w.Write(head); err != nil {
+			return err
+		}
+		for i, e := range entries {
+			hdr := []byte{byte(e.kind)}
+			hdr = binary.BigEndian.AppendUint32(hdr, uint32(e.pageSize))
+			hdr = binary.BigEndian.AppendUint32(hdr, uint32(e.numPages))
+			hdr = binary.BigEndian.AppendUint64(hdr, e.seq)
+			hdr = binary.BigEndian.AppendUint64(hdr, e.gen)
+			hdr = binary.BigEndian.AppendUint32(hdr, uint32(e.metaLen))
+			if _, err := w.Write(hdr); err != nil {
+				return err
+			}
+			if err := body(i, w); err != nil {
+				return fmt.Errorf("snapshot: write %s: %w", e.kind, err)
+			}
+		}
+		return nil
+	})
 }
 
-// parse reads the header and the entry table. Meta blobs and arenas are
-// skipped with Seek, so describing or opening one model of a paper-scale
-// snapshot never streams the other models' arenas through memory.
+// Write serializes the loaded models into path (atomically: a temp file
+// in the same directory is renamed over the target). Dirty pages are
+// flushed into the device first, so the arena is the authoritative state.
+func Write(path string, gen cobench.Config, models ...store.Model) error {
+	if len(models) == 0 {
+		return errors.New("snapshot: no models to write")
+	}
+	entries := make([]entry, len(models))
+	metas := make([][]byte, len(models))
+	for i, m := range models {
+		if err := m.Flush(); err != nil {
+			return fmt.Errorf("snapshot: flush %s: %w", m.Kind(), err)
+		}
+		meta, err := m.SnapshotMeta()
+		if err != nil {
+			return fmt.Errorf("snapshot: meta %s: %w", m.Kind(), err)
+		}
+		dev := m.Engine().Dev
+		entries[i] = entry{kind: m.Kind(), pageSize: dev.PageSize(), numPages: dev.NumPages(), metaLen: len(meta)}
+		metas[i] = meta
+	}
+	return writeContainer(path, gen, entries, func(i int, w io.Writer) error {
+		if _, err := w.Write(metas[i]); err != nil {
+			return err
+		}
+		return models[i].Engine().Dev.DumpTo(w)
+	})
+}
+
+// parse reads the header and the entry table — the one reader every
+// persisted arena enters through (snapshots, checkpoints, shard segments
+// received from other nodes). Nothing is allocated or skipped on the word
+// of a header field alone: every length is checked against the bytes the
+// file actually has left. Meta blobs and arenas are skipped, not read, so
+// describing or opening one model of a paper-scale snapshot never streams
+// the other models' arenas through memory.
 func parse(f *os.File) (Info, []entry, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return Info{}, nil, err
+	}
+	size := st.Size()
 	var off int64
 	readN := func(n int) ([]byte, error) {
+		if int64(n) > size-off {
+			return nil, fmt.Errorf("%w: truncated at byte %d", ErrFormat, size)
+		}
 		b := make([]byte, n)
-		if _, err := io.ReadFull(f, b); err != nil {
-			return nil, fmt.Errorf("%w: truncated at byte %d", ErrFormat, off)
+		if _, err := f.ReadAt(b, off); err != nil {
+			return nil, fmt.Errorf("%w: read at byte %d: %v", ErrFormat, off, err)
 		}
 		off += int64(n)
 		return b, nil
 	}
-	head, err := readN(4)
+	head, err := readN(4 + 2 + 4)
 	if err != nil {
 		return Info{}, nil, err
 	}
-	if [4]byte(head) != magic {
-		return Info{}, nil, fmt.Errorf("%w: bad magic %q", ErrFormat, head)
+	if [4]byte(head[:4]) != magic {
+		return Info{}, nil, fmt.Errorf("%w: bad magic %q", ErrFormat, head[:4])
 	}
-	vb, err := readN(2)
-	if err != nil {
-		return Info{}, nil, err
-	}
-	if v := binary.BigEndian.Uint16(vb); v != Version {
+	if v := binary.BigEndian.Uint16(head[4:]); v != Version {
 		return Info{}, nil, fmt.Errorf("%w: version %d, want %d", ErrFormat, v, Version)
 	}
-	lb, err := readN(4)
-	if err != nil {
-		return Info{}, nil, err
-	}
-	genLen := int(binary.BigEndian.Uint32(lb))
+	genLen := binary.BigEndian.Uint32(head[6:])
 	if genLen > 1<<20 {
 		return Info{}, nil, fmt.Errorf("%w: gen config of %d bytes", ErrFormat, genLen)
 	}
-	genJSON, err := readN(genLen)
+	genJSON, err := readN(int(genLen))
 	if err != nil {
 		return Info{}, nil, err
 	}
@@ -188,10 +217,9 @@ func parse(f *os.File) (Info, []entry, error) {
 	if err != nil {
 		return Info{}, nil, err
 	}
-	count := int(binary.BigEndian.Uint16(cb))
-	entries := make([]entry, 0, count)
-	for i := 0; i < count; i++ {
-		hdr, err := readN(1 + 4 + 4 + 4)
+	var entries []entry
+	for i := 0; i < int(binary.BigEndian.Uint16(cb)); i++ {
+		hdr, err := readN(entryHeaderLen)
 		if err != nil {
 			return Info{}, nil, err
 		}
@@ -199,30 +227,45 @@ func parse(f *os.File) (Info, []entry, error) {
 			kind:     store.Kind(hdr[0]),
 			pageSize: int(binary.BigEndian.Uint32(hdr[1:])),
 			numPages: int(binary.BigEndian.Uint32(hdr[5:])),
-			metaLen:  int(binary.BigEndian.Uint32(hdr[9:])),
+			seq:      binary.BigEndian.Uint64(hdr[9:]),
+			gen:      binary.BigEndian.Uint64(hdr[17:]),
+			metaLen:  int(binary.BigEndian.Uint32(hdr[25:])),
 			metaOff:  off,
 		}
-		if e.pageSize <= 0 || e.numPages < 0 {
-			return Info{}, nil, fmt.Errorf("%w: entry %d geometry", ErrFormat, i)
+		// Both factors are below 2^32, so the product cannot wrap uint64.
+		body := uint64(e.metaLen) + uint64(e.numPages)*uint64(e.pageSize)
+		if e.pageSize <= disk.SysHeaderSize {
+			return Info{}, nil, fmt.Errorf("%w: entry %d has page size %d", ErrFormat, i, e.pageSize)
 		}
-		skip := int64(e.metaLen) + int64(e.numPages)*int64(e.pageSize)
-		if _, err := f.Seek(skip, io.SeekCurrent); err != nil {
-			return Info{}, nil, fmt.Errorf("%w: entry %d: %v", ErrFormat, i, err)
+		if body > math.MaxInt || body > uint64(size-off) {
+			return Info{}, nil, fmt.Errorf("%w: entry %d needs %d bytes, file has %d left", ErrFormat, i, body, size-off)
 		}
-		off += skip
+		off += int64(body)
 		entries = append(entries, e)
 		info.Kinds = append(info.Kinds, e.kind)
 		info.PageSize = e.pageSize
 	}
-	// Seek tolerates offsets past EOF; verify the last entry actually fits.
-	end, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		return Info{}, nil, err
-	}
-	if end < off {
-		return Info{}, nil, fmt.Errorf("%w: file ends at %d, entries need %d", ErrFormat, end, off)
-	}
 	return info, entries, nil
+}
+
+// find opens the snapshot at path and locates the entry of kind k. The
+// caller closes the file.
+func find(path string, k store.Kind) (*os.File, entry, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, entry{}, err
+	}
+	_, entries, err := parse(f)
+	if err == nil {
+		for _, e := range entries {
+			if e.kind == k {
+				return f, e, nil
+			}
+		}
+		err = fmt.Errorf("%w: %s in %s", ErrNoModel, k, filepath.Base(path))
+	}
+	f.Close()
+	return nil, entry{}, err
 }
 
 // Stat describes a snapshot file without restoring anything.
@@ -242,46 +285,52 @@ func Stat(path string) (Info, error) {
 // o.PageSize. The restored model starts with a cold cache and zeroed
 // counters, exactly like a freshly loaded one.
 func Open(path string, k store.Kind, o store.Options) (store.Model, error) {
-	f, err := os.Open(path)
+	f, e, err := find(path, k)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	_, entries, err := parse(f)
+	if o.PageSize != 0 && o.PageSize != e.pageSize {
+		return nil, fmt.Errorf("snapshot: page size %d requested, snapshot has %d", o.PageSize, e.pageSize)
+	}
+	if o.CountIndexIO {
+		return nil, fmt.Errorf("snapshot: counted index I/O is rebuilt per run and cannot be restored")
+	}
+	o.PageSize = e.pageSize
+	eng, err := store.NewEngine(o)
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range entries {
-		if e.kind != k {
-			continue
-		}
-		if o.PageSize != 0 && o.PageSize != e.pageSize {
-			return nil, fmt.Errorf("snapshot: page size %d requested, snapshot has %d", o.PageSize, e.pageSize)
-		}
-		if o.CountIndexIO {
-			return nil, fmt.Errorf("snapshot: counted index I/O is rebuilt per run and cannot be restored")
-		}
-		o.PageSize = e.pageSize
-		eng, err := store.NewEngine(o)
-		if err != nil {
-			return nil, err
-		}
-		m, err := restoreInto(f, e, k, eng)
-		if err != nil {
-			eng.Close()
-			return nil, err
-		}
-		return m, nil
+	m, err := restoreInto(f, e, eng)
+	if err != nil {
+		eng.Close()
+		return nil, err
 	}
-	return nil, fmt.Errorf("%w: %s in %s", ErrNoModel, k, filepath.Base(path))
+	return m, nil
+}
+
+func restoreInto(f *os.File, e entry, eng *store.Engine) (store.Model, error) {
+	r := bufio.NewReaderSize(io.NewSectionReader(f, e.metaOff, e.span()), 1<<20)
+	meta := make([]byte, e.metaLen)
+	if _, err := io.ReadFull(r, meta); err != nil {
+		return nil, fmt.Errorf("%w: meta of %s", ErrFormat, e.kind)
+	}
+	if err := eng.Dev.Restore(r, e.numPages); err != nil {
+		return nil, fmt.Errorf("snapshot: restore %s arena: %w", e.kind, err)
+	}
+	m := store.NewWithEngine(e.kind, eng)
+	if err := m.RestoreMeta(meta); err != nil {
+		return nil, fmt.Errorf("%w: restore %s meta: %w", ErrFormat, e.kind, err)
+	}
+	return m, nil
 }
 
 // OpenBase lifts one model of the snapshot into a store.SharedBase
 // without copying the arena through the heap where the platform allows
 // it: the directory metadata is read normally (it is small), while the
 // arena region of the .codb file is mmap'ed read-only in place
-// (disk.NewMappedBaseArena; on platforms without mmap support it degrades
-// to the heap copy of OpenBaseHeap). Every engine opened from the base
+// (disk.MapBaseArena; on platforms without mmap support it degrades to
+// the heap copy of OpenBaseHeap). Every engine opened from the base
 // afterwards is a copy-on-write view of that single mapping, so a
 // paper-scale `-db x.codb -backend cow` run starts with near-zero
 // resident arena and pages the base in on demand — with the same
@@ -293,7 +342,8 @@ func Open(path string, k store.Kind, o store.Options) (store.Model, error) {
 // mapping pins the old inode. Release the base (store.SharedBase.Release,
 // after every view closed) to drop the mapping.
 func OpenBase(path string, k store.Kind) (*store.SharedBase, error) {
-	return openBase(path, k, disk.CanMapBase)
+	base, _, err := openBase(path, k, disk.CanMapBase)
+	return base, err
 }
 
 // OpenBaseHeap is OpenBase with the arena copied into the heap
@@ -301,70 +351,42 @@ func OpenBase(path string, k store.Kind) (*store.SharedBase, error) {
 // base to survive snapshot-file deletion and for the mem-vs-mmap halves
 // of the determinism tests.
 func OpenBaseHeap(path string, k store.Kind) (*store.SharedBase, error) {
-	return openBase(path, k, false)
+	base, _, err := openBase(path, k, false)
+	return base, err
 }
 
-func openBase(path string, k store.Kind, mapped bool) (*store.SharedBase, error) {
-	f, err := os.Open(path)
+func openBase(path string, k store.Kind, mapped bool) (*store.SharedBase, entry, error) {
+	f, e, err := find(path, k)
 	if err != nil {
-		return nil, err
+		return nil, entry{}, err
 	}
 	defer f.Close()
-	_, entries, err := parse(f)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range entries {
-		if e.kind != k {
-			continue
-		}
-		meta := make([]byte, e.metaLen)
-		if _, err := f.ReadAt(meta, e.metaOff); err != nil {
-			return nil, fmt.Errorf("%w: meta of %s", ErrFormat, e.kind)
-		}
-		arenaBytes := e.numPages * e.pageSize
-		arenaOff := e.metaOff + int64(e.metaLen)
-		var arena *disk.BaseArena
-		if mapped {
-			// Map through the descriptor the offsets were parsed from: if
-			// the path was atomically replaced since Open, reopening it
-			// would pair this file's offsets with another file's bytes.
-			arena, err = disk.MapBaseArena(f, arenaOff, arenaBytes)
-			if err != nil {
-				return nil, fmt.Errorf("snapshot: map arena of %s: %w", e.kind, err)
-			}
-		} else {
-			buf := make([]byte, arenaBytes)
-			if _, err := f.ReadAt(buf, arenaOff); err != nil {
-				return nil, fmt.Errorf("%w: arena of %s", ErrFormat, e.kind)
-			}
-			arena = disk.NewBaseArena(buf)
-		}
-		base, err := store.NewSharedBase(k, e.pageSize, meta, arena)
-		if err != nil {
-			arena.Release()
-			return nil, err
-		}
-		return base, nil
-	}
-	return nil, fmt.Errorf("%w: %s in %s", ErrNoModel, k, filepath.Base(path))
-}
-
-func restoreInto(f *os.File, e entry, k store.Kind, eng *store.Engine) (store.Model, error) {
-	if _, err := f.Seek(e.metaOff, io.SeekStart); err != nil {
-		return nil, err
-	}
-	r := bufio.NewReaderSize(f, 1<<20)
 	meta := make([]byte, e.metaLen)
-	if _, err := io.ReadFull(r, meta); err != nil {
-		return nil, fmt.Errorf("%w: meta of %s", ErrFormat, e.kind)
+	if _, err := f.ReadAt(meta, e.metaOff); err != nil {
+		return nil, entry{}, fmt.Errorf("%w: meta of %s", ErrFormat, k)
 	}
-	if err := eng.Dev.Restore(r, e.numPages); err != nil {
-		return nil, fmt.Errorf("snapshot: restore %s arena: %w", e.kind, err)
+	arenaBytes := e.numPages * e.pageSize
+	arenaOff := e.metaOff + int64(e.metaLen)
+	var arena *disk.BaseArena
+	if mapped {
+		// Map through the descriptor the offsets were parsed from: if
+		// the path was atomically replaced since Open, reopening it
+		// would pair this file's offsets with another file's bytes.
+		arena, err = disk.MapBaseArena(f, arenaOff, arenaBytes)
+		if err != nil {
+			return nil, entry{}, fmt.Errorf("snapshot: map arena of %s: %w", k, err)
+		}
+	} else {
+		buf := make([]byte, arenaBytes)
+		if _, err := f.ReadAt(buf, arenaOff); err != nil {
+			return nil, entry{}, fmt.Errorf("%w: arena of %s", ErrFormat, k)
+		}
+		arena = disk.NewBaseArena(buf)
 	}
-	m := store.NewWithEngine(k, eng)
-	if err := m.RestoreMeta(meta); err != nil {
-		return nil, fmt.Errorf("snapshot: restore %s meta: %w", e.kind, err)
+	base, err := store.NewSharedBase(k, e.pageSize, meta, arena)
+	if err != nil {
+		arena.Release()
+		return nil, entry{}, err
 	}
-	return m, nil
+	return base, e, nil
 }

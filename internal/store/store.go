@@ -87,11 +87,6 @@ type Options struct {
 	Faults *faultdisk.Injector
 }
 
-// DefaultOptions mirrors the paper's installation.
-func DefaultOptions() Options {
-	return Options{PageSize: disk.DefaultPageSize, BufferPages: 1200, Policy: buffer.LRU}
-}
-
 func (o Options) withDefaults() Options {
 	if o.PageSize == 0 {
 		o.PageSize = disk.DefaultPageSize
@@ -110,10 +105,9 @@ type Engine struct {
 }
 
 // NewEngine creates a device/pool pair over the backend named by the
-// options. A backend that already holds page images (an explicit-path
-// arena file from an earlier run, or a COW view over a shared base) is
-// adopted: its pages count as allocated, so fresh allocations extend the
-// persisted device instead of aliasing it.
+// options. A backend that already holds page images (a COW view over a
+// shared base) is adopted: its pages count as allocated, so fresh
+// allocations extend the base instead of aliasing it.
 func NewEngine(o Options) (*Engine, error) {
 	o = o.withDefaults()
 	// Validate before opening the backend: an invalid configuration must

@@ -30,8 +30,8 @@
 //     same generation.
 //
 //   - Checkpointing. Reset truncates the log to empty once its contents
-//     are captured by a checkpoint (per-model arena + meta sidecars,
-//     written by the complexobj facade); commit sequence numbers keep
+//     are captured by a checkpoint (one single-model .codb snapshot per
+//     model, written by the complexobj facade); commit sequence numbers keep
 //     increasing across resets so acknowledgment accounting survives
 //     compaction.
 //
