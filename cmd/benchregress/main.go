@@ -40,7 +40,10 @@ type result struct {
 // benchLine matches one benchmark result, e.g.
 //
 //	BenchmarkFixHit-4   10000   48.12 ns/op   0 B/op   0 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
+//
+// A benchmark that calls b.SetBytes prints a throughput column between
+// the time and the -benchmem columns; it is skipped.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+[0-9.]+ MB/s)?(?:\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
 
 func parse(r io.Reader) (map[string]result, error) {
 	out := make(map[string]result)

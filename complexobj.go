@@ -326,8 +326,22 @@ func (b *Base) NumPages() int { return b.base.NumPages() }
 func (b *Base) ArenaBytes() int { return b.base.ArenaBytes() }
 
 // Mapped reports whether the base arena is an mmap of the snapshot file
-// (paged in on demand) rather than a heap copy.
+// (paged in on demand) rather than a heap copy. Commits keep it mapped:
+// only the pages they dirtied move to the heap (DeltaPages).
 func (b *Base) Mapped() bool { return b.base.Mapped() }
+
+// DeltaPages returns the number of committed page images the current
+// generation holds on the heap over the arena it was opened with (0
+// until the first commit, at most NumPages).
+func (b *Base) DeltaPages() int { return b.base.DeltaPages() }
+
+// PromotedBytes returns the bytes commits have copied in memory to build
+// new generations of this base — dirty page images, page tables,
+// metadata blobs. Divided by the committed page payload it is the
+// in-memory write amplification, the counterpart of
+// CommitLogStats.AppendedBytes over PayloadBytes on disk. Not a paper
+// counter.
+func (b *Base) PromotedBytes() int64 { return b.base.PromotedBytes() }
 
 // Close drops the Base handle's reference on the arena. Open views keep
 // the arena alive until they are closed; opening new views after Close is

@@ -209,7 +209,8 @@ func (c *CommitLog) commit(sv *store.View) (store.CommitResult, error) {
 // between leaves checkpoints newer than the log's start; replayed page
 // images are absolute, so recovery converges on the same committed state.
 // Commits are excluded for the duration; in-flight ones finish first.
-// Safe to call at any frequency — the cost is one arena write per model.
+// Safe to call at any frequency — the cost is one arena write per model,
+// streamed from the generation's floor and page table.
 func (c *CommitLog) Checkpoint() error {
 	l := c.handle()
 	if l == nil {
@@ -325,8 +326,8 @@ type CommitInfo struct {
 // mutations is a no-op. Commits to one base must not run concurrently:
 // the serving layer holds a per-model commit lock, batch callers commit
 // sequentially. After a non-empty commit the view keeps reading its own
-// (now superseded) generation; pools retire it on release instead of
-// recycling it.
+// (now superseded) generation; pools rebase it onto the new generation on
+// release instead of recycling it.
 //
 // Commit moves no paper counter — the measured statistics of the request
 // that produced the mutations are unchanged.
@@ -347,8 +348,8 @@ func (v *View) Commit(log *CommitLog) (CommitInfo, error) {
 	return CommitInfo{Gen: res.Gen, Seq: res.Seq, Pages: res.Pages, Bytes: res.Bytes}, nil
 }
 
-// Gen returns the base generation the view reads (views stay on the
-// generation they opened against; see Base.Gen).
+// Gen returns the base generation the view reads (a lease stays on the
+// generation it was acquired on; see Base.Gen).
 func (v *View) Gen() uint64 {
 	if v.closed.Load() {
 		return 0

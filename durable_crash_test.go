@@ -450,7 +450,10 @@ func TestCommitLogKillInsideCheckpoint(t *testing.T) {
 // read-path paper counter. The full query set measures identically on a
 // plain snapshot restore (mem and file backends), a copy-on-write view
 // of the shared base, a view over a commit-log base — and again after a
-// durable commit has promoted a new generation.
+// durable commit has promoted a new generation. On that generation a
+// pooled view rebased in place (the committer's own at release, an idle
+// sibling at its next acquisition) must be indistinguishable from one
+// Base.NewView builds.
 func TestDurableReadPathCountersBitIdentical(t *testing.T) {
 	w := cobench.Workload{Loops: 10, Samples: 8, Seed: 1993}
 	queries := cobench.AllQueries()
@@ -542,6 +545,65 @@ func TestDurableReadPathCountersBitIdentical(t *testing.T) {
 			}
 			if got := runAll(t, v2.Run); !reflect.DeepEqual(got, baseline) {
 				t.Fatalf("post-commit generation diverged:\n got %+v\nwant %+v", got, baseline)
+			}
+
+			// Rebase ≡ fresh: strand a committer and an idle sibling behind
+			// another durable commit, then measure each rebased view against
+			// a fresh one on the same generation, query by query.
+			pool, err := NewViewPool(wbase, opts, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
+			committer, err := pool.Acquire()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sibling, err := pool.Acquire()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sibling.Close(); err != nil {
+				t.Fatal(err)
+			}
+			runAll(t, committer.Run)
+			if info, err := committer.Commit(clog); err != nil || info.Pages == 0 {
+				t.Fatalf("second commit: %+v, %v", info, err)
+			}
+			if err := committer.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for _, how := range []string{"rebased at release", "rebased at acquisition"} {
+				rebased, err := pool.Acquire()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rebased.Close()
+				fresh, err := wbase.NewView(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer fresh.Close()
+				if rebased.Gen() != wbase.Gen() || fresh.Gen() != wbase.Gen() {
+					t.Fatalf("%s: view at generation %d, fresh at %d, base at %d", how, rebased.Gen(), fresh.Gen(), wbase.Gen())
+				}
+				for _, q := range []cobench.Query{cobench.Q1a, cobench.Q1c, cobench.Q2b, cobench.Q3a} {
+					got, err := rebased.Run(q, w)
+					if err != nil {
+						t.Fatalf("%s: %s: %v", how, q, err)
+					}
+					want, err := fresh.Run(q, w)
+					if err != nil {
+						t.Fatalf("fresh view: %s: %v", q, err)
+					}
+					got.Elapsed, want.Elapsed = 0, 0
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("view %s diverged from a fresh view on %s:\n got %+v\nwant %+v", how, q, got, want)
+					}
+				}
+			}
+			if ps := pool.Stats(); ps.Stale != 2 || ps.Reused != 2 || ps.Destroyed != 0 {
+				t.Fatalf("pool after the rebases: %+v, want Stale=2 Reused=2 Destroyed=0", ps)
 			}
 		})
 	}

@@ -1,12 +1,15 @@
 package complexobj
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"complexobj/cobench"
+	"complexobj/internal/disk"
 	"complexobj/internal/snapshot"
 )
 
@@ -262,7 +265,10 @@ func TestCommitLogLifecycle(t *testing.T) {
 
 // TestCheckpointIsASnapshot: the file CommitLog.Checkpoint writes is an
 // ordinary single-model .codb, so every snapshot consumer opens it — Stat,
-// OpenBase, OpenSnapshot, Extract — and reads the committed state.
+// OpenBase, OpenSnapshot, Extract — and reads the committed state. A
+// checkpoint streamed from a many-times-promoted generation (floor runs
+// and committed pages interleaved) is byte-identical to the arena a flat
+// whole-copy promotion would have built.
 func TestCheckpointIsASnapshot(t *testing.T) {
 	const kind = DASDBSDSM
 	snap, stations := seedSnapshot(t, kind, 40)
@@ -334,6 +340,69 @@ func TestCheckpointIsASnapshot(t *testing.T) {
 			db.Close()
 		}
 	}
+
+	// Forty more commits through one rebased view, mirrored into a flat
+	// oracle the way the whole-arena promotion applied them.
+	_, _, _, arena := base.base.SnapshotState()
+	flat := append([]byte(nil), arena.Bytes()...)
+	arena.Release()
+	ps := base.base.PageSize()
+	pv, err := base.NewView(Options{BufferPages: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pv.Close()
+	last := ""
+	for round := 0; round < 40; round++ {
+		last = fmt.Sprintf("promoted %02d times and counting", round)
+		if err := pv.sv.UpdateRoots([]int32{int32(round % 7), 5}, func(_ int32, r *cobench.RootRecord) {
+			r.Name = last
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := pv.sv.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		dev := pv.sv.Engine().Dev
+		next := make([]byte, dev.NumPages()*ps)
+		copy(next, flat)
+		disk.OverlayPages(dev.Backend(), func(pg int, img []byte) { copy(next[pg*ps:(pg+1)*ps], img) })
+		flat = next
+		if info, err := pv.Commit(clog); err != nil || info.Pages == 0 {
+			t.Fatalf("round %d: commit %+v, %v", round, info, err)
+		}
+		if err := pv.sv.Rebase(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if base.DeltaPages() == 0 || base.DeltaPages() >= base.NumPages() {
+		t.Fatalf("generation %d holds %d committed pages of %d; want a sparse table over the floor", base.Gen(), base.DeltaPages(), base.NumPages())
+	}
+	if err := clog.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenBase(ckpt, kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, arena = reopened.base.SnapshotState()
+	if !bytes.Equal(arena.Bytes(), flat) {
+		t.Error("checkpoint of a many-times-promoted generation differs from the flat oracle")
+	}
+	arena.Release()
+	reopened.Close()
+	db, err := OpenSnapshot(ckpt, kind, Options{BufferPages: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	got, err := db.FetchByKey(stations[5].Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Name != last {
+		t.Fatalf("second checkpoint reads %q, want %q", got.Name, last)
+	}
 }
 
 // TestCommitLogMaybeCheckpoint pins the size-triggered compaction valve.
@@ -379,10 +448,13 @@ func TestCommitLogMaybeCheckpoint(t *testing.T) {
 	}
 }
 
-// TestViewPoolRetiresStaleViews: once a commit promotes the base, views
-// of the superseded generation — idle or in flight — are destroyed
-// instead of recycled, and fresh acquisitions read the new generation.
-func TestViewPoolRetiresStaleViews(t *testing.T) {
+// TestViewPoolRebasesStaleViews: once a commit promotes the base, views
+// of the superseded generation — the committer's own on release, an idle
+// sibling on its next acquisition — are rebased onto the new generation
+// in place (same engine, nothing destroyed), acquisitions read the new
+// generation, and a view still in flight keeps reading the generation it
+// was acquired on until it is released.
+func TestViewPoolRebasesStaleViews(t *testing.T) {
 	db := smallDB(t, DASDBSNSM)
 	defer db.Close()
 	base, err := db.Freeze()
@@ -396,8 +468,13 @@ func TestViewPoolRetiresStaleViews(t *testing.T) {
 	}
 	defer pool.Close()
 
-	// Hold two views of generation 0, then park one idle.
+	// Hold three views of generation 0: one parked idle, one kept in
+	// flight across the commit, one committing.
 	a, err := pool.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inflight, err := pool.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,11 +482,16 @@ func TestViewPoolRetiresStaleViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	engA, engB := a.sv.Engine(), b.sv.Engine()
+	before, err := inflight.sv.FetchByAddress(4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Commit through the second view, promoting the base to generation 1.
+	// Commit through b, promoting the base to generation 1.
 	if err := b.sv.UpdateRoots([]int32{4}, func(i int32, r *cobench.RootRecord) {
 		r.Name = "promoted"
 	}); err != nil {
@@ -421,25 +503,47 @@ func TestViewPoolRetiresStaleViews(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if s := pool.Stats(); s.Stale != 1 || s.Idle != 2 || s.Destroyed != 0 {
+		t.Fatalf("after the committer's release: %+v, want Stale=1 Idle=2 Destroyed=0", s)
+	}
 
-	// Both the committed view and the parked idle one are stale now; a
-	// fresh acquisition must read the promoted generation.
+	// The in-flight view drains on generation 0.
+	if got, err := inflight.sv.FetchByAddress(4); err != nil || inflight.Gen() != 0 || got.Name != before.Name {
+		t.Fatalf("in-flight view moved under its reader: gen %d, %q (was %q), %v", inflight.Gen(), got.Name, before.Name, err)
+	}
+
+	// Both pooled views come back on generation 1 with their engines: the
+	// committer's (rebased at release) first, then the idle sibling
+	// (rebased at acquisition).
 	c, err := pool.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Gen() != 1 {
-		t.Fatalf("acquired view at generation %d, want 1", c.Gen())
+	d, err := pool.Acquire()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, err := c.sv.FetchByAddress(4); err != nil || got.Name != "promoted" {
-		t.Fatalf("stale pool served old state: %q, %v", got.Name, err)
+	defer d.Close()
+	if c.sv.Engine() != engB || d.sv.Engine() != engA {
+		t.Fatal("stale views were rebuilt, not rebased: engine identity changed")
+	}
+	for _, v := range []*View{c, d} {
+		if v.Gen() != 1 {
+			t.Fatalf("acquired view at generation %d, want 1", v.Gen())
+		}
+		if s := v.Stats(); s != (Stats{}) {
+			t.Fatalf("rebased view starts with counters %+v", s)
+		}
+		if got, err := v.sv.FetchByAddress(4); err != nil || got.Name != "promoted" {
+			t.Fatalf("stale pool served old state: %q, %v", got.Name, err)
+		}
+	}
+	if err := inflight.Close(); err != nil {
+		t.Fatal(err)
 	}
 	s := pool.Stats()
-	if s.Stale != 2 {
-		t.Fatalf("stale retirements: %+v, want Stale=2", s)
-	}
-	if s.Idle != 0 {
-		t.Fatalf("stale view left idle: %+v", s)
+	if s.Stale != 3 || s.Reused != 2 || s.Created != 3 || s.Destroyed != 0 || s.Idle != 1 {
+		t.Fatalf("pool counters: %+v, want Stale=3 Reused=2 Created=3 Destroyed=0 Idle=1", s)
 	}
 }

@@ -51,13 +51,13 @@ func MapBaseArena(f *os.File, off int64, n int) (*BaseArena, error) {
 	if err != nil {
 		return nil, fmt.Errorf("disk: map base: %w", err)
 	}
-	a := &BaseArena{data: m[head : head+n : head+n], mapped: true}
-	a.unmap = func() error {
+	a := NewBaseArena(m[head : head+n : head+n])
+	a.fl.mapped = true
+	a.fl.unmap = func() error {
 		if err := syscall.Munmap(m); err != nil {
 			return fmt.Errorf("disk: unmap base: %w", err)
 		}
 		return nil
 	}
-	a.refs.Store(1)
 	return a, nil
 }

@@ -1,112 +1,209 @@
 package disk
 
 import (
+	"bytes"
 	"fmt"
 	"sync/atomic"
 )
 
-// BaseArena is an immutable page arena shared by any number of COW
-// backends: the frozen state of one loaded database. Once constructed it
-// is never written again — every COW overlay layered on top observes the
-// same bytes forever, which is what lets the parallel experiment matrix
-// hand each worker a view of one loaded extension instead of a private
-// copy. A nil *BaseArena behaves as an empty base.
-//
-// A base is reference-counted so that it can outlive the engine that
-// built it and be shared by a cache across many views: construction hands
-// the creator one reference, every COW backend opened over the base takes
-// another (released by its Close), and the backing storage — for a
-// heap base the slice, for an mmap-backed base the file mapping — is
-// released only when the last reference goes. Releasing is what makes the
-// mmap variant safe: no view can ever observe an unmapped arena.
-type BaseArena struct {
+// pageTable is a sparse page overlay: entry pg holds the image that
+// overrides page pg of whatever lies below, nil (or past the end) means
+// the page is not overridden. One shape serves both overlay levels — a
+// view's private writes (cowBackend.over) and the committed pages of a
+// base generation (BaseArena.over) — so a page resolves through
+// view table → generation table → floor in a fixed number of steps.
+type pageTable [][]byte
+
+// page returns the overriding image of page pg, or nil.
+func (t pageTable) page(pg int) []byte {
+	if pg < len(t) {
+		return t[pg]
+	}
+	return nil
+}
+
+// floor is the immutable storage at the bottom of every generation of
+// one base: a heap slice or a read-only file mapping. It is the only
+// reference-counted object — generations and views take references on the
+// floor they read through, and the storage is released when the last one
+// goes. (Committed page images over the floor are plain heap memory and
+// belong to the garbage collector.)
+type floor struct {
 	data   []byte
 	refs   atomic.Int64
 	mapped bool
-	unmap  func() error // releases the file mapping (mapped bases only)
+	unmap  func() error // releases the file mapping (mapped floors only)
+}
+
+// BaseArena is one immutable generation of a shared page arena: the
+// frozen state any number of COW backends read through. It is a floor —
+// the storage the base was built over, shared by every generation derived
+// from it — plus a table of the pages committed over the floor since.
+// Promote derives the next generation by copying the table and installing
+// the dirty images, so a commit costs its dirty pages, not the arena. A
+// generation is never written after construction: every overlay layered
+// on top observes the same bytes forever, which is what lets the parallel
+// experiment matrix and the server hand each worker a view of one loaded
+// extension instead of a private copy. A nil *BaseArena behaves as an
+// empty base.
+//
+// The floor is reference-counted so that it can outlive the engine that
+// built it and be shared by a cache across many views: construction hands
+// the creator one reference, Promote hands the next generation's owner
+// one, every COW backend opened over a generation takes another (released
+// by its Close or rebase), and the floor storage — heap slice or file
+// mapping — is released only when the last reference goes. Releasing is
+// what makes the mmap variant safe: no view can ever observe an unmapped
+// arena.
+type BaseArena struct {
+	fl       *floor
+	floorLen int       // floor bytes this generation reads through (a shrink hides the rest for good)
+	size     int       // logical arena length in bytes
+	gran     int       // page size of the table (0 until the first promote)
+	over     pageTable // committed pages over the floor; nil until the first promote
+	held     int       // non-nil entries of over
 }
 
 // NewBaseArena freezes data into a shared base holding one reference,
 // owned by the caller. The caller hands over ownership: the slice must
 // not be mutated afterwards.
 func NewBaseArena(data []byte) *BaseArena {
-	a := &BaseArena{data: data}
-	a.refs.Store(1)
+	a := &BaseArena{fl: &floor{data: data}, floorLen: len(data), size: len(data)}
+	a.fl.refs.Store(1)
 	return a
 }
 
-// Len returns the base arena length in bytes.
+// Len returns the generation's logical arena length in bytes.
 func (a *BaseArena) Len() int {
 	if a == nil {
 		return 0
 	}
-	return len(a.data)
+	return a.size
 }
 
-// Bytes exposes the frozen arena for inspection (checksums, dumps).
-// Callers must treat the slice as read-only and must hold a reference
-// (for a released mapped base the slice is gone).
+// Bytes exposes the frozen arena for inspection (checksums, dumps). On a
+// never-promoted base this is the floor itself, zero-copy; on a promoted
+// generation it flattens into a fresh slice — inspection only, the read
+// and checkpoint paths never flatten (see WriteTo). Callers must treat
+// the slice as read-only and must hold a reference (for a released
+// mapped base the slice is gone).
 func (a *BaseArena) Bytes() []byte {
 	if a == nil {
 		return nil
 	}
-	return a.data
+	if a.over == nil {
+		return a.fl.data
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, a.size))
+	a.WriteTo(buf) // a bytes.Buffer never fails a write
+	return buf.Bytes()
 }
 
-// Mapped reports whether the arena is a read-only file mapping (pages
+// Mapped reports whether the floor is a read-only file mapping (pages
 // faulted in from the snapshot file on demand) rather than a heap copy.
-func (a *BaseArena) Mapped() bool { return a != nil && a.mapped }
+func (a *BaseArena) Mapped() bool { return a != nil && a.fl.mapped }
 
-// Refs returns the current reference count (diagnostics and tests).
+// DeltaPages returns the number of committed page images the generation
+// holds on the heap over its floor.
+func (a *BaseArena) DeltaPages() int {
+	if a == nil {
+		return 0
+	}
+	return a.held
+}
+
+// Refs returns the floor's current reference count (diagnostics and
+// tests): generations and views of one base all count here.
 func (a *BaseArena) Refs() int {
 	if a == nil {
 		return 0
 	}
-	return int(a.refs.Load())
+	return int(a.fl.refs.Load())
 }
 
-// Retain takes one additional reference and returns the arena (nil-safe,
-// so call sites can thread a possibly-empty base without branching).
+// Retain takes one additional reference on the floor and returns the
+// arena (nil-safe, so call sites can thread a possibly-empty base without
+// branching).
 func (a *BaseArena) Retain() *BaseArena {
 	if a != nil {
-		a.refs.Add(1)
+		a.fl.refs.Add(1)
 	}
 	return a
 }
 
-// Release drops one reference. When the last reference goes the backing
-// storage is released: a heap base drops its slice, an mmap-backed base
+// Release drops one reference. When the last reference goes the floor
+// storage is released: a heap floor drops its slice, an mmap-backed one
 // unmaps the snapshot file region. Releasing more often than retained is
 // a bug and reported as an error.
 func (a *BaseArena) Release() error {
 	if a == nil {
 		return nil
 	}
-	switch n := a.refs.Add(-1); {
+	f := a.fl
+	switch n := f.refs.Add(-1); {
 	case n > 0:
 		return nil
 	case n < 0:
 		return fmt.Errorf("disk: base arena over-released (refs %d)", n)
 	}
-	a.data = nil
-	if a.unmap != nil {
-		unmap := a.unmap
-		a.unmap = nil
+	f.data = nil
+	if f.unmap != nil {
+		unmap := f.unmap
+		f.unmap = nil
 		return unmap()
 	}
 	return nil
 }
 
+// floor returns the floor bytes the generation reads through.
+func (a *BaseArena) floor() []byte {
+	if a == nil {
+		return nil
+	}
+	return a.fl.data[:a.floorLen]
+}
+
+// committedPage resolves page pg of a generation given as its two parts —
+// the committed page table and the visible floor — at page size gran: the
+// committed image when the table overrides the page, else the floor's
+// slice of it, short when the floor ends inside the page, nil past it.
+// Bytes the result does not cover read as zero.
+func committedPage(over pageTable, floor []byte, pg, gran int) []byte {
+	if img := over.page(pg); img != nil {
+		return img
+	}
+	lo := pg * gran
+	if lo >= len(floor) {
+		return nil
+	}
+	hi := min(lo+gran, len(floor))
+	return floor[lo:hi:hi]
+}
+
+// page returns the generation's bytes of page pg at page size gran.
+func (a *BaseArena) page(pg, gran int) []byte {
+	if a == nil {
+		return nil
+	}
+	return committedPage(a.over, a.floor(), pg, gran)
+}
+
 // cowBackend is a copy-on-write arena: reads fall through to the shared
-// immutable base, the first write to a page materializes a private copy in
-// the overlay. Growth past the base is free until written (fresh pages
-// read as zero straight from nowhere), so an engine over a large shared
-// base costs only the pages it actually dirties.
+// immutable base generation, the first write to a page materializes a
+// private copy in the overlay. Growth past the base is free until written
+// (fresh pages read as zero straight from nowhere), so an engine over a
+// large shared base costs only the pages it actually dirties.
 type cowBackend struct {
 	base *BaseArena
-	gran int      // overlay granularity in bytes (the device page size)
-	size int      // logical arena length
-	over [][]byte // overlay page images indexed by page number; nil = base
+	gran int       // overlay granularity in bytes (the device page size)
+	size int       // logical arena length
+	over pageTable // private page images over the base generation
+
+	// The base generation's two parts, cached by attach so the per-page
+	// lookup touches this struct alone. Valid while base's reference is
+	// held, i.e. until Close or the next attach.
+	committed pageTable
+	floor     []byte
 
 	overlaid int      // number of materialized overlay pages
 	freeImgs [][]byte // page images recycled by reset, ready for reuse
@@ -122,7 +219,24 @@ func NewCOWBackend(base *BaseArena, pageBytes int) Backend {
 	if pageBytes <= 0 {
 		pageBytes = DefaultPageSize
 	}
-	return &cowBackend{base: base.Retain(), gran: pageBytes, size: base.Len()}
+	b := &cowBackend{gran: pageBytes}
+	b.attach(base)
+	return b
+}
+
+// attach takes a reference on base and makes it the generation the
+// (empty) overlay reads through. A generation's page table has the page
+// size it was promoted with; only a bug can pair it with another.
+func (b *cowBackend) attach(base *BaseArena) {
+	if base != nil && base.gran != 0 && base.gran != b.gran {
+		panic(fmt.Sprintf("disk: cow view of page size %d over a generation of page size %d", b.gran, base.gran))
+	}
+	b.base = base.Retain()
+	b.size = base.Len()
+	b.committed, b.floor = nil, base.floor()
+	if base != nil {
+		b.committed = base.over
+	}
 }
 
 func (b *cowBackend) Len() int { return b.size }
@@ -134,37 +248,31 @@ func (b *cowBackend) Grow(n int) error {
 	return nil
 }
 
-// overlayPage returns the overlay image of page pg, or nil.
-func (b *cowBackend) overlayPage(pg int) []byte {
-	if pg < len(b.over) {
-		return b.over[pg]
+// page resolves page pg through the two overlay levels: the view's
+// private image, else the base generation's (committed image or floor).
+// Bytes the result does not cover read as zero.
+func (b *cowBackend) page(pg int) []byte {
+	if img := b.over.page(pg); img != nil {
+		return img
 	}
-	return nil
+	return committedPage(b.committed, b.floor, pg, b.gran)
 }
 
 func (b *cowBackend) ReadAt(p []byte, off int) error {
 	if err := checkRange(off, len(p), b.size); err != nil {
 		return err
 	}
-	base := b.base.Bytes()
 	for len(p) > 0 {
 		pg, po := off/b.gran, off%b.gran
 		n := b.gran - po
 		if n > len(p) {
 			n = len(p)
 		}
-		if img := b.overlayPage(pg); img != nil {
-			copy(p[:n], img[po:po+n])
-		} else if off < len(base) {
-			m := len(base) - off
-			if m > n {
-				m = n
-			}
-			copy(p[:m], base[off:off+m])
-			clear(p[m:n]) // grown tail beyond the base reads as zero
-		} else {
-			clear(p[:n])
+		m := 0
+		if img := b.page(pg); po < len(img) {
+			m = copy(p[:n], img[po:])
 		}
+		clear(p[m:n]) // past the base (grown tail, short floor) reads as zero
 		p = p[n:]
 		off += n
 	}
@@ -175,14 +283,13 @@ func (b *cowBackend) WriteAt(p []byte, off int) error {
 	if err := checkRange(off, len(p), b.size); err != nil {
 		return err
 	}
-	base := b.base.Bytes()
 	for len(p) > 0 {
 		pg, po := off/b.gran, off%b.gran
 		n := b.gran - po
 		if n > len(p) {
 			n = len(p)
 		}
-		img := b.overlayPage(pg)
+		img := b.over.page(pg)
 		if img == nil {
 			if k := len(b.freeImgs); k > 0 {
 				img = b.freeImgs[k-1]
@@ -195,15 +302,11 @@ func (b *cowBackend) WriteAt(p []byte, off int) error {
 				// first so the untouched bytes of the page survive (and,
 				// for a recycled image, no stale bytes either). A
 				// full-page write (the device's normal unit) skips this.
-				lo := pg * b.gran
-				var m int
-				if lo < len(base) {
-					m = copy(img, base[lo:])
-				}
+				m := copy(img, committedPage(b.committed, b.floor, pg, b.gran))
 				clear(img[m:])
 			}
 			if pg >= len(b.over) {
-				grown := make([][]byte, (pg+1)*2)
+				grown := make(pageTable, (pg+1)*2)
 				copy(grown, b.over)
 				b.over = grown
 			}
@@ -223,9 +326,10 @@ func (b *cowBackend) Flush() error { return nil }
 
 // StablePage implements StablePager: a materialized page shares its
 // overlay image, an unmaterialized one inside the base shares the base
-// bytes directly — the zero-copy read path the whole COW design exists
-// for. Grown-but-unwritten tail pages (which read as zero) and ranges
-// spanning a page boundary stay on ReadAt. Overlay images are recycled by
+// generation's bytes directly (a committed image or the floor) — the
+// zero-copy read path the whole COW design exists for.
+// Grown-but-unwritten tail pages (which read as zero) and ranges spanning
+// a page boundary stay on ReadAt. Overlay images are recycled by
 // reset(), so the stability contract's reset clause is load-bearing here:
 // every borrower must be gone before the view resets (the pool's
 // Discard-before-ResetView ordering).
@@ -237,11 +341,19 @@ func (b *cowBackend) StablePage(off, n int) ([]byte, bool) {
 	if po+n > b.gran {
 		return nil, false
 	}
-	if img := b.overlayPage(pg); img != nil {
+	// The three levels spelled out rather than through page(): this is
+	// the device's per-page read path, and a floor page — the common case
+	// — is addressed by its byte range directly, as it was when the base
+	// was one flat slice.
+	img := b.over.page(pg)
+	if img == nil {
+		img = b.committed.page(pg)
+	}
+	if img != nil {
 		return img[po : po+n : po+n], true
 	}
-	if base := b.base.Bytes(); off+n <= len(base) {
-		return base[off : off+n : off+n], true
+	if off+n <= len(b.floor) {
+		return b.floor[off : off+n : off+n], true
 	}
 	return nil, false
 }
@@ -262,6 +374,17 @@ func (b *cowBackend) reset() {
 	b.size = b.base.Len()
 }
 
+// rebase resets the overlay and moves the backend onto another
+// generation, swapping its base reference. The new reference is taken
+// before the old one is dropped: generations of one base share a floor,
+// which must not hit zero in between.
+func (b *cowBackend) rebase(base *BaseArena) error {
+	old := b.base
+	b.attach(base)
+	b.reset()
+	return old.Release()
+}
+
 // Close releases the overlay and the backend's reference on the shared
 // base. Other engines keep reading through the base; only when the last
 // reference (views plus the owner handle) goes is the base storage —
@@ -271,7 +394,7 @@ func (b *cowBackend) Close() error {
 	b.over = nil
 	b.overlaid = 0
 	b.freeImgs = nil
-	b.base = nil
+	b.base, b.committed, b.floor = nil, nil, nil
 	b.size = 0
 	return base.Release()
 }

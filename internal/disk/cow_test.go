@@ -230,6 +230,51 @@ func TestBaseArenaRefcount(t *testing.T) {
 	if nilBase.Retain() != nil || nilBase.Release() != nil || nilBase.Refs() != 0 || nilBase.Mapped() {
 		t.Error("nil base lifecycle not inert")
 	}
+	grown, _ := nilBase.Promote(ps, 2, map[int][]byte{1: bytes.Repeat([]byte{7}, ps)})
+	if grown.Len() != 2*ps || grown.Refs() != 1 || grown.Bytes()[ps] != 7 || grown.Bytes()[0] != 0 {
+		t.Error("promoting a nil base does not yield the images over zeros")
+	}
+
+	// Generations share one floor, and only the floor is counted: each
+	// promoted generation's owner holds one reference, views on any
+	// generation hold one each, and the storage goes with the last of
+	// them — whichever generation that reference was taken through.
+	floor, pristine := testBase(ps, 4)
+	img := bytes.Repeat([]byte{0xC3}, ps)
+	gen1, _ := floor.Promote(ps, 4, map[int][]byte{1: img})
+	gen2, _ := gen1.Promote(ps, 4, map[int][]byte{2: img})
+	onGen1 := NewCOWBackend(gen1, ps)
+	if floor.Refs() != 4 || gen1.Refs() != 4 || gen2.Refs() != 4 {
+		t.Fatalf("refs across generations = %d/%d/%d, want 4 everywhere (3 owners + 1 view)", floor.Refs(), gen1.Refs(), gen2.Refs())
+	}
+	for _, g := range []*BaseArena{floor, gen1, gen2} {
+		if err := g.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Only the view is left, on a superseded generation: it still reads
+	// that generation — floor pages and committed image alike.
+	if err := onGen1.ReadAt(got, 0); err != nil || !bytes.Equal(got, pristine[:ps]) {
+		t.Fatalf("floor page unreadable through the last view: %v", err)
+	}
+	if err := onGen1.ReadAt(got, ps); err != nil || !bytes.Equal(got, img) {
+		t.Fatalf("committed page unreadable through the last view: %v", err)
+	}
+	if err := onGen1.ReadAt(got, 2*ps); err != nil || !bytes.Equal(got, pristine[2*ps:3*ps]) {
+		t.Fatalf("view of generation 1 observes generation 2: %v", err)
+	}
+	if floor.Bytes() == nil {
+		t.Fatal("floor released under a live view of a promoted generation")
+	}
+	if err := onGen1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if floor.Refs() != 0 || floor.Bytes() != nil {
+		t.Fatalf("floor not released with the last view: refs=%d", floor.Refs())
+	}
+	if err := gen2.Release(); err == nil {
+		t.Error("over-release through a promoted generation not reported")
+	}
 }
 
 // TestMappedBaseArena pins the mmap-backed base variant against the heap
@@ -288,11 +333,46 @@ func TestMappedBaseArena(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := base.Release(); err != nil {
+
+	// Promotion keeps the mapping as the floor of every later generation:
+	// still mapped, committed pages on the heap, and unmapped exactly
+	// when the last generation and the last view over it are gone —
+	// never earlier.
+	gen1, _ := base.Promote(ps, 8, map[int][]byte{2: img})
+	gen2, _ := gen1.Promote(ps, 9, map[int][]byte{5: img})
+	if gen2.Mapped() != CanMapBase || gen2.DeltaPages() != 2 {
+		t.Errorf("promoted generation: Mapped() = %v, DeltaPages() = %d, want %v and 2", gen2.Mapped(), gen2.DeltaPages(), CanMapBase)
+	}
+	want := append(append([]byte(nil), pristine...), make([]byte, ps)...)
+	copy(want[2*ps:], img)
+	copy(want[5*ps:], img)
+	if !bytes.Equal(gen2.Bytes(), want) {
+		t.Fatal("promoted generation over a mapped floor reads wrong bytes")
+	}
+	view := NewCOWBackend(gen2, ps)
+	for _, g := range []*BaseArena{base, gen1, gen2} {
+		if err := g.Release(); err != nil {
+			t.Fatal(err)
+		}
+		if base.Bytes() == nil {
+			t.Fatal("mapping dropped while a view still reads through it")
+		}
+	}
+	page := make([]byte, ps)
+	if err := view.ReadAt(page, 7*ps); err != nil || !bytes.Equal(page, pristine[7*ps:]) {
+		t.Fatalf("mapped floor unreadable through the last view: %v", err)
+	}
+	if CanMapBase && base.fl.unmap == nil {
+		t.Fatal("mapping already released before its last reference went")
+	}
+	if err := view.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if base.Refs() != 0 || base.Bytes() != nil {
+	if base.Refs() != 0 || base.Bytes() != nil || base.fl.unmap != nil {
 		t.Fatal("mapped base not released with the last reference")
+	}
+	if err := gen1.Release(); err == nil {
+		t.Error("over-release of an unmapped floor not reported")
 	}
 	// The snapshot file itself must be byte-identical after the whole
 	// view lifecycle (the mapping is read-only).

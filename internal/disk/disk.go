@@ -265,6 +265,28 @@ func (d *Disk) ResetView() bool {
 	return true
 }
 
+// RebaseView is ResetView onto another generation: the overlay is dropped
+// as above and the copy-on-write backend's base reference moves to base
+// (retained here; the previous generation's reference is released), so
+// the device adopts base's page count and reads its bytes from now on.
+// The same emptied-pool precondition holds. This is the one way a view
+// lands on a generation — a fresh view is an empty engine rebased onto
+// the current one. Not copy-on-write is an error, changing nothing.
+func (d *Disk) RebaseView(base *BaseArena) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	c, ok := asCOW(d.backend)
+	if !ok {
+		return errors.New("disk: rebase: backend is not copy-on-write")
+	}
+	if base.Len()%d.pageSize != 0 {
+		return fmt.Errorf("disk: rebase: arena of %d bytes is not a multiple of page size %d", base.Len(), d.pageSize)
+	}
+	err := c.rebase(base)
+	d.numPages = c.size / d.pageSize
+	return err
+}
+
 // DumpTo streams the raw images of all allocated pages to w, without
 // touching the I/O counters (snapshots are a dictionary-level operation,
 // like allocation).

@@ -41,37 +41,60 @@
 // A COW backend layers a private overlay over a shared BaseArena. Reads
 // fall through to the base until the first write to a page materializes a
 // private copy (a full-page write skips even that copy); growth past the
-// base is free until written. The base is immutable by construction —
-// no code path writes it after NewBaseArena — so any number of engines
-// can read through one base concurrently without synchronization, and
-// closing a view releases only its overlay. This is what lets the
+// base is free until written. A base generation is immutable by
+// construction — no code path writes a floor after NewBaseArena or a page
+// table after Promote — so any number of engines can read through one
+// generation concurrently without synchronization, and closing a view
+// releases only its overlay. This is what lets the
 // parallel experiment matrix share one loaded extension across workers:
 // per-worker memory is proportional to the pages a worker dirties, not to
 // the database size, while the counters stay bit-identical to the other
 // backends by construction (the device layer above is unchanged).
 //
-// # Base lifecycle
+// # Base generations
 //
-// A BaseArena outlives any single engine, so its storage is reference
-// counted rather than tied to an owner: construction (NewBaseArena,
-// MapBaseArena) hands the creator one reference, every COW backend
-// opened over the base takes another, Close on a view and Release on a
-// handle each drop one, and the storage is freed exactly when the count
-// reaches zero. The contract callers rely on: a base can never be
-// released under a live view (the view's reference pins it, even after
-// every other handle is gone), Bytes stays valid while at least one
-// reference is held, and releasing an already-dead base is reported as an
-// error instead of corrupting a neighbour.
+// A BaseArena is one generation of a shared base: an immutable floor —
+// the heap slice or .codb mapping the base was built over — plus a page
+// table of the pages committed over the floor since ([][]byte by page
+// number; nil means "read the floor", a page past the visible floor with
+// no entry reads as zero, and the generation's own length is
+// authoritative across growth and shrinkage). That table has the same
+// shape as a view's private overlay and is read by the same lookup, so a
+// page resolves through view table → generation table → floor in a fixed
+// number of steps. Promote derives generation n+1 by copying the table
+// (one slice header per page) and installing private copies of the dirty
+// images: a commit costs its dirty pages, not the arena, and because the
+// table is path-copied rather than chained to its parent, a lookup after
+// a thousand commits costs what it cost after one — there is no depth and
+// nothing to flatten or tune. WriteTo streams a generation for a
+// checkpoint, floor runs as single writes, without flattening it in
+// memory; Bytes flattens a promoted generation and is for inspection
+// only.
 //
-// The counting pays off for the two base variants differently. A heap
-// base (NewBaseArena) could in principle lean on the garbage collector;
-// an mmap-backed base (MapBaseArena, used for .codb snapshots)
-// cannot — the file mapping must be unmapped explicitly, and unmapping
-// while a view could still read it would be a crash, not a leak. The
-// mapped variant is what makes `-db x.codb -backend cow` memory-cheap:
-// the snapshot's arena region is mapped PROT_READ/MAP_PRIVATE, resident
-// only in the pages views actually touch, immutable by page protection on
-// top of immutable by construction.
+// Only the floor is reference-counted: it outlives any single engine and
+// any single generation, and for a mapped floor release must be explicit.
+// Construction (NewBaseArena, MapBaseArena) hands the creator one
+// reference, Promote hands the next generation's owner one, every COW
+// backend takes one on the floor of the generation it reads (dropped by
+// its Close, or swapped by a rebase), and the storage is freed exactly
+// when the count reaches zero. The contract callers rely on: a floor can
+// never be released under a live view or a live generation (each
+// reference pins it, even after every other handle is gone), and
+// releasing an already-dead floor is reported as an error instead of
+// corrupting a neighbour. Committed page images are ordinary heap memory
+// and belong to the garbage collector: a superseded generation's table
+// and the images only it holds are collected once no view reads it.
+//
+// The counting pays off for the two floor variants differently. A heap
+// floor (NewBaseArena) could in principle lean on the garbage collector;
+// an mmap-backed one (MapBaseArena, used for .codb snapshots) cannot —
+// the file mapping must be unmapped explicitly, and unmapping while a
+// view could still read it would be a crash, not a leak. The mapped
+// variant is what makes `-db x.codb -backend cow` memory-cheap: the
+// snapshot's arena region is mapped PROT_READ/MAP_PRIVATE, resident only
+// in the pages views actually touch, immutable by page protection on top
+// of immutable by construction — and it stays the floor across commits,
+// which move only the pages they dirtied onto the heap.
 //
 // Backends change only the storage substrate — allocation, run transfers
 // and the I/O counters are identical across backends by construction.
@@ -86,10 +109,10 @@
 // growth never moves existing pages. The mem and file backends serve
 // stable pages from their arenas; the cow backend serves a materialized
 // page from its private overlay image and a clean page from the shared
-// base arena itself, which is what lets every view of one frozen base
-// read the same physical bytes. Fault-injecting wrappers deliberately
-// withhold the capability on pages their schedule targets, so faults
-// cannot be bypassed through an alias.
+// base generation itself (a committed image or the floor), which is what
+// lets every view of one frozen base read the same physical bytes.
+// Fault-injecting wrappers deliberately withhold the capability on pages
+// their schedule targets, so faults cannot be bypassed through an alias.
 //
 // Disk.ReadRunShared is the counted entry point: for each page of a run
 // it hands out a stable alias where the backend offers one and falls
@@ -104,4 +127,14 @@
 // request without being torn down. Dropped overlay page images go to a
 // free list inside the backend and are reused by the next writes, so a
 // recycled view's overlay materializes without allocating.
+//
+// Disk.RebaseView is ResetView onto another generation: after the reset
+// the backend's base reference is swapped (new floor reference taken
+// before the old one is dropped), so a view a commit left behind lands on
+// the new generation with its engine, frame buffers and overlay images
+// intact. The order is load-bearing — Discard the buffer pool, then
+// ResetView, then the swap: borrowed frames alias pages of the old
+// generation and of the overlay, and both go away. A fresh view is an
+// empty engine rebased onto the current generation, so there is one way a
+// view lands on a generation.
 package disk

@@ -1,5 +1,11 @@
 package disk
 
+import (
+	"fmt"
+	"io"
+	"unsafe"
+)
+
 // OverlayPages visits every materialized overlay page of a copy-on-write
 // backend in ascending page order, seeing through any stack of wrapping
 // backends (fault injection). The images passed to fn are the live
@@ -20,25 +26,112 @@ func OverlayPages(b Backend, fn func(pg int, img []byte)) bool {
 	return true
 }
 
-// NewPromotedArena folds one committed overlay into a base arena,
-// producing the next generation: numPages*pageSize bytes of the old
-// arena's content (extended with zeros or truncated to the committed
-// device size) with the overlay images applied on top. The result is a
-// fresh heap arena holding one reference owned by the caller; old is
-// only read, its references untouched. Pages at or past numPages are
-// ignored — the committed size is authoritative.
-func NewPromotedArena(old *BaseArena, pageSize, numPages int, pages map[int][]byte) *BaseArena {
-	data := make([]byte, numPages*pageSize)
-	copy(data, old.Bytes())
-	for pg, img := range pages {
+// Promote folds one committed overlay into the generation, producing the
+// next one: numPages pages of this generation's content (extended with
+// zeros or truncated to the committed device size) with the overlay
+// images applied on top. The cost is the dirty pages, not the arena: the
+// next generation shares the floor, copies the page table (one slice
+// header per page) and installs a private copy of each image — a
+// path-copied table, not a parent chain, so a page lookup costs the same
+// after one promote as after a thousand. Pages at or past numPages are
+// ignored — the committed size is authoritative; an image shorter than a
+// page overrides the page's prefix. The result holds one floor reference
+// owned by the caller; the receiver is only read, its references
+// untouched. copied is the number of bytes the promote copied (table plus
+// page images) — the in-memory write amplification of the commit.
+func (a *BaseArena) Promote(pageSize, numPages int, pages map[int][]byte) (next *BaseArena, copied int64) {
+	if a == nil {
+		a = NewBaseArena(nil)
+		defer a.Release()
+	}
+	if a.gran != 0 && a.gran != pageSize {
+		panic(fmt.Sprintf("disk: promote at page size %d over a generation of page size %d", pageSize, a.gran))
+	}
+	size := numPages * pageSize
+	next = &BaseArena{
+		fl:       a.Retain().fl,
+		floorLen: min(a.floorLen, size),
+		size:     size,
+		gran:     pageSize,
+		over:     make(pageTable, numPages),
+		held:     a.held,
+	}
+	if n := copy(next.over, a.over); n < len(a.over) {
+		for _, img := range a.over[n:] {
+			if img != nil {
+				next.held--
+			}
+		}
+	}
+	copied = int64(numPages) * int64(unsafe.Sizeof(next.over[0]))
+	for pg, src := range pages {
 		if pg < 0 || pg >= numPages {
 			continue
 		}
-		n := pageSize
-		if n > len(img) {
-			n = len(img)
+		img := make([]byte, pageSize)
+		if len(src) < pageSize {
+			copy(img, a.page(pg, pageSize))
 		}
-		copy(data[pg*pageSize:], img[:n])
+		copy(img, src)
+		if next.over[pg] == nil {
+			next.held++
+		}
+		next.over[pg] = img
+		copied += int64(pageSize)
 	}
-	return NewBaseArena(data)
+	return next, copied
+}
+
+// WriteTo streams the generation's numPages*pageSize bytes to w — what a
+// checkpoint persists — without flattening it in memory: every maximal
+// run of pages still read from the floor goes out as one Write (a
+// never-promoted base is a single Write of the floor), committed images
+// one page each, and pages past the visible floor with no image as zeros.
+func (a *BaseArena) WriteTo(w io.Writer) (int64, error) {
+	if a == nil {
+		return 0, nil
+	}
+	var written int64
+	write := func(p []byte) error {
+		n, err := w.Write(p)
+		written += int64(n)
+		return err
+	}
+	if a.over == nil {
+		return written, write(a.fl.data)
+	}
+	var zeros []byte
+	numPages := a.size / a.gran
+	for pg := 0; pg < numPages; {
+		if img := a.over[pg]; img != nil {
+			if err := write(img); err != nil {
+				return written, err
+			}
+			pg++
+			continue
+		}
+		end := pg + 1
+		for end < numPages && a.over[end] == nil {
+			end++
+		}
+		lo, hi := pg*a.gran, end*a.gran
+		if lo < a.floorLen {
+			if err := write(a.fl.data[lo:min(hi, a.floorLen)]); err != nil {
+				return written, err
+			}
+			lo = min(hi, a.floorLen)
+		}
+		for lo < hi {
+			if zeros == nil {
+				zeros = make([]byte, a.gran)
+			}
+			n := min(hi-lo, len(zeros))
+			if err := write(zeros[:n]); err != nil {
+				return written, err
+			}
+			lo += n
+		}
+		pg = end
+	}
+	return written, nil
 }

@@ -72,6 +72,10 @@ func (h *Heap) TuplesPerPage() float64 {
 	return float64(h.records) / float64(len(h.pages))
 }
 
+// StateLen returns the exact number of bytes AppendState appends, so a
+// snapshot encoder can size its buffer once.
+func (h *Heap) StateLen() int { return 4 + 4*len(h.pages) + 8 + 8 }
+
 // AppendState serializes the heap's directory state (page list and record
 // accounting) for a database snapshot. The records themselves live in the
 // device pages and are not duplicated here.

@@ -811,6 +811,10 @@ func (s *Store) ChangeComponent(ref Ref, idx int, data []byte) (int, error) {
 	return len(ids), nil
 }
 
+// StateLen returns the exact number of bytes AppendState appends, so a
+// snapshot encoder can size its buffer once.
+func (s *Store) StateLen() int { return 5*8 + 4 + 8*len(s.free) + s.shared.StateLen() }
+
 // AppendState serializes the store's directory state — object and page
 // accounting plus the free-space map — for a database snapshot, followed
 // by the shared heap's state. The page images themselves travel with the
@@ -851,7 +855,10 @@ func (s *Store) RestoreState(r *wire.Reader) error {
 	return s.shared.RestoreState(r)
 }
 
-// AppendRef serializes a Ref (9 bytes, either variant).
+// RefLen is the encoded size of a Ref, either variant.
+const RefLen = 9
+
+// AppendRef serializes a Ref (RefLen bytes, either variant).
 func AppendRef(b []byte, ref Ref) []byte {
 	if ref.Small {
 		b = wire.AppendU8(b, 1)

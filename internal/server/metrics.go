@@ -163,8 +163,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			p.Sample("complexobj_shard_owned", "gauge", fmt.Sprintf("shard=%q", strconv.Itoa(id)), 1)
 		}
 	}
+	var promoted int64
 	for _, k := range s.models {
 		ps := s.pools[k].Stats()
+		promoted += s.bases[k].PromotedBytes()
 		labels := fmt.Sprintf("model=%q", k.String())
 		p.Sample("complexobj_viewpool_max_views", "gauge", labels, float64(ps.MaxViews))
 		p.Sample("complexobj_viewpool_inuse_views", "gauge", labels, float64(ps.InUse))
@@ -178,6 +180,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Sample("complexobj_viewpool_quarantined_total", "counter", labels, float64(ps.Quarantined))
 		p.Sample("complexobj_viewpool_stale_total", "counter", labels, float64(ps.Stale))
 		p.Sample("complexobj_base_generation", "gauge", labels, float64(s.bases[k].Gen()))
+		p.Sample("complexobj_base_delta_pages", "gauge", labels, float64(s.bases[k].DeltaPages()))
 	}
 	s.omu.RUnlock()
 
@@ -190,6 +193,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Sample("complexobj_wal_syncs_total", "counter", "", float64(cs.Syncs))
 		p.Sample("complexobj_wal_appended_bytes_total", "counter", "", float64(cs.AppendedBytes))
 		p.Sample("complexobj_wal_payload_bytes_total", "counter", "", float64(cs.PayloadBytes))
+		p.Sample("complexobj_promote_copied_bytes_total", "counter", "", float64(promoted))
 		if cs.PayloadBytes > 0 {
 			p.Sample("complexobj_wal_write_amplification", "gauge", "",
 				float64(cs.AppendedBytes)/float64(cs.PayloadBytes))

@@ -24,10 +24,12 @@ type parityRun struct {
 	metrics string
 }
 
-// driveForParity starts a fault-armed server over path and hammers every
-// (model, query) cell with 8 concurrent clients, each retrying a cell
-// until it succeeds — so every cell ends with exactly 8 recorded runs no
-// matter what the fault schedule injected. With scrape=true a background
+// driveForParity starts a fault-armed, WAL-armed server over path and
+// hammers every (model, query) cell with 8 concurrent clients, each
+// retrying a cell until it succeeds — so every cell ends with exactly 8
+// recorded runs no matter what the fault schedule injected — and then
+// commits one update run per model, so the commit-path series carry real
+// values. With scrape=true a background
 // goroutine hammers /metrics and /info the whole time, which per the
 // observability contract must not move a single counter.
 func driveForParity(t *testing.T, path string, w cobench.Workload, scrape bool) parityRun {
@@ -40,6 +42,7 @@ func driveForParity(t *testing.T, path string, w cobench.Workload, scrape bool) 
 		MaxInflight:    10,
 		RequestTimeout: 30 * time.Second,
 		Faults:         plan,
+		WALDir:         t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,6 +108,21 @@ func driveForParity(t *testing.T, path string, w cobench.Workload, scrape bool) 
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, k := range models {
+		committed := false
+		for attempt := 0; attempt < 50 && !committed; attempt++ {
+			resp, err := hs.Client().Get(durableRunURL(hs.URL, k.String(), "3a", w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			committed = resp.StatusCode == http.StatusOK
+		}
+		if !committed {
+			t.Fatalf("%s: committed 3a never succeeded", k)
+		}
 	}
 	if scrape {
 		close(stop)
@@ -248,6 +266,32 @@ func TestMetricsStatsParity(t *testing.T) {
 		if got := get(c.series); got != float64(c.want) {
 			t.Errorf("%s = %v, /info says %d", c.series, got, c.want)
 		}
+	}
+
+	// Commit-path memory accounting: one commit per model ran, so every
+	// base holds committed pages over its floor and the promote counter
+	// moved, and /metrics agrees with /info on both.
+	if info.Durability == nil {
+		t.Fatal("/info reports no durability block despite an armed WAL")
+	}
+	var promoted int64
+	for _, m := range info.Models {
+		if m.Gen != 1 || m.DeltaPages == 0 || m.PromotedBytes == 0 {
+			t.Errorf("%s after one commit: gen %d, deltaPages %d, promotedBytes %d", m.Model, m.Gen, m.DeltaPages, m.PromotedBytes)
+		}
+		if m.PromotedBytes < int64(m.DeltaPages)*int64(info.PageSize) {
+			t.Errorf("%s: promotedBytes %d does not cover its %d committed pages", m.Model, m.PromotedBytes, m.DeltaPages)
+		}
+		promoted += m.PromotedBytes
+		if got := get(fmt.Sprintf("complexobj_base_delta_pages{model=%q}", m.Model)); got != float64(m.DeltaPages) {
+			t.Errorf("%s delta pages: metrics %v, info %d", m.Model, got, m.DeltaPages)
+		}
+	}
+	if info.Durability.PromotedBytes != promoted {
+		t.Errorf("durability promotedBytes %d, models sum to %d", info.Durability.PromotedBytes, promoted)
+	}
+	if got := get("complexobj_promote_copied_bytes_total"); got != float64(promoted) {
+		t.Errorf("complexobj_promote_copied_bytes_total = %v, /info says %d", got, promoted)
 	}
 
 	// Per-cell parity: /metrics cell requests equal the /stats counts

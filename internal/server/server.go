@@ -507,6 +507,12 @@ type PoolInfo struct {
 	// Gen is the base generation being served (0 until the first commit;
 	// advances on every commit, including ones replayed at startup).
 	Gen uint64 `json:"gen"`
+	// PromotedBytes is what building those generations copied in memory
+	// (dirty page images, page tables, metadata); DeltaPages the committed
+	// pages the served generation holds on the heap over the arena it was
+	// opened with.
+	PromotedBytes int64 `json:"promotedBytes"`
+	DeltaPages    int   `json:"deltaPages"`
 }
 
 // ResilienceInfo is the /info resilience block: the admission/deadline
@@ -540,11 +546,15 @@ type DurabilityInfo struct {
 	// — the report axis cobench -report carries per write-mode run.
 	PayloadBytes       int64   `json:"payloadBytes"`
 	WriteAmplification float64 `json:"writeAmplification"`
-	WALSizeBytes       int64   `json:"walSizeBytes"`
-	LastSeq            uint64  `json:"lastSeq"`
-	Checkpoints        int64   `json:"checkpoints"`
-	Recovered          int64   `json:"recovered"`
-	CheckpointBytes    int64   `json:"checkpointBytes"`
+	// PromotedBytes is the in-memory counterpart of AppendedBytes: the
+	// bytes copied to build committed generations, summed over the served
+	// models (replayed commits included).
+	PromotedBytes   int64  `json:"promotedBytes"`
+	WALSizeBytes    int64  `json:"walSizeBytes"`
+	LastSeq         uint64 `json:"lastSeq"`
+	Checkpoints     int64  `json:"checkpoints"`
+	Recovered       int64  `json:"recovered"`
+	CheckpointBytes int64  `json:"checkpointBytes"`
 }
 
 // InfoResponse is the /info payload.
@@ -914,13 +924,15 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 			Loops: s.cfg.Workload.Loops, Samples: s.cfg.Workload.Samples, Seed: s.cfg.Workload.Seed,
 		},
 	}
-	var quarantined int64
+	var quarantined, promoted int64
 	s.omu.RLock()
 	resp.Sharding = s.shardingInfoLocked()
 	for _, k := range s.models {
 		base, pool := s.bases[k], s.pools[k]
 		ps := pool.Stats()
 		quarantined += ps.Quarantined
+		copied := base.PromotedBytes()
+		promoted += copied
 		resp.Models = append(resp.Models, PoolInfo{
 			Model:       k.String(),
 			ArenaBytes:  base.ArenaBytes(),
@@ -937,6 +949,9 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 			Quarantined: ps.Quarantined,
 			Stale:       ps.Stale,
 			Gen:         base.Gen(),
+
+			PromotedBytes: copied,
+			DeltaPages:    base.DeltaPages(),
 		})
 	}
 	s.omu.RUnlock()
@@ -948,6 +963,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 			Syncs:           cs.Syncs,
 			AppendedBytes:   cs.AppendedBytes,
 			PayloadBytes:    cs.PayloadBytes,
+			PromotedBytes:   promoted,
 			WALSizeBytes:    cs.SizeBytes,
 			LastSeq:         cs.LastSeq,
 			Checkpoints:     cs.Checkpoints,

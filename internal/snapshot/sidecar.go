@@ -61,7 +61,9 @@ func sidecarPath(dir string, k store.Kind) string {
 
 // WriteSidecar persists the base's current generation into dir as the
 // model's checkpoint file, recording seq as the WAL watermark the arena
-// includes. The generator configuration is provenance the base does not
+// includes. The generation is streamed, never flattened in memory: runs of
+// pages still on the floor go out as single writes, committed pages one
+// each. The generator configuration is provenance the base does not
 // carry; checkpoints store the zero config.
 func WriteSidecar(dir string, b *store.SharedBase, seq uint64) error {
 	gen, numPages, meta, arena := b.SnapshotState()
@@ -71,7 +73,7 @@ func WriteSidecar(dir string, b *store.SharedBase, seq uint64) error {
 		if _, err := w.Write(meta); err != nil {
 			return err
 		}
-		_, err := w.Write(arena.Bytes())
+		_, err := arena.WriteTo(w)
 		return err
 	})
 }

@@ -37,8 +37,8 @@ type CommitResult struct {
 // promotion, Gen reports the view's own generation. After a non-empty
 // commit the view still reads its original generation plus its own
 // overlay — content-identical to the new generation — but recycling it
-// would reset to the superseded base state, so pools retire it instead
-// (Gen stays behind SharedBase.Gen).
+// would reset to the superseded base state, so pools rebase it instead
+// (Gen stays behind SharedBase.Gen until Rebase).
 //
 // The caller serializes commits per base: concurrent commits from views
 // of the same generation would race Promote, and the loser's durable
@@ -52,7 +52,7 @@ type CommitResult struct {
 // is clean and the flush a no-op on the benchmark path); log append and
 // promotion never touch the device.
 func (v *View) Commit(log *wal.Log) (CommitResult, error) {
-	eng := v.m.Engine()
+	eng := v.eng
 	if err := eng.Pool.FlushAll(); err != nil {
 		return CommitResult{}, fmt.Errorf("store: commit %s: flush: %w", v.base.kind, err)
 	}

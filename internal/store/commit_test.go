@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"complexobj/cobench"
+	"complexobj/internal/iostat"
 	"complexobj/internal/wal"
 )
 
@@ -105,6 +106,19 @@ func TestViewCommitPromotesGeneration(t *testing.T) {
 			}
 			if old.Name != stations[5].Name {
 				t.Fatal("pre-commit view observes the promoted generation")
+			}
+
+			// Rebasing lands the committing view on the new generation
+			// with its engine intact, a cold cache and zeroed counters.
+			eng := writer.Engine()
+			if err := writer.Rebase(); err != nil {
+				t.Fatal(err)
+			}
+			if writer.Gen() != 1 || writer.Engine() != eng || writer.Engine().Stats() != (iostat.Stats{}) {
+				t.Fatalf("rebased view: generation %d, engine kept %v, counters %+v", writer.Gen(), writer.Engine() == eng, writer.Engine().Stats())
+			}
+			if got, err := writer.FetchByKey(stations[5].Key); err != nil || got.Name != "committed update" {
+				t.Fatalf("rebased view does not read the promoted generation: %v", err)
 			}
 
 			// An empty commit is a no-op: no promotion, generation stays.

@@ -43,4 +43,21 @@
 // them. A recycled view is indistinguishable from a fresh one — the
 // benchmark server serves every request from one and measures
 // bit-identically to a batch run.
+//
+// A SharedBase advances through generations. View.Commit logs a view's
+// dirty pages and metadata, then SharedBase.Promote swaps in generation
+// n+1, and the cost model of that step is the paper's own argument about
+// writes (§5.3: pay per dirty page, not per something larger): the
+// generations share one floor, so a promote copies the page table (one
+// slice header per page), the dirty images and the metadata blob —
+// PromotedBytes counts exactly those — and never the arena; DeltaPages is
+// what the current generation holds on the heap over its floor. A commit
+// strands its own view and every idle sibling on the superseded
+// generation. View.Rebase is Recycle onto the current one — Discard,
+// ResetView, swap the overlay's base reference to the generation captured
+// under the base lock, restore the metadata — and its contract is
+// NewView's: cold cache, zeroed counters, bit-identical measurements,
+// with the engine, frame buffers and overlay images kept. NewView itself
+// is an empty engine plus that same step. Views still in flight are never
+// rebased: they drain on the generation they were acquired on.
 package store

@@ -26,12 +26,14 @@ var ErrStaleBase = errors.New("store: shared base generation moved")
 //
 // A base advances through generations: the arena of any one generation
 // stays immutable forever, but Promote can fold a committed overlay into
-// a new arena and atomically swap it in as generation n+1. Views capture
-// the generation they opened against and keep reading it — their COW
-// backends hold their own arena references, so an old generation's
-// storage drains only when its last view closes — while new views open
-// over the promoted state. Every accessor that touches the swappable
-// state is guarded; a *SharedBase is safe for concurrent use.
+// the next generation — the same floor, a copied page table, the dirty
+// images — and atomically swap it in as generation n+1. Views capture
+// the generation they landed on and keep reading it — their COW backends
+// hold their own arena references, so a superseded generation's page
+// images are collected only when its last view leaves — while new and
+// rebased views land on the promoted state. Every accessor that touches
+// the swappable state is guarded; a *SharedBase is safe for concurrent
+// use.
 type SharedBase struct {
 	kind     Kind
 	pageSize int
@@ -41,6 +43,7 @@ type SharedBase struct {
 	numPages int
 	meta     []byte
 	arena    *disk.BaseArena
+	promoted int64 // bytes copied by Promote since the base was built
 }
 
 // NewSharedBase assembles a base from raw parts (the snapshot package uses
@@ -117,13 +120,33 @@ func (b *SharedBase) ArenaBytes() int {
 	return b.arena.Len()
 }
 
-// Mapped reports whether the base arena is an mmap of the snapshot file
-// (paged in on demand) rather than a heap copy. Promotion always builds
-// heap arenas, so this can flip to false after the first commit.
+// Mapped reports whether the arena's floor is an mmap of the snapshot
+// file (paged in on demand) rather than a heap copy. Promotion keeps the
+// floor — only committed pages move to the heap (DeltaPages) — so a
+// mapped base stays mapped across commits.
 func (b *SharedBase) Mapped() bool {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	return b.arena.Mapped()
+}
+
+// DeltaPages returns the number of committed page images the current
+// generation holds on the heap over its floor (0 until the first commit,
+// bounded by NumPages).
+func (b *SharedBase) DeltaPages() int {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.arena.DeltaPages()
+}
+
+// PromotedBytes returns the bytes Promote has copied since the base was
+// built: page images, page tables and metadata blobs. Over the dirty-page
+// payload this is the in-memory write amplification of the commit path,
+// the counterpart of the WAL's appended-over-payload ratio.
+func (b *SharedBase) PromotedBytes() int64 {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.promoted
 }
 
 // Meta returns the directory metadata of the current generation (the
@@ -150,49 +173,27 @@ func (b *SharedBase) Release() error {
 // the checkpoint is written). A Promote racing this call produces either
 // wholly the old or wholly the new generation, never a mix.
 func (b *SharedBase) SnapshotState() (gen uint64, numPages int, meta []byte, arena *disk.BaseArena) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.gen, b.numPages, b.meta, b.arena.Retain()
+	st, arena := b.capture()
+	return st.gen, st.numPages, st.meta, arena
 }
 
-// baseState is the consistent snapshot a view captures at open: the
-// generation it reads, and that generation's page count and metadata
-// (Recycle restores these — a recycled view stays on its generation; the
-// pool decides whether a stale view is worth keeping).
+// baseState is the consistent snapshot a view captures when it lands on
+// a generation: the generation it reads, and that generation's page count
+// and metadata (Recycle restores these — a recycled view stays on its
+// generation; Rebase moves it to the current one).
 type baseState struct {
 	gen      uint64
 	numPages int
 	meta     []byte
 }
 
-// openState builds a model over a fresh copy-on-write view of the
-// current generation and returns the captured state. The arena reference
-// is taken under the lock so a concurrent Promote cannot release the
-// generation out from under the open.
-func (b *SharedBase) openState(o Options) (Model, baseState, error) {
-	if o.PageSize != 0 && o.PageSize != b.pageSize {
-		return nil, baseState{}, fmt.Errorf("store: page size %d requested, shared base has %d", o.PageSize, b.pageSize)
-	}
-	if o.CountIndexIO {
-		return nil, baseState{}, fmt.Errorf("store: counted index I/O is rebuilt per run and cannot open from a shared base")
-	}
+// capture returns the current generation's state and its arena, retained
+// under the lock so a concurrent Promote cannot release the generation
+// out from under the caller (who owns the reference).
+func (b *SharedBase) capture() (baseState, *disk.BaseArena) {
 	b.mu.RLock()
-	st := baseState{gen: b.gen, numPages: b.numPages, meta: b.meta}
-	arena := b.arena.Retain()
-	b.mu.RUnlock()
-	defer arena.Release()
-	o.PageSize = b.pageSize
-	o.Backend = disk.BackendSpec{Kind: disk.COWArena, Base: arena}
-	eng, err := NewEngine(o)
-	if err != nil {
-		return nil, baseState{}, err
-	}
-	m := NewWithEngine(b.kind, eng)
-	if err := m.RestoreMeta(st.meta); err != nil {
-		eng.Close()
-		return nil, baseState{}, fmt.Errorf("store: open shared base %s: %w", b.kind, err)
-	}
-	return m, st, nil
+	defer b.mu.RUnlock()
+	return baseState{gen: b.gen, numPages: b.numPages, meta: b.meta}, b.arena.Retain()
 }
 
 // Open builds a model over a fresh copy-on-write view of the base. The
@@ -201,20 +202,26 @@ func (b *SharedBase) openState(o Options) (Model, baseState, error) {
 // and any configured backend spec is superseded by the COW view. Closing
 // the returned model's engine releases only its private overlay.
 func (b *SharedBase) Open(o Options) (Model, error) {
-	m, _, err := b.openState(o)
-	return m, err
+	v, err := b.NewView(o)
+	if err != nil {
+		return nil, err
+	}
+	return v.m, nil
 }
 
 // Promote folds one committed overlay into the base as the next
-// generation: a new arena of numPages pages — the fromGen arena's
-// content with the overlay images applied — and the committed metadata
-// are swapped in atomically, and the generation number advances. The
-// images in pages are copied; the caller keeps ownership. fromGen must
-// be the current generation (the optimistic-concurrency check: a commit
-// is built against the generation its view read) or the promote fails
-// with ErrStaleBase, changing nothing. The superseded arena's owner
-// reference moves to the new one; in-flight views of old generations
-// keep their own references and drain independently.
+// generation: numPages pages — the fromGen generation's content with the
+// overlay images applied — and the committed metadata are swapped in
+// atomically, and the generation number advances. The cost is the dirty
+// set, not the arena: the generations share one floor, so a promote
+// copies the page table (one slice header per page), the images in pages
+// and the metadata blob, and nothing else (PromotedBytes counts exactly
+// that). The images and meta are copied; the caller keeps ownership.
+// fromGen must be the current generation (the optimistic-concurrency
+// check: a commit is built against the generation its view read) or the
+// promote fails with ErrStaleBase, changing nothing. The owner reference
+// moves to the new generation; in-flight views of old generations keep
+// their own references and drain independently.
 //
 // Promotion is pure memory management: it moves no paper counter, like
 // DumpTo/Restore and snapshot writes.
@@ -227,11 +234,12 @@ func (b *SharedBase) Promote(fromGen uint64, numPages int, meta []byte, pages ma
 	if b.gen != fromGen {
 		return 0, fmt.Errorf("%w: %s at generation %d, commit built on %d", ErrStaleBase, b.kind, b.gen, fromGen)
 	}
-	next := disk.NewPromotedArena(b.arena, b.pageSize, numPages, pages)
+	next, copied := b.arena.Promote(b.pageSize, numPages, pages)
 	old := b.arena
 	b.arena = next
 	b.numPages = numPages
 	b.meta = append([]byte(nil), meta...)
+	b.promoted += copied + int64(len(meta))
 	b.gen++
 	if err := old.Release(); err != nil {
 		return 0, fmt.Errorf("store: promote %s: release generation %d: %w", b.kind, b.gen-1, err)

@@ -30,6 +30,9 @@ const (
 // ErrRestore reports an invalid or mismatched metadata blob.
 var ErrRestore = errors.New("store: snapshot metadata restore failed")
 
+// ridLen is the encoded size of a heap.RID (u32 page + u16 slot).
+const ridLen = 6
+
 func appendRID(b []byte, rid heap.RID) []byte {
 	b = wire.AppendU32(b, uint32(rid.Page))
 	return wire.AppendU16(b, rid.Slot)
@@ -66,7 +69,10 @@ func (m *direct) SnapshotMeta() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := wire.AppendU8(nil, directMetaVersion)
+	// Sized exactly up front: the blob is O(objects) and encoded on every
+	// commit, where growing by doubling allocated three times its size.
+	b := make([]byte, 0, 1+4+len(m.addr)*(longobj.RefLen+4)+m.objs.StateLen())
+	b = wire.AppendU8(b, directMetaVersion)
 	b = wire.AppendU32(b, uint32(len(m.addr)))
 	for i, ref := range m.addr {
 		b = longobj.AppendRef(b, ref)
@@ -116,7 +122,16 @@ func (m *nsm) SnapshotMeta() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := wire.AppendU8(nil, nsmMetaVersion)
+	heaps := []*heap.Heap{m.stations, m.plats, m.conns, m.seeings}
+	size := 1 + 4 + n*(ridLen+4+3*4)
+	for i := 0; i < n; i++ {
+		size += (len(m.platRIDs[i]) + len(m.connRIDs[i]) + len(m.seeingRIDs[i])) * ridLen
+	}
+	for _, h := range heaps {
+		size += h.StateLen()
+	}
+	b := make([]byte, 0, size)
+	b = wire.AppendU8(b, nsmMetaVersion)
 	b = wire.AppendU32(b, uint32(n))
 	appendGroup := func(b []byte, rids []heap.RID) []byte {
 		b = wire.AppendU32(b, uint32(len(rids)))
@@ -132,7 +147,7 @@ func (m *nsm) SnapshotMeta() ([]byte, error) {
 		b = appendGroup(b, m.connRIDs[i])
 		b = appendGroup(b, m.seeingRIDs[i])
 	}
-	for _, h := range []*heap.Heap{m.stations, m.plats, m.conns, m.seeings} {
+	for _, h := range heaps {
 		b = h.AppendState(b)
 	}
 	return b, nil
@@ -204,7 +219,13 @@ func (m *dnsm) SnapshotMeta() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := wire.AppendU8(nil, dnsmMetaVersion)
+	stores := []*longobj.Store{m.stations, m.plats, m.conns, m.seeings}
+	size := 1 + 4 + n*(4*longobj.RefLen+4)
+	for _, s := range stores {
+		size += s.StateLen()
+	}
+	b := make([]byte, 0, size)
+	b = wire.AppendU8(b, dnsmMetaVersion)
 	b = wire.AppendU32(b, uint32(n))
 	for i := 0; i < n; i++ {
 		for slot := 0; slot < 4; slot++ {
@@ -212,7 +233,7 @@ func (m *dnsm) SnapshotMeta() ([]byte, error) {
 		}
 		b = wire.AppendU32(b, uint32(keys[i]))
 	}
-	for _, s := range []*longobj.Store{m.stations, m.plats, m.conns, m.seeings} {
+	for _, s := range stores {
 		b = s.AppendState(b)
 	}
 	return b, nil

@@ -20,9 +20,9 @@ import (
 // is the base's whole point.
 type View struct {
 	base *SharedBase
-	opts Options
+	eng  *Engine
 	m    Model
-	st   baseState // the generation this view opened against
+	st   baseState // the generation this view reads
 
 	recycles int64 // successful Recycle calls
 	rebuilds int64 // recycles that had to restore directory metadata
@@ -30,19 +30,36 @@ type View struct {
 
 // NewView opens a fresh copy-on-write view of the base's current
 // generation, ready for its first request: cold cache, zeroed counters.
-// The options follow the same rules as SharedBase.Open.
+// The options select the runtime knobs (buffer size, policy); the page
+// size comes from the base and must not conflict with a non-zero
+// o.PageSize, and any configured backend spec is superseded by the COW
+// view. A fresh view is an empty engine rebased onto the base — the one
+// way a view lands on a generation.
 func (b *SharedBase) NewView(o Options) (*View, error) {
-	m, st, err := b.openState(o)
+	if o.PageSize != 0 && o.PageSize != b.pageSize {
+		return nil, fmt.Errorf("store: page size %d requested, shared base has %d", o.PageSize, b.pageSize)
+	}
+	if o.CountIndexIO {
+		return nil, fmt.Errorf("store: counted index I/O is rebuilt per run and cannot open from a shared base")
+	}
+	o.PageSize = b.pageSize
+	o.Backend = disk.BackendSpec{Kind: disk.COWArena}
+	eng, err := NewEngine(o)
 	if err != nil {
 		return nil, err
 	}
-	return &View{base: b, opts: o, m: m, st: st}, nil
+	v := &View{base: b, eng: eng}
+	if err := v.Rebase(); err != nil {
+		eng.Close()
+		return nil, fmt.Errorf("store: open shared base %s: %w", b.kind, err)
+	}
+	return v, nil
 }
 
 // Gen returns the base generation the view reads. A view stays on its
-// generation for its whole life — Recycle resets to it, not to the
+// generation until it is rebased — Recycle resets to it, not to the
 // base's latest — so a pool compares this against SharedBase.Gen to
-// retire views stranded on superseded generations.
+// rebase views a commit left behind.
 func (v *View) Gen() uint64 { return v.st.gen }
 
 // Model returns the current underlying model (diagnostics; the model
@@ -61,7 +78,7 @@ func (v *View) Rebuilds() int64 { return v.rebuilds }
 // mutation path of the storage models writes pages — through the pool or
 // straight to the device — so a view with none of the three is untouched.
 func (v *View) dirty() bool {
-	eng := v.m.Engine()
+	eng := v.eng
 	if cs, ok := disk.COWStatsOf(eng.Dev.Backend()); ok && cs.OverlayPages > 0 {
 		return true
 	}
@@ -83,29 +100,65 @@ func (v *View) dirty() bool {
 // entirely. On error the view is unusable and must be closed.
 func (v *View) Recycle() (rebuilt bool, err error) {
 	dirty := v.dirty()
-	eng := v.m.Engine()
-	if err := eng.Pool.Discard(); err != nil {
+	if err := v.eng.Pool.Discard(); err != nil {
 		return false, fmt.Errorf("store: recycle %s: %w", v.base.kind, err)
 	}
-	if !eng.Dev.ResetView() {
+	if !v.eng.Dev.ResetView() {
 		return false, fmt.Errorf("store: recycle %s: view engine is not copy-on-write", v.base.kind)
 	}
-	eng.ResetStats()
+	v.eng.ResetStats()
 	if dirty {
-		m := NewWithEngine(v.base.kind, eng)
-		if err := m.RestoreMeta(v.st.meta); err != nil {
+		if err := v.restore(v.st.meta); err != nil {
 			return false, fmt.Errorf("store: recycle %s: %w", v.base.kind, err)
 		}
-		v.m = m
 		v.rebuilds++
 	}
 	v.recycles++
 	return dirty, nil
 }
 
+// Rebase is Recycle onto the base's current generation: the buffer pool
+// is emptied without flushing, the overlay dropped, the copy-on-write
+// backend's base reference swapped to the generation captured under the
+// base lock (in that order — borrowed frames alias pages of the old
+// generation), the counters zeroed and the directory metadata restored
+// from the new generation. Afterwards the view is indistinguishable from
+// one NewView just built — cold cache, zeroed counters, bit-identical
+// measurements — but keeps its engine, frame buffers, overlay index and
+// page images. Whatever the view had written and not committed is
+// dropped. On error the view is unusable and must be closed.
+func (v *View) Rebase() error {
+	b := v.base
+	st, arena := b.capture()
+	defer arena.Release()
+	if err := v.eng.Pool.Discard(); err != nil {
+		return fmt.Errorf("store: rebase %s: %w", b.kind, err)
+	}
+	if err := v.eng.Dev.RebaseView(arena); err != nil {
+		return fmt.Errorf("store: rebase %s: %w", b.kind, err)
+	}
+	v.eng.ResetStats()
+	if err := v.restore(st.meta); err != nil {
+		return fmt.Errorf("store: rebase %s: %w", b.kind, err)
+	}
+	v.st = st
+	return nil
+}
+
+// restore replaces the view's model with a fresh one over the same engine,
+// its directory metadata read from meta.
+func (v *View) restore(meta []byte) error {
+	m := NewWithEngine(v.base.kind, v.eng)
+	if err := m.RestoreMeta(meta); err != nil {
+		return err
+	}
+	v.m = m
+	return nil
+}
+
 // Close releases the view's engine: its private overlay, pool and — if
 // this was the base's last reference — the base storage itself.
-func (v *View) Close() error { return v.m.Engine().Close() }
+func (v *View) Close() error { return v.eng.Close() }
 
 // The workload.View query surface, delegated to the current model. The
 // indirection (rather than exposing the model) is what lets Recycle swap
@@ -115,7 +168,7 @@ func (v *View) Close() error { return v.m.Engine().Close() }
 func (v *View) Kind() Kind { return v.m.Kind() }
 
 // Engine exposes cache control and the view's private I/O counters.
-func (v *View) Engine() *Engine { return v.m.Engine() }
+func (v *View) Engine() *Engine { return v.eng }
 
 // NumObjects returns the extension size.
 func (v *View) NumObjects() int { return v.m.NumObjects() }

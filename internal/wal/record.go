@@ -56,33 +56,44 @@ type CommitRecord struct {
 	Meta     []byte
 }
 
-// appendRecord frames one payload into buf.
-func appendRecord(buf, payload []byte) []byte {
+// Records are encoded in place in the log's reusable buffer: beginRecord
+// reserves the header, the payload is appended after it, sealRecord
+// patches length and checksum — no per-record payload slice.
+
+// beginRecord reserves a record header at the end of buf and returns the
+// extended buffer and the header's offset.
+func beginRecord(buf []byte) ([]byte, int) {
 	var hdr [recordHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	return append(buf, hdr[:]...), len(buf)
+}
+
+// sealRecord fills the header reserved at offset at: everything after it
+// is the record's payload.
+func sealRecord(buf []byte, at int) []byte {
+	payload := buf[at+recordHeaderSize:]
+	binary.BigEndian.PutUint32(buf[at:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(buf[at+4:], crc32.Checksum(payload, crcTable))
+	return buf
 }
 
 // appendPage encodes one page record into buf.
 func appendPage(buf []byte, r PageRecord) []byte {
-	payload := make([]byte, 0, 1+1+4+len(r.Image))
-	payload = append(payload, recPage, r.Model)
-	payload = binary.BigEndian.AppendUint32(payload, r.Page)
-	payload = append(payload, r.Image...)
-	return appendRecord(buf, payload)
+	buf, at := beginRecord(buf)
+	buf = append(buf, recPage, r.Model)
+	buf = binary.BigEndian.AppendUint32(buf, r.Page)
+	buf = append(buf, r.Image...)
+	return sealRecord(buf, at)
 }
 
 // appendCommit encodes one commit marker into buf.
 func appendCommit(buf []byte, c CommitRecord) []byte {
-	payload := make([]byte, 0, 1+1+8+4+4+len(c.Meta))
-	payload = append(payload, recCommit, c.Model)
-	payload = binary.BigEndian.AppendUint64(payload, c.Seq)
-	payload = binary.BigEndian.AppendUint32(payload, c.NumPages)
-	payload = binary.BigEndian.AppendUint32(payload, uint32(len(c.Meta)))
-	payload = append(payload, c.Meta...)
-	return appendRecord(buf, payload)
+	buf, at := beginRecord(buf)
+	buf = append(buf, recCommit, c.Model)
+	buf = binary.BigEndian.AppendUint64(buf, c.Seq)
+	buf = binary.BigEndian.AppendUint32(buf, c.NumPages)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(c.Meta)))
+	buf = append(buf, c.Meta...)
+	return sealRecord(buf, at)
 }
 
 // decodePage decodes a page-record payload (without the type byte).

@@ -162,7 +162,9 @@ var ErrPoolClosed = errors.New("complexobj: view pool is closed")
 // releasing a view resets it to the pristine base state (reusing its
 // engine, buffer-frame free lists and overlay index) instead of tearing
 // it down, so a steady-state server allocates next to nothing per
-// request. The pool also bounds concurrency — at most MaxViews views are
+// request. A view a commit left behind — the committer's own, or an idle
+// sibling — is reset onto the new generation the same way (rebased), not
+// rebuilt. The pool also bounds concurrency — at most MaxViews views are
 // out at once, further Acquires block — which caps the server's memory at
 // MaxViews × (buffer pool + dirtied overlay pages) over the shared base.
 //
@@ -191,13 +193,6 @@ type ViewPool struct {
 	rebuilt     int64
 	quarantined int64
 	stale       int64
-}
-
-// closeAll tears down retired views outside the pool lock.
-func closeAll(svs []*store.View) {
-	for _, sv := range svs {
-		sv.Close()
-	}
 }
 
 // NewViewPool builds a pool over base. maxViews bounds the views alive at
@@ -245,42 +240,57 @@ func (p *ViewPool) AcquireContext(ctx context.Context) (*View, error) {
 		<-p.sem
 		return nil, ErrPoolClosed
 	}
-	gen := p.base.base.Gen()
-	var stale []*store.View
-	for len(p.idle) > 0 {
-		n := len(p.idle)
-		sv := p.idle[n-1]
+	var sv *store.View
+	if n := len(p.idle); n > 0 {
+		sv = p.idle[n-1]
 		p.idle = p.idle[:n-1]
-		// An idle view left behind by a commit reads a superseded
-		// generation; retire it and keep looking.
-		if sv.Gen() != gen {
-			stale = append(stale, sv)
-			p.stale++
-			p.destroyed++
-			continue
-		}
 		p.reused++
+	}
+	p.mu.Unlock()
+	if sv == nil {
+		v, err := p.base.NewView(p.opts)
+		if err != nil {
+			<-p.sem
+			return nil, err
+		}
+		v.pool = p
+		p.mu.Lock()
+		p.created++
 		p.mu.Unlock()
-		closeAll(stale)
-		return &View{kind: p.base.kind, sv: sv, pool: p}, nil
+		return v, nil
 	}
-	p.mu.Unlock()
-	closeAll(stale)
-	v, err := p.base.NewView(p.opts)
-	if err != nil {
-		<-p.sem
-		return nil, err
+	// An idle view left behind by a commit reads a superseded generation:
+	// rebase it onto the current one in place. The lease is ours alone, so
+	// this runs outside the pool lock.
+	if sv.Gen() != p.base.base.Gen() {
+		if err := sv.Rebase(); err != nil {
+			p.mu.Lock()
+			p.reused--
+			p.destroyed++
+			p.mu.Unlock()
+			sv.Close()
+			<-p.sem
+			return nil, err
+		}
+		p.mu.Lock()
+		p.countRebase()
+		p.mu.Unlock()
 	}
-	v.pool = p
-	p.mu.Lock()
-	p.created++
-	p.mu.Unlock()
-	return v, nil
+	return &View{kind: p.base.kind, sv: sv, pool: p}, nil
 }
 
-// release recycles v back into the pool (or destroys it if it was
-// quarantined, recycling failed or the pool has closed) and frees its
-// concurrency slot.
+// countRebase counts one stale view moved onto the current generation: a
+// successful reset that restored directory metadata. Caller holds p.mu.
+func (p *ViewPool) countRebase() {
+	p.stale++
+	p.recycled++
+	p.rebuilt++
+}
+
+// release resets v and returns it to the pool — recycled on its
+// generation, or rebased when a commit (its own or another view's) has
+// promoted the base past it — or destroys it if it was quarantined, the
+// reset failed or the pool has closed, and frees its concurrency slot.
 func (p *ViewPool) release(v *View) error {
 	defer func() { <-p.sem }()
 	if v.damaged.Load() {
@@ -290,28 +300,29 @@ func (p *ViewPool) release(v *View) error {
 		p.mu.Unlock()
 		return v.sv.Close()
 	}
-	rebuilt, err := v.sv.Recycle()
+	stale := v.sv.Gen() != p.base.base.Gen()
+	var rebuilt bool
+	var err error
+	if stale {
+		err = v.sv.Rebase()
+	} else {
+		rebuilt, err = v.sv.Recycle()
+	}
 	p.mu.Lock()
 	if err == nil {
-		p.recycled++
-		if rebuilt {
-			p.rebuilt++
+		if stale {
+			p.countRebase()
+		} else {
+			p.recycled++
+			if rebuilt {
+				p.rebuilt++
+			}
 		}
-	}
-	// A recycled view resets to the generation it opened against; if the
-	// base has been promoted past it (this view committed, or another one
-	// did), keeping it would serve superseded state. Retire it — the next
-	// Acquire builds a view of the current generation.
-	if err == nil && v.sv.Gen() != p.base.base.Gen() {
-		p.stale++
-		p.destroyed++
-		p.mu.Unlock()
-		return v.sv.Close()
-	}
-	if err == nil && !p.closed {
-		p.idle = append(p.idle, v.sv)
-		p.mu.Unlock()
-		return nil
+		if !p.closed {
+			p.idle = append(p.idle, v.sv)
+			p.mu.Unlock()
+			return nil
+		}
 	}
 	p.destroyed++
 	p.mu.Unlock()
@@ -322,14 +333,15 @@ func (p *ViewPool) release(v *View) error {
 }
 
 // ViewPoolStats describes pool effectiveness over the pool's lifetime:
-// Reused counts acquisitions served by a recycled view (the steady
-// state), Created the views built from the base, Recycled the successful
-// view resets, Rebuilt the subset of those that had to restore directory
-// metadata after a mutating request, Destroyed the views torn down
-// (quarantine, recycle failure or pool shutdown), Quarantined the subset
-// of Destroyed retired via View.Quarantine (panicked request, permanent
-// engine fault), Stale the subset retired because a commit promoted the
-// base past their generation.
+// Reused counts acquisitions served by a recycled or rebased view (the
+// steady state), Created the views built from the base, Recycled the
+// successful view resets, Rebuilt the subset of those that had to restore
+// directory metadata (after a mutating request, or to land on a new
+// generation), Stale the subset found behind the base — a commit promoted
+// it past their generation — and rebased onto the current generation in
+// place, Destroyed the views torn down (quarantine, reset failure or pool
+// shutdown), Quarantined the subset of Destroyed retired via
+// View.Quarantine (panicked request, permanent engine fault).
 type ViewPoolStats struct {
 	MaxViews    int
 	InUse       int
