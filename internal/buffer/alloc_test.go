@@ -117,6 +117,25 @@ func TestFixMissSteadyStateZeroAllocs(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("steady-state miss path allocates %.1f objects per op, want 0", allocs)
 			}
+			// The multi-page fix hands its frames back in pool scratch.
+			ids := make([]disk.PageID, 4)
+			allocs = testing.AllocsPerRun(1000, func() {
+				for j := range ids {
+					ids[j] = disk.PageID((next + j) % pages)
+				}
+				next += len(ids)
+				if _, err := p.FixRun(ids); err != nil {
+					t.Fatal(err)
+				}
+				for _, id := range ids {
+					if err := p.Unfix(id, false); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("steady-state run-miss path allocates %.1f objects per op, want 0", allocs)
+			}
 		})
 	}
 }

@@ -98,6 +98,7 @@ type Pool struct {
 	viewBorrowed []bool        // ReadRunShared borrow flags scratch (reused)
 	ioBufs       [][]byte      // WriteRun argument scratch (reused)
 	ids          []disk.PageID // sorted-id scratch for FixRun/FlushPages (reused)
+	run          []*Frame      // FixRun result scratch (reused)
 	getBufFn     func() []byte // bound getBuf, built once (avoids per-read closures)
 
 	fixes   int64
@@ -226,7 +227,9 @@ func (p *Pool) Fix(id disk.PageID) (*Frame, error) {
 // FixRun pins a set of pages, fetching all absent pages from disk using one
 // I/O call per contiguous run of missing page IDs. This models DASDBS
 // fetching the data pages of a clustered object together. Frames are
-// returned in input order and each counts as one fix.
+// returned in input order and each counts as one fix. The returned slice
+// is pool scratch, valid until the next FixRun on this pool (the
+// single-owner rule: one engine, one goroutine at a time).
 func (p *Pool) FixRun(ids []disk.PageID) ([]*Frame, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -234,7 +237,11 @@ func (p *Pool) FixRun(ids []disk.PageID) ([]*Frame, error) {
 }
 
 func (p *Pool) fixRunLocked(ids []disk.PageID) ([]*Frame, error) {
-	out := make([]*Frame, len(ids))
+	if cap(p.run) < len(ids) {
+		p.run = make([]*Frame, len(ids))
+	}
+	out := p.run[:len(ids)]
+	clear(out) // nil marks "not fixed yet" below
 	missing := p.ids[:0]
 	for i, id := range ids {
 		if f := p.frameAt(id); f != nil {

@@ -32,16 +32,20 @@
 // on it: Fix/FixRun pin, Unfix releases, and an unpinned frame may be
 // evicted at any time with its memory recycled for another page. Callers
 // therefore must not retain Frame pointers or Data slices across an
-// Unfix. The dirty flag travels with Unfix (the caller declares the
-// modification when releasing the pin); dirty frames are written back on
-// flush or overflow, never while pinned by the eviction path. Drop
-// discards resident frames without write-back — the cache-coherence hook
-// for page recycling — and refuses pinned pages. Discard empties the
-// whole pool without write-back (Reset's flushing counterpart) for view
-// recycling, where the device underneath is about to be reset to a
-// pristine shared base; evicted frame structs and page buffers land on
-// free lists either way, so a recycled engine's next request allocates
-// nothing on the buffer hot path.
+// Unfix. The slice FixRun returns its frames in is pool scratch as well:
+// it is valid until the next FixRun on the pool, which under the
+// single-owner rule (one engine, one request, one goroutine at a time —
+// the mutex makes concurrent calls safe, not their results independent)
+// is the caller's own next call. The dirty flag travels with Unfix (the
+// caller declares the modification when releasing the pin); dirty frames
+// are written back on flush or overflow, never while pinned by the
+// eviction path. Drop discards resident frames without write-back — the
+// cache-coherence hook for page recycling — and refuses pinned pages.
+// Discard empties the whole pool without write-back (Reset's flushing
+// counterpart) for view recycling, where the device underneath is about
+// to be reset to a pristine shared base; evicted frame structs and page
+// buffers land on free lists either way, so a recycled engine's next
+// request allocates nothing on the buffer hot path.
 //
 // # Borrowed frames and the write contract
 //

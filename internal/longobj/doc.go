@@ -26,11 +26,17 @@
 // written immediately, making DASDBS-DSM updates expensive for small
 // objects.
 //
-// A Store has a single owner (the engine it belongs to) and reuses
-// scratch buffers across calls on that assumption. ReadAllShared is the
-// scratch-backed ReadAll used by the storage models' fetch paths: its
-// components are valid only until the next ReadAllShared call on the same
-// store, and in exchange a steady-state object read allocates nothing
-// beyond the values the caller decodes out — which keeps the benchmark
-// server's allocation rate flat under sustained load.
+// A Store has a single owner (the engine it belongs to: one request, one
+// goroutine at a time — the rule iostat's plain counters already rest on)
+// and reuses scratch across calls on that assumption: the header bytes, the
+// page-id list of the read in progress, the resolved directory spans, and
+// the results themselves. ReadAllShared and ReadParts return components —
+// and ReadParts its index list — that alias that scratch: they are valid
+// until the next ReadAllShared or ReadParts on the same store and must be
+// decoded (or copied) before it; ReadAll is the variant whose result
+// belongs to the caller. In exchange a steady-state object read, whole or
+// partial, allocates nothing beyond the values the caller decodes out —
+// which keeps the benchmark server's allocation rate flat under sustained
+// load. Two stores never share scratch, so results of different stores
+// (DASDBS-NSM's four relations) stay valid side by side.
 package longobj

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"complexobj/internal/buffer"
@@ -84,11 +85,14 @@ type Store struct {
 
 	// Scratch buffers reused across calls. A Store, like the engine it
 	// belongs to, has a single owner (workers and views never share one),
-	// so the reuse is safe: hdrScratch backs readHeader, spanScratch the
-	// directory walk, and compScratch/blockScratch the components of
-	// ReadAllShared (whose results are valid only until its next call).
+	// so the reuse is safe: hdrScratch backs readHeader, idScratch the page
+	// list of the read in progress, spanScratch the directory walk, and
+	// idxScratch/compScratch/blockScratch the results of ReadAllShared and
+	// ReadParts (valid only until the next such call).
 	hdrScratch   []byte
+	idScratch    []disk.PageID
 	spanScratch  []dirSpan
+	idxScratch   []int
 	compScratch  []Component
 	blockScratch []byte
 }
@@ -307,10 +311,7 @@ func (s *Store) visitPages(ids []disk.PageID, dirty bool, visit func(i int, payl
 // I/O calls to retrieve the root page ... the additional header pages ...
 // and the data pages") and returns a copy of the assembled directory bytes.
 func (s *Store) readHeader(ref Ref) ([]byte, error) {
-	ids := make([]disk.PageID, ref.HeaderPages)
-	for i := range ids {
-		ids[i] = ref.Start + disk.PageID(i)
-	}
+	ids := s.pageRun(ref.Start, int(ref.HeaderPages))
 	eff := s.effSize()
 	need := int(ref.HeaderPages) * eff
 	if cap(s.hdrScratch) < need {
@@ -332,16 +333,81 @@ func (s *Store) readHeader(ref Ref) ([]byte, error) {
 // dirSpan is one directory entry resolved to its data-area interval.
 type dirSpan struct {
 	off, end int
+	idx      int // position in the object's directory
 	tag      uint8
 }
 
-// dataPageIDs returns the page IDs of the object's data area.
-func (s *Store) dataPageIDs(ref Ref) []disk.PageID {
-	ids := make([]disk.PageID, ref.DataPages)
-	for i := range ids {
-		ids[i] = ref.Start + disk.PageID(int(ref.HeaderPages)+i)
+// pageRun returns the IDs of the n pages starting at start, in the store's
+// page-list scratch: the list is valid until the next pageRun, which every
+// read path below respects by finishing one visitPages before asking for
+// the next list.
+func (s *Store) pageRun(start disk.PageID, n int) []disk.PageID {
+	ids := s.idScratch[:0]
+	for i := 0; i < n; i++ {
+		ids = append(ids, start+disk.PageID(i))
 	}
+	s.idScratch = ids
 	return ids
+}
+
+// readSpans reads the object's header and resolves the directory entries
+// selected by want (nil selects all) into the span scratch, rejecting
+// entries that reach beyond the data area. It returns the spans and their
+// total payload bytes.
+func (s *Store) readSpans(ref Ref, want func(tag uint8, idx int) bool) ([]dirSpan, int, error) {
+	hdr, err := s.readHeader(ref)
+	if err != nil {
+		return nil, 0, err
+	}
+	n := int(binary.BigEndian.Uint16(hdr))
+	dataLen := int(ref.DataPages) * s.effSize()
+	spans := s.spanScratch[:0]
+	total := 0
+	for i := 0; i < n; i++ {
+		tag, off, length, err := dirEntryAt(hdr, i)
+		if err != nil {
+			return nil, 0, err
+		}
+		if want != nil && !want(tag, i) {
+			continue
+		}
+		if off+length > dataLen {
+			return nil, 0, fmt.Errorf("%w: component %d beyond data", ErrBadRef, i)
+		}
+		spans = append(spans, dirSpan{off: off, end: off + length, idx: i, tag: tag})
+		total += length
+	}
+	s.spanScratch = spans
+	return spans, total, nil
+}
+
+// fillSpans cuts one component per span out of a single block and copies
+// the spans' bytes in from the given pages of the object's data area,
+// which starts at page dataStart. The object is moved exactly once, with
+// at most two allocations per read — none in the scratch-backed case — no
+// matter how many components it has.
+func (s *Store) fillSpans(spans []dirSpan, total int, scratch bool, dataStart disk.PageID, ids []disk.PageID) ([]Component, error) {
+	comps, block := s.scratch(scratch, len(spans), total)
+	pos := 0
+	for i, sp := range spans {
+		length := sp.end - sp.off
+		comps[i] = Component{Tag: sp.tag, Data: block[pos : pos+length : pos+length]}
+		pos += length
+	}
+	eff := s.effSize()
+	err := s.visitPages(ids, false, func(p int, payload []byte) {
+		pageLo := int(ids[p]-dataStart) * eff
+		for i := range spans {
+			lo, hi := max(spans[i].off, pageLo), min(spans[i].end, pageLo+eff)
+			if lo < hi {
+				copy(comps[i].Data[lo-spans[i].off:], payload[lo-pageLo:hi-pageLo])
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return comps, nil
 }
 
 // ReadAll returns every component (DSM read path: header call + one call
@@ -402,56 +468,12 @@ func (s *Store) readAll(ref Ref, scratch bool) ([]Component, error) {
 		})
 		return comps, err
 	}
-	hdr, err := s.readHeader(ref)
+	spans, total, err := s.readSpans(ref, nil)
 	if err != nil {
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint16(hdr))
-	eff := s.effSize()
-	// Decode the directory once, back every component with one shared
-	// block, and copy each visited page straight into the components it
-	// feeds — the object is moved exactly once, with at most two
-	// allocations per read no matter how many components it has. (An
-	// earlier version staged the whole object in a stream buffer and
-	// copied every component out of it again; at serving rates that
-	// staging was the single largest allocation site in the process.)
-	dataLen := int(ref.DataPages) * eff
-	if cap(s.spanScratch) < n {
-		s.spanScratch = make([]dirSpan, n+8)
-	}
-	spans := s.spanScratch[:n]
-	total := 0
-	for i := 0; i < n; i++ {
-		tag, off, length, err := dirEntryAt(hdr, i)
-		if err != nil {
-			return nil, err
-		}
-		if off+length > dataLen {
-			return nil, fmt.Errorf("%w: component %d beyond data", ErrBadRef, i)
-		}
-		spans[i] = dirSpan{off: off, end: off + length, tag: tag}
-		total += length
-	}
-	comps, block := s.scratch(scratch, n, total)
-	pos := 0
-	for i := range comps {
-		length := spans[i].end - spans[i].off
-		comps[i] = Component{Tag: spans[i].tag, Data: block[pos : pos+length : pos+length]}
-		pos += length
-	}
-	err = s.visitPages(s.dataPageIDs(ref), false, func(p int, payload []byte) {
-		pageLo := p * eff
-		for i := range spans {
-			lo, hi := max(spans[i].off, pageLo), min(spans[i].end, pageLo+eff)
-			if lo < hi {
-				copy(comps[i].Data[lo-spans[i].off:], payload[lo-pageLo:hi-pageLo])
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return comps, nil
+	dataStart := ref.Start + disk.PageID(ref.HeaderPages)
+	return s.fillSpans(spans, total, scratch, dataStart, s.pageRun(dataStart, int(ref.DataPages)))
 }
 
 // decodeInlineShared is decodeInline over the store scratch; see
@@ -494,78 +516,45 @@ func (s *Store) decodeInlineShared(rec []byte) ([]Component, error) {
 // ReadParts returns the components selected by want (given tag and
 // component index), reading only the data pages that hold them (DASDBS-DSM
 // read path). For small objects the single shared page is read either way.
-// The second result lists the selected component indices.
+// The second result lists the selected component indices. Both results
+// live in the store's scratch, like ReadAllShared's: they are valid until
+// the next ReadParts or ReadAllShared on this store.
 func (s *Store) ReadParts(ref Ref, want func(tag uint8, idx int) bool) ([]Component, []int, error) {
+	idxs := s.idxScratch[:0]
 	if ref.Small {
-		all, err := s.ReadAll(ref)
+		all, err := s.readAll(ref, true)
 		if err != nil {
 			return nil, nil, err
 		}
-		var comps []Component
-		var idxs []int
+		comps := all[:0]
 		for i, c := range all {
 			if want(c.Tag, i) {
 				comps = append(comps, c)
 				idxs = append(idxs, i)
 			}
 		}
+		s.idxScratch = idxs
 		return comps, idxs, nil
 	}
-	hdr, err := s.readHeader(ref)
+	spans, total, err := s.readSpans(ref, want)
 	if err != nil {
 		return nil, nil, err
 	}
-	n := int(binary.BigEndian.Uint16(hdr))
 	eff := s.effSize()
-
-	type span struct {
-		idx, off, length int
-		tag              uint8
-		data             []byte
-	}
-	var spans []*span
-	pageSet := map[int]bool{} // data page index within the object
-	for i := 0; i < n; i++ {
-		tag, off, length, err := dirEntryAt(hdr, i)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !want(tag, i) {
-			continue
-		}
-		spans = append(spans, &span{idx: i, off: off, length: length, tag: tag, data: make([]byte, length)})
-		for pg := off / eff; length > 0 && pg <= (off+length-1)/eff; pg++ {
-			pageSet[pg] = true
+	dataStart := ref.Start + disk.PageID(ref.HeaderPages)
+	ids := s.idScratch[:0]
+	for _, sp := range spans {
+		idxs = append(idxs, sp.idx)
+		for pg := sp.off / eff; sp.end > sp.off && pg <= (sp.end-1)/eff; pg++ {
+			ids = append(ids, dataStart+disk.PageID(pg))
 		}
 	}
-	var pgs []int
-	for pg := range pageSet {
-		pgs = append(pgs, pg)
-	}
-	sortInts(pgs)
-	ids := make([]disk.PageID, len(pgs))
-	for i, pg := range pgs {
-		ids[i] = ref.Start + disk.PageID(int(ref.HeaderPages)+pg)
-	}
-	err = s.visitPages(ids, false, func(i int, payload []byte) {
-		pg := pgs[i]
-		pageStart := pg * eff
-		for _, sp := range spans {
-			segStart := max(sp.off, pageStart)
-			segEnd := min(sp.off+sp.length, pageStart+eff)
-			if segStart < segEnd {
-				copy(sp.data[segStart-sp.off:segEnd-sp.off], payload[segStart-pageStart:segEnd-pageStart])
-			}
-		}
-	})
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	s.idxScratch, s.idScratch = idxs, ids
+	comps, err := s.fillSpans(spans, total, true, dataStart, ids)
 	if err != nil {
 		return nil, nil, err
-	}
-	comps := make([]Component, 0, len(spans))
-	idxs := make([]int, 0, len(spans))
-	for _, sp := range spans {
-		comps = append(comps, Component{Tag: sp.tag, Data: sp.data})
-		idxs = append(idxs, sp.idx)
 	}
 	return comps, idxs, nil
 }
@@ -615,11 +604,7 @@ func (s *Store) ReplaceAll(ref Ref, comps []Component) error {
 	for _, c := range comps {
 		stream = append(stream, c.Data...)
 	}
-	ids := make([]disk.PageID, ref.Pages())
-	for i := range ids {
-		ids[i] = ref.Start + disk.PageID(i)
-	}
-	return s.visitPages(ids, true, func(i int, payload []byte) {
+	return s.visitPages(s.pageRun(ref.Start, ref.Pages()), true, func(i int, payload []byte) {
 		var src []byte
 		if i < headerPages {
 			src = tail(dir, i*eff)
@@ -782,19 +767,12 @@ func (s *Store) ChangeComponent(ref Ref, idx int, data []byte) (int, error) {
 	if len(data) != length {
 		return 0, fmt.Errorf("%w: %d -> %d bytes", ErrSameLen, length, len(data))
 	}
-	eff := s.effSize()
-	var ids []disk.PageID
-	firstPg := 0
-	if length > 0 {
-		firstPg = off / eff
-		last := (off + length - 1) / eff
-		for pg := firstPg; pg <= last; pg++ {
-			ids = append(ids, ref.Start+disk.PageID(int(ref.HeaderPages)+pg))
-		}
-	}
-	if len(ids) == 0 {
+	if length == 0 {
 		return 0, nil
 	}
+	eff := s.effSize()
+	firstPg := off / eff
+	ids := s.pageRun(ref.Start+disk.PageID(int(ref.HeaderPages)+firstPg), (off+length-1)/eff-firstPg+1)
 	err = s.visitPages(ids, true, func(i int, payload []byte) {
 		pg := firstPg + i
 		pageStart := pg * eff
@@ -882,12 +860,4 @@ func ReadRef(r *wire.Reader) Ref {
 		return Ref{Small: true, RID: heap.RID{Page: disk.PageID(a), Slot: h}}
 	}
 	return Ref{Start: disk.PageID(a), HeaderPages: h, DataPages: d}
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

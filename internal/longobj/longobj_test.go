@@ -199,6 +199,40 @@ func TestReadPartsEverythingEqualsReadAll(t *testing.T) {
 	}
 }
 
+// TestPartialReadsReuseScratch pins the scratch contract of the read paths
+// the storage models ride on: once warmed up, ReadParts and ReadAllShared
+// allocate nothing — spans, page lists, index list, components and bytes
+// all live in the store — for large and small objects alike.
+func TestPartialReadsReuseScratch(t *testing.T) {
+	_, _, s := newStore(t, 16)
+	large, _ := s.Insert([]Component{comp(0, 1, 500), comp(1, 2, 2500), comp(2, 3, 1200), comp(1, 4, 900)})
+	small, _ := s.Insert([]Component{comp(0, 5, 40), comp(1, 6, 60)})
+	if !small.Small || large.Small {
+		t.Fatalf("layout: large %+v, small %+v", large, small)
+	}
+	ones := func(tag uint8, _ int) bool { return tag == 1 }
+	for name, ref := range map[string]Ref{"large": large, "small": small} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, _, err := s.ReadParts(ref, ones); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.ReadAllShared(ref); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s object: %.1f allocations per ReadParts+ReadAllShared, want 0", name, allocs)
+		}
+	}
+	parts, idxs, err := s.ReadParts(large, ones)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parts) != 2 || parts[0].Data[0] != 2 || parts[1].Data[0] != 4 || idxs[0] != 1 || idxs[1] != 3 {
+		t.Fatalf("ReadParts(tag 1) = %d components, idxs %v", len(parts), idxs)
+	}
+}
+
 func TestReadPartsNothing(t *testing.T) {
 	_, _, s := newStore(t, 16)
 	ref, _ := s.Insert([]Component{comp(0, 1, 5000)})

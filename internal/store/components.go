@@ -1,7 +1,7 @@
 package store
 
 import (
-	"fmt"
+	"slices"
 
 	"complexobj/cobench"
 	"complexobj/internal/longobj"
@@ -40,35 +40,23 @@ func EncodeRoot(r cobench.RootRecord) ([]byte, error) {
 	))
 }
 
-// DecodeRoot parses an encoded root record. Like the other decoders on
-// the object-assembly hot path it reads attribute-at-a-time instead of
-// materializing a Tuple, so the only allocations are the strings that end
-// up in the result.
+// DecodeRoot parses an encoded root record; the only allocation is the name.
 func DecodeRoot(data []byte) (cobench.RootRecord, error) {
+	return decodeRoot(data, nil)
+}
+
+// decodeRoot is DecodeRoot with the name packed into backing (nil: on its
+// own).
+func decodeRoot(data []byte, backing *nf2.Strings) (cobench.RootRecord, error) {
 	var r cobench.RootRecord
-	for i, dst := range [...]*int32{&r.Key, &r.NoPlatform, &r.NoSeeing} {
-		v, err := RootType.DecodeAttr(data, i)
-		if err != nil {
-			return cobench.RootRecord{}, err
-		}
-		*dst = v.Int()
-	}
-	v, err := RootType.DecodeAttr(data, 3)
-	if err != nil {
-		return cobench.RootRecord{}, err
-	}
-	r.Name = v.Str()
-	return r, nil
+	err := decodeAttrs(RootType, data, 0, []*int32{&r.Key, &r.NoPlatform, &r.NoSeeing}, []*string{&r.Name}, backing)
+	return r, err
 }
 
 // DecodeRootKey extracts only the key from an encoded root record (value
 // selections evaluate their predicate without materializing the record).
 func DecodeRootKey(data []byte) (int32, error) {
-	v, err := RootType.DecodeAttr(data, 0)
-	if err != nil {
-		return 0, err
-	}
-	return v.Int(), nil
+	return intAttr(RootType, data, 0)
 }
 
 // encodePlatform serializes one platform subtuple (with nested
@@ -92,77 +80,23 @@ func encodePlatform(p cobench.Platform) ([]byte, error) {
 	))
 }
 
-func decodePlatform(data []byte) (cobench.Platform, error) {
-	var p cobench.Platform
-	pt := cobench.PlatformType
-	for _, f := range [...]struct {
-		idx int
-		dst *int32
-	}{{cobench.PlNr, &p.Nr}, {cobench.PlNoLine, &p.NoLine}, {cobench.PlTicketCode, &p.TicketCode}} {
-		v, err := pt.DecodeAttr(data, f.idx)
-		if err != nil {
-			return cobench.Platform{}, err
-		}
-		*f.dst = v.Int()
-	}
-	v, err := pt.DecodeAttr(data, cobench.PlInformation)
-	if err != nil {
-		return cobench.Platform{}, err
-	}
-	p.Information = v.Str()
-	ct := pt.Attrs[cobench.PlConns].Type.Elem
-	err = pt.VisitRel(data, cobench.PlConns, func(j, n int, elem []byte) error {
-		if p.Conns == nil {
-			p.Conns = make([]cobench.Connection, 0, n)
-		}
-		var c cobench.Connection
-		for _, f := range [...]struct {
-			idx int
-			dst *int32
-		}{{cobench.CoLineNr, &c.LineNr}, {cobench.CoKeyConnection, &c.KeyConnection}, {cobench.CoOid, &c.OidConnection}} {
-			v, err := ct.DecodeAttr(elem, f.idx)
-			if err != nil {
-				return err
-			}
-			*f.dst = v.Int()
-		}
-		v, err := ct.DecodeAttr(elem, cobench.CoDepartureTimes)
-		if err != nil {
-			return err
-		}
-		c.DepartureTimes = v.Str()
-		p.Conns = append(p.Conns, c)
-		return nil
-	})
-	if err != nil {
-		return cobench.Platform{}, err
-	}
-	return p, nil
-}
-
-// platformChildren extracts only the child references from an encoded
-// platform subtuple (partial decoding: navigation projects the LINK
+// appendPlatformChildren appends the child references of an encoded
+// platform subtuple to dst (partial decoding: navigation projects the LINK
 // attribute without materializing the strings — or, since it rides on
 // VisitRel, any tuple scaffolding at all).
-func platformChildren(data []byte) ([]int32, error) {
-	var out []int32
-	pt := cobench.PlatformType
-	ct := pt.Attrs[cobench.PlConns].Type.Elem
-	err := pt.VisitRel(data, cobench.PlConns, func(j, n int, elem []byte) error {
-		v, err := ct.DecodeAttr(elem, cobench.CoOid)
+func appendPlatformChildren(dst []int32, data []byte) ([]int32, error) {
+	err := cobench.PlatformType.VisitRel(data, cobench.PlConns, func(j, n int, elem []byte) error {
+		oid, err := intAttr(cobench.ConnectionType, elem, cobench.CoOid)
 		if err != nil {
 			return err
 		}
-		if out == nil {
-			out = make([]int32, 0, n)
+		if j == 0 {
+			dst = slices.Grow(dst, n)
 		}
-		out = append(out, v.Int())
+		dst = append(dst, oid)
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return dst, err
 }
 
 func encodeSightseeing(g cobench.Sightseeing) ([]byte, error) {
@@ -173,28 +107,6 @@ func encodeSightseeing(g cobench.Sightseeing) ([]byte, error) {
 		nf2.StringValue(g.History),
 		nf2.StringValue(g.Remarks),
 	))
-}
-
-func decodeSightseeing(data []byte) (cobench.Sightseeing, error) {
-	var g cobench.Sightseeing
-	st := cobench.SightseeingType
-	v, err := st.DecodeAttr(data, cobench.SeNr)
-	if err != nil {
-		return cobench.Sightseeing{}, err
-	}
-	g.Nr = v.Int()
-	for _, f := range [...]struct {
-		idx int
-		dst *string
-	}{{cobench.SeDescription, &g.Description}, {cobench.SeLocation, &g.Location},
-		{cobench.SeHistory, &g.History}, {cobench.SeRemarks, &g.Remarks}} {
-		v, err := st.DecodeAttr(data, f.idx)
-		if err != nil {
-			return cobench.Sightseeing{}, err
-		}
-		*f.dst = v.Str()
-	}
-	return g, nil
 }
 
 // EncodeComponents splits a station into its direct-storage components:
@@ -221,57 +133,4 @@ func EncodeComponents(s *cobench.Station) ([]longobj.Component, error) {
 		comps = append(comps, longobj.Component{Tag: TagSightseeing, Data: data})
 	}
 	return comps, nil
-}
-
-// DecodeComponents reassembles a station from direct-storage components.
-func DecodeComponents(comps []longobj.Component) (*cobench.Station, error) {
-	var s cobench.Station
-	// Size the sub-object slices exactly: a station can carry dozens of
-	// sightseeings, and append-doubling them per fetched object was a
-	// measurable share of the serving path's allocations.
-	var nPlat, nSee int
-	for _, c := range comps {
-		switch c.Tag {
-		case TagPlatform:
-			nPlat++
-		case TagSightseeing:
-			nSee++
-		}
-	}
-	if nPlat > 0 {
-		s.Platforms = make([]cobench.Platform, 0, nPlat)
-	}
-	if nSee > 0 {
-		s.Seeings = make([]cobench.Sightseeing, 0, nSee)
-	}
-	seenRoot := false
-	for _, c := range comps {
-		switch c.Tag {
-		case TagRoot:
-			r, err := DecodeRoot(c.Data)
-			if err != nil {
-				return nil, err
-			}
-			s.SetRoot(r)
-			seenRoot = true
-		case TagPlatform:
-			p, err := decodePlatform(c.Data)
-			if err != nil {
-				return nil, err
-			}
-			s.Platforms = append(s.Platforms, p)
-		case TagSightseeing:
-			g, err := decodeSightseeing(c.Data)
-			if err != nil {
-				return nil, err
-			}
-			s.Seeings = append(s.Seeings, g)
-		default:
-			return nil, fmt.Errorf("store: unknown component tag %d", c.Tag)
-		}
-	}
-	if !seenRoot {
-		return nil, fmt.Errorf("store: object without root component")
-	}
-	return &s, nil
 }

@@ -25,6 +25,7 @@ type direct struct {
 	objs    *longobj.Store
 	addr    []longobj.Ref
 	keyIdx  map[int32]int
+	asm     assembler
 }
 
 func newDirect(e *Engine, partial bool) *direct {
@@ -80,7 +81,17 @@ func (m *direct) fetch(i int) (*cobench.Station, error) {
 	if err != nil {
 		return nil, err
 	}
-	return DecodeComponents(comps)
+	return m.assemble(comps)
+}
+
+// assemble decodes a whole object's components (valid until the next read
+// on m.objs, which is later than this call).
+func (m *direct) assemble(comps []longobj.Component) (*cobench.Station, error) {
+	m.asm.reset()
+	if err := m.asm.components(comps); err != nil {
+		return nil, err
+	}
+	return m.asm.station()
 }
 
 // FetchByAddress implements Model (query 1a): direct models resolve the
@@ -95,19 +106,31 @@ func (m *direct) FetchByAddress(i int) (*cobench.Station, error) {
 // FetchByKey implements Model (query 1b): a value selection has no address
 // to go by, so the whole relation is scanned — every object is read and
 // its key compared (the paper estimates the full m pages for this query,
-// set-oriented selection without early termination).
+// set-oriented selection without early termination). Reading an object is
+// the I/O; only a match is assembled.
 func (m *direct) FetchByKey(key int32) (*cobench.Station, error) {
 	if len(m.addr) == 0 {
 		return nil, ErrNotLoaded
 	}
 	var found *cobench.Station
 	for i := range m.addr {
-		s, err := m.fetch(i)
+		comps, err := m.objs.ReadAllShared(m.addr[i])
 		if err != nil {
 			return nil, err
 		}
-		if s.Key == key {
-			found = s
+		root, err := rootComponent(comps, i)
+		if err != nil {
+			return nil, err
+		}
+		k, err := DecodeRootKey(root)
+		if err != nil {
+			return nil, err
+		}
+		if k != key {
+			continue
+		}
+		if found, err = m.assemble(comps); err != nil { // last match wins
+			return nil, err
 		}
 	}
 	if found == nil {
@@ -163,11 +186,10 @@ func (m *direct) Navigate(i int) (cobench.RootRecord, []int32, error) {
 				return cobench.RootRecord{}, nil, err
 			}
 		case TagPlatform:
-			kids, err := platformChildren(c.Data)
+			children, err = appendPlatformChildren(children, c.Data)
 			if err != nil {
 				return cobench.RootRecord{}, nil, err
 			}
-			children = append(children, kids...)
 		}
 	}
 	return root, children, nil
@@ -195,12 +217,21 @@ func (m *direct) ReadRoot(i int) (cobench.RootRecord, error) {
 	if err != nil {
 		return cobench.RootRecord{}, err
 	}
+	root, err := rootComponent(comps, i)
+	if err != nil {
+		return cobench.RootRecord{}, err
+	}
+	return DecodeRoot(root)
+}
+
+// rootComponent returns the root record among object i's components.
+func rootComponent(comps []longobj.Component, i int) ([]byte, error) {
 	for _, c := range comps {
 		if c.Tag == TagRoot {
-			return DecodeRoot(c.Data)
+			return c.Data, nil
 		}
 	}
-	return cobench.RootRecord{}, fmt.Errorf("store: object %d lost its root", i)
+	return nil, fmt.Errorf("store: object %d lost its root", i)
 }
 
 // UpdateRoots implements Model.

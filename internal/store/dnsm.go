@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 
 	"complexobj/cobench"
 	"complexobj/internal/longobj"
@@ -67,6 +68,7 @@ type dnsm struct {
 
 	refs   [][4]longobj.Ref // station, platform, connection, sightseeing
 	keyIdx map[int32]int
+	asm    assembler
 }
 
 // positions in refs entries.
@@ -194,124 +196,68 @@ func (m *dnsm) readTuple(slot, i int) ([]byte, error) {
 	return comps[0].Data, nil
 }
 
-// assemble rebuilds the station from its four nested tuples.
-func (m *dnsm) assemble(i int) (*cobench.Station, error) {
-	stRec, err := m.readTuple(dnsmStation, i)
-	if err != nil {
-		return nil, err
-	}
-	root, err := DecodeRoot(stRec)
-	if err != nil {
-		return nil, err
-	}
-	s := &cobench.Station{}
-	s.SetRoot(root)
+// The element schemas of the nested relations (Figure 4), which the
+// assembler and Navigate walk with VisitRel.
+var (
+	dnsmPlatElem  = dnsmPlatformType.Attrs[1].Type.Elem
+	dnsmGroupElem = dnsmConnectionType.Attrs[1].Type.Elem
+	dnsmConnElem  = dnsmGroupElem.Attrs[1].Type.Elem
+	dnsmSeeElem   = dnsmSightseeingType.Attrs[1].Type.Elem
+)
 
-	// The nested relations decode attribute-at-a-time over VisitRel (no
-	// tuple scaffolding): only the values that end up in the station are
-	// allocated, which keeps the assembly hot path cheap under serving
-	// load.
-	plRec, err := m.readTuple(dnsmPlatform, i)
-	if err != nil {
+// assemble rebuilds the station from its four nested tuples. Each lives in
+// its own relation's store, so all four stay valid side by side and can be
+// measured before any is decoded.
+func (m *dnsm) assemble(i int) (*cobench.Station, error) {
+	var recs [4][]byte
+	strBytes := 0
+	for slot, tt := range [...]*nf2.TupleType{dnsmStationType, dnsmPlatformType, dnsmConnectionType, dnsmSightseeingType} {
+		rec, err := m.readTuple(slot, i)
+		if err != nil {
+			return nil, err
+		}
+		n, err := tt.StringBytes(rec)
+		if err != nil {
+			return nil, err
+		}
+		recs[slot] = rec
+		strBytes += n
+	}
+	a := &m.asm
+	a.reset()
+	a.strs.Grow(strBytes)
+	if err := a.root(0, recs[dnsmStation]); err != nil {
 		return nil, err
 	}
-	byOwn := map[int32]int{}
-	plElem := dnsmPlatformType.Attrs[1].Type.Elem
-	err = dnsmPlatformType.VisitRel(plRec, 1, func(j, n int, elem []byte) error {
-		if s.Platforms == nil {
-			s.Platforms = make([]cobench.Platform, 0, n)
-		}
-		var p cobench.Platform
-		var own int32
-		for idx, dst := range [...]*int32{&own, &p.Nr, &p.NoLine, &p.TicketCode} {
-			v, err := plElem.DecodeAttr(elem, idx)
-			if err != nil {
-				return err
-			}
-			*dst = v.Int()
-		}
-		v, err := plElem.DecodeAttr(elem, 4)
+	err := dnsmPlatformType.VisitRel(recs[dnsmPlatform], 1, func(_, _ int, elem []byte) error {
+		own, err := intAttr(dnsmPlatElem, elem, 0)
 		if err != nil {
 			return err
 		}
-		p.Information = v.Str()
-		s.Platforms = append(s.Platforms, p)
-		byOwn[own] = len(s.Platforms) - 1
-		return nil
+		return a.platform(0, own, dnsmPlatElem, 1, elem)
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	coRec, err := m.readTuple(dnsmConnection, i)
-	if err != nil {
-		return nil, err
-	}
-	groupElem := dnsmConnectionType.Attrs[1].Type.Elem
-	connElem := groupElem.Attrs[1].Type.Elem
-	err = dnsmConnectionType.VisitRel(coRec, 1, func(j, n int, group []byte) error {
-		v, err := groupElem.DecodeAttr(group, 0)
+	err = dnsmConnectionType.VisitRel(recs[dnsmConnection], 1, func(_, _ int, group []byte) error {
+		parent, err := intAttr(dnsmGroupElem, group, 0)
 		if err != nil {
 			return err
 		}
-		pi, ok := byOwn[v.Int()]
-		if !ok {
-			return fmt.Errorf("store: connection group with unknown parent %d", v.Int())
-		}
-		return groupElem.VisitRel(group, 1, func(j, n int, elem []byte) error {
-			if s.Platforms[pi].Conns == nil {
-				s.Platforms[pi].Conns = make([]cobench.Connection, 0, n)
-			}
-			var c cobench.Connection
-			for idx, dst := range [...]*int32{&c.LineNr, &c.KeyConnection, &c.OidConnection} {
-				v, err := connElem.DecodeAttr(elem, idx)
-				if err != nil {
-					return err
-				}
-				*dst = v.Int()
-			}
-			v, err := connElem.DecodeAttr(elem, 3)
-			if err != nil {
-				return err
-			}
-			c.DepartureTimes = v.Str()
-			s.Platforms[pi].Conns = append(s.Platforms[pi].Conns, c)
-			return nil
+		return dnsmGroupElem.VisitRel(group, 1, func(_, _ int, elem []byte) error {
+			return a.connection(0, parent, dnsmConnElem, 0, elem)
 		})
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	seRec, err := m.readTuple(dnsmSightseeing, i)
-	if err != nil {
-		return nil, err
-	}
-	seElem := dnsmSightseeingType.Attrs[1].Type.Elem
-	err = dnsmSightseeingType.VisitRel(seRec, 1, func(j, n int, elem []byte) error {
-		if s.Seeings == nil {
-			s.Seeings = make([]cobench.Sightseeing, 0, n)
-		}
-		var g cobench.Sightseeing
-		v, err := seElem.DecodeAttr(elem, 0)
-		if err != nil {
-			return err
-		}
-		g.Nr = v.Int()
-		for idx, dst := range [...]*string{&g.Description, &g.Location, &g.History, &g.Remarks} {
-			v, err := seElem.DecodeAttr(elem, idx+1)
-			if err != nil {
-				return err
-			}
-			*dst = v.Str()
-		}
-		s.Seeings = append(s.Seeings, g)
-		return nil
+	err = dnsmSightseeingType.VisitRel(recs[dnsmSightseeing], 1, func(_, _ int, elem []byte) error {
+		return a.sightseeing(0, dnsmSeeElem, 0, elem)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	return a.station()
 }
 
 // FetchByAddress implements Model: the transformation table "immediately
@@ -387,15 +333,22 @@ func (m *dnsm) Navigate(i int) (cobench.RootRecord, []int32, error) {
 		return cobench.RootRecord{}, nil, err
 	}
 	// Project only the LINK attributes out of the nested tuple.
-	groups, err := dnsmConnectionType.DecodeAttr(coRec, 1)
+	var children []int32
+	err = dnsmConnectionType.VisitRel(coRec, 1, func(_, _ int, group []byte) error {
+		return dnsmGroupElem.VisitRel(group, 1, func(j, n int, elem []byte) error {
+			oid, err := intAttr(dnsmConnElem, elem, 2) // OidConnection
+			if err != nil {
+				return err
+			}
+			if j == 0 {
+				children = slices.Grow(children, n)
+			}
+			children = append(children, oid)
+			return nil
+		})
+	})
 	if err != nil {
 		return cobench.RootRecord{}, nil, err
-	}
-	var children []int32
-	for _, group := range groups.Tuples() {
-		for _, ct := range group.Vals[1].Tuples() {
-			children = append(children, ct.Vals[2].Int())
-		}
 	}
 	return root, children, nil
 }

@@ -11,6 +11,35 @@
 // All models speak the same Model interface so the benchmark driver and
 // the experiment harness treat them uniformly.
 //
+// # Assembly
+//
+// Stored records become Stations in one place, the assembler
+// (assemble.go). Every model feeds it the same four kinds of record —
+// root, platform (with its own key), connection (with its parent's key),
+// sightseeing — from wherever its layout keeps them: the components of a
+// direct object, the rows of four flat relations, the subtuples of four
+// nested ones. The assembler reads each through an nf2.Record and copies
+// what it keeps, because nothing it is handed outlives the call: a heap
+// record is a view into a page frame, valid only inside the View/Scan
+// callback, and the components of a longobj read (ReadAllShared,
+// ReadParts) alias the store's scratch block, valid until the next read on
+// that longobj.Store — every model decodes before it reads again.
+//
+// A finished Station owns exactly-sized Platforms and Seeings, one
+// Connection array its platforms share, and its strings, which are cut
+// from one packed backing (nf2.Strings) instead of being allocated one by
+// one: a handful of allocations however many STR attributes it has. Where
+// the whole object is in hand before decoding (direct and DASDBS-NSM
+// objects) the backing is measured first (TupleType.StringBytes) and is
+// exactly the object's own; the NSM paths meet their tuples one page view
+// at a time and cut strings from fixed 8 KiB chunks instead. Either way a
+// Station kept after the request keeps only its own backing or chunks
+// alive — never a page, a frame or scratch — and stays valid, unchanged,
+// across Recycle, Rebase, commits and later reads, also from other
+// goroutines. Navigation and value selections project: they read the keys
+// and child references they need with Record.Int and assemble nothing
+// they do not return.
+//
 // An Engine (device + buffer pool) backs each model; engines are opened
 // from a disk.BackendSpec, so where the page bytes live (heap, file, or a
 // copy-on-write overlay) is a configuration choice that never changes the

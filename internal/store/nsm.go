@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 
 	"complexobj/cobench"
 	"complexobj/internal/btree"
@@ -92,6 +93,11 @@ type nsm struct {
 	// rejected by the shared (concurrent) open path, so one scratch per
 	// model is safe.
 	ridScratch []heap.RID
+
+	// asm assembles point fetches. Its string backing chunks (records are
+	// met one page view at a time, so there is nothing to measure first)
+	// and carries over from fetch to fetch, so no chunk tail is wasted.
+	asm assembler
 }
 
 // packRID encodes a heap RID as a B+-tree value.
@@ -293,161 +299,84 @@ func (m *nsm) IndexStats() (pages, height int) {
 	return pages, m.stationTree.Height()
 }
 
-// platRow and connRow carry the flat relations' join keys alongside the
-// decoded result values during assembly. The decoders below read
-// attribute-at-a-time straight off the record bytes (valid only during
-// the heap view/scan callback) — no tuple scaffolding, only the values
-// that end up in the station are allocated.
-type platRow struct {
-	own int32
-	p   cobench.Platform
-}
+// The assembler's view of the flat relations: the key attribute positions
+// in front of each relation's payload attributes (Figure 3).
+const (
+	nsmRootKey     = 0 // every relation: the root (foreign) key
+	nsmPlatOwn     = 1
+	nsmPlatPayload = 2
+	nsmConnParent  = 1
+	nsmConnPayload = 2
+	nsmSeePayload  = 1
+)
 
-type connRow struct {
-	parent int32
-	c      cobench.Connection
-}
-
-func decodeNSMPlat(rec []byte) (platRow, error) {
-	var r platRow
-	for idx, dst := range [...]*int32{&r.own, &r.p.Nr, &r.p.NoLine, &r.p.TicketCode} {
-		v, err := nsmPlatformType.DecodeAttr(rec, idx+1)
-		if err != nil {
-			return platRow{}, err
-		}
-		*dst = v.Int()
-	}
-	v, err := nsmPlatformType.DecodeAttr(rec, 5)
+// feedPlatform, feedConnection and feedSightseeing stage one flat tuple of
+// object slot obj (bytes valid only during the heap view/scan callback).
+func (a *assembler) feedPlatform(obj int32, rec []byte) error {
+	own, err := intAttr(nsmPlatformType, rec, nsmPlatOwn)
 	if err != nil {
-		return platRow{}, err
+		return err
 	}
-	r.p.Information = v.Str()
-	return r, nil
+	return a.platform(obj, own, nsmPlatformType, nsmPlatPayload, rec)
 }
 
-func decodeNSMConn(rec []byte) (connRow, error) {
-	var r connRow
-	for idx, dst := range [...]*int32{&r.parent, &r.c.LineNr, &r.c.KeyConnection, &r.c.OidConnection} {
-		v, err := nsmConnectionType.DecodeAttr(rec, idx+1)
-		if err != nil {
-			return connRow{}, err
-		}
-		*dst = v.Int()
-	}
-	v, err := nsmConnectionType.DecodeAttr(rec, 5)
+func (a *assembler) feedConnection(obj int32, rec []byte) error {
+	parent, err := intAttr(nsmConnectionType, rec, nsmConnParent)
 	if err != nil {
-		return connRow{}, err
+		return err
 	}
-	r.c.DepartureTimes = v.Str()
-	return r, nil
+	return a.connection(obj, parent, nsmConnectionType, nsmConnPayload, rec)
 }
 
-func decodeNSMSee(rec []byte) (cobench.Sightseeing, error) {
-	var g cobench.Sightseeing
-	v, err := nsmSightseeingType.DecodeAttr(rec, 1)
-	if err != nil {
-		return cobench.Sightseeing{}, err
-	}
-	g.Nr = v.Int()
-	for idx, dst := range [...]*string{&g.Description, &g.Location, &g.History, &g.Remarks} {
-		v, err := nsmSightseeingType.DecodeAttr(rec, idx+2)
-		if err != nil {
-			return cobench.Sightseeing{}, err
-		}
-		*dst = v.Str()
-	}
-	return g, nil
+func (a *assembler) feedSightseeing(obj int32, rec []byte) error {
+	return a.sightseeing(obj, nsmSightseeingType, nsmSeePayload, rec)
 }
 
-// joinNSM assembles a station from its decoded relation rows.
-func joinNSM(root cobench.RootRecord, plats []platRow, conns []connRow, sees []cobench.Sightseeing) (*cobench.Station, error) {
-	s := &cobench.Station{
-		Key:        root.Key,
-		NoPlatform: root.NoPlatform,
-		NoSeeing:   root.NoSeeing,
-		Name:       root.Name,
-	}
-	byOwn := map[int32]int{}
-	if len(plats) > 0 {
-		s.Platforms = make([]cobench.Platform, 0, len(plats))
-	}
-	for _, pr := range plats {
-		s.Platforms = append(s.Platforms, pr.p)
-		byOwn[pr.own] = len(s.Platforms) - 1
-	}
-	for _, cr := range conns {
-		pi, ok := byOwn[cr.parent]
-		if !ok {
-			return nil, fmt.Errorf("store: connection with unknown parent %d", cr.parent)
-		}
-		s.Platforms[pi].Conns = append(s.Platforms[pi].Conns, cr.c)
-	}
-	s.Seeings = sees
-	return s, nil
+// nsmRelation is one flat relation as the assembly paths see it: where its
+// tuples are, how to find one object's, and the feed that stages them.
+type nsmRelation struct {
+	heap *heap.Heap
+	tt   *nf2.TupleType
+	tree *btree.Tree  // countIndexIO only
+	rids [][]heap.RID // per object; nil for the root relation
+	feed func(a *assembler, obj int32, rec []byte) error
 }
 
-// fetchAssembled reads all tuples of object i by position and joins them.
+// relations lists the four flat relations in join order.
+func (m *nsm) relations() [4]nsmRelation {
+	return [4]nsmRelation{
+		{m.stations, nsmStationType, m.stationTree, nil, (*assembler).root},
+		{m.plats, nsmPlatformType, m.platTree, m.platRIDs, (*assembler).feedPlatform},
+		{m.conns, nsmConnectionType, m.connTree, m.connRIDs, (*assembler).feedConnection},
+		{m.seeings, nsmSightseeingType, m.seeingTree, m.seeingRIDs, (*assembler).feedSightseeing},
+	}
+}
+
+// fetchAssembled reads all tuples of object i by position, each through a
+// zero-copy heap view (the assembler copies what it keeps), and joins them.
 func (m *nsm) fetchAssembled(i int) (*cobench.Station, error) {
 	srid, err := m.stationRIDAt(i)
 	if err != nil {
 		return nil, err
 	}
-	var root cobench.RootRecord
-	if err := m.stations.View(srid, func(rec []byte) error {
-		var err error
-		root, err = DecodeRoot(rec)
-		return err
-	}); err != nil {
+	a := &m.asm
+	a.reset()
+	if err := m.stations.View(srid, func(rec []byte) error { return a.root(0, rec) }); err != nil {
 		return nil, err
 	}
-	// visit runs fn over each of the object's records in one relation,
-	// through a zero-copy heap view (the decoders copy what they keep).
-	visit := func(h *heap.Heap, tree *btree.Tree, inMemory []heap.RID, fn func(rec []byte) error) error {
-		rids, err := m.groupRIDs(tree, inMemory, i)
+	rels := m.relations()
+	for _, rel := range rels[1:] {
+		rids, err := m.groupRIDs(rel.tree, rel.rids[i], i)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for _, rid := range rids {
-			if err := h.View(rid, fn); err != nil {
-				return err
+			if err := rel.heap.View(rid, func(rec []byte) error { return rel.feed(a, 0, rec) }); err != nil {
+				return nil, err
 			}
 		}
-		return nil
 	}
-	var plats []platRow
-	err = visit(m.plats, m.platTree, m.platRIDs[i], func(rec []byte) error {
-		r, err := decodeNSMPlat(rec)
-		if err == nil {
-			plats = append(plats, r)
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	var conns []connRow
-	err = visit(m.conns, m.connTree, m.connRIDs[i], func(rec []byte) error {
-		r, err := decodeNSMConn(rec)
-		if err == nil {
-			conns = append(conns, r)
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	var sees []cobench.Sightseeing
-	err = visit(m.seeings, m.seeingTree, m.seeingRIDs[i], func(rec []byte) error {
-		g, err := decodeNSMSee(rec)
-		if err == nil {
-			sees = append(sees, g)
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return joinNSM(root, plats, conns, sees)
+	return a.station()
 }
 
 // FetchByAddress implements Model: only the indexed variant has an
@@ -484,6 +413,7 @@ func (m *nsm) FetchByKey(key int32) (*cobench.Station, error) {
 			return m.fetchAssembled(idx)
 		}
 		idx := -1
+		var scanErr error
 		err := m.stations.Scan(func(_ heap.RID, rec []byte) bool {
 			k, kerr := DecodeRootKey(rec)
 			if kerr == nil && k == key {
@@ -491,8 +421,12 @@ func (m *nsm) FetchByKey(key int32) (*cobench.Station, error) {
 					idx = j
 				}
 			}
-			return true // set-oriented selection: no early exit
+			scanErr = kerr
+			return kerr == nil // set-oriented selection: no early exit on a match
 		})
+		if err == nil {
+			err = scanErr
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -501,147 +435,75 @@ func (m *nsm) FetchByKey(key int32) (*cobench.Station, error) {
 		}
 		return m.fetchAssembled(idx)
 	}
-	var root *cobench.RootRecord
-	var plats []platRow
-	var conns []connRow
-	var sees []cobench.Sightseeing
-	scan := func(h *heap.Heap, tt *nf2.TupleType, sink func(rec []byte)) error {
-		return h.Scan(func(_ heap.RID, rec []byte) bool {
-			v, err := tt.DecodeAttr(rec, 0) // root (foreign) key is attribute 0
-			if err != nil || v.Int() != key {
-				return true
-			}
-			sink(rec)
-			return true
-		})
-	}
-	err := scan(m.stations, nsmStationType, func(rec []byte) {
-		if r, err := DecodeRoot(rec); err == nil {
-			root = &r
-		}
-	})
+	a := &m.asm
+	a.reset()
+	err := m.scanRelations(a, func(rootKey int32) (int32, bool, error) { return 0, rootKey == key, nil })
 	if err != nil {
 		return nil, err
 	}
-	err = scan(m.plats, nsmPlatformType, func(rec []byte) {
-		if r, err := decodeNSMPlat(rec); err == nil {
-			plats = append(plats, r)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	err = scan(m.conns, nsmConnectionType, func(rec []byte) {
-		if r, err := decodeNSMConn(rec); err == nil {
-			conns = append(conns, r)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	err = scan(m.seeings, nsmSightseeingType, func(rec []byte) {
-		if g, err := decodeNSMSee(rec); err == nil {
-			sees = append(sees, g)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if root == nil {
+	if len(a.roots) == 0 {
 		return nil, fmt.Errorf("store: no station with key %d", key)
 	}
-	return joinNSM(*root, plats, conns, sees)
+	return a.station()
+}
+
+// scanRelations runs one physical scan of each relation and stages in a
+// every tuple whose root key slot accepts, under the object slot it names.
+// Each relation is scanned to its end (set-oriented selection: a match is
+// no reason to stop); the first tuple that does not decode ends the query
+// with its error.
+func (m *nsm) scanRelations(a *assembler, slot func(rootKey int32) (obj int32, ok bool, err error)) error {
+	for _, rel := range m.relations() {
+		var scanErr error
+		err := rel.heap.Scan(func(_ heap.RID, rec []byte) bool {
+			key, err := intAttr(rel.tt, rec, nsmRootKey)
+			if err == nil {
+				var obj int32
+				var ok bool
+				if obj, ok, err = slot(key); ok {
+					err = rel.feed(a, obj, rec)
+				}
+			}
+			scanErr = err
+			return err == nil
+		})
+		if err != nil {
+			return err
+		}
+		if scanErr != nil {
+			return scanErr
+		}
+	}
+	return nil
 }
 
 // ScanAll implements Model: one physical scan of each relation, joined in
-// memory (the paper's best-case in-memory join assumption).
+// memory (the paper's best-case in-memory join assumption). The rows of
+// all objects are staged relation by relation — in arrays sized once from
+// the tuple counts, with the strings in shared chunks — and the objects
+// are finished one by one afterwards.
 func (m *nsm) ScanAll(fn func(i int, s *cobench.Station) error) error {
 	n := len(m.stationRID)
 	if n == 0 {
 		return ErrNotLoaded
 	}
-	roots := make([]cobench.RootRecord, n)
-	plats := make([][]platRow, n)
-	conns := make([][]connRow, n)
-	sees := make([][]cobench.Sightseeing, n)
-	idxOfKey := func(rec []byte, tt *nf2.TupleType) (int, error) {
-		v, err := tt.DecodeAttr(rec, 0)
-		if err != nil {
-			return -1, err
-		}
-		i, ok := m.keyIdx[v.Int()]
+	a := &assembler{
+		roots: make([]row[cobench.RootRecord], 0, n),
+		plats: make([]row[cobench.Platform], 0, m.nPlats),
+		conns: make([]row[cobench.Connection], 0, m.nConns),
+		sees:  make([]row[cobench.Sightseeing], 0, m.nSeeings),
+	}
+	err := m.scanRelations(a, func(rootKey int32) (int32, bool, error) {
+		i, ok := m.keyIdx[rootKey]
 		if !ok {
-			return -1, fmt.Errorf("store: unknown root key %d", v.Int())
+			return 0, false, fmt.Errorf("store: unknown root key %d", rootKey)
 		}
-		return i, nil
-	}
-	var scanErr error
-	collect := func(h *heap.Heap, tt *nf2.TupleType, sink func(i int, rec []byte) error) error {
-		err := h.Scan(func(_ heap.RID, rec []byte) bool {
-			i, err := idxOfKey(rec, tt)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if err := sink(i, rec); err != nil {
-				scanErr = err
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		return scanErr
-	}
-	err := collect(m.stations, nsmStationType, func(i int, rec []byte) error {
-		var err error
-		roots[i], err = DecodeRoot(rec)
-		return err
+		return int32(i), true, nil
 	})
 	if err != nil {
 		return err
 	}
-	err = collect(m.plats, nsmPlatformType, func(i int, rec []byte) error {
-		r, err := decodeNSMPlat(rec)
-		if err == nil {
-			plats[i] = append(plats[i], r)
-		}
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	err = collect(m.conns, nsmConnectionType, func(i int, rec []byte) error {
-		r, err := decodeNSMConn(rec)
-		if err == nil {
-			conns[i] = append(conns[i], r)
-		}
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	err = collect(m.seeings, nsmSightseeingType, func(i int, rec []byte) error {
-		g, err := decodeNSMSee(rec)
-		if err == nil {
-			sees[i] = append(sees[i], g)
-		}
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		s, err := joinNSM(roots[i], plats[i], conns[i], sees[i])
-		if err != nil {
-			return err
-		}
-		if err := fn(i, s); err != nil {
-			return err
-		}
-	}
-	return nil
+	return a.each(n, fn)
 }
 
 // Navigate implements Model: the root tuple plus the object's connection
@@ -666,14 +528,14 @@ func (m *nsm) Navigate(i int) (cobench.RootRecord, []int32, error) {
 	if err != nil {
 		return cobench.RootRecord{}, nil, err
 	}
-	var children []int32
+	children := slices.Grow([]int32(nil), len(crids)) // nil when childless, like the other models
 	for _, rid := range crids {
 		err := m.conns.View(rid, func(rec []byte) error {
-			v, err := nsmConnectionType.DecodeAttr(rec, 4) // OidConnection
+			oid, err := intAttr(nsmConnectionType, rec, 4) // OidConnection
 			if err != nil {
 				return err
 			}
-			children = append(children, v.Int())
+			children = append(children, oid)
 			return nil
 		})
 		if err != nil {

@@ -136,16 +136,133 @@ func EncodedLen(buf []byte) (int, error) {
 	return n, nil
 }
 
+// The decoders below share one set of bounds checks. Each check is a small
+// predicate the compiler inlines — header, attrOff, intFits, strLen,
+// relCount, relElem, with a negative or nil result for "does not fit" — and
+// the error that names what failed is built out of line by its *Err twin.
+// That keeps every reader flat, whether it walks a whole tuple (Decode,
+// Record, StringBytes) or picks one attribute (DecodeAttr, VisitRel), and
+// gives none of them a private copy of a check.
+
+// header returns the tuple at the start of buf trimmed to its encoded
+// length, or nil when its length prefix or offset directory does not fit.
+func (tt *TupleType) header(buf []byte) []byte {
+	if len(buf) < 2 {
+		return nil
+	}
+	n := int(binary.BigEndian.Uint16(buf))
+	if n < 2+2*len(tt.Attrs) || n > len(buf) {
+		return nil
+	}
+	return buf[:n]
+}
+
+func (tt *TupleType) headerErr(buf []byte) error {
+	if _, err := EncodedLen(buf); err != nil {
+		return err
+	}
+	return fmt.Errorf("%w: %s directory truncated", ErrCorrupt, tt.Name)
+}
+
+// attrOff returns the payload offset of attribute i in a tuple header
+// accepted, or -1 when the directory entry points outside it.
+func (tt *TupleType) attrOff(tup []byte, i int) int {
+	off := int(binary.BigEndian.Uint16(tup[2+2*i:]))
+	if off < 2+2*len(tt.Attrs) || off > len(tup) {
+		return -1
+	}
+	return off
+}
+
+func (tt *TupleType) offsetErr(tup []byte, i int) error {
+	return fmt.Errorf("%w: %s.%s offset %d", ErrCorrupt, tt.Name, tt.Attrs[i].Name,
+		binary.BigEndian.Uint16(tup[2+2*i:]))
+}
+
+// intFits reports whether a 4-byte payload fits at off.
+func intFits(tup []byte, off int) bool { return off+4 <= len(tup) }
+
+// strLen returns the actual length of a String payload of capacity size at
+// off, or -1 when the payload does not fit or claims more than size.
+func strLen(tup []byte, off, size int) int {
+	if off+2+size > len(tup) {
+		return -1
+	}
+	n := int(binary.BigEndian.Uint16(tup[off:]))
+	if n > size {
+		return -1
+	}
+	return n
+}
+
+func (tt *TupleType) strErr(tup []byte, off int, a *Attr) error {
+	if off+2+a.Type.Size > len(tup) {
+		return tt.corrupt(a, "string payload")
+	}
+	return fmt.Errorf("%w: %s.%s string length %d > %d",
+		ErrCorrupt, tt.Name, a.Name, binary.BigEndian.Uint16(tup[off:]), a.Type.Size)
+}
+
+// relCount returns the subtuple count of a Rel payload at off, or -1 when
+// the count or the subtuple directory does not fit.
+func relCount(tup []byte, off int) int {
+	if off+2 > len(tup) {
+		return -1
+	}
+	count := int(binary.BigEndian.Uint16(tup[off:]))
+	if off+2+2*count > len(tup) {
+		return -1
+	}
+	return count
+}
+
+func (tt *TupleType) relErr(tup []byte, off int, a *Attr) error {
+	if off+2 > len(tup) {
+		return tt.corrupt(a, "rel count")
+	}
+	return tt.corrupt(a, "rel directory")
+}
+
+// relElem returns the encoded bytes of subtuple j of that payload (they run
+// to the end of tup; the subtuple's own header says where it stops), or nil
+// when its directory entry points outside the payload.
+func relElem(tup []byte, off, count, j int) []byte {
+	rel := int(binary.BigEndian.Uint16(tup[off+2+2*j:]))
+	if rel < 2+2*count || off+rel >= len(tup) {
+		return nil
+	}
+	return tup[off+rel:]
+}
+
+func (tt *TupleType) elemErr(a *Attr, j int) error {
+	return fmt.Errorf("%w: %s.%s[%d] offset", ErrCorrupt, tt.Name, a.Name, j)
+}
+
+func (tt *TupleType) corrupt(a *Attr, what string) error {
+	return fmt.Errorf("%w: %s.%s %s", ErrCorrupt, tt.Name, a.Name, what)
+}
+
+func (tt *TupleType) rangeErr(i int) error {
+	return fmt.Errorf("nf2: attribute %d out of range for %s", i, tt.Name)
+}
+
 // Decode deserializes one tuple from the start of buf (which may contain
 // trailing bytes beyond the encoded tuple).
 func (tt *TupleType) Decode(buf []byte) (Tuple, error) {
+	tup := tt.header(buf)
+	if tup == nil {
+		return Tuple{}, tt.headerErr(buf)
+	}
 	t := Tuple{Vals: make([]Value, len(tt.Attrs))}
 	for i := range tt.Attrs {
-		v, err := tt.DecodeAttr(buf, i)
-		if err != nil {
+		off := tt.attrOff(tup, i)
+		if off < 0 {
+			return Tuple{}, tt.offsetErr(tup, i)
+		}
+		var err error
+		if t.Vals[i], err = tt.decodeAt(tup, off, &tt.Attrs[i]); err != nil {
 			return Tuple{}, err
 		}
-		t.Vals[i] = v
 	}
 	return t, nil
 }
@@ -153,46 +270,36 @@ func (tt *TupleType) Decode(buf []byte) (Tuple, error) {
 // VisitRel iterates the elements of Rel attribute i without materializing
 // any tuples: fn is invoked once per element with its index, the element
 // count and the element's encoded bytes (aliasing buf — valid only during
-// the call), and decodes what it needs via Elem's DecodeAttr. This is the
-// allocation-free counterpart of DecodeAttr for relation attributes; the
-// object-assembly hot paths use it so that decoding a stored object
+// the call), and decodes what it needs via Elem's DecodeAttr or Open. This
+// is the allocation-free counterpart of DecodeAttr for relation attributes;
+// the object-assembly hot paths use it so that decoding a stored object
 // allocates only the values that end up in the result.
 func (tt *TupleType) VisitRel(buf []byte, i int, fn func(j, n int, elem []byte) error) error {
 	if i < 0 || i >= len(tt.Attrs) {
-		return fmt.Errorf("nf2: attribute %d out of range for %s", i, tt.Name)
+		return tt.rangeErr(i)
 	}
-	a := tt.Attrs[i]
+	a := &tt.Attrs[i]
 	if a.Type.Kind != Rel {
 		return fmt.Errorf("nf2: %s.%s is not a relation attribute", tt.Name, a.Name)
 	}
-	total, err := EncodedLen(buf)
-	if err != nil {
-		return err
+	tup := tt.header(buf)
+	if tup == nil {
+		return tt.headerErr(buf)
 	}
-	buf = buf[:total]
-	need := 2 + 2*len(tt.Attrs)
-	if total < need {
-		return fmt.Errorf("%w: %s directory truncated", ErrCorrupt, tt.Name)
+	off := tt.attrOff(tup, i)
+	if off < 0 {
+		return tt.offsetErr(tup, i)
 	}
-	off := int(binary.BigEndian.Uint16(buf[2+2*i:]))
-	if off < need || off > total {
-		return fmt.Errorf("%w: %s.%s offset %d", ErrCorrupt, tt.Name, a.Name, off)
-	}
-	if off+2 > total {
-		return fmt.Errorf("%w: %s.%s rel count", ErrCorrupt, tt.Name, a.Name)
-	}
-	count := int(binary.BigEndian.Uint16(buf[off:]))
-	dir := off + 2
-	if dir+2*count > total {
-		return fmt.Errorf("%w: %s.%s rel directory", ErrCorrupt, tt.Name, a.Name)
+	count := relCount(tup, off)
+	if count < 0 {
+		return tt.relErr(tup, off, a)
 	}
 	for j := 0; j < count; j++ {
-		rel := int(binary.BigEndian.Uint16(buf[dir+2*j:]))
-		subOff := off + rel
-		if rel < 2+2*count || subOff >= total {
-			return fmt.Errorf("%w: %s.%s[%d] offset", ErrCorrupt, tt.Name, a.Name, j)
+		elem := relElem(tup, off, count, j)
+		if elem == nil {
+			return tt.elemErr(a, j)
 		}
-		if err := fn(j, count, buf[subOff:]); err != nil {
+		if err := fn(j, count, elem); err != nil {
 			return err
 		}
 	}
@@ -204,68 +311,165 @@ func (tt *TupleType) VisitRel(buf []byte, i int, fn func(j, n int, elem []byte) 
 // the paper's "only the attributes tuples that are needed will be
 // projected/selected" (§2.2): storage models use it to read single
 // attributes (e.g. the child references) without materializing the rest.
+// Every String value is its own allocation.
 func (tt *TupleType) DecodeAttr(buf []byte, i int) (Value, error) {
 	if i < 0 || i >= len(tt.Attrs) {
-		return Value{}, fmt.Errorf("nf2: attribute %d out of range for %s", i, tt.Name)
+		return Value{}, tt.rangeErr(i)
 	}
-	total, err := EncodedLen(buf)
-	if err != nil {
-		return Value{}, err
+	tup := tt.header(buf)
+	if tup == nil {
+		return Value{}, tt.headerErr(buf)
 	}
-	buf = buf[:total]
-	need := 2 + 2*len(tt.Attrs)
-	if total < need {
-		return Value{}, fmt.Errorf("%w: %s directory truncated", ErrCorrupt, tt.Name)
+	off := tt.attrOff(tup, i)
+	if off < 0 {
+		return Value{}, tt.offsetErr(tup, i)
 	}
-	off := int(binary.BigEndian.Uint16(buf[2+2*i:]))
-	if off < need || off > total {
-		return Value{}, fmt.Errorf("%w: %s.%s offset %d", ErrCorrupt, tt.Name, tt.Attrs[i].Name, off)
-	}
-	a := tt.Attrs[i]
+	return tt.decodeAt(tup, off, &tt.Attrs[i])
+}
+
+// decodeAt decodes the attribute a whose payload starts at off in the tuple
+// header accepted.
+func (tt *TupleType) decodeAt(tup []byte, off int, a *Attr) (Value, error) {
 	switch a.Type.Kind {
 	case Int, Link:
-		if off+4 > total {
-			return Value{}, fmt.Errorf("%w: %s.%s int payload", ErrCorrupt, tt.Name, a.Name)
+		if !intFits(tup, off) {
+			return Value{}, tt.corrupt(a, "int payload")
 		}
-		v := int32(binary.BigEndian.Uint32(buf[off:]))
-		if a.Type.Kind == Link {
-			return LinkValue(v), nil
-		}
-		return IntValue(v), nil
+		return Value{kind: a.Type.Kind, i: int32(binary.BigEndian.Uint32(tup[off:]))}, nil
 	case String:
-		if off+2+a.Type.Size > total {
-			return Value{}, fmt.Errorf("%w: %s.%s string payload", ErrCorrupt, tt.Name, a.Name)
+		n := strLen(tup, off, a.Type.Size)
+		if n < 0 {
+			return Value{}, tt.strErr(tup, off, a)
 		}
-		n := int(binary.BigEndian.Uint16(buf[off:]))
-		if n > a.Type.Size {
-			return Value{}, fmt.Errorf("%w: %s.%s string length %d > %d",
-				ErrCorrupt, tt.Name, a.Name, n, a.Type.Size)
-		}
-		return StringValue(string(buf[off+2 : off+2+n])), nil
+		return StringValue(string(tup[off+2 : off+2+n])), nil
 	case Rel:
-		if off+2 > total {
-			return Value{}, fmt.Errorf("%w: %s.%s rel count", ErrCorrupt, tt.Name, a.Name)
-		}
-		count := int(binary.BigEndian.Uint16(buf[off:]))
-		dir := off + 2
-		if dir+2*count > total {
-			return Value{}, fmt.Errorf("%w: %s.%s rel directory", ErrCorrupt, tt.Name, a.Name)
+		count := relCount(tup, off)
+		if count < 0 {
+			return Value{}, tt.relErr(tup, off, a)
 		}
 		subs := make([]Tuple, count)
-		for j := 0; j < count; j++ {
-			rel := int(binary.BigEndian.Uint16(buf[dir+2*j:]))
-			subOff := off + rel
-			if rel < 2+2*count || subOff >= total {
-				return Value{}, fmt.Errorf("%w: %s.%s[%d] offset", ErrCorrupt, tt.Name, a.Name, j)
+		for j := range subs {
+			elem := relElem(tup, off, count, j)
+			if elem == nil {
+				return Value{}, tt.elemErr(a, j)
 			}
-			sub, err := a.Type.Elem.Decode(buf[subOff:])
-			if err != nil {
+			var err error
+			if subs[j], err = a.Type.Elem.Decode(elem); err != nil {
 				return Value{}, err
 			}
-			subs[j] = sub
 		}
 		return RelValue(subs), nil
 	default:
 		return Value{}, fmt.Errorf("nf2: unknown kind %v", a.Type.Kind)
 	}
+}
+
+// Record is an encoded tuple whose header Open has validated: its methods
+// read attributes through the offset directory like DecodeAttr — same
+// checks, same errors, equal values — without validating the header again
+// and without boxing the result in a Value. It aliases the bytes it was
+// opened on and is valid as long as they are. Storage models assemble
+// objects through it, an attribute at a time.
+type Record struct {
+	tt  *TupleType
+	tup []byte
+}
+
+// Open validates the header of the tuple at the start of buf.
+func (tt *TupleType) Open(buf []byte) (Record, error) {
+	tup := tt.header(buf)
+	if tup == nil {
+		return Record{}, tt.headerErr(buf)
+	}
+	return Record{tt, tup}, nil
+}
+
+// attr locates attribute i, which must be of kind k (a Link passes for Int).
+func (r Record) attr(i int, k Kind) (*Attr, int, error) {
+	if i < 0 || i >= len(r.tt.Attrs) {
+		return nil, 0, r.tt.rangeErr(i)
+	}
+	a := &r.tt.Attrs[i]
+	if a.Type.Kind != k && !(k == Int && a.Type.Kind == Link) {
+		return nil, 0, fmt.Errorf("nf2: %s.%s is not a %v attribute", r.tt.Name, a.Name, k)
+	}
+	off := r.tt.attrOff(r.tup, i)
+	if off < 0 {
+		return nil, 0, r.tt.offsetErr(r.tup, i)
+	}
+	return a, off, nil
+}
+
+// Int returns Int or Link attribute i.
+func (r Record) Int(i int) (int32, error) {
+	a, off, err := r.attr(i, Int)
+	if err != nil {
+		return 0, err
+	}
+	if !intFits(r.tup, off) {
+		return 0, r.tt.corrupt(a, "int payload")
+	}
+	return int32(binary.BigEndian.Uint32(r.tup[off:])), nil
+}
+
+// Str returns String attribute i with its payload packed into strs (see
+// Strings for what the value keeps alive) instead of allocated on its own.
+func (r Record) Str(i int, strs *Strings) (string, error) {
+	a, off, err := r.attr(i, String)
+	if err != nil {
+		return "", err
+	}
+	n := strLen(r.tup, off, a.Type.Size)
+	if n < 0 {
+		return "", r.tt.strErr(r.tup, off, a)
+	}
+	return strs.Add(r.tup[off+2 : off+2+n]), nil
+}
+
+// StringBytes returns the number of bytes the String payloads of the
+// encoded tuple — nested subtuples included — will occupy once decoded: a
+// measuring pass over the u16 length fields, so a caller about to decode
+// the whole tuple's strings into a Strings can Grow it exactly first. It
+// applies decoding's checks, with decoding's errors, to what it walks (the
+// directories and the String attributes; Int payloads are not looked at).
+func (tt *TupleType) StringBytes(buf []byte) (int, error) {
+	tup := tt.header(buf)
+	if tup == nil {
+		return 0, tt.headerErr(buf)
+	}
+	total := 0
+	for i := range tt.Attrs {
+		a := &tt.Attrs[i]
+		if a.Type.Kind != String && a.Type.Kind != Rel {
+			continue
+		}
+		off := tt.attrOff(tup, i)
+		if off < 0 {
+			return 0, tt.offsetErr(tup, i)
+		}
+		if a.Type.Kind == String {
+			n := strLen(tup, off, a.Type.Size)
+			if n < 0 {
+				return 0, tt.strErr(tup, off, a)
+			}
+			total += n
+			continue
+		}
+		count := relCount(tup, off)
+		if count < 0 {
+			return 0, tt.relErr(tup, off, a)
+		}
+		for j := 0; j < count; j++ {
+			elem := relElem(tup, off, count, j)
+			if elem == nil {
+				return 0, tt.elemErr(a, j)
+			}
+			n, err := a.Type.Elem.StringBytes(elem)
+			if err != nil {
+				return 0, err
+			}
+			total += n
+		}
+	}
+	return total, nil
 }

@@ -8,6 +8,18 @@
 // objects"; this package is the corresponding data model. Storage models
 // consume the encoding produced here, so every byte of tuple overhead is
 // explicit and documented (see Encode).
+//
+// Decoding comes in three grains. Decode materializes a whole Tuple.
+// DecodeAttr reads one attribute through the offset directory and VisitRel
+// walks a relation's elements in place, so a reader pays only for what it
+// projects. A Record (Open) reads several attributes of one tuple with the
+// header validated once and the values unboxed, and differs from DecodeAttr
+// in who may own a decoded string: Record.Str appends the payload to a
+// caller-supplied Strings backing instead of allocating it on its own, so a
+// caller that assembles a whole object (sizing the backing with
+// StringBytes) pays one string allocation per object. A value decoded that
+// way pins the backing it was cut from — its own object's, when the caller
+// reserved — and nothing else. All three share one set of bounds checks.
 package nf2
 
 import (
