@@ -1,8 +1,9 @@
 // benchregress compares a `go test -bench -benchmem` run against a
-// committed baseline and fails when allocs/op regresses. Wall-clock
-// numbers are reported but never gated: time is noisy on shared CI
-// machines, while allocation counts on the fix hit/miss paths are
-// deterministic and must stay pinned.
+// committed baseline and fails when allocs/op or B/op regresses.
+// Wall-clock numbers are reported but never gated: time is noisy on
+// shared CI machines, while allocation counts and sizes are
+// deterministic and must stay pinned. Both are needed: an arena grown
+// by doubling is few allocations and many bytes.
 //
 // Usage:
 //
@@ -13,6 +14,9 @@
 //   - allocs/op may grow at most -tolerance percent (default 10) over
 //     the baseline value;
 //   - a baseline of 0 allocs/op is a hard pin: any nonzero count fails;
+//   - B/op may grow at most the same percentage, for rows whose baseline
+//     is at least 1 KiB/op (below that the column is amortized rounding:
+//     `1 B/op` and `14 B/op` rows exist);
 //   - benchmarks present in the baseline but missing from the current
 //     run fail (a silently dropped benchmark is not an improvement);
 //   - new benchmarks absent from the baseline are reported, not gated.
@@ -78,9 +82,34 @@ func parseFile(path string) (map[string]result, error) {
 	return parse(f)
 }
 
+// minGatedBytes is the smallest baseline B/op that is gated.
+const minGatedBytes = 1024
+
+// verdict compares one benchmark against its baseline row: the report
+// line and whether it passes. tolerance is the allowed growth in percent.
+func verdict(name string, base, cur result, tolerance float64) (string, bool) {
+	grew := func(cur, base float64) bool { return cur > base*(1+tolerance/100) }
+	pct := func(cur, base float64) float64 { return 100 * (cur - base) / base }
+	switch {
+	case !base.hasAllocs || !cur.hasAllocs:
+		return fmt.Sprintf("  ok %s: no -benchmem columns, time-only (%.1f ns/op vs %.1f baseline)",
+			name, cur.nsPerOp, base.nsPerOp), true
+	case base.allocsPerOp == 0 && cur.allocsPerOp > 0:
+		return fmt.Sprintf("FAIL %s: %.0f allocs/op, baseline pins 0", name, cur.allocsPerOp), false
+	case grew(cur.allocsPerOp, base.allocsPerOp):
+		return fmt.Sprintf("FAIL %s: %.0f allocs/op, baseline %.0f (+%.1f%% > %.0f%% tolerance)",
+			name, cur.allocsPerOp, base.allocsPerOp, pct(cur.allocsPerOp, base.allocsPerOp), tolerance), false
+	case base.bytesPerOp >= minGatedBytes && grew(cur.bytesPerOp, base.bytesPerOp):
+		return fmt.Sprintf("FAIL %s: %.0f B/op, baseline %.0f (+%.1f%% > %.0f%% tolerance)",
+			name, cur.bytesPerOp, base.bytesPerOp, pct(cur.bytesPerOp, base.bytesPerOp), tolerance), false
+	}
+	return fmt.Sprintf("  ok %s: %.0f allocs/op (baseline %.0f), %.0f B/op (baseline %.0f), %.1f ns/op",
+		name, cur.allocsPerOp, base.allocsPerOp, cur.bytesPerOp, base.bytesPerOp, cur.nsPerOp), true
+}
+
 func main() {
 	baselinePath := flag.String("baseline", "", "committed baseline bench output")
-	tolerance := flag.Float64("tolerance", 10, "allowed allocs/op growth in percent")
+	tolerance := flag.Float64("tolerance", 10, "allowed allocs/op and B/op growth in percent")
 	flag.Parse()
 	if *baselinePath == "" || flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: benchregress -baseline FILE (CURRENT|-)")
@@ -116,24 +145,9 @@ func main() {
 			failed = true
 			continue
 		}
-		if !base.hasAllocs || !cur.hasAllocs {
-			fmt.Printf("  ok %s: no -benchmem columns, time-only (%.1f ns/op vs %.1f baseline)\n",
-				name, cur.nsPerOp, base.nsPerOp)
-			continue
-		}
-		switch {
-		case base.allocsPerOp == 0 && cur.allocsPerOp > 0:
-			fmt.Printf("FAIL %s: %.0f allocs/op, baseline pins 0\n", name, cur.allocsPerOp)
-			failed = true
-		case cur.allocsPerOp > base.allocsPerOp*(1+*tolerance/100):
-			fmt.Printf("FAIL %s: %.0f allocs/op, baseline %.0f (+%.1f%% > %.0f%% tolerance)\n",
-				name, cur.allocsPerOp, base.allocsPerOp,
-				100*(cur.allocsPerOp-base.allocsPerOp)/base.allocsPerOp, *tolerance)
-			failed = true
-		default:
-			fmt.Printf("  ok %s: %.0f allocs/op (baseline %.0f), %.0f B/op, %.1f ns/op\n",
-				name, cur.allocsPerOp, base.allocsPerOp, cur.bytesPerOp, cur.nsPerOp)
-		}
+		line, ok := verdict(name, base, cur, *tolerance)
+		fmt.Println(line)
+		failed = failed || !ok
 	}
 	var fresh []string
 	for name := range current {
@@ -147,7 +161,7 @@ func main() {
 	}
 	if failed {
 		fmt.Println(strings.Repeat("-", 40))
-		fmt.Println("allocs/op regression detected")
+		fmt.Println("allocation regression detected")
 		os.Exit(1)
 	}
 }

@@ -37,3 +37,36 @@ PASS
 		t.Errorf("TimeOnly parsed as %+v", to)
 	}
 }
+
+// TestVerdictGatesBytes pins the B/op gate next to the allocs/op one: an
+// arena grown by doubling moves few allocations and many bytes, so bytes
+// are gated with the same tolerance — but only from 1 KiB/op up, because
+// smaller rows are amortized rounding.
+func TestVerdictGatesBytes(t *testing.T) {
+	mem := func(bytes, allocs float64) result {
+		return result{nsPerOp: 100, bytesPerOp: bytes, allocsPerOp: allocs, hasAllocs: true}
+	}
+	cases := []struct {
+		name      string
+		base, cur result
+		ok        bool
+		want      string
+	}{
+		{"same", mem(4096, 3), mem(4096, 3), true, "ok"},
+		{"bytes within tolerance", mem(10000, 3), mem(10900, 3), true, "ok"},
+		{"bytes doubled, allocs flat", mem(10000, 3), mem(20000, 3), false, "B/op"},
+		{"bytes just over", mem(1024, 1), mem(1127, 1), false, "B/op"},
+		{"bytes fell", mem(1<<20, 9), mem(1<<10, 9), true, "ok"},
+		{"small row is noise", mem(14, 0), mem(140, 0), true, "ok"},
+		{"just under a KiB is not gated", mem(1023, 1), mem(4000, 1), true, "ok"},
+		{"allocs still gated", mem(4096, 10), mem(4096, 12), false, "allocs/op"},
+		{"zero allocs still pinned", mem(0, 0), mem(16, 1), false, "pins 0"},
+		{"time-only rows pass", result{nsPerOp: 5}, mem(1<<30, 99), true, "time-only"},
+	}
+	for _, c := range cases {
+		line, ok := verdict("BenchmarkX", c.base, c.cur, 10)
+		if ok != c.ok || !strings.Contains(line, c.want) {
+			t.Errorf("%s: verdict = %q, %v; want ok=%v mentioning %q", c.name, line, ok, c.ok, c.want)
+		}
+	}
+}

@@ -60,14 +60,15 @@ func (s *Suite) BufferSweep() ([]BufferPoint, error) {
 	points := make([]BufferPoint, len(BufferSizes)*len(fig5Models))
 	err = fanout.Run(len(points), s.workers(), func(i int) error {
 		bp := BufferSizes[i/len(fig5Models)]
-		k := fig5Models[i%len(fig5Models)]
+		ki := i % len(fig5Models)
+		k := fig5Models[ki]
 		opts := baseOpts
 		opts.BufferPages = bp
-		res, err := s.runQueriesLoaded(k, opts, s.cfg.Gen, stations, s.cfg.Workload, cobench.Q2b)
+		res, err := s.runQueriesLoaded(fig5Models[ki:ki+1], opts, s.cfg.Gen, stations, s.cfg.Workload, cobench.Q2b)
 		if err != nil {
 			return err
 		}
-		m := res[cobench.Q2b]
+		m := res[0][cobench.Q2b]
 		hit := 0.0
 		if m.Fixes > 0 {
 			hit = m.Hits / m.Fixes

@@ -204,17 +204,19 @@ func (s *Suite) useSharedBases() bool {
 		s.storeOpts.Backend.Kind == disk.COWArena && s.storeOpts.Backend.Base == nil
 }
 
-// sharedBase returns the frozen base for (k, gen), building it at most
-// once per suite across every experiment — the matrix, Figures 5/6, the
-// buffer sweep, Table 7 and the serially cached models all land in the
-// same cache, so e.g. the Figure 5 default-sightseeing column reuses the
-// bases the matrix froze. The base comes from the configured snapshot
-// when gen is the suite's own extension (mmap'ed in place where the
-// platform allows), otherwise from loading stations — or a deterministic
-// regeneration of gen when the caller has none — and freezing the result.
+// sharedBase returns the frozen base holding k's physical layout of gen,
+// building it at most once per suite across every experiment — the
+// matrix, Figures 5/6, the buffer sweep, Table 7 and the serially cached
+// models all land in the same cache, so e.g. the Figure 5
+// default-sightseeing column reuses the bases the matrix froze, and DSM
+// and DASDBS-DSM, one layout read two ways, share one base (callers open
+// it with OpenAs). The base comes from the configured snapshot when gen
+// is the suite's own extension (mmap'ed in place where the platform
+// allows), otherwise from loading stations — or a deterministic
+// regeneration of gen when the caller has none — in place.
 func (s *Suite) sharedBase(k store.Kind, gen cobench.Config, stations []*cobench.Station) (*store.SharedBase, error) {
-	key := store.BaseKey{Kind: k, PageSize: s.storeOpts.PageSize, Gen: gen}
-	return s.bases.Get(key, s.buildBase(k, gen, stations))
+	key := store.BaseKey{Kind: k.Layout(), PageSize: s.storeOpts.PageSize, Gen: gen}
+	return s.bases.Get(key, s.buildBase(key, stations))
 }
 
 // scopedBase is sharedBase for one-off configurations: the cache entry is
@@ -224,47 +226,40 @@ func (s *Suite) sharedBase(k store.Kind, gen cobench.Config, stations []*cobench
 // extension) holds only the bases of cells in flight instead of retaining
 // all of them until Suite.Close.
 func (s *Suite) scopedBase(k store.Kind, gen cobench.Config, stations []*cobench.Station) (*store.SharedBase, func() error, error) {
-	key := store.BaseKey{Kind: k, PageSize: s.storeOpts.PageSize, Gen: gen}
-	return s.bases.GetScoped(key, s.buildBase(k, gen, stations))
+	key := store.BaseKey{Kind: k.Layout(), PageSize: s.storeOpts.PageSize, Gen: gen}
+	return s.bases.GetScoped(key, s.buildBase(key, stations))
 }
 
 // buildBase is the build closure shared by the pinned and the scoped
 // cache paths: snapshot-backed for the suite's own extension, otherwise
-// load-and-freeze over a generation.
-func (s *Suite) buildBase(k store.Kind, gen cobench.Config, stations []*cobench.Station) func() (*store.SharedBase, error) {
+// loaded in place over a generation.
+func (s *Suite) buildBase(key store.BaseKey, stations []*cobench.Station) func() (*store.SharedBase, error) {
 	return func() (*store.SharedBase, error) {
-		if s.cfg.Snapshot != "" && gen == s.cfg.Gen {
+		if s.cfg.Snapshot != "" && key.Gen == s.cfg.Gen {
 			if err := s.snapshotOK(); err != nil {
 				return nil, err
 			}
-			return snapshot.OpenBase(s.cfg.Snapshot, k)
+			return snapshot.OpenBase(s.cfg.Snapshot, key.Kind)
 		}
-		if stations == nil {
-			var err error
-			if gen == s.cfg.Gen {
-				stations, err = s.extension()
-			} else {
-				stations, err = cobench.Generate(gen)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		// Load over a contiguous mem arena, not the cow spec's bare
-		// overlay: the loader exists only to be frozen, and the flat
-		// arena makes both the load and the Freeze dump single memmoves
-		// instead of per-page overlay traffic.
-		loaderOpts := s.storeOpts
-		loaderOpts.Backend = disk.BackendSpec{Kind: disk.MemArena}
-		loader, err := store.New(k, loaderOpts)
+		stations, err := s.stationsOf(key.Gen, stations)
 		if err != nil {
 			return nil, err
 		}
-		defer loader.Engine().Close()
-		if err := loader.Load(stations); err != nil {
-			return nil, fmt.Errorf("experiments: load %s: %w", k, err)
-		}
-		return store.Freeze(loader)
+		return store.LoadBase(key.Kind, s.storeOpts, stations)
+	}
+}
+
+// stationsOf returns the extension of gen: the caller's pre-generated
+// copy when it has one, the suite's own when gen is its configuration,
+// otherwise a deterministic regeneration.
+func (s *Suite) stationsOf(gen cobench.Config, stations []*cobench.Station) ([]*cobench.Station, error) {
+	switch {
+	case stations != nil:
+		return stations, nil
+	case gen == s.cfg.Gen:
+		return s.extension()
+	default:
+		return cobench.Generate(gen)
 	}
 }
 
@@ -282,7 +277,7 @@ func (s *Suite) openLoaded(k store.Kind, opts store.Options, gen cobench.Config,
 		if err != nil {
 			return nil, err
 		}
-		return base.Open(opts)
+		return base.OpenAs(k, opts)
 	}
 	if s.cfg.Snapshot != "" && gen == s.cfg.Gen {
 		if err := s.snapshotOK(); err != nil {
@@ -290,16 +285,9 @@ func (s *Suite) openLoaded(k store.Kind, opts store.Options, gen cobench.Config,
 		}
 		return snapshot.Open(s.cfg.Snapshot, k, opts)
 	}
-	if stations == nil {
-		var err error
-		if gen == s.cfg.Gen {
-			stations, err = s.extension()
-		} else {
-			stations, err = cobench.Generate(gen)
-		}
-		if err != nil {
-			return nil, err
-		}
+	stations, err := s.stationsOf(gen, stations)
+	if err != nil {
+		return nil, err
 	}
 	m, err := store.New(k, opts)
 	if err != nil {
@@ -630,30 +618,42 @@ func toMeasured(res workload.Result) Measured {
 	return m
 }
 
-// runQueriesOn obtains a loaded model of kind k under the generator
-// configuration gen and runs the selected queries with the given
-// workload, releasing the cell's engine afterwards. Used by the sweeps
-// (Table 7, Figures 5 and 6), which need configurations other than the
-// suite default. On the shared-base path the model is a COW view of the
-// config-keyed cached base; otherwise a private engine over a fresh
-// generation. Only concurrency-safe Suite state is touched, so sweep
-// cells can fan out over a worker pool.
-func (s *Suite) runQueriesOn(k store.Kind, opts store.Options, gen cobench.Config, w cobench.Workload, queries ...cobench.Query) (map[cobench.Query]Measured, error) {
-	return s.runQueriesLoaded(k, opts, gen, nil, w, queries...)
+// layoutGroups splits models into the runs of neighbours that share a
+// physical layout, as [lo, hi) index pairs. A sweep fans out over these
+// groups, not over single kinds: the cells of a group run on views of one
+// loaded base (runQueriesLoaded), so every sweep point loads each layout
+// exactly once however the workers are scheduled.
+func layoutGroups(models []store.Kind) [][2]int {
+	var groups [][2]int
+	for lo := 0; lo < len(models); {
+		hi := lo + 1
+		for hi < len(models) && models[hi].Layout() == models[lo].Layout() {
+			hi++
+		}
+		groups = append(groups, [2]int{lo, hi})
+		lo = hi
+	}
+	return groups
 }
 
-// runQueriesLoaded is runQueriesOn with optionally pre-generated stations
-// of gen (callers that already share one generation across cells pass it;
-// nil regenerates on demand).
+// runQueriesLoaded obtains loaded models of the given kinds — which must
+// share one physical layout — under the generator configuration gen
+// (stations may carry a pre-generated copy, or be nil), runs the selected
+// queries on each with the given workload and returns the results in
+// kinds order, releasing every engine afterwards. Used by the sweeps
+// (Table 7, Figures 5 and 6, the buffer sweep), which need configurations
+// other than the suite default. Only concurrency-safe Suite state is
+// touched, so sweep cells can fan out over a worker pool.
 //
 // Non-default configurations get cell-scoped sharing and release: the
 // extension comes from the transient generation share (cells of the same
 // configuration running concurrently generate it once; nothing outlives
 // the cells), and on the shared-base path the frozen base is acquired
-// scoped — dropped from the cache as soon as the last cell of its
-// configuration finishes — so a sweep's memory tracks the cells in
-// flight, not the number of configurations swept.
-func (s *Suite) runQueriesLoaded(k store.Kind, opts store.Options, gen cobench.Config, stations []*cobench.Station, w cobench.Workload, queries ...cobench.Query) (map[cobench.Query]Measured, error) {
+// scoped, once for all the kinds — dropped from the cache as soon as the
+// last cell of its configuration finishes — so a sweep's memory tracks
+// the cells in flight, not the number of configurations swept. Otherwise
+// every kind gets a private engine over the generation.
+func (s *Suite) runQueriesLoaded(kinds []store.Kind, opts store.Options, gen cobench.Config, stations []*cobench.Station, w cobench.Workload, queries ...cobench.Query) ([]map[cobench.Query]Measured, error) {
 	if stations == nil && gen != s.cfg.Gen {
 		st, release, err := s.gens.acquire(gen)
 		if err != nil {
@@ -662,31 +662,34 @@ func (s *Suite) runQueriesLoaded(k store.Kind, opts store.Options, gen cobench.C
 		defer release()
 		stations = st
 	}
-	var m store.Model
+	open := func(k store.Kind) (store.Model, error) { return s.openLoaded(k, opts, gen, stations) }
 	if s.useSharedBases() && gen != s.cfg.Gen {
-		base, release, err := s.scopedBase(k, gen, stations)
+		base, release, err := s.scopedBase(kinds[0], gen, stations)
 		if err != nil {
 			return nil, err
 		}
 		defer release()
-		if m, err = base.Open(opts); err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		if m, err = s.openLoaded(k, opts, gen, stations); err != nil {
-			return nil, err
-		}
+		open = func(k store.Kind) (store.Model, error) { return base.OpenAs(k, opts) }
 	}
-	defer m.Engine().Close()
-	runner := workload.NewRunner(m, w)
-	out := make(map[cobench.Query]Measured, len(queries))
-	for _, q := range queries {
-		res, err := runner.Run(q)
+	out := make([]map[cobench.Query]Measured, len(kinds))
+	for i, k := range kinds {
+		m, err := open(k)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s %s: %w", k, q, err)
+			return nil, err
 		}
-		out[q] = toMeasured(res)
+		out[i] = make(map[cobench.Query]Measured, len(queries))
+		runner := workload.NewRunner(m, w)
+		for _, q := range queries {
+			res, err := runner.Run(q)
+			if err != nil {
+				m.Engine().Close()
+				return nil, fmt.Errorf("experiments: %s %s: %w", k, q, err)
+			}
+			out[i][q] = toMeasured(res)
+		}
+		if err := m.Engine().Close(); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

@@ -33,9 +33,10 @@ type Fig5Cell struct {
 // independent random stream, so the platform/connection graph is identical
 // across the sweep and the figure isolates the pure object-size effect.
 //
-// The (maxSeeing, model) cells are independent — each builds its own
-// extension and engine — so they fan out over the suite's worker pool;
-// results land at fixed indices and are byte-identical to a serial run.
+// The (maxSeeing, layout) cell groups are independent — each builds its
+// own extension and engines, DSM and DASDBS-DSM over one loaded base — so
+// they fan out over the suite's worker pool; results land at fixed
+// indices and are byte-identical to a serial run.
 func (s *Suite) Figure5() ([]Fig5Cell, error) {
 	if s.fig5 != nil {
 		return s.fig5, nil
@@ -62,21 +63,23 @@ func (s *Suite) Figure5() ([]Fig5Cell, error) {
 		genStats[i] = cobench.Describe(stations)
 	}
 	cells := make([]Fig5Cell, len(maxSees)*len(fig5Models))
-	err = fanout.Run(len(cells), s.workers(), func(i int) error {
-		col := i / len(fig5Models)
-		k := fig5Models[i%len(fig5Models)]
-		res, err := s.runQueriesLoaded(k, opts, gens[col], extensions[col], s.cfg.Workload,
+	groups := layoutGroups(fig5Models)
+	err = fanout.Run(len(maxSees)*len(groups), s.workers(), func(u int) error {
+		col, g := u/len(groups), groups[u%len(groups)]
+		res, err := s.runQueriesLoaded(fig5Models[g[0]:g[1]], opts, gens[col], extensions[col], s.cfg.Workload,
 			cobench.Q1c, cobench.Q2b, cobench.Q3b)
 		if err != nil {
 			return err
 		}
-		cells[i] = Fig5Cell{
-			Model:      k.String(),
-			MaxSeeing:  maxSees[col],
-			AvgSeeings: genStats[col].AvgSeeings,
-			Q1c:        res[cobench.Q1c].Pages,
-			Q2b:        res[cobench.Q2b].Pages,
-			Q3b:        res[cobench.Q3b].Pages,
+		for j, r := range res {
+			cells[col*len(fig5Models)+g[0]+j] = Fig5Cell{
+				Model:      fig5Models[g[0]+j].String(),
+				MaxSeeing:  maxSees[col],
+				AvgSeeings: genStats[col].AvgSeeings,
+				Q1c:        r[cobench.Q1c].Pages,
+				Q2b:        r[cobench.Q2b].Pages,
+				Q3b:        r[cobench.Q3b].Pages,
+			}
 		}
 		return nil
 	})
@@ -140,7 +143,7 @@ var Fig6Sizes = []int{100, 200, 400, 700, 1000, 1500}
 // measured values sit at the analytical best case, with overflow the
 // direct models degrade toward the worst case (the query 2a estimate).
 //
-// The (N, model) points fan out over the suite's worker pool with
+// The (N, layout) point groups fan out over the suite's worker pool with
 // per-point engines; only the analytical envelope is computed up front.
 func (s *Suite) Figure6() ([]Fig6Point, error) {
 	if s.fig6 != nil {
@@ -156,17 +159,16 @@ func (s *Suite) Figure6() ([]Fig6Point, error) {
 	}
 	baseN := float64(s.cfg.Gen.N)
 	points := make([]Fig6Point, len(Fig6Sizes)*len(fig5Models))
-	err = fanout.Run(len(points), s.workers(), func(i int) error {
-		n := Fig6Sizes[i/len(fig5Models)]
-		k := fig5Models[i%len(fig5Models)]
-		gen := s.cfg.Gen.WithN(n)
+	groups := layoutGroups(fig5Models)
+	err = fanout.Run(len(Fig6Sizes)*len(groups), s.workers(), func(u int) error {
+		size, g := u/len(groups), groups[u%len(groups)]
+		n := Fig6Sizes[size]
 		w := s.cfg.Workload
 		w.Loops = cobench.LoopsFor(n)
-		res, err := s.runQueriesOn(k, opts, gen, w, cobench.Q2b)
+		res, err := s.runQueriesLoaded(fig5Models[g[0]:g[1]], opts, s.cfg.Gen.WithN(n), nil, w, cobench.Q2b)
 		if err != nil {
 			return err
 		}
-		cm := kindToCostModel(k)
 		scaled := params.Scaled(float64(n), baseN)
 		wl := costmodel.Workload{
 			N:        float64(n),
@@ -174,13 +176,17 @@ func (s *Suite) Figure6() ([]Fig6Point, error) {
 			Grand:    costmodel.PaperWorkload().Grand,
 			Loops:    float64(w.Loops),
 		}
-		points[i] = Fig6Point{
-			Model:     k.String(),
-			N:         n,
-			Loops:     w.Loops,
-			Measured:  res[cobench.Q2b].Pages,
-			BestCase:  costmodel.Estimate(cm, scaled, wl).Q2b,
-			WorstCase: costmodel.Estimate(cm, scaled, wl).Q2a,
+		for j, r := range res {
+			k := fig5Models[g[0]+j]
+			est := costmodel.Estimate(kindToCostModel(k), scaled, wl)
+			points[size*len(fig5Models)+g[0]+j] = Fig6Point{
+				Model:     k.String(),
+				N:         n,
+				Loops:     w.Loops,
+				Measured:  r[cobench.Q2b].Pages,
+				BestCase:  est.Q2b,
+				WorstCase: est.Q2a,
+			}
 		}
 		return nil
 	})

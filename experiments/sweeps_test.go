@@ -132,32 +132,33 @@ func TestSweepSharedBaseDeterminism(t *testing.T) {
 	shared, cowSuite := run("cow/8", cowCfg)
 	check("cow/8", private, shared)
 	// The cache must actually have been shared: one base built per
-	// distinct (kind, generator config), far fewer than the number of
-	// sweep cells. With the shrunk axes: 5 default-gen kinds (matrix via
-	// Table 7; the Figure 5 maxSee=15 column and the whole buffer sweep
-	// reuse them), 2x3 non-default Figure 5 columns, 2x3 Figure 6 sizes,
-	// 4 skew kinds.
+	// distinct (physical layout, generator config) — DSM and DASDBS-DSM
+	// are one layout — far fewer than the number of sweep cells, and the
+	// same number however the workers were scheduled. With the shrunk
+	// axes: 4 default-gen layouts (matrix via Table 7; the Figure 5
+	// maxSee=15 column and the whole buffer sweep reuse them), 2x2
+	// non-default Figure 5 columns, 2x2 Figure 6 sizes, 3 skew layouts.
 	cells := len(shared.fig5)*3 + len(shared.fig6) + len(shared.buf) + len(shared.t7) + 5*7
-	if want := int64(5 + 6 + 6 + 4); cowSuite.bases.Built() != want {
+	if want := int64(4 + 4 + 4 + 3); cowSuite.bases.Built() != want {
 		t.Errorf("base cache built %d bases, want %d (of %d measured cells)",
 			cowSuite.bases.Built(), want, cells)
 	}
 	// ... but only the pinned default-configuration bases are retained:
 	// every one-off sweep configuration was acquired scoped and dropped
 	// when the last cell of its configuration finished.
-	if want := 5; cowSuite.bases.Len() != want {
+	if want := 4; cowSuite.bases.Len() != want {
 		t.Errorf("base cache retains %d entries, want %d (scoped sweep bases must be released)",
 			cowSuite.bases.Len(), want)
 	}
 	// The transient generation share retained nothing either; every
 	// non-default extension was generated at most once per overlapping
-	// set of cells (2 Figure 6 sizes x 3 kinds, 1 skew config x 4 kinds —
-	// between 3 generations under full overlap and 10 under none).
+	// set of cell groups (2 Figure 6 sizes x 2 layouts, 1 skew config x 3
+	// layouts — between 3 generations under full overlap and 7 under none).
 	if n := cowSuite.gens.inFlight(); n != 0 {
 		t.Errorf("generation share retains %d entries, want 0", n)
 	}
-	if got := cowSuite.gens.generations(); got < 3 || got > 10 {
-		t.Errorf("generation share built %d extensions, want between 3 (full overlap) and 10 (none)", got)
+	if got := cowSuite.gens.generations(); got < 3 || got > 7 {
+		t.Errorf("generation share built %d extensions, want between 3 (full overlap) and 7 (none)", got)
 	}
 	cowSuite.Close()
 

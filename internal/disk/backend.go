@@ -72,11 +72,24 @@ func checkRange(off, n, l int) error {
 	return nil
 }
 
+// reserver is the optional capacity hint: Reserve(n) asks the backend to
+// make room for an arena of n bytes now, so that growing up to n never
+// moves it. Only the heap arena implements it — a file arena already
+// grows in extents and a COW overlay has nothing to move. The hint never
+// changes Len or any byte read.
+type reserver interface {
+	Reserve(n int)
+}
+
 // memBackend keeps the arena on the Go heap: the zero-dependency default
-// matching the original in-memory device. Growth doubles capacity so the
-// allocator sees one object regardless of database size.
+// matching the original in-memory device. A bulk load sizes its arena
+// first and reserves it (Disk.Reserve), so the arena is allocated once at
+// the size it ends with. Growth past the reservation — relocating
+// updates after the load, an index the sizing pass did not count — falls
+// back to doubling the capacity, which keeps the copying amortized.
 type memBackend struct {
 	arena []byte
+	moves int // reallocations so far (diagnostics, see HeapArenaStatsOf)
 }
 
 // NewMemBackend returns an in-memory arena backend.
@@ -85,21 +98,31 @@ func NewMemBackend() Backend { return &memBackend{} }
 func (b *memBackend) Bytes() []byte { return b.arena }
 func (b *memBackend) Len() int      { return len(b.arena) }
 
+// Reserve implements reserver: capacity for exactly n bytes.
+func (b *memBackend) Reserve(n int) {
+	if n > cap(b.arena) {
+		b.move(n)
+	}
+}
+
+// move reallocates the arena with the given capacity, keeping its bytes.
+func (b *memBackend) move(capacity int) {
+	arena := make([]byte, len(b.arena), capacity)
+	copy(arena, b.arena)
+	b.arena = arena
+	b.moves++
+}
+
 func (b *memBackend) Grow(n int) error {
 	if n <= len(b.arena) {
 		return nil
 	}
 	if n > cap(b.arena) {
-		grown := 2 * cap(b.arena)
-		if grown < n {
-			grown = n
-		}
-		arena := make([]byte, n, grown)
-		copy(arena, b.arena)
-		b.arena = arena
-	} else {
-		b.arena = b.arena[:n]
+		b.move(max(n, 2*cap(b.arena)))
 	}
+	// Bytes between len and cap have never been handed out (the arena
+	// only grows), so they still read as zero.
+	b.arena = b.arena[:n]
 	return nil
 }
 
@@ -121,6 +144,23 @@ func (b *memBackend) WriteAt(p []byte, off int) error {
 
 func (b *memBackend) Flush() error { return nil }
 func (b *memBackend) Close() error { b.arena = nil; return nil }
+
+// HeapArenaStats describes how a heap arena was allocated: its length,
+// the capacity backing it, and how often it has been reallocated. A
+// reserved bulk load ends with Moves == 1 and Cap == Len.
+type HeapArenaStats struct {
+	Len, Cap, Moves int
+}
+
+// HeapArenaStatsOf reports the allocation history when b is a heap arena,
+// seeing through any stack of wrapping backends (fault injection).
+func HeapArenaStatsOf(b Backend) (HeapArenaStats, bool) {
+	m, ok := under[*memBackend](b)
+	if !ok {
+		return HeapArenaStats{}, false
+	}
+	return HeapArenaStats{Len: len(m.arena), Cap: cap(m.arena), Moves: m.moves}, true
+}
 
 // StablePage implements StablePager over the heap arena. A Grow past the
 // arena's capacity moves it, after which an outstanding slice keeps the

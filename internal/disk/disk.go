@@ -34,6 +34,8 @@ var (
 	ErrBadRun = errors.New("disk: invalid run length")
 	// ErrBadBuffer reports a transfer buffer whose size is not one page.
 	ErrBadBuffer = errors.New("disk: buffer is not page-sized")
+	// ErrDetached reports use of a device after Detach gave its arena away.
+	ErrDetached = errors.New("disk: device arena was detached")
 )
 
 // Disk is an in-memory array of pages with I/O accounting. Page p occupies
@@ -53,6 +55,7 @@ type Disk struct {
 	stable   StablePager // zero-copy read capability (nil when unsupported)
 	stats    iostat.Stats
 	retries  int64 // backend read retries performed (diagnostics)
+	detached bool  // Detach gave the arena away; the device is dead
 }
 
 // New creates a device with the given raw page size over the default
@@ -135,6 +138,9 @@ func (d *Disk) Allocate(n int) (PageID, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.detached {
+		return InvalidPage, ErrDetached
+	}
 	start := PageID(d.numPages)
 	need := (d.numPages + n) * d.pageSize
 	if err := d.backend.Grow(need); err != nil {
@@ -143,6 +149,47 @@ func (d *Disk) Allocate(n int) (PageID, error) {
 	d.refreshFlat()
 	d.numPages += n
 	return start, nil
+}
+
+// Reserve asks the backend to make room for n pages beyond those
+// allocated, so that the Allocate calls of a bulk load never move the
+// arena: the loaders size their extension first and reserve it whole. It
+// is a hint — only the heap arena acts on it (found under any wrappers;
+// capacity is not I/O, so no fault schedule applies), and an
+// under-estimate merely leaves the tail of the load to the backend's own
+// growth policy. No counter moves and no page becomes allocated.
+func (d *Disk) Reserve(n int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if r, ok := under[reserver](d.backend); ok && n > 0 && !d.detached {
+		r.Reserve((d.numPages + n) * d.pageSize)
+		d.refreshFlat()
+	}
+}
+
+// Detach hands the caller the device's heap arena — the images of all
+// allocated pages, in place, not a copy — and leaves the device dead:
+// every later allocation or transfer fails with ErrDetached. This is how
+// a loaded arena becomes the floor of a shared base (NewBaseArena) at no
+// cost. The arena is taken from under any wrappers, and only a heap
+// arena can be detached. The caller must have flushed and emptied every
+// buffer pool over the device first: resident frames borrow arena pages,
+// and the new owner requires that nothing writes them again.
+func (d *Disk) Detach() ([]byte, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.detached {
+		return nil, ErrDetached
+	}
+	m, ok := under[*memBackend](d.backend)
+	if !ok {
+		return nil, errors.New("disk: detach: backend is not a heap arena")
+	}
+	n := d.numPages * d.pageSize
+	arena := m.arena[:n:n]
+	m.arena, d.flat = nil, nil
+	d.numPages, d.detached = 0, true
+	return arena, nil
 }
 
 // ReadRunShared — the device's only read path — reads len(views)
@@ -167,6 +214,9 @@ func (d *Disk) ReadRunShared(start PageID, views [][]byte, borrowed []bool, getB
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.detached {
+		return ErrDetached
+	}
 	if int(start)+len(views) > d.numPages {
 		return fmt.Errorf("%w: read [%d,%d) of %d", ErrOutOfRange, start, int(start)+len(views), d.numPages)
 	}
@@ -207,6 +257,9 @@ func (d *Disk) WriteRun(start PageID, pages [][]byte) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.detached {
+		return ErrDetached
+	}
 	if int(start)+len(pages) > d.numPages {
 		return fmt.Errorf("%w: write [%d,%d) of %d", ErrOutOfRange, start, int(start)+len(pages), d.numPages)
 	}
@@ -293,6 +346,9 @@ func (d *Disk) RebaseView(base *BaseArena) error {
 func (d *Disk) DumpTo(w io.Writer) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.detached {
+		return ErrDetached
+	}
 	n := d.numPages * d.pageSize
 	if d.flat != nil {
 		_, err := w.Write(d.flat[:n])
@@ -324,6 +380,9 @@ func (d *Disk) Restore(r io.Reader, numPages int) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.detached {
+		return ErrDetached
+	}
 	if d.numPages != 0 {
 		return fmt.Errorf("disk: restore into non-empty device (%d pages)", d.numPages)
 	}

@@ -36,6 +36,26 @@
 // (callers pass recycled memory); neither ReadAt nor WriteAt retains the
 // caller's slice; Close releases only resources the backend itself owns.
 //
+// # Reservation and hand-off
+//
+// A bulk load knows how many pages it will allocate before it allocates
+// the first: the storage models run a sizing pass and call Disk.Reserve.
+// Reservation is an optional backend capability. The heap arena
+// implements it — the arena is allocated once, at the size the load ends
+// with — and the others ignore it (a file arena grows in extents, a COW
+// overlay has nothing to move). Growth past a reservation, or without
+// one, falls back to doubling the capacity: that is what relocating
+// updates after a load and anything a sizing pass did not count run on,
+// and it keeps an under-estimate a matter of cost, never of correctness.
+// HeapArenaStatsOf reports how an arena was allocated; a reserved load
+// ends with one allocation and no spare capacity.
+//
+// Disk.Detach is the other half of building a base in place: it hands the
+// caller the heap arena itself — the page images where the load wrote
+// them — and leaves the device dead (ErrDetached on every later use). A
+// loader's arena becomes the floor of a BaseArena this way without being
+// copied; from then on the immutability rules below apply to it.
+//
 // # Copy-on-write semantics
 //
 // A COW backend layers a private overlay over a shared BaseArena. Reads

@@ -67,17 +67,22 @@ func unwrapBackend(b Backend) (Backend, bool) {
 	return u.Unwrap(), true
 }
 
-// asCOW finds the copy-on-write backend under any stack of wrappers.
-func asCOW(b Backend) (*cowBackend, bool) {
+// under finds the backend that is a T — a concrete backend type or an
+// optional capability — under any stack of wrappers.
+func under[T any](b Backend) (T, bool) {
 	for b != nil {
-		if c, ok := b.(*cowBackend); ok {
-			return c, true
+		if t, ok := b.(T); ok {
+			return t, true
 		}
 		inner, ok := unwrapBackend(b)
 		if !ok {
-			return nil, false
+			break
 		}
 		b = inner
 	}
-	return nil, false
+	var zero T
+	return zero, false
 }
+
+// asCOW finds the copy-on-write backend under any stack of wrappers.
+func asCOW(b Backend) (*cowBackend, bool) { return under[*cowBackend](b) }

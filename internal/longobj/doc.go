@@ -39,4 +39,15 @@
 // which keeps the benchmark server's allocation rate flat under sustained
 // load. Two stores never share scratch, so results of different stores
 // (DASDBS-NSM's four relations) stay valid side by side.
+//
+// The write paths stage in scratch of their own. A large Insert and an
+// in-place ReplaceAll size the object with one helper (largeLayout, which
+// Sizer — the sizing pass of a bulk load — uses too) and lay it out with
+// one routine (compose): directory and component bytes go straight from
+// the caller's components into page images the store reuses, zeroed per
+// use, which WriteRun or the frame copy then consume; a small object's
+// record is staged the same way. That scratch is write-only: it is never
+// returned to a caller and nothing retains it across a call (the device
+// and the pool copy what they are given), so the retention hazard of the
+// read scratch — and the poisoning mode proposed for it — does not apply.
 package longobj

@@ -88,13 +88,19 @@ type Store struct {
 	// so the reuse is safe: hdrScratch backs readHeader, idScratch the page
 	// list of the read in progress, spanScratch the directory walk, and
 	// idxScratch/compScratch/blockScratch the results of ReadAllShared and
-	// ReadParts (valid only until the next such call).
+	// ReadParts (valid only until the next such call). imgBlock/imgScratch
+	// are the page images compose lays a large object out in and
+	// recScratch the record of a small one: write-only staging for
+	// WriteRun, frame payloads and heap pages, never returned to a caller.
 	hdrScratch   []byte
 	idScratch    []disk.PageID
 	spanScratch  []dirSpan
 	idxScratch   []int
 	compScratch  []Component
 	blockScratch []byte
+	imgBlock     []byte
+	imgScratch   [][]byte
+	recScratch   []byte
 }
 
 // New creates a store whose small objects live in a shared heap called
@@ -126,13 +132,17 @@ func (s *Store) TotalPages() int {
 // effSize returns usable payload bytes per page.
 func (s *Store) effSize() int { return s.dev.EffectivePageSize() }
 
+// inlineLen returns the size of the small-object record of nComps
+// components totalling total bytes.
+func inlineLen(nComps, total int) int { return inlinePrologue + inlineEntry*nComps + total }
+
 // inlineSize returns the encoded size of comps as a small-object record.
 func inlineSize(comps []Component) int {
-	n := inlinePrologue + inlineEntry*len(comps)
+	total := 0
 	for _, c := range comps {
-		n += len(c.Data)
+		total += len(c.Data)
 	}
-	return n
+	return inlineLen(len(comps), total)
 }
 
 // Insert stores the object and returns its address. Small objects share
@@ -143,7 +153,7 @@ func (s *Store) Insert(comps []Component) (Ref, error) {
 		return Ref{}, errors.New("longobj: object needs at least one component")
 	}
 	if inlineSize(comps) <= page.Capacity(s.dev.PageSize()) {
-		rec := encodeInline(comps)
+		rec := s.encodeInline(comps)
 		rid, err := s.shared.Insert(rec)
 		if err != nil {
 			return Ref{}, err
@@ -153,57 +163,111 @@ func (s *Store) Insert(comps []Component) (Ref, error) {
 	return s.insertLarge(comps)
 }
 
-func encodeInline(comps []Component) []byte {
-	buf := make([]byte, inlinePrologue+inlineEntry*len(comps))
-	binary.BigEndian.PutUint16(buf, uint16(len(comps)))
-	for i, c := range comps {
-		base := inlinePrologue + inlineEntry*i
-		buf[base] = c.Tag
-		binary.BigEndian.PutUint16(buf[base+1:], uint16(len(c.Data)))
+// Sizer counts the pages a sequence of Inserts into an empty store will
+// occupy — shared heap pages for small objects, page runs for large ones
+// — from the objects' shapes alone: the sizing pass of a bulk load.
+type Sizer struct {
+	pageSize int
+	shared   heap.Sizer
+	large    int
+}
+
+// NewSizer returns a sizer for stores over pages of the given raw size.
+func NewSizer(pageSize int) Sizer {
+	return Sizer{pageSize: pageSize, shared: heap.NewSizer(pageSize)}
+}
+
+// Add accounts for one object of nComps components totalling total bytes.
+func (z *Sizer) Add(nComps, total int) {
+	if rec := inlineLen(nComps, total); rec <= page.Capacity(z.pageSize) {
+		z.shared.Add(rec)
+		return
+	}
+	h, d := largeLayout(z.pageSize-disk.SysHeaderSize, nComps, total)
+	z.large += h + d
+}
+
+// Pages returns the pages the objects added so far occupy.
+func (z *Sizer) Pages() int { return z.shared.Pages() + z.large }
+
+// encodeInline returns the small-object record of comps, in the store's
+// record scratch: the heap copies it into its page and retains nothing.
+func (s *Store) encodeInline(comps []Component) []byte {
+	dst := append(s.recScratch[:0], byte(len(comps)>>8), byte(len(comps)))
+	for _, c := range comps {
+		dst = append(dst, c.Tag, byte(len(c.Data)>>8), byte(len(c.Data)))
 	}
 	for _, c := range comps {
-		buf = append(buf, c.Data...)
+		dst = append(dst, c.Data...)
 	}
-	return buf
+	s.recScratch = dst
+	return dst
 }
 
-func decodeInline(rec []byte) ([]Component, error) {
-	if len(rec) < inlinePrologue {
-		return nil, fmt.Errorf("%w: short inline object", ErrBadRef)
-	}
-	n := int(binary.BigEndian.Uint16(rec))
-	if len(rec) < inlinePrologue+inlineEntry*n {
-		return nil, fmt.Errorf("%w: truncated inline directory", ErrBadRef)
-	}
-	comps := make([]Component, n)
-	off := inlinePrologue + inlineEntry*n
-	for i := 0; i < n; i++ {
-		base := inlinePrologue + inlineEntry*i
-		tag := rec[base]
-		l := int(binary.BigEndian.Uint16(rec[base+1:]))
-		if off+l > len(rec) {
-			return nil, fmt.Errorf("%w: truncated inline component %d", ErrBadRef, i)
-		}
-		data := make([]byte, l)
-		copy(data, rec[off:off+l])
-		comps[i] = Component{Tag: tag, Data: data}
-		off += l
-	}
-	return comps, nil
+// largeLayout returns the header and data pages of a large object with
+// nComps components totalling total bytes, at eff payload bytes per page.
+// Insert, ReplaceAll and Sizer all size objects with it, so a sizing pass
+// cannot drift from what an insert occupies.
+func largeLayout(eff, nComps, total int) (headerPages, dataPages int) {
+	headerPages = (dirPrologue + dirEntry*nComps + eff - 1) / eff
+	return headerPages, max(1, (total+eff-1)/eff)
 }
 
-func (s *Store) insertLarge(comps []Component) (Ref, error) {
-	eff := s.effSize()
-	dirBytes := dirPrologue + dirEntry*len(comps)
-	headerPages := (dirBytes + eff - 1) / eff
-	total := 0
+// measure sizes comps as a large object.
+func (s *Store) measure(comps []Component) (headerPages, dataPages, total int) {
 	for _, c := range comps {
 		total += len(c.Data)
 	}
-	dataPages := (total + eff - 1) / eff
-	if dataPages == 0 {
-		dataPages = 1
+	headerPages, dataPages = largeLayout(s.effSize(), len(comps), total)
+	return headerPages, dataPages, total
+}
+
+// compose lays a measured object out as page images in the store's image
+// scratch: the directory across the header pages, the component bytes
+// back to back across the data pages, straight from comps. The images
+// are staging only, valid until the next compose: WriteRun and the frame
+// copy in ReplaceAll take the bytes and retain nothing.
+func (s *Store) compose(comps []Component, headerPages, dataPages, total int) [][]byte {
+	ps, eff := s.dev.PageSize(), s.effSize()
+	n := headerPages + dataPages
+	if cap(s.imgBlock) < n*ps {
+		s.imgBlock = make([]byte, n*ps)
 	}
+	block := s.imgBlock[:n*ps]
+	clear(block) // padding and system headers are zero on disk
+	images := s.imgScratch[:0]
+	for i := 0; i < n; i++ {
+		images = append(images, block[i*ps:(i+1)*ps:(i+1)*ps])
+	}
+	s.imgScratch = images
+
+	var e [dirEntry]byte
+	binary.BigEndian.PutUint16(e[:], uint16(len(comps)))
+	binary.BigEndian.PutUint32(e[2:], uint32(total))
+	spill(images, eff, 0, e[:dirPrologue])
+	off := 0
+	for i, c := range comps {
+		e[0] = c.Tag
+		binary.BigEndian.PutUint32(e[1:], uint32(off))
+		binary.BigEndian.PutUint32(e[5:], uint32(len(c.Data)))
+		spill(images, eff, dirPrologue+dirEntry*i, e[:])
+		spill(images[headerPages:], eff, off, c.Data)
+		off += len(c.Data)
+	}
+	return images
+}
+
+// spill copies b into the payload areas of images, at offset pos of the
+// byte stream they hold (eff bytes per page).
+func spill(images [][]byte, eff, pos int, b []byte) {
+	for len(b) > 0 {
+		n := copy(images[pos/eff][disk.SysHeaderSize+pos%eff:], b)
+		b, pos = b[n:], pos+n
+	}
+}
+
+func (s *Store) insertLarge(comps []Component) (Ref, error) {
+	headerPages, dataPages, total := s.measure(comps)
 	if headerPages > 0xFFFF || dataPages > 0xFFFF {
 		return Ref{}, fmt.Errorf("longobj: object too large: %d header, %d data pages", headerPages, dataPages)
 	}
@@ -211,30 +275,10 @@ func (s *Store) insertLarge(comps []Component) (Ref, error) {
 	if err != nil {
 		return Ref{}, err
 	}
-	images := make([][]byte, headerPages+dataPages)
-	for i := range images {
-		images[i] = make([]byte, s.dev.PageSize())
-	}
-	// Directory into header pages.
-	dir := make([]byte, dirBytes)
-	binary.BigEndian.PutUint16(dir, uint16(len(comps)))
-	binary.BigEndian.PutUint32(dir[2:], uint32(total))
-	off := 0
-	for i, c := range comps {
-		base := dirPrologue + dirEntry*i
-		dir[base] = c.Tag
-		binary.BigEndian.PutUint32(dir[base+1:], uint32(off))
-		binary.BigEndian.PutUint32(dir[base+5:], uint32(len(c.Data)))
-		off += len(c.Data)
-	}
-	spill(dir, images[:headerPages])
-	// Component byte stream into data pages.
-	stream := make([]byte, 0, total)
-	for _, c := range comps {
-		stream = append(stream, c.Data...)
-	}
-	spill(stream, images[headerPages:])
-	if err := s.dev.WriteRun(start, images); err != nil {
+	if err := s.dev.WriteRun(start, s.compose(comps, headerPages, dataPages, total)); err != nil {
+		// The run is claimed but references nothing: back to the map, as
+		// claimRun itself does, or a failed write leaks it for good.
+		s.freeRun(start, headerPages+dataPages)
 		return Ref{}, err
 	}
 	s.large++
@@ -242,15 +286,6 @@ func (s *Store) insertLarge(comps []Component) (Ref, error) {
 	s.dataPages += dataPages
 	s.dataBytes += int64(total)
 	return Ref{Start: start, HeaderPages: uint16(headerPages), DataPages: uint16(dataPages)}, nil
-}
-
-// spill copies b across the payload areas of the given page images.
-func spill(b []byte, images [][]byte) {
-	for i := 0; len(b) > 0 && i < len(images); i++ {
-		payload := images[i][disk.SysHeaderSize:]
-		n := copy(payload, b)
-		b = b[n:]
-	}
 }
 
 // dirEntryAt decodes directory entry i from the header byte stream.
@@ -445,25 +480,13 @@ func (s *Store) scratch(scratch bool, n, total int) ([]Component, []byte) {
 
 func (s *Store) readAll(ref Ref, scratch bool) ([]Component, error) {
 	if ref.Small {
-		if !scratch {
-			// decodeInline copies every component out of the record, so
-			// decoding under the page view is safe and the record-sized
-			// staging copy heap.Get would make disappears. Same single
-			// buffer fix either way — the paper counters cannot move.
-			var comps []Component
-			err := s.shared.View(ref.RID, func(rec []byte) error {
-				var err error
-				comps, err = decodeInline(rec)
-				return err
-			})
-			return comps, err
-		}
-		// Scratch path: decode straight out of the heap page view, so
-		// even the record copy disappears.
+		// Decode straight out of the heap page view: decodeInline copies
+		// every component out of the record, so nothing aliases the frame
+		// and the record-sized staging copy heap.Get would make disappears.
 		var comps []Component
 		err := s.shared.View(ref.RID, func(rec []byte) error {
 			var err error
-			comps, err = s.decodeInlineShared(rec)
+			comps, err = s.decodeInline(rec, scratch)
 			return err
 		})
 		return comps, err
@@ -476,9 +499,10 @@ func (s *Store) readAll(ref Ref, scratch bool) ([]Component, error) {
 	return s.fillSpans(spans, total, scratch, dataStart, s.pageRun(dataStart, int(ref.DataPages)))
 }
 
-// decodeInlineShared is decodeInline over the store scratch; see
-// ReadAllShared for the aliasing contract.
-func (s *Store) decodeInlineShared(rec []byte) ([]Component, error) {
+// decodeInline cuts the components of a small-object record out of one
+// block: the store scratch (see ReadAllShared for the aliasing contract)
+// or, for the plain contract, a fresh one that belongs to the caller.
+func (s *Store) decodeInline(rec []byte, scratch bool) ([]Component, error) {
 	if len(rec) < inlinePrologue {
 		return nil, fmt.Errorf("%w: short inline object", ErrBadRef)
 	}
@@ -498,7 +522,7 @@ func (s *Store) decodeInlineShared(rec []byte) ([]Component, error) {
 		}
 		total += l
 	}
-	comps, block := s.scratch(true, n, total)
+	comps, block := s.scratch(scratch, n, total)
 	off := end
 	pos := 0
 	for i := 0; i < n; i++ {
@@ -568,62 +592,21 @@ func (s *Store) ReadParts(ref Ref, want func(tag uint8, idx int) bool) ([]Compon
 // implemented in DASDBS as a single 'replace set of tuples' operation").
 func (s *Store) ReplaceAll(ref Ref, comps []Component) error {
 	if ref.Small {
-		rec := encodeInline(comps)
+		rec := s.encodeInline(comps)
 		if len(rec) > page.Capacity(s.dev.PageSize()) {
 			return fmt.Errorf("%w: small object grows beyond a page", ErrResize)
 		}
 		return s.shared.Update(ref.RID, rec)
 	}
-	eff := s.effSize()
-	dirBytes := dirPrologue + dirEntry*len(comps)
-	headerPages := (dirBytes + eff - 1) / eff
-	total := 0
-	for _, c := range comps {
-		total += len(c.Data)
-	}
-	dataPages := (total + eff - 1) / eff
-	if dataPages == 0 {
-		dataPages = 1
-	}
+	headerPages, dataPages, total := s.measure(comps)
 	if headerPages != int(ref.HeaderPages) || dataPages != int(ref.DataPages) {
 		return fmt.Errorf("%w: %dh+%dd -> %dh+%dd", ErrResize,
 			ref.HeaderPages, ref.DataPages, headerPages, dataPages)
 	}
-	dir := make([]byte, dirBytes)
-	binary.BigEndian.PutUint16(dir, uint16(len(comps)))
-	binary.BigEndian.PutUint32(dir[2:], uint32(total))
-	off := 0
-	for i, c := range comps {
-		base := dirPrologue + dirEntry*i
-		dir[base] = c.Tag
-		binary.BigEndian.PutUint32(dir[base+1:], uint32(off))
-		binary.BigEndian.PutUint32(dir[base+5:], uint32(len(c.Data)))
-		off += len(c.Data)
-	}
-	stream := make([]byte, 0, total)
-	for _, c := range comps {
-		stream = append(stream, c.Data...)
-	}
+	images := s.compose(comps, headerPages, dataPages, total)
 	return s.visitPages(s.pageRun(ref.Start, ref.Pages()), true, func(i int, payload []byte) {
-		var src []byte
-		if i < headerPages {
-			src = tail(dir, i*eff)
-		} else {
-			src = tail(stream, (i-headerPages)*eff)
-		}
-		n := copy(payload, src)
-		for j := n; j < len(payload); j++ {
-			payload[j] = 0
-		}
+		copy(payload, images[i][disk.SysHeaderSize:])
 	})
-}
-
-// tail returns b[off:] or nil when off is past the end.
-func tail(b []byte, off int) []byte {
-	if off >= len(b) {
-		return nil
-	}
-	return b[off:]
 }
 
 // Replace stores the new component set for an existing object. When the
@@ -732,7 +715,7 @@ func (s *Store) ChangeComponent(ref Ref, idx int, data []byte) (int, error) {
 		var comps []Component
 		if err := s.shared.View(ref.RID, func(rec []byte) error {
 			var err error
-			comps, err = decodeInline(rec)
+			comps, err = s.decodeInline(rec, false)
 			return err
 		}); err != nil {
 			return 0, err
@@ -744,7 +727,7 @@ func (s *Store) ChangeComponent(ref Ref, idx int, data []byte) (int, error) {
 			return 0, fmt.Errorf("%w: %d -> %d bytes", ErrSameLen, len(comps[idx].Data), len(data))
 		}
 		comps[idx].Data = data
-		if err := s.shared.Update(ref.RID, encodeInline(comps)); err != nil {
+		if err := s.shared.Update(ref.RID, s.encodeInline(comps)); err != nil {
 			return 0, err
 		}
 		if err := s.pool.FlushPages([]disk.PageID{ref.RID.Page}); err != nil {

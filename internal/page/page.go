@@ -44,6 +44,28 @@ func Capacity(pageSize int) int {
 	return pageSize - disk.SysHeaderSize - headerSize - slotSize
 }
 
+// Packing predicts, in plain arithmetic, how Insert fills one page that
+// never sees a Delete or a resizing Update — a page under bulk load. It
+// is what a sizing pass counts pages with before any page exists.
+type Packing struct {
+	free int // bytes left between the slot directory and the records
+}
+
+// NewPacking describes a freshly formatted page of the given raw size.
+func NewPacking(pageSize int) Packing {
+	return Packing{free: pageSize - disk.SysHeaderSize - headerSize}
+}
+
+// Add accounts for one record of n bytes and its slot; false means the
+// record does not fit (CanFit would say no) and nothing changed.
+func (p *Packing) Add(n int) bool {
+	if n+slotSize > p.free {
+		return false
+	}
+	p.free -= n + slotSize
+	return true
+}
+
 // Init formats the page as an empty slotted page.
 func (p Page) Init() {
 	for i := range p.buf {

@@ -350,3 +350,26 @@ func anyKey(m map[int][]byte, rng *xrand.Source) (int, bool) {
 	}
 	return keys[rng.Intn(len(keys))], true
 }
+
+// TestPackingMatchesInsert pins the sizing arithmetic to the page: on a
+// page that only ever sees Inserts, Packing.Add answers exactly what
+// CanFit answers, record after record, until the page is full.
+func TestPackingMatchesInsert(t *testing.T) {
+	rng := xrand.New(11)
+	for round := 0; round < 200; round++ {
+		p, pk := newPage(), NewPacking(disk.DefaultPageSize)
+		for {
+			n := rng.Intn(Capacity(disk.DefaultPageSize)/(1+rng.Intn(40)) + 1)
+			fits := p.CanFit(n)
+			if got := pk.Add(n); got != fits {
+				t.Fatalf("round %d: Packing says %v for %d bytes, the page says %v (%d free)", round, got, n, fits, p.FreeFor())
+			}
+			if !fits {
+				break
+			}
+			if _, err := p.Insert(rec(1, n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

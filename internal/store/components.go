@@ -31,8 +31,11 @@ var RootType = nf2.MustTupleType("StationRoot",
 // EncodeRoot serializes a root record; the result has a fixed size, which
 // is what makes query 3's "update atomic attributes" a same-size in-place
 // operation for every storage model.
-func EncodeRoot(r cobench.RootRecord) ([]byte, error) {
-	return RootType.Encode(nf2.NewTuple(
+func EncodeRoot(r cobench.RootRecord) ([]byte, error) { return appendRoot(nil, r) }
+
+// appendRoot appends the encoded root record to dst.
+func appendRoot(dst []byte, r cobench.RootRecord) ([]byte, error) {
+	return RootType.AppendEncode(dst, nf2.NewTuple(
 		nf2.IntValue(r.Key),
 		nf2.IntValue(r.NoPlatform),
 		nf2.IntValue(r.NoSeeing),
@@ -59,9 +62,9 @@ func DecodeRootKey(data []byte) (int32, error) {
 	return intAttr(RootType, data, 0)
 }
 
-// encodePlatform serializes one platform subtuple (with nested
-// connections) using the benchmark schema.
-func encodePlatform(p cobench.Platform) ([]byte, error) {
+// appendPlatform appends one encoded platform subtuple (with nested
+// connections, the benchmark schema) to dst.
+func appendPlatform(dst []byte, p cobench.Platform) ([]byte, error) {
 	conns := make([]nf2.Tuple, len(p.Conns))
 	for j, c := range p.Conns {
 		conns[j] = nf2.NewTuple(
@@ -71,12 +74,22 @@ func encodePlatform(p cobench.Platform) ([]byte, error) {
 			nf2.StringValue(c.DepartureTimes),
 		)
 	}
-	return cobench.PlatformType.Encode(nf2.NewTuple(
+	return cobench.PlatformType.AppendEncode(dst, nf2.NewTuple(
 		nf2.IntValue(p.Nr),
 		nf2.IntValue(p.NoLine),
 		nf2.IntValue(p.TicketCode),
 		nf2.StringValue(p.Information),
 		nf2.RelValue(conns),
+	))
+}
+
+func appendSightseeing(dst []byte, g cobench.Sightseeing) ([]byte, error) {
+	return cobench.SightseeingType.AppendEncode(dst, nf2.NewTuple(
+		nf2.IntValue(g.Nr),
+		nf2.StringValue(g.Description),
+		nf2.StringValue(g.Location),
+		nf2.StringValue(g.History),
+		nf2.StringValue(g.Remarks),
 	))
 }
 
@@ -99,38 +112,37 @@ func appendPlatformChildren(dst []int32, data []byte) ([]int32, error) {
 	return dst, err
 }
 
-func encodeSightseeing(g cobench.Sightseeing) ([]byte, error) {
-	return cobench.SightseeingType.Encode(nf2.NewTuple(
-		nf2.IntValue(g.Nr),
-		nf2.StringValue(g.Description),
-		nf2.StringValue(g.Location),
-		nf2.StringValue(g.History),
-		nf2.StringValue(g.Remarks),
-	))
-}
-
-// EncodeComponents splits a station into its direct-storage components:
-// the root record first (so it lands on the first data page), then the
-// platforms, then the sightseeings.
-func EncodeComponents(s *cobench.Station) ([]longobj.Component, error) {
-	root, err := EncodeRoot(s.Root())
-	if err != nil {
+// components splits a station into its direct-storage components: the
+// root record first (so it lands on the first data page), then the
+// platforms, then the sightseeings. All of them are encoded into the
+// model's one encode buffer and alias it, so they are to be consumed —
+// longobj copies what it stores — before the next call. (A component cut
+// before the buffer had to grow keeps the array it was cut from, so
+// growth never invalidates one.)
+func (m *direct) components(s *cobench.Station) ([]longobj.Component, error) {
+	buf, comps := m.enc[:0], m.comps[:0]
+	defer func() { m.enc, m.comps = buf, comps }()
+	cut := func(tag uint8, from int) {
+		comps = append(comps, longobj.Component{Tag: tag, Data: buf[from:len(buf):len(buf)]})
+	}
+	var err error
+	if buf, err = appendRoot(buf, s.Root()); err != nil {
 		return nil, err
 	}
-	comps := []longobj.Component{{Tag: TagRoot, Data: root}}
+	cut(TagRoot, 0)
 	for _, p := range s.Platforms {
-		data, err := encodePlatform(p)
-		if err != nil {
+		from := len(buf)
+		if buf, err = appendPlatform(buf, p); err != nil {
 			return nil, err
 		}
-		comps = append(comps, longobj.Component{Tag: TagPlatform, Data: data})
+		cut(TagPlatform, from)
 	}
 	for _, g := range s.Seeings {
-		data, err := encodeSightseeing(g)
-		if err != nil {
+		from := len(buf)
+		if buf, err = appendSightseeing(buf, g); err != nil {
 			return nil, err
 		}
-		comps = append(comps, longobj.Component{Tag: TagSightseeing, Data: data})
+		cut(TagSightseeing, from)
 	}
 	return comps, nil
 }

@@ -26,6 +26,8 @@ type direct struct {
 	addr    []longobj.Ref
 	keyIdx  map[int32]int
 	asm     assembler
+	enc     []byte              // encode buffer of the object being stored
+	comps   []longobj.Component // its components, aliasing enc
 }
 
 func newDirect(e *Engine, partial bool) *direct {
@@ -60,8 +62,15 @@ func (m *direct) Load(stations []*cobench.Station) error {
 	if len(m.addr) > 0 {
 		return fmt.Errorf("store: %s already loaded", m.Kind())
 	}
+	// Sizing pass: reserve the arena the inserts below will fill.
+	sizer := longobj.NewSizer(m.eng.Dev.PageSize())
+	for _, s := range stations {
+		sizer.Add(componentsSize(s))
+	}
+	m.eng.Dev.Reserve(sizer.Pages())
+	m.addr = make([]longobj.Ref, 0, len(stations))
 	for i, s := range stations {
-		comps, err := EncodeComponents(s)
+		comps, err := m.components(s)
 		if err != nil {
 			return fmt.Errorf("store: encode station %d: %w", i, err)
 		}
@@ -321,7 +330,7 @@ func (m *direct) UpdateObject(i int, mutate func(s *cobench.Station) error) erro
 	}
 	st.NoPlatform = int32(len(st.Platforms))
 	st.NoSeeing = int32(len(st.Seeings))
-	comps, err := EncodeComponents(st)
+	comps, err := m.components(st)
 	if err != nil {
 		return err
 	}

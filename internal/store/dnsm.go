@@ -69,6 +69,7 @@ type dnsm struct {
 	refs   [][4]longobj.Ref // station, platform, connection, sightseeing
 	keyIdx map[int32]int
 	asm    assembler
+	enc    []byte // encode buffer of the station being stored
 }
 
 // positions in refs entries.
@@ -78,6 +79,9 @@ const (
 	dnsmConnection
 	dnsmSightseeing
 )
+
+// dnsmTypes lists the four relation schemas by refs position.
+var dnsmTypes = [4]*nf2.TupleType{dnsmStationType, dnsmPlatformType, dnsmConnectionType, dnsmSightseeingType}
 
 func newDNSM(e *Engine) *dnsm {
 	return &dnsm{
@@ -99,13 +103,13 @@ func (m *dnsm) Engine() *Engine { return m.eng }
 // NumObjects implements Model.
 func (m *dnsm) NumObjects() int { return len(m.refs) }
 
-// encode the four nested tuples of one station.
-func dnsmTuples(s *cobench.Station) (station, plat, conn, seeing []byte, err error) {
-	if station, err = EncodeRoot(s.Root()); err != nil {
-		return
-	}
+// tuples encodes the four nested tuples of one station, by relation slot,
+// into the model's one encode buffer: they alias it and are to be stored
+// — longobj copies what it stores — before the next call. (A tuple cut
+// before the buffer had to grow keeps the array it was cut from.)
+func (m *dnsm) tuples(s *cobench.Station) (recs [4][]byte, err error) {
 	pts := make([]nf2.Tuple, len(s.Platforms))
-	cts := make([]nf2.Tuple, 0, len(s.Platforms))
+	cts := make([]nf2.Tuple, len(s.Platforms))
 	for i, p := range s.Platforms {
 		pts[i] = nf2.NewTuple(
 			nf2.IntValue(int32(i+1)),
@@ -123,13 +127,7 @@ func dnsmTuples(s *cobench.Station) (station, plat, conn, seeing []byte, err err
 				nf2.StringValue(c.DepartureTimes),
 			)
 		}
-		cts = append(cts, nf2.NewTuple(nf2.IntValue(int32(i+1)), nf2.RelValue(inner)))
-	}
-	if plat, err = dnsmPlatformType.Encode(nf2.NewTuple(nf2.IntValue(s.Key), nf2.RelValue(pts))); err != nil {
-		return
-	}
-	if conn, err = dnsmConnectionType.Encode(nf2.NewTuple(nf2.IntValue(s.Key), nf2.RelValue(cts))); err != nil {
-		return
+		cts[i] = nf2.NewTuple(nf2.IntValue(int32(i+1)), nf2.RelValue(inner))
 	}
 	gts := make([]nf2.Tuple, len(s.Seeings))
 	for i, g := range s.Seeings {
@@ -141,8 +139,22 @@ func dnsmTuples(s *cobench.Station) (station, plat, conn, seeing []byte, err err
 			nf2.StringValue(g.Remarks),
 		)
 	}
-	seeing, err = dnsmSightseeingType.Encode(nf2.NewTuple(nf2.IntValue(s.Key), nf2.RelValue(gts)))
-	return
+	buf := m.enc[:0]
+	defer func() { m.enc = buf }()
+	rels := [4][]nf2.Tuple{dnsmPlatform: pts, dnsmConnection: cts, dnsmSightseeing: gts}
+	for slot, tt := range dnsmTypes {
+		from := len(buf)
+		if slot == dnsmStation {
+			buf, err = appendRoot(buf, s.Root())
+		} else {
+			buf, err = tt.AppendEncode(buf, nf2.NewTuple(nf2.IntValue(s.Key), nf2.RelValue(rels[slot])))
+		}
+		if err != nil {
+			return recs, err
+		}
+		recs[slot] = buf[from:len(buf):len(buf)]
+	}
+	return recs, nil
 }
 
 // Load implements Model.
@@ -150,20 +162,32 @@ func (m *dnsm) Load(stations []*cobench.Station) error {
 	if len(m.refs) > 0 {
 		return fmt.Errorf("store: %s already loaded", m.Kind())
 	}
+	// Sizing pass: reserve the arena the inserts below will fill.
+	var sizers [4]longobj.Sizer
+	for slot := range sizers {
+		sizers[slot] = longobj.NewSizer(m.eng.Dev.PageSize())
+	}
+	for _, s := range stations {
+		for slot, size := range dnsmSizes(s) {
+			sizers[slot].Add(1, size)
+		}
+	}
+	pages := 0
+	for _, z := range sizers {
+		pages += z.Pages()
+	}
+	m.eng.Dev.Reserve(pages)
+	m.refs = make([][4]longobj.Ref, 0, len(stations))
 	for i, s := range stations {
-		st, pl, co, se, err := dnsmTuples(s)
+		recs, err := m.tuples(s)
 		if err != nil {
 			return fmt.Errorf("store: encode station %d: %w", i, err)
 		}
 		var entry [4]longobj.Ref
-		for slot, rec := range map[int][]byte{
-			dnsmStation: st, dnsmPlatform: pl, dnsmConnection: co, dnsmSightseeing: se,
-		} {
-			ref, err := m.storeFor(slot).Insert([]longobj.Component{{Tag: 0, Data: rec}})
-			if err != nil {
+		for slot, rec := range recs {
+			if entry[slot], err = m.storeFor(slot).Insert([]longobj.Component{{Tag: 0, Data: rec}}); err != nil {
 				return fmt.Errorf("store: insert station %d slot %d: %w", i, slot, err)
 			}
-			entry[slot] = ref
 		}
 		m.refs = append(m.refs, entry)
 		m.keyIdx[s.Key] = i
@@ -211,7 +235,7 @@ var (
 func (m *dnsm) assemble(i int) (*cobench.Station, error) {
 	var recs [4][]byte
 	strBytes := 0
-	for slot, tt := range [...]*nf2.TupleType{dnsmStationType, dnsmPlatformType, dnsmConnectionType, dnsmSightseeingType} {
+	for slot, tt := range dnsmTypes {
 		rec, err := m.readTuple(slot, i)
 		if err != nil {
 			return nil, err
@@ -408,13 +432,11 @@ func (m *dnsm) UpdateObject(i int, mutate func(s *cobench.Station) error) error 
 	}
 	st.NoPlatform = int32(len(st.Platforms))
 	st.NoSeeing = int32(len(st.Seeings))
-	stRec, plRec, coRec, seRec, err := dnsmTuples(st)
+	recs, err := m.tuples(st)
 	if err != nil {
 		return err
 	}
-	for slot, rec := range map[int][]byte{
-		dnsmStation: stRec, dnsmPlatform: plRec, dnsmConnection: coRec, dnsmSightseeing: seRec,
-	} {
+	for slot, rec := range recs {
 		ref, err := m.storeFor(slot).Replace(m.refs[i][slot], []longobj.Component{{Tag: 0, Data: rec}})
 		if err != nil {
 			return err

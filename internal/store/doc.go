@@ -40,11 +40,45 @@
 // and child references they need with Record.Int and assemble nothing
 // they do not return.
 //
+// # Loading
+//
+// The paper treats loading the extension as dictionary-level work outside
+// the counted I/O; here it is the dominant cost of every sweep point, so a
+// load is built in place. Load starts with a sizing pass (sizing.go): it
+// walks the extension, counts the pages the inserts will allocate and
+// reserves them on the device in one piece (disk.Disk.Reserve). No size
+// is written down anywhere — tuple sizes are nf2's EncodedSize applied to
+// hollow tuples (STR attributes are fixed-width, so only the fan-outs
+// matter) and page counts come from heap.Sizer and longobj.Sizer, which
+// share their arithmetic with the insert paths — so the pass cannot drift
+// from the encoder, and when it misses something (the counted-index
+// ablation's B+-trees) the device's doubling fallback takes over. The
+// inserts then encode each station's sub-tuples into one reused buffer
+// per model (nf2.AppendEncode) and longobj lays large objects out in
+// reused page images, so the arena is what a load allocates.
+//
+// LoadBase(kind, opts, stations) is the way to build a SharedBase from an
+// extension: it loads into a heap arena and then hands that arena over —
+// disk.Disk.Detach to disk.NewBaseArena — as the base's floor. Nothing is
+// copied; the loader never leaves the function, and its engine is dead
+// once the arena has a new owner (disk.ErrDetached). Freeze is for a
+// model that lives on: it copies the arena, sized exactly, so the base
+// never sees the model's later writes.
+//
+// Kind.Layout names the physical layout a kind is stored in. DSM and
+// DASDBS-DSM are one layout read with two access strategies (§3.1/§3.2):
+// the same arena, the same directory metadata, only the read and update
+// strategy differs. So a base of that layout serves views of both kinds —
+// SharedBase.NewViewAs / OpenAs, the view carries its own kind — and the
+// experiment harness keys its base cache by layout and loads the direct
+// layout once per sweep point, not twice. (The server and the .codb entry
+// table keep one base per kind: their commits belong to a model.)
+//
 // An Engine (device + buffer pool) backs each model; engines are opened
 // from a disk.BackendSpec, so where the page bytes live (heap, file, or a
 // copy-on-write overlay) is a configuration choice that never changes the
-// measured counters. A loaded model can be frozen into an immutable
-// SharedBase (Freeze) from which any number of copy-on-write views open
+// measured counters. A loaded model becomes an immutable SharedBase
+// (LoadBase, Freeze) from which any number of copy-on-write views open
 // cheaply — one loaded extension shared across every worker of the
 // parallel experiment matrix. Engine.Close on a view releases only the
 // view's private overlay; the base arena itself is reference counted
@@ -52,8 +86,9 @@
 // are gone, so a SharedBase.Release never pulls a mapped snapshot out
 // from under a running query.
 //
-// BaseCache keys frozen bases by (model kind, page size, generator
-// configuration): the deterministic generator makes equal keys equal
+// BaseCache keys frozen bases by (model kind — callers that share
+// layouts pass Kind.Layout —, page size, generator configuration): the
+// deterministic generator makes equal keys equal
 // databases, so every fan-out experiment — the matrix, the sweeps,
 // repeated CLI runs within one process — can route model acquisition
 // through one cache and pay for each distinct database exactly once,

@@ -94,6 +94,9 @@ type nsm struct {
 	// model is safe.
 	ridScratch []heap.RID
 
+	// enc is the encode buffer of the tuple being inserted.
+	enc []byte
+
 	// asm assembles point fetches. Its string backing chunks (records are
 	// met one page view at a time, so there is nothing to measure first)
 	// and carries over from fetch to fetch, so no chunk tail is wasted.
@@ -140,75 +143,21 @@ func (m *nsm) Load(stations []*cobench.Station) error {
 	if len(m.stationRID) > 0 {
 		return fmt.Errorf("store: %s already loaded", m.Kind())
 	}
+	m.reserve(stations)
 	for i, s := range stations {
-		root, err := EncodeRoot(s.Root())
-		if err != nil {
+		var err error
+		if m.enc, err = appendRoot(m.enc[:0], s.Root()); err != nil {
 			return err
 		}
-		rid, err := m.stations.Insert(root)
+		rid, err := m.stations.Insert(m.enc)
 		if err != nil {
 			return err
 		}
 		m.stationRID = append(m.stationRID, rid)
 		m.keyIdx[s.Key] = i
-
-		var prids, crids, grids []heap.RID
-		for pi, p := range s.Platforms {
-			pt, err := nsmPlatformType.Encode(nf2.NewTuple(
-				nf2.IntValue(s.Key),
-				nf2.IntValue(int32(pi+1)),
-				nf2.IntValue(p.Nr),
-				nf2.IntValue(p.NoLine),
-				nf2.IntValue(p.TicketCode),
-				nf2.StringValue(p.Information),
-			))
-			if err != nil {
-				return err
-			}
-			prid, err := m.plats.Insert(pt)
-			if err != nil {
-				return err
-			}
-			prids = append(prids, prid)
-			m.nPlats++
-			for _, c := range p.Conns {
-				ct, err := nsmConnectionType.Encode(nf2.NewTuple(
-					nf2.IntValue(s.Key),
-					nf2.IntValue(int32(pi+1)),
-					nf2.IntValue(c.LineNr),
-					nf2.IntValue(c.KeyConnection),
-					nf2.LinkValue(c.OidConnection),
-					nf2.StringValue(c.DepartureTimes),
-				))
-				if err != nil {
-					return err
-				}
-				crid, err := m.conns.Insert(ct)
-				if err != nil {
-					return err
-				}
-				crids = append(crids, crid)
-				m.nConns++
-			}
-		}
-		for _, g := range s.Seeings {
-			gt, err := nsmSightseeingType.Encode(nf2.NewTuple(
-				nf2.IntValue(s.Key),
-				nf2.IntValue(g.Nr),
-				nf2.StringValue(g.Description),
-				nf2.StringValue(g.Location),
-				nf2.StringValue(g.History),
-				nf2.StringValue(g.Remarks),
-			))
-			if err != nil {
-				return err
-			}
-			grid, err := m.seeings.Insert(gt)
-			if err != nil {
-				return err
-			}
-			grids = append(grids, grid)
-			m.nSeeings++
+		prids, crids, grids, err := m.insertSubs(s)
+		if err != nil {
+			return err
 		}
 		m.platRIDs = append(m.platRIDs, prids)
 		m.connRIDs = append(m.connRIDs, crids)
@@ -220,6 +169,101 @@ func (m *nsm) Load(stations []*cobench.Station) error {
 		}
 	}
 	return m.eng.Flush()
+}
+
+// reserve is the sizing pass: it reserves the arena Load's inserts will
+// fill. Every relation is flat, so its tuples have one size.
+func (m *nsm) reserve(stations []*cobench.Station) {
+	var sizers [4]heap.Sizer
+	var sizes [4]int
+	for r, rel := range m.relations() {
+		sizers[r], sizes[r] = heap.NewSizer(m.eng.Dev.PageSize()), flatSize(rel.tt)
+	}
+	for _, s := range stations {
+		counts := [4]int{1, len(s.Platforms), 0, len(s.Seeings)}
+		for _, p := range s.Platforms {
+			counts[2] += len(p.Conns)
+		}
+		for r, n := range counts {
+			for ; n > 0; n-- {
+				sizers[r].Add(sizes[r])
+			}
+		}
+	}
+	pages := 0
+	for _, z := range sizers {
+		pages += z.Pages()
+	}
+	m.eng.Dev.Reserve(pages)
+}
+
+// insert encodes t into the model's one encode buffer and stores it in h,
+// which copies it into a page before the next tuple overwrites the buffer.
+func (m *nsm) insert(h *heap.Heap, tt *nf2.TupleType, t nf2.Tuple) (heap.RID, error) {
+	var err error
+	if m.enc, err = tt.AppendEncode(m.enc[:0], t); err != nil {
+		return heap.RID{}, err
+	}
+	return h.Insert(m.enc)
+}
+
+// insertSubs unnests the sub-objects of s into the three sub-relations,
+// back to back so they cluster, and returns the tuple positions.
+func (m *nsm) insertSubs(s *cobench.Station) (prids, crids, grids []heap.RID, err error) {
+	nConns := 0
+	for _, p := range s.Platforms {
+		nConns += len(p.Conns)
+	}
+	prids = make([]heap.RID, 0, len(s.Platforms))
+	crids = make([]heap.RID, 0, nConns)
+	grids = make([]heap.RID, 0, len(s.Seeings))
+	var rid heap.RID
+	for pi, p := range s.Platforms {
+		rid, err = m.insert(m.plats, nsmPlatformType, nf2.NewTuple(
+			nf2.IntValue(s.Key),
+			nf2.IntValue(int32(pi+1)),
+			nf2.IntValue(p.Nr),
+			nf2.IntValue(p.NoLine),
+			nf2.IntValue(p.TicketCode),
+			nf2.StringValue(p.Information),
+		))
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		prids = append(prids, rid)
+		m.nPlats++
+		for _, c := range p.Conns {
+			rid, err = m.insert(m.conns, nsmConnectionType, nf2.NewTuple(
+				nf2.IntValue(s.Key),
+				nf2.IntValue(int32(pi+1)),
+				nf2.IntValue(c.LineNr),
+				nf2.IntValue(c.KeyConnection),
+				nf2.LinkValue(c.OidConnection),
+				nf2.StringValue(c.DepartureTimes),
+			))
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			crids = append(crids, rid)
+			m.nConns++
+		}
+	}
+	for _, g := range s.Seeings {
+		rid, err = m.insert(m.seeings, nsmSightseeingType, nf2.NewTuple(
+			nf2.IntValue(s.Key),
+			nf2.IntValue(g.Nr),
+			nf2.StringValue(g.Description),
+			nf2.StringValue(g.Location),
+			nf2.StringValue(g.History),
+			nf2.StringValue(g.Remarks),
+		))
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		grids = append(grids, rid)
+		m.nSeeings++
+	}
+	return prids, crids, grids, nil
 }
 
 // buildTrees materializes the disk-resident indexes after the bulk load
@@ -645,63 +689,9 @@ func (m *nsm) UpdateObject(i int, mutate func(s *cobench.Station) error) error {
 	m.nPlats -= len(m.platRIDs[i])
 	m.nConns -= len(m.connRIDs[i])
 	m.nSeeings -= len(m.seeingRIDs[i])
-	var prids, crids, grids []heap.RID
-	for pi, pl := range st.Platforms {
-		pt, err := nsmPlatformType.Encode(nf2.NewTuple(
-			nf2.IntValue(st.Key),
-			nf2.IntValue(int32(pi+1)),
-			nf2.IntValue(pl.Nr),
-			nf2.IntValue(pl.NoLine),
-			nf2.IntValue(pl.TicketCode),
-			nf2.StringValue(pl.Information),
-		))
-		if err != nil {
-			return err
-		}
-		prid, err := m.plats.Insert(pt)
-		if err != nil {
-			return err
-		}
-		prids = append(prids, prid)
-		m.nPlats++
-		for _, c := range pl.Conns {
-			ct, err := nsmConnectionType.Encode(nf2.NewTuple(
-				nf2.IntValue(st.Key),
-				nf2.IntValue(int32(pi+1)),
-				nf2.IntValue(c.LineNr),
-				nf2.IntValue(c.KeyConnection),
-				nf2.LinkValue(c.OidConnection),
-				nf2.StringValue(c.DepartureTimes),
-			))
-			if err != nil {
-				return err
-			}
-			crid, err := m.conns.Insert(ct)
-			if err != nil {
-				return err
-			}
-			crids = append(crids, crid)
-			m.nConns++
-		}
-	}
-	for _, g := range st.Seeings {
-		gt, err := nsmSightseeingType.Encode(nf2.NewTuple(
-			nf2.IntValue(st.Key),
-			nf2.IntValue(g.Nr),
-			nf2.StringValue(g.Description),
-			nf2.StringValue(g.Location),
-			nf2.StringValue(g.History),
-			nf2.StringValue(g.Remarks),
-		))
-		if err != nil {
-			return err
-		}
-		grid, err := m.seeings.Insert(gt)
-		if err != nil {
-			return err
-		}
-		grids = append(grids, grid)
-		m.nSeeings++
+	prids, crids, grids, err := m.insertSubs(st)
+	if err != nil {
+		return err
 	}
 	m.platRIDs[i] = prids
 	m.connRIDs[i] = crids

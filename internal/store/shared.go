@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 
+	"complexobj/cobench"
 	"complexobj/internal/disk"
 )
 
@@ -71,8 +72,9 @@ func NewSharedBase(k Kind, pageSize int, meta []byte, arena *disk.BaseArena) (*S
 // an immutable SharedBase. The model keeps working afterwards (its dirty
 // pages are flushed as a side effect); the base never observes later
 // changes. This is the in-memory counterpart of writing and re-opening a
-// snapshot, at the cost of one arena copy total — instead of one per
-// engine that wants the loaded state.
+// snapshot, at the cost of one arena copy — sized exactly — instead of
+// one per engine that wants the loaded state. A caller that loads a
+// model only to freeze it wants LoadBase, which copies nothing.
 func Freeze(m Model) (*SharedBase, error) {
 	if err := m.Flush(); err != nil {
 		return nil, fmt.Errorf("store: freeze flush %s: %w", m.Kind(), err)
@@ -88,6 +90,47 @@ func Freeze(m Model) (*SharedBase, error) {
 		return nil, fmt.Errorf("store: freeze arena %s: %w", m.Kind(), err)
 	}
 	return NewSharedBase(m.Kind(), dev.PageSize(), meta, disk.NewBaseArena(buf.Bytes()))
+}
+
+// LoadBase builds the shared base of kind k over stations in place: the
+// extension is loaded into a heap arena the sizing pass reserved in one
+// piece, and that arena then becomes the base's floor — one allocation,
+// no copy. The loader never leaves this function; o supplies the page
+// size and fault schedule (the backend spec is superseded: a loader
+// exists to be adopted, and only a heap arena can be).
+func LoadBase(k Kind, o Options, stations []*cobench.Station) (*SharedBase, error) {
+	o.Backend = disk.BackendSpec{Kind: disk.MemArena}
+	m, err := New(k, o)
+	if err != nil {
+		return nil, err
+	}
+	defer m.Engine().Close()
+	if err := m.Load(stations); err != nil {
+		return nil, fmt.Errorf("store: load %s: %w", k, err)
+	}
+	return adopt(m)
+}
+
+// adopt consumes a loaded model over a heap arena: its directory metadata
+// and the arena itself — detached from the device, not copied — become an
+// immutable SharedBase. The model is dead afterwards: its pool is empty
+// and its device fails every access with disk.ErrDetached.
+func adopt(m Model) (*SharedBase, error) {
+	eng := m.Engine()
+	// Flush, then drop every frame: resident frames borrow arena pages,
+	// and none may outlive the hand-off.
+	if err := eng.ColdCache(); err != nil {
+		return nil, fmt.Errorf("store: adopt flush %s: %w", m.Kind(), err)
+	}
+	meta, err := m.SnapshotMeta()
+	if err != nil {
+		return nil, fmt.Errorf("store: adopt meta %s: %w", m.Kind(), err)
+	}
+	arena, err := eng.Dev.Detach()
+	if err != nil {
+		return nil, fmt.Errorf("store: adopt %s: %w", m.Kind(), err)
+	}
+	return NewSharedBase(m.Kind(), eng.Dev.PageSize(), meta, disk.NewBaseArena(arena))
 }
 
 // Kind returns the storage model the base holds.
@@ -201,8 +244,12 @@ func (b *SharedBase) capture() (baseState, *disk.BaseArena) {
 // comes from the base and must not conflict with a non-zero o.PageSize,
 // and any configured backend spec is superseded by the COW view. Closing
 // the returned model's engine releases only its private overlay.
-func (b *SharedBase) Open(o Options) (Model, error) {
-	v, err := b.NewView(o)
+func (b *SharedBase) Open(o Options) (Model, error) { return b.OpenAs(b.kind, o) }
+
+// OpenAs is Open for a model of kind k, which must share the base's
+// physical layout (see NewViewAs).
+func (b *SharedBase) OpenAs(k Kind, o Options) (Model, error) {
+	v, err := b.NewViewAs(k, o)
 	if err != nil {
 		return nil, err
 	}

@@ -46,6 +46,19 @@ func (k Kind) String() string {
 	}
 }
 
+// Layout returns the kind whose physical layout k's objects are stored
+// in. DSM and DASDBS-DSM are one layout read with two access strategies
+// (§3.1/§3.2: each station one clustered object with an object header,
+// see direct.go), so DASDBS-DSM reports DSM; every other model has a
+// layout of its own. A base loaded for one kind serves views of every
+// kind with that layout (SharedBase.NewViewAs).
+func (k Kind) Layout() Kind {
+	if k == DASDBSDSM {
+		return DSM
+	}
+	return k
+}
+
 // AllKinds lists the storage models in the paper's order.
 func AllKinds() []Kind { return []Kind{DSM, DASDBSDSM, NSM, NSMIndex, DASDBSNSM} }
 

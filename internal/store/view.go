@@ -20,6 +20,7 @@ import (
 // is the base's whole point.
 type View struct {
 	base *SharedBase
+	kind Kind // the model the view runs; shares the base's layout
 	eng  *Engine
 	m    Model
 	st   baseState // the generation this view reads
@@ -35,7 +36,17 @@ type View struct {
 // o.PageSize, and any configured backend spec is superseded by the COW
 // view. A fresh view is an empty engine rebased onto the base — the one
 // way a view lands on a generation.
-func (b *SharedBase) NewView(o Options) (*View, error) {
+func (b *SharedBase) NewView(o Options) (*View, error) { return b.NewViewAs(b.kind, o) }
+
+// NewViewAs is NewView for a model of kind k over a base of the same
+// physical layout (Kind.Layout): the arena and the directory metadata of
+// DSM and DASDBS-DSM are identical, so one loaded base serves both and
+// the view's kind alone selects the access strategy. What the view
+// commits belongs to the base, whatever kind wrote it.
+func (b *SharedBase) NewViewAs(k Kind, o Options) (*View, error) {
+	if k.Layout() != b.kind.Layout() {
+		return nil, fmt.Errorf("store: %s view requested over a base of the %s layout", k, b.kind.Layout())
+	}
 	if o.PageSize != 0 && o.PageSize != b.pageSize {
 		return nil, fmt.Errorf("store: page size %d requested, shared base has %d", o.PageSize, b.pageSize)
 	}
@@ -48,7 +59,7 @@ func (b *SharedBase) NewView(o Options) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &View{base: b, eng: eng}
+	v := &View{base: b, kind: k, eng: eng}
 	if err := v.Rebase(); err != nil {
 		eng.Close()
 		return nil, fmt.Errorf("store: open shared base %s: %w", b.kind, err)
@@ -148,7 +159,7 @@ func (v *View) Rebase() error {
 // restore replaces the view's model with a fresh one over the same engine,
 // its directory metadata read from meta.
 func (v *View) restore(meta []byte) error {
-	m := NewWithEngine(v.base.kind, v.eng)
+	m := NewWithEngine(v.kind, v.eng)
 	if err := m.RestoreMeta(meta); err != nil {
 		return err
 	}

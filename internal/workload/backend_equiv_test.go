@@ -12,8 +12,10 @@ import (
 // counter level: the full paper query matrix, run on every storage model,
 // produces bit-identical iostat counters (page I/Os, I/O calls, buffer
 // fixes and hits) whether the device arena lives in memory, on a mmap'ed
-// file, or in a copy-on-write overlay — both the bare overlay ("cow" with
-// no base) and a view of a frozen shared base. The backend moves bytes,
+// file, or in a copy-on-write overlay — the bare overlay ("cow" with no
+// base), a view of a frozen shared base, and a view of the base loaded in
+// place for the model's physical layout (for DASDBS-DSM that is a DSM
+// base: one layout, two access strategies). The backend moves bytes,
 // never measurements.
 func TestBackendCounterEquivalence(t *testing.T) {
 	stations, err := cobench.Generate(cobench.DefaultConfig().WithN(80))
@@ -60,6 +62,19 @@ func TestBackendCounterEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			got["cow-shared-base"] = measure(view)
+			// The layout's base, loaded in place, read with k's strategy.
+			layoutBase, err := store.LoadBase(k.Layout(), store.Options{}, stations)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer layoutBase.Release()
+			if view, err = layoutBase.OpenAs(k, store.Options{BufferPages: 200}); err != nil {
+				t.Fatal(err)
+			}
+			if view.Kind() != k {
+				t.Fatalf("view over the %s base runs %s, want %s", layoutBase.Kind(), view.Kind(), k)
+			}
+			got["cow-layout-base"] = measure(view)
 
 			for name, other := range got {
 				if len(mem) != len(other) {

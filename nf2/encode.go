@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Binary encoding of a tuple (all integers big-endian):
@@ -55,33 +56,45 @@ func (tt *TupleType) EncodedSize(t Tuple) int {
 	return n
 }
 
-// Encode validates t against the schema and serializes it.
-func (tt *TupleType) Encode(t Tuple) ([]byte, error) {
+// Encode validates t against the schema and serializes it into a fresh
+// buffer of exactly the encoded size.
+func (tt *TupleType) Encode(t Tuple) ([]byte, error) { return tt.AppendEncode(nil, t) }
+
+// AppendEncode validates t against the schema and appends its encoding
+// to dst, growing dst at most once: the form for callers that encode many
+// tuples into one buffer they reuse (a bulk load encodes a whole object's
+// sub-tuples this way). On error dst is returned as it was given.
+func (tt *TupleType) AppendEncode(dst []byte, t Tuple) ([]byte, error) {
 	if err := tt.Validate(t); err != nil {
-		return nil, err
+		return dst, err
 	}
 	size := tt.EncodedSize(t)
 	if size > maxEncoded {
-		return nil, fmt.Errorf("%w: %s is %d bytes", ErrTupleTooLarge, tt.Name, size)
+		return dst, fmt.Errorf("%w: %s is %d bytes", ErrTupleTooLarge, tt.Name, size)
 	}
-	buf := make([]byte, 0, size)
-	buf, err := tt.appendTuple(buf, t)
+	buf, err := tt.appendSized(slices.Grow(dst, size), t, size)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	if len(buf) != size {
-		return nil, fmt.Errorf("nf2: internal size mismatch for %s: computed %d, wrote %d",
-			tt.Name, size, len(buf))
+	if len(buf)-len(dst) != size {
+		return dst, fmt.Errorf("nf2: internal size mismatch for %s: computed %d, wrote %d",
+			tt.Name, size, len(buf)-len(dst))
 	}
 	return buf, nil
 }
 
 func (tt *TupleType) appendTuple(buf []byte, t Tuple) ([]byte, error) {
-	base := len(buf)
 	size := tt.EncodedSize(t)
 	if size > maxEncoded {
 		return nil, fmt.Errorf("%w: %s is %d bytes", ErrTupleTooLarge, tt.Name, size)
 	}
+	return tt.appendSized(buf, t, size)
+}
+
+// appendSized is appendTuple for a tuple whose encoded size the caller
+// has computed and checked.
+func (tt *TupleType) appendSized(buf []byte, t Tuple, size int) ([]byte, error) {
+	base := len(buf)
 	buf = append(buf, 0, 0)
 	binary.BigEndian.PutUint16(buf[base:], uint16(size))
 	dirBase := len(buf)
@@ -309,9 +322,13 @@ func (tt *TupleType) VisitRel(buf []byte, i int, fn func(j, n int, elem []byte) 
 // DecodeAttr decodes only attribute i of the encoded tuple, using the
 // offset directory for random access. This is the CPU-level counterpart of
 // the paper's "only the attributes tuples that are needed will be
-// projected/selected" (§2.2): storage models use it to read single
-// attributes (e.g. the child references) without materializing the rest.
-// Every String value is its own allocation.
+// projected/selected" (§2.2). It is the reference partial decoder: the
+// storage models read attributes unboxed through Record (Int, Str) and
+// VisitRel, which share its bounds checks, and DecodeAttr stays as the
+// readable form of the same projection — the differential oracle Record is
+// quick-tested against, and what examples/nf2demo shows. It boxes its
+// result in a Value and gives every String its own allocation, so it is
+// kept off the hot paths rather than tuned for them.
 func (tt *TupleType) DecodeAttr(buf []byte, i int) (Value, error) {
 	if i < 0 || i >= len(tt.Attrs) {
 		return Value{}, tt.rangeErr(i)

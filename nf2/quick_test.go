@@ -1,8 +1,11 @@
 package nf2
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -158,5 +161,50 @@ func TestQuickSingleByteCorruption(t *testing.T) {
 				}
 			}
 		}()
+	}
+}
+
+// Property: AppendEncode(prefix, t) is prefix ‖ Encode(t) — the prefix
+// untouched, the appended bytes those of Encode — and it fails exactly
+// when Encode fails, with the same error, handing the prefix back.
+func TestQuickAppendEncodeAgreesWithEncode(t *testing.T) {
+	agree := func(tt *TupleType, tup Tuple, prefix []byte) bool {
+		kept := append([]byte(nil), prefix...)
+		want, wantErr := tt.Encode(tup)
+		got, gotErr := tt.AppendEncode(prefix, tup)
+		if wantErr != nil || gotErr != nil {
+			return wantErr != nil && gotErr != nil && wantErr.Error() == gotErr.Error() &&
+				want == nil && bytes.Equal(got, kept)
+		}
+		return bytes.Equal(got[:len(kept)], kept) && bytes.Equal(got[len(kept):], want) &&
+			bytes.Equal(prefix, kept)
+	}
+	f := func(q quickTuple, prefix []byte, spare uint8, breakIt uint8) bool {
+		// Room to append in place, or none: both must give the same bytes.
+		prefix = append(make([]byte, 0, len(prefix)+int(spare)*8), prefix...)
+		tup := q.T
+		switch breakIt % 4 {
+		case 1: // a string over its declared capacity
+			tup = Tuple{Vals: append([]Value(nil), tup.Vals...)}
+			tup.Vals[1] = StringValue(strings.Repeat("x", 31))
+		case 2: // wrong arity
+			tup = Tuple{Vals: tup.Vals[:2]}
+		}
+		return agree(quickSchema, tup, prefix)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+	// The size limit: a relation that encodes past 64 KiB.
+	wide := MustTupleType("Wide", Attr{"R", RelType(MustTupleType("Cell", Attr{"S", StringType(1000)}))})
+	big := NewTuple(RelValue(make([]Tuple, 70)))
+	for i := range big.Vals[0].rel {
+		big.Vals[0].rel[i] = NewTuple(StringValue(""))
+	}
+	if _, err := wide.Encode(big); !errors.Is(err, ErrTupleTooLarge) {
+		t.Fatalf("oversized tuple: %v, want ErrTupleTooLarge", err)
+	}
+	if !agree(wide, big, []byte("prefix")) {
+		t.Error("AppendEncode and Encode disagree on an oversized tuple")
 	}
 }
