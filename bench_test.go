@@ -11,8 +11,6 @@
 package complexobj_test
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"complexobj"
@@ -76,32 +74,6 @@ func BenchmarkTable4PageIOs(b *testing.B) {
 		if c, ok := m.Get("DSM", "2b"); ok {
 			b.ReportMetric(c.Pages, "DSM-q2b-pages/loop")
 		}
-	}
-}
-
-// BenchmarkMatrixWorkers measures the full 5-model × 7-query measurement
-// matrix at paper scale: once through the serial path (Workers=1) and once
-// through the bounded (model, query) worker pool sized to the machine
-// (Workers=0 → GOMAXPROCS). Every worker owns its engines, so the speedup
-// scales with cores while the emitted numbers stay byte-identical.
-func BenchmarkMatrixWorkers(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{fmt.Sprintf("gomaxprocs=%d", runtime.GOMAXPROCS(0)), 0},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := benchConfig()
-				cfg.Workers = bc.workers
-				s := experiments.New(cfg)
-				if _, err := s.Matrix(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

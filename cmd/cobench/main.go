@@ -6,26 +6,24 @@
 //	cobench [-model all|dsm|ddsm|nsm|nsmx|dnsm] [-query all|1a|1b|1c|2a|2b|3a|3b]
 //	        [-n 1500] [-buffer 1200] [-loops 300] [-samples 40] [-seed 1993]
 //	        [-skew] [-maxseeing 15] [-metric pages|calls|fixes|writes]
-//	        [-workers 0] [-backend mem|file|file:DIR|cow] [-db snapshot.codb]
+//	        [-workers 0] [-db snapshot.codb]
 //	        [-repeat 1] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	        [-serve-url http://host:8077] [-clients 8] [-rate 0]
 //	        [-faults SPEC] [-report out.json] [-write-frac 0]
 //	        [-soak 2m] [-soak-steps 4] [-soak-rss-mb 64]
 //
-// Each storage model owns an independent simulated engine, so the model
-// rows are measured concurrently by a bounded worker pool (-workers, 0 =
-// GOMAXPROCS); the printed table is identical to a serial run. -backend
-// selects where each engine keeps its page images (counters are identical
-// across backends); -db restores the models from a cogen-built snapshot
-// instead of regenerating and loading the extension.
+// Each storage model is measured on copy-on-write views of its own frozen
+// base, so the model rows are measured concurrently by a bounded worker
+// pool (-workers, 0 = GOMAXPROCS); the printed table is identical for any
+// width. -db maps the bases from a cogen-built snapshot instead of
+// generating and loading the extension.
 //
 // -repeat measures the whole table that many times (the runs are
 // deterministic and identical; the table is printed once) — useful under
-// -cpuprofile/-memprofile to accumulate signal. With -db and -backend
-// cow, each model's snapshot arena is opened exactly once per invocation
-// (mmap'ed read-only where the platform allows) and every repeat gets a
-// fresh copy-on-write view of that one base, instead of re-reading the
-// snapshot per run.
+// -cpuprofile/-memprofile to accumulate signal. Each model's base is
+// built exactly once per invocation — loaded, or mapped from the snapshot
+// read-only where the platform allows — and every repeat gets a fresh
+// view of it.
 //
 // With -serve-url, cobench is a load generator against a running coserve
 // instead of measuring locally: every (model, query) cell becomes an HTTP
@@ -70,7 +68,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"complexobj"
@@ -92,9 +89,8 @@ func main() {
 		skew      = flag.Bool("skew", false, "use the data-skew extension (prob 0.2, fanout 8)")
 		maxSeeing = flag.Int("maxseeing", 15, "maximum sightseeings per station")
 		metric    = flag.String("metric", "pages", "reported metric: pages, calls, fixes or writes")
-		workers   = flag.Int("workers", 0, "concurrent model workers (0 = GOMAXPROCS, 1 = serial)")
-		backend   = flag.String("backend", "mem", "device backend: mem, file, file:DIR or cow")
-		dbPath    = flag.String("db", "", "restore models from this cogen-built .codb snapshot instead of generating")
+		workers   = flag.Int("workers", 0, "model rows measured concurrently (0 = GOMAXPROCS)")
+		dbPath    = flag.String("db", "", "map the models' bases from this cogen-built .codb snapshot instead of generating")
 		repeat    = flag.Int("repeat", 1, "measure the full table this many times (deterministic; printed once)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -115,7 +111,7 @@ func main() {
 		fatal(err)
 	}
 	err = run(*model, *query, *n, *buffer, *loops, *samples, *seed, *skew, *maxSeeing,
-		*metric, *workers, *backend, *dbPath, *repeat, *serveURL, *clients, *rate, *faults,
+		*metric, *workers, *dbPath, *repeat, *serveURL, *clients, *rate, *faults,
 		*reportOut, *soak, *soakSteps, *soakRSS, *writeFrac)
 	if perr := stopProf(); err == nil {
 		err = perr
@@ -128,7 +124,7 @@ func main() {
 // run does all the work, so the profile writers flush on every exit path
 // (os.Exit lives only in main).
 func run(model, query string, n, buffer, loops, samples int, seed uint64, skew bool,
-	maxSeeing int, metric string, workers int, backend, dbPath string, repeat int,
+	maxSeeing int, metric string, workers int, dbPath string, repeat int,
 	serveURL string, clients int, rate float64, faults string,
 	reportPath string, soak time.Duration, soakSteps, soakRSSMB int, writeFrac float64) error {
 
@@ -211,10 +207,11 @@ func run(model, query string, n, buffer, loops, samples int, seed uint64, skew b
 		if perr != nil {
 			return perr
 		}
-		opts := complexobj.Options{BufferPages: buffer, Backend: backend, Faults: plan}
-		bases := newBaseCache(dbPath, backend)
-		defer bases.Close()
-		rows, err = measureModels(models, queries, gen, w, opts, workers, repeat, bases, get)
+		opts := complexobj.Options{BufferPages: buffer, Faults: plan}
+		openBase := func(k complexobj.ModelKind) (*complexobj.Base, error) {
+			return buildBase(k, dbPath, opts, gen)
+		}
+		rows, err = measureModels(models, queries, w, opts, workers, repeat, openBase, get)
 	}
 	if err != nil {
 		return err
@@ -226,77 +223,42 @@ func run(model, query string, n, buffer, loops, samples int, seed uint64, skew b
 	return nil
 }
 
-// baseCache keeps one frozen complexobj.Base per model for the lifetime
-// of the invocation, so that with -db and -backend cow the snapshot arena
-// of a model is opened once (mmap'ed read-only where the platform allows)
-// and every further run — across -repeat iterations and query loops —
-// opens a cheap copy-on-write view instead of re-reading the snapshot.
-// With any other flag combination it stays empty and open falls through
-// to the regular per-run paths.
-type baseCache struct {
-	path  string
-	share bool
-	mu    sync.Mutex
-	bases map[complexobj.ModelKind]*complexobj.Base
-}
-
-func newBaseCache(dbPath, backend string) *baseCache {
-	return &baseCache{
-		path:  dbPath,
-		share: dbPath != "" && backend == "cow",
-		bases: make(map[complexobj.ModelKind]*complexobj.Base),
+// buildBase builds the one frozen base a model is measured on for the
+// whole invocation: mapped from the snapshot when dbPath is set, otherwise
+// generated, loaded and frozen.
+func buildBase(k complexobj.ModelKind, dbPath string, opts complexobj.Options, gen cobench.Config) (*complexobj.Base, error) {
+	if dbPath != "" {
+		return complexobj.OpenBase(dbPath, k)
 	}
-}
-
-// open returns one measurement-ready database: a COW view of the cached
-// base on the shared path, a snapshot restore or a fresh load otherwise.
-func (c *baseCache) open(k complexobj.ModelKind, opts complexobj.Options,
-	gen cobench.Config) (*complexobj.DB, error) {
-	if c.share {
-		c.mu.Lock()
-		base, ok := c.bases[k]
-		if !ok {
-			var err error
-			if base, err = complexobj.OpenBase(c.path, k); err != nil {
-				c.mu.Unlock()
-				return nil, err
-			}
-			c.bases[k] = base
-		}
-		c.mu.Unlock()
-		return base.Open(opts)
+	db, err := complexobj.OpenLoaded(k, opts, gen)
+	if err != nil {
+		return nil, err
 	}
-	if c.path != "" {
-		return complexobj.OpenSnapshot(c.path, k, opts)
-	}
-	return complexobj.OpenLoaded(k, opts, gen)
-}
-
-// Close releases every cached base (dropping snapshot file mappings).
-func (c *baseCache) Close() {
-	for k, base := range c.bases {
-		base.Close()
-		delete(c.bases, k)
-	}
+	defer db.Close()
+	return db.Freeze()
 }
 
 // measureModels runs the selected queries on every model with a bounded
-// worker pool, repeat times. Each run opens its own database (independent
-// simulated device and buffer pool) — a COW view of the invocation-wide
-// cached base, restored from the snapshot, or freshly generated and
-// loaded — so no mutable storage state is shared; runs are deterministic
-// and identical, and rows come back in model order regardless of
-// scheduling.
+// worker pool, repeat times. A model is one unit of the pool: it builds
+// its base once (openBase) and every repeat opens a fresh copy-on-write
+// view of it — an independent simulated device and buffer pool — so no
+// mutable storage state is shared; runs are deterministic and identical,
+// and rows come back in model order regardless of scheduling.
 func measureModels(models []complexobj.ModelKind, queries []cobench.Query,
-	gen cobench.Config, w cobench.Workload, opts complexobj.Options,
-	workers, repeat int, bases *baseCache,
+	w cobench.Workload, opts complexobj.Options, workers, repeat int,
+	openBase func(complexobj.ModelKind) (*complexobj.Base, error),
 	get func(complexobj.QueryResult) float64) ([][]string, error) {
 
 	rows := make([][]string, len(models))
 	err := fanout.Run(len(models), workers, func(idx int) error {
 		k := models[idx]
+		base, err := openBase(k)
+		if err != nil {
+			return err
+		}
+		defer base.Close()
 		for r := 0; r < repeat; r++ {
-			db, err := bases.open(k, opts, gen)
+			db, err := base.Open(opts)
 			if err != nil {
 				return err
 			}

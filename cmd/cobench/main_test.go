@@ -1,6 +1,8 @@
 package main
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"complexobj"
@@ -36,5 +38,42 @@ func TestMetricFn(t *testing.T) {
 	}
 	if _, ok := metricFn("bogus"); ok {
 		t.Error("bogus metric accepted")
+	}
+}
+
+// TestRepeatBuildsEachBaseOnce pins the local measuring path: however
+// often the table is repeated, a model's base is built once and every
+// repeat is a view of it — and the table is the same as a single run's.
+func TestRepeatBuildsEachBaseOnce(t *testing.T) {
+	gen := cobench.DefaultConfig().WithN(60)
+	w := cobench.Workload{Loops: 10, Samples: 4, Seed: 3}
+	opts := complexobj.Options{BufferPages: 64}
+	get, _ := metricFn("pages")
+	models := complexobj.AllModels()
+
+	measure := func(repeat int) ([][]string, map[complexobj.ModelKind]int) {
+		var mu sync.Mutex
+		built := make(map[complexobj.ModelKind]int)
+		rows, err := measureModels(models, cobench.AllQueries(), w, opts, 3, repeat,
+			func(k complexobj.ModelKind) (*complexobj.Base, error) {
+				mu.Lock()
+				built[k]++
+				mu.Unlock()
+				return buildBase(k, "", opts, gen)
+			}, get)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows, built
+	}
+	once, _ := measure(1)
+	thrice, built := measure(3)
+	if !reflect.DeepEqual(once, thrice) {
+		t.Errorf("-repeat 3 prints a different table than -repeat 1:\n%v\n%v", thrice, once)
+	}
+	for _, k := range models {
+		if built[k] != 1 {
+			t.Errorf("%s: base built %d times over 3 repeats, want 1", k, built[k])
+		}
 	}
 }

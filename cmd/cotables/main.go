@@ -6,22 +6,18 @@
 //
 //	cotables [-format text|markdown|csv] [-out DIR]
 //	         [-n 1500] [-buffer 1200] [-loops 300] [-seed 1993] [-clock]
-//	         [-only table4,fig6] [-list] [-workers 0]
-//	         [-backend mem|file|file:DIR|cow] [-db snapshot.codb]
+//	         [-only table4,fig6] [-list] [-workers 0] [-db snapshot.codb]
 //	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	         [-faults SPEC]
 //
-// The measurement matrix behind Tables 4-6 and 8 and the sweep
-// experiments are computed by bounded worker pools with independent
-// engines (-workers, 0 = GOMAXPROCS); the emitted tables are identical to
-// a serial run. -backend selects where the simulated devices keep their
-// page images (the counters are identical across backends); with
-// "-backend cow" the parallel matrix shares one immutable loaded
-// extension per storage model across all workers (copy-on-write views),
-// so memory no longer scales with -workers. -db opens a cogen-built
-// snapshot for the default-extension models instead of regenerating and
-// reloading them; combined with -only (sections are only computed when
-// they match the filter), e.g.
+// Every measured cell — the matrix behind Tables 4-6 and 8 and the sweep
+// experiments — is a copy-on-write view of one immutable loaded extension
+// per storage layout, so memory does not scale with the cell count;
+// -workers (0 = GOMAXPROCS) is how many cells run at once, and the
+// emitted tables are identical for any value. -db maps a cogen-built
+// snapshot in place for the default-extension bases instead of
+// regenerating and reloading them; combined with -only (sections are only
+// computed when they match the filter), e.g.
 //
 //	cotables -db bench.codb -only 'table 4,table 5,table 6'
 //
@@ -60,9 +56,9 @@ func main() {
 	}
 }
 
-// run does all the work, so deferred cleanup (closing the suite's
-// engines, which deletes anonymous file-backend arenas) also happens on
-// the error path — os.Exit lives only in main.
+// run does all the work, so deferred cleanup (closing the suite, which
+// unmaps snapshot-backed bases, and flushing the profiles) also happens
+// on the error path — os.Exit lives only in main.
 func run() error {
 	var (
 		format  = flag.String("format", "text", "output format: text, markdown or csv")
@@ -75,9 +71,8 @@ func run() error {
 		only    = flag.String("only", "", "comma-separated filter over table titles (e.g. 'table 4,figure 6'); unmatched sections are not computed")
 		list    = flag.Bool("list", false, "print every section title -only can match, then exit")
 		charts  = flag.Bool("charts", false, "append ASCII charts of Figures 5 and 6")
-		workers = flag.Int("workers", 0, "concurrent workers for the measurement matrix and sweeps (0 = GOMAXPROCS, 1 = serial)")
-		backend = flag.String("backend", "mem", "device backend: mem, file, file:DIR or cow (cells share frozen bases copy-on-write)")
-		dbPath  = flag.String("db", "", "open this cogen-built .codb snapshot for the default-extension models instead of regenerating")
+		workers = flag.Int("workers", 0, "cells of the measurement matrix and sweeps measured concurrently (0 = GOMAXPROCS)")
+		dbPath  = flag.String("db", "", "map this cogen-built .codb snapshot for the default-extension bases instead of regenerating")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		faults  = flag.String("faults", "", "fault-injection schedule under every suite engine, e.g. seed=7,read=0.02")
@@ -106,7 +101,6 @@ func run() error {
 	cfg.Workload.Loops = *loops
 	cfg.UseClock = *clock
 	cfg.Workers = *workers
-	cfg.Backend = *backend
 	cfg.Snapshot = *dbPath
 	cfg.Faults = *faults
 

@@ -25,7 +25,6 @@ import (
 
 	"complexobj/cobench"
 	"complexobj/internal/buffer"
-	"complexobj/internal/disk"
 	"complexobj/internal/snapshot"
 	"complexobj/internal/store"
 	"complexobj/internal/workload"
@@ -108,14 +107,6 @@ type Options struct {
 	// free in-memory address tables (§5.1). See experiments.IndexAblation
 	// for the quantified effect.
 	CountIndexIO bool
-	// Backend selects where the simulated device keeps its page images:
-	// "" or "mem" for the in-memory arena (default), "file" for a scratch
-	// arena file in the OS temp directory, "file:DIR" for one in DIR,
-	// or "cow" for a copy-on-write overlay arena (reads shared through an
-	// immutable base where one exists — see OpenBase and DB.Freeze — and
-	// private page copies for writes). The backend changes only where the
-	// bytes live; the measured counters are bit-identical across backends.
-	Backend string
 	// Faults, when non-nil, injects the plan's seeded fault schedule
 	// under every engine opened with these options (see ParseFaultPlan).
 	// Injected faults surface as errors; the counters of successful
@@ -125,22 +116,17 @@ type Options struct {
 	Faults *FaultPlan
 }
 
-func (o Options) internal() (store.Options, error) {
-	spec, err := disk.ParseBackendSpec(o.Backend)
-	if err != nil {
-		return store.Options{}, err
-	}
+func (o Options) internal() store.Options {
 	so := store.Options{
 		PageSize:     o.PageSize,
 		BufferPages:  o.BufferPages,
 		CountIndexIO: o.CountIndexIO,
-		Backend:      spec,
 		Faults:       o.Faults.injector(),
 	}
 	if o.ClockReplacement {
 		so.Policy = buffer.Clock
 	}
-	return so, nil
+	return so
 }
 
 // Stats are the I/O counters of a database, the quantities the paper
@@ -168,14 +154,10 @@ type DB struct {
 	model store.Model
 }
 
-// Open creates an empty database under the given storage model and
-// backend spec.
+// Open creates an empty database under the given storage model, over a
+// private in-memory arena.
 func Open(kind ModelKind, opts Options) (*DB, error) {
-	so, err := opts.internal()
-	if err != nil {
-		return nil, err
-	}
-	m, err := store.New(kind.internal(), so)
+	m, err := store.New(kind.internal(), opts.internal())
 	if err != nil {
 		return nil, err
 	}
@@ -203,9 +185,9 @@ func OpenLoaded(kind ModelKind, opts Options, gen cobench.Config) (*DB, error) {
 // Kind returns the database's storage model.
 func (db *DB) Kind() ModelKind { return db.kind }
 
-// Close flushes dirty pages and releases the storage backend (unmapping
-// and, for file arenas, deleting the scratch arena file). To keep a
-// database across runs, WriteSnapshot it first and OpenSnapshot it later.
+// Close flushes dirty pages and releases the storage backend (a view
+// drops its overlay and its reference on the base). To keep a database
+// across runs, WriteSnapshot it first and OpenSnapshot it later.
 // The database must not be used afterwards. Close is a no-op for repeated
 // calls only in the sense that errors repeat; call it once.
 func (db *DB) Close() error {
@@ -241,34 +223,21 @@ func ExtractSnapshot(src, dst string, models []ModelKind) error {
 // OpenSnapshot restores one storage model from a .codb snapshot file,
 // skipping generation and loading entirely. The restored database starts
 // with a cold cache and zeroed counters and measures bit-identically to a
-// freshly loaded one.
-//
-// With Options.Backend "cow" this takes the shared-base fast path: the
-// snapshot arena is read once into an immutable base and the database is
-// a copy-on-write view of it — equivalent to OpenBase + Base.Open, for
-// callers who only need one view.
+// freshly loaded one. It is OpenBase + Base.Open for callers who only
+// need one view: the database is a copy-on-write view of the snapshot's
+// arena (mmap'ed in place where the platform allows), so its writes stay
+// private and the file is never modified.
 func OpenSnapshot(path string, kind ModelKind, opts Options) (*DB, error) {
-	so, err := opts.internal()
+	base, err := OpenBase(path, kind)
 	if err != nil {
 		return nil, err
 	}
-	if so.Backend.Kind == disk.COWArena {
-		base, err := OpenBase(path, kind)
-		if err != nil {
-			return nil, err
-		}
-		db, err := base.Open(opts)
-		// The throwaway Base handle is released either way: the view holds
-		// its own reference, so closing the database also drops the arena
-		// (unmapping the snapshot region where it was mmap'ed).
-		base.Close()
-		return db, err
-	}
-	m, err := snapshot.Open(path, kind.internal(), so)
-	if err != nil {
-		return nil, err
-	}
-	return &DB{kind: kind, model: m}, nil
+	db, err := base.Open(opts)
+	// The throwaway Base handle is released either way: the view holds
+	// its own reference, so closing the database also drops the arena
+	// (unmapping the snapshot region where it was mmap'ed).
+	base.Close()
+	return db, err
 }
 
 // Base is the frozen, immutable state of one loaded database: the device
@@ -351,18 +320,11 @@ func (b *Base) PromotedBytes() int64 { return b.base.PromotedBytes() }
 func (b *Base) Close() error { return b.base.Release() }
 
 // Open builds a database over a fresh copy-on-write view of the base.
-// opts.Backend must be empty, "mem" (the parse default, treated the
-// same) or "cow" — a view's substrate is by definition the COW overlay,
-// so file backends are rejected; opts.CountIndexIO is rejected, like for
-// snapshots, because counted indexes are rebuilt per run. The view starts
-// with a cold cache and zeroed counters and measures bit-identically to a
-// freshly loaded database.
+// opts.CountIndexIO is rejected because counted indexes are rebuilt per
+// run. The view starts with a cold cache and zeroed counters and measures
+// bit-identically to a freshly loaded database.
 func (b *Base) Open(opts Options) (*DB, error) {
-	so, err := b.viewOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	m, err := b.base.Open(so)
+	m, err := b.base.Open(opts.internal())
 	if err != nil {
 		return nil, err
 	}

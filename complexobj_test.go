@@ -289,8 +289,8 @@ func TestUpdateObjectFacade(t *testing.T) {
 
 // TestBaseFacade exercises the shared-base surface end to end: freeze a
 // loaded database, open independent copy-on-write views, check isolation
-// between them, and restore a view from a snapshot through both OpenBase
-// and the OpenSnapshot cow fast path.
+// between them, and restore a view from a snapshot through OpenBase and
+// its one-view shorthand OpenSnapshot.
 func TestBaseFacade(t *testing.T) {
 	db := smallDB(t, DASDBSNSM)
 	defer db.Close()
@@ -308,7 +308,7 @@ func TestBaseFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer writer.Close()
-	reader, err := base.Open(Options{BufferPages: 128, Backend: "cow"})
+	reader, err := base.Open(Options{BufferPages: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,12 +341,7 @@ func TestBaseFacade(t *testing.T) {
 		t.Error("sibling view observes writer's update")
 	}
 
-	// File backends cannot be views of a base.
-	if _, err := base.Open(Options{Backend: "file"}); err == nil {
-		t.Error("file backend accepted for a base view")
-	}
-
-	// Snapshot round trip through both cow restore paths.
+	// Snapshot round trip through the base and the one-view shorthand.
 	path := t.TempDir() + "/facade.codb"
 	gen := cobench.DefaultConfig().WithN(80)
 	if err := WriteSnapshot(path, gen, db); err != nil {
@@ -361,12 +356,12 @@ func TestBaseFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer v1.Close()
-	v2, err := OpenSnapshot(path, DASDBSNSM, Options{BufferPages: 128, Backend: "cow"})
+	v2, err := OpenSnapshot(path, DASDBSNSM, Options{BufferPages: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer v2.Close()
-	for name, v := range map[string]*DB{"OpenBase": v1, "OpenSnapshot-cow": v2} {
+	for name, v := range map[string]*DB{"OpenBase": v1, "OpenSnapshot": v2} {
 		s, err := v.FetchByKey(key)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -448,8 +448,9 @@ func TestCommitLogKillInsideCheckpoint(t *testing.T) {
 // TestDurableReadPathCountersBitIdentical pins the acceptance bar of the
 // durable write path: arming the commit log must not move a single
 // read-path paper counter. The full query set measures identically on a
-// plain snapshot restore (mem and file backends), a copy-on-write view
-// of the shared base, a view over a commit-log base — and again after a
+// freshly loaded private database (the reference), a snapshot restore, a
+// copy-on-write view of the shared base, a view over a commit-log base —
+// and again after a
 // durable commit has promoted a new generation. On that generation a
 // pooled view rebased in place (the committer's own at release, an idle
 // sibling at its next acquisition) must be indistinguishable from one
@@ -477,23 +478,26 @@ func TestDurableReadPathCountersBitIdentical(t *testing.T) {
 
 	for _, kind := range AllModels() {
 		t.Run(kind.String(), func(t *testing.T) {
-			snap, _ := seedSnapshot(t, kind, 30)
+			snap, stations := seedSnapshot(t, kind, 30)
 
-			db, err := OpenSnapshot(snap, kind, opts)
+			db, err := Open(kind, opts)
 			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Load(stations); err != nil {
 				t.Fatal(err)
 			}
 			baseline := runAll(t, db.Run)
 			db.Close()
 
-			fdb, err := OpenSnapshot(snap, kind, Options{BufferPages: 128, Backend: "file"})
+			sdb, err := OpenSnapshot(snap, kind, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := runAll(t, fdb.Run); !reflect.DeepEqual(got, baseline) {
-				t.Fatalf("file backend diverged:\n got %+v\nwant %+v", got, baseline)
+			if got := runAll(t, sdb.Run); !reflect.DeepEqual(got, baseline) {
+				t.Fatalf("snapshot restore diverged:\n got %+v\nwant %+v", got, baseline)
 			}
-			fdb.Close()
+			sdb.Close()
 
 			cowBase, err := OpenBase(snap, kind)
 			if err != nil {
@@ -504,7 +508,7 @@ func TestDurableReadPathCountersBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := runAll(t, cdb.Run); !reflect.DeepEqual(got, baseline) {
-				t.Fatalf("cow backend diverged:\n got %+v\nwant %+v", got, baseline)
+				t.Fatalf("shared-base view diverged:\n got %+v\nwant %+v", got, baseline)
 			}
 			cdb.Close()
 			cowBase.Close()

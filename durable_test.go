@@ -28,7 +28,7 @@ func TestOpenPersistentRoundTrip(t *testing.T) {
 	for _, kind := range AllModels() {
 		t.Run(kind.String(), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "db.codb")
-			opts := Options{BufferPages: 128, Backend: "file"}
+			opts := Options{BufferPages: 128}
 			renameAndSave := func(db *DB, name string) {
 				t.Helper()
 				if err := db.UpdateObject(7, func(s *cobench.Station) error {
@@ -328,17 +328,15 @@ func TestCheckpointIsASnapshot(t *testing.T) {
 		t.Fatalf("stat of a directory without a checkpoint: %v, want not-exist", err)
 	}
 	for _, path := range []string{ckpt, seg} {
-		for _, backend := range []string{"mem", "cow"} { // snapshot.Open and OpenBase
-			db, err := OpenSnapshot(path, kind, Options{BufferPages: 128, Backend: backend})
-			if err != nil {
-				t.Fatalf("%s via %s: %v", filepath.Base(path), backend, err)
-			}
-			got, err := db.FetchByKey(stations[5].Key)
-			if err != nil || got.Name != "checkpointed" {
-				t.Fatalf("%s via %s reads %q, %v", filepath.Base(path), backend, got.Name, err)
-			}
-			db.Close()
+		db, err := OpenSnapshot(path, kind, Options{BufferPages: 128})
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
 		}
+		got, err := db.FetchByKey(stations[5].Key)
+		if err != nil || got.Name != "checkpointed" {
+			t.Fatalf("%s reads %q, %v", filepath.Base(path), got.Name, err)
+		}
+		db.Close()
 	}
 
 	// Forty more commits through one rebased view, mirrored into a flat

@@ -5,6 +5,7 @@ import (
 
 	"complexobj/cobench"
 	"complexobj/internal/buffer"
+	"complexobj/internal/disk"
 	"complexobj/internal/store"
 	"complexobj/internal/workload"
 	"complexobj/report"
@@ -55,6 +56,12 @@ func (s *Suite) IndexAblation() (*IndexAblation, error) {
 			return nil, 0, 0, err
 		}
 		opts.CountIndexIO = counted
+		// Counted B+-trees are rebuilt per run and cannot be frozen into
+		// a base, so this is the one experiment on a private engine — a
+		// bare overlay, which grows page by page: the trees extend the
+		// device past what the load's sizing pass reserves, and a heap
+		// arena would double to make room.
+		opts.Backend = disk.BackendSpec{Kind: disk.COWArena}
 		m, err := store.New(store.NSMIndex, opts)
 		if err != nil {
 			return nil, 0, 0, err
@@ -129,41 +136,28 @@ type PolicyRow struct {
 // replacement policy. The paper never names DASDBS's policy; this
 // ablation shows the Figure 6 conclusions do not depend on the choice.
 func (s *Suite) PolicyAblation() ([]PolicyRow, error) {
-	stations, err := s.extension()
+	opts, err := s.storeOptions()
 	if err != nil {
 		return nil, err
+	}
+	// The replacement policy is a runtime knob of the view, so both halves
+	// of the ablation share the matrix's frozen base.
+	q2b := func(k store.Kind, policy buffer.Policy) (float64, error) {
+		opts.Policy = policy
+		res, err := s.runQueries([]store.Kind{k}, opts, s.cfg.Gen, nil, s.cfg.Workload, cobench.Q2b)
+		if err != nil {
+			return 0, err
+		}
+		return res[0][cobench.Q2b].Pages, nil
 	}
 	var rows []PolicyRow
 	for _, k := range fig5Models {
 		row := PolicyRow{Model: k.String()}
-		for _, clock := range []bool{false, true} {
-			opts, err := s.storeOptions()
-			if err != nil {
-				return nil, err
-			}
-			opts.Policy = buffer.LRU
-			if clock {
-				opts.Policy = buffer.Clock
-			}
-			res, err := func() (workload.Result, error) {
-				// The replacement policy is a runtime knob of the view, so
-				// both halves of the ablation share one frozen base on the
-				// shared-base path.
-				m, err := s.openLoaded(k, opts, s.cfg.Gen, stations)
-				if err != nil {
-					return workload.Result{}, err
-				}
-				defer m.Engine().Close()
-				return workload.NewRunner(m, s.cfg.Workload).Run(cobench.Q2b)
-			}()
-			if err != nil {
-				return nil, err
-			}
-			if clock {
-				row.Clock = toMeasured(res).Pages
-			} else {
-				row.LRU = toMeasured(res).Pages
-			}
+		if row.LRU, err = q2b(k, buffer.LRU); err != nil {
+			return nil, err
+		}
+		if row.Clock, err = q2b(k, buffer.Clock); err != nil {
+			return nil, err
 		}
 		rows = append(rows, row)
 	}

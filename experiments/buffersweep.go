@@ -30,7 +30,8 @@ var BufferSizes = []int{150, 300, 600, 1200, 2400, 4800}
 // p pages per touched object.
 //
 // The (buffer size, model) cells fan out over the suite's worker pool;
-// each cell builds a private engine with its own cache capacity.
+// the buffer size is a runtime knob of the view, not part of the base
+// key, so the whole sweep runs on the matrix's frozen bases.
 func (s *Suite) BufferSweep() ([]BufferPoint, error) {
 	if s.bufferSweep != nil {
 		return s.bufferSweep, nil
@@ -49,14 +50,6 @@ func (s *Suite) BufferSweep() ([]BufferPoint, error) {
 		Grand:    costmodel.PaperWorkload().Grand,
 		Loops:    float64(s.cfg.Workload.Loops),
 	}
-	// All cells measure the default extension; generate it once and share
-	// it read-only across the workers. On the shared-base path the cache
-	// collapses the whole sweep onto one frozen base per model — the
-	// buffer size is a runtime knob of the view, not part of the base key.
-	stations, err := s.extension()
-	if err != nil {
-		return nil, err
-	}
 	points := make([]BufferPoint, len(BufferSizes)*len(fig5Models))
 	err = fanout.Run(len(points), s.workers(), func(i int) error {
 		bp := BufferSizes[i/len(fig5Models)]
@@ -64,7 +57,7 @@ func (s *Suite) BufferSweep() ([]BufferPoint, error) {
 		k := fig5Models[ki]
 		opts := baseOpts
 		opts.BufferPages = bp
-		res, err := s.runQueriesLoaded(fig5Models[ki:ki+1], opts, s.cfg.Gen, stations, s.cfg.Workload, cobench.Q2b)
+		res, err := s.runQueries(fig5Models[ki:ki+1], opts, s.cfg.Gen, nil, s.cfg.Workload, cobench.Q2b)
 		if err != nil {
 			return err
 		}

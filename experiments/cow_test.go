@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -25,120 +24,102 @@ func diskCOWStats(m store.Model) (disk.COWStats, bool) {
 	return disk.COWStatsOf(m.Engine().Dev.Backend())
 }
 
-// TestMatrixSharedBaseDeterminism is the tentpole acceptance test: the
-// 8-worker matrix over shared copy-on-write bases produces rows
-// bit-identical to the serial run on the memory backend — the three-way
-// (mem vs file vs cow) closure of the backend-equivalence guarantee at
-// matrix level, with the sharing actually engaged (workers > 1).
+// TestMatrixSharedBaseDeterminism is the acceptance test of the one
+// execution path: the matrix measured on copy-on-write views of shared
+// cached bases is bit-identical, at any fan-out width, to the oracle's
+// private heap-arena engine per cell. (It subsumes the deleted
+// TestMatrixBackendEquivalence — Config.Backend no longer selects
+// anything; arena-kind equivalence at counter level stays pinned by
+// internal/workload's TestBackendCounterEquivalence.)
 func TestMatrixSharedBaseDeterminism(t *testing.T) {
-	serialCfg := smallConfig()
-	serialCfg.Backend = "mem"
-	serialCfg.Workers = 1
-	serialSuite := New(serialCfg)
-	defer serialSuite.Close()
-	serial, err := serialSuite.Matrix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
+	o := newOracle(t, smallConfig())
+	for _, workers := range []int{1, 2, 8} {
 		cfg := smallConfig()
-		cfg.Backend = "cow"
 		cfg.Workers = workers
-		cowSuite := New(cfg)
-		cow, err := cowSuite.Matrix()
+		s := New(cfg)
+		got, err := s.Matrix()
 		if err != nil {
-			cowSuite.Close()
-			t.Fatalf("cow workers=%d: %v", workers, err)
+			s.Close()
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if !reflect.DeepEqual(serial.Rows, cow.Rows) {
-			t.Errorf("cow workers=%d: matrix differs from serial/mem", workers)
+		o.checkMatrix(fmt.Sprintf("workers=%d", workers), got)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
 		}
-		cowSuite.Close()
 	}
 }
 
-// TestMatrixSharedBaseFromSnapshot pins the snapshot variant: workers
-// opening COW views of a base read once from a .codb file measure
-// identically to freshly loaded private engines.
+// TestMatrixSharedBaseFromSnapshot pins the snapshot variant at width:
+// eight workers opening views of bases mapped once from a .codb file
+// measure identically to the oracle's freshly loaded private engines.
 func TestMatrixSharedBaseFromSnapshot(t *testing.T) {
 	cfg := smallConfig()
-	freshSuite := New(cfg)
-	defer freshSuite.Close()
-	fresh, err := freshSuite.Matrix()
+	cfg.Workers = 8
+	cfg.Snapshot = writeSnapshot(t, smallConfig())
+	s := New(cfg)
+	defer s.Close()
+	got, err := s.Matrix()
 	if err != nil {
 		t.Fatal(err)
 	}
-	stations, err := freshSuite.extension()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var models []store.Model
-	for _, k := range store.AllKinds() {
-		m, err := store.New(k, store.Options{BufferPages: cfg.BufferPages})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer m.Engine().Close()
-		if err := m.Load(stations); err != nil {
-			t.Fatal(err)
-		}
-		models = append(models, m)
-	}
-	path := filepath.Join(t.TempDir(), "cow.codb")
-	if err := snapshot.Write(path, cfg.Gen, models...); err != nil {
-		t.Fatal(err)
-	}
-
-	snapCfg := smallConfig()
-	snapCfg.Backend = "cow"
-	snapCfg.Workers = 8
-	snapCfg.Snapshot = path
-	snapSuite := New(snapCfg)
-	defer snapSuite.Close()
-	snap, err := snapSuite.Matrix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fresh.Rows, snap.Rows) {
-		t.Error("cow-from-snapshot matrix differs from freshly loaded matrix")
+	newOracle(t, smallConfig()).checkMatrix("snapshot/workers=8", got)
+	if got := s.bases.Built(); got != 4 {
+		t.Errorf("snapshot-backed matrix opened %d bases, want 4 (one per layout)", got)
 	}
 }
 
 // TestMatrixSharedBaseMemory is the deterministic memory smoke: after an
-// 8-worker cow matrix, the suite's adopted models must be COW views whose
-// private overlays are small next to the shared arenas — i.e. the sharing
-// actually happened and peak page memory is ~one loaded extension per
-// kind, not per worker.
+// 8-wide matrix the suite holds one base per physical layout, and a view
+// of one — opened here the way every cell opens it — keeps only a small
+// private overlay next to the shared arena even after the update queries,
+// i.e. page memory is ~one loaded extension per layout, not per cell.
 func TestMatrixSharedBaseMemory(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Backend = "cow"
 	cfg.Workers = 8
 	s := New(cfg)
 	defer s.Close()
 	if _, err := s.Matrix(); err != nil {
 		t.Fatal(err)
 	}
-	baseBytes, overlayBytes, views := 0, 0, 0
-	for k, m := range s.models {
-		st, ok := diskCOWStats(m)
-		if !ok {
-			t.Fatalf("%s: adopted matrix model is not a COW view", k)
-		}
-		views++
-		baseBytes += st.BaseBytes
-		overlayBytes += st.OverlayBytes
+	if got := s.bases.Built(); got != 4 {
+		t.Fatalf("matrix built %d bases, want 4 (DSM and DASDBS-DSM share one)", got)
 	}
-	if views != 5 {
-		t.Fatalf("adopted %d models, want 5", views)
+	baseBytes, overlayBytes := 0, 0
+	for _, k := range store.AllKinds() {
+		err := s.withBase(k, cfg.Gen, nil, func(base *store.SharedBase) error {
+			m, err := base.OpenAs(k, s.storeOpts)
+			if err != nil {
+				return err
+			}
+			defer m.Engine().Close()
+			// Only the update queries dirty pages; 3a+3b on one view is
+			// the worst overlay any cell of the suite can reach.
+			runner := workload.NewRunner(m, cfg.Workload)
+			for _, q := range []cobench.Query{cobench.Q3a, cobench.Q3b} {
+				if _, err := runner.Run(q); err != nil {
+					return err
+				}
+			}
+			st, ok := diskCOWStats(m)
+			if !ok {
+				t.Fatalf("%s: a measured cell's engine is not a COW view", k)
+			}
+			baseBytes += st.BaseBytes
+			overlayBytes += st.OverlayBytes
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.bases.Built() != 4 {
+		t.Fatalf("opening views rebuilt bases: %d built, want 4", s.bases.Built())
 	}
 	if baseBytes == 0 {
 		t.Fatal("no shared base bytes accounted")
 	}
-	// Only the update queries dirty pages, so an adopted view's overlay is
-	// bounded by its kind's query-3 write set no matter which queries the
-	// adopted worker happened to claim. Measuring that worst case directly
-	// (every kind running 3a+3b on one view) gives 28% of the base bytes
-	// at this scale — assert half, which any scheduling stays below.
+	// The write sets measure 28% of the base bytes at this scale — assert
+	// half.
 	if overlayBytes*2 > baseBytes {
 		t.Errorf("overlays (%d bytes) not small next to shared bases (%d bytes)", overlayBytes, baseBytes)
 	}
@@ -151,26 +132,7 @@ func TestMatrixSharedBaseMemory(t *testing.T) {
 // be byte-identical after the whole lifecycle).
 func TestOpenBaseMappedEquivalence(t *testing.T) {
 	cfg := smallConfig()
-	stations, err := cobench.Generate(cfg.Gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var models []store.Model
-	for _, k := range []store.Kind{store.DSM, store.DASDBSNSM} {
-		m, err := store.New(k, store.Options{BufferPages: cfg.BufferPages})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer m.Engine().Close()
-		if err := m.Load(stations); err != nil {
-			t.Fatal(err)
-		}
-		models = append(models, m)
-	}
-	path := filepath.Join(t.TempDir(), "mapped.codb")
-	if err := snapshot.Write(path, cfg.Gen, models...); err != nil {
-		t.Fatal(err)
-	}
+	path := writeSnapshot(t, cfg, store.DSM, store.DASDBSNSM)
 	pristine, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -234,15 +196,13 @@ func TestOpenBaseMappedEquivalence(t *testing.T) {
 	}
 }
 
-// TestMatrixPeakRSS logs the process peak RSS after an 8-worker matrix at
-// paper scale on the backend named by COMPLEXOBJ_BACKEND (restored from
-// the snapshot named by COMPLEXOBJ_SNAPSHOT when set, so CI can compare
-// heap-loaded against snapshot-mapped bases). It asserts nothing by
-// itself — CI runs it once per configuration in separate processes and
-// compares the figures (cow must not exceed mem; cow over a mapped
-// snapshot must not exceed plain cow); BENCH_4.json records the numbers.
-// Gated behind COMPLEXOBJ_RSS so the regular test runs do not pay a
-// paper-scale matrix repeatedly.
+// TestMatrixPeakRSS logs the process peak RSS after an 8-wide matrix at
+// paper scale, with the bases loaded fresh or — when COMPLEXOBJ_SNAPSHOT
+// names a .codb file — mapped from it. It asserts nothing by itself: CI
+// runs it once per configuration in separate processes and gates the
+// figures (fresh under an absolute budget; snapshot-mapped not above
+// fresh). Gated behind COMPLEXOBJ_RSS so the regular test runs do not pay
+// a paper-scale matrix repeatedly.
 func TestMatrixPeakRSS(t *testing.T) {
 	if os.Getenv("COMPLEXOBJ_RSS") == "" {
 		t.Skip("set COMPLEXOBJ_RSS=1 to measure peak RSS")
@@ -251,7 +211,6 @@ func TestMatrixPeakRSS(t *testing.T) {
 		t.Skip("peak RSS via /proc is Linux-only")
 	}
 	cfg := DefaultConfig()
-	cfg.Backend = os.Getenv("COMPLEXOBJ_BACKEND")
 	cfg.Snapshot = os.Getenv("COMPLEXOBJ_SNAPSHOT")
 	cfg.Workers = 8
 	s := New(cfg)
@@ -263,14 +222,11 @@ func TestMatrixPeakRSS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend := cfg.Backend
-	if backend == "" {
-		backend = "mem"
-	}
+	bases := "fresh"
 	if cfg.Snapshot != "" {
-		backend += "+db"
+		bases = "db"
 	}
-	fmt.Printf("peak-rss-kb backend=%s workers=8 kb=%d\n", backend, hwm)
+	fmt.Printf("peak-rss-kb bases=%s workers=8 kb=%d\n", bases, hwm)
 }
 
 // TestSnapshotBaseRSS is the COMPLEXOBJ_RSS smoke for the mmap base: at
@@ -286,30 +242,7 @@ func TestSnapshotBaseRSS(t *testing.T) {
 	if !disk.CanMapBase {
 		t.Skip("platform cannot map bases")
 	}
-	cfg := DefaultConfig()
-	stations, err := cobench.Generate(cfg.Gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var models []store.Model
-	for _, k := range store.AllKinds() {
-		m, err := store.New(k, store.Options{BufferPages: cfg.BufferPages})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Load(stations); err != nil {
-			t.Fatal(err)
-		}
-		models = append(models, m)
-	}
-	path := filepath.Join(t.TempDir(), "rss.codb")
-	if err := snapshot.Write(path, cfg.Gen, models...); err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range models {
-		m.Engine().Close()
-	}
-	stations, models = nil, nil
+	path := writeSnapshot(t, DefaultConfig())
 
 	openAll := func(open func(string, store.Kind) (*store.SharedBase, error)) (int, int) {
 		debug.FreeOSMemory()

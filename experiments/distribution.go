@@ -70,12 +70,16 @@ func (s *Suite) nodeBalance(name string, gen cobench.Config, nodes int) (NodeBal
 	if err != nil {
 		return NodeBalance{}, err
 	}
-	m, err := s.openLoaded(store.DSM, opts, gen, stations)
-	if err != nil {
-		return NodeBalance{}, err
-	}
-	defer m.Engine().Close()
-	perObject, err := objectPages(m, len(stations))
+	var perObject []float64
+	err = s.withBase(store.DSM, gen, stations, func(base *store.SharedBase) error {
+		m, err := base.Open(opts)
+		if err != nil {
+			return err
+		}
+		defer m.Engine().Close()
+		perObject, err = objectPages(m, len(stations))
+		return err
+	})
 	if err != nil {
 		return NodeBalance{}, err
 	}

@@ -5,9 +5,21 @@
 // object-size sweep of Figure 5 and the database-size/cache sweep of
 // Figure 6.
 //
-// A Suite caches the generated extension, the loaded storage models and
-// the full query matrix, so asking for several tables runs the expensive
-// work once. All runs are deterministic for a given configuration.
+// There is one way to a loaded model. Every measured cell — the matrix,
+// Figures 5/6, the buffer sweep, Table 7, the policy ablation, the layout
+// sizes behind Table 2 — asks the suite's base cache for the frozen base
+// of its (physical layout, generator configuration), opens a
+// copy-on-write view of it, runs, and closes the view: the first cell to
+// need a base loads it once (or maps it from the configured snapshot),
+// every other cell shares it, and a cell's memory is the pages it
+// dirties. Every experiment is a fan-out over such cells; Config.Workers
+// is only the fan-out's width. The one exception is the index ablation,
+// whose counted B+-trees are rebuilt per run and cannot be frozen.
+//
+// A Suite caches the generated extension, the frozen bases of its own
+// configuration and every computed result, so asking for several tables
+// runs the expensive work once. All runs are deterministic for a given
+// configuration, whatever the width.
 package experiments
 
 import (
@@ -17,7 +29,6 @@ import (
 
 	"complexobj/cobench"
 	"complexobj/internal/buffer"
-	"complexobj/internal/disk"
 	"complexobj/internal/fanout"
 	"complexobj/internal/faultdisk"
 	"complexobj/internal/snapshot"
@@ -39,31 +50,26 @@ type Config struct {
 	// UseClock switches the buffer replacement policy from LRU to Clock
 	// (an ablation; the paper does not name DASDBS's policy).
 	UseClock bool
-	// Workers bounds the number of concurrent workers used by Matrix and
-	// by the sweep experiments (Figures 5/6, the buffer sweep, Table 7).
-	// 0 means GOMAXPROCS; 1 forces the serial path. Every worker owns
-	// its engines (device + buffer pool), so workers never share mutable
-	// state and the measured counters are identical to a serial run
-	// regardless of scheduling.
+	// Workers is the width of every fan-out: how many cells of the matrix
+	// or of a sweep (Figures 5/6, the buffer sweep, Table 7) are measured
+	// concurrently. 0 means GOMAXPROCS; 1 runs the same cells one after
+	// another. Cells share only immutable bases — each owns its view
+	// (overlay, buffer pool, counters) — so the measured counters do not
+	// depend on the width.
 	Workers int
-	// Backend selects the device backend for every engine the suite
-	// builds: "" or "mem" (default), "file", "file:DIR" or "cow".
-	// Counters are bit-identical across backends; the choice only moves
-	// the page bytes. With "cow" every experiment routes model
-	// acquisition through one config-keyed frozen-base cache: the first
-	// cell to need a (model kind, generator config) pair builds and
-	// freezes it once, and every other cell — matrix workers, Figure 5/6
-	// columns, all buffer-sweep pool sizes, Table 7 variants — opens a
-	// copy-on-write view instead of re-inserting the extension, so both
-	// peak memory and load work stop scaling with the cell count.
+	// Backend is ignored.
+	//
+	// Deprecated: there is one execution path (copy-on-write views of
+	// cached frozen bases) and nothing left to select. The field remains
+	// only until the benchmark harness stops setting it.
 	Backend string
-	// Snapshot is the path of a cogen-built .codb snapshot. When set,
-	// models of the suite's own extension are restored from the snapshot
-	// instead of regenerating and reloading; the snapshot's stored
-	// generator configuration must match Gen, and with Backend "cow" the
-	// snapshot's arena regions are mmap'ed read-only in place (one
-	// mapping per model kind, shared by every view, paged in on demand).
-	// Sweeps that need non-default extensions still generate.
+	// Snapshot is the path of a cogen-built .codb snapshot. When set, the
+	// bases of the suite's own extension are the snapshot's arena regions,
+	// mapped read-only in place (one mapping per physical layout, shared by
+	// every view, paged in on demand; a heap copy where the platform
+	// cannot map), instead of being generated and loaded; the snapshot's
+	// stored generator configuration must match Gen. Sweeps that need
+	// non-default extensions still generate.
 	Snapshot string
 	// Faults is an optional seeded fault-injection schedule (the
 	// faultdisk grammar, e.g. "seed=7,read=0.02") armed under every
@@ -100,7 +106,7 @@ type Suite struct {
 	genStats    *cobench.Stats
 	bases       *store.BaseCache
 	gens        *genShare
-	models      map[store.Kind]store.Model
+	sizes       map[store.Kind]store.SizeReport
 	matrix      *Matrix
 	fig5        []Fig5Cell
 	fig6        []Fig6Point
@@ -119,13 +125,12 @@ func New(cfg Config) *Suite {
 	if cfg.BufferPages == 0 {
 		cfg.BufferPages = 1200
 	}
-	s := &Suite{cfg: cfg, models: make(map[store.Kind]store.Model), bases: store.NewBaseCache(), gens: newGenShare()}
+	s := &Suite{cfg: cfg, sizes: make(map[store.Kind]store.SizeReport), bases: store.NewBaseCache(), gens: newGenShare()}
 	s.storeOpts = store.Options{PageSize: cfg.PageSize, BufferPages: cfg.BufferPages}
 	if cfg.UseClock {
 		s.storeOpts.Policy = buffer.Clock
 	}
-	s.storeOpts.Backend, s.optsErr = disk.ParseBackendSpec(cfg.Backend)
-	if s.optsErr == nil && cfg.Faults != "" {
+	if cfg.Faults != "" {
 		var spec faultdisk.Spec
 		if spec, s.optsErr = faultdisk.ParseSpec(cfg.Faults); s.optsErr == nil {
 			// One injector for the whole suite: every engine gets its own
@@ -140,30 +145,15 @@ func New(cfg Config) *Suite {
 // Config returns the suite's effective configuration.
 func (s *Suite) Config() Config { return s.cfg }
 
-// Close releases the engines of every model the suite has cached (file
-// backends unmap and delete their anonymous arena files) and then the
-// frozen-base cache (dropping heap bases and snapshot file mappings).
-// The suite must not be used afterwards.
-func (s *Suite) Close() error {
-	var first error
-	for k, m := range s.models {
-		if err := m.Engine().Close(); err != nil && first == nil {
-			first = err
-		}
-		delete(s.models, k)
-	}
-	if err := s.bases.Close(); err != nil && first == nil {
-		first = err
-	}
-	return first
-}
+// Close releases the frozen-base cache (dropping heap bases and snapshot
+// file mappings). The suite must not be used afterwards.
+func (s *Suite) Close() error { return s.bases.Close() }
 
 func (s *Suite) storeOptions() (store.Options, error) {
 	return s.storeOpts, s.optsErr
 }
 
-// workers resolves the effective worker count shared by the matrix and
-// the sweeps.
+// workers resolves the fan-out width shared by the matrix and the sweeps.
 func (s *Suite) workers() int {
 	if s.cfg.Workers > 0 {
 		return s.cfg.Workers
@@ -175,9 +165,6 @@ func (s *Suite) workers() int {
 // extension the suite is asked to measure. Safe for concurrent use: the
 // base cache validates from concurrent build closures.
 func (s *Suite) snapshotOK() error {
-	if s.cfg.Snapshot == "" {
-		return fmt.Errorf("experiments: no snapshot configured")
-	}
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	if s.snapChecked {
@@ -194,45 +181,11 @@ func (s *Suite) snapshotOK() error {
 	return s.snapErr
 }
 
-// useSharedBases reports whether the suite's engines should be
-// copy-on-write views over cached frozen bases: the cow backend without
-// an externally supplied base. With any other backend every cell keeps
-// its private arena (the pre-cache behaviour), which the determinism
-// tests compare the shared path against.
-func (s *Suite) useSharedBases() bool {
-	return s.optsErr == nil &&
-		s.storeOpts.Backend.Kind == disk.COWArena && s.storeOpts.Backend.Base == nil
-}
-
-// sharedBase returns the frozen base holding k's physical layout of gen,
-// building it at most once per suite across every experiment — the
-// matrix, Figures 5/6, the buffer sweep, Table 7 and the serially cached
-// models all land in the same cache, so e.g. the Figure 5
-// default-sightseeing column reuses the bases the matrix froze, and DSM
-// and DASDBS-DSM, one layout read two ways, share one base (callers open
-// it with OpenAs). The base comes from the configured snapshot when gen
-// is the suite's own extension (mmap'ed in place where the platform
-// allows), otherwise from loading stations — or a deterministic
-// regeneration of gen when the caller has none — in place.
-func (s *Suite) sharedBase(k store.Kind, gen cobench.Config, stations []*cobench.Station) (*store.SharedBase, error) {
-	key := store.BaseKey{Kind: k.Layout(), PageSize: s.storeOpts.PageSize, Gen: gen}
-	return s.bases.Get(key, s.buildBase(key, stations))
-}
-
-// scopedBase is sharedBase for one-off configurations: the cache entry is
-// released — its base dropped — as soon as every cell that acquired it
-// has called the returned release function, so a paper-scale sweep over
-// many non-default configurations (Figure 5/6 columns, the Table 7 skew
-// extension) holds only the bases of cells in flight instead of retaining
-// all of them until Suite.Close.
-func (s *Suite) scopedBase(k store.Kind, gen cobench.Config, stations []*cobench.Station) (*store.SharedBase, func() error, error) {
-	key := store.BaseKey{Kind: k.Layout(), PageSize: s.storeOpts.PageSize, Gen: gen}
-	return s.bases.GetScoped(key, s.buildBase(key, stations))
-}
-
-// buildBase is the build closure shared by the pinned and the scoped
-// cache paths: snapshot-backed for the suite's own extension, otherwise
-// loaded in place over a generation.
+// buildBase is the base cache's build closure: the snapshot's arena for
+// the suite's own extension when one is configured (mmap'ed in place
+// where the platform allows), otherwise a load in place over stations —
+// nil only for the suite's own extension, which is generated on demand
+// (withBase resolves every other configuration's before it gets here).
 func (s *Suite) buildBase(key store.BaseKey, stations []*cobench.Station) func() (*store.SharedBase, error) {
 	return func() (*store.SharedBase, error) {
 		if s.cfg.Snapshot != "" && key.Gen == s.cfg.Gen {
@@ -241,79 +194,62 @@ func (s *Suite) buildBase(key store.BaseKey, stations []*cobench.Station) func()
 			}
 			return snapshot.OpenBase(s.cfg.Snapshot, key.Kind)
 		}
-		stations, err := s.stationsOf(key.Gen, stations)
-		if err != nil {
-			return nil, err
+		if stations == nil {
+			var err error
+			if stations, err = s.extension(); err != nil {
+				return nil, err
+			}
 		}
 		return store.LoadBase(key.Kind, s.storeOpts, stations)
 	}
 }
 
-// stationsOf returns the extension of gen: the caller's pre-generated
-// copy when it has one, the suite's own when gen is its configuration,
-// otherwise a deterministic regeneration.
-func (s *Suite) stationsOf(gen cobench.Config, stations []*cobench.Station) ([]*cobench.Station, error) {
-	switch {
-	case stations != nil:
-		return stations, nil
-	case gen == s.cfg.Gen:
-		return s.extension()
-	default:
-		return cobench.Generate(gen)
-	}
-}
-
-// openLoaded builds one loaded model of kind k over the extension
-// described by gen (stations may carry a pre-generated copy, or be nil).
-// On the shared-base path the model is a copy-on-write view of the cached
-// frozen base — cells sharing (kind, gen) pay for one load — and
-// otherwise a private engine loaded (or snapshot-restored) from scratch.
-// Either way the model starts with a cold cache and zeroed counters and
-// measures bit-identically (TestSweepSharedBaseDeterminism); the caller
-// owns the engine.
-func (s *Suite) openLoaded(k store.Kind, opts store.Options, gen cobench.Config, stations []*cobench.Station) (store.Model, error) {
-	if s.useSharedBases() {
-		base, err := s.sharedBase(k, gen, stations)
+// withBase runs fn on the frozen base holding k's physical layout of gen
+// (stations may carry a pre-generated copy of the extension, or be nil)
+// — the single acquisition point of every experiment, so e.g. the
+// Figure 5 default-sightseeing column and the whole buffer sweep reuse the
+// bases the matrix loaded, and DSM and DASDBS-DSM, one layout read two
+// ways, share one base (callers open it with OpenAs).
+//
+// The suite's own configuration is pinned: its bases are built at most
+// once and live until Close, because later experiments come back for
+// them. Any other configuration (a Figure 5/6 column, the skew
+// extension) is scoped to the cells in flight: concurrent cells of one
+// configuration share one generation and one base, and both are dropped
+// when the last of them returns, so a sweep's memory tracks its width,
+// not the number of configurations swept. Only concurrency-safe suite
+// state is touched; cells call this from fan-out workers.
+func (s *Suite) withBase(k store.Kind, gen cobench.Config, stations []*cobench.Station, fn func(*store.SharedBase) error) error {
+	key := store.BaseKey{Kind: k.Layout(), PageSize: s.storeOpts.PageSize, Gen: gen}
+	if gen == s.cfg.Gen {
+		base, err := s.bases.Get(key, s.buildBase(key, stations))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return base.OpenAs(k, opts)
+		return fn(base)
 	}
-	if s.cfg.Snapshot != "" && gen == s.cfg.Gen {
-		if err := s.snapshotOK(); err != nil {
-			return nil, err
+	if stations == nil {
+		st, release, err := s.gens.acquire(gen)
+		if err != nil {
+			return err
 		}
-		return snapshot.Open(s.cfg.Snapshot, k, opts)
+		defer release()
+		stations = st
 	}
-	stations, err := s.stationsOf(gen, stations)
+	base, release, err := s.bases.GetScoped(key, s.buildBase(key, stations))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	m, err := store.New(k, opts)
-	if err != nil {
-		return nil, err
+	if err := fn(base); err != nil {
+		release()
+		return err
 	}
-	if err := m.Load(stations); err != nil {
-		m.Engine().Close()
-		return nil, fmt.Errorf("experiments: load %s: %w", k, err)
-	}
-	return m, nil
-}
-
-// openModel builds one loaded default-configuration model: a COW view of
-// the cached base (cow backend), restored from the snapshot, or generated
-// and loaded. The caller owns the model's engine.
-func (s *Suite) openModel(k store.Kind) (store.Model, error) {
-	opts, err := s.storeOptions()
-	if err != nil {
-		return nil, err
-	}
-	return s.openLoaded(k, opts, s.cfg.Gen, nil)
+	return release()
 }
 
 // extension generates (once) and returns the benchmark database. Safe
-// for concurrent use: base-cache build closures for different model
-// kinds race to it.
+// for concurrent use: base-cache build closures for different layouts
+// race to it.
 func (s *Suite) extension() ([]*cobench.Station, error) {
 	s.genOnce.Do(func() {
 		st, err := cobench.Generate(s.cfg.Gen)
@@ -337,18 +273,32 @@ func (s *Suite) ExtensionStats() (cobench.Stats, error) {
 	return *s.genStats, nil
 }
 
-// model loads (once) one storage model over the suite's extension (or
-// from the configured snapshot) and caches it on the suite.
-func (s *Suite) model(k store.Kind) (store.Model, error) {
-	if m, ok := s.models[k]; ok {
-		return m, nil
+// layoutSizes returns (once per kind) the relation sizes of k's physical
+// layout over the suite's extension: a pure function of the base's
+// directory metadata, read through a view once and kept, so Table 2 and
+// every DerivedParams call cost no further view.
+func (s *Suite) layoutSizes(k store.Kind) (store.SizeReport, error) {
+	if rep, ok := s.sizes[k]; ok {
+		return rep, nil
 	}
-	m, err := s.openModel(k)
+	opts, err := s.storeOptions()
 	if err != nil {
-		return nil, err
+		return store.SizeReport{}, err
 	}
-	s.models[k] = m
-	return m, nil
+	var rep store.SizeReport
+	err = s.withBase(k, s.cfg.Gen, nil, func(base *store.SharedBase) error {
+		m, err := base.OpenAs(k, opts)
+		if err != nil {
+			return err
+		}
+		rep = m.Sizes()
+		return m.Engine().Close()
+	})
+	if err != nil {
+		return store.SizeReport{}, err
+	}
+	s.sizes[k] = rep
+	return rep, nil
 }
 
 // Measured is one model × query measurement, normalized per unit (objects
@@ -399,201 +349,39 @@ func (m *Matrix) Models() []string {
 
 // Matrix runs (once) every benchmark query on every storage model.
 //
-// The grid is computed by a bounded pool of workers over the (model, query)
-// cells. Each worker owns private engines (simulated device + buffer pool)
-// per storage model, so cells never contend on shared state, and every
-// query starts from a cold cache with freshly reset counters — which makes
-// the measured numbers independent of scheduling and byte-identical to a
-// serial run (asserted by TestMatrixParallelDeterminism). Row order is
-// always the paper's: models in AllKinds order, queries in AllQueries
-// order.
+// The grid is one fan-out over the storage models: each unit opens one
+// view of its model's cached base and runs the seven queries on it in
+// paper order. Every query starts from a cold cache with freshly reset
+// counters, so the measured numbers are independent of the width
+// (TestMatrixParallelDeterminism) and equal to a privately loaded engine's
+// (TestMatrixSharedBaseDeterminism). Row order is always the paper's:
+// models in AllKinds order, queries in AllQueries order.
 func (s *Suite) Matrix() (*Matrix, error) {
 	if s.matrix != nil {
 		return s.matrix, nil
 	}
-	workers := s.workers()
+	opts, err := s.storeOptions()
+	if err != nil {
+		return nil, err
+	}
 	kinds := store.AllKinds()
 	queries := cobench.AllQueries()
-	if workers > len(kinds)*len(queries) {
-		workers = len(kinds) * len(queries)
-	}
-	var rows []Measured
-	var err error
-	if workers <= 1 {
-		rows, err = s.matrixSerial(kinds)
-	} else {
-		rows, err = s.matrixParallel(workers, kinds, queries)
-	}
+	rows := make([]Measured, len(kinds)*len(queries))
+	err = fanout.Run(len(kinds), s.workers(), func(ki int) error {
+		res, err := s.runQueries(kinds[ki:ki+1], opts, s.cfg.Gen, nil, s.cfg.Workload, queries...)
+		if err != nil {
+			return err
+		}
+		for qi, q := range queries {
+			rows[ki*len(queries)+qi] = res[0][q]
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	s.matrix = &Matrix{Rows: rows}
 	return s.matrix, nil
-}
-
-// matrixSerial is the single-threaded path: one model at a time, all its
-// queries in order, reusing the models cached on the Suite.
-func (s *Suite) matrixSerial(kinds []store.Kind) ([]Measured, error) {
-	var rows []Measured
-	for _, k := range kinds {
-		m, err := s.model(k)
-		if err != nil {
-			return nil, err
-		}
-		results, err := workload.NewRunner(m, s.cfg.Workload).RunAll()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", k, err)
-		}
-		for _, res := range results {
-			rows = append(rows, toMeasured(res))
-		}
-	}
-	return rows, nil
-}
-
-// matrixParallel fans the (model, query) cells out to a bounded worker
-// pool. Workers lazily open their own engine for each storage model they
-// are handed, so no locking is needed around the storage substrate.
-// Because loading a model is expensive, cells are not dealt out blindly: a
-// worker keeps claiming queries of the model it already has loaded, and
-// only when that queue is empty claims the model with the most queries
-// left. Loads therefore stay near one per (worker, model actually touched)
-// instead of one per cell.
-//
-// What "opening an engine" costs depends on the backend. With the mem and
-// file backends every worker restores (or loads) a private arena, so peak
-// memory scales with the worker count. With the cow backend the scheduler
-// instead builds one immutable shared base per model kind — read from the
-// snapshot, or loaded once and frozen — and hands each worker a
-// copy-on-write view of it: per-worker memory is only the pages the
-// worker's queries dirty. The measured counters are unchanged either way
-// (a restored view measures bit-identically to a fresh load, pinned by
-// TestMatrixSharedBaseDeterminism), so the rows stay byte-identical to a
-// serial run.
-//
-// After the run, one loaded copy of each model is adopted into the Suite's
-// model cache, so later experiments that only need layout metadata
-// (Table 2, derived cost-model parameters) do not reload from scratch.
-func (s *Suite) matrixParallel(workers int, kinds []store.Kind, queries []cobench.Query) ([]Measured, error) {
-	opts, err := s.storeOptions()
-	if err != nil {
-		return nil, err
-	}
-	// Workers either restore their model copies from the snapshot or load
-	// them over the shared, read-only extension; pre-flight the expensive
-	// shared inputs so every worker fails (or proceeds) the same way.
-	var stations []*cobench.Station
-	if s.cfg.Snapshot != "" {
-		if err := s.snapshotOK(); err != nil {
-			return nil, err
-		}
-	} else {
-		if stations, err = s.extension(); err != nil {
-			return nil, err
-		}
-	}
-	// Shared-base mode (cow backend): the first worker to touch a model
-	// kind builds its immutable base exactly once — in the suite's
-	// config-keyed cache, where the sweeps and later experiments find it
-	// again; bases for different kinds build concurrently.
-	openWorkerModel := func(ki int) (store.Model, error) {
-		return s.openLoaded(kinds[ki], opts, s.cfg.Gen, stations)
-	}
-	rows := make([]Measured, len(kinds)*len(queries))
-	var (
-		mu      sync.Mutex
-		nextQ   = make([]int, len(kinds)) // next unclaimed query per kind
-		aborted bool
-	)
-	// claim hands out one (kind, query) cell, preferring the worker's
-	// current kind; ok is false when no work is left (or a worker failed).
-	claim := func(preferred int) (ki, qi int, ok bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if aborted {
-			return 0, 0, false
-		}
-		if preferred >= 0 && nextQ[preferred] < len(queries) {
-			qi = nextQ[preferred]
-			nextQ[preferred]++
-			return preferred, qi, true
-		}
-		best, bestRem := -1, 0
-		for k := range kinds {
-			if rem := len(queries) - nextQ[k]; rem > bestRem {
-				best, bestRem = k, rem
-			}
-		}
-		if best < 0 {
-			return 0, 0, false
-		}
-		qi = nextQ[best]
-		nextQ[best]++
-		return best, qi, true
-	}
-	abort := func() {
-		mu.Lock()
-		aborted = true
-		mu.Unlock()
-	}
-	workerModels := make([]map[store.Kind]store.Model, workers)
-	err = fanout.Run(workers, workers, func(w int) error {
-		models := make(map[store.Kind]store.Model, len(kinds))
-		workerModels[w] = models
-		cur := -1
-		for {
-			ki, qi, ok := claim(cur)
-			if !ok {
-				return nil
-			}
-			cur = ki
-			k, q := kinds[ki], queries[qi]
-			m, loaded := models[k]
-			if !loaded {
-				var err error
-				if m, err = openWorkerModel(ki); err != nil {
-					abort()
-					return fmt.Errorf("experiments: open %s: %w", k, err)
-				}
-				models[k] = m
-			}
-			res, err := workload.NewRunner(m, s.cfg.Workload).Run(q)
-			if err != nil {
-				abort()
-				return fmt.Errorf("experiments: %s %s: %w", k, q, err)
-			}
-			rows[ki*len(queries)+qi] = toMeasured(res)
-		}
-	})
-	if err != nil {
-		// Release every worker's engines: with a file backend each holds
-		// an mmap, a descriptor and an anonymous arena file.
-		for _, wm := range workerModels {
-			for _, m := range wm {
-				m.Engine().Close()
-			}
-		}
-		return nil, err
-	}
-	// Adopt one loaded copy of each model into the Suite cache; close the
-	// engines of redundant copies so file-backed arenas are released. The
-	// adopted copies differ from a serial run only in which queries they
-	// executed, which cannot affect the layout metadata (Sizes) that
-	// cached models serve.
-	var closeErr error
-	for _, wm := range workerModels {
-		for k, m := range wm {
-			if _, ok := s.models[k]; !ok {
-				s.models[k] = m
-			} else if err := m.Engine().Close(); err != nil && closeErr == nil {
-				closeErr = err
-			}
-		}
-	}
-	if closeErr != nil {
-		return nil, closeErr
-	}
-	return rows, nil
 }
 
 func toMeasured(res workload.Result) Measured {
@@ -621,7 +409,7 @@ func toMeasured(res workload.Result) Measured {
 // layoutGroups splits models into the runs of neighbours that share a
 // physical layout, as [lo, hi) index pairs. A sweep fans out over these
 // groups, not over single kinds: the cells of a group run on views of one
-// loaded base (runQueriesLoaded), so every sweep point loads each layout
+// acquired base (runQueries), so every sweep point loads each layout
 // exactly once however the workers are scheduled.
 func layoutGroups(models []store.Kind) [][2]int {
 	var groups [][2]int
@@ -636,60 +424,35 @@ func layoutGroups(models []store.Kind) [][2]int {
 	return groups
 }
 
-// runQueriesLoaded obtains loaded models of the given kinds — which must
-// share one physical layout — under the generator configuration gen
-// (stations may carry a pre-generated copy, or be nil), runs the selected
-// queries on each with the given workload and returns the results in
-// kinds order, releasing every engine afterwards. Used by the sweeps
-// (Table 7, Figures 5 and 6, the buffer sweep), which need configurations
-// other than the suite default. Only concurrency-safe Suite state is
-// touched, so sweep cells can fan out over a worker pool.
-//
-// Non-default configurations get cell-scoped sharing and release: the
-// extension comes from the transient generation share (cells of the same
-// configuration running concurrently generate it once; nothing outlives
-// the cells), and on the shared-base path the frozen base is acquired
-// scoped, once for all the kinds — dropped from the cache as soon as the
-// last cell of its configuration finishes — so a sweep's memory tracks
-// the cells in flight, not the number of configurations swept. Otherwise
-// every kind gets a private engine over the generation.
-func (s *Suite) runQueriesLoaded(kinds []store.Kind, opts store.Options, gen cobench.Config, stations []*cobench.Station, w cobench.Workload, queries ...cobench.Query) ([]map[cobench.Query]Measured, error) {
-	if stations == nil && gen != s.cfg.Gen {
-		st, release, err := s.gens.acquire(gen)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		stations = st
-	}
-	open := func(k store.Kind) (store.Model, error) { return s.openLoaded(k, opts, gen, stations) }
-	if s.useSharedBases() && gen != s.cfg.Gen {
-		base, release, err := s.scopedBase(kinds[0], gen, stations)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		open = func(k store.Kind) (store.Model, error) { return base.OpenAs(k, opts) }
-	}
+// runQueries is the one way a cell is measured: acquire the base of the
+// given kinds — which must share one physical layout — under the
+// generator configuration gen (see withBase), and for each kind open a
+// copy-on-write view, run the selected queries on it with the given
+// workload, and close it. Results come back in kinds order. Safe to call
+// from fan-out workers.
+func (s *Suite) runQueries(kinds []store.Kind, opts store.Options, gen cobench.Config, stations []*cobench.Station, w cobench.Workload, queries ...cobench.Query) ([]map[cobench.Query]Measured, error) {
 	out := make([]map[cobench.Query]Measured, len(kinds))
-	for i, k := range kinds {
-		m, err := open(k)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = make(map[cobench.Query]Measured, len(queries))
-		runner := workload.NewRunner(m, w)
-		for _, q := range queries {
-			res, err := runner.Run(q)
+	err := s.withBase(kinds[0], gen, stations, func(base *store.SharedBase) error {
+		for i, k := range kinds {
+			m, err := base.OpenAs(k, opts)
 			if err != nil {
-				m.Engine().Close()
-				return nil, fmt.Errorf("experiments: %s %s: %w", k, q, err)
+				return err
 			}
-			out[i][q] = toMeasured(res)
+			out[i] = make(map[cobench.Query]Measured, len(queries))
+			runner := workload.NewRunner(m, w)
+			for _, q := range queries {
+				res, err := runner.Run(q)
+				if err != nil {
+					m.Engine().Close()
+					return fmt.Errorf("experiments: %s %s: %w", k, q, err)
+				}
+				out[i][q] = toMeasured(res)
+			}
+			if err := m.Engine().Close(); err != nil {
+				return err
+			}
 		}
-		if err := m.Engine().Close(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }

@@ -10,10 +10,7 @@ import (
 )
 
 // The paper-scale suite is expensive enough (~seconds) to share across
-// tests; every experiment is deterministic, so sharing is safe. The
-// COMPLEXOBJ_BACKEND environment variable (the CI matrix axis) selects
-// the device backend — every assertion in this package must hold
-// identically for "mem" and "file".
+// tests; every experiment is deterministic, so sharing is safe.
 var (
 	suiteOnce sync.Once
 	suite     *Suite
@@ -22,15 +19,12 @@ var (
 func paperSuite(t *testing.T) *Suite {
 	t.Helper()
 	suiteOnce.Do(func() {
-		cfg := DefaultConfig()
-		cfg.Backend = os.Getenv("COMPLEXOBJ_BACKEND")
-		suite = New(cfg)
+		suite = New(DefaultConfig())
 	})
 	return suite
 }
 
-// TestMain closes the shared suite so file-backend runs do not leave
-// anonymous arena files behind.
+// TestMain closes the shared suite, releasing its cached bases.
 func TestMain(m *testing.M) {
 	code := m.Run()
 	if suite != nil {

@@ -33,10 +33,10 @@ type Fig5Cell struct {
 // independent random stream, so the platform/connection graph is identical
 // across the sweep and the figure isolates the pure object-size effect.
 //
-// The (maxSeeing, layout) cell groups are independent — each builds its
-// own extension and engines, DSM and DASDBS-DSM over one loaded base — so
-// they fan out over the suite's worker pool; results land at fixed
-// indices and are byte-identical to a serial run.
+// The (maxSeeing, layout) cell groups are independent — each acquires the
+// base of its own extension, DSM and DASDBS-DSM as views of one — so they
+// fan out over the suite's worker pool; results land at fixed indices
+// and do not depend on the width.
 func (s *Suite) Figure5() ([]Fig5Cell, error) {
 	if s.fig5 != nil {
 		return s.fig5, nil
@@ -47,9 +47,9 @@ func (s *Suite) Figure5() ([]Fig5Cell, error) {
 	}
 	maxSees := []int{0, 15, 30}
 	// Generate each maxSeeing extension once; the three model cells of a
-	// column share it read-only (and, on the shared-base path, the column
-	// whose maxSeeing equals the suite default shares its frozen bases
-	// with the matrix and the buffer sweep).
+	// column share it read-only (and the column whose maxSeeing equals the
+	// suite default shares its frozen bases with the matrix and the
+	// buffer sweep).
 	gens := make([]cobench.Config, len(maxSees))
 	extensions := make([][]*cobench.Station, len(maxSees))
 	genStats := make([]cobench.Stats, len(maxSees))
@@ -66,7 +66,7 @@ func (s *Suite) Figure5() ([]Fig5Cell, error) {
 	groups := layoutGroups(fig5Models)
 	err = fanout.Run(len(maxSees)*len(groups), s.workers(), func(u int) error {
 		col, g := u/len(groups), groups[u%len(groups)]
-		res, err := s.runQueriesLoaded(fig5Models[g[0]:g[1]], opts, gens[col], extensions[col], s.cfg.Workload,
+		res, err := s.runQueries(fig5Models[g[0]:g[1]], opts, gens[col], extensions[col], s.cfg.Workload,
 			cobench.Q1c, cobench.Q2b, cobench.Q3b)
 		if err != nil {
 			return err
@@ -144,7 +144,7 @@ var Fig6Sizes = []int{100, 200, 400, 700, 1000, 1500}
 // direct models degrade toward the worst case (the query 2a estimate).
 //
 // The (N, layout) point groups fan out over the suite's worker pool with
-// per-point engines; only the analytical envelope is computed up front.
+// per-point bases; only the analytical envelope is computed up front.
 func (s *Suite) Figure6() ([]Fig6Point, error) {
 	if s.fig6 != nil {
 		return s.fig6, nil
@@ -165,7 +165,7 @@ func (s *Suite) Figure6() ([]Fig6Point, error) {
 		n := Fig6Sizes[size]
 		w := s.cfg.Workload
 		w.Loops = cobench.LoopsFor(n)
-		res, err := s.runQueriesLoaded(fig5Models[g[0]:g[1]], opts, s.cfg.Gen.WithN(n), nil, w, cobench.Q2b)
+		res, err := s.runQueries(fig5Models[g[0]:g[1]], opts, s.cfg.Gen.WithN(n), nil, w, cobench.Q2b)
 		if err != nil {
 			return err
 		}

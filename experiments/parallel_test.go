@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"os"
 	"reflect"
 	"testing"
 
@@ -11,22 +10,18 @@ import (
 // smallConfig is a reduced-scale configuration that keeps the determinism
 // tests fast while still exercising every model × query cell, including the
 // update queries whose write-back paths are the most scheduling-sensitive.
-// The backend follows the CI matrix axis (COMPLEXOBJ_BACKEND), so all
-// determinism guarantees are pinned on the file backend too.
 func smallConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Gen = cobench.DefaultConfig().WithN(150)
 	cfg.Workload = cobench.Workload{Loops: 40, Samples: 8, Seed: 1993}
 	cfg.BufferPages = 300
-	cfg.Backend = os.Getenv("COMPLEXOBJ_BACKEND")
 	return cfg
 }
 
-// TestMatrixParallelDeterminism asserts the tentpole invariant of the
-// parallel harness: the (model, query) worker pool produces measurements
-// byte-identical to the serial path, for any worker count, because every
-// worker owns its engines and every query starts from a cold cache with
-// reset counters.
+// TestMatrixParallelDeterminism asserts the matrix does not depend on the
+// fan-out width: any worker count produces measurements byte-identical
+// to width 1, because every cell owns its view and every query starts
+// from a cold cache with reset counters.
 func TestMatrixParallelDeterminism(t *testing.T) {
 	serialCfg := smallConfig()
 	serialCfg.Workers = 1
@@ -57,8 +52,8 @@ func TestMatrixParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestMatrixParallelTableBytes renders Tables 4-6 from a serial and a
-// parallel suite and compares the emitted text byte for byte — the form in
+// TestMatrixParallelTableBytes renders Tables 4-6 from a width-1 and a
+// width-8 suite and compares the emitted text byte for byte — the form in
 // which cotables publishes the reproduction.
 func TestMatrixParallelTableBytes(t *testing.T) {
 	serialCfg := smallConfig()

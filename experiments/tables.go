@@ -73,11 +73,10 @@ func nan() float64 { return math.NaN() }
 func (s *Suite) Table2() ([]RelationRow, error) {
 	var rows []RelationRow
 	for _, k := range []store.Kind{store.DSM, store.NSM, store.DASDBSNSM} {
-		m, err := s.model(k)
+		rep, err := s.layoutSizes(k)
 		if err != nil {
 			return nil, err
 		}
-		rep := m.Sizes()
 		for _, rel := range rep.Relations {
 			row := RelationRow{
 				Model:           rep.Model,
@@ -160,11 +159,11 @@ func (s *Suite) DerivedParams() (costmodel.Params, costmodel.Workload, error) {
 	}
 
 	p := costmodel.Params{Name: "derived", SPage: 2012}
-	dsm, err := s.model(store.DSM)
+	dsm, err := s.layoutSizes(store.DSM)
 	if err != nil {
 		return p, w, err
 	}
-	drel := dsm.Sizes().Relations[0]
+	drel := dsm.Relations[0]
 	perObj := float64(drel.M) / float64(gs.N)
 	p.DirectP = perObj
 	p.DirectUsefulP = perObj // our layout has no artificial allocation waste
@@ -173,11 +172,11 @@ func (s *Suite) DerivedParams() (costmodel.Params, costmodel.Workload, error) {
 	p.DirectM = float64(drel.M)
 	p.DirectUsefulM = float64(drel.M)
 
-	nsm, err := s.model(store.NSM)
+	nsm, err := s.layoutSizes(store.NSM)
 	if err != nil {
 		return p, w, err
 	}
-	for _, rel := range nsm.Sizes().Relations {
+	for _, rel := range nsm.Relations {
 		r := costmodel.Rel{PerObject: rel.TuplesPerObject, K: rel.K, P: rel.P, M: float64(rel.M)}
 		switch trimPrefix(rel.Name) {
 		case "Station":
@@ -190,11 +189,11 @@ func (s *Suite) DerivedParams() (costmodel.Params, costmodel.Workload, error) {
 			p.NSMSightseeing = r
 		}
 	}
-	dnsm, err := s.model(store.DASDBSNSM)
+	dnsm, err := s.layoutSizes(store.DASDBSNSM)
 	if err != nil {
 		return p, w, err
 	}
-	for _, rel := range dnsm.Sizes().Relations {
+	for _, rel := range dnsm.Relations {
 		r := costmodel.Rel{PerObject: rel.TuplesPerObject, K: rel.K, P: rel.P, M: float64(rel.M)}
 		switch trimPrefix(rel.Name) {
 		case "Station":
@@ -437,7 +436,7 @@ func (s *Suite) Table7() ([]SkewRow, error) {
 	groups := layoutGroups(kinds)
 	err = fanout.Run(len(groups), s.workers(), func(u int) error {
 		g := groups[u]
-		res, err := s.runQueriesLoaded(kinds[g[0]:g[1]], opts, skewGen, nil, s.cfg.Workload, cobench.Q2a, cobench.Q2b)
+		res, err := s.runQueries(kinds[g[0]:g[1]], opts, skewGen, nil, s.cfg.Workload, cobench.Q2a, cobench.Q2b)
 		if err != nil {
 			return err
 		}

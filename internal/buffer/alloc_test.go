@@ -1,34 +1,22 @@
 package buffer
 
 import (
-	"fmt"
-	"path/filepath"
 	"testing"
 
 	"complexobj/internal/disk"
 )
 
 // testDevices builds one fresh device per backend kind, so every alloc
-// budget below is pinned against the memory arena, the mmap'ed file arena
-// and the copy-on-write overlay alike: the recycled-frame read path must
-// stay allocation-free no matter where the page bytes live. The COW
-// device reads through a pre-populated shared base, the configuration the
-// parallel matrix runs in steady state (reads never materialize overlay
-// pages, re-writes of materialized pages allocate nothing).
+// budget below is pinned against the memory arena and the copy-on-write
+// overlay alike: the recycled-frame read path must stay allocation-free
+// no matter where the page bytes live. The COW device reads through a
+// pre-populated shared base, the configuration every measured cell runs
+// in steady state (reads never materialize overlay pages, re-writes of
+// materialized pages allocate nothing).
 func testDevices(t *testing.T) map[string]func() *disk.Disk {
 	t.Helper()
-	dir := t.TempDir()
-	n := 0
 	return map[string]func() *disk.Disk{
 		"mem": func() *disk.Disk { return disk.New(disk.DefaultPageSize) },
-		"file": func() *disk.Disk {
-			n++
-			b, err := disk.OpenFileBackend(filepath.Join(dir, fmt.Sprintf("arena%d", n)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return disk.NewWithBackend(disk.DefaultPageSize, b)
-		},
 		"cow": func() *disk.Disk {
 			base := disk.NewBaseArena(make([]byte, 256*disk.DefaultPageSize))
 			d, err := disk.Open(disk.DefaultPageSize, disk.NewCOWBackend(base, disk.DefaultPageSize))

@@ -1,19 +1,13 @@
 package disk
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
-)
+import "fmt"
 
 // Backend is the storage substrate behind a Disk: one logical byte arena
 // holding every page image. The device layer owns all page-level
 // semantics (allocation, run transfers, I/O accounting); a backend only
-// decides where the arena bytes live — on the Go heap, mapped onto a real
-// file, or layered copy-on-write over a shared base. Swapping backends
-// therefore can never change the counters the paper measures, only the
-// persistence and sharing of the bytes.
+// decides where the arena bytes live — on the Go heap, or layered
+// copy-on-write over a shared base. Swapping backends therefore can never
+// change the counters the paper measures, only the sharing of the bytes.
 //
 // Backends are not safe for concurrent use; the owning Disk serializes
 // access under its own mutex. Offsets and lengths are bytes; reads and
@@ -30,7 +24,8 @@ type Backend interface {
 	ReadAt(p []byte, off int) error
 	// WriteAt stores p at offset off. It must not retain p.
 	WriteAt(p []byte, off int) error
-	// Flush persists the arena contents (no-op for memory backends).
+	// Flush persists the arena contents (a no-op for both built-in
+	// backends: neither is durable).
 	Flush() error
 	// Close flushes and releases the backend.
 	Close() error
@@ -49,10 +44,9 @@ type flatBackend interface {
 // whose memory stays valid — and keeps reflecting the backend's content
 // for that range as written through this backend — until the backend is
 // reset (COW views) or closed. Growth must not invalidate stable slices:
-// backends that move their arena on Grow either retain the old memory
-// (mmap'ed arenas retire superseded mappings until Close) or rely on the
-// garbage collector (heap arenas), in which case a stale slice still
-// holds the bytes it was handed, exactly as a private copy would.
+// a heap arena that moves on Grow relies on the garbage collector, so a
+// stale slice still holds the bytes it was handed, exactly as a private
+// copy would.
 //
 // StablePage returns the n bytes at offset off, or ok=false when this
 // particular range cannot be shared (spans a COW page boundary, lies
@@ -74,9 +68,8 @@ func checkRange(off, n, l int) error {
 
 // reserver is the optional capacity hint: Reserve(n) asks the backend to
 // make room for an arena of n bytes now, so that growing up to n never
-// moves it. Only the heap arena implements it — a file arena already
-// grows in extents and a COW overlay has nothing to move. The hint never
-// changes Len or any byte read.
+// moves it. Only the heap arena implements it — a COW overlay has nothing
+// to move. The hint never changes Len or any byte read.
 type reserver interface {
 	Reserve(n int)
 }
@@ -177,134 +170,38 @@ func (b *memBackend) StablePage(off, n int) ([]byte, bool) {
 type BackendKind int
 
 const (
-	// MemArena keeps page images on the Go heap (default).
+	// MemArena keeps page images on the Go heap (default): the arena a
+	// loader builds and a base adopts.
 	MemArena BackendKind = iota
-	// FileArena maps the page arena onto a scratch file, grown in
-	// page-aligned extents and removed on Close.
-	FileArena
 	// COWArena layers a private page-granular overlay over a shared,
 	// immutable base arena (copy-on-write). With a nil base it degenerates
 	// to a fully private overlay arena.
 	COWArena
 )
 
-// String implements fmt.Stringer.
-func (k BackendKind) String() string {
-	switch k {
-	case MemArena:
-		return "mem"
-	case FileArena:
-		return "file"
-	case COWArena:
-		return "cow"
-	default:
-		return fmt.Sprintf("BackendKind(%d)", int(k))
-	}
-}
-
 // BackendSpec describes how to construct a backend. Specs (not Backend
-// instances) are what flows through configuration: every engine opens its
-// own arena from the shared spec, so independent engines never collide.
-// The one deliberately shared piece of state is Base: COW engines opened
-// from the same spec all read through the same immutable base arena.
+// instances) are what flows through store.Options: every engine opens its
+// own arena from the spec, so independent engines never collide. The one
+// deliberately shared piece of state is Base: COW engines opened from the
+// same spec all read through the same immutable base arena.
 type BackendSpec struct {
 	Kind BackendKind
-	// Dir is the directory for arena files (FileArena only; "" means the
-	// OS temp directory). Arena files are scratch: uniquely named,
-	// removed on Close, never reopened — what persists a database is a
-	// .codb snapshot.
-	Dir string
 	// Base is the shared immutable base arena for COWArena backends.
-	// nil means an empty base: every written page lives in the overlay,
-	// which makes "cow" usable as a drop-in backend even without a
-	// shared base (the CLI/env spec syntax).
+	// nil means an empty base: every written page lives in the overlay.
 	Base *BaseArena
-}
-
-// ParseBackendSpec parses the CLI/config syntax:
-//
-//	""            -> memory arena (default)
-//	"mem"         -> memory arena
-//	"file"        -> file arenas in the OS temp directory
-//	"file:DIR"    -> file arenas in DIR
-//	"cow"         -> copy-on-write arenas (shared base where the harness
-//	                 provides one, private overlays everywhere)
-func ParseBackendSpec(s string) (BackendSpec, error) {
-	switch {
-	case s == "" || s == "mem":
-		return BackendSpec{Kind: MemArena}, nil
-	case s == "file":
-		return BackendSpec{Kind: FileArena}, nil
-	case strings.HasPrefix(s, "file:"):
-		return BackendSpec{Kind: FileArena, Dir: s[len("file:"):]}, nil
-	case s == "cow":
-		return BackendSpec{Kind: COWArena}, nil
-	default:
-		return BackendSpec{}, fmt.Errorf("disk: unknown backend spec %q (want mem, file, file:DIR or cow)", s)
-	}
-}
-
-// String renders the spec back in ParseBackendSpec syntax.
-func (s BackendSpec) String() string {
-	switch s.Kind {
-	case FileArena:
-		if s.Dir != "" {
-			return "file:" + s.Dir
-		}
-		return "file"
-	case COWArena:
-		return "cow"
-	default:
-		return "mem"
-	}
 }
 
 // Open constructs a fresh backend per the spec, for a device with the
 // given page size (the COW overlay granularity; 0 means DefaultPageSize).
-// FileArena specs create a uniquely named arena file, so one spec can
-// open arbitrarily many independent engines;
 // COWArena specs with a Base share that base across every engine opened
 // from the spec.
 func (s BackendSpec) Open(pageSize int) (Backend, error) {
 	switch s.Kind {
 	case MemArena:
 		return NewMemBackend(), nil
-	case FileArena:
-		dir := s.Dir
-		if dir == "" {
-			dir = os.TempDir()
-		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("disk: backend dir: %w", err)
-		}
-		f, err := os.CreateTemp(dir, "arena-*.pages")
-		if err != nil {
-			return nil, fmt.Errorf("disk: create arena file: %w", err)
-		}
-		path := f.Name()
-		f.Close()
-		return OpenFileBackend(path)
 	case COWArena:
 		return NewCOWBackend(s.Base, pageSize), nil
 	default:
 		return nil, fmt.Errorf("disk: unknown backend kind %d", int(s.Kind))
 	}
-}
-
-// DefaultExtentBytes is the arena-file growth granularity: 1 MiB, i.e.
-// 512 DASDBS pages per extent. Growing in extents keeps the
-// remap/truncate frequency O(log n) in the database size.
-const DefaultExtentBytes = 1 << 20
-
-// roundUp rounds n up to a multiple of quantum.
-func roundUp(n, quantum int) int {
-	return (n + quantum - 1) / quantum * quantum
-}
-
-// removeArena deletes a closed arena file.
-func removeArena(path string) error {
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("disk: remove arena %s: %w", filepath.Base(path), err)
-	}
-	return nil
 }

@@ -2,30 +2,18 @@ package disk
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"complexobj/internal/iostat"
 )
 
 // backends lists the built-in backends for table-driven device tests.
-// "cow" runs with a nil base (fully private overlay), the drop-in mode of
-// the CLI spec syntax; shared-base behaviour is pinned in cow_test.go.
+// "cow" runs with a nil base (fully private overlay); shared-base
+// behaviour is pinned in cow_test.go.
 func backends(t *testing.T) map[string]func() Backend {
 	t.Helper()
-	dir := t.TempDir()
-	n := 0
 	return map[string]func() Backend{
 		"mem": func() Backend { return NewMemBackend() },
-		"file": func() Backend {
-			n++
-			b, err := OpenFileBackend(filepath.Join(dir, "arena"+string(rune('0'+n))))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		},
 		"cow": func() Backend { return NewCOWBackend(nil, DefaultPageSize) },
 	}
 }
@@ -55,7 +43,7 @@ func TestBackendGrowZeroes(t *testing.T) {
 			if err := b.WriteAt([]byte("mark"), 0); err != nil {
 				t.Fatal(err)
 			}
-			if err := b.Grow(3 * DefaultExtentBytes / 2); err != nil { // force a remap past one extent
+			if err := b.Grow(3 << 19); err != nil { // far past the doubled capacity: the heap arena moves
 				t.Fatal(err)
 			}
 			head := make([]byte, 4)
@@ -102,115 +90,40 @@ func TestBackendRangeChecks(t *testing.T) {
 	}
 }
 
-// TestFileBackendIsScratch pins that a file arena is never a persisted
-// form: opening over an existing file starts empty instead of adopting
-// its contents, and Close deletes the file.
-func TestFileBackendIsScratch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "arena.pages")
-	if err := os.WriteFile(path, bytes.Repeat([]byte{0xEE}, 3*DefaultPageSize), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b, err := OpenFileBackend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 0 {
-		t.Fatalf("arena over an existing file starts with %d bytes, want 0", b.Len())
-	}
-	d := NewWithBackend(DefaultPageSize, b)
-	if id, err := d.Allocate(2); err != nil || id != 0 {
-		t.Fatalf("first allocation at page %d, %v; want 0", id, err)
-	}
-	if got, err := readCopy(d, 0, 1); err != nil || !bytes.Equal(got[0], make([]byte, DefaultPageSize)) {
-		t.Fatalf("fresh page not zeroed (old file contents adopted?): %v", err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("arena file survived Close: %v", err)
-	}
-}
-
-// TestFileBackendRemoveOnClose asserts anonymous arenas clean up.
-func TestFileBackendRemoveOnClose(t *testing.T) {
-	spec := BackendSpec{Kind: FileArena, Dir: t.TempDir()}
-	b, err := spec.Open(DefaultPageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Grow(DefaultPageSize); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	left, err := os.ReadDir(spec.Dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		t.Fatalf("anonymous arena left %d files behind", len(left))
-	}
-}
-
-// TestParseBackendSpec pins the CLI syntax.
-func TestParseBackendSpec(t *testing.T) {
-	cases := []struct {
-		in   string
-		want BackendSpec
-		err  bool
-	}{
-		{in: "", want: BackendSpec{Kind: MemArena}},
-		{in: "mem", want: BackendSpec{Kind: MemArena}},
-		{in: "file", want: BackendSpec{Kind: FileArena}},
-		{in: "file:/tmp/x", want: BackendSpec{Kind: FileArena, Dir: "/tmp/x"}},
-		{in: "cow", want: BackendSpec{Kind: COWArena}},
-		{in: "mmap", err: true},
-	}
-	for _, c := range cases {
-		got, err := ParseBackendSpec(c.in)
-		if c.err {
-			if err == nil {
-				t.Errorf("ParseBackendSpec(%q): want error", c.in)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("ParseBackendSpec(%q): %v", c.in, err)
-			continue
-		}
-		if got != c.want {
-			t.Errorf("ParseBackendSpec(%q) = %+v, want %+v", c.in, got, c.want)
-		}
-		if got.String() != c.in && c.in != "" {
-			t.Errorf("BackendSpec(%q).String() = %q", c.in, got.String())
-		}
-	}
-}
-
-// TestDiskRestoreDump round-trips a device through DumpTo/Restore across
-// backend kinds and checks counters are untouched by both.
+// TestDiskRestoreDump round-trips a device through the one way a dump
+// comes back: DumpTo streams the arena (the flat path for the heap
+// arena, the chunked path for an overlay), NewBaseArena adopts the image
+// as a floor, and a copy-on-write device over it reads the same pages —
+// with no counter touched on either side.
 func TestDiskRestoreDump(t *testing.T) {
-	src := New(512)
-	if _, err := src.Allocate(5); err != nil {
-		t.Fatal(err)
-	}
 	img := make([]byte, 512)
 	copy(img, []byte("snapshot me"))
-	if err := src.WriteRun(2, [][]byte{img}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := src.DumpTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-
 	for name, open := range backends(t) {
 		t.Run(name, func(t *testing.T) {
-			dst := NewWithBackend(512, open())
+			src := NewWithBackend(512, open())
+			defer src.Close()
+			if _, err := src.Allocate(5); err != nil {
+				t.Fatal(err)
+			}
+			if err := src.WriteRun(2, [][]byte{img}); err != nil {
+				t.Fatal(err)
+			}
+			before := src.Stats()
+			var buf bytes.Buffer
+			if err := src.DumpTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if got := src.Stats(); got != before {
+				t.Fatalf("dump touched counters: %+v, were %+v", got, before)
+			}
+
+			base := NewBaseArena(bytes.Clone(buf.Bytes()))
+			dst, err := Open(512, NewCOWBackend(base, 512))
+			if err != nil {
+				t.Fatal(err)
+			}
 			defer dst.Close()
-			if err := dst.Restore(bytes.NewReader(buf.Bytes()), 5); err != nil {
+			if err := base.Release(); err != nil {
 				t.Fatal(err)
 			}
 			if got := dst.Stats(); got != (iostat.Stats{}) {

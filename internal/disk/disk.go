@@ -204,8 +204,8 @@ func (d *Disk) Detach() ([]byte, error) {
 //
 // Accounting is one read call, len(views) pages, whether pages are
 // borrowed or copied, so zero-copy is invisible to every paper counter
-// (the memory and file arenas always share an in-range page; copies
-// happen over COW holes and fault-injected pages). On error, entries
+// (the heap arena always shares an in-range page; copies happen over
+// COW holes and fault-injected pages). On error, entries
 // already holding getBuf buffers keep them (borrowed[i] = false) and all
 // remaining entries are nil, so the caller can reclaim its buffers.
 func (d *Disk) ReadRunShared(start PageID, views [][]byte, borrowed []bool, getBuf func() []byte) error {
@@ -368,50 +368,6 @@ func (d *Disk) DumpTo(w io.Writer) error {
 		}
 		off += len(chunk)
 	}
-	return nil
-}
-
-// Restore bulk-loads numPages page images from r into an empty device,
-// without touching the I/O counters. Together with DumpTo it moves whole
-// databases between backends (the snapshot path).
-func (d *Disk) Restore(r io.Reader, numPages int) error {
-	if numPages < 0 {
-		return ErrBadRun
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.detached {
-		return ErrDetached
-	}
-	if d.numPages != 0 {
-		return fmt.Errorf("disk: restore into non-empty device (%d pages)", d.numPages)
-	}
-	n := numPages * d.pageSize
-	if err := d.backend.Grow(n); err != nil {
-		return err
-	}
-	d.refreshFlat()
-	if d.flat != nil {
-		if _, err := io.ReadFull(r, d.flat[:n]); err != nil {
-			return fmt.Errorf("disk: restore arena: %w", err)
-		}
-	} else {
-		buf := make([]byte, 64*d.pageSize)
-		for off := 0; off < n; {
-			chunk := buf
-			if n-off < len(chunk) {
-				chunk = chunk[:n-off]
-			}
-			if _, err := io.ReadFull(r, chunk); err != nil {
-				return fmt.Errorf("disk: restore arena: %w", err)
-			}
-			if err := d.backend.WriteAt(chunk, off); err != nil {
-				return err
-			}
-			off += len(chunk)
-		}
-	}
-	d.numPages = numPages
 	return nil
 }
 

@@ -22,14 +22,17 @@
 // offset-based byte I/O (Len, Grow, ReadAt, WriteAt, Flush, Close) over
 // one logical arena; backends whose arena is a single contiguous slice
 // additionally expose it, and the device then bypasses the interface with
-// direct memmoves. Three implementations exist:
+// direct memmoves. Two implementations exist:
 //
-//   - mem: the arena on the Go heap (the original in-memory device);
-//   - file: the arena mapped onto a scratch file, grown in extents and
-//     removed on Close — never reopened: what persists an arena is a
-//     .codb snapshot (internal/snapshot), the one on-disk form;
+//   - mem: the arena on the Go heap — what a loader builds into and what
+//     Detach hands to a base as its floor;
 //   - cow: a page-granular private overlay over a shared immutable
-//     BaseArena (copy-on-write).
+//     BaseArena (copy-on-write) — what every measured or served engine
+//     runs on.
+//
+// Neither persists anything: what persists an arena is a .codb snapshot
+// (internal/snapshot), the one on-disk form, which a BaseArena maps back
+// in as its floor.
 //
 // The contract every backend must honour: Grow never shrinks and fresh
 // bytes read as zero; ReadAt overwrites the whole destination buffer
@@ -42,8 +45,8 @@
 // the first: the storage models run a sizing pass and call Disk.Reserve.
 // Reservation is an optional backend capability. The heap arena
 // implements it — the arena is allocated once, at the size the load ends
-// with — and the others ignore it (a file arena grows in extents, a COW
-// overlay has nothing to move). Growth past a reservation, or without
+// with — and the COW overlay ignores it (it has nothing to move). Growth
+// past a reservation, or without
 // one, falls back to doubling the capacity: that is what relocating
 // updates after a load and anything a sizing pass did not count run on,
 // and it keeps an under-estimate a matter of cost, never of correctness.
@@ -68,8 +71,8 @@
 // releases only its overlay. This is what lets the
 // parallel experiment matrix share one loaded extension across workers:
 // per-worker memory is proportional to the pages a worker dirties, not to
-// the database size, while the counters stay bit-identical to the other
-// backends by construction (the device layer above is unchanged).
+// the database size, while the counters stay bit-identical to a private
+// heap arena by construction (the device layer above is unchanged).
 //
 // # Base generations
 //
@@ -110,7 +113,7 @@
 // an mmap-backed one (MapBaseArena, used for .codb snapshots) cannot —
 // the file mapping must be unmapped explicitly, and unmapping while a
 // view could still read it would be a crash, not a leak. The mapped
-// variant is what makes `-db x.codb -backend cow` memory-cheap: the
+// variant is what makes a `-db x.codb` run memory-cheap: the
 // snapshot's arena region is mapped PROT_READ/MAP_PRIVATE, resident only
 // in the pages views actually touch, immutable by page protection on top
 // of immutable by construction — and it stays the floor across commits,
@@ -126,8 +129,8 @@
 // aliasing the backend's own memory for a range inside one page. The
 // slice is a live view, not a snapshot — it stays valid (and observes
 // later writes through the device) until the backend is reset or closed;
-// growth never moves existing pages. The mem and file backends serve
-// stable pages from their arenas; the cow backend serves a materialized
+// growth never moves existing pages. The mem backend serves stable
+// pages from its arena; the cow backend serves a materialized
 // page from its private overlay image and a clean page from the shared
 // base generation itself (a committed image or the floor), which is what
 // lets every view of one frozen base read the same physical bytes.

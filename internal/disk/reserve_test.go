@@ -119,7 +119,6 @@ func TestDetachHandsOverArena(t *testing.T) {
 		"WriteRun":      d.WriteRun(0, [][]byte{page}),
 		"ReadRunShared": d.ReadRunShared(0, views, borrowed, func() []byte { return page }),
 		"DumpTo":        d.DumpTo(&bytes.Buffer{}),
-		"Restore":       d.Restore(bytes.NewReader(nil), 0),
 		"Detach":        second(d.Detach()),
 	} {
 		if !errors.Is(err, ErrDetached) {

@@ -16,16 +16,13 @@ import (
 
 const pageSize = 128
 
-// openBackend builds one backend of each CLI-selectable flavor; file
-// arenas land in a test temp dir so they never outlive the test.
+// openBackend builds one backend of each flavor ("cow" over a nil base:
+// a fully private overlay).
 func openBackend(t *testing.T, kind string) disk.Backend {
 	t.Helper()
-	spec, err := disk.ParseBackendSpec(kind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Kind == disk.FileArena {
-		spec.Dir = t.TempDir()
+	spec := disk.BackendSpec{Kind: disk.MemArena}
+	if kind == "cow" {
+		spec.Kind = disk.COWArena
 	}
 	b, err := spec.Open(pageSize)
 	if err != nil {
@@ -46,7 +43,7 @@ func faultedDisk(t *testing.T, kind string, spec faultdisk.Spec) (*disk.Disk, *f
 	return d, in
 }
 
-func backendKinds() []string { return []string{"mem", "file", "cow"} }
+func backendKinds() []string { return []string{"mem", "cow"} }
 
 // TestFaultsReturnErrorsNotPanics is the propagation table: for every
 // backend flavor and every failing operation class, the device (and the

@@ -2,7 +2,6 @@ package disk
 
 import (
 	"bytes"
-	"path/filepath"
 	"testing"
 )
 
@@ -11,10 +10,6 @@ import (
 // aliasing and base integrity.
 func stableDevices(t *testing.T) map[string]*Disk {
 	t.Helper()
-	fb, err := OpenFileBackend(filepath.Join(t.TempDir(), "arena"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The cow base matches the 4 pages TestStablePageSemantics allocates,
 	// so its out-of-range cases sit outside the backend arena for every
 	// backend kind (larger allocations simply grow the overlay).
@@ -24,9 +19,8 @@ func stableDevices(t *testing.T) map[string]*Disk {
 		t.Fatal(err)
 	}
 	devs := map[string]*Disk{
-		"mem":  New(DefaultPageSize),
-		"file": NewWithBackend(DefaultPageSize, fb),
-		"cow":  cow,
+		"mem": New(DefaultPageSize),
+		"cow": cow,
 	}
 	for _, d := range devs {
 		t.Cleanup(func() { d.Close() })

@@ -9,8 +9,8 @@
 // dispatched in index order, each job runs exactly once, and results land
 // wherever the caller's fn(i) writes them. The experiment harness builds
 // its byte-identical-to-serial guarantee on top of that by making every
-// job self-contained — each worker owns a private engine (device + buffer
-// pool, or a copy-on-write view of a shared immutable base), every
+// job self-contained — each job owns a private engine (buffer pool +
+// copy-on-write view of a shared immutable base), every
 // measurement starts from a cold cache with reset counters, and no job
 // reads another job's output. Under those conditions the assembled result
 // slice is independent of the worker count and of interleaving, which the

@@ -49,7 +49,7 @@ func buildSnapshot(t *testing.T, n int) (string, cobench.Config) {
 }
 
 // batchBaseline measures every (model, query) cell the way the batch
-// tools do: a fresh snapshot restore per model, serial DB.Run per query.
+// tools do: a fresh snapshot view per model, serial DB.Run per query.
 func batchBaseline(t *testing.T, path string, w cobench.Workload) map[AggKey]RunResponse {
 	t.Helper()
 	out := make(map[AggKey]RunResponse)

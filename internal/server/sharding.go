@@ -306,7 +306,7 @@ func misdirected(w http.ResponseWriter, kind complexobj.ModelKind, ver uint64, o
 // commit log when durable) and its view pool; omu held (or the server
 // exclusively owned, as in New).
 func (s *Server) openModelLocked(k complexobj.ModelKind, seg string) error {
-	opts := complexobj.Options{BufferPages: s.cfg.BufferPages, Backend: "cow", Faults: s.cfg.Faults}
+	opts := complexobj.Options{BufferPages: s.cfg.BufferPages, Faults: s.cfg.Faults}
 	var base *complexobj.Base
 	var err error
 	if s.clog != nil {

@@ -1,11 +1,10 @@
 // Package snapshot implements the .codb container, the one on-disk form
 // of a device arena: per storage model, the raw arena (every page image)
-// plus the model's directory metadata. Opening a snapshot restores a
-// loaded database without regenerating or reloading the benchmark
-// extension — and because the restored arena and directories are
-// bit-identical to the originals, every query measured against a restored
-// model produces exactly the counters of a fresh load (pinned by the
-// round-trip tests).
+// plus the model's directory metadata. Opening a snapshot yields a
+// loaded base without regenerating or reloading the benchmark extension
+// — and because the arena and directories are bit-identical to the
+// originals, every query measured on a view of it produces exactly the
+// counters of a fresh load (pinned by the round-trip tests).
 //
 // Layout, version 2 (all integers big-endian):
 //
@@ -30,7 +29,7 @@
 // (cogen -wal) are the same file at seq 0, and shard segments (Extract)
 // copy entries verbatim, watermark included. All of them are written by
 // one entry writer through one atomic temp-sync-rename and read by one
-// parser, so any of them opens with Stat, Open, OpenBase or Extract.
+// parser, so any of them opens with Stat, OpenBase or Extract.
 //
 // # Format versioning
 //
@@ -44,15 +43,14 @@
 // a typed error. Snapshots are regenerable artifacts (cogen -db); there
 // is no in-place migration, a mismatched snapshot is simply regenerated.
 //
-// A snapshot can be restored two ways: Open gives one model a private
-// arena (restored into whatever backend the options name), OpenBase lifts
-// the arena once into an immutable store.SharedBase from which any number
-// of copy-on-write views open without further I/O or copying. OpenBase is
-// zero-copy where the platform allows: the arena region of the .codb file
-// is mmap'ed read-only in place (disk.MapBaseArena), so the base starts
-// with near-zero resident memory and views fault pages in on demand;
-// OpenBaseHeap forces the portable heap copy. A mapped base pins the
-// snapshot's inode until released — rewriting the file in place while a
-// base is open is a caller bug, atomically replacing it via Write (or a
-// checkpoint) is safe.
+// A snapshot is opened one way: OpenBase lifts a model's arena once into
+// an immutable store.SharedBase from which any number of copy-on-write
+// views open without further I/O or copying (one view, for a caller that
+// wants a single database). OpenBase is zero-copy where the platform
+// allows: the arena region of the .codb file is mmap'ed read-only in
+// place (disk.MapBaseArena), so the base starts with near-zero resident
+// memory and views fault pages in on demand; OpenBaseHeap forces the
+// portable heap copy. A mapped base pins the snapshot's inode until
+// released — rewriting the file in place while a base is open is a caller
+// bug, atomically replacing it via Write (or a checkpoint) is safe.
 package snapshot

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"complexobj/cobench"
-	"complexobj/internal/disk"
 	"complexobj/internal/snapshot"
 	"complexobj/internal/store"
 )
@@ -25,7 +24,7 @@ func TestExtractSegment(t *testing.T) {
 	kinds := store.AllKinds()
 	models := make([]store.Model, 0, len(kinds))
 	for _, k := range kinds {
-		models = append(models, loadModel(t, k, stations, disk.BackendSpec{}))
+		models = append(models, loadModel(t, k, stations))
 	}
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.codb")
@@ -97,7 +96,7 @@ func TestExtractErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := loadModel(t, store.DSM, stations, disk.BackendSpec{})
+	m := loadModel(t, store.DSM, stations)
 	dir := t.TempDir()
 	full := filepath.Join(dir, "one.codb")
 	if err := snapshot.Write(full, gen, m); err != nil {

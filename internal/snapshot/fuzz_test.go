@@ -14,11 +14,13 @@ import (
 
 // FuzzSnapshotParse feeds arbitrary bytes to the one reader every
 // persisted arena enters through (snapshots, checkpoints, shard segments
-// arriving from other nodes). The invariants: Stat, OpenBase and Open
-// never panic; a rejected file is rejected with ErrFormat by all three; an
-// accepted one yields exactly the models Stat lists; and no base is ever
-// larger than the input — lengths in the header are believed only as far
-// as the file has bytes to back them.
+// arriving from other nodes). The invariants: Stat, OpenBase and opening
+// a view of the base never panic; a rejected file is rejected with
+// ErrFormat by Stat and OpenBase alike; an accepted one yields exactly
+// the models Stat lists; no base is ever larger than the input — lengths
+// in the header are believed only as far as the file has bytes to back
+// them — and a base whose metadata blob is garbage fails to open a view
+// with store.ErrRestore instead of serving it.
 func FuzzSnapshotParse(f *testing.F) {
 	// Real files — one model and all five — written here so these seeds
 	// always match the writer; the committed corpus under testdata holds
@@ -77,18 +79,15 @@ func FuzzSnapshotParse(f *testing.F) {
 				if base.ArenaBytes() > len(raw) {
 					t.Fatalf("%s base of %d bytes from a %d-byte file", k, base.ArenaBytes(), len(raw))
 				}
+				m, err := base.Open(store.Options{BufferPages: 8})
+				if err == nil {
+					m.Engine().Close()
+				} else if !errors.Is(err, store.ErrRestore) {
+					t.Fatalf("Open(%s): %v, want ErrRestore", k, err)
+				}
 				base.Release()
 			case slices.Contains(info.Kinds, k) || !errors.Is(err, snapshot.ErrNoModel):
 				t.Fatalf("OpenBase(%s) with Stat kinds %v: %v", k, info.Kinds, err)
-			}
-
-			m, err := snapshot.Open(path, k, store.Options{BufferPages: 8})
-			switch {
-			case err == nil:
-				m.Engine().Close()
-			case errors.Is(err, snapshot.ErrFormat), errors.Is(err, snapshot.ErrNoModel) && statErr == nil:
-			default:
-				t.Fatalf("Open(%s): %v, want ErrFormat or ErrNoModel", k, err)
 			}
 		}
 	})

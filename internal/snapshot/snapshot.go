@@ -279,52 +279,6 @@ func Stat(path string) (Info, error) {
 	return info, err
 }
 
-// Open restores the model of the given kind from the snapshot. The
-// options select the runtime knobs (buffer size, policy, backend); the
-// page size comes from the snapshot and must not conflict with a non-zero
-// o.PageSize. The restored model starts with a cold cache and zeroed
-// counters, exactly like a freshly loaded one.
-func Open(path string, k store.Kind, o store.Options) (store.Model, error) {
-	f, e, err := find(path, k)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if o.PageSize != 0 && o.PageSize != e.pageSize {
-		return nil, fmt.Errorf("snapshot: page size %d requested, snapshot has %d", o.PageSize, e.pageSize)
-	}
-	if o.CountIndexIO {
-		return nil, fmt.Errorf("snapshot: counted index I/O is rebuilt per run and cannot be restored")
-	}
-	o.PageSize = e.pageSize
-	eng, err := store.NewEngine(o)
-	if err != nil {
-		return nil, err
-	}
-	m, err := restoreInto(f, e, eng)
-	if err != nil {
-		eng.Close()
-		return nil, err
-	}
-	return m, nil
-}
-
-func restoreInto(f *os.File, e entry, eng *store.Engine) (store.Model, error) {
-	r := bufio.NewReaderSize(io.NewSectionReader(f, e.metaOff, e.span()), 1<<20)
-	meta := make([]byte, e.metaLen)
-	if _, err := io.ReadFull(r, meta); err != nil {
-		return nil, fmt.Errorf("%w: meta of %s", ErrFormat, e.kind)
-	}
-	if err := eng.Dev.Restore(r, e.numPages); err != nil {
-		return nil, fmt.Errorf("snapshot: restore %s arena: %w", e.kind, err)
-	}
-	m := store.NewWithEngine(e.kind, eng)
-	if err := m.RestoreMeta(meta); err != nil {
-		return nil, fmt.Errorf("%w: restore %s meta: %w", ErrFormat, e.kind, err)
-	}
-	return m, nil
-}
-
 // OpenBase lifts one model of the snapshot into a store.SharedBase
 // without copying the arena through the heap where the platform allows
 // it: the directory metadata is read normally (it is small), while the
@@ -332,10 +286,12 @@ func restoreInto(f *os.File, e entry, eng *store.Engine) (store.Model, error) {
 // (disk.MapBaseArena; on platforms without mmap support it degrades to
 // the heap copy of OpenBaseHeap). Every engine opened from the base
 // afterwards is a copy-on-write view of that single mapping, so a
-// paper-scale `-db x.codb -backend cow` run starts with near-zero
-// resident arena and pages the base in on demand — with the same
-// measurement guarantee as Open (cold cache, zeroed counters,
-// bit-identical counters to a fresh load).
+// paper-scale `-db x.codb` run starts with near-zero resident arena and
+// pages the base in on demand — and a view starts with a cold cache and
+// zeroed counters and measures bit-identically to a fresh load. This is
+// the one way a .codb file is opened; a caller that wants a single
+// database opens one view and releases the base (the view keeps the
+// arena alive).
 //
 // The snapshot file must not be truncated or rewritten in place while the
 // base is alive; replacing it via Write (atomic rename) is safe, the
@@ -347,9 +303,9 @@ func OpenBase(path string, k store.Kind) (*store.SharedBase, error) {
 }
 
 // OpenBaseHeap is OpenBase with the arena copied into the heap
-// unconditionally: the pre-mmap behaviour, kept for callers that want the
-// base to survive snapshot-file deletion and for the mem-vs-mmap halves
-// of the determinism tests.
+// unconditionally: the portable fallback, kept for callers that want the
+// base to survive snapshot-file deletion and as the reference the mapped
+// variant is tested against.
 func OpenBaseHeap(path string, k store.Kind) (*store.SharedBase, error) {
 	base, _, err := openBase(path, k, false)
 	return base, err

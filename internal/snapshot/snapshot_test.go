@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"complexobj/cobench"
-	"complexobj/internal/disk"
 	"complexobj/internal/snapshot"
 	"complexobj/internal/store"
 	"complexobj/internal/workload"
@@ -15,9 +14,9 @@ import (
 
 func testGen() cobench.Config { return cobench.DefaultConfig().WithN(70) }
 
-func loadModel(t *testing.T, k store.Kind, stations []*cobench.Station, spec disk.BackendSpec) store.Model {
+func loadModel(t *testing.T, k store.Kind, stations []*cobench.Station) store.Model {
 	t.Helper()
-	m, err := store.New(k, store.Options{BufferPages: 180, Backend: spec})
+	m, err := store.New(k, store.Options{BufferPages: 180})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,9 +40,10 @@ func runAll(t *testing.T, m store.Model) []workload.Result {
 }
 
 // TestSnapshotRoundTrip pins the acceptance property of the snapshot
-// format: write → close → open restores every storage model such that the
-// full query matrix produces counters bit-identical to the freshly loaded
-// original — on the memory and on the file backend.
+// format: write → close → OpenBase + Open restores every storage model
+// such that the full query matrix produces counters bit-identical to the
+// freshly loaded private engine — over the mapped base and over its heap
+// reference alike.
 func TestSnapshotRoundTrip(t *testing.T) {
 	gen := testGen()
 	stations, err := cobench.Generate(gen)
@@ -56,7 +56,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	want := make(map[store.Kind][]workload.Result, len(kinds))
 	models := make([]store.Model, 0, len(kinds))
 	for _, k := range kinds {
-		m := loadModel(t, k, stations, disk.BackendSpec{})
+		m := loadModel(t, k, stations)
 		want[k] = runAll(t, m)
 		models = append(models, m)
 	}
@@ -85,22 +85,29 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	for _, k := range kinds {
-		for _, spec := range []disk.BackendSpec{
-			{Kind: disk.MemArena},
-			{Kind: disk.FileArena, Dir: t.TempDir()},
+		for name, open := range map[string]func(string, store.Kind) (*store.SharedBase, error){
+			"mapped": snapshot.OpenBase,
+			"heap":   snapshot.OpenBaseHeap,
 		} {
-			m, err := snapshot.Open(path, k, store.Options{BufferPages: 180, Backend: spec})
+			base, err := open(path, k)
 			if err != nil {
-				t.Fatalf("open %s (%s): %v", k, spec, err)
+				t.Fatalf("open %s base (%s): %v", k, name, err)
+			}
+			m, err := base.Open(store.Options{BufferPages: 180})
+			if err != nil {
+				t.Fatalf("open %s view (%s): %v", k, name, err)
 			}
 			got := runAll(t, m)
 			for i := range got {
 				if got[i].Stats != want[k][i].Stats {
-					t.Errorf("%s %s on %s backend: restored counters differ:\nfresh:    %+v\nrestored: %+v",
-						k, got[i].Query, spec, want[k][i].Stats, got[i].Stats)
+					t.Errorf("%s %s over the %s base: restored counters differ:\nfresh:    %+v\nrestored: %+v",
+						k, got[i].Query, name, want[k][i].Stats, got[i].Stats)
 				}
 			}
 			if err := m.Engine().Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := base.Release(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -114,13 +121,13 @@ func TestSnapshotOpenMissingModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := loadModel(t, store.DSM, stations, disk.BackendSpec{})
+	m := loadModel(t, store.DSM, stations)
 	defer m.Engine().Close()
 	path := filepath.Join(t.TempDir(), "one.codb")
 	if err := snapshot.Write(path, gen, m); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := snapshot.Open(path, store.DASDBSNSM, store.Options{}); !errors.Is(err, snapshot.ErrNoModel) {
+	if _, err := snapshot.OpenBase(path, store.DASDBSNSM); !errors.Is(err, snapshot.ErrNoModel) {
 		t.Fatalf("want ErrNoModel, got %v", err)
 	}
 }
@@ -145,31 +152,36 @@ func TestSnapshotPageSizeConflict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := loadModel(t, store.DSM, stations, disk.BackendSpec{})
+	m := loadModel(t, store.DSM, stations)
 	defer m.Engine().Close()
 	path := filepath.Join(t.TempDir(), "ps.codb")
 	if err := snapshot.Write(path, gen, m); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := snapshot.Open(path, store.DSM, store.Options{PageSize: 4096}); err == nil {
+	base, err := snapshot.OpenBase(path, store.DSM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Release()
+	if _, err := base.Open(store.Options{PageSize: 4096}); err == nil {
 		t.Fatal("conflicting page size accepted")
 	}
 }
 
 func writeFile(path string, b []byte) error { return os.WriteFile(path, b, 0o644) }
 
-// TestSnapshotOpenBaseEquivalence pins the shared-base restore path: a
-// COW view opened from snapshot.OpenBase runs the full query matrix with
-// counters bit-identical to snapshot.Open — even when several views of
-// the same base run back to back, and even after an earlier view has run
-// the update queries (overlays are private, the base is immutable).
+// TestSnapshotOpenBaseEquivalence pins view independence over one opened
+// base: a COW view runs the full query matrix with counters bit-identical
+// to the fresh load even when several views of the same base run back to
+// back, and even after an earlier view has run the update queries
+// (overlays are private, the base is immutable).
 func TestSnapshotOpenBaseEquivalence(t *testing.T) {
 	gen := testGen()
 	stations, err := cobench.Generate(gen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := loadModel(t, store.DASDBSNSM, stations, disk.BackendSpec{})
+	m := loadModel(t, store.DASDBSNSM, stations)
 	want := runAll(t, m)
 	path := filepath.Join(t.TempDir(), "base.codb")
 	if err := snapshot.Write(path, gen, m); err != nil {
@@ -199,9 +211,5 @@ func TestSnapshotOpenBaseEquivalence(t *testing.T) {
 		if err := v.Engine().Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	if _, err := snapshot.OpenBase(path, store.DSM); !errors.Is(err, snapshot.ErrNoModel) {
-		t.Errorf("missing model error = %v", err)
 	}
 }

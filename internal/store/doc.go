@@ -75,12 +75,12 @@
 // table keep one base per kind: their commits belong to a model.)
 //
 // An Engine (device + buffer pool) backs each model; engines are opened
-// from a disk.BackendSpec, so where the page bytes live (heap, file, or a
-// copy-on-write overlay) is a configuration choice that never changes the
+// from a disk.BackendSpec: a heap arena for a loader, a copy-on-write
+// overlay for a view — where the page bytes live never changes the
 // measured counters. A loaded model becomes an immutable SharedBase
 // (LoadBase, Freeze) from which any number of copy-on-write views open
-// cheaply — one loaded extension shared across every worker of the
-// parallel experiment matrix. Engine.Close on a view releases only the
+// cheaply — one loaded extension shared across every cell of every
+// experiment. Engine.Close on a view releases only the
 // view's private overlay; the base arena itself is reference counted
 // (disk.BaseArena) and survives until its last view and its last handle
 // are gone, so a SharedBase.Release never pulls a mapped snapshot out

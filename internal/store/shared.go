@@ -271,7 +271,7 @@ func (b *SharedBase) OpenAs(k Kind, o Options) (Model, error) {
 // their own references and drain independently.
 //
 // Promotion is pure memory management: it moves no paper counter, like
-// DumpTo/Restore and snapshot writes.
+// DumpTo and snapshot writes.
 func (b *SharedBase) Promote(fromGen uint64, numPages int, meta []byte, pages map[int][]byte) (uint64, error) {
 	if numPages < 0 {
 		return 0, fmt.Errorf("store: promote %s to %d pages", b.kind, numPages)

@@ -125,7 +125,7 @@ func NewEngine(o Options) (*Engine, error) {
 	o = o.withDefaults()
 	// Validate before opening the backend: an invalid configuration must
 	// come back as an error, not as a construction panic holding a base
-	// reference or an arena file.
+	// reference.
 	if o.PageSize <= disk.SysHeaderSize {
 		return nil, fmt.Errorf("store: page size %d not larger than the %d-byte system header", o.PageSize, disk.SysHeaderSize)
 	}
@@ -155,9 +155,9 @@ func NewEngine(o Options) (*Engine, error) {
 // Options returns the engine's effective options.
 func (e *Engine) Options() Options { return e.opts }
 
-// Close flushes all dirty pages and releases the device backend
-// (unmapping and, for anonymous file arenas, deleting the arena file).
-// The engine must not be used afterwards.
+// Close flushes all dirty pages and releases the device backend (a view
+// drops its overlay and its reference on the base arena). The engine must
+// not be used afterwards.
 func (e *Engine) Close() error {
 	flushErr := e.Pool.FlushAll()
 	if err := e.Dev.Close(); err != nil {
@@ -286,9 +286,9 @@ func New(k Kind, o Options) (Model, error) {
 }
 
 // NewWithEngine constructs a model over an existing (empty) engine; the
-// engine's options supply the model knobs. This is the snapshot-restore
-// entry point: the caller populates the device first, then calls
-// RestoreMeta.
+// engine's options supply the model knobs. This is how a view lands on
+// a base: the device is rebased onto the frozen arena first, then
+// RestoreMeta installs the directories.
 func NewWithEngine(k Kind, e *Engine) Model {
 	switch k {
 	case DSM:

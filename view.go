@@ -39,27 +39,11 @@ type View struct {
 // NewView opens a fresh standalone view of the base, with a cold cache
 // and zeroed counters. The options follow the same rules as Base.Open.
 func (b *Base) NewView(opts Options) (*View, error) {
-	so, err := b.viewOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	sv, err := b.base.NewView(so)
+	sv, err := b.base.NewView(opts.internal())
 	if err != nil {
 		return nil, err
 	}
 	return &View{kind: b.kind, sv: sv}, nil
-}
-
-// viewOptions validates facade options for opening views of the base.
-func (b *Base) viewOptions(opts Options) (store.Options, error) {
-	so, err := opts.internal()
-	if err != nil {
-		return store.Options{}, err
-	}
-	if so.Backend.Kind != disk.MemArena && so.Backend.Kind != disk.COWArena {
-		return store.Options{}, fmt.Errorf("complexobj: backend %q cannot open a shared base (views are copy-on-write)", opts.Backend)
-	}
-	return so, nil
 }
 
 // Kind returns the storage model the view executes.
@@ -198,11 +182,11 @@ type ViewPool struct {
 // NewViewPool builds a pool over base. maxViews bounds the views alive at
 // once (and therefore the concurrent requests served from this base);
 // maxViews <= 0 defaults to 8. The options apply to every view and follow
-// the same rules as Base.Open.
+// the same rules as Base.Open; options no view can open with (a
+// conflicting page size, CountIndexIO) fail the first Acquire. The error
+// result is always nil: no option is left that can be refused before a
+// view is opened.
 func NewViewPool(base *Base, opts Options, maxViews int) (*ViewPool, error) {
-	if _, err := base.viewOptions(opts); err != nil {
-		return nil, err
-	}
 	if maxViews <= 0 {
 		maxViews = 8
 	}
