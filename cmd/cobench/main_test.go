@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -23,7 +24,7 @@ func TestQueryByName(t *testing.T) {
 
 func TestMetricFn(t *testing.T) {
 	res := complexobj.QueryResult{
-		Pages: 1, Calls: 2, Fixes: 3, PagesWritten: 4,
+		PerUnit: complexobj.PerUnit{Pages: 1, Calls: 2, Fixes: 3, PagesWritten: 4},
 	}
 	for name, want := range map[string]float64{
 		"pages": 1, "calls": 2, "fixes": 3, "writes": 4,
@@ -74,6 +75,30 @@ func TestRepeatBuildsEachBaseOnce(t *testing.T) {
 	for _, k := range models {
 		if built[k] != 1 {
 			t.Errorf("%s: base built %d times over 3 repeats, want 1", k, built[k])
+		}
+	}
+}
+
+// TestWriteFracCommitsExactShare pins the -write-frac schedule: over
+// 1 000 update requests the committed share is within 1/1000 of the
+// requested fraction for every fraction, not only the ones whose
+// reciprocal is an integer (the old "every k-th" rounding committed 100 %
+// at 0.7 and 0.9), and read-only queries never commit.
+func TestWriteFracCommitsExactShare(t *testing.T) {
+	const requests = 1000
+	for _, f := range []float64{0, 0.1, 0.5, 0.7, 0.9, 1} {
+		c := &servedClient{writeFrac: f}
+		commits := 0
+		for n := 0; n < requests; n++ {
+			if c.decideCommit(cobench.Q3a) {
+				commits++
+			}
+			if c.decideCommit(cobench.Q2b) {
+				t.Fatalf("-write-frac %g: read-only query 2b chosen for commit", f)
+			}
+		}
+		if share := float64(commits) / requests; math.Abs(share-f) > 1.0/requests {
+			t.Errorf("-write-frac %g: committed %d of %d update requests (share %g)", f, commits, requests, share)
 		}
 	}
 }

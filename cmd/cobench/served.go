@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"sync"
@@ -36,16 +37,17 @@ type servedClient struct {
 	// bucket.
 	hist *metrics.Histogram
 
-	// Write mode (-write-frac against a coserve -wal): commitEvery
-	// selects every k-th update-query request for durable commit
-	// (deterministic, so repeats issue the same write mix); acked counts
-	// the commits the server acknowledged, commitHist their server-side
-	// latency (the commitMicros field of the response). The lost-update
-	// gate compares acked against the server's own commit counter.
-	commitEvery int64
-	wcount      atomic.Int64
-	acked       atomic.Int64
-	commitHist  *metrics.Histogram
+	// Write mode (-write-frac against a coserve -wal): writeFrac of the
+	// update-query requests commit durably, on commitsAt's schedule over
+	// the request counter wcount (deterministic, so repeats issue the
+	// same write mix); acked counts the commits the server acknowledged,
+	// commitHist their server-side latency (the commitMicros field of the
+	// response). The lost-update gate compares acked against the server's
+	// own commit counter.
+	writeFrac  float64
+	wcount     atomic.Int64
+	acked      atomic.Int64
+	commitHist *metrics.Histogram
 
 	// walBefore/walAfter are the server's durability counters sampled
 	// around a write-mode run; report() turns the delta into the
@@ -68,29 +70,23 @@ func newServedClient(baseURL string) *servedClient {
 	}
 }
 
-// setWriteFrac arms write mode: frac of the update-query (3a/3b)
-// requests are sent with commit=1. frac >= 1 commits every one; 0
-// disables.
-func (c *servedClient) setWriteFrac(frac float64) {
-	switch {
-	case frac <= 0:
-		c.commitEvery = 0
-	case frac >= 1:
-		c.commitEvery = 1
-	default:
-		c.commitEvery = int64(1/frac + 0.5)
-	}
+// commitsAt is the write schedule: update request n (counted from 0)
+// commits iff the running quota ⌊(n+1)·frac⌋ moved past ⌊n·frac⌋, so
+// any N consecutive requests carry ⌊N·frac⌋ or ⌈N·frac⌉ commits —
+// exactly frac of them in the long run, for every frac in [0, 1].
+func commitsAt(n int64, frac float64) bool {
+	return math.Floor(float64(n+1)*frac) > math.Floor(float64(n)*frac)
 }
 
 // decideCommit picks whether this request commits: only update queries,
-// every commitEvery-th of them. The decision is made once per logical
-// request (not per retry attempt), so a retried request keeps its write
-// intent.
+// writeFrac of them (see commitsAt). The decision is made once per
+// logical request (not per retry attempt), so a retried request keeps
+// its write intent.
 func (c *servedClient) decideCommit(q cobench.Query) bool {
-	if c.commitEvery == 0 || !q.Updates() {
+	if c.writeFrac <= 0 || !q.Updates() {
 		return false
 	}
-	return (c.wcount.Add(1)-1)%c.commitEvery == 0
+	return commitsAt(c.wcount.Add(1)-1, c.writeFrac)
 }
 
 // checkServer verifies the server serves the installation the flags
@@ -177,15 +173,14 @@ func (c *servedClient) tryOne(k complexobj.ModelKind, q cobench.Query, w cobench
 		c.acked.Add(1)
 		c.commitHist.Observe(time.Duration(rr.CommitUS) * time.Microsecond)
 	}
-	res := complexobj.QueryResult{
+	return complexobj.QueryResult{
 		Query:     q,
 		Model:     k,
 		Supported: rr.Supported,
 		Units:     rr.Units,
-		Raw:       rr.Raw.Stats(),
-	}
-	rr.PerUnit.Apply(&res)
-	return res, false, nil
+		Raw:       rr.Raw,
+		PerUnit:   rr.PerUnit,
+	}, false, nil
 }
 
 // measureServed builds the measurement table by driving a coserve: the
@@ -208,7 +203,7 @@ func measureServed(baseURL string, models []complexobj.ModelKind, queries []cobe
 	if clients < 1 {
 		clients = 1
 	}
-	c.setWriteFrac(writeFrac)
+	c.writeFrac = writeFrac
 	var commitsBefore int64
 	if writeFrac > 0 {
 		d, err := c.serverDurability()

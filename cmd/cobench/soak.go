@@ -137,7 +137,7 @@ func runSoak(baseURL string, models []complexobj.ModelKind, queries []cobench.Qu
 	if err := c.checkServer(gen, bufferPages); err != nil {
 		return err
 	}
-	c.setWriteFrac(writeFrac)
+	c.writeFrac = writeFrac
 	var commitsBefore int64
 	if writeFrac > 0 {
 		n, durable, err := c.serverCommits()

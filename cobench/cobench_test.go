@@ -285,9 +285,6 @@ func TestQueryStrings(t *testing.T) {
 	if !Q3a.Updates() || Q2a.Updates() {
 		t.Error("Updates() wrong")
 	}
-	if !Q2b.Looped() || Q2a.Looped() {
-		t.Error("Looped() wrong")
-	}
 }
 
 func TestLoopsFor(t *testing.T) {

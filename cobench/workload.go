@@ -67,9 +67,6 @@ func (q Query) String() string {
 // Updates reports whether the query writes (query family 3).
 func (q Query) Updates() bool { return q == Q3a || q == Q3b }
 
-// Looped reports whether the query is the 300-loop warm-cache variant.
-func (q Query) Looped() bool { return q == Q2b || q == Q3b }
-
 // Workload fixes the execution parameters of the benchmark driver.
 type Workload struct {
 	// Loops is the number of consecutive navigation loops for Q2b/Q3b

@@ -25,6 +25,7 @@ import (
 
 	"complexobj/cobench"
 	"complexobj/internal/buffer"
+	"complexobj/internal/iostat"
 	"complexobj/internal/snapshot"
 	"complexobj/internal/store"
 	"complexobj/internal/workload"
@@ -131,21 +132,13 @@ func (o Options) internal() store.Options {
 
 // Stats are the I/O counters of a database, the quantities the paper
 // evaluates: transferred pages (Table 4), I/O calls (Table 5) and buffer
-// fixes (Table 6).
-type Stats struct {
-	PagesRead    int64
-	PagesWritten int64
-	ReadCalls    int64
-	WriteCalls   int64
-	BufferFixes  int64
-	BufferHits   int64
-}
+// fixes (Table 6). Pages() and Calls() are the paper's X_{I/O pages} and
+// X_{I/O calls}. It is the engine's own counter set, not a copy of it.
+type Stats = iostat.Stats
 
-// Pages returns total transferred pages, the paper's X_{I/O pages}.
-func (s Stats) Pages() int64 { return s.PagesRead + s.PagesWritten }
-
-// Calls returns total I/O calls, the paper's X_{I/O calls}.
-func (s Stats) Calls() int64 { return s.ReadCalls + s.WriteCalls }
+// PerUnit are Stats normalized per unit (objects for query family 1,
+// loops for families 2 and 3): the numbers of the paper's tables.
+type PerUnit = iostat.PerUnit
 
 // DB is one database instance: a storage model over its own simulated
 // disk and buffer pool. DB is not safe for concurrent use.
@@ -433,17 +426,7 @@ func (db *DB) Flush() error { return db.model.Flush() }
 func (db *DB) ColdCache() error { return db.model.Engine().ColdCache() }
 
 // Stats returns the accumulated I/O counters.
-func (db *DB) Stats() Stats {
-	s := db.model.Engine().Stats()
-	return Stats{
-		PagesRead:    s.PagesRead,
-		PagesWritten: s.PagesWritten,
-		ReadCalls:    s.ReadCalls,
-		WriteCalls:   s.WriteCalls,
-		BufferFixes:  s.Fixes,
-		BufferHits:   s.Hits,
-	}
-}
+func (db *DB) Stats() Stats { return db.model.Engine().Stats() }
 
 // ResetStats zeroes the I/O counters without touching the cache.
 func (db *DB) ResetStats() { db.model.Engine().ResetStats() }
@@ -487,15 +470,10 @@ type QueryResult struct {
 	Units     float64
 	Raw       Stats
 
-	// Normalized counters (per object / per loop).
-	Pages        float64
-	PagesRead    float64
-	PagesWritten float64
-	Calls        float64
-	ReadCalls    float64
-	WriteCalls   float64
-	Fixes        float64
-	Hits         float64
+	// PerUnit holds the normalized counters (per object / per loop),
+	// promoted: res.Pages, res.Calls, res.Fixes, ... Zero when the model
+	// does not support the query.
+	PerUnit
 
 	// Elapsed is the wall-clock service time of the query execution,
 	// measured inside the workload runner. Observability only: it feeds
@@ -526,33 +504,15 @@ func runQuery(ctx context.Context, kind ModelKind, v workload.View, q cobench.Qu
 	if err != nil {
 		return QueryResult{}, err
 	}
-	out := QueryResult{
+	return QueryResult{
 		Query:     res.Query,
 		Model:     kind,
 		Supported: res.Supported,
 		Units:     res.Units,
+		Raw:       res.Stats,
+		PerUnit:   res.PerUnit(),
 		Elapsed:   res.Elapsed,
-		Raw: Stats{
-			PagesRead:    res.Stats.PagesRead,
-			PagesWritten: res.Stats.PagesWritten,
-			ReadCalls:    res.Stats.ReadCalls,
-			WriteCalls:   res.Stats.WriteCalls,
-			BufferFixes:  res.Stats.Fixes,
-			BufferHits:   res.Stats.Hits,
-		},
-	}
-	if res.Supported {
-		n := res.PerUnit()
-		out.Pages = n.Pages
-		out.PagesRead = n.PagesRead
-		out.PagesWritten = n.PagesWritten
-		out.Calls = n.Calls
-		out.ReadCalls = n.ReadCalls
-		out.WriteCalls = n.WriteCalls
-		out.Fixes = n.Fixes
-		out.Hits = n.Hits
-	}
-	return out, nil
+	}, nil
 }
 
 // RunBenchmark executes all seven benchmark queries in paper order.

@@ -258,23 +258,13 @@ func (c *CommitLog) MaybeCheckpoint(threshold int64) (bool, error) {
 type CommitLogStats struct {
 	// Dir is the log directory.
 	Dir string
-	// Commits counts acknowledged commit batches since open.
-	Commits int64
-	// Syncs counts WAL fsync waves (group commit batches many commits
-	// behind one sync, so Commits/Syncs is the batching factor).
-	Syncs int64
-	// AppendedBytes counts bytes appended to the log since open.
-	AppendedBytes int64
-	// PayloadBytes counts the dirty-page image bytes inside those
-	// appends. AppendedBytes over PayloadBytes is the WAL's write
-	// amplification — what framing, commit markers and full-page
-	// granularity cost on top of the payload itself.
-	PayloadBytes int64
-	// SizeBytes is the current log length (drops to 0 at checkpoints).
-	SizeBytes int64
-	// LastSeq is the last acknowledged commit sequence (monotonic across
-	// checkpoints and restarts).
-	LastSeq uint64
+	// Stats are the write-ahead log's own counters since open, promoted:
+	// Commits (acknowledged batches) over Syncs (fsync waves) is the
+	// group-commit batching factor, AppendedBytes over PayloadBytes (the
+	// dirty-page images inside the appends) the log's write
+	// amplification; SizeBytes drops to 0 at checkpoints, LastSeq is
+	// monotonic across checkpoints and restarts.
+	wal.Stats
 	// Checkpoints counts completed checkpoints since open.
 	Checkpoints int64
 	// Recovered is the number of committed batches Recover replayed.
@@ -289,13 +279,7 @@ func (c *CommitLog) Stats() CommitLogStats {
 	l := c.log
 	c.mu.Unlock()
 	if l != nil {
-		s := l.Stats()
-		out.Commits = s.Commits
-		out.Syncs = s.Syncs
-		out.AppendedBytes = s.AppendedBytes
-		out.PayloadBytes = s.PayloadBytes
-		out.SizeBytes = s.SizeBytes
-		out.LastSeq = s.LastSeq
+		out.Stats = l.Stats()
 	}
 	return out
 }

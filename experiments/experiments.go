@@ -31,6 +31,7 @@ import (
 	"complexobj/internal/buffer"
 	"complexobj/internal/fanout"
 	"complexobj/internal/faultdisk"
+	"complexobj/internal/iostat"
 	"complexobj/internal/snapshot"
 	"complexobj/internal/store"
 	"complexobj/internal/workload"
@@ -309,14 +310,9 @@ type Measured struct {
 	Supported bool
 	Units     float64
 
-	Pages        float64
-	PagesRead    float64
-	PagesWritten float64
-	Calls        float64
-	ReadCalls    float64
-	WriteCalls   float64
-	Fixes        float64
-	Hits         float64
+	// PerUnit is the engine's normalization, promoted (m.Pages, m.Calls,
+	// m.Fixes, ...); zero when the model does not support the query.
+	iostat.PerUnit
 }
 
 // Matrix holds the full measurement grid of Tables 4-6.
@@ -385,25 +381,13 @@ func (s *Suite) Matrix() (*Matrix, error) {
 }
 
 func toMeasured(res workload.Result) Measured {
-	m := Measured{
+	return Measured{
 		Model:     res.Model.String(),
 		Query:     res.Query.String(),
 		Supported: res.Supported,
 		Units:     res.Units,
+		PerUnit:   res.PerUnit(),
 	}
-	if !res.Supported {
-		return m
-	}
-	n := res.PerUnit()
-	m.Pages = n.Pages
-	m.PagesRead = n.PagesRead
-	m.PagesWritten = n.PagesWritten
-	m.Calls = n.Calls
-	m.ReadCalls = n.ReadCalls
-	m.WriteCalls = n.WriteCalls
-	m.Fixes = n.Fixes
-	m.Hits = n.Hits
-	return m
 }
 
 // layoutGroups splits models into the runs of neighbours that share a

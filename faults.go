@@ -63,27 +63,10 @@ func (p *FaultPlan) injector() *faultdisk.Injector {
 }
 
 // FaultStats counts what a plan has injected so far, summed over every
-// engine sharing it. Delays count injected latency sleeps; everything
-// else counts injected failures.
-type FaultStats struct {
-	Ops           int64 `json:"ops"`
-	ReadFaults    int64 `json:"readFaults"`
-	WriteFaults   int64 `json:"writeFaults"`
-	GrowFaults    int64 `json:"growFaults"`
-	PermFaults    int64 `json:"permFaults"`
-	PoisonedPages int64 `json:"poisonedPages"`
-	ShortReads    int64 `json:"shortReads"`
-	TornWrites    int64 `json:"tornWrites"`
-	Panics        int64 `json:"panics"`
-	Delays        int64 `json:"delays"`
-}
-
-// Injected returns the total number of injected failures (delays
-// excluded — latency slows an operation, it does not fail it).
-func (s FaultStats) Injected() int64 {
-	return s.ReadFaults + s.WriteFaults + s.GrowFaults + s.PermFaults +
-		s.ShortReads + s.TornWrites + s.Panics
-}
+// engine sharing it — the injector's own counter set. Delays count
+// injected latency sleeps; everything else counts injected failures
+// (Injected sums those).
+type FaultStats = faultdisk.Counters
 
 // Stats snapshots the plan's injected-fault counters (zero for a nil
 // plan). Safe to call concurrently with serving.
@@ -91,19 +74,7 @@ func (p *FaultPlan) Stats() FaultStats {
 	if p == nil {
 		return FaultStats{}
 	}
-	c := p.inj.Counters()
-	return FaultStats{
-		Ops:           c.Ops,
-		ReadFaults:    c.ReadFaults,
-		WriteFaults:   c.WriteFaults,
-		GrowFaults:    c.GrowFaults,
-		PermFaults:    c.PermFaults,
-		PoisonedPages: c.PoisonedPages,
-		ShortReads:    c.ShortReads,
-		TornWrites:    c.TornWrites,
-		Panics:        c.Panics,
-		Delays:        c.Delays,
-	}
+	return p.inj.Counters()
 }
 
 // IsInjectedFault reports whether err (anywhere in its chain) is an

@@ -24,19 +24,8 @@ type Backend interface {
 	ReadAt(p []byte, off int) error
 	// WriteAt stores p at offset off. It must not retain p.
 	WriteAt(p []byte, off int) error
-	// Flush persists the arena contents (a no-op for both built-in
-	// backends: neither is durable).
-	Flush() error
-	// Close flushes and releases the backend.
+	// Close releases the backend.
 	Close() error
-}
-
-// flatBackend is implemented by backends whose whole arena is one
-// contiguous byte slice. The Disk uses it as a fast path: page transfers
-// become direct memmoves against the slice instead of interface calls.
-// The slice stays valid until the next Grow or Close.
-type flatBackend interface {
-	Bytes() []byte
 }
 
 // StablePager is the optional zero-copy read capability. A backend
@@ -88,8 +77,7 @@ type memBackend struct {
 // NewMemBackend returns an in-memory arena backend.
 func NewMemBackend() Backend { return &memBackend{} }
 
-func (b *memBackend) Bytes() []byte { return b.arena }
-func (b *memBackend) Len() int      { return len(b.arena) }
+func (b *memBackend) Len() int { return len(b.arena) }
 
 // Reserve implements reserver: capacity for exactly n bytes.
 func (b *memBackend) Reserve(n int) {
@@ -135,7 +123,6 @@ func (b *memBackend) WriteAt(p []byte, off int) error {
 	return nil
 }
 
-func (b *memBackend) Flush() error { return nil }
 func (b *memBackend) Close() error { b.arena = nil; return nil }
 
 // HeapArenaStats describes how a heap arena was allocated: its length,

@@ -320,10 +320,6 @@ func (b *cowBackend) WriteAt(p []byte, off int) error {
 	return nil
 }
 
-// Flush is a no-op: the overlay is ephemeral by design (a worker's
-// private view), and the base is immutable.
-func (b *cowBackend) Flush() error { return nil }
-
 // StablePage implements StablePager: a materialized page shares its
 // overlay image, an unmaterialized one inside the base shares the base
 // generation's bytes directly (a committed image or the floor) — the

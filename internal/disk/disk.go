@@ -51,7 +51,6 @@ type Disk struct {
 	pageSize int
 	numPages int
 	backend  Backend
-	flat     []byte      // contiguous arena fast path (nil for layered backends)
 	stable   StablePager // zero-copy read capability (nil when unsupported)
 	stats    iostat.Stats
 	retries  int64 // backend read retries performed (diagnostics)
@@ -72,7 +71,7 @@ func NewWithBackend(pageSize int, b Backend) *Disk {
 		panic(fmt.Sprintf("disk: page size %d not larger than system header %d", pageSize, SysHeaderSize))
 	}
 	d := &Disk{pageSize: pageSize, backend: b}
-	d.refreshFlat()
+	d.stable, _ = b.(StablePager)
 	return d
 }
 
@@ -87,18 +86,6 @@ func Open(pageSize int, b Backend) (*Disk, error) {
 	}
 	d.numPages = n / pageSize
 	return d, nil
-}
-
-// refreshFlat re-fetches the contiguous arena slice after construction and
-// every Grow (growth may move the slice). Layered backends (COW) stay on
-// the offset-based interface path.
-func (d *Disk) refreshFlat() {
-	if fb, ok := d.backend.(flatBackend); ok {
-		d.flat = fb.Bytes()
-	} else {
-		d.flat = nil
-	}
-	d.stable, _ = d.backend.(StablePager)
 }
 
 // Backend exposes the storage substrate (diagnostics and memory
@@ -122,13 +109,6 @@ func (d *Disk) NumPages() int {
 	return d.numPages
 }
 
-// page returns the flat-arena slice of page i. Caller holds d.mu and has
-// checked d.flat != nil.
-func (d *Disk) page(i int) []byte {
-	off := i * d.pageSize
-	return d.flat[off : off+d.pageSize : off+d.pageSize]
-}
-
 // Allocate reserves a contiguous run of n fresh zeroed pages and returns the
 // first PageID. Allocation itself is free (space management is part of the
 // data dictionary, whose I/Os the paper does not count).
@@ -146,7 +126,6 @@ func (d *Disk) Allocate(n int) (PageID, error) {
 	if err := d.backend.Grow(need); err != nil {
 		return InvalidPage, err
 	}
-	d.refreshFlat()
 	d.numPages += n
 	return start, nil
 }
@@ -163,7 +142,6 @@ func (d *Disk) Reserve(n int) {
 	defer d.mu.Unlock()
 	if r, ok := under[reserver](d.backend); ok && n > 0 && !d.detached {
 		r.Reserve((d.numPages + n) * d.pageSize)
-		d.refreshFlat()
 	}
 }
 
@@ -187,7 +165,7 @@ func (d *Disk) Detach() ([]byte, error) {
 	}
 	n := d.numPages * d.pageSize
 	arena := m.arena[:n:n]
-	m.arena, d.flat = nil, nil
+	m.arena = nil
 	d.numPages, d.detached = 0, true
 	return arena, nil
 }
@@ -267,9 +245,7 @@ func (d *Disk) WriteRun(start PageID, pages [][]byte) error {
 		if len(p) != d.pageSize {
 			return fmt.Errorf("disk: page %d has size %d, want %d", int(start)+i, len(p), d.pageSize)
 		}
-		if d.flat != nil {
-			copy(d.page(int(start)+i), p)
-		} else if err := d.backend.WriteAt(p, (int(start)+i)*d.pageSize); err != nil {
+		if err := d.backend.WriteAt(p, (int(start)+i)*d.pageSize); err != nil {
 			return err
 		}
 	}
@@ -278,23 +254,12 @@ func (d *Disk) WriteRun(start PageID, pages [][]byte) error {
 	return nil
 }
 
-// Flush persists the arena through the backend (no-op for the memory
-// backend). Flushing is a durability action, not an I/O-call in the
-// paper's sense: the counters only track page traffic between device and
-// buffer pool.
-func (d *Disk) Flush() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.backend.Flush()
-}
-
-// Close flushes and releases the backend. For a COW view this releases
+// Close releases the backend. For a COW view this releases
 // only the private overlay — the shared base arena stays alive for every
 // other engine reading through it. The device must not be used afterwards.
 func (d *Disk) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.flat = nil
 	return d.backend.Close()
 }
 
@@ -350,9 +315,13 @@ func (d *Disk) DumpTo(w io.Writer) error {
 		return ErrDetached
 	}
 	n := d.numPages * d.pageSize
-	if d.flat != nil {
-		_, err := w.Write(d.flat[:n])
-		return err
+	// A backend that can share the whole range (a heap arena) is one
+	// Write, no copy; otherwise the images are read out in chunks.
+	if d.stable != nil {
+		if all, ok := d.stable.StablePage(0, n); ok {
+			_, err := w.Write(all)
+			return err
+		}
 	}
 	buf := make([]byte, 64*d.pageSize)
 	for off := 0; off < n; {

@@ -19,10 +19,10 @@
 // # Backend contract
 //
 // Where the arena bytes live is a pluggable Backend. A backend implements
-// offset-based byte I/O (Len, Grow, ReadAt, WriteAt, Flush, Close) over
-// one logical arena; backends whose arena is a single contiguous slice
-// additionally expose it, and the device then bypasses the interface with
-// direct memmoves. Two implementations exist:
+// offset-based byte I/O (Len, Grow, ReadAt, WriteAt, Close) over one
+// logical arena — the device's one write path — and may additionally lend
+// out stable page memory for reads and dumps (StablePager). Two
+// implementations exist:
 //
 //   - mem: the arena on the Go heap — what a loader builds into and what
 //     Detach hands to a base as its floor;

@@ -100,7 +100,7 @@ func TestDetachHandsOverArena(t *testing.T) {
 	d := New(DefaultPageSize)
 	d.Reserve(pages + 5) // over-reserved: the tail must not leak out
 	fillPages(t, d, pages)
-	flat := d.flat
+	flat := d.backend.(*memBackend).arena
 	arena, err := d.Detach()
 	if err != nil {
 		t.Fatal(err)

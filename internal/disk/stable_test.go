@@ -171,8 +171,8 @@ func TestReadRunSharedBorrowsStablePages(t *testing.T) {
 	}
 }
 
-// opaque hides every optional capability of a backend (flatBackend,
-// StablePager), forcing the buffered copy path: interface embedding
+// opaque hides every optional capability of a backend (StablePager,
+// reservation), forcing the buffered copy path: interface embedding
 // promotes only Backend's method set.
 type opaque struct{ Backend }
 

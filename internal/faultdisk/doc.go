@@ -17,7 +17,7 @@
 // and wraps every engine of a run; wrapped backends share the injector's
 // counters but draw from per-engine pseudo-random streams keyed by
 // (seed, wrap order), so the same spec and seed reproduce the same fault
-// sequence. The wrapper deliberately hides the substrate's flat-arena
-// fast path (forcing the device onto the interface path where faults can
-// fire) and exposes Unwrap so copy-on-write affordances keep working.
+// sequence. The wrapper never lends out a page the schedule applies to
+// (keeping the device on the copying path where faults can fire) and
+// exposes Unwrap so copy-on-write affordances keep working.
 package faultdisk

@@ -286,22 +286,28 @@ func (s Spec) String() string {
 // Counters is a snapshot of the faults one Injector has inflicted across
 // every backend wrapped from it. Counters only ever count injected
 // misbehavior — they are invisible in the paper's I/O statistics, which
-// increment solely on successful page transfers.
+// increment solely on successful page transfers. The JSON tags are the
+// names the server's /info reports them under (complexobj.FaultStats is
+// this type).
 type Counters struct {
 	// Ops counts backend operations that consulted the schedule.
-	Ops int64
+	Ops int64 `json:"ops"`
 	// ReadFaults, WriteFaults and GrowFaults count injected transient
 	// errors per operation class.
-	ReadFaults, WriteFaults, GrowFaults int64
+	ReadFaults  int64 `json:"readFaults"`
+	WriteFaults int64 `json:"writeFaults"`
+	GrowFaults  int64 `json:"growFaults"`
 	// PermFaults counts operations failed on a poisoned page (including
 	// the op that poisoned it); PoisonedPages counts the pages poisoned.
-	PermFaults, PoisonedPages int64
+	PermFaults    int64 `json:"permFaults"`
+	PoisonedPages int64 `json:"poisonedPages"`
 	// ShortReads and TornWrites count injected partial transfers.
-	ShortReads, TornWrites int64
+	ShortReads int64 `json:"shortReads"`
+	TornWrites int64 `json:"tornWrites"`
 	// Panics counts injected backend panics.
-	Panics int64
+	Panics int64 `json:"panics"`
 	// Delays counts injected latency sleeps.
-	Delays int64
+	Delays int64 `json:"delays"`
 }
 
 // Injected returns the total number of injected faults (delays excluded:
@@ -355,11 +361,9 @@ func (in *Injector) Counters() Counters {
 }
 
 // Wrap layers the injector's schedule over b, for a device with the given
-// page size (0 means disk.DefaultPageSize). The wrapper deliberately does
-// not expose a flat arena, so the owning device stays on the interface
-// path where faults can fire; it does expose Unwrap, so device
-// affordances that need the substrate (COW view recycling, overlay
-// accounting) keep working.
+// page size (0 means disk.DefaultPageSize). The wrapper exposes Unwrap,
+// so device affordances that need the substrate (COW view recycling,
+// overlay accounting) keep working.
 func (in *Injector) Wrap(b disk.Backend, pageSize int) disk.Backend {
 	if pageSize <= 0 {
 		pageSize = disk.DefaultPageSize
@@ -381,7 +385,6 @@ type backend struct {
 func (b *backend) Unwrap() disk.Backend { return b.inner }
 
 func (b *backend) Len() int     { return b.inner.Len() }
-func (b *backend) Flush() error { return b.inner.Flush() }
 func (b *backend) Close() error { return b.inner.Close() }
 
 // StablePage implements disk.StablePager by delegation, but never for a

@@ -32,12 +32,12 @@ func (rt *Router) getJSON(ctx context.Context, url string, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-// gather fans one endpoint out over every distinct backend with bounded
-// concurrency, decoding each response into out[i] (allocated by mk).
-func gatherJSON[T any](rt *Router, ctx context.Context, path string) ([]string, []T, error) {
+// gatherJSON fans one endpoint out over every known backend with bounded
+// concurrency, decoding each response into its own T.
+func gatherJSON[T any](rt *Router, ctx context.Context, path string) ([]T, error) {
 	backends := rt.knownSet()
 	if len(backends) == 0 {
-		return nil, nil, errNoBackends
+		return nil, errNoBackends
 	}
 	out := make([]T, len(backends))
 	err := fanout.Run(len(backends), rt.cfg.Fanout, func(i int) error {
@@ -46,90 +46,45 @@ func gatherJSON[T any](rt *Router, ctx context.Context, path string) ([]string, 
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return backends, out, nil
-}
-
-// addCounters sums raw counters cell-wise (server.Counters has only
-// exported int64 fields; the server's own adder is unexported).
-func addCounters(a, b server.Counters) server.Counters {
-	a.PagesRead += b.PagesRead
-	a.PagesWritten += b.PagesWritten
-	a.ReadCalls += b.ReadCalls
-	a.WriteCalls += b.WriteCalls
-	a.BufferFixes += b.BufferFixes
-	a.BufferHits += b.BufferHits
-	return a
+	return out, err
 }
 
 // handleStats scatter-gathers /stats across the backends and merges the
-// aggregates into one StatsResponse. With model-granular shards a cell
-// normally lives on exactly one backend, so the merge is a union; after
-// a handoff the same cell can carry runs from two owners, and then counts
-// and sums add while the per-run Raw/PerUnit values must agree — any
-// disagreement marks the cell divergent, exactly as a single node would
-// flag a run that broke determinism.
+// aggregates into one StatsResponse with the server's own fold and cell
+// order. With model-granular shards a cell normally lives on exactly one
+// backend, so the merge is a union; after a handoff the same cell can
+// carry runs from two owners, and then counts and sums add while the
+// per-run Raw/PerUnit values must agree — any disagreement marks the cell
+// divergent, exactly as a single node would flag a run that broke
+// determinism.
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	_, stats, err := gatherJSON[server.StatsResponse](rt, r.Context(), "/stats")
+	stats, err := gatherJSON[server.StatsResponse](rt, r.Context(), "/stats")
 	if err != nil {
 		httpError(w, http.StatusBadGateway, "gather /stats: %v", err)
 		return
 	}
 	merged := server.StatsResponse{}
 	cells := make(map[server.AggKey]*server.AggCell)
-	var order []server.AggKey
 	for _, sr := range stats {
 		merged.Requests += sr.Requests
 		merged.DroppedCells += sr.DroppedCells
 		if sr.UptimeSeconds > merged.UptimeSeconds {
 			merged.UptimeSeconds = sr.UptimeSeconds
 		}
-		for i := range sr.Cells {
-			c := sr.Cells[i]
-			have, ok := cells[c.AggKey]
-			if !ok {
-				cp := c
-				cells[c.AggKey] = &cp
-				order = append(order, c.AggKey)
-				continue
+		for _, c := range sr.Cells {
+			cell := cells[c.AggKey]
+			if cell == nil {
+				cell = new(server.AggCell)
+				cells[c.AggKey] = cell
 			}
-			// Two backends measured the same cell (a handoff window or a
-			// co-owned shard): identical per-run values merge losslessly.
-			if have.Raw != c.Raw || have.PerUnit != c.PerUnit || have.Supported != c.Supported {
-				have.Divergent = true
-			}
-			have.Divergent = have.Divergent || c.Divergent
-			total := have.Count + c.Count
-			have.MeanUS = (have.MeanUS*have.Count + c.MeanUS*c.Count) / total
-			have.Count = total
-			have.RawSum = addCounters(have.RawSum, c.RawSum)
-			if c.MaxUS > have.MaxUS {
-				have.MaxUS = c.MaxUS
-			}
+			cell.Fold(c)
 		}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if a.Model != b.Model {
-			return a.Model < b.Model
-		}
-		if a.Query != b.Query {
-			return a.Query < b.Query
-		}
-		if a.Workload.Loops != b.Workload.Loops {
-			return a.Workload.Loops < b.Workload.Loops
-		}
-		if a.Workload.Samples != b.Workload.Samples {
-			return a.Workload.Samples < b.Workload.Samples
-		}
-		return a.Workload.Seed < b.Workload.Seed
-	})
-	merged.Cells = make([]server.AggCell, 0, len(order))
-	for _, key := range order {
-		merged.Cells = append(merged.Cells, *cells[key])
+	merged.Cells = make([]server.AggCell, 0, len(cells))
+	for _, cell := range cells {
+		merged.Cells = append(merged.Cells, *cell)
 	}
+	server.SortCells(merged.Cells)
 	writeJSON(w, merged)
 }
 
@@ -140,7 +95,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 // model list is the union across backends and the sharding block
 // describes the router's current bindings.
 func (rt *Router) handleInfo(w http.ResponseWriter, r *http.Request) {
-	backends, infos, err := gatherJSON[server.InfoResponse](rt, r.Context(), "/info")
+	infos, err := gatherJSON[server.InfoResponse](rt, r.Context(), "/info")
 	if err != nil {
 		httpError(w, http.StatusBadGateway, "gather /info: %v", err)
 		return
@@ -148,16 +103,20 @@ func (rt *Router) handleInfo(w http.ResponseWriter, r *http.Request) {
 	merged := infos[0]
 	merged.Snapshot = rt.cfg.MapPath
 	merged.Models = nil
-	seen := make(map[string]bool)
+	byName := make(map[string]server.PoolInfo)
+	var names []string
 	for _, info := range infos {
 		for _, pi := range info.Models {
-			if !seen[pi.Model] {
-				seen[pi.Model] = true
-				merged.Models = append(merged.Models, pi)
+			if _, seen := byName[pi.Model]; !seen {
+				byName[pi.Model] = pi
+				names = append(names, pi.Model)
 			}
 		}
 	}
-	sort.Slice(merged.Models, func(i, j int) bool { return merged.Models[i].Model < merged.Models[j].Model })
+	sort.Strings(names)
+	for _, name := range names {
+		merged.Models = append(merged.Models, byName[name])
+	}
 	// The router's own process stats replace the backend's: cobench -soak
 	// samples /info for the RSS of whatever it drives.
 	merged.Metrics = server.MetricsInfo{Process: metrics.ReadProcStats()}
@@ -170,7 +129,6 @@ func (rt *Router) handleInfo(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Strings(sharding.Models)
 	merged.Sharding = sharding
-	_ = backends
 	writeJSON(w, merged)
 }
 

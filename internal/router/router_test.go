@@ -188,7 +188,7 @@ func stripTiming(sr *server.StatsResponse) {
 // aggregate /stats counter cells (timing stripped) — sharding lives
 // outside the counted I/O.
 func TestScatterGatherMatchesSingleNode(t *testing.T) {
-	path, mapPath, _ := buildSplit(t, 60, 2)
+	path, mapPath, smap := buildSplit(t, 60, 2)
 	w := cobench.Workload{Loops: 10, Samples: 4, Seed: 1993}
 
 	b0 := startBackend(t, mapPath, []int{0})
@@ -254,6 +254,91 @@ func TestScatterGatherMatchesSingleNode(t *testing.T) {
 	}
 	if dials > requests/2 {
 		t.Errorf("%v dials for %v requests — keep-alive pooling is not reusing connections", dials, requests)
+	}
+
+	// Handoff window: shard 0 moves to b1 without b0 releasing it, so from
+	// here on the shard's cells carry runs on two backends — 3 rounds on
+	// b0, 1 on b1 — and the router's merge has to fold them (counts and
+	// sums add, nothing diverges) into what one node aggregates over the
+	// same 4 rounds.
+	if _, err := b1.srv.AcquireShard(0, ""); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := hc.Post(rhs.URL+"/map/assign?shard=0&backend="+url.QueryEscape(b1.hs.URL), "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("assign shard 0 to b1: %s", resp.Status)
+	}
+	driveAll(t, hc, rhs.URL, w, 1, clients)
+	driveAll(t, hc, shs.URL, w, 1, clients)
+	var b0stats, b1stats server.StatsResponse
+	getJSONT(t, hc, b0.hs.URL+"/stats", &b0stats)
+	getJSONT(t, hc, b1.hs.URL+"/stats", &b1stats)
+	getJSONT(t, hc, rhs.URL+"/stats", &routed)
+	getJSONT(t, hc, shs.URL+"/stats", &alone)
+	for _, c := range routed.Cells {
+		// The merged maximum is the larger of the two owners' maxima.
+		var wantMax int64
+		for _, sr := range []server.StatsResponse{b0stats, b1stats} {
+			for _, bc := range sr.Cells {
+				if bc.AggKey == c.AggKey && bc.MaxUS > wantMax {
+					wantMax = bc.MaxUS
+				}
+			}
+		}
+		if c.MaxUS != wantMax {
+			t.Errorf("%s %s: merged maxMicros %d, want %d", c.Model, c.Query, c.MaxUS, wantMax)
+		}
+	}
+	stripTiming(&routed)
+	stripTiming(&alone)
+	if len(b0stats.Cells) == 0 || len(b0stats.Cells)+len(b1stats.Cells) <= len(routed.Cells) {
+		t.Fatalf("no cell lives on both backends (b0 %d + b1 %d cells, merged %d): the handoff window was not exercised",
+			len(b0stats.Cells), len(b1stats.Cells), len(routed.Cells))
+	}
+	if routed.Requests != alone.Requests {
+		t.Errorf("after handoff: routed %d requests, single node %d", routed.Requests, alone.Requests)
+	}
+	if !reflect.DeepEqual(routed.Cells, alone.Cells) {
+		t.Errorf("after handoff: aggregate cells diverge:\nrouted: %+v\nsingle: %+v", routed.Cells, alone.Cells)
+	}
+
+	// Two backends that measure one cell differently — here the same
+	// segment under a much smaller buffer pool — must merge into a cell
+	// flagged divergent, exactly as a single node flags a run that broke
+	// determinism.
+	small, err := server.New(server.Config{ShardMap: mapPath, Shards: []int{0}, BufferPages: 8, MaxViews: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer small.Close()
+	smallHS := httptest.NewServer(small.Handler())
+	defer smallHS.Close()
+	_, rhs2 := startRouter(t, mapPath, []string{b0.hs.URL, smallHS.URL})
+	sh0, _ := smap.Shard(0)
+	var rr server.RunResponse
+	getJSONT(t, hc, runURL(smallHS.URL, sh0.Models[0], "2b", w), &rr)
+	var mixed server.StatsResponse
+	getJSONT(t, hc, rhs2.URL+"/stats", &mixed)
+	found := false
+	for _, c := range mixed.Cells {
+		if c.Model == rr.Model && c.Query == rr.Query {
+			found = true
+			if !c.Divergent {
+				t.Errorf("%s %s measured with 256 and with 8 buffer pages merged without the divergent flag: %+v", c.Model, c.Query, c)
+			}
+			if c.Count != rounds+1 {
+				t.Errorf("%s %s: merged count %d, want %d", c.Model, c.Query, c.Count, rounds+1)
+			}
+		} else if c.Divergent {
+			t.Errorf("%s %s: flagged divergent though only one backend measured it differently", c.Model, c.Query)
+		}
+	}
+	if !found {
+		t.Errorf("cell %s %s missing from the merged /stats", rr.Model, rr.Query)
 	}
 }
 

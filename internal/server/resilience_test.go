@@ -68,8 +68,8 @@ func TestServerAdmissionShed(t *testing.T) {
 
 	// Fill the admission gate (the test owns the semaphore directly, so
 	// the saturation is deterministic rather than raced by slow requests).
-	srv.admit <- struct{}{}
-	srv.admit <- struct{}{}
+	srv.slots <- struct{}{}
+	srv.slots <- struct{}{}
 
 	code, health := getStatus(t, hc, hs.URL+"/healthz")
 	if code != http.StatusOK {
@@ -111,8 +111,8 @@ func TestServerAdmissionShed(t *testing.T) {
 	}
 
 	// Drain the gate: health recovers and the same request now serves.
-	<-srv.admit
-	<-srv.admit
+	<-srv.slots
+	<-srv.slots
 	if code, health = getStatus(t, hc, hs.URL+"/healthz"); health["status"] != "ok" {
 		t.Errorf("/healthz after drain = %d %v, want ok", code, health)
 	}

@@ -71,8 +71,8 @@ func batchBaseline(t *testing.T, path string, w cobench.Workload) map[AggKey]Run
 				Supported: res.Supported,
 				Units:     res.Units,
 				Workload:  key.Workload,
-				Raw:       toCounters(res.Raw),
-				PerUnit:   toPerUnit(res),
+				Raw:       res.Raw,
+				PerUnit:   res.PerUnit,
 			}
 		}
 		db.Close()
@@ -184,7 +184,7 @@ func TestServerConcurrentClientsBitIdentical(t *testing.T) {
 		}
 		wantSum := exp.Raw
 		for i := 1; i < clients; i++ {
-			wantSum.add(exp.Raw)
+			wantSum.Add(exp.Raw)
 		}
 		if cell.RawSum != wantSum {
 			t.Errorf("%s %s: raw sum %+v, want %d x %+v", cell.Model, cell.Query, cell.RawSum, clients, exp.Raw)

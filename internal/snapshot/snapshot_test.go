@@ -32,11 +32,16 @@ func loadModel(t *testing.T, k store.Kind, stations []*cobench.Station) store.Mo
 
 func runAll(t *testing.T, m store.Model) []workload.Result {
 	t.Helper()
-	res, err := workload.NewRunner(m, cobench.Workload{Loops: 15, Samples: 5, Seed: 11}).RunAll()
-	if err != nil {
-		t.Fatal(err)
+	r := workload.NewRunner(m, cobench.Workload{Loops: 15, Samples: 5, Seed: 11})
+	var out []workload.Result
+	for _, q := range cobench.AllQueries() {
+		res, err := r.Run(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		out = append(out, res)
 	}
-	return res
+	return out
 }
 
 // TestSnapshotRoundTrip pins the acceptance property of the snapshot

@@ -169,8 +169,8 @@ func (e *Engine) Close() error {
 // Stats combines device and pool counters into one snapshot.
 func (e *Engine) Stats() iostat.Stats {
 	s := e.Dev.Stats()
-	s.Fixes = e.Pool.Fixes()
-	s.Hits = e.Pool.Hits()
+	s.BufferFixes = e.Pool.Fixes()
+	s.BufferHits = e.Pool.Hits()
 	return s
 }
 

@@ -24,9 +24,6 @@ type View struct {
 	eng  *Engine
 	m    Model
 	st   baseState // the generation this view reads
-
-	recycles int64 // successful Recycle calls
-	rebuilds int64 // recycles that had to restore directory metadata
 }
 
 // NewView opens a fresh copy-on-write view of the base's current
@@ -77,12 +74,6 @@ func (v *View) Gen() uint64 { return v.st.gen }
 // identity changes when a recycle has to rebuild metadata).
 func (v *View) Model() Model { return v.m }
 
-// Recycles and Rebuilds report how often the view was recycled and how
-// many of those recycles had to restore directory metadata after a
-// mutating request (pool-efficiency diagnostics).
-func (v *View) Recycles() int64 { return v.recycles }
-func (v *View) Rebuilds() int64 { return v.rebuilds }
-
 // dirty reports whether the last request may have diverged the view from
 // the pristine base: a materialized overlay page (any flushed write), an
 // unflushed dirty frame in the pool, or device growth past the base. Every
@@ -122,9 +113,7 @@ func (v *View) Recycle() (rebuilt bool, err error) {
 		if err := v.restore(v.st.meta); err != nil {
 			return false, fmt.Errorf("store: recycle %s: %w", v.base.kind, err)
 		}
-		v.rebuilds++
 	}
-	v.recycles++
 	return dirty, nil
 }
 

@@ -131,10 +131,6 @@ func TestViewRecycle(t *testing.T) {
 			if now := base.arena.Refs(); now != refs {
 				t.Errorf("base refs drifted across recycles: %d -> %d", refs, now)
 			}
-			if v.Recycles() < 2 || v.Rebuilds() != 1 {
-				t.Errorf("recycle accounting: recycles=%d rebuilds=%d, want >=2 and 1",
-					v.Recycles(), v.Rebuilds())
-			}
 		})
 	}
 }

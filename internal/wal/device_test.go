@@ -148,7 +148,7 @@ func (d *backendDevice) WriteAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-func (d *backendDevice) Sync() error { return d.b.Flush() }
+func (d *backendDevice) Sync() error { return nil }
 
 func (d *backendDevice) Truncate(size int64) error {
 	if size > d.size {

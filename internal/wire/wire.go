@@ -21,12 +21,6 @@ func AppendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32
 // AppendU64 appends a big-endian uint64.
 func AppendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
 
-// AppendBytes appends a u32 length prefix followed by the bytes.
-func AppendBytes(b, v []byte) []byte {
-	b = AppendU32(b, uint32(len(v)))
-	return append(b, v...)
-}
-
 // Reader consumes values appended by the Append functions.
 type Reader struct {
 	buf []byte

@@ -27,11 +27,7 @@ func TestBackendCounterEquivalence(t *testing.T) {
 		t.Run(k.String(), func(t *testing.T) {
 			measure := func(m store.Model) []Result {
 				defer m.Engine().Close()
-				results, err := NewRunner(m, w).RunAll()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return results
+				return runAll(t, NewRunner(m, w))
 			}
 			load := func(spec disk.BackendSpec) store.Model {
 				m, err := store.New(k, store.Options{BufferPages: 200, Backend: spec})

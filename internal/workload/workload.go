@@ -35,9 +35,9 @@ type Result struct {
 
 // PerUnit returns the normalized counters (the numbers printed in the
 // paper's tables).
-func (r Result) PerUnit() iostat.Normalized {
+func (r Result) PerUnit() iostat.PerUnit {
 	if !r.Supported || r.Units == 0 {
-		return iostat.Normalized{}
+		return iostat.PerUnit{}
 	}
 	return r.Stats.Normalize(r.Units)
 }
@@ -147,19 +147,6 @@ func (r *Runner) run(q cobench.Query) (Result, error) {
 	default:
 		return Result{}, fmt.Errorf("workload: unknown query %v", q)
 	}
-}
-
-// RunAll executes every benchmark query in paper order.
-func (r *Runner) RunAll() ([]Result, error) {
-	var out []Result
-	for _, q := range cobench.AllQueries() {
-		res, err := r.Run(q)
-		if err != nil {
-			return nil, fmt.Errorf("workload: %s on %s: %w", q, r.model.Kind(), err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
 }
 
 // samples returns up to w.Samples distinct object indices, deterministic

@@ -25,14 +25,24 @@ func loadedRunner(t *testing.T, k store.Kind, n int) *Runner {
 	return NewRunner(m, w)
 }
 
+// runAll executes every benchmark query in paper order.
+func runAll(t *testing.T, r *Runner) []Result {
+	t.Helper()
+	var out []Result
+	for _, q := range cobench.AllQueries() {
+		res, err := r.Run(q)
+		if err != nil {
+			t.Fatalf("%s on %s: %v", q, r.model.Kind(), err)
+		}
+		out = append(out, res)
+	}
+	return out
+}
+
 func TestRunAllModelsAllQueries(t *testing.T) {
 	for _, k := range store.AllKinds() {
 		t.Run(k.String(), func(t *testing.T) {
-			r := loadedRunner(t, k, 150)
-			results, err := r.RunAll()
-			if err != nil {
-				t.Fatal(err)
-			}
+			results := runAll(t, loadedRunner(t, k, 150))
 			if len(results) != 7 {
 				t.Fatalf("got %d results", len(results))
 			}

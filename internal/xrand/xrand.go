@@ -45,13 +45,6 @@ func (s *Source) Bool(p float64) bool {
 	return s.Float64() < p
 }
 
-// Fork derives an independent child source; useful to give each experiment
-// phase its own stream so that adding draws to one phase does not perturb
-// another.
-func (s *Source) Fork() *Source {
-	return &Source{state: s.Uint64() ^ 0xd1b54a32d192ed03}
-}
-
 // Mix derives a well-distributed seed from a base seed and a stream
 // identifier. Two streams with different ids are statistically independent
 // even for adjacent ids, so callers can key streams by (seed, index) —

@@ -87,23 +87,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestForkIndependence(t *testing.T) {
-	parent := New(5)
-	child := parent.Fork()
-	// Child must not replay the parent stream.
-	p1 := parent.Uint64()
-	c1 := child.Uint64()
-	if p1 == c1 {
-		t.Error("fork replays parent stream")
-	}
-	// Forking at the same parent state must be deterministic.
-	p2 := New(5)
-	c2 := p2.Fork()
-	if c2.Uint64() != c1 {
-		t.Error("fork is not deterministic")
-	}
-}
-
 func TestPerm(t *testing.T) {
 	s := New(9)
 	p := s.Perm(20)

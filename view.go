@@ -93,15 +93,7 @@ func (v *View) Stats() Stats {
 	if v.closed.Load() {
 		return Stats{}
 	}
-	s := v.sv.Engine().Stats()
-	return Stats{
-		PagesRead:    s.PagesRead,
-		PagesWritten: s.PagesWritten,
-		ReadCalls:    s.ReadCalls,
-		WriteCalls:   s.WriteCalls,
-		BufferFixes:  s.Fixes,
-		BufferHits:   s.Hits,
-	}
+	return v.sv.Engine().Stats()
 }
 
 // ViewMemStats describes what a view costs beyond its shared base.
