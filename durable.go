@@ -149,8 +149,10 @@ func (c *CommitLog) OpenBase(kind ModelKind, snapshotPath string) (*Base, error)
 // Recover replays every committed batch of the log over the registered
 // bases and arms the log for commits. Returns the number of batches
 // replayed (0 after a clean checkpoint or on a fresh directory). Replay
-// is idempotent — page images are absolute — so recovering a directory
-// that crashed mid-recovery lands on the same state.
+// is idempotent — page images are absolute, and a marker without a
+// directory blob keeps the one the base holds (the checkpoint's, or the
+// last one replayed) — so recovering a directory that crashed
+// mid-recovery lands on the same state.
 func (c *CommitLog) Recover() (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

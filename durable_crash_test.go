@@ -2,6 +2,7 @@ package complexobj
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"complexobj/cobench"
 	"complexobj/internal/snapshot"
+	"complexobj/internal/wal"
 )
 
 // The crash battery below complements the torn/short fault injection in
@@ -442,6 +444,329 @@ func TestCommitLogKillInsideCheckpoint(t *testing.T) {
 	}
 	for _, b := range bases2 {
 		b.Close()
+	}
+}
+
+// A commit marker carries the directory blob only when the commit changed
+// the directory; an empty one means "as of the previous commit of this
+// model, or the checkpoint". The three tests below pin that rule through
+// crashes, a checkpoint truncation, and logs written before it existed.
+
+// committedState copies what a base's current generation would checkpoint.
+func committedState(b *Base) (meta, arena []byte) {
+	_, _, m, a := b.base.SnapshotState()
+	defer a.Release()
+	return append([]byte(nil), m...), append([]byte(nil), a.Bytes()...)
+}
+
+// walBatch is one committed batch of a log image.
+type walBatch struct {
+	marker wal.CommitRecord
+	pages  []wal.PageRecord
+}
+
+// walBatches replays a log image through the wal package alone.
+func walBatches(t *testing.T, image []byte) []walBatch {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "wal-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(image); err != nil {
+		t.Fatal(err)
+	}
+	var out []walBatch
+	_, err = wal.Open(f, func(cm wal.CommitRecord, pages []wal.PageRecord) error {
+		b := walBatch{marker: cm}
+		b.marker.Meta = append([]byte(nil), cm.Meta...)
+		for _, p := range pages {
+			p.Image = append([]byte(nil), p.Image...)
+			b.pages = append(b.pages, p)
+		}
+		out = append(out, b)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// directoryHistory commits five generations that alternate query 3a's
+// shape (root stamps: the directory stands, the marker is empty) with
+// structural updates (a growing and a key-changing UpdateObject: full
+// blob), and returns the log image, its size after each commit, and the
+// committed directory blob and arena of every generation, 0 being the seed.
+func directoryHistory(t *testing.T, kind ModelKind) (snap string, image []byte, boundaries []int64, metas, arenas [][]byte) {
+	t.Helper()
+	snap, _ = seedSnapshot(t, kind, 24)
+	dir := t.TempDir()
+	clog, err := OpenCommitLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clog.Close()
+	base, err := clog.OpenBase(kind, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Close()
+	if _, err := clog.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	record := func() {
+		meta, arena := committedState(base)
+		boundaries = append(boundaries, clog.Stats().SizeBytes)
+		metas, arenas = append(metas, meta), append(arenas, arena)
+	}
+	record()
+	for gen := 1; gen <= 5; gen++ {
+		v, err := base.NewView(Options{BufferPages: 128})
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch gen {
+		case 2:
+			err = v.sv.Model().UpdateObject(5, func(s *cobench.Station) error {
+				for i := 0; i < 20; i++ {
+					s.Seeings = append(s.Seeings, cobench.Sightseeing{Nr: int32(900 + i), Description: "grown"})
+				}
+				return nil
+			})
+		case 4:
+			err = v.sv.Model().UpdateObject(9, func(s *cobench.Station) error { s.Key = 1 << 20; return nil })
+		default:
+			err = v.sv.UpdateRoots([]int32{6, int32(gen)}, func(_ int32, r *cobench.RootRecord) {
+				r.Name = fmt.Sprintf("directory gen %d", gen)
+			})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := v.Commit(clog); err != nil {
+			t.Fatal(err)
+		}
+		v.Close()
+		record()
+	}
+	if image, err = os.ReadFile(filepath.Join(dir, WALFileName)); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range walBatches(t, image) {
+		if full := i == 1 || i == 3; (len(b.marker.Meta) > 0) != full {
+			t.Fatalf("%s commit %d: marker carries %d metadata bytes, structural update: %v", kind, i+1, len(b.marker.Meta), full)
+		}
+		if len(b.marker.Meta) > 0 && !bytes.Equal(b.marker.Meta, metas[i+1]) {
+			t.Fatalf("%s commit %d: marker blob is not the generation's", kind, i+1)
+		}
+	}
+	if bytes.Equal(metas[1], metas[2]) || bytes.Equal(metas[3], metas[4]) || !bytes.Equal(metas[2], metas[3]) {
+		t.Fatalf("%s: the history does not move the directory where it should", kind)
+	}
+	return snap, image, boundaries, metas, arenas
+}
+
+// recoverOnto recovers a log image over the seed and holds the outcome to
+// generation n of the history, directory and arena both.
+func recoverOnto(t *testing.T, kind ModelKind, snap string, image []byte, n int, metas, arenas [][]byte, what string) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, WALFileName), image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	clog, err := OpenCommitLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clog.Close()
+	base, err := clog.OpenBase(kind, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Close()
+	replayed, err := clog.Recover()
+	if err != nil {
+		t.Fatalf("%s: recover: %v", what, err)
+	}
+	if replayed != n || base.Gen() != uint64(n) {
+		t.Fatalf("%s: replayed %d commits onto generation %d, want %d", what, replayed, base.Gen(), n)
+	}
+	meta, arena := committedState(base)
+	if !bytes.Equal(meta, metas[n]) {
+		t.Fatalf("%s: recovered generation %d with another generation's directory", what, n)
+	}
+	if !bytes.Equal(arena, arenas[n]) {
+		t.Fatalf("%s: recovered generation %d with different pages", what, n)
+	}
+	// The directory must also decode and agree with the pages.
+	v, err := base.NewView(Options{BufferPages: 128})
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	defer v.Close()
+	if _, err := v.Run(cobench.Q1c, cobench.Workload{Loops: 1, Samples: 1, Seed: 1}); err != nil {
+		t.Fatalf("%s: scan of the recovered generation: %v", what, err)
+	}
+}
+
+// TestCommitLogMixedMarkersCrashAtEveryRecord cuts a log that interleaves
+// full and empty markers at every record boundary: each cut recovers the
+// commits whose marker survived, with the directory of exactly that
+// generation — the last full blob at or before it, or the seed's.
+func TestCommitLogMixedMarkersCrashAtEveryRecord(t *testing.T) {
+	for _, kind := range []ModelKind{DASDBSDSM, NSM, DASDBSNSM} {
+		t.Run(kind.String(), func(t *testing.T) {
+			snap, image, boundaries, metas, arenas := directoryHistory(t, kind)
+			cuts := 0
+			for off := int64(0); ; cuts++ {
+				n := 0
+				for i, b := range boundaries {
+					if b <= off {
+						n = i
+					}
+				}
+				recoverOnto(t, kind, snap, image[:off], n, metas, arenas, fmt.Sprintf("cut at record boundary %d", off))
+				if off == int64(len(image)) {
+					break
+				}
+				// Record framing: u32 payload length, u32 checksum, payload.
+				off += 8 + int64(binary.BigEndian.Uint32(image[off:]))
+			}
+			if cuts < 3*len(boundaries) {
+				t.Fatalf("walked %d records over %d commits: the framing walk is off", cuts, len(boundaries)-1)
+			}
+		})
+	}
+}
+
+// TestCommitLogEmptyMarkersRecoverOntoCheckpoint: after a checkpoint has
+// truncated the log, markers that say "directory unchanged" refer to the
+// checkpoint's directory — the one a structural commit before the
+// truncation installed — not the seed's.
+func TestCommitLogEmptyMarkersRecoverOntoCheckpoint(t *testing.T) {
+	const kind = NSMIndex
+	snap, _ := seedSnapshot(t, kind, 24)
+	dir := t.TempDir()
+	open := func() (*CommitLog, *Base, int) {
+		t.Helper()
+		clog, err := OpenCommitLog(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := clog.OpenBase(kind, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := clog.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return clog, base, n
+	}
+	commit := func(clog *CommitLog, base *Base, update func(v *View) error) {
+		t.Helper()
+		v, err := base.NewView(Options{BufferPages: 128})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer v.Close()
+		if err := update(v); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := v.Commit(clog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clog, base, _ := open()
+	seedMeta, _ := committedState(base)
+	commit(clog, base, func(v *View) error {
+		return v.sv.Model().UpdateObject(3, func(s *cobench.Station) error {
+			s.Seeings = s.Seeings[:len(s.Seeings)/2]
+			s.Platforms = append(s.Platforms, cobench.Platform{Nr: 77, Information: "added"})
+			return nil
+		})
+	})
+	if err := clog.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		commit(clog, base, func(v *View) error {
+			return v.sv.UpdateRoots([]int32{3, 6}, func(_ int32, r *cobench.RootRecord) { r.Name = fmt.Sprintf("after checkpoint %d", i) })
+		})
+	}
+	wantMeta, wantArena := committedState(base)
+	if bytes.Equal(wantMeta, seedMeta) {
+		t.Fatal("the structural update left the directory as seeded; nothing to pin")
+	}
+	clog.Close()
+	base.Close()
+
+	image, err := os.ReadFile(filepath.Join(dir, WALFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := walBatches(t, image)
+	if len(batches) != 3 {
+		t.Fatalf("log holds %d batches after the checkpoint, want 3", len(batches))
+	}
+	for i, b := range batches {
+		if len(b.marker.Meta) != 0 {
+			t.Fatalf("batch %d: a root-stamp commit logged %d metadata bytes", i, len(b.marker.Meta))
+		}
+	}
+
+	re, base2, n := open()
+	defer re.Close()
+	defer base2.Close()
+	gotMeta, gotArena := committedState(base2)
+	if n != 3 || !bytes.Equal(gotMeta, wantMeta) || !bytes.Equal(gotArena, wantArena) {
+		t.Fatalf("replayed %d empty-marker batches over the checkpoint: directory intact %v, pages intact %v",
+			n, bytes.Equal(gotMeta, wantMeta), bytes.Equal(gotArena, wantArena))
+	}
+	v, err := base2.NewView(Options{BufferPages: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	if st, err := v.sv.FetchByAddress(3); err != nil || st.Name != "after checkpoint 3" || st.Platforms[len(st.Platforms)-1].Nr != 77 {
+		t.Fatalf("recovered object 3 = %+v, %v", st, err)
+	}
+}
+
+// TestCommitLogReplaysFullMetaLog: a log in the shape every earlier build
+// wrote — the full directory blob in every marker — replays onto the same
+// generations as the log that elides the unchanged ones.
+func TestCommitLogReplaysFullMetaLog(t *testing.T) {
+	const kind = DASDBSNSM
+	snap, image, _, metas, arenas := directoryHistory(t, kind)
+
+	f, err := os.CreateTemp(t.TempDir(), "full-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	log, err := wal.Open(f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var boundaries []int64
+	for i, b := range walBatches(t, image) {
+		b.marker.Meta = metas[i+1]
+		if _, err := log.Commit(b.pages, b.marker); err != nil {
+			t.Fatal(err)
+		}
+		boundaries = append(boundaries, log.Size())
+	}
+	full, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full) <= len(image)+len(metas[1]) {
+		t.Fatalf("full-blob log of %d bytes is no larger than the eliding one (%d)", len(full), len(image))
+	}
+	for i, b := range boundaries {
+		recoverOnto(t, kind, snap, full[:b], i+1, metas, arenas, fmt.Sprintf("full-blob log, %d commits", i+1))
 	}
 }
 

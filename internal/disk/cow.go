@@ -6,20 +6,46 @@ import (
 	"sync/atomic"
 )
 
-// pageTable is a sparse page overlay: entry pg holds the image that
-// overrides page pg of whatever lies below, nil (or past the end) means
-// the page is not overridden. One shape serves both overlay levels — a
-// view's private writes (cowBackend.over) and the committed pages of a
-// base generation (BaseArena.over) — so a page resolves through
-// view table → generation table → floor in a fixed number of steps.
-type pageTable [][]byte
+// pageTable is a sparse page overlay: the image that overrides page pg of
+// whatever lies below, nil (or past the end) when the page is not
+// overridden. Two levels — a root of leaves of leafPages pages each, a nil
+// leaf overriding nothing — make a lookup two steps whatever the table has
+// been through, and let a table differing in a few pages share every other
+// leaf with the one it derives from. One shape serves both overlay levels
+// — a view's private writes (cowBackend.over) and the committed pages of a
+// base generation (BaseArena.over) — so a page resolves through view table
+// → generation table → floor in a fixed number of steps.
+type pageTable []*pageLeaf
+
+// pageLeaf holds the images of leafPages consecutive pages: sixteen keeps a
+// commit's leaf copies under a fifth of its images, the root at ½ B/page.
+type pageLeaf [leafPages][]byte
+
+const (
+	leafShift = 4
+	leafPages = 1 << leafShift
+)
 
 // page returns the overriding image of page pg, or nil.
 func (t pageTable) page(pg int) []byte {
-	if pg < len(t) {
-		return t[pg]
+	if li := pg >> leafShift; li < len(t) && t[li] != nil {
+		return t[li][pg&(leafPages-1)]
 	}
 	return nil
+}
+
+// each visits the slot of every overriding image in ascending page order.
+func (t pageTable) each(fn func(pg int, slot *[]byte)) {
+	for li, leaf := range t {
+		if leaf == nil {
+			continue
+		}
+		for i := range leaf {
+			if leaf[i] != nil {
+				fn(li<<leafShift|i, &leaf[i])
+			}
+		}
+	}
 }
 
 // floor is the immutable storage at the bottom of every generation of
@@ -305,12 +331,16 @@ func (b *cowBackend) WriteAt(p []byte, off int) error {
 				m := copy(img, committedPage(b.committed, b.floor, pg, b.gran))
 				clear(img[m:])
 			}
-			if pg >= len(b.over) {
-				grown := make(pageTable, (pg+1)*2)
+			li := pg >> leafShift
+			if li >= len(b.over) {
+				grown := make(pageTable, (li+1)*2)
 				copy(grown, b.over)
 				b.over = grown
 			}
-			b.over[pg] = img
+			if b.over[li] == nil {
+				b.over[li] = new(pageLeaf)
+			}
+			b.over[li][pg&(leafPages-1)] = img
 			b.overlaid++
 		}
 		copy(img[po:po+n], p[:n])
@@ -360,12 +390,10 @@ func (b *cowBackend) StablePage(off, n int) ([]byte, bool) {
 // recycling re-dirties a similar working set, so the next request's
 // writes materialize pages without allocating).
 func (b *cowBackend) reset() {
-	for i, img := range b.over {
-		if img != nil {
-			b.freeImgs = append(b.freeImgs, img)
-			b.over[i] = nil
-		}
-	}
+	b.over.each(func(_ int, slot *[]byte) {
+		b.freeImgs = append(b.freeImgs, *slot)
+		*slot = nil
+	})
 	b.overlaid = 0
 	b.size = b.base.Len()
 }

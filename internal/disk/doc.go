@@ -78,18 +78,19 @@
 //
 // A BaseArena is one generation of a shared base: an immutable floor —
 // the heap slice or .codb mapping the base was built over — plus a page
-// table of the pages committed over the floor since ([][]byte by page
-// number; nil means "read the floor", a page past the visible floor with
-// no entry reads as zero, and the generation's own length is
-// authoritative across growth and shrinkage). That table has the same
-// shape as a view's private overlay and is read by the same lookup, so a
-// page resolves through view table → generation table → floor in a fixed
-// number of steps. Promote derives generation n+1 by copying the table
-// (one slice header per page) and installing private copies of the dirty
-// images: a commit costs its dirty pages, not the arena, and because the
-// table is path-copied rather than chained to its parent, a lookup after
-// a thousand commits costs what it cost after one — there is no depth and
-// nothing to flatten or tune. WriteTo streams a generation for a
+// table of the pages committed over the floor since (a root of leaves of
+// sixteen images each; nil, leaf or image, means "read the floor", a page
+// past the visible floor with no entry reads as zero, and the
+// generation's own length is authoritative across growth and shrinkage).
+// That table has the same shape as a view's private overlay and is read
+// by the same lookup, so a page resolves through view table → generation
+// table → floor in a fixed number of steps. Promote derives generation
+// n+1 by copying the root and the leaves a dirty page falls in — every
+// other leaf is shared with generation n — and installing private copies
+// of the dirty images: a commit costs its dirty pages, not the arena, and
+// because the table is path-copied rather than chained to its parent, a
+// lookup after a thousand commits costs what it cost after one — there is
+// no depth and nothing to flatten or tune. WriteTo streams a generation for a
 // checkpoint, floor runs as single writes, without flattening it in
 // memory; Bytes flattens a promoted generation and is for inspection
 // only.

@@ -18,11 +18,7 @@ func OverlayPages(b Backend, fn func(pg int, img []byte)) bool {
 	if !ok {
 		return false
 	}
-	for pg, img := range c.over {
-		if img != nil {
-			fn(pg, img)
-		}
-	}
+	c.over.each(func(pg int, slot *[]byte) { fn(pg, *slot) })
 	return true
 }
 
@@ -30,15 +26,15 @@ func OverlayPages(b Backend, fn func(pg int, img []byte)) bool {
 // next one: numPages pages of this generation's content (extended with
 // zeros or truncated to the committed device size) with the overlay
 // images applied on top. The cost is the dirty pages, not the arena: the
-// next generation shares the floor, copies the page table (one slice
-// header per page) and installs a private copy of each image — a
-// path-copied table, not a parent chain, so a page lookup costs the same
-// after one promote as after a thousand. Pages at or past numPages are
+// next generation shares the floor and every table leaf no dirty page
+// falls in, copies the root and the dirty pages' leaves, and installs a
+// private copy of each image — a path-copied table, not a parent chain, so
+// a page lookup costs the same after one promote as after a thousand. Pages at or past numPages are
 // ignored — the committed size is authoritative; an image shorter than a
 // page overrides the page's prefix. The result holds one floor reference
 // owned by the caller; the receiver is only read, its references
-// untouched. copied is the number of bytes the promote copied (table plus
-// page images) — the in-memory write amplification of the commit.
+// untouched. copied is the number of bytes the promote copied (root,
+// leaves, images) — the in-memory write amplification of the commit.
 func (a *BaseArena) Promote(pageSize, numPages int, pages map[int][]byte) (next *BaseArena, copied int64) {
 	if a == nil {
 		a = NewBaseArena(nil)
@@ -53,17 +49,37 @@ func (a *BaseArena) Promote(pageSize, numPages int, pages map[int][]byte) (next 
 		floorLen: min(a.floorLen, size),
 		size:     size,
 		gran:     pageSize,
-		over:     make(pageTable, numPages),
+		over:     make(pageTable, (numPages+leafPages-1)>>leafShift),
 		held:     a.held,
 	}
-	if n := copy(next.over, a.over); n < len(a.over) {
-		for _, img := range a.over[n:] {
-			if img != nil {
-				next.held--
+	copy(next.over, a.over)
+	copied = int64(len(next.over)) * int64(unsafe.Sizeof(next.over[0]))
+	// slot returns page pg's entry in a leaf private to next, copying a
+	// leaf still shared with the receiver and creating a missing one.
+	slot := func(pg int) *[]byte {
+		li := pg >> leafShift
+		switch leaf := next.over[li]; {
+		case leaf == nil:
+			next.over[li] = new(pageLeaf)
+		case li < len(a.over) && leaf == a.over[li]:
+			private := *leaf
+			next.over[li] = &private
+		default:
+			return &leaf[pg&(leafPages-1)]
+		}
+		copied += int64(unsafe.Sizeof(pageLeaf{}))
+		return &next.over[li][pg&(leafPages-1)]
+	}
+	// A shrink drops the images past the committed size, those sharing the
+	// last leaf with surviving pages included: regrown, they read as zero.
+	for pg := numPages; pg*pageSize < a.size; pg++ {
+		if a.over.page(pg) != nil {
+			next.held--
+			if pg>>leafShift < len(next.over) {
+				*slot(pg) = nil
 			}
 		}
 	}
-	copied = int64(numPages) * int64(unsafe.Sizeof(next.over[0]))
 	for pg, src := range pages {
 		if pg < 0 || pg >= numPages {
 			continue
@@ -73,10 +89,11 @@ func (a *BaseArena) Promote(pageSize, numPages int, pages map[int][]byte) (next 
 			copy(img, a.page(pg, pageSize))
 		}
 		copy(img, src)
-		if next.over[pg] == nil {
+		at := slot(pg)
+		if *at == nil {
 			next.held++
 		}
-		next.over[pg] = img
+		*at = img
 		copied += int64(pageSize)
 	}
 	return next, copied
@@ -103,7 +120,7 @@ func (a *BaseArena) WriteTo(w io.Writer) (int64, error) {
 	var zeros []byte
 	numPages := a.size / a.gran
 	for pg := 0; pg < numPages; {
-		if img := a.over[pg]; img != nil {
+		if img := a.over.page(pg); img != nil {
 			if err := write(img); err != nil {
 				return written, err
 			}
@@ -111,7 +128,7 @@ func (a *BaseArena) WriteTo(w io.Writer) (int64, error) {
 			continue
 		}
 		end := pg + 1
-		for end < numPages && a.over[end] == nil {
+		for end < numPages && a.over.page(end) == nil {
 			end++
 		}
 		lo, hi := pg*a.gran, end*a.gran

@@ -148,8 +148,12 @@ func TestPromoteMatchesFlatOracle(t *testing.T) {
 
 				next, copied := gen.Promote(ps, numPages, pages)
 				oracle = flatPromote(oracle, ps, numPages, pages)
-				if want := int64(numPages)*int64(unsafe.Sizeof([]byte(nil))) + int64(inRange*ps); copied != want {
-					t.Fatalf("step %d: promote reports %d bytes copied, want %d (table + %d images)", step, copied, want, inRange)
+				// The leaf-copy bound: the root, the images, and at most one
+				// leaf per image plus the one a shrink cuts into.
+				fixed := int64(len(next.over))*int64(unsafe.Sizeof((*pageLeaf)(nil))) + int64(inRange*ps)
+				if most := fixed + int64(inRange+1)*int64(unsafe.Sizeof(pageLeaf{})); copied < fixed || copied > most {
+					t.Fatalf("step %d: promote reports %d bytes copied, want within [%d, %d] (root + %d images + their leaves)",
+						step, copied, fixed, most, inRange)
 				}
 				// The images are copied: the caller scribbling on its own
 				// slices afterwards must not reach the generation.
@@ -228,4 +232,38 @@ type countingWriter struct{ sizes []int }
 func (w *countingWriter) Write(p []byte) (int, error) {
 	w.sizes = append(w.sizes, len(p))
 	return len(p), nil
+}
+
+// TestPromoteCopiesOnlyDirtyLeaves pins the path copy: the next
+// generation's table shares every leaf no dirty page falls in with its
+// predecessor — by pointer — copies the ones it writes, and reports the
+// root, those leaves and the images as copied, whatever the arena's size.
+func TestPromoteCopiesOnlyDirtyLeaves(t *testing.T) {
+	const ps, numPages = 64, 40 * leafPages
+	base, _ := testBase(ps, numPages)
+	defer base.Release()
+	img := bytes.Repeat([]byte{0xC3}, ps)
+	every := make(map[int][]byte)
+	for pg := 0; pg < numPages; pg += leafPages {
+		every[pg] = img // one page per leaf: every leaf exists from here on
+	}
+	first, _ := base.Promote(ps, numPages, every)
+	defer first.Release()
+
+	dirty := map[int][]byte{3: img, 5: img, 7*leafPages + 1: img} // two leaves
+	second, copied := first.Promote(ps, numPages, dirty)
+	defer second.Release()
+	rootBytes := int64(len(second.over)) * int64(unsafe.Sizeof((*pageLeaf)(nil)))
+	if want := rootBytes + 2*int64(unsafe.Sizeof(pageLeaf{})) + 3*ps; copied != want {
+		t.Errorf("promote of 3 pages in 2 leaves copied %d bytes, want %d (root + 2 leaves + 3 images)", copied, want)
+	}
+	for li := range second.over {
+		shared := second.over[li] == first.over[li]
+		if wantShared := li != 0 && li != 7; shared != wantShared {
+			t.Errorf("leaf %d shared with the predecessor: %v, want %v", li, shared, wantShared)
+		}
+	}
+	if first.over.page(3) != nil || first.DeltaPages() != len(every) || second.DeltaPages() != len(every)+3 {
+		t.Errorf("the promote wrote its predecessor, or miscounted: %d and %d committed pages", first.DeltaPages(), second.DeltaPages())
+	}
 }

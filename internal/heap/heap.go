@@ -3,6 +3,7 @@ package heap
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"complexobj/internal/buffer"
 	"complexobj/internal/disk"
@@ -29,9 +30,12 @@ type Heap struct {
 	dev  *disk.Disk
 	pool *buffer.Pool
 
+	// The directory state AppendState serializes. pages grows by appending
+	// only: an attached heap aliases from's list clipped, and appends a copy.
 	pages   []disk.PageID
 	records int
 	bytes   int64
+	from    *Heap // the shared directory state last attached, if any
 }
 
 // New creates an empty heap named name (for error messages and reports).
@@ -107,6 +111,19 @@ func (h *Heap) RestoreState(r *wire.Reader) error {
 	}
 	h.pages, h.records, h.bytes = pages, records, bytes
 	return nil
+}
+
+// Attach makes h's directory state that of from — a heap without a device
+// that some RestoreState filled; any number of heaps attach to it, none
+// writes it — in O(1).
+func (h *Heap) Attach(from *Heap) {
+	h.pages, h.records, h.bytes, h.from = slices.Clip(from.pages), from.records, from.bytes, from
+}
+
+// Changed reports whether AppendState has moved off what Attach installed
+// (always, on a heap never attached); page lists of one length are equal.
+func (h *Heap) Changed() bool {
+	return h.from == nil || len(h.pages) != len(h.from.pages) || h.records != h.from.records || h.bytes != h.from.bytes
 }
 
 // Sizer counts the pages a sequence of Inserts into an empty heap will

@@ -8,6 +8,7 @@ import (
 	"complexobj/internal/buffer"
 	"complexobj/internal/disk"
 	"complexobj/internal/page"
+	"complexobj/internal/wire"
 	"complexobj/internal/xrand"
 )
 
@@ -352,5 +353,66 @@ func TestDelete(t *testing.T) {
 	h.Scan(func(RID, []byte) bool { count++; return true })
 	if count != 2 {
 		t.Errorf("scan visited %d records, want 2", count)
+	}
+}
+
+// TestAttachSharesUntilWritten pins the shared-directory contract: a heap
+// attached to a decoded state reads through it, reports Changed exactly
+// when its own AppendState stops matching, and never writes what it
+// attached to — whatever it and a second attached heap do. (The device
+// keeps every step's writes; only the bookkeeping is under test.)
+func TestAttachSharesUntilWritten(t *testing.T) {
+	d, p, loaded := newHeap(t, 16)
+	var rids []RID
+	for i := 0; i < 40; i++ {
+		rid, err := loaded.Insert(rec(byte(i), 150))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	blob := loaded.AppendState(nil)
+	dir := New(nil, nil, "directory") // decoded once, no device
+	if err := dir.RestoreState(wire.NewReader(blob)); err != nil {
+		t.Fatal(err)
+	}
+
+	steps := []struct {
+		name    string
+		changes bool
+		do      func(h *Heap) error
+	}{
+		{"same-length update", false, func(h *Heap) error { return h.Update(rids[3], rec(0xAA, 150)) }},
+		{"resizing update", true, func(h *Heap) error { return h.Update(rids[3], rec(0xAA, 90)) }},
+		{"delete", true, func(h *Heap) error { return h.Delete(rids[5]) }},
+		{"insert into the tail page", true, func(h *Heap) error { _, err := h.Insert(rec(1, 10)); return err }},
+		{"inserts appending pages", true, func(h *Heap) error {
+			for i := 0; i < 30; i++ {
+				if _, err := h.Insert(rec(2, 900)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	}
+	a, b := New(d, p, "a"), New(d, p, "b")
+	for _, st := range steps {
+		a.Attach(dir)
+		b.Attach(dir)
+		if a.Changed() || !bytes.Equal(a.AppendState(nil), blob) {
+			t.Fatalf("%s: a freshly attached heap differs from its directory", st.name)
+		}
+		if err := st.do(a); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if a.Changed() != st.changes {
+			t.Errorf("%s: Changed = %v, want %v", st.name, a.Changed(), st.changes)
+		}
+		if same := bytes.Equal(a.AppendState(nil), blob); same == a.Changed() {
+			t.Errorf("%s: Changed = %v but state equals the directory's: %v", st.name, a.Changed(), same)
+		}
+		if b.Changed() || !bytes.Equal(b.AppendState(nil), blob) || !bytes.Equal(dir.AppendState(nil), blob) {
+			t.Fatalf("%s on one heap reached its sibling or the directory", st.name)
+		}
 	}
 }

@@ -1,10 +1,12 @@
 package longobj
 
 import (
+	"bytes"
 	"testing"
 
 	"complexobj/internal/buffer"
 	"complexobj/internal/disk"
+	"complexobj/internal/wire"
 )
 
 func newFreeStore(t *testing.T, poolPages int) (*disk.Disk, *buffer.Pool, *Store) {
@@ -162,3 +164,80 @@ func TestRecycledRunEvictsStaleFrames(t *testing.T) {
 
 // comp2 builds a component from explicit bytes.
 func comp2(tag uint8, data []byte) Component { return Component{Tag: tag, Data: data} }
+
+// TestAttachSharesUntilWritten pins the shared-directory contract of a
+// store: attached to a decoded state — free-space map included — it
+// reports Changed exactly when its own AppendState stops matching, and
+// neither it nor a sibling attached alongside ever writes the directory.
+func TestAttachSharesUntilWritten(t *testing.T) {
+	d, p, loaded := newFreeStore(t, 64)
+	var refs []Ref
+	for i := 0; i < 6; i++ {
+		ref, err := loaded.Insert([]Component{comp(0, byte(i), 5000)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs = append(refs, ref)
+	}
+	small, err := loaded.Insert([]Component{comp(0, 9, 200)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two dead runs of different sizes, so the map has entries a claim
+	// would shrink in place.
+	loaded.freeLarge(refs[1])
+	loaded.freeLarge(refs[4])
+	blob := loaded.AppendState(nil)
+	dir := New(nil, nil, "directory") // decoded once, no device
+	if err := dir.RestoreState(wire.NewReader(blob)); err != nil {
+		t.Fatal(err)
+	}
+
+	steps := []struct {
+		name    string
+		changes bool
+		do      func(s *Store) error
+	}{
+		{"in-place replace of a large object", false, func(s *Store) error {
+			return s.ReplaceAll(refs[0], []Component{comp(0, 0xAA, 5000)})
+		}},
+		{"same-length replace of a small object", false, func(s *Store) error {
+			return s.ReplaceAll(small, []Component{comp(0, 0xAB, 200)})
+		}},
+		{"resizing replace of a small object", true, func(s *Store) error {
+			return s.ReplaceAll(small, []Component{comp(0, 0xAB, 120)})
+		}},
+		{"insert claiming part of a free run", true, func(s *Store) error {
+			_, err := s.Insert([]Component{comp(0, 7, 2500)})
+			return err
+		}},
+		{"relocating replace", true, func(s *Store) error {
+			_, err := s.Replace(refs[2], []Component{comp(0, 8, 12000)})
+			return err
+		}},
+		{"insert extending the device", true, func(s *Store) error {
+			_, err := s.Insert([]Component{comp(0, 7, 30000)})
+			return err
+		}},
+	}
+	a, b := New(d, p, "a"), New(d, p, "b")
+	for _, st := range steps {
+		a.Attach(dir)
+		b.Attach(dir)
+		if a.Changed() || !bytes.Equal(a.AppendState(nil), blob) {
+			t.Fatalf("%s: a freshly attached store differs from its directory", st.name)
+		}
+		if err := st.do(a); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if a.Changed() != st.changes {
+			t.Errorf("%s: Changed = %v, want %v", st.name, a.Changed(), st.changes)
+		}
+		if same := bytes.Equal(a.AppendState(nil), blob); same == a.Changed() {
+			t.Errorf("%s: Changed = %v but state equals the directory's: %v", st.name, a.Changed(), same)
+		}
+		if b.Changed() || !bytes.Equal(b.AppendState(nil), blob) || !bytes.Equal(dir.AppendState(nil), blob) {
+			t.Fatalf("%s on one store reached its sibling or the directory", st.name)
+		}
+	}
+}

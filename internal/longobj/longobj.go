@@ -71,17 +71,14 @@ type Store struct {
 	pool   *buffer.Pool
 	shared *heap.Heap
 
-	large       int
-	headerPages int
-	dataPages   int
-	dataBytes   int64
-	freedPages  int
+	counts // with free and shared's state, what AppendState serializes
 	// free is the free-space map: the page runs released by relocating
 	// replacements, sorted by start and with adjacent runs merged. New
 	// large objects take a first fit from here before extending the
 	// device, so relocation-heavy workloads reach a stable device size
 	// instead of growing the arena unboundedly.
 	free []pageRun
+	from *Store // the shared directory state last attached, if any
 
 	// Scratch buffers reused across calls. A Store, like the engine it
 	// belongs to, has a single owner (workers and views never share one),
@@ -103,10 +100,34 @@ type Store struct {
 	recScratch   []byte
 }
 
+// counts is the object and page accounting of a store.
+type counts struct {
+	large       int
+	headerPages int
+	dataPages   int
+	dataBytes   int64
+	freedPages  int
+}
+
 // New creates a store whose small objects live in a shared heap called
 // name.
 func New(dev *disk.Disk, pool *buffer.Pool, name string) *Store {
 	return &Store{dev: dev, pool: pool, shared: heap.New(dev, pool, name)}
+}
+
+// Attach makes s's directory state that of from — a store without a device
+// that some RestoreState filled; any number of stores attach to it, none
+// writes it. The free-space map, edited in place, is copied: it holds
+// relocation leftovers only, so attaching stays O(1) in the extension.
+func (s *Store) Attach(from *Store) {
+	s.counts, s.free, s.from = from.counts, append(s.free[:0], from.free...), from
+	s.shared.Attach(from.shared)
+}
+
+// Changed reports whether AppendState has moved off what Attach installed
+// (always, on a store never attached). In-place replacements keep it.
+func (s *Store) Changed() bool {
+	return s.from == nil || s.counts != s.from.counts || !slices.Equal(s.free, s.from.free) || s.shared.Changed()
 }
 
 // SharedHeap exposes the heap of small objects (for size reporting).

@@ -72,7 +72,9 @@ func writeFileAtomic(path string, write func(w io.Writer) error) error {
 		tmp.Close()
 		os.Remove(tmp.Name())
 	}()
-	w := bufio.NewWriterSize(tmp, 1<<20)
+	// 64 KiB gathers the header, blobs and single committed pages; an
+	// arena's floor runs are larger and pass straight through.
+	w := bufio.NewWriterSize(tmp, 64<<10)
 	if err := write(w); err != nil {
 		return err
 	}

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
 
 	"complexobj/internal/disk"
 	"complexobj/internal/wal"
@@ -24,10 +23,14 @@ type CommitResult struct {
 
 // Commit makes the view's mutations the next base generation: the buffer
 // pool is flushed into the copy-on-write overlay, the dirty page set is
-// appended to the write-ahead log together with a commit marker carrying
-// the model's directory metadata (log nil skips durability — a volatile
-// promotion), and once the log sync acknowledged the batch the overlay is
-// folded into the shared base via Promote. The write-ahead ordering is
+// appended to the write-ahead log together with a commit marker (log nil
+// skips durability — a volatile promotion), and once the log sync
+// acknowledged the batch the overlay is folded into the shared base via
+// Promote. A commit pays for its dirty pages only: the directory metadata
+// is encoded, logged and copied only when the view changed it (an object
+// or key moved, heap or long-object state moved); otherwise the marker's
+// blob is empty — "the directory as it was" — and the new generation
+// keeps its predecessor's. The write-ahead ordering is
 // the crash guarantee: the promotion is pure memory, so a crash after the
 // log sync replays the batch onto the last checkpoint and lands on this
 // same generation, and a crash before it recovers the previous one —
@@ -57,11 +60,15 @@ func (v *View) Commit(log *wal.Log) (CommitResult, error) {
 		return CommitResult{}, fmt.Errorf("store: commit %s: flush: %w", v.base.kind, err)
 	}
 	var patches map[int][]byte
+	var recs []wal.PageRecord // for the log, in OverlayPages' ascending page order
 	if ok := disk.OverlayPages(eng.Dev.Backend(), func(pg int, img []byte) {
 		if patches == nil {
 			patches = make(map[int][]byte)
 		}
 		patches[pg] = img
+		if log != nil {
+			recs = append(recs, wal.PageRecord{Model: byte(v.base.kind), Page: uint32(pg), Image: img})
+		}
 	}); !ok {
 		return CommitResult{}, fmt.Errorf("store: commit %s: view engine is not copy-on-write", v.base.kind)
 	}
@@ -69,17 +76,15 @@ func (v *View) Commit(log *wal.Log) (CommitResult, error) {
 	if len(patches) == 0 && numPages == v.st.numPages {
 		return CommitResult{Gen: v.st.gen}, nil
 	}
-	meta, err := v.m.SnapshotMeta()
-	if err != nil {
-		return CommitResult{}, fmt.Errorf("store: commit %s: meta: %w", v.base.kind, err)
+	var meta []byte // empty: the directory stands
+	if v.m.dirChanged() {
+		var err error
+		if meta, err = v.m.SnapshotMeta(); err != nil {
+			return CommitResult{}, fmt.Errorf("store: commit %s: meta: %w", v.base.kind, err)
+		}
 	}
 	res := CommitResult{Pages: len(patches), Bytes: int64(len(patches)) * int64(v.base.pageSize)}
 	if log != nil {
-		recs := make([]wal.PageRecord, 0, len(patches))
-		for pg, img := range patches {
-			recs = append(recs, wal.PageRecord{Model: byte(v.base.kind), Page: uint32(pg), Image: img})
-		}
-		sort.Slice(recs, func(i, j int) bool { return recs[i].Page < recs[j].Page })
 		seq, err := log.Commit(recs, wal.CommitRecord{
 			Model:    byte(v.base.kind),
 			NumPages: uint32(numPages),

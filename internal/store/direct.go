@@ -2,6 +2,8 @@ package store
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"complexobj/cobench"
 	"complexobj/internal/longobj"
@@ -25,6 +27,7 @@ type direct struct {
 	objs    *longobj.Store
 	addr    []longobj.Ref
 	keyIdx  map[int32]int
+	shared  bool // addr and keyIdx are a generation's: copy before writing
 	asm     assembler
 	enc     []byte              // encode buffer of the object being stored
 	comps   []longobj.Component // its components, aliasing enc
@@ -42,6 +45,16 @@ func newDirect(e *Engine, partial bool) *direct {
 		keyIdx:  make(map[int32]int),
 	}
 }
+
+// attach implements Model.
+func (m *direct) attach(dir Model) {
+	d := dir.(*direct)
+	m.addr, m.keyIdx, m.shared = d.addr, d.keyIdx, true
+	m.objs.Attach(d.objs)
+}
+
+// dirChanged implements Model.
+func (m *direct) dirChanged() bool { return !m.shared || m.objs.Changed() }
 
 // Kind implements Model.
 func (m *direct) Kind() Kind {
@@ -337,6 +350,12 @@ func (m *direct) UpdateObject(i int, mutate func(s *cobench.Station) error) erro
 	ref, err := m.objs.Replace(m.addr[i], comps)
 	if err != nil {
 		return err
+	}
+	if ref == m.addr[i] && st.Key == oldKey {
+		return nil // replaced in place: the tables stand
+	}
+	if m.shared {
+		m.addr, m.keyIdx, m.shared = slices.Clone(m.addr), maps.Clone(m.keyIdx), false
 	}
 	m.addr[i] = ref
 	if st.Key != oldKey {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"complexobj/cobench"
@@ -68,6 +69,7 @@ type dnsm struct {
 
 	refs   [][4]longobj.Ref // station, platform, connection, sightseeing
 	keyIdx map[int32]int
+	shared bool // refs and keyIdx are a generation's: copy before writing
 	asm    assembler
 	enc    []byte // encode buffer of the station being stored
 }
@@ -92,6 +94,20 @@ func newDNSM(e *Engine) *dnsm {
 		seeings:  longobj.New(e.Dev, e.Pool, "DASDBS-NSM_Sightseeing"),
 		keyIdx:   make(map[int32]int),
 	}
+}
+
+// attach implements Model.
+func (m *dnsm) attach(dir Model) {
+	d := dir.(*dnsm)
+	m.refs, m.keyIdx, m.shared = d.refs, d.keyIdx, true
+	for slot, s := range m.stores() {
+		s.Attach(d.stores()[slot])
+	}
+}
+
+// dirChanged implements Model.
+func (m *dnsm) dirChanged() bool {
+	return !m.shared || m.stations.Changed() || m.plats.Changed() || m.conns.Changed() || m.seeings.Changed()
 }
 
 // Kind implements Model.
@@ -185,7 +201,7 @@ func (m *dnsm) Load(stations []*cobench.Station) error {
 		}
 		var entry [4]longobj.Ref
 		for slot, rec := range recs {
-			if entry[slot], err = m.storeFor(slot).Insert([]longobj.Component{{Tag: 0, Data: rec}}); err != nil {
+			if entry[slot], err = m.stores()[slot].Insert([]longobj.Component{{Tag: 0, Data: rec}}); err != nil {
 				return fmt.Errorf("store: insert station %d slot %d: %w", i, slot, err)
 			}
 		}
@@ -195,22 +211,14 @@ func (m *dnsm) Load(stations []*cobench.Station) error {
 	return m.eng.Flush()
 }
 
-func (m *dnsm) storeFor(slot int) *longobj.Store {
-	switch slot {
-	case dnsmStation:
-		return m.stations
-	case dnsmPlatform:
-		return m.plats
-	case dnsmConnection:
-		return m.conns
-	default:
-		return m.seeings
-	}
+// stores lists the four relations' stores by refs position.
+func (m *dnsm) stores() [4]*longobj.Store {
+	return [4]*longobj.Store{m.stations, m.plats, m.conns, m.seeings}
 }
 
 // readTuple fetches the single nested tuple behind a ref.
 func (m *dnsm) readTuple(slot, i int) ([]byte, error) {
-	comps, err := m.storeFor(slot).ReadAllShared(m.refs[i][slot])
+	comps, err := m.stores()[slot].ReadAllShared(m.refs[i][slot])
 	if err != nil {
 		return nil, err
 	}
@@ -436,8 +444,11 @@ func (m *dnsm) UpdateObject(i int, mutate func(s *cobench.Station) error) error 
 	if err != nil {
 		return err
 	}
+	if m.shared {
+		m.refs, m.keyIdx, m.shared = slices.Clone(m.refs), maps.Clone(m.keyIdx), false
+	}
 	for slot, rec := range recs {
-		ref, err := m.storeFor(slot).Replace(m.refs[i][slot], []longobj.Component{{Tag: 0, Data: rec}})
+		ref, err := m.stores()[slot].Replace(m.refs[i][slot], []longobj.Component{{Tag: 0, Data: rec}})
 		if err != nil {
 			return err
 		}

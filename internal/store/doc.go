@@ -102,25 +102,35 @@
 // View is the request-scoped execution handle built on a SharedBase: a
 // copy-on-write model view that Recycle resets to the pristine base
 // between requests (overlay dropped, pool emptied without write-back,
-// counters zeroed, directory metadata rebuilt only after a mutating
-// request), reusing the engine and its free lists instead of rebuilding
-// them. A recycled view is indistinguishable from a fresh one — the
+// counters zeroed, the model re-attached to its generation's directory
+// after a mutating request), reusing the engine and its free lists instead
+// of rebuilding them. A recycled view is indistinguishable from a fresh one — the
 // benchmark server serves every request from one and measures
 // bit-identically to a batch run.
 //
-// A SharedBase advances through generations. View.Commit logs a view's
-// dirty pages and metadata, then SharedBase.Promote swaps in generation
-// n+1, and the cost model of that step is the paper's own argument about
-// writes (§5.3: pay per dirty page, not per something larger): the
-// generations share one floor, so a promote copies the page table (one
-// slice header per page), the dirty images and the metadata blob —
-// PromotedBytes counts exactly those — and never the arena; DeltaPages is
-// what the current generation holds on the heap over its floor. A commit
-// strands its own view and every idle sibling on the superseded
-// generation. View.Rebase is Recycle onto the current one — Discard,
-// ResetView, swap the overlay's base reference to the generation captured
-// under the base lock, restore the metadata — and its contract is
-// NewView's: cold cache, zeroed counters, bit-identical measurements,
+// A SharedBase advances through generations, and the directory metadata
+// (address and RID tables, key index, heap and long-object state) is a
+// value they share: a generation holds its encoded blob and, decoded from
+// it at most once into a model without a device, the tables every view of
+// it attaches to in O(1) (Model.attach). Nothing writes them — an
+// UpdateObject that moves an object or its key copies the model's tables
+// first, heaps and long-object stores keep their small state privately —
+// and Model.dirChanged says whether a view's directory may have left its
+// generation's. View.Commit logs a view's dirty pages, then
+// SharedBase.Promote swaps in generation n+1, at the cost the paper's own
+// argument about writes allows (§5.3: pay per dirty page, not per
+// something larger): a promote copies the page table's root, the dirty
+// pages' leaves and images — PromotedBytes counts exactly those — never
+// the arena, and when the directory is unchanged (query 3 stamps
+// fixed-width root fields) nothing encodes, logs or copies the O(objects)
+// blob: the marker's blob is empty and generation n+1 keeps generation
+// n's directory by reference. A changed one takes the full path, so
+// checkpoints, .codb files and Meta never differ. DeltaPages is what the
+// current generation holds on the heap over its floor. A commit strands
+// its own view and every idle sibling on the superseded generation.
+// View.Rebase is Recycle onto the current one — Discard, ResetView, swap
+// the overlay's base reference to the generation captured under the base
+// lock, attach to its directory — and its contract is NewView's: cold cache, zeroed counters, bit-identical measurements,
 // with the engine, frame buffers and overlay images kept. NewView itself
 // is an empty engine plus that same step. Views still in flight are never
 // rebased: they drain on the generation they were acquired on.

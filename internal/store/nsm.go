@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"complexobj/cobench"
@@ -77,6 +78,7 @@ type nsm struct {
 	connRIDs   [][]heap.RID
 	seeingRIDs [][]heap.RID
 	keyIdx     map[int32]int
+	shared     bool // the tables above are a generation's: copy before writing
 	nPlats     int
 	nConns     int
 	nSeeings   int
@@ -121,6 +123,23 @@ func newNSM(e *Engine, indexed bool) *nsm {
 		seeings:  heap.New(e.Dev, e.Pool, "NSM_Sightseeing"),
 		keyIdx:   make(map[int32]int),
 	}
+}
+
+// attach implements Model (stationRID is never copied: root tuples stay put).
+func (m *nsm) attach(dir Model) {
+	d := dir.(*nsm)
+	m.stationRID, m.keyIdx, m.shared = d.stationRID, d.keyIdx, true
+	m.platRIDs, m.connRIDs, m.seeingRIDs = d.platRIDs, d.connRIDs, d.seeingRIDs
+	m.nPlats, m.nConns, m.nSeeings = d.nPlats, d.nConns, d.nSeeings
+	m.stations.Attach(d.stations)
+	m.plats.Attach(d.plats)
+	m.conns.Attach(d.conns)
+	m.seeings.Attach(d.seeings)
+}
+
+// dirChanged implements Model.
+func (m *nsm) dirChanged() bool {
+	return !m.shared || m.stations.Changed() || m.plats.Changed() || m.conns.Changed() || m.seeings.Changed()
 }
 
 // Kind implements Model.
@@ -670,6 +689,10 @@ func (m *nsm) UpdateObject(i int, mutate func(s *cobench.Station) error) error {
 	}
 	if err := m.stations.Update(m.stationRID[i], root); err != nil {
 		return err
+	}
+	if m.shared {
+		m.platRIDs, m.connRIDs, m.seeingRIDs = slices.Clone(m.platRIDs), slices.Clone(m.connRIDs), slices.Clone(m.seeingRIDs)
+		m.keyIdx, m.shared = maps.Clone(m.keyIdx), false
 	}
 	for _, rid := range m.platRIDs[i] {
 		if err := m.plats.Delete(rid); err != nil {

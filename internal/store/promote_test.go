@@ -38,10 +38,12 @@ func sixteenPages(base *SharedBase) map[int][]byte {
 }
 
 // TestPromoteCostIsDirtyPages pins the commit path's memory cost model: a
-// promote allocates its dirty pages, the page table and the metadata copy
-// — not the arena. 100 sixteen-page promotes on a paper-scale DSM base
-// must allocate under a twentieth of 100 arena sizes (the whole-arena copy
-// allocated all of them), and PromotedBytes must account for it.
+// promote that leaves the directory unchanged allocates its dirty page
+// images, the page-table leaves they fall in and the table's root — not
+// the arena, not one table entry per page, not the metadata blob. 100
+// sixteen-page promotes on a paper-scale DSM base, each page in a leaf of
+// its own, must stay within that bound plus a small constant, PromotedBytes
+// must account for it, and the blob is the one the base was built with.
 func TestPromoteCostIsDirtyPages(t *testing.T) {
 	base := paperScaleBase(t, DSM)
 	defer base.Release()
@@ -51,24 +53,30 @@ func TestPromoteCostIsDirtyPages(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < promotes; i++ {
-		if _, err := base.Promote(base.Gen(), base.NumPages(), meta, pages); err != nil {
+		if _, err := base.Promote(base.Gen(), base.NumPages(), nil, pages); err != nil {
 			t.Fatal(err)
 		}
 	}
 	runtime.ReadMemStats(&after)
 
 	allocated := int64(after.TotalAlloc - before.TotalAlloc)
-	budget := int64(promotes) * int64(base.ArenaBytes()) / 20
+	// Per promote: 16 images, 16 leaves of 16 slice headers, a root of one
+	// pointer per 16 pages, the generation record and size-class rounding.
+	perPromote := int64(len(pages))*int64(base.PageSize()+16*24) + int64(base.NumPages()/16+1)*8 + 1024
+	budget := promotes * perPromote
 	t.Logf("%d promotes of 16 pages over a %d-byte arena allocated %d bytes (budget %d), PromotedBytes %d",
 		promotes, base.ArenaBytes(), allocated, budget, base.PromotedBytes())
 	if allocated >= budget {
-		t.Errorf("%d promotes allocated %d bytes, want under %d (a twentieth of %d arenas)", promotes, allocated, budget, promotes)
+		t.Errorf("%d promotes allocated %d bytes, want under %d (dirty images + their leaves + the root)", promotes, allocated, budget)
 	}
-	if got := base.PromotedBytes(); got <= 0 || got >= budget {
-		t.Errorf("PromotedBytes = %d after %d promotes, want within (0, %d)", got, promotes, budget)
+	if got := base.PromotedBytes(); got <= promotes*int64(len(pages)*base.PageSize()) || got >= budget {
+		t.Errorf("PromotedBytes = %d after %d promotes, want within (the images, %d)", got, promotes, budget)
 	}
 	if base.Gen() != promotes || base.DeltaPages() != len(pages) {
 		t.Errorf("generation %d holding %d committed pages, want %d and %d", base.Gen(), base.DeltaPages(), promotes, len(pages))
+	}
+	if &base.Meta()[0] != &meta[0] {
+		t.Error("promotes that left the directory unchanged replaced its blob")
 	}
 }
 
@@ -95,16 +103,17 @@ func TestSnapshotMetaIsExactlySized(t *testing.T) {
 }
 
 // BenchmarkPromote16Pages is the commit path's memory step alone: one
-// sixteen-page promote over a paper-scale DSM base. allocs/op is gated in
-// CI; B/op is the dirty pages plus table plus metadata, not the arena.
+// sixteen-page promote, directory unchanged, over a paper-scale DSM base.
+// allocs/op and B/op are gated in CI; B/op is the dirty pages, their
+// table leaves and the root — not the arena, not the metadata.
 func BenchmarkPromote16Pages(b *testing.B) {
 	base := paperScaleBase(b, DSM)
 	defer base.Release()
-	pages, meta := sixteenPages(base), base.Meta()
+	pages := sixteenPages(base)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := base.Promote(base.Gen(), base.NumPages(), meta, pages); err != nil {
+		if _, err := base.Promote(base.Gen(), base.NumPages(), nil, pages); err != nil {
 			b.Fatal(err)
 		}
 	}

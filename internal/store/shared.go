@@ -42,9 +42,31 @@ type SharedBase struct {
 	mu       sync.RWMutex
 	gen      uint64
 	numPages int
-	meta     []byte
+	dir      *directory
 	arena    *disk.BaseArena
 	promoted int64 // bytes copied by Promote since the base was built
+}
+
+// directory is the immutable directory metadata of one or more consecutive
+// generations (a commit that leaves it unchanged passes it on): the
+// encoded blob and, decoded from it at most once, the tables every view
+// of those generations attaches to.
+type directory struct {
+	meta   []byte
+	once   sync.Once
+	tables Model // a model without a device, RestoreMeta'd from meta
+	err    error
+}
+
+// decoded returns the directory as a model of layout k to attach to.
+func (d *directory) decoded(k Kind) (Model, error) {
+	d.once.Do(func() {
+		d.tables = NewWithEngine(k, &Engine{})
+		if err := d.tables.RestoreMeta(d.meta); err != nil {
+			d.tables, d.err = nil, fmt.Errorf("%w: %v", ErrRestore, err)
+		}
+	})
+	return d.tables, d.err
 }
 
 // NewSharedBase assembles a base from raw parts (the snapshot package uses
@@ -63,7 +85,7 @@ func NewSharedBase(k Kind, pageSize int, meta []byte, arena *disk.BaseArena) (*S
 		kind:     k,
 		pageSize: pageSize,
 		numPages: arena.Len() / pageSize,
-		meta:     meta,
+		dir:      &directory{meta: meta},
 		arena:    arena,
 	}, nil
 }
@@ -183,8 +205,8 @@ func (b *SharedBase) DeltaPages() int {
 }
 
 // PromotedBytes returns the bytes Promote has copied since the base was
-// built: page images, page tables and metadata blobs. Over the dirty-page
-// payload this is the in-memory write amplification of the commit path,
+// built: page images, table roots and leaves, changed metadata blobs. Over
+// the dirty-page payload this is the in-memory write amplification of the commit path,
 // the counterpart of the WAL's appended-over-payload ratio.
 func (b *SharedBase) PromotedBytes() int64 {
 	b.mu.RLock()
@@ -197,7 +219,7 @@ func (b *SharedBase) PromotedBytes() int64 {
 func (b *SharedBase) Meta() []byte {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return b.meta
+	return b.dir.meta
 }
 
 // Release drops the owner reference on the current arena. Open views hold
@@ -217,17 +239,17 @@ func (b *SharedBase) Release() error {
 // wholly the old or wholly the new generation, never a mix.
 func (b *SharedBase) SnapshotState() (gen uint64, numPages int, meta []byte, arena *disk.BaseArena) {
 	st, arena := b.capture()
-	return st.gen, st.numPages, st.meta, arena
+	return st.gen, st.numPages, st.dir.meta, arena
 }
 
 // baseState is the consistent snapshot a view captures when it lands on
 // a generation: the generation it reads, and that generation's page count
-// and metadata (Recycle restores these — a recycled view stays on its
-// generation; Rebase moves it to the current one).
+// and directory (Recycle re-attaches to these — a recycled view stays on
+// its generation; Rebase moves it to the current one).
 type baseState struct {
 	gen      uint64
 	numPages int
-	meta     []byte
+	dir      *directory
 }
 
 // capture returns the current generation's state and its arena, retained
@@ -236,7 +258,7 @@ type baseState struct {
 func (b *SharedBase) capture() (baseState, *disk.BaseArena) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return baseState{gen: b.gen, numPages: b.numPages, meta: b.meta}, b.arena.Retain()
+	return baseState{gen: b.gen, numPages: b.numPages, dir: b.dir}, b.arena.Retain()
 }
 
 // Open builds a model over a fresh copy-on-write view of the base. The
@@ -259,11 +281,12 @@ func (b *SharedBase) OpenAs(k Kind, o Options) (Model, error) {
 // Promote folds one committed overlay into the base as the next
 // generation: numPages pages — the fromGen generation's content with the
 // overlay images applied — and the committed metadata are swapped in
-// atomically, and the generation number advances. The cost is the dirty
-// set, not the arena: the generations share one floor, so a promote
-// copies the page table (one slice header per page), the images in pages
-// and the metadata blob, and nothing else (PromotedBytes counts exactly
-// that). The images and meta are copied; the caller keeps ownership.
+// atomically, and the generation number advances. An empty meta keeps this
+// generation's directory, blob and decoded tables, by reference. The cost
+// is the dirty set, not the arena or the extension: generations share one
+// floor, so a promote copies the page table's root, the dirty pages'
+// leaves and images and — only when it changed — the metadata blob
+// (PromotedBytes counts exactly that); the caller keeps what it passed.
 // fromGen must be the current generation (the optimistic-concurrency
 // check: a commit is built against the generation its view read) or the
 // promote fails with ErrStaleBase, changing nothing. The owner reference
@@ -285,7 +308,9 @@ func (b *SharedBase) Promote(fromGen uint64, numPages int, meta []byte, pages ma
 	old := b.arena
 	b.arena = next
 	b.numPages = numPages
-	b.meta = append([]byte(nil), meta...)
+	if len(meta) > 0 {
+		b.dir = &directory{meta: append([]byte(nil), meta...)}
+	}
 	b.promoted += copied + int64(len(meta))
 	b.gen++
 	if err := old.Release(); err != nil {

@@ -83,31 +83,21 @@ func (m *direct) SnapshotMeta() ([]byte, error) {
 
 // RestoreMeta implements Model.
 func (m *direct) RestoreMeta(meta []byte) error {
-	if len(m.addr) != 0 {
-		return fmt.Errorf("%w: %s already loaded", ErrRestore, m.Kind())
-	}
 	r := wire.NewReader(meta)
 	if v := r.U8(); v != directMetaVersion && r.Err() == nil {
-		return fmt.Errorf("%w: direct meta version %d", ErrRestore, v)
+		return fmt.Errorf("direct meta version %d", v)
 	}
 	n := r.Len(13) // Ref (9 bytes) + u32 key per object
-	addr := make([]longobj.Ref, n)
-	keyIdx := make(map[int32]int, n)
-	for i := range addr {
-		addr[i] = longobj.ReadRef(r)
-		keyIdx[int32(r.U32())] = i
-	}
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("%w: %v", ErrRestore, err)
+	m.addr = make([]longobj.Ref, n)
+	m.keyIdx = make(map[int32]int, n)
+	for i := range m.addr {
+		m.addr[i] = longobj.ReadRef(r)
+		m.keyIdx[int32(r.U32())] = i
 	}
 	if err := m.objs.RestoreState(r); err != nil {
-		return fmt.Errorf("%w: %v", ErrRestore, err)
+		return err
 	}
-	if err := r.Close(); err != nil {
-		return fmt.Errorf("%w: %v", ErrRestore, err)
-	}
-	m.addr, m.keyIdx = addr, keyIdx
-	return nil
+	return r.Close()
 }
 
 // --- nsm (NSM / NSM+index) --------------------------------------------------
@@ -122,13 +112,12 @@ func (m *nsm) SnapshotMeta() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	heaps := []*heap.Heap{m.stations, m.plats, m.conns, m.seeings}
 	size := 1 + 4 + n*(ridLen+4+3*4)
 	for i := 0; i < n; i++ {
 		size += (len(m.platRIDs[i]) + len(m.connRIDs[i]) + len(m.seeingRIDs[i])) * ridLen
 	}
-	for _, h := range heaps {
-		size += h.StateLen()
+	for _, rel := range m.relations() {
+		size += rel.heap.StateLen()
 	}
 	b := make([]byte, 0, size)
 	b = wire.AppendU8(b, nsmMetaVersion)
@@ -147,67 +136,47 @@ func (m *nsm) SnapshotMeta() ([]byte, error) {
 		b = appendGroup(b, m.connRIDs[i])
 		b = appendGroup(b, m.seeingRIDs[i])
 	}
-	for _, h := range heaps {
-		b = h.AppendState(b)
+	for _, rel := range m.relations() {
+		b = rel.heap.AppendState(b)
 	}
 	return b, nil
 }
 
 // RestoreMeta implements Model.
 func (m *nsm) RestoreMeta(meta []byte) error {
-	if len(m.stationRID) != 0 {
-		return fmt.Errorf("%w: %s already loaded", ErrRestore, m.Kind())
-	}
-	if m.countIndexIO {
-		return fmt.Errorf("%w: %s: snapshots unsupported with counted index I/O", ErrRestore, m.Kind())
-	}
 	r := wire.NewReader(meta)
 	if v := r.U8(); v != nsmMetaVersion && r.Err() == nil {
-		return fmt.Errorf("%w: nsm meta version %d", ErrRestore, v)
+		return fmt.Errorf("nsm meta version %d", v)
 	}
 	n := r.Len(22) // RID + key + three group counts per object
-	stationRID := make([]heap.RID, n)
-	keyIdx := make(map[int32]int, n)
-	platRIDs := make([][]heap.RID, n)
-	connRIDs := make([][]heap.RID, n)
-	seeingRIDs := make([][]heap.RID, n)
-	readGroup := func() []heap.RID {
+	m.stationRID = make([]heap.RID, n)
+	m.keyIdx = make(map[int32]int, n)
+	m.platRIDs, m.connRIDs, m.seeingRIDs = make([][]heap.RID, n), make([][]heap.RID, n), make([][]heap.RID, n)
+	readGroup := func(total *int) []heap.RID {
 		c := r.Len(6) // one RID per tuple
 		if c == 0 {
 			return nil
 		}
+		*total += c
 		rids := make([]heap.RID, c)
 		for i := range rids {
 			rids[i] = readRID(r)
 		}
 		return rids
 	}
-	nPlats, nConns, nSeeings := 0, 0, 0
 	for i := 0; i < n; i++ {
-		stationRID[i] = readRID(r)
-		keyIdx[int32(r.U32())] = i
-		platRIDs[i] = readGroup()
-		connRIDs[i] = readGroup()
-		seeingRIDs[i] = readGroup()
-		nPlats += len(platRIDs[i])
-		nConns += len(connRIDs[i])
-		nSeeings += len(seeingRIDs[i])
+		m.stationRID[i] = readRID(r)
+		m.keyIdx[int32(r.U32())] = i
+		m.platRIDs[i] = readGroup(&m.nPlats)
+		m.connRIDs[i] = readGroup(&m.nConns)
+		m.seeingRIDs[i] = readGroup(&m.nSeeings)
 	}
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("%w: %v", ErrRestore, err)
-	}
-	for _, h := range []*heap.Heap{m.stations, m.plats, m.conns, m.seeings} {
-		if err := h.RestoreState(r); err != nil {
-			return fmt.Errorf("%w: %v", ErrRestore, err)
+	for _, rel := range m.relations() {
+		if err := rel.heap.RestoreState(r); err != nil {
+			return err
 		}
 	}
-	if err := r.Close(); err != nil {
-		return fmt.Errorf("%w: %v", ErrRestore, err)
-	}
-	m.stationRID, m.keyIdx = stationRID, keyIdx
-	m.platRIDs, m.connRIDs, m.seeingRIDs = platRIDs, connRIDs, seeingRIDs
-	m.nPlats, m.nConns, m.nSeeings = nPlats, nConns, nSeeings
-	return nil
+	return r.Close()
 }
 
 // --- dnsm (DASDBS-NSM) ------------------------------------------------------
@@ -219,9 +188,8 @@ func (m *dnsm) SnapshotMeta() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	stores := []*longobj.Store{m.stations, m.plats, m.conns, m.seeings}
 	size := 1 + 4 + n*(4*longobj.RefLen+4)
-	for _, s := range stores {
+	for _, s := range m.stores() {
 		size += s.StateLen()
 	}
 	b := make([]byte, 0, size)
@@ -233,7 +201,7 @@ func (m *dnsm) SnapshotMeta() ([]byte, error) {
 		}
 		b = wire.AppendU32(b, uint32(keys[i]))
 	}
-	for _, s := range stores {
+	for _, s := range m.stores() {
 		b = s.AppendState(b)
 	}
 	return b, nil
@@ -241,33 +209,23 @@ func (m *dnsm) SnapshotMeta() ([]byte, error) {
 
 // RestoreMeta implements Model.
 func (m *dnsm) RestoreMeta(meta []byte) error {
-	if len(m.refs) != 0 {
-		return fmt.Errorf("%w: %s already loaded", ErrRestore, m.Kind())
-	}
 	r := wire.NewReader(meta)
 	if v := r.U8(); v != dnsmMetaVersion && r.Err() == nil {
-		return fmt.Errorf("%w: dnsm meta version %d", ErrRestore, v)
+		return fmt.Errorf("dnsm meta version %d", v)
 	}
 	n := r.Len(40) // four 9-byte Refs + u32 key per object
-	refs := make([][4]longobj.Ref, n)
-	keyIdx := make(map[int32]int, n)
-	for i := 0; i < n; i++ {
-		for slot := 0; slot < 4; slot++ {
-			refs[i][slot] = longobj.ReadRef(r)
+	m.refs = make([][4]longobj.Ref, n)
+	m.keyIdx = make(map[int32]int, n)
+	for i := range m.refs {
+		for slot := range m.refs[i] {
+			m.refs[i][slot] = longobj.ReadRef(r)
 		}
-		keyIdx[int32(r.U32())] = i
+		m.keyIdx[int32(r.U32())] = i
 	}
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("%w: %v", ErrRestore, err)
-	}
-	for _, s := range []*longobj.Store{m.stations, m.plats, m.conns, m.seeings} {
+	for _, s := range m.stores() {
 		if err := s.RestoreState(r); err != nil {
-			return fmt.Errorf("%w: %v", ErrRestore, err)
+			return err
 		}
 	}
-	if err := r.Close(); err != nil {
-		return fmt.Errorf("%w: %v", ErrRestore, err)
-	}
-	m.refs, m.keyIdx = refs, keyIdx
-	return nil
+	return r.Close()
 }

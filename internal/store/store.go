@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"complexobj/cobench"
 	"complexobj/internal/buffer"
@@ -115,6 +116,7 @@ type Engine struct {
 	Dev  *disk.Disk
 	Pool *buffer.Pool
 	opts Options
+	ints []int // IntScratch
 }
 
 // NewEngine creates a device/pool pair over the backend named by the
@@ -150,6 +152,13 @@ func NewEngine(o Options) (*Engine, error) {
 		dev = disk.NewWithBackend(o.PageSize, b)
 	}
 	return &Engine{Dev: dev, Pool: buffer.New(dev, o.BufferPages, o.Policy), opts: o}, nil
+}
+
+// IntScratch returns n ints of scratch living with the engine, for its
+// one driver: valid until the next call, contents unspecified.
+func (e *Engine) IntScratch(n int) []int {
+	e.ints = slices.Grow(e.ints[:0], n)[:n]
+	return e.ints
 }
 
 // Options returns the engine's effective options.
@@ -271,9 +280,16 @@ type Model interface {
 	// loaded model without regenerating and reloading the extension.
 	SnapshotMeta() ([]byte, error)
 	// RestoreMeta rebuilds the directory metadata from SnapshotMeta
-	// output. The model must be freshly constructed and its engine's
-	// device must already hold the snapshot's page images.
+	// output into a fresh model (unusable if it fails) without reading a
+	// page: a base generation decodes its blob once, with no device.
 	RestoreMeta(meta []byte) error
+	// attach makes the model's directory that of dir, such a decoded model
+	// of the same layout, in O(1): the tables are shared, and whatever
+	// writes one (UpdateObject, heap and long-object state) copies it first.
+	attach(dir Model)
+	// dirChanged reports whether the directory may have left the one last
+	// attached (always, on a model that loaded its own).
+	dirChanged() bool
 }
 
 // New constructs a model of the given kind over a fresh engine.
@@ -287,8 +303,8 @@ func New(k Kind, o Options) (Model, error) {
 
 // NewWithEngine constructs a model over an existing (empty) engine; the
 // engine's options supply the model knobs. This is how a view lands on
-// a base: the device is rebased onto the frozen arena first, then
-// RestoreMeta installs the directories.
+// a base: the device is rebased onto the frozen arena, then the model
+// attaches to the generation's decoded directory.
 func NewWithEngine(k Kind, e *Engine) Model {
 	switch k {
 	case DSM:

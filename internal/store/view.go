@@ -56,7 +56,7 @@ func (b *SharedBase) NewViewAs(k Kind, o Options) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &View{base: b, kind: k, eng: eng}
+	v := &View{base: b, kind: k, eng: eng, m: NewWithEngine(k, eng)}
 	if err := v.Rebase(); err != nil {
 		eng.Close()
 		return nil, fmt.Errorf("store: open shared base %s: %w", b.kind, err)
@@ -70,8 +70,8 @@ func (b *SharedBase) NewViewAs(k Kind, o Options) (*View, error) {
 // rebase views a commit left behind.
 func (v *View) Gen() uint64 { return v.st.gen }
 
-// Model returns the current underlying model (diagnostics; the model
-// identity changes when a recycle has to rebuild metadata).
+// Model returns the underlying model (diagnostics): one for the view's
+// life, re-attached to a generation's directory by Recycle and Rebase.
 func (v *View) Model() Model { return v.m }
 
 // dirty reports whether the last request may have diverged the view from
@@ -96,10 +96,9 @@ func (v *View) dirty() bool {
 // and the counters are zeroed — so the next request starts exactly like
 // the first one, cold cache and all, reusing the engine, the pool's frame
 // free-lists and the overlay index instead of reallocating them. When the
-// previous request mutated the database the directory metadata is
-// restored from the base as well (reported in rebuilt); read-only
-// requests — the vast majority of the benchmark — skip that work
-// entirely. On error the view is unusable and must be closed.
+// previous request mutated the database the model is re-attached to its
+// generation's directory as well (reported in rebuilt): O(1), dropping any
+// private copy of the tables. On error the view must be closed.
 func (v *View) Recycle() (rebuilt bool, err error) {
 	dirty := v.dirty()
 	if err := v.eng.Pool.Discard(); err != nil {
@@ -110,9 +109,7 @@ func (v *View) Recycle() (rebuilt bool, err error) {
 	}
 	v.eng.ResetStats()
 	if dirty {
-		if err := v.restore(v.st.meta); err != nil {
-			return false, fmt.Errorf("store: recycle %s: %w", v.base.kind, err)
-		}
+		v.m.attach(v.st.dir.tables) // decoded when the view landed here
 	}
 	return dirty, nil
 }
@@ -121,16 +118,21 @@ func (v *View) Recycle() (rebuilt bool, err error) {
 // is emptied without flushing, the overlay dropped, the copy-on-write
 // backend's base reference swapped to the generation captured under the
 // base lock (in that order — borrowed frames alias pages of the old
-// generation), the counters zeroed and the directory metadata restored
-// from the new generation. Afterwards the view is indistinguishable from
-// one NewView just built — cold cache, zeroed counters, bit-identical
-// measurements — but keeps its engine, frame buffers, overlay index and
-// page images. Whatever the view had written and not committed is
-// dropped. On error the view is unusable and must be closed.
+// generation), the counters zeroed and the model attached to that
+// generation's directory: decoded by the first view to land on it, shared
+// by all, and the one the view left when no commit in between changed it.
+// Afterwards the view is indistinguishable from one NewView just built —
+// cold cache, zeroed counters, bit-identical measurements — but keeps its
+// engine, frame buffers, overlay index and page images. Whatever the view
+// had written and not committed is dropped. On error it must be closed.
 func (v *View) Rebase() error {
 	b := v.base
 	st, arena := b.capture()
 	defer arena.Release()
+	tables, err := st.dir.decoded(b.kind)
+	if err != nil {
+		return fmt.Errorf("store: rebase %s: %w", b.kind, err)
+	}
 	if err := v.eng.Pool.Discard(); err != nil {
 		return fmt.Errorf("store: rebase %s: %w", b.kind, err)
 	}
@@ -138,21 +140,8 @@ func (v *View) Rebase() error {
 		return fmt.Errorf("store: rebase %s: %w", b.kind, err)
 	}
 	v.eng.ResetStats()
-	if err := v.restore(st.meta); err != nil {
-		return fmt.Errorf("store: rebase %s: %w", b.kind, err)
-	}
+	v.m.attach(tables)
 	v.st = st
-	return nil
-}
-
-// restore replaces the view's model with a fresh one over the same engine,
-// its directory metadata read from meta.
-func (v *View) restore(meta []byte) error {
-	m := NewWithEngine(v.kind, v.eng)
-	if err := m.RestoreMeta(meta); err != nil {
-		return err
-	}
-	v.m = m
 	return nil
 }
 
@@ -160,9 +149,7 @@ func (v *View) restore(meta []byte) error {
 // this was the base's last reference — the base storage itself.
 func (v *View) Close() error { return v.eng.Close() }
 
-// The workload.View query surface, delegated to the current model. The
-// indirection (rather than exposing the model) is what lets Recycle swap
-// the model out after a mutating request without invalidating the handle.
+// The workload.View query surface, delegated to the model.
 
 // Kind returns the storage model the view executes.
 func (v *View) Kind() Kind { return v.m.Kind() }

@@ -2,8 +2,8 @@
 // single append-only log shared by every storage model of a serving
 // process, holding checksummed, length-prefixed records — page images
 // keyed by (model kind, page ID) plus commit markers carrying the
-// model's directory metadata — that make a committed base generation
-// reconstructible after a crash.
+// model's directory metadata when the commit changed it — that make a
+// committed base generation reconstructible after a crash.
 //
 // The contract, in the order a commit flows through it:
 //
@@ -28,6 +28,14 @@
 //     are dropped, and replay never proceeds past a bad checksum).
 //     Replaying page images is idempotent; recovering twice lands on the
 //     same generation.
+//
+//   - Directory metadata. A marker's blob is the model's whole directory
+//     as of that commit, or empty: "as of this model's previous commit,
+//     or — none in the log — its checkpoint". A checkpoint persists the
+//     current blob before the log is truncated, and one that crashed in
+//     between is replayed under the very log it covers, whose last full
+//     blob (or none) is the one it holds: an empty marker always finds
+//     its directory. Logs with a blob in every marker replay unchanged.
 //
 //   - Checkpointing. Reset truncates the log to empty once its contents
 //     are captured by a checkpoint (one single-model .codb snapshot per

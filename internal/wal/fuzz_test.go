@@ -21,7 +21,11 @@ func FuzzLogOpen(f *testing.F) {
 	for i := 0; i < 3; i++ {
 		img := bytes.Repeat([]byte{byte(0x30 + i)}, 48)
 		pages := []PageRecord{{Model: byte(i), Page: uint32(i), Image: img}}
-		if _, err := l.Commit(pages, CommitRecord{Model: byte(i), NumPages: 4, Meta: []byte{1, byte(i)}}); err != nil {
+		meta := []byte{1, byte(i)}
+		if i == 1 {
+			meta = nil // a commit that left the directory as it was
+		}
+		if _, err := l.Commit(pages, CommitRecord{Model: byte(i), NumPages: 4, Meta: meta}); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -33,6 +37,7 @@ func FuzzLogOpen(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	f.Add(appendPage(nil, PageRecord{Model: 1, Page: 2, Image: []byte("img")}))
 	f.Add(appendCommit(nil, CommitRecord{Model: 1, Seq: 9, NumPages: 3, Meta: []byte("m")}))
+	f.Add(appendCommit(nil, CommitRecord{Model: 1, Seq: 10, NumPages: 3}))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var first []batch
@@ -82,6 +87,8 @@ func FuzzRecordDecode(f *testing.F) {
 	f.Add(good[:recordHeaderSize], good[recordHeaderSize:])
 	gc := appendCommit(nil, CommitRecord{Model: 1, Seq: 7, NumPages: 2, Meta: []byte("meta")})
 	f.Add(gc[:recordHeaderSize], gc[recordHeaderSize:])
+	keep := appendCommit(nil, CommitRecord{Model: 1, Seq: 8, NumPages: 2}) // empty meta: directory unchanged
+	f.Add(keep[:recordHeaderSize], keep[recordHeaderSize:])
 	f.Add([]byte{}, []byte{})
 	f.Add(make([]byte, recordHeaderSize), []byte{recCommit})
 

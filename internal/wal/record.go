@@ -48,7 +48,9 @@ type PageRecord struct {
 // batch's page records only when it reads this. Seq is the global commit
 // sequence (monotonic across checkpoints), NumPages the committed
 // device size in pages, Meta the model's directory metadata snapshot —
-// everything promotion needs beyond the page images themselves.
+// everything promotion needs beyond the page images themselves — or empty
+// (metaLen 0, same framing) when the commit left the directory as the
+// model's previous commit, else its checkpoint, had it.
 type CommitRecord struct {
 	Model    byte
 	Seq      uint64

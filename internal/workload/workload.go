@@ -150,7 +150,9 @@ func (r *Runner) run(q cobench.Query) (Result, error) {
 }
 
 // samples returns up to w.Samples distinct object indices, deterministic
-// per (seed, query).
+// per (seed, query): a prefix of one full permutation, drawn into scratch
+// that lives with the engine (valid until the engine's next query), so a
+// pooled view serving its second request allocates none.
 func (r *Runner) samples(q cobench.Query) []int {
 	n := r.model.NumObjects()
 	k := r.w.Samples
@@ -158,7 +160,8 @@ func (r *Runner) samples(q cobench.Query) []int {
 		k = n
 	}
 	rng := xrand.New(xrand.Mix(r.w.Seed, uint64(q)))
-	perm := rng.Perm(n)
+	perm := r.model.Engine().IntScratch(n)
+	rng.PermInto(perm)
 	return perm[:k]
 }
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"complexobj/cobench"
@@ -228,8 +229,8 @@ func TestQ3aFlushesWithinMeasurement(t *testing.T) {
 
 func TestSampleSchedulesAreQuerySpecific(t *testing.T) {
 	r := loadedRunner(t, store.DSM, 200)
-	a := r.samples(cobench.Q1a)
-	b := r.samples(cobench.Q2a)
+	a := slices.Clone(r.samples(cobench.Q1a)) // the schedule is engine scratch, good until the next draw
+	b := slices.Clone(r.samples(cobench.Q2a))
 	same := true
 	for i := range a {
 		if a[i] != b[i] {

@@ -62,10 +62,16 @@ func Mix(seed, stream uint64) uint64 {
 // Perm returns a pseudo random permutation of [0, n).
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)
+	s.PermInto(p)
+	return p
+}
+
+// PermInto fills p with the permutation of [0, len(p)) Perm would return
+// — the same draws, the same indices — without allocating.
+func (s *Source) PermInto(p []int) {
 	for i := range p {
 		j := s.Intn(i + 1)
 		p[i] = p[j]
 		p[j] = i
 	}
-	return p
 }

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -113,5 +114,31 @@ func TestPermUniformFirstElement(t *testing.T) {
 		if math.Abs(float64(c)/n-0.2) > 0.01 {
 			t.Errorf("Perm(5)[0]=%d frequency %f, want ~0.2", v, float64(c)/n)
 		}
+	}
+}
+
+// TestPermIntoMatchesPerm: whatever the buffer held, PermInto leaves the
+// permutation Perm returns from the same state, consumes the same draws,
+// and allocates nothing.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	buf := make([]int, 1500)
+	for _, n := range []int{0, 1, 2, 37, 1500} {
+		a, b := New(uint64(n)+5), New(uint64(n)+5)
+		want := a.Perm(n)
+		got := buf[:n]
+		for i := range got {
+			got[i] = -7 // stale contents of a reused buffer
+		}
+		b.PermInto(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: PermInto = %v, Perm = %v", n, got, want)
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("n=%d: PermInto consumed a different number of draws than Perm", n)
+		}
+	}
+	s := New(1)
+	if allocs := testing.AllocsPerRun(10, func() { s.PermInto(buf) }); allocs != 0 {
+		t.Errorf("PermInto allocates %v times per call", allocs)
 	}
 }

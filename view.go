@@ -256,7 +256,7 @@ func (p *ViewPool) AcquireContext(ctx context.Context) (*View, error) {
 }
 
 // countRebase counts one stale view moved onto the current generation: a
-// successful reset that restored directory metadata. Caller holds p.mu.
+// successful reset that re-attached the directory. Caller holds p.mu.
 func (p *ViewPool) countRebase() {
 	p.stale++
 	p.recycled++
@@ -311,9 +311,11 @@ func (p *ViewPool) release(v *View) error {
 // ViewPoolStats describes pool effectiveness over the pool's lifetime:
 // Reused counts acquisitions served by a recycled or rebased view (the
 // steady state), Created the views built from the base, Recycled the
-// successful view resets, Rebuilt the subset of those that had to restore
-// directory metadata (after a mutating request, or to land on a new
-// generation), Stale the subset found behind the base — a commit promoted
+// successful view resets, Rebuilt the subset of those that re-attached the
+// model to a generation's directory (after a mutating request, or to land
+// on a new generation — the events it always counted, though since the
+// directory is decoded once per generation and shared, each is now an
+// O(1) re-attach, not a decode), Stale the subset found behind the base — a commit promoted
 // it past their generation — and rebased onto the current generation in
 // place, Destroyed the views torn down (quarantine, reset failure or pool
 // shutdown), Quarantined the subset of Destroyed retired via
