@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"complexobj/nf2"
 )
@@ -390,5 +391,72 @@ func TestSizeHistogram(t *testing.T) {
 	}
 	if SizeHistogram(nil) != nil {
 		t.Error("nil input should give nil histogram")
+	}
+}
+
+// TestCloneSurvivesSourceReuse: a clone equals its source and shares no
+// memory with it — the source's slices and strings are overwritten in place
+// (what a storage model does to the Station a scan lends) and the clone
+// still equals the original — and costs five allocations however many
+// attributes the object has.
+func TestCloneSurvivesSourceReuse(t *testing.T) {
+	stations, err := Generate(DefaultConfig().WithN(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range stations {
+		// src is a copy whose strings are cut from a byte arena, as a storage
+		// model's are, so that the arena can be scribbled on afterwards.
+		arena := make([]byte, 0, 64<<10)
+		lend := func(v string) string {
+			if v == "" {
+				return ""
+			}
+			from := len(arena)
+			arena = append(arena, v...) // within capacity: the strings stay put
+			return unsafe.String(&arena[from], len(v))
+		}
+		src := &Station{Key: want.Key, NoPlatform: want.NoPlatform, NoSeeing: want.NoSeeing, Name: lend(want.Name)}
+		for _, p := range want.Platforms {
+			p.Information = lend(p.Information)
+			p.Conns = append([]Connection(nil), p.Conns...)
+			for ci := range p.Conns {
+				p.Conns[ci].DepartureTimes = lend(p.Conns[ci].DepartureTimes)
+			}
+			src.Platforms = append(src.Platforms, p)
+		}
+		for _, g := range want.Seeings {
+			g.Description, g.Location, g.History, g.Remarks = lend(g.Description), lend(g.Location), lend(g.History), lend(g.Remarks)
+			src.Seeings = append(src.Seeings, g)
+		}
+
+		c := src.Clone()
+		if !c.Equal(want) {
+			t.Fatalf("clone of station %d differs from its source", i)
+		}
+		for pi := range src.Platforms {
+			for ci := range src.Platforms[pi].Conns {
+				src.Platforms[pi].Conns[ci] = Connection{DepartureTimes: "reused"}
+			}
+			src.Platforms[pi] = Platform{Information: "reused", Conns: src.Platforms[pi].Conns}
+		}
+		for gi := range src.Seeings {
+			src.Seeings[gi] = Sightseeing{Remarks: "reused"}
+		}
+		src.SetRoot(RootRecord{Name: "reused"})
+		for b := range arena {
+			arena[b] = 0xDB
+		}
+		if !c.Equal(want) {
+			t.Fatalf("clone of station %d changed when its source was overwritten", i)
+		}
+		for pi, p := range c.Platforms {
+			if cap(p.Conns) != len(p.Conns) {
+				t.Fatalf("station %d platform %d: an append to the clone's Conns would write its neighbour's", i, pi)
+			}
+		}
+		if got := testing.AllocsPerRun(5, func() { want.Clone() }); got > 5 {
+			t.Errorf("Clone of station %d: %v allocations, want at most 5", i, got)
+		}
 	}
 }

@@ -10,6 +10,7 @@ package cobench
 
 import (
 	"fmt"
+	"strings"
 
 	"complexobj/nf2"
 )
@@ -98,6 +99,58 @@ func (s *Station) NumConnections() int {
 		n += len(p.Conns)
 	}
 	return n
+}
+
+// Clone returns a deep copy sharing no memory with s: one Station with
+// exactly-sized Platforms and Seeings, one Connection array shared by its
+// platforms and one backing for all its strings. It is how a caller keeps
+// an object a storage model only lent it (a scanned Station is valid until
+// the view's next call).
+func (s *Station) Clone() *Station {
+	n := len(s.Name)
+	for _, p := range s.Platforms {
+		n += len(p.Information)
+		for _, c := range p.Conns {
+			n += len(c.DepartureTimes)
+		}
+	}
+	for _, g := range s.Seeings {
+		n += len(g.Description) + len(g.Location) + len(g.History) + len(g.Remarks)
+	}
+	var backing strings.Builder
+	backing.Grow(n)
+	own := func(v string) string {
+		from := backing.Len()
+		backing.WriteString(v)
+		return backing.String()[from:]
+	}
+	c := &Station{Key: s.Key, NoPlatform: s.NoPlatform, NoSeeing: s.NoSeeing, Name: own(s.Name)}
+	if len(s.Platforms) > 0 {
+		c.Platforms = make([]Platform, len(s.Platforms))
+		conns := make([]Connection, 0, s.NumConnections())
+		for i, p := range s.Platforms {
+			p.Information = own(p.Information)
+			from := len(conns)
+			conns = append(conns, p.Conns...)
+			p.Conns = nil
+			if len(conns) > from {
+				p.Conns = conns[from:len(conns):len(conns)]
+			}
+			for j := range p.Conns {
+				p.Conns[j].DepartureTimes = own(p.Conns[j].DepartureTimes)
+			}
+			c.Platforms[i] = p
+		}
+	}
+	if len(s.Seeings) > 0 {
+		c.Seeings = make([]Sightseeing, len(s.Seeings))
+		for i, g := range s.Seeings {
+			g.Description, g.Location = own(g.Description), own(g.Location)
+			g.History, g.Remarks = own(g.History), own(g.Remarks)
+			c.Seeings[i] = g
+		}
+	}
+	return c
 }
 
 // Attribute positions in the schemas below; storage models use them for

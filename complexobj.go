@@ -21,6 +21,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"complexobj/cobench"
@@ -384,20 +386,29 @@ func (db *DB) FetchByKey(key int32) (*cobench.Station, error) {
 	return db.model.FetchByKey(key)
 }
 
+// Everything a DB method returns or hands a callback is the caller's to
+// keep. The storage models lend what they scan and navigate (valid until
+// their next call — the serving path keeps none of it and so allocates
+// none of it); the facade copies it once, here.
+
 // ScanAll retrieves every object (query 1c).
 func (db *DB) ScanAll(fn func(i int, s *cobench.Station) error) error {
-	return db.model.ScanAll(fn)
+	return db.model.ScanAll(func(i int, s *cobench.Station) error { return fn(i, s.Clone()) })
 }
 
 // Navigate reads the object's root record and the station indices its
 // connections refer to, transferring only the pages the model needs.
 func (db *DB) Navigate(i int) (cobench.RootRecord, []int32, error) {
-	return db.model.Navigate(i)
+	root, children, err := db.model.Navigate(i)
+	root.Name = strings.Clone(root.Name)
+	return root, slices.Clone(children), err
 }
 
 // ReadRoot reads just the root record of an object.
 func (db *DB) ReadRoot(i int) (cobench.RootRecord, error) {
-	return db.model.ReadRoot(i)
+	root, err := db.model.ReadRoot(i)
+	root.Name = strings.Clone(root.Name)
+	return root, err
 }
 
 // UpdateRoots applies mutate to the root records of the given objects and
@@ -405,7 +416,10 @@ func (db *DB) ReadRoot(i int) (cobench.RootRecord, error) {
 // replacement, in-place update, or DASDBS-DSM's write-through
 // change-attribute operations).
 func (db *DB) UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootRecord)) error {
-	return db.model.UpdateRoots(idxs, mutate)
+	return db.model.UpdateRoots(idxs, func(i int32, r *cobench.RootRecord) {
+		r.Name = strings.Clone(r.Name)
+		mutate(i, r)
+	})
 }
 
 // UpdateObject applies an arbitrary — possibly structural — mutation to

@@ -2,6 +2,7 @@ package complexobj
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"complexobj/cobench"
@@ -369,5 +370,129 @@ func TestBaseFacade(t *testing.T) {
 		if s.Key != key {
 			t.Errorf("%s: wrong station restored", name)
 		}
+	}
+}
+
+// TestDBResultsAreOwned: the storage models lend what they scan and
+// navigate; the facade hands out copies. Everything a DB method returns or
+// passes a callback is kept here, unclone'd, and still equals the
+// generator's after every object has been rewritten in place, the cache
+// emptied and the same reads repeated over the model's scratch — with
+// another goroutine reading the kept values meanwhile (run under -race).
+func TestDBResultsAreOwned(t *testing.T) {
+	gen := cobench.DefaultConfig().WithN(40)
+	stations, err := cobench.Generate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range AllModels() {
+		t.Run(kind.String(), func(t *testing.T) {
+			db, err := OpenLoaded(kind, Options{BufferPages: 64}, gen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+
+			var objs []*cobench.Station // objs[j] is object j % len(stations)
+			var roots []cobench.RootRecord
+			var kids [][]int32
+			read := func(keep bool) {
+				t.Helper()
+				var scanned []*cobench.Station
+				var got []cobench.RootRecord
+				var lists [][]int32
+				if err := db.ScanAll(func(_ int, s *cobench.Station) error { scanned = append(scanned, s); return nil }); err != nil {
+					t.Fatal(err)
+				}
+				for i := range stations {
+					s, err := db.FetchByKey(stations[i].Key)
+					if err != nil {
+						t.Fatal(err)
+					}
+					scanned = append(scanned, s)
+				}
+				for i := range stations {
+					root, children, err := db.Navigate(i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, lists = append(got, root), append(lists, children)
+				}
+				for i := range stations {
+					root, err := db.ReadRoot(i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got = append(got, root)
+				}
+				if keep {
+					objs, roots, kids = scanned, got, lists
+				}
+			}
+			read(true)
+			all := make([]int32, len(stations))
+			for i := range all {
+				all[i] = int32(i)
+			}
+			// UpdateRoots lends mutate the stored name too; keep it, write it back.
+			err = db.UpdateRoots(all, func(_ int32, r *cobench.RootRecord) { roots = append(roots, *r) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func() {
+				for j, s := range objs {
+					if !s.Equal(stations[j%len(stations)]) {
+						t.Errorf("kept station %d no longer equals the generator's", j)
+						return
+					}
+				}
+				for j, r := range roots {
+					if r != stations[j%len(stations)].Root() {
+						t.Errorf("kept root %d reads %+v", j, r)
+						return
+					}
+				}
+				for j, list := range kids {
+					if want := stations[j].Children(); len(list) != len(want) || (len(want) > 0 && list[0] != want[0]) {
+						t.Errorf("kept child list %d reads %v", j, list)
+						return
+					}
+				}
+			}
+			check()
+
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for round := 0; round < 10; round++ {
+					check()
+				}
+			}()
+			for i := range stations {
+				err := db.UpdateObject(i, func(s *cobench.Station) error {
+					s.Name = "overwritten"
+					for pi := range s.Platforms {
+						s.Platforms[pi].Information = "overwritten"
+						for ci := range s.Platforms[pi].Conns {
+							s.Platforms[pi].Conns[ci].OidConnection = 0
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.ColdCache(); err != nil {
+				t.Fatal(err)
+			}
+			read(false)
+			wg.Wait()
+			check()
+		})
 	}
 }

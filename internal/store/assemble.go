@@ -19,6 +19,15 @@ type row[T any] struct {
 	v        T
 }
 
+// object is an assembly destination: the Station build fills and the one
+// array its platforms' Conns share. A fresh object yields an owned Station
+// with exactly-sized slices; one that is filled again grows all three in
+// place and allocates nothing once it has held the largest object.
+type object struct {
+	st    cobench.Station
+	conns []cobench.Connection
+}
+
 // assembler is the one place stored records become Stations. Every model
 // feeds it the same four kinds of record — root, platform (with its own
 // key), connection (with its parent platform's key), sightseeing — in
@@ -29,33 +38,90 @@ type row[T any] struct {
 //
 // Decoding copies what it keeps (record bytes may alias a page frame or a
 // longobj scratch block): integers into the staged rows, STR payloads into
-// the packed backing strs. A caller that can see all of an object's
-// records first measures them (StringBytes) and gets one backing per object;
-// the NSM paths, which meet records one page view at a time, let strs
-// chunk. The rows are scratch and are reused by the next object; a
-// finished Station owns exactly-sized Platforms and Seeings and one
-// Connection array shared by its platforms, and nothing else — so an
-// assembled object costs a handful of allocations however many attributes
-// it has, and keeping it alive keeps only its own string backing (or its
-// chunks) alive with it.
+// a packed backing. A caller that can see all of an object's records first
+// measures them (StringBytes) and reserves exactly; the NSM paths, which
+// meet records one page view at a time, let the backing chunk. The rows
+// are scratch and are reused by the next object.
+//
+// Where the object and its strings go is the caller's choice, made by
+// begin, and it decides how long the result lives (doc.go, "Assembly"):
+//
+//   - owned (FetchByAddress, FetchByKey, UpdateObject): a fresh object and
+//     the never-Reset backing owned. The Station owns exactly-sized
+//     Platforms and Seeings, one Connection array and its share of a string
+//     buffer that is never written again — a handful of allocations however
+//     many attributes it has — and survives whatever the view does next.
+//   - lent (ScanAll; the root name and child list of Navigate / ReadRoot):
+//     the one object, string arena and child list below, overwritten by the
+//     next read that lends. Nothing is allocated once they have held the
+//     largest object; the value is valid until the view's next call.
+//
+// An assembler belongs to one view's model, never to a shared directory,
+// so two views of one base never share scratch.
 type assembler struct {
-	strs  nf2.Strings
+	dst  *object      // where build puts the object being staged
+	strs *nf2.Strings // where decoding packs its strings
+
 	roots []row[cobench.RootRecord]
 	plats []row[cobench.Platform]
 	conns []row[cobench.Connection]
 	sees  []row[cobench.Sightseeing]
 	fill  []int // connections per platform of the object being finished
+
+	owned nf2.Strings // backs the strings of owned results: never Reset
+	lent  struct {    // what a scan hands its callback
+		object
+		strs nf2.Strings
+	}
+	name nf2.Strings // the root name Navigate / ReadRoot / UpdateRoots lend
+	kids []int32     // the child list Navigate lends
 }
 
-// reset drops the staged rows (not the string backing's free room).
-func (a *assembler) reset() {
+// begin drops the staged rows and names the destination of the next
+// object: a fresh one the caller will own, or the lent one, whose previous
+// contents — strings first — are invalid from here on.
+func (a *assembler) begin(owned bool) {
 	a.roots, a.plats, a.conns, a.sees = a.roots[:0], a.plats[:0], a.conns[:0], a.sees[:0]
+	if owned {
+		a.dst, a.strs = new(object), &a.owned
+		return
+	}
+	a.lent.strs.Reset()
+	a.dst, a.strs = &a.lent.object, &a.lent.strs
+}
+
+// lendRoot decodes a root record whose name is valid until the next call
+// that lends one.
+func (a *assembler) lendRoot(rec []byte) (cobench.RootRecord, error) {
+	a.name.Reset()
+	return decodeRoot(rec, &a.name)
+}
+
+// kidsScratch returns the empty child list a Navigate appends to.
+func (a *assembler) kidsScratch() []int32 {
+	if poison { // whoever kept the previous list reads no object's index
+		for i := range a.kids {
+			a.kids[i] = -1
+		}
+		a.kids = nil
+	}
+	return a.kids[:0]
+}
+
+// lendKids takes the finished child list back for the next Navigate to
+// overwrite and returns what this one hands out: nil for a childless
+// object, on every model.
+func (a *assembler) lendKids(kids []int32) []int32 {
+	a.kids = kids
+	if len(kids) == 0 {
+		return nil
+	}
+	return kids
 }
 
 // decodeAttrs reads the payload attributes of rec that start at position
 // first of tt, through one validated nf2.Record: the Int/Link ones into
-// ints, then the String ones into strs — packed into backing, or allocated
-// one by one when it is nil.
+// ints, then the String ones into strs, packed into backing.
 func decodeAttrs(tt *nf2.TupleType, rec []byte, first int, ints []*int32, strs []*string, backing *nf2.Strings) error {
 	r, err := tt.Open(rec)
 	if err != nil {
@@ -86,7 +152,7 @@ func intAttr(tt *nf2.TupleType, rec []byte, i int) (int32, error) {
 
 // root stages a root record (RootType in every model).
 func (a *assembler) root(obj int32, rec []byte) error {
-	r, err := decodeRoot(rec, &a.strs)
+	r, err := decodeRoot(rec, a.strs)
 	a.roots = append(a.roots, row[cobench.RootRecord]{obj: obj, v: r})
 	return err
 }
@@ -95,7 +161,7 @@ func (a *assembler) root(obj int32, rec []byte) error {
 // TicketCode, Information) start at position base of tt.
 func (a *assembler) platform(obj, own int32, tt *nf2.TupleType, base int, rec []byte) error {
 	r := row[cobench.Platform]{obj: obj, key: own}
-	err := decodeAttrs(tt, rec, base, []*int32{&r.v.Nr, &r.v.NoLine, &r.v.TicketCode}, []*string{&r.v.Information}, &a.strs)
+	err := decodeAttrs(tt, rec, base, []*int32{&r.v.Nr, &r.v.NoLine, &r.v.TicketCode}, []*string{&r.v.Information}, a.strs)
 	a.plats = append(a.plats, r)
 	return err
 }
@@ -105,7 +171,7 @@ func (a *assembler) platform(obj, own int32, tt *nf2.TupleType, base int, rec []
 func (a *assembler) connection(obj, parent int32, tt *nf2.TupleType, base int, rec []byte) error {
 	r := row[cobench.Connection]{obj: obj, key: parent}
 	err := decodeAttrs(tt, rec, base, []*int32{&r.v.LineNr, &r.v.KeyConnection, &r.v.OidConnection},
-		[]*string{&r.v.DepartureTimes}, &a.strs)
+		[]*string{&r.v.DepartureTimes}, a.strs)
 	a.conns = append(a.conns, r)
 	return err
 }
@@ -115,7 +181,7 @@ func (a *assembler) connection(obj, parent int32, tt *nf2.TupleType, base int, r
 func (a *assembler) sightseeing(obj int32, tt *nf2.TupleType, base int, rec []byte) error {
 	r := row[cobench.Sightseeing]{obj: obj}
 	err := decodeAttrs(tt, rec, base, []*int32{&r.v.Nr},
-		[]*string{&r.v.Description, &r.v.Location, &r.v.History, &r.v.Remarks}, &a.strs)
+		[]*string{&r.v.Description, &r.v.Location, &r.v.History, &r.v.Remarks}, a.strs)
 	a.sees = append(a.sees, r)
 	return err
 }
@@ -165,7 +231,7 @@ func (a *assembler) components(comps []longobj.Component) error {
 	return nil
 }
 
-// station finishes the single object staged since reset.
+// station finishes the single object staged since begin.
 func (a *assembler) station() (*cobench.Station, error) {
 	return a.build(a.roots, a.plats, a.conns, a.sees)
 }
@@ -208,28 +274,33 @@ func prefixOf[T any](rows []row[T], obj int32) int {
 	return n
 }
 
-// build joins one object's rows into a Station with exactly-sized slices.
-// Connections find their platform by a linear match over its own keys (an
-// object has at most fan-out platforms) and are laid out platform by
-// platform in one backing array, in arrival order within each platform.
+// build joins one object's rows into the destination's Station: its slices
+// exactly sized when the destination is fresh, grown in place when it has
+// been filled before. Connections find their platform by a linear match
+// over its own keys (an object has at most fan-out platforms) and are laid
+// out platform by platform in one backing array, in arrival order within
+// each platform.
 func (a *assembler) build(roots []row[cobench.RootRecord], plats []row[cobench.Platform],
 	conns []row[cobench.Connection], sees []row[cobench.Sightseeing]) (*cobench.Station, error) {
 	if len(roots) != 1 {
 		return nil, fmt.Errorf("store: object with %d root records", len(roots))
 	}
-	s := &cobench.Station{}
-	s.SetRoot(roots[0].v)
-	if len(plats) > 0 {
-		s.Platforms = make([]cobench.Platform, len(plats))
-		for i := range plats {
-			s.Platforms[i] = plats[i].v
-		}
+	o := a.dst
+	if poison { // whoever kept the previous object's slices reads zero values
+		clear(o.st.Platforms)
+		clear(o.st.Seeings)
+		clear(o.conns)
+		o.st.Platforms, o.st.Seeings, o.conns = nil, nil, nil
 	}
-	if len(sees) > 0 {
-		s.Seeings = make([]cobench.Sightseeing, len(sees))
-		for i := range sees {
-			s.Seeings[i] = sees[i].v
-		}
+	s := &o.st
+	s.SetRoot(roots[0].v)
+	s.Platforms = resize(s.Platforms, len(plats))
+	for i := range plats {
+		s.Platforms[i] = plats[i].v // Conns nil
+	}
+	s.Seeings = resize(s.Seeings, len(sees))
+	for i := range sees {
+		s.Seeings[i] = sees[i].v
 	}
 	if len(conns) == 0 {
 		return s, nil
@@ -244,8 +315,8 @@ func (a *assembler) build(roots []row[cobench.RootRecord], plats []row[cobench.P
 		conns[i].key = int32(pi) // the platform's position from here on
 		fill[pi]++
 	}
-	backing := make([]cobench.Connection, len(conns))
-	lo := 0
+	o.conns = resize(o.conns, len(conns))
+	backing, lo := o.conns, 0
 	for pi, n := range fill {
 		if n > 0 {
 			s.Platforms[pi].Conns = backing[lo : lo : lo+n]
@@ -257,4 +328,13 @@ func (a *assembler) build(roots []row[cobench.RootRecord], plats []row[cobench.P
 		p.Conns = append(p.Conns, conns[i].v)
 	}
 	return s, nil
+}
+
+// resize returns s with length n: s's own array when it holds n elements,
+// an exactly-sized new one otherwise (and nil for a fresh, empty slice).
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,16 +11,17 @@ import (
 	"complexobj/nf2"
 )
 
-// TestAssemblyAllocBudgets pins what an assembled object costs: at most six
-// allocations per station — the Station, its Platforms, its Seeings, the
-// Connection backing and the string backing make five — however many STR
-// attributes it carries, on every model and on both the point and the scan
-// path; navigation, which projects the child references,
-// stays under four (the root name and the reference list's growth steps);
-// and a value selection assembles only its match.
+// TestAssemblyAllocBudgets pins what a read costs. An owned object is at
+// most six allocations — the Station with its Connection array header, its
+// Platforms, its Seeings, the Connection array and the string backing make
+// five — however many STR attributes it carries, and a value selection
+// assembles only its match. What is lent costs nothing once the view's
+// scratch has held the largest object: after one warm-up pass ScanAll,
+// Navigate and ReadRoot allocate nothing at all, on every model (NSM keeps
+// its relation-ordered staging with the view too).
 func TestAssemblyAllocBudgets(t *testing.T) {
-	if raceEnabled {
-		t.Skip("under -race the counts are the detector's, not the assembler's")
+	if raceEnabled || poison {
+		t.Skip("under -race the counts are the detector's, under the poison tag scratch is never reused")
 	}
 	stations := testExtension(t, 60)
 	for _, k := range AllKinds() {
@@ -39,21 +41,22 @@ func TestAssemblyAllocBudgets(t *testing.T) {
 					t.Errorf("FetchByAddress(%d): %v allocations, budget 6", i, got)
 				}
 			}
-			perObject := func(what string, budget float64, fn func() error) {
+			// AllocsPerRun's own warm-up call is the pass that sizes the scratch.
+			total := func(what string, budget float64, fn func() error) {
 				t.Helper()
 				got := testing.AllocsPerRun(5, func() {
 					if err := fn(); err != nil {
 						t.Fatal(err)
 					}
-				}) / float64(len(stations))
+				})
 				if got > budget {
-					t.Errorf("%s: %.2f allocations per object, budget %v", what, got, budget)
+					t.Errorf("%s: %v allocations over %d objects, budget %v", what, got, len(stations), budget)
 				}
 			}
-			perObject("ScanAll", 6, func() error {
+			total("ScanAll", 0, func() error {
 				return m.ScanAll(func(int, *cobench.Station) error { return nil })
 			})
-			perObject("Navigate", 4, func() error {
+			total("Navigate", 0, func() error {
 				for i := range stations {
 					if _, _, err := m.Navigate(i); err != nil {
 						return err
@@ -61,9 +64,17 @@ func TestAssemblyAllocBudgets(t *testing.T) {
 				}
 				return nil
 			})
+			total("ReadRoot", 0, func() error {
+				for i := range stations {
+					if _, err := m.ReadRoot(i); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
 			// A selection over 60 objects costs one assembled station plus
 			// the scan's own fixed overhead, not 60 stations.
-			perObject("FetchByKey", 0.5, func() error {
+			total("FetchByKey", 30, func() error {
 				_, err := m.FetchByKey(cobench.KeyOf(42))
 				return err
 			})
@@ -71,12 +82,13 @@ func TestAssemblyAllocBudgets(t *testing.T) {
 	}
 }
 
-// TestAssembledStationsOutliveTheView: decoded objects own what they hold.
-// Stations kept from a scan and from point fetches still equal the
-// generator's after every page they were decoded from has been rewritten,
-// the view committed, recycled and rebased, and the scratch they were cut
-// from reused by later reads — while another goroutine keeps reading them
-// (run under -race).
+// TestAssembledStationsOutliveTheView: owned results own what they hold.
+// Stations from FetchByAddress and FetchByKey, and clones of scanned ones,
+// still equal the generator's after every page they were decoded from has
+// been rewritten, the view committed, recycled and rebased, and the scratch
+// the scans decode into reused again and again — while another goroutine
+// keeps reading them (run under -race). The other lifetime, what a scan or
+// a navigation lends, is TestLentResultsAreRightInsideTheCall's.
 func TestAssembledStationsOutliveTheView(t *testing.T) {
 	stations := testExtension(t, 40)
 	for _, k := range AllKinds() {
@@ -94,12 +106,12 @@ func TestAssembledStationsOutliveTheView(t *testing.T) {
 			}
 			defer v.Close()
 
-			var kept []*cobench.Station
+			var kept []*cobench.Station // kept[j] is object j % len(stations)
 			scan := func(keep bool) {
 				t.Helper()
 				err := v.ScanAll(func(_ int, s *cobench.Station) error {
 					if keep {
-						kept = append(kept, s)
+						kept = append(kept, s.Clone())
 					}
 					return nil
 				})
@@ -109,6 +121,13 @@ func TestAssembledStationsOutliveTheView(t *testing.T) {
 			}
 			scan(true)
 			for i := range stations {
+				s, err := v.FetchByKey(stations[i].Key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kept = append(kept, s)
+			}
+			for i := range stations {
 				if k == NSM {
 					break
 				}
@@ -117,6 +136,7 @@ func TestAssembledStationsOutliveTheView(t *testing.T) {
 					t.Fatal(err)
 				}
 				kept = append(kept, s)
+				scan(false) // an owned object is not cut from the scan's arena
 			}
 			check := func() {
 				for j, s := range kept {
@@ -169,6 +189,91 @@ func TestAssembledStationsOutliveTheView(t *testing.T) {
 			scan(false)
 			wg.Wait()
 			check()
+		})
+	}
+}
+
+// TestLentResultsAreRightInsideTheCall: what a scan or a navigation lends
+// equals the generator's for as long as the contract says — inside the
+// callback, until the view's next call — on every model: across two
+// consecutive scans (the second decodes into the scratch the first left),
+// with point fetches from inside the callback (an owned fetch neither
+// disturbs the lent object nor is cut from its arena), and for the root
+// names and child lists of Navigate and ReadRoot called back to back.
+func TestLentResultsAreRightInsideTheCall(t *testing.T) {
+	stations := testExtension(t, 40)
+	for _, k := range AllKinds() {
+		t.Run(k.String(), func(t *testing.T) {
+			base, err := LoadBase(k, Options{}, stations)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer base.Release()
+			v, err := base.NewView(Options{BufferPages: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer v.Close()
+
+			type fetched struct {
+				j int
+				s *cobench.Station
+			}
+			var owned []fetched
+			var lent *cobench.Station
+			for round := 0; round < 2; round++ {
+				seen := 0
+				err := v.ScanAll(func(i int, s *cobench.Station) error {
+					if !s.Equal(stations[i]) {
+						t.Errorf("scan %d: object %d differs from the generator's", round, i)
+					}
+					if lent != nil && s != lent {
+						t.Errorf("scan %d: object %d came in a fresh Station, not the lent one", round, i)
+					}
+					lent = s
+					if k != NSM && i%7 == 0 {
+						j := (i + 3) % len(stations)
+						o, err := v.FetchByAddress(j)
+						if err != nil {
+							return err
+						}
+						if !o.Equal(stations[j]) {
+							t.Errorf("scan %d: FetchByAddress(%d) from the callback differs", round, j)
+						}
+						owned = append(owned, fetched{j, o})
+						if !s.Equal(stations[i]) {
+							t.Errorf("scan %d: the fetch disturbed lent object %d", round, i)
+						}
+					}
+					seen++
+					return nil
+				})
+				if err != nil || seen != len(stations) {
+					t.Fatalf("scan %d: %v after %d objects", round, err, seen)
+				}
+			}
+			for _, o := range owned {
+				if !o.s.Equal(stations[o.j]) {
+					t.Errorf("owned object %d changed under the scans that followed it", o.j)
+				}
+			}
+
+			for i, want := range stations {
+				root, kids, err := v.Navigate(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if root != want.Root() || !slices.Equal(kids, want.Children()) {
+					t.Errorf("Navigate(%d) = %v, %v", i, root, kids)
+				}
+				if (kids == nil) != (len(want.Children()) == 0) {
+					t.Errorf("Navigate(%d): child list nil = %v for %d children", i, kids == nil, len(want.Children()))
+				}
+				j := (i + 1) % len(stations)
+				if root, err = v.ReadRoot(j); err != nil || root != stations[j].Root() {
+					t.Errorf("ReadRoot(%d) after Navigate(%d) = %v, %v", j, i, root, err)
+				}
+			}
 		})
 	}
 }
@@ -241,9 +346,11 @@ func TestNSMSelectionPropagatesCorruption(t *testing.T) {
 }
 
 // BenchmarkAssemble is one station assembled, per model, on the point path
-// (fetch: FetchByAddress round-robin) and on the scan path (scan: ScanAll
-// repeated until b.N objects were delivered — run it with a -benchtime that
-// is a multiple of the 300 objects). allocs/op is the gated number.
+// (fetch: FetchByAddress round-robin, an owned object) and on the scan path
+// (scan: ScanAll repeated until b.N objects were delivered, each lent — run
+// it with a -benchtime that is a multiple of the 300 objects; one untimed
+// scan sizes the view's scratch first). allocs/op is the gated number, and
+// 0 on the scan path is a hard pin.
 func BenchmarkAssemble(b *testing.B) {
 	stations, err := cobench.Generate(cobench.DefaultConfig().WithN(300))
 	if err != nil {
@@ -266,6 +373,10 @@ func BenchmarkAssemble(b *testing.B) {
 		}
 		b.Run(k.String()+"/scan", func(b *testing.B) {
 			b.ReportAllocs()
+			if err := m.ScanAll(func(int, *cobench.Station) error { return nil }); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
 			done := errors.New("delivered b.N objects")
 			for seen := 0; seen < b.N; {
 				err := m.ScanAll(func(int, *cobench.Station) error {
@@ -275,6 +386,46 @@ func BenchmarkAssemble(b *testing.B) {
 					return nil
 				})
 				if err != nil && err != done {
+					b.Fatal(err)
+				}
+			}
+		})
+		m.Engine().Close()
+	}
+}
+
+// BenchmarkNavigate and BenchmarkReadRoot are query 2's two steps, per
+// model, round-robin over 300 objects: the root name and the child list are
+// lent, so after the first lap — b.N is a multiple of 300 in CI — both pin
+// 0 allocs/op.
+func BenchmarkNavigate(b *testing.B) {
+	benchRoots(b, func(m Model, i int) error { _, _, err := m.Navigate(i); return err })
+}
+
+func BenchmarkReadRoot(b *testing.B) {
+	benchRoots(b, func(m Model, i int) error { _, err := m.ReadRoot(i); return err })
+}
+
+func benchRoots(b *testing.B, read func(m Model, i int) error) {
+	stations, err := cobench.Generate(cobench.DefaultConfig().WithN(300))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range AllKinds() {
+		m := mustNew(k, Options{BufferPages: 256})
+		if err := m.Load(stations); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(k.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := range stations { // the lap that sizes the scratch
+				if err := read(m, i); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := read(m, i%len(stations)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -59,12 +59,20 @@ func (v *View) Commit(log *wal.Log) (CommitResult, error) {
 	if err := eng.Pool.FlushAll(); err != nil {
 		return CommitResult{}, fmt.Errorf("store: commit %s: flush: %w", v.base.kind, err)
 	}
-	var patches map[int][]byte
-	var recs []wal.PageRecord // for the log, in OverlayPages' ascending page order
+	// The dirty set is gathered in the view's own map and record slice:
+	// neither the log (which encodes the records into its append buffer) nor
+	// Promote (which copies the images) keeps what it is passed, and the
+	// images — the overlay's own pages — are dropped from both on return.
+	if v.patches == nil {
+		v.patches = make(map[int][]byte)
+	}
+	patches, recs := v.patches, v.recs[:0] // recs: for the log, in OverlayPages' ascending page order
+	defer func() {
+		clear(patches)
+		clear(recs)
+		v.recs = recs[:0]
+	}()
 	if ok := disk.OverlayPages(eng.Dev.Backend(), func(pg int, img []byte) {
-		if patches == nil {
-			patches = make(map[int][]byte)
-		}
 		patches[pg] = img
 		if log != nil {
 			recs = append(recs, wal.PageRecord{Model: byte(v.base.kind), Page: uint32(pg), Image: img})

@@ -43,13 +43,7 @@ func appendRoot(dst []byte, r cobench.RootRecord) ([]byte, error) {
 	))
 }
 
-// DecodeRoot parses an encoded root record; the only allocation is the name.
-func DecodeRoot(data []byte) (cobench.RootRecord, error) {
-	return decodeRoot(data, nil)
-}
-
-// decodeRoot is DecodeRoot with the name packed into backing (nil: on its
-// own).
+// decodeRoot parses an encoded root record, its name packed into backing.
 func decodeRoot(data []byte, backing *nf2.Strings) (cobench.RootRecord, error) {
 	var r cobench.RootRecord
 	err := decodeAttrs(RootType, data, 0, []*int32{&r.Key, &r.NoPlatform, &r.NoSeeing}, []*string{&r.Name}, backing)

@@ -97,19 +97,20 @@ func (m *direct) Load(stations []*cobench.Station) error {
 	return m.eng.Flush()
 }
 
-// fetch reads one whole object.
-func (m *direct) fetch(i int) (*cobench.Station, error) {
+// fetch reads one whole object: the caller's to keep, or lent until the
+// view's next call.
+func (m *direct) fetch(i int, owned bool) (*cobench.Station, error) {
 	comps, err := m.objs.ReadAllShared(m.addr[i])
 	if err != nil {
 		return nil, err
 	}
-	return m.assemble(comps)
+	return m.assemble(comps, owned)
 }
 
 // assemble decodes a whole object's components (valid until the next read
 // on m.objs, which is later than this call).
-func (m *direct) assemble(comps []longobj.Component) (*cobench.Station, error) {
-	m.asm.reset()
+func (m *direct) assemble(comps []longobj.Component, owned bool) (*cobench.Station, error) {
+	m.asm.begin(owned)
 	if err := m.asm.components(comps); err != nil {
 		return nil, err
 	}
@@ -122,7 +123,7 @@ func (m *direct) FetchByAddress(i int) (*cobench.Station, error) {
 	if err := checkIndex(i, len(m.addr)); err != nil {
 		return nil, err
 	}
-	return m.fetch(i)
+	return m.fetch(i, true)
 }
 
 // FetchByKey implements Model (query 1b): a value selection has no address
@@ -151,7 +152,7 @@ func (m *direct) FetchByKey(key int32) (*cobench.Station, error) {
 		if k != key {
 			continue
 		}
-		if found, err = m.assemble(comps); err != nil { // last match wins
+		if found, err = m.assemble(comps, true); err != nil { // last match wins
 			return nil, err
 		}
 	}
@@ -161,13 +162,14 @@ func (m *direct) FetchByKey(key int32) (*cobench.Station, error) {
 	return found, nil
 }
 
-// ScanAll implements Model (query 1c).
+// ScanAll implements Model (query 1c): every object is materialised in
+// full, into the one Station the view lends.
 func (m *direct) ScanAll(fn func(i int, s *cobench.Station) error) error {
 	if len(m.addr) == 0 {
 		return ErrNotLoaded
 	}
 	for i := range m.addr {
-		s, err := m.fetch(i)
+		s, err := m.fetch(i, false)
 		if err != nil {
 			return err
 		}
@@ -199,11 +201,11 @@ func (m *direct) Navigate(i int) (cobench.RootRecord, []int32, error) {
 		return cobench.RootRecord{}, nil, err
 	}
 	var root cobench.RootRecord
-	var children []int32
+	children := m.asm.kidsScratch()
 	for _, c := range comps {
 		switch c.Tag {
 		case TagRoot:
-			root, err = DecodeRoot(c.Data)
+			root, err = m.asm.lendRoot(c.Data)
 			if err != nil {
 				return cobench.RootRecord{}, nil, err
 			}
@@ -214,7 +216,7 @@ func (m *direct) Navigate(i int) (cobench.RootRecord, []int32, error) {
 			}
 		}
 	}
-	return root, children, nil
+	return root, m.asm.lendKids(children), nil
 }
 
 // ReadRoot implements Model. DSM again pays the full object; DASDBS-DSM
@@ -233,7 +235,7 @@ func (m *direct) ReadRoot(i int) (cobench.RootRecord, error) {
 		if len(comps) != 1 {
 			return cobench.RootRecord{}, fmt.Errorf("store: object %d has %d root components", i, len(comps))
 		}
-		return DecodeRoot(comps[0].Data)
+		return m.asm.lendRoot(comps[0].Data)
 	}
 	comps, err := m.objs.ReadAllShared(m.addr[i])
 	if err != nil {
@@ -243,7 +245,7 @@ func (m *direct) ReadRoot(i int) (cobench.RootRecord, error) {
 	if err != nil {
 		return cobench.RootRecord{}, err
 	}
-	return DecodeRoot(root)
+	return m.asm.lendRoot(root)
 }
 
 // rootComponent returns the root record among object i's components.
@@ -281,7 +283,7 @@ func (m *direct) UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootR
 			if len(comps) != 1 {
 				return fmt.Errorf("store: object %d has %d root components", i, len(comps))
 			}
-			root, err := DecodeRoot(comps[0].Data)
+			root, err := m.asm.lendRoot(comps[0].Data)
 			if err != nil {
 				return err
 			}
@@ -304,7 +306,7 @@ func (m *direct) UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootR
 			if comps[ci].Tag != TagRoot {
 				continue
 			}
-			root, err := DecodeRoot(comps[ci].Data)
+			root, err := m.asm.lendRoot(comps[ci].Data)
 			if err != nil {
 				return err
 			}
@@ -333,7 +335,7 @@ func (m *direct) UpdateObject(i int, mutate func(s *cobench.Station) error) erro
 	if err := checkIndex(i, len(m.addr)); err != nil {
 		return err
 	}
-	st, err := m.fetch(i)
+	st, err := m.fetch(i, true)
 	if err != nil {
 		return err
 	}

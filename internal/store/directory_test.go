@@ -9,12 +9,12 @@ import (
 	"complexobj/cobench"
 )
 
-// scanStations reads the view's whole extension (the assembler hands out
-// fresh objects, so the result outlives the view's next request).
+// scanStations reads the view's whole extension (a scan lends one Station,
+// so each is cloned to outlive the view's next call).
 func scanStations(t *testing.T, v *View) []*cobench.Station {
 	t.Helper()
 	out := make([]*cobench.Station, v.NumObjects())
-	if err := v.ScanAll(func(i int, s *cobench.Station) error { out[i] = s; return nil }); err != nil {
+	if err := v.ScanAll(func(i int, s *cobench.Station) error { out[i] = s.Clone(); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	return out

@@ -237,10 +237,11 @@ var (
 	dnsmSeeElem   = dnsmSightseeingType.Attrs[1].Type.Elem
 )
 
-// assemble rebuilds the station from its four nested tuples. Each lives in
-// its own relation's store, so all four stay valid side by side and can be
+// assemble rebuilds the station from its four nested tuples — the caller's
+// to keep, or lent until the view's next call. Each tuple lives in its own
+// relation's store, so all four stay valid side by side and can be
 // measured before any is decoded.
-func (m *dnsm) assemble(i int) (*cobench.Station, error) {
+func (m *dnsm) assemble(i int, owned bool) (*cobench.Station, error) {
 	var recs [4][]byte
 	strBytes := 0
 	for slot, tt := range dnsmTypes {
@@ -256,7 +257,7 @@ func (m *dnsm) assemble(i int) (*cobench.Station, error) {
 		strBytes += n
 	}
 	a := &m.asm
-	a.reset()
+	a.begin(owned)
 	a.strs.Grow(strBytes)
 	if err := a.root(0, recs[dnsmStation]); err != nil {
 		return nil, err
@@ -298,7 +299,7 @@ func (m *dnsm) FetchByAddress(i int) (*cobench.Station, error) {
 	if err := checkIndex(i, len(m.refs)); err != nil {
 		return nil, err
 	}
-	return m.assemble(i)
+	return m.assemble(i, true)
 }
 
 // FetchByKey implements Model: "only the root tuple of the object is
@@ -327,17 +328,18 @@ func (m *dnsm) FetchByKey(key int32) (*cobench.Station, error) {
 	if found < 0 {
 		return nil, fmt.Errorf("store: no station with key %d", key)
 	}
-	return m.assemble(found)
+	return m.assemble(found, true)
 }
 
 // ScanAll implements Model: every relation is read once; shared pages are
-// touched once physically thanks to the cache.
+// touched once physically thanks to the cache. Every object is
+// materialised in full, into the one Station the view lends.
 func (m *dnsm) ScanAll(fn func(i int, s *cobench.Station) error) error {
 	if len(m.refs) == 0 {
 		return ErrNotLoaded
 	}
 	for i := range m.refs {
-		s, err := m.assemble(i)
+		s, err := m.assemble(i, false)
 		if err != nil {
 			return err
 		}
@@ -365,7 +367,7 @@ func (m *dnsm) Navigate(i int) (cobench.RootRecord, []int32, error) {
 		return cobench.RootRecord{}, nil, err
 	}
 	// Project only the LINK attributes out of the nested tuple.
-	var children []int32
+	children := m.asm.kidsScratch()
 	err = dnsmConnectionType.VisitRel(coRec, 1, func(_, _ int, group []byte) error {
 		return dnsmGroupElem.VisitRel(group, 1, func(j, n int, elem []byte) error {
 			oid, err := intAttr(dnsmConnElem, elem, 2) // OidConnection
@@ -382,7 +384,7 @@ func (m *dnsm) Navigate(i int) (cobench.RootRecord, []int32, error) {
 	if err != nil {
 		return cobench.RootRecord{}, nil, err
 	}
-	return root, children, nil
+	return root, m.asm.lendKids(children), nil
 }
 
 // ReadRoot implements Model: one small-tuple access in the root relation.
@@ -394,7 +396,7 @@ func (m *dnsm) ReadRoot(i int) (cobench.RootRecord, error) {
 	if err != nil {
 		return cobench.RootRecord{}, err
 	}
-	return DecodeRoot(rec)
+	return m.asm.lendRoot(rec)
 }
 
 // UpdateRoots implements Model: replaces the small root tuples in place;
@@ -430,7 +432,7 @@ func (m *dnsm) UpdateObject(i int, mutate func(s *cobench.Station) error) error 
 	if err := checkIndex(i, len(m.refs)); err != nil {
 		return err
 	}
-	st, err := m.assemble(i)
+	st, err := m.assemble(i, true)
 	if err != nil {
 		return err
 	}

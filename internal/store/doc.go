@@ -25,20 +25,40 @@
 // ReadParts) alias the store's scratch block, valid until the next read on
 // that longobj.Store — every model decodes before it reads again.
 //
-// A finished Station owns exactly-sized Platforms and Seeings, one
-// Connection array its platforms share, and its strings, which are cut
-// from one packed backing (nf2.Strings) instead of being allocated one by
-// one: a handful of allocations however many STR attributes it has. Where
-// the whole object is in hand before decoding (direct and DASDBS-NSM
-// objects) the backing is measured first (TupleType.StringBytes) and is
-// exactly the object's own; the NSM paths meet their tuples one page view
-// at a time and cut strings from fixed 8 KiB chunks instead. Either way a
-// Station kept after the request keeps only its own backing or chunks
-// alive — never a page, a frame or scratch — and stays valid, unchanged,
-// across Recycle, Rebase, commits and later reads, also from other
-// goroutines. Navigation and value selections project: they read the keys
-// and child references they need with Record.Int and assemble nothing
-// they do not return.
+// What a read returns has one of two lifetimes, chosen by the call.
+// FetchByAddress, FetchByKey and the Station UpdateObject hands its mutate
+// are owned: a fresh Station with exactly-sized Platforms and Seeings, one
+// Connection array its platforms share, and strings cut from a packed
+// backing (nf2.Strings) that is never written again — a handful of
+// allocations however many STR attributes it has — so it stays valid,
+// unchanged, across Recycle, Rebase, commits and later reads, also from
+// other goroutines, and keeps only its own backing alive, never a page, a
+// frame or scratch. The Station a ScanAll callback is handed, the
+// RootRecord.Name of Navigate / ReadRoot / UpdateRoots' mutate and
+// Navigate's child list are lent: they are decoded — in full, every check
+// on every record, exactly as an owned object is — into scratch the view's
+// model keeps (one Station grown in place, one string arena rewound per
+// object, one child list; for NSM also the relation-ordered rows a scan
+// stages), and are valid until the view's next call, the contract
+// heap.View, longobj.ReadParts, Pool.FixRun and Engine.IntScratch already
+// have. The reason is measured: no product caller keeps a scanned object
+// (the runner counts it, the server returns counters), yet materialising
+// each as a caller-owned Station was 88 % of the bytes query 1c allocated;
+// lent, a warmed-up view scans and navigates without allocating at all.
+// A caller that does keep one copies it — Station.Clone, strings.Clone,
+// slices.Clone — which is what the public complexobj.DB facade does, once,
+// so a library user only ever sees owned values. The scratch belongs to the
+// per-view model, never to a generation's shared directory, so two views
+// of one base never share it; the poison build tag overwrites it before
+// every reuse, so a value kept past its lifetime reads 0xDB / zero / -1.
+//
+// Where the whole object is in hand before decoding (direct and DASDBS-NSM
+// objects) its strings are measured first (TupleType.StringBytes) and the
+// backing is exactly the object's own; the NSM paths meet their tuples one
+// page view at a time and cut owned strings from fixed 8 KiB chunks
+// instead. Navigation and value selections project: they read the keys and
+// child references they need with Record.Int and assemble nothing they do
+// not return.
 //
 // # Loading
 //

@@ -99,10 +99,15 @@ type nsm struct {
 	// enc is the encode buffer of the tuple being inserted.
 	enc []byte
 
-	// asm assembles point fetches. Its string backing chunks (records are
-	// met one page view at a time, so there is nothing to measure first)
-	// and carries over from fetch to fetch, so no chunk tail is wasted.
+	// asm assembles point fetches. Its owned string backing chunks (records
+	// are met one page view at a time, so there is nothing to measure
+	// first) and carries over from fetch to fetch, so no chunk tail is
+	// wasted.
 	asm assembler
+	// scan stages ScanAll's relation-ordered rows — every object's, before
+	// the first is finished — and lends the objects: a second assembler, so
+	// a point fetch from a scan's callback leaves the staged rows alone.
+	scan assembler
 }
 
 // packRID encodes a heap RID as a B+-tree value.
@@ -423,7 +428,7 @@ func (m *nsm) fetchAssembled(i int) (*cobench.Station, error) {
 		return nil, err
 	}
 	a := &m.asm
-	a.reset()
+	a.begin(true)
 	if err := m.stations.View(srid, func(rec []byte) error { return a.root(0, rec) }); err != nil {
 		return nil, err
 	}
@@ -499,7 +504,7 @@ func (m *nsm) FetchByKey(key int32) (*cobench.Station, error) {
 		return m.fetchAssembled(idx)
 	}
 	a := &m.asm
-	a.reset()
+	a.begin(true)
 	err := m.scanRelations(a, func(rootKey int32) (int32, bool, error) { return 0, rootKey == key, nil })
 	if err != nil {
 		return nil, err
@@ -543,19 +548,20 @@ func (m *nsm) scanRelations(a *assembler, slot func(rootKey int32) (obj int32, o
 // ScanAll implements Model: one physical scan of each relation, joined in
 // memory (the paper's best-case in-memory join assumption). The rows of
 // all objects are staged relation by relation — in arrays sized once from
-// the tuple counts, with the strings in shared chunks — and the objects
-// are finished one by one afterwards.
+// the tuple counts, with the strings in one arena — and the objects are
+// finished one by one afterwards, each into the one Station the view
+// lends. The staging stays with the view: a second scan allocates nothing.
 func (m *nsm) ScanAll(fn func(i int, s *cobench.Station) error) error {
 	n := len(m.stationRID)
 	if n == 0 {
 		return ErrNotLoaded
 	}
-	a := &assembler{
-		roots: make([]row[cobench.RootRecord], 0, n),
-		plats: make([]row[cobench.Platform], 0, m.nPlats),
-		conns: make([]row[cobench.Connection], 0, m.nConns),
-		sees:  make([]row[cobench.Sightseeing], 0, m.nSeeings),
-	}
+	a := &m.scan
+	a.begin(false)
+	a.roots = slices.Grow(a.roots, n)
+	a.plats = slices.Grow(a.plats, m.nPlats)
+	a.conns = slices.Grow(a.conns, m.nConns)
+	a.sees = slices.Grow(a.sees, m.nSeeings)
 	err := m.scanRelations(a, func(rootKey int32) (int32, bool, error) {
 		i, ok := m.keyIdx[rootKey]
 		if !ok {
@@ -591,7 +597,7 @@ func (m *nsm) Navigate(i int) (cobench.RootRecord, []int32, error) {
 	if err != nil {
 		return cobench.RootRecord{}, nil, err
 	}
-	children := slices.Grow([]int32(nil), len(crids)) // nil when childless, like the other models
+	children := slices.Grow(m.asm.kidsScratch(), len(crids))
 	for _, rid := range crids {
 		err := m.conns.View(rid, func(rec []byte) error {
 			oid, err := intAttr(nsmConnectionType, rec, 4) // OidConnection
@@ -605,7 +611,7 @@ func (m *nsm) Navigate(i int) (cobench.RootRecord, []int32, error) {
 			return cobench.RootRecord{}, nil, err
 		}
 	}
-	return root, children, nil
+	return root, m.asm.lendKids(children), nil
 }
 
 // ReadRoot implements Model: one tuple access in the root relation.
@@ -619,7 +625,7 @@ func (m *nsm) ReadRoot(i int) (cobench.RootRecord, error) {
 	}
 	var root cobench.RootRecord
 	err = m.stations.View(srid, func(rec []byte) error {
-		r, err := DecodeRoot(rec)
+		r, err := m.asm.lendRoot(rec)
 		if err != nil {
 			return err
 		}

@@ -235,6 +235,14 @@ func (r SizeReport) TotalPages() int {
 // "by address" (1a) and "by key value" (1b) access is which physical path
 // the model takes, mirroring the paper's accounting where address tables
 // are in-memory and free (§5.1).
+//
+// Results have one of two lifetimes (doc.go, "Assembly"). The Stations of
+// FetchByAddress and FetchByKey, and the one UpdateObject hands mutate, are
+// owned: they survive whatever the model does next. The Station a ScanAll
+// callback receives, the RootRecord.Name of Navigate, ReadRoot and
+// UpdateRoots' mutate, and Navigate's child list are lent: they live in
+// the model's own scratch and are valid until its next call — a caller
+// that keeps one copies it (Station.Clone, strings.Clone, slices.Clone).
 type Model interface {
 	// Kind returns the model identity.
 	Kind() Kind
@@ -253,16 +261,21 @@ type Model interface {
 	// key (query 1b): a physical scan of the root relation (plus whatever
 	// the model needs to assemble the rest).
 	FetchByKey(key int32) (*cobench.Station, error)
-	// ScanAll retrieves every object (query 1c).
+	// ScanAll retrieves every object (query 1c), each materialised in full
+	// into one Station that is lent to fn: valid until fn returns, then
+	// overwritten by the next object.
 	ScanAll(fn func(i int, s *cobench.Station) error) error
 	// Navigate reads the object's root record and the identifiers of its
 	// children, touching only the attributes needed (query 2 inner step).
+	// The record's Name and the list (nil for a childless object) are
+	// lent: valid until the model's next call.
 	Navigate(i int) (cobench.RootRecord, []int32, error)
 	// ReadRoot inputs just the root record of an object (query 2's
-	// grand-children step).
+	// grand-children step). Its Name is lent: valid until the next call.
 	ReadRoot(i int) (cobench.RootRecord, error)
 	// UpdateRoots applies mutate to the root records of the given objects
 	// and writes them back using the model's update mechanism (query 3).
+	// The Name mutate finds in r is lent for the duration of that call.
 	UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootRecord)) error
 	// UpdateObject applies an arbitrary (structural) mutation to one
 	// object and stores the result — an extension beyond the paper's

@@ -5,6 +5,7 @@ import (
 
 	"complexobj/cobench"
 	"complexobj/internal/disk"
+	"complexobj/internal/wal"
 )
 
 // View is a recyclable, request-scoped execution handle over a
@@ -24,6 +25,10 @@ type View struct {
 	eng  *Engine
 	m    Model
 	st   baseState // the generation this view reads
+
+	// Commit's dirty set, kept between commits (empty outside one).
+	patches map[int][]byte
+	recs    []wal.PageRecord
 }
 
 // NewView opens a fresh copy-on-write view of the base's current

@@ -50,6 +50,13 @@ func (r Result) PerUnit() iostat.PerUnit {
 // paper's queries. A Runner never loads, snapshots or restructures; a
 // request-scoped handle therefore only has to provide the read/navigate/
 // update operations below to measure bit-identically to a private model.
+//
+// Two lifetimes, as in store.Model: what FetchByAddress and FetchByKey
+// return is the caller's; the Station a ScanAll callback is handed, the
+// RootRecord.Name of Navigate / ReadRoot / UpdateRoots' mutate and
+// Navigate's child list are lent — valid until the view's next call, and
+// to be copied (Station.Clone, strings.Clone, slices.Clone) by a caller
+// that keeps them. The Runner keeps none but the child lists it walks.
 type View interface {
 	// Kind returns the storage-model identity (for result rows).
 	Kind() store.Kind
@@ -61,11 +68,12 @@ type View interface {
 	FetchByAddress(i int) (*cobench.Station, error)
 	// FetchByKey retrieves one whole object by key selection (query 1b).
 	FetchByKey(key int32) (*cobench.Station, error)
-	// ScanAll retrieves every object (query 1c).
+	// ScanAll retrieves every object (query 1c); s is lent.
 	ScanAll(fn func(i int, s *cobench.Station) error) error
-	// Navigate reads a root record and its children's identifiers (2/3).
+	// Navigate reads a root record and its children's identifiers (2/3);
+	// the name and the list are lent.
 	Navigate(i int) (cobench.RootRecord, []int32, error)
-	// ReadRoot inputs just the root record of an object.
+	// ReadRoot inputs just the root record of an object; the name is lent.
 	ReadRoot(i int) (cobench.RootRecord, error)
 	// UpdateRoots applies mutate to root records and writes them back (3).
 	UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootRecord)) error
@@ -78,6 +86,9 @@ type Runner struct {
 	model View
 	w     cobench.Workload
 	ctx   context.Context
+	// children and grand are loop's copies of what Navigate lends: the
+	// view's child list is overwritten by the next Navigate.
+	children, grand []int32
 }
 
 // NewRunner wraps a loaded view with workload parameters. store.Model is
@@ -256,13 +267,14 @@ func (r *Runner) runQ1c() (Result, error) {
 // grand-children; with update=true the grand-children root records are then
 // updated as one batch.
 func (r *Runner) loop(root int, stamp int, update bool) (touched int64, err error) {
-	_, children, err := r.model.Navigate(root)
+	_, kids, err := r.model.Navigate(root)
 	if err != nil {
 		return 0, err
 	}
 	touched = 1
-	var grand []int32
-	for _, c := range children {
+	r.children = append(r.children[:0], kids...)
+	grand := r.grand[:0]
+	for _, c := range r.children {
 		_, kids, err := r.model.Navigate(int(c))
 		if err != nil {
 			return 0, err
@@ -270,6 +282,7 @@ func (r *Runner) loop(root int, stamp int, update bool) (touched int64, err erro
 		touched++
 		grand = append(grand, kids...)
 	}
+	r.grand = grand
 	for _, g := range grand {
 		if _, err := r.model.ReadRoot(int(g)); err != nil {
 			return 0, err

@@ -159,3 +159,46 @@ func TestStringsBacking(t *testing.T) {
 		t.Errorf("unreserved adds cost %v allocations per 10 strings", chunked)
 	}
 }
+
+// TestStringsReset pins the scratch lifetime: between Resets values read
+// back what was added; a repeated use — measured (Reset, Grow, Adds) or
+// chunked through several buffers — settles on one buffer and allocates
+// nothing more; and under the poison tag a value kept across a Reset reads
+// 0xDB, not the next use's bytes.
+func TestStringsReset(t *testing.T) {
+	payload := []byte("Hauptbahnhof")
+	var kept [10]string
+	var s Strings
+	measured := func() {
+		s.Reset()
+		s.Grow(len(kept) * len(payload))
+		for i := range kept {
+			kept[i] = s.Add(payload)
+		}
+	}
+	chunked := func() { // 40 KiB: five chunks on the first pass
+		s.Reset()
+		for i := 0; i < 40<<10/len(payload); i++ {
+			kept[i%len(kept)] = s.Add(payload)
+		}
+	}
+	for name, use := range map[string]func(){"measured": measured, "chunked": chunked} {
+		use() // sizes the buffer; a chunked first pass spills
+		use() // Reset consolidates what spilt
+		if got := testing.AllocsPerRun(20, use); got != 0 && !poison {
+			t.Errorf("%s: a repeated use costs %v allocations, want 0", name, got)
+		}
+		if strings.Join(kept[:], "") != strings.Repeat("Hauptbahnhof", len(kept)) {
+			t.Errorf("%s: values read %q", name, kept)
+		}
+	}
+	old := kept[0]
+	s.Reset()
+	fresh := s.Add([]byte("Zoologischer"))
+	if fresh != "Zoologischer" {
+		t.Errorf("after Reset, Add returned %q", fresh)
+	}
+	if poison && old != strings.Repeat("\xdb", len(payload)) {
+		t.Errorf("poison build: a value kept across Reset reads %q", old)
+	}
+}
