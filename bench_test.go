@@ -59,7 +59,8 @@ func BenchmarkFetchByAddress(b *testing.B) {
 }
 
 // BenchmarkEncodeStation measures NF² encoding of an average benchmark
-// object (the serialization cost under every storage model).
+// object from its tuple tree: the library's Encode, which the storage
+// models' appender-built records are tested against.
 func BenchmarkEncodeStation(b *testing.B) {
 	stations, err := cobench.Generate(cobench.DefaultConfig().WithN(50))
 	if err != nil {

@@ -3,8 +3,11 @@ package cobench
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 
 	"complexobj/internal/xrand"
+	"complexobj/nf2"
 )
 
 // Config parameterizes the benchmark extension generator (paper §2.1 and
@@ -118,13 +121,19 @@ func pick(rng *xrand.Source, list []string) string { return list[rng.Intn(len(li
 // structure, one for the sightseeings. Consequently the object graph is
 // identical across MaxSeeing settings, which lets the Figure 5 experiment
 // isolate the pure object-size effect.
+//
+// A station costs four allocations whatever it holds: itself and one
+// array each, sized to what it holds, for its platforms, its connections
+// (shared by the platforms, as Clone's) and its sightseeings. The strings are cut
+// from one arena per extension, only ever appended to, so they are owned.
 func Generate(c Config) ([]*Station, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
+	g := generator{c: c}
 	stations := make([]*Station, c.N)
 	for i := range stations {
-		st, err := genStation(c, i)
+		st, err := g.station(i)
 		if err != nil {
 			return nil, err
 		}
@@ -133,13 +142,43 @@ func Generate(c Config) ([]*Station, error) {
 	return stations, nil
 }
 
-func genStation(c Config, index int) (*Station, error) {
+// generator is what one Generate call carries from station to station.
+type generator struct {
+	c     Config
+	strs  nf2.Strings  // every STR value of the extension; never Reset
+	buf   line         // the STR value being written
+	plats []Platform   // the station being drawn, until its fan-outs are known
+	conns []Connection // its connections, in platform order
+}
+
+// line is a STR value being written. The values are formatted by appends
+// in the order the fmt.Sprintf calls they replace evaluated their
+// arguments, left to right, so the random draws — and with them every
+// generated byte — are the original generator's (TestGenerateGolden).
+type line []byte
+
+func (l line) str(s string) line { return append(l, s...) }
+func (l line) num(v int) line    { return strconv.AppendInt(l, int64(v), 10) }
+
+// two appends v, below 100, as %02d does.
+func (l line) two(v int) line { return append(l, byte('0'+v/10), byte('0'+v%10)) }
+
+// cut ends the value l, written from g.buf, at the STR capacity and
+// returns it as a string of the arena.
+func (g *generator) cut(l line) string {
+	g.buf = l[:0]
+	return g.strs.Add(l[:min(len(l), StrSize)])
+}
+
+func (g *generator) station(index int) (*Station, error) {
+	c := g.c
 	rng := xrand.New(xrand.Mix(c.Seed, uint64(index)*2))
 	seeRng := xrand.New(xrand.Mix(c.Seed, uint64(index)*2+1))
 	s := &Station{
 		Key:  KeyOf(index),
-		Name: truncate(fmt.Sprintf("%s Centraal %d (%s line)", pick(rng, cityNames), index, pick(rng, words)), StrSize),
+		Name: g.cut(g.buf.str(pick(rng, cityNames)).str(" Centraal ").num(index).str(" (").str(pick(rng, words)).str(" line)")),
 	}
+	plats, conns := g.plats[:0], g.conns[:0]
 	for slot := 0; slot < c.Fanout; slot++ {
 		if !rng.Bool(c.Prob) {
 			continue
@@ -147,12 +186,13 @@ func genStation(c Config, index int) (*Station, error) {
 		p := Platform{
 			Nr:          int32(slot + 1),
 			TicketCode:  int32(rng.Intn(9000) + 1000),
-			Information: truncate(fmt.Sprintf("platform %d: %s services, %s side", slot+1, pick(rng, words), pick(rng, words)), StrSize),
+			Information: g.cut(g.buf.str("platform ").num(slot + 1).str(": ").str(pick(rng, words)).str(" services, ").str(pick(rng, words)).str(" side")),
 		}
 		// Each of Fanout railroads exists with probability Prob; each
 		// existing railroad establishes Fanout connections, each again with
 		// probability Prob (paper: at most 4 connections per platform, each
 		// effectively with probability 0.8² = 0.64).
+		first := len(conns)
 		for rail := 0; rail < c.Fanout; rail++ {
 			if !rng.Bool(c.Prob) {
 				continue
@@ -163,39 +203,54 @@ func genStation(c Config, index int) (*Station, error) {
 					continue
 				}
 				target := rng.Intn(c.N)
-				p.Conns = append(p.Conns, Connection{
+				times := g.buf // three departures, "%02d:%02d" each
+				for k := 0; k < 3; k++ {
+					if k > 0 {
+						times = times.str(" ")
+					}
+					times = times.two(rng.Intn(24)).str(":").two(rng.Intn(60))
+				}
+				conns = append(conns, Connection{
 					LineNr:         int32(rail + 1),
 					KeyConnection:  KeyOf(target),
 					OidConnection:  int32(target),
-					DepartureTimes: truncate(fmt.Sprintf("%02d:%02d %02d:%02d %02d:%02d", rng.Intn(24), rng.Intn(60), rng.Intn(24), rng.Intn(60), rng.Intn(24), rng.Intn(60)), StrSize),
+					DepartureTimes: g.cut(times),
 				})
 			}
 		}
-		s.Platforms = append(s.Platforms, p)
+		p.Conns = conns[first:] // counted here, cut from the station's own array below
+		plats = append(plats, p)
 	}
-	nsee := seeRng.Intn(c.MaxSeeing + 1)
-	for j := 0; j < nsee; j++ {
-		s.Seeings = append(s.Seeings, Sightseeing{
+	g.plats, g.conns = plats, conns
+	if len(plats) > 0 {
+		s.Platforms = slices.Clone(plats)
+		own := slices.Clone(conns)
+		for i := range s.Platforms {
+			n := len(s.Platforms[i].Conns)
+			s.Platforms[i].Conns = nil
+			if n > 0 {
+				s.Platforms[i].Conns, own = own[:n:n], own[n:]
+			}
+		}
+	}
+	if nsee := seeRng.Intn(c.MaxSeeing + 1); nsee > 0 {
+		s.Seeings = make([]Sightseeing, nsee)
+	}
+	for j := range s.Seeings {
+		s.Seeings[j] = Sightseeing{
 			Nr:          int32(j + 1),
-			Description: truncate(fmt.Sprintf("the old %s of %s", pick(seeRng, words), pick(seeRng, cityNames)), StrSize),
-			Location:    truncate(fmt.Sprintf("%s street %d", pick(seeRng, words), seeRng.Intn(200)+1), StrSize),
-			History:     truncate(fmt.Sprintf("built %d, restored %d", 1500+seeRng.Intn(400), 1900+seeRng.Intn(90)), StrSize),
-			Remarks:     truncate(fmt.Sprintf("open %d-%d, %s", 8+seeRng.Intn(3), 16+seeRng.Intn(6), pick(seeRng, words)), StrSize),
-		})
+			Description: g.cut(g.buf.str("the old ").str(pick(seeRng, words)).str(" of ").str(pick(seeRng, cityNames))),
+			Location:    g.cut(g.buf.str(pick(seeRng, words)).str(" street ").num(seeRng.Intn(200) + 1)),
+			History:     g.cut(g.buf.str("built ").num(1500 + seeRng.Intn(400)).str(", restored ").num(1900 + seeRng.Intn(90))),
+			Remarks:     g.cut(g.buf.str("open ").num(8 + seeRng.Intn(3)).str("-").num(16 + seeRng.Intn(6)).str(", ").str(pick(seeRng, words))),
+		}
 	}
 	s.NoPlatform = int32(len(s.Platforms))
 	s.NoSeeing = int32(len(s.Seeings))
-	if enc := StationType.EncodedSize(s.Tuple()); enc > 60000 {
+	if enc := s.EncodedSize(); enc > 60000 {
 		return nil, fmt.Errorf("cobench: station %d encodes to %d bytes, too large for the engine", index, enc)
 	}
 	return s, nil
-}
-
-func truncate(s string, n int) string {
-	if len(s) > n {
-		return s[:n]
-	}
-	return s
 }
 
 // Stats summarizes a generated extension; the paper reports the realised
@@ -225,7 +280,7 @@ func Describe(stations []*Station) Stats {
 		plat += float64(len(s.Platforms))
 		conn += float64(nc)
 		see += float64(len(s.Seeings))
-		bytes += float64(StationType.EncodedSize(s.Tuple()))
+		bytes += float64(s.EncodedSize())
 		for _, child := range s.Children() {
 			grand += float64(stations[child].NumConnections())
 		}
@@ -265,7 +320,7 @@ func SizeHistogram(stations []*Station) []SizeBucket {
 	counts := map[int]int{}
 	maxPages := 0
 	for _, s := range stations {
-		enc := StationType.EncodedSize(s.Tuple())
+		enc := s.EncodedSize()
 		pages := (enc + effPage - 1) / effPage
 		counts[pages]++
 		if pages > maxPages {

@@ -10,6 +10,7 @@ package cobench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"complexobj/nf2"
@@ -308,10 +309,29 @@ func StationFromTuple(t nf2.Tuple) (*Station, error) {
 	return s, nil
 }
 
-// Equal reports deep equality of two stations.
+// EncodedSize returns the number of bytes StationType.Encode produces for
+// s.Tuple(), from the fan-outs alone: every attribute has a fixed width,
+// so nothing is built to be measured.
+func (s *Station) EncodedSize() int {
+	sub := len(s.Seeings) * SightseeingType.FlatSize()
+	for _, p := range s.Platforms {
+		sub += PlatformType.NestedSize(len(p.Conns), len(p.Conns)*ConnectionType.FlatSize())
+	}
+	return StationType.NestedSize(len(s.Platforms)+len(s.Seeings), sub)
+}
+
+// Equal reports deep equality of two stations: every attribute and every
+// sub-object, in order (an empty sub-relation equals a nil one). For
+// stations whose strings respect StrSize it is
+// StationType.Equal(s.Tuple(), o.Tuple()), without the tuples.
 func (s *Station) Equal(o *Station) bool {
 	if s == nil || o == nil {
 		return s == o
 	}
-	return StationType.Equal(s.Tuple(), o.Tuple())
+	return s.Root() == o.Root() &&
+		slices.EqualFunc(s.Platforms, o.Platforms, func(p, q Platform) bool {
+			return p.Nr == q.Nr && p.NoLine == q.NoLine && p.TicketCode == q.TicketCode &&
+				p.Information == q.Information && slices.Equal(p.Conns, q.Conns)
+		}) &&
+		slices.Equal(s.Seeings, o.Seeings)
 }

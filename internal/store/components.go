@@ -28,19 +28,46 @@ var RootType = nf2.MustTupleType("StationRoot",
 	nf2.Attr{Name: "Name", Type: nf2.StringType(cobench.StrSize)},
 )
 
-// EncodeRoot serializes a root record; the result has a fixed size, which
-// is what makes query 3's "update atomic attributes" a same-size in-place
-// operation for every storage model.
-func EncodeRoot(r cobench.RootRecord) ([]byte, error) { return appendRoot(nil, r) }
-
-// appendRoot appends the encoded root record to dst.
+// appendRoot appends the encoded root record to dst. It has a fixed size,
+// which is what makes query 3's "update atomic attributes" a same-size
+// in-place operation for every storage model.
 func appendRoot(dst []byte, r cobench.RootRecord) ([]byte, error) {
-	return RootType.AppendEncode(dst, nf2.NewTuple(
-		nf2.IntValue(r.Key),
-		nf2.IntValue(r.NoPlatform),
-		nf2.IntValue(r.NoSeeing),
-		nf2.StringValue(r.Name),
-	))
+	a := RootType.Appender(dst)
+	putRoot(&a, r)
+	return a.Finish()
+}
+
+// putRoot, putPlatform, putConnection and putSightseeing supply an
+// object's own attributes in Figure 1's order: the tail of its tuple under
+// every model, whatever keys the model's schema puts in front and whatever
+// it nests behind.
+func putRoot(a *nf2.Appender, r cobench.RootRecord) {
+	a.Int(r.Key)
+	a.Int(r.NoPlatform)
+	a.Int(r.NoSeeing)
+	a.Str(r.Name)
+}
+
+func putPlatform(a *nf2.Appender, p *cobench.Platform) {
+	a.Int(p.Nr)
+	a.Int(p.NoLine)
+	a.Int(p.TicketCode)
+	a.Str(p.Information)
+}
+
+func putConnection(a *nf2.Appender, c *cobench.Connection) {
+	a.Int(c.LineNr)
+	a.Int(c.KeyConnection)
+	a.Link(c.OidConnection)
+	a.Str(c.DepartureTimes)
+}
+
+func putSightseeing(a *nf2.Appender, g *cobench.Sightseeing) {
+	a.Int(g.Nr)
+	a.Str(g.Description)
+	a.Str(g.Location)
+	a.Str(g.History)
+	a.Str(g.Remarks)
 }
 
 // decodeRoot parses an encoded root record, its name packed into backing.
@@ -54,37 +81,6 @@ func decodeRoot(data []byte, backing *nf2.Strings) (cobench.RootRecord, error) {
 // selections evaluate their predicate without materializing the record).
 func DecodeRootKey(data []byte) (int32, error) {
 	return intAttr(RootType, data, 0)
-}
-
-// appendPlatform appends one encoded platform subtuple (with nested
-// connections, the benchmark schema) to dst.
-func appendPlatform(dst []byte, p cobench.Platform) ([]byte, error) {
-	conns := make([]nf2.Tuple, len(p.Conns))
-	for j, c := range p.Conns {
-		conns[j] = nf2.NewTuple(
-			nf2.IntValue(c.LineNr),
-			nf2.IntValue(c.KeyConnection),
-			nf2.LinkValue(c.OidConnection),
-			nf2.StringValue(c.DepartureTimes),
-		)
-	}
-	return cobench.PlatformType.AppendEncode(dst, nf2.NewTuple(
-		nf2.IntValue(p.Nr),
-		nf2.IntValue(p.NoLine),
-		nf2.IntValue(p.TicketCode),
-		nf2.StringValue(p.Information),
-		nf2.RelValue(conns),
-	))
-}
-
-func appendSightseeing(dst []byte, g cobench.Sightseeing) ([]byte, error) {
-	return cobench.SightseeingType.AppendEncode(dst, nf2.NewTuple(
-		nf2.IntValue(g.Nr),
-		nf2.StringValue(g.Description),
-		nf2.StringValue(g.Location),
-		nf2.StringValue(g.History),
-		nf2.StringValue(g.Remarks),
-	))
 }
 
 // appendPlatformChildren appends the child references of an encoded
@@ -116,27 +112,33 @@ func appendPlatformChildren(dst []int32, data []byte) ([]int32, error) {
 func (m *direct) components(s *cobench.Station) ([]longobj.Component, error) {
 	buf, comps := m.enc[:0], m.comps[:0]
 	defer func() { m.enc, m.comps = buf, comps }()
-	cut := func(tag uint8, from int) {
-		comps = append(comps, longobj.Component{Tag: tag, Data: buf[from:len(buf):len(buf)]})
+	add := func(tag uint8, a *nf2.Appender) (err error) {
+		from := len(buf)
+		if buf, err = a.Finish(); err == nil {
+			comps = append(comps, longobj.Component{Tag: tag, Data: buf[from:len(buf):len(buf)]})
+		}
+		return err
 	}
-	var err error
-	if buf, err = appendRoot(buf, s.Root()); err != nil {
+	root := RootType.Appender(buf)
+	putRoot(&root, s.Root())
+	if err := add(TagRoot, &root); err != nil {
 		return nil, err
 	}
-	cut(TagRoot, 0)
-	for _, p := range s.Platforms {
-		from := len(buf)
-		if buf, err = appendPlatform(buf, p); err != nil {
+	for i := range s.Platforms {
+		p := &s.Platforms[i]
+		a := cobench.PlatformType.Appender(buf)
+		putPlatform(&a, p)
+		a.Rel(len(p.Conns), func(j int) { putConnection(&a, &p.Conns[j]) })
+		if err := add(TagPlatform, &a); err != nil {
 			return nil, err
 		}
-		cut(TagPlatform, from)
 	}
-	for _, g := range s.Seeings {
-		from := len(buf)
-		if buf, err = appendSightseeing(buf, g); err != nil {
+	for i := range s.Seeings {
+		a := cobench.SightseeingType.Appender(buf)
+		putSightseeing(&a, &s.Seeings[i])
+		if err := add(TagSightseeing, &a); err != nil {
 			return nil, err
 		}
-		cut(TagSightseeing, from)
 	}
 	return comps, nil
 }

@@ -29,7 +29,7 @@ type direct struct {
 	keyIdx  map[int32]int
 	shared  bool // addr and keyIdx are a generation's: copy before writing
 	asm     assembler
-	enc     []byte              // encode buffer of the object being stored
+	enc     []byte              // encode buffer of the object, or root record, being stored
 	comps   []longobj.Component // its components, aliasing enc
 }
 
@@ -288,11 +288,10 @@ func (m *direct) UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootR
 				return err
 			}
 			mutate(idx, &root)
-			data, err := EncodeRoot(root)
-			if err != nil {
+			if m.enc, err = appendRoot(m.enc[:0], root); err != nil {
 				return err
 			}
-			if _, err := m.objs.ChangeComponent(m.addr[i], cidx[0], data); err != nil {
+			if _, err := m.objs.ChangeComponent(m.addr[i], cidx[0], m.enc); err != nil {
 				return err
 			}
 			continue
@@ -311,10 +310,10 @@ func (m *direct) UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootR
 				return err
 			}
 			mutate(idx, &root)
-			comps[ci].Data, err = EncodeRoot(root)
-			if err != nil {
+			if m.enc, err = appendRoot(m.enc[:0], root); err != nil {
 				return err
 			}
+			comps[ci].Data = m.enc
 			replaced = true
 		}
 		if !replaced {

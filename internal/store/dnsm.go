@@ -71,7 +71,7 @@ type dnsm struct {
 	keyIdx map[int32]int
 	shared bool // refs and keyIdx are a generation's: copy before writing
 	asm    assembler
-	enc    []byte // encode buffer of the station being stored
+	enc    []byte // encode buffer of the station, or root record, being stored
 }
 
 // positions in refs entries.
@@ -124,48 +124,32 @@ func (m *dnsm) NumObjects() int { return len(m.refs) }
 // — longobj copies what it stores — before the next call. (A tuple cut
 // before the buffer had to grow keeps the array it was cut from.)
 func (m *dnsm) tuples(s *cobench.Station) (recs [4][]byte, err error) {
-	pts := make([]nf2.Tuple, len(s.Platforms))
-	cts := make([]nf2.Tuple, len(s.Platforms))
-	for i, p := range s.Platforms {
-		pts[i] = nf2.NewTuple(
-			nf2.IntValue(int32(i+1)),
-			nf2.IntValue(p.Nr),
-			nf2.IntValue(p.NoLine),
-			nf2.IntValue(p.TicketCode),
-			nf2.StringValue(p.Information),
-		)
-		inner := make([]nf2.Tuple, len(p.Conns))
-		for j, c := range p.Conns {
-			inner[j] = nf2.NewTuple(
-				nf2.IntValue(c.LineNr),
-				nf2.IntValue(c.KeyConnection),
-				nf2.LinkValue(c.OidConnection),
-				nf2.StringValue(c.DepartureTimes),
-			)
-		}
-		cts[i] = nf2.NewTuple(nf2.IntValue(int32(i+1)), nf2.RelValue(inner))
-	}
-	gts := make([]nf2.Tuple, len(s.Seeings))
-	for i, g := range s.Seeings {
-		gts[i] = nf2.NewTuple(
-			nf2.IntValue(g.Nr),
-			nf2.StringValue(g.Description),
-			nf2.StringValue(g.Location),
-			nf2.StringValue(g.History),
-			nf2.StringValue(g.Remarks),
-		)
-	}
 	buf := m.enc[:0]
 	defer func() { m.enc = buf }()
-	rels := [4][]nf2.Tuple{dnsmPlatform: pts, dnsmConnection: cts, dnsmSightseeing: gts}
 	for slot, tt := range dnsmTypes {
 		from := len(buf)
-		if slot == dnsmStation {
-			buf, err = appendRoot(buf, s.Root())
-		} else {
-			buf, err = tt.AppendEncode(buf, nf2.NewTuple(nf2.IntValue(s.Key), nf2.RelValue(rels[slot])))
+		a := tt.Appender(buf)
+		switch slot { // Figure 4: the root key, then the relation of the object's sub-tuples
+		case dnsmStation:
+			putRoot(&a, s.Root())
+		case dnsmPlatform:
+			a.Int(s.Key)
+			a.Rel(len(s.Platforms), func(i int) {
+				a.Int(int32(i + 1))
+				putPlatform(&a, &s.Platforms[i])
+			})
+		case dnsmConnection:
+			a.Int(s.Key)
+			a.Rel(len(s.Platforms), func(i int) {
+				conns := s.Platforms[i].Conns
+				a.Int(int32(i + 1))
+				a.Rel(len(conns), func(j int) { putConnection(&a, &conns[j]) })
+			})
+		case dnsmSightseeing:
+			a.Int(s.Key)
+			a.Rel(len(s.Seeings), func(i int) { putSightseeing(&a, &s.Seeings[i]) })
 		}
-		if err != nil {
+		if buf, err = a.Finish(); err != nil {
 			return recs, err
 		}
 		recs[slot] = buf[from:len(buf):len(buf)]
@@ -414,11 +398,10 @@ func (m *dnsm) UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootRec
 			return err
 		}
 		mutate(idx, &root)
-		rec, err := EncodeRoot(root)
-		if err != nil {
+		if m.enc, err = appendRoot(m.enc[:0], root); err != nil {
 			return err
 		}
-		if err := m.stations.ReplaceAll(m.refs[i][dnsmStation], []longobj.Component{{Tag: 0, Data: rec}}); err != nil {
+		if err := m.stations.ReplaceAll(m.refs[i][dnsmStation], []longobj.Component{{Tag: 0, Data: m.enc}}); err != nil {
 			return err
 		}
 	}

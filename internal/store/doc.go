@@ -67,15 +67,19 @@
 // load is built in place. Load starts with a sizing pass (sizing.go): it
 // walks the extension, counts the pages the inserts will allocate and
 // reserves them on the device in one piece (disk.Disk.Reserve). No size
-// is written down anywhere — tuple sizes are nf2's EncodedSize applied to
-// hollow tuples (STR attributes are fixed-width, so only the fan-outs
-// matter) and page counts come from heap.Sizer and longobj.Sizer, which
-// share their arithmetic with the insert paths — so the pass cannot drift
-// from the encoder, and when it misses something (the counted-index
-// ablation's B+-trees) the device's doubling fallback takes over. The
-// inserts then encode each station's sub-tuples into one reused buffer
-// per model (nf2.AppendEncode) and longobj lays large objects out in
-// reused page images, so the arena is what a load allocates.
+// is written down anywhere and nothing is built to be measured — STR
+// attributes are fixed-width, so a tuple's size is its fan-outs times
+// nf2's arithmetic on its schema (TupleType.FlatSize / NestedSize), and
+// page counts come from heap.Sizer and longobj.Sizer, which share their
+// arithmetic with the insert paths — and when the pass misses something
+// (the counted-index ablation's B+-trees) the device's doubling fallback
+// takes over. The inserts then write each station's records straight from
+// the cobench structs into one reused buffer per model with an
+// nf2.Appender (components.go lists the attributes, once for all models),
+// never through an nf2.Tuple tree — that encoder is the tests' oracle —
+// and longobj lays large objects out in reused page images, so the arena
+// is what a load allocates. The same buffer takes the root record an
+// update re-encodes: heap and longobj copy what they are handed.
 //
 // LoadBase(kind, opts, stations) is the way to build a SharedBase from an
 // extension: it loads into a heap arena and then hands that arena over —

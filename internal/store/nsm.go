@@ -96,7 +96,7 @@ type nsm struct {
 	// model is safe.
 	ridScratch []heap.RID
 
-	// enc is the encode buffer of the tuple being inserted.
+	// enc is the encode buffer of the tuple being inserted or updated.
 	enc []byte
 
 	// asm assembles point fetches. Its owned string backing chunks (records
@@ -201,7 +201,7 @@ func (m *nsm) reserve(stations []*cobench.Station) {
 	var sizers [4]heap.Sizer
 	var sizes [4]int
 	for r, rel := range m.relations() {
-		sizers[r], sizes[r] = heap.NewSizer(m.eng.Dev.PageSize()), flatSize(rel.tt)
+		sizers[r], sizes[r] = heap.NewSizer(m.eng.Dev.PageSize()), rel.tt.FlatSize()
 	}
 	for _, s := range stations {
 		counts := [4]int{1, len(s.Platforms), 0, len(s.Seeings)}
@@ -221,11 +221,12 @@ func (m *nsm) reserve(stations []*cobench.Station) {
 	m.eng.Dev.Reserve(pages)
 }
 
-// insert encodes t into the model's one encode buffer and stores it in h,
-// which copies it into a page before the next tuple overwrites the buffer.
-func (m *nsm) insert(h *heap.Heap, tt *nf2.TupleType, t nf2.Tuple) (heap.RID, error) {
+// insert stores in h the tuple a was supplied with — encoded into the
+// model's one encode buffer, which h copies into a page before the next
+// tuple overwrites it.
+func (m *nsm) insert(h *heap.Heap, a *nf2.Appender) (heap.RID, error) {
 	var err error
-	if m.enc, err = tt.AppendEncode(m.enc[:0], t); err != nil {
+	if m.enc, err = a.Finish(); err != nil {
 		return heap.RID{}, err
 	}
 	return h.Insert(m.enc)
@@ -242,46 +243,34 @@ func (m *nsm) insertSubs(s *cobench.Station) (prids, crids, grids []heap.RID, er
 	crids = make([]heap.RID, 0, nConns)
 	grids = make([]heap.RID, 0, len(s.Seeings))
 	var rid heap.RID
-	for pi, p := range s.Platforms {
-		rid, err = m.insert(m.plats, nsmPlatformType, nf2.NewTuple(
-			nf2.IntValue(s.Key),
-			nf2.IntValue(int32(pi+1)),
-			nf2.IntValue(p.Nr),
-			nf2.IntValue(p.NoLine),
-			nf2.IntValue(p.TicketCode),
-			nf2.StringValue(p.Information),
-		))
-		if err != nil {
+	for pi := range s.Platforms {
+		p := &s.Platforms[pi]
+		a := nsmPlatformType.Appender(m.enc[:0])
+		a.Int(s.Key)
+		a.Int(int32(pi + 1))
+		putPlatform(&a, p)
+		if rid, err = m.insert(m.plats, &a); err != nil {
 			return nil, nil, nil, err
 		}
 		prids = append(prids, rid)
 		m.nPlats++
-		for _, c := range p.Conns {
-			rid, err = m.insert(m.conns, nsmConnectionType, nf2.NewTuple(
-				nf2.IntValue(s.Key),
-				nf2.IntValue(int32(pi+1)),
-				nf2.IntValue(c.LineNr),
-				nf2.IntValue(c.KeyConnection),
-				nf2.LinkValue(c.OidConnection),
-				nf2.StringValue(c.DepartureTimes),
-			))
-			if err != nil {
+		for ci := range p.Conns {
+			a := nsmConnectionType.Appender(m.enc[:0])
+			a.Int(s.Key)
+			a.Int(int32(pi + 1))
+			putConnection(&a, &p.Conns[ci])
+			if rid, err = m.insert(m.conns, &a); err != nil {
 				return nil, nil, nil, err
 			}
 			crids = append(crids, rid)
 			m.nConns++
 		}
 	}
-	for _, g := range s.Seeings {
-		rid, err = m.insert(m.seeings, nsmSightseeingType, nf2.NewTuple(
-			nf2.IntValue(s.Key),
-			nf2.IntValue(g.Nr),
-			nf2.StringValue(g.Description),
-			nf2.StringValue(g.Location),
-			nf2.StringValue(g.History),
-			nf2.StringValue(g.Remarks),
-		))
-		if err != nil {
+	for gi := range s.Seeings {
+		a := nsmSightseeingType.Appender(m.enc[:0])
+		a.Int(s.Key)
+		putSightseeing(&a, &s.Seeings[gi])
+		if rid, err = m.insert(m.seeings, &a); err != nil {
 			return nil, nil, nil, err
 		}
 		grids = append(grids, rid)
@@ -651,15 +640,14 @@ func (m *nsm) UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootReco
 			return err
 		}
 		mutate(idx, &root)
-		rec, err := EncodeRoot(root)
-		if err != nil {
+		if m.enc, err = appendRoot(m.enc[:0], root); err != nil {
 			return err
 		}
 		srid, err := m.stationRIDAt(i)
 		if err != nil {
 			return err
 		}
-		if err := m.stations.Update(srid, rec); err != nil {
+		if err := m.stations.Update(srid, m.enc); err != nil {
 			return err
 		}
 	}
@@ -689,11 +677,10 @@ func (m *nsm) UpdateObject(i int, mutate func(s *cobench.Station) error) error {
 	}
 	st.NoPlatform = int32(len(st.Platforms))
 	st.NoSeeing = int32(len(st.Seeings))
-	root, err := EncodeRoot(st.Root())
-	if err != nil {
+	if m.enc, err = appendRoot(m.enc[:0], st.Root()); err != nil {
 		return err
 	}
-	if err := m.stations.Update(m.stationRID[i], root); err != nil {
+	if err := m.stations.Update(m.stationRID[i], m.enc); err != nil {
 		return err
 	}
 	if m.shared {

@@ -35,21 +35,25 @@ var (
 
 const maxEncoded = 1<<16 - 1
 
+// FlatSize returns the encoded size of a tt tuple whose relations are all
+// empty — of every tt tuple, when tt has no relation attribute: a STR
+// occupies its declared capacity whatever it holds, so the schema alone
+// fixes it.
+func (tt *TupleType) FlatSize() int { return tt.flat }
+
+// NestedSize returns the encoded size of a tt tuple whose relations hold,
+// between them, n sub-tuples of subBytes encoded bytes in total. With
+// FlatSize it sizes any tuple from its fan-outs, without building it.
+func (tt *TupleType) NestedSize(n, subBytes int) int { return tt.flat + 2*n + subBytes }
+
 // EncodedSize returns the exact number of bytes Encode will produce for t.
 // It does not validate; call Validate first for untrusted tuples.
 func (tt *TupleType) EncodedSize(t Tuple) int {
-	n := 2 + 2*len(tt.Attrs)
+	n := tt.flat
 	for i, a := range tt.Attrs {
-		switch a.Type.Kind {
-		case Int, Link:
-			n += 4
-		case String:
-			n += 2 + a.Type.Size
-		case Rel:
-			subs := t.Vals[i].rel
-			n += 2 + 2*len(subs)
-			for _, sub := range subs {
-				n += a.Type.Elem.EncodedSize(sub)
+		if a.Type.Kind == Rel {
+			for _, sub := range t.Vals[i].rel {
+				n += 2 + a.Type.Elem.EncodedSize(sub)
 			}
 		}
 	}
@@ -61,9 +65,8 @@ func (tt *TupleType) EncodedSize(t Tuple) int {
 func (tt *TupleType) Encode(t Tuple) ([]byte, error) { return tt.AppendEncode(nil, t) }
 
 // AppendEncode validates t against the schema and appends its encoding
-// to dst, growing dst at most once: the form for callers that encode many
-// tuples into one buffer they reuse (a bulk load encodes a whole object's
-// sub-tuples this way). On error dst is returned as it was given.
+// to dst, growing dst at most once: Encode into a buffer the caller
+// reuses. On error dst is returned as it was given.
 func (tt *TupleType) AppendEncode(dst []byte, t Tuple) ([]byte, error) {
 	if err := tt.Validate(t); err != nil {
 		return dst, err
@@ -72,10 +75,7 @@ func (tt *TupleType) AppendEncode(dst []byte, t Tuple) ([]byte, error) {
 	if size > maxEncoded {
 		return dst, fmt.Errorf("%w: %s is %d bytes", ErrTupleTooLarge, tt.Name, size)
 	}
-	buf, err := tt.appendSized(slices.Grow(dst, size), t, size)
-	if err != nil {
-		return dst, err
-	}
+	buf := tt.appendTuple(slices.Grow(dst, size), t)
 	if len(buf)-len(dst) != size {
 		return dst, fmt.Errorf("nf2: internal size mismatch for %s: computed %d, wrote %d",
 			tt.Name, size, len(buf)-len(dst))
@@ -83,57 +83,33 @@ func (tt *TupleType) AppendEncode(dst []byte, t Tuple) ([]byte, error) {
 	return buf, nil
 }
 
-func (tt *TupleType) appendTuple(buf []byte, t Tuple) ([]byte, error) {
-	size := tt.EncodedSize(t)
-	if size > maxEncoded {
-		return nil, fmt.Errorf("%w: %s is %d bytes", ErrTupleTooLarge, tt.Name, size)
-	}
-	return tt.appendSized(buf, t, size)
-}
-
-// appendSized is appendTuple for a tuple whose encoded size the caller
-// has computed and checked.
-func (tt *TupleType) appendSized(buf []byte, t Tuple, size int) ([]byte, error) {
+// appendTuple appends a valid tuple that fits 64 KiB, as its sub-tuples
+// then do.
+func (tt *TupleType) appendTuple(buf []byte, t Tuple) []byte {
 	base := len(buf)
-	buf = append(buf, 0, 0)
-	binary.BigEndian.PutUint16(buf[base:], uint16(size))
-	dirBase := len(buf)
-	for range tt.Attrs {
-		buf = append(buf, 0, 0)
-	}
+	buf = append(buf, make([]byte, 2+2*len(tt.Attrs))...)
 	for i, a := range tt.Attrs {
-		binary.BigEndian.PutUint16(buf[dirBase+2*i:], uint16(len(buf)-base))
+		binary.BigEndian.PutUint16(buf[base+2+2*i:], uint16(len(buf)-base))
 		v := t.Vals[i]
 		switch a.Type.Kind {
 		case Int, Link:
-			buf = append(buf, 0, 0, 0, 0)
-			binary.BigEndian.PutUint32(buf[len(buf)-4:], uint32(v.i))
+			buf = binary.BigEndian.AppendUint32(buf, uint32(v.i))
 		case String:
-			buf = append(buf, 0, 0)
-			binary.BigEndian.PutUint16(buf[len(buf)-2:], uint16(len(v.s)))
+			buf = binary.BigEndian.AppendUint16(buf, uint16(len(v.s)))
 			buf = append(buf, v.s...)
-			for pad := a.Type.Size - len(v.s); pad > 0; pad-- {
-				buf = append(buf, 0)
-			}
+			buf = append(buf, make([]byte, a.Type.Size-len(v.s))...)
 		case Rel:
 			relBase := len(buf)
-			buf = append(buf, 0, 0)
-			binary.BigEndian.PutUint16(buf[relBase:], uint16(len(v.rel)))
-			subDir := len(buf)
-			for range v.rel {
-				buf = append(buf, 0, 0)
-			}
+			buf = binary.BigEndian.AppendUint16(buf, uint16(len(v.rel)))
+			buf = append(buf, make([]byte, 2*len(v.rel))...)
 			for j, sub := range v.rel {
-				binary.BigEndian.PutUint16(buf[subDir+2*j:], uint16(len(buf)-relBase))
-				var err error
-				buf, err = a.Type.Elem.appendTuple(buf, sub)
-				if err != nil {
-					return nil, err
-				}
+				binary.BigEndian.PutUint16(buf[relBase+2+2*j:], uint16(len(buf)-relBase))
+				buf = a.Type.Elem.appendTuple(buf, sub)
 			}
 		}
 	}
-	return buf, nil
+	binary.BigEndian.PutUint16(buf[base:], uint16(len(buf)-base))
+	return buf
 }
 
 // EncodedLen returns the total length header of an encoded tuple, so

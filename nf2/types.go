@@ -9,6 +9,16 @@
 // consume the encoding produced here, so every byte of tuple overhead is
 // explicit and documented (see Encode).
 //
+// Encoding comes in two forms that write the same bytes. Encode and
+// AppendEncode take a Tuple, a tree of Values validated as a whole, and
+// are the reference. An Appender takes the values themselves, one call per
+// attribute in schema order, checks each as it arrives and reports
+// AppendEncode's errors at Finish; it writes only past len(dst), as append
+// does, and allocates nothing else, so a caller whose data is in structs
+// builds no tree to store it — nor to size it: a STR occupies its declared
+// capacity, so FlatSize and NestedSize compute sizes from the schema and
+// the fan-outs. The bulk loads encode and size that way.
+//
 // Decoding comes in three grains. Decode materializes a whole Tuple.
 // DecodeAttr reads one attribute through the offset directory and VisitRel
 // walks a relation's elements in place, so a reader pays only for what it
@@ -92,6 +102,7 @@ type TupleType struct {
 	Attrs []Attr
 
 	index map[string]int
+	flat  int // FlatSize
 }
 
 // Schema validation errors.
@@ -107,7 +118,7 @@ func NewTupleType(name string, attrs ...Attr) (*TupleType, error) {
 	if len(attrs) == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrEmptySchema, name)
 	}
-	tt := &TupleType{Name: name, Attrs: attrs, index: make(map[string]int, len(attrs))}
+	tt := &TupleType{Name: name, Attrs: attrs, index: make(map[string]int, len(attrs)), flat: 2 + 2*len(attrs)}
 	for i, a := range attrs {
 		if a.Name == "" {
 			return nil, fmt.Errorf("nf2: %s attribute %d has no name", name, i)
@@ -121,11 +132,14 @@ func NewTupleType(name string, attrs ...Attr) (*TupleType, error) {
 			if a.Type.Size <= 0 {
 				return nil, fmt.Errorf("%w: %s.%s", ErrBadString, name, a.Name)
 			}
+			tt.flat += 2 + a.Type.Size
 		case Rel:
 			if a.Type.Elem == nil {
 				return nil, fmt.Errorf("%w: %s.%s", ErrNilElem, name, a.Name)
 			}
+			tt.flat += 2
 		case Int, Link:
+			tt.flat += 4
 		default:
 			return nil, fmt.Errorf("nf2: %s.%s has unknown kind %d", name, a.Name, a.Type.Kind)
 		}
