@@ -29,6 +29,7 @@ import (
 
 	"complexobj/cobench"
 	"complexobj/internal/buffer"
+	"complexobj/internal/disk"
 	"complexobj/internal/fanout"
 	"complexobj/internal/faultdisk"
 	"complexobj/internal/iostat"
@@ -127,7 +128,9 @@ func New(cfg Config) *Suite {
 		cfg.BufferPages = 1200
 	}
 	s := &Suite{cfg: cfg, sizes: make(map[store.Kind]store.SizeReport), bases: store.NewBaseCache(), gens: newGenShare()}
-	s.storeOpts = store.Options{PageSize: cfg.PageSize, BufferPages: cfg.BufferPages}
+	// One page pool under every view and loader of the suite: a cell's frame
+	// buffers and overlay images serve the next cell instead of the GC.
+	s.storeOpts = store.Options{PageSize: cfg.PageSize, BufferPages: cfg.BufferPages, Pages: disk.NewPagePool(cfg.PageSize)}
 	if cfg.UseClock {
 		s.storeOpts.Policy = buffer.Clock
 	}

@@ -264,3 +264,88 @@ func TestDropDiscardsWithoutIO(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEmptyZeroAllocs pins the cold-cache reset (Reset, and Discard with
+// it): walking and recycling the resident frames needs no list of them.
+func TestEmptyZeroAllocs(t *testing.T) {
+	for _, policy := range []Policy{LRU, Clock} {
+		d := disk.New(disk.DefaultPageSize)
+		if _, err := d.Allocate(16); err != nil {
+			t.Fatal(err)
+		}
+		p := New(d, 16, policy)
+		cycle := func() {
+			for id := disk.PageID(0); id < 16; id++ {
+				f, err := p.Fix(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if id%5 == 0 {
+					p.MarkDirty(f)
+				}
+				if err := p.Unfix(id, id%5 == 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := p.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			if p.Len() != 0 {
+				t.Fatalf("%v: %d frames resident after Reset", policy, p.Len())
+			}
+		}
+		cycle()
+		if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+			t.Errorf("%v: fix-and-reset cycle allocates %.1f objects, want 0", policy, allocs)
+		}
+	}
+}
+
+// TestReleaseHandsBuffersToThePagePool: a pool's owned frame buffers come
+// from the device's page pool once its own free list is empty and go back
+// to it at Release — not while a frame is pinned, and never a borrowed
+// page, which is the backend's memory.
+func TestReleaseHandsBuffersToThePagePool(t *testing.T) {
+	d := disk.New(disk.DefaultPageSize)
+	pp := disk.NewPagePool(0)
+	d.SetPagePool(pp)
+	if _, err := d.Allocate(8); err != nil {
+		t.Fatal(err)
+	}
+	p := New(d, 8, LRU)
+	for id := disk.PageID(0); id < 6; id++ {
+		f, err := p.Fix(id) // borrowed from the heap arena
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id < 3 {
+			p.MarkDirty(f) // promoted: three owned buffers
+		}
+		if id != 5 {
+			if err := p.Unfix(id, id < 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if gets, hits, _ := pp.Stats(); gets != 3 || hits != 0 {
+		t.Fatalf("page pool saw gets=%d hits=%d, want 3 0", gets, hits)
+	}
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Release(); err == nil {
+		t.Fatal("Release with a pinned page succeeded")
+	}
+	if _, _, held := pp.Stats(); held != 0 {
+		t.Fatalf("a failed Release handed back %d pages", held)
+	}
+	if err := p.Unfix(5, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, held := pp.Stats(); held != 3 || p.Len() != 0 {
+		t.Errorf("after Release the page pool holds %d pages and %d frames are resident, want 3 and 0", held, p.Len())
+	}
+}

@@ -137,3 +137,30 @@ func BenchmarkFlushAll(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkColdCache measures what the runner does after every sample of
+// queries 1a/1b/2a/3a and a served view on every request: a handful of
+// pages fixed, one of them written, then the pool flushed and emptied. The
+// frames and their buffers go round the free lists, so it allocates nothing.
+func BenchmarkColdCache(b *testing.B) {
+	_, p := benchPool(b, 64, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for id := disk.PageID(0); id < 16; id++ {
+			f, err := p.Fix(id)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if id == 7 {
+				p.MarkDirty(f)
+			}
+			if err := p.Unfix(id, id == 7); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := p.Reset(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -309,7 +309,8 @@ func unpinAll(out []*Frame) {
 	}
 }
 
-// getBuf returns a page buffer, recycled if possible.
+// getBuf returns a page buffer: from the pool's own free list, else from
+// the device's page pool.
 func (p *Pool) getBuf() []byte {
 	if n := len(p.freeData); n > 0 {
 		b := p.freeData[n-1]
@@ -317,7 +318,7 @@ func (p *Pool) getBuf() []byte {
 		p.freeData = p.freeData[:n-1]
 		return b
 	}
-	return make([]byte, p.dev.PageSize())
+	return p.dev.NewPage()
 }
 
 // getFrame returns a zeroed Frame struct, recycled if possible.
@@ -638,31 +639,43 @@ func (p *Pool) Discard() error {
 	return p.empty(false)
 }
 
+// Release is Discard for a pool about to be closed: the buffers it owns,
+// dropped frames' and free list's, go to the device's page pool, and after
+// them — no frame borrows one now — the device's overlay images. The
+// caller has flushed; whatever is still dirty is dropped.
+func (p *Pool) Release() error {
+	if err := p.empty(false); err != nil {
+		return err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.dev.ReleasePages(p.freeData)
+	p.freeData = nil
+	return nil
+}
+
 // empty drops every resident frame, optionally flushing dirty ones first.
 func (p *Pool) empty(flush bool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	// Collect resident frames into a local list first: flushing reuses the
-	// shared scratch, and recycling a frame severs the list links the
-	// traversal would follow.
-	residents := make([]*Frame, 0, p.resident)
+	var pinned *Frame
 	p.eachResident(func(f *Frame) {
-		residents = append(residents, f)
-	})
-	for _, f := range residents {
-		if f.pins > 0 {
-			return fmt.Errorf("buffer: reset with pinned page %d", f.ID)
+		if f.pins > 0 && pinned == nil {
+			pinned = f
 		}
+	})
+	if pinned != nil {
+		return fmt.Errorf("buffer: reset with pinned page %d", pinned.ID)
 	}
 	if flush {
 		if err := p.flushDirtyLocked(); err != nil {
 			return err
 		}
 	}
-	for _, f := range residents {
+	p.eachResident(func(f *Frame) {
 		p.index[f.ID] = nil
 		p.recycle(f)
-	}
+	})
 	p.resident = 0
 	p.head, p.tail = nil, nil
 	p.clock = p.clock[:0]
@@ -673,6 +686,7 @@ func (p *Pool) empty(flush bool) error {
 
 // eachResident visits every resident frame via the replacement-policy
 // structure (all resident frames are on the LRU list or the clock ring).
+// fn may recycle the frame it is handed: its link is read first.
 func (p *Pool) eachResident(fn func(*Frame)) {
 	switch p.policy {
 	case Clock:
@@ -680,8 +694,10 @@ func (p *Pool) eachResident(fn func(*Frame)) {
 			fn(f)
 		}
 	default:
-		for f := p.head; f != nil; f = f.next {
+		for f := p.head; f != nil; {
+			next := f.next
 			fn(f)
+			f = next
 		}
 	}
 }

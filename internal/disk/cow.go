@@ -231,8 +231,9 @@ type cowBackend struct {
 	committed pageTable
 	floor     []byte
 
-	overlaid int      // number of materialized overlay pages
-	freeImgs [][]byte // page images recycled by reset, ready for reuse
+	overlaid int       // number of materialized overlay pages
+	freeImgs [][]byte  // page images recycled by reset, ready for reuse
+	pages    *PagePool // where images come from when freeImgs is empty
 }
 
 // NewCOWBackend layers a private overlay over base (nil means an empty
@@ -321,7 +322,7 @@ func (b *cowBackend) WriteAt(p []byte, off int) error {
 				img = b.freeImgs[k-1]
 				b.freeImgs = b.freeImgs[:k-1]
 			} else {
-				img = make([]byte, b.gran)
+				img = b.pages.Get(b.gran)
 			}
 			if n < b.gran {
 				// Partial-page write: materialize the underlying content

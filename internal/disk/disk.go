@@ -52,6 +52,7 @@ type Disk struct {
 	numPages int
 	backend  Backend
 	stable   StablePager // zero-copy read capability (nil when unsupported)
+	pages    *PagePool   // where page buffers over this device come from (nil: the GC)
 	stats    iostat.Stats
 	retries  int64 // backend read retries performed (diagnostics)
 	detached bool  // Detach gave the arena away; the device is dead
@@ -86,6 +87,37 @@ func Open(pageSize int, b Backend) (*Disk, error) {
 	}
 	d.numPages = n / pageSize
 	return d, nil
+}
+
+// SetPagePool names the pool the device's page buffers — its buffer pool's
+// frame memory, a COW backend's overlay images — come from once a private
+// free list is empty, and go to when an engine closes clean. Call it before
+// the device is used.
+func (d *Disk) SetPagePool(pp *PagePool) {
+	d.pages = pp
+	if c, ok := asCOW(d.backend); ok {
+		c.pages = pp
+	}
+}
+
+// NewPage returns a page-size buffer from the device's page pool, contents
+// unspecified.
+func (d *Disk) NewPage() []byte { return d.pages.Get(d.pageSize) }
+
+// ReleasePages gives the page pool the frame buffers of the device's
+// emptied buffer pool and, as ResetView would leave them, a COW overlay's
+// images. The emptying comes first — a resident frame may borrow an overlay
+// image — and the device is about to be closed.
+func (d *Disk) ReleasePages(frames [][]byte) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.pages.Put(frames)
+	if c, ok := asCOW(d.backend); ok {
+		c.reset()
+		d.numPages = c.size / d.pageSize
+		d.pages.Put(c.freeImgs)
+		c.freeImgs = nil
+	}
 }
 
 // Backend exposes the storage substrate (diagnostics and memory

@@ -161,4 +161,19 @@
 // generation and of the overlay, and both go away. A fresh view is an
 // empty engine rebased onto the current generation, so there is one way a
 // view lands on a generation.
+//
+// # Page buffer ownership
+//
+// A page buffer that is neither arena nor base memory — a frame the buffer
+// pool owns (a promoted or copied page), a COW overlay image — has one
+// owner at a time, in this order: the engine (a live frame or image, or its
+// private free list, Pool.freeData / cowBackend.freeImgs: one owner, no
+// lock), then the PagePool its device was given (SetPagePool), then the
+// garbage collector. PagePool.Get is the only place one is made, and a
+// private list asks it only when empty. One rule gives buffers back: the
+// engine closed clean — flushed, no frame pinned — and its buffer pool was
+// emptied before its overlay, because a resident frame may borrow an
+// overlay image (buffer.Pool.Release, through ReleasePages, is that order).
+// An engine that failed gives nothing back. Under `-tags poison` a page is
+// overwritten with 0xDB on its way into and out of a pool, nil included.
 package disk

@@ -1,0 +1,138 @@
+package disk
+
+import (
+	"sync"
+	"testing"
+)
+
+// A nil pool is the garbage collector: Get makes, Put drops, both without
+// a branch at the call site.
+func TestPagePoolNil(t *testing.T) {
+	var p *PagePool
+	if b := p.Get(512); len(b) != 512 {
+		t.Fatalf("nil pool handed out %d bytes, want 512", len(b))
+	}
+	p.Put([][]byte{make([]byte, 512)})
+}
+
+func TestPagePoolRecyclesLIFO(t *testing.T) {
+	p := NewPagePool(0)
+	a, b := p.Get(DefaultPageSize), p.Get(DefaultPageSize)
+	if len(a) != DefaultPageSize || len(b) != DefaultPageSize {
+		t.Fatalf("default-size pool handed out %d and %d bytes", len(a), len(b))
+	}
+	p.Put([][]byte{a, b})
+	if got := p.Get(DefaultPageSize); &got[0] != &b[0] {
+		t.Error("Get did not return the page put last")
+	}
+	if got := p.Get(DefaultPageSize); &got[0] != &a[0] {
+		t.Error("second Get did not return the page put first")
+	}
+	if gets, hits, held := p.Stats(); gets != 4 || hits != 2 || held != 0 {
+		t.Errorf("stats gets=%d hits=%d held=%d, want 4 2 0", gets, hits, held)
+	}
+}
+
+// A buffer of another length never enters the pool, and a request for
+// another length never draws on it.
+func TestPagePoolOtherSizes(t *testing.T) {
+	p := NewPagePool(1024)
+	p.Put([][]byte{make([]byte, 1000), make([]byte, 1024), make([]byte, 2048), nil})
+	if _, _, held := p.Stats(); held != 1 {
+		t.Fatalf("pool holds %d pages, want only the page-sized one", held)
+	}
+	if b := p.Get(2048); len(b) != 2048 {
+		t.Fatalf("Get(2048) returned %d bytes", len(b))
+	}
+	if gets, _, held := p.Stats(); gets != 0 || held != 1 {
+		t.Errorf("a request of another size touched the pool: gets=%d held=%d", gets, held)
+	}
+}
+
+// Two goroutines drawing and returning at once (run under -race): every
+// page is held by exactly one party at a time.
+func TestPagePoolConcurrent(t *testing.T) {
+	p := NewPagePool(64)
+	var wg sync.WaitGroup
+	for g := byte(1); g <= 2; g++ {
+		wg.Add(1)
+		go func(g byte) {
+			defer wg.Done()
+			held := make([][]byte, 0, 8)
+			for round := 0; round < 500; round++ {
+				for len(held) < cap(held) {
+					b := p.Get(64)
+					for i := range b {
+						b[i] = g
+					}
+					held = append(held, b)
+				}
+				for _, b := range held {
+					for _, c := range b {
+						if c != g {
+							t.Errorf("goroutine %d found byte %#x in a page it holds", g, c)
+							return
+						}
+					}
+				}
+				p.Put(held)
+				held = held[:0]
+			}
+		}(g)
+	}
+	wg.Wait()
+	if _, _, held := p.Stats(); held > 16 {
+		t.Errorf("pool holds %d pages, more than were ever out", held)
+	}
+}
+
+// ReleasePages hands a COW device's overlay images — live ones and those a
+// reset recycled — to the device's pool; a device without one drops them.
+func TestReleasePagesReturnsOverlay(t *testing.T) {
+	page := make([]byte, DefaultPageSize)
+	open := func(pp *PagePool) *Disk {
+		d := NewWithBackend(DefaultPageSize, NewCOWBackend(nil, DefaultPageSize))
+		d.SetPagePool(pp)
+		if _, err := d.Allocate(8); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	pp := NewPagePool(0)
+	d := open(pp)
+	for _, id := range []PageID{1, 5} {
+		if err := d.WriteRun(id, [][]byte{page}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.ResetView() // both images to the backend's own free list
+	if _, err := d.Allocate(8); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteRun(2, [][]byte{page, page, page}); err != nil { // two recycled, one from the pool
+		t.Fatal(err)
+	}
+	if gets, hits, _ := pp.Stats(); gets != 3 || hits != 0 {
+		t.Fatalf("pool saw gets=%d hits=%d, want 3 0: the private list is the first level", gets, hits)
+	}
+	d.ReleasePages(nil)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, held := pp.Stats(); held != 3 {
+		t.Errorf("pool holds %d pages after release, want 3", held)
+	}
+	// The next device over the same pool materialises without allocating.
+	d = open(pp)
+	if err := d.WriteRun(0, [][]byte{page, page, page}); err != nil {
+		t.Fatal(err)
+	}
+	if _, hits, held := pp.Stats(); hits != 3 || held != 0 {
+		t.Errorf("second device: hits=%d held=%d, want 3 0", hits, held)
+	}
+	d.Close() // not released: its pages are the GC's
+	if _, _, held := pp.Stats(); held != 0 {
+		t.Errorf("a plain Close returned %d pages", held)
+	}
+	open(nil).ReleasePages([][]byte{page}) // nil pool: a drop
+}

@@ -73,8 +73,9 @@ type assembler struct {
 		object
 		strs nf2.Strings
 	}
-	name nf2.Strings // the root name Navigate / ReadRoot / UpdateRoots lend
-	kids []int32     // the child list Navigate lends
+	name nf2.Strings        // the root name Navigate / ReadRoot / UpdateRoots lend
+	upd  cobench.RootRecord // the record UpdateRoots lends its mutate
+	kids []int32            // the child list Navigate lends
 }
 
 // begin drops the staged rows and names the destination of the next

@@ -406,6 +406,18 @@ func BenchmarkReadRoot(b *testing.B) {
 	benchRoots(b, func(m Model, i int) error { _, err := m.ReadRoot(i); return err })
 }
 
+// BenchmarkUpdateRoots is query 3's write step, one root per op: the record
+// mutate is handed lives in the model, so what an update allocates is what
+// its mutate does — here nothing, a hard pin.
+func BenchmarkUpdateRoots(b *testing.B) {
+	stamp := func(_ int32, r *cobench.RootRecord) { r.Name = "upd 7 #7" }
+	idx := make([]int32, 1)
+	benchRoots(b, func(m Model, i int) error {
+		idx[0] = int32(i)
+		return m.UpdateRoots(idx, stamp)
+	})
+}
+
 func benchRoots(b *testing.B, read func(m Model, i int) error) {
 	stations, err := cobench.Generate(cobench.DefaultConfig().WithN(300))
 	if err != nil {

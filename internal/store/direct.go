@@ -283,12 +283,12 @@ func (m *direct) UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootR
 			if len(comps) != 1 {
 				return fmt.Errorf("store: object %d has %d root components", i, len(comps))
 			}
-			root, err := m.asm.lendRoot(comps[0].Data)
-			if err != nil {
+			root := &m.asm.upd
+			if *root, err = m.asm.lendRoot(comps[0].Data); err != nil {
 				return err
 			}
-			mutate(idx, &root)
-			if m.enc, err = appendRoot(m.enc[:0], root); err != nil {
+			mutate(idx, root)
+			if m.enc, err = appendRoot(m.enc[:0], *root); err != nil {
 				return err
 			}
 			if _, err := m.objs.ChangeComponent(m.addr[i], cidx[0], m.enc); err != nil {
@@ -305,12 +305,12 @@ func (m *direct) UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootR
 			if comps[ci].Tag != TagRoot {
 				continue
 			}
-			root, err := m.asm.lendRoot(comps[ci].Data)
-			if err != nil {
+			root := &m.asm.upd
+			if *root, err = m.asm.lendRoot(comps[ci].Data); err != nil {
 				return err
 			}
-			mutate(idx, &root)
-			if m.enc, err = appendRoot(m.enc[:0], root); err != nil {
+			mutate(idx, root)
+			if m.enc, err = appendRoot(m.enc[:0], *root); err != nil {
 				return err
 			}
 			comps[ci].Data = m.enc

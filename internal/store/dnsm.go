@@ -393,12 +393,13 @@ func (m *dnsm) UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootRec
 		if err := checkIndex(i, len(m.refs)); err != nil {
 			return err
 		}
-		root, err := m.ReadRoot(i)
-		if err != nil {
+		root := &m.asm.upd
+		var err error
+		if *root, err = m.ReadRoot(i); err != nil {
 			return err
 		}
-		mutate(idx, &root)
-		if m.enc, err = appendRoot(m.enc[:0], root); err != nil {
+		mutate(idx, root)
+		if m.enc, err = appendRoot(m.enc[:0], *root); err != nil {
 			return err
 		}
 		if err := m.stations.ReplaceAll(m.refs[i][dnsmStation], []longobj.Component{{Tag: 0, Data: m.enc}}); err != nil {

@@ -635,12 +635,13 @@ func (m *nsm) UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootReco
 		if err := checkIndex(i, len(m.stationRID)); err != nil {
 			return err
 		}
-		root, err := m.ReadRoot(i)
-		if err != nil {
+		root := &m.asm.upd
+		var err error
+		if *root, err = m.ReadRoot(i); err != nil {
 			return err
 		}
-		mutate(idx, &root)
-		if m.enc, err = appendRoot(m.enc[:0], root); err != nil {
+		mutate(idx, root)
+		if m.enc, err = appendRoot(m.enc[:0], *root); err != nil {
 			return err
 		}
 		srid, err := m.stationRIDAt(i)

@@ -1,0 +1,154 @@
+package store
+
+import (
+	"fmt"
+	"testing"
+
+	"complexobj/cobench"
+	"complexobj/internal/disk"
+	"complexobj/internal/faultdisk"
+)
+
+// TestEngineCloseReturnsPages pins who owns a page buffer when: a view
+// that dirtied k pages gives at least k buffers to its Options' pool when
+// it closes clean (k overlay images plus the frame buffers it promoted);
+// the next view opened with the same Options draws on them and measures
+// exactly what a private, pool-less engine does; a view whose flush fails
+// gives back nothing, and leaks no pin either.
+func TestEngineCloseReturnsPages(t *testing.T) {
+	stations := testExtension(t, 40)
+	for _, k := range AllKinds() {
+		t.Run(k.String(), func(t *testing.T) {
+			private := loadModel(t, k, stations)
+			defer private.Engine().Close()
+			want := viewExercise(t, private, true)
+
+			pp := disk.NewPagePool(0)
+			opts := Options{BufferPages: 256, Pages: pp}
+			base, err := LoadBase(k, opts, stations)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer base.Release()
+			_, _, loaderPages := pp.Stats()
+			if loaderPages == 0 {
+				t.Error("the loader engine returned no frame buffer")
+			}
+
+			v, err := base.NewView(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := viewExercise(t, v.Model(), true); got != want {
+				t.Errorf("first view: counters %+v, want %+v", got, want)
+			}
+			cs, _ := disk.COWStatsOf(v.Engine().Dev.Backend())
+			if cs.OverlayPages == 0 {
+				t.Fatal("the update request dirtied no page")
+			}
+			_, _, before := pp.Stats()
+			if err := v.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, _, after := pp.Stats()
+			if after-before < cs.OverlayPages {
+				t.Errorf("a view that dirtied %d pages returned %d buffers", cs.OverlayPages, after-before)
+			}
+
+			v, err = base.NewView(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, hits0, _ := pp.Stats()
+			if got := viewExercise(t, v.Model(), true); got != want {
+				t.Errorf("view over recycled pages: counters %+v, want %+v", got, want)
+			}
+			if _, hits, _ := pp.Stats(); hits == hits0 {
+				t.Error("the second view drew nothing from the pool")
+			}
+			if err := v.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Every write fails, for good: the flush inside Close cannot
+			// succeed, so the view's pages are the garbage collector's.
+			opts.Faults = faultdisk.New(faultdisk.Spec{Seed: 3, Write: 1})
+			v, err = base.NewView(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = v.UpdateRoots([]int32{2, 5, 9}, func(i int32, r *cobench.RootRecord) {
+				r.Name = fmt.Sprintf("upd #%d", i)
+			})
+			if err == nil {
+				err = v.Flush()
+			}
+			if err == nil {
+				t.Fatal("an update under a failing device reported no error")
+			}
+			_, _, before = pp.Stats()
+			if err := v.Close(); err == nil {
+				t.Error("Close after a failed flush reported no error")
+			}
+			if _, _, after := pp.Stats(); after != before {
+				t.Errorf("a view that failed its flush returned %d buffers", after-before)
+			}
+			if err := v.Engine().Pool.Discard(); err != nil {
+				t.Errorf("the failed view leaked a pin: %v", err)
+			}
+		})
+	}
+}
+
+// TestClosedViewKeepsNothing: what a view handed out as owned — a fetched
+// Station, strings a caller cloned — stays intact after the view's pages
+// went back to the pool and were written by its successor. Under `-tags
+// poison` the pages are overwritten the moment they are given back, so a
+// decoder that kept a slice of a frame fails here without the successor.
+func TestClosedViewKeepsNothing(t *testing.T) {
+	stations := testExtension(t, 40)
+	for _, k := range AllKinds() {
+		t.Run(k.String(), func(t *testing.T) {
+			opts := Options{BufferPages: 256, Pages: disk.NewPagePool(0)}
+			base, err := LoadBase(k, opts, stations)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer base.Release()
+			update := func(v *View, tag string) {
+				err := v.UpdateRoots([]int32{2, 5, 9}, func(i int32, r *cobench.RootRecord) {
+					r.Name = fmt.Sprintf("%s #%d", tag, i)
+				})
+				if err == nil {
+					err = v.Flush()
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			v, err := base.NewView(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			update(v, "first")
+			got, err := v.FetchByKey(cobench.KeyOf(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := v.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if v, err = base.NewView(opts); err != nil {
+				t.Fatal(err)
+			}
+			update(v, "other")
+			defer v.Close()
+
+			want := stations[5].Clone()
+			want.Name = "first #5"
+			if !got.Equal(want) {
+				t.Errorf("an owned object changed after its view closed:\n got %+v\nwant %+v", got.Root(), want.Root())
+			}
+		})
+	}
+}

@@ -3,10 +3,12 @@
 package store
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"complexobj/cobench"
+	"complexobj/internal/disk"
 )
 
 // TestKeptLentValuesReadPoison is the poison build's reason to exist: a
@@ -65,5 +67,54 @@ func TestKeptLentValuesReadPoison(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestKeptPagesReadPoisonAfterClose: a frame's Data — a buffer the pool
+// owns after MarkDirty, or an overlay image it borrows after the flush —
+// kept past the engine's Close reads 0xDB, with a page pool or without:
+// the bytes are the next engine's from that moment on.
+func TestKeptPagesReadPoisonAfterClose(t *testing.T) {
+	stations := testExtension(t, 20)
+	for _, pp := range []*disk.PagePool{nil, disk.NewPagePool(0)} {
+		opts := Options{BufferPages: 64, Pages: pp}
+		base, err := LoadBase(NSM, opts, stations)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := base.NewView(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := v.Engine().Pool
+		keep := func(id disk.PageID, write bool) []byte {
+			f, err := pool.Fix(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if write {
+				pool.MarkDirty(f)
+			}
+			if err := pool.Unfix(id, write); err != nil {
+				t.Fatal(err)
+			}
+			return f.Data // the bug: valid only while pinned
+		}
+		keep(0, true)
+		if err := v.Engine().ColdCache(); err != nil { // page 0 is an overlay image now
+			t.Fatal(err)
+		}
+		borrowed, owned := keep(0, false), keep(1, true)
+		if err := v.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want := bytes.Repeat([]byte{0xDB}, len(owned))
+		if !bytes.Equal(owned, want) {
+			t.Errorf("pool %v: a kept owned frame buffer reads %x...", pp != nil, owned[:8])
+		}
+		if !bytes.Equal(borrowed, want) {
+			t.Errorf("pool %v: a kept borrowed overlay image reads %x...", pp != nil, borrowed[:8])
+		}
+		base.Release()
 	}
 }

@@ -99,6 +99,12 @@ type Options struct {
 	// successful operations — the device counts only completed
 	// transfers.
 	Faults *faultdisk.Injector
+	// Pages, when non-nil, is where the engine's frame buffers and overlay
+	// images come from once its private free lists are empty and go to at
+	// a clean Close, for the next engine opened with these options — a
+	// batch cell's view, a loader — to reuse. Whoever opens engines one
+	// after another owns it (an experiments.Suite); served views pass none.
+	Pages *disk.PagePool
 }
 
 func (o Options) withDefaults() Options {
@@ -151,6 +157,7 @@ func NewEngine(o Options) (*Engine, error) {
 	} else {
 		dev = disk.NewWithBackend(o.PageSize, b)
 	}
+	dev.SetPagePool(o.Pages)
 	return &Engine{Dev: dev, Pool: buffer.New(dev, o.BufferPages, o.Policy), opts: o}, nil
 }
 
@@ -166,9 +173,14 @@ func (e *Engine) Options() Options { return e.opts }
 
 // Close flushes all dirty pages and releases the device backend (a view
 // drops its overlay and its reference on the base arena). The engine must
-// not be used afterwards.
+// not be used afterwards. An engine that ends clean — everything flushed,
+// no frame left pinned — gives its page buffers to Options.Pages; one that
+// does not gives none.
 func (e *Engine) Close() error {
 	flushErr := e.Pool.FlushAll()
+	if flushErr == nil {
+		_ = e.Pool.Release() // fails on a frame still pinned: then the pages stay the GC's
+	}
 	if err := e.Dev.Close(); err != nil {
 		return err
 	}

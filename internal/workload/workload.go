@@ -3,6 +3,7 @@ package workload
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"complexobj/cobench"
@@ -89,12 +90,28 @@ type Runner struct {
 	// children and grand are loop's copies of what Navigate lends: the
 	// view's child list is overwritten by the next Navigate.
 	children, grand []int32
+	// The update queries' mutate, bound by the first loop that updates, with
+	// the loop it stamps and the scratch it formats into.
+	mutate func(i int32, rec *cobench.RootRecord)
+	stamp  int
+	name   []byte
 }
 
 // NewRunner wraps a loaded view with workload parameters. store.Model is
 // a superset of the View interface, so batch callers pass models directly.
 func NewRunner(m View, w cobench.Workload) *Runner {
 	return &Runner{model: m, w: w}
+}
+
+// stampRoot updates atomic attributes without changing the object structure
+// (§2.2): it overwrites the name with "upd <loop> #<object>", a value of
+// unchanged encoded size (STR attributes are fixed-capacity).
+func (r *Runner) stampRoot(i int32, rec *cobench.RootRecord) {
+	b := append(r.name[:0], "upd "...)
+	b = strconv.AppendInt(b, int64(r.stamp), 10)
+	b = append(b, " #"...)
+	r.name = strconv.AppendInt(b, int64(i), 10)
+	rec.Name = string(r.name)
 }
 
 // WithContext bounds the runner's queries by ctx: execution checks the
@@ -290,13 +307,11 @@ func (r *Runner) loop(root int, stamp int, update bool) (touched int64, err erro
 		touched++
 	}
 	if update && len(grand) > 0 {
-		err := r.model.UpdateRoots(grand, func(i int32, rec *cobench.RootRecord) {
-			// Update atomic attributes without changing the object
-			// structure (§2.2): overwrite the name with a stamped value of
-			// unchanged encoded size (STR attributes are fixed-capacity).
-			rec.Name = fmt.Sprintf("upd %d #%d", stamp, i)
-		})
-		if err != nil {
+		if r.mutate == nil {
+			r.mutate = r.stampRoot
+		}
+		r.stamp = stamp
+		if err := r.model.UpdateRoots(grand, r.mutate); err != nil {
 			return 0, err
 		}
 	}

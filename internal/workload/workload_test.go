@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -142,6 +143,29 @@ func TestUpdatesArePersistent(t *testing.T) {
 	}
 	if stamped == 0 {
 		t.Error("no station carries the update stamp after query 3b")
+	}
+}
+
+// TestStampRootFormat pins the update queries' stamp to the bytes
+// fmt.Sprintf("upd %d #%d", loop, object) produced when the tables were
+// first generated — every stored size since depends on them — and its cost
+// to the one string the record keeps.
+func TestStampRootFormat(t *testing.T) {
+	r := NewRunner(nil, cobench.Workload{})
+	var rec cobench.RootRecord
+	for _, c := range []struct{ stamp, obj int }{{0, 0}, {7, 1499}, {299, 12}, {123456, 2147483647}} {
+		r.stamp = c.stamp
+		r.stampRoot(int32(c.obj), &rec)
+		if want := fmt.Sprintf("upd %d #%d", c.stamp, c.obj); rec.Name != want {
+			t.Errorf("stamp(%d, %d) = %q, want %q", c.stamp, c.obj, rec.Name, want)
+		}
+	}
+	first := rec.Name
+	if allocs := testing.AllocsPerRun(100, func() { r.stampRoot(42, &rec) }); allocs > 1 {
+		t.Errorf("a stamp costs %.0f allocations, want the string alone", allocs)
+	}
+	if first != "upd 123456 #2147483647" {
+		t.Errorf("an earlier stamp changed to %q when the scratch was reused", first)
 	}
 }
 
