@@ -60,7 +60,7 @@ func (s *Suite) DistributionAblation(nodes int) ([]NodeBalance, error) {
 }
 
 func (s *Suite) nodeBalance(name string, gen cobench.Config, nodes int) (NodeBalance, error) {
-	stations, err := cobench.Generate(gen)
+	stations, err := s.extensionOf(gen)
 	if err != nil {
 		return NodeBalance{}, err
 	}

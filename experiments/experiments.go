@@ -268,6 +268,15 @@ func (s *Suite) extension() ([]*cobench.Station, error) {
 	return s.stations, s.genErr
 }
 
+// extensionOf returns gen's extension: the suite's own, generated once,
+// when gen is the suite's configuration, else a fresh one for the caller.
+func (s *Suite) extensionOf(gen cobench.Config) ([]*cobench.Station, error) {
+	if gen == s.cfg.Gen {
+		return s.extension()
+	}
+	return cobench.Generate(gen)
+}
+
 // ExtensionStats describes the generated extension (realised averages,
 // reported alongside Table 4 in §5.1).
 func (s *Suite) ExtensionStats() (cobench.Stats, error) {

@@ -48,19 +48,17 @@ func (s *Suite) Figure5() ([]Fig5Cell, error) {
 	maxSees := []int{0, 15, 30}
 	// Generate each maxSeeing extension once; the three model cells of a
 	// column share it read-only (and the column whose maxSeeing equals the
-	// suite default shares its frozen bases with the matrix and the
-	// buffer sweep).
+	// suite default is the suite's own extension, with the frozen bases
+	// the matrix and the buffer sweep use).
 	gens := make([]cobench.Config, len(maxSees))
 	extensions := make([][]*cobench.Station, len(maxSees))
 	genStats := make([]cobench.Stats, len(maxSees))
 	for i, maxSee := range maxSees {
 		gens[i] = s.cfg.Gen.WithMaxSeeing(maxSee)
-		stations, err := cobench.Generate(gens[i])
-		if err != nil {
+		if extensions[i], err = s.extensionOf(gens[i]); err != nil {
 			return nil, err
 		}
-		extensions[i] = stations
-		genStats[i] = cobench.Describe(stations)
+		genStats[i] = cobench.Describe(extensions[i])
 	}
 	cells := make([]Fig5Cell, len(maxSees)*len(fig5Models))
 	groups := layoutGroups(fig5Models)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"complexobj/internal/disk"
 )
@@ -74,7 +73,6 @@ func (f *Frame) Borrowed() bool { return f.borrowed }
 
 // Pool is the buffer manager.
 type Pool struct {
-	mu       sync.Mutex
 	dev      *disk.Disk
 	capacity int
 	policy   Policy
@@ -124,51 +122,27 @@ func New(dev *disk.Disk, capacity int, policy Policy) *Pool {
 func (p *Pool) Capacity() int { return p.capacity }
 
 // Len returns the number of resident pages.
-func (p *Pool) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.resident
-}
+func (p *Pool) Len() int { return p.resident }
 
 // DirtyLen returns the number of resident frames holding unwritten
 // modifications (view recycling uses it to decide whether a request
 // mutated anything before Discard throws the evidence away).
-func (p *Pool) DirtyLen() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.dirtyLen
-}
+func (p *Pool) DirtyLen() int { return p.dirtyLen }
 
 // Fixes returns the total number of page fixes so far.
-func (p *Pool) Fixes() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.fixes
-}
+func (p *Pool) Fixes() int64 { return p.fixes }
 
 // Hits returns the number of fixes served without a disk read.
-func (p *Pool) Hits() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.hits
-}
+func (p *Pool) Hits() int64 { return p.hits }
 
 // Borrows returns how many page loads were satisfied zero-copy (frame
 // data borrowed from backend memory instead of copied into pool
 // buffers). Diagnostics only — no paper counter depends on it.
-func (p *Pool) Borrows() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.borrows
-}
+func (p *Pool) Borrows() int64 { return p.borrows }
 
 // ResetStats zeroes the fix/hit counters (disk counters are reset on the
 // device itself).
-func (p *Pool) ResetStats() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.fixes, p.hits = 0, 0
-}
+func (p *Pool) ResetStats() { p.fixes, p.hits = 0, 0 }
 
 // frameAt returns the resident frame of id, or nil.
 func (p *Pool) frameAt(id disk.PageID) *Frame {
@@ -202,8 +176,6 @@ func (p *Pool) install(f *Frame) {
 // The hit path — the hottest operation of the whole simulation — performs
 // no allocation.
 func (p *Pool) Fix(id disk.PageID) (*Frame, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if f := p.frameAt(id); f != nil {
 		p.fixes++
 		p.hits++
@@ -229,14 +201,8 @@ func (p *Pool) Fix(id disk.PageID) (*Frame, error) {
 // fetching the data pages of a clustered object together. Frames are
 // returned in input order and each counts as one fix. The returned slice
 // is pool scratch, valid until the next FixRun on this pool (the
-// single-owner rule: one engine, one goroutine at a time).
+// Ownership rule: one engine, one goroutine at a time).
 func (p *Pool) FixRun(ids []disk.PageID) ([]*Frame, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.fixRunLocked(ids)
-}
-
-func (p *Pool) fixRunLocked(ids []disk.PageID) ([]*Frame, error) {
 	if cap(p.run) < len(ids) {
 		p.run = make([]*Frame, len(ids))
 	}
@@ -383,8 +349,6 @@ func (p *Pool) loadRun(start disk.PageID, n int) error {
 // modifications went through (or raced with) shared backend memory. The
 // frame is unpinned either way.
 func (p *Pool) Unfix(id disk.PageID, dirty bool) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	f := p.frameAt(id)
 	if f == nil || f.pins == 0 {
 		return fmt.Errorf("%w: page %d", ErrNotFixed, id)
@@ -406,8 +370,6 @@ func (p *Pool) Unfix(id disk.PageID, dirty bool) error {
 // it on an already-owned frame just marks it dirty (idempotent), so write
 // paths need no borrowed/owned branching of their own.
 func (p *Pool) MarkDirty(f *Frame) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.promote(f)
 	p.markDirty(f)
 }
@@ -553,15 +515,9 @@ func (p *Pool) writeBurst() error {
 
 // FlushAll writes every dirty page back to disk, batching contiguous page
 // IDs into single write calls (DASDBS behaviour at query end / disconnect),
-// and clears their dirty bits. Resident pages stay cached.
+// and clears their dirty bits, pinned pages included. Resident pages stay
+// cached.
 func (p *Pool) FlushAll() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.flushDirtyLocked()
-}
-
-// flushDirtyLocked writes the whole dirty list (pinned pages included).
-func (p *Pool) flushDirtyLocked() error {
 	victims := p.scratch[:0]
 	for f := p.dirtyHead; f != nil; f = f.dnext {
 		victims = append(victims, f)
@@ -576,8 +532,6 @@ func (p *Pool) flushDirtyLocked() error {
 // operation allocates a page pool of which all pages are written.
 // Non-resident pages are skipped.
 func (p *Pool) FlushPages(ids []disk.PageID) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	sorted := append(p.ids[:0], ids...)
 	slices.Sort(sorted)
 	victims := p.scratch[:0]
@@ -603,8 +557,6 @@ func (p *Pool) FlushPages(ids []disk.PageID) error {
 // touches no counter. Non-resident pages are ignored; dropping a pinned
 // page is an error.
 func (p *Pool) Drop(ids []disk.PageID) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	for _, id := range ids {
 		f := p.frameAt(id)
 		if f == nil {
@@ -647,8 +599,6 @@ func (p *Pool) Release() error {
 	if err := p.empty(false); err != nil {
 		return err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.dev.ReleasePages(p.freeData)
 	p.freeData = nil
 	return nil
@@ -656,8 +606,6 @@ func (p *Pool) Release() error {
 
 // empty drops every resident frame, optionally flushing dirty ones first.
 func (p *Pool) empty(flush bool) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var pinned *Frame
 	p.eachResident(func(f *Frame) {
 		if f.pins > 0 && pinned == nil {
@@ -668,7 +616,7 @@ func (p *Pool) empty(flush bool) error {
 		return fmt.Errorf("buffer: reset with pinned page %d", pinned.ID)
 	}
 	if flush {
-		if err := p.flushDirtyLocked(); err != nil {
+		if err := p.FlushAll(); err != nil {
 			return err
 		}
 	}
@@ -703,11 +651,7 @@ func (p *Pool) eachResident(fn func(*Frame)) {
 }
 
 // Contains reports whether the page is resident (test/diagnostic helper).
-func (p *Pool) Contains(id disk.PageID) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.frameAt(id) != nil
-}
+func (p *Pool) Contains(id disk.PageID) bool { return p.frameAt(id) != nil }
 
 // --- replacement policies ---------------------------------------------------
 

@@ -34,9 +34,7 @@
 // therefore must not retain Frame pointers or Data slices across an
 // Unfix. The slice FixRun returns its frames in is pool scratch as well:
 // it is valid until the next FixRun on the pool, which under the
-// single-owner rule (one engine, one request, one goroutine at a time —
-// the mutex makes concurrent calls safe, not their results independent)
-// is the caller's own next call. The dirty flag travels with Unfix (the
+// Ownership rule below is the caller's own next call. The dirty flag travels with Unfix (the
 // caller declares the modification when releasing the pin); dirty frames
 // are written back on flush or overflow, never while pinned by the
 // eviction path. Drop discards resident frames without write-back — the
@@ -75,8 +73,22 @@
 // Eviction, Drop, Discard and view recycling simply forget a borrowed
 // slice (it belongs to the backend, not the pool's buffer free-list);
 // the store layer drops all borrows via Discard before resetting the
-// device underneath, so no frame outlives the memory it aliases. The
-// pool itself is safe for concurrent use via one mutex, but the harness
-// gives every worker a private engine, so the mutex is uncontended on
-// the hot path.
+// device underneath, so no frame outlives the memory it aliases.
+//
+// # Ownership
+//
+// An engine — device, buffer pool, the heaps and long-object stores over
+// them, the model's scratch — belongs to one goroutine at a time and takes
+// no lock: plain counters, plain free lists, results lent out of scratch.
+// It changes hands only through something that synchronises (a ViewPool
+// lease, a fanout worker taking its cell, a channel). What engines share
+// keeps its own synchronisation: disk.PagePool (mutex: engines of one
+// suite take and give pages concurrently), a BaseArena floor's reference
+// count (atomic: views open and close concurrently; floor and page tables
+// are immutable), store.SharedBase (lock around the current generation,
+// one Once per decoded directory), store.BaseCache (mutex, one build per
+// key), faultdisk.Injector (atomic: one schedule under every device it
+// wraps), complexobj.ViewPool. The proof is `go test -race ./...` —
+// buffer.TestEngineHandOver is the rule itself — and CI's race-built
+// server soak: a second goroutine in an engine is a reported race.
 package buffer

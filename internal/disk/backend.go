@@ -9,9 +9,10 @@ import "fmt"
 // copy-on-write over a shared base. Swapping backends therefore can never
 // change the counters the paper measures, only the sharing of the bytes.
 //
-// Backends are not safe for concurrent use; the owning Disk serializes
-// access under its own mutex. Offsets and lengths are bytes; reads and
-// writes must stay inside [0, Len()).
+// Backends are not safe for concurrent use, and need not be: a backend
+// belongs to one Disk, a Disk to one engine, an engine to one goroutine at
+// a time (package doc, "Ownership"). Offsets and lengths are bytes; reads
+// and writes must stay inside [0, Len()).
 type Backend interface {
 	// Len returns the current arena length in bytes.
 	Len() int

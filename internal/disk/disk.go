@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"complexobj/internal/iostat"
 )
@@ -41,13 +40,9 @@ var (
 // Disk is an in-memory array of pages with I/O accounting. Page p occupies
 // arena bytes [p*pageSize, (p+1)*pageSize) of its backend.
 //
-// A Disk's own state — allocation, counters, backend calls — is guarded by
-// its mutex, but pages lent out by ReadRunShared alias live arena memory
-// beyond it: a device has one owner at a time. The experiment harness and
-// the server give every worker and view its own engine (device + pool), so
-// the mutex is uncontended on the hot path.
+// A Disk is not safe for concurrent use: it is part of an engine, and an
+// engine has one owner at a time (package doc, "Ownership").
 type Disk struct {
-	mu       sync.Mutex
 	pageSize int
 	numPages int
 	backend  Backend
@@ -109,8 +104,6 @@ func (d *Disk) NewPage() []byte { return d.pages.Get(d.pageSize) }
 // images. The emptying comes first — a resident frame may borrow an overlay
 // image — and the device is about to be closed.
 func (d *Disk) ReleasePages(frames [][]byte) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.pages.Put(frames)
 	if c, ok := asCOW(d.backend); ok {
 		c.reset()
@@ -122,9 +115,8 @@ func (d *Disk) ReleasePages(frames [][]byte) {
 
 // Backend exposes the storage substrate (diagnostics and memory
 // accounting; see COWStatsOf). Callers must not bypass the device for
-// page I/O — the counters live here — and must only inspect the backend
-// while the device is quiescent: backend state is guarded by the device
-// mutex, which inspection helpers like COWStatsOf do not take.
+// page I/O — the counters live here — and, like every other use of the
+// device, inspect the backend only as the engine's owner.
 func (d *Disk) Backend() Backend { return d.backend }
 
 // PageSize returns the raw page size in bytes.
@@ -135,11 +127,7 @@ func (d *Disk) PageSize() int { return d.pageSize }
 func (d *Disk) EffectivePageSize() int { return d.pageSize - SysHeaderSize }
 
 // NumPages returns how many pages have been allocated so far.
-func (d *Disk) NumPages() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.numPages
-}
+func (d *Disk) NumPages() int { return d.numPages }
 
 // Allocate reserves a contiguous run of n fresh zeroed pages and returns the
 // first PageID. Allocation itself is free (space management is part of the
@@ -148,8 +136,6 @@ func (d *Disk) Allocate(n int) (PageID, error) {
 	if n <= 0 {
 		return InvalidPage, ErrBadRun
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.detached {
 		return InvalidPage, ErrDetached
 	}
@@ -170,8 +156,6 @@ func (d *Disk) Allocate(n int) (PageID, error) {
 // under-estimate merely leaves the tail of the load to the backend's own
 // growth policy. No counter moves and no page becomes allocated.
 func (d *Disk) Reserve(n int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if r, ok := under[reserver](d.backend); ok && n > 0 && !d.detached {
 		r.Reserve((d.numPages + n) * d.pageSize)
 	}
@@ -186,8 +170,6 @@ func (d *Disk) Reserve(n int) {
 // buffer pool over the device first: resident frames borrow arena pages,
 // and the new owner requires that nothing writes them again.
 func (d *Disk) Detach() ([]byte, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.detached {
 		return nil, ErrDetached
 	}
@@ -222,8 +204,6 @@ func (d *Disk) ReadRunShared(start PageID, views [][]byte, borrowed []bool, getB
 	if len(views) == 0 {
 		return ErrBadRun
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.detached {
 		return ErrDetached
 	}
@@ -265,8 +245,6 @@ func (d *Disk) WriteRun(start PageID, pages [][]byte) error {
 	if len(pages) == 0 {
 		return ErrBadRun
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.detached {
 		return ErrDetached
 	}
@@ -289,11 +267,7 @@ func (d *Disk) WriteRun(start PageID, pages [][]byte) error {
 // Close releases the backend. For a COW view this releases
 // only the private overlay — the shared base arena stays alive for every
 // other engine reading through it. The device must not be used afterwards.
-func (d *Disk) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.backend.Close()
-}
+func (d *Disk) Close() error { return d.backend.Close() }
 
 // ResetView restores a device layered over a copy-on-write backend to the
 // pristine shared base: every overlay page is dropped, growth past the
@@ -304,8 +278,6 @@ func (d *Disk) Close() error {
 // longer exist. Returns false, changing nothing, when the backend is not
 // copy-on-write; recycling is a COW-view affordance.
 func (d *Disk) ResetView() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	c, ok := asCOW(d.backend)
 	if !ok {
 		return false
@@ -323,8 +295,6 @@ func (d *Disk) ResetView() bool {
 // lands on a generation — a fresh view is an empty engine rebased onto
 // the current one. Not copy-on-write is an error, changing nothing.
 func (d *Disk) RebaseView(base *BaseArena) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	c, ok := asCOW(d.backend)
 	if !ok {
 		return errors.New("disk: rebase: backend is not copy-on-write")
@@ -341,8 +311,6 @@ func (d *Disk) RebaseView(base *BaseArena) error {
 // touching the I/O counters (snapshots are a dictionary-level operation,
 // like allocation).
 func (d *Disk) DumpTo(w io.Writer) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.detached {
 		return ErrDetached
 	}
@@ -373,15 +341,7 @@ func (d *Disk) DumpTo(w io.Writer) error {
 }
 
 // Stats returns a snapshot of the device counters.
-func (d *Disk) Stats() iostat.Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
-}
+func (d *Disk) Stats() iostat.Stats { return d.stats }
 
 // ResetStats zeroes the device counters without touching page contents.
-func (d *Disk) ResetStats() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.stats.Reset()
-}
+func (d *Disk) ResetStats() { d.stats.Reset() }

@@ -162,6 +162,23 @@
 // empty engine rebased onto the current generation, so there is one way a
 // view lands on a generation.
 //
+// # Ownership
+//
+// An engine — device, buffer pool, the heaps and long-object stores over
+// them, the model's scratch — belongs to one goroutine at a time and takes
+// no lock: plain counters, plain free lists, results lent out of scratch.
+// It changes hands only through something that synchronises (a ViewPool
+// lease, a fanout worker taking its cell, a channel). What engines share
+// keeps its own synchronisation: disk.PagePool (mutex: engines of one
+// suite take and give pages concurrently), a BaseArena floor's reference
+// count (atomic: views open and close concurrently; floor and page tables
+// are immutable), store.SharedBase (lock around the current generation,
+// one Once per decoded directory), store.BaseCache (mutex, one build per
+// key), faultdisk.Injector (atomic: one schedule under every device it
+// wraps), complexobj.ViewPool. The proof is `go test -race ./...` —
+// buffer.TestEngineHandOver is the rule itself — and CI's race-built
+// server soak: a second goroutine in an engine is a reported race.
+//
 // # Page buffer ownership
 //
 // A page buffer that is neither arena nor base memory — a frame the buffer

@@ -35,15 +35,11 @@ var DefaultRetryPolicy = RetryPolicy{Attempts: 4, Backoff: 50 * time.Microsecond
 // Retries returns how many backend read retries the device has performed.
 // The count is diagnostics, not a paper counter: it survives ResetStats
 // and never feeds the reported statistics.
-func (d *Disk) Retries() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.retries
-}
+func (d *Disk) Retries() int64 { return d.retries }
 
 // readBackend is backend.ReadAt behind DefaultRetryPolicy: transient
 // failures are retried with doubling backoff, anything else (or
-// exhaustion) propagates. Caller holds d.mu.
+// exhaustion) propagates.
 func (d *Disk) readBackend(p []byte, off int) error {
 	err := d.backend.ReadAt(p, off)
 	backoff := DefaultRetryPolicy.Backoff

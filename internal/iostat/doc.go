@@ -2,12 +2,13 @@
 // reports: physical page reads/writes (Table 4), I/O calls (Table 5) and
 // buffer fixes (Table 6). The counters are deliberately dumb integers so
 // that the storage engine can update them from hot paths without locking
-// overhead dominating the simulation; the engine serializes access itself.
+// overhead dominating the simulation; the engine's one owner is the only
+// goroutine that touches them.
 //
 // Concurrency contract: a Stats value is owned by exactly one engine
-// (simulated device or buffer pool), and that engine updates it only while
-// holding its own mutex — Disk.Stats and Pool.Fixes/Hits take the same
-// mutex to read, so snapshots are consistent. The parallel experiment
+// (simulated device or buffer pool), which updates and reads it without
+// any lock, because an engine belongs to one goroutine at a time
+// (internal/disk, "Ownership"). The parallel experiment
 // harness relies on this per-engine ownership instead of atomic counters:
 // every (model, query) worker owns a private device + pool, so counters
 // are never shared across goroutines, hot-path increments stay plain adds,

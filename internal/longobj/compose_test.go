@@ -48,7 +48,7 @@ func TestFailedLargeInsertReturnsItsRun(t *testing.T) {
 			t.Errorf("seed %d: retry stored at page %d (%d pages), device %d pages, %d still free: the run was not reused",
 				seed, ref.Start, ref.Pages(), d.NumPages(), s.FreedPages())
 		}
-		got, err := s.ReadAll(ref)
+		got, err := readAll(s, ref)
 		if err != nil || !equalComps(got, obj) {
 			t.Errorf("seed %d: object stored over the recycled run reads back wrong: %v", seed, err)
 		}
@@ -85,7 +85,7 @@ func TestLargeWritesAllocateNothing(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("large ReplaceAll: %.1f allocs/op, want 0", allocs)
 	}
-	got, err := s.ReadAll(ref)
+	got, err := readAll(s, ref)
 	if err != nil || !equalComps(got, next) {
 		t.Errorf("replaced object reads back wrong: %v", err)
 	}

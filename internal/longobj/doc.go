@@ -11,34 +11,49 @@
 // pages: header page(s) holding the component directory, then dedicated
 // data pages holding the component bytes back to back.
 //
-// Read paths mirror the two direct storage models:
+// There is one read, Store.Read, and it keeps apart what the paper prices
+// and what it does not. Equation 1 charges a query d1·X_calls + d2·X_pages:
+// pages transferred. Read's whole flag chooses those, one way per direct
+// storage model:
 //
-//   - ReadAll fetches header and all data pages — the plain DSM behaviour
-//     ("complex objects are stored as a whole ... the pages that store the
-//     tuple will not be shared", §3.1);
-//   - ReadParts fetches the header first and then only the data pages that
-//     hold requested components — the DASDBS-DSM behaviour ("from the set
-//     of pages that stores the object, only those pages are retrieved that
-//     are actually used in a query", §3.2).
+//   - whole: the header pages and every data page — plain DSM, where
+//     "complex objects are stored as a whole ... the pages that store the
+//     tuple will not be shared" (§3.1) and a query touching an object
+//     pays the full object (§4);
+//   - not whole: the header first, then only the data pages that hold a
+//     selected component — DASDBS-DSM, where "from the set of pages that
+//     stores the object, only those pages are retrieved that are actually
+//     used in a query" (§3.2).
+//
+// Bytes copied out of fixed pages into the caller's hands are CPU, which
+// the paper does not count, and Read's want chooses those: the components
+// the caller will decode (nil: all). So DSM reading a root record fixes
+// the whole object — same pages, calls, fixes and hits as reading all of
+// it — and moves a hundred bytes, not six thousand; a data page no
+// selected component lies on is fixed and never looked at. A directory is
+// checked in full, selected entries or not, before anything is copied.
+// ReadAllShared(ref) is Read(ref, true, nil).
 //
 // ChangeComponent implements the §5.3 update anomaly: DASDBS "change
 // attribute" operations allocate a page pool of which all pages are
 // written immediately, making DASDBS-DSM updates expensive for small
 // objects.
 //
-// A Store has a single owner (the engine it belongs to: one request, one
-// goroutine at a time — the rule iostat's plain counters already rest on)
-// and reuses scratch across calls on that assumption: the header bytes, the
-// page-id list of the read in progress, the resolved directory spans, and
-// the results themselves. ReadAllShared and ReadParts return components —
-// and ReadParts its index list — that alias that scratch: they are valid
-// until the next ReadAllShared or ReadParts on the same store and must be
-// decoded (or copied) before it; ReadAll is the variant whose result
-// belongs to the caller. In exchange a steady-state object read, whole or
-// partial, allocates nothing beyond the values the caller decodes out —
-// which keeps the benchmark server's allocation rate flat under sustained
-// load. Two stores never share scratch, so results of different stores
-// (DASDBS-NSM's four relations) stay valid side by side.
+// A Store has a single owner (the engine it belongs to: one goroutine at a
+// time, internal/disk "Ownership") and reuses scratch across calls on
+// that assumption: the directory bytes, the page-id list of the read in
+// progress, the resolved directory spans, and the result itself. Read
+// returns components and an index list that alias that scratch: they are
+// valid until the next Read (or ChangeComponent, which reads) on the same
+// store and must be decoded, or copied, before it. In exchange a
+// steady-state object read, whole or partial, allocates nothing beyond
+// the values the caller decodes out — which keeps the benchmark server's
+// allocation rate flat under sustained load. Two stores never share
+// scratch, so results of different stores (DASDBS-NSM's four relations)
+// stay valid side by side. Under `-tags poison` the directory and result
+// scratch are filled with 0xDB before each read, so a decoder that reaches
+// a component it did not select, directory bytes past the copied prefix or
+// the previous read's result reads garbage, loudly.
 //
 // The write paths stage in scratch of their own. A large Insert and an
 // in-place ReplaceAll size the object with one helper (largeLayout, which
@@ -49,5 +64,5 @@
 // record is staged the same way. That scratch is write-only: it is never
 // returned to a caller and nothing retains it across a call (the device
 // and the pool copy what they are given), so the retention hazard of the
-// read scratch — and the poisoning mode proposed for it — does not apply.
+// read scratch, and its poisoning, do not apply.
 package longobj

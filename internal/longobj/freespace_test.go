@@ -61,7 +61,7 @@ func TestRelocationReachesStableDeviceSize(t *testing.T) {
 	}
 	// Content sanity after heavy recycling.
 	for i, ref := range refs {
-		comps, err := s.ReadAll(ref)
+		comps, err := readAll(s, ref)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestFreeRunMerging(t *testing.T) {
 	if got := d.NumPages(); got != before {
 		t.Fatalf("device grew %d -> %d despite a merged free run of sufficient size", before, got)
 	}
-	got, err := s.ReadAll(big)
+	got, err := readAll(s, big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestRecycledRunEvictsStaleFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Make the object's pages resident and dirty via an in-place change.
-	if _, err := s.ReadAll(ref); err != nil {
+	if _, err := readAll(s, ref); err != nil {
 		t.Fatal(err)
 	}
 	same := make([]byte, 5000)
@@ -152,7 +152,7 @@ func TestRecycledRunEvictsStaleFrames(t *testing.T) {
 	if reref.Start != ref.Start {
 		t.Fatalf("expected recycling of run %d, got %d", ref.Start, reref.Start)
 	}
-	got, err := s.ReadAll(reref)
+	got, err := readAll(s, reref)
 	if err != nil {
 		t.Fatal(err)
 	}

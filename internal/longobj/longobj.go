@@ -84,8 +84,8 @@ type Store struct {
 	// belongs to, has a single owner (workers and views never share one),
 	// so the reuse is safe: hdrScratch backs readHeader, idScratch the page
 	// list of the read in progress, spanScratch the directory walk, and
-	// idxScratch/compScratch/blockScratch the results of ReadAllShared and
-	// ReadParts (valid only until the next such call). imgBlock/imgScratch
+	// idxScratch/compScratch/blockScratch the result of Read (valid only
+	// until the next one). imgBlock/imgScratch
 	// are the page images compose lays a large object out in and
 	// recScratch the record of a small one: write-only staging for
 	// WriteRun, frame payloads and heap pages, never returned to a caller.
@@ -365,25 +365,30 @@ func (s *Store) visitPages(ids []disk.PageID, dirty bool, visit func(i int, payl
 
 // readHeader fetches the header pages (one I/O call: "DASDBS uses separate
 // I/O calls to retrieve the root page ... the additional header pages ...
-// and the data pages") and returns a copy of the assembled directory bytes.
+// and the data pages") and returns a copy of the directory they hold: the
+// prologue and as many entries as it announces, capped at what the header
+// pages hold — dirEntryAt answers a count beyond that with ErrBadRef.
 func (s *Store) readHeader(ref Ref) ([]byte, error) {
-	ids := s.pageRun(ref.Start, int(ref.HeaderPages))
+	if ref.HeaderPages == 0 {
+		return nil, fmt.Errorf("%w: no header page", ErrBadRef)
+	}
 	eff := s.effSize()
-	need := int(ref.HeaderPages) * eff
-	if cap(s.hdrScratch) < need {
-		s.hdrScratch = make([]byte, need)
-	}
-	// The scratch is fully overwritten (every visited page copies eff
-	// bytes) and only read until the caller returns — no call path reads
-	// two headers at once.
-	hdr := s.hdrScratch[:need]
-	err := s.visitPages(ids, false, func(i int, payload []byte) {
-		copy(hdr[i*eff:], payload)
+	var hdr []byte // sized by the first page; no call path reads two headers at once
+	err := s.visitPages(s.pageRun(ref.Start, int(ref.HeaderPages)), false, func(i int, payload []byte) {
+		if i == 0 {
+			most := int(ref.HeaderPages) * eff
+			need := min(dirPrologue+dirEntry*int(binary.BigEndian.Uint16(payload)), most)
+			if cap(s.hdrScratch) < need {
+				s.hdrScratch = make([]byte, most) // once per header size, not per directory length
+			}
+			poisonScratch(s.hdrScratch)
+			hdr = s.hdrScratch[:need]
+		}
+		if lo := i * eff; lo < len(hdr) {
+			copy(hdr[lo:], payload)
+		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return hdr, nil
+	return hdr, err
 }
 
 // dirSpan is one directory entry resolved to its data-area interval.
@@ -406,10 +411,27 @@ func (s *Store) pageRun(start disk.PageID, n int) []disk.PageID {
 	return ids
 }
 
-// readSpans reads the object's header and resolves the directory entries
-// selected by want (nil selects all) into the span scratch, rejecting
-// entries that reach beyond the data area. It returns the spans and their
-// total payload bytes.
+// spanPages returns, sorted and in the page-list scratch like pageRun's,
+// the IDs of the pages of the data area starting at dataStart that hold a
+// byte of some span.
+func (s *Store) spanPages(spans []dirSpan, dataStart disk.PageID) []disk.PageID {
+	eff := s.effSize()
+	ids := s.idScratch[:0]
+	for _, sp := range spans {
+		for pg := sp.off / eff; sp.end > sp.off && pg <= (sp.end-1)/eff; pg++ {
+			ids = append(ids, dataStart+disk.PageID(pg))
+		}
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	s.idScratch = ids
+	return ids
+}
+
+// readSpans reads the object's header, rejects a directory with an entry
+// that reaches beyond the data area — whether or not it is selected — and
+// resolves the entries selected by want (nil selects all) into the span
+// scratch. It returns the spans and their total payload bytes.
 func (s *Store) readSpans(ref Ref, want func(tag uint8, idx int) bool) ([]dirSpan, int, error) {
 	hdr, err := s.readHeader(ref)
 	if err != nil {
@@ -424,11 +446,11 @@ func (s *Store) readSpans(ref Ref, want func(tag uint8, idx int) bool) ([]dirSpa
 		if err != nil {
 			return nil, 0, err
 		}
-		if want != nil && !want(tag, i) {
-			continue
-		}
 		if off+length > dataLen {
 			return nil, 0, fmt.Errorf("%w: component %d beyond data", ErrBadRef, i)
+		}
+		if want != nil && !want(tag, i) {
+			continue
 		}
 		spans = append(spans, dirSpan{off: off, end: off + length, idx: i, tag: tag})
 		total += length
@@ -437,19 +459,22 @@ func (s *Store) readSpans(ref Ref, want func(tag uint8, idx int) bool) ([]dirSpa
 	return spans, total, nil
 }
 
-// fillSpans cuts one component per span out of a single block and copies
-// the spans' bytes in from the given pages of the object's data area,
-// which starts at page dataStart. The object is moved exactly once, with
-// at most two allocations per read — none in the scratch-backed case — no
-// matter how many components it has.
-func (s *Store) fillSpans(spans []dirSpan, total int, scratch bool, dataStart disk.PageID, ids []disk.PageID) ([]Component, error) {
-	comps, block := s.scratch(scratch, len(spans), total)
+// fillSpans cuts one component per span out of the block scratch, fixes the
+// given pages of the object's data area, which starts at page dataStart,
+// and copies the spans' bytes out of them. A page no span reaches is fixed
+// and left unread; a selected byte is moved exactly once. The spans'
+// directory indices come back in the index scratch.
+func (s *Store) fillSpans(spans []dirSpan, total int, dataStart disk.PageID, ids []disk.PageID) ([]Component, []int, error) {
+	comps, block := s.resultScratch(len(spans), total)
+	idxs := slices.Grow(s.idxScratch[:0], len(spans))
 	pos := 0
 	for i, sp := range spans {
 		length := sp.end - sp.off
 		comps[i] = Component{Tag: sp.tag, Data: block[pos : pos+length : pos+length]}
+		idxs = append(idxs, sp.idx)
 		pos += length
 	}
+	s.idxScratch = idxs
 	eff := s.effSize()
 	err := s.visitPages(ids, false, func(p int, payload []byte) {
 		pageLo := int(ids[p]-dataStart) * eff
@@ -461,75 +486,80 @@ func (s *Store) fillSpans(spans []dirSpan, total int, scratch bool, dataStart di
 		}
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return comps, nil
+	return comps, idxs, nil
 }
 
-// ReadAll returns every component (DSM read path: header call + one call
-// for the full contiguous data run). The returned components are freshly
-// allocated and belong to the caller.
-func (s *Store) ReadAll(ref Ref) ([]Component, error) {
-	return s.readAll(ref, false)
-}
-
-// ReadAllShared is ReadAll over per-store scratch buffers: the returned
-// slice and every component's Data are valid only until the next
-// ReadAllShared call on this store. The storage models' fetch paths
-// decode components into result objects immediately, so they ride on this
-// variant and a steady-state object read allocates nothing beyond the
-// decoded values — which is what keeps a serving process's allocation
-// rate (and with it the GC's transient footprint) flat under load.
-func (s *Store) ReadAllShared(ref Ref) ([]Component, error) {
-	return s.readAll(ref, true)
-}
-
-// scratch returns the component and data scratch for a scratch-backed
-// read, or fresh allocations for the plain contract.
-func (s *Store) scratch(scratch bool, n, total int) ([]Component, []byte) {
-	if !scratch {
-		return make([]Component, n), make([]byte, total)
-	}
+// resultScratch returns the component list and data block a read cuts its
+// result from.
+func (s *Store) resultScratch(n, total int) ([]Component, []byte) {
 	if cap(s.compScratch) < n {
 		s.compScratch = make([]Component, n+8)
 	}
 	if cap(s.blockScratch) < total {
 		s.blockScratch = make([]byte, total+total/2)
 	}
+	poisonScratch(s.blockScratch)
 	return s.compScratch[:n], s.blockScratch[:total]
 }
 
-func (s *Store) readAll(ref Ref, scratch bool) ([]Component, error) {
+// Read is the store's one object read. whole says which pages are
+// transferred (fixed in the pool, read from the device on a miss): every
+// header and data page — DSM: a header call plus one call for the
+// contiguous data run — or the header pages and only the data pages that
+// hold a selected component (DASDBS-DSM). want says which components
+// (given tag and directory index; nil: all) are copied out: a whole read
+// of one component pays the paper's price for the full object and moves
+// that component's bytes only. A small object is one record on one shared
+// page either way.
+//
+// It returns the selected components and, parallel to them, their directory
+// indices, in store scratch: both, every Data included, are valid until the
+// next Read or ChangeComponent on this store and are to be decoded (or
+// copied) before it. In exchange a steady-state read allocates nothing,
+// which keeps a serving process's allocation rate flat under load.
+func (s *Store) Read(ref Ref, whole bool, want func(tag uint8, idx int) bool) ([]Component, []int, error) {
 	if ref.Small {
 		// Decode straight out of the heap page view: decodeInline copies
-		// every component out of the record, so nothing aliases the frame
-		// and the record-sized staging copy heap.Get would make disappears.
+		// what it selects out of the record, so nothing aliases the frame.
 		var comps []Component
+		var idxs []int
 		err := s.shared.View(ref.RID, func(rec []byte) error {
 			var err error
-			comps, err = s.decodeInline(rec, scratch)
+			comps, idxs, err = s.decodeInline(rec, want)
 			return err
 		})
-		return comps, err
+		return comps, idxs, err
 	}
-	spans, total, err := s.readSpans(ref, nil)
+	spans, total, err := s.readSpans(ref, want)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	dataStart := ref.Start + disk.PageID(ref.HeaderPages)
-	return s.fillSpans(spans, total, scratch, dataStart, s.pageRun(dataStart, int(ref.DataPages)))
+	if whole {
+		return s.fillSpans(spans, total, dataStart, s.pageRun(dataStart, int(ref.DataPages)))
+	}
+	return s.fillSpans(spans, total, dataStart, s.spanPages(spans, dataStart))
 }
 
-// decodeInline cuts the components of a small-object record out of one
-// block: the store scratch (see ReadAllShared for the aliasing contract)
-// or, for the plain contract, a fresh one that belongs to the caller.
-func (s *Store) decodeInline(rec []byte, scratch bool) ([]Component, error) {
+// ReadAllShared is Read of everything: every page fixed, every component
+// copied out, in directory order.
+func (s *Store) ReadAllShared(ref Ref) ([]Component, error) {
+	comps, _, err := s.Read(ref, true, nil)
+	return comps, err
+}
+
+// decodeInline cuts the components of a small-object record that want
+// selects (nil: all) out of the block scratch and lists their indices in
+// the index scratch (see Read for the aliasing contract).
+func (s *Store) decodeInline(rec []byte, want func(tag uint8, idx int) bool) ([]Component, []int, error) {
 	if len(rec) < inlinePrologue {
-		return nil, fmt.Errorf("%w: short inline object", ErrBadRef)
+		return nil, nil, fmt.Errorf("%w: short inline object", ErrBadRef)
 	}
 	n := int(binary.BigEndian.Uint16(rec))
 	if len(rec) < inlinePrologue+inlineEntry*n {
-		return nil, fmt.Errorf("%w: truncated inline directory", ErrBadRef)
+		return nil, nil, fmt.Errorf("%w: truncated inline directory", ErrBadRef)
 	}
 	// Validate every directory length against the record before sizing
 	// the scratch: a corrupt record must produce an error, not a huge
@@ -539,68 +569,26 @@ func (s *Store) decodeInline(rec []byte, scratch bool) ([]Component, error) {
 	for i := 0; i < n; i++ {
 		l := int(binary.BigEndian.Uint16(rec[inlinePrologue+inlineEntry*i+1:]))
 		if end+total+l > len(rec) {
-			return nil, fmt.Errorf("%w: truncated inline component %d", ErrBadRef, i)
+			return nil, nil, fmt.Errorf("%w: truncated inline component %d", ErrBadRef, i)
 		}
 		total += l
 	}
-	comps, block := s.scratch(scratch, n, total)
+	comps, block := s.resultScratch(n, total)
+	comps, idxs := comps[:0], slices.Grow(s.idxScratch[:0], n)
 	off := end
 	pos := 0
 	for i := 0; i < n; i++ {
 		base := inlinePrologue + inlineEntry*i
 		l := int(binary.BigEndian.Uint16(rec[base+1:]))
-		data := block[pos : pos+l : pos+l]
-		copy(data, rec[off:off+l])
-		comps[i] = Component{Tag: rec[base], Data: data}
+		if want == nil || want(rec[base], i) {
+			data := block[pos : pos+l : pos+l]
+			copy(data, rec[off:off+l])
+			comps, idxs = append(comps, Component{Tag: rec[base], Data: data}), append(idxs, i)
+			pos += l
+		}
 		off += l
-		pos += l
 	}
-	return comps, nil
-}
-
-// ReadParts returns the components selected by want (given tag and
-// component index), reading only the data pages that hold them (DASDBS-DSM
-// read path). For small objects the single shared page is read either way.
-// The second result lists the selected component indices. Both results
-// live in the store's scratch, like ReadAllShared's: they are valid until
-// the next ReadParts or ReadAllShared on this store.
-func (s *Store) ReadParts(ref Ref, want func(tag uint8, idx int) bool) ([]Component, []int, error) {
-	idxs := s.idxScratch[:0]
-	if ref.Small {
-		all, err := s.readAll(ref, true)
-		if err != nil {
-			return nil, nil, err
-		}
-		comps := all[:0]
-		for i, c := range all {
-			if want(c.Tag, i) {
-				comps = append(comps, c)
-				idxs = append(idxs, i)
-			}
-		}
-		s.idxScratch = idxs
-		return comps, idxs, nil
-	}
-	spans, total, err := s.readSpans(ref, want)
-	if err != nil {
-		return nil, nil, err
-	}
-	eff := s.effSize()
-	dataStart := ref.Start + disk.PageID(ref.HeaderPages)
-	ids := s.idScratch[:0]
-	for _, sp := range spans {
-		idxs = append(idxs, sp.idx)
-		for pg := sp.off / eff; sp.end > sp.off && pg <= (sp.end-1)/eff; pg++ {
-			ids = append(ids, dataStart+disk.PageID(pg))
-		}
-	}
-	slices.Sort(ids)
-	ids = slices.Compact(ids)
-	s.idxScratch, s.idScratch = idxs, ids
-	comps, err := s.fillSpans(spans, total, true, dataStart, ids)
-	if err != nil {
-		return nil, nil, err
-	}
+	s.idxScratch = idxs
 	return comps, idxs, nil
 }
 
@@ -729,16 +717,10 @@ func (s *Store) FreedPages() int { return s.freedPages }
 // written through.
 func (s *Store) ChangeComponent(ref Ref, idx int, data []byte) (int, error) {
 	if ref.Small {
-		// Decode under the page view (decodeInline copies, nothing
-		// aliases the frame) and drop the view before Update re-fixes
-		// the page — the fix count stays identical to the old
-		// Get-then-Update sequence.
-		var comps []Component
-		if err := s.shared.View(ref.RID, func(rec []byte) error {
-			var err error
-			comps, err = s.decodeInline(rec, false)
-			return err
-		}); err != nil {
+		// One read (its view is dropped before Update re-fixes the page),
+		// one component swapped, one re-encode into the record scratch.
+		comps, _, err := s.Read(ref, true, nil)
+		if err != nil {
 			return 0, err
 		}
 		if idx < 0 || idx >= len(comps) {

@@ -25,6 +25,20 @@ func comp(tag uint8, b byte, n int) Component {
 	return Component{Tag: tag, Data: data}
 }
 
+// readAll is the whole read with a result the test owns: Read lends store
+// scratch, and these tests hold objects across reads.
+func readAll(s *Store, ref Ref) ([]Component, error) {
+	lent, err := s.ReadAllShared(ref)
+	if err != nil {
+		return nil, err
+	}
+	comps := make([]Component, len(lent))
+	for i, c := range lent {
+		comps[i] = Component{Tag: c.Tag, Data: bytes.Clone(c.Data)}
+	}
+	return comps, nil
+}
+
 func equalComps(a, b []Component) bool {
 	if len(a) != len(b) {
 		return false
@@ -55,11 +69,11 @@ func TestSmallObjectSharedPage(t *testing.T) {
 	if r1.RID.Page != r2.RID.Page {
 		t.Error("two small objects did not share a page")
 	}
-	got1, err := s.ReadAll(r1)
+	got1, err := readAll(s, r1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := s.ReadAll(r2)
+	got2, err := readAll(s, r2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +82,7 @@ func TestSmallObjectSharedPage(t *testing.T) {
 	}
 	pool.Reset()
 	d.ResetStats()
-	if _, err := s.ReadAll(r1); err != nil {
+	if _, err := readAll(s, r1); err != nil {
 		t.Fatal(err)
 	}
 	if st := d.Stats(); st.PagesRead != 1 || st.ReadCalls != 1 {
@@ -98,7 +112,7 @@ func TestLargeObjectLayout(t *testing.T) {
 	if ref.Pages() != 1+wantData {
 		t.Errorf("Pages() = %d", ref.Pages())
 	}
-	got, err := s.ReadAll(ref)
+	got, err := readAll(s, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,17 +127,17 @@ func TestLargeReadAllCost(t *testing.T) {
 	ref, _ := s.Insert(comps)
 	pool.Reset()
 	d.ResetStats()
-	if _, err := s.ReadAll(ref); err != nil {
+	if _, err := readAll(s, ref); err != nil {
 		t.Fatal(err)
 	}
 	st := d.Stats()
 	// DSM read path: one call for the header page, one for the contiguous
 	// data run ("about 2 pages are read per I/O call" with ~2 data pages).
 	if st.ReadCalls != 2 {
-		t.Errorf("ReadAll calls = %d, want 2 (header + data run)", st.ReadCalls)
+		t.Errorf("whole read calls = %d, want 2 (header + data run)", st.ReadCalls)
 	}
 	if int(st.PagesRead) != ref.Pages() {
-		t.Errorf("ReadAll pages = %d, want %d", st.PagesRead, ref.Pages())
+		t.Errorf("whole read pages = %d, want %d", st.PagesRead, ref.Pages())
 	}
 }
 
@@ -136,12 +150,12 @@ func TestReadPartsTouchesOnlyNeededPages(t *testing.T) {
 	ref, _ := s.Insert(comps)
 	pool.Reset()
 	d.ResetStats()
-	got, idxs, err := s.ReadParts(ref, func(tag uint8, idx int) bool { return tag == 0 })
+	got, idxs, err := s.Read(ref, false, func(tag uint8, idx int) bool { return tag == 0 })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0].Tag != 0 || len(idxs) != 1 || idxs[0] != 0 {
-		t.Fatalf("ReadParts returned %d comps, idxs %v", len(got), idxs)
+		t.Fatalf("partial read returned %d comps, idxs %v", len(got), idxs)
 	}
 	if !bytes.Equal(got[0].Data, comps[0].Data) {
 		t.Error("partial read data mismatch")
@@ -166,7 +180,7 @@ func TestReadPartsSpanningComponent(t *testing.T) {
 	ref, _ := s.Insert(comps)
 	pool.Reset()
 	d.ResetStats()
-	got, _, err := s.ReadParts(ref, func(tag uint8, _ int) bool { return tag == 1 })
+	got, _, err := s.Read(ref, false, func(tag uint8, _ int) bool { return tag == 1 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,16 +197,16 @@ func TestReadPartsEverythingEqualsReadAll(t *testing.T) {
 	_, _, s := newStore(t, 16)
 	comps := []Component{comp(0, 1, 500), comp(1, 2, 2500), comp(2, 3, 1200)}
 	ref, _ := s.Insert(comps)
-	all, err := s.ReadAll(ref)
+	all, err := readAll(s, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, idxs, err := s.ReadParts(ref, func(uint8, int) bool { return true })
+	parts, idxs, err := s.Read(ref, false, func(uint8, int) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !equalComps(all, parts) {
-		t.Error("ReadParts(all) != ReadAll")
+		t.Error("partial read of everything != whole read")
 	}
 	if len(idxs) != len(comps) {
 		t.Errorf("idxs = %v", idxs)
@@ -200,7 +214,7 @@ func TestReadPartsEverythingEqualsReadAll(t *testing.T) {
 }
 
 // TestPartialReadsReuseScratch pins the scratch contract of the read paths
-// the storage models ride on: once warmed up, ReadParts and ReadAllShared
+// the storage models ride on: once warmed up, partial and whole reads
 // allocate nothing — spans, page lists, index list, components and bytes
 // all live in the store — for large and small objects alike.
 func TestPartialReadsReuseScratch(t *testing.T) {
@@ -213,7 +227,7 @@ func TestPartialReadsReuseScratch(t *testing.T) {
 	ones := func(tag uint8, _ int) bool { return tag == 1 }
 	for name, ref := range map[string]Ref{"large": large, "small": small} {
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, _, err := s.ReadParts(ref, ones); err != nil {
+			if _, _, err := s.Read(ref, false, ones); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := s.ReadAllShared(ref); err != nil {
@@ -221,22 +235,22 @@ func TestPartialReadsReuseScratch(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("%s object: %.1f allocations per ReadParts+ReadAllShared, want 0", name, allocs)
+			t.Errorf("%s object: %.1f allocations per partial + whole read, want 0", name, allocs)
 		}
 	}
-	parts, idxs, err := s.ReadParts(large, ones)
+	parts, idxs, err := s.Read(large, false, ones)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(parts) != 2 || parts[0].Data[0] != 2 || parts[1].Data[0] != 4 || idxs[0] != 1 || idxs[1] != 3 {
-		t.Fatalf("ReadParts(tag 1) = %d components, idxs %v", len(parts), idxs)
+		t.Fatalf("partial read of tag 1 = %d components, idxs %v", len(parts), idxs)
 	}
 }
 
 func TestReadPartsNothing(t *testing.T) {
 	_, _, s := newStore(t, 16)
 	ref, _ := s.Insert([]Component{comp(0, 1, 5000)})
-	got, idxs, err := s.ReadParts(ref, func(uint8, int) bool { return false })
+	got, idxs, err := s.Read(ref, false, func(uint8, int) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +280,7 @@ func TestReplaceAllLargeInPlace(t *testing.T) {
 		t.Errorf("flush calls = %d, want 1 (contiguous object)", st.WriteCalls)
 	}
 	pool.Reset()
-	got, err := s.ReadAll(ref)
+	got, err := readAll(s, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +307,7 @@ func TestReplaceAllSmall(t *testing.T) {
 	}
 	pool.FlushAll()
 	pool.Reset()
-	got, _ := s.ReadAll(ref)
+	got, _ := readAll(s, ref)
 	if !equalComps(got, updated) {
 		t.Error("small replace mismatch")
 	}
@@ -322,7 +336,7 @@ func TestChangeComponentWritesThrough(t *testing.T) {
 		t.Errorf("write-through stats %v, want immediate 1-page write", st)
 	}
 	pool.Reset()
-	got, _ := s.ReadAll(ref)
+	got, _ := readAll(s, ref)
 	if !bytes.Equal(got[0].Data, newRoot) {
 		t.Error("change not persisted")
 	}
@@ -377,7 +391,7 @@ func TestManyHeaderPages(t *testing.T) {
 	if ref.HeaderPages < 2 {
 		t.Fatalf("header pages = %d, want >= 2", ref.HeaderPages)
 	}
-	got, err := s.ReadAll(ref)
+	got, err := readAll(s, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,14 +425,14 @@ func TestEmptyComponentData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ReadAll(ref)
+	got, err := readAll(s, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got[0].Data) != 0 || !bytes.Equal(got[1].Data, comps[1].Data) {
 		t.Error("empty component round trip failed")
 	}
-	parts, _, err := s.ReadParts(ref, func(tag uint8, _ int) bool { return tag == 0 })
+	parts, _, err := s.Read(ref, false, func(tag uint8, _ int) bool { return tag == 0 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +472,7 @@ func TestRandomObjectsRoundTripUnderSmallPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, o := range objs {
-		got, err := s.ReadAll(o.ref)
+		got, err := readAll(s, o.ref)
 		if err != nil {
 			t.Fatalf("object %d: %v", i, err)
 		}
@@ -467,7 +481,7 @@ func TestRandomObjectsRoundTripUnderSmallPool(t *testing.T) {
 		}
 		// Partial read of a random component agrees with the full read.
 		k := rng.Intn(len(o.comps))
-		parts, idxs, err := s.ReadParts(o.ref, func(_ uint8, idx int) bool { return idx == k })
+		parts, idxs, err := s.Read(o.ref, false, func(_ uint8, idx int) bool { return idx == k })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -501,7 +515,7 @@ func TestReplaceRelocatesLargeGrowth(t *testing.T) {
 	if nref == ref {
 		t.Fatal("grown object not relocated")
 	}
-	got, err := s.ReadAll(nref)
+	got, err := readAll(s, nref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +547,7 @@ func TestReplaceSmallGrowsToLarge(t *testing.T) {
 	}
 	pool.FlushAll()
 	pool.Reset()
-	got, err := s.ReadAll(nref)
+	got, err := readAll(s, nref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +568,7 @@ func TestReplaceSmallWithinPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ReadAll(nref)
+	got, err := readAll(s, nref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,7 +597,7 @@ func TestReplaceSmallRelocatesWhenPageFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ReadAll(nref)
+	got, err := readAll(s, nref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,7 +606,7 @@ func TestReplaceSmallRelocatesWhenPageFull(t *testing.T) {
 	}
 	// Neighbours unaffected.
 	for _, i := range []int{0, 2, 3} {
-		g, err := s.ReadAll(refs[i])
+		g, err := readAll(s, refs[i])
 		if err != nil || g[0].Data[0] != byte(i) {
 			t.Errorf("neighbour %d damaged: %v", i, err)
 		}

@@ -180,23 +180,22 @@ func (m *direct) ScanAll(fn func(i int, s *cobench.Station) error) error {
 	return nil
 }
 
-// Navigate implements Model. DSM reads the whole object; DASDBS-DSM reads
+// wantRoot and wantNavigation select the components queries 2 and 3 decode:
+// the root record, and with it the platforms whose connections hold the
+// child references.
+func wantRoot(tag uint8, _ int) bool       { return tag == TagRoot }
+func wantNavigation(tag uint8, _ int) bool { return tag == TagRoot || tag == TagPlatform }
+
+// Navigate implements Model. DSM transfers the whole object; DASDBS-DSM
 // the header plus only the pages holding the root record and the platform
 // components ("Since the Sightseeing sub-objects are not used in query 2
 // and 3, we only need to retrieve the header page and a single data page").
+// Either way only those components are copied out and decoded.
 func (m *direct) Navigate(i int) (cobench.RootRecord, []int32, error) {
 	if err := checkIndex(i, len(m.addr)); err != nil {
 		return cobench.RootRecord{}, nil, err
 	}
-	var comps []longobj.Component
-	var err error
-	if m.partial {
-		comps, _, err = m.objs.ReadParts(m.addr[i], func(tag uint8, _ int) bool {
-			return tag == TagRoot || tag == TagPlatform
-		})
-	} else {
-		comps, err = m.objs.ReadAllShared(m.addr[i])
-	}
+	comps, _, err := m.objs.Read(m.addr[i], !m.partial, wantNavigation)
 	if err != nil {
 		return cobench.RootRecord{}, nil, err
 	}
@@ -219,33 +218,31 @@ func (m *direct) Navigate(i int) (cobench.RootRecord, []int32, error) {
 	return root, m.asm.lendKids(children), nil
 }
 
-// ReadRoot implements Model. DSM again pays the full object; DASDBS-DSM
-// reads header + the root record's page only.
+// ReadRoot implements Model. DSM again pays the full object — in pages
+// transferred, the paper's price; DASDBS-DSM reads header + the root
+// record's page only. Both copy out the root record and nothing else.
 func (m *direct) ReadRoot(i int) (cobench.RootRecord, error) {
 	if err := checkIndex(i, len(m.addr)); err != nil {
 		return cobench.RootRecord{}, err
 	}
-	if m.partial {
-		comps, _, err := m.objs.ReadParts(m.addr[i], func(tag uint8, _ int) bool {
-			return tag == TagRoot
-		})
-		if err != nil {
-			return cobench.RootRecord{}, err
-		}
-		if len(comps) != 1 {
-			return cobench.RootRecord{}, fmt.Errorf("store: object %d has %d root components", i, len(comps))
-		}
-		return m.asm.lendRoot(comps[0].Data)
-	}
-	comps, err := m.objs.ReadAllShared(m.addr[i])
-	if err != nil {
-		return cobench.RootRecord{}, err
-	}
-	root, err := rootComponent(comps, i)
+	root, _, err := m.readRootComponent(i)
 	if err != nil {
 		return cobench.RootRecord{}, err
 	}
 	return m.asm.lendRoot(root)
+}
+
+// readRootComponent reads object i the model's way and returns its root
+// record and that component's directory index.
+func (m *direct) readRootComponent(i int) ([]byte, int, error) {
+	comps, idxs, err := m.objs.Read(m.addr[i], !m.partial, wantRoot)
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(comps) != 1 {
+		return nil, 0, fmt.Errorf("store: object %d has %d root components", i, len(comps))
+	}
+	return comps[0].Data, idxs[0], nil
 }
 
 // rootComponent returns the root record among object i's components.
@@ -274,24 +271,19 @@ func (m *direct) UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootR
 			return err
 		}
 		if m.partial {
-			comps, cidx, err := m.objs.ReadParts(m.addr[i], func(tag uint8, _ int) bool {
-				return tag == TagRoot
-			})
+			data, cidx, err := m.readRootComponent(i)
 			if err != nil {
 				return err
 			}
-			if len(comps) != 1 {
-				return fmt.Errorf("store: object %d has %d root components", i, len(comps))
-			}
 			root := &m.asm.upd
-			if *root, err = m.asm.lendRoot(comps[0].Data); err != nil {
+			if *root, err = m.asm.lendRoot(data); err != nil {
 				return err
 			}
 			mutate(idx, root)
 			if m.enc, err = appendRoot(m.enc[:0], *root); err != nil {
 				return err
 			}
-			if _, err := m.objs.ChangeComponent(m.addr[i], cidx[0], m.enc); err != nil {
+			if _, err := m.objs.ChangeComponent(m.addr[i], cidx, m.enc); err != nil {
 				return err
 			}
 			continue

@@ -21,9 +21,10 @@
 // nested ones. The assembler reads each through an nf2.Record and copies
 // what it keeps, because nothing it is handed outlives the call: a heap
 // record is a view into a page frame, valid only inside the View/Scan
-// callback, and the components of a longobj read (ReadAllShared,
-// ReadParts) alias the store's scratch block, valid until the next read on
-// that longobj.Store — every model decodes before it reads again.
+// callback, and the components of a longobj read alias the store's
+// scratch block, valid until the next read on that longobj.Store — every
+// model decodes before it reads again, and reads (longobj.Store.Read's
+// want) only the components it decodes.
 //
 // What a read returns has one of two lifetimes, chosen by the call.
 // FetchByAddress, FetchByKey and the Station UpdateObject hands its mutate
@@ -40,7 +41,7 @@
 // model keeps (one Station grown in place, one string arena rewound per
 // object, one child list; for NSM also the relation-ordered rows a scan
 // stages), and are valid until the view's next call, the contract
-// heap.View, longobj.ReadParts, Pool.FixRun and Engine.IntScratch already
+// heap.View, longobj.Store.Read, Pool.FixRun and Engine.IntScratch already
 // have. The reason is measured: no product caller keeps a scanned object
 // (the runner counts it, the server returns counters), yet materialising
 // each as a caller-owned Station was 88 % of the bytes query 1c allocated;
@@ -168,4 +169,21 @@
 // with the engine, frame buffers and overlay images kept. NewView itself
 // is an empty engine plus that same step. Views still in flight are never
 // rebased: they drain on the generation they were acquired on.
+//
+// # Ownership
+//
+// An engine — device, buffer pool, the heaps and long-object stores over
+// them, the model's scratch — belongs to one goroutine at a time and takes
+// no lock: plain counters, plain free lists, results lent out of scratch.
+// It changes hands only through something that synchronises (a ViewPool
+// lease, a fanout worker taking its cell, a channel). What engines share
+// keeps its own synchronisation: disk.PagePool (mutex: engines of one
+// suite take and give pages concurrently), a BaseArena floor's reference
+// count (atomic: views open and close concurrently; floor and page tables
+// are immutable), store.SharedBase (lock around the current generation,
+// one Once per decoded directory), store.BaseCache (mutex, one build per
+// key), faultdisk.Injector (atomic: one schedule under every device it
+// wraps), complexobj.ViewPool. The proof is `go test -race ./...` —
+// buffer.TestEngineHandOver is the rule itself — and CI's race-built
+// server soak: a second goroutine in an engine is a reported race.
 package store
