@@ -428,9 +428,17 @@ func (db *DB) UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootReco
 // may grow or shrink, direct objects relocate when their page footprint
 // changes, and normalized sub-tuples are deleted and reinserted. The
 // NoPlatform/NoSeeing counters are refreshed automatically.
+//
+// A key selects one object: a mutation that moves the object onto a key
+// another object holds fails with ErrDuplicateKey, before anything is
+// written. To swap two keys, move one through a key nobody holds.
 func (db *DB) UpdateObject(i int, mutate func(s *cobench.Station) error) error {
 	return db.model.UpdateObject(i, mutate)
 }
+
+// ErrDuplicateKey reports an UpdateObject that would give an object a key
+// another object holds.
+var ErrDuplicateKey = store.ErrDuplicateKey
 
 // Flush writes all deferred (dirty) pages back to disk, the paper's
 // "database disconnect".

@@ -418,6 +418,28 @@ func BenchmarkUpdateRoots(b *testing.B) {
 	})
 }
 
+// BenchmarkUpdateObject is the structural write path, one object per op
+// round-robin: grown by twenty sightseeings — past its page run, so a
+// direct object relocates and NSM reinserts its sub-tuples — then shrunk
+// back. allocs/op and B/op are gated: the owned fetch, the mutation and
+// the re-encodes, and no table copied on a model that loaded its own.
+func BenchmarkUpdateObject(b *testing.B) {
+	const extra = 20
+	grow := func(s *cobench.Station) error {
+		for j := 0; j < extra; j++ {
+			s.Seeings = append(s.Seeings, cobench.Sightseeing{Nr: int32(100 + j), Description: "grown", Location: "here"})
+		}
+		return nil
+	}
+	shrink := func(s *cobench.Station) error { s.Seeings = s.Seeings[:len(s.Seeings)-extra]; return nil }
+	benchRoots(b, func(m Model, i int) error {
+		if err := m.UpdateObject(i, grow); err != nil {
+			return err
+		}
+		return m.UpdateObject(i, shrink)
+	})
+}
+
 func benchRoots(b *testing.B, read func(m Model, i int) error) {
 	stations, err := cobench.Generate(cobench.DefaultConfig().WithN(300))
 	if err != nil {

@@ -336,6 +336,9 @@ func (m *direct) UpdateObject(i int, mutate func(s *cobench.Station) error) erro
 	}
 	st.NoPlatform = int32(len(st.Platforms))
 	st.NoSeeing = int32(len(st.Seeings))
+	if err := checkKey(m.keyIdx, i, st.Key); err != nil {
+		return err
+	}
 	comps, err := m.components(st)
 	if err != nil {
 		return err

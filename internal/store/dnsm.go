@@ -426,6 +426,9 @@ func (m *dnsm) UpdateObject(i int, mutate func(s *cobench.Station) error) error 
 	}
 	st.NoPlatform = int32(len(st.Platforms))
 	st.NoSeeing = int32(len(st.Seeings))
+	if err := checkKey(m.keyIdx, i, st.Key); err != nil {
+		return err
+	}
 	recs, err := m.tuples(st)
 	if err != nil {
 		return err

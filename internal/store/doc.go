@@ -1,12 +1,26 @@
-// Package store implements the four complex-object storage models of the
-// paper's §3 over the simulated DASDBS engine:
+// Package store implements the complex-object storage models of the
+// paper's §3 over the simulated DASDBS engine. A model is a layout — the
+// containers an object's records live in and how its in-memory directory
+// (key index, per-object addresses, container state) addresses them —
+// plus the access strategy the paper says differs:
 //
-//   - DSM and DASDBS-DSM (direct.go): direct storage, objects clustered
-//     as a whole; the DASDBS variant adds object headers, partial page
-//     access and write-through change-attribute updates;
-//   - NSM (nsm.go): normalized flat relations, with and without an index;
-//   - DASDBS-NSM (dnsm.go): normalized nested relations plus a
-//     transformation table.
+//   - DSM (§3.1): one long-object store, each station one clustered object
+//     behind an in-memory address; "complex objects are stored as a whole
+//     on as few disk pages as possible", and a query transfers every page
+//     of each object it touches.
+//   - DASDBS-DSM (§3.2): the same layout read through the object header,
+//     retrieving "only those pages ... that are actually used in a query";
+//     root updates are change-attribute operations, written through.
+//   - NSM (§3.3): four heaps of flat tuples joined on root and parent keys,
+//     each object's tuples listed by RID. "With NSM we have no
+//     identifiers": value and address queries scan and join. NSM+index
+//     reaches the tuples through a free in-memory index instead, so "a page
+//     is read from disk then and only then if a tuple it stores is
+//     requested".
+//   - DASDBS-NSM (§3.4): four long-object stores of nested tuples, one tuple
+//     per relation per object, and a transformation table of four
+//     addresses per object that "immediately shows the addresses of all the
+//     tuples that together store an object".
 //
 // All models speak the same Model interface so the benchmark driver and
 // the experiment harness treat them uniformly.
@@ -65,7 +79,7 @@
 //
 // The paper treats loading the extension as dictionary-level work outside
 // the counted I/O; here it is the dominant cost of every sweep point, so a
-// load is built in place. Load starts with a sizing pass (sizing.go): it
+// load is built in place. Load starts with a sizing pass: it
 // walks the extension, counts the pages the inserts will allocate and
 // reserves them on the device in one piece (disk.Disk.Reserve). No size
 // is written down anywhere and nothing is built to be measured — STR
@@ -76,8 +90,9 @@
 // (the counted-index ablation's B+-trees) the device's doubling fallback
 // takes over. The inserts then write each station's records straight from
 // the cobench structs into one reused buffer per model with an
-// nf2.Appender (components.go lists the attributes, once for all models),
-// never through an nf2.Tuple tree — that encoder is the tests' oracle —
+// nf2.Appender (one function per record kind lists its attributes, once
+// for all models), never through an nf2.Tuple tree — that encoder is the
+// tests' oracle —
 // and longobj lays large objects out in reused page images, so the arena
 // is what a load allocates. The same buffer takes the root record an
 // update re-encodes: heap and longobj copy what they are handed.
@@ -149,9 +164,14 @@
 // it at most once into a model without a device, the tables every view of
 // it attaches to in O(1) (Model.attach). Nothing writes them — an
 // UpdateObject that moves an object or its key copies the model's tables
-// first, heaps and long-object stores keep their small state privately —
-// and Model.dirChanged says whether a view's directory may have left its
-// generation's. View.Commit logs a view's dirty pages, then
+// first, heaps and long-object stores keep their small state privately;
+// the poison build tag re-encodes them at every Rebase and every Recycle
+// that re-attaches, and panics unless they still are the blob — and
+// Model.dirChanged says whether a view's directory may have left its
+// generation's. A key selects one object: an UpdateObject onto a key
+// another object holds is ErrDuplicateKey, refused before anything is
+// written, and a blob that repeats a key does not restore (ErrRestore).
+// View.Commit logs a view's dirty pages, then
 // SharedBase.Promote swaps in generation n+1, at the cost the paper's own
 // argument about writes allows (§5.3: pay per dirty page, not per
 // something larger): a promote copies the page table's root, the dirty

@@ -678,6 +678,9 @@ func (m *nsm) UpdateObject(i int, mutate func(s *cobench.Station) error) error {
 	}
 	st.NoPlatform = int32(len(st.Platforms))
 	st.NoSeeing = int32(len(st.Seeings))
+	if err := checkKey(m.keyIdx, i, st.Key); err != nil {
+		return err
+	}
 	if m.enc, err = appendRoot(m.enc[:0], st.Root()); err != nil {
 		return err
 	}

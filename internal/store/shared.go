@@ -58,7 +58,10 @@ type directory struct {
 	err    error
 }
 
-// decoded returns the directory as a model of layout k to attach to.
+// decoded returns the directory as a model of layout k to attach to. Under
+// the poison tag every call first re-encodes it and panics unless it still
+// is the blob byte for byte: a view that wrote the shared tables without
+// copying them fails the next view that lands here.
 func (d *directory) decoded(k Kind) (Model, error) {
 	d.once.Do(func() {
 		d.tables = NewWithEngine(k, &Engine{})
@@ -66,6 +69,11 @@ func (d *directory) decoded(k Kind) (Model, error) {
 			d.tables, d.err = nil, fmt.Errorf("%w: %v", ErrRestore, err)
 		}
 	})
+	if poison && d.err == nil {
+		if b, err := d.tables.SnapshotMeta(); err != nil || !bytes.Equal(b, d.meta) {
+			panic(fmt.Sprintf("store: %s: a generation's shared directory was written (%v)", k, err))
+		}
+	}
 	return d.tables, d.err
 }
 

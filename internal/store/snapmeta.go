@@ -42,6 +42,17 @@ func readRID(r *wire.Reader) heap.RID {
 	return heap.RID{Page: disk.PageID(r.U32()), Slot: r.U16()}
 }
 
+// restoreKey registers object i's key read from a blob. A key selects one
+// object, so a blob that repeats one is corrupt (a map would silently keep
+// the later object, and the earlier would have no key).
+func restoreKey(keyIdx map[int32]int, key int32, i int) error {
+	if j, dup := keyIdx[key]; dup {
+		return fmt.Errorf("%w: objects %d and %d share key %d", ErrRestore, j, i, key)
+	}
+	keyIdx[key] = i
+	return nil
+}
+
 // invertKeys rebuilds the dense key array from a key->index map.
 func invertKeys(keyIdx map[int32]int, n int) ([]int32, error) {
 	keys := make([]int32, n)
@@ -92,7 +103,9 @@ func (m *direct) RestoreMeta(meta []byte) error {
 	m.keyIdx = make(map[int32]int, n)
 	for i := range m.addr {
 		m.addr[i] = longobj.ReadRef(r)
-		m.keyIdx[int32(r.U32())] = i
+		if err := restoreKey(m.keyIdx, int32(r.U32()), i); err != nil {
+			return err
+		}
 	}
 	if err := m.objs.RestoreState(r); err != nil {
 		return err
@@ -166,7 +179,9 @@ func (m *nsm) RestoreMeta(meta []byte) error {
 	}
 	for i := 0; i < n; i++ {
 		m.stationRID[i] = readRID(r)
-		m.keyIdx[int32(r.U32())] = i
+		if err := restoreKey(m.keyIdx, int32(r.U32()), i); err != nil {
+			return err
+		}
 		m.platRIDs[i] = readGroup(&m.nPlats)
 		m.connRIDs[i] = readGroup(&m.nConns)
 		m.seeingRIDs[i] = readGroup(&m.nSeeings)
@@ -220,7 +235,9 @@ func (m *dnsm) RestoreMeta(meta []byte) error {
 		for slot := range m.refs[i] {
 			m.refs[i][slot] = longobj.ReadRef(r)
 		}
-		m.keyIdx[int32(r.U32())] = i
+		if err := restoreKey(m.keyIdx, int32(r.U32()), i); err != nil {
+			return err
+		}
 	}
 	for _, s := range m.stores() {
 		if err := s.RestoreState(r); err != nil {

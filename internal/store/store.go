@@ -49,8 +49,8 @@ func (k Kind) String() string {
 
 // Layout returns the kind whose physical layout k's objects are stored
 // in. DSM and DASDBS-DSM are one layout read with two access strategies
-// (§3.1/§3.2: each station one clustered object with an object header,
-// see direct.go), so DASDBS-DSM reports DSM; every other model has a
+// (§3.1/§3.2: each station one clustered object with an object header),
+// so DASDBS-DSM reports DSM; every other model has a
 // layout of its own. A base loaded for one kind serves views of every
 // kind with that layout (SharedBase.NewViewAs).
 func (k Kind) Layout() Kind {
@@ -72,6 +72,10 @@ var ErrNotLoaded = errors.New("store: no database loaded")
 
 // ErrBadObject reports an object index outside the loaded extension.
 var ErrBadObject = errors.New("store: object index out of range")
+
+// ErrDuplicateKey reports a key another object already holds: a key
+// selects one object, so UpdateObject refuses to move an object onto it.
+var ErrDuplicateKey = errors.New("store: key held by another object")
 
 // Options configure the simulated installation.
 type Options struct {
@@ -294,6 +298,8 @@ type Model interface {
 	// benchmark, whose updates never change the object structure (§2.2).
 	// Objects may grow or shrink; direct objects relocate when their page
 	// footprint changes, normalized sub-tuples are deleted and reinserted.
+	// A mutation onto a key another object holds is ErrDuplicateKey,
+	// returned before anything is written.
 	UpdateObject(i int, mutate func(s *cobench.Station) error) error
 	// Flush forces deferred writes out (end of query / disconnect).
 	Flush() error
@@ -356,6 +362,16 @@ func checkIndex(i, n int) error {
 	}
 	if i < 0 || i >= n {
 		return fmt.Errorf("%w: %d of %d", ErrBadObject, i, n)
+	}
+	return nil
+}
+
+// checkKey refuses to give object i a key another object holds. Every
+// UpdateObject calls it after mutate and before it encodes or writes
+// anything, so a refusal leaves pages and tables as they were.
+func checkKey(keyIdx map[int32]int, i int, key int32) error {
+	if j, held := keyIdx[key]; held && j != i {
+		return fmt.Errorf("%w: object %d holds key %d", ErrDuplicateKey, j, key)
 	}
 	return nil
 }

@@ -1,11 +1,16 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"complexobj/cobench"
+	"complexobj/internal/longobj"
+	"complexobj/nf2"
 )
 
 // testExtension returns a small deterministic benchmark extension.
@@ -601,15 +606,52 @@ func TestUpdateObjectStructural(t *testing.T) {
 	}
 }
 
+// TestUpdateObjectErrors runs every refused UpdateObject on every model: a
+// refusal writes nothing — the directory blob and the dirty frames are what
+// they were — and the model still serves its objects.
 func TestUpdateObjectErrors(t *testing.T) {
 	stations := testExtension(t, 10)
-	m := loadModel(t, DSM, stations)
-	if err := m.UpdateObject(99, func(*cobench.Station) error { return nil }); !errors.Is(err, ErrBadObject) {
-		t.Errorf("bad index err = %v", err)
-	}
 	sentinel := errors.New("boom")
-	if err := m.UpdateObject(1, func(*cobench.Station) error { return sentinel }); !errors.Is(err, sentinel) {
-		t.Errorf("mutate error not propagated: %v", err)
+	for _, k := range AllKinds() {
+		m := loadModel(t, k, stations)
+		for _, tc := range []struct {
+			name   string
+			i      int
+			mutate func(*cobench.Station) error
+			want   error
+		}{
+			{"bad index", 99, func(*cobench.Station) error { return nil }, ErrBadObject},
+			{"mutate error", 1, func(*cobench.Station) error { return sentinel }, sentinel},
+			{"duplicate key", 1, func(s *cobench.Station) error { s.Key = stations[2].Key; return nil }, ErrDuplicateKey},
+			// A new key with a record that does not encode: the key moves
+			// nowhere, on the device or in the index.
+			{"new key, oversized name", 1, func(s *cobench.Station) error {
+				s.Key, s.Name = 1<<20, strings.Repeat("x", 1<<12)
+				return nil
+			}, nf2.ErrStringTooBig},
+		} {
+			before, err := m.SnapshotMeta()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.UpdateObject(tc.i, tc.mutate); !errors.Is(err, tc.want) {
+				t.Errorf("%s: %s: err = %v, want %v", k, tc.name, err, tc.want)
+			}
+			if after, err := m.SnapshotMeta(); err != nil {
+				t.Errorf("%s: %s: directory broken: %v", k, tc.name, err)
+			} else if !bytes.Equal(before, after) || m.Engine().Pool.DirtyLen() != 0 {
+				t.Errorf("%s: %s: a refused update wrote (%d dirty frames)", k, tc.name, m.Engine().Pool.DirtyLen())
+			}
+		}
+		for _, i := range []int{1, 2} {
+			if got, err := m.FetchByKey(stations[i].Key); err != nil || !got.Equal(stations[i]) {
+				t.Errorf("%s: FetchByKey(%d) after the refusals = %v", k, stations[i].Key, err)
+			}
+		}
+		if _, err := m.FetchByKey(1 << 20); err == nil {
+			t.Errorf("%s: a refused update's new key finds an object", k)
+		}
+		m.Engine().Close()
 	}
 	// Counted-index NSM rejects structural updates (append-only B+-trees).
 	mi := mustNew(NSMIndex, Options{BufferPages: 128, CountIndexIO: true})
@@ -621,6 +663,80 @@ func TestUpdateObjectErrors(t *testing.T) {
 		return nil
 	}); err == nil {
 		t.Error("counted-index structural update accepted")
+	}
+}
+
+// TestUpdateObjectSwapsKeysThroughAFreshKey swaps two objects' keys the
+// only way a key stays unique at every step: a, b = b, a through a key
+// nobody holds.
+func TestUpdateObjectSwapsKeysThroughAFreshKey(t *testing.T) {
+	stations := testExtension(t, 10)
+	a, b, spare := stations[3].Key, stations[6].Key, int32(1<<20)
+	for _, k := range AllKinds() {
+		m := loadModel(t, k, stations)
+		for _, step := range []struct {
+			i   int
+			key int32
+		}{{3, spare}, {6, a}, {3, b}} {
+			if err := m.UpdateObject(step.i, func(s *cobench.Station) error { s.Key = step.key; return nil }); err != nil {
+				t.Fatalf("%s: object %d to key %d: %v", k, step.i, step.key, err)
+			}
+		}
+		for key, i := range map[int32]int{a: 6, b: 3} {
+			got, err := m.FetchByKey(key)
+			if err != nil || got.Name != stations[i].Name {
+				t.Errorf("%s: FetchByKey(%d) = %v, want object %d", k, key, err, i)
+			}
+		}
+		if _, err := m.FetchByKey(spare); err == nil {
+			t.Errorf("%s: the spare key still finds an object", k)
+		}
+		if _, err := m.SnapshotMeta(); err != nil {
+			t.Errorf("%s: %v", k, err)
+		}
+		m.Engine().Close()
+	}
+}
+
+// TestRestoreMetaRejectsRepeatedKey hand-edits a valid blob so that two
+// objects carry one key: restoring it is ErrRestore, on every layout.
+func TestRestoreMetaRejectsRepeatedKey(t *testing.T) {
+	stations := testExtension(t, 5)
+	for _, k := range AllKinds() {
+		if k == NSMIndex || k == DASDBSDSM {
+			continue // NSM's and DSM's layout
+		}
+		m := loadModel(t, k, stations)
+		meta, err := m.SnapshotMeta()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// keyAt is the offset of object i's key: past the version, the
+		// count and the objects before it, then its refs or root RID.
+		keyAt := func(i int) int {
+			const head = 1 + 4
+			switch m := m.(type) {
+			case *direct:
+				return head + i*(longobj.RefLen+4) + longobj.RefLen
+			case *dnsm:
+				return head + i*(4*longobj.RefLen+4) + 4*longobj.RefLen
+			case *nsm:
+				off := head
+				for j := 0; j < i; j++ {
+					off += ridLen + 4 + 3*4 + (len(m.platRIDs[j])+len(m.connRIDs[j])+len(m.seeingRIDs[j]))*ridLen
+				}
+				return off + ridLen
+			}
+			panic(k)
+		}
+		bad := bytes.Clone(meta)
+		copy(bad[keyAt(1):keyAt(1)+4], meta[keyAt(0):keyAt(0)+4])
+		if binary.BigEndian.Uint32(bad[keyAt(1):]) != uint32(stations[0].Key) {
+			t.Fatalf("%s: object 1's key is not at offset %d", k, keyAt(1))
+		}
+		if err := mustNew(k, Options{}).RestoreMeta(bad); !errors.Is(err, ErrRestore) {
+			t.Errorf("%s: a blob with a repeated key restored: %v", k, err)
+		}
 	}
 }
 

@@ -114,7 +114,11 @@ func (v *View) Recycle() (rebuilt bool, err error) {
 	}
 	v.eng.ResetStats()
 	if dirty {
-		v.m.attach(v.st.dir.tables) // decoded when the view landed here
+		tables, err := v.st.dir.decoded(v.base.kind) // decoded when the view landed here
+		if err != nil {
+			return false, fmt.Errorf("store: recycle %s: %w", v.base.kind, err)
+		}
+		v.m.attach(tables)
 	}
 	return dirty, nil
 }
