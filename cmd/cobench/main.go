@@ -25,36 +25,34 @@
 // read-only where the platform allows — and every repeat gets a fresh
 // view of it.
 //
-// With -serve-url, cobench is a load generator against a running coserve
-// instead of measuring locally: every (model, query) cell becomes an HTTP
-// request, -clients concurrent closed-loop clients drive them (-repeat
-// repeats the whole set), and -rate R switches to an open loop launching
-// R requests per second regardless of completions. The printed table is
-// built from the served per-request counters and is byte-identical to the
-// local run with the same flags — that equivalence is the server's
-// acceptance test — while a latency/throughput report (p50/p90/p99/p99.9
-// percentiles from the same histogram code the server's /metrics runs
-// on, plus retry and shed counts: the client retries transient
-// connection errors and 503 sheds with bounded backoff) goes to stderr
-// so stdout stays diffable. -report additionally writes the summary as
-// JSON.
+// With -serve-url, cobench drives a running coserve (or coshard) instead:
+// every (model, query, repeat) cell is one HTTP request, and one driver
+// (drive.go) runs each served load as one of three things — a table run in
+// a closed loop (-clients workers pull the cells), a table run in an open
+// loop (one ticker fires the cells at -rate R per second regardless of
+// completions), or a soak (-soak D: -soak-steps open-loop phases climbing
+// to -rate, default 50 req/s, each for D/steps). All three share one
+// request path (bounded retry with backoff over transport errors and 503
+// sheds), one accumulator (one latency observation per answered request:
+// the successful attempt's issue → decoded response, in the histogram code
+// the server's /metrics runs on), one /info bracket around the run and one
+// report: a summary line on stderr, so stdout stays diffable, and with
+// -report the same figures as JSON, written even when the run fails.
 //
-// -write-frac F mixes durable writes into the served load: that
-// fraction of the update-query (3a/3b) requests carries commit=1, so
-// the server folds the mutation into its base through the write-ahead
-// log before answering. It needs a durable server (coserve -wal); the
-// run then reports commit counts and commit-latency percentiles and
-// fails if any acknowledged commit is missing from the server's own
-// counter (a lost update). Read counters stay bit-identical — commits
-// happen after the measured run, on fixed-size update stamps.
+// A table run prints the table built from the served counters,
+// byte-identical to the local run with the same flags — the server's
+// acceptance test — and fails if a request failed or a cell answered twice
+// with different counters (client divergence). A soak prints no table; it
+// gates on zero hard errors, zero divergent cells (server /stats and
+// client side), server RSS growth within -soak-rss-mb MiB and zero lost
+// updates, and tolerates sheds that outlast the retries.
 //
-// -soak D replaces the table run with a sustained open-loop load: a
-// stepped rate ramp (-soak-steps rungs climbing to -rate req/s, default
-// 50) over the total duration D, gated on zero hard errors, zero
-// divergent counter cells (server- and client-side), server RSS
-// growth within -soak-rss-mb MiB and — with -write-frac — zero lost
-// updates. A failing gate exits non-zero after writing the -report
-// file, so CI keeps the evidence.
+// -write-frac F mixes durable writes into any served load: that fraction
+// of the update-query (3a/3b) requests carries commit=1, which needs a
+// durable server (coserve -wal). The run then reports commits, their
+// latency and the server's WAL traffic, and fails if an acknowledged
+// commit is missing from the server's own counter (a lost update). Read
+// counters stay bit-identical — commits happen after the measured run.
 //
 // -faults arms a seeded fault-injection schedule under every local
 // engine (see complexobj.ParseFaultPlan for the grammar); in -serve-url
@@ -67,6 +65,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -77,42 +76,59 @@ import (
 	"complexobj/report"
 )
 
+// options holds cobench's flags, read by the local and the served path.
+type options struct {
+	model, query, metric, dbPath, faults, cpuProf, memProf string
+	n, buffer, loops, samples, maxSeeing, workers, repeat  int
+	seed                                                   uint64
+	skew                                                   bool
+
+	// -serve-url mode
+	serveURL, reportPath          string
+	clients, soakSteps, soakRSSMB int
+	rate, writeFrac               float64
+	soak                          time.Duration
+}
+
+// flags registers cobench's flags on fs.
+func flags(fs *flag.FlagSet) *options {
+	o := new(options)
+	fs.StringVar(&o.model, "model", "all", "storage model: all, dsm, ddsm, nsm, nsmx, dnsm")
+	fs.StringVar(&o.query, "query", "all", "benchmark query: all, 1a, 1b, 1c, 2a, 2b, 3a, 3b")
+	fs.IntVar(&o.n, "n", 1500, "number of stations")
+	fs.IntVar(&o.buffer, "buffer", 1200, "buffer pool pages")
+	fs.IntVar(&o.loops, "loops", 300, "loops for queries 2b/3b")
+	fs.IntVar(&o.samples, "samples", 40, "samples for single-shot queries")
+	fs.Uint64Var(&o.seed, "seed", 1993, "generator seed")
+	fs.BoolVar(&o.skew, "skew", false, "use the data-skew extension (prob 0.2, fanout 8)")
+	fs.IntVar(&o.maxSeeing, "maxseeing", 15, "maximum sightseeings per station")
+	fs.StringVar(&o.metric, "metric", "pages", "reported metric: pages, calls, fixes or writes")
+	fs.IntVar(&o.workers, "workers", 0, "model rows measured concurrently (0 = GOMAXPROCS)")
+	fs.StringVar(&o.dbPath, "db", "", "map the models' bases from this cogen-built .codb snapshot instead of generating")
+	fs.IntVar(&o.repeat, "repeat", 1, "measure the full table this many times (deterministic; printed once)")
+	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memProf, "memprofile", "", "write a heap profile to this file on exit")
+	fs.StringVar(&o.serveURL, "serve-url", "", "drive a running coserve at this base URL instead of measuring locally")
+	fs.IntVar(&o.clients, "clients", 8, "concurrent closed-loop clients in -serve-url mode")
+	fs.Float64Var(&o.rate, "rate", 0, "open-loop request rate per second in -serve-url mode (0 = closed loop)")
+	fs.StringVar(&o.faults, "faults", "", "fault-injection schedule for every local engine, e.g. seed=7,read=0.02,latency=0.05:2ms")
+	fs.StringVar(&o.reportPath, "report", "", "write a machine-readable JSON run report to this file (-serve-url mode)")
+	fs.DurationVar(&o.soak, "soak", 0, "sustained-load soak of this total duration instead of a table run (-serve-url mode)")
+	fs.IntVar(&o.soakSteps, "soak-steps", 4, "rate-ramp steps of the soak (climbing to -rate, default 50 req/s)")
+	fs.IntVar(&o.soakRSSMB, "soak-rss-mb", 64, "soak gate: server RSS may grow at most this many MiB")
+	fs.Float64Var(&o.writeFrac, "write-frac", 0, "fraction of update-query (3a/3b) requests committed durably in -serve-url mode (needs coserve -wal)")
+	return o
+}
+
 func main() {
-	var (
-		model     = flag.String("model", "all", "storage model: all, dsm, ddsm, nsm, nsmx, dnsm")
-		query     = flag.String("query", "all", "benchmark query: all, 1a, 1b, 1c, 2a, 2b, 3a, 3b")
-		n         = flag.Int("n", 1500, "number of stations")
-		buffer    = flag.Int("buffer", 1200, "buffer pool pages")
-		loops     = flag.Int("loops", 300, "loops for queries 2b/3b")
-		samples   = flag.Int("samples", 40, "samples for single-shot queries")
-		seed      = flag.Uint64("seed", 1993, "generator seed")
-		skew      = flag.Bool("skew", false, "use the data-skew extension (prob 0.2, fanout 8)")
-		maxSeeing = flag.Int("maxseeing", 15, "maximum sightseeings per station")
-		metric    = flag.String("metric", "pages", "reported metric: pages, calls, fixes or writes")
-		workers   = flag.Int("workers", 0, "model rows measured concurrently (0 = GOMAXPROCS)")
-		dbPath    = flag.String("db", "", "map the models' bases from this cogen-built .codb snapshot instead of generating")
-		repeat    = flag.Int("repeat", 1, "measure the full table this many times (deterministic; printed once)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		serveURL  = flag.String("serve-url", "", "drive a running coserve at this base URL instead of measuring locally")
-		clients   = flag.Int("clients", 8, "concurrent closed-loop clients in -serve-url mode")
-		rate      = flag.Float64("rate", 0, "open-loop request rate per second in -serve-url mode (0 = closed loop)")
-		faults    = flag.String("faults", "", "fault-injection schedule for every local engine, e.g. seed=7,read=0.02,latency=0.05:2ms")
-		reportOut = flag.String("report", "", "write a machine-readable JSON run report to this file (-serve-url mode)")
-		soak      = flag.Duration("soak", 0, "sustained-load soak of this total duration instead of a table run (-serve-url mode)")
-		soakSteps = flag.Int("soak-steps", 4, "rate-ramp steps of the soak (climbing to -rate, default 50 req/s)")
-		soakRSS   = flag.Int("soak-rss-mb", 64, "soak gate: server RSS may grow at most this many MiB")
-		writeFrac = flag.Float64("write-frac", 0, "fraction of update-query (3a/3b) requests committed durably in -serve-url mode (needs coserve -wal)")
-	)
+	o := flags(flag.CommandLine)
 	flag.Parse()
 
-	stopProf, err := profile.Start(*cpuProf, *memProf)
+	stopProf, err := profile.Start(o.cpuProf, o.memProf)
 	if err != nil {
 		fatal(err)
 	}
-	err = run(*model, *query, *n, *buffer, *loops, *samples, *seed, *skew, *maxSeeing,
-		*metric, *workers, *dbPath, *repeat, *serveURL, *clients, *rate, *faults,
-		*reportOut, *soak, *soakSteps, *soakRSS, *writeFrac)
+	err = run(o, os.Stdout, os.Stderr)
 	if perr := stopProf(); err == nil {
 		err = perr
 	}
@@ -122,104 +138,94 @@ func main() {
 }
 
 // run does all the work, so the profile writers flush on every exit path
-// (os.Exit lives only in main).
-func run(model, query string, n, buffer, loops, samples int, seed uint64, skew bool,
-	maxSeeing int, metric string, workers int, dbPath string, repeat int,
-	serveURL string, clients int, rate float64, faults string,
-	reportPath string, soak time.Duration, soakSteps, soakRSSMB int, writeFrac float64) error {
-
-	gen := cobench.DefaultConfig().WithN(n).WithMaxSeeing(maxSeeing)
-	gen.Seed = seed
-	if skew {
+// (os.Exit lives only in main): the table goes to stdout, the served run's
+// report to stderr.
+func run(o *options, stdout, stderr io.Writer) error {
+	gen := cobench.DefaultConfig().WithN(o.n).WithMaxSeeing(o.maxSeeing)
+	gen.Seed = o.seed
+	if o.skew {
 		gen = gen.Skewed()
 	}
-	w := cobench.Workload{Loops: loops, Samples: samples, Seed: seed}
+	w := cobench.Workload{Loops: o.loops, Samples: o.samples, Seed: o.seed}
 
 	models := complexobj.AllModels()
-	if model != "all" {
-		k, err := complexobj.ModelByName(model)
+	if o.model != "all" {
+		k, err := complexobj.ModelByName(o.model)
 		if err != nil {
 			return err
 		}
 		models = []complexobj.ModelKind{k}
 	}
 	queries := cobench.AllQueries()
-	if query != "all" {
-		q, ok := cobench.QueryByName(query)
+	if o.query != "all" {
+		q, ok := cobench.QueryByName(o.query)
 		if !ok {
-			return fmt.Errorf("unknown query %q", query)
+			return fmt.Errorf("unknown query %q", o.query)
 		}
 		queries = []cobench.Query{q}
 	}
-	get, ok := metricFn(metric)
+	get, ok := metricFn(o.metric)
 	if !ok {
-		return fmt.Errorf("unknown metric %q", metric)
+		return fmt.Errorf("unknown metric %q", o.metric)
 	}
-	if repeat < 1 {
-		return fmt.Errorf("-repeat %d: need at least one run", repeat)
+	if o.repeat < 1 {
+		return fmt.Errorf("-repeat %d: need at least one run", o.repeat)
 	}
 
-	if dbPath != "" {
-		info, err := complexobj.StatSnapshot(dbPath)
+	if o.dbPath != "" {
+		info, err := complexobj.StatSnapshot(o.dbPath)
 		if err != nil {
 			return err
 		}
 		if info.Gen != gen {
-			return fmt.Errorf("snapshot %s was built from %+v, flags request %+v", dbPath, info.Gen, gen)
+			return fmt.Errorf("snapshot %s was built from %+v, flags request %+v", o.dbPath, info.Gen, gen)
 		}
 	}
 
+	var rows [][]string
+	var err error
+	if o.serveURL != "" {
+		if o.faults != "" {
+			return fmt.Errorf("-faults injects under local engines; with -serve-url, arm the server instead (coserve -faults %q)", o.faults)
+		}
+		if o.writeFrac < 0 || o.writeFrac > 1 {
+			return fmt.Errorf("-write-frac %g out of range [0, 1]", o.writeFrac)
+		}
+		rows, err = drive(o, gen, w, models, queries, get, stderr)
+	} else {
+		if o.soak > 0 {
+			return fmt.Errorf("-soak drives a running coserve; pass -serve-url")
+		}
+		if o.reportPath != "" {
+			return fmt.Errorf("-report summarizes served load; pass -serve-url")
+		}
+		if o.writeFrac > 0 {
+			return fmt.Errorf("-write-frac drives a durable coserve; pass -serve-url")
+		}
+		plan, perr := complexobj.ParseFaultPlan(o.faults)
+		if perr != nil {
+			return perr
+		}
+		opts := complexobj.Options{BufferPages: o.buffer, Faults: plan}
+		openBase := func(k complexobj.ModelKind) (*complexobj.Base, error) {
+			return buildBase(k, o.dbPath, opts, gen)
+		}
+		rows, err = measureModels(models, queries, w, opts, o.workers, o.repeat, openBase, get)
+	}
+	if err != nil || rows == nil { // a soak's deliverable is its verdict, not a table
+		return err
+	}
 	t := &report.Table{
-		Title:  fmt.Sprintf("measured %s per object/loop (N=%d, buffer=%d pages, loops=%d)", metric, n, buffer, loops),
+		Title:  fmt.Sprintf("measured %s per object/loop (N=%d, buffer=%d pages, loops=%d)", o.metric, o.n, o.buffer, o.loops),
 		Header: []string{"MODEL"},
 	}
 	for _, q := range queries {
 		t.Header = append(t.Header, q.String())
 	}
-	var (
-		rows [][]string
-		err  error
-	)
-	if serveURL != "" {
-		if faults != "" {
-			return fmt.Errorf("-faults injects under local engines; with -serve-url, arm the server instead (coserve -faults %q)", faults)
-		}
-		if writeFrac < 0 || writeFrac > 1 {
-			return fmt.Errorf("-write-frac %g out of range [0, 1]", writeFrac)
-		}
-		if soak > 0 {
-			// Soak mode replaces the table: the deliverable is the gate
-			// verdict (and the -report JSON), not measurements.
-			return runSoak(serveURL, models, queries, gen, w, buffer, soak, soakSteps, rate, soakRSSMB, writeFrac, reportPath)
-		}
-		rows, err = measureServed(serveURL, models, queries, gen, w, buffer, clients, rate, repeat, writeFrac, reportPath, get)
-	} else {
-		if soak > 0 {
-			return fmt.Errorf("-soak drives a running coserve; pass -serve-url")
-		}
-		if reportPath != "" {
-			return fmt.Errorf("-report summarizes served load; pass -serve-url")
-		}
-		if writeFrac > 0 {
-			return fmt.Errorf("-write-frac drives a durable coserve; pass -serve-url")
-		}
-		plan, perr := complexobj.ParseFaultPlan(faults)
-		if perr != nil {
-			return perr
-		}
-		opts := complexobj.Options{BufferPages: buffer, Faults: plan}
-		openBase := func(k complexobj.ModelKind) (*complexobj.Base, error) {
-			return buildBase(k, dbPath, opts, gen)
-		}
-		rows, err = measureModels(models, queries, w, opts, workers, repeat, openBase, get)
-	}
-	if err != nil {
-		return err
-	}
 	for _, row := range rows {
 		t.AddRow(row...)
 	}
-	fmt.Println(t.Text())
+	fmt.Fprintln(stdout, t.Text())
 	return nil
 }
 
@@ -269,11 +275,7 @@ func measureModels(models []complexobj.ModelKind, queries []cobench.Query,
 					db.Close()
 					return err
 				}
-				if !res.Supported {
-					row = append(row, "-")
-					continue
-				}
-				row = append(row, report.Num(get(res)))
+				row = append(row, cellText(res, get))
 			}
 			if err := db.Close(); err != nil {
 				return err
@@ -286,6 +288,15 @@ func measureModels(models []complexobj.ModelKind, queries []cobench.Query,
 		return nil, err
 	}
 	return rows, nil
+}
+
+// cellText renders one table cell: the chosen metric, or "-" where the
+// model does not support the query.
+func cellText(res complexobj.QueryResult, get func(complexobj.QueryResult) float64) string {
+	if !res.Supported {
+		return "-"
+	}
+	return report.Num(get(res))
 }
 
 func metricFn(name string) (func(complexobj.QueryResult) float64, bool) {

@@ -203,6 +203,10 @@ func (p *Pool) Fix(id disk.PageID) (*Frame, error) {
 // is pool scratch, valid until the next FixRun on this pool (the
 // Ownership rule: one engine, one goroutine at a time).
 func (p *Pool) FixRun(ids []disk.PageID) ([]*Frame, error) {
+	if poison { // whoever kept the previous result reads nil frames
+		clear(p.run[:cap(p.run)])
+		p.run = nil
+	}
 	if cap(p.run) < len(ids) {
 		p.run = make([]*Frame, len(ids))
 	}

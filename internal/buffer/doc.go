@@ -34,7 +34,9 @@
 // therefore must not retain Frame pointers or Data slices across an
 // Unfix. The slice FixRun returns its frames in is pool scratch as well:
 // it is valid until the next FixRun on the pool, which under the
-// Ownership rule below is the caller's own next call. The dirty flag travels with Unfix (the
+// Ownership rule below is the caller's own next call (under the poison
+// build tag that call nil-fills the old slice and abandons it, so a kept
+// result reads nil frames). The dirty flag travels with Unfix (the
 // caller declares the modification when releasing the pin); dirty frames
 // are written back on flush or overflow, never while pinned by the
 // eviction path. Drop discards resident frames without write-back — the

@@ -504,6 +504,19 @@ func (s *Store) resultScratch(n, total int) ([]Component, []byte) {
 	return s.compScratch[:n], s.blockScratch[:total]
 }
 
+// poisonScratch overwrites read scratch, to its capacity, under the poison
+// tag before a read fills the part it selected: a decoder that reaches a
+// component it did not ask for, directory bytes past the copied prefix, or
+// the previous read's result sees 0xDB.
+func poisonScratch(b []byte) {
+	if poison {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = 0xDB
+		}
+	}
+}
+
 // Read is the store's one object read. whole says which pages are
 // transferred (fixed in the pool, read from the device on a miss): every
 // header and data page — DSM: a header call plus one call for the

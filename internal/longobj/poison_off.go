@@ -2,4 +2,5 @@
 
 package longobj
 
-func poisonScratch([]byte) {} // ordinary builds: read scratch is reused as it is
+// poison is off in ordinary builds: read scratch is reused as it is.
+const poison = false

@@ -65,7 +65,8 @@
 // so a library user only ever sees owned values. The scratch belongs to the
 // per-view model, never to a generation's shared directory, so two views
 // of one base never share it; the poison build tag overwrites it before
-// every reuse, so a value kept past its lifetime reads 0xDB / zero / -1.
+// every reuse, so a value kept past its lifetime reads 0xDB / zero / -1
+// (an IntScratch result -1, a FixRun result nil frames).
 //
 // Where the whole object is in hand before decoding (direct and DASDBS-NSM
 // objects) its strings are measured first (TupleType.StringBytes) and the

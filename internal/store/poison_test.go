@@ -70,6 +70,40 @@ func TestKeptLentValuesReadPoison(t *testing.T) {
 	}
 }
 
+// TestKeptIntScratchReadsPoison: an IntScratch result kept past the next
+// call reads -1 — whether the next call reuses the array or grows a new
+// one — and the new scratch starts as -1 too, never as leftovers.
+func TestKeptIntScratchReadsPoison(t *testing.T) {
+	e, err := NewEngine(Options{BufferPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	allMinusOne := func(s []int) bool {
+		for _, v := range s {
+			if v != -1 {
+				return false
+			}
+		}
+		return true
+	}
+	kept := e.IntScratch(16)
+	for i := range kept {
+		kept[i] = i
+	}
+	next := e.IntScratch(8)
+	if !allMinusOne(kept) || !allMinusOne(next) {
+		t.Errorf("after a reusing call: kept %v, handed out %v", kept, next)
+	}
+	for i := range next {
+		next[i] = i
+	}
+	grown := e.IntScratch(4096)
+	if !allMinusOne(next) || !allMinusOne(grown) {
+		t.Errorf("after a growing call: kept %v, handed out %v...", next, grown[:8])
+	}
+}
+
 // TestKeptPagesReadPoisonAfterClose: a frame's Data — a buffer the pool
 // owns after MarkDirty, or an overlay image it borrows after the flush —
 // kept past the engine's Close reads 0xDB, with a page pool or without:

@@ -168,8 +168,20 @@ func NewEngine(o Options) (*Engine, error) {
 // IntScratch returns n ints of scratch living with the engine, for its
 // one driver: valid until the next call, contents unspecified.
 func (e *Engine) IntScratch(n int) []int {
+	if poison { // whoever kept the previous scratch reads -1, even if the array moves
+		fillInts(e.ints[:cap(e.ints)], -1)
+	}
 	e.ints = slices.Grow(e.ints[:0], n)[:n]
+	if poison {
+		fillInts(e.ints, -1)
+	}
 	return e.ints
+}
+
+func fillInts(s []int, v int) {
+	for i := range s {
+		s[i] = v
+	}
 }
 
 // Options returns the engine's effective options.
