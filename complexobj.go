@@ -147,6 +147,11 @@ type PerUnit = iostat.PerUnit
 type DB struct {
 	kind  ModelKind
 	model store.Model
+	run   *workload.Runner // Run's runner, whose scratch is this database's
+}
+
+func newDB(kind ModelKind, m store.Model) *DB {
+	return &DB{kind: kind, model: m, run: workload.NewRunner(m, cobench.Workload{})}
 }
 
 // Open creates an empty database under the given storage model, over a
@@ -156,7 +161,7 @@ func Open(kind ModelKind, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{kind: kind, model: m}, nil
+	return newDB(kind, m), nil
 }
 
 // OpenLoaded creates a database and loads a freshly generated benchmark
@@ -323,7 +328,7 @@ func (b *Base) Open(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{kind: b.kind, model: m}, nil
+	return newDB(b.kind, m), nil
 }
 
 // SnapshotInfo describes a .codb snapshot file.
@@ -370,10 +375,23 @@ func (db *DB) Load(stations []*cobench.Station) error {
 // NumObjects returns the number of loaded objects.
 func (db *DB) NumObjects() int { return db.model.NumObjects() }
 
+// Everything a DB method returns or hands a callback is the caller's to
+// keep. The storage models lend what they read (valid until their next
+// call — the serving path keeps none of it and so allocates none of it);
+// the facade copies it once, here.
+
 // FetchByAddress retrieves a whole object by its physical address (the
 // paper's query 1a). Pure NSM returns ErrNoAddressAccess.
 func (db *DB) FetchByAddress(i int) (*cobench.Station, error) {
-	return db.model.FetchByAddress(i)
+	return owned(db.model.FetchByAddress(i))
+}
+
+// owned copies a fetched Station for the caller to keep.
+func owned(s *cobench.Station, err error) (*cobench.Station, error) {
+	if err != nil {
+		return nil, err
+	}
+	return s.Clone(), nil
 }
 
 // ErrNoAddressAccess reports that the storage model has no object
@@ -383,13 +401,8 @@ var ErrNoAddressAccess = store.ErrNoAddressAccess
 // FetchByKey retrieves a whole object by a value selection on its key
 // (query 1b): a physical scan of the root relation.
 func (db *DB) FetchByKey(key int32) (*cobench.Station, error) {
-	return db.model.FetchByKey(key)
+	return owned(db.model.FetchByKey(key))
 }
-
-// Everything a DB method returns or hands a callback is the caller's to
-// keep. The storage models lend what they scan and navigate (valid until
-// their next call — the serving path keeps none of it and so allocates
-// none of it); the facade copies it once, here.
 
 // ScanAll retrieves every object (query 1c).
 func (db *DB) ScanAll(fn func(i int, s *cobench.Station) error) error {
@@ -508,21 +521,19 @@ type QueryResult struct {
 // and returns its measurement. The cache is reset before the query, as in
 // the experiment harness.
 func (db *DB) Run(q cobench.Query, w cobench.Workload) (QueryResult, error) {
-	return runQuery(nil, db.kind, db.model, q, w)
+	return runQuery(nil, db.kind, db.run, q, w)
 }
 
 // runQuery is the one execution path every surface shares: batch
 // databases (DB.Run), request-scoped views (View.Run/RunContext) and,
-// through them, the benchmark server all drive the same workload.Runner
-// over the workload.View interface — which is what makes served counters
-// bit-identical to the batch tables. A non-nil ctx bounds the query (the
-// runner checks it between object visits); a nil ctx never interrupts.
-func runQuery(ctx context.Context, kind ModelKind, v workload.View, q cobench.Query, w cobench.Workload) (QueryResult, error) {
-	r := workload.NewRunner(v, w)
-	if ctx != nil {
-		r = r.WithContext(ctx)
-	}
-	res, err := r.Run(q)
+// through them, the benchmark server all drive a workload.Runner over the
+// workload.View interface — which is what makes served counters
+// bit-identical to the batch tables. r is the runner the database or the
+// view's engine keeps, armed here for this query. A non-nil ctx bounds the
+// query (the runner checks it between object visits); a nil ctx never
+// interrupts.
+func runQuery(ctx context.Context, kind ModelKind, r *workload.Runner, q cobench.Query, w cobench.Workload) (QueryResult, error) {
+	res, err := r.Arm(ctx, w).Run(q)
 	if err != nil {
 		return QueryResult{}, err
 	}

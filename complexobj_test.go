@@ -496,3 +496,113 @@ func TestDBResultsAreOwned(t *testing.T) {
 		})
 	}
 }
+
+// TestDBFetchesOutliveTheView: the storage models lend what they fetch;
+// DB.FetchByAddress and DB.FetchByKey hand out copies. Kept as returned, a
+// fetched Station still equals the generator's after every object was
+// rewritten, the view under the database committed, recycled and rebased,
+// and the model's scratch reused by fetch after fetch — while another
+// goroutine reads the kept values (run under -race).
+func TestDBFetchesOutliveTheView(t *testing.T) {
+	gen := cobench.DefaultConfig().WithN(40)
+	stations, err := cobench.Generate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range AllModels() {
+		t.Run(kind.String(), func(t *testing.T) {
+			loaded, err := OpenLoaded(kind, Options{BufferPages: 64}, gen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, err := loaded.Freeze()
+			loaded.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer base.Close()
+			v, err := base.NewView(Options{BufferPages: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer v.Close()
+			db := newDB(kind, v.sv.Model()) // the facade over the view's model
+
+			var kept []*cobench.Station // kept[j] is object j % len(stations)
+			fetch := func(keep bool) {
+				t.Helper()
+				for i := range stations {
+					s, err := db.FetchByKey(stations[i].Key)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if keep {
+						kept = append(kept, s)
+					}
+				}
+				for i := range stations {
+					if kind == NSM {
+						break // no address access
+					}
+					s, err := db.FetchByAddress(i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if keep {
+						kept = append(kept, s)
+					}
+				}
+			}
+			check := func() {
+				for j, s := range kept {
+					if !s.Equal(stations[j%len(stations)]) {
+						t.Errorf("kept station %d no longer equals the generator's", j)
+						return
+					}
+				}
+			}
+			fetch(true)
+			check()
+
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for round := 0; round < 20; round++ {
+					check()
+				}
+			}()
+			for i := range stations {
+				err := db.UpdateObject(i, func(s *cobench.Station) error {
+					s.Name = "overwritten"
+					for pi := range s.Platforms {
+						s.Platforms[pi].Information = "overwritten"
+					}
+					for gi := range s.Seeings {
+						s.Seeings[gi].Description = "overwritten"
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			fetch(false)
+			if _, err := v.sv.Commit(nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := v.sv.Recycle(); err != nil {
+				t.Fatal(err)
+			}
+			if err := v.sv.Rebase(); err != nil {
+				t.Fatal(err)
+			}
+			fetch(false)
+			wg.Wait()
+			check()
+		})
+	}
+}

@@ -485,6 +485,7 @@ func TestViewPoolRebasesStaleViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before = before.Clone() // lent: the view's next read overwrites it
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func gatherJSON[T any](rt *Router, ctx context.Context, path string) ([]T, error
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	stats, err := gatherJSON[server.StatsResponse](rt, r.Context(), "/stats")
 	if err != nil {
-		httpError(w, http.StatusBadGateway, "gather /stats: %v", err)
+		server.WriteJSON(w, http.StatusBadGateway, server.ErrorResponse{Error: fmt.Sprintf("gather /stats: %v", err)})
 		return
 	}
 	merged := server.StatsResponse{}
@@ -85,7 +85,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		merged.Cells = append(merged.Cells, *cell)
 	}
 	server.SortCells(merged.Cells)
-	writeJSON(w, merged)
+	server.WriteJSON(w, http.StatusOK, merged)
 }
 
 // handleInfo merges the backends' /info into the single-node shape: the
@@ -97,7 +97,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleInfo(w http.ResponseWriter, r *http.Request) {
 	infos, err := gatherJSON[server.InfoResponse](rt, r.Context(), "/info")
 	if err != nil {
-		httpError(w, http.StatusBadGateway, "gather /info: %v", err)
+		server.WriteJSON(w, http.StatusBadGateway, server.ErrorResponse{Error: fmt.Sprintf("gather /info: %v", err)})
 		return
 	}
 	merged := infos[0]
@@ -129,7 +129,7 @@ func (rt *Router) handleInfo(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Strings(sharding.Models)
 	merged.Sharding = sharding
-	writeJSON(w, merged)
+	server.WriteJSON(w, http.StatusOK, merged)
 }
 
 // BackendHealth is one backend's row in the router's /healthz.
@@ -168,7 +168,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			out.Status = "degraded"
 		}
 	}
-	writeJSON(w, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleMetrics renders the router's own counters — shard-level routing,

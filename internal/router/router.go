@@ -16,6 +16,7 @@ import (
 
 	"complexobj"
 	"complexobj/internal/metrics"
+	"complexobj/internal/server"
 	"complexobj/internal/shard"
 )
 
@@ -191,16 +192,17 @@ type DegradedResponse struct {
 	Attempts int    `json:"attempts"`
 }
 
-// handleRun routes one benchmark run to the backend owning the model's
-// shard and relays the response verbatim. Transient failures — transport
-// errors, 503, 421 — retry with backoff after re-resolving the owner;
+// handleRun routes one benchmark run — its query string forwarded as it
+// came, the model read with the backend's own parser — to the backend
+// owning the model's shard and relays the response verbatim. Transient
+// failures — transport errors, 503, 421 — retry with backoff after
+// re-resolving the owner;
 // everything else (including the backend's 400s and 500s) passes through
 // untouched, so the router adds no semantics to the single-node surface.
 func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
-	model := r.URL.Query().Get("model")
-	kind, err := complexobj.ModelByName(model)
+	kind, err := complexobj.ModelByName(server.ParseRunSpec(r.URL.RawQuery).Model)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		server.WriteJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
 		return
 	}
 	canonical := kind.String()
@@ -217,13 +219,14 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 			select {
 			case <-time.After(backoff):
 			case <-r.Context().Done():
-				httpError(w, http.StatusServiceUnavailable, "client gone: %v", r.Context().Err())
+				clientGone(w, r)
 				return
 			}
 		}
 		id, st, ok := rt.resolve(canonical)
 		if !ok {
-			httpError(w, http.StatusBadRequest, "model %s is in no shard of %s", canonical, rt.cfg.MapPath)
+			server.WriteJSON(w, http.StatusBadRequest, server.ErrorResponse{
+				Error: fmt.Sprintf("model %s is in no shard of %s", canonical, rt.cfg.MapPath)})
 			return
 		}
 		backend := st.backendFor(rt)
@@ -233,10 +236,10 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 
 		begin := time.Now()
-		resp, err := rt.proxyGet(r.Context(), backend+"/run?"+r.URL.Query().Encode())
+		resp, err := rt.proxyGet(r.Context(), backend+"/run?"+r.URL.RawQuery)
 		if err != nil {
 			if r.Context().Err() != nil {
-				httpError(w, http.StatusServiceUnavailable, "client gone: %v", r.Context().Err())
+				clientGone(w, r)
 				return
 			}
 			lastErr = err.Error()
@@ -266,7 +269,7 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 	if st, ok := rt.shards[lastID]; ok {
 		st.failures.Add(1)
 	}
-	writeJSONStatus(w, http.StatusServiceUnavailable, DegradedResponse{
+	server.WriteJSON(w, http.StatusServiceUnavailable, DegradedResponse{
 		Error: fmt.Sprintf("shard %d (%s) unreachable for model %s after %d attempts: %s",
 			lastID, lastBack, canonical, rt.cfg.Retries, lastErr),
 		Shard:    lastID,
@@ -274,6 +277,12 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 		Model:    canonical,
 		Attempts: rt.cfg.Retries,
 	})
+}
+
+// clientGone answers a run whose client went away while it was routed.
+func clientGone(w http.ResponseWriter, r *http.Request) {
+	server.WriteJSON(w, http.StatusServiceUnavailable, server.ErrorResponse{
+		Error: fmt.Sprintf("client gone: %v", r.Context().Err())})
 }
 
 // proxyGet issues one backend call on the pooled transport.
@@ -302,9 +311,7 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 // (and to hand the connection back to the keep-alive pool).
 func drainError(resp *http.Response) string {
 	defer resp.Body.Close()
-	var e struct {
-		Error string `json:"error"`
-	}
+	var e server.ErrorResponse
 	if json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&e) == nil && e.Error != "" {
 		return fmt.Sprintf("%s: %s", resp.Status, e.Error)
 	}
@@ -324,19 +331,22 @@ type AssignResponse struct {
 // owner's /shards/release. With reload=1 the shard map file is re-read
 // first, picking up model→shard changes (shard.Reassign) as well.
 func (rt *Router) handleAssign(w http.ResponseWriter, r *http.Request) {
+	fail := func(code int, format string, args ...any) {
+		server.WriteJSON(w, code, server.ErrorResponse{Error: fmt.Sprintf(format, args...)})
+	}
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		httpError(w, http.StatusMethodNotAllowed, "/map/assign needs POST")
+		fail(http.StatusMethodNotAllowed, "/map/assign needs POST")
 		return
 	}
 	id, err := strconv.Atoi(r.URL.Query().Get("shard"))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad shard %q", r.URL.Query().Get("shard"))
+		fail(http.StatusBadRequest, "bad shard %q", r.URL.Query().Get("shard"))
 		return
 	}
 	backend := r.URL.Query().Get("backend")
 	if backend == "" {
-		httpError(w, http.StatusBadRequest, "backend is required")
+		fail(http.StatusBadRequest, "backend is required")
 		return
 	}
 	rt.mu.Lock()
@@ -344,20 +354,20 @@ func (rt *Router) handleAssign(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("reload") == "1" {
 		m, err := shard.Load(rt.cfg.MapPath)
 		if err != nil {
-			httpError(w, http.StatusConflict, "reload shard map: %v", err)
+			fail(http.StatusConflict, "reload shard map: %v", err)
 			return
 		}
 		rt.smap = m
 	}
 	st, ok := rt.shards[id]
 	if !ok {
-		httpError(w, http.StatusConflict, "no shard %d in %s", id, rt.cfg.MapPath)
+		fail(http.StatusConflict, "no shard %d in %s", id, rt.cfg.MapPath)
 		return
 	}
 	st.backend = backend
 	rt.rememberLocked(backend)
 	rt.version++
-	writeJSON(w, AssignResponse{Shard: id, Backend: backend, MapVersion: rt.version})
+	server.WriteJSON(w, http.StatusOK, AssignResponse{Shard: id, Backend: backend, MapVersion: rt.version})
 }
 
 // bindings snapshots the shard→backend map, sorted by shard ID.
@@ -409,21 +419,6 @@ func (rt *Router) knownSet() []string {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
 	return append([]string(nil), rt.known...)
-}
-
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSONStatus(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeJSONStatus(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
 }
 
 // errBackend wraps a scatter-gather failure with its backend.

@@ -544,6 +544,24 @@ func TestDegradedShardOnly(t *testing.T) {
 	}
 }
 
+// TestRunRelaysTheRawQuery: coshard forwards /run's query string as it
+// came and reads the model with the backend's own parser, so a repeated
+// parameter resolves through the router exactly as at a backend — the
+// first value wins.
+func TestRunRelaysTheRawQuery(t *testing.T) {
+	_, mapPath, _ := buildSplit(t, 40, 2)
+	b0 := startBackend(t, mapPath, nil) // owns everything
+	_, rhs := startRouter(t, mapPath, []string{b0.hs.URL, b0.hs.URL})
+	hc := &http.Client{Timeout: 60 * time.Second}
+	const run = "/run?model=DSM&query=2b&seed=7&seed=9"
+	var routed, direct server.RunResponse
+	getJSONT(t, hc, rhs.URL+run, &routed)
+	getJSONT(t, hc, b0.hs.URL+run, &direct)
+	if routed.Workload.Seed != 7 || routed.Workload != direct.Workload || routed.Raw != direct.Raw {
+		t.Errorf("through the router: %+v %+v; direct: %+v %+v", routed.Workload, routed.Raw, direct.Workload, direct.Raw)
+	}
+}
+
 // TestAssignValidation pins the /map/assign surface.
 func TestAssignValidation(t *testing.T) {
 	_, mapPath, _ := buildSplit(t, 40, 2)

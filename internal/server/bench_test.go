@@ -50,32 +50,40 @@ func benchServer(b *testing.B, n int) http.Handler {
 
 // BenchmarkServeDrive measures one /run request end to end through the
 // handler — admission, view acquire from the pool, query execution over
-// the recycled copy-on-write view, JSON response — the unit of work the
-// serving path repeats for every client request. Allocations here
-// multiply by every request of a drive, so the allocs/op figure is
-// regression-gated in CI (ci/bench-baseline.txt).
+// the recycled copy-on-write view, JSON response — for a navigation cell
+// (2b) and a point fetch (1a), through TestRunHandlerAllocs's writer,
+// which allocates nothing itself. Allocations here multiply by every
+// request of a drive, so the allocs/op figures are regression-gated in CI
+// (ci/bench-baseline.txt).
 func BenchmarkServeDrive(b *testing.B) {
 	h := benchServer(b, 40)
 	w := cobench.Workload{Loops: 2, Samples: 3, Seed: 7}
-	target := RunSpecFor(complexobj.DASDBSNSM, cobench.Q2b, w).Values().Encode()
-	req := httptest.NewRequest(http.MethodGet, "/run?"+target, nil)
-	// One warm-up request so pools, views and scratch reach steady state.
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		b.Fatalf("warm-up request: %d %s", rec.Code, rec.Body)
-	}
-	var rr RunResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &rr); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			b.Fatalf("request %d: %d", i, rec.Code)
-		}
+	for _, c := range []struct {
+		name string
+		k    complexobj.ModelKind
+		q    cobench.Query
+	}{{"2b", complexobj.DASDBSNSM, cobench.Q2b}, {"1a", complexobj.DSM, cobench.Q1a}} {
+		b.Run(c.name, func(b *testing.B) {
+			req := httptest.NewRequest(http.MethodGet, "/run?"+RunSpecFor(c.k, c.q, w).Values().Encode(), nil)
+			rw := newReusedWriter()
+			// One warm-up request so pools, views and scratch reach steady state.
+			h.ServeHTTP(rw, req)
+			if rw.code != http.StatusOK {
+				b.Fatalf("warm-up request: %d %s", rw.code, rw.body.Bytes())
+			}
+			var rr RunResponse
+			if err := json.Unmarshal(rw.body.Bytes(), &rr); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rw.reset()
+				h.ServeHTTP(rw, req)
+				if rw.code != http.StatusOK {
+					b.Fatalf("request %d: %d", i, rw.code)
+				}
+			}
+		})
 	}
 }

@@ -45,12 +45,29 @@
 //
 //	server.go     Config, Server, New/Close, the route table
 //	wire.go       every JSON payload type (declaration order is wire order)
+//	              and WriteJSON, the one writer of them
 //	run.go        /run: admit → lease → execute → commit → respond
 //	stats.go      AggCell.Fold, SortCells, the aggregate map, /stats
 //	ownership.go  the served-model record, shard resolution, acquire/release
 //	introspect.go one state reading rendered as /info, /healthz, /metrics
 //	metrics.go    per-cell latency histograms
 //	runspec.go    the /run query-string contract shared with clients
+//
+// # What a request allocates
+//
+// In steady state a /run allocates nothing in this package or below it
+// but the one-word *complexobj.View lease wrapper; the rest is net/http's.
+// The spec is read off the raw query as substrings (ParseRunSpec);
+// admission and the view lease take a free slot without waiting on the
+// request context, whose Done channel only contention should make it
+// allocate; the engine's own workload.Runner is re-armed, not rebuilt;
+// every store read lends its result; and the payload lives in a pooled
+// writer that encodes it into a reused buffer and sends it with one Write
+// (WriteJSON, which coshard writes through too). The wrapper stays on
+// purpose: a fresh one per lease is what keeps a stale handle — a
+// duplicate Close racing a later request — from reaching a recycled
+// engine. TestRunHandlerAllocs pins it; BenchmarkServeDrive gates it in
+// CI.
 //
 // # A served model
 //

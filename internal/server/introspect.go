@@ -101,7 +101,7 @@ func (s *Server) state() state {
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	st := s.state()
-	writeJSON(w, InfoResponse{
+	WriteJSON(w, http.StatusOK, InfoResponse{
 		Snapshot:    s.cfg.Snapshot,
 		Gen:         s.info.Gen,
 		PageSize:    s.info.PageSize,
@@ -123,7 +123,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.slots != nil && res.InFlight >= res.MaxInflight {
 		status = "degraded"
 	}
-	writeJSON(w, HealthResponse{
+	WriteJSON(w, http.StatusOK, HealthResponse{
 		Status:      status,
 		InFlight:    res.InFlight,
 		MaxInflight: res.MaxInflight,

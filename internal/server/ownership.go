@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
@@ -317,15 +316,13 @@ func (s *Server) handleShardChange(w http.ResponseWriter, r *http.Request, chang
 		httpError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // misdirected writes the 421 payload for a model this backend does not
 // own; ver/owned are the backend's view of the map at rejection time.
 func misdirected(w http.ResponseWriter, kind complexobj.ModelKind, ver uint64, owned []int) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusMisdirectedRequest)
-	json.NewEncoder(w).Encode(NotOwnedResponse{
+	WriteJSON(w, http.StatusMisdirectedRequest, NotOwnedResponse{
 		Error:       fmt.Sprintf("model %s is not owned by this backend (shards %v, map version %d)", kind, owned, ver),
 		NotOwned:    true,
 		Model:       kind.String(),

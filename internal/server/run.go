@@ -15,7 +15,7 @@ import (
 // handleRun is the request path: validate, look the model up, then admit
 // → lease → execute → commit → respond, locking in doc.go's order.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	spec := RunSpecFromValues(r.URL.Query())
+	spec := ParseRunSpec(r.URL.RawQuery)
 	kind, q, wl, err := spec.Resolve(s.cfg.Workload)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -87,7 +87,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.refuse(w, kind, q, err)
 		return
 	}
-	resp := RunResponse{
+	// The payload lives in the pooled writer that encodes it.
+	jw := getJSONWriter()
+	resp := &jw.run
+	*resp = RunResponse{
 		Model:     res.Model.String(),
 		Query:     res.Query.String(),
 		Supported: res.Supported,
@@ -111,14 +114,22 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			log.Printf("server: checkpointed write-ahead log (%s)", s.cfg.WALDir)
 		}
 	}
-	s.respond(w, &resp, queueWait, res.Elapsed)
+	s.respond(w, jw, queueWait, res.Elapsed)
+	jw.release()
 }
 
 // admit takes a slot of the server-wide admission gate, or reports false
-// when ctx ends first; every true is paired with one leave.
+// when ctx ends first; every true is paired with one leave. A free slot is
+// taken without looking at ctx: waiting on ctx.Done() makes the request
+// context allocate its channel, which only contention should pay for.
 func (s *Server) admit(ctx context.Context) bool {
 	if s.slots == nil {
 		return true
+	}
+	select {
+	case s.slots <- struct{}{}:
+		return true
+	default:
 	}
 	select {
 	case s.slots <- struct{}{}:
@@ -210,10 +221,12 @@ func (s *Server) refuse(w http.ResponseWriter, kind complexobj.ModelKind, q cobe
 
 // respond counts a successful run — its /stats cell and its latency split
 // (queue wait measured by the handler, service time stamped by the
-// workload runner) cover exactly the same runs — and writes the payload.
-func (s *Server) respond(w http.ResponseWriter, resp *RunResponse, queueWait, service time.Duration) {
+// workload runner) cover exactly the same runs — and writes the payload,
+// jw.run.
+func (s *Server) respond(w http.ResponseWriter, jw *jsonWriter, queueWait, service time.Duration) {
+	resp := &jw.run
 	s.requests.Add(1)
 	s.record(resp)
 	s.lat.observe(resp.Model, resp.Query, queueWait, service)
-	writeJSON(w, resp)
+	jw.write(w, http.StatusOK, resp)
 }

@@ -3,7 +3,9 @@ package server
 import (
 	"fmt"
 	"net/url"
+	"slices"
 	"strconv"
+	"strings"
 
 	"complexobj"
 	"complexobj/cobench"
@@ -42,33 +44,65 @@ func RunSpecFor(k complexobj.ModelKind, q cobench.Query, w cobench.Workload) Run
 	}
 }
 
-// RunSpecFromValues reads the spec off a request's query parameters.
-func RunSpecFromValues(v url.Values) RunSpec {
-	return RunSpec{
-		Model:   v.Get("model"),
-		Query:   v.Get("query"),
-		Loops:   v.Get("loops"),
-		Samples: v.Get("samples"),
-		Seed:    v.Get("seed"),
-		Commit:  v.Get("commit"),
+// runSpecKeys are the query parameters of a RunSpec, in the order of
+// fields.
+var runSpecKeys = [...]string{"model", "query", "loops", "samples", "seed", "commit"}
+
+// fields lists the spec's fields in the order of runSpecKeys.
+func (s *RunSpec) fields() [len(runSpecKeys)]*string {
+	return [...]*string{&s.Model, &s.Query, &s.Loops, &s.Samples, &s.Seed, &s.Commit}
+}
+
+// ParseRunSpec reads the spec straight off a raw query string and gives
+// what url.ParseQuery followed by Values.Get gives, without the map: the
+// first value of a key wins, a pair holding a ';' or a bad escape is
+// dropped, unknown keys are ignored. Only a key or value holding '%' or
+// '+' is unescaped; anything else is a substring of raw, so a plain
+// request parses without allocating.
+func ParseRunSpec(raw string) RunSpec {
+	var s RunSpec
+	fields := s.fields()
+	var seen [len(runSpecKeys)]bool
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		key, val, _ := strings.Cut(pair, "=")
+		key, ok := queryUnescape(key)
+		if !ok {
+			continue
+		}
+		i := slices.Index(runSpecKeys[:], key)
+		if i < 0 || seen[i] {
+			continue
+		}
+		if val, ok = queryUnescape(val); ok {
+			*fields[i], seen[i] = val, true
+		}
 	}
+	return s
+}
+
+// queryUnescape is url.QueryUnescape, called only when s holds an escape.
+func queryUnescape(s string) (string, bool) {
+	if !strings.ContainsAny(s, "%+") {
+		return s, true
+	}
+	u, err := url.QueryUnescape(s)
+	return u, err == nil
 }
 
 // Values renders the spec as URL query parameters; empty fields are
 // omitted so defaults stay the server's business.
 func (s RunSpec) Values() url.Values {
 	v := url.Values{}
-	set := func(key, val string) {
-		if val != "" {
-			v.Set(key, val)
+	for i, f := range s.fields() {
+		if *f != "" {
+			v.Set(runSpecKeys[i], *f)
 		}
 	}
-	set("model", s.Model)
-	set("query", s.Query)
-	set("loops", s.Loops)
-	set("samples", s.Samples)
-	set("seed", s.Seed)
-	set("commit", s.Commit)
 	return v
 }
 

@@ -13,9 +13,9 @@ import (
 func TestRunSpecRoundTrip(t *testing.T) {
 	w := cobench.Workload{Loops: 7, Samples: 120, Seed: 42}
 	spec := RunSpecFor(complexobj.DASDBSNSM, cobench.Q2b, w)
-	parsed := RunSpecFromValues(spec.Values())
+	parsed := ParseRunSpec(spec.Values().Encode())
 	if parsed != spec {
-		t.Fatalf("Values/FromValues round trip: %+v != %+v", parsed, spec)
+		t.Fatalf("Values/ParseRunSpec round trip: %+v != %+v", parsed, spec)
 	}
 	kind, q, got, err := parsed.Resolve(cobench.Workload{})
 	if err != nil {

@@ -98,7 +98,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	SortCells(cells)
-	writeJSON(w, StatsResponse{
+	WriteJSON(w, http.StatusOK, StatsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Requests:      s.requests.Load(),
 		Cells:         cells,

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
 
 	"complexobj"
 	"complexobj/cobench"
@@ -239,15 +241,71 @@ type ShardChangeResponse struct {
 	MapVersion uint64   `json:"mapVersion"`
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+// ErrorResponse is the body of every plain error status the server and
+// coshard answer with.
+type ErrorResponse struct {
+	Error string `json:"error"`
+}
+
+// contentTypeJSON is the Content-Type of every JSON payload: one slice
+// shared by all responses, which net/http only reads.
+var contentTypeJSON = []string{"application/json"}
+
+// jsonWriter is one response on its way out: the payload is encoded whole
+// into buf and sent with one Write. Writers are pooled, so the encoder,
+// its buffer and the /run payload in run are allocated once, not per
+// request.
+type jsonWriter struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+	run RunResponse
+}
+
+var jsonWriters = sync.Pool{New: func() any {
+	jw := new(jsonWriter)
+	jw.enc = json.NewEncoder(&jw.buf)
+	return jw
+}}
+
+func getJSONWriter() *jsonWriter { return jsonWriters.Get().(*jsonWriter) }
+
+// write answers with status code and v: the bytes json.NewEncoder(w).Encode
+// writes — the document and a newline — or an empty body when v does not
+// encode.
+func (jw *jsonWriter) write(w http.ResponseWriter, code int, v any) {
+	jw.buf.Reset()
+	err := jw.enc.Encode(v)
+	w.Header()["Content-Type"] = contentTypeJSON
+	w.WriteHeader(code)
+	if err == nil {
+		w.Write(jw.buf.Bytes())
+	}
+}
+
+// release returns jw to the pool. Under the poison tag its bytes read 0xDB
+// from then on, so a ResponseWriter that kept the slice Write handed it
+// fails loudly instead of reading a later response.
+func (jw *jsonWriter) release() {
+	if poison {
+		b := jw.buf.Bytes()
+		for i := range b {
+			b[i] = 0xDB
+		}
+		jw.run = RunResponse{}
+	}
+	jsonWriters.Put(jw)
+}
+
+// WriteJSON answers with status code and v encoded as JSON: the one writer
+// of every payload the server and coshard send.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	jw := getJSONWriter()
+	jw.write(w, code, v)
+	jw.release()
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+	WriteJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
 // unavailable reports graceful degradation: 503 with a Retry-After hint,

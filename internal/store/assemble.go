@@ -46,15 +46,16 @@ type object struct {
 // Where the object and its strings go is the caller's choice, made by
 // begin, and it decides how long the result lives (doc.go, "Assembly"):
 //
-//   - owned (FetchByAddress, FetchByKey, UpdateObject): a fresh object and
-//     the never-Reset backing owned. The Station owns exactly-sized
-//     Platforms and Seeings, one Connection array and its share of a string
-//     buffer that is never written again — a handful of allocations however
-//     many attributes it has — and survives whatever the view does next.
-//   - lent (ScanAll; the root name and child list of Navigate / ReadRoot):
-//     the one object, string arena and child list below, overwritten by the
-//     next read that lends. Nothing is allocated once they have held the
-//     largest object; the value is valid until the view's next call.
+//   - lent (every read: FetchByAddress, FetchByKey, ScanAll; the root name
+//     and child list of Navigate / ReadRoot): the one object, string arena
+//     and child list below, overwritten by the next read that lends.
+//     Nothing is allocated once they have held the largest object; the
+//     value is valid until the view's next call.
+//   - owned (UpdateObject's fetch, whose Station mutate may grow): a fresh
+//     object and the never-Reset backing owned. The Station owns
+//     exactly-sized Platforms and Seeings, one Connection array and its
+//     share of a string buffer that is never written again — a handful of
+//     allocations however many attributes it has.
 //
 // An assembler belongs to one view's model, never to a shared directory,
 // so two views of one base never share scratch.
@@ -69,7 +70,7 @@ type assembler struct {
 	fill  []int // connections per platform of the object being finished
 
 	owned nf2.Strings // backs the strings of owned results: never Reset
-	lent  struct {    // what a scan hands its callback
+	lent  struct {    // what a fetch returns, what a scan hands its callback
 		object
 		strs nf2.Strings
 	}

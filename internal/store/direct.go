@@ -97,8 +97,8 @@ func (m *direct) Load(stations []*cobench.Station) error {
 	return m.eng.Flush()
 }
 
-// fetch reads one whole object: the caller's to keep, or lent until the
-// view's next call.
+// fetch reads one whole object: lent until the view's next call, or the
+// caller's to keep (UpdateObject's).
 func (m *direct) fetch(i int, owned bool) (*cobench.Station, error) {
 	comps, err := m.objs.ReadAllShared(m.addr[i])
 	if err != nil {
@@ -123,7 +123,7 @@ func (m *direct) FetchByAddress(i int) (*cobench.Station, error) {
 	if err := checkIndex(i, len(m.addr)); err != nil {
 		return nil, err
 	}
-	return m.fetch(i, true)
+	return m.fetch(i, false)
 }
 
 // FetchByKey implements Model (query 1b): a value selection has no address
@@ -152,7 +152,7 @@ func (m *direct) FetchByKey(key int32) (*cobench.Station, error) {
 		if k != key {
 			continue
 		}
-		if found, err = m.assemble(comps, true); err != nil { // last match wins
+		if found, err = m.assemble(comps, false); err != nil { // last match wins
 			return nil, err
 		}
 	}

@@ -221,8 +221,8 @@ var (
 	dnsmSeeElem   = dnsmSightseeingType.Attrs[1].Type.Elem
 )
 
-// assemble rebuilds the station from its four nested tuples — the caller's
-// to keep, or lent until the view's next call. Each tuple lives in its own
+// assemble rebuilds the station from its four nested tuples — lent until
+// the view's next call, or the caller's to keep (UpdateObject's). Each tuple lives in its own
 // relation's store, so all four stay valid side by side and can be
 // measured before any is decoded.
 func (m *dnsm) assemble(i int, owned bool) (*cobench.Station, error) {
@@ -283,7 +283,7 @@ func (m *dnsm) FetchByAddress(i int) (*cobench.Station, error) {
 	if err := checkIndex(i, len(m.refs)); err != nil {
 		return nil, err
 	}
-	return m.assemble(i, true)
+	return m.assemble(i, false)
 }
 
 // FetchByKey implements Model: "only the root tuple of the object is
@@ -312,7 +312,7 @@ func (m *dnsm) FetchByKey(key int32) (*cobench.Station, error) {
 	if found < 0 {
 		return nil, fmt.Errorf("store: no station with key %d", key)
 	}
-	return m.assemble(found, true)
+	return m.assemble(found, false)
 }
 
 // ScanAll implements Model: every relation is read once; shared pages are

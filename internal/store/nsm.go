@@ -99,9 +99,10 @@ type nsm struct {
 	// enc is the encode buffer of the tuple being inserted or updated.
 	enc []byte
 
-	// asm assembles point fetches. Its owned string backing chunks (records
-	// are met one page view at a time, so there is nothing to measure
-	// first) and carries over from fetch to fetch, so no chunk tail is
+	// asm assembles point fetches. Records are met one page view at a time,
+	// so there is nothing to measure first: its lent arena chunks and
+	// settles on one buffer; the owned backing of UpdateObject's fetches
+	// chunks and carries over from fetch to fetch, so no chunk tail is
 	// wasted.
 	asm assembler
 	// scan stages ScanAll's relation-ordered rows — every object's, before
@@ -410,14 +411,16 @@ func (m *nsm) relations() [4]nsmRelation {
 }
 
 // fetchAssembled reads all tuples of object i by position, each through a
-// zero-copy heap view (the assembler copies what it keeps), and joins them.
-func (m *nsm) fetchAssembled(i int) (*cobench.Station, error) {
+// zero-copy heap view (the assembler copies what it keeps), and joins
+// them: lent until the view's next call, or the caller's to keep
+// (UpdateObject's).
+func (m *nsm) fetchAssembled(i int, owned bool) (*cobench.Station, error) {
 	srid, err := m.stationRIDAt(i)
 	if err != nil {
 		return nil, err
 	}
 	a := &m.asm
-	a.begin(true)
+	a.begin(owned)
 	if err := m.stations.View(srid, func(rec []byte) error { return a.root(0, rec) }); err != nil {
 		return nil, err
 	}
@@ -446,7 +449,7 @@ func (m *nsm) FetchByAddress(i int) (*cobench.Station, error) {
 	if err := checkIndex(i, len(m.stationRID)); err != nil {
 		return nil, err
 	}
-	return m.fetchAssembled(i)
+	return m.fetchAssembled(i, false)
 }
 
 // FetchByKey implements Model. Pure NSM scans all four relations and joins
@@ -467,7 +470,7 @@ func (m *nsm) FetchByKey(key int32) (*cobench.Station, error) {
 			if !ok {
 				return nil, fmt.Errorf("store: no station with key %d", key)
 			}
-			return m.fetchAssembled(idx)
+			return m.fetchAssembled(idx, false)
 		}
 		idx := -1
 		var scanErr error
@@ -490,10 +493,10 @@ func (m *nsm) FetchByKey(key int32) (*cobench.Station, error) {
 		if idx < 0 {
 			return nil, fmt.Errorf("store: no station with key %d", key)
 		}
-		return m.fetchAssembled(idx)
+		return m.fetchAssembled(idx, false)
 	}
 	a := &m.asm
-	a.begin(true)
+	a.begin(false)
 	err := m.scanRelations(a, func(rootKey int32) (int32, bool, error) { return 0, rootKey == key, nil })
 	if err != nil {
 		return nil, err
@@ -668,7 +671,7 @@ func (m *nsm) UpdateObject(i int, mutate func(s *cobench.Station) error) error {
 	if m.countIndexIO {
 		return fmt.Errorf("store: %s: structural updates unsupported with counted index I/O", m.Kind())
 	}
-	st, err := m.fetchAssembled(i)
+	st, err := m.fetchAssembled(i, true)
 	if err != nil {
 		return err
 	}

@@ -12,9 +12,10 @@ import (
 )
 
 // TestKeptLentValuesReadPoison is the poison build's reason to exist: a
-// caller that keeps what a view only lent — a scanned Station's slices and
-// strings, a navigated root name or child list — past the view's next call
-// reads 0xDB bytes, zero values and -1, never another object's data.
+// caller that keeps what a view only lent — a fetched or scanned Station's
+// slices and strings, a navigated root name or child list — past the
+// view's next call reads 0xDB bytes, zero values and -1, never another
+// object's data.
 func TestKeptLentValuesReadPoison(t *testing.T) {
 	stations := testExtension(t, 40)
 	victim := 0
@@ -47,6 +48,34 @@ func TestKeptLentValuesReadPoison(t *testing.T) {
 			for i, p := range plats {
 				if p.Nr != 0 || p.Information != "" || p.Conns != nil {
 					t.Errorf("kept scanned platform %d reads %+v", i, p)
+				}
+			}
+
+			// A point fetch lends the same way.
+			fetch := func(i int) *cobench.Station {
+				t.Helper()
+				var s *cobench.Station
+				var err error
+				if k == NSM {
+					s, err = m.FetchByKey(stations[i].Key) // no address access
+				} else {
+					s, err = m.FetchByAddress(i)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			fetch(victim) // as for the scan: the arena settles first
+			kept := fetch(victim)
+			name, plats = kept.Name, kept.Platforms
+			fetch((victim + 1) % len(stations))
+			if name != strings.Repeat("\xdb", len(stations[victim].Name)) {
+				t.Errorf("a kept fetched name reads %q", name)
+			}
+			for i, p := range plats {
+				if p.Nr != 0 || p.Information != "" || p.Conns != nil {
+					t.Errorf("kept fetched platform %d reads %+v", i, p)
 				}
 			}
 

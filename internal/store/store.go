@@ -264,13 +264,12 @@ func (r SizeReport) TotalPages() int {
 // the model takes, mirroring the paper's accounting where address tables
 // are in-memory and free (§5.1).
 //
-// Results have one of two lifetimes (doc.go, "Assembly"). The Stations of
-// FetchByAddress and FetchByKey, and the one UpdateObject hands mutate, are
-// owned: they survive whatever the model does next. The Station a ScanAll
-// callback receives, the RootRecord.Name of Navigate, ReadRoot and
-// UpdateRoots' mutate, and Navigate's child list are lent: they live in
-// the model's own scratch and are valid until its next call — a caller
-// that keeps one copies it (Station.Clone, strings.Clone, slices.Clone).
+// Every read lends its result (doc.go, "Assembly"): the Stations of
+// FetchByAddress, FetchByKey and a ScanAll callback, the RootRecord.Name of
+// Navigate, ReadRoot and UpdateRoots' mutate, and Navigate's child list
+// live in the model's own scratch and are valid until its next call — a
+// caller that keeps one copies it (Station.Clone, strings.Clone,
+// slices.Clone). Only the Station UpdateObject hands mutate is owned.
 type Model interface {
 	// Kind returns the model identity.
 	Kind() Kind
@@ -283,11 +282,12 @@ type Model interface {
 	// NumObjects returns the extension size.
 	NumObjects() int
 	// FetchByAddress retrieves one whole object by its physical address
-	// (query 1a). Models without addresses return ErrNoAddressAccess.
+	// (query 1a). Models without addresses return ErrNoAddressAccess. The
+	// Station is lent: valid until the model's next call.
 	FetchByAddress(i int) (*cobench.Station, error)
 	// FetchByKey retrieves one whole object by a value selection on its
 	// key (query 1b): a physical scan of the root relation (plus whatever
-	// the model needs to assemble the rest).
+	// the model needs to assemble the rest). The Station is lent.
 	FetchByKey(key int32) (*cobench.Station, error)
 	// ScanAll retrieves every object (query 1c), each materialised in full
 	// into one Station that is lent to fn: valid until fn returns, then

@@ -169,10 +169,12 @@ func (v *View) Engine() *Engine { return v.eng }
 // NumObjects returns the extension size.
 func (v *View) NumObjects() int { return v.m.NumObjects() }
 
-// FetchByAddress retrieves one whole object by address (query 1a).
+// FetchByAddress retrieves one whole object by address (query 1a); the
+// Station is lent.
 func (v *View) FetchByAddress(i int) (*cobench.Station, error) { return v.m.FetchByAddress(i) }
 
-// FetchByKey retrieves one whole object by key selection (query 1b).
+// FetchByKey retrieves one whole object by key selection (query 1b); the
+// Station is lent.
 func (v *View) FetchByKey(key int32) (*cobench.Station, error) { return v.m.FetchByKey(key) }
 
 // ScanAll retrieves every object (query 1c).

@@ -15,7 +15,8 @@ import (
 func TestRunInterruptedByContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := loadedRunner(t, store.DSM, 60).WithContext(ctx)
+	r := loadedRunner(t, store.DSM, 60)
+	r.Arm(ctx, r.w)
 	for _, q := range cobench.AllQueries() {
 		_, err := r.Run(q)
 		if err == nil {
@@ -36,7 +37,8 @@ func TestRunWithBackgroundContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounded := loadedRunner(t, store.DASDBSNSM, 60).WithContext(context.Background())
+	bounded := loadedRunner(t, store.DASDBSNSM, 60)
+	bounded.Arm(context.Background(), bounded.w)
 	got, err := bounded.Run(cobench.Q1c)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +52,8 @@ func TestRunWithBackgroundContext(t *testing.T) {
 // run stops promptly with the context error instead of finishing.
 func TestRunCancelMidScan(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	r := loadedRunner(t, store.NSM, 60).WithContext(ctx)
+	r := loadedRunner(t, store.NSM, 60)
+	r.Arm(ctx, r.w)
 	cancel()
 	if _, err := r.Run(cobench.Q1c); err == nil || !errors.Is(err, context.Canceled) {
 		t.Errorf("mid-scan cancel: err = %v", err)

@@ -52,12 +52,12 @@ func (r Result) PerUnit() iostat.PerUnit {
 // request-scoped handle therefore only has to provide the read/navigate/
 // update operations below to measure bit-identically to a private model.
 //
-// Two lifetimes, as in store.Model: what FetchByAddress and FetchByKey
-// return is the caller's; the Station a ScanAll callback is handed, the
-// RootRecord.Name of Navigate / ReadRoot / UpdateRoots' mutate and
-// Navigate's child list are lent — valid until the view's next call, and
-// to be copied (Station.Clone, strings.Clone, slices.Clone) by a caller
-// that keeps them. The Runner keeps none but the child lists it walks.
+// Every read lends, as in store.Model: the Stations of FetchByAddress,
+// FetchByKey and a ScanAll callback, the RootRecord.Name of Navigate /
+// ReadRoot / UpdateRoots' mutate and Navigate's child list are valid
+// until the view's next call, and are copied (Station.Clone,
+// strings.Clone, slices.Clone) by a caller that keeps them. The Runner
+// keeps none but the child lists it walks.
 type View interface {
 	// Kind returns the storage-model identity (for result rows).
 	Kind() store.Kind
@@ -65,9 +65,11 @@ type View interface {
 	Engine() *store.Engine
 	// NumObjects returns the extension size.
 	NumObjects() int
-	// FetchByAddress retrieves one whole object by address (query 1a).
+	// FetchByAddress retrieves one whole object by address (query 1a);
+	// the Station is lent.
 	FetchByAddress(i int) (*cobench.Station, error)
-	// FetchByKey retrieves one whole object by key selection (query 1b).
+	// FetchByKey retrieves one whole object by key selection (query 1b);
+	// the Station is lent.
 	FetchByKey(key int32) (*cobench.Station, error)
 	// ScanAll retrieves every object (query 1c); s is lent.
 	ScanAll(fn func(i int, s *cobench.Station) error) error
@@ -82,7 +84,12 @@ type View interface {
 	Flush() error
 }
 
-// Runner executes queries against one loaded view.
+// Runner executes queries against one loaded view. Arm sets the workload
+// and context of the queries that follow; everything else — the child
+// lists a loop copies, the update stamp's scratch — is kept from query to
+// query, grown to what this view's queries need. A runner therefore
+// belongs with the engine it drives, one per engine for the engine's life,
+// not one per request.
 type Runner struct {
 	model View
 	w     cobench.Workload
@@ -114,17 +121,17 @@ func (r *Runner) stampRoot(i int32, rec *cobench.RootRecord) {
 	rec.Name = string(r.name)
 }
 
-// WithContext bounds the runner's queries by ctx: execution checks the
-// context between object visits (per sample, per scanned object, per
-// navigation loop) and stops with the context's error, so a deadlined or
-// canceled request releases its view promptly instead of finishing a long
-// scan nobody is waiting for. A nil context (the default) never
-// interrupts. The check granularity is an object, not a page — a query
-// interrupted mid-object has still performed whole page transfers, which
-// is why interrupted runs report no counters at all rather than a
-// truncated measurement.
-func (r *Runner) WithContext(ctx context.Context) *Runner {
-	r.ctx = ctx
+// Arm sets what the runner's next queries run with: workload parameters w,
+// bounded by ctx. Execution checks the context between object visits (per
+// sample, per scanned object, per navigation loop) and stops with the
+// context's error, so a deadlined or canceled request releases its view
+// promptly instead of finishing a long scan nobody is waiting for. A nil
+// context (the default) never interrupts. The check granularity is an
+// object, not a page — a query interrupted mid-object has still performed
+// whole page transfers, which is why interrupted runs report no counters
+// at all rather than a truncated measurement.
+func (r *Runner) Arm(ctx context.Context, w cobench.Workload) *Runner {
+	r.ctx, r.w = ctx, w
 	return r
 }
 

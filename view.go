@@ -10,6 +10,7 @@ import (
 	"complexobj/cobench"
 	"complexobj/internal/disk"
 	"complexobj/internal/store"
+	"complexobj/internal/workload"
 )
 
 // View is a request-scoped handle on a Base: an independent database view
@@ -24,7 +25,7 @@ import (
 // ViewPool (Close recycles it back into the pool).
 type View struct {
 	kind ModelKind
-	sv   *store.View
+	engine
 	pool *ViewPool
 	// closed flips on Close, making a double Close an error instead of a
 	// double release. A View is one lease: pools hand every acquisition a
@@ -36,6 +37,19 @@ type View struct {
 	damaged atomic.Bool
 }
 
+// engine is what outlives a lease: the recyclable store view and the
+// workload runner that drives it. The runner's scratch is grown for this
+// engine's queries, so it stays with the engine — in the pool between
+// leases — and never moves to another.
+type engine struct {
+	sv  *store.View
+	run *workload.Runner
+}
+
+func newEngine(sv *store.View) engine {
+	return engine{sv: sv, run: workload.NewRunner(sv, cobench.Workload{})}
+}
+
 // NewView opens a fresh standalone view of the base, with a cold cache
 // and zeroed counters. The options follow the same rules as Base.Open.
 func (b *Base) NewView(opts Options) (*View, error) {
@@ -43,7 +57,7 @@ func (b *Base) NewView(opts Options) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &View{kind: b.kind, sv: sv}, nil
+	return &View{kind: b.kind, engine: newEngine(sv)}, nil
 }
 
 // Kind returns the storage model the view executes.
@@ -77,7 +91,7 @@ func (v *View) RunContext(ctx context.Context, q cobench.Query, w cobench.Worklo
 	if v.closed.Load() {
 		return QueryResult{}, fmt.Errorf("complexobj: Run on a closed view")
 	}
-	return runQuery(ctx, v.kind, v.sv, q, w)
+	return runQuery(ctx, v.kind, v.run, q, w)
 }
 
 // Quarantine marks the view damaged — a request panicked on it, or an
@@ -155,12 +169,12 @@ type ViewPool struct {
 	done chan struct{}
 
 	mu sync.Mutex
-	// idle holds the recycled engines. Acquire wraps each handout in a
-	// fresh *View, so a stale handle from a previous lease — including a
-	// duplicate Close racing a later request — can never touch the engine
-	// its new holder is using; the one-word wrapper is the entire
-	// per-request allocation.
-	idle        []*store.View
+	// idle holds the recycled engines, each with its runner. Acquire wraps
+	// each handout in a fresh *View, so a stale handle from a previous
+	// lease — including a duplicate Close racing a later request — can
+	// never touch the engine its new holder is using; the wrapper is the
+	// entire per-request allocation.
+	idle        []engine
 	closed      bool
 	created     int64
 	reused      int64
@@ -203,12 +217,19 @@ func (p *ViewPool) Acquire() (*View, error) {
 // AcquireContext is Acquire, giving up when ctx is done (so e.g. an HTTP
 // request canceled while waiting for a view stops waiting).
 func (p *ViewPool) AcquireContext(ctx context.Context) (*View, error) {
+	// A free slot is taken without waiting on ctx: ctx.Done() makes a
+	// request context allocate its channel, which only contention should
+	// pay for. A pool closed meanwhile is caught under the lock below.
 	select {
 	case p.sem <- struct{}{}:
-	case <-p.done:
-		return nil, ErrPoolClosed
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	default:
+		select {
+		case p.sem <- struct{}{}:
+		case <-p.done:
+			return nil, ErrPoolClosed
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
 	p.mu.Lock()
 	if p.closed {
@@ -216,13 +237,14 @@ func (p *ViewPool) AcquireContext(ctx context.Context) (*View, error) {
 		<-p.sem
 		return nil, ErrPoolClosed
 	}
-	var sv *store.View
+	var e engine
 	if n := len(p.idle); n > 0 {
-		sv = p.idle[n-1]
+		e = p.idle[n-1]
 		p.idle = p.idle[:n-1]
 		p.reused++
 	}
 	p.mu.Unlock()
+	sv := e.sv
 	if sv == nil {
 		v, err := p.base.NewView(p.opts)
 		if err != nil {
@@ -252,7 +274,7 @@ func (p *ViewPool) AcquireContext(ctx context.Context) (*View, error) {
 		p.countRebase()
 		p.mu.Unlock()
 	}
-	return &View{kind: p.base.kind, sv: sv, pool: p}, nil
+	return &View{kind: p.base.kind, engine: e, pool: p}, nil
 }
 
 // countRebase counts one stale view moved onto the current generation: a
@@ -295,7 +317,7 @@ func (p *ViewPool) release(v *View) error {
 			}
 		}
 		if !p.closed {
-			p.idle = append(p.idle, v.sv)
+			p.idle = append(p.idle, v.engine)
 			p.mu.Unlock()
 			return nil
 		}
@@ -366,8 +388,8 @@ func (p *ViewPool) Close() error {
 	p.mu.Unlock()
 	close(p.done)
 	var first error
-	for _, sv := range idle {
-		if err := sv.Close(); err != nil && first == nil {
+	for _, e := range idle {
+		if err := e.sv.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
