@@ -67,8 +67,8 @@ var ErrNotRecovered = errors.New("complexobj: commit log not recovered; call Rec
 // bases — the checkpoint state plus the replayed batches is exactly the
 // last group-committed generation; torn tails and uncommitted batches
 // are truncated by the log itself. Commits and checkpoints may run
-// concurrently (checkpoints exclude commits for their duration); commits
-// to one base must be serialized by the caller, like View.Commit says.
+// concurrently (checkpoints exclude commits for their duration), and so
+// may commits: each base serializes its own, like View.Commit says.
 //
 // Close does not checkpoint: a cleanly shut down process replays its log
 // on the next start, which keeps the recovery path continuously
@@ -309,9 +309,11 @@ type CommitInfo struct {
 // Commit promotes the view's mutations into its base as the next
 // generation, making them durable through the commit log first (log nil
 // commits volatile — promotion without crash safety). A view with no
-// mutations is a no-op. Commits to one base must not run concurrently:
-// the serving layer holds a per-model commit lock, batch callers commit
-// sequentially. After a non-empty commit the view keeps reading its own
+// mutations is a no-op. Commits to one base serialize inside it: a view
+// whose generation another commit has moved past — two leases taken
+// together and committed one after the other, say — fails with
+// store.ErrStaleBase before its batch is logged, so a refused commit never
+// replays. After a non-empty commit the view keeps reading its own
 // (now superseded) generation; pools rebase it onto the new generation on
 // release instead of recycling it.
 //

@@ -11,6 +11,7 @@ import (
 	"complexobj/cobench"
 	"complexobj/internal/disk"
 	"complexobj/internal/snapshot"
+	"complexobj/internal/store"
 )
 
 // TestOpenPersistentRoundTrip pins the persistent-database lifecycle
@@ -544,5 +545,117 @@ func TestViewPoolRebasesStaleViews(t *testing.T) {
 	s := pool.Stats()
 	if s.Stale != 3 || s.Reused != 2 || s.Created != 3 || s.Destroyed != 0 || s.Idle != 1 {
 		t.Fatalf("pool counters: %+v, want Stale=3 Reused=2 Created=3 Destroyed=0 Idle=1", s)
+	}
+}
+
+// TestRefusedCommitNeverBecomesDurable is the two-lease probe: leases A
+// and B are taken together on generation 0, A renames station 5, B
+// renames stations 9 and 5. A's commit is acknowledged; B's is refused
+// with ErrStaleBase, and the refusal comes before a byte of B's batch
+// reaches the log. So after Close → reopen → Recover exactly A's batch
+// replays: station 5 reads A's name, station 9 its original one. The
+// probe runs plain and with both leases under a transient fault plan.
+func TestRefusedCommitNeverBecomesDurable(t *testing.T) {
+	for _, tc := range []struct{ name, plan string }{
+		{"plain", ""},
+		{"faultdisk", "seed=31,read=0.05"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const kind = DSM
+			snap, stations := seedSnapshot(t, kind, 40)
+			walDir := t.TempDir()
+			var plan *FaultPlan
+			if tc.plan != "" {
+				var err error
+				if plan, err = ParseFaultPlan(tc.plan); err != nil {
+					t.Fatal(err)
+				}
+			}
+			opts := Options{BufferPages: 128, Faults: plan}
+
+			clog, err := OpenCommitLog(walDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, err := clog.OpenBase(kind, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := clog.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			rename := func(v *View, name string, idxs ...int32) {
+				t.Helper()
+				// A whole scan first, so the fault plan has reads to hit.
+				if err := v.sv.ScanAll(func(int, *cobench.Station) error { return nil }); err != nil {
+					t.Fatal(err)
+				}
+				if err := v.sv.UpdateRoots(idxs, func(_ int32, r *cobench.RootRecord) { r.Name = name }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a, err := base.NewView(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := base.NewView(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rename(a, "lease A", 5)
+			rename(b, "lease B", 9, 5)
+			if info, err := a.Commit(clog); err != nil || info.Gen != 1 || info.Seq != 1 {
+				t.Fatalf("A's commit: %+v, %v", info, err)
+			}
+			logged := clog.Stats().SizeBytes
+			if _, err := b.Commit(clog); !errors.Is(err, store.ErrStaleBase) {
+				t.Fatalf("B's commit on a superseded generation: %v, want ErrStaleBase", err)
+			}
+			if s := clog.Stats(); s.SizeBytes != logged || s.Commits != 1 {
+				t.Fatalf("the refused batch reached the log: %d bytes (was %d), %d commits", s.SizeBytes, logged, s.Commits)
+			}
+			a.Close()
+			b.Close()
+			if plan != nil && plan.Stats().ReadFaults == 0 {
+				t.Error("schedule injected no read faults; the faulted probe is vacuous")
+			}
+			if err := clog.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := base.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			clog2, err := OpenCommitLog(walDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer clog2.Close()
+			base2, err := clog2.OpenBase(kind, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer base2.Close()
+			if n, err := clog2.Recover(); err != nil || n != 1 {
+				t.Fatalf("recover replayed %d batches, %v; want only A's", n, err)
+			}
+			if base2.Gen() != 1 {
+				t.Fatalf("recovered base at generation %d, want 1", base2.Gen())
+			}
+			v, err := base2.NewView(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer v.Close()
+			for idx, want := range map[int]string{5: "lease A", 9: stations[9].Name} {
+				got, err := v.sv.FetchByKey(stations[idx].Key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Name != want {
+					t.Errorf("station %d recovered as %q, want %q", idx, got.Name, want)
+				}
+			}
+		})
 	}
 }

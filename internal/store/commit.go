@@ -43,11 +43,12 @@ type CommitResult struct {
 // would reset to the superseded base state, so pools rebase it instead
 // (Gen stays behind SharedBase.Gen until Rebase).
 //
-// The caller serializes commits per base: concurrent commits from views
-// of the same generation would race Promote, and the loser's durable
-// batch would fail with ErrStaleBase after its log append. The serving
-// layer holds a per-model commit lock across run+commit; batch callers
-// commit sequentially by construction.
+// Commits to one base serialize on its publish lock, which spans the
+// generation check, the log append and sync, and the promote: a view
+// whose generation another commit has already moved past fails with
+// ErrStaleBase before a byte of its batch is logged, so a refused commit
+// never replays. Commits to different bases still share the log's sync
+// waves (group commit).
 //
 // Commit moves no paper counter. The pool flush writes through the
 // simulated device exactly like the update query's own end-of-run Flush
@@ -92,6 +93,12 @@ func (v *View) Commit(log *wal.Log) (CommitResult, error) {
 		}
 	}
 	res := CommitResult{Pages: len(patches), Bytes: int64(len(patches)) * int64(v.base.pageSize)}
+	b := v.base
+	b.publish.Lock()
+	defer b.publish.Unlock()
+	if err := b.stale(b.Gen(), v.st.gen); err != nil {
+		return CommitResult{}, fmt.Errorf("store: commit %s: %w", v.base.kind, err)
+	}
 	if log != nil {
 		seq, err := log.Commit(recs, wal.CommitRecord{
 			Model:    byte(v.base.kind),
@@ -103,11 +110,8 @@ func (v *View) Commit(log *wal.Log) (CommitResult, error) {
 		}
 		res.Seq = seq
 	}
-	gen, err := v.base.Promote(v.st.gen, numPages, meta, patches)
+	gen, err := b.Promote(v.st.gen, numPages, meta, patches)
 	if err != nil {
-		// A durable batch that lost the promote race: the WAL holds it,
-		// replay after a crash would apply it under the winner — the
-		// caller's commit lock exists to prevent exactly this.
 		return CommitResult{}, fmt.Errorf("store: commit %s: %w", v.base.kind, err)
 	}
 	res.Gen = gen

@@ -39,6 +39,12 @@ type SharedBase struct {
 	kind     Kind
 	pageSize int
 
+	// publish serializes View.Commit's three steps — the generation check,
+	// the log append and sync, Promote — so a view whose generation is
+	// stale is refused before its batch reaches the log. Held across a
+	// sync, so never taken under mu.
+	publish sync.Mutex
+
 	mu       sync.RWMutex
 	gen      uint64
 	numPages int
@@ -240,6 +246,14 @@ func (b *SharedBase) Release() error {
 	return b.arena.Release()
 }
 
+// stale reports a commit built on fromGen while the base is at gen.
+func (b *SharedBase) stale(gen, fromGen uint64) error {
+	if gen == fromGen {
+		return nil
+	}
+	return fmt.Errorf("%w: %s at generation %d, commit built on %d", ErrStaleBase, b.kind, gen, fromGen)
+}
+
 // SnapshotState captures one consistent generation for a checkpoint
 // writer: the generation number, its page count and metadata, and the
 // arena holding one extra reference owned by the caller (Release it when
@@ -309,8 +323,8 @@ func (b *SharedBase) Promote(fromGen uint64, numPages int, meta []byte, pages ma
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.gen != fromGen {
-		return 0, fmt.Errorf("%w: %s at generation %d, commit built on %d", ErrStaleBase, b.kind, b.gen, fromGen)
+	if err := b.stale(b.gen, fromGen); err != nil {
+		return 0, err
 	}
 	next, copied := b.arena.Promote(b.pageSize, numPages, pages)
 	old := b.arena
