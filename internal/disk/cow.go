@@ -3,6 +3,7 @@ package disk
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -49,16 +50,49 @@ func (t pageTable) each(fn func(pg int, slot *[]byte)) {
 }
 
 // floor is the immutable storage at the bottom of every generation of
-// one base: a heap slice or a read-only file mapping. It is the only
-// reference-counted object — generations and views take references on the
-// floor they read through, and the storage is released when the last one
-// goes. (Committed page images over the floor are plain heap memory and
-// belong to the garbage collector.)
+// one base: a heap slice or a read-only file mapping. It counts every
+// reference to any of its generations and releases the storage with the
+// last one. Its lineage owns the committed page images, table leaves and
+// roots its promotes superseded, and hands them back to later promotes
+// under the one rule of doc.go, "Committed page images".
 type floor struct {
 	data   []byte
 	refs   atomic.Int64
 	mapped bool
 	unmap  func() error // releases the file mapping (mapped floors only)
+
+	mu  sync.Mutex
+	lin *lineage // nil until the first promote, and once recycling is off
+	off bool     // a promote forked the lineage, or the floor is released: no recycling
+}
+
+// lineageFor returns the lineage a promote of generation a records into.
+// Only a promote of the newest generation can account for what it
+// supersedes; a promote of any other (a fork, as only tests make) switches
+// recycling off for the floor for good, and from then on every promote
+// gets a detached lineage nobody consults again, leaving every image to
+// the garbage collector. Called with mu held.
+func (f *floor) lineageFor(a *BaseArena) *lineage {
+	switch {
+	case f.off:
+		return new(lineage)
+	case f.lin == nil:
+		f.lin = &lineage{newest: a.seq, live: []uint64{a.seq}}
+	case f.lin.newest != a.seq:
+		f.off, f.lin = true, nil
+		return new(lineage)
+	}
+	return f.lin
+}
+
+// drained records that generation seq lost its last reference and frees
+// what only it could still read.
+func (f *floor) drained(seq uint64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.lin != nil {
+		f.lin.drain(seq)
+	}
 }
 
 // BaseArena is one immutable generation of a shared page arena: the
@@ -67,27 +101,31 @@ type floor struct {
 // from it — plus a table of the pages committed over the floor since.
 // Promote derives the next generation by copying the table and installing
 // the dirty images, so a commit costs its dirty pages, not the arena. A
-// generation is never written after construction: every overlay layered
-// on top observes the same bytes forever, which is what lets the parallel
+// generation is never written while anyone holds a reference on it:
+// every overlay layered on top observes the same bytes for its whole
+// life, which is what lets the parallel
 // experiment matrix and the server hand each worker a view of one loaded
 // extension instead of a private copy. A nil *BaseArena behaves as an
 // empty base.
 //
-// The floor is reference-counted so that it can outlive the engine that
-// built it and be shared by a cache across many views: construction hands
-// the creator one reference, Promote hands the next generation's owner
-// one, every COW backend opened over a generation takes another (released
-// by its Close or rebase), and the floor storage — heap slice or file
-// mapping — is released only when the last reference goes. Releasing is
-// what makes the mmap variant safe: no view can ever observe an unmapped
-// arena.
+// Each generation counts its own references next to the floor's count,
+// which sums every generation's: construction hands the creator one
+// reference, Promote hands the next generation's owner one, every COW
+// backend opened over a generation takes another (released by its Close
+// or rebase). The floor storage — heap slice or file mapping — is
+// released only when the floor's last reference goes, so no view can ever
+// observe an unmapped arena; a generation whose own last reference goes
+// is drained, and what only it could read is reused (doc.go, "Committed
+// page images"). Retaining a drained generation is a bug.
 type BaseArena struct {
 	fl       *floor
-	floorLen int       // floor bytes this generation reads through (a shrink hides the rest for good)
-	size     int       // logical arena length in bytes
-	gran     int       // page size of the table (0 until the first promote)
-	over     pageTable // committed pages over the floor; nil until the first promote
-	held     int       // non-nil entries of over
+	seq      uint64       // the generation's place in the floor's lineage
+	refs     atomic.Int64 // this generation's own references
+	floorLen int          // floor bytes this generation reads through (a shrink hides the rest for good)
+	size     int          // logical arena length in bytes
+	gran     int          // page size of the table (0 until the first promote)
+	over     pageTable    // committed pages over the floor; nil until the first promote
+	held     int          // non-nil entries of over
 }
 
 // NewBaseArena freezes data into a shared base holding one reference,
@@ -95,6 +133,7 @@ type BaseArena struct {
 // not be mutated afterwards.
 func NewBaseArena(data []byte) *BaseArena {
 	a := &BaseArena{fl: &floor{data: data}, floorLen: len(data), size: len(data)}
+	a.refs.Store(1)
 	a.fl.refs.Store(1)
 	return a
 }
@@ -147,31 +186,44 @@ func (a *BaseArena) Refs() int {
 	return int(a.fl.refs.Load())
 }
 
-// Retain takes one additional reference on the floor and returns the
-// arena (nil-safe, so call sites can thread a possibly-empty base without
-// branching).
+// Retain takes one additional reference on the generation (and so on its
+// floor) and returns the arena (nil-safe, so call sites can thread a
+// possibly-empty base without branching). The caller must already hold
+// one: a drained generation's images may have been reused, and retaining
+// it panics rather than read them.
 func (a *BaseArena) Retain() *BaseArena {
 	if a != nil {
+		if a.refs.Add(1) == 1 {
+			panic("disk: retain of a drained base generation")
+		}
 		a.fl.refs.Add(1)
 	}
 	return a
 }
 
-// Release drops one reference. When the last reference goes the floor
-// storage is released: a heap floor drops its slice, an mmap-backed one
-// unmaps the snapshot file region. Releasing more often than retained is
-// a bug and reported as an error.
+// Release drops one reference. When the generation's last reference goes
+// it is drained: what only it could read becomes reusable. When the
+// floor's last reference goes the floor storage is released: a heap floor
+// drops its slice, an mmap-backed one unmaps the snapshot file region, and
+// the lineage's lists go with it. Releasing more often than retained is a
+// bug and reported as an error.
 func (a *BaseArena) Release() error {
 	if a == nil {
 		return nil
 	}
 	f := a.fl
+	if a.refs.Add(-1) == 0 {
+		f.drained(a.seq)
+	}
 	switch n := f.refs.Add(-1); {
 	case n > 0:
 		return nil
 	case n < 0:
 		return fmt.Errorf("disk: base arena over-released (refs %d)", n)
 	}
+	f.mu.Lock()
+	f.off, f.lin = true, nil
+	f.mu.Unlock()
 	f.data = nil
 	if f.unmap != nil {
 		unmap := f.unmap

@@ -65,10 +65,10 @@
 // fall through to the base until the first write to a page materializes a
 // private copy (a full-page write skips even that copy); growth past the
 // base is free until written. A base generation is immutable by
-// construction — no code path writes a floor after NewBaseArena or a page
-// table after Promote — so any number of engines can read through one
-// generation concurrently without synchronization, and closing a view
-// releases only its overlay. This is what lets the
+// construction — no code path writes a floor after NewBaseArena, or a
+// page table or image a referenced generation holds — so any number of
+// engines can read through one generation concurrently without
+// synchronization, and closing a view releases only its overlay. This is what lets the
 // parallel experiment matrix share one loaded extension across workers:
 // per-worker memory is proportional to the pages a worker dirties, not to
 // the database size, while the counters stay bit-identical to a private
@@ -95,19 +95,37 @@
 // memory; Bytes flattens a promoted generation and is for inspection
 // only.
 //
-// Only the floor is reference-counted: it outlives any single engine and
-// any single generation, and for a mapped floor release must be explicit.
-// Construction (NewBaseArena, MapBaseArena) hands the creator one
-// reference, Promote hands the next generation's owner one, every COW
-// backend takes one on the floor of the generation it reads (dropped by
-// its Close, or swapped by a rebase), and the storage is freed exactly
-// when the count reaches zero. The contract callers rely on: a floor can
-// never be released under a live view or a live generation (each
-// reference pins it, even after every other handle is gone), and
-// releasing an already-dead floor is reported as an error instead of
-// corrupting a neighbour. Committed page images are ordinary heap memory
-// and belong to the garbage collector: a superseded generation's table
-// and the images only it holds are collected once no view reads it.
+// Every generation counts its own references, and the floor counts them
+// all: construction (NewBaseArena, MapBaseArena) hands the creator one,
+// Promote hands the next generation's owner one, every COW backend takes
+// one on the generation it reads (dropped by its Close, or swapped by a
+// rebase). The floor storage is freed exactly when the floor's count
+// reaches zero. The contract callers rely on: a floor can never be
+// released under a live view or a live generation (each reference pins
+// it, even after every other handle is gone), and releasing an
+// already-dead floor is reported as an error instead of corrupting a
+// neighbour.
+//
+// # Committed page images
+//
+// A committed page image — like a table leaf or root — is read only
+// through a generation whose table holds it, by someone holding a
+// reference on that generation, and it is reused once no generation
+// holding a reference can read it. An image that generation b's promote
+// installed and generation d's replaced (or dropped, shrinking) is read
+// by exactly the generations [b, d): d's promote retires it to the
+// floor's lineage with that interval; when a generation's last reference
+// goes, every retired image no live generation in its interval reads
+// moves to the floor's free list, and later promotes copy dirty pages into
+// those instead of fresh memory. A view parked on an old generation thus
+// pins only what its own generation reads — what the garbage collector
+// would keep for it — and nothing retired after it. The lineage must be a
+// line: a promote of a generation that is not its floor's newest (only
+// tests fork one) switches recycling off for the floor and leaves every
+// image to the garbage collector. The lists go with the floor's last
+// reference, retaining a drained generation panics, and under
+// `-tags poison` an image reads 0xDB from the moment it is freed and
+// again when it is reused.
 //
 // The counting pays off for the two floor variants differently. A heap
 // floor (NewBaseArena) could in principle lean on the garbage collector;
@@ -170,9 +188,9 @@
 // It changes hands only through something that synchronises (a ViewPool
 // lease, a fanout worker taking its cell, a channel). What engines share
 // keeps its own synchronisation: disk.PagePool (mutex: engines of one
-// suite take and give pages concurrently), a BaseArena floor's reference
-// count (atomic: views open and close concurrently; floor and page tables
-// are immutable), store.SharedBase (lock around the current generation,
+// suite take and give pages concurrently), a BaseArena's reference counts
+// (atomic: views open and close concurrently; floor and page tables are
+// immutable) and its floor's lineage (mutex: promotes and drains), store.SharedBase (lock around the current generation,
 // one Once per decoded directory), store.BaseCache (mutex, one build per
 // key), faultdisk.Injector (atomic: one schedule under every device it
 // wraps), complexobj.ViewPool. The proof is `go test -race ./...` —
@@ -181,7 +199,9 @@
 //
 // # Page buffer ownership
 //
-// A page buffer that is neither arena nor base memory — a frame the buffer
+// Committed images are base memory, owned by their floor's lineage under
+// the rule above; they never pass through a PagePool. A page buffer that
+// is neither arena nor base memory — a frame the buffer
 // pool owns (a promoted or copied page), a COW overlay image — has one
 // owner at a time, in this order: the engine (a live frame or image, or its
 // private free list, Pool.freeData / cowBackend.freeImgs: one owner, no

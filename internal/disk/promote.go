@@ -29,12 +29,20 @@ func OverlayPages(b Backend, fn func(pg int, img []byte)) bool {
 // next generation shares the floor and every table leaf no dirty page
 // falls in, copies the root and the dirty pages' leaves, and installs a
 // private copy of each image — a path-copied table, not a parent chain, so
-// a page lookup costs the same after one promote as after a thousand. Pages at or past numPages are
-// ignored — the committed size is authoritative; an image shorter than a
-// page overrides the page's prefix. The result holds one floor reference
-// owned by the caller; the receiver is only read, its references
-// untouched. copied is the number of bytes the promote copied (root,
-// leaves, images) — the in-memory write amplification of the commit.
+// a page lookup costs the same after one promote as after a thousand.
+// Pages at or past numPages are ignored — the committed size is
+// authoritative; an image shorter than a page overrides the page's prefix.
+// The result holds one reference owned by the caller; the receiver is only
+// read, its references untouched. copied is the number of bytes the
+// promote copied (root, leaves, images) — the in-memory write
+// amplification of the commit.
+//
+// The copies land in memory earlier promotes superseded when the floor's
+// lineage holds some no live generation can read; what this promote
+// supersedes — the receiver's root, the leaves it copies, the images it
+// replaces or drops — is retired with the generations that can read it.
+// That needs the receiver to be the floor's newest generation; promoting
+// an older one switches recycling off for the floor.
 func (a *BaseArena) Promote(pageSize, numPages int, pages map[int][]byte) (next *BaseArena, copied int64) {
 	if a == nil {
 		a = NewBaseArena(nil)
@@ -43,38 +51,65 @@ func (a *BaseArena) Promote(pageSize, numPages int, pages map[int][]byte) (next 
 	if a.gran != 0 && a.gran != pageSize {
 		panic(fmt.Sprintf("disk: promote at page size %d over a generation of page size %d", pageSize, a.gran))
 	}
+	f := a.fl
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	l := f.lineageFor(a)
 	size := numPages * pageSize
 	next = &BaseArena{
-		fl:       a.Retain().fl,
+		fl:       f,
+		seq:      a.seq + 1,
 		floorLen: min(a.floorLen, size),
 		size:     size,
 		gran:     pageSize,
-		over:     make(pageTable, (numPages+leafPages-1)>>leafShift),
+		over:     l.root((numPages + leafPages - 1) >> leafShift),
 		held:     a.held,
 	}
+	next.refs.Store(1)
+	f.refs.Add(1)
 	copy(next.over, a.over)
 	copied = int64(len(next.over)) * int64(unsafe.Sizeof(next.over[0]))
+	l.cover(numPages, len(next.over))
+	if a.over != nil {
+		l.retired = append(l.retired, retired{born: a.seq, died: next.seq, root: a.over})
+	}
+	// Leaves past the committed size go with the root that held them.
+	for li := len(next.over); li < len(a.over); li++ {
+		if a.over[li] != nil {
+			l.retired = append(l.retired, retired{born: l.leafBorn[li], died: next.seq, leaf: a.over[li]})
+		}
+	}
 	// slot returns page pg's entry in a leaf private to next, copying a
 	// leaf still shared with the receiver and creating a missing one.
 	slot := func(pg int) *[]byte {
 		li := pg >> leafShift
 		switch leaf := next.over[li]; {
 		case leaf == nil:
-			next.over[li] = new(pageLeaf)
+			next.over[li] = l.leaf()
 		case li < len(a.over) && leaf == a.over[li]:
-			private := *leaf
-			next.over[li] = &private
+			private := l.leaf()
+			*private = *leaf
+			next.over[li] = private
+			l.retired = append(l.retired, retired{born: l.leafBorn[li], died: next.seq, leaf: leaf})
 		default:
 			return &leaf[pg&(leafPages-1)]
 		}
+		l.leafBorn[li] = next.seq
 		copied += int64(unsafe.Sizeof(pageLeaf{}))
 		return &next.over[li][pg&(leafPages-1)]
+	}
+	// drop retires the image a slot held before next replaced or dropped it.
+	drop := func(pg int, img []byte) {
+		if img != nil {
+			l.retired = append(l.retired, retired{born: l.born[pg], died: next.seq, img: img})
+		}
 	}
 	// A shrink drops the images past the committed size, those sharing the
 	// last leaf with surviving pages included: regrown, they read as zero.
 	for pg := numPages; pg*pageSize < a.size; pg++ {
-		if a.over.page(pg) != nil {
+		if img := a.over.page(pg); img != nil {
 			next.held--
+			drop(pg, img)
 			if pg>>leafShift < len(next.over) {
 				*slot(pg) = nil
 			}
@@ -84,18 +119,23 @@ func (a *BaseArena) Promote(pageSize, numPages int, pages map[int][]byte) (next 
 		if pg < 0 || pg >= numPages {
 			continue
 		}
-		img := make([]byte, pageSize)
+		img := l.image(pageSize)
 		if len(src) < pageSize {
-			copy(img, a.page(pg, pageSize))
+			m := copy(img, a.page(pg, pageSize))
+			clear(img[m:])
 		}
 		copy(img, src)
 		at := slot(pg)
 		if *at == nil {
 			next.held++
 		}
+		drop(pg, *at)
 		*at = img
+		l.born[pg] = next.seq
 		copied += int64(pageSize)
 	}
+	l.newest = next.seq
+	l.live = append(l.live, next.seq)
 	return next, copied
 }
 

@@ -1,0 +1,133 @@
+package disk
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// randomPages returns k distinct random pages of [0, numPages) with random
+// full-page images.
+func randomPages(rng *rand.Rand, ps, numPages, k int) map[int][]byte {
+	pages := make(map[int][]byte, k)
+	for len(pages) < k {
+		img := make([]byte, ps)
+		rng.Read(img)
+		pages[rng.Intn(numPages)] = img
+	}
+	return pages
+}
+
+// commitThroughView is one commit as the store layer makes it: the pages
+// are written through a COW view of gen, the view's overlay is promoted,
+// and the owner reference moves to the new generation (gen is released).
+func commitThroughView(t *testing.T, gen *BaseArena, ps int, pages map[int][]byte) *BaseArena {
+	t.Helper()
+	d, err := Open(ps, NewCOWBackend(gen, ps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pg, img := range pages {
+		if err := d.WriteRun(PageID(pg), [][]byte{img}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dirty := make(map[int][]byte, len(pages))
+	OverlayPages(d.Backend(), func(pg int, img []byte) { dirty[pg] = img })
+	next, _ := gen.Promote(ps, d.NumPages(), dirty)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := gen.Release(); err != nil {
+		t.Fatal(err)
+	}
+	return next
+}
+
+// TestRecycledImagesAreBounded pins what recycling keeps. With no view
+// parked, the images a lineage holds — retired and free — never exceed
+// one commit's dirty set, however many commits run. With one view parked
+// on a generation, the retired images are exactly the ones that
+// generation reads and a newer one replaced — the set the garbage
+// collector would keep alive — and they all come free when it closes.
+func TestRecycledImagesAreBounded(t *testing.T) {
+	const ps, numPages, dirty = 64, 20 * leafPages, 16
+	gen, _ := testBase(ps, numPages)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 300; i++ {
+		gen = commitThroughView(t, gen, ps, randomPages(rng, ps, numPages, dirty))
+		if pinned, free, _ := gen.RecycleState(); len(pinned)+free > dirty {
+			t.Fatalf("commit %d: the lineage holds %d retired + %d free images, more than one commit's %d",
+				i, len(pinned), free, dirty)
+		}
+	}
+	if _, _, reused := gen.RecycleState(); reused == 0 {
+		t.Fatal("300 commits reused no image")
+	}
+
+	parkedGen := gen
+	parked := NewCOWBackend(parkedGen, ps)
+	for i := 0; i < 300; i++ {
+		gen = commitThroughView(t, gen, ps, randomPages(rng, ps, numPages, dirty))
+	}
+	want := make(map[*byte]bool)
+	parkedGen.over.each(func(pg int, slot *[]byte) {
+		if img := gen.over.page(pg); img == nil || &img[0] != &(*slot)[0] {
+			want[&(*slot)[0]] = true
+		}
+	})
+	pinned, free, _ := gen.RecycleState()
+	if len(want) == 0 {
+		t.Fatal("every image of the parked generation is still current; the check is vacuous")
+	}
+	if len(pinned) != len(want) || free > dirty {
+		t.Fatalf("a parked view pins %d images (%d free); its generation reads %d that newer ones replaced",
+			len(pinned), free, len(want))
+	}
+	for _, img := range pinned {
+		if !want[&img[0]] {
+			t.Fatal("a retired image the parked generation does not read is still pinned")
+		}
+	}
+	if err := parked.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if pinned, free, _ := gen.RecycleState(); len(pinned) != 0 || free < len(want) {
+		t.Fatalf("after the parked view closed: %d images still pinned, %d free (want ≥ %d)", len(pinned), free, len(want))
+	}
+	if err := gen.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if gen.Refs() != 0 {
+		t.Fatalf("floor refs %d after the last release", gen.Refs())
+	}
+}
+
+// TestPromoteOffTheNewestStopsRecycling: a promote of a generation that
+// is not its floor's newest — a fork of the lineage — cannot account for
+// what it supersedes, so recycling stops for the floor and both branches
+// keep reading their own bytes.
+func TestPromoteOffTheNewestStopsRecycling(t *testing.T) {
+	const ps = 64
+	base, pristine := testBase(ps, 4)
+	rng := rand.New(rand.NewSource(9))
+	a, _ := base.Promote(ps, 4, randomPages(rng, ps, 4, 2))
+	want := a.Bytes()
+	b, _ := base.Promote(ps, 4, randomPages(rng, ps, 4, 2)) // base is no longer the newest
+	if err := base.Release(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		b = commitThroughView(t, b, ps, randomPages(rng, ps, 4, 2))
+	}
+	if _, free, reused := b.RecycleState(); free != 0 || reused != 0 {
+		t.Fatalf("a forked lineage still recycles: %d free, %d reused", free, reused)
+	}
+	if got := a.Bytes(); string(got) != string(want) {
+		t.Fatal("the first branch changed under the second")
+	}
+	if string(pristine) == string(want) {
+		t.Fatal("the first branch committed nothing; the check is vacuous")
+	}
+	a.Release()
+	b.Release()
+}

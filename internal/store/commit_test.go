@@ -3,8 +3,10 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"complexobj/cobench"
@@ -165,7 +167,11 @@ func TestPromoteStaleGeneration(t *testing.T) {
 // TestCommitWALReplayReconstructsGeneration is the tentpole round trip:
 // commits logged through a real file-backed WAL, replayed over a second
 // base frozen from the same original state, must land on a byte-identical
-// arena and generation — the crash-recovery path in miniature.
+// arena and generation — the crash-recovery path in miniature. Replay
+// promotes through the same code as a live commit, so 120 batches
+// rewriting the same pages recycle there too: the replayed generation
+// holds as many committed pages as the live one, and the replay's
+// promotes allocate the images of a few batches, not of 120.
 func TestCommitWALReplayReconstructsGeneration(t *testing.T) {
 	stations, err := cobench.Generate(cobench.DefaultConfig().WithN(40))
 	if err != nil {
@@ -184,14 +190,17 @@ func TestCommitWALReplayReconstructsGeneration(t *testing.T) {
 	defer live.Release()
 	defer recovered.Release()
 
+	const rounds = 120
+	name := func(round int) string { return fmt.Sprintf("committed name %03d", round) }
 	log, reopen := openTestWAL(t, filepath.Join(t.TempDir(), "wal.log"))
-	for round, name := range []string{"first committed name", "second committed name"} {
+	pagesPerBatch := 0
+	for round := 0; round < rounds; round++ {
 		v, err := live.NewView(Options{BufferPages: 200})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := v.UpdateRoots([]int32{int32(round), 7}, func(i int32, r *cobench.RootRecord) {
-			r.Name = name
+		if err := v.UpdateRoots([]int32{int32(round % 2), 7}, func(i int32, r *cobench.RootRecord) {
+			r.Name = name(round)
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -202,11 +211,14 @@ func TestCommitWALReplayReconstructsGeneration(t *testing.T) {
 		if res.Seq != uint64(round+1) || res.Gen != uint64(round+1) {
 			t.Fatalf("round %d: result %+v", round, res)
 		}
+		pagesPerBatch = max(pagesPerBatch, res.Pages)
 		v.Close()
 	}
 
 	// "Crash": reopen the log and replay every committed batch onto the
-	// recovered base.
+	// recovered base, measuring what the promotes allocate.
+	var promoted uint64
+	var before, after runtime.MemStats
 	reopen(func(c wal.CommitRecord, pages []wal.PageRecord) error {
 		if Kind(c.Model) != DASDBSNSM {
 			t.Fatalf("replayed model %d", c.Model)
@@ -215,15 +227,28 @@ func TestCommitWALReplayReconstructsGeneration(t *testing.T) {
 		for _, p := range pages {
 			patches[int(p.Page)] = p.Image
 		}
+		runtime.ReadMemStats(&before)
 		_, err := recovered.Promote(recovered.Gen(), int(c.NumPages), c.Meta, patches)
+		runtime.ReadMemStats(&after)
+		promoted += after.TotalAlloc - before.TotalAlloc
 		return err
 	})
 
-	if recovered.Gen() != live.Gen() {
-		t.Fatalf("recovered generation %d, live %d", recovered.Gen(), live.Gen())
+	if recovered.Gen() != live.Gen() || live.Gen() != rounds {
+		t.Fatalf("recovered generation %d, live %d, want %d", recovered.Gen(), live.Gen(), rounds)
 	}
 	if !bytes.Equal(checksumBase(recovered), checksumBase(live)) {
 		t.Fatal("replayed arena differs from the live promoted arena")
+	}
+	if recovered.DeltaPages() != live.DeltaPages() || live.DeltaPages() > 2*pagesPerBatch {
+		t.Fatalf("replayed generation holds %d committed pages, live %d; %d batches of at most %d pages",
+			recovered.DeltaPages(), live.DeltaPages(), rounds, pagesPerBatch)
+	}
+	// A generation record per batch, and page images, leaves and roots for
+	// the first few: without recycling it would be 120 batches' images.
+	if budget := uint64(rounds*256 + 4*pagesPerBatch*recovered.PageSize()); promoted > budget {
+		t.Fatalf("replaying %d batches of ≤ %d pages allocated %d bytes in Promote, want ≤ %d: the replay does not recycle",
+			rounds, pagesPerBatch, promoted, budget)
 	}
 	v, err := recovered.NewView(Options{BufferPages: 200})
 	if err != nil {
@@ -234,7 +259,7 @@ func TestCommitWALReplayReconstructsGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != "second committed name" {
+	if got.Name != name(rounds-1) {
 		t.Fatalf("recovered view reads %q", got.Name)
 	}
 }

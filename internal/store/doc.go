@@ -167,13 +167,16 @@
 // generation's. A key selects one object: an UpdateObject onto a key
 // another object holds is ErrDuplicateKey, refused before anything is
 // written, and a blob that repeats a key does not restore (ErrRestore).
-// View.Commit logs a view's dirty pages, then
-// SharedBase.Promote swaps in generation n+1, at the cost the paper's own
-// argument about writes allows (§5.3: pay per dirty page, not per
-// something larger): a promote copies the page table's root, the dirty
-// pages' leaves and images — PromotedBytes counts exactly those — never
-// the arena, and when the directory is unchanged (query 3 stamps
-// fixed-width root fields) nothing encodes, logs or copies the O(objects)
+// View.Commit checks its generation, logs its dirty pages, then
+// SharedBase.Promote swaps in generation n+1 — all three under the base's
+// publish lock, so a stale view is refused before it logs — at the cost
+// the paper's own argument about writes allows (§5.3: pay per dirty page,
+// not per something larger): a promote copies the page table's root, the
+// dirty pages' leaves and images — PromotedBytes counts exactly those,
+// into memory earlier promotes superseded once no live generation reads
+// it (internal/disk, "Committed page images") — never the arena, and when
+// the directory is unchanged (query 3 stamps fixed-width root fields)
+// nothing encodes, logs or copies the O(objects)
 // blob: the marker's blob is empty and generation n+1 keeps generation
 // n's directory by reference. A changed one takes the full path, so
 // checkpoints, .codb files and Meta never differ. DeltaPages is what the
@@ -194,11 +197,12 @@
 // It changes hands only through something that synchronises (a ViewPool
 // lease, a fanout worker taking its cell, a channel). What engines share
 // keeps its own synchronisation: disk.PagePool (mutex: engines of one
-// suite take and give pages concurrently), a BaseArena floor's reference
-// count (atomic: views open and close concurrently; floor and page tables
-// are immutable), store.SharedBase (lock around the current generation,
-// one Once per decoded directory), store.BaseCache (mutex, one build per
-// key), faultdisk.Injector (atomic: one schedule under every device it
+// suite take and give pages concurrently), a BaseArena's reference
+// counts (atomic: views open and close concurrently; floor and page
+// tables are immutable) and its floor's lineage (mutex: promotes and
+// drains), store.SharedBase (lock around the current generation, publish
+// lock per commit, one Once per decoded directory), store.BaseCache
+// (mutex, one build per key), faultdisk.Injector (atomic: one schedule under every device it
 // wraps), complexobj.ViewPool. The proof is `go test -race ./...` —
 // buffer.TestEngineHandOver is the rule itself — and CI's race-built
 // server soak: a second goroutine in an engine is a reported race.

@@ -181,3 +181,64 @@ func TestKeptPagesReadPoisonAfterClose(t *testing.T) {
 		base.Release()
 	}
 }
+
+// TestParkedViewKeepsItsObjects is the store-level recycling fence: a
+// view parked on a generation takes owned clones of every object, two
+// hundred commits from another view recycle page images around it, and
+// the parked view — cold cache, so every page is read again from its
+// generation — still returns the clones byte for byte. Under this tag a
+// freed image reads 0xDB.
+func TestParkedViewKeepsItsObjects(t *testing.T) {
+	stations := testExtension(t, 40)
+	for _, k := range AllKinds() {
+		t.Run(k.String(), func(t *testing.T) {
+			m := loadModel(t, k, stations)
+			base, err := Freeze(m)
+			m.Engine().Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer base.Release()
+			writer, err := base.NewView(Options{BufferPages: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer writer.Close()
+			commit := func(i int) {
+				t.Helper()
+				name := strings.Repeat(string(rune('a'+i%26)), 1+i%7)
+				if err := writer.UpdateRoots([]int32{int32(i % 40), int32(i * 13 % 40)}, func(_ int32, r *cobench.RootRecord) { r.Name = name }); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := writer.Commit(nil); err != nil {
+					t.Fatal(err)
+				}
+				if err := writer.Rebase(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 5; i++ {
+				commit(i)
+			}
+			parked, err := base.NewView(Options{BufferPages: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer parked.Close()
+			want, err := scanClones(parked)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 5; i < 205; i++ {
+				commit(i)
+			}
+			got, err := scanClones(parked)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameObjects(got, want); err != nil {
+				t.Fatalf("parked on generation %d, 200 commits later: %v", parked.Gen(), err)
+			}
+		})
+	}
+}

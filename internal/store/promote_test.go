@@ -78,6 +78,23 @@ func TestPromoteCostIsDirtyPages(t *testing.T) {
 	if &base.Meta()[0] != &meta[0] {
 		t.Error("promotes that left the directory unchanged replaced its blob")
 	}
+
+	// Steady state: the images, leaves and root each promote supersedes
+	// come back to the next one once their generation drains, so
+	// re-promoting the same sixteen pages allocates no page image, leaf or
+	// root — only the generation record.
+	runtime.ReadMemStats(&before)
+	for i := 0; i < promotes; i++ {
+		if _, err := base.Promote(base.Gen(), base.NumPages(), nil, pages); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	steady := int64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("%d more promotes allocated %d bytes", promotes, steady)
+	if steady >= promotes*256 {
+		t.Errorf("%d warm promotes allocated %d bytes, want under 256 each: the generation record, no image, leaf or root", promotes, steady)
+	}
 }
 
 // TestSnapshotMetaIsExactlySized: every model's metadata encoder sizes

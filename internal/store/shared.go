@@ -30,9 +30,10 @@ var ErrStaleBase = errors.New("store: shared base generation moved")
 // the next generation — the same floor, a copied page table, the dirty
 // images — and atomically swap it in as generation n+1. Views capture
 // the generation they landed on and keep reading it — their COW backends
-// hold their own arena references, so a superseded generation's page
-// images are collected only when its last view leaves — while new and
-// rebased views land on the promoted state. Every accessor that touches
+// hold their own references on it, and a superseded generation's page
+// images are reused by a later promote only once its last view leaves
+// (internal/disk, "Committed page images") — while new and rebased views
+// land on the promoted state. Every accessor that touches
 // the swappable state is guarded; a *SharedBase is safe for concurrent
 // use.
 type SharedBase struct {
