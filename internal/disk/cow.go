@@ -101,12 +101,11 @@ func (f *floor) drained(seq uint64) {
 // from it — plus a table of the pages committed over the floor since.
 // Promote derives the next generation by copying the table and installing
 // the dirty images, so a commit costs its dirty pages, not the arena. A
-// generation is never written while anyone holds a reference on it:
-// every overlay layered on top observes the same bytes for its whole
-// life, which is what lets the parallel
-// experiment matrix and the server hand each worker a view of one loaded
-// extension instead of a private copy. A nil *BaseArena behaves as an
-// empty base.
+// generation is never written while anyone holds a reference on it: every
+// overlay layered on top observes the same bytes for its whole life, which
+// is what lets the parallel experiment matrix and the server hand each
+// worker a view of one loaded extension instead of a private copy. A nil
+// *BaseArena behaves as an empty base.
 //
 // Each generation counts its own references next to the floor's count,
 // which sums every generation's: construction hands the creator one

@@ -68,8 +68,9 @@
 // construction — no code path writes a floor after NewBaseArena, or a
 // page table or image a referenced generation holds — so any number of
 // engines can read through one generation concurrently without
-// synchronization, and closing a view releases only its overlay. This is what lets the
-// parallel experiment matrix share one loaded extension across workers:
+// synchronization, and closing a view releases only its overlay. This is
+// what lets the parallel experiment matrix share one loaded extension
+// across workers:
 // per-worker memory is proportional to the pages a worker dirties, not to
 // the database size, while the counters stay bit-identical to a private
 // heap arena by construction (the device layer above is unchanged).
@@ -106,6 +107,20 @@
 // already-dead floor is reported as an error instead of corrupting a
 // neighbour.
 //
+// The counting pays off for the two floor variants differently. A heap
+// floor (NewBaseArena) could in principle lean on the garbage collector;
+// an mmap-backed one (MapBaseArena, used for .codb snapshots) cannot —
+// the file mapping must be unmapped explicitly, and unmapping while a
+// view could still read it would be a crash, not a leak. The mapped
+// variant is what makes a `-db x.codb` run memory-cheap: the
+// snapshot's arena region is mapped PROT_READ/MAP_PRIVATE, resident only
+// in the pages views actually touch, immutable by page protection on top
+// of immutable by construction — and it stays the floor across commits,
+// which move only the pages they dirtied onto the heap.
+//
+// Backends change only the storage substrate — allocation, run transfers
+// and the I/O counters are identical across backends by construction.
+//
 // # Committed page images
 //
 // A committed page image — like a table leaf or root — is read only
@@ -126,20 +141,6 @@
 // reference, retaining a drained generation panics, and under
 // `-tags poison` an image reads 0xDB from the moment it is freed and
 // again when it is reused.
-//
-// The counting pays off for the two floor variants differently. A heap
-// floor (NewBaseArena) could in principle lean on the garbage collector;
-// an mmap-backed one (MapBaseArena, used for .codb snapshots) cannot —
-// the file mapping must be unmapped explicitly, and unmapping while a
-// view could still read it would be a crash, not a leak. The mapped
-// variant is what makes a `-db x.codb` run memory-cheap: the
-// snapshot's arena region is mapped PROT_READ/MAP_PRIVATE, resident only
-// in the pages views actually touch, immutable by page protection on top
-// of immutable by construction — and it stays the floor across commits,
-// which move only the pages they dirtied onto the heap.
-//
-// Backends change only the storage substrate — allocation, run transfers
-// and the I/O counters are identical across backends by construction.
 //
 // # Stable pages (zero-copy reads)
 //
@@ -190,9 +191,10 @@
 // keeps its own synchronisation: disk.PagePool (mutex: engines of one
 // suite take and give pages concurrently), a BaseArena's reference counts
 // (atomic: views open and close concurrently; floor and page tables are
-// immutable) and its floor's lineage (mutex: promotes and drains), store.SharedBase (lock around the current generation,
-// one Once per decoded directory), store.BaseCache (mutex, one build per
-// key), faultdisk.Injector (atomic: one schedule under every device it
+// immutable) and its floor's lineage (mutex: promotes and drains),
+// store.SharedBase (lock around the current generation, publish lock per
+// commit, one Once per decoded directory), store.BaseCache (mutex, one
+// build per key), faultdisk.Injector (atomic: one schedule under every device it
 // wraps), complexobj.ViewPool. The proof is `go test -race ./...` —
 // buffer.TestEngineHandOver is the rule itself — and CI's race-built
 // server soak: a second goroutine in an engine is a reported race.
@@ -200,8 +202,8 @@
 // # Page buffer ownership
 //
 // Committed images are base memory, owned by their floor's lineage under
-// the rule above; they never pass through a PagePool. A page buffer that
-// is neither arena nor base memory — a frame the buffer
+// the rule in "Committed page images"; they never pass through a PagePool.
+// A page buffer that is neither arena nor base memory — a frame the buffer
 // pool owns (a promoted or copied page), a COW overlay image — has one
 // owner at a time, in this order: the engine (a live frame or image, or its
 // private free list, Pool.freeData / cowBackend.freeImgs: one owner, no
