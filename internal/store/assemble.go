@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"complexobj/cobench"
 	"complexobj/internal/longobj"
@@ -58,7 +59,9 @@ type object struct {
 //     allocations however many attributes it has.
 //
 // An assembler belongs to one view's model, never to a shared directory,
-// so two views of one base never share scratch.
+// so two views of one base never share scratch — except the staging of a
+// relation-ordered NSM scan, which is held only while one ScanAll runs and
+// is lent out of the engine's ScanStages.
 type assembler struct {
 	dst  *object      // where build puts the object being staged
 	strs *nf2.Strings // where decoding packs its strings
@@ -77,6 +80,45 @@ type assembler struct {
 	name nf2.Strings        // the root name Navigate / ReadRoot / UpdateRoots lend
 	upd  cobench.RootRecord // the record UpdateRoots lends its mutate
 	kids []int32            // the child list Navigate lends
+}
+
+// ScanStages lends the staging of a relation-ordered scan — every
+// object's rows and their strings, which NSM's ScanAll holds only until it
+// returns — to whichever engine sharing it scans next (Options.Scans). A
+// staging costs its first two scans (the strings chunk, then settle on
+// one buffer); shared, the stagings number the most scans that ran at
+// once, each the size of the largest extension it staged, however many
+// engines there are. A ViewPool's views need that: how many the pool
+// opens, and when, is up to request timing. The zero value is empty; safe
+// for concurrent use.
+type ScanStages struct {
+	mu   sync.Mutex
+	free []*assembler
+}
+
+// take returns a staging for one scan: the one given back last, else a
+// fresh one.
+func (s *ScanStages) take() *assembler {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	k := len(s.free) - 1
+	if k < 0 {
+		return new(assembler)
+	}
+	a := s.free[k]
+	s.free[k] = nil
+	s.free = s.free[:k]
+	return a
+}
+
+// put gives a staging back once its scan has returned.
+func (s *ScanStages) put(a *assembler) {
+	if poison { // whoever kept the scan's last object reads 0xDB strings
+		a.begin(false)
+	}
+	s.mu.Lock()
+	s.free = append(s.free, a)
+	s.mu.Unlock()
 }
 
 // begin drops the staged rows and names the destination of the next

@@ -3,6 +3,8 @@ package store
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -14,8 +16,8 @@ import (
 // TestAssemblyAllocBudgets pins what a read costs: every read lends, so
 // nothing once the view's scratch has held the largest object it reads.
 // After one warm-up pass FetchByAddress, FetchByKey, ScanAll, Navigate and
-// ReadRoot allocate nothing at all, on every model (NSM keeps its
-// relation-ordered staging with the view too); a value selection
+// ReadRoot allocate nothing at all, on every model (NSM's scan reuses the
+// relation-ordered staging the previous scan gave back); a value selection
 // assembles only its match, into the same scratch.
 func TestAssemblyAllocBudgets(t *testing.T) {
 	if raceEnabled || poison {
@@ -75,6 +77,112 @@ func TestAssemblyAllocBudgets(t *testing.T) {
 				_, err := m.FetchByKey(cobench.KeyOf(42))
 				return err
 			})
+		})
+	}
+}
+
+// TestScanStagingPassesBetweenViews: the rows and strings an NSM scan
+// stages belong to no view of the engines sharing Options.Scans. A view
+// opened after another view's scans starts on the staging they settled,
+// so its first scan costs less than half of what the very first one did
+// (that one also chunked and then settled the strings); a scan run from
+// inside another's callback holds a second staging, and both go back;
+// views scanning from several goroutines share them and still read every
+// object right. A view opened without Scans keeps its own.
+func TestScanStagingPassesBetweenViews(t *testing.T) {
+	stations := testExtension(t, 200)
+	for _, k := range []Kind{NSM, NSMIndex} {
+		t.Run(k.String(), func(t *testing.T) {
+			stages := new(ScanStages)
+			opts := Options{BufferPages: 64, Scans: stages}
+			base, err := LoadBase(k, opts, stations)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer base.Release()
+			held := func() int {
+				stages.mu.Lock()
+				defer stages.mu.Unlock()
+				return len(stages.free)
+			}
+			open := func(o Options) *View {
+				t.Helper()
+				v, err := base.NewView(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { v.Close() })
+				return v
+			}
+			scan := func(v *View, inside func(i int) error) uint64 {
+				t.Helper()
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				err := v.ScanAll(func(i int, _ *cobench.Station) error { return inside(i) })
+				runtime.ReadMemStats(&m1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m1.TotalAlloc - m0.TotalAlloc
+			}
+			none := func(int) error { return nil }
+
+			first := open(opts)
+			cold := scan(first, none)
+			scan(first, none)
+			if got := held(); got != 1 {
+				t.Fatalf("after one view's scans %d stagings held, want 1", got)
+			}
+			fresh := scan(open(opts), none)
+			if fresh*2 > cold && !poison && !raceEnabled {
+				t.Errorf("a new view's first scan allocated %d B, the first scan of all %d B: want under half", fresh, cold)
+			}
+			own := open(Options{BufferPages: 64})
+			scan(own, none)
+			if got := held(); got != 1 {
+				t.Errorf("a view without Scans gave its staging to the shared ones: %d held, want 1", got)
+			}
+			inner := open(opts)
+			scan(open(opts), func(i int) error {
+				if i > 0 {
+					return nil
+				}
+				if got := held(); got != 0 {
+					t.Errorf("during a scan %d stagings held, want 0", got)
+				}
+				scan(inner, none)
+				return nil
+			})
+			if got := held(); got != 2 {
+				t.Errorf("after a scan inside a scan %d stagings held, want 2", got)
+			}
+
+			// Views scanning at once pass stagings between goroutines
+			// (run under -race); every lent object is still right.
+			var wg sync.WaitGroup
+			for range 4 {
+				v := open(opts)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for range 3 {
+						err := v.ScanAll(func(i int, s *cobench.Station) error {
+							if !s.Equal(stations[i]) {
+								return fmt.Errorf("object %d differs from the generator's", i)
+							}
+							return nil
+						})
+						if err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if got := held(); got < 2 || got > 6 {
+				t.Errorf("after concurrent scans %d stagings held, want 2 to 6", got)
+			}
 		})
 	}
 }

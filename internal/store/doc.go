@@ -45,8 +45,10 @@
 // ReadRoot / UpdateRoots' mutate and Navigate's child list are decoded —
 // in full, every check on every record — into scratch the view's model
 // keeps (one Station grown in place, one string arena rewound per object,
-// one child list; for NSM also the relation-ordered rows a scan stages),
-// and are valid until the view's next call, the contract heap.View,
+// one child list), and are valid until the view's next call — a ScanAll
+// callback's only until the callback returns, the Model contract, because
+// NSM stages a scan's relation-ordered rows in scratch lent to that scan
+// alone (ScanStages, below) — the contract heap.View,
 // longobj.Store.Read, Pool.FixRun and Engine.IntScratch already have. The
 // reason is measured: no product caller keeps a read object (the runner
 // counts it, the server returns counters), yet materialising each as a
@@ -60,7 +62,8 @@
 // Seeings, one Connection array its platforms share, and strings cut from
 // a packed backing (nf2.Strings) that is never written again. The scratch
 // belongs to the per-view model, never to a generation's shared directory,
-// so two views of one base never share it; the poison build tag overwrites
+// so two views of one base never share it (a scan staging passes from
+// scan to scan, never held by two at once); the poison build tag overwrites
 // it before every reuse, so a value kept past its lifetime reads 0xDB /
 // zero / -1 (an IntScratch result -1, a FixRun result nil frames).
 //
@@ -132,6 +135,16 @@
 // makes a request allocation-free), and a process-wide pool kept the
 // set-up loaders' pages alive through serving (+9 to +18 % peak RSS).
 //
+// Options.Scans does the same for the staging of NSM's ScanAll — every
+// object's rows and strings, ≈ 2.5 MiB at paper scale — and the owner is
+// the other way round: a complexobj.ViewPool passes one to its views, a
+// batch cell's view none. A pooled view lives on, and how many views a
+// pool opens, and when, follows request timing; each growing its own
+// staging made a served scan's bytes bimodal. Shared, the stagings number
+// the most scans of the pool that ran at once. A batch view's staging
+// goes with the view, as a shared one kept for the whole suite would
+// raise its peak RSS (≈ +5 % measured with one process-wide set).
+//
 // BaseCache keys frozen bases by (model kind — callers that share
 // layouts pass Kind.Layout —, page size, generator configuration): the
 // deterministic generator makes equal keys equal
@@ -197,7 +210,8 @@
 // It changes hands only through something that synchronises (a ViewPool
 // lease, a fanout worker taking its cell, a channel). What engines share
 // keeps its own synchronisation: disk.PagePool (mutex: engines of one
-// suite take and give pages concurrently), a BaseArena's reference
+// suite take and give pages concurrently), ScanStages (mutex: the views
+// of one pool scan concurrently), a BaseArena's reference
 // counts (atomic: views open and close concurrently; floor and page
 // tables are immutable) and its floor's lineage (mutex: promotes and
 // drains), store.SharedBase (lock around the current generation, publish

@@ -105,10 +105,9 @@ type nsm struct {
 	// chunks and carries over from fetch to fetch, so no chunk tail is
 	// wasted.
 	asm assembler
-	// scan stages ScanAll's relation-ordered rows — every object's, before
-	// the first is finished — and lends the objects: a second assembler, so
-	// a point fetch from a scan's callback leaves the staged rows alone.
-	scan assembler
+	// scans lends ScanAll its staging: the engine's Options.Scans, or one
+	// of the model's own.
+	scans *ScanStages
 }
 
 // packRID encodes a heap RID as a B+-tree value.
@@ -120,6 +119,10 @@ func unpackRID(v uint64) heap.RID {
 }
 
 func newNSM(e *Engine, indexed bool) *nsm {
+	scans := e.opts.Scans
+	if scans == nil {
+		scans = new(ScanStages)
+	}
 	return &nsm{
 		eng:      e,
 		indexed:  indexed,
@@ -128,6 +131,7 @@ func newNSM(e *Engine, indexed bool) *nsm {
 		conns:    heap.New(e.Dev, e.Pool, "NSM_Connection"),
 		seeings:  heap.New(e.Dev, e.Pool, "NSM_Sightseeing"),
 		keyIdx:   make(map[int32]int),
+		scans:    scans,
 	}
 }
 
@@ -541,14 +545,18 @@ func (m *nsm) scanRelations(a *assembler, slot func(rootKey int32) (obj int32, o
 // memory (the paper's best-case in-memory join assumption). The rows of
 // all objects are staged relation by relation — in arrays sized once from
 // the tuple counts, with the strings in one arena — and the objects are
-// finished one by one afterwards, each into the one Station the view
-// lends. The staging stays with the view: a second scan allocates nothing.
+// finished one by one afterwards, each into the one Station the scan
+// lends. The staging is not the point-fetch assembler, so a fetch from the
+// callback leaves it alone: it is lent to the scan (m.scans) and goes back
+// when the scan returns, so once a scan this size has run the next
+// allocates nothing, on whichever engine shares the stagings.
 func (m *nsm) ScanAll(fn func(i int, s *cobench.Station) error) error {
 	n := len(m.stationRID)
 	if n == 0 {
 		return ErrNotLoaded
 	}
-	a := &m.scan
+	a := m.scans.take()
+	defer m.scans.put(a)
 	a.begin(false)
 	a.roots = slices.Grow(a.roots, n)
 	a.plats = slices.Grow(a.plats, m.nPlats)

@@ -109,6 +109,10 @@ type Options struct {
 	// batch cell's view, a loader — to reuse. Whoever opens engines one
 	// after another owns it (an experiments.Suite); served views pass none.
 	Pages *disk.PagePool
+	// Scans, when non-nil, lends NSM scans their staging, shared by every
+	// engine opened with these options (ScanStages). A ViewPool owns one for
+	// its views; an engine without one keeps its own, which goes with it.
+	Scans *ScanStages
 }
 
 func (o Options) withDefaults() Options {

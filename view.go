@@ -53,7 +53,11 @@ func newEngine(sv *store.View) engine {
 // NewView opens a fresh standalone view of the base, with a cold cache
 // and zeroed counters. The options follow the same rules as Base.Open.
 func (b *Base) NewView(opts Options) (*View, error) {
-	sv, err := b.base.NewView(opts.internal())
+	return b.newView(opts.internal())
+}
+
+func (b *Base) newView(opts store.Options) (*View, error) {
+	sv, err := b.base.NewView(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -152,9 +156,10 @@ var ErrPoolClosed = errors.New("complexobj: view pool is closed")
 // releasing a view resets it to the pristine base state (reusing its
 // engine, buffer-frame free lists and overlay index) instead of tearing
 // it down, so a steady-state server allocates next to nothing per
-// request. A view a commit left behind — the committer's own, or an idle
-// sibling — is reset onto the new generation the same way (rebased), not
-// rebuilt. The pool also bounds concurrency — at most MaxViews views are
+// request. The views share the staging of NSM's whole-extension scans, so
+// a view the pool opens late does not grow its own. A view a commit left
+// behind — the committer's own, or an idle sibling — is reset onto the new
+// generation the same way (rebased), not rebuilt. The pool also bounds concurrency — at most MaxViews views are
 // out at once, further Acquires block — which caps the server's memory at
 // MaxViews × (buffer pool + dirtied overlay pages) over the shared base.
 //
@@ -162,11 +167,12 @@ var ErrPoolClosed = errors.New("complexobj: view pool is closed")
 // (views in flight keep the base arena alive either way, but opening new
 // views from a closed base is a bug).
 type ViewPool struct {
-	base *Base
-	opts Options
-	max  int
-	sem  chan struct{}
-	done chan struct{}
+	base  *Base
+	opts  Options
+	max   int
+	sem   chan struct{}
+	done  chan struct{}
+	scans store.ScanStages // every view's NSM scan staging (store.Options.Scans)
 
 	mu sync.Mutex
 	// idle holds the recycled engines, each with its runner. Acquire wraps
@@ -246,7 +252,9 @@ func (p *ViewPool) AcquireContext(ctx context.Context) (*View, error) {
 	p.mu.Unlock()
 	sv := e.sv
 	if sv == nil {
-		v, err := p.base.NewView(p.opts)
+		opts := p.opts.internal()
+		opts.Scans = &p.scans
+		v, err := p.base.newView(opts)
 		if err != nil {
 			<-p.sem
 			return nil, err

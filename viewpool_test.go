@@ -2,6 +2,7 @@ package complexobj
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -150,6 +151,59 @@ func TestViewPoolConcurrent(t *testing.T) {
 	}
 	if st := pool.Stats(); st.Created > maxViews {
 		t.Errorf("pool created %d views, bound is %d", st.Created, maxViews)
+	}
+}
+
+// TestViewPoolSharesScanStaging: a pool's views share the staging of
+// NSM's query 1c (store.ScanStages), so a view the pool opens while
+// another is out starts on the staging the other settled. Each view
+// growing its own made a served scan's bytes depend on when the pool
+// happened to open a view.
+func TestViewPoolSharesScanStaging(t *testing.T) {
+	if poisoned {
+		t.Skip("under the poison tag scratch is never reused")
+	}
+	db, err := OpenLoaded(NSM, Options{BufferPages: 256}, cobench.DefaultConfig().WithN(300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := db.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Close()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pool, err := NewViewPool(base, Options{BufferPages: 256}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	var views [2]*View
+	for i := range views {
+		if views[i], err = pool.Acquire(); err != nil {
+			t.Fatal(err)
+		}
+		defer views[i].Close()
+	}
+	w := cobench.Workload{Loops: 1, Samples: 1, Seed: 1993}
+	scan := func(v *View) uint64 {
+		t.Helper()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, err := v.Run(cobench.Q1c, w)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	cold := scan(views[0])
+	scan(views[0]) // the strings settle on one buffer
+	fresh := scan(views[1])
+	if fresh*2 > cold {
+		t.Errorf("the second view's first scan allocated %d B, the first view's %d B: want under half", fresh, cold)
 	}
 }
 
