@@ -207,6 +207,35 @@ func TestChildrenReferencesValid(t *testing.T) {
 	}
 }
 
+// TestGeneratedStationsAreIndependent: the stations of one extension share
+// the chunks their arrays are cut from, yet each is a value of its own —
+// growing one station's platforms, connections or sightseeings by append
+// leaves every other station as generated.
+func TestGeneratedStationsAreIndependent(t *testing.T) {
+	c := DefaultConfig().WithN(200)
+	grown, want := mustGenerate(t, c), mustGenerate(t, c)
+	for _, s := range grown {
+		for pi := range s.Platforms {
+			p := &s.Platforms[pi]
+			p.Conns = append(p.Conns, Connection{LineNr: 99, DepartureTimes: "grown"})
+		}
+		s.Platforms = append(s.Platforms, Platform{Nr: 99, Information: "grown"})
+		s.Seeings = append(s.Seeings, Sightseeing{Nr: 99, Remarks: "grown"})
+	}
+	for i, s := range grown {
+		g := *s // s less what was appended to it
+		g.Platforms = make([]Platform, len(s.Platforms)-1)
+		for pi := range g.Platforms {
+			g.Platforms[pi] = s.Platforms[pi]
+			g.Platforms[pi].Conns = s.Platforms[pi].Conns[:len(s.Platforms[pi].Conns)-1]
+		}
+		g.Seeings = s.Seeings[:len(s.Seeings)-1]
+		if !g.Equal(want[i]) {
+			t.Fatalf("station %d changed when the stations around it grew:\n got %+v\nwant %+v", i, &g, want[i])
+		}
+	}
+}
+
 func TestKeyIndexRoundTrip(t *testing.T) {
 	if IndexOf(KeyOf(42), 100) != 42 {
 		t.Error("IndexOf(KeyOf(42)) != 42")

@@ -3,9 +3,10 @@ package cobench
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
+	"unsafe"
 
+	"complexobj/internal/slab"
 	"complexobj/internal/xrand"
 	"complexobj/nf2"
 )
@@ -122,25 +123,42 @@ func pick(rng *xrand.Source, list []string) string { return list[rng.Intn(len(li
 // identical across MaxSeeing settings, which lets the Figure 5 experiment
 // isolate the pure object-size effect.
 //
-// A station costs four allocations whatever it holds: itself and one
-// array each, sized to what it holds, for its platforms, its connections
-// (shared by the platforms, as Clone's) and its sightseeings. The strings are cut
-// from one arena per extension, only ever appended to, so they are owned.
+// A station allocates nothing of its own: the Stations are one array of N,
+// and the arrays of a station — its platforms, its connections (shared by
+// the platforms, as Clone's) and its sightseeings — are cut, sized to what
+// it holds and capacity-limited, from chunks shared by the stations of the
+// extension. The strings are cut from one arena per extension, only ever
+// appended to, so they are owned. A retained station therefore pins the
+// Station array, the chunks and the arena buffers it was cut from, as a
+// string of an nf2.Strings pins its buffer: a caller that keeps one station
+// of many keeps more than its size, and Clone is the way to keep just it.
 func Generate(c Config) ([]*Station, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	g := generator{c: c}
+	all := make([]Station, c.N)
 	stations := make([]*Station, c.N)
 	for i := range stations {
-		st, err := g.station(i)
-		if err != nil {
+		if err := g.station(i, &all[i]); err != nil {
 			return nil, err
 		}
-		stations[i] = st
+		stations[i] = &all[i]
 	}
 	return stations, nil
 }
+
+// The generator allocates the stations' platforms, connections and
+// sightseeings in chunks of about 16 KiB: a few hundred stations' worth at
+// the paper's means, so an extension costs a few allocations per kind of
+// array, and what the chunks leave unused — the tail of the last one, the
+// tails where an array did not fit — stays ≈ 2 % of the extension's bytes.
+const (
+	chunkBytes      = 16 << 10
+	platformChunk   = chunkBytes / int(unsafe.Sizeof(Platform{}))
+	connectionChunk = chunkBytes / int(unsafe.Sizeof(Connection{}))
+	seeingChunk     = chunkBytes / int(unsafe.Sizeof(Sightseeing{}))
+)
 
 // generator is what one Generate call carries from station to station.
 type generator struct {
@@ -149,6 +167,10 @@ type generator struct {
 	buf   line         // the STR value being written
 	plats []Platform   // the station being drawn, until its fan-outs are known
 	conns []Connection // its connections, in platform order
+	// The chunks the stations' own arrays are cut from.
+	platSlab slab.Slab[Platform]
+	connSlab slab.Slab[Connection]
+	seeSlab  slab.Slab[Sightseeing]
 }
 
 // line is a STR value being written. The values are formatted by appends
@@ -170,11 +192,12 @@ func (g *generator) cut(l line) string {
 	return g.strs.Add(l[:min(len(l), StrSize)])
 }
 
-func (g *generator) station(index int) (*Station, error) {
+// station draws station index into s.
+func (g *generator) station(index int, s *Station) error {
 	c := g.c
 	rng := xrand.New(xrand.Mix(c.Seed, uint64(index)*2))
 	seeRng := xrand.New(xrand.Mix(c.Seed, uint64(index)*2+1))
-	s := &Station{
+	*s = Station{
 		Key:  KeyOf(index),
 		Name: g.cut(g.buf.str(pick(rng, cityNames)).str(" Centraal ").num(index).str(" (").str(pick(rng, words)).str(" line)")),
 	}
@@ -223,8 +246,10 @@ func (g *generator) station(index int) (*Station, error) {
 	}
 	g.plats, g.conns = plats, conns
 	if len(plats) > 0 {
-		s.Platforms = slices.Clone(plats)
-		own := slices.Clone(conns)
+		s.Platforms = g.platSlab.Cut(len(plats), platformChunk)
+		copy(s.Platforms, plats)
+		own := g.connSlab.Cut(len(conns), connectionChunk)
+		copy(own, conns)
 		for i := range s.Platforms {
 			n := len(s.Platforms[i].Conns)
 			s.Platforms[i].Conns = nil
@@ -233,9 +258,7 @@ func (g *generator) station(index int) (*Station, error) {
 			}
 		}
 	}
-	if nsee := seeRng.Intn(c.MaxSeeing + 1); nsee > 0 {
-		s.Seeings = make([]Sightseeing, nsee)
-	}
+	s.Seeings = g.seeSlab.Cut(seeRng.Intn(c.MaxSeeing+1), seeingChunk)
 	for j := range s.Seeings {
 		s.Seeings[j] = Sightseeing{
 			Nr:          int32(j + 1),
@@ -248,9 +271,9 @@ func (g *generator) station(index int) (*Station, error) {
 	s.NoPlatform = int32(len(s.Platforms))
 	s.NoSeeing = int32(len(s.Seeings))
 	if enc := s.EncodedSize(); enc > 60000 {
-		return nil, fmt.Errorf("cobench: station %d encodes to %d bytes, too large for the engine", index, enc)
+		return fmt.Errorf("cobench: station %d encodes to %d bytes, too large for the engine", index, enc)
 	}
-	return s, nil
+	return nil
 }
 
 // Stats summarizes a generated extension; the paper reports the realised
@@ -281,8 +304,10 @@ func Describe(stations []*Station) Stats {
 		conn += float64(nc)
 		see += float64(len(s.Seeings))
 		bytes += float64(s.EncodedSize())
-		for _, child := range s.Children() {
-			grand += float64(stations[child].NumConnections())
+		for _, p := range s.Platforms {
+			for _, c := range p.Conns {
+				grand += float64(stations[c.OidConnection].NumConnections())
+			}
 		}
 		if len(s.Platforms) > st.MaxPlatforms {
 			st.MaxPlatforms = len(s.Platforms)

@@ -82,7 +82,9 @@ func (s *Station) SetRoot(r RootRecord) {
 
 // Children returns the station indices referenced by the station's
 // connections, in platform/connection order (the paper's "find the
-// identifiers of the objects it refers to").
+// identifiers of the objects it refers to"). It allocates the list, so
+// code in a loop walks Platforms[].Conns[].OidConnection instead; the tests
+// keep it as the oracle Navigate's child lists are held to.
 func (s *Station) Children() []int32 {
 	var out []int32
 	for _, p := range s.Platforms {

@@ -90,18 +90,23 @@ func (s *Suite) nodeBalance(name string, gen cobench.Config, nodes int) (NodeBal
 	// The same deterministic root schedule the workload driver uses.
 	rng := xrand.New(xrand.Mix(s.cfg.Workload.Seed, uint64(cobench.Q2b)+100))
 	nodePages := make([]float64, nodes)
+	loopNode := make([]float64, nodes)
+	charge := func(obj int32) {
+		loopNode[int(obj)%nodes] += perObject[obj]
+	}
 	hottest := 0.0
 	for l := 0; l < loops; l++ {
 		root := rng.Intn(len(stations))
-		loopNode := make([]float64, nodes)
-		charge := func(obj int) {
-			loopNode[obj%nodes] += perObject[obj]
-		}
-		charge(root)
-		for _, c := range stations[root].Children() {
-			charge(int(c))
-			for _, g := range stations[c].Children() {
-				charge(int(g))
+		clear(loopNode)
+		charge(int32(root))
+		for _, p := range stations[root].Platforms {
+			for _, c := range p.Conns {
+				charge(c.OidConnection)
+				for _, gp := range stations[c.OidConnection].Platforms {
+					for _, g := range gp.Conns {
+						charge(g.OidConnection)
+					}
+				}
 			}
 		}
 		for n, v := range loopNode {

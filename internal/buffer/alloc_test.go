@@ -269,6 +269,42 @@ func TestDropDiscardsWithoutIO(t *testing.T) {
 	}
 }
 
+// TestFreshPoolAllocatesFramesInSlabs: a fresh pool of capacity C that
+// loads C pages allocates at most ⌈C/64⌉ frame slabs, not one Frame per
+// page. The pages are borrowed from a heap arena and fixed from the highest
+// id down, so everything else the pool allocates — itself, its page index,
+// its read scratch — is the same whether it loads one page or C: the
+// difference between the two is the slabs after the first.
+func TestFreshPoolAllocatesFramesInSlabs(t *testing.T) {
+	for _, c := range []int{1, 8, 64, 65, 300, 1200} {
+		d := disk.New(disk.DefaultPageSize)
+		if _, err := d.Allocate(c); err != nil {
+			t.Fatal(err)
+		}
+		load := func(pages int) float64 {
+			return testing.AllocsPerRun(20, func() {
+				p := New(d, c, LRU)
+				for i := c - 1; i >= c-pages; i-- {
+					if _, err := p.Fix(disk.PageID(i)); err != nil {
+						t.Fatal(err)
+					}
+					if err := p.Unfix(disk.PageID(i), false); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if p.Len() != pages {
+					t.Fatalf("capacity %d: %d pages resident, want %d", c, p.Len(), pages)
+				}
+			})
+		}
+		slabs := (c + frameSlab - 1) / frameSlab
+		if extra := load(c) - load(1); extra > float64(slabs-1) {
+			t.Errorf("capacity %d: loading every page allocates %.0f more than loading one, want at most %d more slabs",
+				c, extra, slabs-1)
+		}
+	}
+}
+
 // TestEmptyZeroAllocs pins the cold-cache reset (Reset, and Discard with
 // it): walking and recycling the resident frames needs no list of them.
 func TestEmptyZeroAllocs(t *testing.T) {

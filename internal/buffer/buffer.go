@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"complexobj/internal/disk"
+	"complexobj/internal/slab"
 )
 
 // Policy selects the page replacement algorithm.
@@ -88,8 +89,9 @@ type Pool struct {
 	dirtyTail *Frame
 	dirtyLen  int
 
-	freeData   [][]byte // recycled page buffers of evicted frames
-	freeFrames []*Frame // recycled Frame structs of evicted frames
+	freeData   [][]byte         // recycled page buffers of evicted frames
+	freeFrames []*Frame         // recycled Frame structs of evicted frames
+	frames     slab.Slab[Frame] // where a Frame comes from when none is free
 
 	scratch      []*Frame      // victim collection for flush/burst (reused)
 	views        [][]byte      // ReadRunShared result scratch (reused)
@@ -291,7 +293,12 @@ func (p *Pool) getBuf() []byte {
 	return p.dev.NewPage()
 }
 
-// getFrame returns a zeroed Frame struct, recycled if possible.
+// frameSlab is how many Frames the pool allocates at once, capped by its
+// capacity: a pool never holds more frames than it has slots.
+const frameSlab = 64
+
+// getFrame returns a zeroed Frame struct, recycled if possible and cut
+// from the pool's current slab of frames otherwise.
 func (p *Pool) getFrame() *Frame {
 	if n := len(p.freeFrames); n > 0 {
 		f := p.freeFrames[n-1]
@@ -299,7 +306,7 @@ func (p *Pool) getFrame() *Frame {
 		p.freeFrames = p.freeFrames[:n-1]
 		return f
 	}
-	return &Frame{}
+	return &p.frames.Cut(1, min(frameSlab, p.capacity))[0]
 }
 
 // loadRun reads a contiguous run of n absent pages starting at start with

@@ -18,7 +18,10 @@
 //     allocated contiguously by the device), not a hash map;
 //   - evicted frames return their page buffer and their Frame struct to
 //     free-lists, so steady-state misses allocate nothing and the cache
-//     never holds more page memory than its capacity;
+//     never holds more page memory than its capacity; a Frame the free list
+//     cannot supply is cut from a slab of min(64, capacity) Frames the pool
+//     holds, so a fresh pool allocates its frames a slab at a time, not one
+//     per page it loads;
 //   - dirty frames sit on an intrusive doubly-linked dirty list, so flushes
 //     and overflow write bursts only visit the dirty subset instead of
 //     scanning (and re-sorting) every resident frame.

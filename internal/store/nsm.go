@@ -9,6 +9,7 @@ import (
 	"complexobj/internal/btree"
 	"complexobj/internal/disk"
 	"complexobj/internal/heap"
+	"complexobj/internal/slab"
 	"complexobj/nf2"
 )
 
@@ -82,6 +83,10 @@ type nsm struct {
 	nPlats     int
 	nConns     int
 	nSeeings   int
+	// rids backs the per-object lists insertSubs fills. It is this model's
+	// alone: attach shares the tables above, never the slab, so a view's
+	// inserts cut from a slab of its own.
+	rids slab.Slab[heap.RID]
 
 	// Disk-resident indexes (countIndexIO only): station key -> RID and
 	// Pack(object, seq) -> RID per sub-relation.
@@ -237,37 +242,42 @@ func (m *nsm) insert(h *heap.Heap, a *nf2.Appender) (heap.RID, error) {
 	return h.Insert(m.enc)
 }
 
+// ridChunk is how many RIDs a model's slab (or RestoreMeta's) allocates
+// at once: a paper-scale object has ≈ 13 sub-tuples, so a chunk holds
+// some 300 objects' lists.
+const ridChunk = 4096
+
 // insertSubs unnests the sub-objects of s into the three sub-relations,
-// back to back so they cluster, and returns the tuple positions.
+// back to back so they cluster, and returns the tuple positions, cut from
+// the model's slab.
 func (m *nsm) insertSubs(s *cobench.Station) (prids, crids, grids []heap.RID, err error) {
 	nConns := 0
 	for _, p := range s.Platforms {
 		nConns += len(p.Conns)
 	}
-	prids = make([]heap.RID, 0, len(s.Platforms))
-	crids = make([]heap.RID, 0, nConns)
-	grids = make([]heap.RID, 0, len(s.Seeings))
-	var rid heap.RID
+	prids = m.rids.Cut(len(s.Platforms), ridChunk)
+	crids = m.rids.Cut(nConns, ridChunk)
+	grids = m.rids.Cut(len(s.Seeings), ridChunk)
+	c := 0
 	for pi := range s.Platforms {
 		p := &s.Platforms[pi]
 		a := nsmPlatformType.Appender(m.enc[:0])
 		a.Int(s.Key)
 		a.Int(int32(pi + 1))
 		putPlatform(&a, p)
-		if rid, err = m.insert(m.plats, &a); err != nil {
+		if prids[pi], err = m.insert(m.plats, &a); err != nil {
 			return nil, nil, nil, err
 		}
-		prids = append(prids, rid)
 		m.nPlats++
 		for ci := range p.Conns {
 			a := nsmConnectionType.Appender(m.enc[:0])
 			a.Int(s.Key)
 			a.Int(int32(pi + 1))
 			putConnection(&a, &p.Conns[ci])
-			if rid, err = m.insert(m.conns, &a); err != nil {
+			if crids[c], err = m.insert(m.conns, &a); err != nil {
 				return nil, nil, nil, err
 			}
-			crids = append(crids, rid)
+			c++
 			m.nConns++
 		}
 	}
@@ -275,10 +285,9 @@ func (m *nsm) insertSubs(s *cobench.Station) (prids, crids, grids []heap.RID, er
 		a := nsmSightseeingType.Appender(m.enc[:0])
 		a.Int(s.Key)
 		putSightseeing(&a, &s.Seeings[gi])
-		if rid, err = m.insert(m.seeings, &a); err != nil {
+		if grids[gi], err = m.insert(m.seeings, &a); err != nil {
 			return nil, nil, nil, err
 		}
-		grids = append(grids, rid)
 		m.nSeeings++
 	}
 	return prids, crids, grids, nil

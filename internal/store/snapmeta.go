@@ -7,6 +7,7 @@ import (
 	"complexobj/internal/disk"
 	"complexobj/internal/heap"
 	"complexobj/internal/longobj"
+	"complexobj/internal/slab"
 	"complexobj/internal/wire"
 )
 
@@ -165,17 +166,15 @@ func (m *nsm) RestoreMeta(meta []byte) error {
 	m.stationRID = make([]heap.RID, n)
 	m.keyIdx = make(map[int32]int, n)
 	m.platRIDs, m.connRIDs, m.seeingRIDs = make([][]heap.RID, n), make([][]heap.RID, n), make([][]heap.RID, n)
+	var rids slab.Slab[heap.RID] // the decoded lists' own, local: no view cuts from it
 	readGroup := func(total *int) []heap.RID {
 		c := r.Len(6) // one RID per tuple
-		if c == 0 {
-			return nil
-		}
 		*total += c
-		rids := make([]heap.RID, c)
-		for i := range rids {
-			rids[i] = readRID(r)
+		group := rids.Cut(c, ridChunk)
+		for i := range group {
+			group[i] = readRID(r)
 		}
-		return rids
+		return group
 	}
 	for i := 0; i < n; i++ {
 		m.stationRID[i] = readRID(r)

@@ -10,6 +10,7 @@ import (
 	"complexobj/internal/iostat"
 	"complexobj/internal/store"
 	"complexobj/internal/xrand"
+	"complexobj/nf2"
 )
 
 // Result is the outcome of one query execution.
@@ -98,10 +99,12 @@ type Runner struct {
 	// view's child list is overwritten by the next Navigate.
 	children, grand []int32
 	// The update queries' mutate, bound by the first loop that updates, with
-	// the loop it stamps and the scratch it formats into.
+	// the loop it stamps, the scratch it formats into and the arena its
+	// stamps are cut from (never Reset, so a stamp is owned).
 	mutate func(i int32, rec *cobench.RootRecord)
 	stamp  int
 	name   []byte
+	names  nf2.Strings
 }
 
 // NewRunner wraps a loaded view with workload parameters. store.Model is
@@ -118,7 +121,7 @@ func (r *Runner) stampRoot(i int32, rec *cobench.RootRecord) {
 	b = strconv.AppendInt(b, int64(r.stamp), 10)
 	b = append(b, " #"...)
 	r.name = strconv.AppendInt(b, int64(i), 10)
-	rec.Name = string(r.name)
+	rec.Name = r.names.Add(r.name)
 }
 
 // Arm sets what the runner's next queries run with: workload parameters w,

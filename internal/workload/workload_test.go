@@ -122,6 +122,11 @@ func TestQ3WritesQ2DoesNot(t *testing.T) {
 	}
 }
 
+// TestUpdatesArePersistent: what an update query writes is what a later
+// read returns. Query 3b leaves stamped roots behind; query 3a, run twice
+// through one runner on every model, leaves every root it updated reading
+// exactly the stamp of its last update — the runner's stamps outlive the
+// batch that wrote them.
 func TestUpdatesArePersistent(t *testing.T) {
 	r := loadedRunner(t, store.DASDBSNSM, 150)
 	if _, err := r.Run(cobench.Q3b); err != nil {
@@ -144,12 +149,48 @@ func TestUpdatesArePersistent(t *testing.T) {
 	if stamped == 0 {
 		t.Error("no station carries the update stamp after query 3b")
 	}
+
+	stations, err := cobench.Generate(cobench.DefaultConfig().WithN(150))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range store.AllKinds() {
+		t.Run(k.String(), func(t *testing.T) {
+			r := loadedRunner(t, k, 150)
+			for range 2 {
+				if _, err := r.Run(cobench.Q3a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := map[int32]string{}
+			for loop, root := range slices.Clone(r.samples(cobench.Q3a)) {
+				for _, c := range stations[root].Children() {
+					for _, g := range stations[c].Children() {
+						want[g] = fmt.Sprintf("upd %d #%d", loop, g)
+					}
+				}
+			}
+			if len(want) == 0 {
+				t.Fatal("query 3a updated no root")
+			}
+			for g, name := range want {
+				root, err := r.model.ReadRoot(int(g))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if root.Name != name {
+					t.Errorf("root %d reads %q, want %q", g, root.Name, name)
+				}
+			}
+		})
+	}
 }
 
 // TestStampRootFormat pins the update queries' stamp to the bytes
 // fmt.Sprintf("upd %d #%d", loop, object) produced when the tables were
 // first generated — every stored size since depends on them — and its cost
-// to the one string the record keeps.
+// to a share of the runner's string arena: far below one allocation per
+// stamp, and no stamp rewritten by a later one.
 func TestStampRootFormat(t *testing.T) {
 	r := NewRunner(nil, cobench.Workload{})
 	var rec cobench.RootRecord
@@ -161,8 +202,14 @@ func TestStampRootFormat(t *testing.T) {
 		}
 	}
 	first := rec.Name
-	if allocs := testing.AllocsPerRun(100, func() { r.stampRoot(42, &rec) }); allocs > 1 {
-		t.Errorf("a stamp costs %.0f allocations, want the string alone", allocs)
+	const stamps = 1000
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := range int32(stamps) {
+			r.stampRoot(i, &rec)
+		}
+	})
+	if perStamp := allocs / stamps; perStamp >= 0.01 {
+		t.Errorf("a stamp costs %.4f allocations amortised over %d, want < 0.01", perStamp, stamps)
 	}
 	if first != "upd 123456 #2147483647" {
 		t.Errorf("an earlier stamp changed to %q when the scratch was reused", first)
