@@ -236,18 +236,6 @@ func TestGeneratedStationsAreIndependent(t *testing.T) {
 	}
 }
 
-func TestKeyIndexRoundTrip(t *testing.T) {
-	if IndexOf(KeyOf(42), 100) != 42 {
-		t.Error("IndexOf(KeyOf(42)) != 42")
-	}
-	if IndexOf(KeyOf(100), 100) != -1 {
-		t.Error("IndexOf out of range not detected")
-	}
-	if IndexOf(5, 100) != -1 {
-		t.Error("IndexOf below base not detected")
-	}
-}
-
 func TestTupleRoundTrip(t *testing.T) {
 	stations := mustGenerate(t, DefaultConfig().WithN(30))
 	for i, s := range stations {

@@ -93,15 +93,6 @@ const KeyBase = 10000
 // KeyOf returns the station key for a station index.
 func KeyOf(index int) int32 { return int32(KeyBase + index) }
 
-// IndexOf inverts KeyOf; it returns -1 for keys outside the extension.
-func IndexOf(key int32, n int) int {
-	i := int(key) - KeyBase
-	if i < 0 || i >= n {
-		return -1
-	}
-	return i
-}
-
 var cityNames = []string{
 	"Enschede", "Zurich", "Ulm", "Hengelo", "Almelo", "Deventer", "Apeldoorn",
 	"Amersfoort", "Utrecht", "Gouda", "Delft", "Rotterdam", "Basel", "Bern",

@@ -2,10 +2,13 @@ package complexobj_test
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -96,4 +99,138 @@ func TestPaperMapCoverage(t *testing.T) {
 	if !strings.Contains(string(readme), "## Parallelism & memory") {
 		t.Error("README missing the 'Parallelism & memory' section")
 	}
+}
+
+// mapName matches a backticked Go name in docs/PAPER_MAP.md: pkg.Name or
+// pkg.Type.Member, optionally called, optionally with its import path
+// (`internal/longobj.ChangeComponent`).
+var mapName = regexp.MustCompile("`(?:[a-z0-9]+/)*([a-z][a-z0-9]*)\\.([A-Za-z_][A-Za-z0-9_]*)(?:\\.([A-Za-z_][A-Za-z0-9_]*))?(?:\\(\\))?`")
+
+// TestPaperMapNamesResolve keeps docs/PAPER_MAP.md from naming code that
+// no longer exists: every backticked pkg.Name must be a top-level func,
+// type, var or const of a package of this module (bench/ aside), and every
+// pkg.Type.Member a method, field or interface method of that type. A
+// backticked name whose first part is no package of the module (a file
+// name, a flag) is not checked.
+func TestPaperMapNamesResolve(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("docs", "PAPER_MAP.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// decls[pkg][name] is the set of members of name: empty for a func,
+	// var or const, the methods and fields for a type.
+	decls := map[string]map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || path == "testdata" || strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := decls[f.Name.Name]
+		if pkg == nil {
+			pkg = map[string]map[string]bool{}
+			decls[f.Name.Name] = pkg
+		}
+		members := func(name string) map[string]bool {
+			if pkg[name] == nil {
+				pkg[name] = map[string]bool{}
+			}
+			return pkg[name]
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv == nil {
+					members(decl.Name.Name)
+					continue
+				}
+				typ := decl.Recv.List[0].Type
+				if star, ok := typ.(*ast.StarExpr); ok {
+					typ = star.X
+				}
+				switch g := typ.(type) {
+				case *ast.IndexExpr:
+					typ = g.X
+				case *ast.IndexListExpr:
+					typ = g.X
+				}
+				if id, ok := typ.(*ast.Ident); ok {
+					members(id.Name)[decl.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							members(id.Name)
+						}
+					case *ast.TypeSpec:
+						m := members(spec.Name.Name)
+						var fields *ast.FieldList
+						switch typ := spec.Type.(type) {
+						case *ast.StructType:
+							fields = typ.Fields
+						case *ast.InterfaceType:
+							fields = typ.Methods
+						}
+						if fields == nil {
+							continue
+						}
+						for _, field := range fields.List {
+							for _, id := range field.Names {
+								m[id.Name] = true
+							}
+							if len(field.Names) == 0 { // embedded: named by its type
+								typ := field.Type
+								if star, ok := typ.(*ast.StarExpr); ok {
+									typ = star.X
+								}
+								if sel, ok := typ.(*ast.SelectorExpr); ok {
+									typ = sel.Sel
+								}
+								if id, ok := typ.(*ast.Ident); ok {
+									m[id.Name] = true
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, m := range mapName.FindAllStringSubmatch(string(raw), -1) {
+		pkg, ok := decls[m[1]]
+		if !ok {
+			continue
+		}
+		checked++
+		members, ok := pkg[m[2]]
+		switch {
+		case !ok:
+			t.Errorf("PAPER_MAP.md names %s, but package %s declares no %s", m[0], m[1], m[2])
+		case m[3] != "" && !members[m[3]]:
+			t.Errorf("PAPER_MAP.md names %s, but %s.%s has no method or field %s", m[0], m[1], m[2], m[3])
+		}
+	}
+	if checked == 0 {
+		t.Error("PAPER_MAP.md names no package member; is the pattern still right?")
+	}
+	t.Logf("%d names resolved", checked)
 }

@@ -46,10 +46,11 @@ var ablationQueries = []cobench.Query{cobench.Q1a, cobench.Q1b, cobench.Q2a, cob
 // descent — a real key index is strictly more capable than the paper's
 // address table.
 func (s *Suite) IndexAblation() (*IndexAblation, error) {
-	stations, err := s.extension()
+	stations, release, err := s.extension(s.cfg.Gen)
 	if err != nil {
 		return nil, err
 	}
+	defer release()
 	run := func(counted bool) (map[cobench.Query]Measured, int, int, error) {
 		opts, err := s.storeOptions()
 		if err != nil {
@@ -144,7 +145,7 @@ func (s *Suite) PolicyAblation() ([]PolicyRow, error) {
 	// of the ablation share the matrix's frozen base.
 	q2b := func(k store.Kind, policy buffer.Policy) (float64, error) {
 		opts.Policy = policy
-		res, err := s.runQueries([]store.Kind{k}, opts, s.cfg.Gen, nil, s.cfg.Workload, cobench.Q2b)
+		res, err := s.runQueries([]store.Kind{k}, opts, s.cfg.Gen, s.cfg.Workload, cobench.Q2b)
 		if err != nil {
 			return 0, err
 		}

@@ -57,7 +57,7 @@ func (s *Suite) BufferSweep() ([]BufferPoint, error) {
 		k := fig5Models[ki]
 		opts := baseOpts
 		opts.BufferPages = bp
-		res, err := s.runQueries(fig5Models[ki:ki+1], opts, s.cfg.Gen, nil, s.cfg.Workload, cobench.Q2b)
+		res, err := s.runQueries(fig5Models[ki:ki+1], opts, s.cfg.Gen, s.cfg.Workload, cobench.Q2b)
 		if err != nil {
 			return err
 		}

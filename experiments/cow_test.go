@@ -86,7 +86,7 @@ func TestMatrixSharedBaseMemory(t *testing.T) {
 	}
 	baseBytes, overlayBytes := 0, 0
 	for _, k := range store.AllKinds() {
-		err := s.withBase(k, cfg.Gen, nil, func(base *store.SharedBase) error {
+		err := s.withBase(k, cfg.Gen, func(base *store.SharedBase) error {
 			m, err := base.OpenAs(k, s.storeOpts)
 			if err != nil {
 				return err

@@ -60,10 +60,11 @@ func (s *Suite) DistributionAblation(nodes int) ([]NodeBalance, error) {
 }
 
 func (s *Suite) nodeBalance(name string, gen cobench.Config, nodes int) (NodeBalance, error) {
-	stations, err := s.extensionOf(gen)
+	stations, release, err := s.extension(gen)
 	if err != nil {
 		return NodeBalance{}, err
 	}
+	defer release()
 	// Per-object page footprint under direct storage: measure the loaded
 	// layout rather than guessing from byte counts.
 	opts, err := s.storeOptions()
@@ -71,7 +72,7 @@ func (s *Suite) nodeBalance(name string, gen cobench.Config, nodes int) (NodeBal
 		return NodeBalance{}, err
 	}
 	var perObject []float64
-	err = s.withBase(store.DSM, gen, stations, func(base *store.SharedBase) error {
+	err = s.withBase(store.DSM, gen, func(base *store.SharedBase) error {
 		m, err := base.Open(opts)
 		if err != nil {
 			return err

@@ -16,13 +16,23 @@
 // is only the fan-out's width. The one exception is the index ablation,
 // whose counted B+-trees are rebuilt per run and cannot be frozen.
 //
-// A Suite caches the generated extension, the frozen bases of its own
-// configuration and every computed result, so asking for several tables
-// runs the expensive work once. All runs are deterministic for a given
-// configuration, whatever the width.
+// A Suite holds what it derives through one build-once cache (cache.go),
+// in two instances: the generated extensions, keyed by generator
+// configuration, and the frozen bases, keyed by (physical layout,
+// generator configuration). Entries have one of two lifetimes. The
+// suite's own configuration is pinned: its extension and bases are built
+// at most once and live until Close, because later experiments come back
+// for them. Any other configuration (a Figure 5 or 6 column, the skew
+// extension) is held by the cells that use it and dropped, extension and
+// bases, when the last of them lets go, so a sweep's memory tracks the
+// cells in flight, not the number of configurations swept; one needed
+// again later rebuilds. The suite also keeps every computed result, so
+// asking for several tables runs the expensive work once. All runs are
+// deterministic for a given configuration, whatever the width.
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -99,15 +109,9 @@ type Suite struct {
 	cfg         Config
 	storeOpts   store.Options
 	optsErr     error
-	snapMu      sync.Mutex
-	snapChecked bool
-	snapErr     error
-	genOnce     sync.Once
-	genErr      error
-	stations    []*cobench.Station
-	genStats    *cobench.Stats
-	bases       *store.BaseCache
-	gens        *genShare
+	snapshotOK  func() error
+	exts        *cache[cobench.Config, []*cobench.Station]
+	bases       *cache[baseKey, *store.SharedBase]
 	sizes       map[store.Kind]store.SizeReport
 	matrix      *Matrix
 	fig5        []Fig5Cell
@@ -127,7 +131,13 @@ func New(cfg Config) *Suite {
 	if cfg.BufferPages == 0 {
 		cfg.BufferPages = 1200
 	}
-	s := &Suite{cfg: cfg, sizes: make(map[store.Kind]store.SizeReport), bases: store.NewBaseCache(), gens: newGenShare()}
+	s := &Suite{
+		cfg:   cfg,
+		sizes: make(map[store.Kind]store.SizeReport),
+		exts:  newCache[cobench.Config, []*cobench.Station](nil),
+		bases: newCache[baseKey]((*store.SharedBase).Release),
+	}
+	s.snapshotOK = sync.OnceValue(s.checkSnapshot)
 	// One page pool under every view and loader of the suite: a cell's frame
 	// buffers and overlay images serve the next cell instead of the GC.
 	s.storeOpts = store.Options{PageSize: cfg.PageSize, BufferPages: cfg.BufferPages, Pages: disk.NewPagePool(cfg.PageSize)}
@@ -149,9 +159,9 @@ func New(cfg Config) *Suite {
 // Config returns the suite's effective configuration.
 func (s *Suite) Config() Config { return s.cfg }
 
-// Close releases the frozen-base cache (dropping heap bases and snapshot
-// file mappings). The suite must not be used afterwards.
-func (s *Suite) Close() error { return s.bases.Close() }
+// Close drops the cached bases (heap bases and snapshot file mappings)
+// and extensions. The suite must not be used afterwards.
+func (s *Suite) Close() error { return errors.Join(s.bases.close(), s.exts.close()) }
 
 func (s *Suite) storeOptions() (store.Options, error) {
 	return s.storeOpts, s.optsErr
@@ -165,125 +175,105 @@ func (s *Suite) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// snapshotOK validates (once) that the configured snapshot holds the
-// extension the suite is asked to measure. Safe for concurrent use: the
-// base cache validates from concurrent build closures.
-func (s *Suite) snapshotOK() error {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	if s.snapChecked {
-		return s.snapErr
-	}
-	s.snapChecked = true
+// checkSnapshot validates that the configured snapshot holds the
+// extension, at the page size, the suite is asked to measure. The suite
+// runs it once, as snapshotOK, from whichever base build needs it first.
+func (s *Suite) checkSnapshot() error {
 	info, err := snapshot.Stat(s.cfg.Snapshot)
 	if err != nil {
-		s.snapErr = fmt.Errorf("experiments: snapshot: %w", err)
-	} else if info.Gen != s.cfg.Gen {
-		s.snapErr = fmt.Errorf("experiments: snapshot %s was built from %+v, configuration wants %+v",
+		return fmt.Errorf("experiments: snapshot: %w", err)
+	}
+	if info.Gen != s.cfg.Gen {
+		return fmt.Errorf("experiments: snapshot %s was built from %+v, configuration wants %+v",
 			s.cfg.Snapshot, info.Gen, s.cfg.Gen)
 	}
-	return s.snapErr
+	pageSize := s.cfg.PageSize
+	if pageSize == 0 {
+		pageSize = disk.DefaultPageSize
+	}
+	if info.PageSize != pageSize {
+		return fmt.Errorf("experiments: snapshot %s has page size %d, configuration wants %d",
+			s.cfg.Snapshot, info.PageSize, pageSize)
+	}
+	return nil
 }
 
-// buildBase is the base cache's build closure: the snapshot's arena for
-// the suite's own extension when one is configured (mmap'ed in place
-// where the platform allows), otherwise a load in place over stations —
-// nil only for the suite's own extension, which is generated on demand
-// (withBase resolves every other configuration's before it gets here).
-func (s *Suite) buildBase(key store.BaseKey, stations []*cobench.Station) func() (*store.SharedBase, error) {
-	return func() (*store.SharedBase, error) {
-		if s.cfg.Snapshot != "" && key.Gen == s.cfg.Gen {
-			if err := s.snapshotOK(); err != nil {
-				return nil, err
-			}
-			return snapshot.OpenBase(s.cfg.Snapshot, key.Kind)
-		}
-		if stations == nil {
-			var err error
-			if stations, err = s.extension(); err != nil {
-				return nil, err
-			}
-		}
-		return store.LoadBase(key.Kind, s.storeOpts, stations)
-	}
+// baseKey identifies one frozen database state: a physical layout loaded
+// from one generator configuration. Two cells with equal keys measure,
+// by the determinism of the generator and the loaders, the same physical
+// database, so both get copy-on-write views of one base. (A suite has one
+// page size.)
+type baseKey struct {
+	layout store.Kind
+	gen    cobench.Config
 }
 
 // withBase runs fn on the frozen base holding k's physical layout of gen
-// (stations may carry a pre-generated copy of the extension, or be nil)
 // — the single acquisition point of every experiment, so e.g. the
 // Figure 5 default-sightseeing column and the whole buffer sweep reuse the
 // bases the matrix loaded, and DSM and DASDBS-DSM, one layout read two
-// ways, share one base (callers open it with OpenAs).
+// ways, share one base (callers open it with OpenAs). The base is the
+// snapshot's arena when the suite has one and gen is its own
+// configuration, and otherwise a load of gen's extension.
 //
-// The suite's own configuration is pinned: its bases are built at most
-// once and live until Close, because later experiments come back for
-// them. Any other configuration (a Figure 5/6 column, the skew
-// extension) is scoped to the cells in flight: concurrent cells of one
-// configuration share one generation and one base, and both are dropped
-// when the last of them returns, so a sweep's memory tracks its width,
-// not the number of configurations swept. Only concurrency-safe suite
-// state is touched; cells call this from fan-out workers.
-func (s *Suite) withBase(k store.Kind, gen cobench.Config, stations []*cobench.Station, fn func(*store.SharedBase) error) error {
-	key := store.BaseKey{Kind: k.Layout(), PageSize: s.storeOpts.PageSize, Gen: gen}
-	if gen == s.cfg.Gen {
-		base, err := s.bases.Get(key, s.buildBase(key, stations))
-		if err != nil {
-			return err
-		}
-		return fn(base)
-	}
-	if stations == nil {
-		st, release, err := s.gens.acquire(gen)
+// withBase holds the base and the extension until fn returns, so
+// concurrent cells of a one-off configuration share one generation and
+// one base, dropped with the last of them (the lifetimes are in the
+// package comment). Cells call this from fan-out workers.
+func (s *Suite) withBase(k store.Kind, gen cobench.Config, fn func(*store.SharedBase) error) error {
+	own := gen == s.cfg.Gen
+	var stations []*cobench.Station
+	if !own || s.cfg.Snapshot == "" {
+		st, release, err := s.extension(gen)
 		if err != nil {
 			return err
 		}
 		defer release()
 		stations = st
 	}
-	base, release, err := s.bases.GetScoped(key, s.buildBase(key, stations))
+	layout := k.Layout()
+	base, release, err := s.bases.get(baseKey{layout, gen}, own, func() (*store.SharedBase, error) {
+		if stations != nil {
+			return store.LoadBase(layout, s.storeOpts, stations)
+		}
+		if err := s.snapshotOK(); err != nil {
+			return nil, err
+		}
+		return snapshot.OpenBase(s.cfg.Snapshot, layout)
+	})
 	if err != nil {
 		return err
 	}
-	if err := fn(base); err != nil {
-		release()
-		return err
+	err = fn(base)
+	if rerr := release(); err == nil {
+		err = rerr
 	}
-	return release()
+	return err
 }
 
-// extension generates (once) and returns the benchmark database. Safe
-// for concurrent use: base-cache build closures for different layouts
-// race to it.
-func (s *Suite) extension() ([]*cobench.Station, error) {
-	s.genOnce.Do(func() {
-		st, err := cobench.Generate(s.cfg.Gen)
+// extension returns gen's generated extension, shared read-only, and a
+// release for the caller to call once it no longer needs it. The suite's
+// own extension is generated at most once and kept; any other lives while
+// a caller holds it.
+func (s *Suite) extension(gen cobench.Config) ([]*cobench.Station, func() error, error) {
+	return s.exts.get(gen, gen == s.cfg.Gen, func() ([]*cobench.Station, error) {
+		st, err := cobench.Generate(gen)
 		if err != nil {
-			s.genErr = fmt.Errorf("experiments: generate: %w", err)
-			return
+			return nil, fmt.Errorf("experiments: generate: %w", err)
 		}
-		s.stations = st
-		gs := cobench.Describe(st)
-		s.genStats = &gs
+		return st, nil
 	})
-	return s.stations, s.genErr
-}
-
-// extensionOf returns gen's extension: the suite's own, generated once,
-// when gen is the suite's configuration, else a fresh one for the caller.
-func (s *Suite) extensionOf(gen cobench.Config) ([]*cobench.Station, error) {
-	if gen == s.cfg.Gen {
-		return s.extension()
-	}
-	return cobench.Generate(gen)
 }
 
 // ExtensionStats describes the generated extension (realised averages,
 // reported alongside Table 4 in §5.1).
 func (s *Suite) ExtensionStats() (cobench.Stats, error) {
-	if _, err := s.extension(); err != nil {
+	stations, release, err := s.extension(s.cfg.Gen)
+	if err != nil {
 		return cobench.Stats{}, err
 	}
-	return *s.genStats, nil
+	defer release()
+	return cobench.Describe(stations), nil
 }
 
 // layoutSizes returns (once per kind) the relation sizes of k's physical
@@ -299,7 +289,7 @@ func (s *Suite) layoutSizes(k store.Kind) (store.SizeReport, error) {
 		return store.SizeReport{}, err
 	}
 	var rep store.SizeReport
-	err = s.withBase(k, s.cfg.Gen, nil, func(base *store.SharedBase) error {
+	err = s.withBase(k, s.cfg.Gen, func(base *store.SharedBase) error {
 		m, err := base.OpenAs(k, opts)
 		if err != nil {
 			return err
@@ -376,7 +366,7 @@ func (s *Suite) Matrix() (*Matrix, error) {
 	queries := cobench.AllQueries()
 	rows := make([]Measured, len(kinds)*len(queries))
 	err = fanout.Run(len(kinds), s.workers(), func(ki int) error {
-		res, err := s.runQueries(kinds[ki:ki+1], opts, s.cfg.Gen, nil, s.cfg.Workload, queries...)
+		res, err := s.runQueries(kinds[ki:ki+1], opts, s.cfg.Gen, s.cfg.Workload, queries...)
 		if err != nil {
 			return err
 		}
@@ -426,9 +416,9 @@ func layoutGroups(models []store.Kind) [][2]int {
 // copy-on-write view, run the selected queries on it with the given
 // workload, and close it. Results come back in kinds order. Safe to call
 // from fan-out workers.
-func (s *Suite) runQueries(kinds []store.Kind, opts store.Options, gen cobench.Config, stations []*cobench.Station, w cobench.Workload, queries ...cobench.Query) ([]map[cobench.Query]Measured, error) {
+func (s *Suite) runQueries(kinds []store.Kind, opts store.Options, gen cobench.Config, w cobench.Workload, queries ...cobench.Query) ([]map[cobench.Query]Measured, error) {
 	out := make([]map[cobench.Query]Measured, len(kinds))
-	err := s.withBase(kinds[0], gen, stations, func(base *store.SharedBase) error {
+	err := s.withBase(kinds[0], gen, func(base *store.SharedBase) error {
 		for i, k := range kinds {
 			m, err := base.OpenAs(k, opts)
 			if err != nil {

@@ -46,25 +46,27 @@ func (s *Suite) Figure5() ([]Fig5Cell, error) {
 		return nil, err
 	}
 	maxSees := []int{0, 15, 30}
-	// Generate each maxSeeing extension once; the three model cells of a
-	// column share it read-only (and the column whose maxSeeing equals the
-	// suite default is the suite's own extension, with the frozen bases
-	// the matrix and the buffer sweep use).
+	// Generate each maxSeeing extension once and hold it for the whole
+	// figure; the three model cells of a column share it read-only (and
+	// the column whose maxSeeing equals the suite default is the suite's
+	// own extension, with the frozen bases the matrix and the buffer sweep
+	// use).
 	gens := make([]cobench.Config, len(maxSees))
-	extensions := make([][]*cobench.Station, len(maxSees))
 	genStats := make([]cobench.Stats, len(maxSees))
 	for i, maxSee := range maxSees {
 		gens[i] = s.cfg.Gen.WithMaxSeeing(maxSee)
-		if extensions[i], err = s.extensionOf(gens[i]); err != nil {
+		stations, release, err := s.extension(gens[i])
+		if err != nil {
 			return nil, err
 		}
-		genStats[i] = cobench.Describe(extensions[i])
+		defer release()
+		genStats[i] = cobench.Describe(stations)
 	}
 	cells := make([]Fig5Cell, len(maxSees)*len(fig5Models))
 	groups := layoutGroups(fig5Models)
 	err = fanout.Run(len(maxSees)*len(groups), s.workers(), func(u int) error {
 		col, g := u/len(groups), groups[u%len(groups)]
-		res, err := s.runQueries(fig5Models[g[0]:g[1]], opts, gens[col], extensions[col], s.cfg.Workload,
+		res, err := s.runQueries(fig5Models[g[0]:g[1]], opts, gens[col], s.cfg.Workload,
 			cobench.Q1c, cobench.Q2b, cobench.Q3b)
 		if err != nil {
 			return err
@@ -163,7 +165,7 @@ func (s *Suite) Figure6() ([]Fig6Point, error) {
 		n := Fig6Sizes[size]
 		w := s.cfg.Workload
 		w.Loops = cobench.LoopsFor(n)
-		res, err := s.runQueries(fig5Models[g[0]:g[1]], opts, s.cfg.Gen.WithN(n), nil, w, cobench.Q2b)
+		res, err := s.runQueries(fig5Models[g[0]:g[1]], opts, s.cfg.Gen.WithN(n), w, cobench.Q2b)
 		if err != nil {
 			return err
 		}

@@ -60,7 +60,7 @@ func testSecondUpdateCell(t *testing.T) {
 	cell := func() (allocated uint64, pages float64) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		res, err := s.runQueries([]store.Kind{store.DSM}, opts, s.cfg.Gen, nil, s.cfg.Workload, cobench.Q3b)
+		res, err := s.runQueries([]store.Kind{store.DSM}, opts, s.cfg.Gen, s.cfg.Workload, cobench.Q3b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func BenchmarkViewCell(b *testing.B) {
 	s := New(recycleConfig())
 	defer s.Close()
 	cell := func() {
-		if _, err := s.runQueries([]store.Kind{store.DSM}, s.storeOpts, s.cfg.Gen, nil, s.cfg.Workload, cobench.Q3b); err != nil {
+		if _, err := s.runQueries([]store.Kind{store.DSM}, s.storeOpts, s.cfg.Gen, s.cfg.Workload, cobench.Q3b); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,8 +3,11 @@ package experiments
 import (
 	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+
+	"complexobj/internal/disk"
 )
 
 // shrinkSweeps temporarily reduces the sweep axes so the determinism tests
@@ -66,7 +69,7 @@ func TestSweepSharedBaseDeterminism(t *testing.T) {
 			// whole buffer sweep reuse them), 2x2 non-default Figure 5
 			// columns, 2x2 Figure 6 sizes, 3 skew layouts.
 			cells := len(got.fig5)*3 + len(got.fig6) + len(got.buf) + len(got.t7) + 5*7
-			if want := int64(4 + 4 + 4 + 3); s.bases.Built() != want {
+			if want := 4 + 4 + 4 + 3; s.bases.Built() != want {
 				t.Errorf("%s: base cache built %d bases, want %d (of %d measured cells)",
 					label, s.bases.Built(), want, cells)
 			}
@@ -78,16 +81,19 @@ func TestSweepSharedBaseDeterminism(t *testing.T) {
 				t.Errorf("%s: base cache retains %d entries, want %d (scoped sweep bases must be released)",
 					label, s.bases.Len(), want)
 			}
-			// The transient generation share retained nothing either;
-			// every non-default extension was generated at most once per
-			// overlapping set of cell groups (2 Figure 6 sizes x 2
-			// layouts, 1 skew config x 3 layouts — between 3 generations
-			// under full overlap and 7 under none).
-			if n := s.gens.inFlight(); n != 0 {
-				t.Errorf("%s: generation share retains %d entries, want 0", label, n)
+			// The extension cache retains only the suite's own
+			// extension (the Figure 5 default column generates it even
+			// over a snapshot). It generated that one, Figure 5's two
+			// other columns (held for the whole figure), and every other
+			// non-default extension at most once per overlapping set of
+			// cell groups (2 Figure 6 sizes x 2 layouts, 1 skew config x
+			// 3 layouts): between 6 generations under full overlap and
+			// 10 under none.
+			if n := s.exts.Len(); n != 1 {
+				t.Errorf("%s: extension cache retains %d entries, want 1 (the suite's own)", label, n)
 			}
-			if n := s.gens.generations(); n < 3 || n > 7 {
-				t.Errorf("%s: generation share built %d extensions, want between 3 (full overlap) and 7 (none)", label, n)
+			if n := s.exts.Built(); n < 6 || n > 10 {
+				t.Errorf("%s: extension cache built %d extensions, want between 6 (full overlap) and 10 (none)", label, n)
 			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
@@ -113,8 +119,8 @@ func TestMatrixFromSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	newOracle(t, smallConfig()).checkMatrix("snapshot/workers=1", got)
-	if s.stations != nil {
-		t.Error("the snapshot-backed matrix generated the extension")
+	if n := s.exts.Built(); n != 0 {
+		t.Errorf("the snapshot-backed matrix generated %d extensions, want 0", n)
 	}
 
 	// A snapshot of a different extension must be refused, not measured.
@@ -125,6 +131,23 @@ func TestMatrixFromSnapshot(t *testing.T) {
 	defer wrongSuite.Close()
 	if _, err := wrongSuite.Matrix(); err == nil {
 		t.Error("mismatched snapshot accepted")
+	}
+
+	// So must a snapshot of another page size: refused by the snapshot
+	// check, before any view of it opens, naming the file and both sizes.
+	pageCfg := smallConfig()
+	pageCfg.PageSize = 2 * disk.DefaultPageSize
+	pageCfg.Snapshot = path
+	pageSuite := New(pageCfg)
+	defer pageSuite.Close()
+	_, err = pageSuite.Matrix()
+	if err == nil {
+		t.Fatal("snapshot of another page size accepted")
+	}
+	for _, want := range []string{path, strconv.Itoa(disk.DefaultPageSize), strconv.Itoa(pageCfg.PageSize)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("page-size refusal %q does not name %s", err, want)
+		}
 	}
 }
 

@@ -436,7 +436,7 @@ func (s *Suite) Table7() ([]SkewRow, error) {
 	groups := layoutGroups(kinds)
 	err = fanout.Run(len(groups), s.workers(), func(u int) error {
 		g := groups[u]
-		res, err := s.runQueries(kinds[g[0]:g[1]], opts, skewGen, nil, s.cfg.Workload, cobench.Q2a, cobench.Q2b)
+		res, err := s.runQueries(kinds[g[0]:g[1]], opts, skewGen, s.cfg.Workload, cobench.Q2a, cobench.Q2b)
 		if err != nil {
 			return err
 		}

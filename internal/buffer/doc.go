@@ -91,9 +91,9 @@
 // suite take and give pages concurrently), a BaseArena floor's reference
 // count (atomic: views open and close concurrently; floor and page tables
 // are immutable), store.SharedBase (lock around the current generation,
-// one Once per decoded directory), store.BaseCache (mutex, one build per
-// key), faultdisk.Injector (atomic: one schedule under every device it
-// wraps), complexobj.ViewPool. The proof is `go test -race ./...` —
+// one Once per decoded directory), an experiments suite's cache of bases
+// and extensions (mutex, one build per key), faultdisk.Injector (atomic:
+// one schedule under every device it wraps), complexobj.ViewPool. The proof is `go test -race ./...` —
 // buffer.TestEngineHandOver is the rule itself — and CI's race-built
 // server soak: a second goroutine in an engine is a reported race.
 package buffer

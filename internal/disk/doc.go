@@ -193,9 +193,9 @@
 // (atomic: views open and close concurrently; floor and page tables are
 // immutable) and its floor's lineage (mutex: promotes and drains),
 // store.SharedBase (lock around the current generation, publish lock per
-// commit, one Once per decoded directory), store.BaseCache (mutex, one
-// build per key), faultdisk.Injector (atomic: one schedule under every device it
-// wraps), complexobj.ViewPool. The proof is `go test -race ./...` —
+// commit, one Once per decoded directory), an experiments suite's cache
+// of bases and extensions (mutex, one build per key), faultdisk.Injector
+// (atomic: one schedule under every device it wraps), complexobj.ViewPool. The proof is `go test -race ./...` —
 // buffer.TestEngineHandOver is the rule itself — and CI's race-built
 // server soak: a second goroutine in an engine is a reported race.
 //

@@ -32,9 +32,9 @@ func TestFailedLargeInsertReturnsItsRun(t *testing.T) {
 		if d.NumPages() != pages {
 			t.Fatalf("seed %d: failed insert left the device at %d pages, want the claimed %d", seed, d.NumPages(), pages)
 		}
-		if s.FreedPages() != pages {
+		if s.freedPages != pages {
 			t.Fatalf("seed %d: free-space map holds %d pages after a failed insert, want %d: the run leaked",
-				seed, s.FreedPages(), pages)
+				seed, s.freedPages, pages)
 		}
 		if s.NumLarge() != 0 || s.TotalPages() != 0 {
 			t.Fatalf("seed %d: failed insert was accounted: %d large objects, %d pages", seed, s.NumLarge(), s.TotalPages())
@@ -44,9 +44,9 @@ func TestFailedLargeInsertReturnsItsRun(t *testing.T) {
 			continue // faulted again; the run is back in the map either way
 		}
 		exercised++
-		if ref.Start != 0 || ref.Pages() != pages || d.NumPages() != pages || s.FreedPages() != 0 {
+		if ref.Start != 0 || ref.Pages() != pages || d.NumPages() != pages || s.freedPages != 0 {
 			t.Errorf("seed %d: retry stored at page %d (%d pages), device %d pages, %d still free: the run was not reused",
-				seed, ref.Start, ref.Pages(), d.NumPages(), s.FreedPages())
+				seed, ref.Start, ref.Pages(), d.NumPages(), s.freedPages)
 		}
 		got, err := readAll(s, ref)
 		if err != nil || !equalComps(got, obj) {

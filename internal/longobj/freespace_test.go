@@ -91,8 +91,8 @@ func TestFreeRunMerging(t *testing.T) {
 	if len(s.free) != 1 {
 		t.Fatalf("adjacent freed runs not merged: %+v", s.free)
 	}
-	if s.FreedPages() != a.Pages()+b.Pages() {
-		t.Fatalf("FreedPages = %d, want %d", s.FreedPages(), a.Pages()+b.Pages())
+	if s.freedPages != a.Pages()+b.Pages() {
+		t.Fatalf("freedPages = %d, want %d", s.freedPages, a.Pages()+b.Pages())
 	}
 	// An object spanning both dead runs fits without growing the device.
 	before := d.NumPages()

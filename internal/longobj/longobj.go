@@ -106,7 +106,10 @@ type counts struct {
 	headerPages int
 	dataPages   int
 	dataBytes   int64
-	freedPages  int
+	// freedPages is the number of pages sitting in the free-space map:
+	// dead space released by relocating replacements that the next
+	// large-object inserts will recycle.
+	freedPages int
 }
 
 // New creates a store whose small objects live in a shared heap called
@@ -716,11 +719,6 @@ func (s *Store) claimRun(n int) (disk.PageID, error) {
 	}
 	return s.dev.Allocate(n)
 }
-
-// FreedPages returns the number of pages currently sitting in the
-// free-space map: dead space released by relocating replacements that the
-// next large-object inserts will recycle.
-func (s *Store) FreedPages() int { return s.freedPages }
 
 // ChangeComponent overwrites component idx in place with same-length data
 // and writes the affected pages through immediately (the DASDBS "change

@@ -525,7 +525,7 @@ func TestReplaceRelocatesLargeGrowth(t *testing.T) {
 	if !equalComps(got, grown) {
 		t.Error("relocated content mismatch")
 	}
-	if s.FreedPages() == 0 {
+	if s.freedPages == 0 {
 		t.Error("relocation did not account freed pages")
 	}
 	if s.NumLarge() != 1 {

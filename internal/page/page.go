@@ -286,16 +286,3 @@ func (p Page) Range(fn func(slot int, rec []byte) bool) {
 		}
 	}
 }
-
-// UsedBytes returns the payload bytes consumed by live records, the slot
-// directory and the page header (a measure of fill used by Table 2).
-func (p Page) UsedBytes() int {
-	used := headerSize + slotSize*p.numSlots()
-	for i := 0; i < p.numSlots(); i++ {
-		if off, length := p.slot(i); off != delSentinel {
-			used += length
-			_ = off
-		}
-	}
-	return used
-}

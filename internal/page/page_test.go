@@ -258,17 +258,6 @@ func TestRangeVisitsLiveRecordsInSlotOrder(t *testing.T) {
 	}
 }
 
-func TestUsedBytes(t *testing.T) {
-	p := newPage()
-	if u := p.UsedBytes(); u != headerSize {
-		t.Errorf("empty page UsedBytes = %d, want %d", u, headerSize)
-	}
-	p.Insert(rec(1, 100))
-	if u := p.UsedBytes(); u != headerSize+slotSize+100 {
-		t.Errorf("UsedBytes = %d, want %d", u, headerSize+slotSize+100)
-	}
-}
-
 // Property test: random insert/update/delete traffic against a map-based
 // shadow model; contents must always agree and the page must never report
 // impossible free space.

@@ -329,7 +329,7 @@ type AssignResponse struct {
 // handleAssign repoints one shard to a new backend: the router-side step
 // of a handoff, between the new owner's /shards/acquire and the old
 // owner's /shards/release. With reload=1 the shard map file is re-read
-// first, picking up model→shard changes (shard.Reassign) as well.
+// first, picking up model→shard changes made to that file as well.
 func (rt *Router) handleAssign(w http.ResponseWriter, r *http.Request) {
 	fail := func(code int, format string, args ...any) {
 		server.WriteJSON(w, code, server.ErrorResponse{Error: fmt.Sprintf(format, args...)})

@@ -7,8 +7,9 @@
 // writes it next to the per-shard segments it splits, coserve loads it to
 // learn its model subset (rejecting out-of-shard requests with 421),
 // coshard routes /run requests by it and scatter-gathers /stats across
-// its backends, and a rebalance bumps its version so every party can tell
-// a stale map from the current one.
+// its backends. A rebalance is an edit of the map file (it is meant to be
+// edited by hand) that moves models between shards and bumps the version,
+// so every party can tell a stale map from the current one.
 //
 // Partitioning is by storage model. The paper's physical-I/O accounting
 // is strictly per object space — no query ever crosses storage models —

@@ -12,9 +12,9 @@ import (
 )
 
 // Strategy names accepted by Partition and carried in the map. A
-// rebalanced map keeps the strategy it was born with; Reassign only bumps
-// the version — the strategy records how the initial split was computed,
-// not an invariant the current assignment still satisfies.
+// rebalanced map keeps the strategy it was born with: the strategy records
+// how the initial split was computed, not an invariant the current
+// assignment still satisfies.
 const (
 	// StrategyHash assigns each model to FNV-1a(name) mod #shards: stable
 	// under reordering and growth of the model list.
@@ -54,8 +54,8 @@ func (s *Shard) Owns(model string) bool {
 	return false
 }
 
-// Map is the versioned partition of the model address table. The version
-// is bumped by every reassignment, so routers and backends can order two
+// Map is the versioned partition of the model address table. Whoever
+// edits the assignment bumps the version, so routers and backends can order two
 // maps of the same deployment; it never goes backwards.
 type Map struct {
 	Version  uint64  `json:"version"`
@@ -212,37 +212,7 @@ func (m *Map) Models() []string {
 	return out
 }
 
-// Reassign moves a model to the shard with the given ID and bumps the
-// version — the order handoffs key off (a backend acquiring a shard
-// learns the new version; a router seeing 421 against an old version
-// re-resolves). The target shard must exist; moving a model to its
-// current owner still bumps the version (an idempotent handoff retry is
-// indistinguishable from a fresh one and must produce a newer map).
-func (m *Map) Reassign(model string, to int) error {
-	dst, ok := m.Shard(to)
-	if !ok {
-		return fmt.Errorf("shard: reassign %q: no shard %d", model, to)
-	}
-	from, owned := m.Owner(model)
-	if !owned {
-		return fmt.Errorf("shard: reassign %q: model not in map", model)
-	}
-	if from != to {
-		src, _ := m.Shard(from)
-		keep := src.Models[:0]
-		for _, name := range src.Models {
-			if name != model {
-				keep = append(keep, name)
-			}
-		}
-		src.Models = keep
-		dst.Models = append(dst.Models, model)
-	}
-	m.Version++
-	return nil
-}
-
-// Clone returns a deep copy (Reassign mutates; routers hand out clones).
+// Clone returns a deep copy of the map.
 func (m *Map) Clone() *Map {
 	out := &Map{Version: m.Version, Strategy: m.Strategy, Shards: make([]Shard, len(m.Shards))}
 	for i, s := range m.Shards {

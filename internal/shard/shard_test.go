@@ -129,36 +129,6 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
-func TestReassignBumpsVersionAndMoves(t *testing.T) {
-	m, _ := Partition(paperModels, 2, StrategyRange)
-	v := m.Version
-	if err := m.Reassign("NSM", 1); err != nil {
-		t.Fatal(err)
-	}
-	if m.Version != v+1 {
-		t.Errorf("version %d, want %d", m.Version, v+1)
-	}
-	if id, _ := m.Owner("NSM"); id != 1 {
-		t.Errorf("NSM owned by %d, want 1", id)
-	}
-	if err := m.Validate(); err != nil {
-		t.Errorf("map invalid after reassign: %v", err)
-	}
-	// Idempotent retry: same target, still a version bump.
-	if err := m.Reassign("NSM", 1); err != nil {
-		t.Fatal(err)
-	}
-	if m.Version != v+2 {
-		t.Errorf("version %d after idempotent reassign, want %d", m.Version, v+2)
-	}
-	if err := m.Reassign("NSM", 9); err == nil {
-		t.Error("reassign to a missing shard accepted")
-	}
-	if err := m.Reassign("nope", 1); err == nil {
-		t.Error("reassign of an unowned model accepted")
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	m, _ := Partition(paperModels, 3, StrategyHash)
 	m.Shards[0].Backend = "http://127.0.0.1:9001"

@@ -145,19 +145,6 @@
 // goes with the view, as a shared one kept for the whole suite would
 // raise its peak RSS (≈ +5 % measured with one process-wide set).
 //
-// BaseCache keys frozen bases by (model kind — callers that share
-// layouts pass Kind.Layout —, page size, generator configuration): the
-// deterministic generator makes equal keys equal
-// databases, so every fan-out experiment — the matrix, the sweeps,
-// repeated CLI runs within one process — can route model acquisition
-// through one cache and pay for each distinct database exactly once,
-// with concurrent requesters blocking on a single build. Entries come in
-// two lifetimes: Get pins an entry until Close (default-configuration
-// bases that later experiments revisit), while GetScoped hands back a
-// release function and the cache drops the base as soon as the last
-// scoped user of a one-off configuration releases it — sweep memory
-// tracks the cells in flight, not the number of configurations swept.
-//
 // View is the request-scoped execution handle built on a SharedBase: a
 // copy-on-write model view that Recycle resets to the pristine base
 // between requests (overlay dropped, pool emptied without write-back,
@@ -215,8 +202,9 @@
 // counts (atomic: views open and close concurrently; floor and page
 // tables are immutable) and its floor's lineage (mutex: promotes and
 // drains), store.SharedBase (lock around the current generation, publish
-// lock per commit, one Once per decoded directory), store.BaseCache
-// (mutex, one build per key), faultdisk.Injector (atomic: one schedule under every device it
+// lock per commit, one Once per decoded directory), an experiments
+// suite's cache of bases and extensions (mutex, one build per key),
+// faultdisk.Injector (atomic: one schedule under every device it
 // wraps), complexobj.ViewPool. The proof is `go test -race ./...` —
 // buffer.TestEngineHandOver is the rule itself — and CI's race-built
 // server soak: a second goroutine in an engine is a reported race.

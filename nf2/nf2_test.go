@@ -53,19 +53,6 @@ func TestNewTupleTypeValidation(t *testing.T) {
 	}
 }
 
-func TestAttrIndex(t *testing.T) {
-	tt := testSchema(t)
-	if i := tt.AttrIndex("Name"); i != 1 {
-		t.Errorf("AttrIndex(Name) = %d", i)
-	}
-	if i := tt.AttrIndex("nope"); i != -1 {
-		t.Errorf("AttrIndex(nope) = %d", i)
-	}
-	if tt.NumAttrs() != 3 {
-		t.Errorf("NumAttrs = %d", tt.NumAttrs())
-	}
-}
-
 func TestSchemaString(t *testing.T) {
 	s := testSchema(t).String()
 	for _, want := range []string{"Outer", "K INT", "Name STR(20)", "Subs {(Inner)}"} {

@@ -101,8 +101,7 @@ type TupleType struct {
 	Name  string
 	Attrs []Attr
 
-	index map[string]int
-	flat  int // FlatSize
+	flat int // FlatSize
 }
 
 // Schema validation errors.
@@ -118,15 +117,16 @@ func NewTupleType(name string, attrs ...Attr) (*TupleType, error) {
 	if len(attrs) == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrEmptySchema, name)
 	}
-	tt := &TupleType{Name: name, Attrs: attrs, index: make(map[string]int, len(attrs)), flat: 2 + 2*len(attrs)}
+	tt := &TupleType{Name: name, Attrs: attrs, flat: 2 + 2*len(attrs)}
+	seen := make(map[string]bool, len(attrs))
 	for i, a := range attrs {
 		if a.Name == "" {
 			return nil, fmt.Errorf("nf2: %s attribute %d has no name", name, i)
 		}
-		if _, dup := tt.index[a.Name]; dup {
+		if seen[a.Name] {
 			return nil, fmt.Errorf("%w: %s.%s", ErrDupAttr, name, a.Name)
 		}
-		tt.index[a.Name] = i
+		seen[a.Name] = true
 		switch a.Type.Kind {
 		case String:
 			if a.Type.Size <= 0 {
@@ -156,17 +156,6 @@ func MustTupleType(name string, attrs ...Attr) *TupleType {
 	}
 	return tt
 }
-
-// AttrIndex returns the position of the named attribute, or -1.
-func (tt *TupleType) AttrIndex(name string) int {
-	if i, ok := tt.index[name]; ok {
-		return i
-	}
-	return -1
-}
-
-// NumAttrs returns the number of attributes.
-func (tt *TupleType) NumAttrs() int { return len(tt.Attrs) }
 
 // String renders the schema in the paper's notation.
 func (tt *TupleType) String() string {
