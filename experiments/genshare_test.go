@@ -7,21 +7,23 @@ import (
 	"complexobj/cobench"
 )
 
-// TestGenShare pins the transient generation share: overlapping acquires
-// of one configuration generate once, the entry dies with its last user,
-// and a later acquire regenerates — nothing is retained between cells.
+// TestGenShare pins the suite's transient generation share: overlapping
+// requests for one configuration other than the suite's own generate once,
+// the extension dies with its last user, and a later request regenerates —
+// nothing is retained between cells.
 func TestGenShare(t *testing.T) {
-	g := newGenShare()
+	s := New(Config{Gen: cobench.DefaultConfig().WithN(20)})
+	defer s.Close()
 	gen := cobench.DefaultConfig().WithN(30)
 
 	var wg sync.WaitGroup
-	releases := make([]func(), 8)
+	releases := make([]func() error, 8)
 	stations := make([][]*cobench.Station, 8)
 	for i := range releases {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			st, release, err := g.acquire(gen)
+			st, release, err := s.extension(gen)
 			if err != nil {
 				t.Error(err)
 				return
@@ -30,46 +32,51 @@ func TestGenShare(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if g.generations() != 1 {
-		t.Fatalf("8 overlapping acquires generated %d times, want 1", g.generations())
+	if t.Failed() {
+		t.FailNow()
+	}
+	if s.exts.Built() != 1 {
+		t.Fatalf("8 overlapping requests generated %d times, want 1", s.exts.Built())
 	}
 	for _, st := range stations[1:] {
-		if len(st) != len(stations[0]) {
-			t.Fatal("acquirers got different extensions")
+		if len(st) != len(stations[0]) || st[0] != stations[0][0] {
+			t.Fatal("requesters got different extensions")
 		}
 	}
 	for _, release := range releases[:7] {
-		release()
+		if err := release(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if g.inFlight() != 1 {
-		t.Fatalf("entry dropped while a user is live (inFlight %d)", g.inFlight())
+	if s.exts.Len() != 1 {
+		t.Fatalf("extension dropped while a user is live (Len %d)", s.exts.Len())
 	}
 	releases[7]()
-	releases[7]() // idempotent per acquisition
-	if g.inFlight() != 0 {
-		t.Fatalf("entry retained after last release (inFlight %d)", g.inFlight())
+	releases[7]() // idempotent per request
+	if s.exts.Len() != 0 {
+		t.Fatalf("extension retained after its last release (Len %d)", s.exts.Len())
 	}
 
-	// A fresh acquire after the drop regenerates, deterministically.
-	st, release, err := g.acquire(gen)
+	// A fresh request after the drop regenerates, deterministically.
+	st, release, err := s.extension(gen)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer release()
-	if g.generations() != 2 {
-		t.Fatalf("re-acquire generated %d times total, want 2", g.generations())
+	if s.exts.Built() != 2 {
+		t.Fatalf("re-request generated %d times total, want 2", s.exts.Built())
 	}
-	if len(st) != 30 {
+	if len(st) != 30 || len(st) != len(stations[0]) {
 		t.Fatalf("regenerated extension has %d stations, want 30", len(st))
 	}
 
 	// Distinct configurations never share an entry.
-	_, release2, err := g.acquire(gen.WithN(40))
+	_, release2, err := s.extension(gen.WithN(40))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer release2()
-	if g.inFlight() != 2 || g.generations() != 3 {
-		t.Fatalf("distinct config: inFlight %d generations %d, want 2 and 3", g.inFlight(), g.generations())
+	if s.exts.Len() != 2 || s.exts.Built() != 3 {
+		t.Fatalf("distinct config: Len %d Built %d, want 2 and 3", s.exts.Len(), s.exts.Built())
 	}
 }
