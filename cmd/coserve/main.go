@@ -152,7 +152,9 @@ func run(dbPath, addr string, buffer, views int, model string, loops, samples in
 	}
 	fmt.Printf("coserve: serving %s (N=%d, seed=%d, page %d B) on %s\n",
 		source, info.Gen.N, info.Gen.Seed, info.PageSize, addr)
-	fmt.Printf("coserve: %d models, %.1f MiB shared arenas, %d views x %d buffer pages per model\n",
+	// Summed per model: kinds that share a base (one stored layout)
+	// count its arena once each.
+	fmt.Printf("coserve: %d models, %.1f MiB of arenas summed per model, %d views x %d buffer pages per model\n",
 		len(info.Models), float64(srv.TotalArenaBytes())/(1<<20), views, buffer)
 	if shardMap != "" {
 		fmt.Printf("coserve: sharded backend, shards %s of %s\n", shardString(shards), shardMap)

@@ -252,7 +252,8 @@ func OpenSnapshot(path string, kind ModelKind, opts Options) (*DB, error) {
 // The base storage is reference-counted: the Base handle holds one
 // reference and every open view another, so Close releases the arena —
 // including the snapshot file mapping where OpenBase mmap'ed it — only
-// after the last view is closed too.
+// after the last view is closed too. Handles that OpenBases opened over
+// one stored layout share one arena, one reference each.
 type Base struct {
 	kind ModelKind
 	base *store.SharedBase
@@ -266,11 +267,34 @@ type Base struct {
 // truncated or rewritten in place while the base or any of its views is
 // open (atomically replacing it via WriteSnapshot is safe).
 func OpenBase(path string, kind ModelKind) (*Base, error) {
-	b, err := snapshot.OpenBase(path, kind.internal())
+	bases, err := OpenBases(path, []ModelKind{kind})
 	if err != nil {
 		return nil, err
 	}
-	return &Base{kind: kind, base: b}, nil
+	return bases[0], nil
+}
+
+// OpenBases is OpenBase for several models at once, returning one Base
+// per kind in kinds order. Each stored physical layout is mapped once:
+// models the snapshot stores in one entry (DSM and DASDBS-DSM, NSM and
+// NSM+index, when their bytes are equal) get handles over one shared
+// arena, each handle holding a reference of its own — close every one.
+// A shared arena is read-only: a commit through such a handle's view is
+// refused, so a process that commits opens its models one by one.
+func OpenBases(path string, kinds []ModelKind) ([]*Base, error) {
+	ks := make([]store.Kind, len(kinds))
+	for i, k := range kinds {
+		ks[i] = k.internal()
+	}
+	sbs, err := snapshot.OpenBases(path, ks)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Base, len(kinds))
+	for i, k := range kinds {
+		out[i] = &Base{kind: k, base: sbs[i]}
+	}
+	return out, nil
 }
 
 // Freeze copies the database's current state into an immutable Base
@@ -286,6 +310,10 @@ func (db *DB) Freeze() (*Base, error) {
 
 // Kind returns the storage model the base holds.
 func (b *Base) Kind() ModelKind { return b.kind }
+
+// Owners returns the number of open handles over the base's arena: 1,
+// or more when OpenBases opened several models of one stored layout.
+func (b *Base) Owners() int { return b.base.Owners() }
 
 // NumPages returns the number of frozen pages.
 func (b *Base) NumPages() int { return b.base.NumPages() }
@@ -324,7 +352,7 @@ func (b *Base) Close() error { return b.base.Release() }
 // run. The view starts with a cold cache and zeroed counters and measures
 // bit-identically to a freshly loaded database.
 func (b *Base) Open(opts Options) (*DB, error) {
-	m, err := b.base.Open(opts.internal())
+	m, err := b.base.OpenAs(b.kind.internal(), opts.internal())
 	if err != nil {
 		return nil, err
 	}

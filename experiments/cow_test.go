@@ -63,8 +63,8 @@ func TestMatrixSharedBaseFromSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	newOracle(t, smallConfig()).checkMatrix("snapshot/workers=8", got)
-	if got := s.bases.Built(); got != 4 {
-		t.Errorf("snapshot-backed matrix opened %d bases, want 4 (one per layout)", got)
+	if got := s.bases.Built(); got != 3 {
+		t.Errorf("snapshot-backed matrix opened %d bases, want 3 (one per layout)", got)
 	}
 }
 
@@ -81,8 +81,8 @@ func TestMatrixSharedBaseMemory(t *testing.T) {
 	if _, err := s.Matrix(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.bases.Built(); got != 4 {
-		t.Fatalf("matrix built %d bases, want 4 (DSM and DASDBS-DSM share one)", got)
+	if got := s.bases.Built(); got != 3 {
+		t.Fatalf("matrix built %d bases, want 3 (DSM and DASDBS-DSM share one, NSM and NSM+index another)", got)
 	}
 	baseBytes, overlayBytes := 0, 0
 	for _, k := range store.AllKinds() {
@@ -112,8 +112,8 @@ func TestMatrixSharedBaseMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.bases.Built() != 4 {
-		t.Fatalf("opening views rebuilt bases: %d built, want 4", s.bases.Built())
+	if s.bases.Built() != 3 {
+		t.Fatalf("opening views rebuilt bases: %d built, want 3", s.bases.Built())
 	}
 	if baseBytes == 0 {
 		t.Fatal("no shared base bytes accounted")

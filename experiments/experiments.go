@@ -9,10 +9,12 @@
 // Figures 5/6, the buffer sweep, Table 7, the policy ablation, the layout
 // sizes behind Table 2 — asks the suite's base cache for the frozen base
 // of its (physical layout, generator configuration), opens a
-// copy-on-write view of it, runs, and closes the view: the first cell to
-// need a base loads it once (or maps it from the configured snapshot),
-// every other cell shares it, and a cell's memory is the pages it
-// dirties. Every experiment is a fan-out over such cells; Config.Workers
+// copy-on-write view of its own kind over it, runs, and closes the view:
+// the first cell to need a base loads it once (or maps it from the
+// configured snapshot), every other cell shares it, and a cell's memory is
+// the pages it dirties. The five models have three physical layouts
+// (store.Kind.Layout: DSM and DASDBS-DSM share one, NSM and NSM+index
+// another), so a configuration costs three bases, not five. Every experiment is a fan-out over such cells; Config.Workers
 // is only the fan-out's width. The one exception is the index ablation,
 // whose counted B+-trees are rebuilt per run and cannot be frozen.
 //
@@ -212,7 +214,8 @@ type baseKey struct {
 // — the single acquisition point of every experiment, so e.g. the
 // Figure 5 default-sightseeing column and the whole buffer sweep reuse the
 // bases the matrix loaded, and DSM and DASDBS-DSM, one layout read two
-// ways, share one base (callers open it with OpenAs). The base is the
+// ways, share one base, as do NSM and NSM+index (callers open it with
+// OpenAs). The base is the
 // snapshot's arena when the suite has one and gen is its own
 // configuration, and otherwise a load of gen's extension.
 //

@@ -62,14 +62,15 @@ func TestSweepSharedBaseDeterminism(t *testing.T) {
 			o.checkSweeps(label, got)
 			// The cache must actually have been shared: one base built
 			// per distinct (physical layout, generator config) — DSM and
-			// DASDBS-DSM are one layout — far fewer than the number of
-			// sweep cells, and the same number however the workers were
-			// scheduled. With the shrunk axes: 4 default-gen layouts
-			// (matrix via Table 7; the Figure 5 maxSee=15 column and the
-			// whole buffer sweep reuse them), 2x2 non-default Figure 5
-			// columns, 2x2 Figure 6 sizes, 3 skew layouts.
+			// DASDBS-DSM are one layout, NSM and NSM+index another — far
+			// fewer than the number of sweep cells, and the same number
+			// however the workers were scheduled. With the shrunk axes: 3
+			// default-gen layouts (matrix via Table 7; the Figure 5
+			// maxSee=15 column and the whole buffer sweep reuse them), 2x2
+			// non-default Figure 5 columns, 2x2 Figure 6 sizes, 3 skew
+			// layouts.
 			cells := len(got.fig5)*3 + len(got.fig6) + len(got.buf) + len(got.t7) + 5*7
-			if want := 4 + 4 + 4 + 3; s.bases.Built() != want {
+			if want := 3 + 4 + 4 + 3; s.bases.Built() != want {
 				t.Errorf("%s: base cache built %d bases, want %d (of %d measured cells)",
 					label, s.bases.Built(), want, cells)
 			}
@@ -77,7 +78,7 @@ func TestSweepSharedBaseDeterminism(t *testing.T) {
 			// retained: every one-off sweep configuration was acquired
 			// scoped and dropped when the last cell of its configuration
 			// finished.
-			if want := 4; s.bases.Len() != want {
+			if want := 3; s.bases.Len() != want {
 				t.Errorf("%s: base cache retains %d entries, want %d (scoped sweep bases must be released)",
 					label, s.bases.Len(), want)
 			}

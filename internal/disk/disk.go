@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -338,6 +339,50 @@ func (d *Disk) DumpTo(w io.Writer) error {
 		off += len(chunk)
 	}
 	return nil
+}
+
+// SameContent reports whether d and o hold byte-identical arenas: the
+// same page size, the same number of pages and the same page images. Like
+// DumpTo it moves no counter.
+func (d *Disk) SameContent(o *Disk) (bool, error) {
+	if d.detached || o.detached {
+		return false, ErrDetached
+	}
+	if d.pageSize != o.pageSize || d.numPages != o.numPages {
+		return false, nil
+	}
+	n, chunk := d.numPages*d.pageSize, 64*d.pageSize
+	var bufD, bufO []byte
+	for off := 0; off < n; off += chunk {
+		m := min(chunk, n-off)
+		x, err := d.imagesAt(&bufD, off, m)
+		if err != nil {
+			return false, err
+		}
+		y, err := o.imagesAt(&bufO, off, m)
+		if err != nil {
+			return false, err
+		}
+		if !bytes.Equal(x, y) {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+// imagesAt returns the n arena bytes at off: borrowed where the backend
+// can share them, else read into *buf (allocated on first use).
+func (d *Disk) imagesAt(buf *[]byte, off, n int) ([]byte, error) {
+	if d.stable != nil {
+		if s, ok := d.stable.StablePage(off, n); ok {
+			return s, nil
+		}
+	}
+	if len(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	b := (*buf)[:n]
+	return b, d.readBackend(b, off)
 }
 
 // Stats returns a snapshot of the device counters.

@@ -5,6 +5,7 @@ import (
 	"log"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -50,33 +51,58 @@ type served struct {
 	commitMu sync.Mutex
 }
 
-// openModelLocked starts serving one model: its shared base opened from
-// seg (through the commit log when durable) plus its view pool; omu held.
-func (s *Server) openModelLocked(k complexobj.ModelKind, seg string) error {
-	if s.models[k] != nil {
-		return fmt.Errorf("server: model %s already served (shard overlap)", k)
+// openModelsLocked starts serving kinds from seg as one batch, all or
+// none: their shared bases plus a view pool each; omu held. A read-only
+// server maps each stored layout once (complexobj.OpenBases: DSM and
+// DASDBS-DSM, NSM and NSM+index stored in one entry share one base). A
+// durable one opens each kind through the commit log, from its own
+// checkpoint or the seed: each kind's lineage and checkpoint diverge with
+// its commits, so a durable server never shares.
+func (s *Server) openModelsLocked(kinds []complexobj.ModelKind, seg string) error {
+	if len(kinds) == 0 {
+		return nil
+	}
+	for i, k := range kinds {
+		if s.models[k] != nil || slices.Contains(kinds[:i], k) {
+			return fmt.Errorf("server: model %s already served (shard overlap)", k)
+		}
 	}
 	if seg == "" {
-		return fmt.Errorf("server: model %s has no segment and no -db snapshot fallback", k)
+		return fmt.Errorf("server: model %s has no segment and no -db snapshot fallback", kinds[0])
 	}
-	var base *complexobj.Base
+	var bases []*complexobj.Base
 	var err error
 	if s.clog != nil {
-		base, err = s.clog.OpenBase(k, seg)
-	} else {
-		base, err = complexobj.OpenBase(seg, k)
-	}
-	if err != nil {
-		return fmt.Errorf("server: open base %s: %w", k, err)
+		for _, k := range kinds {
+			var b *complexobj.Base
+			if b, err = s.clog.OpenBase(k, seg); err != nil {
+				err = fmt.Errorf("server: open base %s: %w", k, err)
+				break
+			}
+			bases = append(bases, b)
+		}
+	} else if bases, err = complexobj.OpenBases(seg, kinds); err != nil {
+		err = fmt.Errorf("server: open bases %v: %w", kinds, err)
 	}
 	opts := complexobj.Options{BufferPages: s.cfg.BufferPages, Faults: s.cfg.Faults}
-	pool, err := complexobj.NewViewPool(base, opts, s.cfg.MaxViews)
-	if err != nil {
-		base.Close()
-		return fmt.Errorf("server: pool %s: %w", k, err)
+	for i := 0; err == nil && i < len(kinds); i++ {
+		var pool *complexobj.ViewPool
+		if pool, err = complexobj.NewViewPool(bases[i], opts, s.cfg.MaxViews); err != nil {
+			err = fmt.Errorf("server: pool %s: %w", kinds[i], err)
+			break
+		}
+		s.models[kinds[i]] = &served{base: bases[i], pool: pool}
 	}
-	s.models[k] = &served{base: base, pool: pool}
-	return nil
+	if err != nil {
+		for i, b := range bases {
+			if s.models[kinds[i]] != nil {
+				s.closeModelLocked(kinds[i])
+			} else {
+				b.Close()
+			}
+		}
+	}
+	return err
 }
 
 // closeModelLocked stops serving one model: the pool closes (idle views
@@ -178,10 +204,10 @@ func (s *Server) identity() (complexobj.SnapshotInfo, error) {
 	return complexobj.SnapshotInfo{}, fmt.Errorf("server: %s owns no models", s.cfg.ShardMap)
 }
 
-// serveShardLocked opens the shard's models — all of them or none — and
-// marks the shard owned; an already-owned shard is left as it is
-// (idempotent retries). segment, when non-empty, overrides the map's
-// segment path. omu held.
+// serveShardLocked opens the shard's models — all of them or none, as
+// one batch — and marks the shard owned; an already-owned shard is left
+// as it is (idempotent retries). segment, when non-empty, overrides the
+// map's segment path. omu held.
 func (s *Server) serveShardLocked(id int, segment string) (*shard.Shard, error) {
 	sh, seg, kinds, err := s.resolveShardLocked(id)
 	if err != nil || s.ownsLocked(id) {
@@ -190,17 +216,19 @@ func (s *Server) serveShardLocked(id int, segment string) (*shard.Shard, error) 
 	if segment != "" {
 		seg = segment
 	}
-	for i, k := range kinds {
-		if err := s.openModelLocked(k, seg); err != nil {
-			for _, opened := range kinds[:i] {
-				s.closeModelLocked(opened)
-			}
-			return nil, fmt.Errorf("server: acquire shard %d: %w", id, err)
-		}
+	if err := s.openModelsLocked(kinds, seg); err != nil {
+		return nil, fmt.Errorf("server: acquire shard %d: %w", id, err)
 	}
-	s.owned = append(s.owned, id)
-	sort.Ints(s.owned)
+	s.own(id)
 	return sh, nil
+}
+
+// own marks shard id owned; omu held.
+func (s *Server) own(id int) {
+	if !s.ownsLocked(id) {
+		s.owned = append(s.owned, id)
+		sort.Ints(s.owned)
+	}
 }
 
 // rebalanceLocked refuses an ownership change this server cannot make.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -208,29 +209,50 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// openConfigured opens what the configuration serves at startup.
+// openConfigured opens what the configuration serves at startup: the
+// configured models, or the configured shards' models — in one batch per
+// snapshot file, so kinds stored once are mapped once across shards too.
 func (s *Server) openConfigured() error {
 	s.omu.Lock()
 	defer s.omu.Unlock()
-	if s.smap != nil {
-		for _, id := range s.cfg.Shards {
-			if _, err := s.serveShardLocked(id, ""); err != nil {
-				return err
+	if s.smap == nil {
+		models := s.cfg.Models
+		if len(models) == 0 {
+			models = s.info.Models
+		}
+		var kinds []complexobj.ModelKind
+		for _, k := range models {
+			// A kind named twice is served once.
+			if !slices.Contains(kinds, k) {
+				kinds = append(kinds, k)
 			}
 		}
-		return nil
+		return s.openModelsLocked(kinds, s.cfg.Snapshot)
 	}
-	models := s.cfg.Models
-	if len(models) == 0 {
-		models = s.info.Models
-	}
-	for _, k := range models {
-		// A kind named twice is served once.
-		if s.models[k] == nil {
-			if err := s.openModelLocked(k, s.cfg.Snapshot); err != nil {
-				return err
-			}
+	var segs []string
+	batches := make(map[string][]complexobj.ModelKind)
+	var ids []int
+	for _, id := range s.cfg.Shards {
+		if slices.Contains(ids, id) {
+			continue
 		}
+		_, seg, kinds, err := s.resolveShardLocked(id)
+		if err != nil {
+			return err
+		}
+		if _, ok := batches[seg]; !ok {
+			segs = append(segs, seg)
+		}
+		batches[seg] = append(batches[seg], kinds...)
+		ids = append(ids, id)
+	}
+	for _, seg := range segs {
+		if err := s.openModelsLocked(batches[seg], seg); err != nil {
+			return fmt.Errorf("server: shards %v: %w", ids, err)
+		}
+	}
+	for _, id := range ids {
+		s.own(id)
 	}
 	return nil
 }
@@ -258,10 +280,11 @@ func (s *Server) Close() error {
 // Info returns the snapshot metadata of the served database.
 func (s *Server) Info() complexobj.SnapshotInfo { return s.info }
 
-// TotalArenaBytes sums the shared arena sizes of every served base — the
-// memory the bases cost if fully resident, paid once regardless of view
-// count (the RSS smoke bounds the serving process against a multiple of
-// this).
+// TotalArenaBytes sums the arena size of every served model — the memory
+// the bases cost if fully resident, paid once regardless of view count
+// (the RSS smoke bounds the serving process against a multiple of this).
+// The sum is per model: kinds that share one base (one stored layout,
+// mapped once) count its arena once each, so it can exceed what is mapped.
 func (s *Server) TotalArenaBytes() int {
 	s.omu.RLock()
 	defer s.omu.RUnlock()

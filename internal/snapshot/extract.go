@@ -11,13 +11,14 @@ import (
 
 // Extract writes a new snapshot at dst holding only the selected kinds of
 // src, in src's file order. Each entry keeps its header (a checkpoint's
-// watermark included) and its meta blob and arena are copied byte for
-// byte from their offsets — the model data is never decoded, so
-// splitting a paper-scale snapshot into per-shard segments costs one
-// sequential read of the selected regions and nothing else. A base opened
-// from the segment is bit-identical to one opened from the full snapshot
-// (same arena bytes, same meta), which is what makes a shard handoff a
-// file move + mmap rather than a reload.
+// watermark included) with its kind set narrowed to the selected kinds,
+// and its meta blob and arena are copied byte for byte from their offsets
+// — the model data is never decoded, so splitting a paper-scale snapshot
+// into per-shard segments costs one sequential read of the selected
+// regions and nothing else. A base opened from the segment is
+// bit-identical to one opened from the full snapshot (same arena bytes,
+// same meta), which is what makes a shard handoff a file move + mmap
+// rather than a reload.
 //
 // Every requested kind must be present in src; requesting none is an
 // error (a snapshot holds at least one model).
@@ -34,22 +35,26 @@ func Extract(src, dst string, kinds []store.Kind) error {
 	if err != nil {
 		return err
 	}
-	want := make(map[store.Kind]bool, len(kinds))
+	var want kindSet
 	for _, k := range kinds {
-		if want[k] {
+		if want.has(k) {
 			return fmt.Errorf("snapshot: extract: duplicate model %s", k)
 		}
-		want[k] = true
+		want |= setOf(k)
 	}
 	var selected []entry
+	var found kindSet
 	for _, e := range entries {
-		if want[e.kind] {
+		if e.kinds&want != 0 {
+			e.kinds &= want
 			selected = append(selected, e)
-			delete(want, e.kind)
+			found |= e.kinds
 		}
 	}
-	for k := range want {
-		return fmt.Errorf("%w: %s in %s", ErrNoModel, k, filepath.Base(src))
+	for _, k := range kinds {
+		if !found.has(k) {
+			return fmt.Errorf("%w: %s in %s", ErrNoModel, k, filepath.Base(src))
+		}
 	}
 
 	return writeContainer(dst, info.Gen, selected, func(i int, w io.Writer) error {

@@ -17,7 +17,8 @@ import (
 // arriving from other nodes). The invariants: Stat, OpenBase and opening
 // a view of the base never panic; a rejected file is rejected with
 // ErrFormat by Stat and OpenBase alike; an accepted one yields exactly
-// the models Stat lists; no base is ever larger than the input — lengths
+// the models Stat lists, and OpenBases opens them all, one base per
+// entry; no base is ever larger than the input — lengths
 // in the header are believed only as far as the file has bytes to back
 // them — and a base whose metadata blob is garbage fails to open a view
 // with store.ErrRestore instead of serving it.
@@ -25,7 +26,8 @@ func FuzzSnapshotParse(f *testing.F) {
 	// Real files — one model and all five — written here so these seeds
 	// always match the writer; the committed corpus under testdata holds
 	// the hand-built ones (synthetic valid files, a version-1 header, a
-	// truncated entry table, overflowing geometry, metaLen past EOF).
+	// truncated entry table, overflowing geometry, metaLen past EOF, and
+	// version-2 and version-3 entry tables, valid and breaking each rule).
 	gen := cobench.DefaultConfig().WithN(1)
 	stations, err := cobench.Generate(gen)
 	if err != nil {
@@ -88,6 +90,28 @@ func FuzzSnapshotParse(f *testing.F) {
 				base.Release()
 			case slices.Contains(info.Kinds, k) || !errors.Is(err, snapshot.ErrNoModel):
 				t.Fatalf("OpenBase(%s) with Stat kinds %v: %v", k, info.Kinds, err)
+			}
+		}
+		if statErr != nil || len(info.Kinds) == 0 {
+			return
+		}
+		// Every kind Stat lists opens in one batch, each entry once.
+		bases, err := snapshot.OpenBases(path, info.Kinds)
+		if err != nil {
+			t.Fatalf("OpenBases(%v): %v", info.Kinds, err)
+		}
+		owned := map[*store.SharedBase]int{}
+		for _, b := range bases {
+			owned[b]++
+		}
+		for b, n := range owned {
+			if b.Owners() != n || b.ArenaBytes() > len(raw) {
+				t.Fatalf("%s base: %d owners for %d kinds, %d bytes from a %d-byte file", b.Kind(), b.Owners(), n, b.ArenaBytes(), len(raw))
+			}
+		}
+		for _, b := range bases {
+			if err := b.Release(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})

@@ -12,9 +12,9 @@ import (
 
 // A checkpoint is a single-model snapshot with a watermark: the durable
 // commit path keeps each served model in dir/<slug>.codb, an ordinary
-// container whose one entry records the write-ahead-log sequence the
-// arena includes. Replacing it is one atomic rename, and every .codb
-// consumer can open it.
+// container whose one entry holds that one kind and records the
+// write-ahead-log sequence the arena includes. Replacing it is one atomic
+// rename, and every .codb consumer can open it.
 
 // SidecarInfo describes a model's checkpoint file.
 type SidecarInfo struct {
@@ -31,8 +31,9 @@ type SidecarInfo struct {
 	Gen uint64
 }
 
-func (e entry) sidecarInfo() SidecarInfo {
-	return SidecarInfo{Kind: e.kind, PageSize: e.pageSize, NumPages: e.numPages, Seq: e.seq, Gen: e.gen}
+// sidecarInfo describes e as the checkpoint of k.
+func (e entry) sidecarInfo(k store.Kind) SidecarInfo {
+	return SidecarInfo{Kind: k, PageSize: e.pageSize, NumPages: e.numPages, Seq: e.seq, Gen: e.gen}
 }
 
 // Slug returns the file-name slug of a storage model (the short aliases
@@ -68,7 +69,7 @@ func sidecarPath(dir string, k store.Kind) string {
 func WriteSidecar(dir string, b *store.SharedBase, seq uint64) error {
 	gen, numPages, meta, arena := b.SnapshotState()
 	defer arena.Release()
-	e := entry{kind: b.Kind(), pageSize: b.PageSize(), numPages: numPages, seq: seq, gen: gen, metaLen: len(meta)}
+	e := entry{kinds: setOf(b.Kind()), pageSize: b.PageSize(), numPages: numPages, seq: seq, gen: gen, metaLen: len(meta)}
 	return writeContainer(sidecarPath(dir, b.Kind()), cobench.Config{}, []entry{e}, func(_ int, w io.Writer) error {
 		if _, err := w.Write(meta); err != nil {
 			return err
@@ -82,21 +83,26 @@ func WriteSidecar(dir string, b *store.SharedBase, seq uint64) error {
 // anything. os.IsNotExist on the returned error distinguishes "never
 // checkpointed" from corruption.
 func StatSidecar(dir string, k store.Kind) (SidecarInfo, error) {
-	f, e, err := find(sidecarPath(dir, k), k)
+	path := sidecarPath(dir, k)
+	f, entries, err := openParsed(path)
 	if err != nil {
 		return SidecarInfo{}, err
 	}
 	f.Close()
-	return e.sidecarInfo(), nil
+	j, err := holding(entries, k, path)
+	if err != nil {
+		return SidecarInfo{}, err
+	}
+	return entries[j].sidecarInfo(k), nil
 }
 
 // OpenSidecarBase lifts a model's checkpoint in dir into a SharedBase
 // (OpenBase on dir/<slug>.codb, same contract). Returns the checkpoint
 // info alongside so the caller can restore the WAL watermark.
 func OpenSidecarBase(dir string, k store.Kind) (*store.SharedBase, SidecarInfo, error) {
-	base, e, err := openBase(sidecarPath(dir, k), k, disk.CanMapBase)
+	bases, held, err := openBases(sidecarPath(dir, k), []store.Kind{k}, disk.CanMapBase)
 	if err != nil {
 		return nil, SidecarInfo{}, err
 	}
-	return base, e.sidecarInfo(), nil
+	return bases[0], held[0].sidecarInfo(k), nil
 }

@@ -46,7 +46,8 @@ type CommitResult struct {
 // Commits to one base serialize on its publish lock, which spans the
 // generation check, the log append and sync, and the promote: a view
 // whose generation another commit has already moved past fails with
-// ErrStaleBase before a byte of its batch is logged, so a refused commit
+// ErrStaleBase, and a view of a base more than one owner holds with
+// ErrSharedBase, before a byte of its batch is logged, so a refused commit
 // never replays. Commits to different bases still share the log's sync
 // waves (group commit).
 //
@@ -96,7 +97,7 @@ func (v *View) Commit(log *wal.Log) (CommitResult, error) {
 	b := v.base
 	b.publish.Lock()
 	defer b.publish.Unlock()
-	if err := b.stale(b.Gen(), v.st.gen); err != nil {
+	if err := b.promotable(v.st.gen); err != nil {
 		return CommitResult{}, fmt.Errorf("store: commit %s: %w", v.base.kind, err)
 	}
 	if log != nil {

@@ -105,13 +105,19 @@
 // never sees the model's later writes.
 //
 // Kind.Layout names the physical layout a kind is stored in. DSM and
-// DASDBS-DSM are one layout read with two access strategies (§3.1/§3.2):
-// the same arena, the same directory metadata, only the read and update
-// strategy differs. So a base of that layout serves views of both kinds —
-// SharedBase.NewViewAs / OpenAs, the view carries its own kind — and the
-// experiment harness keys its base cache by layout and loads the direct
-// layout once per sweep point, not twice. (The server and the .codb entry
-// table keep one base per kind: their commits belong to a model.)
+// DASDBS-DSM are one layout read with two access strategies (§3.1/§3.2),
+// and NSM and NSM+index are another (§3.3: the same four relations, the
+// index a zero-cost in-memory map over them): the same arena, the same
+// directory metadata, only the read and update strategy differs. So a base
+// of a layout serves views of each of its kinds — SharedBase.NewViewAs /
+// OpenAs, the view carries its own kind — and the experiment harness keys
+// its base cache by layout and loads three layouts per sweep point, not
+// five. The .codb container stores such kinds once when their bytes are
+// equal, and a read-only server maps that entry once: its kinds share one
+// SharedBase, one owner each (Retain; the last Release drops the arena).
+// A shared base is read-only — Promote refuses a base with more than one
+// owner (ErrSharedBase) — so a durable server keeps one base per kind:
+// its commits belong to a model.
 //
 // An Engine (device + buffer pool) backs each model; engines are opened
 // from a disk.BackendSpec: a heap arena for a loader, a copy-on-write

@@ -232,13 +232,17 @@ func TestFreezeLiveModelIsolated(t *testing.T) {
 // TestViewKindOverSharedLayout pins one base per physical layout: a
 // DASDBS-DSM view over the DSM base returns the generator's objects, is a
 // DASDBS-DSM model in every report, and a kind of another layout is
-// refused.
+// refused; an NSM+index view over the NSM base returns the generator's
+// objects too.
 func TestViewKindOverSharedLayout(t *testing.T) {
 	if DASDBSDSM.Layout() != DSM {
 		t.Fatalf("DASDBS-DSM layout = %s, want DSM", DASDBSDSM.Layout())
 	}
+	if NSMIndex.Layout() != NSM {
+		t.Fatalf("NSM+index layout = %s, want NSM", NSMIndex.Layout())
+	}
 	for _, k := range AllKinds() {
-		if k != DASDBSDSM && k.Layout() != k {
+		if k != DASDBSDSM && k != NSMIndex && k.Layout() != k {
 			t.Errorf("%s layout = %s, want its own", k, k.Layout())
 		}
 	}
@@ -304,6 +308,29 @@ func TestViewKindOverSharedLayout(t *testing.T) {
 	}
 	if _, err := base.NewViewAs(NSM, Options{}); err == nil {
 		t.Error("an NSM view opened over a DSM base")
+	}
+
+	nsmBase, err := LoadBase(NSM, Options{}, stations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nsmBase.Release()
+	xv, err := nsmBase.NewViewAs(NSMIndex, Options{BufferPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer xv.Close()
+	if xv.Kind() != NSMIndex || xv.Model().Sizes().Model != NSMIndex.String() {
+		t.Errorf("view runs %s and reports %q", xv.Kind(), xv.Model().Sizes().Model)
+	}
+	for i, want := range stations {
+		got, err := xv.FetchByAddress(i) // only the indexed variant has addresses
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want.Equal(got) {
+			t.Errorf("object %d differs through the NSM+index view", i)
+		}
 	}
 }
 

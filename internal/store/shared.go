@@ -15,6 +15,12 @@ import (
 // is untouched; it can re-run against a fresh view of the new generation.
 var ErrStaleBase = errors.New("store: shared base generation moved")
 
+// ErrSharedBase reports a Promote on a base more than one owner holds
+// (kinds of one physical layout opened together share it): a commit by
+// one kind would change what every other owner serves, so such a base is
+// read-only.
+var ErrSharedBase = errors.New("store: base shared by more than one owner")
+
 // SharedBase is the frozen, immutable state of one loaded storage model:
 // the raw device arena plus the model's directory metadata. Any number of
 // engines can open copy-on-write views of one base concurrently — each
@@ -36,6 +42,11 @@ var ErrStaleBase = errors.New("store: shared base generation moved")
 // land on the promoted state. Every accessor that touches
 // the swappable state is guarded; a *SharedBase is safe for concurrent
 // use.
+//
+// A base has owners: whoever built or opened it holds the first, Retain
+// adds one — the kinds of one physical layout that a snapshot stores once
+// share one base, one owner each — and the last Release drops the arena.
+// Only a base with a single owner promotes.
 type SharedBase struct {
 	kind     Kind
 	pageSize int
@@ -47,6 +58,7 @@ type SharedBase struct {
 	publish sync.Mutex
 
 	mu       sync.RWMutex
+	owners   int // handles holding the base; the last Release drops the arena
 	gen      uint64
 	numPages int
 	dir      *directory
@@ -100,6 +112,7 @@ func NewSharedBase(k Kind, pageSize int, meta []byte, arena *disk.BaseArena) (*S
 		kind:     k,
 		pageSize: pageSize,
 		numPages: arena.Len() / pageSize,
+		owners:   1,
 		dir:      &directory{meta: meta},
 		arena:    arena,
 	}, nil
@@ -237,22 +250,62 @@ func (b *SharedBase) Meta() []byte {
 	return b.dir.meta
 }
 
-// Release drops the owner reference on the current arena. Open views hold
-// their own references, so the arena storage — heap slice or snapshot
-// file mapping — is released only once the last view closes too; opening
-// new views after Release is a bug (the base may already be gone).
+// Retain adds an owner and returns the base: each owner releases once,
+// and the base stays read-only while it has more than one (Promote). The
+// caller must be an owner already.
+func (b *SharedBase) Retain() *SharedBase {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.owners <= 0 {
+		panic("store: retain of a released shared base")
+	}
+	b.owners++
+	return b
+}
+
+// Owners returns the number of owners holding the base (1 unless Retain
+// shared it).
+func (b *SharedBase) Owners() int {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.owners
+}
+
+// Release drops one owner. The last one drops the reference on the
+// current arena; open views hold their own references, so the arena
+// storage — heap slice or snapshot file mapping — is released only once
+// the last view closes too. Opening new views after the last Release is a
+// bug (the base may already be gone); releasing more often than owned is
+// reported as an error.
 func (b *SharedBase) Release() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	switch b.owners--; {
+	case b.owners > 0:
+		return nil
+	case b.owners < 0:
+		return fmt.Errorf("store: shared base %s over-released", b.kind)
+	}
 	return b.arena.Release()
 }
 
-// stale reports a commit built on fromGen while the base is at gen.
-func (b *SharedBase) stale(gen, fromGen uint64) error {
-	if gen == fromGen {
-		return nil
+// promotableLocked refuses a promote built on fromGen: the base has moved
+// past that generation, or more than one owner holds it; b.mu held.
+func (b *SharedBase) promotableLocked(fromGen uint64) error {
+	if b.owners > 1 {
+		return fmt.Errorf("%w: %s has %d owners", ErrSharedBase, b.kind, b.owners)
 	}
-	return fmt.Errorf("%w: %s at generation %d, commit built on %d", ErrStaleBase, b.kind, gen, fromGen)
+	if b.gen != fromGen {
+		return fmt.Errorf("%w: %s at generation %d, commit built on %d", ErrStaleBase, b.kind, b.gen, fromGen)
+	}
+	return nil
+}
+
+// promotable is promotableLocked under the read lock.
+func (b *SharedBase) promotable(fromGen uint64) error {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.promotableLocked(fromGen)
 }
 
 // SnapshotState captures one consistent generation for a checkpoint
@@ -312,7 +365,8 @@ func (b *SharedBase) OpenAs(k Kind, o Options) (Model, error) {
 // (PromotedBytes counts exactly that); the caller keeps what it passed.
 // fromGen must be the current generation (the optimistic-concurrency
 // check: a commit is built against the generation its view read) or the
-// promote fails with ErrStaleBase, changing nothing. The owner reference
+// promote fails with ErrStaleBase, changing nothing; a base with more than
+// one owner fails every promote with ErrSharedBase. The owner reference
 // moves to the new generation; in-flight views of old generations keep
 // their own references and drain independently.
 //
@@ -324,7 +378,7 @@ func (b *SharedBase) Promote(fromGen uint64, numPages int, meta []byte, pages ma
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if err := b.stale(b.gen, fromGen); err != nil {
+	if err := b.promotableLocked(fromGen); err != nil {
 		return 0, err
 	}
 	next, copied := b.arena.Promote(b.pageSize, numPages, pages)

@@ -50,12 +50,17 @@ func (k Kind) String() string {
 // Layout returns the kind whose physical layout k's objects are stored
 // in. DSM and DASDBS-DSM are one layout read with two access strategies
 // (§3.1/§3.2: each station one clustered object with an object header),
-// so DASDBS-DSM reports DSM; every other model has a
-// layout of its own. A base loaded for one kind serves views of every
-// kind with that layout (SharedBase.NewViewAs).
+// so DASDBS-DSM reports DSM. NSM and NSM+index are one layout too — the
+// same four relations, the index being "a zero-cost in-memory index" over
+// them (§3.3) — so NSM+index reports NSM. DASDBS-NSM has a layout of its
+// own. A base loaded for one kind serves views of every kind with that
+// layout (SharedBase.NewViewAs), and a .codb entry stores such kinds once.
 func (k Kind) Layout() Kind {
-	if k == DASDBSDSM {
+	switch k {
+	case DASDBSDSM:
 		return DSM
+	case NSMIndex:
+		return NSM
 	}
 	return k
 }

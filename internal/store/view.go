@@ -42,9 +42,10 @@ func (b *SharedBase) NewView(o Options) (*View, error) { return b.NewViewAs(b.ki
 
 // NewViewAs is NewView for a model of kind k over a base of the same
 // physical layout (Kind.Layout): the arena and the directory metadata of
-// DSM and DASDBS-DSM are identical, so one loaded base serves both and
-// the view's kind alone selects the access strategy. What the view
-// commits belongs to the base, whatever kind wrote it.
+// DSM and DASDBS-DSM are identical, as are those of NSM and NSM+index, so
+// one loaded base serves both kinds of a layout and the view's kind alone
+// selects the access strategy. What the view commits belongs to the base,
+// whatever kind wrote it.
 func (b *SharedBase) NewViewAs(k Kind, o Options) (*View, error) {
 	if k.Layout() != b.kind.Layout() {
 		return nil, fmt.Errorf("store: %s view requested over a base of the %s layout", k, b.kind.Layout())

@@ -57,7 +57,7 @@ func (b *Base) NewView(opts Options) (*View, error) {
 }
 
 func (b *Base) newView(opts store.Options) (*View, error) {
-	sv, err := b.base.NewView(opts)
+	sv, err := b.base.NewViewAs(b.kind.internal(), opts)
 	if err != nil {
 		return nil, err
 	}
