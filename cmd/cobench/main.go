@@ -12,18 +12,23 @@
 //	        [-faults SPEC] [-report out.json] [-write-frac 0]
 //	        [-soak 2m] [-soak-steps 4] [-soak-rss-mb 64]
 //
-// Each storage model is measured on copy-on-write views of its own frozen
-// base, so the model rows are measured concurrently by a bounded worker
-// pool (-workers, 0 = GOMAXPROCS); the printed table is identical for any
-// width. -db maps the bases from a cogen-built snapshot instead of
-// generating and loading the extension.
+// Measured locally, the table is the experiments suite's: one
+// experiments.Suite built from the flags (-n, -maxseeing, -skew and -seed
+// the extension, -loops, -samples and -seed the workload, -buffer,
+// -workers, -db, -faults), whose Measure runs each storage model on a
+// copy-on-write view of its physical layout's frozen base — DSM and
+// DASDBS-DSM share one, NSM and NSM+index another — with the model rows
+// measured concurrently by a bounded worker pool (-workers, 0 =
+// GOMAXPROCS); the printed table is identical for any width. -db maps the
+// bases from a cogen-built snapshot, which must hold the flags'
+// extension, instead of generating and loading it.
 //
 // -repeat measures the whole table that many times (the runs are
 // deterministic and identical; the table is printed once) — useful under
-// -cpuprofile/-memprofile to accumulate signal. Each model's base is
+// -cpuprofile/-memprofile to accumulate signal. Each layout's base is
 // built exactly once per invocation — loaded, or mapped from the snapshot
-// read-only where the platform allows — and every repeat gets a fresh
-// view of it.
+// read-only where the platform allows — and every repeat gets fresh views
+// of it.
 //
 // With -serve-url, cobench drives a running coserve (or coshard) instead:
 // every (model, query, repeat) cell is one HTTP request, and one driver
@@ -56,7 +61,8 @@
 //
 // -faults arms a seeded fault-injection schedule under every local
 // engine (see complexobj.ParseFaultPlan for the grammar); in -serve-url
-// mode faults are the server's business — start coserve -faults instead.
+// mode faults are the server's business — start coserve -faults instead —
+// and so is the snapshot: -db is refused there, start coserve -db.
 // Injected faults surface as errors and never alter the counters of
 // successful runs, so a table measured under a transient-only schedule
 // still diffs clean against the fault-free run.
@@ -67,12 +73,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"complexobj"
 	"complexobj/cobench"
-	"complexobj/internal/fanout"
+	"complexobj/experiments"
 	"complexobj/internal/profile"
+	"complexobj/internal/store"
 	"complexobj/report"
 )
 
@@ -172,21 +180,14 @@ func run(o *options, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-repeat %d: need at least one run", o.repeat)
 	}
 
-	if o.dbPath != "" {
-		info, err := complexobj.StatSnapshot(o.dbPath)
-		if err != nil {
-			return err
-		}
-		if info.Gen != gen {
-			return fmt.Errorf("snapshot %s was built from %+v, flags request %+v", o.dbPath, info.Gen, gen)
-		}
-	}
-
 	var rows [][]string
 	var err error
 	if o.serveURL != "" {
 		if o.faults != "" {
 			return fmt.Errorf("-faults injects under local engines; with -serve-url, arm the server instead (coserve -faults %q)", o.faults)
+		}
+		if o.dbPath != "" {
+			return fmt.Errorf("-db maps a snapshot under local engines; with -serve-url, the server maps its own (coserve -db %q)", o.dbPath)
 		}
 		if o.writeFrac < 0 || o.writeFrac > 1 {
 			return fmt.Errorf("-write-frac %g out of range [0, 1]", o.writeFrac)
@@ -202,15 +203,13 @@ func run(o *options, stdout, stderr io.Writer) error {
 		if o.writeFrac > 0 {
 			return fmt.Errorf("-write-frac drives a durable coserve; pass -serve-url")
 		}
-		plan, perr := complexobj.ParseFaultPlan(o.faults)
-		if perr != nil {
-			return perr
+		s := experiments.New(experiments.Config{
+			Gen: gen, Workload: w, BufferPages: o.buffer, Workers: o.workers, Snapshot: o.dbPath, Faults: o.faults,
+		})
+		rows, err = measureLocal(s, models, queries, o.repeat, get)
+		if cerr := s.Close(); err == nil {
+			err = cerr
 		}
-		opts := complexobj.Options{BufferPages: o.buffer, Faults: plan}
-		openBase := func(k complexobj.ModelKind) (*complexobj.Base, error) {
-			return buildBase(k, o.dbPath, opts, gen)
-		}
-		rows, err = measureModels(models, queries, w, opts, o.workers, o.repeat, openBase, get)
 	}
 	if err != nil || rows == nil { // a soak's deliverable is its verdict, not a table
 		return err
@@ -229,63 +228,34 @@ func run(o *options, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// buildBase builds the one frozen base a model is measured on for the
-// whole invocation: mapped from the snapshot when dbPath is set, otherwise
-// generated, loaded and frozen.
-func buildBase(k complexobj.ModelKind, dbPath string, opts complexobj.Options, gen cobench.Config) (*complexobj.Base, error) {
-	if dbPath != "" {
-		return complexobj.OpenBase(dbPath, k)
-	}
-	db, err := complexobj.OpenLoaded(k, opts, gen)
-	if err != nil {
-		return nil, err
-	}
-	defer db.Close()
-	return db.Freeze()
-}
+// measureLocal measures the table in this process, on the suite built
+// from the flags: its Measure runs every model on a fresh view of its
+// layout's base, repeat times. The suite builds each base once — three
+// layouts for the five models, loaded from one generated extension or
+// mapped from the -db snapshot, which it checks against the generator
+// flags — and every repeat is a view of it. The runs are identical; the
+// rows are the last one's.
+func measureLocal(s *experiments.Suite, models []complexobj.ModelKind, queries []cobench.Query,
+	repeat int, get func(complexobj.QueryResult) float64) ([][]string, error) {
 
-// measureModels runs the selected queries on every model with a bounded
-// worker pool, repeat times. A model is one unit of the pool: it builds
-// its base once (openBase) and every repeat opens a fresh copy-on-write
-// view of it — an independent simulated device and buffer pool — so no
-// mutable storage state is shared; runs are deterministic and identical,
-// and rows come back in model order regardless of scheduling.
-func measureModels(models []complexobj.ModelKind, queries []cobench.Query,
-	w cobench.Workload, opts complexobj.Options, workers, repeat int,
-	openBase func(complexobj.ModelKind) (*complexobj.Base, error),
-	get func(complexobj.QueryResult) float64) ([][]string, error) {
-
+	all, kinds := store.AllKinds(), make([]store.Kind, len(models))
+	for i, m := range models {
+		// The facade's models are the store's, under the paper's names.
+		kinds[i] = all[slices.IndexFunc(all, func(k store.Kind) bool { return k.String() == m.String() })]
+	}
+	var cells [][]experiments.Measured
+	for r := 0; r < repeat; r++ {
+		var err error
+		if cells, err = s.Measure(kinds, queries); err != nil {
+			return nil, err
+		}
+	}
 	rows := make([][]string, len(models))
-	err := fanout.Run(len(models), workers, func(idx int) error {
-		k := models[idx]
-		base, err := openBase(k)
-		if err != nil {
-			return err
+	for i, m := range models {
+		rows[i] = []string{m.String()}
+		for _, c := range cells[i] {
+			rows[i] = append(rows[i], cellText(complexobj.QueryResult{Supported: c.Supported, PerUnit: c.PerUnit}, get))
 		}
-		defer base.Close()
-		for r := 0; r < repeat; r++ {
-			db, err := base.Open(opts)
-			if err != nil {
-				return err
-			}
-			row := []string{k.String()}
-			for _, q := range queries {
-				res, err := db.Run(q, w)
-				if err != nil {
-					db.Close()
-					return err
-				}
-				row = append(row, cellText(res, get))
-			}
-			if err := db.Close(); err != nil {
-				return err
-			}
-			rows[idx] = row
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return rows, nil
 }

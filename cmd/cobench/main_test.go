@@ -1,13 +1,20 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
-	"sync"
+	"slices"
+	"strings"
 	"testing"
 
 	"complexobj"
 	"complexobj/cobench"
+	"complexobj/experiments"
 )
 
 func TestQueryByName(t *testing.T) {
@@ -42,40 +49,97 @@ func TestMetricFn(t *testing.T) {
 	}
 }
 
-// TestRepeatBuildsEachBaseOnce pins the local measuring path: however
-// often the table is repeated, a model's base is built once and every
-// repeat is a view of it — and the table is the same as a single run's.
-func TestRepeatBuildsEachBaseOnce(t *testing.T) {
-	gen := cobench.DefaultConfig().WithN(60)
-	w := cobench.Workload{Loops: 10, Samples: 4, Seed: 3}
-	opts := complexobj.Options{BufferPages: 64}
-	get, _ := metricFn("pages")
-	models := complexobj.AllModels()
+// localArgs is a small local run's flags.
+var localArgs = []string{"-n", "60", "-loops", "10", "-samples", "4", "-buffer", "64", "-workers", "3"}
 
-	measure := func(repeat int) ([][]string, map[complexobj.ModelKind]int) {
-		var mu sync.Mutex
-		built := make(map[complexobj.ModelKind]int)
-		rows, err := measureModels(models, cobench.AllQueries(), w, opts, 3, repeat,
-			func(k complexobj.ModelKind) (*complexobj.Base, error) {
-				mu.Lock()
-				built[k]++
-				mu.Unlock()
-				return buildBase(k, "", opts, gen)
-			}, get)
+// runArgs runs cobench with the given flags and returns what it prints.
+func runArgs(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	fs := flag.NewFlagSet("cobench", flag.ContinueOnError)
+	o := flags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err := run(o, &out, io.Discard)
+	return out.String(), err
+}
+
+// TestRepeatBuildsEachBaseOnce pins the local measuring path: -repeat 3
+// prints the table -repeat 1 prints, and a repeat is a view of the bases
+// the suite built for the first run, not a rebuild — with the snapshot
+// they were mapped from deleted after the first run, three more measure
+// the same table. (That the suite builds three bases for the five models,
+// once each, is experiments' TestMeasureBuildsEachBaseOnce.)
+func TestRepeatBuildsEachBaseOnce(t *testing.T) {
+	once, err := runArgs(t, localArgs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	thrice, err := runArgs(t, append(slices.Clone(localArgs), "-repeat", "3")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if thrice != once {
+		t.Errorf("-repeat 3 prints a different table than -repeat 1:\n%s\n%s", thrice, once)
+	}
+
+	// The flags' extension, stored in a snapshot.
+	gen := cobench.DefaultConfig().WithN(60).WithMaxSeeing(15)
+	gen.Seed = 1993
+	path := filepath.Join(t.TempDir(), "bench.codb")
+	var dbs []*complexobj.DB
+	for _, k := range complexobj.AllModels() {
+		db, err := complexobj.OpenLoaded(k, complexobj.Options{}, gen)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rows, built
+		defer db.Close()
+		dbs = append(dbs, db)
 	}
-	once, _ := measure(1)
-	thrice, built := measure(3)
-	if !reflect.DeepEqual(once, thrice) {
-		t.Errorf("-repeat 3 prints a different table than -repeat 1:\n%v\n%v", thrice, once)
+	if err := complexobj.WriteSnapshot(path, gen, dbs...); err != nil {
+		t.Fatal(err)
 	}
-	for _, k := range models {
-		if built[k] != 1 {
-			t.Errorf("%s: base built %d times over 3 repeats, want 1", k, built[k])
-		}
+	s := experiments.New(experiments.Config{
+		Gen: gen, Workload: cobench.Workload{Loops: 10, Samples: 4, Seed: 1993},
+		BufferPages: 64, Workers: 3, Snapshot: path,
+	})
+	defer s.Close()
+	get, _ := metricFn("pages")
+	first, err := measureLocal(s, complexobj.AllModels(), cobench.AllQueries(), 1, get)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	again, err := measureLocal(s, complexobj.AllModels(), cobench.AllQueries(), 3, get)
+	if err != nil {
+		t.Fatalf("a repeat reopened a base: %v", err)
+	}
+	if !reflect.DeepEqual(first, again) {
+		t.Errorf("repeats over the mapped bases differ:\n%v\n%v", again, first)
+	}
+	fresh := experiments.New(experiments.Config{
+		Gen: gen, Workload: cobench.Workload{Loops: 10, Samples: 4, Seed: 1993}, BufferPages: 64, Workers: 3,
+	})
+	defer fresh.Close()
+	want, err := measureLocal(fresh, complexobj.AllModels(), cobench.AllQueries(), 1, get)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, want) {
+		t.Errorf("the mapped bases measure differently from loaded ones:\n%v\n%v", first, want)
+	}
+}
+
+// TestServeURLRefusesDB: -db maps a snapshot under local engines, so with
+// -serve-url, where the server maps its own, it is refused rather than
+// checked and ignored.
+func TestServeURLRefusesDB(t *testing.T) {
+	_, err := runArgs(t, "-serve-url", "http://127.0.0.1:1", "-db", "absent.codb")
+	if err == nil || !strings.Contains(err.Error(), "coserve -db") {
+		t.Fatalf("-db with -serve-url: err = %v, want a refusal naming coserve -db", err)
 	}
 }
 

@@ -108,7 +108,8 @@ type Options struct {
 	// CountIndexIO equips the NSMIndex model with disk-resident B+-tree
 	// indexes whose page accesses are counted, instead of the paper's
 	// free in-memory address tables (§5.1). See experiments.IndexAblation
-	// for the quantified effect.
+	// for the quantified effect. Open and OpenLoaded honour it; views of a
+	// Base refuse it.
 	CountIndexIO bool
 	// Faults, when non-nil, injects the plan's seeded fault schedule
 	// under every engine opened with these options (see ParseFaultPlan).
@@ -348,15 +349,15 @@ func (b *Base) PromotedBytes() int64 { return b.base.PromotedBytes() }
 func (b *Base) Close() error { return b.base.Release() }
 
 // Open builds a database over a fresh copy-on-write view of the base.
-// opts.CountIndexIO is rejected because counted indexes are rebuilt per
-// run. The view starts with a cold cache and zeroed counters and measures
+// opts.CountIndexIO is rejected: counted indexes are for private
+// databases (Open, OpenLoaded). The view starts with a cold cache and zeroed counters and measures
 // bit-identically to a freshly loaded database.
 func (b *Base) Open(opts Options) (*DB, error) {
-	m, err := b.base.OpenAs(b.kind.internal(), opts.internal())
+	sv, err := b.storeView(opts.internal())
 	if err != nil {
 		return nil, err
 	}
-	return newDB(b.kind, m), nil
+	return newDB(b.kind, sv.Model()), nil
 }
 
 // SnapshotInfo describes a .codb snapshot file.

@@ -253,6 +253,37 @@ func TestCountIndexIOOption(t *testing.T) {
 	}
 }
 
+// TestBaseViewsRefuseCountIndexIO pins the facade's contract: counted
+// index I/O is for private databases, so every view of a base refuses it
+// — Base.Open, Base.NewView and a pool's first Acquire.
+func TestBaseViewsRefuseCountIndexIO(t *testing.T) {
+	db, err := OpenLoaded(NSMIndex, Options{}, cobench.DefaultConfig().WithN(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	base, err := db.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Close()
+	counted := Options{CountIndexIO: true}
+	if _, err := base.Open(counted); err == nil {
+		t.Error("Base.Open accepted CountIndexIO")
+	}
+	if _, err := base.NewView(counted); err == nil {
+		t.Error("Base.NewView accepted CountIndexIO")
+	}
+	pool, err := NewViewPool(base, counted, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	if _, err := pool.Acquire(); err == nil {
+		t.Error("a view pool's Acquire accepted CountIndexIO")
+	}
+}
+
 func TestUpdateObjectFacade(t *testing.T) {
 	db := smallDB(t, DASDBSNSM)
 	err := db.UpdateObject(5, func(s *cobench.Station) error {

@@ -5,9 +5,7 @@ import (
 
 	"complexobj/cobench"
 	"complexobj/internal/buffer"
-	"complexobj/internal/disk"
 	"complexobj/internal/store"
-	"complexobj/internal/workload"
 	"complexobj/report"
 )
 
@@ -45,56 +43,34 @@ var ablationQueries = []cobench.Query{cobench.Q1a, cobench.Q1b, cobench.Q2a, cob
 // value query 1b collapses from a root-relation scan to a logarithmic
 // descent — a real key index is strictly more capable than the paper's
 // address table.
+//
+// Both halves are cells over the suite's NSM base, like every other
+// experiment: a view with the free index, and a counted view that builds
+// its trees into its own overlay when it opens (store.SharedBase.NewViewAs).
 func (s *Suite) IndexAblation() (*IndexAblation, error) {
-	stations, release, err := s.extension(s.cfg.Gen)
+	opts, err := s.storeOptions()
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	run := func(counted bool) (map[cobench.Query]Measured, int, int, error) {
-		opts, err := s.storeOptions()
+	out := &IndexAblation{}
+	var free, counted map[cobench.Query]Measured
+	err = s.withBase(store.NSMIndex, s.cfg.Gen, func(base *store.SharedBase) error {
+		var err error
+		if free, err = runView(base, store.NSMIndex, opts, s.cfg.Workload, ablationQueries, nil); err != nil {
+			return fmt.Errorf("experiments: index ablation (free): %w", err)
+		}
+		opts.CountIndexIO = true
+		counted, err = runView(base, store.NSMIndex, opts, s.cfg.Workload, ablationQueries, func(m store.Model) {
+			out.IndexPages, out.TreeHeight = m.(interface{ IndexStats() (int, int) }).IndexStats()
+		})
 		if err != nil {
-			return nil, 0, 0, err
+			return fmt.Errorf("experiments: index ablation (counted): %w", err)
 		}
-		opts.CountIndexIO = counted
-		// Counted B+-trees are rebuilt per run and cannot be frozen into
-		// a base, so this is the one experiment on a private engine — a
-		// bare overlay, which grows page by page: the trees extend the
-		// device past what the load's sizing pass reserves, and a heap
-		// arena would double to make room.
-		opts.Backend = disk.BackendSpec{Kind: disk.COWArena}
-		m, err := store.New(store.NSMIndex, opts)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		defer m.Engine().Close()
-		if err := m.Load(stations); err != nil {
-			return nil, 0, 0, err
-		}
-		runner := workload.NewRunner(m, s.cfg.Workload)
-		out := make(map[cobench.Query]Measured, len(ablationQueries))
-		for _, q := range ablationQueries {
-			res, err := runner.Run(q)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			out[q] = toMeasured(res)
-		}
-		pages, height := 0, 0
-		if ix, ok := m.(interface{ IndexStats() (int, int) }); ok {
-			pages, height = ix.IndexStats()
-		}
-		return out, pages, height, nil
-	}
-	free, _, _, err := run(false)
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: index ablation (free): %w", err)
+		return nil, err
 	}
-	counted, pages, height, err := run(true)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: index ablation (counted): %w", err)
-	}
-	out := &IndexAblation{IndexPages: pages, TreeHeight: height}
 	for _, q := range ablationQueries {
 		out.Rows = append(out.Rows, IndexAblationRow{
 			Query:        q.String(),

@@ -315,3 +315,70 @@ func peakRSSKB() (int, error) {
 	}
 	return 0, fmt.Errorf("VmHWM not found in /proc/self/status")
 }
+
+// TestMeasureBuildsEachBaseOnce pins Measure, the cell method the matrix
+// and cobench's local table share: three calls over the five models build
+// the three layout bases once each, from one generated extension, and
+// measure the same cells every time.
+func TestMeasureBuildsEachBaseOnce(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Workers = 3
+	s := New(cfg)
+	defer s.Close()
+	first, err := s.Measure(store.AllKinds(), cobench.AllQueries())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 2; r <= 3; r++ {
+		again, err := s.Measure(store.AllKinds(), cobench.AllQueries())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again, first) {
+			t.Errorf("Measure call %d differs from the first", r)
+		}
+	}
+	if s.bases.Built() != 3 || s.exts.Built() != 1 {
+		t.Errorf("three Measure calls built %d bases from %d extensions, want 3 from 1", s.bases.Built(), s.exts.Built())
+	}
+	if len(first) != 5 || len(first[0]) != len(cobench.AllQueries()) || first[3][0].Model != store.NSMIndex.String() {
+		t.Errorf("Measure's rows are not models × queries in order: %d rows", len(first))
+	}
+}
+
+// TestIndexAblationSharesTheSuiteBases pins the index ablation as two
+// cells over the suite's NSM base: after the matrix it builds no base and
+// generates nothing, and on a snapshot-backed suite it maps the NSM entry
+// alone, generates nothing, and measures what a loaded base measures.
+func TestIndexAblationSharesTheSuiteBases(t *testing.T) {
+	s := New(smallConfig())
+	defer s.Close()
+	if _, err := s.Matrix(); err != nil {
+		t.Fatal(err)
+	}
+	bases, exts := s.bases.Built(), s.exts.Built()
+	want, err := s.IndexAblation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.bases.Built() != bases || s.exts.Built() != exts {
+		t.Errorf("the ablation built %d bases and %d extensions after the matrix, want none",
+			s.bases.Built()-bases, s.exts.Built()-exts)
+	}
+
+	cfg := smallConfig()
+	cfg.Snapshot = writeSnapshot(t, smallConfig())
+	db := New(cfg)
+	defer db.Close()
+	got, err := db.IndexAblation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.exts.Built() != 0 || db.bases.Built() != 1 {
+		t.Errorf("on a snapshot the ablation generated %d extensions and opened %d bases, want 0 and 1",
+			db.exts.Built(), db.bases.Built())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the ablation over the snapshot differs:\n%+v\n%+v", got, want)
+	}
+}

@@ -6,17 +6,20 @@
 // Figure 6.
 //
 // There is one way to a loaded model. Every measured cell — the matrix,
-// Figures 5/6, the buffer sweep, Table 7, the policy ablation, the layout
-// sizes behind Table 2 — asks the suite's base cache for the frozen base
-// of its (physical layout, generator configuration), opens a
+// Figures 5/6, the buffer sweep, Table 7, the policy and index ablations,
+// the layout sizes behind Table 2 — asks the suite's base cache for the
+// frozen base of its (physical layout, generator configuration), opens a
 // copy-on-write view of its own kind over it, runs, and closes the view:
 // the first cell to need a base loads it once (or maps it from the
 // configured snapshot), every other cell shares it, and a cell's memory is
-// the pages it dirties. The five models have three physical layouts
+// the pages it dirties (the index ablation's counted view adds its
+// B+-trees to those). The five models have three physical layouts
 // (store.Kind.Layout: DSM and DASDBS-DSM share one, NSM and NSM+index
-// another), so a configuration costs three bases, not five. Every experiment is a fan-out over such cells; Config.Workers
-// is only the fan-out's width. The one exception is the index ablation,
-// whose counted B+-trees are rebuilt per run and cannot be frozen.
+// another), so a configuration costs three bases, not five. Every
+// experiment is a fan-out over such cells; Config.Workers is only the
+// fan-out's width. Measure is that cell method for the suite's own
+// configuration, open to callers outside the package (cobench's local
+// table).
 //
 // A Suite holds what it derives through one build-once cache (cache.go),
 // in two instances: the generated extensions, keyed by generator
@@ -37,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"complexobj/cobench"
@@ -348,41 +352,53 @@ func (m *Matrix) Models() []string {
 	return out
 }
 
-// Matrix runs (once) every benchmark query on every storage model.
-//
-// The grid is one fan-out over the storage models: each unit opens one
-// view of its model's cached base and runs the seven queries on it in
-// paper order. Every query starts from a cold cache with freshly reset
-// counters, so the measured numbers are independent of the width
-// (TestMatrixParallelDeterminism) and equal to a privately loaded engine's
+// Matrix runs (once) every benchmark query on every storage model: the
+// grid is Measure over all kinds and queries, flattened. Every query
+// starts from a cold cache with freshly reset counters, so the measured
+// numbers are independent of the width (TestMatrixParallelDeterminism)
+// and equal to a privately loaded engine's
 // (TestMatrixSharedBaseDeterminism). Row order is always the paper's:
 // models in AllKinds order, queries in AllQueries order.
 func (s *Suite) Matrix() (*Matrix, error) {
 	if s.matrix != nil {
 		return s.matrix, nil
 	}
+	cells, err := s.Measure(store.AllKinds(), cobench.AllQueries())
+	if err != nil {
+		return nil, err
+	}
+	s.matrix = &Matrix{Rows: slices.Concat(cells...)}
+	return s.matrix, nil
+}
+
+// Measure runs the queries on each of the models over the suite's own
+// configuration, a fan-out Config.Workers wide with one unit per model:
+// each unit opens a fresh view of its layout's cached base, runs the
+// queries in order on it and closes it. The result has one row per model,
+// in models order, of one cell per query, in queries order. Nothing is
+// kept but the bases, so a repeated call measures again — identically —
+// on new views of the same bases.
+func (s *Suite) Measure(models []store.Kind, queries []cobench.Query) ([][]Measured, error) {
 	opts, err := s.storeOptions()
 	if err != nil {
 		return nil, err
 	}
-	kinds := store.AllKinds()
-	queries := cobench.AllQueries()
-	rows := make([]Measured, len(kinds)*len(queries))
-	err = fanout.Run(len(kinds), s.workers(), func(ki int) error {
-		res, err := s.runQueries(kinds[ki:ki+1], opts, s.cfg.Gen, s.cfg.Workload, queries...)
+	rows := make([][]Measured, len(models))
+	err = fanout.Run(len(models), s.workers(), func(i int) error {
+		res, err := s.runQueries(models[i:i+1], opts, s.cfg.Gen, s.cfg.Workload, queries...)
 		if err != nil {
 			return err
 		}
+		rows[i] = make([]Measured, len(queries))
 		for qi, q := range queries {
-			rows[ki*len(queries)+qi] = res[0][q]
+			rows[i][qi] = res[0][q]
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	s.matrix = &Matrix{Rows: rows}
-	return s.matrix, nil
+	return rows, nil
 }
 
 func toMeasured(res workload.Result) Measured {
@@ -415,33 +431,43 @@ func layoutGroups(models []store.Kind) [][2]int {
 
 // runQueries is the one way a cell is measured: acquire the base of the
 // given kinds — which must share one physical layout — under the
-// generator configuration gen (see withBase), and for each kind open a
-// copy-on-write view, run the selected queries on it with the given
-// workload, and close it. Results come back in kinds order. Safe to call
-// from fan-out workers.
+// generator configuration gen (see withBase), and for each kind run the
+// selected queries on a view of it (runView). Results come back in kinds
+// order. Safe to call from fan-out workers.
 func (s *Suite) runQueries(kinds []store.Kind, opts store.Options, gen cobench.Config, w cobench.Workload, queries ...cobench.Query) ([]map[cobench.Query]Measured, error) {
 	out := make([]map[cobench.Query]Measured, len(kinds))
 	err := s.withBase(kinds[0], gen, func(base *store.SharedBase) error {
 		for i, k := range kinds {
-			m, err := base.OpenAs(k, opts)
-			if err != nil {
-				return err
-			}
-			out[i] = make(map[cobench.Query]Measured, len(queries))
-			runner := workload.NewRunner(m, w)
-			for _, q := range queries {
-				res, err := runner.Run(q)
-				if err != nil {
-					m.Engine().Close()
-					return fmt.Errorf("experiments: %s %s: %w", k, q, err)
-				}
-				out[i][q] = toMeasured(res)
-			}
-			if err := m.Engine().Close(); err != nil {
+			var err error
+			if out[i], err = runView(base, k, opts, w, queries, nil); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
 	return out, err
+}
+
+// runView opens a copy-on-write view of kind k over base, runs the
+// queries on it in order with the workload w, hands the model to inspect
+// (when non-nil) and closes the view.
+func runView(base *store.SharedBase, k store.Kind, opts store.Options, w cobench.Workload, queries []cobench.Query, inspect func(store.Model)) (map[cobench.Query]Measured, error) {
+	m, err := base.OpenAs(k, opts)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[cobench.Query]Measured, len(queries))
+	runner := workload.NewRunner(m, w)
+	for _, q := range queries {
+		res, err := runner.Run(q)
+		if err != nil {
+			m.Engine().Close()
+			return nil, fmt.Errorf("experiments: %s %s: %w", k, q, err)
+		}
+		out[q] = toMeasured(res)
+	}
+	if inspect != nil {
+		inspect(m)
+	}
+	return out, m.Engine().Close()
 }

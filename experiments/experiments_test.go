@@ -520,7 +520,8 @@ func TestIndexAblation(t *testing.T) {
 // (counted B+-tree descents and the groupRIDs scratch), so any change to
 // the decode or index-probe code that shifts a single counter shows up
 // here as a cell diff. The values are backend-invariant: counters are
-// logical, so mem, file and cow report the same digits.
+// logical, so a private counted load and a counted view of the NSM base
+// report the same digits.
 func TestIndexAblationAndTable7Golden(t *testing.T) {
 	a, err := paperSuite(t).IndexAblation()
 	if err != nil {

@@ -153,43 +153,3 @@ func (b *memBackend) StablePage(off, n int) ([]byte, bool) {
 	}
 	return b.arena[off : off+n : off+n], true
 }
-
-// BackendKind enumerates the built-in backend implementations.
-type BackendKind int
-
-const (
-	// MemArena keeps page images on the Go heap (default): the arena a
-	// loader builds and a base adopts.
-	MemArena BackendKind = iota
-	// COWArena layers a private page-granular overlay over a shared,
-	// immutable base arena (copy-on-write). With a nil base it degenerates
-	// to a fully private overlay arena.
-	COWArena
-)
-
-// BackendSpec describes how to construct a backend. Specs (not Backend
-// instances) are what flows through store.Options: every engine opens its
-// own arena from the spec, so independent engines never collide. The one
-// deliberately shared piece of state is Base: COW engines opened from the
-// same spec all read through the same immutable base arena.
-type BackendSpec struct {
-	Kind BackendKind
-	// Base is the shared immutable base arena for COWArena backends.
-	// nil means an empty base: every written page lives in the overlay.
-	Base *BaseArena
-}
-
-// Open constructs a fresh backend per the spec, for a device with the
-// given page size (the COW overlay granularity; 0 means DefaultPageSize).
-// COWArena specs with a Base share that base across every engine opened
-// from the spec.
-func (s BackendSpec) Open(pageSize int) (Backend, error) {
-	switch s.Kind {
-	case MemArena:
-		return NewMemBackend(), nil
-	case COWArena:
-		return NewCOWBackend(s.Base, pageSize), nil
-	default:
-		return nil, fmt.Errorf("disk: unknown backend kind %d", int(s.Kind))
-	}
-}

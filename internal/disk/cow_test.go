@@ -397,35 +397,3 @@ func TestMappedBaseArena(t *testing.T) {
 		t.Errorf("empty region: len=%d err=%v", empty.Len(), err)
 	}
 }
-
-// TestCOWSpecOpen asserts the spec path: a spec carrying a Base opens
-// views sharing it; a bare "cow" spec opens an empty private arena.
-func TestCOWSpecOpen(t *testing.T) {
-	const ps = 512
-	base, pristine := testBase(ps, 4)
-	spec := BackendSpec{Kind: COWArena, Base: base}
-	b1, err := spec.Open(ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b1.Close()
-	if b1.Len() != 4*ps {
-		t.Fatalf("spec view Len = %d, want %d", b1.Len(), 4*ps)
-	}
-	got := make([]byte, ps)
-	if err := b1.ReadAt(got, ps); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, pristine[ps:2*ps]) {
-		t.Fatal("spec view does not read the base")
-	}
-
-	bare, err := BackendSpec{Kind: COWArena}.Open(ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bare.Close()
-	if bare.Len() != 0 {
-		t.Fatalf("bare cow spec Len = %d, want 0", bare.Len())
-	}
-}

@@ -22,13 +22,14 @@
 // offset-based byte I/O (Len, Grow, ReadAt, WriteAt, Close) over one
 // logical arena — the device's one write path — and may additionally lend
 // out stable page memory for reads and dumps (StablePager). Two
-// implementations exist:
+// implementations exist, and an engine's role picks one:
 //
-//   - mem: the arena on the Go heap — what a loader builds into and what
-//     Detach hands to a base as its floor;
-//   - cow: a page-granular private overlay over a shared immutable
-//     BaseArena (copy-on-write) — what every measured or served engine
-//     runs on.
+//   - mem (NewMemBackend): the arena on the Go heap — what a loader
+//     builds into and what Detach hands to a base as its floor, and what
+//     a private database runs on;
+//   - cow (NewCOWBackend): a page-granular private overlay over a shared
+//     immutable BaseArena (copy-on-write) — what every measured or served
+//     view runs on, opened empty and landed on its base by RebaseView.
 //
 // Neither persists anything: what persists an arena is a .codb snapshot
 // (internal/snapshot), the one on-disk form, which a BaseArena maps back

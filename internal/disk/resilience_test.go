@@ -18,17 +18,11 @@ const pageSize = 128
 
 // openBackend builds one backend of each flavor ("cow" over a nil base:
 // a fully private overlay).
-func openBackend(t *testing.T, kind string) disk.Backend {
-	t.Helper()
-	spec := disk.BackendSpec{Kind: disk.MemArena}
+func openBackend(kind string) disk.Backend {
 	if kind == "cow" {
-		spec.Kind = disk.COWArena
+		return disk.NewCOWBackend(nil, pageSize)
 	}
-	b, err := spec.Open(pageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return disk.NewMemBackend()
 }
 
 // faultedDisk is a device over a wrapped backend of the given flavor with
@@ -38,7 +32,7 @@ func openBackend(t *testing.T, kind string) disk.Backend {
 func faultedDisk(t *testing.T, kind string, spec faultdisk.Spec) (*disk.Disk, *faultdisk.Injector) {
 	t.Helper()
 	in := faultdisk.New(spec)
-	d := disk.NewWithBackend(pageSize, in.Wrap(openBackend(t, kind), pageSize))
+	d := disk.NewWithBackend(pageSize, in.Wrap(openBackend(kind), pageSize))
 	t.Cleanup(func() { d.Close() })
 	return d, in
 }

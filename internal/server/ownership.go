@@ -44,10 +44,11 @@ type served struct {
 	base *complexobj.Base
 	pool *complexobj.ViewPool
 	// commitMu is held across lease → execute → commit by a commit=1
-	// request: View.Commit requires the commits of one base to be
-	// serialized (two views of the same generation racing Promote would
-	// fail one of them after its durable log append). Read-only requests
-	// never touch it.
+	// request, so no other commit lands between its lease and its commit:
+	// its view is never stale and the commit is never refused for it.
+	// Without it nothing unsafe happens — the base's publish lock refuses
+	// a stale view before anything is logged — but racing commit requests
+	// would fail. Read-only requests never touch it.
 	commitMu sync.Mutex
 }
 

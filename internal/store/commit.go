@@ -57,6 +57,9 @@ type CommitResult struct {
 // is clean and the flush a no-op on the benchmark path); log append and
 // promotion never touch the device.
 func (v *View) Commit(log *wal.Log) (CommitResult, error) {
+	if err := v.singleUse("commit"); err != nil {
+		return CommitResult{}, err
+	}
 	eng := v.eng
 	if err := eng.Pool.FlushAll(); err != nil {
 		return CommitResult{}, fmt.Errorf("store: commit %s: flush: %w", v.base.kind, err)

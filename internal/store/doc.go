@@ -86,8 +86,8 @@
 // nf2's arithmetic on its schema (TupleType.FlatSize / NestedSize), and
 // page counts come from heap.Sizer and longobj.Sizer, which share their
 // arithmetic with the insert paths — and when the pass misses something
-// (the counted-index ablation's B+-trees) the device's doubling fallback
-// takes over. The inserts then write each station's records straight from
+// (the B+-trees of a private counted-index load) the device's doubling
+// fallback takes over. The inserts then write each station's records straight from
 // the cobench structs into one reused buffer per model with an
 // nf2.Appender (one function per record kind lists its attributes, once
 // for all models), never through an nf2.Tuple tree — that encoder is the
@@ -119,17 +119,27 @@
 // owner (ErrSharedBase) — so a durable server keeps one base per kind:
 // its commits belong to a model.
 //
-// An Engine (device + buffer pool) backs each model; engines are opened
-// from a disk.BackendSpec: a heap arena for a loader, a copy-on-write
-// overlay for a view — where the page bytes live never changes the
-// measured counters. A loaded model becomes an immutable SharedBase
-// (LoadBase, Freeze) from which any number of copy-on-write views open
-// cheaply — one loaded extension shared across every cell of every
-// experiment. Engine.Close on a view releases only the
-// view's private overlay; the base arena itself is reference counted
+// An Engine (device + buffer pool) backs each model, and its backend
+// follows from its role: NewEngine and New open a heap arena — a loader's
+// (LoadBase), a private database's — and a view gets a copy-on-write
+// overlay that lands on its base (NewViewAs). Where the page bytes live
+// never changes the measured counters. A loaded model becomes an
+// immutable SharedBase (LoadBase, Freeze) from which any number of
+// copy-on-write views open cheaply — one loaded extension shared across
+// every cell of every experiment. Engine.Close on a view releases only
+// the view's private overlay; the base arena itself is reference counted
 // (disk.BaseArena) and survives until its last view and its last handle
 // are gone, so a SharedBase.Release never pulls a mapped snapshot out
 // from under a running query.
+//
+// The counted-index ablation runs on such a view too. A view opened with
+// Options.CountIndexIO (NSM+index only) builds its four B+-trees into its
+// own overlay once it lands, past the base's pages — the page ids a
+// private counted load gives them, keys and positions read from the
+// attached directory — and then starts cold with zeroed counters, so it
+// measures exactly what a private counted load measures. Its trees live
+// only in that overlay, so it is single-use: Recycle, Rebase and Commit
+// refuse it.
 //
 // Options.Pages names who inherits an engine's page buffers (internal/disk,
 // "Page buffer ownership"): a clean Engine.Close hands its frame buffers

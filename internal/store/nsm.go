@@ -96,9 +96,9 @@ type nsm struct {
 	seeingTree  *btree.Tree
 
 	// ridScratch backs groupRIDs results between probes. Callers fully
-	// consume the slice before the next probe, and countIndexIO models are
-	// rejected by the shared (concurrent) open path, so one scratch per
-	// model is safe.
+	// consume the slice before the next probe, and a model — a counted
+	// view's too — has one driver at a time, so one scratch per model is
+	// safe.
 	ridScratch []heap.RID
 
 	// enc is the encode buffer of the tuple being inserted or updated.
@@ -198,7 +198,7 @@ func (m *nsm) Load(stations []*cobench.Station) error {
 		m.seeingRIDs = append(m.seeingRIDs, grids)
 	}
 	if m.countIndexIO {
-		if err := m.buildTrees(stations); err != nil {
+		if err := m.buildTrees(); err != nil {
 			return err
 		}
 	}
@@ -293,10 +293,16 @@ func (m *nsm) insertSubs(s *cobench.Station) (prids, crids, grids []heap.RID, er
 	return prids, crids, grids, nil
 }
 
-// buildTrees materializes the disk-resident indexes after the bulk load
-// (load-time I/O is excluded from measurements by the harness).
-func (m *nsm) buildTrees(stations []*cobench.Station) error {
-	var err error
+// buildTrees materializes the disk-resident indexes over the loaded
+// relations, after a private bulk load or when a counted view lands on a
+// base (load-time I/O is excluded from measurements either way). Keys and
+// positions come from the directory, so both build the same trees on the
+// same pages.
+func (m *nsm) buildTrees() error {
+	keys, err := invertKeys(m.keyIdx, len(m.stationRID))
+	if err != nil {
+		return err
+	}
 	if m.stationTree, err = btree.New(m.eng.Dev, m.eng.Pool); err != nil {
 		return err
 	}
@@ -309,8 +315,8 @@ func (m *nsm) buildTrees(stations []*cobench.Station) error {
 	if m.seeingTree, err = btree.New(m.eng.Dev, m.eng.Pool); err != nil {
 		return err
 	}
-	for i, s := range stations {
-		if err := m.stationTree.Insert(uint64(uint32(s.Key)), packRID(m.stationRID[i])); err != nil {
+	for i, key := range keys {
+		if err := m.stationTree.Insert(uint64(uint32(key)), packRID(m.stationRID[i])); err != nil {
 			return err
 		}
 		for j, rid := range m.platRIDs[i] {

@@ -22,42 +22,49 @@ func TestNewEngineValidationErrors(t *testing.T) {
 	}
 }
 
-// TestNewEngineFailureLeaksNoBaseRef: a constructor that fails validation
-// over a COW spec must not have taken (and lost) a base-arena reference —
-// the leak would keep snapshot mappings alive forever in a long-lived
-// server that retries engine construction.
+// TestNewEngineFailureLeaksNoBaseRef: a view whose engine fails
+// validation must not have taken (and lost) a base-arena reference — the
+// leak would keep snapshot mappings alive forever in a long-lived server
+// that retries view construction.
 func TestNewEngineFailureLeaksNoBaseRef(t *testing.T) {
-	arena := disk.NewBaseArena(make([]byte, 4*disk.DefaultPageSize))
-	defer arena.Release()
-	spec := disk.BackendSpec{Kind: disk.COWArena, Base: arena}
+	stations, err := cobench.Generate(cobench.DefaultConfig().WithN(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := LoadBase(DSM, Options{}, stations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Release()
+	arena := base.arena
 
-	if _, err := NewEngine(Options{PageSize: 16, Backend: spec}); err == nil {
+	if _, err := base.NewView(Options{PageSize: 16}); err == nil {
 		t.Fatal("invalid page size accepted")
 	}
 	if got := arena.Refs(); got != 1 {
-		t.Errorf("refs after failed NewEngine (bad page size) = %d, want 1", got)
+		t.Errorf("refs after failed view (bad page size) = %d, want 1", got)
 	}
-	if _, err := NewEngine(Options{BufferPages: -5, Backend: spec}); err == nil {
+	if _, err := base.NewView(Options{BufferPages: -5}); err == nil {
 		t.Fatal("negative buffer capacity accepted")
 	}
 	if got := arena.Refs(); got != 1 {
-		t.Errorf("refs after failed NewEngine (bad buffer) = %d, want 1", got)
+		t.Errorf("refs after failed view (bad buffer) = %d, want 1", got)
 	}
 
-	// A successful engine takes exactly one reference and returns it on
+	// A successful view takes exactly one reference and returns it on
 	// Close — the baseline the failure paths are measured against.
-	eng, err := NewEngine(Options{Backend: spec})
+	v, err := base.NewView(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := arena.Refs(); got != 2 {
-		t.Errorf("refs with one live engine = %d, want 2", got)
+		t.Errorf("refs with one live view = %d, want 2", got)
 	}
-	if err := eng.Close(); err != nil {
+	if err := v.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if got := arena.Refs(); got != 1 {
-		t.Errorf("refs after engine Close = %d, want 1", got)
+		t.Errorf("refs after view Close = %d, want 1", got)
 	}
 }
 

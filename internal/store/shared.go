@@ -146,10 +146,8 @@ func Freeze(m Model) (*SharedBase, error) {
 // extension is loaded into a heap arena the sizing pass reserved in one
 // piece, and that arena then becomes the base's floor — one allocation,
 // no copy. The loader never leaves this function; o supplies the page
-// size and fault schedule (the backend spec is superseded: a loader
-// exists to be adopted, and only a heap arena can be).
+// size and fault schedule.
 func LoadBase(k Kind, o Options, stations []*cobench.Station) (*SharedBase, error) {
-	o.Backend = disk.BackendSpec{Kind: disk.MemArena}
 	m, err := New(k, o)
 	if err != nil {
 		return nil, err
@@ -339,9 +337,8 @@ func (b *SharedBase) capture() (baseState, *disk.BaseArena) {
 
 // Open builds a model over a fresh copy-on-write view of the base. The
 // options select the runtime knobs (buffer size, policy); the page size
-// comes from the base and must not conflict with a non-zero o.PageSize,
-// and any configured backend spec is superseded by the COW view. Closing
-// the returned model's engine releases only its private overlay.
+// comes from the base and must not conflict with a non-zero o.PageSize.
+// Closing the returned model's engine releases only its private overlay.
 func (b *SharedBase) Open(o Options) (Model, error) { return b.OpenAs(b.kind, o) }
 
 // OpenAs is Open for a model of kind k, which must share the base's

@@ -150,7 +150,9 @@ func checksumBase(b *SharedBase) []byte {
 	return b.arena.Bytes()
 }
 
-// TestSharedBaseRejectsConflicts pins the option validation.
+// TestSharedBaseRejectsConflicts pins the option validation: a page size
+// other than the base's is refused, and CountIndexIO opens a counted view
+// for NSM+index only, never for NSM over the same base.
 func TestSharedBaseRejectsConflicts(t *testing.T) {
 	stations, err := cobench.Generate(cobench.DefaultConfig().WithN(20))
 	if err != nil {
@@ -165,8 +167,15 @@ func TestSharedBaseRejectsConflicts(t *testing.T) {
 	if _, err := base.Open(Options{PageSize: 1024}); err == nil {
 		t.Error("conflicting page size accepted")
 	}
-	if _, err := base.Open(Options{CountIndexIO: true}); err == nil {
-		t.Error("counted index I/O accepted from a shared base")
+	if _, err := base.OpenAs(NSM, Options{CountIndexIO: true}); err == nil {
+		t.Error("counted index I/O accepted for an NSM view")
+	}
+	counted, err := base.Open(Options{CountIndexIO: true})
+	if err != nil {
+		t.Fatalf("counted NSM+index view refused: %v", err)
+	}
+	if err := counted.Engine().Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -119,7 +119,7 @@ func (m *direct) RestoreMeta(meta []byte) error {
 // SnapshotMeta implements Model.
 func (m *nsm) SnapshotMeta() ([]byte, error) {
 	if m.countIndexIO {
-		return nil, fmt.Errorf("store: %s: snapshots unsupported with counted index I/O (the ablation's B+-trees are rebuilt per run)", m.Kind())
+		return nil, fmt.Errorf("store: %s: snapshots unsupported with counted index I/O (the B+-trees live in the engine's own pages)", m.Kind())
 	}
 	n := len(m.stationRID)
 	keys, err := invertKeys(m.keyIdx, n)

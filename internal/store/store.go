@@ -95,12 +95,10 @@ type Options struct {
 	// counted. The paper explicitly excludes index I/O ("we did not
 	// account for additional I/Os needed ... to retrieve the tables with
 	// addresses", §5.1); this option quantifies that accounting choice
-	// (see experiments.IndexAblation). Only NSMIndex honours it.
+	// (see experiments.IndexAblation). Only NSMIndex honours it: a
+	// private engine builds the trees when it loads, a view of a base
+	// into its own overlay when it opens (SharedBase.NewViewAs).
 	CountIndexIO bool
-	// Backend selects where the device arena lives (zero value: memory).
-	// The backend never changes the measured counters, only where the
-	// page bytes are stored.
-	Backend disk.BackendSpec
 	// Faults, when non-nil, wraps every backend opened through these
 	// options in the injector's seeded fault schedule (transient and
 	// permanent I/O errors, latency, short reads, torn writes). Injected
@@ -138,38 +136,32 @@ type Engine struct {
 	ints []int // IntScratch
 }
 
-// NewEngine creates a device/pool pair over the backend named by the
-// options. A backend that already holds page images (a COW view over a
-// shared base) is adopted: its pages count as allocated, so fresh
-// allocations extend the base instead of aliasing it.
-func NewEngine(o Options) (*Engine, error) {
+// NewEngine creates a device/pool pair over a fresh heap arena: the
+// engine of a loader (LoadBase) or of a private database. An engine's
+// backend follows from its role; a view's is a copy-on-write overlay
+// (NewViewAs).
+func NewEngine(o Options) (*Engine, error) { return newEngine(o, false) }
+
+// newEngine creates an empty device/pool pair over a heap arena, or with
+// cow over an empty copy-on-write overlay that RebaseView lands on a base.
+func newEngine(o Options, cow bool) (*Engine, error) {
 	o = o.withDefaults()
-	// Validate before opening the backend: an invalid configuration must
-	// come back as an error, not as a construction panic holding a base
-	// reference.
 	if o.PageSize <= disk.SysHeaderSize {
 		return nil, fmt.Errorf("store: page size %d not larger than the %d-byte system header", o.PageSize, disk.SysHeaderSize)
 	}
 	if o.BufferPages < 0 {
 		return nil, fmt.Errorf("store: negative buffer capacity %d", o.BufferPages)
 	}
-	b, err := o.Backend.Open(o.PageSize)
-	if err != nil {
-		return nil, err
+	var b disk.Backend
+	if cow {
+		b = disk.NewCOWBackend(nil, o.PageSize)
+	} else {
+		b = disk.NewMemBackend()
 	}
 	if o.Faults != nil {
 		b = o.Faults.Wrap(b, o.PageSize)
 	}
-	var dev *disk.Disk
-	if b.Len() > 0 {
-		dev, err = disk.Open(o.PageSize, b)
-		if err != nil {
-			b.Close()
-			return nil, err
-		}
-	} else {
-		dev = disk.NewWithBackend(o.PageSize, b)
-	}
+	dev := disk.NewWithBackend(o.PageSize, b)
 	dev.SetPagePool(o.Pages)
 	return &Engine{Dev: dev, Pool: buffer.New(dev, o.BufferPages, o.Policy), opts: o}, nil
 }

@@ -35,9 +35,8 @@ type View struct {
 // generation, ready for its first request: cold cache, zeroed counters.
 // The options select the runtime knobs (buffer size, policy); the page
 // size comes from the base and must not conflict with a non-zero
-// o.PageSize, and any configured backend spec is superseded by the COW
-// view. A fresh view is an empty engine rebased onto the base — the one
-// way a view lands on a generation.
+// o.PageSize. A fresh view is an empty engine rebased onto the base — the
+// one way a view lands on a generation.
 func (b *SharedBase) NewView(o Options) (*View, error) { return b.NewViewAs(b.kind, o) }
 
 // NewViewAs is NewView for a model of kind k over a base of the same
@@ -46,6 +45,14 @@ func (b *SharedBase) NewView(o Options) (*View, error) { return b.NewViewAs(b.ki
 // one loaded base serves both kinds of a layout and the view's kind alone
 // selects the access strategy. What the view commits belongs to the base,
 // whatever kind wrote it.
+//
+// o.CountIndexIO opens a counted NSM+index view: once landed, the view
+// builds its four B+-trees into its own overlay, past the base's pages —
+// at the page ids a private load gives them — and then starts cold with
+// zeroed counters, so it measures what a private counted load measures.
+// Such a view is single-use: Recycle and Rebase would drop its trees and
+// Commit would publish them, so all three refuse it. Every other kind
+// refuses CountIndexIO.
 func (b *SharedBase) NewViewAs(k Kind, o Options) (*View, error) {
 	if k.Layout() != b.kind.Layout() {
 		return nil, fmt.Errorf("store: %s view requested over a base of the %s layout", k, b.kind.Layout())
@@ -53,21 +60,35 @@ func (b *SharedBase) NewViewAs(k Kind, o Options) (*View, error) {
 	if o.PageSize != 0 && o.PageSize != b.pageSize {
 		return nil, fmt.Errorf("store: page size %d requested, shared base has %d", o.PageSize, b.pageSize)
 	}
-	if o.CountIndexIO {
-		return nil, fmt.Errorf("store: counted index I/O is rebuilt per run and cannot open from a shared base")
+	if o.CountIndexIO && k != NSMIndex {
+		return nil, fmt.Errorf("store: counted index I/O requested for %s, only %s has an index", k, NSMIndex)
 	}
 	o.PageSize = b.pageSize
-	o.Backend = disk.BackendSpec{Kind: disk.COWArena}
-	eng, err := NewEngine(o)
+	eng, err := newEngine(o, true)
 	if err != nil {
 		return nil, err
 	}
 	v := &View{base: b, kind: k, eng: eng, m: NewWithEngine(k, eng)}
-	if err := v.Rebase(); err != nil {
+	err = v.rebase()
+	if err == nil && o.CountIndexIO {
+		if err = v.m.(*nsm).buildTrees(); err == nil {
+			err = eng.ColdCache()
+			eng.ResetStats()
+		}
+	}
+	if err != nil {
 		eng.Close()
 		return nil, fmt.Errorf("store: open shared base %s: %w", b.kind, err)
 	}
 	return v, nil
+}
+
+// singleUse refuses op on a counted view (NewViewAs).
+func (v *View) singleUse(op string) error {
+	if v.eng.opts.CountIndexIO {
+		return fmt.Errorf("store: cannot %s a counted-index view: its B+-trees live in its overlay", op)
+	}
+	return nil
 }
 
 // Gen returns the base generation the view reads. A view stays on its
@@ -106,6 +127,9 @@ func (v *View) dirty() bool {
 // generation's directory as well (reported in rebuilt): O(1), dropping any
 // private copy of the tables. On error the view must be closed.
 func (v *View) Recycle() (rebuilt bool, err error) {
+	if err := v.singleUse("recycle"); err != nil {
+		return false, err
+	}
 	dirty := v.dirty()
 	if err := v.eng.Pool.Discard(); err != nil {
 		return false, fmt.Errorf("store: recycle %s: %w", v.base.kind, err)
@@ -136,6 +160,14 @@ func (v *View) Recycle() (rebuilt bool, err error) {
 // engine, frame buffers, overlay index and page images. Whatever the view
 // had written and not committed is dropped. On error it must be closed.
 func (v *View) Rebase() error {
+	if err := v.singleUse("rebase"); err != nil {
+		return err
+	}
+	return v.rebase()
+}
+
+// rebase is Rebase without the counted-view refusal: how NewViewAs lands.
+func (v *View) rebase() error {
 	b := v.base
 	st, arena := b.capture()
 	defer arena.Release()

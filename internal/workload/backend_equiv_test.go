@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"complexobj/cobench"
-	"complexobj/internal/disk"
 	"complexobj/internal/store"
 )
 
@@ -13,10 +12,10 @@ import (
 // produces bit-identical iostat counters (page I/Os, I/O calls, buffer
 // fixes and hits) whether the device arena lives in a private heap arena
 // — the loader, and the reference every other path is held to — or in a
-// copy-on-write overlay: the bare overlay ("cow" with no base), a view of
-// a frozen shared base, and a view of the base loaded in place for the
-// model's physical layout (for DASDBS-DSM that is a DSM base: one layout,
-// two access strategies). The backend moves bytes, never measurements.
+// copy-on-write view: of a frozen shared base, and of the base loaded in
+// place for the model's physical layout (for DASDBS-DSM that is a DSM
+// base: one layout, two access strategies). The backend moves bytes,
+// never measurements.
 func TestBackendCounterEquivalence(t *testing.T) {
 	stations, err := cobench.Generate(cobench.DefaultConfig().WithN(80))
 	if err != nil {
@@ -29,8 +28,8 @@ func TestBackendCounterEquivalence(t *testing.T) {
 				defer m.Engine().Close()
 				return runAll(t, NewRunner(m, w))
 			}
-			load := func(spec disk.BackendSpec) store.Model {
-				m, err := store.New(k, store.Options{BufferPages: 200, Backend: spec})
+			load := func() store.Model {
+				m, err := store.New(k, store.Options{BufferPages: 200})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -39,14 +38,11 @@ func TestBackendCounterEquivalence(t *testing.T) {
 				}
 				return m
 			}
-			run := func(spec disk.BackendSpec) []Result { return measure(load(spec)) }
 
-			mem := run(disk.BackendSpec{Kind: disk.MemArena})
-			got := map[string][]Result{
-				"cow": run(disk.BackendSpec{Kind: disk.COWArena}),
-			}
+			mem := measure(load())
+			got := map[string][]Result{}
 			// Shared-base view: freeze one loaded model, measure a COW view.
-			loader := load(disk.BackendSpec{Kind: disk.MemArena})
+			loader := load()
 			base, err := store.Freeze(loader)
 			if err != nil {
 				t.Fatal(err)

@@ -57,11 +57,22 @@ func (b *Base) NewView(opts Options) (*View, error) {
 }
 
 func (b *Base) newView(opts store.Options) (*View, error) {
-	sv, err := b.base.NewViewAs(b.kind.internal(), opts)
+	sv, err := b.storeView(opts)
 	if err != nil {
 		return nil, err
 	}
 	return &View{kind: b.kind, engine: newEngine(sv)}, nil
+}
+
+// storeView opens the store view under every view of the base (Base.Open,
+// NewView, a pool's). Counted index I/O is refused here: a counted view is
+// single-use, and the facade's views are recycled and commit, so only a
+// private database (Open, OpenLoaded) counts its index.
+func (b *Base) storeView(opts store.Options) (*store.View, error) {
+	if opts.CountIndexIO {
+		return nil, fmt.Errorf("complexobj: CountIndexIO needs a private database (Open, OpenLoaded), not a view of a base")
+	}
+	return b.base.NewViewAs(b.kind.internal(), opts)
 }
 
 // Kind returns the storage model the view executes.
