@@ -12,9 +12,11 @@
 // result is serialized as a .codb snapshot (device arenas + directory
 // metadata), which cotables -db / cobench -db replay without regenerating
 // or reloading anything. With -wal, the loaded models additionally seed
-// a commit-log directory with one checkpoint per model (DIR/<slug>.codb,
-// a single-model snapshot at watermark 0), so `coserve -wal DIR` can
-// start durable serving there without a snapshot fallback. The models
+// a commit-log directory with a checkpoint name per model (DIR/<slug>.codb
+// at watermark 0): one container, each physical layout stored once,
+// hard-linked under the five names, so `coserve -wal DIR` can start
+// durable serving there without a snapshot fallback and maps each layout
+// once. The models
 // load concurrently, each over its own engine. -faults arms a seeded fault-injection schedule under those
 // loading engines (see complexobj.ParseFaultPlan for the grammar) —
 // mainly a resilience exercise: the load either survives transient
@@ -57,7 +59,7 @@ func main() {
 		dump      = flag.Int("dump", -1, "print this station in full")
 		hist      = flag.Bool("hist", false, "print the object-size histogram (pages per object)")
 		dbPath    = flag.String("db", "", "load every storage model and write a reusable .codb snapshot here")
-		walDir    = flag.String("wal", "", "seed this commit-log directory with one <slug>.codb checkpoint per loaded model (for coserve -wal)")
+		walDir    = flag.String("wal", "", "seed this commit-log directory with a <slug>.codb checkpoint name per loaded model, all linked to one container storing each layout once (for coserve -wal)")
 		buffer    = flag.Int("buffer", 1200, "buffer pool pages used while loading the snapshot models")
 		faults    = flag.String("faults", "", "fault-injection schedule under the snapshot-loading engines, e.g. seed=7,read=0.02")
 		split     = flag.Int("split", 0, "split the -db snapshot into this many per-shard .codb segments plus a shard map (0: no split)")

@@ -253,8 +253,8 @@ func OpenSnapshot(path string, kind ModelKind, opts Options) (*DB, error) {
 // The base storage is reference-counted: the Base handle holds one
 // reference and every open view another, so Close releases the arena —
 // including the snapshot file mapping where OpenBase mmap'ed it — only
-// after the last view is closed too. Handles that OpenBases opened over
-// one stored layout share one arena, one reference each.
+// after the last view is closed too. Bases opened over one stored layout
+// stand on one floor, each with generations of its own.
 type Base struct {
 	kind ModelKind
 	base *store.SharedBase
@@ -276,12 +276,12 @@ func OpenBase(path string, kind ModelKind) (*Base, error) {
 }
 
 // OpenBases is OpenBase for several models at once, returning one Base
-// per kind in kinds order. Each stored physical layout is mapped once:
-// models the snapshot stores in one entry (DSM and DASDBS-DSM, NSM and
-// NSM+index, when their bytes are equal) get handles over one shared
-// arena, each handle holding a reference of its own — close every one.
-// A shared arena is read-only: a commit through such a handle's view is
-// refused, so a process that commits opens its models one by one.
+// per kind in kinds order; close every one. Each stored physical layout
+// is mapped once per process, however it is reached: models the snapshot
+// stores in one entry (DSM and DASDBS-DSM, NSM and NSM+index, when their
+// bytes are equal) get bases of their own over the one mapping, and each
+// commits alone — a commit through one never changes what another
+// serves.
 func OpenBases(path string, kinds []ModelKind) ([]*Base, error) {
 	ks := make([]store.Kind, len(kinds))
 	for i, k := range kinds {
@@ -312,8 +312,8 @@ func (db *DB) Freeze() (*Base, error) {
 // Kind returns the storage model the base holds.
 func (b *Base) Kind() ModelKind { return b.kind }
 
-// Owners returns the number of open handles over the base's arena: 1,
-// or more when OpenBases opened several models of one stored layout.
+// Owners returns the number of bases standing on the base's stored
+// layout: 1, or more while other models of the layout are open over it.
 func (b *Base) Owners() int { return b.base.Owners() }
 
 // NumPages returns the number of frozen pages.

@@ -24,25 +24,23 @@ func modelKindOf(k store.Kind) (ModelKind, bool) {
 	return 0, false
 }
 
-// SeedCommitDir writes each database's current state into dir as its
-// checkpoint file (<slug>.codb, watermark 0), seeding a commit-log
+// SeedCommitDir writes the databases' current state into dir as their
+// checkpoint files (<slug>.codb, watermark 0), seeding a commit-log
 // directory so a server can start durable serving there without a
-// separate seed snapshot. The databases keep working afterwards (their dirty pages are
-// flushed as a side effect, like WriteSnapshot).
+// separate seed snapshot. The files are one container, each physical
+// layout stored once, linked under every database's name, so the kinds
+// of one layout open one mapping. The databases keep working afterwards
+// (their dirty pages are flushed as a side effect, like WriteSnapshot).
 func SeedCommitDir(dir string, dbs ...*DB) error {
+	models := make([]store.Model, len(dbs))
+	for i, db := range dbs {
+		models[i] = db.model
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("complexobj: seed commit dir: %w", err)
 	}
-	for _, db := range dbs {
-		base, err := store.Freeze(db.model)
-		if err != nil {
-			return fmt.Errorf("complexobj: seed commit dir: %w", err)
-		}
-		err = snapshot.WriteSidecar(dir, base, 0)
-		base.Release()
-		if err != nil {
-			return fmt.Errorf("complexobj: seed commit dir: %w", err)
-		}
+	if err := snapshot.Seed(dir, models...); err != nil {
+		return fmt.Errorf("complexobj: seed commit dir: %w", err)
 	}
 	return nil
 }
@@ -264,8 +262,8 @@ type CommitLogStats struct {
 	// Commits (acknowledged batches) over Syncs (fsync waves) is the
 	// group-commit batching factor, AppendedBytes over PayloadBytes (the
 	// dirty-page images inside the appends) the log's write
-	// amplification; SizeBytes drops to 0 at checkpoints, LastSeq is
-	// monotonic across checkpoints and restarts.
+	// amplification; SizeBytes drops to the 8-byte header at checkpoints,
+	// LastSeq is monotonic across checkpoints and restarts.
 	wal.Stats
 	// Checkpoints counts completed checkpoints since open.
 	Checkpoints int64

@@ -630,7 +630,12 @@ func TestCommitLogMixedMarkersCrashAtEveryRecord(t *testing.T) {
 				if off == int64(len(image)) {
 					break
 				}
-				// Record framing: u32 payload length, u32 checksum, payload.
+				// The 8-byte log header, then records framed as u32
+				// payload length, u32 checksum, payload.
+				if off == 0 {
+					off = 8
+					continue
+				}
 				off += 8 + int64(binary.BigEndian.Uint32(image[off:]))
 			}
 			if cuts < 3*len(boundaries) {
@@ -935,5 +940,120 @@ func TestDurableReadPathCountersBitIdentical(t *testing.T) {
 				t.Fatalf("pool after the rebases: %+v, want Stale=2 Reused=2 Destroyed=0", ps)
 			}
 		})
+	}
+}
+
+// TestCommitLogKillBetweenLinkedCheckpointRenames crashes a checkpoint over
+// a seeded directory between its first two renames: DSM's checkpoint is in
+// place, DASDBS-DSM's name still links the seed container both kinds were
+// opened from, and the log is whole. Recovery opens DSM from its new file
+// and DASDBS-DSM from the seed, replays the log over both and must reach
+// every acknowledged generation: each kind its own commits, nothing of the
+// other's.
+func TestCommitLogKillBetweenLinkedCheckpointRenames(t *testing.T) {
+	const rootIdx = 6
+	kinds := []ModelKind{DSM, DASDBSDSM}
+	dir := t.TempDir()
+	dbs := []*DB{smallDB(t, DSM), smallDB(t, DASDBSDSM)}
+	for _, db := range dbs {
+		defer db.Close()
+	}
+	seed, err := dbs[1].ReadRoot(rootIdx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedName := seed.Name
+	if err := SeedCommitDir(dir, dbs...); err != nil {
+		t.Fatal(err)
+	}
+	open := func() (*CommitLog, []*Base, int) {
+		t.Helper()
+		clog, err := OpenCommitLog(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases := make([]*Base, len(kinds))
+		for i, k := range kinds {
+			if bases[i], err = clog.OpenBase(k, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n, err := clog.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return clog, bases, n
+	}
+	rootName := func(b *Base) string {
+		t.Helper()
+		v, err := b.NewView(Options{BufferPages: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer v.Close()
+		r, err := v.sv.ReadRoot(rootIdx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Name
+	}
+
+	clog, bases, _ := open()
+	if bases[0].Owners() != 2 {
+		t.Fatalf("DSM and DASDBS-DSM over the seed stand on %d-owner bases, want one floor", bases[0].Owners())
+	}
+	want := make([]string, len(kinds))
+	for r := 1; r <= 3; r++ {
+		for i, b := range bases {
+			if i == 1 && r == 3 {
+				continue // DASDBS-DSM's last acked generation is 2
+			}
+			want[i] = fmt.Sprintf("%s round %d", kinds[i], r)
+			v, err := b.NewView(Options{BufferPages: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := v.sv.UpdateRoots([]int32{rootIdx}, func(_ int32, rr *cobench.RootRecord) { rr.Name = want[i] }); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := v.Commit(clog); err != nil {
+				t.Fatal(err)
+			}
+			v.Close()
+		}
+	}
+	// The checkpoint's first rename, then the kill: the log is untouched.
+	if err := snapshot.WriteSidecar(dir, bases[0].base, clog.handle().LastSeq()); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bases {
+		b.Close()
+	}
+	clog.Close()
+	if sc, err := snapshot.StatSidecar(dir, DASDBSDSM.internal()); err != nil || sc.Seq != 0 {
+		t.Fatalf("DASDBS-DSM's name no longer links the seed: %+v, %v", sc, err)
+	}
+	linked, err := OpenBase(filepath.Join(dir, "ddsm.codb"), DSM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if name := rootName(linked); name != seedName {
+		t.Fatalf("DSM's rename changed the seed under DASDBS-DSM's name: DSM reads %q there", name)
+	}
+	linked.Close()
+
+	re, bases2, n := open()
+	defer re.Close()
+	if n != 5 {
+		t.Fatalf("recovery replayed %d batches, the log holds 5", n)
+	}
+	for i, b := range bases2 {
+		if b.Gen() != uint64(3-i) {
+			t.Errorf("%s recovered onto generation %d, want %d", kinds[i], b.Gen(), 3-i)
+		}
+		if got := rootName(b); got != want[i] {
+			t.Errorf("%s recovered %q, want its last acked %q", kinds[i], got, want[i])
+		}
+		b.Close()
 	}
 }

@@ -2,6 +2,7 @@ package disk
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -49,76 +50,88 @@ func (t pageTable) each(fn func(pg int, slot *[]byte)) {
 	}
 }
 
-// floor is the immutable storage at the bottom of every generation of
-// one base: a heap slice or a read-only file mapping. It counts every
-// reference to any of its generations and releases the storage with the
-// last one. Its lineage owns the committed page images, table leaves and
-// roots its promotes superseded, and hands them back to later promotes
-// under the one rule of doc.go, "Committed page images".
+// floor is the immutable storage at the bottom of every generation of one
+// or more bases: a heap slice or a read-only file mapping. It counts every
+// reference to any generation standing on it and releases the storage with
+// the last one, and it counts the branches standing on it.
 type floor struct {
-	data   []byte
-	refs   atomic.Int64
-	mapped bool
-	unmap  func() error // releases the file mapping (mapped floors only)
+	data     []byte
+	refs     atomic.Int64
+	branches atomic.Int64 // branches with a generation someone holds
+	mapped   bool
+	unmap    func() error // releases the file mapping (mapped floors only)
+}
 
-	mu  sync.Mutex
-	lin *lineage // nil until the first promote, and once recycling is off
-	off bool     // a promote forked the lineage, or the floor is released: no recycling
+// branch is one base's line of generations over a floor: its own
+// generation numbers, and the lineage that owns the committed page images,
+// table leaves and roots its promotes superseded and hands them back to
+// later promotes under the one rule of doc.go, "Committed page images".
+// Branches of one floor share the floor and nothing else.
+type branch struct {
+	mu   sync.Mutex
+	lin  *lineage // nil until the first promote, and once recycling is off
+	off  bool     // a promote forked the lineage, or the branch drained: no recycling
+	live int      // generations holding references; the branch drains with the last
 }
 
 // lineageFor returns the lineage a promote of generation a records into.
 // Only a promote of the newest generation can account for what it
 // supersedes; a promote of any other (a fork, as only tests make) switches
-// recycling off for the floor for good, and from then on every promote
+// recycling off for the branch for good, and from then on every promote
 // gets a detached lineage nobody consults again, leaving every image to
 // the garbage collector. Called with mu held.
-func (f *floor) lineageFor(a *BaseArena) *lineage {
+func (b *branch) lineageFor(a *BaseArena) *lineage {
 	switch {
-	case f.off:
+	case b.off:
 		return new(lineage)
-	case f.lin == nil:
-		f.lin = &lineage{newest: a.seq, live: []uint64{a.seq}}
-	case f.lin.newest != a.seq:
-		f.off, f.lin = true, nil
+	case b.lin == nil:
+		b.lin = &lineage{newest: a.seq, live: []uint64{a.seq}}
+	case b.lin.newest != a.seq:
+		b.off, b.lin = true, nil
 		return new(lineage)
 	}
-	return f.lin
+	return b.lin
 }
 
 // drained records that generation seq lost its last reference and frees
-// what only it could still read.
-func (f *floor) drained(seq uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.lin != nil {
-		f.lin.drain(seq)
+// what only it could still read. With the branch's last generation its
+// lists go, and the floor counts one branch fewer.
+func (b *branch) drained(seq uint64, f *floor) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.live--; b.live == 0 {
+		b.off, b.lin = true, nil
+		f.branches.Add(-1)
+	} else if b.lin != nil {
+		b.lin.drain(seq)
 	}
 }
 
-// BaseArena is one immutable generation of a shared page arena: the
-// frozen state any number of COW backends read through. It is a floor —
-// the storage the base was built over, shared by every generation derived
-// from it — plus a table of the pages committed over the floor since.
-// Promote derives the next generation by copying the table and installing
-// the dirty images, so a commit costs its dirty pages, not the arena. A
-// generation is never written while anyone holds a reference on it: every
-// overlay layered on top observes the same bytes for its whole life, which
-// is what lets the parallel experiment matrix and the server hand each
-// worker a view of one loaded extension instead of a private copy. A nil
-// *BaseArena behaves as an empty base.
+// BaseArena is one immutable generation of a shared page arena: the frozen
+// state any number of COW backends read through. It is a floor — the
+// storage the base was built over, shared by every generation derived from
+// it and by every branch of it — plus a table of the pages its branch
+// committed over the floor since. Promote derives the next generation by
+// copying the table and installing the dirty images, so a commit costs its
+// dirty pages, not the arena. A generation is never written while anyone
+// holds a reference on it: every overlay layered on top observes the same
+// bytes for its whole life, which is what lets the parallel experiment
+// matrix and the server hand each worker a view of one loaded extension
+// instead of a private copy. A nil *BaseArena behaves as an empty base.
 //
 // Each generation counts its own references next to the floor's count,
-// which sums every generation's: construction hands the creator one
-// reference, Promote hands the next generation's owner one, every COW
-// backend opened over a generation takes another (released by its Close
-// or rebase). The floor storage — heap slice or file mapping — is
-// released only when the floor's last reference goes, so no view can ever
-// observe an unmapped arena; a generation whose own last reference goes
-// is drained, and what only it could read is reused (doc.go, "Committed
-// page images"). Retaining a drained generation is a bug.
+// which sums every generation's of every branch: construction hands the
+// creator one reference, Promote hands the next generation's owner one,
+// every COW backend opened over a generation takes another (released by
+// its Close or rebase). The floor storage — heap slice or file mapping —
+// is released only when the floor's last reference goes, so no view can
+// ever observe an unmapped arena; a generation whose own last reference
+// goes is drained, and what only it could read is reused (doc.go,
+// "Committed page images"). Retaining a drained generation is a bug.
 type BaseArena struct {
 	fl       *floor
-	seq      uint64       // the generation's place in the floor's lineage
+	br       *branch
+	seq      uint64       // the generation's place in its branch
 	refs     atomic.Int64 // this generation's own references
 	floorLen int          // floor bytes this generation reads through (a shrink hides the rest for good)
 	size     int          // logical arena length in bytes
@@ -131,10 +144,55 @@ type BaseArena struct {
 // owned by the caller. The caller hands over ownership: the slice must
 // not be mutated afterwards.
 func NewBaseArena(data []byte) *BaseArena {
-	a := &BaseArena{fl: &floor{data: data}, floorLen: len(data), size: len(data)}
+	a := &BaseArena{fl: &floor{data: data}, br: &branch{live: 1}, floorLen: len(data), size: len(data)}
 	a.refs.Store(1)
 	a.fl.refs.Store(1)
+	a.fl.branches.Store(1)
 	return a
+}
+
+// Branch opens another base over a's floor: generation 0 of a new branch,
+// with generation numbers, a page table and a lineage of its own, holding
+// one reference owned by the caller. Only a generation with no committed
+// pages branches, so two branches never share an image, leaf or root; a
+// promoted generation is refused. a needs no reference of the caller's,
+// but its floor must still be alive: once the floor's last reference has
+// gone Branch fails too (ErrBranch either way), and the caller maps the
+// storage afresh. A nil a branches into nil, an empty base.
+func (a *BaseArena) Branch() (*BaseArena, error) {
+	if a == nil {
+		return nil, nil
+	}
+	if a.over != nil {
+		return nil, fmt.Errorf("%w: generation %d has committed pages", ErrBranch, a.seq)
+	}
+	f := a.fl
+	for {
+		n := f.refs.Load()
+		if n <= 0 {
+			return nil, fmt.Errorf("%w: floor released", ErrBranch)
+		}
+		if f.refs.CompareAndSwap(n, n+1) {
+			break
+		}
+	}
+	f.branches.Add(1)
+	b := &BaseArena{fl: f, br: &branch{live: 1}, floorLen: a.floorLen, size: a.size}
+	b.refs.Store(1)
+	return b, nil
+}
+
+// ErrBranch reports a Branch of a generation that has committed pages or
+// whose floor is released.
+var ErrBranch = errors.New("disk: cannot branch base")
+
+// Branches returns the number of bases standing on the generation's
+// floor: its branches that still have a generation someone holds.
+func (a *BaseArena) Branches() int {
+	if a == nil {
+		return 0
+	}
+	return int(a.fl.branches.Load())
 }
 
 // Len returns the generation's logical arena length in bytes.
@@ -177,7 +235,7 @@ func (a *BaseArena) DeltaPages() int {
 }
 
 // Refs returns the floor's current reference count (diagnostics and
-// tests): generations and views of one base all count here.
+// tests): generations and views of every base on the floor count here.
 func (a *BaseArena) Refs() int {
 	if a == nil {
 		return 0
@@ -201,18 +259,18 @@ func (a *BaseArena) Retain() *BaseArena {
 }
 
 // Release drops one reference. When the generation's last reference goes
-// it is drained: what only it could read becomes reusable. When the
-// floor's last reference goes the floor storage is released: a heap floor
-// drops its slice, an mmap-backed one unmaps the snapshot file region, and
-// the lineage's lists go with it. Releasing more often than retained is a
-// bug and reported as an error.
+// it is drained: what only it could read becomes reusable, and with its
+// branch's last generation the branch's lists go. When the floor's last
+// reference goes the floor storage is released: a heap floor drops its
+// slice, an mmap-backed one unmaps the snapshot file region. Releasing
+// more often than retained is a bug and reported as an error.
 func (a *BaseArena) Release() error {
 	if a == nil {
 		return nil
 	}
 	f := a.fl
 	if a.refs.Add(-1) == 0 {
-		f.drained(a.seq)
+		a.br.drained(a.seq, f)
 	}
 	switch n := f.refs.Add(-1); {
 	case n > 0:
@@ -220,9 +278,6 @@ func (a *BaseArena) Release() error {
 	case n < 0:
 		return fmt.Errorf("disk: base arena over-released (refs %d)", n)
 	}
-	f.mu.Lock()
-	f.off, f.lin = true, nil
-	f.mu.Unlock()
 	f.data = nil
 	if f.unmap != nil {
 		unmap := f.unmap

@@ -95,10 +95,13 @@
 // no depth and nothing to flatten or tune. WriteTo streams a generation for a
 // checkpoint, floor runs as single writes, without flattening it in
 // memory; Bytes flattens a promoted generation and is for inspection
-// only.
+// only. Several bases can stand on one floor: Branch opens another base
+// over a never-promoted generation's floor — generation 0 of a branch
+// with its own numbering, page tables and lineage — so the storage
+// models of one stored layout map its bytes once and commit alone.
 //
 // Every generation counts its own references, and the floor counts them
-// all: construction (NewBaseArena, MapBaseArena) hands the creator one,
+// all, over every branch: construction (NewBaseArena, MapBaseArena) hands the creator one,
 // Promote hands the next generation's owner one, every COW backend takes
 // one on the generation it reads (dropped by its Close, or swapped by a
 // rebase). The floor storage is freed exactly when the floor's count
@@ -129,17 +132,20 @@
 // reference on that generation, and it is reused once no generation
 // holding a reference can read it. An image that generation b's promote
 // installed and generation d's replaced (or dropped, shrinking) is read
-// by exactly the generations [b, d): d's promote retires it to the
-// floor's lineage with that interval; when a generation's last reference
-// goes, every retired image no live generation in its interval reads
-// moves to the floor's free list, and later promotes copy dirty pages into
-// those instead of fresh memory. A view parked on an old generation thus
-// pins only what its own generation reads — what the garbage collector
-// would keep for it — and nothing retired after it. The lineage must be a
-// line: a promote of a generation that is not its floor's newest (only
-// tests fork one) switches recycling off for the floor and leaves every
-// image to the garbage collector. The lists go with the floor's last
-// reference, retaining a drained generation panics, and under
+// by exactly the generations [b, d) of its branch: d's promote retires
+// it to the branch's lineage with that interval; when a generation's last
+// reference goes, every retired image no live generation in its interval
+// reads moves to the branch's free list, and later promotes of the branch
+// copy dirty pages into those instead of fresh memory. Branches never
+// share an image, leaf or root — a branch starts from a generation with
+// none — so a lineage per branch sees every reader of what it holds. A
+// view parked on an old generation pins only what its own generation
+// reads — what the garbage collector would keep for it — and nothing
+// retired after it. The lineage must be a line: a promote of a generation
+// that is not its branch's newest (only tests fork one) switches
+// recycling off for the branch and leaves every image to the garbage
+// collector. The lists go with the branch's last generation, retaining a
+// drained generation panics, and under
 // `-tags poison` an image reads 0xDB from the moment it is freed and
 // again when it is reused.
 //
@@ -192,7 +198,7 @@
 // keeps its own synchronisation: disk.PagePool (mutex: engines of one
 // suite take and give pages concurrently), a BaseArena's reference counts
 // (atomic: views open and close concurrently; floor and page tables are
-// immutable) and its floor's lineage (mutex: promotes and drains),
+// immutable) and its branch's lineage (mutex: promotes and drains),
 // store.SharedBase (lock around the current generation, publish lock per
 // commit, one Once per decoded directory), an experiments suite's cache
 // of bases and extensions (mutex, one build per key), faultdisk.Injector
@@ -202,7 +208,7 @@
 //
 // # Page buffer ownership
 //
-// Committed images are base memory, owned by their floor's lineage under
+// Committed images are base memory, owned by their branch's lineage under
 // the rule in "Committed page images"; they never pass through a PagePool.
 // A page buffer that is neither arena nor base memory — a frame the buffer
 // pool owns (a promoted or copied page), a COW overlay image — has one

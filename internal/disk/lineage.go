@@ -2,13 +2,13 @@ package disk
 
 import "slices"
 
-// lineage is a floor's record of its generations, kept so that a promote
+// lineage is a branch's record of its generations, kept so that a promote
 // can reuse what earlier promotes superseded (doc.go, "Committed page
 // images"). Every page image, table leaf and root a promote replaces is
 // retired with the interval [born, died) of generations that can read it —
 // born is the generation whose promote installed it, died the one whose
 // promote replaced it — and moves to a free list once no live generation
-// falls in that interval. Guarded by the floor's mutex.
+// falls in that interval. Guarded by the branch's mutex.
 type lineage struct {
 	newest   uint64   // seq of the newest generation: the one promote recycles for
 	live     []uint64 // seqs of the generations holding references, ascending

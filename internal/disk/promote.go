@@ -37,12 +37,12 @@ func OverlayPages(b Backend, fn func(pg int, img []byte)) bool {
 // promote copied (root, leaves, images) — the in-memory write
 // amplification of the commit.
 //
-// The copies land in memory earlier promotes superseded when the floor's
+// The copies land in memory earlier promotes superseded when the branch's
 // lineage holds some no live generation can read; what this promote
 // supersedes — the receiver's root, the leaves it copies, the images it
 // replaces or drops — is retired with the generations that can read it.
-// That needs the receiver to be the floor's newest generation; promoting
-// an older one switches recycling off for the floor.
+// That needs the receiver to be the branch's newest generation; promoting
+// an older one switches recycling off for the branch.
 func (a *BaseArena) Promote(pageSize, numPages int, pages map[int][]byte) (next *BaseArena, copied int64) {
 	if a == nil {
 		a = NewBaseArena(nil)
@@ -51,13 +51,14 @@ func (a *BaseArena) Promote(pageSize, numPages int, pages map[int][]byte) (next 
 	if a.gran != 0 && a.gran != pageSize {
 		panic(fmt.Sprintf("disk: promote at page size %d over a generation of page size %d", pageSize, a.gran))
 	}
-	f := a.fl
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	l := f.lineageFor(a)
+	br := a.br
+	br.mu.Lock()
+	defer br.mu.Unlock()
+	l := br.lineageFor(a)
 	size := numPages * pageSize
 	next = &BaseArena{
-		fl:       f,
+		fl:       a.fl,
+		br:       br,
 		seq:      a.seq + 1,
 		floorLen: min(a.floorLen, size),
 		size:     size,
@@ -66,7 +67,8 @@ func (a *BaseArena) Promote(pageSize, numPages int, pages map[int][]byte) (next 
 		held:     a.held,
 	}
 	next.refs.Store(1)
-	f.refs.Add(1)
+	a.fl.refs.Add(1)
+	br.live++
 	copy(next.over, a.over)
 	copied = int64(len(next.over)) * int64(unsafe.Sizeof(next.over[0]))
 	l.cover(numPages, len(next.over))

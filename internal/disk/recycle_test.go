@@ -103,8 +103,8 @@ func TestRecycledImagesAreBounded(t *testing.T) {
 }
 
 // TestPromoteOffTheNewestStopsRecycling: a promote of a generation that
-// is not its floor's newest — a fork of the lineage — cannot account for
-// what it supersedes, so recycling stops for the floor and both branches
+// is not its branch's newest — a fork of the lineage — cannot account for
+// what it supersedes, so recycling stops for the branch and both forks
 // keep reading their own bytes.
 func TestPromoteOffTheNewestStopsRecycling(t *testing.T) {
 	const ps = 64

@@ -75,11 +75,11 @@
 // pool over it and the mutex serializing its committing requests. Records
 // live in one map under omu and are created and retired whole — at
 // startup, by /shards/acquire and by /shards/release, all through
-// openModelsLocked / closeModelLocked. A read-only server opens the
-// models of one snapshot file as one batch (complexobj.OpenBases), so
-// models stored in one entry — DSM and DASDBS-DSM, NSM and NSM+index —
-// hold handles over one base, and releasing one of them leaves the other
-// serving; a durable server opens a base per model. A request keeps the
+// openModelsLocked / closeModelLocked. Read-only or durable, a server
+// maps each stored entry once: models stored in one entry — DSM and
+// DASDBS-DSM, NSM and NSM+index — get bases of their own over one floor,
+// each committing alone, and releasing one leaves the other serving. A
+// request keeps the
 // record it looked up after the unlock: views pin their base, a closed
 // pool refuses new leases (503, which the router retries on the new
 // owner).

@@ -53,12 +53,11 @@ type served struct {
 }
 
 // openModelsLocked starts serving kinds from seg as one batch, all or
-// none: their shared bases plus a view pool each; omu held. A read-only
-// server maps each stored layout once (complexobj.OpenBases: DSM and
-// DASDBS-DSM, NSM and NSM+index stored in one entry share one base). A
-// durable one opens each kind through the commit log, from its own
-// checkpoint or the seed: each kind's lineage and checkpoint diverge with
-// its commits, so a durable server never shares.
+// none: their bases plus a view pool each; omu held. A read-only server
+// opens them from seg, a durable one through the commit log, from each
+// kind's checkpoint or the seed; either way the snapshot reader maps each
+// stored entry once and stands every kind it holds on that floor with a
+// base, and a lineage, of its own.
 func (s *Server) openModelsLocked(kinds []complexobj.ModelKind, seg string) error {
 	if len(kinds) == 0 {
 		return nil

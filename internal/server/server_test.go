@@ -332,6 +332,73 @@ func TestServerPeakRSS(t *testing.T) {
 	}
 }
 
+// TestDurableServerPeakRSS is TestServerPeakRSS's durable twin: a -wal
+// server over a cogen-seeded commit directory (COMPLEXOBJ_WALDIR, seeded
+// from COMPLEXOBJ_SNAPSHOT's extension in a separate process; the test
+// commits into it) serves every cell, commits query 3a on every model and
+// checkpoints once, within the same 2x budget over its bases' arenas.
+// The seed maps each stored layout once, and every checkpoint streams
+// each floor through its one mapping.
+func TestDurableServerPeakRSS(t *testing.T) {
+	if os.Getenv("COMPLEXOBJ_RSS") == "" {
+		t.Skip("set COMPLEXOBJ_RSS=1 to measure peak RSS")
+	}
+	path, walDir := os.Getenv("COMPLEXOBJ_SNAPSHOT"), os.Getenv("COMPLEXOBJ_WALDIR")
+	if path == "" || walDir == "" {
+		t.Skip("set COMPLEXOBJ_SNAPSHOT and COMPLEXOBJ_WALDIR to a cogen-built paper-scale snapshot and seed")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(25))
+	srv, err := New(Config{Snapshot: path, WALDir: walDir, BufferPages: 300, MaxViews: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	arena := srv.TotalArenaBytes()
+	defer debug.SetMemoryLimit(debug.SetMemoryLimit(max(int64(arena)-16<<20, 24<<20)))
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	w := cobench.Workload{Loops: 40, Samples: 10, Seed: 1993}
+	models := complexobj.AllModels()
+	err = fanout.Run(8, 8, func(c int) error {
+		hc := hs.Client()
+		for i := range models {
+			k := models[(i+c)%len(models)]
+			for _, q := range cobench.AllQueries() {
+				u := runURL(hs.URL, k.String(), q.String(), w)
+				if q == cobench.Q3a {
+					u += "&commit=1"
+				}
+				resp, err := hc.Get(u)
+				if err != nil {
+					return err
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					return fmt.Errorf("%s %s: %s", k, q, resp.Status)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.clog.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	hwmKB, err := peakRSSKB()
+	if err != nil {
+		t.Skipf("peak RSS unavailable: %v", err)
+	}
+	limitKB := 2 * arena / 1024
+	fmt.Printf("durable-server-peak-rss-kb kb=%d arena-kb=%d limit-kb=%d\n", hwmKB, arena/1024, limitKB)
+	if hwmKB > limitKB {
+		t.Errorf("durable server peak RSS %d KiB exceeds 2x its bases' arenas (%d KiB)", hwmKB, limitKB)
+	}
+}
+
 // peakRSSKB reads VmHWM (the process peak resident set) in KiB.
 func peakRSSKB() (int, error) {
 	data, err := os.ReadFile("/proc/self/status")

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"maps"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"complexobj"
@@ -99,7 +102,7 @@ func TestServerReleaseKeepsSharedPartner(t *testing.T) {
 	if o := ownersOf(srv); o[complexobj.DSM] != 2 || o[complexobj.DASDBSDSM] != 2 || sharedBases(o) != 3 {
 		t.Fatalf("shards 0 and 1 opened in one batch hold owners %v, want DSM and DASDBS-DSM on one base", o)
 	}
-	control, err := New(Config{Snapshot: path, Models: []complexobj.ModelKind{complexobj.DASDBSDSM}, BufferPages: 256, MaxViews: 2})
+	control, err := New(Config{Snapshot: copyOf(t, path), Models: []complexobj.ModelKind{complexobj.DASDBSDSM}, BufferPages: 256, MaxViews: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,18 +142,70 @@ func TestServerReleaseKeepsSharedPartner(t *testing.T) {
 	}
 }
 
-// TestDurableServerNeverShares pins that a -wal server opens every model
-// on a base of its own, even where the snapshot stores two models once:
-// each model's commits and checkpoints diverge.
-func TestDurableServerNeverShares(t *testing.T) {
+// copyOf copies the snapshot at path to a file of its own, so a server
+// opened over the copy maps its own floors instead of branching the ones
+// another server of the process stands on.
+func copyOf(t *testing.T, path string) string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := filepath.Join(t.TempDir(), filepath.Base(path))
+	if err := os.WriteFile(dst, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// TestDurableServerSharesStoredLayouts pins that a -wal server maps each
+// stored layout once, as a read-only one does — owners 2/2/2/2/1 — and
+// that its kinds still commit alone: after commits to DSM, DASDBS-DSM's
+// /stats cells equal those of a server of its own.
+func TestDurableServerSharesStoredLayouts(t *testing.T) {
 	path, _ := buildSnapshot(t, 40)
+	w := cobench.Workload{Loops: 8, Samples: 4, Seed: 1993}
 	srv, err := New(Config{Snapshot: path, BufferPages: 128, MaxViews: 2, WALDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	owners := ownersOf(srv)
-	if len(owners) != 5 || sharedBases(owners) != 5 {
-		t.Errorf("durable server owners %v, want five bases of one owner each", owners)
+	want := map[complexobj.ModelKind]int{
+		complexobj.DSM: 2, complexobj.DASDBSDSM: 2,
+		complexobj.NSM: 2, complexobj.NSMIndex: 2,
+		complexobj.DASDBSNSM: 1,
+	}
+	if !maps.Equal(owners, want) {
+		t.Errorf("durable server owners %v, want %v", owners, want)
+	}
+	control, err := New(Config{Snapshot: copyOf(t, path), Models: []complexobj.ModelKind{complexobj.DASDBSDSM}, BufferPages: 128, MaxViews: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer control.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	hc := httptest.NewServer(control.Handler())
+	defer hc.Close()
+	for range 3 {
+		var got RunResponse
+		getJSON(t, hs.Client(), durableRunURL(hs.URL, complexobj.DSM.String(), "3a", w), &got)
+		if !got.Committed {
+			t.Fatal("DSM commit not acknowledged")
+		}
+	}
+	for _, url := range []string{hs.URL, hc.URL} {
+		for _, q := range cobench.AllQueries() {
+			var got RunResponse
+			getJSON(t, hs.Client(), runURL(url, complexobj.DASDBSDSM.String(), q.String(), w), &got)
+		}
+	}
+	var got, ref StatsResponse
+	getJSON(t, hs.Client(), hs.URL+"/stats", &got)
+	getJSON(t, hc.Client(), hc.URL+"/stats", &ref)
+	got.Cells = slices.DeleteFunc(got.Cells, func(c AggCell) bool { return c.Model != complexobj.DASDBSDSM.String() })
+	if a, b := counterCells(t, got), counterCells(t, ref); string(a) != string(b) {
+		t.Errorf("DASDBS-DSM /stats after DSM's commits differ from a server of its own:\nshared: %s\nalone:  %s", a, b)
 	}
 }

@@ -40,8 +40,10 @@
 //
 // A checkpoint is a single-model snapshot with a watermark: the durable
 // commit path keeps each model in DIR/<slug>.codb (WriteSidecar, a
-// one-model entry), seeds (cogen -wal) are the same file at seq 0, and
-// shard segments (Extract) copy entries verbatim, watermark included,
+// one-model entry); a seed (Seed, cogen -wal) is one container folded as
+// Write folds, at seq 0, hard-linked under every model's name, so each
+// name is replaced alone by its model's first checkpoint; and shard
+// segments (Extract) copy entries verbatim, watermark included,
 // with each entry's set narrowed to the models asked for. All of them are
 // written by one entry writer through one atomic temp-sync-rename and
 // read by one parser, so any of them opens with Stat, OpenBase or
@@ -65,10 +67,15 @@
 // A snapshot is opened one way: OpenBase lifts a model's arena once into
 // an immutable store.SharedBase from which any number of copy-on-write
 // views open without further I/O or copying (one view, for a caller that
-// wants a single database). OpenBases does it for several models and maps
-// each entry once: the models one entry holds share its base, one owner
-// reference each (store.SharedBase.Retain), and such a base is read-only —
-// a writer opens its models one by one. Opening is zero-copy where the
+// wants a single database). A process maps each stored entry once: the
+// reader remembers the floor it mapped from an entry, keyed by the file's
+// identity (os.SameFile, which sees through hard links) and the entry's
+// index, and every later open of a kind the entry holds — by OpenBase,
+// OpenBases or OpenSidecarBase, in any call, while a base or view still
+// stands on the floor — gets a base of its own branched off that floor
+// (disk.BaseArena.Branch): its own generations and recycling lineage, so
+// each model commits alone. (A heap copy pins no inode, so it is shared
+// only among the kinds of one call.) Opening is zero-copy where the
 // platform allows: the arena region of the .codb file is mmap'ed read-only
 // in place (disk.MapBaseArena), so the base starts with near-zero resident
 // memory and views fault pages in on demand; OpenBaseHeap forces the

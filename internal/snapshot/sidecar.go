@@ -3,6 +3,7 @@ package snapshot
 import (
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 
 	"complexobj/cobench"
@@ -14,7 +15,8 @@ import (
 // commit path keeps each served model in dir/<slug>.codb, an ordinary
 // container whose one entry holds that one kind and records the
 // write-ahead-log sequence the arena includes. Replacing it is one atomic
-// rename, and every .codb consumer can open it.
+// rename, and every .codb consumer can open it. A seed is one folded
+// container at watermark 0 under every model's name (Seed).
 
 // SidecarInfo describes a model's checkpoint file.
 type SidecarInfo struct {
@@ -77,6 +79,32 @@ func WriteSidecar(dir string, b *store.SharedBase, seq uint64) error {
 		_, err := arena.WriteTo(w)
 		return err
 	})
+}
+
+// Seed writes models into dir as their checkpoints at watermark 0: one
+// container folded as Write folds — each physical layout stored once —
+// with the zero generator config, hard-linked under every model's
+// <slug>.codb name, each name replaced atomically. Every model still has
+// a checkpoint name of its own, and a later checkpoint's rename replaces
+// only its own; until then the kinds of one layout open one floor.
+func Seed(dir string, models ...store.Model) error {
+	tmp := filepath.Join(dir, ".seed.codb")
+	defer os.Remove(tmp)
+	if err := Write(tmp, cobench.Config{}, models...); err != nil {
+		return err
+	}
+	for _, m := range models {
+		path := sidecarPath(dir, m.Kind())
+		os.Remove(path + ".link")
+		if err := os.Link(tmp, path+".link"); err != nil {
+			return fmt.Errorf("snapshot: seed: %w", err)
+		}
+		if err := os.Rename(path+".link", path); err != nil {
+			return fmt.Errorf("snapshot: seed: %w", err)
+		}
+	}
+	syncDir(dir)
+	return nil
 }
 
 // StatSidecar describes a model's checkpoint in dir without restoring

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 
 	"complexobj/cobench"
 	"complexobj/internal/disk"
@@ -174,13 +175,17 @@ func writeFileAtomic(path string, write func(w io.Writer) error) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
-	// Make the rename durable (best effort: some filesystems refuse
-	// directory fsync; for checkpoints the WAL covers the gap there).
+	syncDir(dir)
+	return nil
+}
+
+// syncDir makes renames into dir durable (best effort: some filesystems
+// refuse directory fsync; for checkpoints the WAL covers the gap there).
+func syncDir(dir string) {
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()
 	}
-	return nil
 }
 
 // writeContainer atomically writes a .codb file: the header, then per
@@ -440,14 +445,12 @@ func OpenBase(path string, k store.Kind) (*store.SharedBase, error) {
 	return bases[0], nil
 }
 
-// OpenBases is OpenBase for several kinds at once, and how a read-only
-// reader maps a physical layout once: each entry holding a requested kind
-// is read and mapped once, and the requested kinds it holds share the one
-// SharedBase it becomes. bases[i] serves kinds[i] — open its views with
-// OpenAs / NewViewAs(kinds[i]) — and holds an owner reference of its own,
-// so every slot is released once. A base shared by two kinds is read-only
-// (store.ErrSharedBase); a writer opens its kinds one by one. Naming a
-// kind twice is an error.
+// OpenBases is OpenBase for several kinds at once; bases[i] serves
+// kinds[i] and is released once. Each stored physical layout is mapped
+// once however many kinds it holds: the kinds of one entry get bases of
+// their own branched off the one floor (see lift), and within one call
+// they share its decoded directory too (store.SharedBase.Branch). Naming
+// a kind twice is an error.
 func OpenBases(path string, kinds []store.Kind) ([]*store.SharedBase, error) {
 	bases, _, err := openBases(path, kinds, disk.CanMapBase)
 	return bases, err
@@ -465,9 +468,8 @@ func OpenBaseHeap(path string, k store.Kind) (*store.SharedBase, error) {
 	return bases[0], nil
 }
 
-// openBases lifts the entries holding kinds into bases, one per entry
-// (see OpenBases), and returns each kind's entry alongside. A base's kind
-// is the first requested kind its entry holds.
+// openBases lifts the entries holding kinds into bases, one per kind (see
+// OpenBases), and returns each kind's entry alongside.
 func openBases(path string, kinds []store.Kind, mapped bool) ([]*store.SharedBase, []entry, error) {
 	f, entries, err := openParsed(path)
 	if err != nil {
@@ -483,7 +485,7 @@ func openBases(path string, kinds []store.Kind, mapped bool) ([]*store.SharedBas
 		}
 		return nil, nil, err
 	}
-	lifted := make(map[int]*store.SharedBase, len(kinds))
+	lifted := make(map[int]*store.SharedBase) // per entry, the base this call lifted
 	for i, k := range kinds {
 		if slices.Contains(kinds[:i], k) {
 			return fail(fmt.Errorf("snapshot: open: model %s named twice", k))
@@ -494,42 +496,48 @@ func openBases(path string, kinds []store.Kind, mapped bool) ([]*store.SharedBas
 		}
 		held[i] = entries[j]
 		if b := lifted[j]; b != nil {
-			bases[i] = b.Retain()
-			continue
+			bases[i], err = b.Branch(k)
+		} else {
+			bases[i], err = lift(f, entries[j], j, k, mapped)
+			lifted[j] = bases[i]
 		}
-		if bases[i], err = lift(f, entries[j], k, mapped); err != nil {
+		if err != nil {
 			return fail(err)
 		}
-		lifted[j] = bases[i]
 	}
 	return bases, held, nil
 }
 
-// lift reads e's meta blob and maps (or copies) its arena into a base of
-// kind k.
-func lift(f *os.File, e entry, k store.Kind, mapped bool) (*store.SharedBase, error) {
+// floors remembers, per mapped entry — its file's identity and its index
+// in the file — generation 0 of the first base lifted from it, without
+// holding a reference. A later lift of the entry, through any open path,
+// branches that floor while any base or view still stands on it, so a
+// process maps each stored layout once however many kinds, calls and
+// hard-linked names reach it. The mapping pins the file's inode, so the
+// identity cannot pass to another file while the floor lives; a heap copy
+// pins nothing and is shared only among the kinds of one OpenBases call.
+var floors struct {
+	sync.Mutex
+	held []liftedEntry
+}
+
+type liftedEntry struct {
+	file  os.FileInfo
+	index int
+	root  *disk.BaseArena
+}
+
+// lift reads the meta blob of e, entry index of f, and stands a base of
+// kind k on its arena: a branch of the entry's floor when an earlier open
+// mapped it (floors), else the arena mapped (or copied) afresh.
+func lift(f *os.File, e entry, index int, k store.Kind, mapped bool) (*store.SharedBase, error) {
 	meta := make([]byte, e.metaLen)
 	if _, err := f.ReadAt(meta, e.metaOff); err != nil {
 		return nil, fmt.Errorf("%w: meta of %s", ErrFormat, k)
 	}
-	arenaBytes := e.numPages * e.pageSize
-	arenaOff := e.metaOff + int64(e.metaLen)
-	var arena *disk.BaseArena
-	if mapped {
-		// Map through the descriptor the offsets were parsed from: if
-		// the path was atomically replaced since Open, reopening it
-		// would pair this file's offsets with another file's bytes.
-		var err error
-		arena, err = disk.MapBaseArena(f, arenaOff, arenaBytes)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: map arena of %s: %w", k, err)
-		}
-	} else {
-		buf := make([]byte, arenaBytes)
-		if _, err := f.ReadAt(buf, arenaOff); err != nil {
-			return nil, fmt.Errorf("%w: arena of %s", ErrFormat, k)
-		}
-		arena = disk.NewBaseArena(buf)
+	arena, err := floorOf(f, e, index, mapped)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: arena of %s: %w", k, err)
 	}
 	base, err := store.NewSharedBase(k, e.pageSize, meta, arena)
 	if err != nil {
@@ -537,4 +545,41 @@ func lift(f *os.File, e entry, k store.Kind, mapped bool) (*store.SharedBase, er
 		return nil, err
 	}
 	return base, nil
+}
+
+// floorOf returns generation 0 of a new base over entry index of f (see
+// lift), holding one reference owned by the caller.
+func floorOf(f *os.File, e entry, index int, mapped bool) (*disk.BaseArena, error) {
+	arenaBytes := e.numPages * e.pageSize
+	arenaOff := e.metaOff + int64(e.metaLen)
+	if !mapped {
+		buf := make([]byte, arenaBytes)
+		if _, err := f.ReadAt(buf, arenaOff); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrFormat, err)
+		}
+		return disk.NewBaseArena(buf), nil
+	}
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	floors.Lock()
+	defer floors.Unlock()
+	floors.held = slices.DeleteFunc(floors.held, func(l liftedEntry) bool { return l.root.Refs() == 0 })
+	for _, l := range floors.held {
+		if l.index == index && os.SameFile(l.file, st) {
+			if a, err := l.root.Branch(); err == nil {
+				return a, nil
+			}
+		}
+	}
+	// Map through the descriptor the offsets were parsed from: if the
+	// path was atomically replaced since Open, reopening it would pair
+	// this file's offsets with another file's bytes.
+	arena, err := disk.MapBaseArena(f, arenaOff, arenaBytes)
+	if err != nil {
+		return nil, err
+	}
+	floors.held = append(floors.held, liftedEntry{file: st, index: index, root: arena})
+	return arena, nil
 }

@@ -46,8 +46,7 @@ type CommitResult struct {
 // Commits to one base serialize on its publish lock, which spans the
 // generation check, the log append and sync, and the promote: a view
 // whose generation another commit has already moved past fails with
-// ErrStaleBase, and a view of a base more than one owner holds with
-// ErrSharedBase, before a byte of its batch is logged, so a refused commit
+// ErrStaleBase before a byte of its batch is logged, so a refused commit
 // never replays. Commits to different bases still share the log's sync
 // waves (group commit).
 //

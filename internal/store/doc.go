@@ -113,11 +113,12 @@
 // OpenAs, the view carries its own kind — and the experiment harness keys
 // its base cache by layout and loads three layouts per sweep point, not
 // five. The .codb container stores such kinds once when their bytes are
-// equal, and a read-only server maps that entry once: its kinds share one
-// SharedBase, one owner each (Retain; the last Release drops the arena).
-// A shared base is read-only — Promote refuses a base with more than one
-// owner (ErrSharedBase) — so a durable server keeps one base per kind:
-// its commits belong to a model.
+// equal, and a server, read-only or durable, maps that entry once: each
+// of its kinds gets a SharedBase of its own branched off the one floor
+// (disk.BaseArena.Branch), with its own generations, page table and
+// recycling lineage, so each kind commits alone and a commit through one
+// never changes what the other serves. Owners counts the bases on a
+// floor.
 //
 // An Engine (device + buffer pool) backs each model, and its backend
 // follows from its role: NewEngine and New open a heap arena — a loader's

@@ -15,12 +15,6 @@ import (
 // is untouched; it can re-run against a fresh view of the new generation.
 var ErrStaleBase = errors.New("store: shared base generation moved")
 
-// ErrSharedBase reports a Promote on a base more than one owner holds
-// (kinds of one physical layout opened together share it): a commit by
-// one kind would change what every other owner serves, so such a base is
-// read-only.
-var ErrSharedBase = errors.New("store: base shared by more than one owner")
-
 // SharedBase is the frozen, immutable state of one loaded storage model:
 // the raw device arena plus the model's directory metadata. Any number of
 // engines can open copy-on-write views of one base concurrently — each
@@ -43,10 +37,11 @@ var ErrSharedBase = errors.New("store: base shared by more than one owner")
 // the swappable state is guarded; a *SharedBase is safe for concurrent
 // use.
 //
-// A base has owners: whoever built or opened it holds the first, Retain
-// adds one — the kinds of one physical layout that a snapshot stores once
-// share one base, one owner each — and the last Release drops the arena.
-// Only a base with a single owner promotes.
+// A base has one owner, whoever built or opened it, and its Release drops
+// the arena. The kinds of one physical layout that a snapshot stores once
+// each get a base of their own over one floor (disk.BaseArena.Branch):
+// every base promotes alone, and a commit through one never changes what
+// another serves.
 type SharedBase struct {
 	kind     Kind
 	pageSize int
@@ -58,7 +53,7 @@ type SharedBase struct {
 	publish sync.Mutex
 
 	mu       sync.RWMutex
-	owners   int // handles holding the base; the last Release drops the arena
+	released bool
 	gen      uint64
 	numPages int
 	dir      *directory
@@ -112,10 +107,23 @@ func NewSharedBase(k Kind, pageSize int, meta []byte, arena *disk.BaseArena) (*S
 		kind:     k,
 		pageSize: pageSize,
 		numPages: arena.Len() / pageSize,
-		owners:   1,
 		dir:      &directory{meta: meta},
 		arena:    arena,
 	}, nil
+}
+
+// Branch opens a base of kind k, of b's layout, on b's floor: generation
+// 0 of a branch of its own (disk.BaseArena.Branch) that shares b's
+// directory, decoded once for both. Only a base that has not promoted
+// branches.
+func (b *SharedBase) Branch(k Kind) (*SharedBase, error) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	arena, err := b.arena.Branch()
+	if err != nil {
+		return nil, err
+	}
+	return &SharedBase{kind: k, pageSize: b.pageSize, numPages: b.numPages, dir: b.dir, arena: arena}, nil
 }
 
 // Freeze flushes m and copies its device arena and directory metadata into
@@ -248,51 +256,32 @@ func (b *SharedBase) Meta() []byte {
 	return b.dir.meta
 }
 
-// Retain adds an owner and returns the base: each owner releases once,
-// and the base stays read-only while it has more than one (Promote). The
-// caller must be an owner already.
-func (b *SharedBase) Retain() *SharedBase {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.owners <= 0 {
-		panic("store: retain of a released shared base")
-	}
-	b.owners++
-	return b
-}
-
-// Owners returns the number of owners holding the base (1 unless Retain
-// shared it).
+// Owners returns the number of bases standing on the base's floor: 1, or
+// more while bases of other kinds of its layout share the stored bytes.
 func (b *SharedBase) Owners() int {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return b.owners
+	return b.arena.Branches()
 }
 
-// Release drops one owner. The last one drops the reference on the
-// current arena; open views hold their own references, so the arena
-// storage — heap slice or snapshot file mapping — is released only once
-// the last view closes too. Opening new views after the last Release is a
-// bug (the base may already be gone); releasing more often than owned is
-// reported as an error.
+// Release drops the owner's reference on the current arena; open views
+// hold their own references, so the arena storage — heap slice or
+// snapshot file mapping — is released only once the last view closes too.
+// Opening new views after Release is a bug (the base may already be
+// gone); releasing twice is reported as an error.
 func (b *SharedBase) Release() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.owners--; {
-	case b.owners > 0:
-		return nil
-	case b.owners < 0:
+	if b.released {
 		return fmt.Errorf("store: shared base %s over-released", b.kind)
 	}
+	b.released = true
 	return b.arena.Release()
 }
 
 // promotableLocked refuses a promote built on fromGen: the base has moved
-// past that generation, or more than one owner holds it; b.mu held.
+// past that generation; b.mu held.
 func (b *SharedBase) promotableLocked(fromGen uint64) error {
-	if b.owners > 1 {
-		return fmt.Errorf("%w: %s has %d owners", ErrSharedBase, b.kind, b.owners)
-	}
 	if b.gen != fromGen {
 		return fmt.Errorf("%w: %s at generation %d, commit built on %d", ErrStaleBase, b.kind, b.gen, fromGen)
 	}
@@ -362,8 +351,7 @@ func (b *SharedBase) OpenAs(k Kind, o Options) (Model, error) {
 // (PromotedBytes counts exactly that); the caller keeps what it passed.
 // fromGen must be the current generation (the optimistic-concurrency
 // check: a commit is built against the generation its view read) or the
-// promote fails with ErrStaleBase, changing nothing; a base with more than
-// one owner fails every promote with ErrSharedBase. The owner reference
+// promote fails with ErrStaleBase, changing nothing. The owner reference
 // moves to the new generation; in-flight views of old generations keep
 // their own references and drain independently.
 //

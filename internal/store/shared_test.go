@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -179,9 +180,21 @@ func TestSharedBaseRejectsConflicts(t *testing.T) {
 	}
 }
 
-// TestSharedBaseOwners pins the owner count: a base two owners hold keeps
-// its mapped arena through the first Release — views still open and read
-// it — and drops (unmaps) it at the second; a third is an error.
+// branchOf stands a base of kind k on b's floor, as the snapshot reader
+// does for a second kind of one stored entry.
+func branchOf(t *testing.T, b *SharedBase, k Kind) *SharedBase {
+	t.Helper()
+	nb, err := b.Branch(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nb
+}
+
+// TestSharedBaseOwners pins the owner count over branches: two bases on
+// one mapped floor count two owners each; releasing one keeps the mapping
+// — the other base's views still read it — and its partner counts one;
+// the mapping goes with the last base, and a second Release is an error.
 func TestSharedBaseOwners(t *testing.T) {
 	stations, err := cobench.Generate(cobench.DefaultConfig().WithN(40))
 	if err != nil {
@@ -211,16 +224,17 @@ func TestSharedBaseOwners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Retain() != base || base.Owners() != 2 {
-		t.Fatalf("after Retain: %d owners, want 2", base.Owners())
+	partner := branchOf(t, base, DASDBSDSM)
+	if base.Owners() != 2 || partner.Owners() != 2 || arena.Refs() != 2 {
+		t.Fatalf("two bases on one floor: %d and %d owners, %d refs", base.Owners(), partner.Owners(), arena.Refs())
 	}
 	if err := base.Release(); err != nil {
 		t.Fatal(err)
 	}
-	if base.Owners() != 1 || arena.Refs() != 1 || arena.Bytes() == nil {
-		t.Fatalf("first of two Releases dropped the arena: %d owners, %d refs", base.Owners(), arena.Refs())
+	if partner.Owners() != 1 || arena.Refs() != 1 || partner.arena.Bytes() == nil {
+		t.Fatalf("first of two Releases dropped the floor: %d owners, %d refs", partner.Owners(), arena.Refs())
 	}
-	v, err := base.NewViewAs(DASDBSDSM, Options{BufferPages: 16})
+	v, err := partner.NewView(Options{BufferPages: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,21 +245,25 @@ func TestSharedBaseOwners(t *testing.T) {
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := base.Release(); err != nil {
+	if err := partner.Release(); err != nil {
 		t.Fatal(err)
 	}
-	if arena.Refs() != 0 || arena.Bytes() != nil {
-		t.Fatalf("last Release kept the arena: %d refs", arena.Refs())
+	if arena.Refs() != 0 || partner.arena.Bytes() != nil {
+		t.Fatalf("last Release kept the floor: %d refs", arena.Refs())
 	}
-	if err := base.Release(); err == nil {
-		t.Error("a Release past the last owner was accepted")
+	if _, err := arena.Branch(); !errors.Is(err, disk.ErrBranch) {
+		t.Errorf("branch of a released floor: %v, want disk.ErrBranch", err)
+	}
+	if err := partner.Release(); err == nil {
+		t.Error("a second Release was accepted")
 	}
 }
 
-// TestSharedBaseIsReadOnly pins that a base with two owners refuses a
-// commit before it promotes anything — the generation stays — and that
-// the same view commits once one owner is left.
-func TestSharedBaseIsReadOnly(t *testing.T) {
+// TestSharedBaseBranchesCommitAlone pins that two bases on one floor are
+// two writers: each commits, and a commit through one kind's base never
+// changes what the other kind's base serves — nor its generation, its
+// delta pages or its views.
+func TestSharedBaseBranchesCommitAlone(t *testing.T) {
 	stations, err := cobench.Generate(cobench.DefaultConfig().WithN(40))
 	if err != nil {
 		t.Fatal(err)
@@ -254,39 +272,68 @@ func TestSharedBaseIsReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base.Retain()
-	v, err := base.NewViewAs(NSMIndex, Options{BufferPages: 16})
+	defer base.Release()
+	partner := branchOf(t, base, NSMIndex)
+	defer partner.Release()
+	read := func(b *SharedBase, i int) string {
+		v, err := b.NewView(Options{BufferPages: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer v.Close()
+		r, err := v.ReadRoot(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Name
+	}
+	commit := func(b *SharedBase, i int32, name string) {
+		v, err := b.NewView(Options{BufferPages: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer v.Close()
+		if err := v.UpdateRoots([]int32{i}, func(_ int32, r *cobench.RootRecord) { r.Name = name }); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := v.Commit(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parked, err := partner.NewView(Options{BufferPages: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v.Close()
-	if err := v.UpdateRoots([]int32{2}, func(_ int32, r *cobench.RootRecord) { r.Name = "x" }); err != nil {
-		t.Fatal(err)
+	defer parked.Close()
+	orig := stations[2].Root().Name
+	for round := range 3 {
+		commit(base, 2, fmt.Sprintf("nsm-%d", round))
+		if got := read(base, 2); got != fmt.Sprintf("nsm-%d", round) {
+			t.Fatalf("round %d: NSM reads %q after its own commit", round, got)
+		}
+		if got := read(partner, 2); got != orig || partner.Gen() != 0 || partner.DeltaPages() != 0 {
+			t.Fatalf("round %d: NSM's commit moved NSM+index: reads %q, generation %d, %d delta pages",
+				round, got, partner.Gen(), partner.DeltaPages())
+		}
 	}
-	if err := v.Flush(); err != nil {
-		t.Fatal(err)
+	commit(partner, 3, "nsmx")
+	if read(partner, 3) != "nsmx" || read(base, 3) != stations[3].Root().Name || base.Gen() != 3 || partner.Gen() != 1 {
+		t.Fatalf("NSM+index's commit: generations %d and %d", base.Gen(), partner.Gen())
 	}
-	if _, err := v.Commit(nil); !errors.Is(err, ErrSharedBase) {
-		t.Fatalf("commit through a shared base: %v, want ErrSharedBase", err)
+	if r, err := parked.ReadRoot(2); err != nil || r.Name != orig {
+		t.Fatalf("a view parked on NSM+index's generation 0 reads %q (%v)", r.Name, err)
 	}
-	if base.Gen() != 0 || base.DeltaPages() != 0 {
-		t.Fatalf("refused commit moved the base: generation %d, %d delta pages", base.Gen(), base.DeltaPages())
-	}
-	if err := base.Release(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := v.Commit(nil)
-	if err != nil || res.Gen != 1 || base.Gen() != 1 {
-		t.Fatalf("commit with one owner left: %+v, %v (base at %d)", res, err, base.Gen())
-	}
-	if err := base.Release(); err != nil {
-		t.Fatal(err)
+	if _, err := base.Branch(NSMIndex); !errors.Is(err, disk.ErrBranch) {
+		t.Errorf("branch of a promoted base: %v, want disk.ErrBranch", err)
 	}
 }
 
-// TestSharedBaseOwnersConcurrent takes and drops owners from several
-// goroutines while each reads through a view of its own: the count ends
-// where it began, and the arena goes with the last owner only.
+// TestSharedBaseOwnersConcurrent branches and releases bases of one floor
+// from several goroutines while each reads through a view of its own: the
+// count ends where it began, and the floor goes with the last base only.
 func TestSharedBaseOwnersConcurrent(t *testing.T) {
 	stations, err := cobench.Generate(cobench.DefaultConfig().WithN(40))
 	if err != nil {
@@ -301,13 +348,13 @@ func TestSharedBaseOwnersConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			b := base.Retain()
+			b := branchOf(t, base, NSMIndex)
 			defer func() {
 				if err := b.Release(); err != nil {
 					t.Error(err)
 				}
 			}()
-			v, err := b.NewViewAs(NSMIndex, Options{BufferPages: 16})
+			v, err := b.NewView(Options{BufferPages: 16})
 			if err != nil {
 				t.Error(err)
 				return

@@ -37,11 +37,17 @@
 //     blob (or none) is the one it holds: an empty marker always finds
 //     its directory. Logs with a blob in every marker replay unchanged.
 //
-//   - Checkpointing. Reset truncates the log to empty once its contents
-//     are captured by a checkpoint (one single-model .codb snapshot per
-//     model, written by the complexobj facade); commit sequence numbers keep
-//     increasing across resets so acknowledgment accounting survives
-//     compaction.
+//   - Checkpointing. Reset truncates the log to its header once its
+//     contents are captured by a checkpoint (one single-model .codb
+//     snapshot per model, written by the complexobj facade); commit
+//     sequence numbers keep increasing across resets so acknowledgment
+//     accounting survives compaction.
+//
+//   - Versioning. A log starts with an 8-byte header, "COWL" and the
+//     format version (Version), written by Open on an empty log and by
+//     Reset. A log without one is version 0 and replays unchanged until
+//     its next Reset; a log of an unknown version fails Open with
+//     ErrFormat and is left as it was.
 //
 // The log talks to storage through the small Device interface.
 // Production uses *os.File directly; tests drive the same code over

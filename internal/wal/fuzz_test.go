@@ -2,13 +2,14 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
 // FuzzLogOpen feeds arbitrary device images to the replay scanner. The
 // invariants under fuzzing: Open never panics, never returns an error
 // for plain corruption (only device errors abort recovery — a memDevice
-// has none), never replays past the first malformed record, and always
+// has none — and an unknown version, which leaves the device untouched), never replays past the first malformed record, and always
 // leaves the device in a state whose re-replay yields the same batches
 // (recovery is idempotent and the truncation durable).
 func FuzzLogOpen(f *testing.F) {
@@ -38,17 +39,25 @@ func FuzzLogOpen(f *testing.F) {
 	f.Add(appendPage(nil, PageRecord{Model: 1, Page: 2, Image: []byte("img")}))
 	f.Add(appendCommit(nil, CommitRecord{Model: 1, Seq: 9, NumPages: 3, Meta: []byte("m")}))
 	f.Add(appendCommit(nil, CommitRecord{Model: 1, Seq: 10, NumPages: 3}))
+	f.Add(headerlessLog())
+	f.Add(futureLog())
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var first []batch
 		d1 := newMemDevice(raw)
 		l1, err := Open(d1, collector(&first))
+		if errors.Is(err, ErrFormat) {
+			if !bytes.Equal(d1.bytes(), raw) {
+				t.Fatal("a refused log was modified")
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("Open on fuzz input: %v", err)
 		}
 		// Every replayed batch was read through the checksum path; sizes
 		// are consistent with the truncation point.
-		if l1.Size() > int64(len(raw)) {
+		if l1.Size() > max(int64(len(raw)), headerSize) {
 			t.Fatalf("recovered size %d exceeds input %d", l1.Size(), len(raw))
 		}
 		// Idempotence: recovering the recovered device replays the same

@@ -21,6 +21,45 @@ type Device interface {
 	Truncate(size int64) error
 }
 
+// Version is the log format this build writes in the header — logMagic,
+// then the version as a big-endian u32 — that starts the log. A log
+// without one is version 0 and its records start at offset 0; no record
+// can start with the magic, which reads as a length past maxPayload.
+const Version = 1
+
+const headerSize = 8
+
+var logMagic = [4]byte{'C', 'O', 'W', 'L'}
+
+// ErrFormat reports a log whose header names a version this build cannot
+// read.
+var ErrFormat = errors.New("wal: unknown log format")
+
+// readHeader returns where the log's records start: past the header, or
+// at 0 for a log without a whole one.
+func readHeader(dev Device) (int64, error) {
+	var h [headerSize]byte
+	n, err := dev.ReadAt(h[:], 0)
+	switch {
+	case n < headerSize && err != nil && !errors.Is(err, io.EOF):
+		return 0, fmt.Errorf("wal: read header: %w", err)
+	case n < headerSize || [4]byte(h[:4]) != logMagic:
+		return 0, nil
+	case binary.BigEndian.Uint32(h[4:]) != Version:
+		return 0, fmt.Errorf("%w: version %d, want %d or none", ErrFormat, binary.BigEndian.Uint32(h[4:]), Version)
+	}
+	return headerSize, nil
+}
+
+// writeHeader puts the current version's header at the start of dev.
+func writeHeader(dev Device) error {
+	h := binary.BigEndian.AppendUint32(logMagic[:], Version)
+	if _, err := dev.WriteAt(h, 0); err != nil {
+		return fmt.Errorf("wal: write header: %w", err)
+	}
+	return nil
+}
+
 // Stats is a point-in-time snapshot of the log's counters. These are
 // observability values (served on /metrics); none of them is a paper
 // counter — WAL traffic sits entirely outside the simulated device.
@@ -43,7 +82,7 @@ type Stats struct {
 	// (monotonic across Reset, so acknowledgment accounting survives
 	// checkpoints).
 	LastSeq uint64
-	// SizeBytes is the current log length on the device.
+	// SizeBytes is the current log length on the device, header included.
 	SizeBytes int64
 }
 
@@ -85,7 +124,9 @@ type Log struct {
 // apply (in append order; nil skips application), truncates whatever
 // follows the last committed batch — torn tails from crashes mid-append
 // as well as appended-but-uncommitted page records — and returns a log
-// ready to append after it. Scanning stops at the first malformed
+// ready to append after it. A log without committed batches is left as
+// an empty log of the current Version; one of an unknown version is
+// refused with ErrFormat, untouched. Scanning stops at the first malformed
 // record (bad length, short read, checksum mismatch): nothing past a
 // bad checksum is ever replayed. Replay is idempotent: page images are
 // absolute, so recovering an already-recovered log reapplies the same
@@ -94,9 +135,12 @@ func Open(dev Device, apply func(c CommitRecord, pages []PageRecord) error) (*Lo
 	l := &Log{dev: dev}
 	l.sc.cond = sync.NewCond(&l.sc.Mutex)
 
+	off, err := readHeader(dev)
+	if err != nil {
+		return nil, err
+	}
 	var (
-		off      int64
-		validEnd int64
+		validEnd = off
 		pending  []PageRecord
 		hdr      [recordHeaderSize]byte
 	)
@@ -153,6 +197,12 @@ func Open(dev Device, apply func(c CommitRecord, pages []PageRecord) error) (*Lo
 	}
 	// Drop everything past the last committed batch and make the cut
 	// durable, so a later recovery cannot resurrect the discarded tail.
+	if validEnd == 0 {
+		if err := writeHeader(dev); err != nil {
+			return nil, err
+		}
+		validEnd = headerSize
+	}
 	if err := dev.Truncate(validEnd); err != nil {
 		return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
 	}
@@ -272,8 +322,9 @@ func (l *Log) syncTo(want int64) error {
 	return nil
 }
 
-// Reset truncates the log to empty once a checkpoint captured its
-// contents. Sequence numbers keep increasing across resets. The caller
+// Reset truncates the log to its header, of the current version, once a
+// checkpoint captured its contents. Sequence numbers keep increasing
+// across resets. The caller
 // must ensure no Commit is in flight (the facade's commit serialization
 // does); an in-flight sync wave is waited out defensively.
 func (l *Log) Reset() error {
@@ -288,12 +339,15 @@ func (l *Log) Reset() error {
 	if err := l.dev.Truncate(0); err != nil {
 		return fmt.Errorf("wal: reset: %w", err)
 	}
+	if err := writeHeader(l.dev); err != nil {
+		return err
+	}
 	if err := l.dev.Sync(); err != nil {
 		return fmt.Errorf("wal: reset sync: %w", err)
 	}
-	l.end = 0
-	l.endDurable.Store(0)
-	s.synced = 0
+	l.end = headerSize
+	l.endDurable.Store(headerSize)
+	s.synced = headerSize
 	return nil
 }
 
@@ -309,8 +363,8 @@ func (l *Log) Stats() Stats {
 	}
 }
 
-// Size returns the current log length on the device (the checkpoint
-// threshold input).
+// Size returns the current log length on the device, header included
+// (the checkpoint threshold input).
 func (l *Log) Size() int64 { return l.endDurable.Load() }
 
 // LastSeq returns the sequence of the last acknowledged commit.

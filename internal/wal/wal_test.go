@@ -239,12 +239,12 @@ func TestGroupCommit(t *testing.T) {
 	if _, err := scratch.Commit(pages, c); err != nil {
 		t.Fatal(err)
 	}
-	batchBytes := scratch.Size()
+	batchBytes := scratch.Size() - headerSize
 
 	dev := newMemDevice(nil)
 	l := mustOpen(t, dev, nil) // Open issues one sync of its own
 	holdWave := dev.wave + 1
-	total := committers * batchBytes
+	total := headerSize + committers*batchBytes
 	dev.syncHook = func(wave int) error {
 		if wave != holdWave {
 			return nil
@@ -333,8 +333,8 @@ func TestSetSeq(t *testing.T) {
 	if err := l.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	if l.Size() != 0 {
-		t.Fatalf("size %d after reset", l.Size())
+	if l.Size() != headerSize {
+		t.Fatalf("size %d after reset, want the %d-byte header", l.Size(), headerSize)
 	}
 	if seq, err := l.Commit(p, c); err != nil || seq != 2 {
 		t.Fatalf("post-reset commit: seq %d err %v, want 2", seq, err)
@@ -456,7 +456,7 @@ func TestEmptyAndGarbageLogs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("garbage %d bytes: %v", len(raw), err)
 		}
-		if len(got) != 0 || l.Size() != 0 {
+		if len(got) != 0 || l.Size() != headerSize {
 			t.Fatalf("garbage %d bytes: %d batches, size %d", len(raw), len(got), l.Size())
 		}
 		p, c := testBatch(1, 1, 0x11)
