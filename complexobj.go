@@ -187,8 +187,10 @@ func OpenLoaded(kind ModelKind, opts Options, gen cobench.Config) (*DB, error) {
 func (db *DB) Kind() ModelKind { return db.kind }
 
 // Close flushes dirty pages and releases the storage backend (a view
-// drops its overlay and its reference on the base). To keep a database
-// across runs, WriteSnapshot it first and OpenSnapshot it later.
+// drops its overlay and its reference on the base). A loaded database's
+// arena lives outside the Go heap and is freed only here: one never
+// closed keeps it until the process exits. To keep a database across
+// runs, WriteSnapshot it first and OpenSnapshot it later.
 // The database must not be used afterwards. Close is a no-op for repeated
 // calls only in the sense that errors repeat; call it once.
 func (db *DB) Close() error {
@@ -343,9 +345,9 @@ func (b *Base) PromotedBytes() int64 { return b.base.PromotedBytes() }
 
 // Close drops the Base handle's reference on the arena. Open views keep
 // the arena alive until they are closed; opening new views after Close is
-// a bug. Closing a Base is optional for heap-backed bases (the garbage
-// collector reclaims them) but required to unmap snapshot-mapped ones
-// before the process exits or the snapshot file is rewritten in place.
+// a bug. Closing is what frees the arena: a frozen Base's arena lives
+// outside the Go heap (no collector reclaims it), and a snapshot-mapped
+// one must be unmapped before the snapshot file is rewritten in place.
 func (b *Base) Close() error { return b.base.Release() }
 
 // Open builds a database over a fresh copy-on-write view of the base.

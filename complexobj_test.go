@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"complexobj/cobench"
+	"complexobj/internal/disk"
 )
 
 func smallDB(t *testing.T, kind ModelKind) *DB {
@@ -14,6 +15,7 @@ func smallDB(t *testing.T, kind ModelKind) *DB {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { db.Close() }) // its arena is outside the Go heap
 	return db
 }
 
@@ -205,6 +207,7 @@ func TestClockReplacementOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer db.Close()
 	if _, err := db.Run(cobench.Q2b, cobench.Workload{Loops: 20, Samples: 5, Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -224,10 +227,12 @@ func TestCountIndexIOOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer free.Close()
 	counted, err := OpenLoaded(NSMIndex, Options{BufferPages: 128, CountIndexIO: true}, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer counted.Close()
 	// Same answers either way.
 	a, err := free.FetchByAddress(7)
 	if err != nil {
@@ -330,6 +335,7 @@ func TestBaseFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer base.Close()
 	if base.Kind() != DASDBSNSM || base.NumPages() == 0 ||
 		base.ArenaBytes() != base.NumPages()*2048 {
 		t.Fatalf("base geometry: kind=%s pages=%d bytes=%d", base.Kind(), base.NumPages(), base.ArenaBytes())
@@ -635,5 +641,34 @@ func TestDBFetchesOutliveTheView(t *testing.T) {
 			wg.Wait()
 			check()
 		})
+	}
+}
+
+// TestDBCloseFreesArena pins the lifetime of a database's arena, which
+// lives outside the Go heap and so is freed by its owner or not at all:
+// DB.Close frees it, and a frozen copy goes at its Base's Close,
+// whichever comes first.
+func TestDBCloseFreesArena(t *testing.T) {
+	if n := disk.LiveArenaBytes(); n != 0 {
+		t.Fatalf("%d loader-arena bytes live before the test: an earlier test leaked a database or a base", n)
+	}
+	for _, kind := range []ModelKind{DSM, NSMIndex, DASDBSNSM} {
+		db := smallDB(t, kind)
+		base, err := db.Freeze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := disk.LiveArenaBytes(); n != int64(base.ArenaBytes()) {
+			t.Errorf("%s: %d loader-arena bytes live after DB.Close, want the frozen copy's %d", kind, n, base.ArenaBytes())
+		}
+		if err := base.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := disk.LiveArenaBytes(); n != 0 {
+			t.Errorf("%s: %d loader-arena bytes live after DB.Close and Base.Close, want 0", kind, n)
+		}
 	}
 }

@@ -39,6 +39,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
+			db.Close()
 			results[kind] = append(results[kind], res.Pages)
 			fmt.Printf(" %12.2f", res.Pages)
 		}

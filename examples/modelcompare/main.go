@@ -34,6 +34,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		db.Close()
 		row := []string{kind.String()}
 		wrow := []string{kind.String()}
 		for _, r := range results {

@@ -19,6 +19,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer db.Close()
 	fmt.Printf("loaded %d stations under %s\n\n", db.NumObjects(), db.Kind())
 
 	// Fetch one complex object by its address (the paper's query 1a).

@@ -35,6 +35,7 @@ func main() {
 		s := db.Stats()
 		fmt.Printf("%-12s %8d %10d %10d %10d\n",
 			kind, len(reached), s.PagesRead, s.Calls(), s.BufferFixes)
+		db.Close()
 	}
 
 	// Show an actual route expansion on the winner.

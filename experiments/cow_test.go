@@ -229,6 +229,57 @@ func TestMatrixPeakRSS(t *testing.T) {
 	fmt.Printf("peak-rss-kb bases=%s workers=8 kb=%d\n", bases, hwm)
 }
 
+// TestSuitePeakRSS logs the process peak RSS after the whole
+// reproduction (All) at paper scale, two workers wide, over freshly
+// loaded bases: what one `cotables -workers 2` run holds, the one-off
+// bases of the sweeps and Table 7 included. Like TestMatrixPeakRSS it
+// asserts nothing by itself; CI gates the figure under an absolute
+// budget. Gated behind COMPLEXOBJ_RSS.
+func TestSuitePeakRSS(t *testing.T) {
+	if os.Getenv("COMPLEXOBJ_RSS") == "" {
+		t.Skip("set COMPLEXOBJ_RSS=1 to measure peak RSS")
+	}
+	if runtime.GOOS != "linux" {
+		t.Skip("peak RSS via /proc is Linux-only")
+	}
+	cfg := DefaultConfig()
+	cfg.Workers = 2
+	s := New(cfg)
+	defer s.Close()
+	if _, err := s.All(); err != nil {
+		t.Fatal(err)
+	}
+	hwm, err := peakRSSKB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Printf("peak-rss-kb suite=all workers=2 kb=%d\n", hwm)
+}
+
+// TestSuiteCloseFreesArenas pins the lifetime of the loader arenas a
+// reproduction builds, which live outside the Go heap and so are freed by
+// their owners or not at all: after All the suite's pinned bases hold
+// theirs (every one-off base of a sweep has already freed its own), and
+// Close frees the rest. The count is taken against the one before the
+// suite was made, since the package's shared paper-scale suite may be
+// open; TestMain holds the whole package to zero at its end.
+func TestSuiteCloseFreesArenas(t *testing.T) {
+	before := disk.LiveArenaBytes()
+	s := New(smallConfig())
+	if _, err := s.All(); err != nil {
+		t.Fatal(err)
+	}
+	if disk.LiveArenaBytes() == before {
+		t.Error("no loader arena live after All: the suite's own bases are gone before Close")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := disk.LiveArenaBytes() - before; n != 0 {
+		t.Errorf("%d loader-arena bytes the suite built are live after its Close, want 0", n)
+	}
+}
+
 // TestSnapshotBaseRSS is the COMPLEXOBJ_RSS smoke for the mmap base: at
 // paper scale, opening every model of a snapshot as mapped bases must add
 // almost no resident memory, while heap-copy bases pay the full arenas.

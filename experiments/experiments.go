@@ -31,7 +31,12 @@
 // extension) is held by the cells that use it and dropped, extension and
 // bases, when the last of them lets go, so a sweep's memory tracks the
 // cells in flight, not the number of configurations swept; one needed
-// again later rebuilds. The suite also keeps every computed result, so
+// again later rebuilds. A loaded base's arena is not on the Go heap
+// (internal/disk, "Reservation and hand-off"): a one-off base's memory
+// goes back to the operating system the moment its last cell releases
+// it, not at a later collection, and the pinned bases do not raise the
+// collector's heap goal. Close frees the rest; disk.LiveArenaBytes counts
+// what is live. The suite also keeps every computed result, so
 // asking for several tables runs the expensive work once. All runs are
 // deterministic for a given configuration, whatever the width.
 package experiments

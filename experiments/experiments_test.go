@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"complexobj/internal/disk"
 )
 
 // The paper-scale suite is expensive enough (~seconds) to share across
@@ -24,11 +27,18 @@ func paperSuite(t *testing.T) *Suite {
 	return suite
 }
 
-// TestMain closes the shared suite, releasing its cached bases.
+// TestMain closes the shared suite, releasing its cached bases, and then
+// holds the whole package to the loader-arena ledger: those arenas live
+// outside the Go heap, so one a test left open is a leak no collection
+// reclaims.
 func TestMain(m *testing.M) {
 	code := m.Run()
 	if suite != nil {
 		suite.Close()
+	}
+	if n := disk.LiveArenaBytes(); code == 0 && n != 0 {
+		fmt.Fprintf(os.Stderr, "%d loader-arena bytes live after every test and the shared suite closed\n", n)
+		code = 1
 	}
 	os.Exit(code)
 }

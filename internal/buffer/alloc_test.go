@@ -271,7 +271,7 @@ func TestDropDiscardsWithoutIO(t *testing.T) {
 
 // TestFreshPoolAllocatesFramesInSlabs: a fresh pool of capacity C that
 // loads C pages allocates at most ⌈C/64⌉ frame slabs, not one Frame per
-// page. The pages are borrowed from a heap arena and fixed from the highest
+// page. The pages are borrowed from a loader arena and fixed from the highest
 // id down, so everything else the pool allocates — itself, its page index,
 // its read scratch — is the same whether it loads one page or C: the
 // difference between the two is the slabs after the first.
@@ -354,7 +354,7 @@ func TestReleaseHandsBuffersToThePagePool(t *testing.T) {
 	}
 	p := New(d, 8, LRU)
 	for id := disk.PageID(0); id < 6; id++ {
-		f, err := p.Fix(id) // borrowed from the heap arena
+		f, err := p.Fix(id) // borrowed from the loader arena
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,0 +1,40 @@
+//go:build linux
+
+package disk
+
+import (
+	"fmt"
+	"syscall"
+)
+
+// allocArena returns a zeroed arena of exactly n bytes of capacity in an
+// anonymous private mapping, outside the Go heap (doc.go, "Reservation and
+// hand-off"). A load writes every byte it reserved, so the mapping is
+// prefaulted rather than faulted in a page at a time. The bytes count in
+// LiveArenaBytes until freeArena.
+func allocArena(n int) ([]byte, error) {
+	if n <= 0 {
+		return nil, nil
+	}
+	b, err := syscall.Mmap(-1, 0, n, syscall.PROT_READ|syscall.PROT_WRITE,
+		syscall.MAP_PRIVATE|syscall.MAP_ANONYMOUS|syscall.MAP_POPULATE)
+	if err != nil {
+		return nil, fmt.Errorf("disk: map arena of %d bytes: %w", n, err)
+	}
+	liveArena.Add(int64(n))
+	return b, nil
+}
+
+// freeArena unmaps an arena allocArena returned (any reslice of it that
+// keeps its first byte and its capacity). Every slice of it is invalid
+// afterwards: a read through one faults.
+func freeArena(b []byte) error {
+	if cap(b) == 0 {
+		return nil
+	}
+	if err := syscall.Munmap(b[:cap(b)]); err != nil {
+		return fmt.Errorf("disk: unmap arena: %w", err)
+	}
+	liveArena.Add(-int64(cap(b)))
+	return nil
+}

@@ -1,11 +1,15 @@
 package disk
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"sync/atomic"
+)
 
 // Backend is the storage substrate behind a Disk: one logical byte arena
 // holding every page image. The device layer owns all page-level
 // semantics (allocation, run transfers, I/O accounting); a backend only
-// decides where the arena bytes live — on the Go heap, or layered
+// decides where the arena bytes live — in an arena of its own, or layered
 // copy-on-write over a shared base. Swapping backends therefore can never
 // change the counters the paper measures, only the sharing of the bytes.
 //
@@ -34,9 +38,11 @@ type Backend interface {
 // whose memory stays valid — and keeps reflecting the backend's content
 // for that range as written through this backend — until the backend is
 // reset (COW views) or closed. Growth must not invalidate stable slices:
-// a heap arena that moves on Grow relies on the garbage collector, so a
-// stale slice still holds the bytes it was handed, exactly as a private
-// copy would.
+// a loader arena that moves on Grow keeps the old arena until it is
+// closed or detached, so a stale slice still holds the bytes it was
+// handed, exactly as a private copy would. A slice used after the
+// backend's Close (or after the last release of the base a Detach built)
+// is a bug that faults: the memory has gone back to the operating system.
 //
 // StablePage returns the n bytes at offset off, or ok=false when this
 // particular range cannot be shared (spans a COW page boundary, lies
@@ -58,21 +64,38 @@ func checkRange(off, n, l int) error {
 
 // reserver is the optional capacity hint: Reserve(n) asks the backend to
 // make room for an arena of n bytes now, so that growing up to n never
-// moves it. Only the heap arena implements it — a COW overlay has nothing
-// to move. The hint never changes Len or any byte read.
+// moves it. Only the loader arena implements it — a COW overlay has
+// nothing to move. The hint never changes Len or any byte read.
 type reserver interface {
 	Reserve(n int)
 }
 
-// memBackend keeps the arena on the Go heap: the zero-dependency default
-// matching the original in-memory device. A bulk load sizes its arena
-// first and reserves it (Disk.Reserve), so the arena is allocated once at
-// the size it ends with. Growth past the reservation — relocating
-// updates after the load, an index the sizing pass did not count — falls
-// back to doubling the capacity, which keeps the copying amortized.
+// liveArena is the ledger of loader-arena memory the garbage collector
+// does not see: the bytes of every arena allocArena returned and
+// freeArena has not yet given back.
+var liveArena atomic.Int64
+
+// LiveArenaBytes returns the bytes of loader arenas allocated in this
+// process and not yet freed — engines' arenas, the ones their growth
+// retired, the floors of built or loaded bases still referenced — which
+// the Go runtime's memory statistics do not count. It is zero once every
+// engine is closed and every such base released.
+func LiveArenaBytes() int64 { return liveArena.Load() }
+
+// memBackend keeps the arena in memory of its own, outside the Go heap
+// (allocArena: an anonymous mapping on Linux): what a loader builds into
+// and a private database runs on. A bulk load sizes its arena first and
+// reserves it (Disk.Reserve), so the arena is allocated once at the size
+// it ends with. Growth past the reservation — relocating updates after
+// the load, an index the sizing pass did not count — falls back to
+// doubling the capacity, which keeps the copying amortized. A move
+// retires the old arena rather than freeing it: a frame may still borrow
+// its pages (StablePager), so retired arenas are freed only by Close or
+// Detach, when no borrow is left.
 type memBackend struct {
-	arena []byte
-	moves int // reallocations so far (diagnostics, see HeapArenaStatsOf)
+	arena   []byte   // starts at its allocation's first byte; cap is the allocation
+	retired [][]byte // arenas a move left behind, freed at Close or Detach
+	moves   int      // allocations so far (diagnostics, see ArenaStatsOf)
 }
 
 // NewMemBackend returns an in-memory arena backend.
@@ -80,19 +103,29 @@ func NewMemBackend() Backend { return &memBackend{} }
 
 func (b *memBackend) Len() int { return len(b.arena) }
 
-// Reserve implements reserver: capacity for exactly n bytes.
+// Reserve implements reserver: capacity for exactly n bytes. An
+// allocation that fails leaves the arena as it was: the hint is dropped,
+// and the Grow that needs the room reports the failure.
 func (b *memBackend) Reserve(n int) {
 	if n > cap(b.arena) {
-		b.move(n)
+		_ = b.move(n)
 	}
 }
 
-// move reallocates the arena with the given capacity, keeping its bytes.
-func (b *memBackend) move(capacity int) {
-	arena := make([]byte, len(b.arena), capacity)
-	copy(arena, b.arena)
+// move allocates an arena of the given capacity, copies the bytes over
+// and retires the old one.
+func (b *memBackend) move(capacity int) error {
+	arena, err := allocArena(capacity)
+	if err != nil {
+		return err
+	}
+	arena = arena[:copy(arena, b.arena)]
+	if cap(b.arena) > 0 {
+		b.retired = append(b.retired, b.arena)
+	}
 	b.arena = arena
 	b.moves++
+	return nil
 }
 
 func (b *memBackend) Grow(n int) error {
@@ -100,7 +133,9 @@ func (b *memBackend) Grow(n int) error {
 		return nil
 	}
 	if n > cap(b.arena) {
-		b.move(max(n, 2*cap(b.arena)))
+		if err := b.move(max(n, 2*cap(b.arena))); err != nil {
+			return err
+		}
 	}
 	// Bytes between len and cap have never been handed out (the arena
 	// only grows), so they still read as zero.
@@ -124,29 +159,46 @@ func (b *memBackend) WriteAt(p []byte, off int) error {
 	return nil
 }
 
-func (b *memBackend) Close() error { b.arena = nil; return nil }
+// freeRetired frees the arenas earlier moves left behind.
+func (b *memBackend) freeRetired() error {
+	var errs []error
+	for _, r := range b.retired {
+		errs = append(errs, freeArena(r))
+	}
+	b.retired = nil
+	return errors.Join(errs...)
+}
 
-// HeapArenaStats describes how a heap arena was allocated: its length,
-// the capacity backing it, and how often it has been reallocated. A
-// reserved bulk load ends with Moves == 1 and Cap == Len.
-type HeapArenaStats struct {
+// Close frees the arena and every retired one: a private engine's memory
+// goes back here.
+func (b *memBackend) Close() error {
+	err := freeArena(b.arena)
+	b.arena = nil
+	return errors.Join(err, b.freeRetired())
+}
+
+// ArenaStats describes how a loader arena was allocated: its length, the
+// capacity backing it, and how often it has been allocated. A reserved
+// bulk load ends with Moves == 1 and Cap == Len.
+type ArenaStats struct {
 	Len, Cap, Moves int
 }
 
-// HeapArenaStatsOf reports the allocation history when b is a heap arena,
+// ArenaStatsOf reports the allocation history when b is a loader arena,
 // seeing through any stack of wrapping backends (fault injection).
-func HeapArenaStatsOf(b Backend) (HeapArenaStats, bool) {
+func ArenaStatsOf(b Backend) (ArenaStats, bool) {
 	m, ok := under[*memBackend](b)
 	if !ok {
-		return HeapArenaStats{}, false
+		return ArenaStats{}, false
 	}
-	return HeapArenaStats{Len: len(m.arena), Cap: cap(m.arena), Moves: m.moves}, true
+	return ArenaStats{Len: len(m.arena), Cap: cap(m.arena), Moves: m.moves}, true
 }
 
-// StablePage implements StablePager over the heap arena. A Grow past the
-// arena's capacity moves it, after which an outstanding slice keeps the
-// old memory alive (GC-held) with the bytes it had when handed out —
-// copy-equivalent staleness, which is all the contract promises.
+// StablePage implements StablePager over the loader arena. A Grow past
+// the arena's capacity moves it, after which an outstanding slice still
+// reads the retired arena with the bytes it had when handed out —
+// copy-equivalent staleness, which is all the contract promises — until
+// Close or Detach frees it.
 func (b *memBackend) StablePage(off, n int) ([]byte, bool) {
 	if off < 0 || n <= 0 || off+n > len(b.arena) {
 		return nil, false

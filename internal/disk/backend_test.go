@@ -43,7 +43,7 @@ func TestBackendGrowZeroes(t *testing.T) {
 			if err := b.WriteAt([]byte("mark"), 0); err != nil {
 				t.Fatal(err)
 			}
-			if err := b.Grow(3 << 19); err != nil { // far past the doubled capacity: the heap arena moves
+			if err := b.Grow(3 << 19); err != nil { // far past the doubled capacity: the loader arena moves
 				t.Fatal(err)
 			}
 			head := make([]byte, 4)

@@ -51,15 +51,15 @@ func (t pageTable) each(fn func(pg int, slot *[]byte)) {
 }
 
 // floor is the immutable storage at the bottom of every generation of one
-// or more bases: a heap slice or a read-only file mapping. It counts every
-// reference to any generation standing on it and releases the storage with
-// the last one, and it counts the branches standing on it.
+// or more bases: a loader arena, a heap slice or a read-only file mapping.
+// It counts every reference to any generation standing on it and releases
+// the storage with the last one, and it counts the branches standing on it.
 type floor struct {
 	data     []byte
 	refs     atomic.Int64
 	branches atomic.Int64 // branches with a generation someone holds
-	mapped   bool
-	unmap    func() error // releases the file mapping (mapped floors only)
+	mapped   bool         // a file mapping
+	unmap    func() error // frees a file mapping or a loader arena (nil for a heap slice)
 }
 
 // branch is one base's line of generations over a floor: its own
@@ -123,11 +123,12 @@ func (b *branch) drained(seq uint64, f *floor) {
 // which sums every generation's of every branch: construction hands the
 // creator one reference, Promote hands the next generation's owner one,
 // every COW backend opened over a generation takes another (released by
-// its Close or rebase). The floor storage — heap slice or file mapping —
-// is released only when the floor's last reference goes, so no view can
-// ever observe an unmapped arena; a generation whose own last reference
-// goes is drained, and what only it could read is reused (doc.go,
-// "Committed page images"). Retaining a drained generation is a bug.
+// its Close or rebase). The floor storage — loader arena, heap slice or
+// file mapping — is released only when the floor's last reference goes,
+// so no view can ever observe an unmapped arena; a generation whose own
+// last reference goes is drained, and what only it could read is reused
+// (doc.go, "Committed page images"). Retaining a drained generation is a
+// bug.
 type BaseArena struct {
 	fl       *floor
 	br       *branch
@@ -148,6 +149,17 @@ func NewBaseArena(data []byte) *BaseArena {
 	a.refs.Store(1)
 	a.fl.refs.Store(1)
 	a.fl.branches.Store(1)
+	return a
+}
+
+// newArenaBase freezes the first n bytes of an arena allocArena returned
+// into a base holding one reference, owned by the caller; the floor owns
+// the whole arena and frees it at its last release.
+func newArenaBase(arena []byte, n int) *BaseArena {
+	a := NewBaseArena(arena[:n:n])
+	if cap(arena) > 0 {
+		a.fl.unmap = func() error { return freeArena(arena) }
+	}
 	return a
 }
 
@@ -222,7 +234,8 @@ func (a *BaseArena) Bytes() []byte {
 }
 
 // Mapped reports whether the floor is a read-only file mapping (pages
-// faulted in from the snapshot file on demand) rather than a heap copy.
+// faulted in from the snapshot file on demand) rather than a copy the
+// process built (a loader arena or a heap slice).
 func (a *BaseArena) Mapped() bool { return a != nil && a.fl.mapped }
 
 // DeltaPages returns the number of committed page images the generation
@@ -262,8 +275,9 @@ func (a *BaseArena) Retain() *BaseArena {
 // it is drained: what only it could read becomes reusable, and with its
 // branch's last generation the branch's lists go. When the floor's last
 // reference goes the floor storage is released: a heap floor drops its
-// slice, an mmap-backed one unmaps the snapshot file region. Releasing
-// more often than retained is a bug and reported as an error.
+// slice, a loader arena goes back to the operating system, an mmap-backed
+// floor unmaps the snapshot file region. Releasing more often than
+// retained is a bug and reported as an error.
 func (a *BaseArena) Release() error {
 	if a == nil {
 		return nil
@@ -519,7 +533,7 @@ func (b *cowBackend) rebase(base *BaseArena) error {
 // Close releases the overlay and the backend's reference on the shared
 // base. Other engines keep reading through the base; only when the last
 // reference (views plus the owner handle) goes is the base storage —
-// heap slice or snapshot file mapping — actually released.
+// loader arena, heap slice or snapshot file mapping — actually released.
 func (b *cowBackend) Close() error {
 	base := b.base
 	b.over = nil

@@ -152,7 +152,7 @@ func (d *Disk) Allocate(n int) (PageID, error) {
 // Reserve asks the backend to make room for n pages beyond those
 // allocated, so that the Allocate calls of a bulk load never move the
 // arena: the loaders size their extension first and reserve it whole. It
-// is a hint — only the heap arena acts on it (found under any wrappers;
+// is a hint — only the loader arena acts on it (found under any wrappers;
 // capacity is not I/O, so no fault schedule applies), and an
 // under-estimate merely leaves the tail of the load to the backend's own
 // growth policy. No counter moves and no page becomes allocated.
@@ -162,27 +162,51 @@ func (d *Disk) Reserve(n int) {
 	}
 }
 
-// Detach hands the caller the device's heap arena — the images of all
-// allocated pages, in place, not a copy — and leaves the device dead:
-// every later allocation or transfer fails with ErrDetached. This is how
-// a loaded arena becomes the floor of a shared base (NewBaseArena) at no
-// cost. The arena is taken from under any wrappers, and only a heap
-// arena can be detached. The caller must have flushed and emptied every
-// buffer pool over the device first: resident frames borrow arena pages,
-// and the new owner requires that nothing writes them again.
-func (d *Disk) Detach() ([]byte, error) {
+// Detach hands the device's loader arena — the images of all allocated
+// pages, in place, not a copy — to a new base as its floor, and leaves the
+// device dead: every later allocation or transfer fails with ErrDetached.
+// This is how a loaded arena becomes the floor of a shared base at no
+// cost. The base holds one reference, owned by the caller; its floor owns
+// the arena and frees it at its last Release, and the arenas earlier
+// growth retired are freed here. The arena is taken from under any
+// wrappers, and only a loader arena can be detached. The caller must have
+// flushed and emptied every buffer pool over the device first: resident
+// frames borrow arena pages, and the new owner requires that nothing
+// writes them again.
+func (d *Disk) Detach() (*BaseArena, error) {
 	if d.detached {
 		return nil, ErrDetached
 	}
 	m, ok := under[*memBackend](d.backend)
 	if !ok {
-		return nil, errors.New("disk: detach: backend is not a heap arena")
+		return nil, errors.New("disk: detach: backend is not a loader arena")
 	}
-	n := d.numPages * d.pageSize
-	arena := m.arena[:n:n]
+	if err := m.freeRetired(); err != nil {
+		return nil, err
+	}
+	a := newArenaBase(m.arena, d.numPages*d.pageSize)
 	m.arena = nil
 	d.numPages, d.detached = 0, true
-	return arena, nil
+	return a, nil
+}
+
+// CopyBase copies the images of all allocated pages into a new base
+// arena, allocated like a loader's and freed at the base's last Release.
+// The base holds one reference, owned by the caller; the device is
+// untouched and keeps working. Like DumpTo it moves no counter.
+func (d *Disk) CopyBase() (*BaseArena, error) {
+	if d.detached {
+		return nil, ErrDetached
+	}
+	n := d.numPages * d.pageSize
+	arena, err := allocArena(n)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.readBackend(arena[:n], 0); err != nil {
+		return nil, errors.Join(err, freeArena(arena))
+	}
+	return newArenaBase(arena, n), nil
 }
 
 // ReadRunShared — the device's only read path — reads len(views)
@@ -197,7 +221,7 @@ func (d *Disk) Detach() ([]byte, error) {
 //
 // Accounting is one read call, len(views) pages, whether pages are
 // borrowed or copied, so zero-copy is invisible to every paper counter
-// (the heap arena always shares an in-range page; copies happen over
+// (the loader arena always shares an in-range page; copies happen over
 // COW holes and fault-injected pages). On error, entries
 // already holding getBuf buffers keep them (borrowed[i] = false) and all
 // remaining entries are nil, so the caller can reclaim its buffers.
@@ -316,7 +340,7 @@ func (d *Disk) DumpTo(w io.Writer) error {
 		return ErrDetached
 	}
 	n := d.numPages * d.pageSize
-	// A backend that can share the whole range (a heap arena) is one
+	// A backend that can share the whole range (a loader arena) is one
 	// Write, no copy; otherwise the images are read out in chunks.
 	if d.stable != nil {
 		if all, ok := d.stable.StablePage(0, n); ok {

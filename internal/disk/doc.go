@@ -24,9 +24,9 @@
 // out stable page memory for reads and dumps (StablePager). Two
 // implementations exist, and an engine's role picks one:
 //
-//   - mem (NewMemBackend): the arena on the Go heap — what a loader
-//     builds into and what Detach hands to a base as its floor, and what
-//     a private database runs on;
+//   - mem (NewMemBackend): the loader arena, memory of its own outside
+//     the Go heap — what a loader builds into and what Detach hands to a
+//     base as its floor, and what a private database runs on;
 //   - cow (NewCOWBackend): a page-granular private overlay over a shared
 //     immutable BaseArena (copy-on-write) — what every measured or served
 //     view runs on, opened empty and landed on its base by RebaseView.
@@ -42,23 +42,41 @@
 //
 // # Reservation and hand-off
 //
+// A loader arena is not on the Go heap: on Linux it is an anonymous
+// private mapping (arena_mmap.go; elsewhere a heap slice with the same
+// lifetime contract, arena_portable.go), so the garbage collector neither
+// scans it nor counts it toward its heap goal, and it goes back to the
+// operating system the moment its owner frees it rather than after a
+// collection and the scavenger. Its owner is explicit — the device until
+// Close or Detach, then the floor of the base Detach built, until that
+// floor's last release — and LiveArenaBytes counts the bytes of every
+// arena live in the process, the memory the Go runtime's statistics do
+// not see. No finalizer backs it up: an engine never closed, or a base
+// never released, keeps its arena for the life of the process.
+//
 // A bulk load knows how many pages it will allocate before it allocates
 // the first: the storage models run a sizing pass and call Disk.Reserve.
-// Reservation is an optional backend capability. The heap arena
+// Reservation is an optional backend capability. The loader arena
 // implements it — the arena is allocated once, at the size the load ends
-// with — and the COW overlay ignores it (it has nothing to move). Growth
-// past a reservation, or without
-// one, falls back to doubling the capacity: that is what relocating
-// updates after a load and anything a sizing pass did not count run on,
-// and it keeps an under-estimate a matter of cost, never of correctness.
-// HeapArenaStatsOf reports how an arena was allocated; a reserved load
-// ends with one allocation and no spare capacity.
+// with, and prefaulted, since the load writes all of it — and the COW
+// overlay ignores it (it has nothing to move). Growth past a reservation,
+// or without one, falls back to doubling the capacity: that is what
+// relocating updates after a load and anything a sizing pass did not
+// count run on, and it keeps an under-estimate a matter of cost, never of
+// correctness. Such a move retires the old arena instead of freeing it —
+// a frame may still borrow its pages (see "Stable pages") — until Close
+// or Detach. ArenaStatsOf reports how an arena was allocated; a reserved
+// load ends with one allocation and no spare capacity.
 //
 // Disk.Detach is the other half of building a base in place: it hands the
-// caller the heap arena itself — the page images where the load wrote
-// them — and leaves the device dead (ErrDetached on every later use). A
-// loader's arena becomes the floor of a BaseArena this way without being
-// copied; from then on the immutability rules below apply to it.
+// arena itself — the page images where the load wrote them — to a new
+// BaseArena as its floor, frees the retired arenas, and leaves the device
+// dead (ErrDetached on every later use). A loader's arena becomes the
+// floor of a base this way without being copied; from then on the
+// immutability rules below apply to it, and the floor frees it at its
+// last release. Disk.CopyBase is the copying counterpart for a device
+// that lives on (store.Freeze): the same kind of arena, filled with a
+// copy of the images.
 //
 // # Copy-on-write semantics
 //
@@ -74,16 +92,17 @@
 // across workers:
 // per-worker memory is proportional to the pages a worker dirties, not to
 // the database size, while the counters stay bit-identical to a private
-// heap arena by construction (the device layer above is unchanged).
+// loader arena by construction (the device layer above is unchanged).
 //
 // # Base generations
 //
 // A BaseArena is one generation of a shared base: an immutable floor —
-// the heap slice or .codb mapping the base was built over — plus a page
-// table of the pages committed over the floor since (a root of leaves of
-// sixteen images each; nil, leaf or image, means "read the floor", a page
-// past the visible floor with no entry reads as zero, and the
-// generation's own length is authoritative across growth and shrinkage).
+// the loader arena, heap slice or .codb mapping the base was built over —
+// plus a page table of the pages committed over the floor since (a root
+// of leaves of sixteen images each; nil, leaf or image, means "read the
+// floor", a page past the visible floor with no entry reads as zero, and
+// the generation's own length is authoritative across growth and
+// shrinkage).
 // That table has the same shape as a view's private overlay and is read
 // by the same lookup, so a page resolves through view table → generation
 // table → floor in a fixed number of steps. Promote derives generation
@@ -111,16 +130,17 @@
 // already-dead floor is reported as an error instead of corrupting a
 // neighbour.
 //
-// The counting pays off for the two floor variants differently. A heap
-// floor (NewBaseArena) could in principle lean on the garbage collector;
-// an mmap-backed one (MapBaseArena, used for .codb snapshots) cannot —
-// the file mapping must be unmapped explicitly, and unmapping while a
-// view could still read it would be a crash, not a leak. The mapped
-// variant is what makes a `-db x.codb` run memory-cheap: the
-// snapshot's arena region is mapped PROT_READ/MAP_PRIVATE, resident only
-// in the pages views actually touch, immutable by page protection on top
-// of immutable by construction — and it stays the floor across commits,
-// which move only the pages they dirtied onto the heap.
+// The counting is what frees a floor. Only a heap floor (NewBaseArena:
+// a snapshot read into the heap, tests) could lean on the garbage
+// collector; a loader arena (Detach, CopyBase) and a file mapping
+// (MapBaseArena, used for .codb snapshots) cannot — each is unmapped
+// explicitly at the last release, and unmapping while a view could still
+// read it would be a crash, not a leak. The file mapping is what makes a
+// `-db x.codb` run memory-cheap: the snapshot's arena region is mapped
+// PROT_READ/MAP_PRIVATE, resident only in the pages views actually
+// touch, immutable by page protection on top of immutable by
+// construction — and it stays the floor across commits, which move only
+// the pages they dirtied onto the heap.
 //
 // Backends change only the storage substrate — allocation, run transfers
 // and the I/O counters are identical across backends by construction.
@@ -156,11 +176,16 @@
 // aliasing the backend's own memory for a range inside one page. The
 // slice is a live view, not a snapshot — it stays valid (and observes
 // later writes through the device) until the backend is reset or closed;
-// growth never moves existing pages. The mem backend serves stable
-// pages from its arena; the cow backend serves a materialized
-// page from its private overlay image and a clean page from the shared
-// base generation itself (a committed image or the floor), which is what
-// lets every view of one frozen base read the same physical bytes.
+// growth never invalidates it. The mem backend serves stable pages from
+// its arena: a move keeps the retired arena mapped, with the bytes the
+// slice was handed, until Close or Detach, and the buffer pool has
+// dropped every borrow by then. A slice used after that — or after the
+// last release of the base a Detach built — faults instead of reading
+// stale bytes, since its memory is back with the operating system. The
+// cow backend serves a materialized page from its private overlay image
+// and a clean page from the shared base generation itself (a committed
+// image or the floor), which is what lets every view of one frozen base
+// read the same physical bytes.
 // Fault-injecting wrappers deliberately withhold the capability on pages
 // their schedule targets, so faults cannot be bypassed through an alias.
 //
@@ -204,7 +229,9 @@
 // of bases and extensions (mutex, one build per key), faultdisk.Injector
 // (atomic: one schedule under every device it wraps), complexobj.ViewPool. The proof is `go test -race ./...` —
 // buffer.TestEngineHandOver is the rule itself — and CI's race-built
-// server soak: a second goroutine in an engine is a reported race.
+// server soak: a second goroutine in an engine is a reported race. The
+// detector sees only Go memory, so accesses to a loader arena or a file
+// mapping go unchecked; engine state and page buffers remain covered.
 //
 // # Page buffer ownership
 //

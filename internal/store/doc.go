@@ -97,12 +97,16 @@
 // update re-encodes: heap and longobj copy what they are handed.
 //
 // LoadBase(kind, opts, stations) is the way to build a SharedBase from an
-// extension: it loads into a heap arena and then hands that arena over —
-// disk.Disk.Detach to disk.NewBaseArena — as the base's floor. Nothing is
-// copied; the loader never leaves the function, and its engine is dead
-// once the arena has a new owner (disk.ErrDetached). Freeze is for a
-// model that lives on: it copies the arena, sized exactly, so the base
-// never sees the model's later writes.
+// extension: it loads into a loader arena — memory of its own outside the
+// Go heap, an anonymous mapping on Linux — and then hands that arena over,
+// disk.Disk.Detach returning a disk.BaseArena whose floor owns it, as the
+// base's floor. Nothing is copied; the loader never leaves the function,
+// its engine is dead once the arena has a new owner (disk.ErrDetached),
+// and the arena goes back to the operating system at the base's last
+// release (disk.LiveArenaBytes counts what is live). Freeze is for a
+// model that lives on: it copies the arena, sized exactly, into an arena
+// allocated the same way (disk.Disk.CopyBase), so the base never sees the
+// model's later writes.
 //
 // Kind.Layout names the physical layout a kind is stored in. DSM and
 // DASDBS-DSM are one layout read with two access strategies (§3.1/§3.2),
@@ -121,8 +125,8 @@
 // floor.
 //
 // An Engine (device + buffer pool) backs each model, and its backend
-// follows from its role: NewEngine and New open a heap arena — a loader's
-// (LoadBase), a private database's — and a view gets a copy-on-write
+// follows from its role: NewEngine and New open a loader arena — a
+// loader's (LoadBase), a private database's, freed by Engine.Close — and a view gets a copy-on-write
 // overlay that lands on its base (NewViewAs). Where the page bytes live
 // never changes the measured counters. A loaded model becomes an
 // immutable SharedBase (LoadBase, Freeze) from which any number of

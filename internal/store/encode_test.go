@@ -117,6 +117,9 @@ func TestEncodersMatchTreeOracle(t *testing.T) {
 		direct := mustNew(DSM, Options{}).(*direct)
 		nested := mustNew(DASDBSNSM, Options{}).(*dnsm)
 		flat := mustNew(NSM, Options{}).(*nsm)
+		for _, m := range []Model{direct, nested, flat} {
+			defer m.Engine().Close()
+		}
 		if err := flat.Load(stations); err != nil {
 			t.Fatal(err)
 		}

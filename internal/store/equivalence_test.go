@@ -48,6 +48,7 @@ func TestQuickCrossModelEquivalence(t *testing.T) {
 		models := make([]Model, 0, len(AllKinds()))
 		for _, k := range AllKinds() {
 			m := mustNew(k, Options{BufferPages: 64})
+			defer m.Engine().Close()
 			if err := m.Load(stations); err != nil {
 				t.Logf("%s load: %v", k, err)
 				return false
@@ -112,6 +113,7 @@ func TestQuickUpdateObjectEquivalence(t *testing.T) {
 		models := make([]Model, 0, len(AllKinds()))
 		for _, k := range AllKinds() {
 			m := mustNew(k, Options{BufferPages: 64})
+			defer m.Engine().Close()
 			if err := m.Load(stations); err != nil {
 				return false
 			}

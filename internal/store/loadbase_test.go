@@ -8,13 +8,14 @@ import (
 
 	"complexobj/cobench"
 	"complexobj/internal/disk"
+	"complexobj/internal/faultdisk"
 )
 
 // TestLoadReservesArena pins the sizing pass: for every model, over the
 // default extension and the extreme configurations the sweeps generate
 // (Figure 5's object sizes, Figure 6's smallest database, Table 7's
-// skew), Load allocates the heap arena once and never moves it again, and
-// what it reserved is within 5 % of what the load filled.
+// skew), Load allocates the loader arena once and never moves it again,
+// and what it reserved is within 5 % of what the load filled.
 func TestLoadReservesArena(t *testing.T) {
 	def := cobench.DefaultConfig()
 	configs := map[string]cobench.Config{
@@ -39,9 +40,9 @@ func TestLoadReservesArena(t *testing.T) {
 			if err := m.Load(stations); err != nil {
 				t.Fatalf("%s %s: %v", name, k, err)
 			}
-			st, ok := disk.HeapArenaStatsOf(m.Engine().Dev.Backend())
+			st, ok := disk.ArenaStatsOf(m.Engine().Dev.Backend())
 			if !ok {
-				t.Fatalf("%s %s: not a heap arena", name, k)
+				t.Fatalf("%s %s: not a loader arena", name, k)
 			}
 			if want := m.Engine().Dev.NumPages() * disk.DefaultPageSize; st.Len != want {
 				t.Errorf("%s %s: arena of %d bytes, device holds %d", name, k, st.Len, want)
@@ -71,7 +72,7 @@ func TestLoadSurvivesUnderEstimate(t *testing.T) {
 	if err := m.Load(stations); err != nil {
 		t.Fatal(err)
 	}
-	st, _ := disk.HeapArenaStatsOf(m.Engine().Dev.Backend())
+	st, _ := disk.ArenaStatsOf(m.Engine().Dev.Backend())
 	if st.Moves < 2 {
 		t.Fatalf("arena moved %d times: the index pages were expected to outgrow the reservation", st.Moves)
 	}
@@ -356,5 +357,64 @@ func BenchmarkLoadBase(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestLoadBaseFreesItsArena pins the lifetime of a loader arena, which
+// lives outside the Go heap and so is freed by its owner or not at all:
+// LoadBase's arena stays live as long as the base, goes at the base's
+// Release, and a load that fails midway (every write past page 40 fails,
+// with a pool small enough to write during the load) frees it before
+// LoadBase returns. A private engine frees its arena at Close, and a
+// frozen copy at its base's Release.
+func TestLoadBaseFreesItsArena(t *testing.T) {
+	stations, err := cobench.Generate(cobench.DefaultConfig().WithN(150))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := disk.LiveArenaBytes
+	if n := live(); n != 0 {
+		t.Fatalf("%d loader-arena bytes live before the test: an earlier test leaked an engine or a base", n)
+	}
+	for _, k := range AllKinds() {
+		base, err := LoadBase(k, Options{}, stations)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := live(); n < int64(base.ArenaBytes()) {
+			t.Errorf("%s: %d loader-arena bytes live under a %d-byte base", k, n, base.ArenaBytes())
+		}
+		if err := base.Release(); err != nil {
+			t.Fatal(err)
+		}
+		if n := live(); n != 0 {
+			t.Errorf("%s: %d loader-arena bytes live after the base's release, want 0", k, n)
+		}
+
+		in := faultdisk.New(faultdisk.Spec{Seed: 3, Write: 1, PageLo: 40})
+		if _, err := LoadBase(k, Options{BufferPages: 8, Faults: in}, stations); err == nil {
+			t.Fatalf("%s: a load whose writes fail returned a base", k)
+		}
+		if n := live(); n != 0 {
+			t.Errorf("%s: %d loader-arena bytes live after a failed load, want 0", k, n)
+		}
+
+		m := loadModel(t, k, stations)
+		frozen, err := Freeze(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Engine().Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := live(); n != int64(frozen.ArenaBytes()) {
+			t.Errorf("%s: %d loader-arena bytes live with only a frozen copy of %d bytes", k, n, frozen.ArenaBytes())
+		}
+		if err := frozen.Release(); err != nil {
+			t.Fatal(err)
+		}
+		if n := live(); n != 0 {
+			t.Errorf("%s: %d loader-arena bytes live after the frozen copy's release, want 0", k, n)
+		}
 	}
 }

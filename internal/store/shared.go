@@ -130,9 +130,11 @@ func (b *SharedBase) Branch(k Kind) (*SharedBase, error) {
 // an immutable SharedBase. The model keeps working afterwards (its dirty
 // pages are flushed as a side effect); the base never observes later
 // changes. This is the in-memory counterpart of writing and re-opening a
-// snapshot, at the cost of one arena copy — sized exactly — instead of
-// one per engine that wants the loaded state. A caller that loads a
-// model only to freeze it wants LoadBase, which copies nothing.
+// snapshot, at the cost of one arena copy — sized exactly, allocated like
+// a loader's arena (disk.Disk.CopyBase) and freed at the base's last
+// release — instead of one per engine that wants the loaded state. A
+// caller that loads a model only to freeze it wants LoadBase, which
+// copies nothing.
 func Freeze(m Model) (*SharedBase, error) {
 	if err := m.Flush(); err != nil {
 		return nil, fmt.Errorf("store: freeze flush %s: %w", m.Kind(), err)
@@ -142,18 +144,19 @@ func Freeze(m Model) (*SharedBase, error) {
 		return nil, fmt.Errorf("store: freeze meta %s: %w", m.Kind(), err)
 	}
 	dev := m.Engine().Dev
-	n := dev.NumPages() * dev.PageSize()
-	buf := bytes.NewBuffer(make([]byte, 0, n))
-	if err := dev.DumpTo(buf); err != nil {
+	arena, err := dev.CopyBase()
+	if err != nil {
 		return nil, fmt.Errorf("store: freeze arena %s: %w", m.Kind(), err)
 	}
-	return NewSharedBase(m.Kind(), dev.PageSize(), meta, disk.NewBaseArena(buf.Bytes()))
+	return NewSharedBase(m.Kind(), dev.PageSize(), meta, arena)
 }
 
 // LoadBase builds the shared base of kind k over stations in place: the
-// extension is loaded into a heap arena the sizing pass reserved in one
+// extension is loaded into a loader arena the sizing pass reserved in one
 // piece, and that arena then becomes the base's floor — one allocation,
-// no copy. The loader never leaves this function; o supplies the page
+// no copy, outside the Go heap (disk.LiveArenaBytes counts it) and freed
+// at the base's last Release. The loader never leaves this function, and
+// a load that fails frees its arena before returning; o supplies the page
 // size and fault schedule.
 func LoadBase(k Kind, o Options, stations []*cobench.Station) (*SharedBase, error) {
 	m, err := New(k, o)
@@ -167,10 +170,12 @@ func LoadBase(k Kind, o Options, stations []*cobench.Station) (*SharedBase, erro
 	return adopt(m)
 }
 
-// adopt consumes a loaded model over a heap arena: its directory metadata
-// and the arena itself — detached from the device, not copied — become an
-// immutable SharedBase. The model is dead afterwards: its pool is empty
-// and its device fails every access with disk.ErrDetached.
+// adopt consumes a loaded model over a loader arena: its directory
+// metadata and the arena itself — detached from the device as a floor
+// that owns it (disk.Disk.Detach), not copied — become an immutable
+// SharedBase, which frees the arena at its last Release. The model is
+// dead afterwards: its pool is empty and its device fails every access
+// with disk.ErrDetached.
 func adopt(m Model) (*SharedBase, error) {
 	eng := m.Engine()
 	// Flush, then drop every frame: resident frames borrow arena pages,
@@ -186,7 +191,7 @@ func adopt(m Model) (*SharedBase, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: adopt %s: %w", m.Kind(), err)
 	}
-	return NewSharedBase(m.Kind(), eng.Dev.PageSize(), meta, disk.NewBaseArena(arena))
+	return NewSharedBase(m.Kind(), eng.Dev.PageSize(), meta, arena)
 }
 
 // Kind returns the storage model the base holds.

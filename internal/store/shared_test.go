@@ -29,6 +29,7 @@ func TestSharedBaseRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer base.Release()
 			if base.Kind() != k || base.NumPages() == 0 {
 				t.Fatalf("base: kind %s, %d pages", base.Kind(), base.NumPages())
 			}
@@ -75,6 +76,7 @@ func TestSharedBaseViewIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer base.Release()
 	orig.Engine().Close()
 	pristineSum := append([]byte(nil), checksumBase(base)...)
 
@@ -165,6 +167,7 @@ func TestSharedBaseRejectsConflicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer base.Release()
 	if _, err := base.Open(Options{PageSize: 1024}); err == nil {
 		t.Error("conflicting page size accepted")
 	}

@@ -136,13 +136,13 @@ type Engine struct {
 	ints []int // IntScratch
 }
 
-// NewEngine creates a device/pool pair over a fresh heap arena: the
+// NewEngine creates a device/pool pair over a fresh loader arena: the
 // engine of a loader (LoadBase) or of a private database. An engine's
 // backend follows from its role; a view's is a copy-on-write overlay
 // (NewViewAs).
 func NewEngine(o Options) (*Engine, error) { return newEngine(o, false) }
 
-// newEngine creates an empty device/pool pair over a heap arena, or with
+// newEngine creates an empty device/pool pair over a loader arena, or with
 // cow over an empty copy-on-write overlay that RebaseView lands on a base.
 func newEngine(o Options, cow bool) (*Engine, error) {
 	o = o.withDefaults()

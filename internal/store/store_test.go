@@ -28,6 +28,7 @@ func testExtension(t *testing.T, n int) []*cobench.Station {
 func loadModel(t *testing.T, k Kind, stations []*cobench.Station) Model {
 	t.Helper()
 	m := mustNew(k, Options{BufferPages: 256})
+	t.Cleanup(func() { m.Engine().Close() }) // its arena is outside the Go heap
 	if err := m.Load(stations); err != nil {
 		t.Fatalf("%s load: %v", k, err)
 	}
@@ -655,6 +656,7 @@ func TestUpdateObjectErrors(t *testing.T) {
 	}
 	// Counted-index NSM rejects structural updates (append-only B+-trees).
 	mi := mustNew(NSMIndex, Options{BufferPages: 128, CountIndexIO: true})
+	defer mi.Engine().Close()
 	if err := mi.Load(stations); err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 // TestBackendCounterEquivalence is the tentpole invariant test at the raw
 // counter level: the full paper query matrix, run on every storage model,
 // produces bit-identical iostat counters (page I/Os, I/O calls, buffer
-// fixes and hits) whether the device arena lives in a private heap arena
+// fixes and hits) whether the device arena lives in a private loader arena
 // — the loader, and the reference every other path is held to — or in a
 // copy-on-write view: of a frozen shared base, and of the base loaded in
 // place for the model's physical layout (for DASDBS-DSM that is a DSM
