@@ -262,7 +262,9 @@ func TestSuitePeakRSS(t *testing.T) {
 // theirs (every one-off base of a sweep has already freed its own), and
 // Close frees the rest. The count is taken against the one before the
 // suite was made, since the package's shared paper-scale suite may be
-// open; TestMain holds the whole package to zero at its end.
+// open; TestMain holds the whole package to zero at its end. Close also
+// empties the suite's page pool: the page buffers and scaffolding its
+// closed engines left there.
 func TestSuiteCloseFreesArenas(t *testing.T) {
 	before := disk.LiveArenaBytes()
 	s := New(smallConfig())
@@ -272,11 +274,18 @@ func TestSuiteCloseFreesArenas(t *testing.T) {
 	if disk.LiveArenaBytes() == before {
 		t.Error("no loader arena live after All: the suite's own bases are gone before Close")
 	}
+	pool := s.storeOpts.Pages
+	if _, _, held := pool.Stats(); held == 0 || pool.Scaffolds() == 0 {
+		t.Errorf("after All the page pool holds %d pages and %d scaffolds: no engine gave any back", held, pool.Scaffolds())
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if n := disk.LiveArenaBytes() - before; n != 0 {
 		t.Errorf("%d loader-arena bytes the suite built are live after its Close, want 0", n)
+	}
+	if _, _, held := pool.Stats(); held != 0 || pool.Scaffolds() != 0 {
+		t.Errorf("after Close the page pool holds %d pages and %d scaffolds, want none", held, pool.Scaffolds())
 	}
 }
 

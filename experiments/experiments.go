@@ -30,13 +30,19 @@
 // for them. Any other configuration (a Figure 5 or 6 column, the skew
 // extension) is held by the cells that use it and dropped, extension and
 // bases, when the last of them lets go, so a sweep's memory tracks the
-// cells in flight, not the number of configurations swept; one needed
-// again later rebuilds. A loaded base's arena is not on the Go heap
-// (internal/disk, "Reservation and hand-off"): a one-off base's memory
-// goes back to the operating system the moment its last cell releases
-// it, not at a later collection, and the pinned bases do not raise the
-// collector's heap goal. Close frees the rest; disk.LiveArenaBytes counts
-// what is live. The suite also keeps every computed result, so
+// cells in flight, not the number of configurations swept. A sweep
+// point's extension is held across all of its layout groups (Figure 5 and
+// Table 7 hold theirs for the whole experiment, pointHold Figure 6's), so
+// a whole reproduction generates each configuration once at any width.
+// The one configuration needed again after its last holder let go is the
+// skewed extension: the distribution ablation regenerates it, with its
+// DSM base, after Table 7 dropped them, because holding them across
+// sections would raise the suite's peak. A loaded base's arena is not on
+// the Go heap (internal/disk, "Reservation and hand-off"): a one-off
+// base's memory goes back to the operating system the moment its last
+// cell releases it, not at a later collection, and the pinned bases do not
+// raise the collector's heap goal. Close frees the rest; disk.LiveArenaBytes
+// counts what is live. The suite also keeps every computed result, so
 // asking for several tables runs the expensive work once. All runs are
 // deterministic for a given configuration, whatever the width.
 package experiments
@@ -171,8 +177,14 @@ func New(cfg Config) *Suite {
 func (s *Suite) Config() Config { return s.cfg }
 
 // Close drops the cached bases (heap bases and snapshot file mappings)
-// and extensions. The suite must not be used afterwards.
-func (s *Suite) Close() error { return errors.Join(s.bases.close(), s.exts.close()) }
+// and extensions, and empties the page pool — page buffers and the
+// scaffolding closed engines left there — so a closed suite pins no
+// memory. The suite must not be used afterwards.
+func (s *Suite) Close() error {
+	err := errors.Join(s.bases.close(), s.exts.close())
+	s.storeOpts.Pages.Drain()
+	return err
+}
 
 func (s *Suite) storeOptions() (store.Options, error) {
 	return s.storeOpts, s.optsErr
@@ -275,6 +287,65 @@ func (s *Suite) extension(gen cobench.Config) ([]*cobench.Station, func() error,
 		}
 		return st, nil
 	})
+}
+
+// pointHold keeps each sweep point's extension live from the start of the
+// first of the point's layout groups to the end of the last, so a group
+// that starts after its sibling let go — always, at width 1 — does not
+// generate it again. Figure 6 uses it; Figure 5 and Table 7 hold their
+// extensions for the whole experiment instead.
+type pointHold struct {
+	s    *Suite
+	mu   sync.Mutex
+	left []int            // layout groups of each point still to finish
+	held [][]func() error // the releases of each point's finished groups
+}
+
+func (s *Suite) newPointHold(points, groups int) *pointHold {
+	h := &pointHold{s: s, left: make([]int, points), held: make([][]func() error, points)}
+	for i := range h.left {
+		h.left[i] = groups
+	}
+	return h
+}
+
+// group runs fn, one layout group of point i over gen, holding gen's
+// extension until the point's last group is done. The suite's own is
+// pinned and, over a snapshot, never generated, so it is not asked for.
+func (h *pointHold) group(i int, gen cobench.Config, fn func() error) error {
+	release := noRelease
+	if gen != h.s.cfg.Gen {
+		_, r, err := h.s.extension(gen)
+		if err != nil {
+			return err
+		}
+		release = r
+	}
+	err := fn()
+	h.mu.Lock()
+	h.held[i] = append(h.held[i], release)
+	h.left[i]--
+	last := h.held[i]
+	if h.left[i] > 0 {
+		last = nil
+	} else {
+		h.held[i] = nil
+	}
+	h.mu.Unlock()
+	for _, r := range last {
+		r() // cannot fail: the extension cache drops nothing
+	}
+	return err
+}
+
+// close releases what the points of a failed fan-out still hold, once the
+// fan-out has returned.
+func (h *pointHold) close() {
+	for _, held := range h.held {
+		for _, r := range held {
+			r()
+		}
+	}
 }
 
 // ExtensionStats describes the generated extension (realised averages,

@@ -144,7 +144,9 @@ var Fig6Sizes = []int{100, 200, 400, 700, 1000, 1500}
 // direct models degrade toward the worst case (the query 2a estimate).
 //
 // The (N, layout) point groups fan out over the suite's worker pool with
-// per-point bases; only the analytical envelope is computed up front.
+// per-point bases, and each point's extension is generated once for all
+// of its groups (pointHold); only the analytical envelope is computed up
+// front.
 func (s *Suite) Figure6() ([]Fig6Point, error) {
 	if s.fig6 != nil {
 		return s.fig6, nil
@@ -160,12 +162,18 @@ func (s *Suite) Figure6() ([]Fig6Point, error) {
 	baseN := float64(s.cfg.Gen.N)
 	points := make([]Fig6Point, len(Fig6Sizes)*len(fig5Models))
 	groups := layoutGroups(fig5Models)
+	hold := s.newPointHold(len(Fig6Sizes), len(groups))
+	defer hold.close()
 	err = fanout.Run(len(Fig6Sizes)*len(groups), s.workers(), func(u int) error {
 		size, g := u/len(groups), groups[u%len(groups)]
-		n := Fig6Sizes[size]
+		n, gen := Fig6Sizes[size], s.cfg.Gen.WithN(Fig6Sizes[size])
 		w := s.cfg.Workload
 		w.Loops = cobench.LoopsFor(n)
-		res, err := s.runQueries(fig5Models[g[0]:g[1]], opts, s.cfg.Gen.WithN(n), w, cobench.Q2b)
+		var res []map[cobench.Query]Measured
+		err := hold.group(size, gen, func() (err error) {
+			res, err = s.runQueries(fig5Models[g[0]:g[1]], opts, gen, w, cobench.Q2b)
+			return err
+		})
 		if err != nil {
 			return err
 		}

@@ -80,3 +80,36 @@ func TestGenShare(t *testing.T) {
 		t.Fatalf("distinct config: Len %d Built %d, want 2 and 3", s.exts.Len(), s.exts.Built())
 	}
 }
+
+// TestAllBuildsEachConfigurationOnce pins how much a whole reproduction
+// generates and loads, at every width: each configuration's extension once
+// (the suite's own, Figure 5's two other columns, Figure 6's six sizes,
+// the skewed one) and each (layout, configuration) base once (three of
+// the suite's own, two per Figure 5 column and Figure 6 size, three for
+// Table 7). A sweep point's layout groups share its extension however
+// they are scheduled. The one rebuild left is the distribution ablation's:
+// it needs the skewed extension and its DSM base after Table 7 let them
+// go, and holding them across sections would raise the suite's peak.
+func TestAllBuildsEachConfigurationOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three whole reproductions")
+	}
+	const exts, bases = 10 + 1, 22 + 1
+	for _, workers := range []int{1, 2, 8} {
+		cfg := smallConfig()
+		cfg.Workers = workers
+		s := New(cfg)
+		if _, err := s.All(); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.exts.Built(); got != exts {
+			t.Errorf("workers=%d: %d extensions generated, want %d", workers, got, exts)
+		}
+		if got := s.bases.Built(); got != bases {
+			t.Errorf("workers=%d: %d bases loaded, want %d", workers, got, bases)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -389,3 +389,75 @@ func TestReleaseHandsBuffersToThePagePool(t *testing.T) {
 		t.Errorf("after Release the page pool holds %d pages and %d frames are resident, want 3 and 0", held, p.Len())
 	}
 }
+
+// TestReleaseHandsScaffoldOn: a released pool leaves its scaffolding in its
+// device's page pool, and the next pool opened over a device of that page
+// pool — here a smaller one, under the other policy — starts from it: no
+// frame of the first pool is resident in the second, the second's index is
+// sized to its own device at once (in the first's array), and the frames it
+// loads are the first's.
+func TestReleaseHandsScaffoldOn(t *testing.T) {
+	pp := disk.NewPagePool(0)
+	open := func(pages int) *disk.Disk {
+		d := disk.New(disk.DefaultPageSize)
+		d.SetPagePool(pp)
+		if _, err := d.Allocate(pages); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	cycle := func(p *Pool, lo, hi int) {
+		for id := disk.PageID(lo); id < disk.PageID(hi); id++ {
+			f, err := p.Fix(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id%3 == 0 {
+				p.MarkDirty(f)
+			}
+			if err := p.Unfix(id, id%3 == 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	first := New(open(200), 64, LRU)
+	cycle(first, 0, 200) // evicts: frames pass through the free list
+	frames := map[*Frame]bool{}
+	for id := disk.PageID(0); id < 200; id++ {
+		if f := first.frameAt(id); f != nil {
+			frames[f] = true
+		}
+	}
+	if err := first.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if n := pp.Scaffolds(); n != 1 {
+		t.Fatalf("a released pool left %d scaffolds, want 1", n)
+	}
+
+	second := New(open(100), 64, Clock)
+	if n := pp.Scaffolds(); n != 0 {
+		t.Fatalf("the next pool left %d scaffolds in the page pool, want it to take the one", n)
+	}
+	for id := disk.PageID(0); id < 100; id++ {
+		if second.Contains(id) {
+			t.Fatalf("page %d of the released pool is resident in the next", id)
+		}
+	}
+	cycle(second, 36, 100)
+	if len(second.index) != 100 || cap(second.index) < 200 {
+		t.Errorf("index len %d cap %d, want 100 in the released pool's array of %d", len(second.index), cap(second.index), 200)
+	}
+	for id := disk.PageID(36); id < 100; id++ {
+		if f := second.frameAt(id); f == nil || !frames[f] || f.ID != id {
+			t.Fatalf("page %d: frame %p is not one the released pool handed on", id, f)
+		}
+	}
+	cycle(second, 0, 100) // and the Clock ring runs on the handed-on array
+	if second.Len() != 64 {
+		t.Errorf("%d pages resident, want 64", second.Len())
+	}
+}

@@ -47,7 +47,8 @@ var (
 // Frame is a cached page. Data is the raw page image (including the 36-byte
 // system header area); callers slice out the payload themselves. A Frame
 // (and its Data) is only valid while the caller holds a pin on it: after
-// Unfix the frame may be evicted and its memory recycled for another page.
+// Unfix the frame may be evicted and its memory recycled for another page,
+// and after the pool's Release for another engine's.
 //
 // A frame loaded from a backend that supports zero-copy reads
 // (disk.StablePager) starts out borrowed: Data aliases backend memory
@@ -116,8 +117,38 @@ func New(dev *disk.Disk, capacity int, policy Policy) *Pool {
 		capacity: capacity,
 		policy:   policy,
 	}
+	if s, ok := dev.PagePool().TakeScaffold().(*scaffold); ok {
+		p.reuse(s)
+	}
 	p.getBufFn = p.getBuf
 	return p
+}
+
+// scaffold is what a released pool leaves in its device's page pool for
+// the next pool opened over a device of it (disk.PagePool.PutScaffold,
+// which keeps it as an opaque value): the frame index, every Frame the
+// pool had, the rest of its frame slab, and the backing arrays of its page
+// free list and clock ring. It is handed over as Release left it — the
+// index still names the frames that were resident — and reuse resets it.
+type scaffold struct {
+	index    []*Frame
+	frames   []*Frame // zeroed by recycle
+	slab     slab.Slab[Frame]
+	freeData [][]byte // length 0
+	clock    []*Frame // length 0
+}
+
+// reuse starts the pool from a released pool's scaffold: the index is
+// cleared (its length is the last device's page count, and nothing past it
+// was ever set), so no frame of the earlier engine is visible, and the
+// frames are the free list.
+func (p *Pool) reuse(s *scaffold) {
+	clear(s.index)
+	p.index = s.index[:0]
+	p.freeFrames = s.frames
+	p.frames = s.slab
+	p.freeData = s.freeData
+	p.clock = s.clock
 }
 
 // Capacity returns the pool size in pages.
@@ -158,17 +189,25 @@ func (p *Pool) frameAt(id disk.PageID) *Frame {
 // index as the device grows.
 func (p *Pool) install(f *Frame) {
 	if int(f.ID) >= len(p.index) {
-		need := int(f.ID) + 1
-		if need < 2*len(p.index) {
-			need = 2 * len(p.index)
-		}
-		grown := make([]*Frame, need)
-		copy(grown, p.index)
-		p.index = grown
+		p.growIndex(int(f.ID) + 1)
 	}
 	p.index[f.ID] = f
 	p.resident++
 	p.insert(f)
+}
+
+// growIndex makes the index cover n pages, and every page the device has:
+// a view's index is sized once, to its base, and one that must grow past
+// its capacity doubles it. Slots past the length are nil whether the array
+// is new or reused, so lengthening within the capacity is a reslice.
+func (p *Pool) growIndex(n int) {
+	n = max(n, p.dev.NumPages())
+	if n > cap(p.index) {
+		grown := make([]*Frame, n, max(n, 2*cap(p.index)))
+		copy(grown, p.index)
+		p.index = grown
+	}
+	p.index = p.index[:n]
 }
 
 // Fix pins the page in the pool, reading it from disk if absent, and
@@ -604,19 +643,33 @@ func (p *Pool) Discard() error {
 
 // Release is Discard for a pool about to be closed: the buffers it owns,
 // dropped frames' and free list's, go to the device's page pool, and after
-// them — no frame borrows one now — the device's overlay images. The
-// caller has flushed; whatever is still dirty is dropped.
+// them — no frame borrows one now — the device's overlay images; with them
+// goes the pool's emptied scaffolding (the scaffold type), for the next
+// pool opened over that page pool. The caller has flushed; whatever is
+// still dirty is dropped. The pool is empty afterwards and must not be
+// used again.
 func (p *Pool) Release() error {
-	if err := p.empty(false); err != nil {
+	if err := p.unpinned(); err != nil {
 		return err
 	}
-	p.dev.ReleasePages(p.freeData)
-	p.freeData = nil
+	p.eachResident(p.recycle) // the index keeps naming them: reuse clears it
+	p.forget()
+	p.dev.ReleasePages(p.freeData) // clears the list's slots
+	if pp := p.dev.PagePool(); pp != nil {
+		pp.PutScaffold(&scaffold{
+			index:    p.index,
+			frames:   p.freeFrames,
+			slab:     p.frames,
+			freeData: p.freeData[:0],
+			clock:    p.clock,
+		})
+	}
+	p.index, p.freeFrames, p.frames, p.freeData, p.clock = nil, nil, slab.Slab[Frame]{}, nil, nil
 	return nil
 }
 
-// empty drops every resident frame, optionally flushing dirty ones first.
-func (p *Pool) empty(flush bool) error {
+// unpinned fails when a frame is pinned: a pool is emptied only whole.
+func (p *Pool) unpinned() error {
 	var pinned *Frame
 	p.eachResident(func(f *Frame) {
 		if f.pins > 0 && pinned == nil {
@@ -625,6 +678,14 @@ func (p *Pool) empty(flush bool) error {
 	})
 	if pinned != nil {
 		return fmt.Errorf("buffer: reset with pinned page %d", pinned.ID)
+	}
+	return nil
+}
+
+// empty drops every resident frame, optionally flushing dirty ones first.
+func (p *Pool) empty(flush bool) error {
+	if err := p.unpinned(); err != nil {
+		return err
 	}
 	if flush {
 		if err := p.FlushAll(); err != nil {
@@ -635,12 +696,18 @@ func (p *Pool) empty(flush bool) error {
 		p.index[f.ID] = nil
 		p.recycle(f)
 	})
+	p.forget()
+	return nil
+}
+
+// forget empties the replacement and dirty structures once every resident
+// frame has been recycled.
+func (p *Pool) forget() {
 	p.resident = 0
 	p.head, p.tail = nil, nil
 	p.clock = p.clock[:0]
 	p.hand = 0
 	p.dirtyHead, p.dirtyTail, p.dirtyLen = nil, nil, 0
-	return nil
 }
 
 // eachResident visits every resident frame via the replacement-policy

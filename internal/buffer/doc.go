@@ -22,6 +22,11 @@
 //     cannot supply is cut from a slab of min(64, capacity) Frames the pool
 //     holds, so a fresh pool allocates its frames a slab at a time, not one
 //     per page it loads;
+//   - a pool over a device with a disk.PagePool starts from the
+//     scaffolding — index, Frames, free-list and clock arrays — a pool
+//     released over that page pool left there, the index cleared and sized
+//     once to the device's page count, so engines opened one after another
+//     allocate their scaffolding once between them;
 //   - dirty frames sit on an intrusive doubly-linked dirty list, so flushes
 //     and overflow write bursts only visit the dirty subset instead of
 //     scanning (and re-sorting) every resident frame.

@@ -454,9 +454,7 @@ func (b *cowBackend) WriteAt(p []byte, off int) error {
 			}
 			li := pg >> leafShift
 			if li >= len(b.over) {
-				grown := make(pageTable, (li+1)*2)
-				copy(grown, b.over)
-				b.over = grown
+				b.growTable(li)
 			}
 			if b.over[li] == nil {
 				b.over[li] = new(pageLeaf)
@@ -469,6 +467,22 @@ func (b *cowBackend) WriteAt(p []byte, off int) error {
 		off += n
 	}
 	return nil
+}
+
+// growTable makes the overlay table reach leaf li. A backend's first
+// write adopts the emptied table and image list a closed overlay left in
+// the page pool, if any; a table still too short is replaced by one twice
+// the length li needs.
+func (b *cowBackend) growTable(li int) {
+	if b.over == nil && b.freeImgs == nil {
+		o := b.pages.takeOverlay()
+		b.over, b.freeImgs = o.table, o.imgs
+	}
+	if li >= len(b.over) {
+		grown := make(pageTable, (li+1)*2)
+		copy(grown, b.over)
+		b.over = grown
+	}
 }
 
 // StablePage implements StablePager: a materialized page shares its

@@ -87,8 +87,9 @@ func Open(pageSize int, b Backend) (*Disk, error) {
 
 // SetPagePool names the pool the device's page buffers — its buffer pool's
 // frame memory, a COW backend's overlay images — come from once a private
-// free list is empty, and go to when an engine closes clean. Call it before
-// the device is used.
+// free list is empty, and go to when an engine closes clean; the engine's
+// emptied scaffolding travels the same way (PagePool, ReleasePages).
+// Call it before the device is used.
 func (d *Disk) SetPagePool(pp *PagePool) {
 	d.pages = pp
 	if c, ok := asCOW(d.backend); ok {
@@ -100,17 +101,24 @@ func (d *Disk) SetPagePool(pp *PagePool) {
 // unspecified.
 func (d *Disk) NewPage() []byte { return d.pages.Get(d.pageSize) }
 
+// PagePool returns the pool SetPagePool named, nil for none: where a
+// buffer pool over the device takes and leaves its scaffolding.
+func (d *Disk) PagePool() *PagePool { return d.pages }
+
 // ReleasePages gives the page pool the frame buffers of the device's
-// emptied buffer pool and, as ResetView would leave them, a COW overlay's
-// images. The emptying comes first — a resident frame may borrow an overlay
-// image — and the device is about to be closed.
+// emptied buffer pool — clearing the caller's slice, whose array may be
+// reused at once — and, as ResetView would leave them, a COW overlay's
+// images, then its emptied page table and image list. The emptying comes
+// first — a resident frame may borrow an overlay image — and the device is
+// about to be closed.
 func (d *Disk) ReleasePages(frames [][]byte) {
 	d.pages.Put(frames)
 	if c, ok := asCOW(d.backend); ok {
 		c.reset()
 		d.numPages = c.size / d.pageSize
 		d.pages.Put(c.freeImgs)
-		c.freeImgs = nil
+		d.pages.putOverlay(overlay{table: c.over, imgs: c.freeImgs[:0]})
+		c.over, c.freeImgs = nil, nil
 	}
 }
 

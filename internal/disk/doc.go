@@ -249,4 +249,17 @@
 // overlay image (buffer.Pool.Release, through ReleasePages, is that order).
 // An engine that failed gives nothing back. Under `-tags poison` a page is
 // overwritten with 0xDB on its way into and out of a pool, nil included.
+//
+// The same clean close hands on the engine's scaffolding, so the next
+// engine opened over the pool builds none: the buffer pool's frame index,
+// Frame structs and the backing arrays of its free lists and clock ring —
+// one opaque value package buffer defines, which the pool only stores
+// (PutScaffold, TakeScaffold) — and the COW overlay's page table, its
+// leaves and its image list's array (taken at the overlay's first write).
+// Each is reset before reuse, so nothing of the earlier engine is
+// visible: the taker clears the index, Frames are zeroed as they are
+// recycled, and ReleasePages empties the leaves before it hands the table
+// over. Page buffers still travel only as pages. Served views are given no
+// pool and keep their own lists; PagePool.Drain drops everything a pool
+// holds when its owner is done.
 package disk

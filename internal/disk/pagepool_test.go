@@ -90,6 +90,7 @@ func TestPagePoolConcurrent(t *testing.T) {
 // reset recycled — to the device's pool; a device without one drops them.
 func TestReleasePagesReturnsOverlay(t *testing.T) {
 	page := make([]byte, DefaultPageSize)
+	page[0] = 7
 	open := func(pp *PagePool) *Disk {
 		d := NewWithBackend(DefaultPageSize, NewCOWBackend(nil, DefaultPageSize))
 		d.SetPagePool(pp)
@@ -119,16 +120,27 @@ func TestReleasePagesReturnsOverlay(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, held := pp.Stats(); held != 3 {
-		t.Errorf("pool holds %d pages after release, want 3", held)
+	if _, _, held := pp.Stats(); held != 3 || pp.Scaffolds() != 1 {
+		t.Errorf("pool holds %d pages and %d scaffolds after release, want 3 and the overlay's table", held, pp.Scaffolds())
 	}
-	// The next device over the same pool materialises without allocating.
+	// The next device over the same pool materialises without allocating,
+	// into the emptied table: pages 1 and 5 read as the base again.
 	d = open(pp)
 	if err := d.WriteRun(0, [][]byte{page, page, page}); err != nil {
 		t.Fatal(err)
 	}
-	if _, hits, held := pp.Stats(); hits != 3 || held != 0 {
-		t.Errorf("second device: hits=%d held=%d, want 3 0", hits, held)
+	if _, hits, held := pp.Stats(); hits != 3 || held != 0 || pp.Scaffolds() != 0 {
+		t.Errorf("second device: hits=%d held=%d scaffolds=%d, want 3 0 0", hits, held, pp.Scaffolds())
+	}
+	if cs, _ := COWStatsOf(d.Backend()); cs.OverlayPages != 3 {
+		t.Errorf("second device: %d overlay pages, want its own 3", cs.OverlayPages)
+	}
+	got := make([]byte, DefaultPageSize)
+	if err := d.Backend().ReadAt(got, 5*DefaultPageSize); err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != 0 {
+		t.Errorf("page 5 of the second device reads %#x, an image of the first", got[0])
 	}
 	d.Close() // not released: its pages are the GC's
 	if _, _, held := pp.Stats(); held != 0 {

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"complexobj/cobench"
+	"complexobj/internal/buffer"
 	"complexobj/internal/disk"
 	"complexobj/internal/faultdisk"
+	"complexobj/internal/iostat"
 )
 
 // TestEngineCloseReturnsPages pins who owns a page buffer when: a view
@@ -150,5 +152,100 @@ func TestClosedViewKeepsNothing(t *testing.T) {
 				t.Errorf("an owned object changed after its view closed:\n got %+v\nwant %+v", got.Root(), want.Root())
 			}
 		})
+	}
+}
+
+// TestReusedScaffoldIsolation: engines opened one after another over one
+// page pool inherit each other's buffer-pool scaffolding (frame index,
+// frames, free lists) and COW overlay tables. Views of two bases with
+// different page counts, under LRU and Clock, alternate on one pool, and
+// every cell reads and counts exactly what a fresh private engine of its
+// kind and policy does: nothing an earlier engine left resident, dirty or
+// overlaid is visible to the next.
+func TestReusedScaffoldIsolation(t *testing.T) {
+	type cell struct {
+		kind     Kind
+		stations []*cobench.Station
+	}
+	cells := []cell{{DSM, testExtension(t, 40)}, {DASDBSNSM, testExtension(t, 70)}}
+	policies := []buffer.Policy{buffer.LRU, buffer.Clock}
+	const frames = 12 // far below either base: every scan evicts
+
+	// exercise scans every object, updates three roots with tag, flushes
+	// and scans again, checking each object against the extension.
+	exercise := func(m Model, stations []*cobench.Station, tag string) iostat.Stats {
+		t.Helper()
+		if err := m.Engine().ColdCache(); err != nil {
+			t.Fatal(err)
+		}
+		m.Engine().ResetStats()
+		updated := map[int]bool{}
+		scan := func() {
+			err := m.ScanAll(func(i int, got *cobench.Station) error {
+				want := stations[i].Clone()
+				if updated[i] {
+					want.Name = tag
+				}
+				if !got.Equal(want) {
+					t.Errorf("%s %s: object %d reads %q, want %q", m.Kind(), tag, i, got.Name, want.Name)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		scan()
+		roots := []int32{2, 5, 9}
+		if err := m.UpdateRoots(roots, func(_ int32, r *cobench.RootRecord) { r.Name = tag }); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range roots {
+			updated[int(i)] = true
+		}
+		scan()
+		return m.Engine().Stats()
+	}
+
+	pp := disk.NewPagePool(0)
+	bases := make([]*SharedBase, len(cells))
+	want := make([][]iostat.Stats, len(cells))
+	for ci, c := range cells {
+		var err error
+		if bases[ci], err = LoadBase(c.kind, Options{Pages: pp}, c.stations); err != nil {
+			t.Fatal(err)
+		}
+		defer bases[ci].Release()
+		for _, pol := range policies {
+			private := mustNew(c.kind, Options{BufferPages: frames, Policy: pol})
+			if err := private.Load(c.stations); err != nil {
+				t.Fatal(err)
+			}
+			want[ci] = append(want[ci], exercise(private, c.stations, "private"))
+			private.Engine().Close()
+		}
+	}
+	for round := range 3 {
+		for ci, c := range cells {
+			for pi, pol := range policies {
+				v, err := bases[ci].NewViewAs(c.kind, Options{BufferPages: frames, Policy: pol, Pages: pp})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tag := fmt.Sprintf("round %d %v", round, pol)
+				if got := exercise(v.Model(), c.stations, tag); got != want[ci][pi] {
+					t.Errorf("%s %s: counters %+v, want a private engine's %+v", c.kind, tag, got, want[ci][pi])
+				}
+				if err := v.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if pp.Scaffolds() == 0 {
+					t.Fatal("a closed view left no scaffolding in the page pool")
+				}
+			}
+		}
 	}
 }
