@@ -57,9 +57,10 @@ func main() {
 }
 
 // run does all the work, so deferred cleanup (closing the suite, which
-// unmaps snapshot-backed bases, and flushing the profiles) also happens
-// on the error path — os.Exit lives only in main.
-func run() error {
+// unmaps snapshot-backed bases and the page pool's chunks, and flushing
+// the profiles) also happens on the error path — os.Exit lives only in
+// main. A suite that fails to close fails the run.
+func run() (err error) {
 	var (
 		format  = flag.String("format", "text", "output format: text, markdown or csv")
 		outDir  = flag.String("out", "", "write one file per table into this directory instead of stdout")
@@ -105,7 +106,11 @@ func run() error {
 	cfg.Faults = *faults
 
 	suite := experiments.New(cfg)
-	defer suite.Close()
+	defer func() {
+		if cerr := suite.Close(); err == nil {
+			err = cerr
+		}
+	}()
 
 	var tables []*report.Table
 	for _, sec := range experiments.Sections() {

@@ -41,8 +41,12 @@
 // the Go heap (internal/disk, "Reservation and hand-off"): a one-off
 // base's memory goes back to the operating system the moment its last
 // cell releases it, not at a later collection, and the pinned bases do not
-// raise the collector's heap goal. Close frees the rest; disk.LiveArenaBytes
-// counts what is live. The suite also keeps every computed result, so
+// raise the collector's heap goal. Nor are the page buffers of the suite's
+// one page pool, under every view and loader: the pool cuts them from
+// chunks it maps (internal/disk, "Page buffer ownership"), and every
+// engine gives its pages back at its close. Close frees the rest, bases
+// and chunks; disk.LiveArenaBytes counts what is live. The suite also
+// keeps every computed result, so
 // asking for several tables runs the expensive work once. All runs are
 // deterministic for a given configuration, whatever the width.
 package experiments
@@ -177,13 +181,13 @@ func New(cfg Config) *Suite {
 func (s *Suite) Config() Config { return s.cfg }
 
 // Close drops the cached bases (heap bases and snapshot file mappings)
-// and extensions, and empties the page pool — page buffers and the
-// scaffolding closed engines left there — so a closed suite pins no
-// memory. The suite must not be used afterwards.
+// and extensions, and empties the page pool — the scaffolding closed
+// engines left there, and the chunks its page buffers were cut from — so
+// a closed suite pins no memory. A page an engine never gave back (one
+// that failed) keeps the chunks mapped, and Close reports it. The suite
+// must not be used afterwards.
 func (s *Suite) Close() error {
-	err := errors.Join(s.bases.close(), s.exts.close())
-	s.storeOpts.Pages.Drain()
-	return err
+	return errors.Join(s.bases.close(), s.exts.close(), s.storeOpts.Pages.Drain())
 }
 
 func (s *Suite) storeOptions() (store.Options, error) {

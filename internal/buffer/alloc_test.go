@@ -388,6 +388,9 @@ func TestReleaseHandsBuffersToThePagePool(t *testing.T) {
 	if _, _, held := pp.Stats(); held != 3 || p.Len() != 0 {
 		t.Errorf("after Release the page pool holds %d pages and %d frames are resident, want 3 and 0", held, p.Len())
 	}
+	if err := pp.Drain(); err != nil {
+		t.Errorf("every page is back, yet %v", err)
+	}
 }
 
 // TestReleaseHandsScaffoldOn: a released pool leaves its scaffolding in its

@@ -9,9 +9,10 @@ import (
 
 // allocArena returns a zeroed arena of exactly n bytes of capacity in an
 // anonymous private mapping, outside the Go heap (doc.go, "Reservation and
-// hand-off"). A load writes every byte it reserved, so the mapping is
-// prefaulted rather than faulted in a page at a time. The bytes count in
-// LiveArenaBytes until freeArena.
+// hand-off"): a loader arena or a page pool's chunk. A load writes every
+// byte it reserved, and a pool cuts every page of a chunk before it maps
+// the next, so the mapping is prefaulted rather than faulted in a page at
+// a time. The bytes count in LiveArenaBytes until freeArena.
 func allocArena(n int) ([]byte, error) {
 	if n <= 0 {
 		return nil, nil

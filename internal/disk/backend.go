@@ -70,16 +70,17 @@ type reserver interface {
 	Reserve(n int)
 }
 
-// liveArena is the ledger of loader-arena memory the garbage collector
-// does not see: the bytes of every arena allocArena returned and
-// freeArena has not yet given back.
+// liveArena is the one ledger of the memory this package keeps off the Go
+// heap: the bytes of every arena and page-pool chunk allocArena returned
+// and freeArena has not yet given back.
 var liveArena atomic.Int64
 
-// LiveArenaBytes returns the bytes of loader arenas allocated in this
-// process and not yet freed — engines' arenas, the ones their growth
-// retired, the floors of built or loaded bases still referenced — which
-// the Go runtime's memory statistics do not count. It is zero once every
-// engine is closed and every such base released.
+// LiveArenaBytes returns the bytes this package allocated outside the Go
+// heap and has not yet freed — engines' loader arenas, the ones their
+// growth retired, the floors of built or loaded bases still referenced,
+// and the chunks page pools cut their pages from — which the Go runtime's
+// memory statistics do not count. It is zero once every engine is closed,
+// every such base released and every page pool drained.
 func LiveArenaBytes() int64 { return liveArena.Load() }
 
 // memBackend keeps the arena in memory of its own, outside the Go heap

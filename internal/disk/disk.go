@@ -107,16 +107,18 @@ func (d *Disk) PagePool() *PagePool { return d.pages }
 
 // ReleasePages gives the page pool the frame buffers of the device's
 // emptied buffer pool — clearing the caller's slice, whose array may be
-// reused at once — and, as ResetView would leave them, a COW overlay's
-// images, then its emptied page table and image list. The emptying comes
-// first — a resident frame may borrow an overlay image — and the device is
-// about to be closed.
+// reused at once — and a COW overlay's images, those its free list holds
+// and those its table holds, straight from the leaves; then, as ResetView
+// would leave them, its emptied page table and image list. The emptying
+// comes first — a resident frame may borrow an overlay image — and the
+// device is about to be closed.
 func (d *Disk) ReleasePages(frames [][]byte) {
 	d.pages.Put(frames)
 	if c, ok := asCOW(d.backend); ok {
-		c.reset()
-		d.numPages = c.size / d.pageSize
 		d.pages.Put(c.freeImgs)
+		d.pages.putTable(c.over)
+		c.overlaid, c.size = 0, c.base.Len()
+		d.numPages = c.size / d.pageSize
 		d.pages.putOverlay(overlay{table: c.over, imgs: c.freeImgs[:0]})
 		c.over, c.freeImgs = nil, nil
 	}

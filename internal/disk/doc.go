@@ -49,10 +49,13 @@
 // operating system the moment its owner frees it rather than after a
 // collection and the scavenger. Its owner is explicit — the device until
 // Close or Detach, then the floor of the base Detach built, until that
-// floor's last release — and LiveArenaBytes counts the bytes of every
-// arena live in the process, the memory the Go runtime's statistics do
-// not see. No finalizer backs it up: an engine never closed, or a base
-// never released, keeps its arena for the life of the process.
+// floor's last release. A PagePool's chunks are the same kind of memory,
+// owned by the pool until its Drain (see "Page buffer ownership").
+// LiveArenaBytes is the one ledger of both: the bytes of every arena and
+// chunk live in the process, the memory the Go runtime's statistics do
+// not see. No finalizer backs it up: an engine never closed, a base never
+// released, or a pool never drained keeps its memory for the life of the
+// process.
 //
 // A bulk load knows how many pages it will allocate before it allocates
 // the first: the storage models run a sizing pass and call Disk.Reserve.
@@ -230,8 +233,9 @@
 // (atomic: one schedule under every device it wraps), complexobj.ViewPool. The proof is `go test -race ./...` —
 // buffer.TestEngineHandOver is the rule itself — and CI's race-built
 // server soak: a second goroutine in an engine is a reported race. The
-// detector sees only Go memory, so accesses to a loader arena or a file
-// mapping go unchecked; engine state and page buffers remain covered.
+// detector sees only Go memory, so accesses to a loader arena, a file
+// mapping or a pool's page (cut from a chunk) go unchecked; engine state,
+// the pool's lists and the pages of a device with no pool remain covered.
 //
 // # Page buffer ownership
 //
@@ -241,14 +245,28 @@
 // pool owns (a promoted or copied page), a COW overlay image — has one
 // owner at a time, in this order: the engine (a live frame or image, or its
 // private free list, Pool.freeData / cowBackend.freeImgs: one owner, no
-// lock), then the PagePool its device was given (SetPagePool), then the
-// garbage collector. PagePool.Get is the only place one is made, and a
-// private list asks it only when empty. One rule gives buffers back: the
-// engine closed clean — flushed, no frame pinned — and its buffer pool was
-// emptied before its overlay, because a resident frame may borrow an
-// overlay image (buffer.Pool.Release, through ReleasePages, is that order).
-// An engine that failed gives nothing back. Under `-tags poison` a page is
-// overwritten with 0xDB on its way into and out of a pool, nil included.
+// lock), then the PagePool its device was given (SetPagePool). PagePool.Get
+// is the only place one is made, and a private list asks it only when
+// empty. A pool's pages are not on the Go heap: it cuts them, each capped
+// at its page, from chunks of chunkPages pages it maps like a loader arena
+// (allocArena; a heap buffer if the mapping fails), so a page belongs to
+// the pool for good and Drain, when the pool's owner is done, gives the
+// chunks back to the operating system — only once every page cut from
+// them is back, since a page still out would read unmapped memory; while
+// one is out Drain unmaps nothing and reports how many are. A device with
+// no pool (a nil *PagePool: served views, the complexobj facade) makes
+// its buffers on the heap and leaves them to the garbage collector. One
+// rule gives buffers back: the engine closed clean — flushed, no frame
+// pinned — and its buffer pool was emptied before its overlay, because a
+// resident frame may borrow an overlay image (buffer.Pool.Release, through
+// ReleasePages, is that order); ReleasePages takes the overlay's images
+// straight from its table's leaves. An engine that failed gives nothing
+// back, and its pages keep its pool's chunks mapped. Nothing built over a
+// pool's engine keeps one of its pages: a base's floor is a loader arena
+// (Detach) or a copy into one (CopyBase), and a promote copies into images
+// of its lineage. Under
+// `-tags poison` a page is overwritten with 0xDB on its way into and out
+// of a pool, nil included.
 //
 // The same clean close hands on the engine's scaffolding, so the next
 // engine opened over the pool builds none: the buffer pool's frame index,
@@ -260,6 +278,6 @@
 // visible: the taker clears the index, Frames are zeroed as they are
 // recycled, and ReleasePages empties the leaves before it hands the table
 // over. Page buffers still travel only as pages. Served views are given no
-// pool and keep their own lists; PagePool.Drain drops everything a pool
-// holds when its owner is done.
+// pool and keep their own lists; PagePool.Drain drops the scaffolding a
+// pool holds and unmaps its chunks when its owner is done.
 package disk

@@ -1,21 +1,35 @@
 package disk
 
-import "sync"
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"unsafe"
+)
+
+// chunkPages is how many pages a PagePool maps at a time: one chunk of 256
+// KiB at the default page size.
+const chunkPages = 128
 
 // PagePool is a LIFO of page buffers of one size that outlives the engines
 // drawing on it, the level under their private free lists (doc.go, "Page
-// buffer ownership"). It also keeps the emptied scaffolding a closing
-// engine leaves for the next one: its buffer pool's, an opaque value
-// package buffer defines, and its COW overlay's page table and image list.
-// A pooled page and a fresh one are alike to everything above this package
-// — contents unspecified — and reused scaffolding is reset before use, so
-// no counter can depend on the pool. A nil *PagePool is the garbage
-// collector: Get makes, the puts drop, TakeScaffold has nothing. Safe for
-// concurrent use.
+// buffer ownership"). The pages are not on the Go heap: a pool cuts them
+// from chunks, memory of its own mapped chunkPages pages at a time like a
+// loader arena (allocArena) and counted with those in LiveArenaBytes, and
+// Drain gives the chunks back once every page cut from them is back. It
+// also keeps the emptied scaffolding a closing engine leaves for the next
+// one: its buffer pool's, an opaque value package buffer defines, and its
+// COW overlay's page table and image list. A pooled page and a fresh one
+// are alike to everything above this package — contents unspecified — and
+// reused scaffolding is reset before use, so no counter can depend on the
+// pool. A nil *PagePool is the garbage collector: Get makes, the puts
+// drop, TakeScaffold has nothing. Safe for concurrent use.
 type PagePool struct {
 	mu         sync.Mutex
 	pageSize   int
 	free       stack[[]byte]
+	chunks     [][]byte // every chunk mapped, whole
+	uncut      []byte   // the part of the newest chunk no page was cut from
 	gets, hits int64
 	scaffolds  stack[any]
 	overlays   stack[overlay]
@@ -53,8 +67,9 @@ func NewPagePool(pageSize int) *PagePool {
 }
 
 // Get returns an n-byte buffer, contents unspecified: the page put last
-// when n is the pool's page size and one is held, else a fresh one — the
-// only place a device page buffer is made.
+// when n is the pool's page size and one is held, else a page cut from a
+// chunk, else a fresh heap buffer — the only place a device page buffer is
+// made. A page's capacity is its length, so no append reaches the next.
 func (p *PagePool) Get(n int) []byte {
 	var b []byte
 	if p != nil && n == p.pageSize {
@@ -63,6 +78,8 @@ func (p *PagePool) Get(n int) []byte {
 		var ok bool
 		if b, ok = p.free.pop(); ok {
 			p.hits++
+		} else {
+			b = p.cut()
 		}
 		p.mu.Unlock()
 	}
@@ -73,23 +90,66 @@ func (p *PagePool) Get(n int) []byte {
 	return b
 }
 
+// cut returns the next page of the newest chunk, mapping a chunk when that
+// one is used up, and nil when the mapping fails (Get then makes the page
+// on the heap). A new chunk reserves room for its pages in the free list,
+// so a Put of the pages cut so far never grows it.
+func (p *PagePool) cut() []byte {
+	if len(p.uncut) == 0 {
+		c, err := allocArena(chunkPages * p.pageSize)
+		if err != nil {
+			return nil
+		}
+		p.chunks = append(p.chunks, c)
+		p.uncut = c
+		p.free = slices.Grow(p.free, len(p.chunks)*chunkPages) // empty: Get pops first
+	}
+	b := p.uncut[:p.pageSize:p.pageSize]
+	p.uncut = p.uncut[p.pageSize:]
+	return b
+}
+
 // Put takes over pages nothing references any more and clears the
 // caller's slots, so the slice's array can be reused at once; a buffer of
 // another length is dropped.
 func (p *PagePool) Put(pages [][]byte) {
+	p.lock()
 	for _, b := range pages {
-		poisonPage(b)
+		p.put(b)
 	}
+	p.unlock()
+	clear(pages)
+}
+
+// putTable is Put for the images of an overlay table, which it empties in
+// the same pass.
+func (p *PagePool) putTable(t pageTable) {
+	p.lock()
+	t.each(func(_ int, slot *[]byte) {
+		p.put(*slot)
+		*slot = nil
+	})
+	p.unlock()
+}
+
+// put takes over one page; the caller holds the lock of a non-nil pool.
+func (p *PagePool) put(b []byte) {
+	poisonPage(b)
+	if p != nil && len(b) == p.pageSize {
+		p.free = append(p.free, b)
+	}
+}
+
+func (p *PagePool) lock() {
 	if p != nil {
 		p.mu.Lock()
-		for _, b := range pages {
-			if len(b) == p.pageSize {
-				p.free = append(p.free, b)
-			}
-		}
+	}
+}
+
+func (p *PagePool) unlock() {
+	if p != nil {
 		p.mu.Unlock()
 	}
-	clear(pages)
 }
 
 // PutScaffold takes over the emptied scaffolding of a released buffer
@@ -152,12 +212,44 @@ func (p *PagePool) Scaffolds() int {
 	return len(p.scaffolds) + len(p.overlays)
 }
 
-// Drain drops everything the pool holds, pages and scaffolding, to the
-// garbage collector; its counters stay and it remains usable.
-func (p *PagePool) Drain() {
-	if p != nil {
-		p.mu.Lock()
-		p.free, p.scaffolds, p.overlays = nil, nil, nil
-		p.mu.Unlock()
+// Drain drops the scaffolding the pool holds and gives every chunk back to
+// the operating system, the pages it holds with them; its counters stay
+// and it remains usable. A page cut from a chunk that is not back in the
+// pool would read unmapped memory, so while one is out Drain unmaps
+// nothing, keeps the pages, and reports how many are out.
+func (p *PagePool) Drain() error {
+	if p == nil {
+		return nil
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.scaffolds, p.overlays = nil, nil
+	out := len(p.chunks)*chunkPages - len(p.uncut)/p.pageSize
+	for _, b := range p.free {
+		if p.inChunk(b) {
+			out--
+		}
+	}
+	if out > 0 {
+		return fmt.Errorf("disk: drain page pool: %d pages still out", out)
+	}
+	var err error
+	for _, c := range p.chunks {
+		if e := freeArena(c); err == nil {
+			err = e
+		}
+	}
+	p.free, p.chunks, p.uncut = nil, nil, nil
+	return err
+}
+
+// inChunk reports whether page b was cut from one of the pool's chunks.
+func (p *PagePool) inChunk(b []byte) bool {
+	at := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	for _, c := range p.chunks {
+		if lo := uintptr(unsafe.Pointer(unsafe.SliceData(c))); at >= lo && at < lo+uintptr(len(c)) {
+			return true
+		}
+	}
+	return false
 }

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"strings"
 	"sync"
 	"testing"
 )
@@ -30,6 +31,65 @@ func TestPagePoolRecyclesLIFO(t *testing.T) {
 	}
 	if gets, hits, held := p.Stats(); gets != 4 || hits != 2 || held != 0 {
 		t.Errorf("stats gets=%d hits=%d held=%d, want 4 2 0", gets, hits, held)
+	}
+}
+
+// Pages are cut from chunks the pool maps and counts in LiveArenaBytes:
+// each page is its own, capped so an append cannot reach its neighbour,
+// a Put of every page cut grows nothing, and Drain unmaps the chunks only
+// once every page is back.
+func TestPagePoolChunks(t *testing.T) {
+	const size = 64
+	start := LiveArenaBytes()
+	p := NewPagePool(size)
+	pages := make([][]byte, chunkPages+1) // one page into a second chunk
+	for i := range pages {
+		b := p.Get(size)
+		if len(b) != size || cap(b) != size {
+			t.Fatalf("page %d: len %d cap %d, want both %d", i, len(b), cap(b), size)
+		}
+		for j := range b {
+			b[j] = byte(i)
+		}
+		pages[i] = b
+	}
+	for i, b := range pages {
+		for _, c := range b {
+			if c != byte(i) {
+				t.Fatalf("page %d reads %#x: pages overlap", i, c)
+			}
+		}
+	}
+	if got := LiveArenaBytes() - start; got != 2*chunkPages*size {
+		t.Fatalf("ledger grew by %d bytes, want two chunks of %d", got, chunkPages*size)
+	}
+	out := pages[len(pages)-1]
+	back := pages[:len(pages)-1]
+	reserved := cap(p.free)
+	p.Put(back)
+	if cap(p.free) != reserved || reserved < len(pages) {
+		t.Errorf("free list capacity %d before Put, %d after, want room for %d pages before", reserved, cap(p.free), len(pages))
+	}
+	held := LiveArenaBytes()
+	err := p.Drain()
+	if err == nil || !strings.Contains(err.Error(), "1 pages still out") {
+		t.Errorf("Drain with a page out: %v, want an error naming 1 page", err)
+	}
+	if LiveArenaBytes() != held {
+		t.Errorf("a refused Drain moved the ledger from %d to %d", held, LiveArenaBytes())
+	}
+	p.Put([][]byte{out})
+	if _, _, n := p.Stats(); n != len(pages) {
+		t.Fatalf("pool holds %d pages after every page came back, want %d", n, len(pages))
+	}
+	if err := p.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got := LiveArenaBytes(); got != start {
+		t.Errorf("ledger at %d after Drain, want %d", got, start)
+	}
+	if _, _, n := p.Stats(); n != 0 {
+		t.Errorf("pool holds %d pages after Drain", n)
 	}
 }
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"complexobj/cobench"
@@ -16,7 +17,8 @@ import (
 // it closes clean (k overlay images plus the frame buffers it promoted);
 // the next view opened with the same Options draws on them and measures
 // exactly what a private, pool-less engine does; a view whose flush fails
-// gives back nothing, and leaks no pin either.
+// gives back nothing, and leaks no pin either — and the pool, with its
+// pages out, refuses to unmap its chunks until they are back.
 func TestEngineCloseReturnsPages(t *testing.T) {
 	stations := testExtension(t, 40)
 	for _, k := range AllKinds() {
@@ -98,8 +100,32 @@ func TestEngineCloseReturnsPages(t *testing.T) {
 			if err := v.Engine().Pool.Discard(); err != nil {
 				t.Errorf("the failed view leaked a pin: %v", err)
 			}
+			// Its frame buffers are out, so the pool keeps its chunks
+			// mapped until they are handed back by hand.
+			if err := pp.Drain(); err == nil || !strings.Contains(err.Error(), "still out") {
+				t.Errorf("Drain after a failed view: %v, want the pages it kept named", err)
+			}
+			if err := v.Engine().Pool.Release(); err != nil {
+				t.Fatal(err)
+			}
+			if err := pp.Drain(); err != nil {
+				t.Errorf("Drain once the failed view's buffers are back: %v", err)
+			}
 		})
 	}
+}
+
+// drainedPool returns an empty page pool that must have every page back
+// when the test and its deferred closes are done: Drain then unmaps its
+// chunks.
+func drainedPool(t *testing.T) *disk.PagePool {
+	pp := disk.NewPagePool(0)
+	t.Cleanup(func() {
+		if err := pp.Drain(); err != nil {
+			t.Error(err)
+		}
+	})
+	return pp
 }
 
 // TestClosedViewKeepsNothing: what a view handed out as owned — a fetched
@@ -111,7 +137,7 @@ func TestClosedViewKeepsNothing(t *testing.T) {
 	stations := testExtension(t, 40)
 	for _, k := range AllKinds() {
 		t.Run(k.String(), func(t *testing.T) {
-			opts := Options{BufferPages: 256, Pages: disk.NewPagePool(0)}
+			opts := Options{BufferPages: 256, Pages: drainedPool(t)}
 			base, err := LoadBase(k, opts, stations)
 			if err != nil {
 				t.Fatal(err)
@@ -210,7 +236,7 @@ func TestReusedScaffoldIsolation(t *testing.T) {
 		return m.Engine().Stats()
 	}
 
-	pp := disk.NewPagePool(0)
+	pp := drainedPool(t)
 	bases := make([]*SharedBase, len(cells))
 	want := make([][]iostat.Stats, len(cells))
 	for ci, c := range cells {

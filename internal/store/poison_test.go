@@ -139,7 +139,7 @@ func TestKeptIntScratchReadsPoison(t *testing.T) {
 // the bytes are the next engine's from that moment on.
 func TestKeptPagesReadPoisonAfterClose(t *testing.T) {
 	stations := testExtension(t, 20)
-	for _, pp := range []*disk.PagePool{nil, disk.NewPagePool(0)} {
+	for _, pp := range []*disk.PagePool{nil, drainedPool(t)} {
 		opts := Options{BufferPages: 64, Pages: pp}
 		base, err := LoadBase(NSM, opts, stations)
 		if err != nil {
