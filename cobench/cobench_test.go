@@ -236,6 +236,8 @@ func TestGeneratedStationsAreIndependent(t *testing.T) {
 	}
 }
 
+// TestTupleRoundTrip pins the tree form the encoders are tested against:
+// a station's tuple is valid and carries its attributes and sub-objects.
 func TestTupleRoundTrip(t *testing.T) {
 	stations := mustGenerate(t, DefaultConfig().WithN(30))
 	for i, s := range stations {
@@ -243,12 +245,19 @@ func TestTupleRoundTrip(t *testing.T) {
 		if err := StationType.Validate(tup); err != nil {
 			t.Fatalf("station %d tuple invalid: %v", i, err)
 		}
-		back, err := StationFromTuple(tup)
-		if err != nil {
-			t.Fatal(err)
+		v := tup.Vals
+		plats, sees := v[StPlatforms].Tuples(), v[StSeeings].Tuples()
+		if v[StKey].Int() != s.Key || v[StName].Str() != s.Name ||
+			len(plats) != len(s.Platforms) || len(sees) != len(s.Seeings) {
+			t.Fatalf("station %d: tuple lost root attributes or sub-objects", i)
 		}
-		if !s.Equal(back) {
-			t.Fatalf("station %d tuple round trip mismatch", i)
+		for j, p := range plats {
+			if want := s.Platforms[j]; p.Vals[PlNr].Int() != want.Nr || len(p.Vals[PlConns].Tuples()) != len(want.Conns) {
+				t.Fatalf("station %d platform %d: tuple lost attributes or connections", i, j)
+			}
+		}
+		if len(sees) > 0 && sees[0].Vals[SeRemarks].Str() != s.Seeings[0].Remarks {
+			t.Fatalf("station %d: sightseeing tuple lost its remarks", i)
 		}
 	}
 }
@@ -256,27 +265,18 @@ func TestTupleRoundTrip(t *testing.T) {
 func TestTupleEncodeRoundTrip(t *testing.T) {
 	stations := mustGenerate(t, DefaultConfig().WithN(30))
 	for i, s := range stations {
-		buf, err := StationType.Encode(s.Tuple())
+		tup := s.Tuple()
+		buf, err := StationType.Encode(tup)
 		if err != nil {
 			t.Fatalf("station %d: %v", i, err)
 		}
-		tup, err := StationType.Decode(buf)
+		back, err := StationType.Decode(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := StationFromTuple(tup)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !s.Equal(back) {
+		if !StationType.Equal(tup, back) {
 			t.Fatalf("station %d binary round trip mismatch", i)
 		}
-	}
-}
-
-func TestStationFromTupleRejectsWrongShape(t *testing.T) {
-	if _, err := StationFromTuple(nf2.NewTuple(nf2.IntValue(1))); err == nil {
-		t.Error("malformed tuple accepted")
 	}
 }
 

@@ -9,7 +9,6 @@
 package cobench
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 
@@ -269,46 +268,6 @@ func (s *Station) Tuple() nf2.Tuple {
 		nf2.RelValue(plats),
 		nf2.RelValue(sees),
 	)
-}
-
-// StationFromTuple converts an NF² tuple back into a Station.
-func StationFromTuple(t nf2.Tuple) (*Station, error) {
-	if err := StationType.Validate(t); err != nil {
-		return nil, fmt.Errorf("cobench: %w", err)
-	}
-	s := &Station{
-		Key:        t.Vals[StKey].Int(),
-		NoPlatform: t.Vals[StNoPlatform].Int(),
-		NoSeeing:   t.Vals[StNoSeeing].Int(),
-		Name:       t.Vals[StName].Str(),
-	}
-	for _, pt := range t.Vals[StPlatforms].Tuples() {
-		p := Platform{
-			Nr:          pt.Vals[PlNr].Int(),
-			NoLine:      pt.Vals[PlNoLine].Int(),
-			TicketCode:  pt.Vals[PlTicketCode].Int(),
-			Information: pt.Vals[PlInformation].Str(),
-		}
-		for _, ct := range pt.Vals[PlConns].Tuples() {
-			p.Conns = append(p.Conns, Connection{
-				LineNr:         ct.Vals[CoLineNr].Int(),
-				KeyConnection:  ct.Vals[CoKeyConnection].Int(),
-				OidConnection:  ct.Vals[CoOid].Int(),
-				DepartureTimes: ct.Vals[CoDepartureTimes].Str(),
-			})
-		}
-		s.Platforms = append(s.Platforms, p)
-	}
-	for _, gt := range t.Vals[StSeeings].Tuples() {
-		s.Seeings = append(s.Seeings, Sightseeing{
-			Nr:          gt.Vals[SeNr].Int(),
-			Description: gt.Vals[SeDescription].Str(),
-			Location:    gt.Vals[SeLocation].Str(),
-			History:     gt.Vals[SeHistory].Str(),
-			Remarks:     gt.Vals[SeRemarks].Str(),
-		})
-	}
-	return s, nil
 }
 
 // EncodedSize returns the number of bytes StationType.Encode produces for

@@ -19,7 +19,6 @@ package complexobj
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -190,7 +189,7 @@ func (db *DB) Kind() ModelKind { return db.kind }
 // drops its overlay and its reference on the base). A loaded database's
 // arena lives outside the Go heap and is freed only here: one never
 // closed keeps it until the process exits. To keep a database across
-// runs, WriteSnapshot it first and OpenSnapshot it later.
+// runs, WriteSnapshot it first and OpenBase it later.
 // The database must not be used afterwards. Close is a no-op for repeated
 // calls only in the sense that errors repeat; call it once.
 func (db *DB) Close() error {
@@ -221,26 +220,6 @@ func ExtractSnapshot(src, dst string, models []ModelKind) error {
 		kinds[i] = m.internal()
 	}
 	return snapshot.Extract(src, dst, kinds)
-}
-
-// OpenSnapshot restores one storage model from a .codb snapshot file,
-// skipping generation and loading entirely. The restored database starts
-// with a cold cache and zeroed counters and measures bit-identically to a
-// freshly loaded one. It is OpenBase + Base.Open for callers who only
-// need one view: the database is a copy-on-write view of the snapshot's
-// arena (mmap'ed in place where the platform allows), so its writes stay
-// private and the file is never modified.
-func OpenSnapshot(path string, kind ModelKind, opts Options) (*DB, error) {
-	base, err := OpenBase(path, kind)
-	if err != nil {
-		return nil, err
-	}
-	db, err := base.Open(opts)
-	// The throwaway Base handle is released either way: the view holds
-	// its own reference, so closing the database also drops the arena
-	// (unmapping the snapshot region where it was mmap'ed).
-	base.Close()
-	return db, err
 }
 
 // Base is the frozen, immutable state of one loaded database: the device
@@ -594,6 +573,3 @@ func (db *DB) RunBenchmark(w cobench.Workload) ([]QueryResult, error) {
 
 // ErrNotLoaded reports queries against an empty database.
 var ErrNotLoaded = store.ErrNotLoaded
-
-// IsNotLoaded reports whether err indicates an empty database.
-func IsNotLoaded(err error) bool { return errors.Is(err, store.ErrNotLoaded) }

@@ -85,10 +85,10 @@ func TestEmptyDatabase(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = db.FetchByKey(1)
-	if !IsNotLoaded(err) {
+	if !errors.Is(err, ErrNotLoaded) {
 		t.Errorf("empty fetch err = %v", err)
 	}
-	if _, err := db.Run(cobench.Q1c, cobench.DefaultWorkload()); !IsNotLoaded(err) {
+	if _, err := db.Run(cobench.Q1c, cobench.DefaultWorkload()); !errors.Is(err, ErrNotLoaded) {
 		t.Errorf("empty run err = %v", err)
 	}
 }

@@ -73,23 +73,3 @@ func EstimateAllCalls(p Params, w Workload) []QueryEstimates {
 	}
 	return out
 }
-
-// EstimateCost folds the page and call estimates into Equation 1 for a
-// device with per-call cost d1 and per-page cost d2, returning the
-// estimated device cost per query unit (the paper defines the equation but
-// never evaluates it; see also experiments.TableCosts for the measured
-// counterpart).
-func EstimateCost(m Model, p Params, w Workload, d1, d2 float64) QueryEstimates {
-	pages := Estimate(m, p, w)
-	calls := EstimateCalls(m, p, w)
-	return QueryEstimates{
-		Model: m,
-		Q1a:   WeightedCost(d1, d2, calls.Q1a, pages.Q1a),
-		Q1b:   WeightedCost(d1, d2, calls.Q1b, pages.Q1b),
-		Q1c:   WeightedCost(d1, d2, calls.Q1c, pages.Q1c),
-		Q2a:   WeightedCost(d1, d2, calls.Q2a, pages.Q2a),
-		Q2b:   WeightedCost(d1, d2, calls.Q2b, pages.Q2b),
-		Q3a:   WeightedCost(d1, d2, calls.Q3a, pages.Q3a),
-		Q3b:   WeightedCost(d1, d2, calls.Q3b, pages.Q3b),
-	}
-}

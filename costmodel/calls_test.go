@@ -70,25 +70,26 @@ func TestEstimateAllCalls(t *testing.T) {
 
 func TestEstimateCostOrderingsEraDependence(t *testing.T) {
 	p, w := PaperParams(), PaperWorkload()
+	// cost folds a model's call and page estimates of one query into
+	// Equation 1 for a device with per-call cost d1 and per-page cost d2.
+	cost := func(m Model, q string, d1, d2 float64) float64 {
+		calls, _ := EstimateCalls(m, p, w).ByQuery(q)
+		pages, _ := Estimate(m, p, w).ByQuery(q)
+		return WeightedCost(d1, d2, calls, pages)
+	}
 	// On a seek-dominated 1990 disk, pure NSM's one-call-per-page value
 	// query costs more than DSM's batched scan despite fewer pages.
-	nsm90 := EstimateCost(NSM, p, w, 20, 2)
-	dsm90 := EstimateCost(DSM, p, w, 20, 2)
-	if nsm90.Q1b <= dsm90.Q1b {
-		t.Errorf("1990 disk: NSM 1b %.0f <= DSM %.0f", nsm90.Q1b, dsm90.Q1b)
+	if nsm, dsm := cost(NSM, "1b", 20, 2), cost(DSM, "1b", 20, 2); nsm <= dsm {
+		t.Errorf("1990 disk: NSM 1b %.0f <= DSM %.0f", nsm, dsm)
 	}
 	// On flash the page ordering dominates and NSM's fewer pages win.
-	nsmFl := EstimateCost(NSM, p, w, 0.02, 0.01)
-	dsmFl := EstimateCost(DSM, p, w, 0.02, 0.01)
-	if nsmFl.Q1b >= dsmFl.Q1b {
-		t.Errorf("flash: NSM 1b %.2f >= DSM %.2f", nsmFl.Q1b, dsmFl.Q1b)
+	if nsm, dsm := cost(NSM, "1b", 0.02, 0.01), cost(DSM, "1b", 0.02, 0.01); nsm >= dsm {
+		t.Errorf("flash: NSM 1b %.2f >= DSM %.2f", nsm, dsm)
 	}
 	// The navigation winner is era-independent.
 	for _, dev := range [][2]float64{{20, 2}, {0.02, 0.01}} {
-		dnsm := EstimateCost(DASDBSNSM, p, w, dev[0], dev[1])
-		dsm := EstimateCost(DSM, p, w, dev[0], dev[1])
-		if dnsm.Q2b >= dsm.Q2b {
-			t.Errorf("d1=%.2f: DASDBS-NSM 2b %.2f >= DSM %.2f", dev[0], dnsm.Q2b, dsm.Q2b)
+		if dnsm, dsm := cost(DASDBSNSM, "2b", dev[0], dev[1]), cost(DSM, "2b", dev[0], dev[1]); dnsm >= dsm {
+			t.Errorf("d1=%.2f: DASDBS-NSM 2b %.2f >= DSM %.2f", dev[0], dnsm, dsm)
 		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package costmodel implements the analytical disk-I/O cost model of the
-// paper's §3 and §4: Equations 2-8 and the per-model, per-query page-I/O
+// paper's §3 and §4: Equations 1-8 and the per-model, per-query page-I/O
 // estimators that produce Table 3 and the best/worst-case curves of
-// Figure 6.
+// Figure 6. Equation 2's p enters as a layout constant (Params.DirectP),
+// Equation 6's single cluster as ClusterSpan.
 //
 // The model is purely arithmetic — it has no dependency on the storage
 // engine — and is parameterized by the physical layout constants of
@@ -19,18 +20,6 @@
 package costmodel
 
 import "math"
-
-// PagesPerTuple is Equation 2: the number of pages p a large tuple of
-// stuple bytes spans, p = ceil(stuple/spage). In DASDBS the set of header
-// pages is disjoint from the data pages, so stuple includes the header
-// space (which is how the paper arrives at p=4 for the 6078-byte average
-// station).
-func PagesPerTuple(stuple, spage float64) float64 {
-	if stuple <= 0 || spage <= 0 {
-		return 0
-	}
-	return math.Ceil(stuple / spage)
-}
 
 // LargeEntire is Equation 3: retrieving t large tuples in their entirety
 // by address costs t*p page accesses.
@@ -90,16 +79,6 @@ func ClusterSpan(g, k float64) float64 {
 	return 1 + (g-1)/k
 }
 
-// SmallCluster is Equation 6: t tuples stored as one contiguous cluster on
-// a relation of m pages with k tuples per page. The expected page count is
-// the cluster span, capped at the relation size.
-func SmallCluster(t, m, k float64) float64 {
-	if m <= 0 {
-		return 0
-	}
-	return math.Min(ClusterSpan(t, k), m)
-}
-
 // Clusters is the reconstruction of Equation 7: i clusters of g tuples
 // each, randomly located on the m pages of a relation with k tuples per
 // page. Each cluster spans ClusterSpan(g,k) pages in expectation; the
@@ -132,19 +111,6 @@ func LargePartial(t, headerPages, usedPages float64) float64 {
 		return 0
 	}
 	return t * (headerPages + usedPages)
-}
-
-// UsedDataPages estimates the expected number of data pages that must be
-// fetched from a large tuple when usedBytes of its data are needed and the
-// used bytes form c contiguous clusters within the dataPages pages of the
-// object (the clustering input of Equation 5).
-func UsedDataPages(usedBytes, spage float64, c int, dataPages float64) float64 {
-	if usedBytes <= 0 || spage <= 0 || c <= 0 || dataPages <= 0 {
-		return 0
-	}
-	perCluster := ClusterSpan(usedBytes/float64(c), spage) // bytes as "tuples of one byte", k=spage
-	est := float64(c) * perCluster
-	return math.Min(est, dataPages)
 }
 
 // Distinct is Equation 8: drawing nnum times with replacement from ntot

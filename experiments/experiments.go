@@ -177,9 +177,6 @@ func New(cfg Config) *Suite {
 	return s
 }
 
-// Config returns the suite's effective configuration.
-func (s *Suite) Config() Config { return s.cfg }
-
 // Close drops the cached bases (heap bases and snapshot file mappings)
 // and extensions, and empties the page pool — the scaffolding closed
 // engines left there, and the chunks its page buffers were cut from — so

@@ -470,8 +470,8 @@ func TestExtensionStats(t *testing.T) {
 
 func TestDefaultsFilledIn(t *testing.T) {
 	s := New(Config{})
-	if s.Config().Gen.N != 1500 || s.Config().BufferPages != 1200 {
-		t.Errorf("zero config not defaulted: %+v", s.Config())
+	if s.cfg.Gen.N != 1500 || s.cfg.BufferPages != 1200 {
+		t.Errorf("zero config not defaulted: %+v", s.cfg)
 	}
 }
 

@@ -17,7 +17,7 @@ type Section struct {
 }
 
 // Sections lists every table and figure of the reproduction in paper
-// order. All() is the concatenation of all sections.
+// order; cotables builds the ones its filter matches.
 func Sections() []Section {
 	one := func(f func(*Suite) (*report.Table, error)) func(*Suite) ([]*report.Table, error) {
 		return func(s *Suite) ([]*report.Table, error) {

@@ -77,13 +77,6 @@ func (p *FaultPlan) Stats() FaultStats {
 	return p.inj.Counters()
 }
 
-// IsInjectedFault reports whether err (anywhere in its chain) is an
-// injected fault from a FaultPlan.
-func IsInjectedFault(err error) bool {
-	var f *faultdisk.Fault
-	return errors.As(err, &f)
-}
-
 // IsPermanentFault reports whether err is an injected fault that marks
 // its page permanently poisoned: retrying through the same engine can
 // never succeed, so callers should retire the engine (the server

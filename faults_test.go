@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"complexobj/cobench"
+	"complexobj/internal/faultdisk"
 )
 
 func TestParseFaultPlan(t *testing.T) {
@@ -88,14 +89,14 @@ func TestPermanentFaultSurfacesStructured(t *testing.T) {
 	if _, err := OpenLoaded(DSM, Options{BufferPages: 64, Faults: plan}, gen); err == nil {
 		t.Fatal("load over perm=1 succeeded")
 	} else {
-		if !IsInjectedFault(err) {
-			t.Errorf("IsInjectedFault = false for %v", err)
+		if f := (*faultdisk.Fault)(nil); !errors.As(err, &f) {
+			t.Errorf("%v is no injected fault", err)
 		}
 		if !IsPermanentFault(err) {
 			t.Errorf("IsPermanentFault = false for %v", err)
 		}
 	}
-	if IsInjectedFault(errors.New("plain")) || IsPermanentFault(errors.New("plain")) {
+	if IsPermanentFault(errors.New("plain")) {
 		t.Error("plain errors classified as injected")
 	}
 }

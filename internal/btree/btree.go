@@ -76,9 +76,6 @@ func (t *Tree) Height() int { return t.height }
 // Pages returns the number of node pages.
 func (t *Tree) Pages() int { return t.pages }
 
-// Len returns the number of stored entries.
-func (t *Tree) Len() int { return t.entries }
-
 // Root returns the root page (stable across splits: the root is copied,
 // never moved).
 func (t *Tree) Root() disk.PageID { return t.root }

@@ -69,10 +69,6 @@ type Frame struct {
 	dprev, dnext *Frame // intrusive dirty list links (insertion order)
 }
 
-// Borrowed reports whether Data still aliases backend memory (zero-copy
-// fix not yet promoted by MarkDirty).
-func (f *Frame) Borrowed() bool { return f.borrowed }
-
 // Pool is the buffer manager.
 type Pool struct {
 	dev      *disk.Disk
@@ -153,9 +149,6 @@ func (p *Pool) reuse(s *scaffold) {
 
 // Capacity returns the pool size in pages.
 func (p *Pool) Capacity() int { return p.capacity }
-
-// Len returns the number of resident pages.
-func (p *Pool) Len() int { return p.resident }
 
 // DirtyLen returns the number of resident frames holding unwritten
 // modifications (view recycling uses it to decide whether a request
@@ -727,9 +720,6 @@ func (p *Pool) eachResident(fn func(*Frame)) {
 		}
 	}
 }
-
-// Contains reports whether the page is resident (test/diagnostic helper).
-func (p *Pool) Contains(id disk.PageID) bool { return p.frameAt(id) != nil }
 
 // --- replacement policies ---------------------------------------------------
 

@@ -69,26 +69,21 @@ type floor struct {
 // Branches of one floor share the floor and nothing else.
 type branch struct {
 	mu   sync.Mutex
-	lin  *lineage // nil until the first promote, and once recycling is off
-	off  bool     // a promote forked the lineage, or the branch drained: no recycling
+	lin  *lineage // nil until the first promote, and once the branch drained
 	live int      // generations holding references; the branch drains with the last
 }
 
 // lineageFor returns the lineage a promote of generation a records into.
-// Only a promote of the newest generation can account for what it
-// supersedes; a promote of any other (a fork, as only tests make) switches
-// recycling off for the branch for good, and from then on every promote
-// gets a detached lineage nobody consults again, leaving every image to
-// the garbage collector. Called with mu held.
+// The lineage is a line: only the newest generation is promoted, since
+// only its promote can account for what it supersedes (store.SharedBase
+// promotes under fromGen == gen). A promote of any other generation would
+// fork the lineage; it panics instead, as retaining a drained generation
+// does. Called with mu held.
 func (b *branch) lineageFor(a *BaseArena) *lineage {
-	switch {
-	case b.off:
-		return new(lineage)
-	case b.lin == nil:
+	if b.lin == nil {
 		b.lin = &lineage{newest: a.seq, live: []uint64{a.seq}}
-	case b.lin.newest != a.seq:
-		b.off, b.lin = true, nil
-		return new(lineage)
+	} else if b.lin.newest != a.seq {
+		panic(fmt.Sprintf("disk: promote of generation %d, not its branch's newest %d", a.seq, b.lin.newest))
 	}
 	return b.lin
 }
@@ -100,7 +95,7 @@ func (b *branch) drained(seq uint64, f *floor) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.live--; b.live == 0 {
-		b.off, b.lin = true, nil
+		b.lin = nil
 		f.branches.Add(-1)
 	} else if b.lin != nil {
 		b.lin.drain(seq)

@@ -164,11 +164,9 @@
 // none — so a lineage per branch sees every reader of what it holds. A
 // view parked on an old generation pins only what its own generation
 // reads — what the garbage collector would keep for it — and nothing
-// retired after it. The lineage must be a line: a promote of a generation
-// that is not its branch's newest (only tests fork one) switches
-// recycling off for the branch and leaves every image to the garbage
-// collector. The lists go with the branch's last generation, retaining a
-// drained generation panics, and under
+// retired after it. The lineage is a line: a promote of a generation that
+// is not its branch's newest panics, as retaining a drained generation
+// does. The lists go with the branch's last generation, and under
 // `-tags poison` an image reads 0xDB from the moment it is freed and
 // again when it is reused.
 //
@@ -183,12 +181,16 @@
 // its arena: a move keeps the retired arena mapped, with the bytes the
 // slice was handed, until Close or Detach, and the buffer pool has
 // dropped every borrow by then. A slice used after that — or after the
-// last release of the base a Detach built — faults instead of reading
-// stale bytes, since its memory is back with the operating system. The
-// cow backend serves a materialized page from its private overlay image
-// and a clean page from the shared base generation itself (a committed
-// image or the floor), which is what lets every view of one frozen base
-// read the same physical bytes.
+// last release of the base a Detach built — is a bug nothing catches: its
+// memory is back with the operating system, whose next mapping of the
+// same size often lands at the same address, so the slice may read
+// another arena's or chunk's bytes instead of faulting. Readers are kept
+// safe by reference counts and release order alone: the buffer pool drops
+// every borrow before its device closes, and a floor is unmapped only at
+// its last reference's release. The cow backend serves a materialized
+// page from its private overlay image and a clean page from the shared
+// base generation itself (a committed image or the floor), which is what
+// lets every view of one frozen base read the same physical bytes.
 // Fault-injecting wrappers deliberately withhold the capability on pages
 // their schedule targets, so faults cannot be bypassed through an alias.
 //

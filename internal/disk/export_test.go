@@ -2,7 +2,8 @@ package disk
 
 // RecycleState reports the lineage of a's branch: the retired images some
 // live generation can still read, the number of free images, and how many
-// images promotes have reused so far. All zero when recycling is off.
+// images promotes have reused so far. All zero before the branch's first
+// promote and once it drained.
 func (a *BaseArena) RecycleState() (pinned [][]byte, free int, reused int64) {
 	br := a.br
 	br.mu.Lock()

@@ -42,7 +42,7 @@ func OverlayPages(b Backend, fn func(pg int, img []byte)) bool {
 // supersedes — the receiver's root, the leaves it copies, the images it
 // replaces or drops — is retired with the generations that can read it.
 // That needs the receiver to be the branch's newest generation; promoting
-// an older one switches recycling off for the branch.
+// an older one panics.
 func (a *BaseArena) Promote(pageSize, numPages int, pages map[int][]byte) (next *BaseArena, copied int64) {
 	if a == nil {
 		a = NewBaseArena(nil)

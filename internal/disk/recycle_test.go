@@ -102,32 +102,47 @@ func TestRecycledImagesAreBounded(t *testing.T) {
 	}
 }
 
-// TestPromoteOffTheNewestStopsRecycling: a promote of a generation that
-// is not its branch's newest — a fork of the lineage — cannot account for
-// what it supersedes, so recycling stops for the branch and both forks
-// keep reading their own bytes.
-func TestPromoteOffTheNewestStopsRecycling(t *testing.T) {
+// TestPromoteOffTheNewestPanics: a promote of a generation that is not its
+// branch's newest would fork the lineage, which cannot account for what a
+// fork supersedes. It panics, and leaves the newest generation and its
+// lineage untouched: the same bytes, references and recycling state, and
+// later commits recycle as before.
+func TestPromoteOffTheNewestPanics(t *testing.T) {
 	const ps = 64
 	base, pristine := testBase(ps, 4)
 	rng := rand.New(rand.NewSource(9))
 	a, _ := base.Promote(ps, 4, randomPages(rng, ps, 4, 2))
 	want := a.Bytes()
-	b, _ := base.Promote(ps, 4, randomPages(rng, ps, 4, 2)) // base is no longer the newest
+	if string(pristine) == string(want) {
+		t.Fatal("the promote committed nothing; the check is vacuous")
+	}
+	refs := a.Refs()
+	pinned, free, reused := a.RecycleState()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a promote of a generation that is not the newest did not panic")
+			}
+		}()
+		base.Promote(ps, 4, randomPages(rng, ps, 4, 2)) // base is no longer the newest
+	}()
+	if got := a.Bytes(); string(got) != string(want) {
+		t.Fatal("the refused fork changed the newest generation")
+	}
+	if p, f, r := a.RecycleState(); a.Refs() != refs || len(p) != len(pinned) || f != free || r != reused {
+		t.Fatalf("the refused fork changed the branch: refs %d → %d, pinned %d → %d, free %d → %d, reused %d → %d",
+			refs, a.Refs(), len(pinned), len(p), free, f, reused, r)
+	}
 	if err := base.Release(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		b = commitThroughView(t, b, ps, randomPages(rng, ps, 4, 2))
+		a = commitThroughView(t, a, ps, randomPages(rng, ps, 4, 2))
 	}
-	if _, free, reused := b.RecycleState(); free != 0 || reused != 0 {
-		t.Fatalf("a forked lineage still recycles: %d free, %d reused", free, reused)
+	if _, _, reused := a.RecycleState(); reused == 0 {
+		t.Fatal("the newest generation's lineage stopped recycling after a refused fork")
 	}
-	if got := a.Bytes(); string(got) != string(want) {
-		t.Fatal("the first branch changed under the second")
+	if err := a.Release(); err != nil {
+		t.Fatal(err)
 	}
-	if string(pristine) == string(want) {
-		t.Fatal("the first branch committed nothing; the check is vacuous")
-	}
-	a.Release()
-	b.Release()
 }

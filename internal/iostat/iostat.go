@@ -40,14 +40,6 @@ func (s Stats) Pages() int64 { return s.PagesRead + s.PagesWritten }
 // paper's X_{I/O calls}.
 func (s Stats) Calls() int64 { return s.ReadCalls + s.WriteCalls }
 
-// HitRatio returns BufferHits/BufferFixes, or 0 when no fix happened.
-func (s Stats) HitRatio() float64 {
-	if s.BufferFixes == 0 {
-		return 0
-	}
-	return float64(s.BufferHits) / float64(s.BufferFixes)
-}
-
 // Reset zeroes every counter.
 func (s *Stats) Reset() { *s = Stats{} }
 

@@ -25,16 +25,6 @@ func TestDerivedQuantities(t *testing.T) {
 	if s.Calls() != 6 {
 		t.Errorf("Calls = %d, want 6", s.Calls())
 	}
-	if s.HitRatio() != 0.6 {
-		t.Errorf("HitRatio = %f, want 0.6", s.HitRatio())
-	}
-}
-
-func TestHitRatioNoFixes(t *testing.T) {
-	var s Stats
-	if s.HitRatio() != 0 {
-		t.Errorf("HitRatio on zero stats = %f, want 0", s.HitRatio())
-	}
 }
 
 func TestReset(t *testing.T) {

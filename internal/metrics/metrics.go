@@ -109,9 +109,6 @@ func (h *Histogram) Record(v int64) {
 // zero like Record).
 func (h *Histogram) Observe(d time.Duration) { h.Record(int64(d)) }
 
-// Count returns the number of recorded observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Snapshot copies the current counters into an immutable, mergeable
 // snapshot.
 func (h *Histogram) Snapshot() *Snapshot {

@@ -95,20 +95,6 @@ func (p Page) setSlot(i, off, length int) {
 	binary.BigEndian.PutUint16(p.buf[base+2:base+4], uint16(length))
 }
 
-// NumSlots returns the size of the slot directory, including deleted slots.
-func (p Page) NumSlots() int { return p.numSlots() }
-
-// Live returns the number of non-deleted records.
-func (p Page) Live() int {
-	n := 0
-	for i := 0; i < p.numSlots(); i++ {
-		if off, _ := p.slot(i); off != delSentinel {
-			n++
-		}
-	}
-	return n
-}
-
 // contiguousFree returns the bytes between the slot directory and freeEnd.
 func (p Page) contiguousFree() int {
 	return p.freeEnd() - headerSize - slotSize*p.numSlots()

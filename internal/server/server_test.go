@@ -54,7 +54,12 @@ func batchBaseline(t *testing.T, path string, w cobench.Workload) map[AggKey]Run
 	t.Helper()
 	out := make(map[AggKey]RunResponse)
 	for _, k := range complexobj.AllModels() {
-		db, err := complexobj.OpenSnapshot(path, k, complexobj.Options{BufferPages: 256})
+		base, err := complexobj.OpenBase(path, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := base.Open(complexobj.Options{BufferPages: 256})
+		base.Close() // the view holds its own reference
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -212,20 +212,6 @@ func (m *Map) Models() []string {
 	return out
 }
 
-// Clone returns a deep copy of the map.
-func (m *Map) Clone() *Map {
-	out := &Map{Version: m.Version, Strategy: m.Strategy, Shards: make([]Shard, len(m.Shards))}
-	for i, s := range m.Shards {
-		out.Shards[i] = Shard{ID: s.ID, Backend: s.Backend, Segment: s.Segment}
-		if s.Models != nil {
-			// Preserve empty-but-non-nil (a decoded "models": []): clones
-			// must compare equal to their original, byte for byte.
-			out.Shards[i].Models = append(make([]string, 0, len(s.Models)), s.Models...)
-		}
-	}
-	return out
-}
-
 // Encode serializes the map as indented JSON (the on-disk and on-wire
 // form; human-editable by design).
 func (m *Map) Encode() ([]byte, error) {

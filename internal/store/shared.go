@@ -253,14 +253,6 @@ func (b *SharedBase) PromotedBytes() int64 {
 	return b.promoted
 }
 
-// Meta returns the directory metadata of the current generation (the
-// checkpoint writer persists it alongside the arena). Read-only.
-func (b *SharedBase) Meta() []byte {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.dir.meta
-}
-
 // Owners returns the number of bases standing on the base's floor: 1, or
 // more while bases of other kinds of its layout share the stored bytes.
 func (b *SharedBase) Owners() int {

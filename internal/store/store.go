@@ -187,9 +187,6 @@ func fillInts(s []int, v int) {
 	}
 }
 
-// Options returns the engine's effective options.
-func (e *Engine) Options() Options { return e.opts }
-
 // Close flushes all dirty pages and releases the device backend (a view
 // drops its overlay and its reference on the base arena). The engine must
 // not be used afterwards. An engine that ends clean — everything flushed,
@@ -250,15 +247,6 @@ type RelationSize struct {
 type SizeReport struct {
 	Model     string
 	Relations []RelationSize
-}
-
-// TotalPages sums the page counts of all relations.
-func (r SizeReport) TotalPages() int {
-	n := 0
-	for _, rel := range r.Relations {
-		n += rel.M
-	}
-	return n
 }
 
 // Model is the uniform storage-model API consumed by the benchmark driver.

@@ -93,16 +93,6 @@ func (r *Reader) U64() uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
-// Bytes consumes a u32 length prefix and that many bytes. The returned
-// slice aliases the reader's buffer.
-func (r *Reader) Bytes() []byte {
-	n := int(r.U32())
-	if r.err != nil {
-		return nil
-	}
-	return r.take(n)
-}
-
 // Len consumes a u32 element count whose elements occupy at least
 // elemSize bytes each and validates it against the bytes remaining in the
 // buffer, so a corrupt count fails immediately instead of provoking a

@@ -7,10 +7,6 @@ import (
 	"testing"
 )
 
-// appendBytes is how the serializers write what Reader.Bytes consumes: a
-// u32 length prefix, then the bytes.
-func appendBytes(b, p []byte) []byte { return append(AppendU32(b, uint32(len(p))), p...) }
-
 // Every Append function and its Reader counterpart round-trip, extremes
 // included, in one sequence, and the encoding is big-endian.
 func TestRoundTrip(t *testing.T) {
@@ -23,8 +19,6 @@ func TestRoundTrip(t *testing.T) {
 	b = AppendU16(b, math.MaxUint16)
 	b = AppendU32(b, math.MaxUint32)
 	b = AppendU64(b, math.MaxUint64)
-	b = appendBytes(b, []byte("nested"))
-	b = appendBytes(b, nil)
 	b = AppendU32(b, 3) // a count of three u16 elements
 	for _, v := range []uint16{7, 8, 9} {
 		b = AppendU16(b, v)
@@ -49,12 +43,6 @@ func TestRoundTrip(t *testing.T) {
 	if r.U8() != math.MaxUint8 || r.U16() != math.MaxUint16 || r.U32() != math.MaxUint32 || r.U64() != math.MaxUint64 {
 		t.Error("maximum values did not round-trip")
 	}
-	if p := r.Bytes(); string(p) != "nested" {
-		t.Errorf("Bytes = %q, want %q", p, "nested")
-	}
-	if p := r.Bytes(); len(p) != 0 {
-		t.Errorf("empty Bytes = %q", p)
-	}
 	n := r.Len(2)
 	if n != 3 {
 		t.Fatalf("Len = %d, want 3", n)
@@ -69,19 +57,9 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// Bytes hands out a slice of the input, not a copy.
-func TestBytesAliasesInput(t *testing.T) {
-	b := appendBytes(nil, []byte("abc"))
-	p := NewReader(b).Bytes()
-	b[4] = 'x'
-	if string(p) != "xbc" {
-		t.Errorf("Bytes = %q after writing the input: want it to alias", p)
-	}
-}
-
 // Every read of a truncated input fails with ErrShort and yields zero.
 func TestTruncatedInput(t *testing.T) {
-	full := appendBytes(AppendU64(nil, 42), []byte("payload"))
+	full := AppendU32(AppendU64(nil, 42), 7)
 	reads := []struct {
 		name string
 		read func(*Reader) bool // reports whether the zero value came back
@@ -90,7 +68,6 @@ func TestTruncatedInput(t *testing.T) {
 		{"U16", func(r *Reader) bool { return r.U16() == 0 }},
 		{"U32", func(r *Reader) bool { return r.U32() == 0 }},
 		{"U64", func(r *Reader) bool { return r.U64() == 0 }},
-		{"Bytes", func(r *Reader) bool { return r.Bytes() == nil }},
 		{"Len", func(r *Reader) bool { return r.Len(1) == 0 }},
 	}
 	for _, rd := range reads {
@@ -105,15 +82,10 @@ func TestTruncatedInput(t *testing.T) {
 	for cut := 0; cut < len(full); cut++ {
 		r := NewReader(full[:cut])
 		r.U64()
-		r.Bytes()
+		r.U32()
 		if !errors.Is(r.Close(), ErrShort) {
 			t.Errorf("input cut at %d of %d bytes: Close = %v, want ErrShort", cut, len(full), r.Close())
 		}
-	}
-	// A length prefix larger than what follows fails too.
-	r := NewReader(append(AppendU32(nil, 10), "short"...))
-	if p := r.Bytes(); p != nil || !errors.Is(r.Err(), ErrShort) {
-		t.Errorf("overlong Bytes prefix: %q, err %v", p, r.Err())
 	}
 }
 
@@ -152,14 +124,14 @@ func TestLenGuard(t *testing.T) {
 // The first error latches: every later read returns zero and consumes
 // nothing, and Close reports that first error rather than trailing bytes.
 func TestLatchedError(t *testing.T) {
-	b := AppendU64(AppendU32(nil, 5), 9) // a Bytes prefix of 5, then 8 bytes
+	b := AppendU64(AppendU32(nil, 5), 9) // a count of 5, then 8 bytes
 	r := NewReader(b)
 	r.Len(100) // 5 elements of 100 bytes cannot fit: the error latches here
 	first := r.Err()
 	if !errors.Is(first, ErrShort) {
 		t.Fatalf("err %v, want ErrShort", first)
 	}
-	if r.U8() != 0 || r.U16() != 0 || r.U32() != 0 || r.U64() != 0 || r.Bytes() != nil || r.Len(1) != 0 {
+	if r.U8() != 0 || r.U16() != 0 || r.U32() != 0 || r.U64() != 0 || r.Len(1) != 0 {
 		t.Error("a read after the error returned a value")
 	}
 	if r.Err() != first {

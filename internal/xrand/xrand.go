@@ -59,15 +59,8 @@ func Mix(seed, stream uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Perm returns a pseudo random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	s.PermInto(p)
-	return p
-}
-
-// PermInto fills p with the permutation of [0, len(p)) Perm would return
-// — the same draws, the same indices — without allocating.
+// PermInto fills p with a pseudo random permutation of [0, len(p)),
+// whatever p held, without allocating.
 func (s *Source) PermInto(p []int) {
 	for i := range p {
 		j := s.Intn(i + 1)

@@ -90,7 +90,8 @@ func TestBoolProbability(t *testing.T) {
 
 func TestPerm(t *testing.T) {
 	s := New(9)
-	p := s.Perm(20)
+	p := make([]int, 20)
+	s.PermInto(p)
 	if len(p) != 20 {
 		t.Fatalf("Perm(20) length %d", len(p))
 	}
@@ -105,10 +106,11 @@ func TestPerm(t *testing.T) {
 
 func TestPermUniformFirstElement(t *testing.T) {
 	s := New(13)
-	counts := make([]int, 5)
+	counts, p := make([]int, 5), make([]int, 5)
 	const n = 50000
 	for i := 0; i < n; i++ {
-		counts[s.Perm(5)[0]]++
+		s.PermInto(p)
+		counts[p[0]]++
 	}
 	for v, c := range counts {
 		if math.Abs(float64(c)/n-0.2) > 0.01 {
@@ -118,23 +120,24 @@ func TestPermUniformFirstElement(t *testing.T) {
 }
 
 // TestPermIntoMatchesPerm: whatever the buffer held, PermInto leaves the
-// permutation Perm returns from the same state, consumes the same draws,
-// and allocates nothing.
+// permutation it leaves in a fresh buffer from the same state, consumes
+// the same draws, and allocates nothing.
 func TestPermIntoMatchesPerm(t *testing.T) {
 	buf := make([]int, 1500)
 	for _, n := range []int{0, 1, 2, 37, 1500} {
 		a, b := New(uint64(n)+5), New(uint64(n)+5)
-		want := a.Perm(n)
+		want := make([]int, n)
+		a.PermInto(want)
 		got := buf[:n]
 		for i := range got {
 			got[i] = -7 // stale contents of a reused buffer
 		}
 		b.PermInto(got)
 		if !slices.Equal(got, want) {
-			t.Fatalf("n=%d: PermInto = %v, Perm = %v", n, got, want)
+			t.Fatalf("n=%d: PermInto over stale contents = %v, over a fresh buffer %v", n, got, want)
 		}
 		if a.Uint64() != b.Uint64() {
-			t.Fatalf("n=%d: PermInto consumed a different number of draws than Perm", n)
+			t.Fatalf("n=%d: PermInto consumed a different number of draws over stale contents", n)
 		}
 	}
 	s := New(1)

@@ -302,9 +302,9 @@ func (tt *TupleType) VisitRel(buf []byte, i int, fn func(j, n int, elem []byte) 
 // storage models read attributes unboxed through Record (Int, Str) and
 // VisitRel, which share its bounds checks, and DecodeAttr stays as the
 // readable form of the same projection — the differential oracle Record is
-// quick-tested against, and what examples/nf2demo shows. It boxes its
-// result in a Value and gives every String its own allocation, so it is
-// kept off the hot paths rather than tuned for them.
+// quick-tested against, and what the root Example_nf2Assembly shows. It
+// boxes its result in a Value and gives every String its own allocation,
+// so it is kept off the hot paths rather than tuned for them.
 func (tt *TupleType) DecodeAttr(buf []byte, i int) (Value, error) {
 	if i < 0 || i >= len(tt.Attrs) {
 		return Value{}, tt.rangeErr(i)
