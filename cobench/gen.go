@@ -8,7 +8,6 @@ import (
 
 	"complexobj/internal/slab"
 	"complexobj/internal/xrand"
-	"complexobj/nf2"
 )
 
 // Config parameterizes the benchmark extension generator (paper §2.1 and
@@ -118,25 +117,97 @@ func pick(rng *xrand.Source, list []string) string { return list[rng.Intn(len(li
 // and the arrays of a station — its platforms, its connections (shared by
 // the platforms, as Clone's) and its sightseeings — are cut, sized to what
 // it holds and capacity-limited, from chunks shared by the stations of the
-// extension. The strings are cut from one arena per extension, only ever
-// appended to, so they are owned. A retained station therefore pins the
-// Station array, the chunks and the arena buffers it was cut from, as a
-// string of an nf2.Strings pins its buffer: a caller that keeps one station
-// of many keeps more than its size, and Clone is the way to keep just it.
+// extension; so are its strings, from byte chunks only ever appended to.
+// A retained station therefore pins the Station array and the chunks it
+// was cut from, as a string of an nf2.Strings pins its buffer: a caller
+// that keeps one station of many keeps more than its size, and Clone is
+// the way to keep just it. Generate's chunks are its own and go to the
+// collector with the stations; FreeList.Generate cuts the same extension
+// from chunks an owner gives back for the next one.
 func Generate(c Config) ([]*Station, error) {
-	if err := c.Validate(); err != nil {
+	var g generator
+	return g.run(c)
+}
+
+// FreeList is a free list of extension memory: the string, array and
+// Station chunks of the extensions released to it, which the next
+// extension it generates is cut from. An owner that generates many
+// extensions and drops each before long (a suite sweeping generator
+// configurations) allocates the most it holds at once, not the sum. It is
+// safe for concurrent use; the zero value is ready to use.
+type FreeList struct {
+	strs  slab.Free[byte]
+	plats slab.Free[Platform]
+	conns slab.Free[Connection]
+	sees  slab.Free[Sightseeing]
+	all   slab.Free[Station]
+	ptrs  slab.Free[*Station]
+}
+
+// Extension is a generated extension and the memory it was cut from.
+type Extension struct {
+	Stations []*Station
+	mem      memory
+}
+
+// memory is where an extension's strings and arrays are cut from.
+type memory struct {
+	strs  slab.Slab[byte]
+	plats slab.Slab[Platform]
+	conns slab.Slab[Connection]
+	sees  slab.Slab[Sightseeing]
+	all   slab.Slab[Station]
+	ptrs  slab.Slab[*Station]
+}
+
+// Generate produces c's extension, as the package-level Generate does,
+// from chunks of the list: those of released extensions first (zeroed, as
+// fresh ones are), new ones only when none is left that fits.
+func (l *FreeList) Generate(c Config) (*Extension, error) {
+	var g generator
+	g.mem.strs.DrawFrom(&l.strs)
+	g.mem.plats.DrawFrom(&l.plats)
+	g.mem.conns.DrawFrom(&l.conns)
+	g.mem.sees.DrawFrom(&l.sees)
+	g.mem.all.DrawFrom(&l.all)
+	g.mem.ptrs.DrawFrom(&l.ptrs)
+	stations, err := g.run(c)
+	e := &Extension{Stations: stations, mem: g.mem}
+	if err != nil {
+		e.Release()
 		return nil, err
 	}
-	g := generator{c: c}
-	all := make([]Station, c.N)
-	stations := make([]*Station, c.N)
-	for i := range stations {
-		if err := g.station(i, &all[i]); err != nil {
-			return nil, err
+	return e, nil
+}
+
+// FreshBytes returns the bytes of the chunks the list had to allocate:
+// the extension memory it drew fresh rather than again.
+func (l *FreeList) FreshBytes() int64 {
+	return l.strs.MadeBytes() + l.plats.MadeBytes() + l.conns.MadeBytes() +
+		l.sees.MadeBytes() + l.all.MadeBytes() + l.ptrs.MadeBytes()
+}
+
+// Release gives the extension's memory back to the list that generated
+// it, for its next extension: a station, array or string of e kept past
+// Release reads that extension's data. Under the poison build tag the
+// string chunks are overwritten with 0xDB first, so a kept string reads
+// as garbage until the memory is cut again.
+func (e *Extension) Release() {
+	var scrub func([]byte)
+	if poison {
+		scrub = func(b []byte) {
+			for i := range b {
+				b[i] = 0xDB
+			}
 		}
-		stations[i] = &all[i]
 	}
-	return stations, nil
+	e.mem.strs.Release(scrub)
+	e.mem.plats.Release(nil)
+	e.mem.conns.Release(nil)
+	e.mem.sees.Release(nil)
+	e.mem.all.Release(nil)
+	e.mem.ptrs.Release(nil)
+	e.Stations = nil
 }
 
 // The generator allocates the stations' platforms, connections and
@@ -144,24 +215,41 @@ func Generate(c Config) ([]*Station, error) {
 // the paper's means, so an extension costs a few allocations per kind of
 // array, and what the chunks leave unused — the tail of the last one, the
 // tails where an array did not fit — stays ≈ 2 % of the extension's bytes.
+// Its strings share 8 KiB chunks, each of which holds at least 80 values
+// of at most StrSize bytes.
 const (
 	chunkBytes      = 16 << 10
+	stringsChunk    = 8 << 10
 	platformChunk   = chunkBytes / int(unsafe.Sizeof(Platform{}))
 	connectionChunk = chunkBytes / int(unsafe.Sizeof(Connection{}))
 	seeingChunk     = chunkBytes / int(unsafe.Sizeof(Sightseeing{}))
 )
 
-// generator is what one Generate call carries from station to station.
+// generator is what one extension's generation carries from station to
+// station.
 type generator struct {
 	c     Config
-	strs  nf2.Strings  // every STR value of the extension; never Reset
+	mem   memory       // every string and array of the extension
 	buf   line         // the STR value being written
 	plats []Platform   // the station being drawn, until its fan-outs are known
 	conns []Connection // its connections, in platform order
-	// The chunks the stations' own arrays are cut from.
-	platSlab slab.Slab[Platform]
-	connSlab slab.Slab[Connection]
-	seeSlab  slab.Slab[Sightseeing]
+}
+
+// run generates c's extension from g's memory.
+func (g *generator) run(c Config) ([]*Station, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	g.c = c
+	all := g.mem.all.Cut(c.N, c.N)
+	stations := g.mem.ptrs.Cut(c.N, c.N)
+	for i := range stations {
+		if err := g.station(i, &all[i]); err != nil {
+			return nil, err
+		}
+		stations[i] = &all[i]
+	}
+	return stations, nil
 }
 
 // line is a STR value being written. The values are formatted by appends
@@ -177,10 +265,17 @@ func (l line) num(v int) line    { return strconv.AppendInt(l, int64(v), 10) }
 func (l line) two(v int) line { return append(l, byte('0'+v/10), byte('0'+v%10)) }
 
 // cut ends the value l, written from g.buf, at the STR capacity and
-// returns it as a string of the arena.
+// returns it as a string over the extension's string chunks, whose bytes
+// are never written again while the extension lives.
 func (g *generator) cut(l line) string {
 	g.buf = l[:0]
-	return g.strs.Add(l[:min(len(l), StrSize)])
+	l = l[:min(len(l), StrSize)]
+	if len(l) == 0 {
+		return ""
+	}
+	b := g.mem.strs.Cut(len(l), stringsChunk)
+	copy(b, l)
+	return unsafe.String(&b[0], len(b))
 }
 
 // station draws station index into s.
@@ -237,9 +332,9 @@ func (g *generator) station(index int, s *Station) error {
 	}
 	g.plats, g.conns = plats, conns
 	if len(plats) > 0 {
-		s.Platforms = g.platSlab.Cut(len(plats), platformChunk)
+		s.Platforms = g.mem.plats.Cut(len(plats), platformChunk)
 		copy(s.Platforms, plats)
-		own := g.connSlab.Cut(len(conns), connectionChunk)
+		own := g.mem.conns.Cut(len(conns), connectionChunk)
 		copy(own, conns)
 		for i := range s.Platforms {
 			n := len(s.Platforms[i].Conns)
@@ -249,7 +344,7 @@ func (g *generator) station(index int, s *Station) error {
 			}
 		}
 	}
-	s.Seeings = g.seeSlab.Cut(seeRng.Intn(c.MaxSeeing+1), seeingChunk)
+	s.Seeings = g.mem.sees.Cut(seeRng.Intn(c.MaxSeeing+1), seeingChunk)
 	for j := range s.Seeings {
 		s.Seeings[j] = Sightseeing{
 			Nr:          int32(j + 1),

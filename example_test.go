@@ -21,6 +21,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
+	defer db.Close()
 	_, children, err := db.Navigate(0)
 	if err != nil {
 		panic(err)
@@ -40,6 +41,7 @@ func ExampleDB_Run() {
 	if err != nil {
 		panic(err)
 	}
+	defer db.Close()
 	res, err := db.Run(cobench.Q1c, cobench.Workload{Loops: 40, Samples: 10, Seed: 1})
 	if err != nil {
 		panic(err)

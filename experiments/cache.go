@@ -22,7 +22,7 @@ import (
 //   - close waits for builds in flight, drops every value and makes every
 //     later get fail.
 type cache[K comparable, V any] struct {
-	drop func(V) error // nil: a dropped value is left to the collector
+	drop func(V) error // frees a value the cache lets go of
 
 	mu      sync.Mutex
 	entries map[K]*cacheEntry[V]
@@ -107,7 +107,7 @@ func (c *cache[K, V]) get(key K, pin bool, build func() (V, error)) (V, func() e
 			delete(c.entries, key)
 		}
 		c.mu.Unlock()
-		if evict && c.drop != nil {
+		if evict {
 			return c.drop(e.val)
 		}
 		return nil
@@ -126,7 +126,7 @@ func (c *cache[K, V]) close() error {
 	var errs []error
 	for _, e := range entries {
 		<-e.done
-		if e.err == nil && c.drop != nil {
+		if e.err == nil {
 			errs = append(errs, c.drop(e.val))
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 	"testing"
@@ -342,6 +343,51 @@ func TestSnapshotBaseRSS(t *testing.T) {
 	if mappedDelta*4 > arenaBytes/1024 {
 		t.Errorf("mapped bases resident %d KiB, not ≪ arena size %d KiB", mappedDelta, arenaBytes/1024)
 	}
+}
+
+// TestSnapshotBasesOffHeap is the exact check behind the mapped-base RSS
+// smoke: opening every model of a paper-scale snapshot as mapped bases
+// adds nothing to the off-heap ledger (a mapped floor is the file's own
+// pages, not an arena) and, once collected, under a tenth of the bases'
+// arena bytes to the Go heap's live bytes (their decoded directories, not
+// a copy of the arenas). A heap-copy base fails both.
+func TestSnapshotBasesOffHeap(t *testing.T) {
+	if !disk.CanMapBase {
+		t.Skip("platform cannot map bases")
+	}
+	path := writeSnapshot(t, DefaultConfig())
+	arenaBefore, heapBefore := disk.LiveArenaBytes(), heapLiveBytes()
+	var bases []*store.SharedBase
+	arena := int64(0)
+	for _, k := range store.AllKinds() {
+		b, err := snapshot.OpenBase(path, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arena += int64(b.ArenaBytes())
+		bases = append(bases, b)
+	}
+	arenaAdded, heapAdded := disk.LiveArenaBytes()-arenaBefore, heapLiveBytes()-heapBefore
+	for _, b := range bases {
+		if err := b.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("%d bases over %d KiB of arenas: off-heap ledger +%d B, Go heap live +%d KiB", len(bases), arena>>10, arenaAdded, heapAdded>>10)
+	if arenaAdded != 0 {
+		t.Errorf("opening mapped bases added %d bytes to the off-heap ledger, want 0", arenaAdded)
+	}
+	if heapAdded*10 >= arena {
+		t.Errorf("opening mapped bases added %d KiB to the live Go heap, want under a tenth of their %d KiB of arenas", heapAdded>>10, arena>>10)
+	}
+}
+
+// heapLiveBytes collects and returns the Go heap's live bytes.
+func heapLiveBytes() int64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return int64(s[0].Value.Uint64())
 }
 
 // currentRSSKB reads VmRSS (the current resident set) in KiB.

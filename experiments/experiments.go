@@ -37,18 +37,24 @@
 // The one configuration needed again after its last holder let go is the
 // skewed extension: the distribution ablation regenerates it, with its
 // DSM base, after Table 7 dropped them, because holding them across
-// sections would raise the suite's peak. A loaded base's arena is not on
-// the Go heap (internal/disk, "Reservation and hand-off"): a one-off
-// base's memory goes back to the operating system the moment its last
-// cell releases it, not at a later collection, and the pinned bases do not
-// raise the collector's heap goal. Nor are the page buffers of the suite's
-// one page pool, under every view and loader: the pool cuts them from
-// chunks it maps (internal/disk, "Page buffer ownership"), and every
-// engine gives its pages back at its close. Close frees the rest, bases
-// and chunks; disk.LiveArenaBytes counts what is live. The suite also
-// keeps every computed result, so
-// asking for several tables runs the expensive work once. All runs are
-// deterministic for a given configuration, whatever the width.
+// sections would raise the suite's peak. A dropped extension's memory —
+// its strings, its arrays and its Station array — returns to the suite's
+// free list (cobench.FreeList), not to the collector, and the next
+// extension the suite generates is cut from it: a reproduction allocates
+// its own extension and the most one-off extensions it holds at once
+// (Figure 5's two other columns), not every one it generates. A loaded
+// base's arena is not on the Go heap (internal/disk, "Reservation and
+// hand-off"): a one-off base's memory goes back to the operating system
+// the moment its last cell releases it, not at a later collection, and
+// the pinned bases do not raise the collector's heap goal. Nor are the
+// page buffers of the suite's one page pool, under every view and loader:
+// the pool cuts them from chunks it maps (internal/disk, "Page buffer
+// ownership"), and every engine gives its pages back at its close. Close frees the rest, bases
+// and chunks, and drops every extension, the pinned one included;
+// disk.LiveArenaBytes counts what is live. The suite also keeps every
+// computed result, so asking for several tables runs the expensive work
+// once. All runs are deterministic for a given configuration, whatever
+// the width.
 package experiments
 
 import (
@@ -131,7 +137,8 @@ type Suite struct {
 	storeOpts   store.Options
 	optsErr     error
 	snapshotOK  func() error
-	exts        *cache[cobench.Config, []*cobench.Station]
+	extMem      cobench.FreeList // the memory of the extensions exts drops, for the next
+	exts        *cache[cobench.Config, *cobench.Extension]
 	bases       *cache[baseKey, *store.SharedBase]
 	sizes       map[store.Kind]store.SizeReport
 	matrix      *Matrix
@@ -155,9 +162,12 @@ func New(cfg Config) *Suite {
 	s := &Suite{
 		cfg:   cfg,
 		sizes: make(map[store.Kind]store.SizeReport),
-		exts:  newCache[cobench.Config, []*cobench.Station](nil),
 		bases: newCache[baseKey]((*store.SharedBase).Release),
 	}
+	s.exts = newCache[cobench.Config](func(e *cobench.Extension) error {
+		e.Release()
+		return nil
+	})
 	s.snapshotOK = sync.OnceValue(s.checkSnapshot)
 	// One page pool under every view and loader of the suite: a cell's frame
 	// buffers and overlay images serve the next cell instead of the GC.
@@ -281,13 +291,17 @@ func (s *Suite) withBase(k store.Kind, gen cobench.Config, fn func(*store.Shared
 // own extension is generated at most once and kept; any other lives while
 // a caller holds it.
 func (s *Suite) extension(gen cobench.Config) ([]*cobench.Station, func() error, error) {
-	return s.exts.get(gen, gen == s.cfg.Gen, func() ([]*cobench.Station, error) {
-		st, err := cobench.Generate(gen)
+	e, release, err := s.exts.get(gen, gen == s.cfg.Gen, func() (*cobench.Extension, error) {
+		e, err := s.extMem.Generate(gen)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: generate: %w", err)
 		}
-		return st, nil
+		return e, nil
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return e.Stations, release, nil
 }
 
 // pointHold keeps each sweep point's extension live from the start of the
@@ -334,7 +348,7 @@ func (h *pointHold) group(i int, gen cobench.Config, fn func() error) error {
 	}
 	h.mu.Unlock()
 	for _, r := range last {
-		r() // cannot fail: the extension cache drops nothing
+		r() // cannot fail: dropping an extension only gives its memory back
 	}
 	return err
 }

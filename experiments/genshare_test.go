@@ -113,3 +113,96 @@ func TestAllBuildsEachConfigurationOnce(t *testing.T) {
 		}
 	}
 }
+
+// oneOffConfigs are the configurations a reproduction of s generates and
+// drops: the skewed extension, Figure 5's other columns and Figure 6's
+// sizes other than the suite's own.
+func oneOffConfigs(s *Suite) []cobench.Config {
+	out := []cobench.Config{s.cfg.Gen.Skewed(), s.cfg.Gen.WithMaxSeeing(0), s.cfg.Gen.WithMaxSeeing(30)}
+	for _, n := range Fig6Sizes {
+		if gen := s.cfg.Gen.WithN(n); gen != s.cfg.Gen {
+			out = append(out, gen)
+		}
+	}
+	return out
+}
+
+// freshBytes is what generating gens, all held at once, draws from an
+// empty free list.
+func freshBytes(t testing.TB, gens ...cobench.Config) int64 {
+	var l cobench.FreeList
+	for _, gen := range gens {
+		if _, err := l.Generate(gen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return l.FreshBytes()
+}
+
+// TestSuiteRecyclesExtensions: a paper-scale reproduction two workers wide
+// draws fresh extension memory for its own extension and for the largest
+// set of one-off extensions it holds at once — Figure 5's two other
+// columns, which outweigh the skewed extension and every Figure 6 size
+// together — and cuts every other one-off extension from the memory of
+// those dropped before it (within 10 %). Without the free list it drew the
+// sum of all of them.
+func TestSuiteRecyclesExtensions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a whole paper-scale reproduction")
+	}
+	cfg := DefaultConfig()
+	cfg.Workers = 2
+	s := New(cfg)
+	defer s.Close()
+	if _, err := s.All(); err != nil {
+		t.Fatal(err)
+	}
+	gen := s.cfg.Gen
+	own := freshBytes(t, gen)
+	fig5 := freshBytes(t, gen.WithMaxSeeing(0), gen.WithMaxSeeing(30))
+	var fig6 []cobench.Config
+	for _, n := range Fig6Sizes[:len(Fig6Sizes)-1] {
+		fig6 = append(fig6, gen.WithN(n))
+	}
+	if skew, sizes := freshBytes(t, gen.Skewed()), freshBytes(t, fig6...); skew > fig5 || sizes > fig5 {
+		t.Fatalf("fresh bytes: skew %d, Figure 6 sizes %d, Figure 5 columns %d: the Figure 5 pair is no longer the largest live set", skew, sizes, fig5)
+	}
+	sum := int64(0)
+	for _, g := range oneOffConfigs(s) {
+		sum += freshBytes(t, g)
+	}
+	sum += freshBytes(t, gen.Skewed()) // the distribution ablation's regeneration
+	got, bound := s.extMem.FreshBytes(), (own+fig5)*11/10
+	t.Logf("fresh extension bytes: %d KiB (own %d KiB + Figure 5 pair %d KiB; every one-off fresh: %d KiB)",
+		got>>10, own>>10, fig5>>10, (own+sum)>>10)
+	if got > bound {
+		t.Errorf("a reproduction drew %d KiB of extension memory fresh, want at most %d KiB", got>>10, bound>>10)
+	}
+}
+
+// BenchmarkSweepExtensions generates the one-off configurations a
+// reproduction sweeps through one suite's extension cache, dropping each
+// before the next: from the second op on every extension is cut from the
+// memory of the ones dropped before it, so B/op and allocs/op (CI-gated)
+// are the cache's and the generator's bookkeeping, and a regression to
+// fresh memory shows as megabytes.
+func BenchmarkSweepExtensions(b *testing.B) {
+	s := New(DefaultConfig())
+	defer s.Close()
+	gens := oneOffConfigs(s)
+	sweep := func() {
+		for _, gen := range gens {
+			_, release, err := s.extension(gen)
+			if err != nil {
+				b.Fatal(err)
+			}
+			release()
+		}
+	}
+	sweep() // draws the largest extension's memory
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
+	}
+}

@@ -6,9 +6,21 @@ import (
 	"testing"
 )
 
+// newTestDisk is a device over a fresh loader arena, closed — its arena
+// unmapped — when the test ends.
 func newTestDisk(t *testing.T) *Disk {
 	t.Helper()
-	return New(DefaultPageSize)
+	return closeAtEnd(t, New(DefaultPageSize))
+}
+
+// closeAtEnd closes d when the test ends.
+func closeAtEnd(t *testing.T, d *Disk) *Disk {
+	t.Cleanup(func() {
+		if err := d.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	return d
 }
 
 func TestGeometry(t *testing.T) {
@@ -190,7 +202,7 @@ func TestReadRunFillsCallerBuffers(t *testing.T) {
 // TestReadRunRejectsWrongBufferSize: a copy buffer that is not one page
 // long is refused (over an opaque backend, where every page is copied).
 func TestReadRunRejectsWrongBufferSize(t *testing.T) {
-	d := NewWithBackend(DefaultPageSize, opaque{NewMemBackend()})
+	d := closeAtEnd(t, NewWithBackend(DefaultPageSize, opaque{NewMemBackend()}))
 	d.Allocate(1)
 	err := d.ReadRunShared(0, make([][]byte, 1), make([]bool, 1), func() []byte { return make([]byte, 10) })
 	if !errors.Is(err, ErrBadBuffer) {

@@ -16,8 +16,18 @@ func TestPagePoolNil(t *testing.T) {
 	p.Put([][]byte{make([]byte, 512)})
 }
 
+// drainAtEnd drains p when the test ends: every page must be back.
+func drainAtEnd(t *testing.T, p *PagePool) *PagePool {
+	t.Cleanup(func() {
+		if err := p.Drain(); err != nil {
+			t.Error(err)
+		}
+	})
+	return p
+}
+
 func TestPagePoolRecyclesLIFO(t *testing.T) {
-	p := NewPagePool(0)
+	p := drainAtEnd(t, NewPagePool(0))
 	a, b := p.Get(DefaultPageSize), p.Get(DefaultPageSize)
 	if len(a) != DefaultPageSize || len(b) != DefaultPageSize {
 		t.Fatalf("default-size pool handed out %d and %d bytes", len(a), len(b))
@@ -32,6 +42,7 @@ func TestPagePoolRecyclesLIFO(t *testing.T) {
 	if gets, hits, held := p.Stats(); gets != 4 || hits != 2 || held != 0 {
 		t.Errorf("stats gets=%d hits=%d held=%d, want 4 2 0", gets, hits, held)
 	}
+	p.Put([][]byte{a, b})
 }
 
 // Pages are cut from chunks the pool maps and counts in LiveArenaBytes:
@@ -112,7 +123,7 @@ func TestPagePoolOtherSizes(t *testing.T) {
 // Two goroutines drawing and returning at once (run under -race): every
 // page is held by exactly one party at a time.
 func TestPagePoolConcurrent(t *testing.T) {
-	p := NewPagePool(64)
+	p := drainAtEnd(t, NewPagePool(64))
 	var wg sync.WaitGroup
 	for g := byte(1); g <= 2; g++ {
 		wg.Add(1)
@@ -159,7 +170,7 @@ func TestReleasePagesReturnsOverlay(t *testing.T) {
 		}
 		return d
 	}
-	pp := NewPagePool(0)
+	pp := drainAtEnd(t, NewPagePool(0))
 	d := open(pp)
 	for _, id := range []PageID{1, 5} {
 		if err := d.WriteRun(id, [][]byte{page}); err != nil {
@@ -202,9 +213,11 @@ func TestReleasePagesReturnsOverlay(t *testing.T) {
 	if got[0] != 0 {
 		t.Errorf("page 5 of the second device reads %#x, an image of the first", got[0])
 	}
-	d.Close() // not released: its pages are the GC's
+	over := d.backend.(*cowBackend).over
+	d.Close() // not released: the pages stay out
 	if _, _, held := pp.Stats(); held != 0 {
 		t.Errorf("a plain Close returned %d pages", held)
 	}
+	pp.putTable(over)                      // back by hand, so the pool drains
 	open(nil).ReleasePages([][]byte{page}) // nil pool: a drop
 }

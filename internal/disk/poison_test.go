@@ -27,6 +27,10 @@ func TestPagePoolPoisons(t *testing.T) {
 		if b = p.Get(256); !bytes.Equal(b, want) {
 			t.Fatalf("a recycled page reads %x...", b[:8])
 		}
+		p.Put([][]byte{b})
+		if err := p.Drain(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

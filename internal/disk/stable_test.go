@@ -181,7 +181,7 @@ type opaque struct{ Backend }
 // borrowed = false, same counters, same bytes.
 func TestReadRunSharedCopyFallback(t *testing.T) {
 	const ps = DefaultPageSize
-	d := NewWithBackend(ps, opaque{NewMemBackend()})
+	d := closeAtEnd(t, NewWithBackend(ps, opaque{NewMemBackend()}))
 	if _, err := d.Allocate(4); err != nil {
 		t.Fatal(err)
 	}

@@ -9,4 +9,9 @@
 // one owner and is never shared — two owners cutting from one chunk would
 // hand out the same elements twice. A retained slice keeps its whole chunk
 // alive, as a string cut from an nf2.Strings keeps its buffer.
+//
+// An owner whose arrays die together — a generated extension — can have
+// its Slabs draw from a Free list and give every chunk back at once
+// (Release), for the next owner to cut again; the chunks then outlive their
+// slices, and keeping a slice past Release reads the next owner's data.
 package slab

@@ -7,7 +7,9 @@ package report
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a rectangular grid with a title and a header row.
@@ -36,21 +38,20 @@ func Num(v float64) string {
 	if v == 0 {
 		return "0"
 	}
-	a := math.Abs(v)
-	switch {
+	prec := 3
+	switch a := math.Abs(v); {
 	case a >= 1000:
-		return fmt.Sprintf("%.0f", v)
+		prec = 0
 	case a >= 100:
-		return fmt.Sprintf("%.1f", v)
+		prec = 1
 	case a >= 10:
-		return fmt.Sprintf("%.2f", v)
-	default:
-		return fmt.Sprintf("%.3f", v)
+		prec = 2
 	}
+	return strconv.FormatFloat(v, 'f', prec, 64)
 }
 
 // Int formats an integer cell.
-func Int(v int) string { return fmt.Sprintf("%d", v) }
+func Int(v int) string { return strconv.Itoa(v) }
 
 func (t *Table) widths() []int {
 	w := make([]int, len(t.Header))
@@ -67,35 +68,62 @@ func (t *Table) widths() []int {
 	return w
 }
 
-// Text renders the table as aligned monospace text.
+// Text renders the table as aligned monospace text: every cell
+// left-aligned and padded to its column's width, as %-*s pads (in runes),
+// into one buffer sized up front.
 func (t *Table) Text() string {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "%s\n", t.Title)
-	}
 	w := t.widths()
+	row := 1 // the newline
+	for i, n := range w {
+		row += n
+		if i > 0 {
+			row += 2
+		}
+	}
+	size := len(t.Title) + 1 + row*(len(t.Rows)+2)
+	for _, n := range t.Notes {
+		size += len("note: \n") + len(n)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	if t.Title != "" {
+		b.WriteString(t.Title)
+		b.WriteByte('\n')
+	}
 	line := func(cells []string) {
 		for i, c := range cells {
 			if i > 0 {
 				b.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", w[i], c)
+			b.WriteString(c)
+			pad(&b, ' ', w[i]-utf8.RuneCountInString(c))
 		}
-		b.WriteString("\n")
+		b.WriteByte('\n')
 	}
 	line(t.Header)
-	sep := make([]string, len(t.Header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", w[i])
+	for i := range w {
+		if i > 0 {
+			b.WriteString("  ")
+		}
+		pad(&b, '-', w[i])
 	}
-	line(sep)
-	for _, row := range t.Rows {
-		line(row)
+	b.WriteByte('\n')
+	for _, r := range t.Rows {
+		line(r)
 	}
 	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "note: %s\n", n)
+		b.WriteString("note: ")
+		b.WriteString(n)
+		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// pad writes n copies of c; none when n is not positive.
+func pad(b *strings.Builder, c byte, n int) {
+	for ; n > 0; n-- {
+		b.WriteByte(c)
+	}
 }
 
 // Markdown renders the table as GitHub-flavoured Markdown.

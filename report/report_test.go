@@ -1,6 +1,7 @@
 package report
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -27,6 +28,9 @@ func TestNumFormatting(t *testing.T) {
 		6000:    "6000",
 		0.387:   "0.387",
 		-12.345: "-12.35",
+		-1234.5: "-1234",
+		0.0004:  "0.000",
+		999.96:  "1000.0",
 	}
 	for v, want := range cases {
 		if got := Num(v); got != want {
@@ -59,6 +63,48 @@ func TestTextAlignment(t *testing.T) {
 	}
 	if !strings.Contains(lines[5], "note:") {
 		t.Error("note missing")
+	}
+}
+
+// TestTextMatchesFormatPadding holds Text to the fmt rendering it
+// replaced: %-*s pads in runes while the widths count bytes, so a
+// multibyte cell is padded short by its extra bytes, as before.
+func TestTextMatchesFormatPadding(t *testing.T) {
+	tb := sample()
+	tb.AddRow("§5.5 skew", "µs", Num(math.Inf(1)))
+	tb.AddRow("", Int(-7), Num(-1234.5))
+	var want strings.Builder
+	fmt.Fprintf(&want, "%s\n", tb.Title)
+	w := tb.widths()
+	line := func(cells []string) {
+		for i, c := range cells {
+			if i > 0 {
+				want.WriteString("  ")
+			}
+			fmt.Fprintf(&want, "%-*s", w[i], c)
+		}
+		want.WriteString("\n")
+	}
+	line(tb.Header)
+	sep := make([]string, len(w))
+	for i := range sep {
+		sep[i] = strings.Repeat("-", w[i])
+	}
+	line(sep)
+	for _, r := range tb.Rows {
+		line(r)
+	}
+	for _, n := range tb.Notes {
+		fmt.Fprintf(&want, "note: %s\n", n)
+	}
+	if got := tb.Text(); got != want.String() {
+		t.Errorf("Text differs from the %%-*s rendering:\n%q\nwant\n%q", got, want.String())
+	}
+	if got := (&Table{}).Text(); got != "\n\n" {
+		t.Errorf("an empty table renders %q, want two empty lines", got)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { tb.Text() }); allocs > 2 {
+		t.Errorf("Text allocates %.0f times, want at most 2 (widths, buffer)", allocs)
 	}
 }
 

@@ -131,6 +131,7 @@ var exportKeep = map[string]string{
 	"complexobj/internal/disk.New":                "a bare device over a fresh arena, which tests in other packages build",
 	"complexobj/internal/disk.Open":               "a bare device over a base's pages, which tests in other packages build",
 	"complexobj/internal/buffer.Pool.Borrows":     "the zero-copy fix count, which store's borrow tests read",
+	"complexobj/cobench.FreeList.FreshBytes":      "the extension memory a free list drew fresh, which experiments' recycling test reads",
 	"complexobj/internal/metrics.Snapshot.Merge":  "folds per-shard snapshots, for a fleet-level /metrics",
 	"complexobj/nf2.TupleType.DecodeAttr":         "the reference decoder the lent decoders are tested against",
 	"complexobj/nf2.TupleType.Encode":             "the reference encoder the Appender is tested against",
