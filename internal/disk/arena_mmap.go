@@ -28,14 +28,35 @@ func allocArena(n int) ([]byte, error) {
 
 // freeArena unmaps an arena allocArena returned (any reslice of it that
 // keeps its first byte and its capacity). Every slice of it is invalid
-// afterwards: a read through one faults.
+// afterwards.
 func freeArena(b []byte) error {
 	if cap(b) == 0 {
 		return nil
 	}
-	if err := syscall.Munmap(b[:cap(b)]); err != nil {
+	if err := unmapRange(b[:cap(b)]); err != nil {
 		return fmt.Errorf("disk: unmap arena: %w", err)
 	}
 	liveArena.Add(-int64(cap(b)))
+	return nil
+}
+
+// unmapRange gives a mapping back to the operating system, whose next
+// mapping may reuse the address. Under the poison tag it quarantines the
+// range instead: its pages are dropped (MADV_DONTNEED) and the range made
+// inaccessible (PROT_NONE) but kept mapped, so the address is never handed
+// out again and a read through a stale slice faults rather than reading
+// whatever was mapped there next. The ledger line quarantined counts such
+// ranges.
+func unmapRange(m []byte) error {
+	if !poison {
+		return syscall.Munmap(m)
+	}
+	if err := syscall.Madvise(m, syscall.MADV_DONTNEED); err != nil {
+		return err
+	}
+	if err := syscall.Mprotect(m, syscall.PROT_NONE); err != nil {
+		return err
+	}
+	quarantined.Add(int64(len(m)))
 	return nil
 }

@@ -83,6 +83,12 @@ var liveArena atomic.Int64
 // every such base released and every page pool drained.
 func LiveArenaBytes() int64 { return liveArena.Load() }
 
+// quarantined is the ledger line of the ranges the poison build keeps
+// mapped and inaccessible instead of unmapping them (unmapRange): freed
+// arenas, drained page-pool chunks and released file floors, address
+// space that holds no memory and is never reused. Zero in other builds.
+var quarantined atomic.Int64
+
 // memBackend keeps the arena in memory of its own, outside the Go heap
 // (allocArena: an anonymous mapping on Linux): what a loader builds into
 // and a private database runs on. A bulk load sizes its arena first and

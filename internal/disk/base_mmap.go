@@ -54,7 +54,7 @@ func MapBaseArena(f *os.File, off int64, n int) (*BaseArena, error) {
 	a := NewBaseArena(m[head : head+n : head+n])
 	a.fl.mapped = true
 	a.fl.unmap = func() error {
-		if err := syscall.Munmap(m); err != nil {
+		if err := unmapRange(m); err != nil {
 			return fmt.Errorf("disk: unmap base: %w", err)
 		}
 		return nil

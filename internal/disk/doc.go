@@ -181,10 +181,13 @@
 // its arena: a move keeps the retired arena mapped, with the bytes the
 // slice was handed, until Close or Detach, and the buffer pool has
 // dropped every borrow by then. A slice used after that — or after the
-// last release of the base a Detach built — is a bug nothing catches: its
-// memory is back with the operating system, whose next mapping of the
-// same size often lands at the same address, so the slice may read
-// another arena's or chunk's bytes instead of faulting. Readers are kept
+// last release of the base a Detach built — is a bug a release build does
+// not catch: its memory is back with the operating system, whose next
+// mapping of the same size often lands at the same address, so the slice
+// may read another arena's or chunk's bytes instead of faulting. Under
+// `-tags poison` the range is quarantined rather than unmapped — its pages
+// dropped, the address made inaccessible and never reused
+// (the ledger's quarantined line) — so such a read faults. Readers are kept
 // safe by reference counts and release order alone: the buffer pool drops
 // every borrow before its device closes, and a floor is unmapped only at
 // its last reference's release. The cow backend serves a materialized

@@ -1,0 +1,49 @@
+//go:build poison && linux
+
+package disk
+
+import (
+	"runtime/debug"
+	"testing"
+)
+
+// sink keeps a probe's read from being optimised away.
+var sink byte
+
+// faults reports whether read faulted, the fault recovered as a panic.
+func faults(read func()) (faulted bool) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		_, faulted = recover().(interface{ Addr() uintptr }) // a memory fault, not any panic
+	}()
+	read()
+	return false
+}
+
+// TestDrainedPageFaults is a probe of the off-heap lifetimes: a pool page
+// its engine kept after Put and read after Drain faults. The poison build
+// quarantines the drained chunk instead of unmapping it, so the next chunk
+// mapped — of the same size, mapped just after, where an unmapped range
+// is most likely to be handed out again — cannot land on its address and
+// lend the stale slice its bytes.
+func TestDrainedPageFaults(t *testing.T) {
+	p := NewPagePool(DefaultPageSize)
+	kept := p.Get(DefaultPageSize)
+	p.Put([][]byte{kept})
+	before := quarantined.Load()
+	if err := p.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := quarantined.Load()-before, int64(chunkPages*DefaultPageSize); got != want {
+		t.Errorf("Drain quarantined %d bytes, want the chunk's %d", got, want)
+	}
+	next := NewPagePool(DefaultPageSize)
+	fresh := next.Get(DefaultPageSize)
+	if !faults(func() { sink = kept[0] }) {
+		t.Error("a page kept past its pool's Drain was read without a fault")
+	}
+	next.Put([][]byte{fresh})
+	if err := next.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}

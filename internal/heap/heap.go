@@ -31,11 +31,18 @@ type Heap struct {
 	pool *buffer.Pool
 
 	// The directory state AppendState serializes. pages grows by appending
-	// only: an attached heap aliases from's list clipped, and appends a copy.
+	// only: an attached heap aliases the list it attached clipped, and
+	// appends a copy.
 	pages   []disk.PageID
 	records int
 	bytes   int64
-	from    *Heap // the shared directory state last attached, if any
+	// at is the state the last Attach installed, which Changed compares
+	// against: a copy, so an attached heap keeps no other heap alive.
+	at struct {
+		pages, records int
+		bytes          int64
+	}
+	attached bool
 }
 
 // New creates an empty heap named name (for error messages and reports).
@@ -113,17 +120,19 @@ func (h *Heap) RestoreState(r *wire.Reader) error {
 	return nil
 }
 
-// Attach makes h's directory state that of from — a heap without a device
-// that some RestoreState filled; any number of heaps attach to it, none
-// writes it — in O(1).
+// Attach makes h's directory state that of from — a heap whose state no
+// one writes any more: one without a device that RestoreState filled, or a
+// loader's that a base took over; any number of heaps attach to it — in
+// O(1). h keeps from's page list, never from itself.
 func (h *Heap) Attach(from *Heap) {
-	h.pages, h.records, h.bytes, h.from = slices.Clip(from.pages), from.records, from.bytes, from
+	h.pages, h.records, h.bytes = slices.Clip(from.pages), from.records, from.bytes
+	h.at.pages, h.at.records, h.at.bytes, h.attached = len(from.pages), from.records, from.bytes, true
 }
 
 // Changed reports whether AppendState has moved off what Attach installed
 // (always, on a heap never attached); page lists of one length are equal.
 func (h *Heap) Changed() bool {
-	return h.from == nil || len(h.pages) != len(h.from.pages) || h.records != h.from.records || h.bytes != h.from.bytes
+	return !h.attached || len(h.pages) != h.at.pages || h.records != h.at.records || h.bytes != h.at.bytes
 }
 
 // Sizer counts the pages a sequence of Inserts into an empty heap will

@@ -78,7 +78,12 @@ type Store struct {
 	// device, so relocation-heavy workloads reach a stable device size
 	// instead of growing the arena unboundedly.
 	free []pageRun
-	from *Store // the shared directory state last attached, if any
+	// at and atFree are the state the last Attach installed, which Changed
+	// compares against: copied, so an attached store keeps no other store
+	// alive.
+	at       counts
+	atFree   []pageRun
+	attached bool
 
 	// Scratch buffers reused across calls. A Store, like the engine it
 	// belongs to, has a single owner (workers and views never share one),
@@ -118,19 +123,22 @@ func New(dev *disk.Disk, pool *buffer.Pool, name string) *Store {
 	return &Store{dev: dev, pool: pool, shared: heap.New(dev, pool, name)}
 }
 
-// Attach makes s's directory state that of from — a store without a device
-// that some RestoreState filled; any number of stores attach to it, none
-// writes it. The free-space map, edited in place, is copied: it holds
-// relocation leftovers only, so attaching stays O(1) in the extension.
+// Attach makes s's directory state that of from — a store whose state no
+// one writes any more: one without a device that RestoreState filled, or a
+// loader's that a base took over; any number of stores attach to it. The
+// free-space map, edited in place, is copied: it holds relocation
+// leftovers only, so attaching stays O(1) in the extension. s keeps
+// from's state, never from itself.
 func (s *Store) Attach(from *Store) {
-	s.counts, s.free, s.from = from.counts, append(s.free[:0], from.free...), from
+	s.counts, s.free = from.counts, append(s.free[:0], from.free...)
+	s.at, s.atFree, s.attached = from.counts, from.free, true
 	s.shared.Attach(from.shared)
 }
 
 // Changed reports whether AppendState has moved off what Attach installed
 // (always, on a store never attached). In-place replacements keep it.
 func (s *Store) Changed() bool {
-	return s.from == nil || s.counts != s.from.counts || !slices.Equal(s.free, s.from.free) || s.shared.Changed()
+	return !s.attached || s.counts != s.at || !slices.Equal(s.free, s.atFree) || s.shared.Changed()
 }
 
 // SharedHeap exposes the heap of small objects (for size reporting).

@@ -138,6 +138,7 @@ func (a *assembler) begin(owned bool) {
 // that lends one.
 func (a *assembler) lendRoot(rec []byte) (cobench.RootRecord, error) {
 	a.name.Reset()
+	a.name.Grow(len(rec)) // room for the name, not a whole chunk
 	return decodeRoot(rec, &a.name)
 }
 

@@ -82,6 +82,7 @@ func (m *direct) Load(stations []*cobench.Station) error {
 	}
 	m.eng.Dev.Reserve(sizer.Pages())
 	m.addr = make([]longobj.Ref, 0, len(stations))
+	m.keyIdx = make(map[int32]int, len(stations))
 	for i, s := range stations {
 		comps, err := m.components(s)
 		if err != nil {

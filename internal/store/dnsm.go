@@ -178,6 +178,7 @@ func (m *dnsm) Load(stations []*cobench.Station) error {
 	}
 	m.eng.Dev.Reserve(pages)
 	m.refs = make([][4]longobj.Ref, 0, len(stations))
+	m.keyIdx = make(map[int32]int, len(stations))
 	for i, s := range stations {
 		recs, err := m.tuples(s)
 		if err != nil {

@@ -100,7 +100,8 @@
 // extension: it loads into a loader arena — memory of its own outside the
 // Go heap, an anonymous mapping on Linux — and then hands that arena over,
 // disk.Disk.Detach returning a disk.BaseArena whose floor owns it, as the
-// base's floor. Nothing is copied; the loader never leaves the function,
+// base's floor, and its directory tables as the base's. Nothing is copied
+// or encoded; the loader never leaves the function,
 // its engine is dead once the arena has a new owner (disk.ErrDetached),
 // and the arena goes back to the operating system at the base's last
 // release (disk.LiveArenaBytes counts what is live). Freeze is for a
@@ -179,9 +180,13 @@
 //
 // A SharedBase advances through generations, and the directory metadata
 // (address and RID tables, key index, heap and long-object state) is a
-// value they share: a generation holds its encoded blob and, decoded from
-// it at most once into a model without a device, the tables every view of
-// it attaches to in O(1) (Model.attach). Nothing writes them — an
+// value they share, in two halves: the encoded blob, and the tables — a
+// model without a device — every view of it attaches to in O(1)
+// (Model.attach). A directory is built from either half and derives the
+// other at most once, when first asked: a loaded base's tables are its
+// loader's, and it encodes the blob only for a checkpoint or the poison
+// check; a base opened from a snapshot, or a committed directory, is its
+// blob, and the first view decodes the tables. Nothing writes them — an
 // UpdateObject that moves an object or its key copies the model's tables
 // first, heaps and long-object stores keep their small state privately;
 // the poison build tag re-encodes them at every Rebase and every Recycle
@@ -225,7 +230,7 @@
 // counts (atomic: views open and close concurrently; floor and page
 // tables are immutable) and its floor's lineage (mutex: promotes and
 // drains), store.SharedBase (lock around the current generation, publish
-// lock per commit, one Once per decoded directory), an experiments
+// lock per commit, a Once per half of a directory), an experiments
 // suite's cache of bases and extensions (mutex, one build per key),
 // faultdisk.Injector (atomic: one schedule under every device it
 // wraps), complexobj.ViewPool. The proof is `go test -race ./...` —

@@ -178,6 +178,10 @@ func (m *nsm) Load(stations []*cobench.Station) error {
 		return fmt.Errorf("store: %s already loaded", m.Kind())
 	}
 	m.reserve(stations)
+	// Sized once: these tables are what a base keeps of its loader.
+	n := len(stations)
+	m.stationRID, m.keyIdx = make([]heap.RID, 0, n), make(map[int32]int, n)
+	m.platRIDs, m.connRIDs, m.seeingRIDs = make([][]heap.RID, 0, n), make([][]heap.RID, 0, n), make([][]heap.RID, 0, n)
 	for i, s := range stations {
 		var err error
 		if m.enc, err = appendRoot(m.enc[:0], s.Root()); err != nil {

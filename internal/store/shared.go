@@ -61,31 +61,56 @@ type SharedBase struct {
 	promoted int64 // bytes copied by Promote since the base was built
 }
 
-// directory is the immutable directory metadata of one or more consecutive
-// generations (a commit that leaves it unchanged passes it on): the
-// encoded blob and, decoded from it at most once, the tables every view
-// of those generations attaches to.
+// directory is the immutable directory of one or more consecutive
+// generations (a commit that leaves it unchanged passes it on), in two
+// halves: the encoded blob that .codb files, checkpoints and WAL markers
+// carry, and the tables — a model without a device — every view of those
+// generations attaches to. A directory is built from either half: from
+// the blob by NewSharedBase and Promote, from a loader's tables by adopt.
+// The other half is derived from it at most once, when first asked for,
+// each under its own Once: a base built from a blob decodes its tables at
+// the first view, and a loaded base encodes its blob only when a
+// checkpoint (SnapshotState) or the poison check reads it.
 type directory struct {
 	meta   []byte
-	once   sync.Once
-	tables Model // a model without a device, RestoreMeta'd from meta
-	err    error
+	tables Model
+
+	encode  sync.Once // meta from tables, on a directory built from them
+	metaErr error
+	decode  sync.Once // tables from meta, on a directory built from it
+	err     error
 }
 
-// decoded returns the directory as a model of layout k to attach to. Under
-// the poison tag every call first re-encodes it and panics unless it still
-// is the blob byte for byte: a view that wrote the shared tables without
-// copying them fails the next view that lands here.
-func (d *directory) decoded(k Kind) (Model, error) {
-	d.once.Do(func() {
+// blob returns the directory's encoded blob.
+func (d *directory) blob() ([]byte, error) {
+	d.encode.Do(func() {
+		if d.meta == nil {
+			d.meta, d.metaErr = d.tables.SnapshotMeta()
+		}
+	})
+	return d.meta, d.metaErr
+}
+
+// model returns the directory's tables, a model of layout k to attach to.
+// Under the poison tag every call first re-encodes them and panics unless
+// they still are the blob byte for byte: a view that wrote the shared
+// tables without copying them fails the next view that lands here. (The
+// first call comes before any view attaches, so a blob encoded then is the
+// pristine one.)
+func (d *directory) model(k Kind) (Model, error) {
+	d.decode.Do(func() {
+		if d.tables != nil {
+			return
+		}
 		d.tables = NewWithEngine(k, &Engine{})
 		if err := d.tables.RestoreMeta(d.meta); err != nil {
 			d.tables, d.err = nil, fmt.Errorf("%w: %v", ErrRestore, err)
 		}
 	})
 	if poison && d.err == nil {
-		if b, err := d.tables.SnapshotMeta(); err != nil || !bytes.Equal(b, d.meta) {
-			panic(fmt.Sprintf("store: %s: a generation's shared directory was written (%v)", k, err))
+		want, err := d.blob()
+		if b, err2 := d.tables.SnapshotMeta(); err != nil || err2 != nil || !bytes.Equal(b, want) {
+			panic(fmt.Sprintf("store: %s: a generation's shared directory was written (%v, %v)", k, err, err2))
 		}
 	}
 	return d.tables, d.err
@@ -93,9 +118,19 @@ func (d *directory) decoded(k Kind) (Model, error) {
 
 // NewSharedBase assembles a base from raw parts (the snapshot package uses
 // this to lift one model of a .codb file into a shareable base without
-// constructing a throwaway engine). The arena length must be an exact
-// multiple of the page size.
+// constructing a throwaway engine): its directory is built from the blob
+// meta, and its first view decodes the tables. The arena length must be
+// an exact multiple of the page size.
 func NewSharedBase(k Kind, pageSize int, meta []byte, arena *disk.BaseArena) (*SharedBase, error) {
+	if meta == nil {
+		meta = []byte{} // a directory built from its blob has one, if empty
+	}
+	return newBase(k, pageSize, &directory{meta: meta}, arena)
+}
+
+// newBase is generation 0 of a base of kind k over arena, with directory
+// dir.
+func newBase(k Kind, pageSize int, dir *directory, arena *disk.BaseArena) (*SharedBase, error) {
 	if pageSize <= 0 {
 		return nil, fmt.Errorf("store: shared base with page size %d", pageSize)
 	}
@@ -107,15 +142,15 @@ func NewSharedBase(k Kind, pageSize int, meta []byte, arena *disk.BaseArena) (*S
 		kind:     k,
 		pageSize: pageSize,
 		numPages: arena.Len() / pageSize,
-		dir:      &directory{meta: meta},
+		dir:      dir,
 		arena:    arena,
 	}, nil
 }
 
 // Branch opens a base of kind k, of b's layout, on b's floor: generation
 // 0 of a branch of its own (disk.BaseArena.Branch) that shares b's
-// directory, decoded once for both. Only a base that has not promoted
-// branches.
+// directory, each half derived once for both. Only a base that has not
+// promoted branches.
 func (b *SharedBase) Branch(k Kind) (*SharedBase, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -155,8 +190,10 @@ func Freeze(m Model) (*SharedBase, error) {
 // extension is loaded into a loader arena the sizing pass reserved in one
 // piece, and that arena then becomes the base's floor — one allocation,
 // no copy, outside the Go heap (disk.LiveArenaBytes counts it) and freed
-// at the base's last Release. The loader never leaves this function, and
-// a load that fails frees its arena before returning; o supplies the page
+// at the base's last Release. The loader's directory tables become the
+// base's as they are, so a loaded base never decodes a blob, and encodes
+// one only for a checkpoint. The loader never leaves this function, and a
+// load that fails frees its arena before returning; o supplies the page
 // size and fault schedule.
 func LoadBase(k Kind, o Options, stations []*cobench.Station) (*SharedBase, error) {
 	m, err := New(k, o)
@@ -170,28 +207,46 @@ func LoadBase(k Kind, o Options, stations []*cobench.Station) (*SharedBase, erro
 	return adopt(m)
 }
 
-// adopt consumes a loaded model over a loader arena: its directory
-// metadata and the arena itself — detached from the device as a floor
-// that owns it (disk.Disk.Detach), not copied — become an immutable
+// adopt consumes a loaded model over a loader arena: the arena — detached
+// from the device as a floor that owns it (disk.Disk.Detach), not copied
+// — and the directory tables — moved by reference into a model without a
+// device, as attach shares them, not encoded — become an immutable
 // SharedBase, which frees the arena at its last Release. The model is
-// dead afterwards: its pool is empty and its device fails every access
-// with disk.ErrDetached.
+// dead afterwards: its pool is empty, its device fails every access with
+// disk.ErrDetached, and it is attached to the tables it gave away, so
+// nothing it does writes them. A model whose objects share a key is
+// refused (a key selects one object), and so is a counted NSM+index
+// model: its B+-trees live in the engine's own pages.
 func adopt(m Model) (*SharedBase, error) {
+	var keys map[int32]int
+	switch m := m.(type) {
+	case *direct:
+		keys = m.keyIdx
+	case *nsm:
+		if m.countIndexIO {
+			return nil, fmt.Errorf("store: adopt %s: %w", m.Kind(), errCountedIndex)
+		}
+		keys = m.keyIdx
+	case *dnsm:
+		keys = m.keyIdx
+	}
+	if len(keys) != m.NumObjects() { // Load keeps the last object of a key
+		return nil, fmt.Errorf("store: adopt %s: %d objects under %d keys: %w", m.Kind(), m.NumObjects(), len(keys), ErrDuplicateKey)
+	}
 	eng := m.Engine()
 	// Flush, then drop every frame: resident frames borrow arena pages,
 	// and none may outlive the hand-off.
 	if err := eng.ColdCache(); err != nil {
 		return nil, fmt.Errorf("store: adopt flush %s: %w", m.Kind(), err)
 	}
-	meta, err := m.SnapshotMeta()
-	if err != nil {
-		return nil, fmt.Errorf("store: adopt meta %s: %w", m.Kind(), err)
-	}
 	arena, err := eng.Dev.Detach()
 	if err != nil {
 		return nil, fmt.Errorf("store: adopt %s: %w", m.Kind(), err)
 	}
-	return NewSharedBase(m.Kind(), eng.Dev.PageSize(), meta, arena)
+	tables := NewWithEngine(m.Kind(), &Engine{})
+	tables.attach(m)
+	m.attach(tables)
+	return newBase(m.Kind(), eng.Dev.PageSize(), &directory{tables: tables}, arena)
 }
 
 // Kind returns the storage model the base holds.
@@ -293,13 +348,19 @@ func (b *SharedBase) promotable(fromGen uint64) error {
 }
 
 // SnapshotState captures one consistent generation for a checkpoint
-// writer: the generation number, its page count and metadata, and the
+// writer: the generation number, its page count and directory blob —
+// encoded here, once per directory, if the base was loaded — and the
 // arena holding one extra reference owned by the caller (Release it when
 // the checkpoint is written). A Promote racing this call produces either
 // wholly the old or wholly the new generation, never a mix.
 func (b *SharedBase) SnapshotState() (gen uint64, numPages int, meta []byte, arena *disk.BaseArena) {
 	st, arena := b.capture()
-	return st.gen, st.numPages, st.dir.meta, arena
+	meta, err := st.dir.blob()
+	if err != nil { // adopt refused a repeated key and a counted index: loaded tables encode
+		arena.Release()
+		panic(fmt.Sprintf("store: %s: a loaded directory does not encode: %v", b.kind, err))
+	}
+	return st.gen, st.numPages, meta, arena
 }
 
 // baseState is the consistent snapshot a view captures when it lands on
@@ -341,7 +402,7 @@ func (b *SharedBase) OpenAs(k Kind, o Options) (Model, error) {
 // generation: numPages pages — the fromGen generation's content with the
 // overlay images applied — and the committed metadata are swapped in
 // atomically, and the generation number advances. An empty meta keeps this
-// generation's directory, blob and decoded tables, by reference. The cost
+// generation's directory, blob and tables, by reference. The cost
 // is the dirty set, not the arena or the extension: generations share one
 // floor, so a promote copies the page table's root, the dirty pages'
 // leaves and images and — only when it changed — the metadata blob

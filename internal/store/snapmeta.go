@@ -31,6 +31,10 @@ const (
 // ErrRestore reports an invalid or mismatched metadata blob.
 var ErrRestore = errors.New("store: snapshot metadata restore failed")
 
+// errCountedIndex refuses to snapshot or share a counted NSM+index model:
+// its B+-trees live in the engine's own pages.
+var errCountedIndex = errors.New("snapshots unsupported with counted index I/O (the B+-trees live in the engine's own pages)")
+
 // ridLen is the encoded size of a heap.RID (u32 page + u16 slot).
 const ridLen = 6
 
@@ -119,7 +123,7 @@ func (m *direct) RestoreMeta(meta []byte) error {
 // SnapshotMeta implements Model.
 func (m *nsm) SnapshotMeta() ([]byte, error) {
 	if m.countIndexIO {
-		return nil, fmt.Errorf("store: %s: snapshots unsupported with counted index I/O (the B+-trees live in the engine's own pages)", m.Kind())
+		return nil, fmt.Errorf("store: %s: %w", m.Kind(), errCountedIndex)
 	}
 	n := len(m.stationRID)
 	keys, err := invertKeys(m.keyIdx, n)

@@ -294,7 +294,9 @@ type Model interface {
 	ReadRoot(i int) (cobench.RootRecord, error)
 	// UpdateRoots applies mutate to the root records of the given objects
 	// and writes them back using the model's update mechanism (query 3).
-	// The Name mutate finds in r is lent for the duration of that call.
+	// The Name mutate finds in r is lent for the duration of that call,
+	// and a Name mutate stores must stay valid only until UpdateRoots
+	// returns: each record is encoded before the next mutate call.
 	UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootRecord)) error
 	// UpdateObject applies an arbitrary (structural) mutation to one
 	// object and stores the result — an extension beyond the paper's
@@ -315,11 +317,14 @@ type Model interface {
 	SnapshotMeta() ([]byte, error)
 	// RestoreMeta rebuilds the directory metadata from SnapshotMeta
 	// output into a fresh model (unusable if it fails) without reading a
-	// page: a base generation decodes its blob once, with no device.
+	// page: a base generation built from a blob decodes it once, with no
+	// device.
 	RestoreMeta(meta []byte) error
-	// attach makes the model's directory that of dir, such a decoded model
-	// of the same layout, in O(1): the tables are shared, and whatever
-	// writes one (UpdateObject, heap and long-object state) copies it first.
+	// attach makes the model's directory that of dir, a model of the same
+	// layout whose tables nothing writes any more (a generation's, or a
+	// loader's a base takes over), in O(1): the tables are shared, and
+	// whatever writes one (UpdateObject, heap and long-object state) copies
+	// it first.
 	attach(dir Model)
 	// dirChanged reports whether the directory may have left the one last
 	// attached (always, on a model that loaded its own).
@@ -338,7 +343,7 @@ func New(k Kind, o Options) (Model, error) {
 // NewWithEngine constructs a model over an existing (empty) engine; the
 // engine's options supply the model knobs. This is how a view lands on
 // a base: the device is rebased onto the frozen arena, then the model
-// attaches to the generation's decoded directory.
+// attaches to the generation's directory tables.
 func NewWithEngine(k Kind, e *Engine) Model {
 	switch k {
 	case DSM:

@@ -139,7 +139,7 @@ func (v *View) Recycle() (rebuilt bool, err error) {
 	}
 	v.eng.ResetStats()
 	if dirty {
-		tables, err := v.st.dir.decoded(v.base.kind) // decoded when the view landed here
+		tables, err := v.st.dir.model(v.base.kind) // derived when the view landed here
 		if err != nil {
 			return false, fmt.Errorf("store: recycle %s: %w", v.base.kind, err)
 		}
@@ -153,8 +153,9 @@ func (v *View) Recycle() (rebuilt bool, err error) {
 // backend's base reference swapped to the generation captured under the
 // base lock (in that order — borrowed frames alias pages of the old
 // generation), the counters zeroed and the model attached to that
-// generation's directory: decoded by the first view to land on it, shared
-// by all, and the one the view left when no commit in between changed it.
+// generation's directory: the loader's tables, or decoded from the blob by
+// the first view to land on it; shared by all, and the one the view left
+// when no commit in between changed it.
 // Afterwards the view is indistinguishable from one NewView just built —
 // cold cache, zeroed counters, bit-identical measurements — but keeps its
 // engine, frame buffers, overlay index and page images. Whatever the view
@@ -171,7 +172,7 @@ func (v *View) rebase() error {
 	b := v.base
 	st, arena := b.capture()
 	defer arena.Release()
-	tables, err := st.dir.decoded(b.kind)
+	tables, err := st.dir.model(b.kind)
 	if err != nil {
 		return fmt.Errorf("store: rebase %s: %w", b.kind, err)
 	}

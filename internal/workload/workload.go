@@ -80,6 +80,7 @@ type View interface {
 	// ReadRoot inputs just the root record of an object; the name is lent.
 	ReadRoot(i int) (cobench.RootRecord, error)
 	// UpdateRoots applies mutate to root records and writes them back (3).
+	// A Name mutate stores must stay valid only until UpdateRoots returns.
 	UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootRecord)) error
 	// Flush forces deferred writes out (end of an update query).
 	Flush() error
@@ -100,7 +101,8 @@ type Runner struct {
 	children, grand []int32
 	// The update queries' mutate, bound by the first loop that updates, with
 	// the loop it stamps, the scratch it formats into and the arena its
-	// stamps are cut from (never Reset, so a stamp is owned).
+	// stamps are cut from: Reset before each UpdateRoots call, since a
+	// model encodes a stamp before that call returns.
 	mutate func(i int32, rec *cobench.RootRecord)
 	stamp  int
 	name   []byte
@@ -321,6 +323,7 @@ func (r *Runner) loop(root int, stamp int, update bool) (touched int64, err erro
 			r.mutate = r.stampRoot
 		}
 		r.stamp = stamp
+		r.names.Reset()
 		if err := r.model.UpdateRoots(grand, r.mutate); err != nil {
 			return 0, err
 		}
