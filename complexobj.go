@@ -414,7 +414,9 @@ func (db *DB) FetchByKey(key int32) (*cobench.Station, error) {
 	return owned(db.model.FetchByKey(key))
 }
 
-// ScanAll retrieves every object (query 1c).
+// ScanAll retrieves every object (query 1c). fn may read the database
+// but not write it: UpdateRoots and UpdateObject from inside fn return
+// ErrScanInProgress and change nothing.
 func (db *DB) ScanAll(fn func(i int, s *cobench.Station) error) error {
 	return db.model.ScanAll(func(i int, s *cobench.Station) error { return fn(i, s.Clone()) })
 }
@@ -462,6 +464,9 @@ func (db *DB) UpdateObject(i int, mutate func(s *cobench.Station) error) error {
 // ErrDuplicateKey reports an UpdateObject that would give an object a key
 // another object holds.
 var ErrDuplicateKey = store.ErrDuplicateKey
+
+// ErrScanInProgress reports a write from inside a ScanAll callback.
+var ErrScanInProgress = store.ErrScanInProgress
 
 // Flush writes all deferred (dirty) pages back to disk, the paper's
 // "database disconnect".

@@ -2,7 +2,6 @@ package disk
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"unsafe"
 )
@@ -27,7 +26,7 @@ const chunkPages = 128
 type PagePool struct {
 	mu         sync.Mutex
 	pageSize   int
-	free       stack[[]byte]
+	free       pageStack
 	chunks     [][]byte // every chunk mapped, whole
 	uncut      []byte   // the part of the newest chunk no page was cut from
 	gets, hits int64
@@ -41,6 +40,39 @@ type PagePool struct {
 type overlay struct {
 	table pageTable
 	imgs  [][]byte
+}
+
+// pageStack is the pool's free list: a LIFO of pages kept in segments of
+// chunkPages slots, one reserved for each chunk the pool maps, so there is
+// a slot for every page cut and a Put never grows it. A segment is
+// allocated once and never copied: the list costs its final size, where
+// one slice regrown at every chunk cost about three times that.
+type pageStack struct {
+	segs [][][]byte
+	n    int // pages held
+}
+
+// reserve adds a segment: room for chunkPages more pages.
+func (s *pageStack) reserve() { s.segs = append(s.segs, make([][]byte, chunkPages)) }
+
+func (s *pageStack) push(b []byte) {
+	if s.n == len(s.segs)*chunkPages { // a page no chunk of the pool's was cut for
+		s.reserve()
+	}
+	s.segs[s.n/chunkPages][s.n%chunkPages] = b
+	s.n++
+}
+
+// pop takes the page pushed last and clears its slot.
+func (s *pageStack) pop() ([]byte, bool) {
+	if s.n == 0 {
+		return nil, false
+	}
+	s.n--
+	slot := &s.segs[s.n/chunkPages][s.n%chunkPages]
+	b := *slot
+	*slot = nil
+	return b, true
 }
 
 // stack is a LIFO whose pop clears the slot it empties.
@@ -92,8 +124,8 @@ func (p *PagePool) Get(n int) []byte {
 
 // cut returns the next page of the newest chunk, mapping a chunk when that
 // one is used up, and nil when the mapping fails (Get then makes the page
-// on the heap). A new chunk reserves room for its pages in the free list,
-// so a Put of the pages cut so far never grows it.
+// on the heap). A new chunk reserves a segment for its pages in the free
+// list, so a Put of the pages cut so far never grows it.
 func (p *PagePool) cut() []byte {
 	if len(p.uncut) == 0 {
 		c, err := allocArena(chunkPages * p.pageSize)
@@ -102,7 +134,7 @@ func (p *PagePool) cut() []byte {
 		}
 		p.chunks = append(p.chunks, c)
 		p.uncut = c
-		p.free = slices.Grow(p.free, len(p.chunks)*chunkPages) // empty: Get pops first
+		p.free.reserve()
 	}
 	b := p.uncut[:p.pageSize:p.pageSize]
 	p.uncut = p.uncut[p.pageSize:]
@@ -136,7 +168,7 @@ func (p *PagePool) putTable(t pageTable) {
 func (p *PagePool) put(b []byte) {
 	poisonPage(b)
 	if p != nil && len(b) == p.pageSize {
-		p.free = append(p.free, b)
+		p.free.push(b)
 	}
 }
 
@@ -201,7 +233,7 @@ func (p *PagePool) takeOverlay() overlay {
 func (p *PagePool) Stats() (gets, hits int64, held int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.gets, p.hits, len(p.free)
+	return p.gets, p.hits, p.free.n
 }
 
 // Scaffolds reports how many emptied scaffolds, buffer pools' and COW
@@ -225,9 +257,11 @@ func (p *PagePool) Drain() error {
 	defer p.mu.Unlock()
 	p.scaffolds, p.overlays = nil, nil
 	out := len(p.chunks)*chunkPages - len(p.uncut)/p.pageSize
-	for _, b := range p.free {
-		if p.inChunk(b) {
-			out--
+	for _, seg := range p.free.segs {
+		for _, b := range seg {
+			if p.inChunk(b) {
+				out--
+			}
 		}
 	}
 	if out > 0 {
@@ -239,7 +273,7 @@ func (p *PagePool) Drain() error {
 			err = e
 		}
 	}
-	p.free, p.chunks, p.uncut = nil, nil, nil
+	p.free, p.chunks, p.uncut = pageStack{}, nil, nil
 	return err
 }
 

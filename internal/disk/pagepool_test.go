@@ -1,9 +1,11 @@
 package disk
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // A nil pool is the garbage collector: Get makes, Put drops, both without
@@ -76,10 +78,10 @@ func TestPagePoolChunks(t *testing.T) {
 	}
 	out := pages[len(pages)-1]
 	back := pages[:len(pages)-1]
-	reserved := cap(p.free)
+	reserved := len(p.free.segs) * chunkPages
 	p.Put(back)
-	if cap(p.free) != reserved || reserved < len(pages) {
-		t.Errorf("free list capacity %d before Put, %d after, want room for %d pages before", reserved, cap(p.free), len(pages))
+	if got := len(p.free.segs) * chunkPages; got != reserved || reserved < len(pages) {
+		t.Errorf("free list capacity %d before Put, %d after, want room for %d pages before", reserved, got, len(pages))
 	}
 	held := LiveArenaBytes()
 	err := p.Drain()
@@ -106,6 +108,35 @@ func TestPagePoolChunks(t *testing.T) {
 
 // A buffer of another length never enters the pool, and a request for
 // another length never draws on it.
+// TestPagePoolFreeListCostsItsSize: the free list grows a segment per
+// chunk and never copies one, so cutting 64 chunks' pages allocates less
+// than twice the list they end in (a slice regrown per chunk cost ≈ 3×),
+// and putting them all back allocates nothing.
+func TestPagePoolFreeListCostsItsSize(t *testing.T) {
+	p := NewPagePool(DefaultPageSize)
+	pages := make([][]byte, 64*chunkPages)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range pages {
+		pages[i] = p.Get(DefaultPageSize)
+	}
+	runtime.ReadMemStats(&after)
+	slots := len(p.free.segs) * chunkPages
+	list := uint64(slots) * uint64(unsafe.Sizeof(pages[0]))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2*list {
+		t.Errorf("cutting %d pages allocated %d bytes, want less than twice the %d-byte free list", len(pages), got, list)
+	}
+	if allocs := testing.AllocsPerRun(1, func() { p.Put(pages) }); allocs != 0 || len(p.free.segs)*chunkPages != slots {
+		t.Errorf("putting the pages back allocated %v times and left %d slots, want none and %d", allocs, len(p.free.segs)*chunkPages, slots)
+	}
+	if _, _, held := p.Stats(); held != len(pages) {
+		t.Errorf("pool holds %d pages, want %d", held, len(pages))
+	}
+	if err := p.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPagePoolOtherSizes(t *testing.T) {
 	p := NewPagePool(1024)
 	p.Put([][]byte{make([]byte, 1000), make([]byte, 1024), make([]byte, 2048), nil})

@@ -303,7 +303,14 @@ func (h *Heap) Delete(rid RID) error {
 // Scan iterates over all records in physical order, one page fix per page
 // (the DASDBS single-page-per-call access path). fn receives a view into
 // the page; returning false stops the scan.
-func (h *Heap) Scan(fn func(rid RID, rec []byte) bool) error {
+func (h *Heap) Scan(fn func(rid RID, rec []byte) bool) error { return h.ScanPages(fn, nil) }
+
+// ScanPages is Scan with a hook that runs after each page is unfixed, when
+// the scan pins no frame: work a page's records produced that may fix
+// pages of its own — on a buffer of one frame, say — waits for it. The
+// hook runs after the page whose fn stopped the scan too, and an error it
+// returns ends the scan. A nil hook is Scan.
+func (h *Heap) ScanPages(fn func(rid RID, rec []byte) bool, unfixed func() error) error {
 	for _, pid := range h.pages {
 		f, err := h.pool.Fix(pid)
 		if err != nil {
@@ -318,6 +325,11 @@ func (h *Heap) Scan(fn func(rid RID, rec []byte) bool) error {
 			return true
 		})
 		h.pool.Unfix(pid, false)
+		if unfixed != nil {
+			if err := unfixed(); err != nil {
+				return err
+			}
+		}
 		if stop {
 			return nil
 		}

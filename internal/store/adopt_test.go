@@ -299,3 +299,37 @@ func BenchmarkFirstView(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFirstScan is one query-1c scan on a fresh view of a loaded base
+// with no shared Options.Scans, so each op builds the scan's staging cold:
+// what a batch cell's NSM scan costs. Streamed, the sightseeing relation's
+// rows and strings are one object's; a staging of every relation grew
+// them for the whole extension.
+func BenchmarkFirstScan(b *testing.B) {
+	stations, err := cobench.Generate(cobench.DefaultConfig().WithN(300))
+	if err != nil {
+		b.Fatal(err)
+	}
+	base, err := store.LoadBase(store.NSM, store.Options{}, stations)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer base.Release()
+	for _, k := range []store.Kind{store.NSM, store.NSMIndex} {
+		b.Run(k.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				v, err := base.NewViewAs(k, store.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := v.ScanAll(func(int, *cobench.Station) error { return nil }); err != nil {
+					b.Fatal(err)
+				}
+				if err := v.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

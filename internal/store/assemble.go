@@ -60,8 +60,8 @@ type object struct {
 //
 // An assembler belongs to one view's model, never to a shared directory,
 // so two views of one base never share scratch — except the staging of a
-// relation-ordered NSM scan, which is held only while one ScanAll runs and
-// is lent out of the engine's ScanStages.
+// relation-ordered NSM scan (staging, below), which is held only while one
+// ScanAll runs and is lent out of the engine's ScanStages.
 type assembler struct {
 	dst  *object      // where build puts the object being staged
 	strs *nf2.Strings // where decoding packs its strings
@@ -83,9 +83,11 @@ type assembler struct {
 }
 
 // ScanStages lends the staging of a relation-ordered scan — every
-// object's rows and their strings, which NSM's ScanAll holds only until it
-// returns — to whichever engine sharing it scans next (Options.Scans). A
-// staging costs its first two scans (the strings chunk, then settle on
+// object's root, platform and connection rows and their strings, and the
+// sightseeing rows of the objects not yet handed out (one object's in
+// physical = object order; staging), which NSM's ScanAll holds only until
+// it returns — to whichever engine sharing it scans next (Options.Scans).
+// A staging costs its first two scans (the strings chunk, then settle on
 // one buffer); shared, the stagings number the most scans that ran at
 // once, each the size of the largest extension it staged, however many
 // engines there are. A ViewPool's views need that: how many the pool
@@ -93,17 +95,17 @@ type assembler struct {
 // for concurrent use.
 type ScanStages struct {
 	mu   sync.Mutex
-	free []*assembler
+	free []*staging
 }
 
 // take returns a staging for one scan: the one given back last, else a
 // fresh one.
-func (s *ScanStages) take() *assembler {
+func (s *ScanStages) take() *staging {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	k := len(s.free) - 1
 	if k < 0 {
-		return new(assembler)
+		return new(staging)
 	}
 	a := s.free[k]
 	s.free[k] = nil
@@ -112,9 +114,10 @@ func (s *ScanStages) take() *assembler {
 }
 
 // put gives a staging back once its scan has returned.
-func (s *ScanStages) put(a *assembler) {
+func (s *ScanStages) put(a *staging) {
 	if poison { // whoever kept the scan's last object reads 0xDB strings
 		a.begin(false)
+		a.seen.Reset()
 	}
 	s.mu.Lock()
 	s.free = append(s.free, a)
@@ -281,27 +284,157 @@ func (a *assembler) station() (*cobench.Station, error) {
 	return a.build(a.roots, a.plats, a.conns, a.sees)
 }
 
-// each finishes the n objects of a relation-ordered scan, in object order.
-func (a *assembler) each(n int, fn func(i int, s *cobench.Station) error) error {
-	// Rows arrive in physical order, which is object order until structural
-	// updates have moved tuples around; the stable sort keeps each object's
-	// rows in arrival order either way.
+// staging is the assembler of a relation-ordered scan (NSM's ScanAll),
+// which stages its first relations whole and streams the last: stream
+// sorts the staged rows by object and arms one count per object — the rows
+// the streamed relation still owes it — and each streamed row staged
+// counts one off. An object is finished and handed out by handOut, in
+// object order, once its count is zero and every lower object has gone.
+// In physical = object order the staged streamed rows are one object's,
+// reset with their strings when it goes; an object that completes ahead
+// of a lower one is held, its rows chained to each other, so the staging
+// at worst holds every streamed row, as a whole-relation staging would.
+type staging struct {
+	assembler
+	seen nf2.Strings // the strings of the staged streamed rows
+	due  []due
+	next int // the lowest object not handed out yet
+	live int // staged streamed rows of objects not handed out yet
+	// rest is what is left of the first relations' sorted rows: the next
+	// object's lead.
+	rest struct {
+		roots []row[cobench.RootRecord]
+		plats []row[cobench.Platform]
+		conns []row[cobench.Connection]
+	}
+	// raw holds, copied, the records a pinned page still has after an
+	// object became ready (ends[k] is where record k ends): they are
+	// staged once the page is unfixed, so the ready object goes first.
+	raw  []byte
+	ends []int
+	sel  []row[cobench.Sightseeing] // one object's rows, gathered when not adjacent
+}
+
+// due is one object's place in the stream: the rows the streamed relation
+// still owes it and its first and last staged row (-1: none staged); the
+// staged rows are chained through their key, the index of the object's
+// next staged row.
+type due struct{ left, first, last int32 }
+
+// stream starts the streamed relation of a scan whose other relations are
+// staged: object i is owed count(i) rows, packed into the seen arena.
+func (a *staging) stream(n int, count func(i int) int) {
 	sortByObject(a.roots)
 	sortByObject(a.plats)
 	sortByObject(a.conns)
-	sortByObject(a.sees)
-	roots, plats, conns, sees := a.roots, a.plats, a.conns, a.sees
-	for i := 0; i < n; i++ {
+	a.rest.roots, a.rest.plats, a.rest.conns = a.roots, a.plats, a.conns
+	a.due = resize(a.due, n)
+	for i := range a.due {
+		a.due[i] = due{left: int32(count(i)), first: -1, last: -1}
+	}
+	a.next, a.live = 0, 0
+	a.raw, a.ends = a.raw[:0], a.ends[:0]
+	a.seen.Reset()
+	a.strs = &a.seen
+}
+
+// ready reports whether the next object can be handed out.
+func (a *staging) ready() bool {
+	return a.next < len(a.due) && a.due[a.next].left == 0
+}
+
+// keep copies a record of the pinned page for stage to take once the page
+// is unfixed.
+func (a *staging) keep(rec []byte) {
+	a.raw = append(a.raw, rec...)
+	a.ends = append(a.ends, len(a.raw))
+}
+
+// kept calls fn with each record keep copied, in order, and forgets them.
+func (a *staging) kept(fn func(rec []byte) error) error {
+	from := 0
+	for _, to := range a.ends {
+		if err := fn(a.raw[from:to]); err != nil {
+			return err
+		}
+		from = to
+	}
+	a.raw, a.ends = a.raw[:0], a.ends[:0]
+	return nil
+}
+
+// streamed stages a streamed (flat NSM sightseeing) record of object obj.
+func (a *staging) streamed(obj int32, rec []byte) error {
+	d := &a.due[obj]
+	if d.left == 0 {
+		return fmt.Errorf("store: object %d: more sightseeing tuples than its directory lists", obj)
+	}
+	k := int32(len(a.sees))
+	if err := a.feedSightseeing(obj, rec); err != nil {
+		return err
+	}
+	a.sees[k].key = -1
+	if d.first < 0 {
+		d.first = k
+	} else {
+		a.sees[d.last].key = k
+	}
+	d.last = k
+	d.left--
+	a.live++
+	return nil
+}
+
+// handOut finishes every ready object in turn and passes it to fn. When no
+// streamed row is left staged, the rows and their strings start over.
+func (a *staging) handOut(fn func(i int, s *cobench.Station) error) error {
+	for a.ready() {
+		i, r := a.next, &a.rest
 		obj := int32(i)
-		nr, np, nc, ns := prefixOf(roots, obj), prefixOf(plats, obj), prefixOf(conns, obj), prefixOf(sees, obj)
-		s, err := a.build(roots[:nr], plats[:np], conns[:nc], sees[:ns])
+		nr, np, nc := prefixOf(r.roots, obj), prefixOf(r.plats, obj), prefixOf(r.conns, obj)
+		sees := a.rowsOf(a.due[i])
+		s, err := a.build(r.roots[:nr], r.plats[:np], r.conns[:nc], sees)
 		if err != nil {
 			return fmt.Errorf("store: object %d: %w", i, err)
 		}
-		roots, plats, conns, sees = roots[nr:], plats[np:], conns[nc:], sees[ns:]
+		r.roots, r.plats, r.conns = r.roots[nr:], r.plats[np:], r.conns[nc:]
+		a.next++
+		if a.live -= len(sees); a.live == 0 {
+			a.sees = a.sees[:0]
+		}
 		if err := fn(i, s); err != nil {
 			return err
 		}
+		if a.live == 0 { // the Station fn was lent is done with
+			a.seen.Reset()
+		}
+	}
+	return nil
+}
+
+// rowsOf returns the staged streamed rows of d's object in arrival order:
+// where they lie, when they are adjacent, as they are in object order.
+func (a *staging) rowsOf(d due) []row[cobench.Sightseeing] {
+	n, adjacent := 0, true
+	for k := d.first; k >= 0; k = a.sees[k].key {
+		adjacent = adjacent && k == d.first+int32(n)
+		n++
+	}
+	if adjacent {
+		return a.sees[max(d.first, 0):][:n]
+	}
+	sel := a.sel[:0]
+	for k := d.first; k >= 0; k = a.sees[k].key {
+		sel = append(sel, a.sees[k])
+	}
+	a.sel = sel
+	return sel
+}
+
+// finished reports a streamed relation that ended owing an object rows.
+func (a *staging) finished() error {
+	if a.next < len(a.due) {
+		return fmt.Errorf("store: object %d: %d sightseeing tuples missing", a.next, a.due[a.next].left)
 	}
 	return nil
 }

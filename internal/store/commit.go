@@ -59,6 +59,9 @@ func (v *View) Commit(log *wal.Log) (CommitResult, error) {
 	if err := v.singleUse("commit"); err != nil {
 		return CommitResult{}, err
 	}
+	if err := v.eng.writable("Commit"); err != nil {
+		return CommitResult{}, err
+	}
 	eng := v.eng
 	if err := eng.Pool.FlushAll(); err != nil {
 		return CommitResult{}, fmt.Errorf("store: commit %s: flush: %w", v.base.kind, err)

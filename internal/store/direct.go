@@ -169,6 +169,8 @@ func (m *direct) ScanAll(fn func(i int, s *cobench.Station) error) error {
 	if len(m.addr) == 0 {
 		return ErrNotLoaded
 	}
+	m.eng.beginScan()
+	defer m.eng.endScan()
 	for i := range m.addr {
 		s, err := m.fetch(i, false)
 		if err != nil {
@@ -266,6 +268,9 @@ func rootComponent(comps []longobj.Component, i int) ([]byte, error) {
 // change-attribute operation per object, each paying an immediate page-pool
 // write (§5.3) — the model's update anomaly.
 func (m *direct) UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootRecord)) error {
+	if err := m.eng.writable("UpdateRoots"); err != nil {
+		return err
+	}
 	for _, idx := range idxs {
 		i := int(idx)
 		if err := checkIndex(i, len(m.addr)); err != nil {
@@ -324,6 +329,9 @@ func (m *direct) UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootR
 // and the address table is updated (the in-memory table costs nothing, per
 // the paper's accounting).
 func (m *direct) UpdateObject(i int, mutate func(s *cobench.Station) error) error {
+	if err := m.eng.writable("UpdateObject"); err != nil {
+		return err
+	}
 	if err := checkIndex(i, len(m.addr)); err != nil {
 		return err
 	}

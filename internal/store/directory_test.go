@@ -12,6 +12,7 @@ import (
 
 	"complexobj/cobench"
 	"complexobj/internal/disk"
+	"complexobj/internal/iostat"
 )
 
 // TestDirectoryBlobGolden pins the bytes of every kind's directory blob,
@@ -377,4 +378,139 @@ func blobOf(t *testing.T, v *View) []byte {
 		t.Fatal(err)
 	}
 	return meta
+}
+
+// TestStreamedScanMatchesShadow is the seeded shadow check of NSM's
+// streamed scan. Seeded sequences of UpdateRoots and UpdateObject
+// (growing, shrinking, rekeying) run on a view of each NSM kind, each
+// sequence ending with a structural update of object 0, so its sightseeing
+// tuples land behind every other object's and it completes last. After
+// each sequence, ScanAll must hand out the shadow object for object, in
+// ascending order, on the updated view and — once it has committed — on
+// two fresh views of the new generation, one on the staging the updated
+// view warmed and one on its own; those two must count the same I/O, each
+// page of the four relations fixed and read once.
+func TestStreamedScanMatchesShadow(t *testing.T) {
+	stations := testExtension(t, 40)
+	for _, k := range []Kind{NSM, NSMIndex} {
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", k, seed), func(t *testing.T) {
+				base, err := LoadBase(k, Options{}, stations)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer base.Release()
+				stages := new(ScanStages)
+				v, err := base.NewViewAs(k, Options{BufferPages: 64, Scans: stages})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer v.Close()
+				mine := slices.Clone(stations)
+				rng := rand.New(rand.NewSource(seed))
+				nextKey := int32(1 << 20)
+				// scan reads w's extension, failing on an object out of order.
+				scan := func(w *View) []*cobench.Station {
+					t.Helper()
+					var out []*cobench.Station
+					err := w.ScanAll(func(i int, s *cobench.Station) error {
+						if i != len(out) {
+							return fmt.Errorf("object %d handed out after %d objects", i, len(out))
+						}
+						out = append(out, s.Clone())
+						return nil
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return out
+				}
+				structural := func(i int) (string, func(s *cobench.Station)) {
+					switch rng.Intn(3) {
+					case 0:
+						n := 1 + rng.Intn(20)
+						return "grow", func(s *cobench.Station) {
+							for j := n; j > 0; j-- {
+								s.Seeings = append(s.Seeings, cobench.Sightseeing{Nr: int32(700 + j), Description: "grown", History: "h"})
+							}
+							s.Platforms = append(s.Platforms, cobench.Platform{Nr: 7, Information: "grown",
+								Conns: []cobench.Connection{{LineNr: 2, OidConnection: int32(i)}}})
+						}
+					case 1:
+						return "shrink", func(s *cobench.Station) {
+							s.Seeings = s.Seeings[:len(s.Seeings)/2]
+							s.Platforms = s.Platforms[:(len(s.Platforms)+1)/2]
+						}
+					default:
+						key := nextKey
+						nextKey++
+						return "rekey", func(s *cobench.Station) { s.Key = key }
+					}
+				}
+				for seq := 0; seq < 3; seq++ {
+					var ops []string
+					for step := 0; step < 10; step++ {
+						i := rng.Intn(len(stations))
+						if step == 9 {
+							i = 0
+						}
+						if step < 9 && rng.Intn(3) == 0 {
+							name := fmt.Sprintf("stamp %d.%d", seq, step)
+							if err := v.UpdateRoots([]int32{int32(i)}, func(_ int32, r *cobench.RootRecord) { r.Name = name }); err != nil {
+								t.Fatal(err)
+							}
+							mine[i] = mine[i].Clone()
+							mine[i].Name = name
+							ops = append(ops, fmt.Sprintf("roots(%d)", i))
+							continue
+						}
+						what, mutate := structural(i)
+						if err := v.Model().UpdateObject(i, func(s *cobench.Station) error { mutate(s); return nil }); err != nil {
+							t.Fatal(err)
+						}
+						s := mine[i].Clone()
+						mutate(s)
+						s.NoPlatform, s.NoSeeing = int32(len(s.Platforms)), int32(len(s.Seeings))
+						mine[i] = s
+						ops = append(ops, fmt.Sprintf("%s(%d)", what, i))
+					}
+					if err := v.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					if !sameStations(scan(v), mine) {
+						t.Fatalf("sequence %d %v: the updated view's scan differs from the shadow", seq, ops)
+					}
+					if _, err := v.Commit(nil); err != nil {
+						t.Fatal(err)
+					}
+					var stats [2]iostat.Stats
+					for j, scans := range []*ScanStages{stages, nil} {
+						w, err := base.NewViewAs(k, Options{Scans: scans})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !sameStations(scan(w), mine) {
+							t.Fatalf("sequence %d %v: a fresh view's scan differs from the shadow", seq, ops)
+						}
+						stats[j] = w.Engine().Stats()
+						pages := 0
+						for _, r := range w.Model().Sizes().Relations {
+							pages += r.M
+						}
+						if s := stats[j]; s.BufferFixes != int64(pages) || s.PagesRead != int64(pages) || s.ReadCalls != int64(pages) {
+							t.Fatalf("sequence %d: cold scan fixed %d pages, read %d in %d calls; the relations have %d",
+								seq, s.BufferFixes, s.PagesRead, s.ReadCalls, pages)
+						}
+						w.Close()
+					}
+					if stats[0] != stats[1] {
+						t.Fatalf("sequence %d: a scan on a warm staging counted %+v, on a fresh one %+v", seq, stats[0], stats[1])
+					}
+					if err := v.Rebase(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }

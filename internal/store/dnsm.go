@@ -323,6 +323,8 @@ func (m *dnsm) ScanAll(fn func(i int, s *cobench.Station) error) error {
 	if len(m.refs) == 0 {
 		return ErrNotLoaded
 	}
+	m.eng.beginScan()
+	defer m.eng.endScan()
 	for i := range m.refs {
 		s, err := m.assemble(i, false)
 		if err != nil {
@@ -389,6 +391,9 @@ func (m *dnsm) ReadRoot(i int) (cobench.RootRecord, error) {
 // root tuples in the DASDBS-NSM_Station relation are updated, of which
 // there are many on a single page").
 func (m *dnsm) UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootRecord)) error {
+	if err := m.eng.writable("UpdateRoots"); err != nil {
+		return err
+	}
 	for _, idx := range idxs {
 		i := int(idx)
 		if err := checkIndex(i, len(m.refs)); err != nil {
@@ -414,6 +419,9 @@ func (m *dnsm) UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootRec
 // replaced; tuples whose footprint changes relocate within their relation
 // and the transformation table entry is refreshed.
 func (m *dnsm) UpdateObject(i int, mutate func(s *cobench.Station) error) error {
+	if err := m.eng.writable("UpdateObject"); err != nil {
+		return err
+	}
 	if err := checkIndex(i, len(m.refs)); err != nil {
 		return err
 	}

@@ -47,8 +47,10 @@
 // keeps (one Station grown in place, one string arena rewound per object,
 // one child list), and are valid until the view's next call — a ScanAll
 // callback's only until the callback returns, the Model contract, because
-// NSM stages a scan's relation-ordered rows in scratch lent to that scan
-// alone (ScanStages, below) — the contract heap.View,
+// NSM builds a scan's objects from relation-ordered rows in scratch lent
+// to that scan alone (ScanStages, below: every object's root, platform and
+// connection rows, one object's sightseeings at a time in object order,
+// all of them at worst) — the contract heap.View,
 // longobj.Store.Read, Pool.FixRun and Engine.IntScratch already have. The
 // reason is measured: no product caller keeps a read object (the runner
 // counts it, the server returns counters), yet materialising each as a
@@ -159,15 +161,24 @@
 // makes a request allocation-free), and a process-wide pool kept the
 // set-up loaders' pages alive through serving (+9 to +18 % peak RSS).
 //
-// Options.Scans does the same for the staging of NSM's ScanAll — every
-// object's rows and strings, ≈ 2.5 MiB at paper scale — and the owner is
-// the other way round: a complexobj.ViewPool passes one to its views, a
-// batch cell's view none. A pooled view lives on, and how many views a
-// pool opens, and when, follows request timing; each growing its own
-// staging made a served scan's bytes bimodal. Shared, the stagings number
-// the most scans of the pool that ran at once. A batch view's staging
-// goes with the view, as a shared one kept for the whole suite would
-// raise its peak RSS (≈ +5 % measured with one process-wide set).
+// Options.Scans does the same for the staging of NSM's ScanAll, and the
+// owner is the other way round: a complexobj.ViewPool passes one to its
+// views, a batch cell's view none. A pooled view lives on, and how many
+// views a pool opens, and when, follows request timing; each growing its
+// own staging made a served scan's bytes bimodal. Shared, the stagings
+// number the most scans of the pool that ran at once. A batch view's
+// staging goes with the view, as a shared one kept for the whole suite
+// would raise its peak RSS (≈ +5 % measured with one process-wide set).
+// A staging holds every object's root, platform and connection rows and
+// strings; the sightseeing relation, the largest, is streamed: in
+// physical = object order the staging holds one object's sightseeing rows
+// and strings at a time, and after structural updates have moved tuples,
+// the objects that completed ahead of a lower one — at worst every
+// sightseeing row, as a staging of all four relations would. A ScanAll
+// callback runs with no page of the scan fixed, and a write from inside
+// it (UpdateRoots, UpdateObject, a view's Commit, Recycle, Rebase) is
+// ErrScanInProgress on every model: a scan reads objects as it reaches
+// them.
 //
 // View is the request-scoped execution handle built on a SharedBase: a
 // copy-on-write model view that Recycle resets to the pristine base

@@ -520,7 +520,8 @@ func (m *nsm) FetchByKey(key int32) (*cobench.Station, error) {
 	}
 	a := &m.asm
 	a.begin(false)
-	err := m.scanRelations(a, func(rootKey int32) (int32, bool, error) { return 0, rootKey == key, nil })
+	rels := m.relations()
+	err := m.scanRelations(a, rels[:], func(rootKey int32) (int32, bool, error) { return 0, rootKey == key, nil })
 	if err != nil {
 		return nil, err
 	}
@@ -530,13 +531,13 @@ func (m *nsm) FetchByKey(key int32) (*cobench.Station, error) {
 	return a.station()
 }
 
-// scanRelations runs one physical scan of each relation and stages in a
+// scanRelations runs one physical scan of each of rels and stages in a
 // every tuple whose root key slot accepts, under the object slot it names.
 // Each relation is scanned to its end (set-oriented selection: a match is
 // no reason to stop); the first tuple that does not decode ends the query
 // with its error.
-func (m *nsm) scanRelations(a *assembler, slot func(rootKey int32) (obj int32, ok bool, err error)) error {
-	for _, rel := range m.relations() {
+func (m *nsm) scanRelations(a *assembler, rels []nsmRelation, slot func(rootKey int32) (obj int32, ok bool, err error)) error {
+	for _, rel := range rels {
 		var scanErr error
 		err := rel.heap.Scan(func(_ heap.RID, rec []byte) bool {
 			key, err := intAttr(rel.tt, rec, nsmRootKey)
@@ -560,38 +561,88 @@ func (m *nsm) scanRelations(a *assembler, slot func(rootKey int32) (obj int32, o
 	return nil
 }
 
+// objectOf is the object slot of a root key: every key names one.
+func (m *nsm) objectOf(rootKey int32) (int32, bool, error) {
+	i, ok := m.keyIdx[rootKey]
+	if !ok {
+		return 0, false, fmt.Errorf("store: unknown root key %d", rootKey)
+	}
+	return int32(i), true, nil
+}
+
 // ScanAll implements Model: one physical scan of each relation, joined in
-// memory (the paper's best-case in-memory join assumption). The rows of
-// all objects are staged relation by relation — in arrays sized once from
-// the tuple counts, with the strings in one arena — and the objects are
-// finished one by one afterwards, each into the one Station the scan
-// lends. The staging is not the point-fetch assembler, so a fetch from the
-// callback leaves it alone: it is lent to the scan (m.scans) and goes back
-// when the scan returns, so once a scan this size has run the next
-// allocates nothing, on whichever engine shares the stagings.
+// memory (the paper's best-case in-memory join assumption). The root,
+// platform and connection relations are staged whole — arrays sized once
+// from the tuple counts, strings in one arena — and the sightseeing
+// relation, the largest and the last, is streamed (staging.stream): an
+// object is finished into the one Station the scan lends once its last
+// sightseeing tuple is staged — its count is len(seeingRIDs[i]), in
+// memory — and goes to fn once the page it completed on is unfixed, so fn
+// runs with no frame of the scan pinned. The scans and their fixes are
+// those of a staging of all four relations. The staging is not the
+// point-fetch assembler, so a fetch from fn leaves it alone: it is lent to
+// the scan (m.scans) and goes back when the scan returns, so once a scan
+// this size has run the next allocates nothing, on whichever engine
+// shares the stagings.
 func (m *nsm) ScanAll(fn func(i int, s *cobench.Station) error) error {
 	n := len(m.stationRID)
 	if n == 0 {
 		return ErrNotLoaded
 	}
+	m.eng.beginScan()
+	defer m.eng.endScan()
 	a := m.scans.take()
 	defer m.scans.put(a)
 	a.begin(false)
 	a.roots = slices.Grow(a.roots, n)
 	a.plats = slices.Grow(a.plats, m.nPlats)
 	a.conns = slices.Grow(a.conns, m.nConns)
-	a.sees = slices.Grow(a.sees, m.nSeeings)
-	err := m.scanRelations(a, func(rootKey int32) (int32, bool, error) {
-		i, ok := m.keyIdx[rootKey]
-		if !ok {
-			return 0, false, fmt.Errorf("store: unknown root key %d", rootKey)
+	rels := m.relations()
+	if err := m.scanRelations(&a.assembler, rels[:3], m.objectOf); err != nil {
+		return err
+	}
+	a.stream(n, func(i int) int { return len(m.seeingRIDs[i]) })
+	if err := a.handOut(fn); err != nil { // the objects with no sightseeings in front
+		return err
+	}
+	see := rels[3]
+	stage := func(rec []byte) error {
+		key, err := intAttr(see.tt, rec, nsmRootKey)
+		if err != nil {
+			return err
 		}
-		return int32(i), true, nil
+		obj, _, err := m.objectOf(key)
+		if err != nil {
+			return err
+		}
+		return a.streamed(obj, rec)
+	}
+	var scanErr error
+	err := see.heap.ScanPages(func(_ heap.RID, rec []byte) bool {
+		if a.ready() { // the ready object goes first, once the page is unfixed
+			a.keep(rec)
+			return true
+		}
+		scanErr = stage(rec)
+		return scanErr == nil
+	}, func() error {
+		if scanErr != nil {
+			return scanErr
+		}
+		if err := a.handOut(fn); err != nil {
+			return err
+		}
+		return a.kept(func(rec []byte) error {
+			if err := stage(rec); err != nil {
+				return err
+			}
+			return a.handOut(fn)
+		})
 	})
 	if err != nil {
 		return err
 	}
-	return a.each(n, fn)
+	return a.finished()
 }
 
 // Navigate implements Model: the root tuple plus the object's connection
@@ -660,6 +711,9 @@ func (m *nsm) ReadRoot(i int) (cobench.RootRecord, error) {
 // are updated, of which there are many on a single page" — the same holds
 // for NSM's root relation).
 func (m *nsm) UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootRecord)) error {
+	if err := m.eng.writable("UpdateRoots"); err != nil {
+		return err
+	}
 	for _, idx := range idxs {
 		i := int(idx)
 		if err := checkIndex(i, len(m.stationRID)); err != nil {
@@ -692,6 +746,9 @@ func (m *nsm) UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootReco
 // realistic behaviour of a normalized store. Not supported under
 // CountIndexIO (the ablation's B+-trees are append-only).
 func (m *nsm) UpdateObject(i int, mutate func(s *cobench.Station) error) error {
+	if err := m.eng.writable("UpdateObject"); err != nil {
+		return err
+	}
 	if err := checkIndex(i, len(m.stationRID)); err != nil {
 		return err
 	}

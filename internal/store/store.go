@@ -82,6 +82,12 @@ var ErrBadObject = errors.New("store: object index out of range")
 // selects one object, so UpdateObject refuses to move an object onto it.
 var ErrDuplicateKey = errors.New("store: key held by another object")
 
+// ErrScanInProgress reports a write — UpdateRoots, UpdateObject, or a
+// view's Commit, Recycle or Rebase — attempted from inside a ScanAll
+// callback on the model being scanned: a scan reads the model as it
+// streams, so the write is refused and changes nothing.
+var ErrScanInProgress = errors.New("store: write while a scan of the model runs")
+
 // Options configure the simulated installation.
 type Options struct {
 	// PageSize is the raw page size (default 2048, the DASDBS page).
@@ -132,10 +138,25 @@ func (o Options) withDefaults() Options {
 
 // Engine bundles one simulated device and its buffer pool.
 type Engine struct {
-	Dev  *disk.Disk
-	Pool *buffer.Pool
-	opts Options
-	ints []int // IntScratch
+	Dev   *disk.Disk
+	Pool  *buffer.Pool
+	opts  Options
+	ints  []int // IntScratch
+	scans int   // ScanAll calls running on the engine's model
+}
+
+// beginScan and endScan bracket a ScanAll: while one runs, a write is
+// ErrScanInProgress (Model.ScanAll).
+func (e *Engine) beginScan() { e.scans++ }
+func (e *Engine) endScan()   { e.scans-- }
+
+// writable refuses a write, named op, while a ScanAll of the engine's
+// model runs.
+func (e *Engine) writable(op string) error {
+	if e.scans > 0 {
+		return fmt.Errorf("%w: %s", ErrScanInProgress, op)
+	}
+	return nil
 }
 
 // NewEngine creates a device/pool pair over a fresh loader arena: the
@@ -282,7 +303,13 @@ type Model interface {
 	FetchByKey(key int32) (*cobench.Station, error)
 	// ScanAll retrieves every object (query 1c), each materialised in full
 	// into one Station that is lent to fn: valid until fn returns, then
-	// overwritten by the next object.
+	// overwritten by the next object. fn runs with no page of the scan
+	// fixed, so it may read the model (a fetch of its own takes a frame),
+	// but it must not write it: UpdateRoots and UpdateObject from inside
+	// fn — and a view's Commit, Recycle and Rebase — return
+	// ErrScanInProgress and change nothing, on every model. (Objects are
+	// read as the scan reaches them, so a write could move what the scan
+	// has yet to read.) An error from fn ends the scan with it.
 	ScanAll(fn func(i int, s *cobench.Station) error) error
 	// Navigate reads the object's root record and the identifiers of its
 	// children, touching only the attributes needed (query 2 inner step).

@@ -130,6 +130,9 @@ func (v *View) Recycle() (rebuilt bool, err error) {
 	if err := v.singleUse("recycle"); err != nil {
 		return false, err
 	}
+	if err := v.eng.writable("Recycle"); err != nil {
+		return false, err
+	}
 	dirty := v.dirty()
 	if err := v.eng.Pool.Discard(); err != nil {
 		return false, fmt.Errorf("store: recycle %s: %w", v.base.kind, err)
@@ -162,6 +165,9 @@ func (v *View) Recycle() (rebuilt bool, err error) {
 // had written and not committed is dropped. On error it must be closed.
 func (v *View) Rebase() error {
 	if err := v.singleUse("rebase"); err != nil {
+		return err
+	}
+	if err := v.eng.writable("Rebase"); err != nil {
 		return err
 	}
 	return v.rebase()
