@@ -342,9 +342,10 @@ func TestEmptyZeroAllocs(t *testing.T) {
 }
 
 // TestReleaseHandsBuffersToThePagePool: a pool's owned frame buffers come
-// from the device's page pool once its own free list is empty and go back
-// to it at Release — not while a frame is pinned, and never a borrowed
-// page, which is the backend's memory.
+// from the device's page pool once the device's free list is empty and go
+// back to it at Release, in the one scaffold the closed engine leaves — not
+// while a frame is pinned, and never a borrowed page, which is the
+// backend's memory.
 func TestReleaseHandsBuffersToThePagePool(t *testing.T) {
 	d := disk.New(disk.DefaultPageSize)
 	pp := disk.NewPagePool(0)
@@ -376,8 +377,8 @@ func TestReleaseHandsBuffersToThePagePool(t *testing.T) {
 	if err := p.Release(); err == nil {
 		t.Fatal("Release with a pinned page succeeded")
 	}
-	if _, _, held := pp.Stats(); held != 0 {
-		t.Fatalf("a failed Release handed back %d pages", held)
+	if _, _, held := pp.Stats(); held != 0 || pp.Scaffolds() != 0 {
+		t.Fatalf("a failed Release handed back %d pages and %d scaffolds", held, pp.Scaffolds())
 	}
 	if err := p.Unfix(5, false); err != nil {
 		t.Fatal(err)
@@ -385,8 +386,8 @@ func TestReleaseHandsBuffersToThePagePool(t *testing.T) {
 	if err := p.Release(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, held := pp.Stats(); held != 3 || p.Len() != 0 {
-		t.Errorf("after Release the page pool holds %d pages and %d frames are resident, want 3 and 0", held, p.Len())
+	if _, _, held := pp.Stats(); held != 3 || p.Len() != 0 || pp.Scaffolds() != 1 {
+		t.Errorf("after Release the page pool holds %d pages and %d scaffolds, and %d frames are resident, want 3, 1 and 0", held, pp.Scaffolds(), p.Len())
 	}
 	if err := pp.Drain(); err != nil {
 		t.Errorf("every page is back, yet %v", err)

@@ -86,7 +86,6 @@ type Pool struct {
 	dirtyTail *Frame
 	dirtyLen  int
 
-	freeData   [][]byte         // recycled page buffers of evicted frames
 	freeFrames []*Frame         // recycled Frame structs of evicted frames
 	frames     slab.Slab[Frame] // where a Frame comes from when none is free
 
@@ -96,14 +95,14 @@ type Pool struct {
 	ioBufs       [][]byte      // WriteRun argument scratch (reused)
 	ids          []disk.PageID // sorted-id scratch for FixRun/FlushPages (reused)
 	run          []*Frame      // FixRun result scratch (reused)
-	getBufFn     func() []byte // bound getBuf, built once (avoids per-read closures)
 
 	fixes   int64
 	hits    int64
 	borrows int64
 }
 
-// New creates a pool of capacity page frames backed by dev.
+// New creates a pool of capacity page frames backed by dev, starting from
+// the scaffolding of a pool released over dev's page pool if it holds one.
 func New(dev *disk.Disk, capacity int, policy Policy) *Pool {
 	if capacity <= 0 {
 		panic("buffer: non-positive capacity")
@@ -113,38 +112,24 @@ func New(dev *disk.Disk, capacity int, policy Policy) *Pool {
 		capacity: capacity,
 		policy:   policy,
 	}
-	if s, ok := dev.PagePool().TakeScaffold().(*scaffold); ok {
-		p.reuse(s)
+	if old, ok := dev.TakeScaffold().(*Pool); ok {
+		p.reuse(old)
 	}
-	p.getBufFn = p.getBuf
 	return p
 }
 
-// scaffold is what a released pool leaves in its device's page pool for
-// the next pool opened over a device of it (disk.PagePool.PutScaffold,
-// which keeps it as an opaque value): the frame index, every Frame the
-// pool had, the rest of its frame slab, and the backing arrays of its page
-// free list and clock ring. It is handed over as Release left it — the
-// index still names the frames that were resident — and reuse resets it.
-type scaffold struct {
-	index    []*Frame
-	frames   []*Frame // zeroed by recycle
-	slab     slab.Slab[Frame]
-	freeData [][]byte // length 0
-	clock    []*Frame // length 0
-}
-
-// reuse starts the pool from a released pool's scaffold: the index is
+// reuse starts the pool from the scaffolding of old, a pool Release handed
+// on through its device's page pool (which keeps it as an opaque value):
+// the frame index, every Frame old had (zeroed by recycle), the rest of
+// its frame slab and its clock ring's backing array. The index is taken as
+// Release left it, still naming the frames that were resident, and is
 // cleared (its length is the last device's page count, and nothing past it
-// was ever set), so no frame of the earlier engine is visible, and the
-// frames are the free list.
-func (p *Pool) reuse(s *scaffold) {
-	clear(s.index)
-	p.index = s.index[:0]
-	p.freeFrames = s.frames
-	p.frames = s.slab
-	p.freeData = s.freeData
-	p.clock = s.clock
+// was ever set), so no frame of the earlier engine is visible; the frames
+// are the free list.
+func (p *Pool) reuse(old *Pool) {
+	clear(old.index)
+	p.index, p.freeFrames, p.frames, p.clock = old.index[:0], old.freeFrames, old.frames, old.clock
+	old.index, old.freeFrames, old.frames, old.clock = nil, nil, slab.Slab[Frame]{}, nil
 }
 
 // Capacity returns the pool size in pages.
@@ -313,18 +298,6 @@ func unpinAll(out []*Frame) {
 	}
 }
 
-// getBuf returns a page buffer: from the pool's own free list, else from
-// the device's page pool.
-func (p *Pool) getBuf() []byte {
-	if n := len(p.freeData); n > 0 {
-		b := p.freeData[n-1]
-		p.freeData[n-1] = nil
-		p.freeData = p.freeData[:n-1]
-		return b
-	}
-	return p.dev.NewPage()
-}
-
 // frameSlab is how many Frames the pool allocates at once, capped by its
 // capacity: a pool never holds more frames than it has slots.
 const frameSlab = 64
@@ -344,8 +317,8 @@ func (p *Pool) getFrame() *Frame {
 // loadRun reads a contiguous run of n absent pages starting at start with
 // one disk call and installs them unpinned (the caller pins them right
 // after). Pages the backend can share arrive borrowed (Frame.Data aliases
-// backend memory, no copy); the rest are filled into free-list buffers,
-// so in steady state this allocates nothing either way.
+// backend memory, no copy); the rest are filled into buffers of the
+// device's free list, so in steady state this allocates nothing either way.
 func (p *Pool) loadRun(start disk.PageID, n int) error {
 	// Make room first so that eviction never kicks out a page of this run.
 	for p.resident+n > p.capacity {
@@ -359,12 +332,12 @@ func (p *Pool) loadRun(start disk.PageID, n int) error {
 		borrowed = append(borrowed, false)
 	}
 	views, borrowed = views[:n], borrowed[:n]
-	if err := p.dev.ReadRunShared(start, views, borrowed, p.getBufFn); err != nil {
+	if err := p.dev.ReadRunShared(start, views, borrowed, p.dev.NewPage); err != nil {
 		// Reclaim the private buffers the device had already handed out;
 		// borrowed entries are the backend's memory and just get dropped.
 		for i := range views {
 			if views[i] != nil && !borrowed[i] {
-				p.freeData = append(p.freeData, views[i])
+				p.dev.FreePage(views[i])
 			}
 			views[i] = nil
 		}
@@ -418,12 +391,12 @@ func (p *Pool) MarkDirty(f *Frame) {
 }
 
 // promote turns a borrowed frame into an owned one by copying the page
-// into pool memory. No-op for owned frames.
+// into a buffer of the device's free list. No-op for owned frames.
 func (p *Pool) promote(f *Frame) {
 	if !f.borrowed {
 		return
 	}
-	buf := p.getBuf()
+	buf := p.dev.NewPage()
 	copy(buf, f.Data)
 	f.Data = buf
 	f.borrowed = false
@@ -493,11 +466,12 @@ func (p *Pool) evictOne() error {
 	return nil
 }
 
-// recycle returns an evicted frame's memory to the free lists. Borrowed
-// Data is backend memory, not the pool's to reuse — it is simply let go.
+// recycle returns an evicted frame's memory to the free lists: its Frame
+// to the pool's, its Data to the device's. Borrowed Data is backend
+// memory, not the pool's to reuse — it is simply let go.
 func (p *Pool) recycle(f *Frame) {
 	if !f.borrowed {
-		p.freeData = append(p.freeData, f.Data)
+		p.dev.FreePage(f.Data)
 	}
 	*f = Frame{}
 	p.freeFrames = append(p.freeFrames, f)
@@ -634,30 +608,20 @@ func (p *Pool) Discard() error {
 	return p.empty(false)
 }
 
-// Release is Discard for a pool about to be closed: the buffers it owns,
-// dropped frames' and free list's, go to the device's page pool, and after
-// them — no frame borrows one now — the device's overlay images; with them
-// goes the pool's emptied scaffolding (the scaffold type), for the next
-// pool opened over that page pool. The caller has flushed; whatever is
-// still dirty is dropped. The pool is empty afterwards and must not be
-// used again.
+// Release is Discard for a pool about to be closed: its frames' buffers
+// go to the device's free list, and then — no frame borrows an overlay
+// image now — the device gives its page pool the list, its overlay and
+// the pool itself, the scaffolding the next pool opened over that page
+// pool starts from (disk.Disk.ReleasePages, reuse). The caller has
+// flushed; whatever is still dirty is dropped. The pool is empty
+// afterwards and must not be used again.
 func (p *Pool) Release() error {
 	if err := p.unpinned(); err != nil {
 		return err
 	}
 	p.eachResident(p.recycle) // the index keeps naming them: reuse clears it
 	p.forget()
-	p.dev.ReleasePages(p.freeData) // clears the list's slots
-	if pp := p.dev.PagePool(); pp != nil {
-		pp.PutScaffold(&scaffold{
-			index:    p.index,
-			frames:   p.freeFrames,
-			slab:     p.frames,
-			freeData: p.freeData[:0],
-			clock:    p.clock,
-		})
-	}
-	p.index, p.freeFrames, p.frames, p.freeData, p.clock = nil, nil, slab.Slab[Frame]{}, nil, nil
+	p.dev.ReleasePages(p)
 	return nil
 }
 

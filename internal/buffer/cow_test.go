@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"complexobj/internal/disk"
@@ -83,5 +84,64 @@ func TestPoolObservesCOWOverlay(t *testing.T) {
 	st, ok := disk.COWStatsOf(d.Backend())
 	if !ok || st.OverlayPages != 1 {
 		t.Fatalf("overlay stats after one dirtied page: %+v (ok=%v)", st, ok)
+	}
+}
+
+// TestOneListServesFramesAndOverlay: a device's frame buffers and its COW
+// overlay's images come from one free list. A poolless engine that
+// discards n promoted frames then makes n full-page overlay writes without
+// allocating: the frames' buffers become the overlay's images. The fewest
+// allocations of three fresh engines are counted, so a stray runtime
+// allocation during one cannot fail the test.
+func TestOneListServesFramesAndOverlay(t *testing.T) {
+	const ps, n = disk.DefaultPageSize, 64
+	base := disk.NewBaseArena(make([]byte, 2*n*ps))
+	defer base.Release()
+	one := [][]byte{make([]byte, ps)}
+	writes := func(d *disk.Disk, from, to, step disk.PageID) {
+		for id := from; id < to; id += step {
+			if err := d.WriteRun(id, one); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fewest := uint64(n)
+	for range 3 {
+		d, err := disk.Open(ps, disk.NewCOWBackend(base, ps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One write per leaf builds the overlay's table and leaves, which
+		// the reset keeps (its images go to the list, and promotes take them).
+		writes(d, 0, 2*n, 16)
+		d.ResetView()
+		p := New(d, n, LRU)
+		for id := disk.PageID(n); id < 2*n; id++ {
+			f, err := p.Fix(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.MarkDirty(f)
+			if err := p.Unfix(id, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Discard(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		writes(d, 0, n, 1)
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+		if cs, _ := disk.COWStatsOf(d.Backend()); cs.OverlayPages != n {
+			t.Errorf("%d overlay pages, want %d", cs.OverlayPages, n)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fewest != 0 {
+		t.Errorf("%d overlay writes after %d discarded frames allocated %d times, want 0", n, n, fewest)
 	}
 }

@@ -16,16 +16,17 @@
 //
 //   - residency lookup is a dense slice indexed by PageID (page IDs are
 //     allocated contiguously by the device), not a hash map;
-//   - evicted frames return their page buffer and their Frame struct to
-//     free-lists, so steady-state misses allocate nothing and the cache
-//     never holds more page memory than its capacity; a Frame the free list
-//     cannot supply is cut from a slab of min(64, capacity) Frames the pool
-//     holds, so a fresh pool allocates its frames a slab at a time, not one
-//     per page it loads;
-//   - a pool over a device with a disk.PagePool starts from the
-//     scaffolding — index, Frames, free-list and clock arrays — a pool
-//     released over that page pool left there, the index cleared and sized
-//     once to the device's page count, so engines opened one after another
+//   - evicted frames return their page buffer to the device's free list,
+//     which the device's COW overlay draws its images from too, and their
+//     Frame struct to the pool's, so steady-state misses allocate nothing
+//     and the cache never holds more page memory than its capacity; a
+//     Frame the free list cannot supply is cut from a slab of min(64,
+//     capacity) Frames the pool holds, so a fresh pool allocates its
+//     frames a slab at a time, not one per page it loads;
+//   - a pool whose device hands it a scaffold (disk.Disk.TakeScaffold)
+//     starts from the index, Frames and clock ring of the pool released
+//     before it over the same page pool, the index cleared and sized once
+//     to the device's page count, so engines opened one after another
 //     allocate their scaffolding once between them;
 //   - dirty frames sit on an intrusive doubly-linked dirty list, so flushes
 //     and overflow write bursts only visit the dirty subset instead of
@@ -81,7 +82,7 @@
 //     corruption of the shared base.
 //
 // Eviction, Drop, Discard and view recycling simply forget a borrowed
-// slice (it belongs to the backend, not the pool's buffer free-list);
+// slice (it belongs to the backend, not the device's free list);
 // the store layer drops all borrows via Discard before resetting the
 // device underneath, so no frame outlives the memory it aliases.
 //
@@ -92,13 +93,14 @@
 // no lock: plain counters, plain free lists, results lent out of scratch.
 // It changes hands only through something that synchronises (a ViewPool
 // lease, a fanout worker taking its cell, a channel). What engines share
-// keeps its own synchronisation: disk.PagePool (mutex: engines of one
-// suite take and give pages concurrently), a BaseArena floor's reference
-// count (atomic: views open and close concurrently; floor and page tables
-// are immutable), store.SharedBase (lock around the current generation,
-// one Once per decoded directory), an experiments suite's cache of bases
-// and extensions (mutex, one build per key), faultdisk.Injector (atomic:
-// one schedule under every device it wraps), complexobj.ViewPool. The proof is `go test -race ./...` —
+// keeps its own synchronisation: the page pool under devices (mutex:
+// engines of one suite take and give pages concurrently), a BaseArena
+// floor's reference count (atomic: views open and close concurrently;
+// floor and page tables are immutable), store.SharedBase (lock around the
+// current generation, a Once per half of a directory), an experiments
+// suite's cache of bases and extensions (mutex, one build per key),
+// faultdisk.Injector (atomic: one schedule under every device it wraps),
+// complexobj.ViewPool. The proof is `go test -race ./...` —
 // buffer.TestEngineHandOver is the rule itself — and CI's race-built
 // server soak: a second goroutine in an engine is a reported race.
 package buffer

@@ -42,7 +42,10 @@ type Backend interface {
 // closed or detached, so a stale slice still holds the bytes it was
 // handed, exactly as a private copy would. A slice used after the
 // backend's Close (or after the last release of the base a Detach built)
-// is a bug that faults: the memory has gone back to the operating system.
+// is a bug a release build does not catch: the memory has gone back to the
+// operating system, whose next mapping may reuse the address, so the slice
+// can read another arena's bytes; under `-tags poison` it faults (doc.go,
+// "Stable pages").
 //
 // StablePage returns the n bytes at offset off, or ok=false when this
 // particular range cannot be shared (spans a COW page boundary, lies

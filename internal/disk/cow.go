@@ -347,8 +347,8 @@ type cowBackend struct {
 	floor     []byte
 
 	overlaid int       // number of materialized overlay pages
-	freeImgs [][]byte  // page images recycled by reset, ready for reuse
-	pages    *PagePool // where images come from when freeImgs is empty
+	list     *pageList // where images come from and go: its device's free list
+	own      pageList  // the list of a backend with no device of its page size
 }
 
 // NewCOWBackend layers a private overlay over base (nil means an empty
@@ -361,7 +361,8 @@ func NewCOWBackend(base *BaseArena, pageBytes int) Backend {
 	if pageBytes <= 0 {
 		pageBytes = DefaultPageSize
 	}
-	b := &cowBackend{gran: pageBytes}
+	b := &cowBackend{gran: pageBytes, own: pageList{size: pageBytes}}
+	b.list = &b.own
 	b.attach(base)
 	return b
 }
@@ -433,12 +434,7 @@ func (b *cowBackend) WriteAt(p []byte, off int) error {
 		}
 		img := b.over.page(pg)
 		if img == nil {
-			if k := len(b.freeImgs); k > 0 {
-				img = b.freeImgs[k-1]
-				b.freeImgs = b.freeImgs[:k-1]
-			} else {
-				img = b.pages.Get(b.gran)
-			}
+			img = b.list.get()
 			if n < b.gran {
 				// Partial-page write: materialize the underlying content
 				// first so the untouched bytes of the page survive (and,
@@ -448,8 +444,10 @@ func (b *cowBackend) WriteAt(p []byte, off int) error {
 				clear(img[m:])
 			}
 			li := pg >> leafShift
-			if li >= len(b.over) {
-				b.growTable(li)
+			if li >= len(b.over) { // too short: one twice the length li needs
+				grown := make(pageTable, (li+1)*2)
+				copy(grown, b.over)
+				b.over = grown
 			}
 			if b.over[li] == nil {
 				b.over[li] = new(pageLeaf)
@@ -462,22 +460,6 @@ func (b *cowBackend) WriteAt(p []byte, off int) error {
 		off += n
 	}
 	return nil
-}
-
-// growTable makes the overlay table reach leaf li. A backend's first
-// write adopts the emptied table and image list a closed overlay left in
-// the page pool, if any; a table still too short is replaced by one twice
-// the length li needs.
-func (b *cowBackend) growTable(li int) {
-	if b.over == nil && b.freeImgs == nil {
-		o := b.pages.takeOverlay()
-		b.over, b.freeImgs = o.table, o.imgs
-	}
-	if li >= len(b.over) {
-		grown := make(pageTable, (li+1)*2)
-		copy(grown, b.over)
-		b.over = grown
-	}
 }
 
 // StablePage implements StablePager: a materialized page shares its
@@ -516,12 +498,12 @@ func (b *cowBackend) StablePage(off, n int) ([]byte, bool) {
 
 // reset drops every overlay page and truncates growth past the base, so
 // the backend reads as the pristine shared base again. The overlay index
-// keeps its capacity and the page images move to a free list (view
-// recycling re-dirties a similar working set, so the next request's
+// keeps its capacity and the page images move to the device's free list
+// (view recycling re-dirties a similar working set, so the next request's
 // writes materialize pages without allocating).
 func (b *cowBackend) reset() {
 	b.over.each(func(_ int, slot *[]byte) {
-		b.freeImgs = append(b.freeImgs, *slot)
+		b.list.put(*slot)
 		*slot = nil
 	})
 	b.overlaid = 0
@@ -547,7 +529,6 @@ func (b *cowBackend) Close() error {
 	base := b.base
 	b.over = nil
 	b.overlaid = 0
-	b.freeImgs = nil
 	b.base, b.committed, b.floor = nil, nil, nil
 	b.size = 0
 	return base.Release()

@@ -48,7 +48,8 @@ type Disk struct {
 	numPages int
 	backend  Backend
 	stable   StablePager // zero-copy read capability (nil when unsupported)
-	pages    *PagePool   // where page buffers over this device come from (nil: the GC)
+	pages    pageList    // the engine's one free list of page buffers
+	spare    pageTable   // a handed-on overlay table a device without an overlay carries (TakeScaffold)
 	stats    iostat.Stats
 	retries  int64 // backend read retries performed (diagnostics)
 	detached bool  // Detach gave the arena away; the device is dead
@@ -67,8 +68,11 @@ func NewWithBackend(pageSize int, b Backend) *Disk {
 	if pageSize <= SysHeaderSize {
 		panic(fmt.Sprintf("disk: page size %d not larger than system header %d", pageSize, SysHeaderSize))
 	}
-	d := &Disk{pageSize: pageSize, backend: b}
+	d := &Disk{pageSize: pageSize, backend: b, pages: pageList{size: pageSize}}
 	d.stable, _ = b.(StablePager)
+	if c, ok := asCOW(b); ok && c.gran == pageSize { // one list, one size of buffer
+		c.list = &d.pages
+	}
 	return d
 }
 
@@ -85,43 +89,52 @@ func Open(pageSize int, b Backend) (*Disk, error) {
 	return d, nil
 }
 
-// SetPagePool names the pool the device's page buffers — its buffer pool's
-// frame memory, a COW backend's overlay images — come from once a private
-// free list is empty, and go to when an engine closes clean; the engine's
-// emptied scaffolding travels the same way (PagePool, ReleasePages).
-// Call it before the device is used.
-func (d *Disk) SetPagePool(pp *PagePool) {
-	d.pages = pp
-	if c, ok := asCOW(d.backend); ok {
-		c.pages = pp
+// SetPagePool names the pool the device's free list of page buffers — its
+// buffer pool's frame memory, a COW backend's overlay images — asks once it
+// is empty, and that the list and the engine's scaffold go to when the
+// engine closes clean (TakeScaffold, ReleasePages). Call it before the
+// device is used.
+func (d *Disk) SetPagePool(pp *PagePool) { d.pages.pool = pp }
+
+// NewPage returns a page-size buffer from the device's free list,
+// contents unspecified.
+func (d *Disk) NewPage() []byte { return d.pages.get() }
+
+// FreePage gives the device's free list a page buffer nothing references
+// any more; under `-tags poison` it reads 0xDB from then on.
+func (d *Disk) FreePage(b []byte) { d.pages.put(b) }
+
+// TakeScaffold starts the device from the scaffold a closed engine left in
+// its page pool, if any: the free list takes its array, a COW overlay not
+// yet written its emptied page table. It returns the buffer pool's part,
+// nil for none, for the buffer pool opened over the device to reset. Call
+// it before the device is used.
+func (d *Disk) TakeScaffold() any {
+	s, ok := d.pages.takeScaffold()
+	if !ok {
+		return nil
 	}
+	d.pages.free, d.spare = s.free, s.table
+	if c, ok := asCOW(d.backend); ok && c.over == nil {
+		c.over, d.spare = s.table, nil
+	}
+	return s.buf
 }
 
-// NewPage returns a page-size buffer from the device's page pool, contents
-// unspecified.
-func (d *Disk) NewPage() []byte { return d.pages.Get(d.pageSize) }
-
-// PagePool returns the pool SetPagePool named, nil for none: where a
-// buffer pool over the device takes and leaves its scaffolding.
-func (d *Disk) PagePool() *PagePool { return d.pages }
-
-// ReleasePages gives the page pool the frame buffers of the device's
-// emptied buffer pool — clearing the caller's slice, whose array may be
-// reused at once — and a COW overlay's images, those its free list holds
-// and those its table holds, straight from the leaves; then, as ResetView
-// would leave them, its emptied page table and image list. The emptying
-// comes first — a resident frame may borrow an overlay image — and the
-// device is about to be closed.
-func (d *Disk) ReleasePages(frames [][]byte) {
-	d.pages.Put(frames)
+// ReleasePages gives the page pool one scaffold: buf, the emptied
+// scaffolding of the device's buffer pool, which package disk only
+// stores; a COW overlay's page table, whose images the pool takes straight
+// from the leaves; and the free list, pages and array. The buffer pool
+// must be emptied first — a resident frame may borrow an overlay image —
+// and the device is about to be closed. A device with no page pool drops
+// it all.
+func (d *Disk) ReleasePages(buf any) {
+	table := d.spare
 	if c, ok := asCOW(d.backend); ok {
-		d.pages.Put(c.freeImgs)
-		d.pages.putTable(c.over)
-		c.overlaid, c.size = 0, c.base.Len()
-		d.numPages = c.size / d.pageSize
-		d.pages.putOverlay(overlay{table: c.over, imgs: c.freeImgs[:0]})
-		c.over, c.freeImgs = nil, nil
+		table, c.over, c.overlaid = c.over, nil, 0
 	}
+	d.pages.release(scaffold{buf: buf, table: table, free: d.pages.free})
+	d.spare = nil
 }
 
 // Backend exposes the storage substrate (diagnostics and memory

@@ -207,9 +207,9 @@
 // Disk.ResetView is the COW-only recycling hook: it drops every overlay
 // page and truncates growth past the base, restoring the device to the
 // pristine shared state so a request-scoped view can serve its next
-// request without being torn down. Dropped overlay page images go to a
-// free list inside the backend and are reused by the next writes, so a
-// recycled view's overlay materializes without allocating.
+// request without being torn down. Dropped overlay page images go to the
+// device's free list and are reused by the next writes, so a recycled
+// view's overlay materializes without allocating.
 //
 // Disk.RebaseView is ResetView onto another generation: after the reset
 // the backend's base reference is swapped (new floor reference taken
@@ -233,7 +233,7 @@
 // (atomic: views open and close concurrently; floor and page tables are
 // immutable) and its branch's lineage (mutex: promotes and drains),
 // store.SharedBase (lock around the current generation, publish lock per
-// commit, one Once per decoded directory), an experiments suite's cache
+// commit, a Once per half of a directory), an experiments suite's cache
 // of bases and extensions (mutex, one build per key), faultdisk.Injector
 // (atomic: one schedule under every device it wraps), complexobj.ViewPool. The proof is `go test -race ./...` —
 // buffer.TestEngineHandOver is the rule itself — and CI's race-built
@@ -248,41 +248,41 @@
 // the rule in "Committed page images"; they never pass through a PagePool.
 // A page buffer that is neither arena nor base memory — a frame the buffer
 // pool owns (a promoted or copied page), a COW overlay image — has one
-// owner at a time, in this order: the engine (a live frame or image, or its
-// private free list, Pool.freeData / cowBackend.freeImgs: one owner, no
-// lock), then the PagePool its device was given (SetPagePool). PagePool.Get
-// is the only place one is made, and a private list asks it only when
-// empty. A pool's pages are not on the Go heap: it cuts them, each capped
-// at its page, from chunks of chunkPages pages it maps like a loader arena
-// (allocArena; a heap buffer if the mapping fails), so a page belongs to
-// the pool for good and Drain, when the pool's owner is done, gives the
-// chunks back to the operating system — only once every page cut from
-// them is back, since a page still out would read unmapped memory; while
-// one is out Drain unmaps nothing and reports how many are. A device with
-// no pool (a nil *PagePool: served views, the complexobj facade) makes
-// its buffers on the heap and leaves them to the garbage collector. One
-// rule gives buffers back: the engine closed clean — flushed, no frame
-// pinned — and its buffer pool was emptied before its overlay, because a
-// resident frame may borrow an overlay image (buffer.Pool.Release, through
-// ReleasePages, is that order); ReleasePages takes the overlay's images
-// straight from its table's leaves. An engine that failed gives nothing
-// back, and its pages keep its pool's chunks mapped. Nothing built over a
-// pool's engine keeps one of its pages: a base's floor is a loader arena
-// (Detach) or a copy into one (CopyBase), and a promote copies into images
-// of its lineage. Under
-// `-tags poison` a page is overwritten with 0xDB on its way into and out
-// of a pool, nil included.
+// owner at a time, in this order: the engine (a live frame or image, or
+// its device's one free list, which frames and images share: NewPage,
+// FreePage, one owner, no lock), then the PagePool its device was given
+// (SetPagePool). The list asks the pool only when it is empty. A pool's
+// pages are not on the Go heap: it cuts them, each capped at its page,
+// from chunks of chunkPages pages it maps like a loader arena (allocArena;
+// a heap buffer if the mapping fails), so a page belongs to the pool for
+// good and Drain, when the pool's owner is done, gives the chunks back to
+// the operating system — only once every page cut from them is back, since
+// a page still out would read unmapped memory; while one is out Drain
+// unmaps nothing and reports how many are. A device with no pool (served
+// views, the complexobj facade, loaders outside a suite) is decided once,
+// in its list: it makes its buffers on the heap and drops what it would
+// give back, for the garbage collector. One rule gives buffers back: the
+// engine closed clean — flushed, no frame pinned — and its buffer pool was
+// emptied before its overlay, because a resident frame may borrow an
+// overlay image (buffer.Pool.Release, through ReleasePages, is that
+// order). An engine that failed gives nothing back, and its pages keep its
+// pool's chunks mapped. Nothing built over a pool's engine keeps one of its
+// pages: a base's floor is a loader arena (Detach) or a copy into one
+// (CopyBase), and a promote copies into images of its lineage. Under
+// `-tags poison` a page reads 0xDB from the moment it is given to the list
+// or the pool, and again when a pool hands it out or a list makes it, so a
+// frame's Data kept past its eviction reads 0xDB.
 //
-// The same clean close hands on the engine's scaffolding, so the next
-// engine opened over the pool builds none: the buffer pool's frame index,
-// Frame structs and the backing arrays of its free lists and clock ring —
-// one opaque value package buffer defines, which the pool only stores
-// (PutScaffold, TakeScaffold) — and the COW overlay's page table, its
-// leaves and its image list's array (taken at the overlay's first write).
-// Each is reset before reuse, so nothing of the earlier engine is
+// The same clean close hands on the engine's scaffolding as one scaffold,
+// so the next engine opened over the pool builds none: the buffer pool's
+// part — its frame index, Frame structs and clock ring, one opaque value
+// package buffer defines, which this package only stores (ReleasePages,
+// TakeScaffold) — the COW overlay's page table and leaves, and the list's
+// array. Each is reset before reuse, so nothing of the earlier engine is
 // visible: the taker clears the index, Frames are zeroed as they are
-// recycled, and ReleasePages empties the leaves before it hands the table
-// over. Page buffers still travel only as pages. Served views are given no
-// pool and keep their own lists; PagePool.Drain drops the scaffolding a
-// pool holds and unmaps its chunks when its owner is done.
+// recycled, and the pool takes the images straight from the table's
+// leaves, emptying them, before it keeps the table; a device without an
+// overlay carries the table it took on to its release. Page buffers still travel only as
+// pages. PagePool.Drain drops the scaffolds a pool holds and unmaps its
+// chunks when its owner is done.
 package disk

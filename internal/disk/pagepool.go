@@ -11,18 +11,16 @@ import (
 const chunkPages = 128
 
 // PagePool is a LIFO of page buffers of one size that outlives the engines
-// drawing on it, the level under their private free lists (doc.go, "Page
-// buffer ownership"). The pages are not on the Go heap: a pool cuts them
-// from chunks, memory of its own mapped chunkPages pages at a time like a
-// loader arena (allocArena) and counted with those in LiveArenaBytes, and
-// Drain gives the chunks back once every page cut from them is back. It
-// also keeps the emptied scaffolding a closing engine leaves for the next
-// one: its buffer pool's, an opaque value package buffer defines, and its
-// COW overlay's page table and image list. A pooled page and a fresh one
-// are alike to everything above this package — contents unspecified — and
-// reused scaffolding is reset before use, so no counter can depend on the
-// pool. A nil *PagePool is the garbage collector: Get makes, the puts
-// drop, TakeScaffold has nothing. Safe for concurrent use.
+// drawing on it, the level under each engine's one free list (doc.go,
+// "Page buffer ownership"). The pages are not on the Go heap: a pool cuts
+// them from chunks, memory of its own mapped chunkPages pages at a time
+// like a loader arena (allocArena) and counted with those in
+// LiveArenaBytes, and Drain gives the chunks back once every page cut from
+// them is back. It also keeps the scaffolds closing engines leave for the
+// next ones (Disk.ReleasePages, Disk.TakeScaffold). A pooled page and a
+// fresh one are alike to everything above this package — contents
+// unspecified — and reused scaffolding is reset before use, so no counter
+// can depend on the pool. Safe for concurrent use.
 type PagePool struct {
 	mu         sync.Mutex
 	pageSize   int
@@ -30,16 +28,68 @@ type PagePool struct {
 	chunks     [][]byte // every chunk mapped, whole
 	uncut      []byte   // the part of the newest chunk no page was cut from
 	gets, hits int64
-	scaffolds  stack[any]
-	overlays   stack[overlay]
+	scaffolds  stack[scaffold]
 }
 
-// overlay is what a closing COW backend leaves for the next: its page
-// table with every leaf emptied (the leaves stay attached), and its image
-// free list's backing array at length zero.
-type overlay struct {
+// scaffold is what a closing engine leaves for the next: its buffer
+// pool's emptied scaffolding, an opaque value package buffer defines; its
+// COW overlay's page table with every leaf emptied (the leaves stay
+// attached); and its free list's backing array at length zero.
+type scaffold struct {
+	buf   any
 	table pageTable
-	imgs  [][]byte
+	free  stack[[]byte]
+}
+
+// pageList is an engine's one free list of page buffers: its buffer
+// pool's frames and its COW overlay's images alike (Disk.NewPage,
+// Disk.FreePage). It has one owner and no lock, and asks its PagePool only
+// when it is empty. With no pool it makes a buffer on the heap, and what
+// it would release is dropped.
+type pageList struct {
+	size int
+	free stack[[]byte]
+	pool *PagePool
+}
+
+// get returns the buffer put last, else one from the pool, else a fresh one.
+func (l *pageList) get() []byte {
+	if b, ok := l.free.pop(); ok {
+		return b
+	}
+	if l.pool != nil {
+		return l.pool.Get(l.size)
+	}
+	b := make([]byte, l.size)
+	poisonPage(b)
+	return b
+}
+
+// put takes back a buffer nothing references any more.
+func (l *pageList) put(b []byte) {
+	poisonPage(b)
+	l.free = append(l.free, b)
+}
+
+// release hands the pool a closing engine's scaffold, the list's buffers
+// and array in it. With no pool it drops them, the overlay's images
+// poisoned as the list's were when they were put.
+func (l *pageList) release(s scaffold) {
+	if l.pool != nil {
+		l.pool.release(s)
+	} else {
+		s.table.each(func(_ int, slot *[]byte) { poisonPage(*slot) })
+	}
+	l.free = nil
+}
+
+// takeScaffold is the pool's scaffold released last; ok is false when
+// none is held or there is no pool.
+func (l *pageList) takeScaffold() (s scaffold, ok bool) {
+	if l.pool == nil {
+		return s, false
+	}
+	return l.pool.takeScaffold()
 }
 
 // pageStack is the pool's free list: a LIFO of pages kept in segments of
@@ -100,11 +150,11 @@ func NewPagePool(pageSize int) *PagePool {
 
 // Get returns an n-byte buffer, contents unspecified: the page put last
 // when n is the pool's page size and one is held, else a page cut from a
-// chunk, else a fresh heap buffer — the only place a device page buffer is
-// made. A page's capacity is its length, so no append reaches the next.
+// chunk, else a fresh heap buffer. A page's capacity is its length, so no
+// append reaches the next.
 func (p *PagePool) Get(n int) []byte {
 	var b []byte
-	if p != nil && n == p.pageSize {
+	if n == p.pageSize {
 		p.mu.Lock()
 		p.gets++
 		var ok bool
@@ -145,87 +195,44 @@ func (p *PagePool) cut() []byte {
 // caller's slots, so the slice's array can be reused at once; a buffer of
 // another length is dropped.
 func (p *PagePool) Put(pages [][]byte) {
-	p.lock()
+	p.mu.Lock()
 	for _, b := range pages {
 		p.put(b)
 	}
-	p.unlock()
+	p.mu.Unlock()
 	clear(pages)
 }
 
-// putTable is Put for the images of an overlay table, which it empties in
-// the same pass.
-func (p *PagePool) putTable(t pageTable) {
-	p.lock()
-	t.each(func(_ int, slot *[]byte) {
-		p.put(*slot)
-		*slot = nil
-	})
-	p.unlock()
-}
-
-// put takes over one page; the caller holds the lock of a non-nil pool.
+// put takes over one page; the caller holds the lock.
 func (p *PagePool) put(b []byte) {
 	poisonPage(b)
-	if p != nil && len(b) == p.pageSize {
+	if len(b) == p.pageSize {
 		p.free.push(b)
 	}
 }
 
-func (p *PagePool) lock() {
-	if p != nil {
-		p.mu.Lock()
-	}
-}
-
-func (p *PagePool) unlock() {
-	if p != nil {
-		p.mu.Unlock()
-	}
-}
-
-// PutScaffold takes over the emptied scaffolding of a released buffer
-// pool, which nothing else references any more, for the next buffer pool
-// opened over a device of this page pool (TakeScaffold).
-func (p *PagePool) PutScaffold(s any) {
-	if p != nil {
-		p.mu.Lock()
-		p.scaffolds = append(p.scaffolds, s)
-		p.mu.Unlock()
-	}
-}
-
-// TakeScaffold hands out the scaffolding put last, nil when none is held,
-// as its releaser left it: the taker resets it.
-func (p *PagePool) TakeScaffold() any {
-	if p == nil {
-		return nil
-	}
+// release takes over a closing engine's free pages, then its overlay's
+// images straight from the table's leaves, which it empties, so no list
+// grows to carry them; it keeps the scaffold, the list's array emptied,
+// for the next engine (takeScaffold).
+func (p *PagePool) release(s scaffold) {
+	p.Put(s.free)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s, _ := p.scaffolds.pop()
-	return s
+	s.table.each(func(_ int, slot *[]byte) {
+		p.put(*slot)
+		*slot = nil
+	})
+	s.free = s.free[:0]
+	p.scaffolds = append(p.scaffolds, s)
 }
 
-// putOverlay takes over a COW overlay's emptied table and image list.
-func (p *PagePool) putOverlay(o overlay) {
-	if p != nil && o.table != nil {
-		p.mu.Lock()
-		p.overlays = append(p.overlays, o)
-		p.mu.Unlock()
-	}
-}
-
-// takeOverlay hands out the overlay put last, the zero overlay when none
-// is held.
-func (p *PagePool) takeOverlay() overlay {
-	if p == nil {
-		return overlay{}
-	}
+// takeScaffold hands out the scaffold released last, as its releaser left
+// it: the taker resets it. ok is false when none is held.
+func (p *PagePool) takeScaffold() (scaffold, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	o, _ := p.overlays.pop()
-	return o
+	return p.scaffolds.pop()
 }
 
 // Stats reports the page-size Gets seen, how many of them the pool served,
@@ -236,12 +243,11 @@ func (p *PagePool) Stats() (gets, hits int64, held int) {
 	return p.gets, p.hits, p.free.n
 }
 
-// Scaffolds reports how many emptied scaffolds, buffer pools' and COW
-// overlays', the pool holds.
+// Scaffolds reports how many scaffolds of closed engines the pool holds.
 func (p *PagePool) Scaffolds() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.scaffolds) + len(p.overlays)
+	return len(p.scaffolds)
 }
 
 // Drain drops the scaffolding the pool holds and gives every chunk back to
@@ -250,12 +256,9 @@ func (p *PagePool) Scaffolds() int {
 // pool would read unmapped memory, so while one is out Drain unmaps
 // nothing, keeps the pages, and reports how many are out.
 func (p *PagePool) Drain() error {
-	if p == nil {
-		return nil
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.scaffolds, p.overlays = nil, nil
+	p.scaffolds = nil
 	out := len(p.chunks)*chunkPages - len(p.uncut)/p.pageSize
 	for _, seg := range p.free.segs {
 		for _, b := range seg {

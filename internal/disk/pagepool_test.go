@@ -8,14 +8,34 @@ import (
 	"unsafe"
 )
 
-// A nil pool is the garbage collector: Get makes, Put drops, both without
-// a branch at the call site.
-func TestPagePoolNil(t *testing.T) {
-	var p *PagePool
-	if b := p.Get(512); len(b) != 512 {
-		t.Fatalf("nil pool handed out %d bytes, want 512", len(b))
+// A device with no page pool makes its buffers on the heap once its free
+// list is empty, takes no scaffold, and drops what it would release.
+func TestPoollessDevice(t *testing.T) {
+	d := NewWithBackend(512, NewCOWBackend(nil, 512))
+	if d.TakeScaffold() != nil {
+		t.Fatal("a device with no page pool took a scaffold")
 	}
-	p.Put([][]byte{make([]byte, 512)})
+	if _, err := d.Allocate(2); err != nil {
+		t.Fatal(err)
+	}
+	b := d.NewPage()
+	if len(b) != 512 {
+		t.Fatalf("the device made %d bytes, want 512", len(b))
+	}
+	d.FreePage(b)
+	if err := d.WriteRun(1, [][]byte{make([]byte, 512)}); err != nil {
+		t.Fatal(err)
+	}
+	if img, _ := d.stable.StablePage(512, 512); &img[0] != &b[0] {
+		t.Error("the overlay did not take the page the device's list held")
+	}
+	d.ReleasePages(new(int))
+	if len(d.pages.free) != 0 || d.backend.(*cowBackend).over != nil {
+		t.Errorf("release kept %d pages and the overlay table, want a drop", len(d.pages.free))
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // drainAtEnd drains p when the test ends: every page must be back.
@@ -188,27 +208,35 @@ func TestPagePoolConcurrent(t *testing.T) {
 	}
 }
 
-// ReleasePages hands a COW device's overlay images — live ones and those a
-// reset recycled — to the device's pool; a device without one drops them.
-func TestReleasePagesReturnsOverlay(t *testing.T) {
+// ReleasePages hands a device's page pool one scaffold: the buffer pool's
+// value, the COW overlay's emptied page table, and the free list — its
+// pages, the overlay's images among them, and its array. The next device
+// over the pool takes it whole (TakeScaffold), and a device without an
+// overlay carries the table on to the one after.
+func TestReleasePagesHandsOnOneScaffold(t *testing.T) {
 	page := make([]byte, DefaultPageSize)
 	page[0] = 7
-	open := func(pp *PagePool) *Disk {
-		d := NewWithBackend(DefaultPageSize, NewCOWBackend(nil, DefaultPageSize))
+	pp := drainAtEnd(t, NewPagePool(0))
+	open := func(b Backend) (*Disk, any) {
+		d := NewWithBackend(DefaultPageSize, b)
 		d.SetPagePool(pp)
+		buf := d.TakeScaffold()
 		if _, err := d.Allocate(8); err != nil {
 			t.Fatal(err)
 		}
-		return d
+		return d, buf
 	}
-	pp := drainAtEnd(t, NewPagePool(0))
-	d := open(pp)
+	cow := func() Backend { return NewCOWBackend(nil, DefaultPageSize) }
+	d, buf := open(cow())
+	if buf != nil {
+		t.Fatalf("an empty page pool handed out scaffold %v", buf)
+	}
 	for _, id := range []PageID{1, 5} {
 		if err := d.WriteRun(id, [][]byte{page}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	d.ResetView() // both images to the backend's own free list
+	d.ResetView() // both images to the device's free list
 	if _, err := d.Allocate(8); err != nil {
 		t.Fatal(err)
 	}
@@ -216,39 +244,55 @@ func TestReleasePagesReturnsOverlay(t *testing.T) {
 		t.Fatal(err)
 	}
 	if gets, hits, _ := pp.Stats(); gets != 3 || hits != 0 {
-		t.Fatalf("pool saw gets=%d hits=%d, want 3 0: the private list is the first level", gets, hits)
+		t.Fatalf("pool saw gets=%d hits=%d, want 3 0: the device's list is the first level", gets, hits)
 	}
-	d.ReleasePages(nil)
+	table := d.backend.(*cowBackend).over
+	marker := new(int)
+	d.ReleasePages(marker)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, held := pp.Stats(); held != 3 || pp.Scaffolds() != 1 {
-		t.Errorf("pool holds %d pages and %d scaffolds after release, want 3 and the overlay's table", held, pp.Scaffolds())
+		t.Errorf("pool holds %d pages and %d scaffolds after release, want 3 and 1", held, pp.Scaffolds())
 	}
-	// The next device over the same pool materialises without allocating,
-	// into the emptied table: pages 1 and 5 read as the base again.
-	d = open(pp)
+	// A device without an overlay takes the scaffold and hands it back
+	// whole, table included.
+	d, buf = open(NewMemBackend())
+	if buf != marker || pp.Scaffolds() != 0 {
+		t.Fatalf("the next device took %v and left %d scaffolds, want the released value and none", buf, pp.Scaffolds())
+	}
+	d.ReleasePages(buf)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The next overlay materialises without allocating, into the emptied
+	// table: pages 1 and 5 read as the base again.
+	d, buf = open(cow())
+	c := d.backend.(*cowBackend)
+	if buf != marker || &c.over[0] != &table[0] {
+		t.Fatalf("the overlay took %v and a table at %p, want the released value and the table at %p", buf, &c.over[0], &table[0])
+	}
 	if err := d.WriteRun(0, [][]byte{page, page, page}); err != nil {
 		t.Fatal(err)
 	}
 	if _, hits, held := pp.Stats(); hits != 3 || held != 0 || pp.Scaffolds() != 0 {
-		t.Errorf("second device: hits=%d held=%d scaffolds=%d, want 3 0 0", hits, held, pp.Scaffolds())
+		t.Errorf("second overlay: hits=%d held=%d scaffolds=%d, want 3 0 0", hits, held, pp.Scaffolds())
 	}
 	if cs, _ := COWStatsOf(d.Backend()); cs.OverlayPages != 3 {
-		t.Errorf("second device: %d overlay pages, want its own 3", cs.OverlayPages)
+		t.Errorf("second overlay: %d overlay pages, want its own 3", cs.OverlayPages)
 	}
 	got := make([]byte, DefaultPageSize)
 	if err := d.Backend().ReadAt(got, 5*DefaultPageSize); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 0 {
-		t.Errorf("page 5 of the second device reads %#x, an image of the first", got[0])
+		t.Errorf("page 5 of the second overlay reads %#x, an image of the first", got[0])
 	}
-	over := d.backend.(*cowBackend).over
+	var images [][]byte
+	c.over.each(func(_ int, slot *[]byte) { images = append(images, *slot) })
 	d.Close() // not released: the pages stay out
 	if _, _, held := pp.Stats(); held != 0 {
 		t.Errorf("a plain Close returned %d pages", held)
 	}
-	pp.putTable(over)                      // back by hand, so the pool drains
-	open(nil).ReleasePages([][]byte{page}) // nil pool: a drop
+	pp.Put(images) // back by hand, so the pool drains
 }

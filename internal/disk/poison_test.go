@@ -9,28 +9,56 @@ import (
 )
 
 // Under the poison tag a page reads 0xDB from the moment it is given back
-// and again when it is handed out, fresh ones and a nil pool's included:
-// nothing may rely on a returned page's old bytes or on a new page's zeros.
+// and again when it is handed out, fresh ones included: nothing may rely
+// on a returned page's old bytes or on a new page's zeros.
 func TestPagePoolPoisons(t *testing.T) {
 	want := bytes.Repeat([]byte{0xDB}, 256)
-	for _, p := range []*PagePool{nil, NewPagePool(256)} {
-		b := p.Get(256)
-		if !bytes.Equal(b, want) {
-			t.Fatalf("a fresh page reads %x...", b[:8])
-		}
-		clear(b)
-		p.Put([][]byte{b})
-		if !bytes.Equal(b, want) {
-			t.Fatalf("a returned page still reads %x...", b[:8])
-		}
-		clear(b)
-		if b = p.Get(256); !bytes.Equal(b, want) {
-			t.Fatalf("a recycled page reads %x...", b[:8])
-		}
-		p.Put([][]byte{b})
-		if err := p.Drain(); err != nil {
-			t.Fatal(err)
-		}
+	p := NewPagePool(256)
+	b := p.Get(256)
+	if !bytes.Equal(b, want) {
+		t.Fatalf("a fresh page reads %x...", b[:8])
+	}
+	clear(b)
+	p.Put([][]byte{b})
+	if !bytes.Equal(b, want) {
+		t.Fatalf("a returned page still reads %x...", b[:8])
+	}
+	clear(b)
+	if b = p.Get(256); !bytes.Equal(b, want) {
+		t.Fatalf("a recycled page reads %x...", b[:8])
+	}
+	p.Put([][]byte{b})
+	if err := p.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A device's free list poisons too, with no page pool under it: a page it
+// makes reads 0xDB, and so does a page given to it, whether freed
+// (FreePage) or an overlay image a reset dropped.
+func TestDeviceListPoisons(t *testing.T) {
+	want := bytes.Repeat([]byte{0xDB}, 256)
+	d := NewWithBackend(256, NewCOWBackend(nil, 256))
+	defer d.Close()
+	b := d.NewPage()
+	if !bytes.Equal(b, want) {
+		t.Fatalf("a page the list made reads %x...", b[:8])
+	}
+	clear(b)
+	d.FreePage(b)
+	if !bytes.Equal(b, want) {
+		t.Fatalf("a freed page still reads %x...", b[:8])
+	}
+	if _, err := d.Allocate(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteRun(0, [][]byte{make([]byte, 256)}); err != nil {
+		t.Fatal(err)
+	}
+	img, _ := d.stable.StablePage(0, 256)
+	d.ResetView()
+	if !bytes.Equal(img, want) {
+		t.Fatalf("an overlay image a reset dropped still reads %x...", img[:8])
 	}
 }
 

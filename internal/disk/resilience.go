@@ -14,36 +14,30 @@ func IsTransient(err error) bool {
 	return errors.As(err, &t) && t.Transient()
 }
 
-// RetryPolicy bounds the device's retry-with-backoff on transiently
-// failing backend reads. Only reads are retried: a read retry is
-// idempotent and invisible in the I/O counters (which increment solely on
-// success), while failed writes propagate so the request is reported
-// instead of papered over.
-type RetryPolicy struct {
-	// Attempts is the total number of tries (1 means no retry).
-	Attempts int
-	// Backoff is the sleep before the first retry, doubling on each
-	// further one.
-	Backoff time.Duration
-}
-
-// DefaultRetryPolicy is the policy every device runs: up to 4 attempts
-// with a tiny doubling backoff, enough to ride out sporadic transient
-// faults without stretching a genuinely failing request.
-var DefaultRetryPolicy = RetryPolicy{Attempts: 4, Backoff: 50 * time.Microsecond}
+// The device retries a transiently failing backend read with backoff: up
+// to retryAttempts tries, sleeping retryBackoff before the first retry and
+// doubling it on each further one — enough to ride out sporadic transient
+// faults without stretching a genuinely failing request. Only reads are
+// retried: a read retry is idempotent and invisible in the I/O counters
+// (which increment solely on success), while failed writes propagate so
+// the request is reported instead of papered over.
+const (
+	retryAttempts = 4
+	retryBackoff  = 50 * time.Microsecond
+)
 
 // Retries returns how many backend read retries the device has performed.
 // The count is diagnostics, not a paper counter: it survives ResetStats
 // and never feeds the reported statistics.
 func (d *Disk) Retries() int64 { return d.retries }
 
-// readBackend is backend.ReadAt behind DefaultRetryPolicy: transient
+// readBackend is backend.ReadAt behind the retry rule above: transient
 // failures are retried with doubling backoff, anything else (or
 // exhaustion) propagates.
 func (d *Disk) readBackend(p []byte, off int) error {
 	err := d.backend.ReadAt(p, off)
-	backoff := DefaultRetryPolicy.Backoff
-	for attempt := 1; err != nil && attempt < DefaultRetryPolicy.Attempts && IsTransient(err); attempt++ {
+	backoff := retryBackoff
+	for attempt := 1; err != nil && attempt < retryAttempts && IsTransient(err); attempt++ {
 		time.Sleep(backoff)
 		backoff *= 2
 		d.retries++

@@ -150,16 +150,16 @@
 // refuse it.
 //
 // Options.Pages names who inherits an engine's page buffers (internal/disk,
-// "Page buffer ownership"): a clean Engine.Close hands its frame buffers
-// and overlay images to that pool, and with them its emptied scaffolding —
-// the buffer pool's frame index, frames and free lists, the overlay's page
-// table — and the next engine opened with the same options — the next
-// cell's view, the next loader — starts on them, reset. The owner is
-// whoever opens engines in sequence: an experiments.Suite makes one pool
-// and drains it at its Close. Served views get none: they are not
-// closed between requests (Recycle keeps the private lists, which already
-// makes a request allocation-free), and a process-wide pool kept the
-// set-up loaders' pages alive through serving (+9 to +18 % peak RSS).
+// "Page buffer ownership"): frame buffers and overlay images share one
+// free list, the device's, and a clean Engine.Close hands that pool the
+// list's buffers and one scaffold — frame index, frames, clock ring,
+// emptied overlay table, the list's array — and the next engine opened
+// with the same options (the next cell's view, the next loader) starts on
+// them, reset. The owner is whoever opens engines in sequence: an
+// experiments.Suite makes one pool and drains it at its Close. Served views
+// get none: they are not closed between requests (Recycle keeps the list,
+// which already makes a request allocation-free), and a process-wide pool
+// kept the set-up loaders' pages alive while serving (+9 to +18 % peak RSS).
 //
 // Options.Scans does the same for the staging of NSM's ScanAll, and the
 // owner is the other way round: a complexobj.ViewPool passes one to its

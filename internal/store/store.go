@@ -113,12 +113,12 @@ type Options struct {
 	// transfers.
 	Faults *faultdisk.Injector
 	// Pages, when non-nil, is where the engine's frame buffers and overlay
-	// images come from once its private free lists are empty and go to at
+	// images come from once its device's free list is empty and go to at
 	// a clean Close, for the next engine opened with these options — a
 	// batch cell's view, a loader — to reuse. The engine's scaffolding —
-	// buffer-pool frame index, frames and free lists, overlay page table —
-	// goes the same way. Whoever opens engines one after another owns it
-	// (an experiments.Suite); served views pass none.
+	// frame index and frames, overlay page table, the list's array — goes
+	// the same way, as one scaffold. Whoever opens engines one after
+	// another owns it (an experiments.Suite); served views pass none.
 	Pages *disk.PagePool
 	// Scans, when non-nil, lends NSM scans their staging, shared by every
 	// engine opened with these options (ScanStages). A ViewPool owns one for
