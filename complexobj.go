@@ -338,7 +338,7 @@ func (b *Base) Open(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newDB(b.kind, sv.Model()), nil
+	return newDB(b.kind, sv.Model), nil
 }
 
 // SnapshotInfo describes a .codb snapshot file.
@@ -542,7 +542,7 @@ func (db *DB) Run(q cobench.Query, w cobench.Workload) (QueryResult, error) {
 // runQuery is the one execution path every surface shares: batch
 // databases (DB.Run), request-scoped views (View.Run/RunContext) and,
 // through them, the benchmark server all drive a workload.Runner over the
-// workload.View interface — which is what makes served counters
+// store.Model surface — which is what makes served counters
 // bit-identical to the batch tables. r is the runner the database or the
 // view's engine keeps, armed here for this query. A non-nil ctx bounds the
 // query (the runner checks it between object visits); a nil ctx never

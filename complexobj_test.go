@@ -563,7 +563,7 @@ func TestDBFetchesOutliveTheView(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer v.Close()
-			db := newDB(kind, v.sv.Model()) // the facade over the view's model
+			db := newDB(kind, v.sv.Model) // the facade over the view's model
 
 			var kept []*cobench.Station // kept[j] is object j % len(stations)
 			fetch := func(keep bool) {

@@ -528,14 +528,14 @@ func directoryHistory(t *testing.T, kind ModelKind) (snap string, image []byte, 
 		}
 		switch gen {
 		case 2:
-			err = v.sv.Model().UpdateObject(5, func(s *cobench.Station) error {
+			err = v.sv.Model.UpdateObject(5, func(s *cobench.Station) error {
 				for i := 0; i < 20; i++ {
 					s.Seeings = append(s.Seeings, cobench.Sightseeing{Nr: int32(900 + i), Description: "grown"})
 				}
 				return nil
 			})
 		case 4:
-			err = v.sv.Model().UpdateObject(9, func(s *cobench.Station) error { s.Key = 1 << 20; return nil })
+			err = v.sv.Model.UpdateObject(9, func(s *cobench.Station) error { s.Key = 1 << 20; return nil })
 		default:
 			err = v.sv.UpdateRoots([]int32{6, int32(gen)}, func(_ int32, r *cobench.RootRecord) {
 				r.Name = fmt.Sprintf("directory gen %d", gen)
@@ -686,7 +686,7 @@ func TestCommitLogEmptyMarkersRecoverOntoCheckpoint(t *testing.T) {
 	clog, base, _ := open()
 	seedMeta, _ := committedState(base)
 	commit(clog, base, func(v *View) error {
-		return v.sv.Model().UpdateObject(3, func(s *cobench.Station) error {
+		return v.sv.Model.UpdateObject(3, func(s *cobench.Station) error {
 			s.Seeings = s.Seeings[:len(s.Seeings)/2]
 			s.Platforms = append(s.Platforms, cobench.Platform{Nr: 77, Information: "added"})
 			return nil

@@ -86,22 +86,32 @@ func TestMatrixSharedBaseMemory(t *testing.T) {
 		t.Fatalf("matrix built %d bases, want 3 (DSM and DASDBS-DSM share one, NSM and NSM+index another)", got)
 	}
 	baseBytes, overlayBytes := 0, 0
+	o := newOracle(t, cfg)
 	for _, k := range store.AllKinds() {
 		err := s.withBase(k, cfg.Gen, func(base *store.SharedBase) error {
-			m, err := base.OpenAs(k, s.storeOpts)
+			v, err := base.NewViewAs(k, s.storeOpts)
 			if err != nil {
 				return err
 			}
-			defer m.Engine().Close()
+			defer v.Close()
 			// Only the update queries dirty pages; 3a+3b on one view is
-			// the worst overlay any cell of the suite can reach.
-			runner := workload.NewRunner(m, cfg.Workload)
+			// the worst overlay any cell of the suite can reach. The view
+			// drives the runner itself, and its first query measures what
+			// a private model measures.
+			runner := workload.NewRunner(v, cfg.Workload)
 			for _, q := range []cobench.Query{cobench.Q3a, cobench.Q3b} {
-				if _, err := runner.Run(q); err != nil {
+				res, err := runner.Run(q)
+				if err != nil {
 					return err
 				}
+				if q != cobench.Q3a {
+					continue
+				}
+				if want := o.cell(k, cfg.Gen, cfg.BufferPages, cfg.Workload, q); toMeasured(res) != want {
+					t.Errorf("%s %s: view measures %+v, a private model %+v", k, q, toMeasured(res), want)
+				}
 			}
-			st, ok := diskCOWStats(m)
+			st, ok := diskCOWStats(v)
 			if !ok {
 				t.Fatalf("%s: a measured cell's engine is not a COW view", k)
 			}
@@ -158,7 +168,7 @@ func TestOpenBaseMappedEquivalence(t *testing.T) {
 			t.Fatalf("%s: OpenBaseHeap produced a mapped arena", k)
 		}
 		for _, base := range []*store.SharedBase{heapBase, mapBase} {
-			view, err := base.Open(store.Options{BufferPages: cfg.BufferPages})
+			view, err := base.NewView(store.Options{BufferPages: cfg.BufferPages})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +187,7 @@ func TestOpenBaseMappedEquivalence(t *testing.T) {
 			if err := view.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if err := view.Engine().Close(); err != nil {
+			if err := view.Close(); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -73,12 +73,12 @@ func (s *Suite) nodeBalance(name string, gen cobench.Config, nodes int) (NodeBal
 	}
 	var perObject []float64
 	err = s.withBase(store.DSM, gen, func(base *store.SharedBase) error {
-		m, err := base.Open(opts)
+		v, err := base.NewView(opts)
 		if err != nil {
 			return err
 		}
-		defer m.Engine().Close()
-		perObject, err = objectPages(m, len(stations))
+		defer v.Close()
+		perObject, err = objectPages(v, len(stations))
 		return err
 	})
 	if err != nil {

@@ -84,8 +84,6 @@ type Config struct {
 	Workload cobench.Workload
 	// BufferPages is the cache size (default 1200 pages, §5.1).
 	BufferPages int
-	// PageSize is the raw page size (default 2048).
-	PageSize int
 	// UseClock switches the buffer replacement policy from LRU to Clock
 	// (an ablation; the paper does not name DASDBS's policy).
 	UseClock bool
@@ -171,7 +169,7 @@ func New(cfg Config) *Suite {
 	s.snapshotOK = sync.OnceValue(s.checkSnapshot)
 	// One page pool under every view and loader of the suite: a cell's frame
 	// buffers and overlay images serve the next cell instead of the GC.
-	s.storeOpts = store.Options{PageSize: cfg.PageSize, BufferPages: cfg.BufferPages, Pages: disk.NewPagePool(cfg.PageSize)}
+	s.storeOpts = store.Options{BufferPages: cfg.BufferPages, Pages: disk.NewPagePool(disk.DefaultPageSize)}
 	if cfg.UseClock {
 		s.storeOpts.Policy = buffer.Clock
 	}
@@ -221,13 +219,9 @@ func (s *Suite) checkSnapshot() error {
 		return fmt.Errorf("experiments: snapshot %s was built from %+v, configuration wants %+v",
 			s.cfg.Snapshot, info.Gen, s.cfg.Gen)
 	}
-	pageSize := s.cfg.PageSize
-	if pageSize == 0 {
-		pageSize = disk.DefaultPageSize
-	}
-	if info.PageSize != pageSize {
-		return fmt.Errorf("experiments: snapshot %s has page size %d, configuration wants %d",
-			s.cfg.Snapshot, info.PageSize, pageSize)
+	if info.PageSize != disk.DefaultPageSize {
+		return fmt.Errorf("experiments: snapshot %s has page size %d, the suite measures %d",
+			s.cfg.Snapshot, info.PageSize, disk.DefaultPageSize)
 	}
 	return nil
 }
@@ -247,7 +241,7 @@ type baseKey struct {
 // Figure 5 default-sightseeing column and the whole buffer sweep reuse the
 // bases the matrix loaded, and DSM and DASDBS-DSM, one layout read two
 // ways, share one base, as do NSM and NSM+index (callers open it with
-// OpenAs). The base is the
+// NewViewAs). The base is the
 // snapshot's arena when the suite has one and gen is its own
 // configuration, and otherwise a load of gen's extension.
 //
@@ -388,12 +382,12 @@ func (s *Suite) layoutSizes(k store.Kind) (store.SizeReport, error) {
 	}
 	var rep store.SizeReport
 	err = s.withBase(k, s.cfg.Gen, func(base *store.SharedBase) error {
-		m, err := base.OpenAs(k, opts)
+		v, err := base.NewViewAs(k, opts)
 		if err != nil {
 			return err
 		}
-		rep = m.Sizes()
-		return m.Engine().Close()
+		rep = v.Sizes()
+		return v.Close()
 	})
 	if err != nil {
 		return store.SizeReport{}, err
@@ -540,25 +534,25 @@ func (s *Suite) runQueries(kinds []store.Kind, opts store.Options, gen cobench.C
 }
 
 // runView opens a copy-on-write view of kind k over base, runs the
-// queries on it in order with the workload w, hands the model to inspect
-// (when non-nil) and closes the view.
+// queries on it in order with the workload w, hands the view's model to
+// inspect (when non-nil) and closes the view.
 func runView(base *store.SharedBase, k store.Kind, opts store.Options, w cobench.Workload, queries []cobench.Query, inspect func(store.Model)) (map[cobench.Query]Measured, error) {
-	m, err := base.OpenAs(k, opts)
+	v, err := base.NewViewAs(k, opts)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[cobench.Query]Measured, len(queries))
-	runner := workload.NewRunner(m, w)
+	runner := workload.NewRunner(v, w)
 	for _, q := range queries {
 		res, err := runner.Run(q)
 		if err != nil {
-			m.Engine().Close()
+			v.Close()
 			return nil, fmt.Errorf("experiments: %s %s: %w", k, q, err)
 		}
 		out[q] = toMeasured(res)
 	}
 	if inspect != nil {
-		inspect(m)
+		inspect(v.Model)
 	}
-	return out, m.Engine().Close()
+	return out, v.Close()
 }

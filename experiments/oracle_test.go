@@ -58,7 +58,7 @@ func (o *oracle) cell(k store.Kind, gen cobench.Config, bufferPages int, w coben
 	if m, ok := o.cells[key]; ok {
 		return m
 	}
-	opts := store.Options{PageSize: o.cfg.PageSize, BufferPages: bufferPages}
+	opts := store.Options{BufferPages: bufferPages}
 	if o.cfg.UseClock {
 		opts.Policy = buffer.Clock
 	}

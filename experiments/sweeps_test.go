@@ -2,12 +2,16 @@ package experiments
 
 import (
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
+	"complexobj/cobench"
 	"complexobj/internal/disk"
+	"complexobj/internal/snapshot"
+	"complexobj/internal/store"
 )
 
 // shrinkSweeps temporarily reduces the sweep axes so the determinism tests
@@ -134,18 +138,36 @@ func TestMatrixFromSnapshot(t *testing.T) {
 		t.Error("mismatched snapshot accepted")
 	}
 
-	// So must a snapshot of another page size: refused by the snapshot
-	// check, before any view of it opens, naming the file and both sizes.
+	// So must a snapshot of another page size — the suite always measures
+	// disk.DefaultPageSize, so the file is written at store level: refused
+	// by the snapshot check, before any view of it opens, naming the file
+	// and both sizes.
+	const otherPageSize = 2 * disk.DefaultPageSize
+	stations, err := cobench.Generate(smallConfig().Gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := store.New(store.DSM, store.Options{PageSize: otherPageSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Engine().Close()
+	if err := m.Load(stations); err != nil {
+		t.Fatal(err)
+	}
+	pagePath := filepath.Join(t.TempDir(), "pages.codb")
+	if err := snapshot.Write(pagePath, smallConfig().Gen, m); err != nil {
+		t.Fatal(err)
+	}
 	pageCfg := smallConfig()
-	pageCfg.PageSize = 2 * disk.DefaultPageSize
-	pageCfg.Snapshot = path
+	pageCfg.Snapshot = pagePath
 	pageSuite := New(pageCfg)
 	defer pageSuite.Close()
 	_, err = pageSuite.Matrix()
 	if err == nil {
 		t.Fatal("snapshot of another page size accepted")
 	}
-	for _, want := range []string{path, strconv.Itoa(disk.DefaultPageSize), strconv.Itoa(pageCfg.PageSize)} {
+	for _, want := range []string{pagePath, strconv.Itoa(disk.DefaultPageSize), strconv.Itoa(otherPageSize)} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("page-size refusal %q does not name %s", err, want)
 		}

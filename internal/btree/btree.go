@@ -76,10 +76,6 @@ func (t *Tree) Height() int { return t.height }
 // Pages returns the number of node pages.
 func (t *Tree) Pages() int { return t.pages }
 
-// Root returns the root page (stable across splits: the root is copied,
-// never moved).
-func (t *Tree) Root() disk.PageID { return t.root }
-
 // --- node accessors (operate on the raw page image) -------------------------
 
 func payload(raw []byte) []byte { return raw[disk.SysHeaderSize:] }

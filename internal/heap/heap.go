@@ -50,15 +50,8 @@ func New(dev *disk.Disk, pool *buffer.Pool, name string) *Heap {
 	return &Heap{name: name, dev: dev, pool: pool}
 }
 
-// Name returns the heap's name.
-func (h *Heap) Name() string { return h.name }
-
 // NumPages returns the number of pages, the paper's m parameter.
 func (h *Heap) NumPages() int { return len(h.pages) }
-
-// Pages returns the page IDs in allocation order. The caller must not
-// modify the slice.
-func (h *Heap) Pages() []disk.PageID { return h.pages }
 
 // NumRecords returns the number of live records.
 func (h *Heap) NumRecords() int { return h.records }
@@ -218,25 +211,8 @@ func (h *Heap) tryInsert(pid disk.PageID, rec []byte) (RID, bool, error) {
 	return RID{Page: pid, Slot: uint16(slot)}, true, nil
 }
 
-// Get returns a copy of the record at rid (one page fix).
-func (h *Heap) Get(rid RID) ([]byte, error) {
-	f, err := h.pool.Fix(rid.Page)
-	if err != nil {
-		return nil, err
-	}
-	defer h.pool.Unfix(rid.Page, false)
-	rec, err := page.Wrap(f.Data).Get(int(rid.Slot))
-	if err != nil {
-		return nil, fmt.Errorf("heap %s: %w", h.name, err)
-	}
-	out := make([]byte, len(rec))
-	copy(out, rec)
-	return out, nil
-}
-
-// View calls fn with a direct view of the record (no copy); fn must not
-// retain the slice. Used on hot read paths to avoid allocation skew in
-// CPU benchmarks.
+// View calls fn with a direct view of the record (one page fix, no
+// copy); fn must not retain the slice.
 func (h *Heap) View(rid RID, fn func(rec []byte) error) error {
 	f, err := h.pool.Fix(rid.Page)
 	if err != nil {

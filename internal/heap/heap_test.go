@@ -12,6 +12,13 @@ import (
 	"complexobj/internal/xrand"
 )
 
+// get copies the record at rid out of its frame through View.
+func get(h *Heap, rid RID) ([]byte, error) {
+	var out []byte
+	err := h.View(rid, func(rec []byte) error { out = bytes.Clone(rec); return nil })
+	return out, err
+}
+
 func newHeap(t *testing.T, poolPages int) (*disk.Disk, *buffer.Pool, *Heap) {
 	t.Helper()
 	d := disk.New(disk.DefaultPageSize)
@@ -37,11 +44,11 @@ func TestInsertGetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1, err := h.Get(r1)
+	g1, err := get(h, r1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := h.Get(r2)
+	g2, err := get(h, r2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +102,7 @@ func TestUpdateInPlace(t *testing.T) {
 	if err := h.Update(r, rec(9, 100)); err != nil {
 		t.Fatal(err)
 	}
-	g, _ := h.Get(r)
+	g, _ := get(h, r)
 	if !bytes.Equal(g, rec(9, 100)) {
 		t.Error("update lost")
 	}
@@ -111,7 +118,7 @@ func TestUpdateResizeWithinPage(t *testing.T) {
 	if err := h.Update(r, rec(2, 150)); err != nil {
 		t.Fatal(err)
 	}
-	g, _ := h.Get(r)
+	g, _ := get(h, r)
 	if !bytes.Equal(g, rec(2, 150)) {
 		t.Error("grown record mismatch")
 	}
@@ -138,7 +145,7 @@ func TestUpdateBeyondPageFails(t *testing.T) {
 func TestGetBadRID(t *testing.T) {
 	_, _, h := newHeap(t, 8)
 	h.Insert(rec(1, 10))
-	if _, err := h.Get(RID{Page: 0, Slot: 99}); err == nil {
+	if _, err := get(h, RID{Page: 0, Slot: 99}); err == nil {
 		t.Error("bad slot accepted")
 	}
 }
@@ -208,14 +215,14 @@ func TestGetCostsOnePageRead(t *testing.T) {
 	}
 	pool.Reset()
 	d.ResetStats()
-	if _, err := h.Get(rids[5]); err != nil {
+	if _, err := get(h, rids[5]); err != nil {
 		t.Fatal(err)
 	}
 	if s := d.Stats(); s.PagesRead != 1 || s.ReadCalls != 1 {
 		t.Errorf("Get: %v, want 1 page / 1 call", s)
 	}
 	// Second Get on same page: buffer hit, no disk I/O.
-	if _, err := h.Get(rids[6]); err != nil {
+	if _, err := get(h, rids[6]); err != nil {
 		t.Fatal(err)
 	}
 	if s := d.Stats(); s.PagesRead != 1 {
@@ -256,7 +263,7 @@ func TestHeapWorksUnderTinyPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range rids {
-		g, err := h.Get(r)
+		g, err := get(h, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +306,7 @@ func TestRandomInsertUpdateAgainstShadow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, e := range entries {
-		g, err := h.Get(e.rid)
+		g, err := get(h, e.rid)
 		if err != nil {
 			t.Fatalf("entry %d: %v", i, err)
 		}
@@ -332,10 +339,10 @@ func TestDelete(t *testing.T) {
 	if h.NumRecords() != 1 || h.Bytes() != 170 {
 		t.Errorf("counters after delete: records=%d bytes=%d", h.NumRecords(), h.Bytes())
 	}
-	if _, err := h.Get(r1); err == nil {
+	if _, err := get(h, r1); err == nil {
 		t.Error("deleted record still readable")
 	}
-	if g, err := h.Get(r2); err != nil || g[0] != 2 {
+	if g, err := get(h, r2); err != nil || g[0] != 2 {
 		t.Error("sibling record damaged")
 	}
 	if err := h.Delete(r1); err == nil {

@@ -9,7 +9,7 @@
 // # Measurement contract
 //
 // A request runs exactly the batch execution path — the same
-// workload.Runner over the same workload.View as DB.Run and the
+// workload.Runner over the same store.Model surface as DB.Run and the
 // experiments suite — on a view with a private buffer pool, overlay and
 // counters, reset to the pristine base between requests. A served
 // (model, query, workload) cell is therefore bit-identical to the same

@@ -63,11 +63,11 @@ func TestExtractSegment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fm, err := fullBase.Open(store.Options{BufferPages: 180})
+		fm, err := fullBase.NewView(store.Options{BufferPages: 180})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sm, err := segBase.Open(store.Options{BufferPages: 180})
+		sm, err := segBase.NewView(store.Options{BufferPages: 180})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -85,7 +85,7 @@ func freshResults(t *testing.T, stations []*cobench.Station) map[store.Kind][]wo
 // matrix with want.
 func checkBase(t *testing.T, label string, base *store.SharedBase, k store.Kind, want []workload.Result) {
 	t.Helper()
-	m, err := base.OpenAs(k, store.Options{BufferPages: 180})
+	m, err := base.NewViewAs(k, store.Options{BufferPages: 180})
 	if err != nil {
 		t.Fatalf("%s: open %s view: %v", label, k, err)
 	}
@@ -220,7 +220,7 @@ func TestWriteKeepsDivergedModel(t *testing.T) {
 		if bases[i].Owners() != 1 {
 			t.Errorf("%s base has %d owners, want 1", bases[i].Kind(), bases[i].Owners())
 		}
-		m, err := bases[i].Open(store.Options{BufferPages: 32})
+		m, err := bases[i].NewView(store.Options{BufferPages: 32})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +352,7 @@ func TestExtractNarrowsFoldedEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fullBase.Release()
-	fm, err := fullBase.Open(store.Options{BufferPages: 180})
+	fm, err := fullBase.NewView(store.Options{BufferPages: 180})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func FuzzSnapshotParse(f *testing.F) {
 				if base.ArenaBytes() > len(raw) {
 					t.Fatalf("%s base of %d bytes from a %d-byte file", k, base.ArenaBytes(), len(raw))
 				}
-				m, err := base.Open(store.Options{BufferPages: 8})
+				m, err := base.NewView(store.Options{BufferPages: 8})
 				if err == nil {
 					m.Engine().Close()
 				} else if !errors.Is(err, store.ErrRestore) {

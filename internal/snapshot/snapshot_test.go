@@ -98,7 +98,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("open %s base (%s): %v", k, name, err)
 			}
-			m, err := base.Open(store.Options{BufferPages: 180})
+			m, err := base.NewView(store.Options{BufferPages: 180})
 			if err != nil {
 				t.Fatalf("open %s view (%s): %v", k, name, err)
 			}
@@ -168,7 +168,7 @@ func TestSnapshotPageSizeConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer base.Release()
-	if _, err := base.Open(store.Options{PageSize: 4096}); err == nil {
+	if _, err := base.NewView(store.Options{PageSize: 4096}); err == nil {
 		t.Fatal("conflicting page size accepted")
 	}
 }
@@ -202,7 +202,7 @@ func TestSnapshotOpenBaseEquivalence(t *testing.T) {
 		t.Fatalf("base geometry: %d pages, %d bytes", base.NumPages(), base.ArenaBytes())
 	}
 	for view := 0; view < 3; view++ {
-		v, err := base.Open(store.Options{BufferPages: 180})
+		v, err := base.NewView(store.Options{BufferPages: 180})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,15 +59,15 @@ func sameDirectory(t *testing.T, when string, lv, dv *store.View, lres, dres []w
 	if !slices.Equal(lres, dres) {
 		t.Errorf("%s: loaded base measures %+v, decoded %+v", when, lres, dres)
 	}
-	ls, ds := lv.Model().Sizes(), dv.Model().Sizes()
+	ls, ds := lv.Model.Sizes(), dv.Model.Sizes()
 	if ls.Model != ds.Model || !slices.Equal(ls.Relations, ds.Relations) {
 		t.Errorf("%s: loaded base sizes %+v, decoded %+v", when, ls, ds)
 	}
-	lm, err := lv.Model().SnapshotMeta()
+	lm, err := lv.Model.SnapshotMeta()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dm, err := dv.Model().SnapshotMeta()
+	dm, err := dv.Model.SnapshotMeta()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestLoadedBaseMatchesDecoded(t *testing.T) {
 				if err := v.Rebase(); err != nil {
 					t.Fatal(err)
 				}
-				err := v.Model().UpdateObject(moved, func(s *cobench.Station) error {
+				err := v.Model.UpdateObject(moved, func(s *cobench.Station) error {
 					s.Key = key
 					for j := 0; j < 30; j++ {
 						s.Seeings = append(s.Seeings, cobench.Sightseeing{Nr: int32(900 + j), Description: "grown"})
@@ -285,7 +285,7 @@ func BenchmarkFirstView(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				m, err := base.OpenAs(k, opts)
+				m, err := base.NewViewAs(k, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

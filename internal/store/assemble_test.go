@@ -262,7 +262,7 @@ func TestAssembledStationsOutliveTheView(t *testing.T) {
 				}
 			}()
 			for i := range stations {
-				err := v.Model().UpdateObject(i, func(s *cobench.Station) error {
+				err := v.Model.UpdateObject(i, func(s *cobench.Station) error {
 					s.Name = "overwritten"
 					for pi := range s.Platforms {
 						s.Platforms[pi].Information = "overwritten"
@@ -407,8 +407,8 @@ func TestNSMSelectionPropagatesCorruption(t *testing.T) {
 		// this platform meets the Information length that does not.
 		"platform string length": {[]int32{stations[victim].Key}, func(m *nsm) error {
 			rid := m.platRIDs[victim][0]
-			rec, err := m.plats.Get(rid)
-			if err != nil {
+			var rec []byte
+			if err := m.plats.View(rid, func(r []byte) error { rec = slices.Clone(r); return nil }); err != nil {
 				return err
 			}
 			off := binary.BigEndian.Uint16(rec[2+2*5:])
@@ -419,8 +419,8 @@ func TestNSMSelectionPropagatesCorruption(t *testing.T) {
 		// than its record — so every selection fails.
 		"sightseeing length header": {[]int32{stations[victim].Key, other}, func(m *nsm) error {
 			rid := m.seeingRIDs[victim][0]
-			rec, err := m.seeings.Get(rid)
-			if err != nil {
+			var rec []byte
+			if err := m.seeings.View(rid, func(r []byte) error { rec = slices.Clone(r); return nil }); err != nil {
 				return err
 			}
 			rec[0] ^= 0x80
@@ -436,7 +436,7 @@ func TestNSMSelectionPropagatesCorruption(t *testing.T) {
 			if got, err := v.FetchByKey(stations[victim].Key); err != nil || !got.Equal(stations[victim]) {
 				t.Fatalf("pristine view: %v", err)
 			}
-			if err := tc.corrupt(v.Model().(*nsm)); err != nil {
+			if err := tc.corrupt(v.Model.(*nsm)); err != nil {
 				t.Fatal(err)
 			}
 			for _, key := range tc.keys {

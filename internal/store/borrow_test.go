@@ -32,7 +32,7 @@ func TestBorrowedViewsKeepBasePristine(t *testing.T) {
 			}
 			defer v.Close()
 			for gen := 0; gen < 3; gen++ {
-				viewExercise(t, v.Model(), true)
+				viewExercise(t, v.Model, true)
 				if got := v.Engine().Pool.Borrows(); got == 0 {
 					t.Fatalf("generation %d: view served without borrowing a single frame", gen)
 				}
@@ -45,7 +45,7 @@ func TestBorrowedViewsKeepBasePristine(t *testing.T) {
 			}
 			// After the last recycle the base must still serve the original
 			// data through a fresh read.
-			root, err := v.Model().ReadRoot(2)
+			root, err := v.Model.ReadRoot(2)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -92,9 +92,9 @@ func (v *View) Commit(log *wal.Log) (CommitResult, error) {
 		return CommitResult{Gen: v.st.gen}, nil
 	}
 	var meta []byte // empty: the directory stands
-	if v.m.dirChanged() {
+	if v.Model.dirChanged() {
 		var err error
-		if meta, err = v.m.SnapshotMeta(); err != nil {
+		if meta, err = v.Model.SnapshotMeta(); err != nil {
 			return CommitResult{}, fmt.Errorf("store: commit %s: meta: %w", v.base.kind, err)
 		}
 	}

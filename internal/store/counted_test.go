@@ -71,7 +71,7 @@ func TestCountedViewMatchesPrivateLoad(t *testing.T) {
 		}
 	}
 	pp, ph := indexStats(t, private)
-	vp, vh := indexStats(t, v.Model())
+	vp, vh := indexStats(t, v.Model)
 	if pp == 0 || pp != vp || ph != vh {
 		t.Errorf("index footprint: view %d pages height %d, private %d pages height %d", vp, vh, pp, ph)
 	}

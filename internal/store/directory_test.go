@@ -169,7 +169,7 @@ func TestDirectoryUnchangedIsTrue(t *testing.T) {
 				nextKey := int32(1 << 20)
 
 				encode := func(v *View) []byte {
-					meta, err := v.m.SnapshotMeta()
+					meta, err := v.SnapshotMeta()
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -179,9 +179,9 @@ func TestDirectoryUnchangedIsTrue(t *testing.T) {
 				// the directory unchanged.
 				check := func(step int, what string, v *View) {
 					t.Helper()
-					if !v.m.dirChanged() && !bytes.Equal(encode(v), blobOf(t, v)) {
+					if !v.dirChanged() && !bytes.Equal(encode(v), blobOf(t, v)) {
 						t.Fatalf("step %d, %s: %s view on generation %d reports its directory unchanged, yet encodes a different blob",
-							step, what, v.kind, v.Gen())
+							step, what, v.Kind(), v.Gen())
 					}
 				}
 				// landed holds a freshly reset view to generation g's blob and
@@ -189,11 +189,11 @@ func TestDirectoryUnchangedIsTrue(t *testing.T) {
 				landed := func(step int, what string, vi int) {
 					t.Helper()
 					v := views[vi]
-					if v.m.dirChanged() {
-						t.Fatalf("step %d, %s: a reset %s view reports a changed directory", step, what, v.kind)
+					if v.dirChanged() {
+						t.Fatalf("step %d, %s: a reset %s view reports a changed directory", step, what, v.Kind())
 					}
 					if !bytes.Equal(encode(v), blobOf(t, v)) {
-						t.Fatalf("step %d, %s: %s view does not encode generation %d's blob", step, what, v.kind, v.Gen())
+						t.Fatalf("step %d, %s: %s view does not encode generation %d's blob", step, what, v.Kind(), v.Gen())
 					}
 					mine[vi] = slices.Clone(shadows[v.Gen()])
 				}
@@ -204,14 +204,14 @@ func TestDirectoryUnchangedIsTrue(t *testing.T) {
 					v, want := views[vi], mine[vi]
 					fail := func(format string, args ...any) {
 						t.Helper()
-						t.Fatalf("step %d, %s: %s view on generation %d: %s", step, what, v.kind, v.Gen(), fmt.Sprintf(format, args...))
+						t.Fatalf("step %d, %s: %s view on generation %d: %s", step, what, v.Kind(), v.Gen(), fmt.Sprintf(format, args...))
 					}
 					if !sameStations(scanStations(t, v), want) {
 						fail("ScanAll differs from the oracle")
 					}
 					for _, o := range []int{i, j} {
 						w := want[o]
-						if got, err := v.FetchByAddress(o); v.kind == NSM {
+						if got, err := v.FetchByAddress(o); v.Kind() == NSM {
 							if !errors.Is(err, ErrNoAddressAccess) {
 								fail("pure NSM FetchByAddress(%d) = %v", o, err)
 							}
@@ -246,7 +246,7 @@ func TestDirectoryUnchangedIsTrue(t *testing.T) {
 				state := func(v *View) string {
 					cs, _ := disk.COWStatsOf(v.eng.Dev.Backend())
 					return fmt.Sprintf("directory changed %v, %d dirty frames, %d overlay pages, %d pages",
-						v.m.dirChanged(), v.eng.Pool.DirtyLen(), cs.OverlayPages, v.eng.Dev.NumPages())
+						v.dirChanged(), v.eng.Pool.DirtyLen(), cs.OverlayPages, v.eng.Dev.NumPages())
 				}
 
 				for step := 0; step < 120; step++ {
@@ -301,7 +301,7 @@ func TestDirectoryUnchangedIsTrue(t *testing.T) {
 							what = "duplicate-key UpdateObject"
 							dup := mine[vi][(i+1+rng.Intn(len(stations)-1))%len(stations)].Key
 							before := state(v)
-							err = v.m.UpdateObject(i, func(s *cobench.Station) error { s.Key = dup; return nil })
+							err = v.UpdateObject(i, func(s *cobench.Station) error { s.Key = dup; return nil })
 							if !errors.Is(err, ErrDuplicateKey) {
 								t.Fatalf("step %d: moving object %d onto key %d, held by another object: %v, want ErrDuplicateKey", step, i, dup, err)
 							}
@@ -311,7 +311,7 @@ func TestDirectoryUnchangedIsTrue(t *testing.T) {
 							err = nil
 						}
 						if mutate != nil {
-							err = v.m.UpdateObject(i, func(s *cobench.Station) error { mutate(s); return nil })
+							err = v.UpdateObject(i, func(s *cobench.Station) error { mutate(s); return nil })
 							if err == nil {
 								s := edit(vi, i)
 								if what == "key-changing UpdateObject" {
@@ -338,7 +338,7 @@ func TestDirectoryUnchangedIsTrue(t *testing.T) {
 						if err == nil {
 							if !bytes.Equal(base.Meta(), encode(v)) {
 								t.Fatalf("step %d: generation %d's blob is not what the committing %s view encodes (directory changed: %v)",
-									step, res.Gen, v.kind, v.m.dirChanged())
+									step, res.Gen, v.Kind(), v.dirChanged())
 							}
 							if _, seen := shadows[res.Gen]; !seen {
 								shadows[res.Gen] = slices.Clone(mine[vi])
@@ -465,7 +465,7 @@ func TestStreamedScanMatchesShadow(t *testing.T) {
 							continue
 						}
 						what, mutate := structural(i)
-						if err := v.Model().UpdateObject(i, func(s *cobench.Station) error { mutate(s); return nil }); err != nil {
+						if err := v.Model.UpdateObject(i, func(s *cobench.Station) error { mutate(s); return nil }); err != nil {
 							t.Fatal(err)
 						}
 						s := mine[i].Clone()
@@ -494,7 +494,7 @@ func TestStreamedScanMatchesShadow(t *testing.T) {
 						}
 						stats[j] = w.Engine().Stats()
 						pages := 0
-						for _, r := range w.Model().Sizes().Relations {
+						for _, r := range w.Model.Sizes().Relations {
 							pages += r.M
 						}
 						if s := stats[j]; s.BufferFixes != int64(pages) || s.PagesRead != int64(pages) || s.ReadCalls != int64(pages) {

@@ -116,8 +116,8 @@
 // and NSM and NSM+index are another (§3.3: the same four relations, the
 // index a zero-cost in-memory map over them): the same arena, the same
 // directory metadata, only the read and update strategy differs. So a base
-// of a layout serves views of each of its kinds — SharedBase.NewViewAs /
-// OpenAs, the view carries its own kind — and the experiment harness keys
+// of a layout serves views of each of its kinds — SharedBase.NewViewAs,
+// the view carries its own kind — and the experiment harness keys
 // its base cache by layout and loads three layouts per sweep point, not
 // five. The .codb container stores such kinds once when their bytes are
 // equal, and a server, read-only or durable, maps that entry once: each
@@ -181,7 +181,8 @@
 // them.
 //
 // View is the request-scoped execution handle built on a SharedBase: a
-// copy-on-write model view that Recycle resets to the pristine base
+// copy-on-write view that is its Model (embedded; the query surface is
+// Model's) and that Recycle resets to the pristine base
 // between requests (overlay dropped, pool emptied without write-back,
 // counters zeroed, the model re-attached to its generation's directory
 // after a mutating request), reusing the engine and its free lists instead

@@ -161,15 +161,17 @@ func TestEncodersMatchTreeOracle(t *testing.T) {
 			for r, wantRecs := range treeNSM(t, s) {
 				rel := flat.relations()[r]
 				if len(rids[r]) != len(wantRecs) {
-					t.Fatalf("%s: station %d: %d tuples in %s, oracle %d", name, i, len(rids[r]), rel.heap.Name(), len(wantRecs))
+					t.Fatalf("%s: station %d: %d tuples in relation %d, oracle %d", name, i, len(rids[r]), r, len(wantRecs))
 				}
 				for j, rid := range rids[r] {
-					got, err := rel.heap.Get(rid)
+					err := rel.heap.View(rid, func(got []byte) error {
+						if !bytes.Equal(got, wantRecs[j]) || len(got) != rel.tt.FlatSize() {
+							t.Fatalf("%s: station %d relation %d tuple %d (flat size %d):\n got %x\nwant %x", name, i, r, j, rel.tt.FlatSize(), got, wantRecs[j])
+						}
+						return nil
+					})
 					if err != nil {
 						t.Fatal(err)
-					}
-					if !bytes.Equal(got, wantRecs[j]) || len(got) != rel.tt.FlatSize() {
-						t.Fatalf("%s: station %d %s tuple %d (flat size %d):\n got %x\nwant %x", name, i, rel.heap.Name(), j, rel.tt.FlatSize(), got, wantRecs[j])
 					}
 				}
 			}

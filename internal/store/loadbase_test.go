@@ -158,7 +158,7 @@ func TestAdoptConsumesLoader(t *testing.T) {
 			if _, err := Freeze(loader); !errors.Is(err, disk.ErrDetached) {
 				t.Errorf("freeze of a consumed loader: %v, want disk.ErrDetached", err)
 			}
-			view, err := base.Open(Options{BufferPages: 64})
+			view, err := base.NewView(Options{BufferPages: 64})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +187,7 @@ func TestFreezeLiveModelIsolated(t *testing.T) {
 	}
 	defer base.Release()
 	before := append([]byte(nil), checksumBase(base)...)
-	view, err := base.Open(Options{BufferPages: 64})
+	view, err := base.NewView(Options{BufferPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,8 +261,8 @@ func TestViewKindOverSharedLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer v.Close()
-	if v.Kind() != DASDBSDSM || v.Model().Sizes().Model != DASDBSDSM.String() {
-		t.Errorf("view runs %s and reports %q", v.Kind(), v.Model().Sizes().Model)
+	if v.Kind() != DASDBSDSM || v.Model.Sizes().Model != DASDBSDSM.String() {
+		t.Errorf("view runs %s and reports %q", v.Kind(), v.Model.Sizes().Model)
 	}
 	err = v.ScanAll(func(i int, s *cobench.Station) error {
 		if !stations[i].Equal(s) {
@@ -321,8 +321,8 @@ func TestViewKindOverSharedLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer xv.Close()
-	if xv.Kind() != NSMIndex || xv.Model().Sizes().Model != NSMIndex.String() {
-		t.Errorf("view runs %s and reports %q", xv.Kind(), xv.Model().Sizes().Model)
+	if xv.Kind() != NSMIndex || xv.Model.Sizes().Model != NSMIndex.String() {
+		t.Errorf("view runs %s and reports %q", xv.Kind(), xv.Model.Sizes().Model)
 	}
 	for i, want := range stations {
 		got, err := xv.FetchByAddress(i) // only the indexed variant has addresses

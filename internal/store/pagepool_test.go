@@ -43,7 +43,7 @@ func TestEngineCloseReturnsPages(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := viewExercise(t, v.Model(), true); got != want {
+			if got := viewExercise(t, v.Model, true); got != want {
 				t.Errorf("first view: counters %+v, want %+v", got, want)
 			}
 			cs, _ := disk.COWStatsOf(v.Engine().Dev.Backend())
@@ -64,7 +64,7 @@ func TestEngineCloseReturnsPages(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, hits0, _ := pp.Stats()
-			if got := viewExercise(t, v.Model(), true); got != want {
+			if got := viewExercise(t, v.Model, true); got != want {
 				t.Errorf("view over recycled pages: counters %+v, want %+v", got, want)
 			}
 			if _, hits, _ := pp.Stats(); hits == hits0 {
@@ -262,7 +262,7 @@ func TestReusedScaffoldIsolation(t *testing.T) {
 					t.Fatal(err)
 				}
 				tag := fmt.Sprintf("round %d %v", round, pol)
-				if got := exercise(v.Model(), c.stations, tag); got != want[ci][pi] {
+				if got := exercise(v.Model, c.stations, tag); got != want[ci][pi] {
 					t.Errorf("%s %s: counters %+v, want a private engine's %+v", c.kind, tag, got, want[ci][pi])
 				}
 				if err := v.Close(); err != nil {

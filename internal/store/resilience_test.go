@@ -69,7 +69,7 @@ func TestNewEngineFailureLeaksNoBaseRef(t *testing.T) {
 }
 
 // TestSharedBaseOpenFailureLeaksNoRef forces every failure stage of
-// SharedBase.Open — pre-backend validation and post-engine metadata
+// SharedBase.NewView — pre-backend validation and post-engine metadata
 // restore — and asserts the base arena's reference count is restored, so
 // a server whose view construction fails under faults does not pin the
 // snapshot mapping.
@@ -82,13 +82,13 @@ func TestSharedBaseOpenFailureLeaksNoRef(t *testing.T) {
 	}
 
 	// Validation failures (before the engine exists).
-	if _, err := base.Open(Options{PageSize: 1024}); err == nil {
+	if _, err := base.NewView(Options{PageSize: 1024}); err == nil {
 		t.Error("conflicting page size accepted")
 	}
-	if _, err := base.Open(Options{CountIndexIO: true}); err == nil {
+	if _, err := base.NewView(Options{CountIndexIO: true}); err == nil {
 		t.Error("counted-index options accepted from a shared base")
 	}
-	if _, err := base.Open(Options{BufferPages: -1}); err == nil {
+	if _, err := base.NewView(Options{BufferPages: -1}); err == nil {
 		t.Error("negative buffer capacity accepted")
 	}
 	if got := arena.Refs(); got != 1 {
@@ -96,7 +96,7 @@ func TestSharedBaseOpenFailureLeaksNoRef(t *testing.T) {
 	}
 
 	// RestoreMeta failure (after the engine - and its base ref - exist).
-	if _, err := base.Open(Options{BufferPages: 8}); err == nil {
+	if _, err := base.NewView(Options{BufferPages: 8}); err == nil {
 		t.Fatal("garbage directory metadata restored")
 	}
 	if got := arena.Refs(); got != 1 {
@@ -119,7 +119,7 @@ func TestFaultedViewsLeakNoRefs(t *testing.T) {
 
 	in := faultdisk.New(faultdisk.Spec{Seed: 11, Read: 0.4, Write: 0.4, Perm: 0.05})
 	for i := 0; i < 8; i++ {
-		m, err := base.Open(Options{BufferPages: 8, Faults: in})
+		m, err := base.NewView(Options{BufferPages: 8, Faults: in})
 		if err != nil {
 			continue // construction failed cleanly; ref must be returned
 		}

@@ -382,22 +382,6 @@ func (b *SharedBase) capture() (baseState, *disk.BaseArena) {
 	return baseState{gen: b.gen, numPages: b.numPages, dir: b.dir}, b.arena.Retain()
 }
 
-// Open builds a model over a fresh copy-on-write view of the base. The
-// options select the runtime knobs (buffer size, policy); the page size
-// comes from the base and must not conflict with a non-zero o.PageSize.
-// Closing the returned model's engine releases only its private overlay.
-func (b *SharedBase) Open(o Options) (Model, error) { return b.OpenAs(b.kind, o) }
-
-// OpenAs is Open for a model of kind k, which must share the base's
-// physical layout (see NewViewAs).
-func (b *SharedBase) OpenAs(k Kind, o Options) (Model, error) {
-	v, err := b.NewViewAs(k, o)
-	if err != nil {
-		return nil, err
-	}
-	return v.m, nil
-}
-
 // Promote folds one committed overlay into the base as the next
 // generation: numPages pages — the fromGen generation's content with the
 // overlay images applied — and the committed metadata are swapped in

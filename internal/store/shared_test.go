@@ -33,7 +33,7 @@ func TestSharedBaseRoundTrip(t *testing.T) {
 			if base.Kind() != k || base.NumPages() == 0 {
 				t.Fatalf("base: kind %s, %d pages", base.Kind(), base.NumPages())
 			}
-			view, err := base.Open(Options{BufferPages: 200})
+			view, err := base.NewView(Options{BufferPages: 200})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,11 +80,11 @@ func TestSharedBaseViewIsolation(t *testing.T) {
 	orig.Engine().Close()
 	pristineSum := append([]byte(nil), checksumBase(base)...)
 
-	writer, err := base.Open(Options{BufferPages: 200})
+	writer, err := base.NewView(Options{BufferPages: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reader, err := base.Open(Options{BufferPages: 200})
+	reader, err := base.NewView(Options{BufferPages: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,13 +168,13 @@ func TestSharedBaseRejectsConflicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer base.Release()
-	if _, err := base.Open(Options{PageSize: 1024}); err == nil {
+	if _, err := base.NewView(Options{PageSize: 1024}); err == nil {
 		t.Error("conflicting page size accepted")
 	}
-	if _, err := base.OpenAs(NSM, Options{CountIndexIO: true}); err == nil {
+	if _, err := base.NewViewAs(NSM, Options{CountIndexIO: true}); err == nil {
 		t.Error("counted index I/O accepted for an NSM view")
 	}
-	counted, err := base.Open(Options{CountIndexIO: true})
+	counted, err := base.NewView(Options{CountIndexIO: true})
 	if err != nil {
 		t.Fatalf("counted NSM+index view refused: %v", err)
 	}

@@ -270,11 +270,15 @@ type SizeReport struct {
 	Relations []RelationSize
 }
 
-// Model is the uniform storage-model API consumed by the benchmark driver.
-// Object identity is the station index (0..N-1); the distinction between
-// "by address" (1a) and "by key value" (1b) access is which physical path
-// the model takes, mirroring the paper's accounting where address tables
-// are in-memory and free (§5.1).
+// Model is the query surface of a storage model: the one interface every
+// execution path drives — workload.Runner over a private model
+// (complexobj.DB, the tests' oracle) or over a View of a shared base (the
+// experiments suite, the benchmark server), so a served request and a
+// batch table cell run the same code and count the same I/O. Object
+// identity is the station index (0..N-1); the distinction between "by
+// address" (1a) and "by key value" (1b) access is which physical path the
+// model takes, mirroring the paper's accounting where address tables are
+// in-memory and free (§5.1).
 //
 // Every read lends its result (doc.go, "Assembly"): the Stations of
 // FetchByAddress, FetchByKey and a ScanAll callback, the RootRecord.Name of

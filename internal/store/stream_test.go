@@ -136,7 +136,7 @@ func TestWriteInsideScanRefused(t *testing.T) {
 			}
 			writes := map[string]func() error{
 				"UpdateRoots":  func() error { return v.UpdateRoots([]int32{0}, rename) },
-				"UpdateObject": func() error { return v.Model().UpdateObject(1, grow) },
+				"UpdateObject": func() error { return v.Model.UpdateObject(1, grow) },
 				"Commit":       func() error { _, err := v.Commit(nil); return err },
 				"Recycle":      func() error { _, err := v.Recycle(); return err },
 				"Rebase":       v.Rebase,
@@ -164,7 +164,7 @@ func TestWriteInsideScanRefused(t *testing.T) {
 			if err := v.UpdateRoots([]int32{0}, rename); err != nil {
 				t.Fatalf("UpdateRoots after the scan: %v", err)
 			}
-			if err := v.Model().UpdateObject(1, grow); err != nil {
+			if err := v.Model.UpdateObject(1, grow); err != nil {
 				t.Fatalf("UpdateObject after the scan: %v", err)
 			}
 			if _, err := v.Commit(nil); err != nil {

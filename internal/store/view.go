@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 
-	"complexobj/cobench"
 	"complexobj/internal/disk"
 	"complexobj/internal/wal"
 )
@@ -11,19 +10,20 @@ import (
 // View is a recyclable, request-scoped execution handle over a
 // SharedBase: a copy-on-write model view (private overlay, private buffer
 // pool, private counters) that can be reset to the pristine base between
-// requests instead of being torn down and rebuilt. It implements the
-// query surface the workload runner drives (workload.View), so a served
-// request executes exactly the code path of a batch table cell and
-// measures bit-identically to a freshly opened model.
+// requests instead of being torn down and rebuilt. It is its model: the
+// embedded Model is one for the view's life, re-attached to a
+// generation's directory by Recycle and Rebase, and answers the query
+// surface Model states — so a served request executes exactly the code
+// path of a batch table cell and measures bit-identically to a freshly
+// opened model.
 //
 // A View is not safe for concurrent use — one request at a time — but
 // distinct views of one base are independent and run concurrently; that
 // is the base's whole point.
 type View struct {
+	Model
 	base *SharedBase
-	kind Kind // the model the view runs; shares the base's layout
 	eng  *Engine
-	m    Model
 	st   baseState // the generation this view reads
 
 	// Commit's dirty set, kept between commits (empty outside one).
@@ -68,10 +68,10 @@ func (b *SharedBase) NewViewAs(k Kind, o Options) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &View{base: b, kind: k, eng: eng, m: NewWithEngine(k, eng)}
+	v := &View{Model: NewWithEngine(k, eng), base: b, eng: eng}
 	err = v.rebase()
 	if err == nil && o.CountIndexIO {
-		if err = v.m.(*nsm).buildTrees(); err == nil {
+		if err = v.Model.(*nsm).buildTrees(); err == nil {
 			err = eng.ColdCache()
 			eng.ResetStats()
 		}
@@ -96,10 +96,6 @@ func (v *View) singleUse(op string) error {
 // base's latest — so a pool compares this against SharedBase.Gen to
 // rebase views a commit left behind.
 func (v *View) Gen() uint64 { return v.st.gen }
-
-// Model returns the underlying model (diagnostics): one for the view's
-// life, re-attached to a generation's directory by Recycle and Rebase.
-func (v *View) Model() Model { return v.m }
 
 // dirty reports whether the last request may have diverged the view from
 // the pristine base: a materialized overlay page (any flushed write), an
@@ -146,7 +142,7 @@ func (v *View) Recycle() (rebuilt bool, err error) {
 		if err != nil {
 			return false, fmt.Errorf("store: recycle %s: %w", v.base.kind, err)
 		}
-		v.m.attach(tables)
+		v.Model.attach(tables)
 	}
 	return dirty, nil
 }
@@ -189,7 +185,7 @@ func (v *View) rebase() error {
 		return fmt.Errorf("store: rebase %s: %w", b.kind, err)
 	}
 	v.eng.ResetStats()
-	v.m.attach(tables)
+	v.Model.attach(tables)
 	v.st = st
 	return nil
 }
@@ -197,39 +193,3 @@ func (v *View) rebase() error {
 // Close releases the view's engine: its private overlay, pool and — if
 // this was the base's last reference — the base storage itself.
 func (v *View) Close() error { return v.eng.Close() }
-
-// The workload.View query surface, delegated to the model.
-
-// Kind returns the storage model the view executes.
-func (v *View) Kind() Kind { return v.m.Kind() }
-
-// Engine exposes cache control and the view's private I/O counters.
-func (v *View) Engine() *Engine { return v.eng }
-
-// NumObjects returns the extension size.
-func (v *View) NumObjects() int { return v.m.NumObjects() }
-
-// FetchByAddress retrieves one whole object by address (query 1a); the
-// Station is lent.
-func (v *View) FetchByAddress(i int) (*cobench.Station, error) { return v.m.FetchByAddress(i) }
-
-// FetchByKey retrieves one whole object by key selection (query 1b); the
-// Station is lent.
-func (v *View) FetchByKey(key int32) (*cobench.Station, error) { return v.m.FetchByKey(key) }
-
-// ScanAll retrieves every object (query 1c).
-func (v *View) ScanAll(fn func(i int, s *cobench.Station) error) error { return v.m.ScanAll(fn) }
-
-// Navigate reads a root record and its children's identifiers.
-func (v *View) Navigate(i int) (cobench.RootRecord, []int32, error) { return v.m.Navigate(i) }
-
-// ReadRoot inputs just the root record of an object.
-func (v *View) ReadRoot(i int) (cobench.RootRecord, error) { return v.m.ReadRoot(i) }
-
-// UpdateRoots applies mutate to root records and writes them back.
-func (v *View) UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootRecord)) error {
-	return v.m.UpdateRoots(idxs, mutate)
-}
-
-// Flush forces deferred writes out (end of an update query).
-func (v *View) Flush() error { return v.m.Flush() }

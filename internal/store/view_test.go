@@ -74,7 +74,7 @@ func TestViewRecycle(t *testing.T) {
 
 			// Fresh view, read-only request: counters match the loaded
 			// model; the recycle is a cheap one (no metadata rebuild).
-			if got := viewExercise(t, v.Model(), false); got != wantRead {
+			if got := viewExercise(t, v.Model, false); got != wantRead {
 				t.Errorf("fresh view read request: counters %+v, want %+v", got, wantRead)
 			}
 			rebuilt, err := v.Recycle()
@@ -87,7 +87,7 @@ func TestViewRecycle(t *testing.T) {
 
 			// Mutating request: the overlay materializes pages, the recycle
 			// rebuilds metadata, and the next request measures fresh again.
-			if got := viewExercise(t, v.Model(), true); got != wantWrite {
+			if got := viewExercise(t, v.Model, true); got != wantWrite {
 				t.Errorf("view write request: counters %+v, want %+v", got, wantWrite)
 			}
 			if cs, ok := disk.COWStatsOf(v.Engine().Dev.Backend()); !ok || cs.OverlayPages == 0 {
@@ -105,7 +105,7 @@ func TestViewRecycle(t *testing.T) {
 			if got := v.Engine().Stats(); got != (iostat.Stats{}) {
 				t.Errorf("recycle left counters %+v", got)
 			}
-			if got := viewExercise(t, v.Model(), false); got != wantRead {
+			if got := viewExercise(t, v.Model, false); got != wantRead {
 				t.Errorf("recycled view read request: counters %+v, want %+v", got, wantRead)
 			}
 
@@ -163,10 +163,10 @@ func TestViewRecycleAfterGrowth(t *testing.T) {
 		s.NoSeeing = int32(len(s.Seeings))
 		return nil
 	}
-	if err := v.Model().UpdateObject(4, grow); err != nil {
+	if err := v.Model.UpdateObject(4, grow); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Model().Flush(); err != nil {
+	if err := v.Model.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if v.Engine().Dev.NumPages() <= base.NumPages() {
@@ -182,7 +182,7 @@ func TestViewRecycleAfterGrowth(t *testing.T) {
 	if got := v.Engine().Dev.NumPages(); got != base.NumPages() {
 		t.Errorf("recycle left %d pages allocated, base has %d", got, base.NumPages())
 	}
-	if got := viewExercise(t, v.Model(), false); got != wantRead {
+	if got := viewExercise(t, v.Model, false); got != wantRead {
 		t.Errorf("recycled view after growth: counters %+v, want %+v", got, wantRead)
 	}
 }

@@ -48,7 +48,7 @@ func TestBackendCounterEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			loader.Engine().Close()
-			view, err := base.Open(store.Options{BufferPages: 200})
+			view, err := base.NewView(store.Options{BufferPages: 200})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,7 +59,7 @@ func TestBackendCounterEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer layoutBase.Release()
-			if view, err = layoutBase.OpenAs(k, store.Options{BufferPages: 200}); err != nil {
+			if view, err = layoutBase.NewViewAs(k, store.Options{BufferPages: 200}); err != nil {
 				t.Fatal(err)
 			}
 			if view.Kind() != k {

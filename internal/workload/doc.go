@@ -13,11 +13,10 @@
 //   - updates are written back at flush ("database disconnect") or on
 //     buffer overflow, both inside the measurement window.
 //
-// The Runner executes against the View interface — the narrow query/
-// engine surface of a storage model — rather than a concrete model. That
-// interface is the single execution path shared by every measurement
-// surface: batch databases (complexobj.DB), the request-scoped
-// copy-on-write views the benchmark server hands out (store.View), and
-// the experiments suite all drive the same Runner, which is what makes
-// served counters bit-identical to the batch tables by construction.
+// The Runner executes against store.Model, the query surface stated
+// there, rather than a concrete model: batch databases (complexobj.DB),
+// the request-scoped copy-on-write views the benchmark server hands out
+// (store.View, which is its model) and the experiments suite all drive
+// the same Runner, which is what makes served counters bit-identical to
+// the batch tables by construction.
 package workload

@@ -44,48 +44,6 @@ func (r Result) PerUnit() iostat.PerUnit {
 	return r.Stats.Normalize(r.Units)
 }
 
-// View is the execution surface a Runner drives: the query operations of
-// a storage model plus the engine hooks for cache control and statistics.
-// It is the narrow waist shared by every execution path — a full
-// store.Model (the batch tables), a recyclable store.View over a frozen
-// base (the benchmark server), and anything else that can answer the
-// paper's queries. A Runner never loads, snapshots or restructures; a
-// request-scoped handle therefore only has to provide the read/navigate/
-// update operations below to measure bit-identically to a private model.
-//
-// Every read lends, as in store.Model: the Stations of FetchByAddress,
-// FetchByKey and a ScanAll callback, the RootRecord.Name of Navigate /
-// ReadRoot / UpdateRoots' mutate and Navigate's child list are valid
-// until the view's next call, and are copied (Station.Clone,
-// strings.Clone, slices.Clone) by a caller that keeps them. The Runner
-// keeps none but the child lists it walks.
-type View interface {
-	// Kind returns the storage-model identity (for result rows).
-	Kind() store.Kind
-	// Engine exposes cache control and the I/O counters.
-	Engine() *store.Engine
-	// NumObjects returns the extension size.
-	NumObjects() int
-	// FetchByAddress retrieves one whole object by address (query 1a);
-	// the Station is lent.
-	FetchByAddress(i int) (*cobench.Station, error)
-	// FetchByKey retrieves one whole object by key selection (query 1b);
-	// the Station is lent.
-	FetchByKey(key int32) (*cobench.Station, error)
-	// ScanAll retrieves every object (query 1c); s is lent.
-	ScanAll(fn func(i int, s *cobench.Station) error) error
-	// Navigate reads a root record and its children's identifiers (2/3);
-	// the name and the list are lent.
-	Navigate(i int) (cobench.RootRecord, []int32, error)
-	// ReadRoot inputs just the root record of an object; the name is lent.
-	ReadRoot(i int) (cobench.RootRecord, error)
-	// UpdateRoots applies mutate to root records and writes them back (3).
-	// A Name mutate stores must stay valid only until UpdateRoots returns.
-	UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootRecord)) error
-	// Flush forces deferred writes out (end of an update query).
-	Flush() error
-}
-
 // Runner executes queries against one loaded view. Arm sets the workload
 // and context of the queries that follow; everything else — the child
 // lists a loop copies, the update stamp's scratch — is kept from query to
@@ -93,7 +51,7 @@ type View interface {
 // belongs with the engine it drives, one per engine for the engine's life,
 // not one per request.
 type Runner struct {
-	model View
+	model store.Model
 	w     cobench.Workload
 	ctx   context.Context
 	// children and grand are loop's copies of what Navigate lends: the
@@ -109,9 +67,9 @@ type Runner struct {
 	names  nf2.Strings
 }
 
-// NewRunner wraps a loaded view with workload parameters. store.Model is
-// a superset of the View interface, so batch callers pass models directly.
-func NewRunner(m View, w cobench.Workload) *Runner {
+// NewRunner wraps a loaded model — a private one or a store.View — with
+// workload parameters.
+func NewRunner(m store.Model, w cobench.Workload) *Runner {
 	return &Runner{model: m, w: w}
 }
 

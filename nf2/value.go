@@ -27,9 +27,6 @@ func LinkValue(oid int32) Value { return Value{kind: Link, i: oid} }
 // RelValue wraps a set of subtuples. The slice is aliased, not copied.
 func RelValue(ts []Tuple) Value { return Value{kind: Rel, rel: ts} }
 
-// Kind returns the value's kind tag.
-func (v Value) Kind() Kind { return v.kind }
-
 // Int returns the integer payload (Int or Link kinds).
 func (v Value) Int() int32 { return v.i }
 

@@ -5,8 +5,11 @@ import (
 	"bytes"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
@@ -138,25 +141,32 @@ var exportKeep = map[string]string{
 	"complexobj/internal/snapshot.OpenBaseHeap":   "the heap-copy reference mapped bases are tested against, CI's mapped ≪ heap step included",
 	"complexobj/costmodel.BestCaseQ2b":            "the best-case bound of the query-2b estimate, with the estimator's fate undecided",
 	"complexobj/costmodel.WorstCaseQ2b":           "the worst-case bound of the query-2b estimate, with the estimator's fate undecided",
+	"complexobj/cobench.Station.Equal":            "deep equality of two stations, the oracle store and facade tests compare every read with",
+	"complexobj/cobench.Station.Children":         "an object's child list, which store, workload and facade tests check navigation against",
+	"complexobj/internal/disk.PagePool.Stats":     "the pool's gets, hits and held pages, which experiments' recycling tests read",
+	"complexobj/internal/disk.Disk.Retries":       "the device's retry count, which store's fault tests read",
+	"complexobj/nf2.TupleType.Equal":              "deep equality under a schema, which the NF² example and cobench's tree-oracle test use",
+	"complexobj/nf2.Value.Int":                    "a decoded value's payload, which the NF² example prints",
+	"complexobj/nf2.Value.Str":                    "a decoded value's payload, which the NF² example prints",
+	"complexobj/nf2.Value.Tuples":                 "a decoded value's payload, which the NF² example prints",
 }
 
 // TestExportsHaveProductCallers keeps exported API from outliving its
-// callers. It parses every non-test Go file of the module (bench/ and
-// cmd/ included) and fails when an exported top-level function outside
-// the root package is named by no non-test file, or an exported method's
-// name appears in no non-test selector. Import aliases are resolved, so
-// functions are matched by package and name; methods by name alone, which
-// can only call a dead method used, never a used one dead. A name without
-// a product caller is deleted, moved into its package's export_test.go,
-// or listed in exportKeep with its reason.
+// callers. It type-checks every non-test Go file of the module that the
+// default build context selects (bench/ and cmd/ included) with go/types
+// and fails when an exported top-level function or method outside the
+// root package has no use in any of them. A function is used where an
+// identifier resolves to it; a method where it is selected on its own type
+// (or one embedding it), or where a method of the same name is selected
+// through an interface — named or anonymous — that its type, or a pointer
+// to it, satisfies; fmt counts as calling String through fmt.Stringer.
+// A name without a product caller is deleted, moved
+// into its package's export_test.go, or listed in exportKeep with its
+// reason.
 func TestExportsHaveProductCallers(t *testing.T) {
 	const module = "complexobj"
-	type fileInfo struct {
-		pkg  string // import path of the file's package
-		file *ast.File
-	}
-	var files []fileInfo
 	fset := token.NewFileSet()
+	files := map[string][]*ast.File{} // import path → its non-test files
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -170,100 +180,136 @@ func TestExportsHaveProductCallers(t *testing.T) {
 		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(p), d.Name()); err != nil || !ok {
+			return err
+		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		files = append(files, fileInfo{path.Join(module, filepath.ToSlash(filepath.Dir(p))), f})
+		pkg := path.Join(module, filepath.ToSlash(filepath.Dir(p)))
+		files[pkg] = append(files[pkg], f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	type export struct {
-		pos    token.Position
-		method string // the method's name; "" for a function
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	imp := &moduleImporter{fset: fset, files: files, info: info, std: importer.Default(), pkgs: map[string]*types.Package{}}
+	for p := range files {
+		if _, err := imp.Import(p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	exports := map[string]export{} // keyed as exportKeep is
-	used := map[string]bool{}      // function keys named by some file
-	selectors := map[string]bool{} // every selector name in any file
-	for _, fi := range files {
-		pkg := fi.pkg
-		imports := map[string]string{} // local name → import path
-		for _, imp := range fi.file.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			name := path.Base(p)
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			imports[name] = p
+
+	exports := map[string]*types.Func{} // keyed as exportKeep is
+	for p, pkg := range imp.pkgs {
+		if p == module || pkg.Name() == "main" {
+			continue
 		}
-		for _, d := range fi.file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || !fd.Name.IsExported() || pkg == module || fi.file.Name.Name == "main" {
-				continue
-			}
-			if fd.Recv == nil {
-				exports[pkg+"."+fd.Name.Name] = export{pos: fset.Position(fd.Pos())}
-				continue
-			}
-			typ := fd.Recv.List[0].Type
-			if star, ok := typ.(*ast.StarExpr); ok {
-				typ = star.X
-			}
-			switch g := typ.(type) {
-			case *ast.IndexExpr:
-				typ = g.X
-			case *ast.IndexListExpr:
-				typ = g.X
-			}
-			if id, ok := typ.(*ast.Ident); ok && id.IsExported() {
-				exports[pkg+"."+id.Name+"."+fd.Name.Name] = export{fset.Position(fd.Pos()), fd.Name.Name}
-			}
-		}
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl: // its own name is no use of it; its body may be
-				ast.Inspect(n.Type, visit)
-				if n.Body != nil {
-					ast.Inspect(n.Body, visit)
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Func:
+				if obj.Exported() {
+					exports[p+"."+name] = obj
 				}
-				return false
-			case *ast.SelectorExpr:
-				selectors[n.Sel.Name] = true
-				if id, ok := n.X.(*ast.Ident); ok && imports[id.Name] != "" {
-					used[imports[id.Name]+"."+n.Sel.Name] = true
-					return false
+			case *types.TypeName:
+				named, ok := obj.Type().(*types.Named)
+				if !ok || !obj.Exported() || types.IsInterface(named) {
+					continue
 				}
-				ast.Inspect(n.X, visit) // not n.Sel: a field or method name is no function of pkg
-				return false
-			case *ast.Ident: // possibly a function of pkg itself
-				used[pkg+"."+n.Name] = true
+				for m := range named.Methods() {
+					if m.Exported() {
+						exports[p+"."+name+"."+m.Name()] = m
+					}
+				}
 			}
-			return true
 		}
-		ast.Inspect(fi.file, visit)
+	}
+
+	used := map[*types.Func]bool{}   // functions and concrete methods some file uses
+	called := map[*types.Func]bool{} // interface methods some file calls
+	for _, obj := range info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			fn = fn.Origin()
+			if recv := fn.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				called[fn] = true
+			} else {
+				used[fn] = true
+			}
+		}
+	}
+	// fmt calls String through fmt.Stringer on every value it formats.
+	fmtPkg, err := imp.Import("fmt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	called[fmtPkg.Scope().Lookup("Stringer").Type().Underlying().(*types.Interface).Method(0)] = true
+	for im := range called {
+		iface := im.Signature().Recv().Type().Underlying().(*types.Interface)
+		for _, fn := range exports {
+			// *T's method set holds T's too, so *T satisfying iface
+			// covers both receivers.
+			if recv := fn.Signature().Recv(); recv != nil && !used[fn] && fn.Name() == im.Name() &&
+				types.Implements(types.NewPointer(deref(recv.Type())), iface) {
+				used[fn] = true
+			}
+		}
 	}
 
 	var dead []string
-	for key, e := range exports {
-		if _, keep := exportKeep[key]; keep || used[key] || e.method != "" && selectors[e.method] {
-			continue
+	for key, fn := range exports {
+		if _, keep := exportKeep[key]; !keep && !used[fn] {
+			dead = append(dead, fset.Position(fn.Pos()).String()+": "+key)
 		}
-		dead = append(dead, e.pos.String()+": "+key)
 	}
 	slices.Sort(dead)
 	for _, d := range dead {
 		t.Errorf("%s has no caller in any non-test file: delete it, move it into its package's export_test.go, or keep it in exportKeep with a reason", d)
 	}
 	for key, why := range exportKeep {
-		if _, ok := exports[key]; !ok {
+		if exports[key] == nil {
 			t.Errorf("exportKeep names %s, which is no exported function or method of the module", key)
 		}
 		if why == "" {
 			t.Errorf("exportKeep row %s gives no reason", key)
 		}
 	}
+}
+
+// moduleImporter type-checks the module's packages from their parsed
+// files, once each and on first import, recording uses into one Info;
+// every other import path is the standard library's export data.
+type moduleImporter struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File
+	info  *types.Info
+	std   types.Importer
+	pkgs  map[string]*types.Package
+}
+
+func (m *moduleImporter) Import(p string) (*types.Package, error) {
+	if pkg, ok := m.pkgs[p]; ok {
+		return pkg, nil
+	}
+	files, ok := m.files[p]
+	if !ok {
+		return m.std.Import(p)
+	}
+	pkg, err := (&types.Config{Importer: m}).Check(p, m.fset, files, m.info)
+	if err != nil {
+		return nil, fmt.Errorf("type-check %s: %w", p, err)
+	}
+	m.pkgs[p] = pkg
+	return pkg, nil
+}
+
+// deref strips one pointer from t.
+func deref(t types.Type) types.Type {
+	if ptr, ok := t.(*types.Pointer); ok {
+		return ptr.Elem()
+	}
+	return t
 }
