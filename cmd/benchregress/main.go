@@ -1,5 +1,6 @@
 // benchregress compares a `go test -bench -benchmem` run against a
-// committed baseline and fails when allocs/op or B/op regresses.
+// committed baseline and fails when allocs/op or B/op moves off its row:
+// a regression, or an improvement the baseline has not taken in.
 // Wall-clock numbers are reported but never gated: time is noisy on
 // shared CI machines, while allocation counts and sizes are
 // deterministic and must stay pinned. Both are needed: an arena grown
@@ -17,6 +18,9 @@
 //   - B/op may grow at most the same percentage, for rows whose baseline
 //     is at least 1 KiB/op (below that the column is amortized rounding:
 //     `1 B/op` and `14 B/op` rows exist);
+//   - a gated column may not fall more than the same percentage below its
+//     baseline either: the row is lowered in the change that earned it, so
+//     a later regression cannot hide in the slack;
 //   - benchmarks present in the baseline but missing from the current
 //     run fail (a silently dropped benchmark is not an improvement);
 //   - new benchmarks absent from the baseline are reported, not gated.
@@ -86,10 +90,13 @@ func parseFile(path string) (map[string]result, error) {
 const minGatedBytes = 1024
 
 // verdict compares one benchmark against its baseline row: the report
-// line and whether it passes. tolerance is the allowed growth in percent.
+// line and whether it passes. tolerance is the allowed drift either way
+// in percent.
 func verdict(name string, base, cur result, tolerance float64) (string, bool) {
 	grew := func(cur, base float64) bool { return cur > base*(1+tolerance/100) }
+	fell := func(cur, base float64) bool { return cur < base*(1-tolerance/100) }
 	pct := func(cur, base float64) float64 { return 100 * (cur - base) / base }
+	gatedBytes := base.bytesPerOp >= minGatedBytes
 	switch {
 	case !base.hasAllocs || !cur.hasAllocs:
 		return fmt.Sprintf("  ok %s: no -benchmem columns, time-only (%.1f ns/op vs %.1f baseline)",
@@ -99,9 +106,15 @@ func verdict(name string, base, cur result, tolerance float64) (string, bool) {
 	case grew(cur.allocsPerOp, base.allocsPerOp):
 		return fmt.Sprintf("FAIL %s: %.0f allocs/op, baseline %.0f (+%.1f%% > %.0f%% tolerance)",
 			name, cur.allocsPerOp, base.allocsPerOp, pct(cur.allocsPerOp, base.allocsPerOp), tolerance), false
-	case base.bytesPerOp >= minGatedBytes && grew(cur.bytesPerOp, base.bytesPerOp):
+	case gatedBytes && grew(cur.bytesPerOp, base.bytesPerOp):
 		return fmt.Sprintf("FAIL %s: %.0f B/op, baseline %.0f (+%.1f%% > %.0f%% tolerance)",
 			name, cur.bytesPerOp, base.bytesPerOp, pct(cur.bytesPerOp, base.bytesPerOp), tolerance), false
+	case fell(cur.allocsPerOp, base.allocsPerOp):
+		return fmt.Sprintf("FAIL %s: %.0f allocs/op, baseline %.0f (%.1f%% below, past the %.0f%% tolerance): lower this row",
+			name, cur.allocsPerOp, base.allocsPerOp, -pct(cur.allocsPerOp, base.allocsPerOp), tolerance), false
+	case gatedBytes && fell(cur.bytesPerOp, base.bytesPerOp):
+		return fmt.Sprintf("FAIL %s: %.0f B/op, baseline %.0f (%.1f%% below, past the %.0f%% tolerance): lower this row",
+			name, cur.bytesPerOp, base.bytesPerOp, -pct(cur.bytesPerOp, base.bytesPerOp), tolerance), false
 	}
 	return fmt.Sprintf("  ok %s: %.0f allocs/op (baseline %.0f), %.0f B/op (baseline %.0f), %.1f ns/op",
 		name, cur.allocsPerOp, base.allocsPerOp, cur.bytesPerOp, base.bytesPerOp, cur.nsPerOp), true
@@ -109,7 +122,7 @@ func verdict(name string, base, cur result, tolerance float64) (string, bool) {
 
 func main() {
 	baselinePath := flag.String("baseline", "", "committed baseline bench output")
-	tolerance := flag.Float64("tolerance", 10, "allowed allocs/op and B/op growth in percent")
+	tolerance := flag.Float64("tolerance", 10, "allowed allocs/op and B/op drift from the baseline in percent")
 	flag.Parse()
 	if *baselinePath == "" || flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: benchregress -baseline FILE (CURRENT|-)")
@@ -161,7 +174,7 @@ func main() {
 	}
 	if failed {
 		fmt.Println(strings.Repeat("-", 40))
-		fmt.Println("allocation regression detected")
+		fmt.Println("allocation regression, or a baseline row to lower, detected")
 		os.Exit(1)
 	}
 }

@@ -41,7 +41,8 @@ PASS
 // TestVerdictGatesBytes pins the B/op gate next to the allocs/op one: an
 // arena grown by doubling moves few allocations and many bytes, so bytes
 // are gated with the same tolerance — but only from 1 KiB/op up, because
-// smaller rows are amortized rounding.
+// smaller rows are amortized rounding. Both gates are two-sided: a column
+// that falls past the tolerance asks for its row to be lowered.
 func TestVerdictGatesBytes(t *testing.T) {
 	mem := func(bytes, allocs float64) result {
 		return result{nsPerOp: 100, bytesPerOp: bytes, allocsPerOp: allocs, hasAllocs: true}
@@ -56,7 +57,11 @@ func TestVerdictGatesBytes(t *testing.T) {
 		{"bytes within tolerance", mem(10000, 3), mem(10900, 3), true, "ok"},
 		{"bytes doubled, allocs flat", mem(10000, 3), mem(20000, 3), false, "B/op"},
 		{"bytes just over", mem(1024, 1), mem(1127, 1), false, "B/op"},
-		{"bytes fell", mem(1<<20, 9), mem(1<<10, 9), true, "ok"},
+		{"bytes fell", mem(1<<20, 9), mem(1<<10, 9), false, "lower this row"},
+		{"bytes fell within tolerance", mem(10000, 3), mem(9100, 3), true, "ok"},
+		{"small row falling is noise", mem(1000, 1), mem(10, 1), true, "ok"},
+		{"allocs fell", mem(4096, 10), mem(4096, 8), false, "lower this row"},
+		{"allocs fell within tolerance", mem(4096, 10), mem(4096, 9.5), true, "ok"},
 		{"small row is noise", mem(14, 0), mem(140, 0), true, "ok"},
 		{"just under a KiB is not gated", mem(1023, 1), mem(4000, 1), true, "ok"},
 		{"allocs still gated", mem(4096, 10), mem(4096, 12), false, "allocs/op"},

@@ -26,6 +26,7 @@ import (
 
 	"complexobj/cobench"
 	"complexobj/internal/buffer"
+	"complexobj/internal/disk"
 	"complexobj/internal/iostat"
 	"complexobj/internal/snapshot"
 	"complexobj/internal/store"
@@ -98,8 +99,6 @@ func ModelByName(name string) (ModelKind, error) {
 // paper's setup: 2048-byte pages, a 1200-page LRU cache, free index I/O,
 // page images in memory.
 type Options struct {
-	// PageSize is the raw page size in bytes (default 2048).
-	PageSize int
 	// BufferPages is the cache capacity in pages (default 1200).
 	BufferPages int
 	// ClockReplacement switches the cache from LRU to the Clock policy.
@@ -121,7 +120,6 @@ type Options struct {
 
 func (o Options) internal() store.Options {
 	so := store.Options{
-		PageSize:     o.PageSize,
 		BufferPages:  o.BufferPages,
 		CountIndexIO: o.CountIndexIO,
 		Faults:       o.Faults.injector(),
@@ -347,7 +345,7 @@ type SnapshotInfo struct {
 	Gen cobench.Config
 	// Models lists the stored storage models in file order.
 	Models []ModelKind
-	// PageSize is the device page size of the stored models.
+	// PageSize is the device page size of the stored models, 2048 bytes.
 	PageSize int
 }
 
@@ -357,7 +355,7 @@ func StatSnapshot(path string) (SnapshotInfo, error) {
 	if err != nil {
 		return SnapshotInfo{}, err
 	}
-	out := SnapshotInfo{Gen: info.Gen, PageSize: info.PageSize}
+	out := SnapshotInfo{Gen: info.Gen, PageSize: disk.DefaultPageSize}
 	for _, k := range info.Kinds {
 		for _, mk := range AllModels() {
 			if mk.internal() == k {

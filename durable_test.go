@@ -74,12 +74,6 @@ func TestOpenPersistentRoundTrip(t *testing.T) {
 				}
 				renameAndSave(re, "persisted again")
 			}
-
-			// A conflicting page size is a configuration error, not silent
-			// re-creation.
-			if _, err := OpenSnapshot(path, kind, Options{PageSize: 4096}); err == nil {
-				t.Fatal("conflicting page size accepted")
-			}
 		})
 	}
 }

@@ -169,7 +169,7 @@ func New(cfg Config) *Suite {
 	s.snapshotOK = sync.OnceValue(s.checkSnapshot)
 	// One page pool under every view and loader of the suite: a cell's frame
 	// buffers and overlay images serve the next cell instead of the GC.
-	s.storeOpts = store.Options{BufferPages: cfg.BufferPages, Pages: disk.NewPagePool(disk.DefaultPageSize)}
+	s.storeOpts = store.Options{BufferPages: cfg.BufferPages, Pages: disk.NewPagePool()}
 	if cfg.UseClock {
 		s.storeOpts.Policy = buffer.Clock
 	}
@@ -208,7 +208,7 @@ func (s *Suite) workers() int {
 }
 
 // checkSnapshot validates that the configured snapshot holds the
-// extension, at the page size, the suite is asked to measure. The suite
+// extension the suite is asked to measure. The suite
 // runs it once, as snapshotOK, from whichever base build needs it first.
 func (s *Suite) checkSnapshot() error {
 	info, err := snapshot.Stat(s.cfg.Snapshot)
@@ -219,18 +219,13 @@ func (s *Suite) checkSnapshot() error {
 		return fmt.Errorf("experiments: snapshot %s was built from %+v, configuration wants %+v",
 			s.cfg.Snapshot, info.Gen, s.cfg.Gen)
 	}
-	if info.PageSize != disk.DefaultPageSize {
-		return fmt.Errorf("experiments: snapshot %s has page size %d, the suite measures %d",
-			s.cfg.Snapshot, info.PageSize, disk.DefaultPageSize)
-	}
 	return nil
 }
 
 // baseKey identifies one frozen database state: a physical layout loaded
 // from one generator configuration. Two cells with equal keys measure,
 // by the determinism of the generator and the loaders, the same physical
-// database, so both get copy-on-write views of one base. (A suite has one
-// page size.)
+// database, so both get copy-on-write views of one base.
 type baseKey struct {
 	layout store.Kind
 	gen    cobench.Config

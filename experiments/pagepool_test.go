@@ -78,7 +78,7 @@ func testSecondReadCell(t *testing.T) {
 // twice over a page pool that starts empty, checks that both measure the
 // same, and returns the bytes each allocated.
 func secondCell(t *testing.T, q cobench.Query) (first, second uint64) {
-	if disk.New(disk.DefaultPageSize).NewPage()[0] == 0xDB { // a poolless device's page reads 0xDB only there
+	if disk.New().NewPage()[0] == 0xDB { // a poolless device's page reads 0xDB only there
 		t.Skip("poison build: lent scratch is dropped, not reused, and drowns the pages")
 	}
 	s := New(recycleConfig())
@@ -87,7 +87,7 @@ func secondCell(t *testing.T, q cobench.Query) (first, second uint64) {
 		t.Fatal(err)
 	}
 	opts := s.storeOpts
-	opts.Pages = disk.NewPagePool(opts.PageSize) // what the loader returned is not the cell's
+	opts.Pages = disk.NewPagePool() // what the loader returned is not the cell's
 	defer func() {
 		if err := opts.Pages.Drain(); err != nil {
 			t.Error(err)

@@ -1,14 +1,17 @@
 package experiments
 
 import (
+	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
-	"complexobj/cobench"
 	"complexobj/internal/disk"
 	"complexobj/internal/snapshot"
 	"complexobj/internal/store"
@@ -138,25 +141,29 @@ func TestMatrixFromSnapshot(t *testing.T) {
 		t.Error("mismatched snapshot accepted")
 	}
 
-	// So must a snapshot of another page size — the suite always measures
-	// disk.DefaultPageSize, so the file is written at store level: refused
-	// by the snapshot check, before any view of it opens, naming the file
-	// and both sizes.
+	// So must a snapshot of another page size, refused by the snapshot
+	// reader before any view of it opens, naming the file and both sizes.
+	// No writer of this program produces one, so it is built by hand: a
+	// well-formed version-3 container of the suite's extension whose one
+	// DSM entry says otherPageSize.
 	const otherPageSize = 2 * disk.DefaultPageSize
-	stations, err := cobench.Generate(smallConfig().Gen)
+	genJSON, err := json.Marshal(smallConfig().Gen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := store.New(store.DSM, store.Options{PageSize: otherPageSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Engine().Close()
-	if err := m.Load(stations); err != nil {
-		t.Fatal(err)
-	}
+	raw := binary.BigEndian.AppendUint16([]byte("CODB"), snapshot.Version)
+	raw = binary.BigEndian.AppendUint32(raw, uint32(len(genJSON)))
+	raw = append(raw, genJSON...)
+	raw = binary.BigEndian.AppendUint16(raw, 1)             // one entry:
+	raw = append(raw, 1<<store.DSM)                         // kinds
+	raw = binary.BigEndian.AppendUint32(raw, otherPageSize) // page size
+	raw = binary.BigEndian.AppendUint32(raw, 1)             // pages
+	raw = binary.BigEndian.AppendUint64(raw, 0)             // WAL watermark
+	raw = binary.BigEndian.AppendUint64(raw, 0)             // generation
+	raw = binary.BigEndian.AppendUint32(raw, 0)             // meta bytes
+	raw = append(raw, make([]byte, otherPageSize)...)       // arena
 	pagePath := filepath.Join(t.TempDir(), "pages.codb")
-	if err := snapshot.Write(pagePath, smallConfig().Gen, m); err != nil {
+	if err := os.WriteFile(pagePath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	pageCfg := smallConfig()
@@ -164,8 +171,8 @@ func TestMatrixFromSnapshot(t *testing.T) {
 	pageSuite := New(pageCfg)
 	defer pageSuite.Close()
 	_, err = pageSuite.Matrix()
-	if err == nil {
-		t.Fatal("snapshot of another page size accepted")
+	if !errors.Is(err, snapshot.ErrPageSize) {
+		t.Fatalf("snapshot of another page size: %v, want ErrPageSize", err)
 	}
 	for _, want := range []string{pagePath, strconv.Itoa(disk.DefaultPageSize), strconv.Itoa(otherPageSize)} {
 		if !strings.Contains(err.Error(), want) {

@@ -11,7 +11,7 @@ import (
 
 func newTree(t *testing.T, poolPages int) (*disk.Disk, *buffer.Pool, *Tree) {
 	t.Helper()
-	d := disk.New(disk.DefaultPageSize)
+	d := disk.New()
 	p := buffer.New(d, poolPages, buffer.LRU)
 	tr, err := New(d, p)
 	if err != nil {

@@ -16,10 +16,10 @@ import (
 func testDevices(t *testing.T) map[string]func() *disk.Disk {
 	t.Helper()
 	return map[string]func() *disk.Disk{
-		"mem": func() *disk.Disk { return disk.New(disk.DefaultPageSize) },
+		"mem": func() *disk.Disk { return disk.New() },
 		"cow": func() *disk.Disk {
 			base := disk.NewBaseArena(make([]byte, 256*disk.DefaultPageSize))
-			d, err := disk.Open(disk.DefaultPageSize, disk.NewCOWBackend(base, disk.DefaultPageSize))
+			d, err := disk.Open(disk.NewCOWBackend(base))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +188,7 @@ type opaqueBackend struct{ disk.Backend }
 func TestBufferMemoryRecycled(t *testing.T) {
 	const pages = 128
 	const capacity = 4
-	d := disk.NewWithBackend(disk.DefaultPageSize, opaqueBackend{disk.NewMemBackend()})
+	d := disk.NewWithBackend(opaqueBackend{disk.NewMemBackend()})
 	if _, err := d.Allocate(pages); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestBufferMemoryRecycled(t *testing.T) {
 // TestDropDiscardsWithoutIO pins Drop's contract: resident frames leave
 // the pool with no disk traffic and no counter movement, dirty or not.
 func TestDropDiscardsWithoutIO(t *testing.T) {
-	d := disk.New(disk.DefaultPageSize)
+	d := disk.New()
 	if _, err := d.Allocate(4); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestDropDiscardsWithoutIO(t *testing.T) {
 // difference between the two is the slabs after the first.
 func TestFreshPoolAllocatesFramesInSlabs(t *testing.T) {
 	for _, c := range []int{1, 8, 64, 65, 300, 1200} {
-		d := disk.New(disk.DefaultPageSize)
+		d := disk.New()
 		if _, err := d.Allocate(c); err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +309,7 @@ func TestFreshPoolAllocatesFramesInSlabs(t *testing.T) {
 // it): walking and recycling the resident frames needs no list of them.
 func TestEmptyZeroAllocs(t *testing.T) {
 	for _, policy := range []Policy{LRU, Clock} {
-		d := disk.New(disk.DefaultPageSize)
+		d := disk.New()
 		if _, err := d.Allocate(16); err != nil {
 			t.Fatal(err)
 		}
@@ -347,8 +347,8 @@ func TestEmptyZeroAllocs(t *testing.T) {
 // while a frame is pinned, and never a borrowed page, which is the
 // backend's memory.
 func TestReleaseHandsBuffersToThePagePool(t *testing.T) {
-	d := disk.New(disk.DefaultPageSize)
-	pp := disk.NewPagePool(0)
+	d := disk.New()
+	pp := disk.NewPagePool()
 	d.SetPagePool(pp)
 	if _, err := d.Allocate(8); err != nil {
 		t.Fatal(err)
@@ -401,9 +401,9 @@ func TestReleaseHandsBuffersToThePagePool(t *testing.T) {
 // sized to its own device at once (in the first's array), and the frames it
 // loads are the first's.
 func TestReleaseHandsScaffoldOn(t *testing.T) {
-	pp := disk.NewPagePool(0)
+	pp := disk.NewPagePool()
 	open := func(pages int) *disk.Disk {
-		d := disk.New(disk.DefaultPageSize)
+		d := disk.New()
 		d.SetPagePool(pp)
 		if _, err := d.Allocate(pages); err != nil {
 			t.Fatal(err)

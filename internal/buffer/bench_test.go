@@ -9,7 +9,7 @@ import (
 // benchPool builds a device with n pages behind a pool of capacity frames.
 func benchPool(b *testing.B, pages, capacity int) (*disk.Disk, *Pool) {
 	b.Helper()
-	d := disk.New(disk.DefaultPageSize)
+	d := disk.New()
 	if _, err := d.Allocate(pages); err != nil {
 		b.Fatal(err)
 	}

@@ -183,7 +183,7 @@ func TestDirtyUnfixOfBorrowedFrameFails(t *testing.T) {
 // aliasing recycled overlay images.
 func TestDiscardDropsBorrowsBeforeReset(t *testing.T) {
 	base := disk.NewBaseArena(make([]byte, 8*disk.DefaultPageSize))
-	d, err := disk.Open(disk.DefaultPageSize, disk.NewCOWBackend(base, disk.DefaultPageSize))
+	d, err := disk.Open(disk.NewCOWBackend(base))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 
 func newEnv(t *testing.T, capacity int, policy Policy) (*disk.Disk, *Pool) {
 	t.Helper()
-	d := disk.New(disk.DefaultPageSize)
+	d := disk.New()
 	return d, New(d, capacity, policy)
 }
 
@@ -332,7 +332,7 @@ func TestClockAllPinned(t *testing.T) {
 func TestRandomTrafficPreservesContent(t *testing.T) {
 	for _, pol := range []Policy{LRU, Clock} {
 		t.Run(pol.String(), func(t *testing.T) {
-			d := disk.New(disk.DefaultPageSize)
+			d := disk.New()
 			p := New(d, 5, pol)
 			const npages = 40
 			d.Allocate(npages)
@@ -445,7 +445,7 @@ func TestWriteBurstSkipsPinnedPages(t *testing.T) {
 }
 
 func TestFixRunErrorDoesNotLeakPins(t *testing.T) {
-	d := disk.New(disk.DefaultPageSize)
+	d := disk.New()
 	if _, err := d.Allocate(2); err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestPoolObservesCOWOverlay(t *testing.T) {
 	pristine := append([]byte(nil), baseData...)
 	base := disk.NewBaseArena(baseData)
 
-	d, err := disk.Open(ps, disk.NewCOWBackend(base, ps))
+	d, err := disk.Open(disk.NewCOWBackend(base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestOneListServesFramesAndOverlay(t *testing.T) {
 	}
 	fewest := uint64(n)
 	for range 3 {
-		d, err := disk.Open(ps, disk.NewCOWBackend(base, ps))
+		d, err := disk.Open(disk.NewCOWBackend(base))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,7 @@ func backends(t *testing.T) map[string]func() Backend {
 	t.Helper()
 	return map[string]func() Backend{
 		"mem": func() Backend { return NewMemBackend() },
-		"cow": func() Backend { return NewCOWBackend(nil, DefaultPageSize) },
+		"cow": func() Backend { return NewCOWBackend(nil) },
 	}
 }
 
@@ -96,11 +96,11 @@ func TestBackendRangeChecks(t *testing.T) {
 // as a floor, and a copy-on-write device over it reads the same pages —
 // with no counter touched on either side.
 func TestDiskRestoreDump(t *testing.T) {
-	img := make([]byte, 512)
+	img := make([]byte, DefaultPageSize)
 	copy(img, []byte("snapshot me"))
 	for name, open := range backends(t) {
 		t.Run(name, func(t *testing.T) {
-			src := NewWithBackend(512, open())
+			src := NewWithBackend(open())
 			defer src.Close()
 			if _, err := src.Allocate(5); err != nil {
 				t.Fatal(err)
@@ -118,7 +118,7 @@ func TestDiskRestoreDump(t *testing.T) {
 			}
 
 			base := NewBaseArena(bytes.Clone(buf.Bytes()))
-			dst, err := Open(512, NewCOWBackend(base, 512))
+			dst, err := Open(NewCOWBackend(base))
 			if err != nil {
 				t.Fatal(err)
 			}

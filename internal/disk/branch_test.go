@@ -45,8 +45,8 @@ func (b *branchLine) images() map[*byte]bool {
 // image one branch can read is ever handed to the other, and the floor is
 // unmapped at the last release of both branches only.
 func TestBranchesRecycleAlone(t *testing.T) {
-	const ps, numPages, dirty = 64, 8 * leafPages, 12
-	floorBytes, _ := testBase(ps, numPages)
+	const ps, numPages, dirty = DefaultPageSize, 8 * leafPages, 12
+	floorBytes, _ := testBase(numPages)
 	pristine := floorBytes.Bytes()
 	path := filepath.Join(t.TempDir(), "floor")
 	if err := os.WriteFile(path, pristine, 0o644); err != nil {
@@ -77,7 +77,7 @@ func TestBranchesRecycleAlone(t *testing.T) {
 		me, other := lines[step%2], lines[1-step%2]
 		switch r := rng.Intn(10); {
 		case r == 0 && len(me.parked) < 3:
-			me.parked = append(me.parked, parkedView{NewCOWBackend(me.gen, ps), bytes.Clone(me.flat)})
+			me.parked = append(me.parked, parkedView{NewCOWBackend(me.gen), bytes.Clone(me.flat)})
 		case r == 1 && len(me.parked) > 0:
 			i := rng.Intn(len(me.parked))
 			if err := me.parked[i].view.Close(); err != nil {
@@ -85,11 +85,11 @@ func TestBranchesRecycleAlone(t *testing.T) {
 			}
 			me.parked = append(me.parked[:i], me.parked[i+1:]...)
 		default:
-			pages := randomPages(rng, ps, numPages, 1+rng.Intn(dirty))
+			pages := randomPages(rng, numPages, 1+rng.Intn(dirty))
 			for pg, img := range pages {
 				copy(me.flat[pg*ps:], img)
 			}
-			me.gen = commitThroughView(t, me.gen, ps, pages)
+			me.gen = commitThroughView(t, me.gen, pages)
 		}
 		if !bytes.Equal(me.gen.Bytes(), me.flat) || !bytes.Equal(other.gen.Bytes(), other.flat) {
 			t.Fatalf("step %d: a branch no longer reads its own commits", step)

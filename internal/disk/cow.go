@@ -131,7 +131,6 @@ type BaseArena struct {
 	refs     atomic.Int64 // this generation's own references
 	floorLen int          // floor bytes this generation reads through (a shrink hides the rest for good)
 	size     int          // logical arena length in bytes
-	gran     int          // page size of the table (0 until the first promote)
 	over     pageTable    // committed pages over the floor; nil until the first promote
 	held     int          // non-nil entries of over
 }
@@ -305,28 +304,28 @@ func (a *BaseArena) floor() []byte {
 }
 
 // committedPage resolves page pg of a generation given as its two parts —
-// the committed page table and the visible floor — at page size gran: the
-// committed image when the table overrides the page, else the floor's
-// slice of it, short when the floor ends inside the page, nil past it.
-// Bytes the result does not cover read as zero.
-func committedPage(over pageTable, floor []byte, pg, gran int) []byte {
+// the committed page table and the visible floor: the committed image
+// when the table overrides the page, else the floor's slice of it, short
+// when the floor ends inside the page, nil past it. Bytes the result does
+// not cover read as zero.
+func committedPage(over pageTable, floor []byte, pg int) []byte {
 	if img := over.page(pg); img != nil {
 		return img
 	}
-	lo := pg * gran
+	lo := pg * DefaultPageSize
 	if lo >= len(floor) {
 		return nil
 	}
-	hi := min(lo+gran, len(floor))
+	hi := min(lo+DefaultPageSize, len(floor))
 	return floor[lo:hi:hi]
 }
 
-// page returns the generation's bytes of page pg at page size gran.
-func (a *BaseArena) page(pg, gran int) []byte {
+// page returns the generation's bytes of page pg.
+func (a *BaseArena) page(pg int) []byte {
 	if a == nil {
 		return nil
 	}
-	return committedPage(a.over, a.floor(), pg, gran)
+	return committedPage(a.over, a.floor(), pg)
 }
 
 // cowBackend is a copy-on-write arena: reads fall through to the shared
@@ -336,7 +335,6 @@ func (a *BaseArena) page(pg, gran int) []byte {
 // large shared base costs only the pages it actually dirties.
 type cowBackend struct {
 	base *BaseArena
-	gran int       // overlay granularity in bytes (the device page size)
 	size int       // logical arena length
 	over pageTable // private page images over the base generation
 
@@ -348,32 +346,24 @@ type cowBackend struct {
 
 	overlaid int       // number of materialized overlay pages
 	list     *pageList // where images come from and go: its device's free list
-	own      pageList  // the list of a backend with no device of its page size
+	own      pageList  // the list of a backend with no device
 }
 
 // NewCOWBackend layers a private overlay over base (nil means an empty
-// base). pageBytes is the copy-on-write granularity — the device page
-// size; 0 means DefaultPageSize. The arena starts at the base length, so
-// a device opened over it adopts every base page. The backend takes one
-// reference on the base, released by its Close — the base therefore
-// cannot be released under a live view.
-func NewCOWBackend(base *BaseArena, pageBytes int) Backend {
-	if pageBytes <= 0 {
-		pageBytes = DefaultPageSize
-	}
-	b := &cowBackend{gran: pageBytes, own: pageList{size: pageBytes}}
+// base), copying on write one page at a time. The arena starts at the
+// base length, so a device opened over it adopts every base page. The
+// backend takes one reference on the base, released by its Close — the
+// base therefore cannot be released under a live view.
+func NewCOWBackend(base *BaseArena) Backend {
+	b := &cowBackend{}
 	b.list = &b.own
 	b.attach(base)
 	return b
 }
 
 // attach takes a reference on base and makes it the generation the
-// (empty) overlay reads through. A generation's page table has the page
-// size it was promoted with; only a bug can pair it with another.
+// (empty) overlay reads through.
 func (b *cowBackend) attach(base *BaseArena) {
-	if base != nil && base.gran != 0 && base.gran != b.gran {
-		panic(fmt.Sprintf("disk: cow view of page size %d over a generation of page size %d", b.gran, base.gran))
-	}
 	b.base = base.Retain()
 	b.size = base.Len()
 	b.committed, b.floor = nil, base.floor()
@@ -398,7 +388,7 @@ func (b *cowBackend) page(pg int) []byte {
 	if img := b.over.page(pg); img != nil {
 		return img
 	}
-	return committedPage(b.committed, b.floor, pg, b.gran)
+	return committedPage(b.committed, b.floor, pg)
 }
 
 func (b *cowBackend) ReadAt(p []byte, off int) error {
@@ -406,8 +396,8 @@ func (b *cowBackend) ReadAt(p []byte, off int) error {
 		return err
 	}
 	for len(p) > 0 {
-		pg, po := off/b.gran, off%b.gran
-		n := b.gran - po
+		pg, po := off/DefaultPageSize, off%DefaultPageSize
+		n := DefaultPageSize - po
 		if n > len(p) {
 			n = len(p)
 		}
@@ -427,20 +417,20 @@ func (b *cowBackend) WriteAt(p []byte, off int) error {
 		return err
 	}
 	for len(p) > 0 {
-		pg, po := off/b.gran, off%b.gran
-		n := b.gran - po
+		pg, po := off/DefaultPageSize, off%DefaultPageSize
+		n := DefaultPageSize - po
 		if n > len(p) {
 			n = len(p)
 		}
 		img := b.over.page(pg)
 		if img == nil {
 			img = b.list.get()
-			if n < b.gran {
+			if n < DefaultPageSize {
 				// Partial-page write: materialize the underlying content
 				// first so the untouched bytes of the page survive (and,
 				// for a recycled image, no stale bytes either). A
 				// full-page write (the device's normal unit) skips this.
-				m := copy(img, committedPage(b.committed, b.floor, pg, b.gran))
+				m := copy(img, committedPage(b.committed, b.floor, pg))
 				clear(img[m:])
 			}
 			li := pg >> leafShift
@@ -475,8 +465,8 @@ func (b *cowBackend) StablePage(off, n int) ([]byte, bool) {
 	if off < 0 || n <= 0 || off+n > b.size {
 		return nil, false
 	}
-	pg, po := off/b.gran, off%b.gran
-	if po+n > b.gran {
+	pg, po := off/DefaultPageSize, off%DefaultPageSize
+	if po+n > DefaultPageSize {
 		return nil, false
 	}
 	// The three levels spelled out rather than through page(): this is
@@ -554,6 +544,6 @@ func COWStatsOf(b Backend) (COWStats, bool) {
 	return COWStats{
 		BaseBytes:    c.base.Len(),
 		OverlayPages: c.overlaid,
-		OverlayBytes: c.overlaid * c.gran,
+		OverlayBytes: c.overlaid * DefaultPageSize,
 	}, true
 }

@@ -8,10 +8,10 @@ import (
 
 // testBase builds a BaseArena of n pages with a recognizable per-byte
 // pattern, plus a pristine copy for immutability checks.
-func testBase(pageSize, n int) (*BaseArena, []byte) {
-	data := make([]byte, pageSize*n)
+func testBase(n int) (*BaseArena, []byte) {
+	data := make([]byte, DefaultPageSize*n)
 	for i := range data {
-		data[i] = byte((i*7 + i/pageSize) % 251)
+		data[i] = byte((i*7 + i/DefaultPageSize) % 251)
 	}
 	pristine := append([]byte(nil), data...)
 	return NewBaseArena(data), pristine
@@ -22,14 +22,14 @@ func testBase(pageSize, n int) (*BaseArena, []byte) {
 // base or any sibling view, no matter whether they are full-page,
 // partial-range, or beyond-the-base writes.
 func TestCOWOverlayNeverMutatesBase(t *testing.T) {
-	const ps = 256
-	base, pristine := testBase(ps, 8)
+	const ps = DefaultPageSize
+	base, pristine := testBase(8)
 
-	a, err := Open(ps, NewCOWBackend(base, ps))
+	a, err := Open(NewCOWBackend(base))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Open(ps, NewCOWBackend(base, ps))
+	b, err := Open(NewCOWBackend(base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,9 +108,9 @@ func TestCOWOverlayNeverMutatesBase(t *testing.T) {
 // TestCOWGrownPagesReadZero asserts pages allocated past the base read as
 // zero before their first write — including into dirty recycled buffers.
 func TestCOWGrownPagesReadZero(t *testing.T) {
-	const ps = 128
-	base, _ := testBase(ps, 2)
-	d, err := Open(ps, NewCOWBackend(base, ps))
+	const ps = DefaultPageSize
+	base, _ := testBase(2)
+	d, err := Open(NewCOWBackend(base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +133,10 @@ func TestCOWGrownPagesReadZero(t *testing.T) {
 // TestCOWStats pins the memory-accounting hook the matrix memory checks
 // rely on: overlay usage counts materialized pages only.
 func TestCOWStats(t *testing.T) {
-	const ps = 256
-	base, _ := testBase(ps, 10)
-	b := NewCOWBackend(base, ps)
-	d, err := Open(ps, b)
+	const ps = DefaultPageSize
+	base, _ := testBase(10)
+	b := NewCOWBackend(base)
+	d, err := Open(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,13 +183,13 @@ func TestCOWStats(t *testing.T) {
 // released exactly when the last of them goes — never under a live view,
 // even if the owner released its handle first.
 func TestBaseArenaRefcount(t *testing.T) {
-	const ps = 256
-	base, pristine := testBase(ps, 4)
+	const ps = DefaultPageSize
+	base, pristine := testBase(4)
 	if base.Refs() != 1 {
 		t.Fatalf("fresh base refs = %d, want 1 (creator)", base.Refs())
 	}
-	v1 := NewCOWBackend(base, ps)
-	v2 := NewCOWBackend(base, ps)
+	v1 := NewCOWBackend(base)
+	v2 := NewCOWBackend(base)
 	if base.Refs() != 3 {
 		t.Fatalf("refs with 2 views = %d, want 3", base.Refs())
 	}
@@ -230,7 +230,7 @@ func TestBaseArenaRefcount(t *testing.T) {
 	if nilBase.Retain() != nil || nilBase.Release() != nil || nilBase.Refs() != 0 || nilBase.Mapped() {
 		t.Error("nil base lifecycle not inert")
 	}
-	grown, _ := nilBase.Promote(ps, 2, map[int][]byte{1: bytes.Repeat([]byte{7}, ps)})
+	grown, _ := nilBase.Promote(2, map[int][]byte{1: bytes.Repeat([]byte{7}, ps)})
 	if grown.Len() != 2*ps || grown.Refs() != 1 || grown.Bytes()[ps] != 7 || grown.Bytes()[0] != 0 {
 		t.Error("promoting a nil base does not yield the images over zeros")
 	}
@@ -239,11 +239,11 @@ func TestBaseArenaRefcount(t *testing.T) {
 	// promoted generation's owner holds one reference, views on any
 	// generation hold one each, and the storage goes with the last of
 	// them — whichever generation that reference was taken through.
-	floor, pristine := testBase(ps, 4)
+	floor, pristine := testBase(4)
 	img := bytes.Repeat([]byte{0xC3}, ps)
-	gen1, _ := floor.Promote(ps, 4, map[int][]byte{1: img})
-	gen2, _ := gen1.Promote(ps, 4, map[int][]byte{2: img})
-	onGen1 := NewCOWBackend(gen1, ps)
+	gen1, _ := floor.Promote(4, map[int][]byte{1: img})
+	gen2, _ := gen1.Promote(4, map[int][]byte{2: img})
+	onGen1 := NewCOWBackend(gen1)
 	if floor.Refs() != 4 || gen1.Refs() != 4 || gen2.Refs() != 4 {
 		t.Fatalf("refs across generations = %d/%d/%d, want 4 everywhere (3 owners + 1 view)", floor.Refs(), gen1.Refs(), gen2.Refs())
 	}
@@ -283,8 +283,8 @@ func TestBaseArenaRefcount(t *testing.T) {
 // platforms without mmap support the portable fallback must behave
 // identically apart from Mapped().
 func TestMappedBaseArena(t *testing.T) {
-	const ps = 256
-	_, pristine := testBase(ps, 8)
+	const ps = DefaultPageSize
+	_, pristine := testBase(8)
 	// Bury the arena at an intentionally page-misaligned offset, as in a
 	// .codb container where variable-length metadata precedes the arena.
 	const off = 4096 + 123
@@ -313,7 +313,7 @@ func TestMappedBaseArena(t *testing.T) {
 
 	// A view over the mapped base behaves exactly like over a heap base:
 	// overlay writes stick to the view, the base (and file) are untouched.
-	d, err := Open(ps, NewCOWBackend(base, ps))
+	d, err := Open(NewCOWBackend(base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,8 +338,8 @@ func TestMappedBaseArena(t *testing.T) {
 	// still mapped, committed pages on the heap, and unmapped exactly
 	// when the last generation and the last view over it are gone —
 	// never earlier.
-	gen1, _ := base.Promote(ps, 8, map[int][]byte{2: img})
-	gen2, _ := gen1.Promote(ps, 9, map[int][]byte{5: img})
+	gen1, _ := base.Promote(8, map[int][]byte{2: img})
+	gen2, _ := gen1.Promote(9, map[int][]byte{5: img})
 	if gen2.Mapped() != CanMapBase || gen2.DeltaPages() != 2 {
 		t.Errorf("promoted generation: Mapped() = %v, DeltaPages() = %d, want %v and 2", gen2.Mapped(), gen2.DeltaPages(), CanMapBase)
 	}
@@ -349,7 +349,7 @@ func TestMappedBaseArena(t *testing.T) {
 	if !bytes.Equal(gen2.Bytes(), want) {
 		t.Fatal("promoted generation over a mapped floor reads wrong bytes")
 	}
-	view := NewCOWBackend(gen2, ps)
+	view := NewCOWBackend(gen2)
 	for _, g := range []*BaseArena{base, gen1, gen2} {
 		if err := g.Release(); err != nil {
 			t.Fatal(err)

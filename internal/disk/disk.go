@@ -19,6 +19,7 @@ const InvalidPage = PageID(^uint32(0))
 
 // DefaultPageSize is the DASDBS page size used throughout the paper: 2048
 // bytes, of which 36 bytes are a system header, leaving 2012 effective bytes.
+// It is the one page size of the system (doc.go, "Page geometry").
 const DefaultPageSize = 2048
 
 // SysHeaderSize is the per-page system header the paper subtracts from the
@@ -38,13 +39,13 @@ var (
 	ErrDetached = errors.New("disk: device arena was detached")
 )
 
-// Disk is an in-memory array of pages with I/O accounting. Page p occupies
-// arena bytes [p*pageSize, (p+1)*pageSize) of its backend.
+// Disk is an in-memory array of DefaultPageSize-byte pages with I/O
+// accounting. Page p occupies arena bytes [p*DefaultPageSize,
+// (p+1)*DefaultPageSize) of its backend.
 //
 // A Disk is not safe for concurrent use: it is part of an engine, and an
 // engine has one owner at a time (package doc, "Ownership").
 type Disk struct {
-	pageSize int
 	numPages int
 	backend  Backend
 	stable   StablePager // zero-copy read capability (nil when unsupported)
@@ -55,22 +56,18 @@ type Disk struct {
 	detached bool  // Detach gave the arena away; the device is dead
 }
 
-// New creates a device with the given raw page size over the default
-// in-memory backend.
-func New(pageSize int) *Disk {
-	return NewWithBackend(pageSize, NewMemBackend())
+// New creates a device over the default in-memory backend.
+func New() *Disk {
+	return NewWithBackend(NewMemBackend())
 }
 
 // NewWithBackend creates an empty device whose arena lives on the given
 // backend. A non-empty backend (a COW view over a shared base) must go
 // through Open instead.
-func NewWithBackend(pageSize int, b Backend) *Disk {
-	if pageSize <= SysHeaderSize {
-		panic(fmt.Sprintf("disk: page size %d not larger than system header %d", pageSize, SysHeaderSize))
-	}
-	d := &Disk{pageSize: pageSize, backend: b, pages: pageList{size: pageSize}}
+func NewWithBackend(b Backend) *Disk {
+	d := &Disk{backend: b}
 	d.stable, _ = b.(StablePager)
-	if c, ok := asCOW(b); ok && c.gran == pageSize { // one list, one size of buffer
+	if c, ok := asCOW(b); ok { // one list for frames and overlay images
 		c.list = &d.pages
 	}
 	return d
@@ -79,13 +76,13 @@ func NewWithBackend(pageSize int, b Backend) *Disk {
 // Open adopts a backend that already holds page images (a COW view over
 // a shared base): every complete page in the arena is considered
 // allocated. The arena length must be an exact multiple of the page size.
-func Open(pageSize int, b Backend) (*Disk, error) {
-	d := NewWithBackend(pageSize, b)
+func Open(b Backend) (*Disk, error) {
+	d := NewWithBackend(b)
 	n := b.Len()
-	if n%pageSize != 0 {
-		return nil, fmt.Errorf("disk: arena of %d bytes is not a multiple of page size %d", n, pageSize)
+	if n%DefaultPageSize != 0 {
+		return nil, fmt.Errorf("disk: arena of %d bytes is not a multiple of page size %d", n, DefaultPageSize)
 	}
-	d.numPages = n / pageSize
+	d.numPages = n / DefaultPageSize
 	return d, nil
 }
 
@@ -143,12 +140,12 @@ func (d *Disk) ReleasePages(buf any) {
 // device, inspect the backend only as the engine's owner.
 func (d *Disk) Backend() Backend { return d.backend }
 
-// PageSize returns the raw page size in bytes.
-func (d *Disk) PageSize() int { return d.pageSize }
+// PageSize returns the raw page size in bytes, DefaultPageSize.
+func (d *Disk) PageSize() int { return DefaultPageSize }
 
 // EffectivePageSize returns the usable payload bytes per page (raw size
 // minus the 36-byte system header), the paper's S_page = 2012.
-func (d *Disk) EffectivePageSize() int { return d.pageSize - SysHeaderSize }
+func (d *Disk) EffectivePageSize() int { return DefaultPageSize - SysHeaderSize }
 
 // NumPages returns how many pages have been allocated so far.
 func (d *Disk) NumPages() int { return d.numPages }
@@ -164,7 +161,7 @@ func (d *Disk) Allocate(n int) (PageID, error) {
 		return InvalidPage, ErrDetached
 	}
 	start := PageID(d.numPages)
-	need := (d.numPages + n) * d.pageSize
+	need := (d.numPages + n) * DefaultPageSize
 	if err := d.backend.Grow(need); err != nil {
 		return InvalidPage, err
 	}
@@ -181,7 +178,7 @@ func (d *Disk) Allocate(n int) (PageID, error) {
 // growth policy. No counter moves and no page becomes allocated.
 func (d *Disk) Reserve(n int) {
 	if r, ok := under[reserver](d.backend); ok && n > 0 && !d.detached {
-		r.Reserve((d.numPages + n) * d.pageSize)
+		r.Reserve((d.numPages + n) * DefaultPageSize)
 	}
 }
 
@@ -207,7 +204,7 @@ func (d *Disk) Detach() (*BaseArena, error) {
 	if err := m.freeRetired(); err != nil {
 		return nil, err
 	}
-	a := newArenaBase(m.arena, d.numPages*d.pageSize)
+	a := newArenaBase(m.arena, d.numPages*DefaultPageSize)
 	m.arena = nil
 	d.numPages, d.detached = 0, true
 	return a, nil
@@ -221,7 +218,7 @@ func (d *Disk) CopyBase() (*BaseArena, error) {
 	if d.detached {
 		return nil, ErrDetached
 	}
-	n := d.numPages * d.pageSize
+	n := d.numPages * DefaultPageSize
 	arena, err := allocArena(n)
 	if err != nil {
 		return nil, err
@@ -264,18 +261,18 @@ func (d *Disk) ReadRunShared(start PageID, views [][]byte, borrowed []bool, getB
 		}
 	}
 	for i := range views {
-		off := (int(start) + i) * d.pageSize
+		off := (int(start) + i) * DefaultPageSize
 		if d.stable != nil {
-			if s, ok := d.stable.StablePage(off, d.pageSize); ok {
+			if s, ok := d.stable.StablePage(off, DefaultPageSize); ok {
 				views[i], borrowed[i] = s, true
 				continue
 			}
 		}
 		buf := getBuf()
 		views[i], borrowed[i] = buf, false
-		if len(buf) != d.pageSize {
+		if len(buf) != DefaultPageSize {
 			fail(i + 1)
-			return fmt.Errorf("%w: page %d buffer has size %d, want %d", ErrBadBuffer, int(start)+i, len(buf), d.pageSize)
+			return fmt.Errorf("%w: page %d buffer has size %d, want %d", ErrBadBuffer, int(start)+i, len(buf), DefaultPageSize)
 		}
 		if err := d.readBackend(buf, off); err != nil {
 			fail(i + 1)
@@ -300,10 +297,10 @@ func (d *Disk) WriteRun(start PageID, pages [][]byte) error {
 		return fmt.Errorf("%w: write [%d,%d) of %d", ErrOutOfRange, start, int(start)+len(pages), d.numPages)
 	}
 	for i, p := range pages {
-		if len(p) != d.pageSize {
-			return fmt.Errorf("disk: page %d has size %d, want %d", int(start)+i, len(p), d.pageSize)
+		if len(p) != DefaultPageSize {
+			return fmt.Errorf("disk: page %d has size %d, want %d", int(start)+i, len(p), DefaultPageSize)
 		}
-		if err := d.backend.WriteAt(p, (int(start)+i)*d.pageSize); err != nil {
+		if err := d.backend.WriteAt(p, (int(start)+i)*DefaultPageSize); err != nil {
 			return err
 		}
 	}
@@ -331,7 +328,7 @@ func (d *Disk) ResetView() bool {
 		return false
 	}
 	c.reset()
-	d.numPages = c.size / d.pageSize
+	d.numPages = c.size / DefaultPageSize
 	return true
 }
 
@@ -347,11 +344,11 @@ func (d *Disk) RebaseView(base *BaseArena) error {
 	if !ok {
 		return errors.New("disk: rebase: backend is not copy-on-write")
 	}
-	if base.Len()%d.pageSize != 0 {
-		return fmt.Errorf("disk: rebase: arena of %d bytes is not a multiple of page size %d", base.Len(), d.pageSize)
+	if base.Len()%DefaultPageSize != 0 {
+		return fmt.Errorf("disk: rebase: arena of %d bytes is not a multiple of page size %d", base.Len(), DefaultPageSize)
 	}
 	err := c.rebase(base)
-	d.numPages = c.size / d.pageSize
+	d.numPages = c.size / DefaultPageSize
 	return err
 }
 
@@ -362,7 +359,7 @@ func (d *Disk) DumpTo(w io.Writer) error {
 	if d.detached {
 		return ErrDetached
 	}
-	n := d.numPages * d.pageSize
+	n := d.numPages * DefaultPageSize
 	// A backend that can share the whole range (a loader arena) is one
 	// Write, no copy; otherwise the images are read out in chunks.
 	if d.stable != nil {
@@ -371,7 +368,7 @@ func (d *Disk) DumpTo(w io.Writer) error {
 			return err
 		}
 	}
-	buf := make([]byte, 64*d.pageSize)
+	buf := make([]byte, 64*DefaultPageSize)
 	for off := 0; off < n; {
 		chunk := buf
 		if n-off < len(chunk) {
@@ -389,16 +386,16 @@ func (d *Disk) DumpTo(w io.Writer) error {
 }
 
 // SameContent reports whether d and o hold byte-identical arenas: the
-// same page size, the same number of pages and the same page images. Like
+// same number of pages and the same page images. Like
 // DumpTo it moves no counter.
 func (d *Disk) SameContent(o *Disk) (bool, error) {
 	if d.detached || o.detached {
 		return false, ErrDetached
 	}
-	if d.pageSize != o.pageSize || d.numPages != o.numPages {
+	if d.numPages != o.numPages {
 		return false, nil
 	}
-	n, chunk := d.numPages*d.pageSize, 64*d.pageSize
+	n, chunk := d.numPages*DefaultPageSize, 64*DefaultPageSize
 	var bufD, bufO []byte
 	for off := 0; off < n; off += chunk {
 		m := min(chunk, n-off)

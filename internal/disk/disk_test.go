@@ -10,7 +10,7 @@ import (
 // unmapped — when the test ends.
 func newTestDisk(t *testing.T) *Disk {
 	t.Helper()
-	return closeAtEnd(t, New(DefaultPageSize))
+	return closeAtEnd(t, New())
 }
 
 // closeAtEnd closes d when the test ends.
@@ -31,15 +31,6 @@ func TestGeometry(t *testing.T) {
 	if d.EffectivePageSize() != 2012 {
 		t.Errorf("EffectivePageSize = %d, want 2012 (paper's S_page)", d.EffectivePageSize())
 	}
-}
-
-func TestNewPanicsOnTinyPage(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New(36) did not panic")
-		}
-	}()
-	New(SysHeaderSize)
 }
 
 func TestAllocateContiguous(t *testing.T) {
@@ -202,7 +193,7 @@ func TestReadRunFillsCallerBuffers(t *testing.T) {
 // TestReadRunRejectsWrongBufferSize: a copy buffer that is not one page
 // long is refused (over an opaque backend, where every page is copied).
 func TestReadRunRejectsWrongBufferSize(t *testing.T) {
-	d := closeAtEnd(t, NewWithBackend(DefaultPageSize, opaque{NewMemBackend()}))
+	d := closeAtEnd(t, NewWithBackend(opaque{NewMemBackend()}))
 	d.Allocate(1)
 	err := d.ReadRunShared(0, make([][]byte, 1), make([]bool, 1), func() []byte { return make([]byte, 10) })
 	if !errors.Is(err, ErrBadBuffer) {

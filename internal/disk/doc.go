@@ -16,6 +16,18 @@
 // recycled frame memory) where it is not, so the steady-state read path
 // performs no allocation at all.
 //
+// # Page geometry
+//
+// The device has one page size, DefaultPageSize: the paper's DASDBS page
+// of 2048 bytes, SysHeaderSize of them a system header (§5.1). It is a
+// constant, decided here once: no device, backend, base arena, page pool
+// or sizer stores a page size or takes one, and the layers above read it
+// from this package (Disk.PageSize and Disk.EffectivePageSize return the
+// constant). Two page sizes can therefore never meet, and nothing checks
+// that they agree. The one page-size check of the program is where a page
+// size comes from outside it: the .codb reader (internal/snapshot) refuses
+// an entry of any other size.
+//
 // # Backend contract
 //
 // Where the arena bytes live is a pluggable Backend. A backend implements

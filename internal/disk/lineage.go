@@ -63,11 +63,11 @@ func (l *lineage) drain(seq uint64) {
 	l.retired = keep
 }
 
-// image returns a page image of n bytes to install, contents unspecified:
-// a free one when held, else a fresh one.
-func (l *lineage) image(n int) []byte {
+// image returns a page image to install, contents unspecified: a free one
+// when held, else a fresh one.
+func (l *lineage) image() []byte {
 	if len(l.imgs) == 0 {
-		return make([]byte, n)
+		return make([]byte, DefaultPageSize)
 	}
 	k := len(l.imgs) - 1
 	img := l.imgs[k]

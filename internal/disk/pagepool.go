@@ -7,10 +7,10 @@ import (
 )
 
 // chunkPages is how many pages a PagePool maps at a time: one chunk of 256
-// KiB at the default page size.
+// KiB.
 const chunkPages = 128
 
-// PagePool is a LIFO of page buffers of one size that outlives the engines
+// PagePool is a LIFO of page buffers that outlives the engines
 // drawing on it, the level under each engine's one free list (doc.go,
 // "Page buffer ownership"). The pages are not on the Go heap: a pool cuts
 // them from chunks, memory of its own mapped chunkPages pages at a time
@@ -23,7 +23,6 @@ const chunkPages = 128
 // can depend on the pool. Safe for concurrent use.
 type PagePool struct {
 	mu         sync.Mutex
-	pageSize   int
 	free       pageStack
 	chunks     [][]byte // every chunk mapped, whole
 	uncut      []byte   // the part of the newest chunk no page was cut from
@@ -47,7 +46,6 @@ type scaffold struct {
 // when it is empty. With no pool it makes a buffer on the heap, and what
 // it would release is dropped.
 type pageList struct {
-	size int
 	free stack[[]byte]
 	pool *PagePool
 }
@@ -58,9 +56,9 @@ func (l *pageList) get() []byte {
 		return b
 	}
 	if l.pool != nil {
-		return l.pool.Get(l.size)
+		return l.pool.Get()
 	}
-	b := make([]byte, l.size)
+	b := make([]byte, DefaultPageSize)
 	poisonPage(b)
 	return b
 }
@@ -139,34 +137,24 @@ func (s *stack[T]) pop() (v T, ok bool) {
 	return v, true
 }
 
-// NewPagePool returns an empty pool of pageSize-byte buffers (0 means
-// DefaultPageSize).
-func NewPagePool(pageSize int) *PagePool {
-	if pageSize <= 0 {
-		pageSize = DefaultPageSize
-	}
-	return &PagePool{pageSize: pageSize}
-}
+// NewPagePool returns an empty pool.
+func NewPagePool() *PagePool { return &PagePool{} }
 
-// Get returns an n-byte buffer, contents unspecified: the page put last
-// when n is the pool's page size and one is held, else a page cut from a
-// chunk, else a fresh heap buffer. A page's capacity is its length, so no
-// append reaches the next.
-func (p *PagePool) Get(n int) []byte {
-	var b []byte
-	if n == p.pageSize {
-		p.mu.Lock()
-		p.gets++
-		var ok bool
-		if b, ok = p.free.pop(); ok {
-			p.hits++
-		} else {
-			b = p.cut()
-		}
-		p.mu.Unlock()
+// Get returns a page buffer, contents unspecified: the page put last when
+// one is held, else a page cut from a chunk, else a fresh heap buffer. A
+// page's capacity is its length, so no append reaches the next.
+func (p *PagePool) Get() []byte {
+	p.mu.Lock()
+	p.gets++
+	b, ok := p.free.pop()
+	if ok {
+		p.hits++
+	} else {
+		b = p.cut()
 	}
+	p.mu.Unlock()
 	if b == nil {
-		b = make([]byte, n)
+		b = make([]byte, DefaultPageSize)
 	}
 	poisonPage(b)
 	return b
@@ -178,7 +166,7 @@ func (p *PagePool) Get(n int) []byte {
 // list, so a Put of the pages cut so far never grows it.
 func (p *PagePool) cut() []byte {
 	if len(p.uncut) == 0 {
-		c, err := allocArena(chunkPages * p.pageSize)
+		c, err := allocArena(chunkPages * DefaultPageSize)
 		if err != nil {
 			return nil
 		}
@@ -186,8 +174,8 @@ func (p *PagePool) cut() []byte {
 		p.uncut = c
 		p.free.reserve()
 	}
-	b := p.uncut[:p.pageSize:p.pageSize]
-	p.uncut = p.uncut[p.pageSize:]
+	b := p.uncut[:DefaultPageSize:DefaultPageSize]
+	p.uncut = p.uncut[DefaultPageSize:]
 	return b
 }
 
@@ -206,7 +194,7 @@ func (p *PagePool) Put(pages [][]byte) {
 // put takes over one page; the caller holds the lock.
 func (p *PagePool) put(b []byte) {
 	poisonPage(b)
-	if len(b) == p.pageSize {
+	if len(b) == DefaultPageSize {
 		p.free.push(b)
 	}
 }
@@ -235,7 +223,7 @@ func (p *PagePool) takeScaffold() (scaffold, bool) {
 	return p.scaffolds.pop()
 }
 
-// Stats reports the page-size Gets seen, how many of them the pool served,
+// Stats reports the Gets seen, how many of them the pool served,
 // and the pages it holds.
 func (p *PagePool) Stats() (gets, hits int64, held int) {
 	p.mu.Lock()
@@ -259,7 +247,7 @@ func (p *PagePool) Drain() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.scaffolds = nil
-	out := len(p.chunks)*chunkPages - len(p.uncut)/p.pageSize
+	out := len(p.chunks)*chunkPages - len(p.uncut)/DefaultPageSize
 	for _, seg := range p.free.segs {
 		for _, b := range seg {
 			if p.inChunk(b) {

@@ -11,7 +11,7 @@ import (
 // A device with no page pool makes its buffers on the heap once its free
 // list is empty, takes no scaffold, and drops what it would release.
 func TestPoollessDevice(t *testing.T) {
-	d := NewWithBackend(512, NewCOWBackend(nil, 512))
+	d := NewWithBackend(NewCOWBackend(nil))
 	if d.TakeScaffold() != nil {
 		t.Fatal("a device with no page pool took a scaffold")
 	}
@@ -19,14 +19,14 @@ func TestPoollessDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := d.NewPage()
-	if len(b) != 512 {
-		t.Fatalf("the device made %d bytes, want 512", len(b))
+	if len(b) != DefaultPageSize {
+		t.Fatalf("the device made %d bytes, want %d", len(b), DefaultPageSize)
 	}
 	d.FreePage(b)
-	if err := d.WriteRun(1, [][]byte{make([]byte, 512)}); err != nil {
+	if err := d.WriteRun(1, [][]byte{make([]byte, DefaultPageSize)}); err != nil {
 		t.Fatal(err)
 	}
-	if img, _ := d.stable.StablePage(512, 512); &img[0] != &b[0] {
+	if img, _ := d.stable.StablePage(DefaultPageSize, DefaultPageSize); &img[0] != &b[0] {
 		t.Error("the overlay did not take the page the device's list held")
 	}
 	d.ReleasePages(new(int))
@@ -49,16 +49,16 @@ func drainAtEnd(t *testing.T, p *PagePool) *PagePool {
 }
 
 func TestPagePoolRecyclesLIFO(t *testing.T) {
-	p := drainAtEnd(t, NewPagePool(0))
-	a, b := p.Get(DefaultPageSize), p.Get(DefaultPageSize)
+	p := drainAtEnd(t, NewPagePool())
+	a, b := p.Get(), p.Get()
 	if len(a) != DefaultPageSize || len(b) != DefaultPageSize {
-		t.Fatalf("default-size pool handed out %d and %d bytes", len(a), len(b))
+		t.Fatalf("pool handed out %d and %d bytes", len(a), len(b))
 	}
 	p.Put([][]byte{a, b})
-	if got := p.Get(DefaultPageSize); &got[0] != &b[0] {
+	if got := p.Get(); &got[0] != &b[0] {
 		t.Error("Get did not return the page put last")
 	}
-	if got := p.Get(DefaultPageSize); &got[0] != &a[0] {
+	if got := p.Get(); &got[0] != &a[0] {
 		t.Error("second Get did not return the page put first")
 	}
 	if gets, hits, held := p.Stats(); gets != 4 || hits != 2 || held != 0 {
@@ -72,12 +72,12 @@ func TestPagePoolRecyclesLIFO(t *testing.T) {
 // a Put of every page cut grows nothing, and Drain unmaps the chunks only
 // once every page is back.
 func TestPagePoolChunks(t *testing.T) {
-	const size = 64
+	const size = DefaultPageSize
 	start := LiveArenaBytes()
-	p := NewPagePool(size)
+	p := NewPagePool()
 	pages := make([][]byte, chunkPages+1) // one page into a second chunk
 	for i := range pages {
-		b := p.Get(size)
+		b := p.Get()
 		if len(b) != size || cap(b) != size {
 			t.Fatalf("page %d: len %d cap %d, want both %d", i, len(b), cap(b), size)
 		}
@@ -133,12 +133,12 @@ func TestPagePoolChunks(t *testing.T) {
 // than twice the list they end in (a slice regrown per chunk cost ≈ 3×),
 // and putting them all back allocates nothing.
 func TestPagePoolFreeListCostsItsSize(t *testing.T) {
-	p := NewPagePool(DefaultPageSize)
+	p := NewPagePool()
 	pages := make([][]byte, 64*chunkPages)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := range pages {
-		pages[i] = p.Get(DefaultPageSize)
+		pages[i] = p.Get()
 	}
 	runtime.ReadMemStats(&after)
 	slots := len(p.free.segs) * chunkPages
@@ -158,23 +158,24 @@ func TestPagePoolFreeListCostsItsSize(t *testing.T) {
 }
 
 func TestPagePoolOtherSizes(t *testing.T) {
-	p := NewPagePool(1024)
-	p.Put([][]byte{make([]byte, 1000), make([]byte, 1024), make([]byte, 2048), nil})
+	p := NewPagePool()
+	page := make([]byte, DefaultPageSize)
+	p.Put([][]byte{make([]byte, 1000), make([]byte, 1024), page, nil})
 	if _, _, held := p.Stats(); held != 1 {
 		t.Fatalf("pool holds %d pages, want only the page-sized one", held)
 	}
-	if b := p.Get(2048); len(b) != 2048 {
-		t.Fatalf("Get(2048) returned %d bytes", len(b))
+	if b := p.Get(); len(b) != DefaultPageSize || &b[0] != &page[0] {
+		t.Fatalf("Get returned %d bytes, not the page put", len(b))
 	}
-	if gets, _, held := p.Stats(); gets != 0 || held != 1 {
-		t.Errorf("a request of another size touched the pool: gets=%d held=%d", gets, held)
+	if gets, hits, held := p.Stats(); gets != 1 || hits != 1 || held != 0 {
+		t.Errorf("stats gets=%d hits=%d held=%d, want 1 1 0", gets, hits, held)
 	}
 }
 
 // Two goroutines drawing and returning at once (run under -race): every
 // page is held by exactly one party at a time.
 func TestPagePoolConcurrent(t *testing.T) {
-	p := drainAtEnd(t, NewPagePool(64))
+	p := drainAtEnd(t, NewPagePool())
 	var wg sync.WaitGroup
 	for g := byte(1); g <= 2; g++ {
 		wg.Add(1)
@@ -183,7 +184,7 @@ func TestPagePoolConcurrent(t *testing.T) {
 			held := make([][]byte, 0, 8)
 			for round := 0; round < 500; round++ {
 				for len(held) < cap(held) {
-					b := p.Get(64)
+					b := p.Get()
 					for i := range b {
 						b[i] = g
 					}
@@ -216,9 +217,9 @@ func TestPagePoolConcurrent(t *testing.T) {
 func TestReleasePagesHandsOnOneScaffold(t *testing.T) {
 	page := make([]byte, DefaultPageSize)
 	page[0] = 7
-	pp := drainAtEnd(t, NewPagePool(0))
+	pp := drainAtEnd(t, NewPagePool())
 	open := func(b Backend) (*Disk, any) {
-		d := NewWithBackend(DefaultPageSize, b)
+		d := NewWithBackend(b)
 		d.SetPagePool(pp)
 		buf := d.TakeScaffold()
 		if _, err := d.Allocate(8); err != nil {
@@ -226,7 +227,7 @@ func TestReleasePagesHandsOnOneScaffold(t *testing.T) {
 		}
 		return d, buf
 	}
-	cow := func() Backend { return NewCOWBackend(nil, DefaultPageSize) }
+	cow := func() Backend { return NewCOWBackend(nil) }
 	d, buf := open(cow())
 	if buf != nil {
 		t.Fatalf("an empty page pool handed out scaffold %v", buf)

@@ -12,9 +12,9 @@ import (
 // and again when it is handed out, fresh ones included: nothing may rely
 // on a returned page's old bytes or on a new page's zeros.
 func TestPagePoolPoisons(t *testing.T) {
-	want := bytes.Repeat([]byte{0xDB}, 256)
-	p := NewPagePool(256)
-	b := p.Get(256)
+	want := bytes.Repeat([]byte{0xDB}, DefaultPageSize)
+	p := NewPagePool()
+	b := p.Get()
 	if !bytes.Equal(b, want) {
 		t.Fatalf("a fresh page reads %x...", b[:8])
 	}
@@ -24,7 +24,7 @@ func TestPagePoolPoisons(t *testing.T) {
 		t.Fatalf("a returned page still reads %x...", b[:8])
 	}
 	clear(b)
-	if b = p.Get(256); !bytes.Equal(b, want) {
+	if b = p.Get(); !bytes.Equal(b, want) {
 		t.Fatalf("a recycled page reads %x...", b[:8])
 	}
 	p.Put([][]byte{b})
@@ -37,8 +37,8 @@ func TestPagePoolPoisons(t *testing.T) {
 // makes reads 0xDB, and so does a page given to it, whether freed
 // (FreePage) or an overlay image a reset dropped.
 func TestDeviceListPoisons(t *testing.T) {
-	want := bytes.Repeat([]byte{0xDB}, 256)
-	d := NewWithBackend(256, NewCOWBackend(nil, 256))
+	want := bytes.Repeat([]byte{0xDB}, DefaultPageSize)
+	d := NewWithBackend(NewCOWBackend(nil))
 	defer d.Close()
 	b := d.NewPage()
 	if !bytes.Equal(b, want) {
@@ -52,10 +52,10 @@ func TestDeviceListPoisons(t *testing.T) {
 	if _, err := d.Allocate(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.WriteRun(0, [][]byte{make([]byte, 256)}); err != nil {
+	if err := d.WriteRun(0, [][]byte{make([]byte, DefaultPageSize)}); err != nil {
 		t.Fatal(err)
 	}
-	img, _ := d.stable.StablePage(0, 256)
+	img, _ := d.stable.StablePage(0, DefaultPageSize)
 	d.ResetView()
 	if !bytes.Equal(img, want) {
 		t.Fatalf("an overlay image a reset dropped still reads %x...", img[:8])
@@ -69,13 +69,13 @@ func TestDeviceListPoisons(t *testing.T) {
 // moment it is freed, so a generation that lost an image it still reads
 // fails here even before the image is reused.
 func TestParkedGenerationSurvivesRecycling(t *testing.T) {
-	const ps, numPages = 64, 8 * leafPages
-	gen, _ := testBase(ps, numPages)
+	const ps, numPages = DefaultPageSize, 8 * leafPages
+	gen, _ := testBase(numPages)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 5; i++ {
-		gen = commitThroughView(t, gen, ps, randomPages(rng, ps, numPages, 8))
+		gen = commitThroughView(t, gen, randomPages(rng, numPages, 8))
 	}
-	parked, err := Open(ps, NewCOWBackend(gen, ps))
+	parked, err := Open(NewCOWBackend(gen))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestParkedGenerationSurvivesRecycling(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		gen = commitThroughView(t, gen, ps, randomPages(rng, ps, numPages, 1+rng.Intn(12)))
+		gen = commitThroughView(t, gen, randomPages(rng, numPages, 1+rng.Intn(12)))
 		if i%50 == 49 {
 			got, err := readCopy(parked, 0, numPages)
 			if err != nil {

@@ -1,7 +1,6 @@
 package disk
 
 import (
-	"fmt"
 	"io"
 	"unsafe"
 )
@@ -43,26 +42,22 @@ func OverlayPages(b Backend, fn func(pg int, img []byte)) bool {
 // replaces or drops — is retired with the generations that can read it.
 // That needs the receiver to be the branch's newest generation; promoting
 // an older one panics.
-func (a *BaseArena) Promote(pageSize, numPages int, pages map[int][]byte) (next *BaseArena, copied int64) {
+func (a *BaseArena) Promote(numPages int, pages map[int][]byte) (next *BaseArena, copied int64) {
 	if a == nil {
 		a = NewBaseArena(nil)
 		defer a.Release()
-	}
-	if a.gran != 0 && a.gran != pageSize {
-		panic(fmt.Sprintf("disk: promote at page size %d over a generation of page size %d", pageSize, a.gran))
 	}
 	br := a.br
 	br.mu.Lock()
 	defer br.mu.Unlock()
 	l := br.lineageFor(a)
-	size := numPages * pageSize
+	size := numPages * DefaultPageSize
 	next = &BaseArena{
 		fl:       a.fl,
 		br:       br,
 		seq:      a.seq + 1,
 		floorLen: min(a.floorLen, size),
 		size:     size,
-		gran:     pageSize,
 		over:     l.root((numPages + leafPages - 1) >> leafShift),
 		held:     a.held,
 	}
@@ -108,7 +103,7 @@ func (a *BaseArena) Promote(pageSize, numPages int, pages map[int][]byte) (next 
 	}
 	// A shrink drops the images past the committed size, those sharing the
 	// last leaf with surviving pages included: regrown, they read as zero.
-	for pg := numPages; pg*pageSize < a.size; pg++ {
+	for pg := numPages; pg*DefaultPageSize < a.size; pg++ {
 		if img := a.over.page(pg); img != nil {
 			next.held--
 			drop(pg, img)
@@ -121,9 +116,9 @@ func (a *BaseArena) Promote(pageSize, numPages int, pages map[int][]byte) (next 
 		if pg < 0 || pg >= numPages {
 			continue
 		}
-		img := l.image(pageSize)
-		if len(src) < pageSize {
-			m := copy(img, a.page(pg, pageSize))
+		img := l.image()
+		if len(src) < DefaultPageSize {
+			m := copy(img, a.page(pg))
 			clear(img[m:])
 		}
 		copy(img, src)
@@ -134,14 +129,14 @@ func (a *BaseArena) Promote(pageSize, numPages int, pages map[int][]byte) (next 
 		drop(pg, *at)
 		*at = img
 		l.born[pg] = next.seq
-		copied += int64(pageSize)
+		copied += DefaultPageSize
 	}
 	l.newest = next.seq
 	l.live = append(l.live, next.seq)
 	return next, copied
 }
 
-// WriteTo streams the generation's numPages*pageSize bytes to w — what a
+// WriteTo streams the generation's numPages*DefaultPageSize bytes to w — what a
 // checkpoint persists — without flattening it in memory: every maximal
 // run of pages still read from the floor goes out as one Write (a
 // never-promoted base is a single Write of the floor), committed images
@@ -160,7 +155,7 @@ func (a *BaseArena) WriteTo(w io.Writer) (int64, error) {
 		return written, write(a.fl.data)
 	}
 	var zeros []byte
-	numPages := a.size / a.gran
+	numPages := a.size / DefaultPageSize
 	for pg := 0; pg < numPages; {
 		if img := a.over.page(pg); img != nil {
 			if err := write(img); err != nil {
@@ -173,7 +168,7 @@ func (a *BaseArena) WriteTo(w io.Writer) (int64, error) {
 		for end < numPages && a.over.page(end) == nil {
 			end++
 		}
-		lo, hi := pg*a.gran, end*a.gran
+		lo, hi := pg*DefaultPageSize, end*DefaultPageSize
 		if lo < a.floorLen {
 			if err := write(a.fl.data[lo:min(hi, a.floorLen)]); err != nil {
 				return written, err
@@ -182,7 +177,7 @@ func (a *BaseArena) WriteTo(w io.Writer) (int64, error) {
 		}
 		for lo < hi {
 			if zeros == nil {
-				zeros = make([]byte, a.gran)
+				zeros = make([]byte, DefaultPageSize)
 			}
 			n := min(hi-lo, len(zeros))
 			if err := write(zeros[:n]); err != nil {

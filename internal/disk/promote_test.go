@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"unsafe"
@@ -13,14 +14,14 @@ import (
 // whole-arena promotion built it — a fresh numPages*pageSize slice, the
 // old content copied in (truncated or zero-extended), the images applied
 // on top, pages past numPages ignored.
-func flatPromote(old []byte, pageSize, numPages int, pages map[int][]byte) []byte {
-	data := make([]byte, numPages*pageSize)
+func flatPromote(old []byte, numPages int, pages map[int][]byte) []byte {
+	data := make([]byte, numPages*DefaultPageSize)
 	copy(data, old)
 	for pg, img := range pages {
 		if pg < 0 || pg >= numPages {
 			continue
 		}
-		copy(data[pg*pageSize:(pg+1)*pageSize], img)
+		copy(data[pg*DefaultPageSize:(pg+1)*DefaultPageSize], img)
 	}
 	return data
 }
@@ -28,12 +29,13 @@ func flatPromote(old []byte, pageSize, numPages int, pages map[int][]byte) []byt
 // checkGeneration compares a generation with its flat oracle page by
 // page through every read path a view has — ReadAt and StablePage — and
 // through the two whole-arena paths, WriteTo and Bytes.
-func checkGeneration(t *testing.T, label string, gen *BaseArena, ps int, want []byte) {
+func checkGeneration(t *testing.T, label string, gen *BaseArena, want []byte) {
 	t.Helper()
+	const ps = DefaultPageSize
 	if gen.Len() != len(want) {
 		t.Fatalf("%s: Len = %d, oracle has %d bytes", label, gen.Len(), len(want))
 	}
-	v := NewCOWBackend(gen, ps)
+	v := NewCOWBackend(gen)
 	defer v.Close()
 	got := make([]byte, ps)
 	for pg := 0; pg*ps < len(want); pg++ {
@@ -75,7 +77,7 @@ func checkGeneration(t *testing.T, label string, gen *BaseArena, ps int, want []
 // 1 000 takes the same steps as on generation 1: table, then floor.
 func TestPromoteMatchesFlatOracle(t *testing.T) {
 	const (
-		ps       = 64
+		ps       = DefaultPageSize
 		promotes = 1100
 	)
 	for _, seed := range []int64{1, 2, 3} {
@@ -94,27 +96,31 @@ func TestPromoteMatchesFlatOracle(t *testing.T) {
 			stop := make(chan struct{})
 			var readers sync.WaitGroup
 			hold := func(g *BaseArena, want []byte, label string) {
-				v := NewCOWBackend(g, ps)
+				v := NewCOWBackend(g)
 				readers.Add(1)
 				go func() {
 					defer readers.Done()
 					defer v.Close()
-					got := make([]byte, len(want))
-					for {
-						if len(want) > 0 {
-							if err := v.ReadAt(got, 0); err != nil {
-								t.Errorf("%s: %v", label, err)
-								return
-							}
-							if !bytes.Equal(got, want) {
-								t.Errorf("%s: a later promote changed the bytes of an open view", label)
-								return
-							}
+					// One page per pass, cycling through the view, then the
+					// processor goes back to the promoting goroutine: every
+					// byte is checked again and again while promotes run,
+					// without starving them.
+					got := make([]byte, ps)
+					for off := 0; ; off = (off + ps) % len(want) {
+						page := want[off:min(off+ps, len(want))]
+						if err := v.ReadAt(got[:len(page)], off); err != nil {
+							t.Errorf("%s: %v", label, err)
+							return
+						}
+						if !bytes.Equal(got[:len(page)], page) {
+							t.Errorf("%s: a later promote changed the bytes of an open view", label)
+							return
 						}
 						select {
 						case <-stop:
 							return
 						default:
+							runtime.Gosched()
 						}
 					}
 				}()
@@ -146,8 +152,8 @@ func TestPromoteMatchesFlatOracle(t *testing.T) {
 					pages[pg] = img
 				}
 
-				next, copied := gen.Promote(ps, numPages, pages)
-				oracle = flatPromote(oracle, ps, numPages, pages)
+				next, copied := gen.Promote(numPages, pages)
+				oracle = flatPromote(oracle, numPages, pages)
 				// The leaf-copy bound: the root, the images, and at most one
 				// leaf per image plus the one a shrink cuts into.
 				fixed := int64(len(next.over))*int64(unsafe.Sizeof((*pageLeaf)(nil))) + int64(inRange*ps)
@@ -161,7 +167,7 @@ func TestPromoteMatchesFlatOracle(t *testing.T) {
 					clear(img)
 				}
 				label := fmt.Sprintf("generation %d", step)
-				checkGeneration(t, label, next, ps, oracle)
+				checkGeneration(t, label, next, oracle)
 				if next.DeltaPages() > numPages {
 					t.Fatalf("%s holds %d committed pages of %d", label, next.DeltaPages(), numPages)
 				}
@@ -205,8 +211,8 @@ func TestPromoteMatchesFlatOracle(t *testing.T) {
 // generation emits each maximal run of floor pages as a single Write
 // between its committed pages.
 func TestWriteToCoalescesFloorRuns(t *testing.T) {
-	const ps = 128
-	base, pristine := testBase(ps, 10)
+	const ps = DefaultPageSize
+	base, pristine := testBase(10)
 	defer base.Release()
 	var w countingWriter
 	if _, err := base.WriteTo(&w); err != nil || len(w.sizes) != 1 || w.sizes[0] != len(pristine) {
@@ -214,7 +220,7 @@ func TestWriteToCoalescesFloorRuns(t *testing.T) {
 	}
 
 	img := bytes.Repeat([]byte{0xEE}, ps)
-	gen, _ := base.Promote(ps, 12, map[int][]byte{3: img, 4: img, 8: img})
+	gen, _ := base.Promote(12, map[int][]byte{3: img, 4: img, 8: img})
 	defer gen.Release()
 	w = countingWriter{}
 	if _, err := gen.WriteTo(&w); err != nil {
@@ -239,19 +245,19 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 // predecessor — by pointer — copies the ones it writes, and reports the
 // root, those leaves and the images as copied, whatever the arena's size.
 func TestPromoteCopiesOnlyDirtyLeaves(t *testing.T) {
-	const ps, numPages = 64, 40 * leafPages
-	base, _ := testBase(ps, numPages)
+	const ps, numPages = DefaultPageSize, 40 * leafPages
+	base, _ := testBase(numPages)
 	defer base.Release()
 	img := bytes.Repeat([]byte{0xC3}, ps)
 	every := make(map[int][]byte)
 	for pg := 0; pg < numPages; pg += leafPages {
 		every[pg] = img // one page per leaf: every leaf exists from here on
 	}
-	first, _ := base.Promote(ps, numPages, every)
+	first, _ := base.Promote(numPages, every)
 	defer first.Release()
 
 	dirty := map[int][]byte{3: img, 5: img, 7*leafPages + 1: img} // two leaves
-	second, copied := first.Promote(ps, numPages, dirty)
+	second, copied := first.Promote(numPages, dirty)
 	defer second.Release()
 	rootBytes := int64(len(second.over)) * int64(unsafe.Sizeof((*pageLeaf)(nil)))
 	if want := rootBytes + 2*int64(unsafe.Sizeof(pageLeaf{})) + 3*ps; copied != want {

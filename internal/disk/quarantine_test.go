@@ -27,8 +27,8 @@ func faults(read func()) (faulted bool) {
 // is most likely to be handed out again — cannot land on its address and
 // lend the stale slice its bytes.
 func TestDrainedPageFaults(t *testing.T) {
-	p := NewPagePool(DefaultPageSize)
-	kept := p.Get(DefaultPageSize)
+	p := NewPagePool()
+	kept := p.Get()
 	p.Put([][]byte{kept})
 	before := quarantined.Load()
 	if err := p.Drain(); err != nil {
@@ -37,8 +37,8 @@ func TestDrainedPageFaults(t *testing.T) {
 	if got, want := quarantined.Load()-before, int64(chunkPages*DefaultPageSize); got != want {
 		t.Errorf("Drain quarantined %d bytes, want the chunk's %d", got, want)
 	}
-	next := NewPagePool(DefaultPageSize)
-	fresh := next.Get(DefaultPageSize)
+	next := NewPagePool()
+	fresh := next.Get()
 	if !faults(func() { sink = kept[0] }) {
 		t.Error("a page kept past its pool's Drain was read without a fault")
 	}

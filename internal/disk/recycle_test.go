@@ -7,10 +7,10 @@ import (
 
 // randomPages returns k distinct random pages of [0, numPages) with random
 // full-page images.
-func randomPages(rng *rand.Rand, ps, numPages, k int) map[int][]byte {
+func randomPages(rng *rand.Rand, numPages, k int) map[int][]byte {
 	pages := make(map[int][]byte, k)
 	for len(pages) < k {
-		img := make([]byte, ps)
+		img := make([]byte, DefaultPageSize)
 		rng.Read(img)
 		pages[rng.Intn(numPages)] = img
 	}
@@ -20,9 +20,9 @@ func randomPages(rng *rand.Rand, ps, numPages, k int) map[int][]byte {
 // commitThroughView is one commit as the store layer makes it: the pages
 // are written through a COW view of gen, the view's overlay is promoted,
 // and the owner reference moves to the new generation (gen is released).
-func commitThroughView(t *testing.T, gen *BaseArena, ps int, pages map[int][]byte) *BaseArena {
+func commitThroughView(t *testing.T, gen *BaseArena, pages map[int][]byte) *BaseArena {
 	t.Helper()
-	d, err := Open(ps, NewCOWBackend(gen, ps))
+	d, err := Open(NewCOWBackend(gen))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func commitThroughView(t *testing.T, gen *BaseArena, ps int, pages map[int][]byt
 	}
 	dirty := make(map[int][]byte, len(pages))
 	OverlayPages(d.Backend(), func(pg int, img []byte) { dirty[pg] = img })
-	next, _ := gen.Promote(ps, d.NumPages(), dirty)
+	next, _ := gen.Promote(d.NumPages(), dirty)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +50,11 @@ func commitThroughView(t *testing.T, gen *BaseArena, ps int, pages map[int][]byt
 // generation reads and a newer one replaced — the set the garbage
 // collector would keep alive — and they all come free when it closes.
 func TestRecycledImagesAreBounded(t *testing.T) {
-	const ps, numPages, dirty = 64, 20 * leafPages, 16
-	gen, _ := testBase(ps, numPages)
+	const ps, numPages, dirty = DefaultPageSize, 20 * leafPages, 16
+	gen, _ := testBase(numPages)
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 300; i++ {
-		gen = commitThroughView(t, gen, ps, randomPages(rng, ps, numPages, dirty))
+		gen = commitThroughView(t, gen, randomPages(rng, numPages, dirty))
 		if pinned, free, _ := gen.RecycleState(); len(pinned)+free > dirty {
 			t.Fatalf("commit %d: the lineage holds %d retired + %d free images, more than one commit's %d",
 				i, len(pinned), free, dirty)
@@ -65,9 +65,9 @@ func TestRecycledImagesAreBounded(t *testing.T) {
 	}
 
 	parkedGen := gen
-	parked := NewCOWBackend(parkedGen, ps)
+	parked := NewCOWBackend(parkedGen)
 	for i := 0; i < 300; i++ {
-		gen = commitThroughView(t, gen, ps, randomPages(rng, ps, numPages, dirty))
+		gen = commitThroughView(t, gen, randomPages(rng, numPages, dirty))
 	}
 	want := make(map[*byte]bool)
 	parkedGen.over.each(func(pg int, slot *[]byte) {
@@ -108,10 +108,10 @@ func TestRecycledImagesAreBounded(t *testing.T) {
 // lineage untouched: the same bytes, references and recycling state, and
 // later commits recycle as before.
 func TestPromoteOffTheNewestPanics(t *testing.T) {
-	const ps = 64
-	base, pristine := testBase(ps, 4)
+	const ps = DefaultPageSize
+	base, pristine := testBase(4)
 	rng := rand.New(rand.NewSource(9))
-	a, _ := base.Promote(ps, 4, randomPages(rng, ps, 4, 2))
+	a, _ := base.Promote(4, randomPages(rng, 4, 2))
 	want := a.Bytes()
 	if string(pristine) == string(want) {
 		t.Fatal("the promote committed nothing; the check is vacuous")
@@ -124,7 +124,7 @@ func TestPromoteOffTheNewestPanics(t *testing.T) {
 				t.Fatal("a promote of a generation that is not the newest did not panic")
 			}
 		}()
-		base.Promote(ps, 4, randomPages(rng, ps, 4, 2)) // base is no longer the newest
+		base.Promote(4, randomPages(rng, 4, 2)) // base is no longer the newest
 	}()
 	if got := a.Bytes(); string(got) != string(want) {
 		t.Fatal("the refused fork changed the newest generation")
@@ -137,7 +137,7 @@ func TestPromoteOffTheNewestPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		a = commitThroughView(t, a, ps, randomPages(rng, ps, 4, 2))
+		a = commitThroughView(t, a, randomPages(rng, 4, 2))
 	}
 	if _, _, reused := a.RecycleState(); reused == 0 {
 		t.Fatal("the newest generation's lineage stopped recycling after a refused fork")

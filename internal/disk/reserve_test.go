@@ -26,13 +26,14 @@ func fillPages(t *testing.T, d *Disk, n int) {
 }
 
 // checkPages verifies what fillPages wrote, straight from arena bytes.
-func checkPages(t *testing.T, arena []byte, pageSize, n int) {
+func checkPages(t *testing.T, arena []byte, n int) {
 	t.Helper()
-	if len(arena) != n*pageSize {
-		t.Fatalf("arena of %d bytes, want %d pages of %d", len(arena), n, pageSize)
+	const ps = DefaultPageSize
+	if len(arena) != n*ps {
+		t.Fatalf("arena of %d bytes, want %d pages", len(arena), n)
 	}
 	for i := 0; i < n; i++ {
-		if pg := arena[i*pageSize : (i+1)*pageSize]; !bytes.Equal(pg, bytes.Repeat([]byte{byte(i)}, pageSize)) {
+		if pg := arena[i*ps : (i+1)*ps]; !bytes.Equal(pg, bytes.Repeat([]byte{byte(i)}, ps)) {
 			t.Fatalf("page %d does not hold its stamp", i)
 		}
 	}
@@ -55,7 +56,7 @@ func TestReserveAllocatesArenaOnce(t *testing.T) {
 		return st
 	}
 
-	reserved := New(DefaultPageSize)
+	reserved := New()
 	defer reserved.Close()
 	reserved.Reserve(pages)
 	if reserved.NumPages() != 0 || stats(reserved).Len != 0 {
@@ -66,7 +67,7 @@ func TestReserveAllocatesArenaOnce(t *testing.T) {
 		t.Errorf("reserved arena: %+v, want one allocation of exactly %d bytes", st, pages*DefaultPageSize)
 	}
 
-	doubling := New(DefaultPageSize)
+	doubling := New()
 	defer doubling.Close()
 	fillPages(t, doubling, pages)
 	if st := stats(doubling); st.Moves < 5 || st.Cap < st.Len {
@@ -74,7 +75,7 @@ func TestReserveAllocatesArenaOnce(t *testing.T) {
 	}
 
 	before := LiveArenaBytes()
-	short := New(DefaultPageSize)
+	short := New()
 	short.Reserve(pages / 10)
 	fillPages(t, short, pages)
 	st := stats(short)
@@ -91,7 +92,7 @@ func TestReserveAllocatesArenaOnce(t *testing.T) {
 	if live := LiveArenaBytes() - before; live != int64(st.Cap) {
 		t.Errorf("%d arena bytes live after Detach, want the current arena's %d: retired arenas not freed", live, st.Cap)
 	}
-	checkPages(t, arena.Bytes(), DefaultPageSize, pages)
+	checkPages(t, arena.Bytes(), pages)
 	if err := arena.Release(); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestReserveAllocatesArenaOnce(t *testing.T) {
 		t.Errorf("%d arena bytes live after the base's release, want 0", live)
 	}
 
-	cow := NewWithBackend(DefaultPageSize, NewCOWBackend(nil, DefaultPageSize))
+	cow := NewWithBackend(NewCOWBackend(nil))
 	defer cow.Close()
 	cow.Reserve(pages) // no capability: a no-op
 	fillPages(t, cow, 3)
@@ -118,7 +119,7 @@ func TestReserveAllocatesArenaOnce(t *testing.T) {
 func TestDetachHandsOverArena(t *testing.T) {
 	const pages = 20
 	before := LiveArenaBytes()
-	d := New(DefaultPageSize)
+	d := New()
 	d.Reserve(pages + 5) // over-reserved: the tail must not leak out
 	fillPages(t, d, pages)
 	flat := d.backend.(*memBackend).arena
@@ -126,7 +127,7 @@ func TestDetachHandsOverArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkPages(t, arena.Bytes(), DefaultPageSize, pages)
+	checkPages(t, arena.Bytes(), pages)
 	if &arena.Bytes()[0] != &flat[0] {
 		t.Error("Detach copied the arena")
 	}
@@ -151,7 +152,7 @@ func TestDetachHandsOverArena(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Errorf("close of a detached device: %v", err)
 	}
-	checkPages(t, arena.Bytes(), DefaultPageSize, pages) // Close did not touch it
+	checkPages(t, arena.Bytes(), pages) // Close did not touch it
 
 	reserved := int64((pages + 5) * DefaultPageSize)
 	arena.Retain()
@@ -161,7 +162,7 @@ func TestDetachHandsOverArena(t *testing.T) {
 	if live := LiveArenaBytes() - before; live != reserved || arena.fl.data == nil {
 		t.Fatalf("%d arena bytes live with one reference left, want the %d reserved", live, reserved)
 	}
-	checkPages(t, arena.Bytes(), DefaultPageSize, pages)
+	checkPages(t, arena.Bytes(), pages)
 	if err := arena.Release(); err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestDetachHandsOverArena(t *testing.T) {
 		t.Errorf("%d arena bytes live after the last release, want 0", live)
 	}
 
-	cow := NewWithBackend(DefaultPageSize, NewCOWBackend(nil, DefaultPageSize))
+	cow := NewWithBackend(NewCOWBackend(nil))
 	defer cow.Close()
 	if _, err := cow.Detach(); err == nil || errors.Is(err, ErrDetached) {
 		t.Errorf("detach of a COW device: %v, want a not-a-loader-arena error", err)
@@ -182,7 +183,7 @@ func TestDetachHandsOverArena(t *testing.T) {
 func TestCopyBaseOwnsItsArena(t *testing.T) {
 	const pages = 12
 	before := LiveArenaBytes()
-	d := New(DefaultPageSize)
+	d := New()
 	defer d.Close()
 	d.Reserve(pages)
 	fillPages(t, d, pages)
@@ -190,7 +191,7 @@ func TestCopyBaseOwnsItsArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkPages(t, base.Bytes(), DefaultPageSize, pages)
+	checkPages(t, base.Bytes(), pages)
 	if &base.Bytes()[0] == &d.backend.(*memBackend).arena[0] {
 		t.Error("CopyBase shares the device's arena")
 	}
@@ -200,7 +201,7 @@ func TestCopyBaseOwnsItsArena(t *testing.T) {
 	if err := d.WriteRun(0, [][]byte{bytes.Repeat([]byte{0xFF}, DefaultPageSize)}); err != nil {
 		t.Fatalf("the device after CopyBase: %v", err)
 	}
-	checkPages(t, base.Bytes(), DefaultPageSize, pages) // the copy did not see the write
+	checkPages(t, base.Bytes(), pages) // the copy did not see the write
 	if err := base.Release(); err != nil {
 		t.Fatal(err)
 	}

@@ -14,13 +14,13 @@ import (
 	"complexobj/internal/faultdisk"
 )
 
-const pageSize = 128
+const pageSize = disk.DefaultPageSize
 
 // openBackend builds one backend of each flavor ("cow" over a nil base:
 // a fully private overlay).
 func openBackend(kind string) disk.Backend {
 	if kind == "cow" {
-		return disk.NewCOWBackend(nil, pageSize)
+		return disk.NewCOWBackend(nil)
 	}
 	return disk.NewMemBackend()
 }
@@ -32,7 +32,7 @@ func openBackend(kind string) disk.Backend {
 func faultedDisk(t *testing.T, kind string, spec faultdisk.Spec) (*disk.Disk, *faultdisk.Injector) {
 	t.Helper()
 	in := faultdisk.New(spec)
-	d := disk.NewWithBackend(pageSize, in.Wrap(openBackend(kind), pageSize))
+	d := disk.NewWithBackend(in.Wrap(openBackend(kind)))
 	t.Cleanup(func() { d.Close() })
 	return d, in
 }
@@ -198,9 +198,9 @@ func TestTornWriteLeavesBaseIntact(t *testing.T) {
 	baseBytes := bytes.Repeat([]byte{0xAB}, 2*pageSize)
 	arena := disk.NewBaseArena(append([]byte(nil), baseBytes...))
 	defer arena.Release()
-	cow := disk.NewCOWBackend(arena, pageSize)
+	cow := disk.NewCOWBackend(arena)
 	in := faultdisk.New(faultdisk.Spec{Torn: 1})
-	b := in.Wrap(cow, pageSize)
+	b := in.Wrap(cow)
 	defer b.Close()
 
 	newPage := bytes.Repeat([]byte{0x11}, pageSize)
@@ -236,7 +236,7 @@ func TestResetViewSeesThroughWrapper(t *testing.T) {
 	arena := disk.NewBaseArena(make([]byte, 2*pageSize))
 	defer arena.Release()
 	in := faultdisk.New(faultdisk.Spec{Seed: 1}) // armed but inert
-	d, err := disk.Open(pageSize, in.Wrap(disk.NewCOWBackend(arena, pageSize), pageSize))
+	d, err := disk.Open(in.Wrap(disk.NewCOWBackend(arena)))
 	if err != nil {
 		t.Fatal(err)
 	}

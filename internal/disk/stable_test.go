@@ -14,12 +14,12 @@ func stableDevices(t *testing.T) map[string]*Disk {
 	// so its out-of-range cases sit outside the backend arena for every
 	// backend kind (larger allocations simply grow the overlay).
 	base := NewBaseArena(make([]byte, 4*DefaultPageSize))
-	cow, err := Open(DefaultPageSize, NewCOWBackend(base, DefaultPageSize))
+	cow, err := Open(NewCOWBackend(base))
 	if err != nil {
 		t.Fatal(err)
 	}
 	devs := map[string]*Disk{
-		"mem": New(DefaultPageSize),
+		"mem": New(),
 		"cow": cow,
 	}
 	for _, d := range devs {
@@ -93,7 +93,7 @@ func TestStablePageCOWAliasing(t *testing.T) {
 	}
 	pristine := append([]byte(nil), baseData...)
 	base := NewBaseArena(baseData)
-	d, err := Open(ps, NewCOWBackend(base, ps))
+	d, err := Open(NewCOWBackend(base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ type opaque struct{ Backend }
 // borrowed = false, same counters, same bytes.
 func TestReadRunSharedCopyFallback(t *testing.T) {
 	const ps = DefaultPageSize
-	d := closeAtEnd(t, NewWithBackend(ps, opaque{NewMemBackend()}))
+	d := closeAtEnd(t, NewWithBackend(opaque{NewMemBackend()}))
 	if _, err := d.Allocate(4); err != nil {
 		t.Fatal(err)
 	}

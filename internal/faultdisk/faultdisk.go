@@ -360,23 +360,18 @@ func (in *Injector) Counters() Counters {
 	}
 }
 
-// Wrap layers the injector's schedule over b, for a device with the given
-// page size (0 means disk.DefaultPageSize). The wrapper exposes Unwrap,
+// Wrap layers the injector's schedule over b. The wrapper exposes Unwrap,
 // so device affordances that need the substrate (COW view recycling,
 // overlay accounting) keep working.
-func (in *Injector) Wrap(b disk.Backend, pageSize int) disk.Backend {
-	if pageSize <= 0 {
-		pageSize = disk.DefaultPageSize
-	}
+func (in *Injector) Wrap(b disk.Backend) disk.Backend {
 	seed := xrand.Mix(in.spec.Seed, in.seq.Add(1)-1)
-	return &backend{in: in, inner: b, pageSize: pageSize, rng: xrand.New(seed)}
+	return &backend{in: in, inner: b, rng: xrand.New(seed)}
 }
 
 // backend is one wrapped disk.Backend drawing from its own stream.
 type backend struct {
 	in       *Injector
 	inner    disk.Backend
-	pageSize int
 	rng      *xrand.Source
 	poisoned map[int]bool
 }
@@ -415,7 +410,7 @@ func (b *backend) target(off, n int) (int, bool) {
 	if n <= 0 {
 		return 0, false
 	}
-	first, last := off/b.pageSize, (off+n-1)/b.pageSize
+	first, last := off/disk.DefaultPageSize, (off+n-1)/disk.DefaultPageSize
 	for pg := first; pg <= last; pg++ {
 		if b.in.spec.inRange(pg) {
 			return pg, true

@@ -91,7 +91,7 @@ func (m *memBackend) WriteAt(p []byte, off int) error {
 	return nil
 }
 
-const testPage = 64
+const testPage = disk.DefaultPageSize
 
 // drive runs a fixed deterministic op sequence against a wrapped backend
 // and returns how many calls failed.
@@ -121,11 +121,11 @@ func TestDeterministicSchedule(t *testing.T) {
 	}
 	run := func() (Counters, int) {
 		in := New(spec)
-		b := in.Wrap(&memBackend{data: make([]byte, 8*testPage)}, testPage)
+		b := in.Wrap(&memBackend{data: make([]byte, 8*testPage)})
 		failed := drive(t, b)
 		// A second wrapped backend draws from its own stream: same spec,
 		// same wrap order, same schedule.
-		b2 := in.Wrap(&memBackend{data: make([]byte, 8*testPage)}, testPage)
+		b2 := in.Wrap(&memBackend{data: make([]byte, 8*testPage)})
 		failed += drive(t, b2)
 		return in.Counters(), failed
 	}
@@ -144,9 +144,9 @@ func TestDeterministicSchedule(t *testing.T) {
 	other := spec
 	other.Seed = 100
 	in := New(other)
-	b := in.Wrap(&memBackend{data: make([]byte, 8*testPage)}, testPage)
+	b := in.Wrap(&memBackend{data: make([]byte, 8*testPage)})
 	drive(t, b)
-	b2 := in.Wrap(&memBackend{data: make([]byte, 8*testPage)}, testPage)
+	b2 := in.Wrap(&memBackend{data: make([]byte, 8*testPage)})
 	drive(t, b2)
 	if in.Counters() == c1 {
 		t.Error("different seeds produced identical counters (suspicious)")
@@ -155,7 +155,7 @@ func TestDeterministicSchedule(t *testing.T) {
 
 func TestTransientFaultIsTransient(t *testing.T) {
 	in := New(Spec{Read: 1})
-	b := in.Wrap(&memBackend{data: make([]byte, testPage)}, testPage)
+	b := in.Wrap(&memBackend{data: make([]byte, testPage)})
 	err := b.ReadAt(make([]byte, testPage), 0)
 	if err == nil {
 		t.Fatal("read=1 did not fail")
@@ -171,7 +171,7 @@ func TestTransientFaultIsTransient(t *testing.T) {
 
 func TestPermanentPoisoning(t *testing.T) {
 	in := New(Spec{Perm: 1})
-	b := in.Wrap(&memBackend{data: make([]byte, 2*testPage)}, testPage)
+	b := in.Wrap(&memBackend{data: make([]byte, 2*testPage)})
 	err := b.ReadAt(make([]byte, testPage), 0)
 	if err == nil {
 		t.Fatal("perm=1 did not fail")
@@ -199,7 +199,7 @@ func TestPermanentPoisoning(t *testing.T) {
 func TestShortReadFillsPrefixOnly(t *testing.T) {
 	inner := &memBackend{data: bytes.Repeat([]byte{0xAB}, testPage)}
 	in := New(Spec{Short: 1})
-	b := in.Wrap(inner, testPage)
+	b := in.Wrap(inner)
 	p := bytes.Repeat([]byte{0xFF}, testPage)
 	err := b.ReadAt(p, 0)
 	if err == nil {
@@ -220,7 +220,7 @@ func TestShortReadFillsPrefixOnly(t *testing.T) {
 func TestTornWriteStoresPrefixOnly(t *testing.T) {
 	inner := &memBackend{data: bytes.Repeat([]byte{0xAB}, testPage)}
 	in := New(Spec{Torn: 1})
-	b := in.Wrap(inner, testPage)
+	b := in.Wrap(inner)
 	p := bytes.Repeat([]byte{0x11}, testPage)
 	err := b.WriteAt(p, 0)
 	if err == nil {
@@ -240,7 +240,7 @@ func TestTornWriteStoresPrefixOnly(t *testing.T) {
 
 func TestGrowFault(t *testing.T) {
 	in := New(Spec{Grow: 1})
-	b := in.Wrap(&memBackend{}, testPage)
+	b := in.Wrap(&memBackend{})
 	if err := b.Grow(testPage); err == nil {
 		t.Fatal("grow=1 succeeded")
 	} else if !disk.IsTransient(err) {
@@ -253,7 +253,7 @@ func TestGrowFault(t *testing.T) {
 
 func TestPanicFault(t *testing.T) {
 	in := New(Spec{Panic: 1})
-	b := in.Wrap(&memBackend{data: make([]byte, testPage)}, testPage)
+	b := in.Wrap(&memBackend{data: make([]byte, testPage)})
 	defer func() {
 		p := recover()
 		if p == nil {
@@ -272,7 +272,7 @@ func TestPanicFault(t *testing.T) {
 
 func TestPageRangeConfinesInjection(t *testing.T) {
 	in := New(Spec{Read: 1, PageLo: 3, PageHi: 3})
-	b := in.Wrap(&memBackend{data: make([]byte, 8*testPage)}, testPage)
+	b := in.Wrap(&memBackend{data: make([]byte, 8*testPage)})
 	p := make([]byte, testPage)
 	for pg := 0; pg < 8; pg++ {
 		err := b.ReadAt(p, pg*testPage)
@@ -293,7 +293,7 @@ func TestLatencyInjection(t *testing.T) {
 	in := New(Spec{LatencyProb: 1, Latency: time.Millisecond})
 	var slept time.Duration
 	in.sleep = func(d time.Duration) { slept += d }
-	b := in.Wrap(&memBackend{data: make([]byte, testPage)}, testPage)
+	b := in.Wrap(&memBackend{data: make([]byte, testPage)})
 	for i := 0; i < 3; i++ {
 		if err := b.ReadAt(make([]byte, testPage), 0); err != nil {
 			t.Fatal(err)
@@ -309,7 +309,7 @@ func TestLatencyInjection(t *testing.T) {
 
 func TestUnwrapExposesSubstrate(t *testing.T) {
 	inner := &memBackend{data: make([]byte, testPage)}
-	b := New(Spec{Read: 1}).Wrap(inner, testPage)
+	b := New(Spec{Read: 1}).Wrap(inner)
 	u, ok := b.(interface{ Unwrap() disk.Backend })
 	if !ok {
 		t.Fatal("wrapped backend has no Unwrap")
@@ -342,7 +342,7 @@ func TestStablePageSkipsFaultedRange(t *testing.T) {
 	if err := inner.Grow(8 * testPage); err != nil {
 		t.Fatal(err)
 	}
-	b := in.Wrap(inner, testPage).(disk.StablePager)
+	b := in.Wrap(inner).(disk.StablePager)
 
 	if _, ok := b.StablePage(3*testPage, testPage); ok {
 		t.Error("faulted page handed out as a stable slice")
@@ -367,7 +367,7 @@ func TestStablePageSkipsFaultedRange(t *testing.T) {
 	}
 
 	// A non-stable inner backend shares nothing, faulted or not.
-	plain := in.Wrap(&memBackend{data: make([]byte, 8*testPage)}, testPage).(disk.StablePager)
+	plain := in.Wrap(&memBackend{data: make([]byte, 8*testPage)}).(disk.StablePager)
 	if _, ok := plain.StablePage(0, testPage); ok {
 		t.Error("wrapper invented a stable page over a non-stable inner backend")
 	}

@@ -130,21 +130,18 @@ func (h *Heap) Changed() bool {
 
 // Sizer counts the pages a sequence of Inserts into an empty heap will
 // allocate, without a device: the sizing pass of a bulk load. It packs
-// records exactly as Insert does (tail page first, else a fresh page).
+// records exactly as Insert does (tail page first, else a fresh page). The
+// zero Sizer counts an empty heap.
 type Sizer struct {
-	pageSize int
-	pages    int
-	tail     page.Packing
+	pages int
+	tail  page.Packing
 }
-
-// NewSizer returns a sizer for heaps over pages of the given raw size.
-func NewSizer(pageSize int) Sizer { return Sizer{pageSize: pageSize} }
 
 // Add accounts for one record of n bytes.
 func (z *Sizer) Add(n int) {
 	if z.pages == 0 || !z.tail.Add(n) {
 		z.pages++
-		z.tail = page.NewPacking(z.pageSize)
+		z.tail = page.NewPacking()
 		z.tail.Add(n)
 	}
 }
@@ -155,7 +152,7 @@ func (z *Sizer) Pages() int { return z.pages }
 // Insert appends rec to the heap and returns its RID. Records of one
 // object inserted consecutively land on the same or adjacent pages.
 func (h *Heap) Insert(rec []byte) (RID, error) {
-	if len(rec) > page.Capacity(h.dev.PageSize()) {
+	if len(rec) > page.Capacity {
 		return RID{}, fmt.Errorf("%w: %d bytes in %s", ErrTooLarge, len(rec), h.name)
 	}
 	if len(h.pages) > 0 {

@@ -21,7 +21,7 @@ func get(h *Heap, rid RID) ([]byte, error) {
 
 func newHeap(t *testing.T, poolPages int) (*disk.Disk, *buffer.Pool, *Heap) {
 	t.Helper()
-	d := disk.New(disk.DefaultPageSize)
+	d := disk.New()
 	p := buffer.New(d, poolPages, buffer.LRU)
 	return d, p, New(d, p, "test")
 }
@@ -91,7 +91,7 @@ func TestRecordsClusterSequentially(t *testing.T) {
 
 func TestInsertTooLarge(t *testing.T) {
 	_, _, h := newHeap(t, 8)
-	if _, err := h.Insert(rec(1, page.Capacity(disk.DefaultPageSize)+1)); !errors.Is(err, ErrTooLarge) {
+	if _, err := h.Insert(rec(1, page.Capacity+1)); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversized insert err = %v", err)
 	}
 }

@@ -24,7 +24,7 @@ func TestFailedLargeInsertReturnsItsRun(t *testing.T) {
 	exercised := 0
 	for seed := uint64(1); seed <= 64 && exercised < 3; seed++ {
 		in := faultdisk.New(faultdisk.Spec{Seed: seed, Write: 0.3})
-		d := disk.NewWithBackend(disk.DefaultPageSize, in.Wrap(disk.NewMemBackend(), disk.DefaultPageSize))
+		d := disk.NewWithBackend(in.Wrap(disk.NewMemBackend()))
 		s := New(d, buffer.New(d, 16, buffer.LRU), fmt.Sprintf("faulted_%d", seed))
 		if _, err := s.Insert(obj); err == nil {
 			continue // this seed lets the first insert through
@@ -99,7 +99,7 @@ func TestLargeWritesAllocateNothing(t *testing.T) {
 // shapes alone are exactly the pages the inserts allocate.
 func TestSizerMatchesInserts(t *testing.T) {
 	d, _, s := newStore(t, 64)
-	z := NewSizer(d.PageSize())
+	var z Sizer
 	shapes := [][]int{{100}, {100, 700, 700}, {1999}, {2000}, {2001}, {120, 3000, 3000}, {50, 50}, {900, 900}, {6000}, {0}, {300}}
 	for round := 0; round < 40; round++ {
 		for _, shape := range shapes {

@@ -11,7 +11,7 @@ import (
 
 func newFreeStore(t *testing.T, poolPages int) (*disk.Disk, *buffer.Pool, *Store) {
 	t.Helper()
-	d := disk.New(disk.DefaultPageSize)
+	d := disk.New()
 	p := buffer.New(d, poolPages, buffer.LRU)
 	return d, p, New(d, p, "free_test")
 }

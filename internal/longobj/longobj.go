@@ -184,7 +184,7 @@ func (s *Store) Insert(comps []Component) (Ref, error) {
 	if len(comps) == 0 {
 		return Ref{}, errors.New("longobj: object needs at least one component")
 	}
-	if inlineSize(comps) <= page.Capacity(s.dev.PageSize()) {
+	if inlineSize(comps) <= page.Capacity {
 		rec := s.encodeInline(comps)
 		rid, err := s.shared.Insert(rec)
 		if err != nil {
@@ -197,25 +197,20 @@ func (s *Store) Insert(comps []Component) (Ref, error) {
 
 // Sizer counts the pages a sequence of Inserts into an empty store will
 // occupy — shared heap pages for small objects, page runs for large ones
-// — from the objects' shapes alone: the sizing pass of a bulk load.
+// — from the objects' shapes alone: the sizing pass of a bulk load. The
+// zero Sizer counts an empty store.
 type Sizer struct {
-	pageSize int
-	shared   heap.Sizer
-	large    int
-}
-
-// NewSizer returns a sizer for stores over pages of the given raw size.
-func NewSizer(pageSize int) Sizer {
-	return Sizer{pageSize: pageSize, shared: heap.NewSizer(pageSize)}
+	shared heap.Sizer
+	large  int
 }
 
 // Add accounts for one object of nComps components totalling total bytes.
 func (z *Sizer) Add(nComps, total int) {
-	if rec := inlineLen(nComps, total); rec <= page.Capacity(z.pageSize) {
+	if rec := inlineLen(nComps, total); rec <= page.Capacity {
 		z.shared.Add(rec)
 		return
 	}
-	h, d := largeLayout(z.pageSize-disk.SysHeaderSize, nComps, total)
+	h, d := largeLayout(disk.DefaultPageSize-disk.SysHeaderSize, nComps, total)
 	z.large += h + d
 }
 
@@ -260,7 +255,7 @@ func (s *Store) measure(comps []Component) (headerPages, dataPages, total int) {
 // are staging only, valid until the next compose: WriteRun and the frame
 // copy in ReplaceAll take the bytes and retain nothing.
 func (s *Store) compose(comps []Component, headerPages, dataPages, total int) [][]byte {
-	ps, eff := s.dev.PageSize(), s.effSize()
+	ps, eff := disk.DefaultPageSize, s.effSize()
 	n := headerPages + dataPages
 	if cap(s.imgBlock) < n*ps {
 		s.imgBlock = make([]byte, n*ps)
@@ -626,7 +621,7 @@ func (s *Store) decodeInline(rec []byte, want func(tag uint8, idx int) bool) ([]
 func (s *Store) ReplaceAll(ref Ref, comps []Component) error {
 	if ref.Small {
 		rec := s.encodeInline(comps)
-		if len(rec) > page.Capacity(s.dev.PageSize()) {
+		if len(rec) > page.Capacity {
 			return fmt.Errorf("%w: small object grows beyond a page", ErrResize)
 		}
 		return s.shared.Update(ref.RID, rec)

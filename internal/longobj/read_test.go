@@ -271,7 +271,7 @@ func FuzzRead(f *testing.F) {
 // root of a partial read. Allocations are pinned at zero; ns/op is where a
 // reintroduced copy shows.
 func BenchmarkLongobjRead(b *testing.B) {
-	d := disk.New(disk.DefaultPageSize)
+	d := disk.New()
 	s := New(d, buffer.New(d, 16, buffer.LRU), "bench")
 	comps := []Component{{Tag: 0, Data: make([]byte, 120)}}
 	for i := 0; i < 8; i++ {

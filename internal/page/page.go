@@ -38,11 +38,9 @@ func Wrap(raw []byte) Page {
 	return Page{buf: raw[disk.SysHeaderSize:]}
 }
 
-// Capacity returns the maximum record bytes a single empty page can hold
+// Capacity is the maximum record bytes a single empty page can hold
 // (payload minus header and one slot).
-func Capacity(pageSize int) int {
-	return pageSize - disk.SysHeaderSize - headerSize - slotSize
-}
+const Capacity = disk.DefaultPageSize - disk.SysHeaderSize - headerSize - slotSize
 
 // Packing predicts, in plain arithmetic, how Insert fills one page that
 // never sees a Delete or a resizing Update — a page under bulk load. It
@@ -51,9 +49,9 @@ type Packing struct {
 	free int // bytes left between the slot directory and the records
 }
 
-// NewPacking describes a freshly formatted page of the given raw size.
-func NewPacking(pageSize int) Packing {
-	return Packing{free: pageSize - disk.SysHeaderSize - headerSize}
+// NewPacking describes a freshly formatted page.
+func NewPacking() Packing {
+	return Packing{free: disk.DefaultPageSize - disk.SysHeaderSize - headerSize}
 }
 
 // Add accounts for one record of n bytes and its slot; false means the

@@ -27,7 +27,7 @@ func TestCapacityMatchesPaperGeometry(t *testing.T) {
 	// 2048 raw - 36 system header - 6 page header - 4 slot = 2002 usable for
 	// a single record; k for 170-byte tuples must be 11, matching Table 2's
 	// NSM_Connection row.
-	if c := Capacity(disk.DefaultPageSize); c != 2002 {
+	if c := Capacity; c != 2002 {
 		t.Errorf("Capacity = %d, want 2002", c)
 	}
 	p := newPage()
@@ -68,10 +68,10 @@ func TestInsertGetRoundTrip(t *testing.T) {
 
 func TestInsertTooLarge(t *testing.T) {
 	p := newPage()
-	if _, err := p.Insert(rec(1, Capacity(disk.DefaultPageSize)+1)); !errors.Is(err, ErrTooLarge) {
+	if _, err := p.Insert(rec(1, Capacity+1)); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversized insert err = %v", err)
 	}
-	if _, err := p.Insert(rec(1, Capacity(disk.DefaultPageSize))); err != nil {
+	if _, err := p.Insert(rec(1, Capacity)); err != nil {
 		t.Errorf("max-size insert failed: %v", err)
 	}
 }
@@ -346,9 +346,9 @@ func anyKey(m map[int][]byte, rng *xrand.Source) (int, bool) {
 func TestPackingMatchesInsert(t *testing.T) {
 	rng := xrand.New(11)
 	for round := 0; round < 200; round++ {
-		p, pk := newPage(), NewPacking(disk.DefaultPageSize)
+		p, pk := newPage(), NewPacking()
 		for {
-			n := rng.Intn(Capacity(disk.DefaultPageSize)/(1+rng.Intn(40)) + 1)
+			n := rng.Intn(Capacity/(1+rng.Intn(40)) + 1)
 			fits := p.CanFit(n)
 			if got := pk.Add(n); got != fits {
 				t.Fatalf("round %d: Packing says %v for %d bytes, the page says %v (%d free)", round, got, n, fits, p.FreeFor())

@@ -36,24 +36,13 @@ func (s *Server) state() state {
 	s.omu.RLock()
 	for _, k := range s.servedLocked() {
 		m := s.models[k]
-		ps := m.pool.Stats()
 		pi := PoolInfo{
-			Model:       k.String(),
-			ArenaBytes:  m.base.ArenaBytes(),
-			NumPages:    m.base.NumPages(),
-			Mapped:      m.base.Mapped(),
-			MaxViews:    ps.MaxViews,
-			InUse:       ps.InUse,
-			Idle:        ps.Idle,
-			Created:     ps.Created,
-			Reused:      ps.Reused,
-			Recycled:    ps.Recycled,
-			Rebuilt:     ps.Rebuilt,
-			Destroyed:   ps.Destroyed,
-			Quarantined: ps.Quarantined,
-			Stale:       ps.Stale,
-			Gen:         m.base.Gen(),
-
+			Model:         k.String(),
+			ArenaBytes:    m.base.ArenaBytes(),
+			NumPages:      m.base.NumPages(),
+			Mapped:        m.base.Mapped(),
+			ViewPoolStats: m.pool.Stats(),
+			Gen:           m.base.Gen(),
 			PromotedBytes: m.base.PromotedBytes(),
 			DeltaPages:    m.base.DeltaPages(),
 		}

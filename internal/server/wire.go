@@ -96,20 +96,12 @@ type StatsResponse struct {
 
 // PoolInfo describes one served model in /info.
 type PoolInfo struct {
-	Model       string `json:"model"`
-	ArenaBytes  int    `json:"arenaBytes"`
-	NumPages    int    `json:"numPages"`
-	Mapped      bool   `json:"mapped"`
-	MaxViews    int    `json:"maxViews"`
-	InUse       int    `json:"inUse"`
-	Idle        int    `json:"idle"`
-	Created     int64  `json:"created"`
-	Reused      int64  `json:"reused"`
-	Recycled    int64  `json:"recycled"`
-	Rebuilt     int64  `json:"rebuilt"`
-	Destroyed   int64  `json:"destroyed"`
-	Quarantined int64  `json:"quarantined"`
-	Stale       int64  `json:"stale"`
+	Model      string `json:"model"`
+	ArenaBytes int    `json:"arenaBytes"`
+	NumPages   int    `json:"numPages"`
+	Mapped     bool   `json:"mapped"`
+	// The view pool's counters, maxViews … stale.
+	complexobj.ViewPoolStats
 	// Gen is the base generation being served (0 until the first commit;
 	// advances on every commit, including ones replayed at startup).
 	Gen uint64 `json:"gen"`

@@ -12,7 +12,7 @@
 //	"CODB" | u16 version | u32 genLen | gen JSON | u16 entryCount
 //	repeated per entry:
 //	  u8  kinds     the models the entry holds: bit k for store.Kind k
-//	  u32 pageSize
+//	  u32 pageSize  disk.DefaultPageSize, the one page size
 //	  u32 numPages
 //	  u64 seq       WAL watermark the arena includes (0 outside checkpoints)
 //	  u64 gen       base generation as numbered by the writing process
@@ -22,14 +22,16 @@
 //
 // A physical layout is stored once. Write folds a model into an earlier
 // entry when both are of one layout (store.Kind.Layout: DSM and
-// DASDBS-DSM, NSM and NSM+index) and their page size, page count, meta
-// blob and arena are equal byte for byte — five freshly loaded models are
+// DASDBS-DSM, NSM and NSM+index) and their page count, meta blob and
+// arena are equal byte for byte — five freshly loaded models are
 // three entries, 26.3 MiB at paper scale instead of 43.0 — and a model
 // whose bytes differ (one updated after its load) keeps an entry of its
-// own. Every reader (parse) and Write hold the entry table to four rules:
+// own. Every reader (parse) and Write hold the entry table to three rules:
 // each entry holds a non-empty set of known models (ErrKindSet), of one
 // physical layout (ErrMixedLayout); no model is held by two entries
-// (ErrDuplicateKind); all entries have one page size (ErrPageSize). Stat
+// (ErrDuplicateKind). Every entry has disk.DefaultPageSize: the reader
+// refuses an entry of any other page size (ErrPageSize, naming the file
+// and both sizes), the one page-size check of the program. Stat
 // lists every model in file order, and a model opens from the entry that
 // holds it.
 //

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"complexobj/cobench"
+	"complexobj/internal/disk"
 	"complexobj/internal/snapshot"
 	"complexobj/internal/store"
 	"complexobj/internal/workload"
@@ -264,8 +265,8 @@ func TestVersion2StillOpens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(info.Kinds, kinds) || info.Gen != gen || info.PageSize != raws[0].pageSize {
-		t.Fatalf("Stat %+v, want kinds %v, gen %+v, page size %d", info, kinds, gen, raws[0].pageSize)
+	if !reflect.DeepEqual(info.Kinds, kinds) || info.Gen != gen {
+		t.Fatalf("Stat %+v, want kinds %v, gen %+v", info, kinds, gen)
 	}
 	bases, err := snapshot.OpenBases(path, kinds)
 	if err != nil {
@@ -374,7 +375,8 @@ func TestExtractNarrowsFoldedEntry(t *testing.T) {
 // refuses to produce the same tables.
 func TestEntryTableRules(t *testing.T) {
 	gen := cobench.DefaultConfig().WithN(3)
-	arena := make([]byte, 128)
+	const ps, foreign = disk.DefaultPageSize, 2 * disk.DefaultPageSize
+	arena := make([]byte, foreign)
 	e := func(kind byte, pageSize int) rawEntry {
 		return rawEntry{kind: kind, pageSize: pageSize, numPages: 1, meta: []byte("meta"), arena: arena[:pageSize]}
 	}
@@ -384,16 +386,16 @@ func TestEntryTableRules(t *testing.T) {
 		entries []rawEntry
 		want    error
 	}{
-		{"v3 empty kind set", 3, []rawEntry{e(0x00, 64)}, snapshot.ErrKindSet},
-		{"v3 unknown kind", 3, []rawEntry{e(0x21, 64)}, snapshot.ErrKindSet},
-		{"v3 kind in two entries", 3, []rawEntry{e(0x03, 64), e(0x02, 64)}, snapshot.ErrDuplicateKind},
-		{"v3 kinds of two layouts", 3, []rawEntry{e(0x05, 64)}, snapshot.ErrMixedLayout},
-		{"v3 page sizes differ", 3, []rawEntry{e(0x01, 64), e(0x04, 128)}, snapshot.ErrPageSize},
-		{"v2 kind twice", 2, []rawEntry{e(0, 64), e(0, 64)}, snapshot.ErrDuplicateKind},
-		{"v2 unknown kind", 2, []rawEntry{e(7, 64)}, snapshot.ErrKindSet},
-		{"v2 page sizes differ", 2, []rawEntry{e(0, 64), e(4, 128)}, snapshot.ErrPageSize},
-		{"v1", 1, []rawEntry{e(0, 64)}, snapshot.ErrFormat},
-		{"v4", 4, []rawEntry{e(0x01, 64)}, snapshot.ErrFormat},
+		{"v3 empty kind set", 3, []rawEntry{e(0x00, ps)}, snapshot.ErrKindSet},
+		{"v3 unknown kind", 3, []rawEntry{e(0x21, ps)}, snapshot.ErrKindSet},
+		{"v3 kind in two entries", 3, []rawEntry{e(0x03, ps), e(0x02, ps)}, snapshot.ErrDuplicateKind},
+		{"v3 kinds of two layouts", 3, []rawEntry{e(0x05, ps)}, snapshot.ErrMixedLayout},
+		{"v3 foreign page size", 3, []rawEntry{e(0x01, ps), e(0x04, foreign)}, snapshot.ErrPageSize},
+		{"v2 kind twice", 2, []rawEntry{e(0, ps), e(0, ps)}, snapshot.ErrDuplicateKind},
+		{"v2 unknown kind", 2, []rawEntry{e(7, ps)}, snapshot.ErrKindSet},
+		{"v2 foreign page size", 2, []rawEntry{e(0, foreign)}, snapshot.ErrPageSize},
+		{"v1", 1, []rawEntry{e(0, ps)}, snapshot.ErrFormat},
+		{"v4", 4, []rawEntry{e(0x01, ps)}, snapshot.ErrFormat},
 	} {
 		path := filepath.Join(t.TempDir(), "table.codb")
 		if err := os.WriteFile(path, encode(t, tc.version, gen, tc.entries...), 0o644); err != nil {
@@ -408,7 +410,7 @@ func TestEntryTableRules(t *testing.T) {
 	}
 	// The valid neighbours of those tables open.
 	path := filepath.Join(t.TempDir(), "ok.codb")
-	if err := os.WriteFile(path, encode(t, 3, gen, e(0x03, 64), e(0x0c, 64), e(0x10, 64)), 0o644); err != nil {
+	if err := os.WriteFile(path, encode(t, 3, gen, e(0x03, ps), e(0x0c, ps), e(0x10, ps)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if info, err := snapshot.Stat(path); err != nil || !reflect.DeepEqual(info.Kinds, store.AllKinds()) {
@@ -423,20 +425,9 @@ func TestEntryTableRules(t *testing.T) {
 	defer dsm.Engine().Close()
 	again := loadModel(t, store.DSM, stations)
 	defer again.Engine().Close()
-	small, err := store.New(store.NSM, store.Options{PageSize: 1024, BufferPages: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer small.Engine().Close()
-	if err := small.Load(stations); err != nil {
-		t.Fatal(err)
-	}
 	out := filepath.Join(t.TempDir(), "refused.codb")
 	if err := snapshot.Write(out, testGen(), dsm, again); !errors.Is(err, snapshot.ErrDuplicateKind) {
 		t.Errorf("Write of DSM twice: %v, want ErrDuplicateKind", err)
-	}
-	if err := snapshot.Write(out, testGen(), dsm, small); !errors.Is(err, snapshot.ErrPageSize) {
-		t.Errorf("Write of two page sizes: %v, want ErrPageSize", err)
 	}
 	if _, err := os.Stat(out); !os.IsNotExist(err) {
 		t.Errorf("a refused Write left a file: %v", err)

@@ -35,7 +35,7 @@ func FuzzSnapshotParse(f *testing.F) {
 	}
 	var models []store.Model
 	for _, k := range store.AllKinds() {
-		m, err := store.New(k, store.Options{PageSize: 512, BufferPages: 32})
+		m, err := store.New(k, store.Options{BufferPages: 32})
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -21,7 +21,6 @@ import (
 // SidecarInfo describes a model's checkpoint file.
 type SidecarInfo struct {
 	Kind     store.Kind
-	PageSize int
 	NumPages int
 	// Seq is the last acknowledged WAL commit sequence captured by the
 	// checkpoint that wrote the file (0 for a fresh seed): restored into
@@ -35,7 +34,7 @@ type SidecarInfo struct {
 
 // sidecarInfo describes e as the checkpoint of k.
 func (e entry) sidecarInfo(k store.Kind) SidecarInfo {
-	return SidecarInfo{Kind: k, PageSize: e.pageSize, NumPages: e.numPages, Seq: e.seq, Gen: e.gen}
+	return SidecarInfo{Kind: k, NumPages: e.numPages, Seq: e.seq, Gen: e.gen}
 }
 
 // Slug returns the file-name slug of a storage model (the short aliases
@@ -71,7 +70,7 @@ func sidecarPath(dir string, k store.Kind) string {
 func WriteSidecar(dir string, b *store.SharedBase, seq uint64) error {
 	gen, numPages, meta, arena := b.SnapshotState()
 	defer arena.Release()
-	e := entry{kinds: setOf(b.Kind()), pageSize: b.PageSize(), numPages: numPages, seq: seq, gen: gen, metaLen: len(meta)}
+	e := entry{kinds: setOf(b.Kind()), numPages: numPages, seq: seq, gen: gen, metaLen: len(meta)}
 	return writeContainer(sidecarPath(dir, b.Kind()), cobench.Config{}, []entry{e}, func(_ int, w io.Writer) error {
 		if _, err := w.Write(meta); err != nil {
 			return err

@@ -44,8 +44,9 @@ var (
 	// ErrMixedLayout reports an entry whose kinds are of two physical
 	// layouts.
 	ErrMixedLayout = errors.New("snapshot: entry kinds span two layouts")
-	// ErrPageSize reports entries of different page sizes.
-	ErrPageSize = errors.New("snapshot: entries of different page sizes")
+	// ErrPageSize reports an entry whose page size is not
+	// disk.DefaultPageSize, the one page size of the system.
+	ErrPageSize = errors.New("snapshot: entry of a foreign page size")
 )
 
 // Info describes a snapshot file's contents.
@@ -54,8 +55,6 @@ type Info struct {
 	Gen cobench.Config
 	// Kinds lists the stored models in file order.
 	Kinds []store.Kind
-	// PageSize is the device page size shared by all stored models.
-	PageSize int
 }
 
 // kindSet is a set of storage models, bit k standing for store.Kind k:
@@ -96,7 +95,6 @@ func (s kindSet) list() []store.Kind {
 // position: the arena of every kind in the set.
 type entry struct {
 	kinds    kindSet
-	pageSize int
 	numPages int
 	seq, gen uint64 // WAL watermark and writer's generation (0 outside checkpoints)
 	metaLen  int
@@ -106,7 +104,7 @@ type entry struct {
 // span is the length of the entry's meta blob plus arena (validated
 // against the file size by parse).
 func (e entry) span() int64 {
-	return int64(e.metaLen) + int64(e.numPages)*int64(e.pageSize)
+	return int64(e.metaLen) + int64(e.numPages)*disk.DefaultPageSize
 }
 
 // entryHeaderLen is the encoded size of an entry header:
@@ -114,8 +112,8 @@ func (e entry) span() int64 {
 const entryHeaderLen = 1 + 4 + 4 + 8 + 8 + 4
 
 // checkEntries applies the entry-table rules: every entry holds a
-// non-empty set of storage models of one physical layout, no kind is held
-// by two entries, and all entries have one page size.
+// non-empty set of storage models of one physical layout, and no kind is
+// held by two entries.
 func checkEntries(entries []entry) error {
 	var seen kindSet
 	for i, e := range entries {
@@ -132,9 +130,6 @@ func checkEntries(entries []entry) error {
 			return fmt.Errorf("%w: %s again in entry %d", ErrDuplicateKind, dup.list()[0], i)
 		}
 		seen |= e.kinds
-		if e.pageSize != entries[0].pageSize {
-			return fmt.Errorf("%w: entry %d has %d, entry 0 %d", ErrPageSize, i, e.pageSize, entries[0].pageSize)
-		}
 	}
 	return nil
 }
@@ -190,7 +185,7 @@ func syncDir(dir string) {
 
 // writeContainer atomically writes a .codb file: the header, then per
 // entry its header followed by what body(i, w) streams — exactly the
-// entry's metaLen meta bytes and numPages*pageSize arena bytes.
+// entry's metaLen meta bytes and numPages*disk.DefaultPageSize arena bytes.
 func writeContainer(path string, gen cobench.Config, entries []entry, body func(i int, w io.Writer) error) error {
 	genJSON, err := json.Marshal(gen)
 	if err != nil {
@@ -207,7 +202,7 @@ func writeContainer(path string, gen cobench.Config, entries []entry, body func(
 		}
 		for i, e := range entries {
 			hdr := []byte{byte(e.kinds)}
-			hdr = binary.BigEndian.AppendUint32(hdr, uint32(e.pageSize))
+			hdr = binary.BigEndian.AppendUint32(hdr, disk.DefaultPageSize)
 			hdr = binary.BigEndian.AppendUint32(hdr, uint32(e.numPages))
 			hdr = binary.BigEndian.AppendUint64(hdr, e.seq)
 			hdr = binary.BigEndian.AppendUint64(hdr, e.gen)
@@ -227,14 +222,13 @@ func writeContainer(path string, gen cobench.Config, entries []entry, body func(
 // in the same directory is renamed over the target). Dirty pages are
 // flushed into the device first, so the arena is the authoritative state.
 //
-// A physical layout is stored once: a model whose page size, page count,
-// directory metadata and arena equal an earlier model's of the same
-// layout, byte for byte, joins that model's entry instead of writing its
-// own (freshly loaded DSM and DASDBS-DSM, NSM and NSM+index). A model
-// whose bytes differ — one updated after its load — keeps an entry of its
-// own. Models of an unknown kind, a kind given twice and models of
-// different page sizes are refused (ErrKindSet, ErrDuplicateKind,
-// ErrPageSize).
+// A physical layout is stored once: a model whose page count, directory
+// metadata and arena equal an earlier model's of the same layout, byte for
+// byte, joins that model's entry instead of writing its own (freshly
+// loaded DSM and DASDBS-DSM, NSM and NSM+index). A model whose bytes
+// differ — one updated after its load — keeps an entry of its own. Models
+// of an unknown kind and a kind given twice are refused (ErrKindSet,
+// ErrDuplicateKind).
 func Write(path string, gen cobench.Config, models ...store.Model) error {
 	if len(models) == 0 {
 		return errors.New("snapshot: no models to write")
@@ -249,19 +243,16 @@ func Write(path string, gen cobench.Config, models ...store.Model) error {
 		if err != nil {
 			return fmt.Errorf("snapshot: meta %s: %w", m.Kind(), err)
 		}
-		dev := m.Engine().Dev
-		each[i] = entry{kinds: setOf(m.Kind()), pageSize: dev.PageSize(), numPages: dev.NumPages(), metaLen: len(meta)}
+		each[i] = entry{kinds: setOf(m.Kind()), numPages: m.Engine().Dev.NumPages(), metaLen: len(meta)}
 		metas[i] = meta
 	}
 	if err := checkEntries(each); err != nil {
 		return fmt.Errorf("snapshot: write: %w", err)
 	}
 	// sameBytes reports whether models i and j would store the same bytes:
-	// one physical layout, one geometry, equal metadata and equal arenas.
+	// one physical layout, equal metadata and equal arenas.
 	sameBytes := func(i, j int) (bool, error) {
-		if models[i].Kind().Layout() != models[j].Kind().Layout() ||
-			each[i].pageSize != each[j].pageSize || each[i].numPages != each[j].numPages ||
-			!bytes.Equal(metas[i], metas[j]) {
+		if models[i].Kind().Layout() != models[j].Kind().Layout() || !bytes.Equal(metas[i], metas[j]) {
 			return false, nil
 		}
 		return models[i].Engine().Dev.SameContent(models[j].Engine().Dev)
@@ -349,9 +340,12 @@ func parse(f *os.File) (Info, []entry, error) {
 		if err != nil {
 			return Info{}, nil, err
 		}
+		if ps := binary.BigEndian.Uint32(hdr[1:]); ps != disk.DefaultPageSize {
+			return Info{}, nil, fmt.Errorf("%w: %w: %s: entry %d has page size %d, want %d",
+				ErrFormat, ErrPageSize, f.Name(), i, ps, disk.DefaultPageSize)
+		}
 		e := entry{
 			kinds:    kindSet(hdr[0]),
-			pageSize: int(binary.BigEndian.Uint32(hdr[1:])),
 			numPages: int(binary.BigEndian.Uint32(hdr[5:])),
 			seq:      binary.BigEndian.Uint64(hdr[9:]),
 			gen:      binary.BigEndian.Uint64(hdr[17:]),
@@ -361,11 +355,8 @@ func parse(f *os.File) (Info, []entry, error) {
 		if version == 2 { // one kind per entry: the byte is the kind
 			e.kinds = setOf(store.Kind(hdr[0]))
 		}
-		// Both factors are below 2^32, so the product cannot wrap uint64.
-		body := uint64(e.metaLen) + uint64(e.numPages)*uint64(e.pageSize)
-		if e.pageSize <= disk.SysHeaderSize {
-			return Info{}, nil, fmt.Errorf("%w: entry %d has page size %d", ErrFormat, i, e.pageSize)
-		}
+		// numPages is below 2^32, so the product cannot wrap uint64.
+		body := uint64(e.metaLen) + uint64(e.numPages)*disk.DefaultPageSize
 		if body > math.MaxInt || body > uint64(size-off) {
 			return Info{}, nil, fmt.Errorf("%w: entry %d needs %d bytes, file has %d left", ErrFormat, i, body, size-off)
 		}
@@ -375,9 +366,6 @@ func parse(f *os.File) (Info, []entry, error) {
 	}
 	if err := checkEntries(entries); err != nil {
 		return Info{}, nil, fmt.Errorf("%w: %w", ErrFormat, err)
-	}
-	if len(entries) > 0 {
-		info.PageSize = entries[0].pageSize
 	}
 	return info, entries, nil
 }
@@ -539,18 +527,13 @@ func lift(f *os.File, e entry, index int, k store.Kind, mapped bool) (*store.Sha
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: arena of %s: %w", k, err)
 	}
-	base, err := store.NewSharedBase(k, e.pageSize, meta, arena)
-	if err != nil {
-		arena.Release()
-		return nil, err
-	}
-	return base, nil
+	return store.NewSharedBase(k, meta, arena), nil
 }
 
 // floorOf returns generation 0 of a new base over entry index of f (see
 // lift), holding one reference owned by the caller.
 func floorOf(f *os.File, e entry, index int, mapped bool) (*disk.BaseArena, error) {
-	arenaBytes := e.numPages * e.pageSize
+	arenaBytes := e.numPages * disk.DefaultPageSize
 	arenaOff := e.metaOff + int64(e.metaLen)
 	if !mapped {
 		buf := make([]byte, arenaBytes)

@@ -4,9 +4,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"complexobj/cobench"
+	"complexobj/internal/disk"
 	"complexobj/internal/snapshot"
 	"complexobj/internal/store"
 	"complexobj/internal/workload"
@@ -149,28 +152,37 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestSnapshotPageSizeConflict asserts a mismatched explicit page size is
-// rejected instead of silently reinterpreting the arena.
+// TestSnapshotPageSizeConflict asserts that a file whose entry has a page
+// size other than disk.DefaultPageSize is refused instead of silently
+// reinterpreted: Stat, OpenBases and OpenSidecarBase fail with
+// ErrPageSize, naming the file and both sizes. No writer of this program
+// produces such a file, so it is built by hand, a well-formed version-3
+// container whose one DSM entry says 4096.
 func TestSnapshotPageSizeConflict(t *testing.T) {
-	gen := testGen()
-	stations, err := cobench.Generate(gen)
-	if err != nil {
+	const foreign = 2 * disk.DefaultPageSize
+	dir := t.TempDir()
+	path := filepath.Join(dir, "dsm.codb") // also DSM's checkpoint name in dir
+	raw := rawEntry{kind: 1 << store.DSM, pageSize: foreign, numPages: 2, meta: []byte("meta"), arena: make([]byte, 2*foreign)}
+	if err := writeFile(path, encode(t, snapshot.Version, testGen(), raw)); err != nil {
 		t.Fatal(err)
 	}
-	m := loadModel(t, store.DSM, stations)
-	defer m.Engine().Close()
-	path := filepath.Join(t.TempDir(), "ps.codb")
-	if err := snapshot.Write(path, gen, m); err != nil {
-		t.Fatal(err)
+	check := func(op string, err error) {
+		t.Helper()
+		if !errors.Is(err, snapshot.ErrPageSize) {
+			t.Fatalf("%s of a %d-byte-page file: %v, want ErrPageSize", op, foreign, err)
+		}
+		for _, want := range []string{path, strconv.Itoa(foreign), strconv.Itoa(disk.DefaultPageSize)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: %q does not name %s", op, err, want)
+			}
+		}
 	}
-	base, err := snapshot.OpenBase(path, store.DSM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer base.Release()
-	if _, err := base.NewView(store.Options{PageSize: 4096}); err == nil {
-		t.Fatal("conflicting page size accepted")
-	}
+	_, err := snapshot.Stat(path)
+	check("Stat", err)
+	_, err = snapshot.OpenBases(path, []store.Kind{store.DSM})
+	check("OpenBases", err)
+	_, _, err = snapshot.OpenSidecarBase(dir, store.DSM)
+	check("OpenSidecarBase", err)
 }
 
 func writeFile(path string, b []byte) error { return os.WriteFile(path, b, 0o644) }

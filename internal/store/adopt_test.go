@@ -22,11 +22,7 @@ func decodedTwin(t *testing.T, loaded *store.SharedBase, blob []byte) *store.Sha
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := store.NewSharedBase(loaded.Kind(), loaded.PageSize(), blob, arena)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return store.NewSharedBase(loaded.Kind(), blob, arena)
 }
 
 // runAll runs every query on a fresh view of b and returns the view, for
@@ -275,7 +271,7 @@ func BenchmarkFirstView(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := store.Options{Pages: disk.NewPagePool(0)}
+	opts := store.Options{Pages: disk.NewPagePool()}
 	defer opts.Pages.Drain()
 	for _, k := range store.AllKinds() {
 		b.Run(k.String(), func(b *testing.B) {

@@ -98,7 +98,7 @@ func (v *View) Commit(log *wal.Log) (CommitResult, error) {
 			return CommitResult{}, fmt.Errorf("store: commit %s: meta: %w", v.base.kind, err)
 		}
 	}
-	res := CommitResult{Pages: len(patches), Bytes: int64(len(patches)) * int64(v.base.pageSize)}
+	res := CommitResult{Pages: len(patches), Bytes: int64(len(patches)) * disk.DefaultPageSize}
 	b := v.base
 	b.publish.Lock()
 	defer b.publish.Unlock()

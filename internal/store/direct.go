@@ -76,7 +76,7 @@ func (m *direct) Load(stations []*cobench.Station) error {
 		return fmt.Errorf("store: %s already loaded", m.Kind())
 	}
 	// Sizing pass: reserve the arena the inserts below will fill.
-	sizer := longobj.NewSizer(m.eng.Dev.PageSize())
+	var sizer longobj.Sizer
 	for _, s := range stations {
 		sizer.Add(componentsSize(s))
 	}

@@ -164,9 +164,6 @@ func (m *dnsm) Load(stations []*cobench.Station) error {
 	}
 	// Sizing pass: reserve the arena the inserts below will fill.
 	var sizers [4]longobj.Sizer
-	for slot := range sizers {
-		sizers[slot] = longobj.NewSizer(m.eng.Dev.PageSize())
-	}
 	for _, s := range stations {
 		for slot, size := range dnsmSizes(s) {
 			sizers[slot].Add(1, size)

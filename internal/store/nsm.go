@@ -215,7 +215,7 @@ func (m *nsm) reserve(stations []*cobench.Station) {
 	var sizers [4]heap.Sizer
 	var sizes [4]int
 	for r, rel := range m.relations() {
-		sizers[r], sizes[r] = heap.NewSizer(m.eng.Dev.PageSize()), rel.tt.FlatSize()
+		sizes[r] = rel.tt.FlatSize()
 	}
 	for _, s := range stations {
 		counts := [4]int{1, len(s.Platforms), 0, len(s.Seeings)}

@@ -27,7 +27,7 @@ func TestEngineCloseReturnsPages(t *testing.T) {
 			defer private.Engine().Close()
 			want := viewExercise(t, private, true)
 
-			pp := disk.NewPagePool(0)
+			pp := disk.NewPagePool()
 			opts := Options{BufferPages: 256, Pages: pp}
 			base, err := LoadBase(k, opts, stations)
 			if err != nil {
@@ -119,7 +119,7 @@ func TestEngineCloseReturnsPages(t *testing.T) {
 // when the test and its deferred closes are done: Drain then unmaps its
 // chunks.
 func drainedPool(t *testing.T) *disk.PagePool {
-	pp := disk.NewPagePool(0)
+	pp := disk.NewPagePool()
 	t.Cleanup(func() {
 		if err := pp.Drain(); err != nil {
 			t.Error(err)

@@ -11,12 +11,6 @@ import (
 // TestNewEngineValidationErrors: invalid configurations must come back as
 // errors, not construction panics.
 func TestNewEngineValidationErrors(t *testing.T) {
-	if _, err := NewEngine(Options{PageSize: disk.SysHeaderSize}); err == nil {
-		t.Error("page size equal to the system header accepted")
-	}
-	if _, err := NewEngine(Options{PageSize: 16}); err == nil {
-		t.Error("page size below the system header accepted")
-	}
 	if _, err := NewEngine(Options{BufferPages: -1}); err == nil {
 		t.Error("negative buffer capacity accepted")
 	}
@@ -38,12 +32,6 @@ func TestNewEngineFailureLeaksNoBaseRef(t *testing.T) {
 	defer base.Release()
 	arena := base.arena
 
-	if _, err := base.NewView(Options{PageSize: 16}); err == nil {
-		t.Fatal("invalid page size accepted")
-	}
-	if got := arena.Refs(); got != 1 {
-		t.Errorf("refs after failed view (bad page size) = %d, want 1", got)
-	}
 	if _, err := base.NewView(Options{BufferPages: -5}); err == nil {
 		t.Fatal("negative buffer capacity accepted")
 	}
@@ -76,15 +64,9 @@ func TestNewEngineFailureLeaksNoBaseRef(t *testing.T) {
 func TestSharedBaseOpenFailureLeaksNoRef(t *testing.T) {
 	arena := disk.NewBaseArena(make([]byte, 4*disk.DefaultPageSize))
 	defer arena.Release()
-	base, err := NewSharedBase(DSM, disk.DefaultPageSize, []byte("not a meta blob"), arena)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := NewSharedBase(DSM, []byte("not a meta blob"), arena)
 
 	// Validation failures (before the engine exists).
-	if _, err := base.NewView(Options{PageSize: 1024}); err == nil {
-		t.Error("conflicting page size accepted")
-	}
 	if _, err := base.NewView(Options{CountIndexIO: true}); err == nil {
 		t.Error("counted-index options accepted from a shared base")
 	}

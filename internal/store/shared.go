@@ -43,8 +43,7 @@ var ErrStaleBase = errors.New("store: shared base generation moved")
 // every base promotes alone, and a commit through one never changes what
 // another serves.
 type SharedBase struct {
-	kind     Kind
-	pageSize int
+	kind Kind
 
 	// publish serializes View.Commit's three steps — the generation check,
 	// the log append and sync, Promote — so a view whose generation is
@@ -119,32 +118,19 @@ func (d *directory) model(k Kind) (Model, error) {
 // NewSharedBase assembles a base from raw parts (the snapshot package uses
 // this to lift one model of a .codb file into a shareable base without
 // constructing a throwaway engine): its directory is built from the blob
-// meta, and its first view decodes the tables. The arena length must be
-// an exact multiple of the page size.
-func NewSharedBase(k Kind, pageSize int, meta []byte, arena *disk.BaseArena) (*SharedBase, error) {
+// meta, and its first view decodes the tables. The arena holds whole
+// pages; a view of a base that does not fails to open.
+func NewSharedBase(k Kind, meta []byte, arena *disk.BaseArena) *SharedBase {
 	if meta == nil {
 		meta = []byte{} // a directory built from its blob has one, if empty
 	}
-	return newBase(k, pageSize, &directory{meta: meta}, arena)
+	return newBase(k, &directory{meta: meta}, arena)
 }
 
 // newBase is generation 0 of a base of kind k over arena, with directory
 // dir.
-func newBase(k Kind, pageSize int, dir *directory, arena *disk.BaseArena) (*SharedBase, error) {
-	if pageSize <= 0 {
-		return nil, fmt.Errorf("store: shared base with page size %d", pageSize)
-	}
-	if arena.Len()%pageSize != 0 {
-		return nil, fmt.Errorf("store: shared base arena of %d bytes is not a multiple of page size %d",
-			arena.Len(), pageSize)
-	}
-	return &SharedBase{
-		kind:     k,
-		pageSize: pageSize,
-		numPages: arena.Len() / pageSize,
-		dir:      dir,
-		arena:    arena,
-	}, nil
+func newBase(k Kind, dir *directory, arena *disk.BaseArena) *SharedBase {
+	return &SharedBase{kind: k, numPages: arena.Len() / disk.DefaultPageSize, dir: dir, arena: arena}
 }
 
 // Branch opens a base of kind k, of b's layout, on b's floor: generation
@@ -158,7 +144,7 @@ func (b *SharedBase) Branch(k Kind) (*SharedBase, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SharedBase{kind: k, pageSize: b.pageSize, numPages: b.numPages, dir: b.dir, arena: arena}, nil
+	return &SharedBase{kind: k, numPages: b.numPages, dir: b.dir, arena: arena}, nil
 }
 
 // Freeze flushes m and copies its device arena and directory metadata into
@@ -178,12 +164,11 @@ func Freeze(m Model) (*SharedBase, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: freeze meta %s: %w", m.Kind(), err)
 	}
-	dev := m.Engine().Dev
-	arena, err := dev.CopyBase()
+	arena, err := m.Engine().Dev.CopyBase()
 	if err != nil {
 		return nil, fmt.Errorf("store: freeze arena %s: %w", m.Kind(), err)
 	}
-	return NewSharedBase(m.Kind(), dev.PageSize(), meta, arena)
+	return NewSharedBase(m.Kind(), meta, arena), nil
 }
 
 // LoadBase builds the shared base of kind k over stations in place: the
@@ -193,8 +178,8 @@ func Freeze(m Model) (*SharedBase, error) {
 // at the base's last Release. The loader's directory tables become the
 // base's as they are, so a loaded base never decodes a blob, and encodes
 // one only for a checkpoint. The loader never leaves this function, and a
-// load that fails frees its arena before returning; o supplies the page
-// size and fault schedule.
+// load that fails frees its arena before returning; o supplies the fault
+// schedule.
 func LoadBase(k Kind, o Options, stations []*cobench.Station) (*SharedBase, error) {
 	m, err := New(k, o)
 	if err != nil {
@@ -246,14 +231,15 @@ func adopt(m Model) (*SharedBase, error) {
 	tables := NewWithEngine(m.Kind(), &Engine{})
 	tables.attach(m)
 	m.attach(tables)
-	return newBase(m.Kind(), eng.Dev.PageSize(), &directory{tables: tables}, arena)
+	return newBase(m.Kind(), &directory{tables: tables}, arena), nil
 }
 
 // Kind returns the storage model the base holds.
 func (b *SharedBase) Kind() Kind { return b.kind }
 
-// PageSize returns the device page size of the frozen arena.
-func (b *SharedBase) PageSize() int { return b.pageSize }
+// PageSize returns the device page size of the frozen arena,
+// disk.DefaultPageSize.
+func (b *SharedBase) PageSize() int { return disk.DefaultPageSize }
 
 // Gen returns the current generation: 0 for a freshly frozen base,
 // incremented by every Promote. A view compares its captured generation
@@ -408,7 +394,7 @@ func (b *SharedBase) Promote(fromGen uint64, numPages int, meta []byte, pages ma
 	if err := b.promotableLocked(fromGen); err != nil {
 		return 0, err
 	}
-	next, copied := b.arena.Promote(b.pageSize, numPages, pages)
+	next, copied := b.arena.Promote(numPages, pages)
 	old := b.arena
 	b.arena = next
 	b.numPages = numPages

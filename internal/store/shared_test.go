@@ -153,9 +153,9 @@ func checksumBase(b *SharedBase) []byte {
 	return b.arena.Bytes()
 }
 
-// TestSharedBaseRejectsConflicts pins the option validation: a page size
-// other than the base's is refused, and CountIndexIO opens a counted view
-// for NSM+index only, never for NSM over the same base.
+// TestSharedBaseRejectsConflicts pins the option validation: CountIndexIO
+// opens a counted view for NSM+index only, never for NSM over the same
+// base.
 func TestSharedBaseRejectsConflicts(t *testing.T) {
 	stations, err := cobench.Generate(cobench.DefaultConfig().WithN(20))
 	if err != nil {
@@ -168,9 +168,6 @@ func TestSharedBaseRejectsConflicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer base.Release()
-	if _, err := base.NewView(Options{PageSize: 1024}); err == nil {
-		t.Error("conflicting page size accepted")
-	}
 	if _, err := base.NewViewAs(NSM, Options{CountIndexIO: true}); err == nil {
 		t.Error("counted index I/O accepted for an NSM view")
 	}
@@ -223,10 +220,7 @@ func TestSharedBaseOwners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := NewSharedBase(DSM, disk.DefaultPageSize, meta, arena)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := NewSharedBase(DSM, meta, arena)
 	partner := branchOf(t, base, DASDBSDSM)
 	if base.Owners() != 2 || partner.Owners() != 2 || arena.Refs() != 2 {
 		t.Fatalf("two bases on one floor: %d and %d owners, %d refs", base.Owners(), partner.Owners(), arena.Refs())

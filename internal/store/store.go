@@ -90,8 +90,6 @@ var ErrScanInProgress = errors.New("store: write while a scan of the model runs"
 
 // Options configure the simulated installation.
 type Options struct {
-	// PageSize is the raw page size (default 2048, the DASDBS page).
-	PageSize int
 	// BufferPages is the cache capacity (default 1200 pages, §5.1).
 	BufferPages int
 	// Policy selects the replacement policy (default LRU).
@@ -127,9 +125,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.PageSize == 0 {
-		o.PageSize = disk.DefaultPageSize
-	}
 	if o.BufferPages == 0 {
 		o.BufferPages = 1200
 	}
@@ -169,22 +164,19 @@ func NewEngine(o Options) (*Engine, error) { return newEngine(o, false) }
 // cow over an empty copy-on-write overlay that RebaseView lands on a base.
 func newEngine(o Options, cow bool) (*Engine, error) {
 	o = o.withDefaults()
-	if o.PageSize <= disk.SysHeaderSize {
-		return nil, fmt.Errorf("store: page size %d not larger than the %d-byte system header", o.PageSize, disk.SysHeaderSize)
-	}
 	if o.BufferPages < 0 {
 		return nil, fmt.Errorf("store: negative buffer capacity %d", o.BufferPages)
 	}
 	var b disk.Backend
 	if cow {
-		b = disk.NewCOWBackend(nil, o.PageSize)
+		b = disk.NewCOWBackend(nil)
 	} else {
 		b = disk.NewMemBackend()
 	}
 	if o.Faults != nil {
-		b = o.Faults.Wrap(b, o.PageSize)
+		b = o.Faults.Wrap(b)
 	}
-	dev := disk.NewWithBackend(o.PageSize, b)
+	dev := disk.NewWithBackend(b)
 	dev.SetPagePool(o.Pages)
 	return &Engine{Dev: dev, Pool: buffer.New(dev, o.BufferPages, o.Policy), opts: o}, nil
 }

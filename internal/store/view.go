@@ -33,10 +33,9 @@ type View struct {
 
 // NewView opens a fresh copy-on-write view of the base's current
 // generation, ready for its first request: cold cache, zeroed counters.
-// The options select the runtime knobs (buffer size, policy); the page
-// size comes from the base and must not conflict with a non-zero
-// o.PageSize. A fresh view is an empty engine rebased onto the base — the
-// one way a view lands on a generation.
+// The options select the runtime knobs (buffer size, policy). A fresh
+// view is an empty engine rebased onto the base — the one way a view
+// lands on a generation.
 func (b *SharedBase) NewView(o Options) (*View, error) { return b.NewViewAs(b.kind, o) }
 
 // NewViewAs is NewView for a model of kind k over a base of the same
@@ -57,13 +56,9 @@ func (b *SharedBase) NewViewAs(k Kind, o Options) (*View, error) {
 	if k.Layout() != b.kind.Layout() {
 		return nil, fmt.Errorf("store: %s view requested over a base of the %s layout", k, b.kind.Layout())
 	}
-	if o.PageSize != 0 && o.PageSize != b.pageSize {
-		return nil, fmt.Errorf("store: page size %d requested, shared base has %d", o.PageSize, b.pageSize)
-	}
 	if o.CountIndexIO && k != NSMIndex {
 		return nil, fmt.Errorf("store: counted index I/O requested for %s, only %s has an index", k, NSMIndex)
 	}
-	o.PageSize = b.pageSize
 	eng, err := newEngine(o, true)
 	if err != nil {
 		return nil, err

@@ -371,7 +371,7 @@ func TestFaultdiskTornWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := faultdisk.New(spec)
-	torn := mustOpen(t, newBackendDevice(inj.Wrap(mem, 2048)), nil)
+	torn := mustOpen(t, newBackendDevice(inj.Wrap(mem)), nil)
 	torn.SetSeq(1)
 	p2, c2 := testBatch(2, 2, 0x22)
 	if _, err := torn.Commit(p2, c2); err == nil {
@@ -414,7 +414,7 @@ func TestFaultdiskShortReadAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrapped := faultdisk.New(spec).Wrap(mem, 2048)
+	wrapped := faultdisk.New(spec).Wrap(mem)
 	if _, err := Open(newBackendDevice(wrapped), nil); err == nil {
 		t.Fatal("Open through injected short reads succeeded")
 	}

@@ -59,11 +59,12 @@ func measureSizes(t *testing.T) map[string]int {
 	return got
 }
 
-// TestSizeLedger keeps growth visible: no package may exceed its row of
-// ci/size.txt, every package needs a row and every row a package. A
-// change that grows a package raises its row in the same diff, in plain
-// sight; one that shrinks it lowers the row. On failure the test prints
-// the measured ledger to paste over the file.
+// TestSizeLedger keeps the ledger exact: every package has exactly the
+// lines of its row of ci/size.txt, every package needs a row and every
+// row a package. A change that grows a package raises its row in the same
+// diff, in plain sight; one that shrinks it lowers the row, so the next
+// growth cannot hide in the slack. On failure the test prints the measured
+// ledger to paste over the file.
 func TestSizeLedger(t *testing.T) {
 	f, err := os.Open(sizeLedger)
 	if err != nil {
@@ -101,6 +102,9 @@ func TestSizeLedger(t *testing.T) {
 			failed = true
 		case got[name] > want:
 			t.Errorf("%s has %d lines, its row allows %d", name, got[name], want)
+			failed = true
+		case got[name] < want:
+			t.Errorf("%s has %d lines, its row allows %d: lower this row", name, got[name], want)
 			failed = true
 		}
 	}

@@ -205,8 +205,8 @@ type ViewPool struct {
 // NewViewPool builds a pool over base. maxViews bounds the views alive at
 // once (and therefore the concurrent requests served from this base);
 // maxViews <= 0 defaults to 8. The options apply to every view and follow
-// the same rules as Base.Open; options no view can open with (a
-// conflicting page size, CountIndexIO) fail the first Acquire. The error
+// the same rules as Base.Open; options no view can open with
+// (CountIndexIO) fail the first Acquire. The error
 // result is always nil: no option is left that can be refused before a
 // view is opened.
 func NewViewPool(base *Base, opts Options, maxViews int) (*ViewPool, error) {
@@ -360,18 +360,19 @@ func (p *ViewPool) release(v *View) error {
 // it past their generation — and rebased onto the current generation in
 // place, Destroyed the views torn down (quarantine, reset failure or pool
 // shutdown), Quarantined the subset of Destroyed retired via
-// View.Quarantine (panicked request, permanent engine fault).
+// View.Quarantine (panicked request, permanent engine fault). The JSON
+// tags and the field order are the served /info pool block's.
 type ViewPoolStats struct {
-	MaxViews    int
-	InUse       int
-	Idle        int
-	Created     int64
-	Reused      int64
-	Destroyed   int64
-	Recycled    int64
-	Rebuilt     int64
-	Quarantined int64
-	Stale       int64
+	MaxViews    int   `json:"maxViews"`
+	InUse       int   `json:"inUse"`
+	Idle        int   `json:"idle"`
+	Created     int64 `json:"created"`
+	Reused      int64 `json:"reused"`
+	Recycled    int64 `json:"recycled"`
+	Rebuilt     int64 `json:"rebuilt"`
+	Destroyed   int64 `json:"destroyed"`
+	Quarantined int64 `json:"quarantined"`
+	Stale       int64 `json:"stale"`
 }
 
 // Stats returns a snapshot of the pool counters.
@@ -384,9 +385,9 @@ func (p *ViewPool) Stats() ViewPoolStats {
 		Idle:        len(p.idle),
 		Created:     p.created,
 		Reused:      p.reused,
-		Destroyed:   p.destroyed,
 		Recycled:    p.recycled,
 		Rebuilt:     p.rebuilt,
+		Destroyed:   p.destroyed,
 		Quarantined: p.quarantined,
 		Stale:       p.stale,
 	}
