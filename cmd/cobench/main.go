@@ -73,14 +73,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"time"
 
 	"complexobj"
 	"complexobj/cobench"
 	"complexobj/experiments"
 	"complexobj/internal/profile"
-	"complexobj/internal/store"
 	"complexobj/report"
 )
 
@@ -238,15 +236,10 @@ func run(o *options, stdout, stderr io.Writer) error {
 func measureLocal(s *experiments.Suite, models []complexobj.ModelKind, queries []cobench.Query,
 	repeat int, get func(complexobj.QueryResult) float64) ([][]string, error) {
 
-	all, kinds := store.AllKinds(), make([]store.Kind, len(models))
-	for i, m := range models {
-		// The facade's models are the store's, under the paper's names.
-		kinds[i] = all[slices.IndexFunc(all, func(k store.Kind) bool { return k.String() == m.String() })]
-	}
 	var cells [][]experiments.Measured
 	for r := 0; r < repeat; r++ {
 		var err error
-		if cells, err = s.Measure(kinds, queries); err != nil {
+		if cells, err = s.Measure(models, queries); err != nil {
 			return nil, err
 		}
 	}

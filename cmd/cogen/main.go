@@ -149,10 +149,8 @@ func splitSnapshot(dbPath string, n int, strategy string) error {
 		return err
 	}
 	names := make([]string, len(info.Models))
-	byName := make(map[string]complexobj.ModelKind, len(info.Models))
 	for i, k := range info.Models {
 		names[i] = k.String()
-		byName[k.String()] = k
 	}
 	// Explicit specs accept the short model aliases the CLIs use (dsm,
 	// ddsm, …); translate them to the display names the map stores.
@@ -180,7 +178,9 @@ func splitSnapshot(dbPath string, n int, strategy string) error {
 		}
 		kinds := make([]complexobj.ModelKind, len(s.Models))
 		for j, name := range s.Models {
-			kinds[j] = byName[name]
+			if kinds[j], err = complexobj.ModelByName(name); err != nil {
+				return err
+			}
 		}
 		seg := shard.SegmentName(dbPath, s.ID)
 		if err := complexobj.ExtractSnapshot(dbPath, seg, kinds); err != nil {

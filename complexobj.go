@@ -19,7 +19,6 @@ package complexobj
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"strings"
 	"time"
@@ -33,67 +32,34 @@ import (
 	"complexobj/internal/workload"
 )
 
-// ModelKind selects one of the paper's storage models.
-type ModelKind int
+// ModelKind selects one of the paper's storage models. It is the
+// engine's store.Kind under the facade's name: the models, their paper
+// names (String) and short aliases (Slug) are declared there once.
+type ModelKind = store.Kind
 
 const (
 	// DSM is the direct storage model (§3.1): whole objects clustered on
 	// as few pages as possible, always transferred entirely.
-	DSM ModelKind = iota
+	DSM = store.DSM
 	// DASDBSDSM adds the DASDBS object header: only the pages actually
 	// used by a query are transferred (§3.2).
-	DASDBSDSM
+	DASDBSDSM = store.DASDBSDSM
 	// NSM is the normalized storage model: four flat relations with
 	// foreign keys, no index (§3.3).
-	NSM
+	NSM = store.NSM
 	// NSMIndex is NSM with a zero-cost in-memory index.
-	NSMIndex
+	NSMIndex = store.NSMIndex
 	// DASDBSNSM is the nested-normalized model with a transformation
 	// table (§3.4) — the paper's overall winner.
-	DASDBSNSM
+	DASDBSNSM = store.DASDBSNSM
 )
 
-// String implements fmt.Stringer using the paper's names.
-func (k ModelKind) String() string { return k.internal().String() }
-
-func (k ModelKind) internal() store.Kind {
-	switch k {
-	case DSM:
-		return store.DSM
-	case DASDBSDSM:
-		return store.DASDBSDSM
-	case NSM:
-		return store.NSM
-	case NSMIndex:
-		return store.NSMIndex
-	case DASDBSNSM:
-		return store.DASDBSNSM
-	default:
-		panic(fmt.Sprintf("complexobj: unknown model kind %d", int(k)))
-	}
-}
-
 // AllModels lists the storage models in the paper's order.
-func AllModels() []ModelKind { return []ModelKind{DSM, DASDBSDSM, NSM, NSMIndex, DASDBSNSM} }
+func AllModels() []ModelKind { return store.AllKinds() }
 
 // ModelByName resolves the paper's model names (case-sensitive, as printed
-// by String) plus the short aliases dsm, ddsm, nsm, nsmx and dnsm.
-func ModelByName(name string) (ModelKind, error) {
-	switch name {
-	case "DSM", "dsm":
-		return DSM, nil
-	case "DASDBS-DSM", "ddsm":
-		return DASDBSDSM, nil
-	case "NSM", "nsm":
-		return NSM, nil
-	case "NSM+index", "nsmx", "nsm+index":
-		return NSMIndex, nil
-	case "DASDBS-NSM", "dnsm":
-		return DASDBSNSM, nil
-	default:
-		return 0, fmt.Errorf("complexobj: unknown storage model %q", name)
-	}
-}
+// by String) plus the short aliases dsm, ddsm, nsm, nsmx and dnsm (Slug).
+func ModelByName(name string) (ModelKind, error) { return store.KindByName(name) }
 
 // Options configure the simulated installation. The zero value uses the
 // paper's setup: 2048-byte pages, a 1200-page LRU cache, free index I/O,
@@ -155,7 +121,7 @@ func newDB(kind ModelKind, m store.Model) *DB {
 // Open creates an empty database under the given storage model, over a
 // private in-memory arena.
 func Open(kind ModelKind, opts Options) (*DB, error) {
-	m, err := store.New(kind.internal(), opts.internal())
+	m, err := store.New(kind, opts.internal())
 	if err != nil {
 		return nil, err
 	}
@@ -213,11 +179,7 @@ func WriteSnapshot(path string, gen cobench.Config, dbs ...*DB) error {
 // from the full snapshot, so handing a shard to another node is a file
 // move plus an mmap, never a reload.
 func ExtractSnapshot(src, dst string, models []ModelKind) error {
-	kinds := make([]store.Kind, len(models))
-	for i, m := range models {
-		kinds[i] = m.internal()
-	}
-	return snapshot.Extract(src, dst, kinds)
+	return snapshot.Extract(src, dst, models)
 }
 
 // Base is the frozen, immutable state of one loaded database: the device
@@ -262,11 +224,7 @@ func OpenBase(path string, kind ModelKind) (*Base, error) {
 // commits alone — a commit through one never changes what another
 // serves.
 func OpenBases(path string, kinds []ModelKind) ([]*Base, error) {
-	ks := make([]store.Kind, len(kinds))
-	for i, k := range kinds {
-		ks[i] = k.internal()
-	}
-	sbs, err := snapshot.OpenBases(path, ks)
+	sbs, err := snapshot.OpenBases(path, kinds)
 	if err != nil {
 		return nil, err
 	}
@@ -355,15 +313,7 @@ func StatSnapshot(path string) (SnapshotInfo, error) {
 	if err != nil {
 		return SnapshotInfo{}, err
 	}
-	out := SnapshotInfo{Gen: info.Gen, PageSize: disk.DefaultPageSize}
-	for _, k := range info.Kinds {
-		for _, mk := range AllModels() {
-			if mk.internal() == k {
-				out.Models = append(out.Models, mk)
-			}
-		}
-	}
-	return out, nil
+	return SnapshotInfo{Gen: info.Gen, Models: info.Kinds, PageSize: disk.DefaultPageSize}, nil
 }
 
 // Load bulk-loads the given stations. Load may be called once; it leaves
@@ -480,34 +430,12 @@ func (db *DB) Stats() Stats { return db.model.Engine().Stats() }
 func (db *DB) ResetStats() { db.model.Engine().ResetStats() }
 
 // RelationSize describes the physical layout of one stored relation, in
-// the units of the paper's Table 2.
-type RelationSize struct {
-	Name            string
-	TuplesPerObject float64
-	Tuples          int
-	AvgTupleBytes   float64
-	TuplesPerPage   float64 // the paper's k (0 for large tuples)
-	PagesPerTuple   float64 // the paper's p (0 for shared pages)
-	Pages           int     // the paper's m
-}
+// the units of the paper's Table 2: K, P and M are the paper's k, p and m.
+// It is the engine's own record, not a copy of it.
+type RelationSize = store.RelationSize
 
 // Sizes reports the physical layout of every relation of the model.
-func (db *DB) Sizes() []RelationSize {
-	rep := db.model.Sizes()
-	out := make([]RelationSize, 0, len(rep.Relations))
-	for _, r := range rep.Relations {
-		out = append(out, RelationSize{
-			Name:            r.Name,
-			TuplesPerObject: r.TuplesPerObject,
-			Tuples:          r.Tuples,
-			AvgTupleBytes:   r.AvgTupleBytes,
-			TuplesPerPage:   r.K,
-			PagesPerTuple:   r.P,
-			Pages:           r.M,
-		})
-	}
-	return out
-}
+func (db *DB) Sizes() []RelationSize { return db.model.Sizes().Relations }
 
 // QueryResult is the outcome of running one benchmark query, normalized
 // per unit (objects for query family 1, loops for families 2 and 3).

@@ -47,6 +47,27 @@ func TestModelNames(t *testing.T) {
 	if len(AllModels()) != 5 {
 		t.Error("AllModels wrong")
 	}
+	// The slug names a model's checkpoint file, <slug>.codb, on disk.
+	for k, w := range map[ModelKind]string{
+		DSM: "dsm", DASDBSDSM: "ddsm", NSM: "nsm", NSMIndex: "nsmx", DASDBSNSM: "dnsm",
+	} {
+		if k.Slug() != w {
+			t.Errorf("%s.Slug() = %q, want %q", k, k.Slug(), w)
+		}
+	}
+	// A kind outside the enum is refused with an error, never a panic.
+	bogus := ModelKind(9)
+	if bogus.String() != "Kind(9)" {
+		t.Errorf("ModelKind(9).String() = %q", bogus.String())
+	}
+	if db, err := Open(bogus, Options{}); err == nil {
+		db.Close()
+		t.Error("Open(ModelKind(9)) accepted")
+	}
+	if db, err := OpenLoaded(bogus, Options{}, cobench.DefaultConfig().WithN(10)); err == nil {
+		db.Close()
+		t.Error("OpenLoaded(ModelKind(9)) accepted")
+	}
 }
 
 func TestOpenLoadFetch(t *testing.T) {
@@ -169,7 +190,7 @@ func TestSizes(t *testing.T) {
 	}
 	total := 0
 	for _, r := range sizes {
-		total += r.Pages
+		total += r.M
 		if r.Tuples < 0 || r.AvgTupleBytes <= 0 {
 			t.Errorf("bad relation %+v", r)
 		}

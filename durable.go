@@ -13,17 +13,6 @@ import (
 	"complexobj/internal/wal"
 )
 
-// modelKindOf maps a store kind byte (as recorded in WAL commit markers)
-// back to the facade enum.
-func modelKindOf(k store.Kind) (ModelKind, bool) {
-	for _, mk := range AllModels() {
-		if mk.internal() == k {
-			return mk, true
-		}
-	}
-	return 0, false
-}
-
 // SeedCommitDir writes the databases' current state into dir as their
 // checkpoint files (<slug>.codb, watermark 0), seeding a commit-log
 // directory so a server can start durable serving there without a
@@ -122,7 +111,7 @@ func (c *CommitLog) OpenBase(kind ModelKind, snapshotPath string) (*Base, error)
 	if _, dup := c.bases[kind]; dup {
 		return nil, fmt.Errorf("complexobj: model %s registered twice", kind)
 	}
-	sb, info, err := snapshot.OpenSidecarBase(c.dir, kind.internal())
+	sb, info, err := snapshot.OpenSidecarBase(c.dir, kind)
 	switch {
 	case err == nil:
 		if info.Seq > c.seqFloor {
@@ -132,7 +121,7 @@ func (c *CommitLog) OpenBase(kind ModelKind, snapshotPath string) (*Base, error)
 		if snapshotPath == "" {
 			return nil, fmt.Errorf("complexobj: no checkpoint for %s in %s and no seed snapshot", kind, c.dir)
 		}
-		sb, err = snapshot.OpenBase(snapshotPath, kind.internal())
+		sb, err = snapshot.OpenBase(snapshotPath, kind)
 		if err != nil {
 			return nil, err
 		}
@@ -159,10 +148,7 @@ func (c *CommitLog) Recover() (int, error) {
 	}
 	replayed := 0
 	l, err := wal.Open(c.file, func(cm wal.CommitRecord, pages []wal.PageRecord) error {
-		kind, ok := modelKindOf(store.Kind(cm.Model))
-		if !ok {
-			return fmt.Errorf("unknown model kind %d", cm.Model)
-		}
+		kind := ModelKind(cm.Model)
 		b, ok := c.bases[kind]
 		if !ok {
 			return fmt.Errorf("log holds commits for unregistered model %s", kind)

@@ -407,14 +407,14 @@ func TestCommitLogKillInsideCheckpoint(t *testing.T) {
 	}
 	wantFiles := []string{WALFileName}
 	for _, k := range kinds {
-		sc, err := snapshot.StatSidecar(dir, k.internal())
+		sc, err := snapshot.StatSidecar(dir, k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sc.Seq != uint64(total) || sc.Gen != rounds {
 			t.Fatalf("%s checkpoint at seq %d gen %d, want %d / %d", k, sc.Seq, sc.Gen, total, rounds)
 		}
-		wantFiles = append(wantFiles, snapshot.Slug(k.internal())+".codb")
+		wantFiles = append(wantFiles, k.Slug()+".codb")
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -1030,7 +1030,7 @@ func TestCommitLogKillBetweenLinkedCheckpointRenames(t *testing.T) {
 		b.Close()
 	}
 	clog.Close()
-	if sc, err := snapshot.StatSidecar(dir, DASDBSDSM.internal()); err != nil || sc.Seq != 0 {
+	if sc, err := snapshot.StatSidecar(dir, DASDBSDSM); err != nil || sc.Seq != 0 {
 		t.Fatalf("DASDBS-DSM's name no longer links the seed: %+v, %v", sc, err)
 	}
 	linked, err := OpenBase(filepath.Join(dir, "ddsm.codb"), DSM)

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"complexobj/cobench"
 	"complexobj/internal/disk"
 	"complexobj/internal/snapshot"
 	"complexobj/internal/store"
+	"complexobj/internal/wal"
 )
 
 // TestOpenPersistentRoundTrip pins the persistent-database lifecycle
@@ -100,6 +102,52 @@ func seedSnapshot(t *testing.T, kind ModelKind, n int) (string, []*cobench.Stati
 		t.Fatal(err)
 	}
 	return path, stations
+}
+
+// TestRecoverRefusesUnservedModel: a commit marker for a model the
+// CommitLog has no base for — a kind byte outside the enum, or a valid
+// kind nobody registered — fails Recover and promotes nothing.
+func TestRecoverRefusesUnservedModel(t *testing.T) {
+	snap, _ := seedSnapshot(t, DSM, 20)
+	for _, model := range []byte{9, byte(NSM)} {
+		dir := t.TempDir()
+		f, err := os.Create(filepath.Join(dir, WALFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		log, err := wal.Open(f, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		page := wal.PageRecord{Page: 0, Image: make([]byte, disk.DefaultPageSize)}
+		if _, err := log.Commit([]wal.PageRecord{page}, wal.CommitRecord{Model: model, Seq: 1, NumPages: 1}); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+
+		clog, err := OpenCommitLog(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := clog.OpenBase(DSM, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := clog.Recover()
+		if err == nil || !strings.Contains(err.Error(), "log holds commits for unregistered model") {
+			t.Errorf("marker for kind %d: Recover = %d, %v; want the unregistered-model error", model, n, err)
+		}
+		if n != 0 || base.Gen() != 0 || base.DeltaPages() != 0 {
+			t.Errorf("marker for kind %d: replayed %d, base at generation %d with %d delta pages; want nothing promoted",
+				model, n, base.Gen(), base.DeltaPages())
+		}
+		if err := clog.Close(); err != nil {
+			t.Error(err)
+		}
+		if err := base.Close(); err != nil {
+			t.Error(err)
+		}
+	}
 }
 
 // TestCommitLogLifecycle drives the durable serving lifecycle end to end:
@@ -298,7 +346,7 @@ func TestCheckpointIsASnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ckpt := filepath.Join(dir, snapshot.Slug(kind.internal())+".codb")
+	ckpt := filepath.Join(dir, kind.Slug()+".codb")
 	info, err := StatSnapshot(ckpt)
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +354,7 @@ func TestCheckpointIsASnapshot(t *testing.T) {
 	if len(info.Models) != 1 || info.Models[0] != kind || info.Gen != (cobench.Config{}) {
 		t.Fatalf("checkpoint describes itself as %+v", info)
 	}
-	if sc, err := snapshot.StatSidecar(dir, kind.internal()); err != nil || sc.Seq != 1 || sc.Gen != 1 {
+	if sc, err := snapshot.StatSidecar(dir, kind); err != nil || sc.Seq != 1 || sc.Gen != 1 {
 		t.Fatalf("checkpoint watermark %+v, %v; want seq 1 gen 1", sc, err)
 	}
 	// Extract keeps the watermark: the copy is another directory's
@@ -316,10 +364,10 @@ func TestCheckpointIsASnapshot(t *testing.T) {
 	if err := ExtractSnapshot(ckpt, seg, []ModelKind{kind}); err != nil {
 		t.Fatal(err)
 	}
-	if sc, err := snapshot.StatSidecar(moved, kind.internal()); err != nil || sc.Seq != 1 {
+	if sc, err := snapshot.StatSidecar(moved, kind); err != nil || sc.Seq != 1 {
 		t.Fatalf("extracted checkpoint watermark %+v, %v; want seq 1", sc, err)
 	}
-	if _, err := snapshot.StatSidecar(t.TempDir(), kind.internal()); !os.IsNotExist(err) {
+	if _, err := snapshot.StatSidecar(t.TempDir(), kind); !os.IsNotExist(err) {
 		t.Fatalf("stat of a directory without a checkpoint: %v, want not-exist", err)
 	}
 	for _, path := range []string{ckpt, seg} {

@@ -198,7 +198,7 @@ func TestTable2AgainstPaper(t *testing.T) {
 	}
 	byName := map[string]RelationRow{}
 	for _, r := range rows {
-		byName[r.Model+"/"+r.Relation] = r
+		byName[r.Model+"/"+r.Name] = r
 	}
 	// The flat NSM geometry is close to the paper's: the sightseeing
 	// relation must land at k=4, like the published Table 2.

@@ -35,14 +35,8 @@ func Table1() *report.Table {
 // relation under one storage model, next to the paper's published constants
 // where these are legible (NaN otherwise).
 type RelationRow struct {
-	Model           string
-	Relation        string
-	TuplesPerObject float64
-	Tuples          int
-	AvgTupleBytes   float64
-	K               float64 // tuples per page (0: large tuples)
-	P               float64 // pages per tuple (0: shared pages)
-	M               int     // total pages
+	Model string
+	store.RelationSize
 
 	PaperTupleBytes float64
 	PaperK          float64
@@ -80,13 +74,7 @@ func (s *Suite) Table2() ([]RelationRow, error) {
 		for _, rel := range rep.Relations {
 			row := RelationRow{
 				Model:           rep.Model,
-				Relation:        rel.Name,
-				TuplesPerObject: rel.TuplesPerObject,
-				Tuples:          rel.Tuples,
-				AvgTupleBytes:   rel.AvgTupleBytes,
-				K:               rel.K,
-				P:               rel.P,
-				M:               rel.M,
+				RelationSize:    rel,
 				PaperTupleBytes: nan(),
 				PaperK:          nan(),
 				PaperP:          nan(),
@@ -125,7 +113,7 @@ func RenderTable2(rows []RelationRow) *report.Table {
 		},
 	}
 	for _, r := range rows {
-		t.AddRow(r.Relation,
+		t.AddRow(r.Name,
 			report.Num(r.TuplesPerObject), report.Int(r.Tuples), report.Num(r.AvgTupleBytes),
 			numOrDash(r.K), numOrDash(r.P), report.Int(r.M),
 			report.Num(r.PaperTupleBytes), report.Num(r.PaperK), report.Num(r.PaperP), report.Num(r.PaperM))

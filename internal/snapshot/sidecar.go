@@ -37,28 +37,9 @@ func (e entry) sidecarInfo(k store.Kind) SidecarInfo {
 	return SidecarInfo{Kind: k, NumPages: e.numPages, Seq: e.seq, Gen: e.gen}
 }
 
-// Slug returns the file-name slug of a storage model (the short aliases
-// the CLI accepts: dsm, ddsm, nsm, nsmx, dnsm).
-func Slug(k store.Kind) string {
-	switch k {
-	case store.DSM:
-		return "dsm"
-	case store.DASDBSDSM:
-		return "ddsm"
-	case store.NSM:
-		return "nsm"
-	case store.NSMIndex:
-		return "nsmx"
-	case store.DASDBSNSM:
-		return "dnsm"
-	default:
-		return fmt.Sprintf("kind%d", byte(k))
-	}
-}
-
 // sidecarPath returns the checkpoint file of a model in dir.
 func sidecarPath(dir string, k store.Kind) string {
-	return filepath.Join(dir, Slug(k)+".codb")
+	return filepath.Join(dir, k.Slug()+".codb")
 }
 
 // WriteSidecar persists the base's current generation into dir as the

@@ -23,7 +23,10 @@
 //     tuples that together store an object".
 //
 // All models speak the same Model interface so the benchmark driver and
-// the experiment harness treat them uniformly.
+// the experiment harness treat them uniformly. Kind declares the five
+// models once — name (String), slug (Slug, the <slug>.codb checkpoint
+// name; KindByName reads either) and layout (Layout) — and the facade's
+// complexobj.ModelKind and RelationSize are aliases of Kind and RelationSize.
 //
 // # Assembly
 //

@@ -12,7 +12,8 @@ import (
 	"complexobj/internal/iostat"
 )
 
-// Kind enumerates the storage models.
+// Kind enumerates the storage models, the one declaration of the paper's
+// five (name, slug, layout); the facade's complexobj.ModelKind aliases it.
 type Kind int
 
 const (
@@ -29,22 +30,47 @@ const (
 	DASDBSNSM
 )
 
+// kindNames holds each kind's paper name and its slug, in Kind order.
+var kindNames = [...]struct{ name, slug string }{
+	DSM:       {"DSM", "dsm"},
+	DASDBSDSM: {"DASDBS-DSM", "ddsm"},
+	NSM:       {"NSM", "nsm"},
+	NSMIndex:  {"NSM+index", "nsmx"},
+	DASDBSNSM: {"DASDBS-NSM", "dnsm"},
+}
+
+// valid reports whether k is one of AllKinds.
+func (k Kind) valid() bool { return k >= 0 && int(k) < len(kindNames) }
+
 // String implements fmt.Stringer using the paper's names.
 func (k Kind) String() string {
-	switch k {
-	case DSM:
-		return "DSM"
-	case DASDBSDSM:
-		return "DASDBS-DSM"
-	case NSM:
-		return "NSM"
-	case NSMIndex:
-		return "NSM+index"
-	case DASDBSNSM:
-		return "DASDBS-NSM"
-	default:
+	if !k.valid() {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+	return kindNames[k].name
+}
+
+// Slug returns the kind's short lower-case alias (dsm, ddsm, nsm, nsmx,
+// dnsm): the CLIs' model names and the checkpoint file name <slug>.codb.
+func (k Kind) Slug() string {
+	if !k.valid() {
+		return fmt.Sprintf("kind%d", int(k))
+	}
+	return kindNames[k].slug
+}
+
+// KindByName resolves a paper name (case-sensitive, as printed by String)
+// or a slug; "nsm+index" is accepted for NSM+index too.
+func KindByName(name string) (Kind, error) {
+	if name == "nsm+index" {
+		return NSMIndex, nil
+	}
+	for _, k := range AllKinds() {
+		if name == kindNames[k].name || name == kindNames[k].slug {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown storage model %q", name)
 }
 
 // Layout returns the kind whose physical layout k's objects are stored
@@ -356,6 +382,9 @@ type Model interface {
 
 // New constructs a model of the given kind over a fresh engine.
 func New(k Kind, o Options) (Model, error) {
+	if !k.valid() {
+		return nil, fmt.Errorf("store: unknown storage model %s", k)
+	}
 	e, err := NewEngine(o)
 	if err != nil {
 		return nil, err

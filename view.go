@@ -72,7 +72,7 @@ func (b *Base) storeView(opts store.Options) (*store.View, error) {
 	if opts.CountIndexIO {
 		return nil, fmt.Errorf("complexobj: CountIndexIO needs a private database (Open, OpenLoaded), not a view of a base")
 	}
-	return b.base.NewViewAs(b.kind.internal(), opts)
+	return b.base.NewViewAs(b.kind, opts)
 }
 
 // Kind returns the storage model the view executes.
