@@ -176,3 +176,66 @@ func BenchmarkBTreeGet(b *testing.B) {
 		}
 	}
 }
+
+// --- durable commit path ----------------------------------------------------
+
+// BenchmarkCheckpoint measures one CommitLog.Checkpoint of a small durable
+// directory (one DSM model of 100 stations) whose generation holds
+// committed pages over its floor: the checkpoint file streamed from the
+// floor and the page table through the log's one write buffer, synced and
+// renamed into place. B/op is what a write buffer allocated per file or
+// per checkpoint shows in.
+func BenchmarkCheckpoint(b *testing.B) {
+	const kind = complexobj.DSM
+	dir := b.TempDir()
+	db, err := complexobj.OpenLoaded(kind, complexobj.Options{}, cobench.DefaultConfig().WithN(100))
+	if err != nil {
+		b.Fatal(err)
+	}
+	err = complexobj.SeedCommitDir(dir, db)
+	if cerr := db.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	clog, err := complexobj.OpenCommitLog(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer clog.Close()
+	base, err := clog.OpenBase(kind, "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer base.Close()
+	if _, err := clog.Recover(); err != nil {
+		b.Fatal(err)
+	}
+	w := cobench.Workload{Loops: 4, Samples: 1, Seed: 1993}
+	for i := 0; i < 8; i++ {
+		w.Seed++
+		v, err := base.NewView(complexobj.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := v.Run(cobench.Q3a, w); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := v.Commit(clog); err != nil {
+			b.Fatal(err)
+		}
+		if err := v.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if base.DeltaPages() == 0 {
+		b.Fatal("the commits left no page over the floor")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := clog.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

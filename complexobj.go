@@ -266,8 +266,8 @@ func (b *Base) ArenaBytes() int { return b.base.ArenaBytes() }
 func (b *Base) Mapped() bool { return b.base.Mapped() }
 
 // DeltaPages returns the number of committed page images the current
-// generation holds on the heap over the arena it was opened with (0
-// until the first commit, at most NumPages).
+// generation holds over the arena it was opened with, in its branch's
+// off-heap page pool (0 until the first commit, at most NumPages).
 func (b *Base) DeltaPages() int { return b.base.DeltaPages() }
 
 // PromotedBytes returns the bytes commits have copied in memory to build

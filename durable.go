@@ -1,6 +1,7 @@
 package complexobj
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"os"
@@ -75,6 +76,7 @@ type CommitLog struct {
 	// truncates the log — a commit landing between a checkpoint write and
 	// the truncation would otherwise be lost.
 	ckpt        sync.RWMutex
+	buf         *bufio.Writer // every checkpoint's one write buffer; guarded by ckpt
 	checkpoints atomic.Int64
 }
 
@@ -91,7 +93,7 @@ func OpenCommitLog(dir string) (*CommitLog, error) {
 	if err != nil {
 		return nil, fmt.Errorf("complexobj: open wal: %w", err)
 	}
-	return &CommitLog{dir: dir, file: f, bases: make(map[ModelKind]*Base)}, nil
+	return &CommitLog{dir: dir, file: f, bases: make(map[ModelKind]*Base), buf: snapshot.NewWriteBuffer()}, nil
 }
 
 // Dir returns the commit log's directory.
@@ -196,7 +198,9 @@ func (c *CommitLog) commit(sv *store.View) (store.CommitResult, error) {
 // images are absolute, so recovery converges on the same committed state.
 // Commits are excluded for the duration; in-flight ones finish first.
 // Safe to call at any frequency — the cost is one arena write per model,
-// streamed from the generation's floor and page table.
+// streamed from the generation's floor and page table through the one
+// 64 KiB write buffer the log keeps for every checkpoint (checkpoints
+// serialize on the commit shield), so a checkpoint allocates no buffer.
 func (c *CommitLog) Checkpoint() error {
 	l := c.handle()
 	if l == nil {
@@ -212,7 +216,7 @@ func (c *CommitLog) Checkpoint() error {
 	}
 	c.mu.Unlock()
 	for _, b := range bases {
-		if err := snapshot.WriteSidecar(c.dir, b.base, seq); err != nil {
+		if err := snapshot.WriteSidecar(c.dir, b.base, seq, c.buf); err != nil {
 			return fmt.Errorf("complexobj: checkpoint: %w", err)
 		}
 	}

@@ -1023,7 +1023,7 @@ func TestCommitLogKillBetweenLinkedCheckpointRenames(t *testing.T) {
 		}
 	}
 	// The checkpoint's first rename, then the kill: the log is untouched.
-	if err := snapshot.WriteSidecar(dir, bases[0].base, clog.handle().LastSeq()); err != nil {
+	if err := snapshot.WriteSidecar(dir, bases[0].base, clog.handle().LastSeq(), snapshot.NewWriteBuffer()); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range bases {

@@ -81,9 +81,14 @@ var liveArena atomic.Int64
 // LiveArenaBytes returns the bytes this package allocated outside the Go
 // heap and has not yet freed — engines' loader arenas, the ones their
 // growth retired, the floors of built or loaded bases still referenced,
-// and the chunks page pools cut their pages from — which the Go runtime's
+// and the chunks page pools cut their pages from, the committed page
+// images of every branch of a base among them — which the Go runtime's
 // memory statistics do not count. It is zero once every engine is closed,
-// every such base released and every page pool drained.
+// every base released and every page pool drained; a branch drains its
+// own at its last release. The race detector does not see accesses to
+// this memory, committed images included: only reference counts keep
+// their readers safe, and only the poison build (-tags poison) checks
+// their lifetime.
 func LiveArenaBytes() int64 { return liveArena.Load() }
 
 // quarantined is the ledger line of the ranges the poison build keeps

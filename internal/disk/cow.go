@@ -81,7 +81,7 @@ type branch struct {
 // does. Called with mu held.
 func (b *branch) lineageFor(a *BaseArena) *lineage {
 	if b.lin == nil {
-		b.lin = &lineage{newest: a.seq, live: []uint64{a.seq}}
+		b.lin = &lineage{newest: a.seq, live: []uint64{a.seq}, pages: NewPagePool()}
 	} else if b.lin.newest != a.seq {
 		panic(fmt.Sprintf("disk: promote of generation %d, not its branch's newest %d", a.seq, b.lin.newest))
 	}
@@ -89,17 +89,22 @@ func (b *branch) lineageFor(a *BaseArena) *lineage {
 }
 
 // drained records that generation seq lost its last reference and frees
-// what only it could still read. With the branch's last generation its
-// lists go, and the floor counts one branch fewer.
-func (b *branch) drained(seq uint64, f *floor) {
+// what only it could still read. With the branch's last generation every
+// committed image is back in the branch's pool, which is drained — an
+// error is an image still out, whose chunk stays mapped — the lists go,
+// and the floor counts one branch fewer.
+func (b *branch) drained(seq uint64, f *floor) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	var err error
+	if b.lin != nil {
+		err = b.lin.drain(seq)
+	}
 	if b.live--; b.live == 0 {
 		b.lin = nil
 		f.branches.Add(-1)
-	} else if b.lin != nil {
-		b.lin.drain(seq)
 	}
+	return err
 }
 
 // BaseArena is one immutable generation of a shared page arena: the frozen
@@ -233,7 +238,7 @@ func (a *BaseArena) Bytes() []byte {
 func (a *BaseArena) Mapped() bool { return a != nil && a.fl.mapped }
 
 // DeltaPages returns the number of committed page images the generation
-// holds on the heap over its floor.
+// holds over its floor.
 func (a *BaseArena) DeltaPages() int {
 	if a == nil {
 		return 0
@@ -277,12 +282,13 @@ func (a *BaseArena) Release() error {
 		return nil
 	}
 	f := a.fl
+	var err error
 	if a.refs.Add(-1) == 0 {
-		a.br.drained(a.seq, f)
+		err = a.br.drained(a.seq, f)
 	}
 	switch n := f.refs.Add(-1); {
 	case n > 0:
-		return nil
+		return err
 	case n < 0:
 		return fmt.Errorf("disk: base arena over-released (refs %d)", n)
 	}
@@ -290,9 +296,9 @@ func (a *BaseArena) Release() error {
 	if f.unmap != nil {
 		unmap := f.unmap
 		f.unmap = nil
-		return unmap()
+		return errors.Join(err, unmap())
 	}
-	return nil
+	return err
 }
 
 // floor returns the floor bytes the generation reads through.

@@ -234,6 +234,9 @@ func TestBaseArenaRefcount(t *testing.T) {
 	if grown.Len() != 2*ps || grown.Refs() != 1 || grown.Bytes()[ps] != 7 || grown.Bytes()[0] != 0 {
 		t.Error("promoting a nil base does not yield the images over zeros")
 	}
+	if err := grown.Release(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Generations share one floor, and only the floor is counted: each
 	// promoted generation's owner holds one reference, views on any

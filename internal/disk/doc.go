@@ -155,7 +155,7 @@
 // PROT_READ/MAP_PRIVATE, resident only in the pages views actually
 // touch, immutable by page protection on top of immutable by
 // construction — and it stays the floor across commits, which move only
-// the pages they dirtied onto the heap.
+// the pages they dirtied into their branch's page pool.
 //
 // Backends change only the storage substrate — allocation, run transfers
 // and the I/O counters are identical across backends by construction.
@@ -170,17 +170,31 @@
 // by exactly the generations [b, d) of its branch: d's promote retires
 // it to the branch's lineage with that interval; when a generation's last
 // reference goes, every retired image no live generation in its interval
-// reads moves to the branch's free list, and later promotes of the branch
-// copy dirty pages into those instead of fresh memory. Branches never
+// reads goes back to the branch's page pool, and later promotes of the
+// branch copy dirty pages into those instead of fresh memory. Branches never
 // share an image, leaf or root — a branch starts from a generation with
 // none — so a lineage per branch sees every reader of what it holds. A
 // view parked on an old generation pins only what its own generation
 // reads — what the garbage collector would keep for it — and nothing
 // retired after it. The lineage is a line: a promote of a generation that
 // is not its branch's newest panics, as retaining a drained generation
-// does. The lists go with the branch's last generation, and under
-// `-tags poison` an image reads 0xDB from the moment it is freed and
-// again when it is reused.
+// does.
+//
+// The pool is a PagePool the branch owns, made at its first promote, so
+// its images are off the Go heap, cut from the pool's chunks and counted
+// in LiveArenaBytes. Since that memory is freed explicitly, every
+// image must come back, and one more rule sees to it: what the newest
+// generation's table holds was never replaced, so it was never retired,
+// but once the newest drains no promote can follow (a promote needs the
+// newest), and its images retire as if one had replaced them all — those
+// no older live generation reads are freed at once (a base closed before
+// a view parked on an older generation), the rest with the generations
+// reading them. At the branch's last release every image is back and the
+// pool is drained, its chunks unmapped; a page still out makes Drain
+// refuse, the chunk stays mapped and the error is Release's — a leak the
+// ledger shows. Under `-tags poison` an image reads 0xDB from the moment
+// it is freed and again when it is reused, and a drained chunk is
+// quarantined, so an image read after its branch's last release faults.
 //
 // # Stable pages (zero-copy reads)
 //
@@ -251,13 +265,19 @@
 // buffer.TestEngineHandOver is the rule itself — and CI's race-built
 // server soak: a second goroutine in an engine is a reported race. The
 // detector sees only Go memory, so accesses to a loader arena, a file
-// mapping or a pool's page (cut from a chunk) go unchecked; engine state,
-// the pool's lists and the pages of a device with no pool remain covered.
+// mapping or a pool's page (cut from a chunk) go unchecked — committed
+// images included, which are pages of their branch's pool: only the
+// reference counts keep their readers safe, and only the poison build
+// checks their lifetime. Engine state, the pools' lists, page tables and
+// the pages of a device with no pool remain covered.
 //
 // # Page buffer ownership
 //
 // Committed images are base memory, owned by their branch's lineage under
-// the rule in "Committed page images"; they never pass through a PagePool.
+// the rule in "Committed page images" and cut from the branch's own
+// PagePool, which no engine is given: an engine's pages and a branch's
+// images never meet in one pool. A promote copies an engine's dirty page
+// into an image of the branch's; the engine keeps its page.
 // A page buffer that is neither arena nor base memory — a frame the buffer
 // pool owns (a promoted or copied page), a COW overlay image — has one
 // owner at a time, in this order: the engine (a live frame or image, or
@@ -280,7 +300,7 @@
 // order). An engine that failed gives nothing back, and its pages keep its
 // pool's chunks mapped. Nothing built over a pool's engine keeps one of its
 // pages: a base's floor is a loader arena (Detach) or a copy into one
-// (CopyBase), and a promote copies into images of its lineage. Under
+// (CopyBase), and a promote copies into images of its branch's pool. Under
 // `-tags poison` a page reads 0xDB from the moment it is given to the list
 // or the pool, and again when a pool hands it out or a list makes it, so a
 // frame's Data kept past its eviction reads 0xDB.

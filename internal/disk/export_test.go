@@ -16,5 +16,6 @@ func (a *BaseArena) RecycleState() (pinned [][]byte, free int, reused int64) {
 			pinned = append(pinned, r.img)
 		}
 	}
-	return pinned, len(br.lin.imgs), br.lin.reused
+	_, hits, held := br.lin.pages.Stats()
+	return pinned, held, hits
 }

@@ -7,19 +7,21 @@ import "slices"
 // images"). Every page image, table leaf and root a promote replaces is
 // retired with the interval [born, died) of generations that can read it —
 // born is the generation whose promote installed it, died the one whose
-// promote replaced it — and moves to a free list once no live generation
-// falls in that interval. Guarded by the branch's mutex.
+// promote replaced it — and is freed once no live generation falls in that
+// interval. The images come from the branch's own page pool and go back
+// to it, off the Go heap; the pool is drained with the branch's last
+// generation. Guarded by the branch's mutex.
 type lineage struct {
-	newest   uint64   // seq of the newest generation: the one promote recycles for
-	live     []uint64 // seqs of the generations holding references, ascending
-	born     []uint64 // per page: the generation that installed newest's image of it
-	leafBorn []uint64 // per leaf index: the generation that made newest's leaf
+	newest   uint64    // seq of the newest generation: the one promote recycles for
+	top      pageTable // newest's table: the images no promote has retired
+	live     []uint64  // seqs of the generations holding references, ascending
+	born     []uint64  // per page: the generation that installed newest's image of it
+	leafBorn []uint64  // per leaf index: the generation that made newest's leaf
 	retired  []retired
 
-	imgs   [][]byte // free page images
+	pages  *PagePool // the branch's committed images, free and in use
 	leaves []*pageLeaf
 	roots  []pageTable
-	reused int64 // images handed out a second time (read by tests)
 }
 
 // retired is one superseded image, leaf or root (exactly one is set) and
@@ -38,19 +40,32 @@ func (l *lineage) readable(born, died uint64) bool {
 }
 
 // drain removes generation seq from the live set and frees what it was the
-// last generation to read.
-func (l *lineage) drain(seq uint64) {
+// last generation to read. No promote ever replaces what the newest
+// generation's table holds, but once it drains none can — a promote needs
+// the newest — so its images retire then as if one had replaced them all:
+// those only it and other drained generations read go back to the pool,
+// the rest when the older generations reading them drain. With the last
+// generation every image is back, and the pool is drained; its error is
+// a page of the branch's still out.
+func (l *lineage) drain(seq uint64) error {
+	if seq == l.newest {
+		l.top.each(func(pg int, slot *[]byte) {
+			l.retired = append(l.retired, retired{born: l.born[pg], died: seq + 1, img: *slot})
+		})
+		l.top = nil
+	}
 	if i, ok := slices.BinarySearch(l.live, seq); ok {
 		l.live = slices.Delete(l.live, i, i+1)
 	}
 	keep := l.retired[:0]
+	p := l.pages
+	p.mu.Lock()
 	for _, r := range l.retired {
 		switch {
 		case l.readable(r.born, r.died):
 			keep = append(keep, r)
 		case r.img != nil:
-			poisonPage(r.img)
-			l.imgs = append(l.imgs, r.img)
+			p.put(r.img)
 		case r.leaf != nil:
 			*r.leaf = pageLeaf{}
 			l.leaves = append(l.leaves, r.leaf)
@@ -59,23 +74,13 @@ func (l *lineage) drain(seq uint64) {
 			l.roots = append(l.roots, r.root)
 		}
 	}
+	p.mu.Unlock()
 	clear(l.retired[len(keep):])
 	l.retired = keep
-}
-
-// image returns a page image to install, contents unspecified: a free one
-// when held, else a fresh one.
-func (l *lineage) image() []byte {
-	if len(l.imgs) == 0 {
-		return make([]byte, DefaultPageSize)
+	if len(l.live) == 0 {
+		return p.Drain()
 	}
-	k := len(l.imgs) - 1
-	img := l.imgs[k]
-	l.imgs[k] = nil
-	l.imgs = l.imgs[:k]
-	l.reused++
-	poisonPage(img)
-	return img
+	return nil
 }
 
 // leaf returns an empty leaf.

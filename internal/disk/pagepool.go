@@ -12,7 +12,9 @@ const chunkPages = 128
 
 // PagePool is a LIFO of page buffers that outlives the engines
 // drawing on it, the level under each engine's one free list (doc.go,
-// "Page buffer ownership"). The pages are not on the Go heap: a pool cuts
+// "Page buffer ownership"); each branch of a base also keeps one for its
+// committed images (doc.go, "Committed page images"). The pages are not
+// on the Go heap: a pool cuts
 // them from chunks, memory of its own mapped chunkPages pages at a time
 // like a loader arena (allocArena) and counted with those in
 // LiveArenaBytes, and Drain gives the chunks back once every page cut from

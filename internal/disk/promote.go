@@ -36,10 +36,11 @@ func OverlayPages(b Backend, fn func(pg int, img []byte)) bool {
 // promote copied (root, leaves, images) — the in-memory write
 // amplification of the commit.
 //
-// The copies land in memory earlier promotes superseded when the branch's
-// lineage holds some no live generation can read; what this promote
-// supersedes — the receiver's root, the leaves it copies, the images it
-// replaces or drops — is retired with the generations that can read it.
+// The images come from the branch's page pool, off the Go heap: memory
+// earlier promotes superseded once no live generation can read it, else
+// fresh pages of the pool's chunks. What this promote supersedes — the
+// receiver's root, the leaves it copies, the images it replaces or drops
+// — is retired with the generations that can read it.
 // That needs the receiver to be the branch's newest generation; promoting
 // an older one panics.
 func (a *BaseArena) Promote(numPages int, pages map[int][]byte) (next *BaseArena, copied int64) {
@@ -116,7 +117,7 @@ func (a *BaseArena) Promote(numPages int, pages map[int][]byte) (next *BaseArena
 		if pg < 0 || pg >= numPages {
 			continue
 		}
-		img := l.image()
+		img := l.pages.Get()
 		if len(src) < DefaultPageSize {
 			m := copy(img, a.page(pg))
 			clear(img[m:])
@@ -131,7 +132,7 @@ func (a *BaseArena) Promote(numPages int, pages map[int][]byte) (next *BaseArena
 		l.born[pg] = next.seq
 		copied += DefaultPageSize
 	}
-	l.newest = next.seq
+	l.newest, l.top = next.seq, next.over
 	l.live = append(l.live, next.seq)
 	return next, copied
 }

@@ -47,3 +47,32 @@ func TestDrainedPageFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDrainedBranchImageFaults is the same probe for committed images:
+// they are pages of their branch's pool, so one kept past the branch's
+// last release — its pool drained and the chunk quarantined — faults
+// instead of reading what the next mapping put there.
+func TestDrainedBranchImageFaults(t *testing.T) {
+	base, _ := testBase(4)
+	gen, _ := base.Promote(4, map[int][]byte{1: make([]byte, DefaultPageSize)})
+	if err := base.Release(); err != nil {
+		t.Fatal(err)
+	}
+	kept := gen.page(1)
+	before := quarantined.Load()
+	if err := gen.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := quarantined.Load()-before, int64(chunkPages*DefaultPageSize); got != want {
+		t.Errorf("the branch's last release quarantined %d bytes, want its pool's chunk of %d", got, want)
+	}
+	next := NewPagePool()
+	fresh := next.Get()
+	if !faults(func() { sink = kept[0] }) {
+		t.Error("a committed image kept past its branch's last release was read without a fault")
+	}
+	next.Put([][]byte{fresh})
+	if err := next.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}

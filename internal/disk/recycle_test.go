@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -144,5 +145,60 @@ func TestPromoteOffTheNewestPanics(t *testing.T) {
 	}
 	if err := a.Release(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBranchPoolReturnsInEveryReleaseOrder pins the lifetime of a branch's
+// committed images, which are pages of the branch's own pool, off the Go
+// heap: whichever generation drains last, every image is back in the pool
+// then and the pool's chunks are unmapped, so LiveArenaBytes returns to
+// where it started. Newest first, with a view parked on an older
+// generation, the images only newer generations read come back at once and
+// the parked view keeps reading its own bytes (under -tags poison a
+// returned image reads 0xDB); oldest first, the newest generation's last
+// release returns them all.
+func TestBranchPoolReturnsInEveryReleaseOrder(t *testing.T) {
+	const numPages, dirty = 8 * leafPages, 12
+	for _, newestFirst := range []bool{true, false} {
+		start := LiveArenaBytes()
+		gen, _ := testBase(numPages)
+		rng := rand.New(rand.NewSource(49))
+		for i := 0; i < 20; i++ {
+			gen = commitThroughView(t, gen, randomPages(rng, numPages, dirty))
+		}
+		parkedGen, parkedBytes := gen, gen.Bytes()
+		parked := NewCOWBackend(parkedGen)
+		for i := 0; i < 20; i++ {
+			gen = commitThroughView(t, gen, randomPages(rng, numPages, dirty))
+		}
+		if LiveArenaBytes() == start {
+			t.Fatal("40 commits mapped no pool chunk; the check is vacuous")
+		}
+		if newestFirst {
+			_, freeBefore, _ := parkedGen.RecycleState()
+			if err := gen.Release(); err != nil {
+				t.Fatal(err)
+			}
+			if _, free, _ := parkedGen.RecycleState(); free <= freeBefore {
+				t.Errorf("the newest generation drained and returned no image (%d free, %d before)", free, freeBefore)
+			}
+			got := make([]byte, len(parkedBytes))
+			if err := parked.ReadAt(got, 0); err != nil || !bytes.Equal(got, parkedBytes) {
+				t.Fatalf("the parked view no longer reads its generation once the newest drained (%v)", err)
+			}
+			if err := parked.Close(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			if err := parked.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := gen.Release(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := LiveArenaBytes() - start; got != 0 {
+			t.Errorf("newest first %t: %d off-heap bytes live after the branch's last release", newestFirst, got)
+		}
 	}
 }

@@ -107,8 +107,8 @@ type PoolInfo struct {
 	Gen uint64 `json:"gen"`
 	// PromotedBytes is what building those generations copied in memory
 	// (dirty page images, page tables, metadata); DeltaPages the committed
-	// pages the served generation holds on the heap over the arena it was
-	// opened with.
+	// pages the served generation holds over the arena it was opened with
+	// (off the Go heap, in its branch's page pool).
 	PromotedBytes int64 `json:"promotedBytes"`
 	DeltaPages    int   `json:"deltaPages"`
 }

@@ -57,7 +57,7 @@ func Extract(src, dst string, kinds []store.Kind) error {
 		}
 	}
 
-	return writeContainer(dst, info.Gen, selected, func(i int, w io.Writer) error {
+	return writeContainer(dst, NewWriteBuffer(), info.Gen, selected, func(i int, w io.Writer) error {
 		e := selected[i]
 		_, err := io.Copy(w, io.NewSectionReader(f, e.metaOff, e.span()))
 		return err

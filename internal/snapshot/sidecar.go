@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -44,15 +45,15 @@ func sidecarPath(dir string, k store.Kind) string {
 
 // WriteSidecar persists the base's current generation into dir as the
 // model's checkpoint file, recording seq as the WAL watermark the arena
-// includes. The generation is streamed, never flattened in memory: runs of
-// pages still on the floor go out as single writes, committed pages one
-// each. The generator configuration is provenance the base does not
-// carry; checkpoints store the zero config.
-func WriteSidecar(dir string, b *store.SharedBase, seq uint64) error {
+// includes. The generation is streamed through buf (NewWriteBuffer),
+// never flattened in memory: runs of pages still on the floor go out as
+// single writes, committed pages one each. The generator configuration is
+// provenance the base does not carry; checkpoints store the zero config.
+func WriteSidecar(dir string, b *store.SharedBase, seq uint64, buf *bufio.Writer) error {
 	gen, numPages, meta, arena := b.SnapshotState()
 	defer arena.Release()
 	e := entry{kinds: setOf(b.Kind()), numPages: numPages, seq: seq, gen: gen, metaLen: len(meta)}
-	return writeContainer(sidecarPath(dir, b.Kind()), cobench.Config{}, []entry{e}, func(_ int, w io.Writer) error {
+	return writeContainer(sidecarPath(dir, b.Kind()), buf, cobench.Config{}, []entry{e}, func(_ int, w io.Writer) error {
 		if _, err := w.Write(meta); err != nil {
 			return err
 		}

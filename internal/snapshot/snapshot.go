@@ -134,10 +134,17 @@ func checkEntries(entries []entry) error {
 	return nil
 }
 
-// writeFileAtomic streams content into a temp file in path's directory,
-// syncs it, renames it over path and syncs the directory, so a reader
-// sees the old file or the complete new one, never a prefix.
-func writeFileAtomic(path string, write func(w io.Writer) error) error {
+// NewWriteBuffer returns a buffer to stream .codb files through: 64 KiB
+// gathers the header, blobs and single committed pages, and an arena's
+// floor runs are larger and pass straight through. One buffer serves any
+// number of files written one after another (a commit log keeps one for
+// all its checkpoints); two writes at once need two.
+func NewWriteBuffer() *bufio.Writer { return bufio.NewWriterSize(nil, 64<<10) }
+
+// writeFileAtomic streams content into a temp file in path's directory
+// through buf, syncs it, renames it over path and syncs the directory, so
+// a reader sees the old file or the complete new one, never a prefix.
+func writeFileAtomic(path string, buf *bufio.Writer, write func(w io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*")
 	if err != nil {
@@ -147,13 +154,11 @@ func writeFileAtomic(path string, write func(w io.Writer) error) error {
 		tmp.Close()
 		os.Remove(tmp.Name())
 	}()
-	// 64 KiB gathers the header, blobs and single committed pages; an
-	// arena's floor runs are larger and pass straight through.
-	w := bufio.NewWriterSize(tmp, 64<<10)
-	if err := write(w); err != nil {
+	buf.Reset(tmp)
+	if err := write(buf); err != nil {
 		return err
 	}
-	if err := w.Flush(); err != nil {
+	if err := buf.Flush(); err != nil {
 		return err
 	}
 	// CreateTemp's restrictive 0600 mode would survive the rename; align
@@ -183,15 +188,16 @@ func syncDir(dir string) {
 	}
 }
 
-// writeContainer atomically writes a .codb file: the header, then per
-// entry its header followed by what body(i, w) streams — exactly the
-// entry's metaLen meta bytes and numPages*disk.DefaultPageSize arena bytes.
-func writeContainer(path string, gen cobench.Config, entries []entry, body func(i int, w io.Writer) error) error {
+// writeContainer atomically writes a .codb file through buf: the header,
+// then per entry its header followed by what body(i, w) streams — exactly
+// the entry's metaLen meta bytes and numPages*disk.DefaultPageSize arena
+// bytes.
+func writeContainer(path string, buf *bufio.Writer, gen cobench.Config, entries []entry, body func(i int, w io.Writer) error) error {
 	genJSON, err := json.Marshal(gen)
 	if err != nil {
 		return fmt.Errorf("snapshot: encode gen config: %w", err)
 	}
-	return writeFileAtomic(path, func(w io.Writer) error {
+	return writeFileAtomic(path, buf, func(w io.Writer) error {
 		head := append([]byte(nil), magic[:]...)
 		head = binary.BigEndian.AppendUint16(head, Version)
 		head = binary.BigEndian.AppendUint32(head, uint32(len(genJSON)))
@@ -274,7 +280,7 @@ next:
 		entries = append(entries, e)
 		src = append(src, i)
 	}
-	return writeContainer(path, gen, entries, func(j int, w io.Writer) error {
+	return writeContainer(path, NewWriteBuffer(), gen, entries, func(j int, w io.Writer) error {
 		if _, err := w.Write(metas[src[j]]); err != nil {
 			return err
 		}

@@ -223,7 +223,8 @@
 // blob: the marker's blob is empty and generation n+1 keeps generation
 // n's directory by reference. A changed one takes the full path, so
 // checkpoints, .codb files and Meta never differ. DeltaPages is what the
-// current generation holds on the heap over its floor. A commit strands
+// current generation holds over its floor, in its branch's page pool
+// (off the Go heap; disk.LiveArenaBytes counts it). A commit strands
 // its own view and every idle sibling on the superseded generation.
 // View.Rebase is Recycle onto the current one — Discard, ResetView, swap
 // the overlay's base reference to the generation captured under the base

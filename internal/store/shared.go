@@ -276,8 +276,8 @@ func (b *SharedBase) Mapped() bool {
 }
 
 // DeltaPages returns the number of committed page images the current
-// generation holds on the heap over its floor (0 until the first commit,
-// bounded by NumPages).
+// generation holds over its floor, off the Go heap in its branch's page
+// pool (0 until the first commit, bounded by NumPages).
 func (b *SharedBase) DeltaPages() int {
 	b.mu.RLock()
 	defer b.mu.RUnlock()

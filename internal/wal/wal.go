@@ -94,7 +94,15 @@ type Log struct {
 	dev Device
 	end int64  // append offset; advances only on fully successful writes
 	seq uint64 // last assigned commit sequence
-	enc []byte // reusable encode buffer
+	// enc is the encode buffer every Commit appends its batch into. It is
+	// never shrunk, so it stays at the largest batch encoded so far (to
+	// append's growth), for the log's life, Resets included. A batch is one
+	// view's dirty pages, each a page record, and one commit marker with at
+	// most the model's directory blob: the bound is the largest view's
+	// device in pages plus one blob. Commits of query 3 are a few pages;
+	// a structural update carries the blob, a few KiB up to a few MiB at
+	// paper scale. Keeping it saves that allocation at every such commit.
+	enc []byte
 
 	// endDurable mirrors end for the sync leader (which must not take
 	// the append lock while a Reset may be waiting out its wave).

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"complexobj/internal/disk"
 	"complexobj/internal/faultdisk"
@@ -463,5 +464,39 @@ func TestEmptyAndGarbageLogs(t *testing.T) {
 		if _, err := l.Commit(p, c); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestEncodeBufferKeepsTheLargestBatch pins what bounds the log's encode
+// buffer: it grows only to hold a batch larger than any encoded before,
+// and a batch no larger — or any batch after a Reset — is encoded into
+// the same memory.
+func TestEncodeBufferKeepsTheLargestBatch(t *testing.T) {
+	l := mustOpen(t, newMemDevice(nil), nil)
+	commit := func(n int) {
+		t.Helper()
+		p, c := testBatch(1, n, byte(n))
+		if _, err := l.Commit(p, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(8)
+	largest, kept := len(l.enc), unsafe.SliceData(l.enc)
+	for _, n := range []int{1, 8, 3, 0, 8} {
+		commit(n)
+		if len(l.enc) > largest || unsafe.SliceData(l.enc) != kept {
+			t.Fatalf("a batch of %d pages moved the buffer kept for the largest, %d bytes", n, largest)
+		}
+	}
+	if err := l.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	commit(8)
+	if unsafe.SliceData(l.enc) != kept {
+		t.Fatal("a Reset dropped the encode buffer")
+	}
+	commit(64)
+	if len(l.enc) <= largest {
+		t.Fatalf("a batch of 64 pages encoded into %d bytes, no more than one of 8", len(l.enc))
 	}
 }
